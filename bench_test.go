@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -242,6 +243,81 @@ func BenchmarkUpdatePrioritySingle(b *testing.B) {
 			if _, err := db.UpdatePriorities(bgctx, []int64{id}, []int{(i + j) % 700}); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkUpdatePrioritiesDepth20k is one GPR reprioritisation of a deep
+// output queue: 500 of 20 000 queued tasks move to new priorities in one
+// transaction. The 700-row benchmarks above never leave the ordered index's
+// first few leaves; this one is the depth the paper's ME algorithm holds.
+func BenchmarkUpdatePrioritiesDepth20k(b *testing.B) {
+	const depth, batch, maxPrio = 20000, 500, 1000
+	db, err := core.NewDB()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	payloads := make([]string, 1000)
+	prios := make([]int, len(payloads))
+	ids := make([]int64, 0, depth)
+	for len(ids) < depth {
+		for j := range prios {
+			prios[j] = (len(ids) + j*7919) % maxPrio
+		}
+		res, err := db.SubmitBatch(bgctx, "bench", 1, payloads, prios, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids = append(ids, res.IDs...)
+	}
+	pick := make([]int64, batch)
+	prios = prios[:batch]
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := range pick {
+			pick[j] = ids[(i*batch+j*37)%depth] // 37*batch < depth: no id twice
+			prios[j] = (i*31 + j*17) % maxPrio
+		}
+		res, err := db.UpdatePriorities(bgctx, pick, prios)
+		if err != nil || res.Count != batch {
+			b.Fatalf("UpdatePriorities = %+v, %v; want %d updated", res, err, batch)
+		}
+	}
+}
+
+// BenchmarkDedupSubmitBatchAt10kRows submits 50 tasks under 50 dedup keys
+// never seen before — what every first delivery of a keyed submit is — into
+// a task table that already holds 10 000 rows. Each key's existence check is
+// an index miss, which must not cost a pass over the table.
+func BenchmarkDedupSubmitBatchAt10kRows(b *testing.B) {
+	const rows, batch = 10000, 50
+	db, err := core.NewDB()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	payloads := make([]string, 1000)
+	keys := make([]string, len(payloads))
+	for n := 0; n < rows; n += len(payloads) {
+		for j := range keys {
+			keys[j] = "pre-" + strconv.Itoa(n+j)
+		}
+		if _, err := db.SubmitBatch(bgctx, "bench", 1, payloads, nil, keys); err != nil {
+			b.Fatal(err)
+		}
+	}
+	payloads, keys = payloads[:batch], keys[:batch]
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := range keys {
+			keys[j] = "new-" + strconv.Itoa(i*batch+j)
+		}
+		res, err := db.SubmitBatch(bgctx, "bench", 1, payloads, nil, keys)
+		if err != nil || len(res.IDs) != batch {
+			b.Fatalf("SubmitBatch = %d ids, %v; want %d", len(res.IDs), err, batch)
 		}
 	}
 }

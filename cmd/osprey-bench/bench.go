@@ -29,13 +29,19 @@ import (
 // BenchmarkWatchDispatch is the hub's fan-out cost per committed transition
 // (16 subscribers), and BenchmarkWatchWake vs BenchmarkPollWake is the
 // standing proof that a server-push wake-up (submit -> queued event on a
-// watch stream) beats the poll round trip it replaced.
+// watch stream) beats the poll round trip it replaced. The depth pair guards
+// minisql's index access paths against costing O(rows) per statement again:
+// BenchmarkUpdatePrioritiesDepth20k reprioritises 500 of 20 000 queued tasks
+// (the ordered index at the depth the 700-row priority benchmarks never
+// reach), and BenchmarkDedupSubmitBatchAt10kRows submits under fresh dedup
+// keys into a 10 000-row table (an index miss must not become a table scan).
 const keyBenchmarks = "^(BenchmarkSubmitTask|BenchmarkInstrumentedSubmit|" +
 	"BenchmarkSubmitQueryReportCycle|BenchmarkDurableSubmit|" +
 	"BenchmarkPopResultsBatch50|BenchmarkQuorumSubmit|BenchmarkFollowerRead|" +
 	"BenchmarkMinisqlIndexedSelect|BenchmarkPopTokenOverhead|" +
 	"BenchmarkWireCodec|BenchmarkPipelinedSubmitParallel8|" +
-	"BenchmarkWatchDispatch|BenchmarkWatchWake|BenchmarkPollWake)$"
+	"BenchmarkWatchDispatch|BenchmarkWatchWake|BenchmarkPollWake|" +
+	"BenchmarkUpdatePrioritiesDepth20k|BenchmarkDedupSubmitBatchAt10kRows)$"
 
 // benchResult is one benchmark's measurements as recorded in BENCH_*.json.
 type benchResult struct {

@@ -3,6 +3,7 @@ package minisql
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -460,16 +461,15 @@ func (e *Engine) execInsert(st insertStmt, args []Value) (*Result, error) {
 // matchIDs evaluates the WHERE clause and returns matching rowids in
 // insertion order, using a hash index when the predicate contains a
 // top-level equality (or IN) conjunct on an indexed column.
-func (e *Engine) matchIDs(t *table, where expr, args []Value) ([]int64, error) {
-	candidates := e.planCandidates(t, where, args)
-	if candidates == nil {
+func (e *Engine) matchIDs(t *table, where expr, ev *evalCtx) ([]int64, error) {
+	candidates, indexed := e.planCandidates(t, where, ev)
+	if !indexed {
 		candidates = t.scanIDs()
 	}
 	if where == nil {
 		return candidates, nil
 	}
-	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
-	out := candidates[:0:0]
+	out := candidates[:0]
 	for _, id := range candidates {
 		row, ok := t.rows[id]
 		if !ok {
@@ -487,85 +487,116 @@ func (e *Engine) matchIDs(t *table, where expr, args []Value) ([]int64, error) {
 	return out, nil
 }
 
-// planCandidates returns a candidate rowid set from an index, or nil when no
-// index applies and a full scan is needed.
-func (e *Engine) planCandidates(t *table, where expr, args []Value) []int64 {
-	conjuncts := flattenAnd(where)
-	for _, c := range conjuncts {
-		switch ex := c.(type) {
-		case *binExpr:
-			if ex.Op != "=" {
-				continue
-			}
-			col, val, ok := eqSides(t, ex, args)
-			if !ok {
-				continue
-			}
-			if ix := t.indexes[col]; ix != nil {
-				return ix.lookup(val)
-			}
-		case *inExpr:
-			cr, ok := ex.Target.(*colRef)
-			if !ok {
-				continue
-			}
-			ix := t.indexes[cr.Name]
-			if ix == nil {
-				continue
-			}
-			var ids []int64
-			ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
-			if ex.Spread {
-				for _, v := range ex.spreadArgs(ev) {
-					ids = append(ids, ix.lookup(v)...)
-				}
-			} else {
-				for _, le := range ex.List {
-					v, err := le.eval(ev)
-					if err != nil {
-						return nil
-					}
-					ids = append(ids, ix.lookup(v)...)
-				}
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			return dedupeIDs(ids)
-		}
-	}
-	return nil
-}
-
-// eqCardinality estimates, without materializing candidates, how many rows a
-// top-level `col = const` conjunct on a hash-indexed column pins the result
-// to. bounded is false when no such conjunct exists (the result could be the
-// whole table).
-func (e *Engine) eqCardinality(t *table, where expr, args []Value) (est int, bounded bool) {
+// planCandidates returns a candidate rowid set, ascending, from the first
+// top-level conjunct an index serves; indexed is false when none does and a
+// full scan is needed. An indexed probe that matches nothing is an empty set,
+// not a scan.
+func (e *Engine) planCandidates(t *table, where expr, ev *evalCtx) (ids []int64, indexed bool) {
 	for _, c := range flattenAnd(where) {
-		ex, ok := c.(*binExpr)
-		if !ok || ex.Op != "=" {
-			continue
+		if ix, probe, ok := eqProbe(t, c, ev); ok {
+			return ix.lookup(nil, probe), true
 		}
-		col, val, ok := eqSides(t, ex, args)
+		ex, ok := c.(*inExpr)
 		if !ok {
 			continue
 		}
-		if ix := t.indexes[col]; ix != nil {
-			return len(ix.m[val.key()]), true
+		cr, ok := ex.Target.(*colRef)
+		if !ok {
+			continue
+		}
+		ix := t.indexes[cr.Name]
+		if ix == nil {
+			continue
+		}
+		typ := t.cols[ix.cols[0]].Type
+		if ex.Spread {
+			for _, v := range ex.spreadArgs(ev) {
+				ids = ix.lookup(ids, coerce(v, typ))
+			}
+		} else {
+			for _, le := range ex.List {
+				v, err := le.eval(ev)
+				if err != nil {
+					return nil, false
+				}
+				ids = ix.lookup(ids, coerce(v, typ))
+			}
+		}
+		slices.Sort(ids)
+		return slices.Compact(ids), true
+	}
+	return nil, false
+}
+
+// eqProbe recognises `col = const` (either order) on a column that carries a
+// single-column index, and returns that index with the constant coerced to
+// the column's declared type — the form row values are stored and keyed in,
+// so `int_col = '5'` probes the same key the row holding 5 sits under. The
+// probe only narrows candidates; the WHERE clause still decides each row.
+func eqProbe(t *table, c expr, ev *evalCtx) (*hashIndex, Value, bool) {
+	ex, ok := c.(*binExpr)
+	if !ok || ex.Op != "=" {
+		return nil, Value{}, false
+	}
+	for _, side := range [2][2]expr{{ex.L, ex.R}, {ex.R, ex.L}} {
+		cr, ok := side[0].(*colRef)
+		if !ok {
+			continue
+		}
+		ix := t.indexes[cr.Name]
+		if ix == nil {
+			continue
+		}
+		switch side[1].(type) {
+		case *litExpr, *paramExpr:
+			if v, err := side[1].eval(ev); err == nil {
+				return ix, coerce(v, t.cols[ix.cols[0]].Type), true
+			}
+		}
+	}
+	return nil, Value{}, false
+}
+
+// eqCardinality reports, without materializing candidates, how many rows a
+// top-level `col = const` conjunct on a hash-indexed column pins the result
+// to. bounded is false when no such conjunct exists (the result could be the
+// whole table).
+func (e *Engine) eqCardinality(t *table, where expr, ev *evalCtx) (est int, bounded bool) {
+	for _, c := range flattenAnd(where) {
+		if ix, probe, ok := eqProbe(t, c, ev); ok {
+			return len(ix.m[probe.key()]), true
 		}
 	}
 	return 0, false
 }
 
-func dedupeIDs(ids []int64) []int64 {
-	out := ids[:0]
-	var last int64 = -1
-	for i, id := range ids {
-		if i == 0 || id != last {
-			out = append(out, id)
-		}
-		last = id
+// countByIndex answers SELECT COUNT(...) whose whole WHERE clause is one
+// indexed `col = const` from the size of the index's rowid set. Anything
+// ANDed in needs per-row evaluation and is left to the caller.
+func (e *Engine) countByIndex(t *table, st selectStmt, ev *evalCtx) (n int, ok bool, err error) {
+	if len(st.Cols) != 1 || st.Cols[0].Agg != "COUNT" {
+		return 0, false, nil
 	}
-	return out
+	ix, probe, ok := eqProbe(t, st.Where, ev)
+	if !ok {
+		return 0, false, nil
+	}
+	set := ix.m[probe.key()]
+	for id := range set {
+		// Every row of the set holds the same column value, so the clause's
+		// verdict on one of them (a NULL or non-canonical probe such as '05'
+		// against 5 matches none) is its verdict on all.
+		ev.row = t.rows[id]
+		v, err := st.Where.eval(ev)
+		if err != nil {
+			return 0, false, err
+		}
+		if !truthy(v) {
+			return 0, true, nil
+		}
+		break
+	}
+	return len(set), true, nil
 }
 
 func flattenAnd(ex expr) []expr {
@@ -579,47 +610,28 @@ func flattenAnd(ex expr) []expr {
 	return append(flattenAnd(b.L), flattenAnd(b.R)...)
 }
 
-// eqSides extracts (column, constant value) from `col = const` in either order.
-func eqSides(t *table, ex *binExpr, args []Value) (string, Value, bool) {
-	try := func(l, r expr) (string, Value, bool) {
-		cr, ok := l.(*colRef)
-		if !ok {
-			return "", Value{}, false
-		}
-		if _, exists := t.colIdx[cr.Name]; !exists {
-			return "", Value{}, false
-		}
-		switch rv := r.(type) {
-		case *litExpr:
-			return cr.Name, rv.V, true
-		case *paramExpr:
-			if rv.Idx < len(args) {
-				return cr.Name, args[rv.Idx], true
-			}
-		}
-		return "", Value{}, false
-	}
-	if col, v, ok := try(ex.L, ex.R); ok {
-		return col, v, true
-	}
-	return try(ex.R, ex.L)
-}
-
 func (e *Engine) execSelect(st selectStmt, args []Value) (*Result, error) {
 	t, ok := e.tables[st.Table]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
 	}
 
+	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
+	if n, ok, err := e.countByIndex(t, st, ev); err != nil {
+		return nil, err
+	} else if ok {
+		return &Result{Columns: []string{aggName(st.Cols[0])}, Rows: [][]Value{{Int64(int64(n))}}}, nil
+	}
+
 	// Ordered top-n fast path: ORDER BY an ordered-indexed column with a
 	// LIMIT reads the index in key order and stops at n matches, replacing
 	// the scan-everything-then-sort pipeline below.
-	ids, fromIndex, err := e.orderedTopN(t, st, args)
+	ids, fromIndex, err := e.orderedTopN(t, st, ev)
 	if err != nil {
 		return nil, err
 	}
 	if !fromIndex {
-		ids, err = e.matchIDs(t, st.Where, args)
+		ids, err = e.matchIDs(t, st.Where, ev)
 		if err != nil {
 			return nil, err
 		}
@@ -676,7 +688,6 @@ func (e *Engine) execSelect(st selectStmt, args []Value) (*Result, error) {
 			})
 		}
 		if st.Limit != nil {
-			ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
 			lv, err := st.Limit.eval(ev)
 			if err != nil {
 				return nil, err
@@ -706,16 +717,6 @@ func (e *Engine) execSelect(st selectStmt, args []Value) (*Result, error) {
 	return res, nil
 }
 
-// runStart returns the index of the first entry of the equal-first-key run
-// ending at i. The slice is sorted ascending by v, so a binary search finds
-// the boundary in O(log n); the linear alternative re-walks the entire run
-// per pop — O(queue) when every row shares one key, exactly the degeneration
-// the composite index exists to avoid.
-func runStart(sorted []ordEntry, i int) int {
-	v := sorted[i].v
-	return sort.Search(i, func(m int) bool { return sorted[m].v.Compare(v) >= 0 })
-}
-
 // orderedTopN serves SELECT ... [WHERE ...] ORDER BY k1 [DESC] [, k2 ...]
 // LIMIT n off the ordered index on k1, when one exists: rows are visited in
 // k1 order (runs of equal k1 sub-sorted by the remaining keys) and the scan
@@ -725,7 +726,7 @@ func runStart(sorted []ordEntry, i int) int {
 // pays an index scan proportional to the rows *visited*, not matched — the
 // EMEWS queue pops (filter by work_type, order by priority) match most of
 // what they visit, which is exactly the shape this path is for.
-func (e *Engine) orderedTopN(t *table, st selectStmt, args []Value) (ids []int64, fromIndex bool, err error) {
+func (e *Engine) orderedTopN(t *table, st selectStmt, ev *evalCtx) (ids []int64, fromIndex bool, err error) {
 	if len(st.OrderBy) == 0 || st.Limit == nil {
 		return nil, false, nil
 	}
@@ -769,7 +770,6 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, args []Value) (ids []int64
 		}
 		restPos[i] = ci
 	}
-	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
 	lv, err := st.Limit.eval(ev)
 	if err != nil {
 		return nil, false, err
@@ -781,67 +781,10 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, args []Value) (ids []int64
 	// When an equality conjunct pins the result to a small hash-indexed
 	// candidate set, sorting those few candidates beats walking the ordered
 	// index past every non-matching row — leave the query to the fallback.
-	if est, bounded := e.eqCardinality(t, st.Where, args); bounded && est <= 4*n+16 {
+	if est, bounded := e.eqCardinality(t, st.Where, ev); bounded && est <= 4*n+16 {
 		return nil, false, nil
 	}
 
-	sorted := ix.sorted
-	desc := st.OrderBy[0].Desc
-
-	if stream {
-		// Composite fast path: within each equal-first-key run the sorted side
-		// already carries the remaining ORDER BY order (second key ascending,
-		// rowid tiebreak matching the fallback's stable sort), so matches
-		// append directly and the scan stops the moment n rows matched —
-		// bounding the visit by matches needed, not by run length.
-		match := func(id int64) (bool, error) {
-			if st.Where == nil {
-				return true, nil
-			}
-			ev.row = t.rows[id]
-			v, err := st.Where.eval(ev)
-			if err != nil {
-				return false, err
-			}
-			return truthy(v), nil
-		}
-		if desc {
-			for i := len(sorted) - 1; i >= 0 && len(ids) < n; {
-				j := runStart(sorted, i) - 1
-				for _, ent := range sorted[j+1 : i+1] {
-					if len(ids) >= n {
-						break
-					}
-					ok, err := match(ent.id)
-					if err != nil {
-						return nil, false, err
-					}
-					if ok {
-						ids = append(ids, ent.id)
-					}
-				}
-				i = j
-			}
-		} else {
-			// Ascending on both keys: the slice's global order is the query
-			// order.
-			for i := 0; i < len(sorted) && len(ids) < n; i++ {
-				ok, err := match(sorted[i].id)
-				if err != nil {
-					return nil, false, err
-				}
-				if ok {
-					ids = append(ids, sorted[i].id)
-				}
-			}
-		}
-		if ids == nil {
-			ids = []int64{}
-		}
-		return ids, true, nil
-	}
-
-	var group []int64
 	cmpRest := func(a, b int64) int {
 		ra, rb := t.rows[a], t.rows[b]
 		for i, kp := range restPos {
@@ -856,68 +799,62 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, args []Value) (ids []int64
 		}
 		return 0
 	}
-	// flushRun filters one run of equal first-key values (ascending rowid, i.e.
-	// deterministic insertion-id order) through the WHERE clause and appends
-	// it in remaining-key order; a stable sort keeps full ties in rowid order,
-	// matching the fallback path's stable full sort. Queue pops usually find
-	// the run already in remaining-key order (task ids ascend with rowids), so
-	// an O(len) orderedness pre-pass skips the sort outright.
-	flushRun := func(run []ordEntry) error {
-		group = group[:0]
-		for _, ent := range run {
+
+	// The index is consumed one run of equal first-key values at a time, runs
+	// in query order and each run ascending by (second key,) rowid, until n
+	// rows matched. [lo, hi) is the part not yet visited.
+	list := &ix.sorted
+	desc := st.OrderBy[0].Desc
+	ids = []int64{}
+	for lo, hi := (ordPos{}), list.end(); lo != hi && len(ids) < n; {
+		from, to := lo, hi
+		switch {
+		case stream && !desc:
+			// Ascending on both keys: the list's own order is the query order.
+			lo = hi
+		case desc:
+			v := list.at(list.prev(hi)).v
+			from = list.search(func(e *ordEntry) bool { return e.v.Compare(v) < 0 })
+			hi = from
+		default:
+			v := list.at(lo).v
+			to = list.search(func(e *ordEntry) bool { return e.v.Compare(v) <= 0 })
+			lo = to
+		}
+		start := len(ids)
+		for p := from; p != to; p = list.next(p) {
+			// A composite index's run already carries the remaining ORDER BY
+			// order (second key ascending, rowid tiebreak matching the
+			// fallback's stable sort), so the visit is bounded by the matches
+			// needed, not by the run's length.
+			if stream && len(ids) == n {
+				break
+			}
+			id := list.at(p).id
 			if st.Where != nil {
-				ev.row = t.rows[ent.id]
+				ev.row = t.rows[id]
 				v, err := st.Where.eval(ev)
 				if err != nil {
-					return err
+					return nil, false, err
 				}
 				if !truthy(v) {
 					continue
 				}
 			}
-			group = append(group, ent.id)
+			ids = append(ids, id)
 		}
-		if len(restPos) > 0 && len(group) > 1 {
-			inOrder := true
-			for k := 1; k < len(group); k++ {
-				if cmpRest(group[k-1], group[k]) > 0 {
-					inOrder = false
-					break
-				}
-			}
-			if !inOrder {
-				sort.SliceStable(group, func(a, b int) bool { return cmpRest(group[a], group[b]) < 0 })
-			}
-		}
-		ids = append(ids, group...)
-		return nil
-	}
-
-	if desc {
-		for i := len(sorted) - 1; i >= 0 && len(ids) < n; {
-			j := runStart(sorted, i) - 1
-			if err := flushRun(sorted[j+1 : i+1]); err != nil {
-				return nil, false, err
-			}
-			i = j
-		}
-	} else {
-		for i := 0; i < len(sorted) && len(ids) < n; {
-			j := i
-			for j < len(sorted) && sorted[j].v.Compare(sorted[i].v) == 0 {
-				j++
-			}
-			if err := flushRun(sorted[i:j]); err != nil {
-				return nil, false, err
-			}
-			i = j
+		// A single-column index leaves the run in rowid order (deterministic
+		// insertion-id order): put it in remaining-key order. A stable sort
+		// keeps full ties in rowid order, matching the fallback path's stable
+		// full sort. Queue pops usually find the run already in order (task
+		// ids ascend with rowids), so an O(len) pre-pass skips the sort.
+		if run := ids[start:]; !stream && len(restPos) > 0 &&
+			!slices.IsSortedFunc(run, cmpRest) {
+			slices.SortStableFunc(run, cmpRest)
 		}
 	}
 	if len(ids) > n {
 		ids = ids[:n]
-	}
-	if ids == nil {
-		ids = []int64{}
 	}
 	return ids, true, nil
 }
@@ -998,7 +935,8 @@ func (e *Engine) execUpdate(st updateStmt, args []Value) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
 	}
-	ids, err := e.matchIDs(t, st.Where, args)
+	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
+	ids, err := e.matchIDs(t, st.Where, ev)
 	if err != nil {
 		return nil, err
 	}
@@ -1010,7 +948,6 @@ func (e *Engine) execUpdate(st updateStmt, args []Value) (*Result, error) {
 		}
 		setPos[i] = ci
 	}
-	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
 	res := &Result{}
 	for _, id := range ids {
 		old := t.rows[id]
@@ -1036,7 +973,7 @@ func (e *Engine) execDelete(st deleteStmt, args []Value) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
 	}
-	ids, err := e.matchIDs(t, st.Where, args)
+	ids, err := e.matchIDs(t, st.Where, &evalCtx{tbl: t, args: args, spreadN: e.spreadN})
 	if err != nil {
 		return nil, err
 	}

@@ -23,12 +23,32 @@ func execBoth(t *testing.T, a, b *Engine, sql string, args ...any) {
 // through two engines — one with an ordered index on the sort column, one
 // without — and checks that every ORDER BY ... LIMIT query the queue pops
 // use returns identical rows from the index fast path and the scan-and-sort
-// fallback.
+// fallback: at a depth of a few rows and at one that spreads the index over
+// dozens of leaves, on a single-column index and on the composite
+// (priority, task_id) index the output queue carries, and again on an engine
+// restored from a snapshot taken at that depth.
 func TestOrderedTopNMatchesSort(t *testing.T) {
+	for _, tc := range []struct {
+		name, index  string
+		steps, every int
+		maxLimit     int
+	}{
+		{"single/shallow", "CREATE ORDERED INDEX q_prio ON q (prio)", 300, 20, 12},
+		{"single/deep", "CREATE ORDERED INDEX q_prio ON q (prio)", 8000, 400, 700},
+		{"composite/shallow", "CREATE ORDERED INDEX q_prio ON q (prio, task_id)", 300, 20, 12},
+		{"composite/deep", "CREATE ORDERED INDEX q_prio ON q (prio, task_id)", 8000, 400, 700},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orderedChurn(t, tc.index, tc.steps, tc.every, tc.maxLimit)
+		})
+	}
+}
+
+func orderedChurn(t *testing.T, index string, steps, every, maxLimit int) {
 	indexed, ref := NewEngine(), NewEngine()
 	const schema = "CREATE TABLE q (task_id INTEGER PRIMARY KEY, wt INTEGER, prio INTEGER)"
 	execBoth(t, indexed, ref, schema)
-	if _, err := indexed.Exec("CREATE ORDERED INDEX q_prio ON q (prio)"); err != nil {
+	if _, err := indexed.Exec(index); err != nil {
 		t.Fatal(err)
 	}
 
@@ -41,14 +61,14 @@ func TestOrderedTopNMatchesSort(t *testing.T) {
 		"SELECT task_id FROM q ORDER BY prio DESC, task_id ASC LIMIT ?",
 		"SELECT task_id FROM q ORDER BY prio DESC LIMIT ?",
 	}
-	check := func() {
+	check := func(indexed *Engine) {
 		t.Helper()
 		for _, qs := range queries {
 			var args []any
 			if countParams(qs) == 2 {
-				args = []any{rng.Intn(3), rng.Intn(12) + 1}
+				args = []any{rng.Intn(3), rng.Intn(maxLimit) + 1}
 			} else {
-				args = []any{rng.Intn(12) + 1}
+				args = []any{rng.Intn(maxLimit) + 1}
 			}
 			ri, err := indexed.Exec(qs, args...)
 			if err != nil {
@@ -65,7 +85,7 @@ func TestOrderedTopNMatchesSort(t *testing.T) {
 		}
 	}
 
-	for step := 0; step < 300; step++ {
+	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
 		case op < 6 || len(live) == 0: // insert (duplicate priorities on purpose)
 			execBoth(t, indexed, ref, "INSERT INTO q (task_id, wt, prio) VALUES (?, ?, ?)",
@@ -80,11 +100,27 @@ func TestOrderedTopNMatchesSort(t *testing.T) {
 			execBoth(t, indexed, ref, "UPDATE q SET prio = ? WHERE task_id = ?",
 				rng.Intn(8), live[rng.Intn(len(live))])
 		}
-		if step%20 == 0 {
-			check()
+		if step%every == 0 {
+			check(indexed)
 		}
 	}
-	check()
+	check(indexed)
+
+	var snap bytes.Buffer
+	if err := indexed.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewEngine()
+	if err := restored.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for spec, ix := range restored.tables["q"].indexes {
+		if want := indexed.tables["q"].indexes[spec]; ix.ordered != want.ordered || ix.sorted.count() != want.sorted.count() {
+			t.Fatalf("restored index %s: ordered %v with %d entries, want %v with %d",
+				spec, ix.ordered, ix.sorted.count(), want.ordered, want.sorted.count())
+		}
+	}
+	check(restored)
 }
 
 func countParams(sql string) int {
@@ -147,8 +183,8 @@ func TestOrderedIndexSnapshotRoundTrip(t *testing.T) {
 	if ix == nil || !ix.ordered {
 		t.Fatal("restored index lost its sorted side")
 	}
-	if len(ix.sorted) != 20 {
-		t.Fatalf("restored sorted side has %d entries, want 20", len(ix.sorted))
+	if n := ix.sorted.count(); n != 20 {
+		t.Fatalf("restored sorted side has %d entries, want 20", n)
 	}
 	res, err := r.Exec("SELECT task_id FROM q WHERE prio = ? ORDER BY prio DESC, task_id ASC LIMIT 3", 4)
 	if err != nil {

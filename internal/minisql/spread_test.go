@@ -172,12 +172,14 @@ func TestSpreadINIndexedLookup(t *testing.T) {
 	st := p.stmt.(deleteStmt)
 	e.mu.Lock()
 	e.spreadN = 3
-	ids := e.planCandidates(e.tables["q"], st.Where, []Value{Int64(7), Int64(3), Int64(99)})
+	tbl := e.tables["q"]
+	ids, indexed := e.planCandidates(tbl, st.Where,
+		&evalCtx{tbl: tbl, args: []Value{Int64(7), Int64(3), Int64(99)}, spreadN: 3})
 	e.mu.Unlock()
 	// planCandidates returns internal rowids (0-based insertion ids here):
 	// task ids 3, 7, 99 occupy rowids 2, 6, 98. The point is the set is 3
-	// indexed hits, not a 100-row scan (a scan-fallback returns nil).
-	if fmt.Sprint(ids) != "[2 6 98]" {
+	// indexed hits, not a 100-row scan.
+	if !indexed || fmt.Sprint(ids) != "[2 6 98]" {
 		t.Fatalf("planCandidates over spread IN = %v, want the indexed candidate set [2 6 98]", ids)
 	}
 }

@@ -5,17 +5,21 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // fakeSource is a stand-in engine snapshot: it writes a recognizable payload
 // carrying the index the caller set, which recovery reads back and verifies.
-type fakeSource struct{ idx uint64 }
+// The store's checkpoint loop reads idx on its own goroutine while the test
+// advances it.
+type fakeSource struct{ idx atomic.Uint64 }
 
 func (f *fakeSource) snapshot(w io.Writer) (uint64, error) {
-	_, err := fmt.Fprintf(w, "snap@%d", f.idx)
-	return f.idx, err
+	idx := f.idx.Load()
+	_, err := fmt.Fprintf(w, "snap@%d", idx)
+	return idx, err
 }
 
 func openTestStore(t *testing.T, dir string, opt StoreOptions) *Store {
@@ -40,7 +44,7 @@ func TestStoreCheckpointTruncateRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src.idx = 50
+	src.idx.Store(50)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
@@ -50,7 +54,7 @@ func TestStoreCheckpointTruncateRecover(t *testing.T) {
 		}
 	}
 	// A second checkpoint truncates the log at the first one's index.
-	src.idx = 60
+	src.idx.Store(60)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +108,11 @@ func TestStoreRecoverFallsBackToOlderCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src.idx = 10
+	src.idx.Store(10)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	src.idx = 20
+	src.idx.Store(20)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +202,7 @@ func TestStoreAutomaticCheckpoint(t *testing.T) {
 	src := &fakeSource{}
 	s.SetSnapshotSource(src.snapshot)
 	for i := uint64(1); i <= 20; i++ {
-		src.idx = i
+		src.idx.Store(i)
 		if err := s.Append(testEntry(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -224,11 +228,11 @@ func TestStoreEntriesAfterTruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src.idx = 20
+	src.idx.Store(20)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	src.idx = 40
+	src.idx.Store(40)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +295,7 @@ func TestStoreCheckpointInstallConcurrent(t *testing.T) {
 			if idx == 0 {
 				continue
 			}
-			src.idx = idx
+			src.idx.Store(idx)
 			s.Checkpoint()
 		}
 	}()

@@ -2,6 +2,7 @@ package minisql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -24,19 +25,18 @@ type table struct {
 }
 
 // hashIndex maps a key-column value (or two-column value pair) to the rowids
-// holding it. An ordered index additionally maintains a sorted
-// (value, [value2,] rowid) slice, giving ORDER BY <col> ... LIMIT n queries
-// the top-n directly: equality lookups stay O(1) on the hash side, ordered
-// scans read the sorted side in place of the full-table scan-and-sort. A
-// composite (two-column) ordered index bounds the equal-key run length of
-// that scan by the (col1, col2) pair cardinality — the fix for queues whose
-// first key is uniform (every task at one priority) degenerating into one
-// whole-queue run.
+// holding it. An ordered index additionally maintains the entries sorted by
+// (value, [value2,] rowid), giving ORDER BY <col> ... LIMIT n queries the
+// top-n directly: equality lookups stay O(1) on the hash side, ordered scans
+// read the sorted side in place of the full-table scan-and-sort. A composite
+// (two-column) ordered index bounds the equal-key run length of that scan by
+// the (col1, col2) pair cardinality — the fix for queues whose first key is
+// uniform (every task at one priority) degenerating into one whole-queue run.
 type hashIndex struct {
 	cols    []int // key column positions; 1 or 2 entries
 	m       map[string]map[int64]struct{}
 	ordered bool
-	sorted  []ordEntry // ascending by (v, v2, rowid); nil unless ordered
+	sorted  ordList // ascending by (v, v2, rowid); empty unless ordered
 }
 
 // ordEntry is one element of an ordered index: the key column value(s) and
@@ -50,7 +50,7 @@ type ordEntry struct {
 	id int64
 }
 
-func (a ordEntry) less(b ordEntry) bool {
+func (a *ordEntry) less(b *ordEntry) bool {
 	if c := a.v.Compare(b.v); c != 0 {
 		return c < 0
 	}
@@ -60,12 +60,105 @@ func (a ordEntry) less(b ordEntry) bool {
 	return a.id < b.id
 }
 
-// ordSearch returns the position of ent in the sorted slice — the insert
-// point when absent.
-func (ix *hashIndex) ordSearch(ent ordEntry) int {
-	return sort.Search(len(ix.sorted), func(i int) bool {
-		return !ix.sorted[i].less(ent)
+// leafMax bounds the entries of one ordList leaf, and with it the entries a
+// single insert or delete shifts.
+const leafMax = 256
+
+// ordList is the sorted side of an ordered index: a blocked sorted list. The
+// entries live in leaves of 1..leafMax entries, each leaf sorted and the
+// leaves in order, so their concatenation is the whole (v, v2, rowid) order.
+// A mutation binary-searches the leaf directory and then one leaf, and shifts
+// entries inside that leaf only — its cost does not grow with the queue's
+// depth the way one flat sorted slice's did. Leaves split in half when they
+// overflow and merge with a neighbour when the pair fits in half a leaf.
+type ordList struct {
+	leaves [][]ordEntry
+}
+
+// ordPos addresses one entry of an ordList; end() is the position after the
+// last entry.
+type ordPos struct{ leaf, off int }
+
+func (l *ordList) end() ordPos { return ordPos{leaf: len(l.leaves)} }
+
+func (l *ordList) at(p ordPos) *ordEntry { return &l.leaves[p.leaf][p.off] }
+
+func (l *ordList) next(p ordPos) ordPos {
+	if p.off++; p.off == len(l.leaves[p.leaf]) {
+		return ordPos{leaf: p.leaf + 1}
+	}
+	return p
+}
+
+func (l *ordList) prev(p ordPos) ordPos {
+	if p.off == 0 {
+		return ordPos{p.leaf - 1, len(l.leaves[p.leaf-1]) - 1}
+	}
+	p.off--
+	return p
+}
+
+// search returns the first position whose entry before rejects, or end().
+// before must hold for a prefix of the list and for nothing after it.
+func (l *ordList) search(before func(*ordEntry) bool) ordPos {
+	k := sort.Search(len(l.leaves), func(k int) bool {
+		leaf := l.leaves[k]
+		return !before(&leaf[len(leaf)-1])
 	})
+	if k == len(l.leaves) {
+		return l.end()
+	}
+	leaf := l.leaves[k]
+	return ordPos{k, sort.Search(len(leaf), func(i int) bool { return !before(&leaf[i]) })}
+}
+
+func (l *ordList) add(ent ordEntry) {
+	p := l.search(func(e *ordEntry) bool { return e.less(&ent) })
+	switch last := len(l.leaves) - 1; {
+	case last < 0:
+		l.leaves = [][]ordEntry{nil} // p is the first position of this first leaf
+	case p == l.end():
+		p = ordPos{last, len(l.leaves[last])} // past every entry: grow the last leaf
+	}
+	leaf := slices.Insert(l.leaves[p.leaf], p.off, ent)
+	if len(leaf) > leafMax {
+		right := slices.Clone(leaf[len(leaf)/2:])
+		leaf = slices.Delete(leaf, len(leaf)/2, len(leaf))
+		l.leaves = slices.Insert(l.leaves, p.leaf+1, right)
+	}
+	l.leaves[p.leaf] = leaf
+}
+
+func (l *ordList) remove(ent ordEntry) {
+	p := l.search(func(e *ordEntry) bool { return e.less(&ent) })
+	if p == l.end() || l.at(p).id != ent.id {
+		return
+	}
+	k := p.leaf
+	leaf := slices.Delete(l.leaves[k], p.off, p.off+1)
+	l.leaves[k] = leaf
+	switch {
+	case len(leaf) == 0:
+		l.leaves = slices.Delete(l.leaves, k, k+1)
+	case k+1 < len(l.leaves) && len(leaf)+len(l.leaves[k+1]) <= leafMax/2:
+		l.leaves[k] = append(leaf, l.leaves[k+1]...)
+		l.leaves = slices.Delete(l.leaves, k+1, k+2)
+	case k > 0 && len(l.leaves[k-1])+len(leaf) <= leafMax/2:
+		l.leaves[k-1] = append(l.leaves[k-1], leaf...)
+		l.leaves = slices.Delete(l.leaves, k, k+1)
+	}
+}
+
+// build replaces the contents with ents, which it sorts in place. Leaves
+// start half full, the state splits leave them in.
+func (l *ordList) build(ents []ordEntry) {
+	sort.Slice(ents, func(i, j int) bool { return ents[i].less(&ents[j]) })
+	l.leaves = make([][]ordEntry, 0, len(ents)/(leafMax/2)+1)
+	for len(ents) > 0 {
+		k := min(len(ents), leafMax/2)
+		l.leaves = append(l.leaves, slices.Clone(ents[:k]))
+		ents = ents[k:]
+	}
 }
 
 // entry builds the index entry for a row.
@@ -159,20 +252,17 @@ func (t *table) addIndex(spec string, ordered bool) error {
 
 // buildSorted (re)derives the sorted side from the live rows.
 func (ix *hashIndex) buildSorted(t *table) {
-	ix.sorted = make([]ordEntry, 0, len(t.rows))
+	ents := make([]ordEntry, 0, len(t.rows))
 	for id, row := range t.rows {
-		ix.sorted = append(ix.sorted, ix.entry(row, id))
+		ents = append(ents, ix.entry(row, id))
 	}
-	sort.Slice(ix.sorted, func(i, j int) bool { return ix.sorted[i].less(ix.sorted[j]) })
+	ix.sorted.build(ents)
 }
 
 func (ix *hashIndex) add(ent ordEntry) {
 	ix.addHash(ent)
 	if ix.ordered {
-		i := ix.ordSearch(ent)
-		ix.sorted = append(ix.sorted, ordEntry{})
-		copy(ix.sorted[i+1:], ix.sorted[i:])
-		ix.sorted[i] = ent
+		ix.sorted.add(ent)
 	}
 }
 
@@ -195,24 +285,22 @@ func (ix *hashIndex) remove(ent ordEntry) {
 		}
 	}
 	if ix.ordered {
-		if i := ix.ordSearch(ent); i < len(ix.sorted) && ix.sorted[i].id == ent.id {
-			ix.sorted = append(ix.sorted[:i], ix.sorted[i+1:]...)
-		}
+		ix.sorted.remove(ent)
 	}
 }
 
-// lookup returns the rowids matching value v in ascending rowid order.
-func (ix *hashIndex) lookup(v Value) []int64 {
+// lookup appends the rowids holding value v to dst, those in ascending order.
+func (ix *hashIndex) lookup(dst []int64, v Value) []int64 {
 	set := ix.m[v.key()]
-	if len(set) == 0 {
-		return nil
-	}
-	ids := make([]int64, 0, len(set))
+	dst = slices.Grow(dst, len(set))
+	start := len(dst)
 	for id := range set {
-		ids = append(ids, id)
+		dst = append(dst, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	if len(set) > 1 {
+		slices.Sort(dst[start:])
+	}
+	return dst
 }
 
 // insert stores a full-width row and maintains indexes. The caller has

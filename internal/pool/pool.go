@@ -342,7 +342,13 @@ func (p *Pool) fetchWatch(ctx context.Context, ws watch.Session, taskCh chan<- c
 	if err != nil {
 		return ctx.Err() != nil
 	}
-	defer func() { st.Close() }()
+	// Only a live stream is closed on the way out: st is nil between a stream's
+	// end and the resubscribe that replaces it, and stays nil if that fails.
+	defer func() {
+		if st != nil {
+			st.Close()
+		}
+	}()
 	var last uint64 // newest token seen; resume position for resubscribes
 	avail := true   // until proven empty, the queue may hold tasks
 	backoff := fetchBackoffBase
@@ -378,6 +384,7 @@ func (p *Pool) fetchWatch(ctx context.Context, ws watch.Session, taskCh chan<- c
 				// Events may have been missed in between, so assume work.
 				avail = true
 				st.Close()
+				st = nil
 				if !sleepJitter(ctx, backoff) {
 					return true
 				}

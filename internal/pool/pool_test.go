@@ -11,6 +11,7 @@ import (
 
 	"osprey/internal/core"
 	"osprey/internal/telemetry"
+	"osprey/internal/watch"
 )
 
 const (
@@ -452,5 +453,62 @@ func TestMixedCoreThroughput(t *testing.T) {
 	}
 	if peak := peakCores.Load(); peak > 4 {
 		t.Fatalf("peak core usage %d exceeds 4 workers", peak)
+	}
+}
+
+// endedStream is a watch stream that has already ended.
+type endedStream struct{ ch chan []watch.Event }
+
+func newEndedStream() endedStream {
+	s := endedStream{ch: make(chan []watch.Event)}
+	close(s.ch)
+	return s
+}
+
+func (s endedStream) Events() <-chan []watch.Event { return s.ch }
+func (s endedStream) Err() error                   { return watch.ErrReset }
+func (s endedStream) Close() error                 { return nil }
+
+// resubscribeFails is a backend whose first subscription ends at once and
+// whose resubscribe stops the pool and fails, the way a Watch on a cancelled
+// context does: (nil, err).
+type resubscribeFails struct {
+	*core.DB
+	watches atomic.Int32
+	stop    context.CancelFunc
+}
+
+func (b *resubscribeFails) Watch(ctx context.Context, q watch.Query, buf int) (watch.Stream, error) {
+	if b.watches.Add(1) == 1 {
+		return newEndedStream(), nil
+	}
+	b.stop()
+	return nil, context.Canceled
+}
+
+// TestPoolStopDuringResubscribe: a pool stopped while its fetch loop is
+// resubscribing an ended watch stream shuts down cleanly. The failed Watch
+// leaves no stream behind, and the loop's deferred close used to call Close
+// on that nil one.
+func TestPoolStopDuringResubscribe(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	backend := &resubscribeFails{DB: newDB(t).DB, stop: cancel}
+	p, err := New(backend, Config{Name: "p", WorkType: 1, Workers: 1, QueryTimeout: 5 * time.Millisecond}, echoExec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.Run(ctx) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run = %v, want context.Canceled", err)
+		}
+	case <-time.After(waitMax):
+		t.Fatal("pool did not shut down")
+	}
+	if n := backend.watches.Load(); n != 2 {
+		t.Fatalf("backend saw %d Watch calls, want the subscription and one resubscribe", n)
 	}
 }

@@ -306,15 +306,18 @@ func (c *Cluster) finish(j *Job, state JobState) {
 	}
 }
 
-// terminate cancels/preempts a job in any non-terminal state.
+// terminate cancels/preempts a job in any non-terminal state. The terminal
+// state is claimed before the job's context is cancelled: the job's goroutine
+// answers the cancel by returning and calling finish(JobCompleted), and the
+// first finish wins.
 func (c *Cluster) terminate(j *Job, state JobState) {
+	c.finish(j, state)
 	j.mu.Lock()
 	cancel := j.cancel
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	c.finish(j, state)
 }
 
 // Preempt forcibly stops the most recently started job, modeling

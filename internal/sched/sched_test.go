@@ -248,3 +248,57 @@ func TestClusterAccessors(t *testing.T) {
 		t.Fatal("fresh cluster not idle")
 	}
 }
+
+// TestTerminalStateSurvivesCancelRace: a job that returns the moment its
+// context is cancelled must still end in the state that stopped it — timeout,
+// canceled or preempted — never in completed. The job's goroutine and the
+// terminator race to record the terminal state. Each job hangs a few hundred
+// child contexts off its own: cancelling closes the job's Done channel first
+// and only then walks the children, so the job is awake and returning while
+// the terminator is still inside cancel — the window a loaded machine opens
+// by descheduling the terminator there.
+func TestTerminalStateSurvivesCancelRace(t *testing.T) {
+	for round := 0; round < 100; round++ {
+		c, err := New(Config{Name: "t", Nodes: 1, CoresPerNode: 3, TimeScale: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The children are released by the test, not by the job on its way
+		// out: releasing one takes the parent's lock, which cancel holds.
+		ready := make(chan []context.CancelFunc, 3)
+		returnsOnCancel := func(ctx context.Context) {
+			children := make([]context.CancelFunc, 500)
+			for i := range children {
+				_, children[i] = context.WithCancel(ctx)
+			}
+			ready <- children
+			<-ctx.Done()
+		}
+		timed, _ := c.Submit(1, 0.5, returnsOnCancel) // 0.5 paper-sec = 5 ms
+		canceled, _ := c.Submit(1, 0, returnsOnCancel)
+		preempted, _ := c.Submit(1, 0, returnsOnCancel)
+		var children []context.CancelFunc
+		for i := 0; i < 3; i++ {
+			children = append(children, <-ready...)
+		}
+		if !c.Preempt() { // the most recently started job
+			t.Fatal("Preempt found no victim")
+		}
+		canceled.Cancel()
+		for _, tc := range []struct {
+			job  *Job
+			want JobState
+		}{{timed, JobTimeout}, {canceled, JobCanceled}, {preempted, JobPreempted}} {
+			if err := tc.job.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got := tc.job.State(); got != tc.want {
+				t.Fatalf("round %d: state = %v, want %v", round, got, tc.want)
+			}
+		}
+		c.Stop()
+		for _, release := range children {
+			release()
+		}
+	}
+}

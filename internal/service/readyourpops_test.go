@@ -237,7 +237,10 @@ func TestConsistencyLevels(t *testing.T) {
 	}
 
 	// Eventual: served with no freshness bound — must answer, with either
-	// the pre- or post-pop state (staleness is the accepted trade).
+	// the pre- or post-pop state (staleness is the accepted trade). The
+	// submit itself must have reached this follower for the task to have a
+	// state at all; replication here is asynchronous.
+	waitCond(t, "follower applied the submit", func() bool { return n2.Applied() >= sub.Token })
 	ests, err := folClient.Statuses(ctx, []int64{sub.ID}, core.Eventual())
 	if err != nil {
 		t.Fatalf("eventual read: %v", err)
