@@ -21,9 +21,9 @@ import (
 // no-fsync durable submit guarding the WAL encode cost. The fsync'd durable
 // variants are recorded but not gated — fsync wall time is a property of the
 // host's storage stack, and gating it against a baseline from a different
-// machine would be pure hardware noise. The wire-protocol pair guards the v2
+// machine would be pure hardware noise. The wire-protocol pair guards the
 // binary codec (BenchmarkWireCodec, encode+decode of a submit-shaped round
-// trip against the JSON v1 equivalent) and the multiplexed client's
+// trip) and the multiplexed client's
 // pipelining win (BenchmarkPipelinedSubmitParallel8, eight submitters
 // sharing one connection). The watch trio guards the push subsystem:
 // BenchmarkWatchDispatch is the hub's fan-out cost per committed transition

@@ -2,10 +2,10 @@
 // §IV-C): the resource-local component worker pools and ME algorithms
 // connect to.
 //
-// The service speaks wire protocol v2 — length-prefixed binary frames with
+// The service speaks one wire protocol — length-prefixed binary frames with
 // per-request IDs, so one client connection pipelines many concurrent
-// requests — and still serves newline-delimited JSON (v1) clients on the
-// same port; the protocol is sniffed from each connection's first byte.
+// requests. A connection that opens with anything else is counted, logged
+// and closed.
 //
 // Standalone with restart persistence (§II-B1c):
 //

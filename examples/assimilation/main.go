@@ -75,7 +75,7 @@ func main() {
 		poolCtx, poolCancel := context.WithCancel(ctx)
 		go p.Run(poolCtx)
 
-		report, err := opt.RunAsync(ctx, osprey.Compat(db), opt.Config{
+		report, err := opt.RunAsync(ctx, db, opt.Config{
 			ExpID: fmt.Sprintf("assim-%d", vintage), WorkType: workType,
 			Samples: 150, Dim: 3, Lo: 0, Hi: 1,
 			RetrainEvery: 25, Seed: int64(vintage),

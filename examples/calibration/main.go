@@ -56,7 +56,7 @@ func main() {
 
 	// Asynchronous GPR-steered calibration over the unit cube mapped onto
 	// plausible SEIR rates.
-	report, err := opt.RunAsync(ctx, osprey.Compat(db), opt.Config{
+	report, err := opt.RunAsync(ctx, db, opt.Config{
 		ExpID: "seir-calibration", WorkType: 2,
 		Samples: 250, Dim: 3, Lo: 0, Hi: 1,
 		RetrainEvery: 25, Seed: 11,

@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	go calPool.Run(ctx)
-	report, err := opt.RunAsync(ctx, osprey.Compat(db), opt.Config{
+	report, err := opt.RunAsync(ctx, db, opt.Config{
 		ExpID: "forecast-calib", WorkType: 1,
 		Samples: 200, Dim: 3, Lo: 0, Hi: 1,
 		RetrainEvery: 25, Seed: 17,
@@ -87,7 +87,7 @@ func main() {
 	}
 	go ensPool.Run(ctx)
 
-	forecast, err := ensemble.Run(osprey.Compat(db), ensemble.Config{
+	forecast, err := ensemble.Run(ctx, db, ensemble.Config{
 		ExpID: "forecast", WorkType: 2, Members: 150, Horizon: 28,
 		Init: init, ParamDraws: draws, Seed: 1000,
 		PollTimeout: 30 * time.Second,

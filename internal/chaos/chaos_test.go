@@ -48,7 +48,9 @@ func TestChaos(t *testing.T) {
 // TestChaosCombined is the scripted acceptance schedule: a partial partition
 // (leader cut off from one follower, relay intact), a leader crash, and a
 // disk fsync fault on the recovering node — concurrently with a workload —
-// must still pass all five invariants after healing.
+// must still pass the five state invariants after healing (of the suite's
+// six; this schedule runs no watcher, so the sixth, watch exactly-once, is
+// TestChaos's to check).
 func TestChaosCombined(t *testing.T) {
 	seed := *chaosSeed
 	c := NewCluster(t, 3, 1, seed)

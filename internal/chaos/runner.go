@@ -401,7 +401,9 @@ func (c *Cluster) Fault(rng *rand.Rand) string {
 }
 
 // HealAndVerify is the end of every schedule: clear all faults, restart any
-// crashed node, then check the five invariants. Returns the leader index.
+// crashed node, then check the five state invariants of the suite's six (the
+// sixth, watch exactly-once, is Watcher.DrainAndVerify's, which takes the
+// leader index returned here).
 func (c *Cluster) HealAndVerify() int {
 	c.t.Helper()
 	c.Net.Heal()

@@ -103,70 +103,3 @@ func WithDedupKey(key string) SubmitOption {
 // means "no entry" (a no-op write, or a backend without a statement log) and
 // imposes no freshness bound.
 type Token = uint64
-
-// API is the v1 EMEWS DB task interface: timeout-pair polling, no commit
-// tokens.
-//
-// Deprecated: new code should use Session, whose operations take a context
-// and return commit tokens (pops included). API remains for one release so
-// existing ME algorithms compile unchanged — wrap any Session with Compat to
-// obtain one, and wrap a legacy API backend with Lift to serve it.
-type API interface {
-	// SubmitTask inserts a task and pushes it onto the output queue,
-	// returning the new unique task id.
-	SubmitTask(expID string, workType int, payload string, opts ...SubmitOption) (int64, error)
-
-	// SubmitTasks inserts a batch of tasks in one transaction (one network
-	// round trip through the service), returning their ids in order.
-	// priorities must be empty (all zero), have one element (applied to
-	// all), or one per payload.
-	SubmitTasks(expID string, workType int, payloads []string, priorities []int) ([]int64, error)
-
-	// QueryTasks pops up to n of the highest-priority queued tasks of the
-	// given work type, marking them running and owned by pool. It polls,
-	// re-checking every delay, until at least one task is available or
-	// timeout elapses (ErrTimeout).
-	QueryTasks(workType, n int, pool string, delay, timeout time.Duration) ([]Task, error)
-
-	// ReportTask records the result of a running task, marks it complete,
-	// and pushes it onto the input queue.
-	ReportTask(taskID int64, workType int, result string) error
-
-	// QueryResult polls the input queue for the completed task, pops it,
-	// and returns its result payload.
-	QueryResult(taskID int64, delay, timeout time.Duration) (string, error)
-
-	// PopResults pops up to max completed results belonging to ids from the
-	// input queue, polling until at least one is available or timeout
-	// elapses. It is the batch operation behind as_completed/pop_completed.
-	PopResults(ids []int64, max int, delay, timeout time.Duration) ([]TaskResult, error)
-
-	// Statuses returns the status of each existing task in ids.
-	Statuses(ids []int64) (map[int64]Status, error)
-
-	// Priorities returns the current output-queue priority of each task in
-	// ids that is still queued.
-	Priorities(ids []int64) (map[int64]int, error)
-
-	// UpdatePriorities sets new priorities on the still-queued tasks in ids
-	// as a single batch transaction (§V-B). priorities must have either one
-	// element (applied to all) or len(ids) elements. It returns the number
-	// of queue rows updated.
-	UpdatePriorities(ids []int64, priorities []int) (int, error)
-
-	// CancelTasks removes still-queued tasks from the output queue and marks
-	// them canceled, returning how many were canceled.
-	CancelTasks(ids []int64) (int, error)
-
-	// RequeueRunning returns tasks owned by a (presumed crashed) worker pool
-	// to the output queue at their previous priority, reporting how many
-	// tasks were recovered.
-	RequeueRunning(pool string) (int, error)
-
-	// Counts reports the number of tasks per status for an experiment
-	// ("" for all experiments).
-	Counts(expID string) (map[Status]int, error)
-
-	// Tags returns the metadata tags recorded for a task.
-	Tags(taskID int64) ([]string, error)
-}

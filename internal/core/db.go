@@ -423,7 +423,7 @@ func (db *DB) SubmitBatch(ctx context.Context, expID string, workType int, paylo
 // deleted and the corresponding tasks marked running in one transaction, so
 // two pools can never obtain the same task. The deadline comes from ctx;
 // even an already-expired context gets one immediate attempt, so a ready
-// task pops with a zero timeout exactly as in v1.
+// task pops with a zero timeout.
 func (db *DB) QueryTasks(ctx context.Context, workType, n int, pool string) (TasksRes, error) {
 	if n <= 0 {
 		return TasksRes{}, fmt.Errorf("eqsql: QueryTasks n must be positive, got %d", n)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -15,29 +16,46 @@ const (
 	waitMax = 2 * time.Second
 )
 
-// newTestDB returns the Session-backed DB plus its v1 compat adapter: the
-// v1-style assertions below run through Compat, doubling as coverage that
-// the deprecated API surface still behaves exactly as before the redesign.
-func newTestDB(t *testing.T) (*DB, compatAPI) {
+func newTestDB(t *testing.T) *DB {
 	t.Helper()
 	db, err := NewDB()
 	if err != nil {
 		t.Fatalf("NewDB: %v", err)
 	}
 	t.Cleanup(db.Close)
-	return db, Compat(db).(compatAPI)
+	return db
 }
 
+// The assertions below call the Session surface directly; these shorthands
+// only supply the context and project a result struct onto the one field a
+// test compares (the commit tokens have their own tests in session_test.go).
+var bg = context.Background()
+
+// within returns a context that expires after d, the polling calls' timeout.
+// It is released when the test ends.
+func within(t testing.TB, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+func idOf(r SubmitRes, err error) (int64, error)              { return r.ID, err }
+func idsOf(r BatchRes, err error) ([]int64, error)            { return r.IDs, err }
+func tasksOf(r TasksRes, err error) ([]Task, error)           { return r.Tasks, err }
+func resultOf(r ResultRes, err error) (string, error)         { return r.Result, err }
+func resultsOf(r ResultsRes, err error) ([]TaskResult, error) { return r.Results, err }
+func countOf(r CountRes, err error) (int, error)              { return r.Count, err }
+
 func TestSubmitAndPop(t *testing.T) {
-	_, api := newTestDB(t)
-	id, err := api.SubmitTask("exp1", 1, `{"x": 1}`)
+	db := newTestDB(t)
+	id, err := idOf(db.Submit(bg, "exp1", 1, `{"x": 1}`))
 	if err != nil {
 		t.Fatalf("SubmitTask: %v", err)
 	}
 	if id != 1 {
 		t.Fatalf("task id = %d, want 1", id)
 	}
-	tasks, err := api.QueryTasks(1, 1, "poolA", tick, waitMax)
+	tasks, err := tasksOf(db.QueryTasks(within(t, waitMax), 1, 1, "poolA"))
 	if err != nil {
 		t.Fatalf("QueryTasks: %v", err)
 	}
@@ -47,18 +65,18 @@ func TestSubmitAndPop(t *testing.T) {
 	if tasks[0].Status != StatusRunning || tasks[0].Pool != "poolA" {
 		t.Fatalf("popped task state = %+v", tasks[0])
 	}
-	got, err := api.GetTask(id)
+	got, err := db.GetTask(bg, id)
 	if err != nil || got.Status != StatusRunning {
 		t.Fatalf("GetTask = %+v, %v", got, err)
 	}
 }
 
 func TestPriorityOrder(t *testing.T) {
-	_, api := newTestDB(t)
-	low, _ := api.SubmitTask("e", 1, "low", WithPriority(1))
-	high, _ := api.SubmitTask("e", 1, "high", WithPriority(10))
-	mid, _ := api.SubmitTask("e", 1, "mid", WithPriority(5))
-	tasks, err := api.QueryTasks(1, 3, "p", tick, waitMax)
+	db := newTestDB(t)
+	low, _ := idOf(db.Submit(bg, "e", 1, "low", WithPriority(1)))
+	high, _ := idOf(db.Submit(bg, "e", 1, "high", WithPriority(10)))
+	mid, _ := idOf(db.Submit(bg, "e", 1, "mid", WithPriority(5)))
+	tasks, err := tasksOf(db.QueryTasks(within(t, waitMax), 1, 3, "p"))
 	if err != nil {
 		t.Fatalf("QueryTasks: %v", err)
 	}
@@ -74,13 +92,13 @@ func TestPriorityOrder(t *testing.T) {
 }
 
 func TestPriorityTieBreaksByTaskID(t *testing.T) {
-	_, api := newTestDB(t)
+	db := newTestDB(t)
 	var ids []int64
 	for i := 0; i < 5; i++ {
-		id, _ := api.SubmitTask("e", 1, fmt.Sprint(i))
+		id, _ := idOf(db.Submit(bg, "e", 1, fmt.Sprint(i)))
 		ids = append(ids, id)
 	}
-	tasks, err := api.QueryTasks(1, 5, "p", tick, waitMax)
+	tasks, err := tasksOf(db.QueryTasks(within(t, waitMax), 1, 5, "p"))
 	if err != nil {
 		t.Fatalf("QueryTasks: %v", err)
 	}
@@ -92,10 +110,10 @@ func TestPriorityTieBreaksByTaskID(t *testing.T) {
 }
 
 func TestWorkTypeIsolation(t *testing.T) {
-	_, api := newTestDB(t)
-	api.SubmitTask("e", 1, "sim")
-	gpuID, _ := api.SubmitTask("e", 2, "gpu")
-	tasks, err := api.QueryTasks(2, 5, "gpu-pool", tick, waitMax)
+	db := newTestDB(t)
+	db.Submit(bg, "e", 1, "sim")
+	gpuID, _ := idOf(db.Submit(bg, "e", 2, "gpu"))
+	tasks, err := tasksOf(db.QueryTasks(within(t, waitMax), 2, 5, "gpu-pool"))
 	if err != nil {
 		t.Fatalf("QueryTasks: %v", err)
 	}
@@ -105,9 +123,9 @@ func TestWorkTypeIsolation(t *testing.T) {
 }
 
 func TestQueryTimeout(t *testing.T) {
-	_, api := newTestDB(t)
+	db := newTestDB(t)
 	start := time.Now()
-	_, err := api.QueryTasks(1, 1, "p", tick, 50*time.Millisecond)
+	_, err := db.QueryTasks(within(t, 50*time.Millisecond), 1, 1, "p")
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -117,20 +135,20 @@ func TestQueryTimeout(t *testing.T) {
 }
 
 func TestReportAndQueryResult(t *testing.T) {
-	_, api := newTestDB(t)
-	id, _ := api.SubmitTask("e", 1, "payload")
-	tasks, _ := api.QueryTasks(1, 1, "p", tick, waitMax)
-	if err := api.ReportTask(tasks[0].ID, 1, `{"y": 2}`); err != nil {
+	db := newTestDB(t)
+	id, _ := idOf(db.Submit(bg, "e", 1, "payload"))
+	tasks, _ := tasksOf(db.QueryTasks(within(t, waitMax), 1, 1, "p"))
+	if _, err := db.Report(bg, tasks[0].ID, 1, `{"y": 2}`); err != nil {
 		t.Fatalf("ReportTask: %v", err)
 	}
-	res, err := api.QueryResult(id, tick, waitMax)
+	res, err := resultOf(db.QueryResult(within(t, waitMax), id))
 	if err != nil {
 		t.Fatalf("QueryResult: %v", err)
 	}
 	if res != `{"y": 2}` {
 		t.Fatalf("result = %q", res)
 	}
-	got, _ := api.GetTask(id)
+	got, _ := db.GetTask(bg, id)
 	if got.Status != StatusComplete {
 		t.Fatalf("status = %s, want complete", got.Status)
 	}
@@ -138,26 +156,26 @@ func TestReportAndQueryResult(t *testing.T) {
 		t.Fatalf("stop %v before start %v", got.Stopped, got.Started)
 	}
 	// Result is popped: second query times out.
-	if _, err := api.QueryResult(id, tick, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := db.QueryResult(within(t, 30*time.Millisecond), id); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("second QueryResult err = %v, want timeout", err)
 	}
 }
 
 func TestQueryResultBlocksUntilReport(t *testing.T) {
-	_, api := newTestDB(t)
-	id, _ := api.SubmitTask("e", 1, "p")
+	db := newTestDB(t)
+	id, _ := idOf(db.Submit(bg, "e", 1, "p"))
 	done := make(chan string, 1)
 	go func() {
-		res, err := api.QueryResult(id, tick, waitMax)
+		res, err := resultOf(db.QueryResult(within(t, waitMax), id))
 		if err != nil {
 			done <- "err:" + err.Error()
 			return
 		}
 		done <- res
 	}()
-	tasks, _ := api.QueryTasks(1, 1, "p", tick, waitMax)
+	tasks, _ := tasksOf(db.QueryTasks(within(t, waitMax), 1, 1, "p"))
 	time.Sleep(10 * time.Millisecond)
-	api.ReportTask(tasks[0].ID, 1, "answer")
+	db.Report(bg, tasks[0].ID, 1, "answer")
 	select {
 	case res := <-done:
 		if res != "answer" {
@@ -169,24 +187,24 @@ func TestQueryResultBlocksUntilReport(t *testing.T) {
 }
 
 func TestPopResultsBatch(t *testing.T) {
-	_, api := newTestDB(t)
+	db := newTestDB(t)
 	var ids []int64
 	for i := 0; i < 6; i++ {
-		id, _ := api.SubmitTask("e", 1, fmt.Sprint(i))
+		id, _ := idOf(db.Submit(bg, "e", 1, fmt.Sprint(i)))
 		ids = append(ids, id)
 	}
-	tasks, _ := api.QueryTasks(1, 6, "p", tick, waitMax)
+	tasks, _ := tasksOf(db.QueryTasks(within(t, waitMax), 1, 6, "p"))
 	for _, task := range tasks[:4] {
-		api.ReportTask(task.ID, 1, fmt.Sprintf("r%d", task.ID))
+		db.Report(bg, task.ID, 1, fmt.Sprintf("r%d", task.ID))
 	}
-	results, err := api.PopResults(ids, 3, tick, waitMax)
+	results, err := resultsOf(db.PopResults(within(t, waitMax), ids, 3))
 	if err != nil {
 		t.Fatalf("PopResults: %v", err)
 	}
 	if len(results) != 3 {
 		t.Fatalf("got %d results, want 3 (max)", len(results))
 	}
-	results2, err := api.PopResults(ids, 10, tick, waitMax)
+	results2, err := resultsOf(db.PopResults(within(t, waitMax), ids, 10))
 	if err != nil {
 		t.Fatalf("PopResults 2: %v", err)
 	}
@@ -201,32 +219,32 @@ func TestPopResultsBatch(t *testing.T) {
 }
 
 func TestPopResultsIgnoresForeignTasks(t *testing.T) {
-	_, api := newTestDB(t)
-	mine, _ := api.SubmitTask("e", 1, "m")
-	other, _ := api.SubmitTask("e", 1, "o")
-	tasks, _ := api.QueryTasks(1, 2, "p", tick, waitMax)
+	db := newTestDB(t)
+	mine, _ := idOf(db.Submit(bg, "e", 1, "m"))
+	other, _ := idOf(db.Submit(bg, "e", 1, "o"))
+	tasks, _ := tasksOf(db.QueryTasks(within(t, waitMax), 1, 2, "p"))
 	for _, task := range tasks {
-		api.ReportTask(task.ID, 1, "done")
+		db.Report(bg, task.ID, 1, "done")
 	}
-	results, err := api.PopResults([]int64{mine}, 5, tick, waitMax)
+	results, err := resultsOf(db.PopResults(within(t, waitMax), []int64{mine}, 5))
 	if err != nil || len(results) != 1 || results[0].ID != mine {
 		t.Fatalf("PopResults = %+v, %v", results, err)
 	}
 	// The other result is still poppable.
-	results, err = api.PopResults([]int64{other}, 5, tick, waitMax)
+	results, err = resultsOf(db.PopResults(within(t, waitMax), []int64{other}, 5))
 	if err != nil || len(results) != 1 || results[0].ID != other {
 		t.Fatalf("other result = %+v, %v", results, err)
 	}
 }
 
 func TestStatusesAndCounts(t *testing.T) {
-	_, api := newTestDB(t)
-	a, _ := api.SubmitTask("e", 1, "a")
-	b, _ := api.SubmitTask("e", 1, "b")
-	c, _ := api.SubmitTask("other", 1, "c")
-	tasks, _ := api.QueryTasks(1, 1, "p", tick, waitMax)
-	api.ReportTask(tasks[0].ID, 1, "done")
-	sts, err := api.Statuses([]int64{a, b, c, 999})
+	db := newTestDB(t)
+	a, _ := idOf(db.Submit(bg, "e", 1, "a"))
+	b, _ := idOf(db.Submit(bg, "e", 1, "b"))
+	c, _ := idOf(db.Submit(bg, "other", 1, "c"))
+	tasks, _ := tasksOf(db.QueryTasks(within(t, waitMax), 1, 1, "p"))
+	db.Report(bg, tasks[0].ID, 1, "done")
+	sts, err := db.Statuses(bg, []int64{a, b, c, 999})
 	if err != nil {
 		t.Fatalf("Statuses: %v", err)
 	}
@@ -236,36 +254,36 @@ func TestStatusesAndCounts(t *testing.T) {
 	if sts[a] != StatusComplete || sts[b] != StatusQueued {
 		t.Fatalf("statuses = %v", sts)
 	}
-	counts, err := api.Counts("e")
+	counts, err := db.Counts(bg, "e")
 	if err != nil {
 		t.Fatalf("Counts: %v", err)
 	}
 	if counts[StatusComplete] != 1 || counts[StatusQueued] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
-	all, _ := api.Counts("")
+	all, _ := db.Counts(bg, "")
 	if all[StatusQueued] != 2 {
 		t.Fatalf("all counts = %v", all)
 	}
 }
 
 func TestUpdatePriorities(t *testing.T) {
-	_, api := newTestDB(t)
+	db := newTestDB(t)
 	var ids []int64
 	for i := 0; i < 4; i++ {
-		id, _ := api.SubmitTask("e", 1, fmt.Sprint(i))
+		id, _ := idOf(db.Submit(bg, "e", 1, fmt.Sprint(i)))
 		ids = append(ids, id)
 	}
 	// Pop one so it is no longer eligible.
-	popped, _ := api.QueryTasks(1, 1, "p", tick, waitMax)
-	n, err := api.UpdatePriorities(ids, []int{40, 10, 30, 20})
+	popped, _ := tasksOf(db.QueryTasks(within(t, waitMax), 1, 1, "p"))
+	n, err := countOf(db.UpdatePriorities(bg, ids, []int{40, 10, 30, 20}))
 	if err != nil {
 		t.Fatalf("UpdatePriorities: %v", err)
 	}
 	if n != 3 {
 		t.Fatalf("updated %d, want 3 (one task already running)", n)
 	}
-	prios, _ := api.Priorities(ids)
+	prios, _ := db.Priorities(bg, ids)
 	if len(prios) != 3 {
 		t.Fatalf("priorities = %v", prios)
 	}
@@ -273,7 +291,7 @@ func TestUpdatePriorities(t *testing.T) {
 		t.Fatalf("priorities = %v", prios)
 	}
 	// Remaining tasks pop in the new order.
-	rest, err := api.QueryTasks(1, 3, "p", tick, waitMax)
+	rest, err := tasksOf(db.QueryTasks(within(t, waitMax), 1, 3, "p"))
 	if err != nil {
 		t.Fatalf("QueryTasks: %v", err)
 	}
@@ -290,40 +308,40 @@ func TestUpdatePriorities(t *testing.T) {
 }
 
 func TestUpdatePrioritiesSingleValue(t *testing.T) {
-	_, api := newTestDB(t)
+	db := newTestDB(t)
 	var ids []int64
 	for i := 0; i < 3; i++ {
-		id, _ := api.SubmitTask("e", 1, "x")
+		id, _ := idOf(db.Submit(bg, "e", 1, "x"))
 		ids = append(ids, id)
 	}
-	n, err := api.UpdatePriorities(ids, []int{7})
+	n, err := countOf(db.UpdatePriorities(bg, ids, []int{7}))
 	if err != nil || n != 3 {
 		t.Fatalf("UpdatePriorities = %d, %v", n, err)
 	}
-	prios, _ := api.Priorities(ids)
+	prios, _ := db.Priorities(bg, ids)
 	for _, id := range ids {
 		if prios[id] != 7 {
 			t.Fatalf("prios = %v", prios)
 		}
 	}
-	if _, err := api.UpdatePriorities(ids, []int{1, 2}); err == nil {
+	if _, err := db.UpdatePriorities(bg, ids, []int{1, 2}); err == nil {
 		t.Fatal("mismatched priority slice length must error")
 	}
 }
 
 func TestCancelTasks(t *testing.T) {
-	_, api := newTestDB(t)
-	a, _ := api.SubmitTask("e", 1, "a")
-	b, _ := api.SubmitTask("e", 1, "b")
-	tasks, _ := api.QueryTasks(1, 1, "p", tick, waitMax)
-	n, err := api.CancelTasks([]int64{a, b})
+	db := newTestDB(t)
+	a, _ := idOf(db.Submit(bg, "e", 1, "a"))
+	b, _ := idOf(db.Submit(bg, "e", 1, "b"))
+	tasks, _ := tasksOf(db.QueryTasks(within(t, waitMax), 1, 1, "p"))
+	n, err := countOf(db.CancelTasks(bg, []int64{a, b}))
 	if err != nil {
 		t.Fatalf("CancelTasks: %v", err)
 	}
 	if n != 1 {
 		t.Fatalf("canceled %d, want 1 (task %d already running)", n, tasks[0].ID)
 	}
-	st, _ := api.Statuses([]int64{a, b})
+	st, _ := db.Statuses(bg, []int64{a, b})
 	if st[tasks[0].ID] != StatusRunning {
 		t.Fatalf("running task was canceled: %v", st)
 	}
@@ -335,22 +353,22 @@ func TestCancelTasks(t *testing.T) {
 		t.Fatalf("statuses = %v", st)
 	}
 	// Canceled task is not poppable.
-	if _, err := api.QueryTasks(1, 1, "p", tick, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := db.QueryTasks(within(t, 30*time.Millisecond), 1, 1, "p"); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("canceled task still in queue: %v", err)
 	}
 }
 
 func TestRequeueRunning(t *testing.T) {
-	_, api := newTestDB(t)
-	id, _ := api.SubmitTask("e", 1, "x", WithPriority(42))
-	if _, err := api.QueryTasks(1, 1, "crashed-pool", tick, waitMax); err != nil {
+	db := newTestDB(t)
+	id, _ := idOf(db.Submit(bg, "e", 1, "x", WithPriority(42)))
+	if _, err := db.QueryTasks(within(t, waitMax), 1, 1, "crashed-pool"); err != nil {
 		t.Fatalf("QueryTasks: %v", err)
 	}
-	n, err := api.RequeueRunning("crashed-pool")
+	n, err := countOf(db.RequeueRunning(bg, "crashed-pool"))
 	if err != nil || n != 1 {
 		t.Fatalf("RequeueRunning = %d, %v", n, err)
 	}
-	tasks, err := api.QueryTasks(1, 1, "fresh-pool", tick, waitMax)
+	tasks, err := tasksOf(db.QueryTasks(within(t, waitMax), 1, 1, "fresh-pool"))
 	if err != nil {
 		t.Fatalf("re-pop: %v", err)
 	}
@@ -358,35 +376,35 @@ func TestRequeueRunning(t *testing.T) {
 		t.Fatalf("requeued task = %+v (priority must survive)", tasks[0])
 	}
 	// Completed tasks are not requeued.
-	api.ReportTask(id, 1, "done")
-	n, _ = api.RequeueRunning("fresh-pool")
+	db.Report(bg, id, 1, "done")
+	n, _ = countOf(db.RequeueRunning(bg, "fresh-pool"))
 	if n != 0 {
 		t.Fatalf("requeued %d completed tasks", n)
 	}
 }
 
 func TestTags(t *testing.T) {
-	_, api := newTestDB(t)
-	id, _ := api.SubmitTask("e", 1, "x", WithTags("gpr", "round-1"))
-	tags, err := api.Tags(id)
+	db := newTestDB(t)
+	id, _ := idOf(db.Submit(bg, "e", 1, "x", WithTags("gpr", "round-1")))
+	tags, err := db.Tags(bg, id)
 	if err != nil {
 		t.Fatalf("Tags: %v", err)
 	}
 	if len(tags) != 2 || tags[0] != "gpr" || tags[1] != "round-1" {
 		t.Fatalf("tags = %v", tags)
 	}
-	other, _ := api.SubmitTask("e", 1, "y")
-	tags, _ = api.Tags(other)
+	other, _ := idOf(db.Submit(bg, "e", 1, "y"))
+	tags, _ = db.Tags(bg, other)
 	if len(tags) != 0 {
 		t.Fatalf("untagged task has tags %v", tags)
 	}
 }
 
 func TestConcurrentPoolsNoDuplicatePop(t *testing.T) {
-	_, api := newTestDB(t)
+	db := newTestDB(t)
 	const nTasks = 200
 	for i := 0; i < nTasks; i++ {
-		api.SubmitTask("e", 1, fmt.Sprint(i))
+		db.Submit(bg, "e", 1, fmt.Sprint(i))
 	}
 	var mu sync.Mutex
 	seen := make(map[int64]string)
@@ -397,7 +415,7 @@ func TestConcurrentPoolsNoDuplicatePop(t *testing.T) {
 			defer wg.Done()
 			pool := fmt.Sprintf("pool%d", p)
 			for {
-				tasks, err := api.QueryTasks(1, 5, pool, tick, 100*time.Millisecond)
+				tasks, err := tasksOf(db.QueryTasks(within(t, 100*time.Millisecond), 1, 5, pool))
 				if errors.Is(err, ErrTimeout) {
 					return
 				}
@@ -427,10 +445,9 @@ func TestCloseWakesWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := Compat(db).(compatAPI)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := api.QueryTasks(1, 1, "p", tick, time.Minute)
+		_, err := db.QueryTasks(within(t, time.Minute), 1, 1, "p")
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -443,17 +460,17 @@ func TestCloseWakesWaiters(t *testing.T) {
 	case <-time.After(waitMax):
 		t.Fatal("Close did not wake waiter")
 	}
-	if _, err := api.SubmitTask("e", 1, "x"); !errors.Is(err, ErrClosed) {
+	if _, err := db.Submit(bg, "e", 1, "x"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
 }
 
 func TestSnapshotRestoreWorkflowState(t *testing.T) {
-	db, api := newTestDB(t)
-	a, _ := api.SubmitTask("e", 1, "a", WithPriority(3))
-	b, _ := api.SubmitTask("e", 1, "b")
-	tasks, _ := api.QueryTasks(1, 1, "p", tick, waitMax)
-	api.ReportTask(tasks[0].ID, 1, "done")
+	db := newTestDB(t)
+	a, _ := idOf(db.Submit(bg, "e", 1, "a", WithPriority(3)))
+	b, _ := idOf(db.Submit(bg, "e", 1, "b"))
+	tasks, _ := tasksOf(db.QueryTasks(within(t, waitMax), 1, 1, "p"))
+	db.Report(bg, tasks[0].ID, 1, "done")
 
 	var buf bytes.Buffer
 	if err := db.Snapshot(&buf); err != nil {
@@ -464,35 +481,34 @@ func TestSnapshotRestoreWorkflowState(t *testing.T) {
 		t.Fatalf("RestoreDB: %v", err)
 	}
 	defer db2.Close()
-	api2 := Compat(db2).(compatAPI)
-	st, _ := api2.Statuses([]int64{a, b})
+	st, _ := db2.Statuses(bg, []int64{a, b})
 	if st[tasks[0].ID] != StatusComplete {
 		t.Fatalf("restored statuses = %v", st)
 	}
 	// Result still poppable, remaining task still queued, ids keep counting.
-	if res, err := api2.QueryResult(tasks[0].ID, tick, waitMax); err != nil || res != "done" {
+	if res, err := resultOf(db2.QueryResult(within(t, waitMax), tasks[0].ID)); err != nil || res != "done" {
 		t.Fatalf("restored result = %q, %v", res, err)
 	}
-	rest, err := api2.QueryTasks(1, 5, "p2", tick, waitMax)
+	rest, err := tasksOf(db2.QueryTasks(within(t, waitMax), 1, 5, "p2"))
 	if err != nil || len(rest) != 1 {
 		t.Fatalf("restored queue pop = %+v, %v", rest, err)
 	}
-	id3, _ := api2.SubmitTask("e", 1, "c")
+	id3, _ := idOf(db2.Submit(bg, "e", 1, "c"))
 	if id3 != 3 {
 		t.Fatalf("id after restore = %d, want 3", id3)
 	}
 }
 
 func TestReportUnknownTask(t *testing.T) {
-	_, api := newTestDB(t)
-	if err := api.ReportTask(12345, 1, "x"); err == nil {
+	db := newTestDB(t)
+	if _, err := db.Report(bg, 12345, 1, "x"); err == nil {
 		t.Fatal("reporting an unknown task must error")
 	}
 }
 
 func TestQueryTasksValidatesN(t *testing.T) {
-	_, api := newTestDB(t)
-	if _, err := api.QueryTasks(1, 0, "p", tick, tick); err == nil {
+	db := newTestDB(t)
+	if _, err := db.QueryTasks(within(t, tick), 1, 0, "p"); err == nil {
 		t.Fatal("n=0 must error")
 	}
 }
@@ -512,13 +528,12 @@ func TestPropertyPopOrdering(t *testing.T) {
 			return false
 		}
 		defer db.Close()
-		api := Compat(db).(compatAPI)
 		for i, p := range prios {
-			if _, err := api.SubmitTask("e", 1, fmt.Sprint(i), WithPriority(int(p))); err != nil {
+			if _, err := db.Submit(bg, "e", 1, fmt.Sprint(i), WithPriority(int(p))); err != nil {
 				return false
 			}
 		}
-		tasks, err := api.QueryTasks(1, len(prios), "p", tick, waitMax)
+		tasks, err := tasksOf(db.QueryTasks(within(t, waitMax), 1, len(prios), "p"))
 		if err != nil || len(tasks) != len(prios) {
 			return false
 		}
@@ -540,11 +555,11 @@ func TestPropertyPopOrdering(t *testing.T) {
 // Property: every submitted task is eventually either completed exactly once
 // or still queued — no loss, no duplication — under concurrent pop/report.
 func TestPropertyConservation(t *testing.T) {
-	_, api := newTestDB(t)
+	db := newTestDB(t)
 	const n = 120
 	ids := make([]int64, n)
 	for i := range ids {
-		ids[i], _ = api.SubmitTask("e", 1, fmt.Sprint(i))
+		ids[i], _ = idOf(db.Submit(bg, "e", 1, fmt.Sprint(i)))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -553,12 +568,12 @@ func TestPropertyConservation(t *testing.T) {
 			defer wg.Done()
 			pool := fmt.Sprintf("w%d", w)
 			for {
-				tasks, err := api.QueryTasks(1, 3, pool, tick, 100*time.Millisecond)
+				tasks, err := tasksOf(db.QueryTasks(within(t, 100*time.Millisecond), 1, 3, pool))
 				if err != nil {
 					return
 				}
 				for _, task := range tasks {
-					if err := api.ReportTask(task.ID, 1, "ok"); err != nil {
+					if _, err := db.Report(bg, task.ID, 1, "ok"); err != nil {
 						t.Errorf("report: %v", err)
 					}
 				}
@@ -566,19 +581,19 @@ func TestPropertyConservation(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	counts, _ := api.Counts("e")
+	counts, _ := db.Counts(bg, "e")
 	if counts[StatusComplete] != n {
 		t.Fatalf("counts = %v, want %d complete", counts, n)
 	}
-	results, err := api.PopResults(ids, n, tick, waitMax)
+	results, err := resultsOf(db.PopResults(within(t, waitMax), ids, n))
 	if err != nil || len(results) != n {
 		t.Fatalf("PopResults got %d results, err %v", len(results), err)
 	}
 }
 
 func TestSubmitTasksBatch(t *testing.T) {
-	_, api := newTestDB(t)
-	ids, err := api.SubmitTasks("e", 1, []string{"a", "b", "c"}, nil)
+	db := newTestDB(t)
+	ids, err := idsOf(db.SubmitBatch(bg, "e", 1, []string{"a", "b", "c"}, nil, nil))
 	if err != nil || len(ids) != 3 {
 		t.Fatalf("SubmitTasks = %v, %v", ids, err)
 	}
@@ -587,7 +602,7 @@ func TestSubmitTasksBatch(t *testing.T) {
 			t.Fatalf("ids not consecutive: %v", ids)
 		}
 	}
-	tasks, err := api.QueryTasks(1, 3, "p", tick, waitMax)
+	tasks, err := tasksOf(db.QueryTasks(within(t, waitMax), 1, 3, "p"))
 	if err != nil || len(tasks) != 3 {
 		t.Fatalf("QueryTasks after batch = %d, %v", len(tasks), err)
 	}
@@ -597,31 +612,31 @@ func TestSubmitTasksBatch(t *testing.T) {
 }
 
 func TestSubmitTasksBatchPriorities(t *testing.T) {
-	_, api := newTestDB(t)
+	db := newTestDB(t)
 	// Per-task priorities apply.
-	ids, err := api.SubmitTasks("e", 1, []string{"low", "high"}, []int{1, 9})
+	ids, err := idsOf(db.SubmitBatch(bg, "e", 1, []string{"low", "high"}, []int{1, 9}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks, _ := api.QueryTasks(1, 2, "p", tick, waitMax)
+	tasks, _ := tasksOf(db.QueryTasks(within(t, waitMax), 1, 2, "p"))
 	if tasks[0].ID != ids[1] {
 		t.Fatalf("priority order wrong: %+v", tasks)
 	}
 	// Single priority broadcasts.
-	ids2, err := api.SubmitTasks("e", 1, []string{"x", "y"}, []int{5})
+	ids2, err := idsOf(db.SubmitBatch(bg, "e", 1, []string{"x", "y"}, []int{5}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prios, _ := api.Priorities(ids2)
+	prios, _ := db.Priorities(bg, ids2)
 	if prios[ids2[0]] != 5 || prios[ids2[1]] != 5 {
 		t.Fatalf("broadcast priorities = %v", prios)
 	}
 	// Mismatched length errors.
-	if _, err := api.SubmitTasks("e", 1, []string{"x", "y"}, []int{1, 2, 3}); err == nil {
+	if _, err := db.SubmitBatch(bg, "e", 1, []string{"x", "y"}, []int{1, 2, 3}, nil); err == nil {
 		t.Fatal("mismatched priorities must error")
 	}
 	// Empty batch is a no-op.
-	if out, err := api.SubmitTasks("e", 1, nil, nil); err != nil || len(out) != 0 {
+	if out, err := idsOf(db.SubmitBatch(bg, "e", 1, nil, nil, nil)); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch = %v, %v", out, err)
 	}
 }
@@ -631,9 +646,8 @@ func TestSubmitTasksBatchAtomicWithClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := Compat(db).(compatAPI)
 	db.Close()
-	if _, err := api.SubmitTasks("e", 1, []string{"x"}, nil); !errors.Is(err, ErrClosed) {
+	if _, err := db.SubmitBatch(bg, "e", 1, []string{"x"}, nil, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close = %v", err)
 	}
 }

@@ -238,7 +238,7 @@ func (db *DB) resyncEvents(q watch.Query, last uint64) []watch.Event {
 	return out
 }
 
-// Watch implements watch.Session in process: subscribe to task-state
+// Watch implements Session in process: subscribe to task-state
 // transitions matching q, resuming after q.Since. The returned stream yields
 // per-commit batches in token order; a since-token older than the hub's
 // replayable history yields a Resync snapshot first. The stream ends when ctx
@@ -259,8 +259,6 @@ func (db *DB) Watch(ctx context.Context, q watch.Query, buf int) (watch.Stream, 
 	go s.run(ctx, replay)
 	return s, nil
 }
-
-var _ watch.Session = (*DB)(nil)
 
 // dbStream adapts a raw hub subscription to the watch.Stream interface,
 // prepending the subscribe-time replay and honoring ctx cancellation.

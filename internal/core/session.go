@@ -3,24 +3,18 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
+
+	"osprey/internal/watch"
 )
 
-// This file defines the v2 EMEWS DB surface: one context-first, commit-token-
+// This file defines the EMEWS DB surface: one context-first, commit-token-
 // aware Session interface shared by the in-process database and the remote
-// service clients. It replaces the PR 1–4 split into API (token-less) plus a
-// TokenAPI shadow of `...T` twins, under which the pop paths returned no
-// tokens at all — so a session that popped a task on the leader and then read
-// its status from a follower could observe the pre-pop state. Every mutating
-// operation of a Session, pops included, returns its commit token inside a
-// small result struct, and reads take per-call consistency levels instead of
-// a client-global staleness knob.
-//
-// The old API interface remains available as a deprecated adapter
-// (Compat(Session) API) so third-party ME algorithms compile unchanged for
-// one release; Lift(API) Session adapts legacy token-less backends the other
-// way.
+// service clients. Every mutating operation of a Session, pops included,
+// returns its commit token inside a small result struct — so a session that
+// pops a task on the leader and then reads its status from a follower
+// observes the post-pop state — and reads take per-call consistency levels
+// instead of a client-global staleness knob.
 
 // Level is a per-read consistency level.
 type Level uint8
@@ -122,8 +116,8 @@ type CountRes struct {
 // the delay only bounds how stale a missed notification can leave a poll.
 const DefaultPollDelay = 100 * time.Millisecond
 
-// Session is the unified EMEWS DB task interface (v2): one surface shared by
-// the in-process database (DB), the remote service client (service.Client),
+// Session is the EMEWS DB task interface: one surface shared by the
+// in-process database (DB), the remote service client (service.Client),
 // and the failover-aware cluster client (service.DialCluster), so ME
 // algorithms and worker pools run unchanged against any of them (paper §IV-C,
 // §V-A).
@@ -195,6 +189,14 @@ type Session interface {
 	// GetTask returns the full task row without touching the queues.
 	GetTask(ctx context.Context, taskID int64, opts ...ReadOption) (Task, error)
 
+	// Watch opens a push stream of the task-state transitions matching q,
+	// resuming after q.Since; buf is the stream's batch buffer (<= 0 picks
+	// the implementation's default). It is what pools and futures block on
+	// instead of polling. The stream ends when ctx is done, Close is called,
+	// or the backend drops it (Stream.Err says why) — resubscribe with the
+	// last token seen.
+	Watch(ctx context.Context, q watch.Query, buf int) (watch.Stream, error)
+
 	// Token returns the session's high-water commit token: the newest WAL
 	// index any operation of this session has produced or observed. It is the
 	// default freshness bound of LevelSession reads, and can be handed to
@@ -204,7 +206,7 @@ type Session interface {
 
 // CtxErr maps a finished context to the API's timeout semantics: a deadline
 // expiry is the paper's TIMEOUT answer (ErrTimeout), a cancellation surfaces
-// as itself. Every Session implementation (DB, the service clients, Lift)
+// as itself. Every Session implementation (DB and the service clients)
 // shares this mapping.
 func CtxErr(ctx context.Context) error {
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -214,278 +216,3 @@ func CtxErr(ctx context.Context) error {
 }
 
 func ctxErr(ctx context.Context) error { return CtxErr(ctx) }
-
-// --- Compat: Session -> deprecated API ---
-
-// Compat adapts a Session to the deprecated v1 API interface, so ME
-// algorithms and pools written against core.API compile and run unchanged
-// for one more release. The polling methods translate their explicit timeout
-// into a context deadline; the delay argument is ignored (sessions poll on
-// queue notifications with DefaultPollDelay as the recheck bound). Commit
-// tokens still ratchet inside the wrapped Session, so reads through other
-// consumers of the same Session keep their guarantees — the adapter merely
-// does not surface tokens to its own caller.
-func Compat(s Session) API { return compatAPI{s} }
-
-type compatAPI struct{ s Session }
-
-// pollCtx converts a v1 timeout into a polling context. The v1 contract gives
-// a zero (or negative) timeout one immediate attempt, which Session
-// implementations honor by attempting before checking the deadline.
-func pollCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout < 0 {
-		timeout = 0
-	}
-	return context.WithTimeout(context.Background(), timeout)
-}
-
-func (c compatAPI) SubmitTask(expID string, workType int, payload string, opts ...SubmitOption) (int64, error) {
-	res, err := c.s.Submit(context.Background(), expID, workType, payload, opts...)
-	return res.ID, err
-}
-
-func (c compatAPI) SubmitTasks(expID string, workType int, payloads []string, priorities []int) ([]int64, error) {
-	res, err := c.s.SubmitBatch(context.Background(), expID, workType, payloads, priorities, nil)
-	return res.IDs, err
-}
-
-func (c compatAPI) QueryTasks(workType, n int, pool string, delay, timeout time.Duration) ([]Task, error) {
-	ctx, cancel := pollCtx(timeout)
-	defer cancel()
-	res, err := c.s.QueryTasks(ctx, workType, n, pool)
-	return res.Tasks, err
-}
-
-func (c compatAPI) ReportTask(taskID int64, workType int, result string) error {
-	_, err := c.s.Report(context.Background(), taskID, workType, result)
-	return err
-}
-
-func (c compatAPI) QueryResult(taskID int64, delay, timeout time.Duration) (string, error) {
-	ctx, cancel := pollCtx(timeout)
-	defer cancel()
-	res, err := c.s.QueryResult(ctx, taskID)
-	return res.Result, err
-}
-
-func (c compatAPI) PopResults(ids []int64, max int, delay, timeout time.Duration) ([]TaskResult, error) {
-	ctx, cancel := pollCtx(timeout)
-	defer cancel()
-	res, err := c.s.PopResults(ctx, ids, max)
-	return res.Results, err
-}
-
-func (c compatAPI) Statuses(ids []int64) (map[int64]Status, error) {
-	return c.s.Statuses(context.Background(), ids)
-}
-
-func (c compatAPI) Priorities(ids []int64) (map[int64]int, error) {
-	return c.s.Priorities(context.Background(), ids)
-}
-
-func (c compatAPI) UpdatePriorities(ids []int64, priorities []int) (int, error) {
-	res, err := c.s.UpdatePriorities(context.Background(), ids, priorities)
-	return res.Count, err
-}
-
-func (c compatAPI) CancelTasks(ids []int64) (int, error) {
-	res, err := c.s.CancelTasks(context.Background(), ids)
-	return res.Count, err
-}
-
-func (c compatAPI) RequeueRunning(pool string) (int, error) {
-	res, err := c.s.RequeueRunning(context.Background(), pool)
-	return res.Count, err
-}
-
-func (c compatAPI) Counts(expID string) (map[Status]int, error) {
-	return c.s.Counts(context.Background(), expID)
-}
-
-func (c compatAPI) Tags(taskID int64) ([]string, error) {
-	return c.s.Tags(context.Background(), taskID)
-}
-
-// GetTask exposes the Session's task fetch on the concrete adapter (it is not
-// part of the v1 API interface, but v1 servers probed for it dynamically).
-func (c compatAPI) GetTask(taskID int64) (Task, error) {
-	return c.s.GetTask(context.Background(), taskID)
-}
-
-// Unwrap returns the adapted Session, letting layers that receive an API
-// value rediscover the full v2 surface.
-func (c compatAPI) Unwrap() Session { return c.s }
-
-// --- Lift: deprecated API -> Session ---
-
-// ErrNoTokens marks operations a token-less v1 backend cannot honor.
-var ErrNoTokens = errors.New("eqsql: dedup keys unsupported by backend (no commit tokens)")
-
-// Lift adapts a legacy token-less API implementation to the Session
-// interface: every commit token is 0 (no freshness bound), consistency
-// options are ignored, and dedup keys are rejected — the backend cannot make
-// submits idempotent, and silently dropping the caller's idempotency demand
-// would be worse than failing. Session consumers built for at-least-once
-// semantics (e.g. DialCluster's auto-keyed submits) detect the rejection and
-// downgrade.
-func Lift(api API) Session {
-	if c, ok := api.(compatAPI); ok {
-		return c.s // round-trip: un-wrap instead of stacking adapters
-	}
-	return liftSession{api}
-}
-
-type liftSession struct{ api API }
-
-// Tokenless reports whether s is a Lift adapter over a token-less v1
-// backend. The service layer uses it to choose the conservative quorum wait
-// (newest committed index) over the exact per-token wait: a lifted backend's
-// zero tokens mean "unknown entry", not "no entry".
-func Tokenless(s Session) bool {
-	_, ok := s.(liftSession)
-	return ok
-}
-
-// liftPoll runs one v1 polling call in context-sized chunks. A canceled
-// context aborts before the (queue-mutating) poll runs; a deadline expiry
-// still earns the one-shot immediate attempt.
-func liftPoll(ctx context.Context, fn func(timeout time.Duration) error) error {
-	const chunk = 500 * time.Millisecond
-	first := true
-	for {
-		if err := ctx.Err(); errors.Is(err, context.Canceled) {
-			return err
-		}
-		step := chunk
-		if d, ok := ctx.Deadline(); ok {
-			remain := time.Until(d)
-			if remain <= 0 {
-				if !first {
-					return ErrTimeout
-				}
-				// The v1 contract gives an expired timeout one immediate try.
-				remain = time.Millisecond
-			}
-			if remain < step {
-				step = remain
-			}
-		}
-		err := fn(step)
-		first = false
-		if !errors.Is(err, ErrTimeout) {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return ctxErr(ctx)
-		default:
-		}
-	}
-}
-
-func (l liftSession) Submit(ctx context.Context, expID string, workType int, payload string, opts ...SubmitOption) (SubmitRes, error) {
-	var o SubmitOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.DedupKey != "" {
-		return SubmitRes{}, ErrNoTokens
-	}
-	if err := ctx.Err(); err != nil {
-		return SubmitRes{}, ctxErr(ctx)
-	}
-	id, err := l.api.SubmitTask(expID, workType, payload, opts...)
-	return SubmitRes{ID: id}, err
-}
-
-func (l liftSession) SubmitBatch(ctx context.Context, expID string, workType int, payloads []string, priorities []int, dedupKeys []string) (BatchRes, error) {
-	for _, k := range dedupKeys {
-		if k != "" {
-			return BatchRes{}, ErrNoTokens
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return BatchRes{}, ctxErr(ctx)
-	}
-	ids, err := l.api.SubmitTasks(expID, workType, payloads, priorities)
-	return BatchRes{IDs: ids}, err
-}
-
-func (l liftSession) QueryTasks(ctx context.Context, workType, n int, pool string) (TasksRes, error) {
-	var tasks []Task
-	err := liftPoll(ctx, func(timeout time.Duration) error {
-		var err error
-		tasks, err = l.api.QueryTasks(workType, n, pool, DefaultPollDelay, timeout)
-		return err
-	})
-	return TasksRes{Tasks: tasks}, err
-}
-
-func (l liftSession) Report(ctx context.Context, taskID int64, workType int, result string) (Res, error) {
-	if err := ctx.Err(); err != nil {
-		return Res{}, ctxErr(ctx)
-	}
-	return Res{}, l.api.ReportTask(taskID, workType, result)
-}
-
-func (l liftSession) QueryResult(ctx context.Context, taskID int64) (ResultRes, error) {
-	var res string
-	err := liftPoll(ctx, func(timeout time.Duration) error {
-		var err error
-		res, err = l.api.QueryResult(taskID, DefaultPollDelay, timeout)
-		return err
-	})
-	return ResultRes{Result: res}, err
-}
-
-func (l liftSession) PopResults(ctx context.Context, ids []int64, max int) (ResultsRes, error) {
-	var results []TaskResult
-	err := liftPoll(ctx, func(timeout time.Duration) error {
-		var err error
-		results, err = l.api.PopResults(ids, max, DefaultPollDelay, timeout)
-		return err
-	})
-	return ResultsRes{Results: results}, err
-}
-
-func (l liftSession) Statuses(ctx context.Context, ids []int64, opts ...ReadOption) (map[int64]Status, error) {
-	return l.api.Statuses(ids)
-}
-
-func (l liftSession) Priorities(ctx context.Context, ids []int64, opts ...ReadOption) (map[int64]int, error) {
-	return l.api.Priorities(ids)
-}
-
-func (l liftSession) UpdatePriorities(ctx context.Context, ids []int64, priorities []int) (CountRes, error) {
-	n, err := l.api.UpdatePriorities(ids, priorities)
-	return CountRes{Count: n}, err
-}
-
-func (l liftSession) CancelTasks(ctx context.Context, ids []int64) (CountRes, error) {
-	n, err := l.api.CancelTasks(ids)
-	return CountRes{Count: n}, err
-}
-
-func (l liftSession) RequeueRunning(ctx context.Context, pool string) (CountRes, error) {
-	n, err := l.api.RequeueRunning(pool)
-	return CountRes{Count: n}, err
-}
-
-func (l liftSession) Counts(ctx context.Context, expID string, opts ...ReadOption) (map[Status]int, error) {
-	return l.api.Counts(expID)
-}
-
-func (l liftSession) Tags(ctx context.Context, taskID int64, opts ...ReadOption) ([]string, error) {
-	return l.api.Tags(taskID)
-}
-
-func (l liftSession) GetTask(ctx context.Context, taskID int64, opts ...ReadOption) (Task, error) {
-	if g, ok := l.api.(interface {
-		GetTask(taskID int64) (Task, error)
-	}); ok {
-		return g.GetTask(taskID)
-	}
-	return Task{}, fmt.Errorf("eqsql: GetTask unsupported by backend")
-}
-
-func (l liftSession) Token() Token { return 0 }

@@ -110,66 +110,3 @@ func TestPollingContextSemantics(t *testing.T) {
 		t.Fatalf("canceled poll = %v, want context.Canceled", err)
 	}
 }
-
-// TestCompatLiftRoundTrip: Compat exposes the v1 surface over a Session, and
-// Lift recognizes its own adapter instead of stacking another layer.
-func TestCompatLiftRoundTrip(t *testing.T) {
-	db := walDB(t)
-	api := Compat(db)
-	if got := Lift(api); got != Session(db) {
-		t.Fatalf("Lift(Compat(db)) = %T, want the original *DB back", got)
-	}
-
-	id, err := api.SubmitTask("e", 1, "p", WithPriority(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks, err := api.QueryTasks(1, 1, "pool", time.Millisecond, time.Second)
-	if err != nil || len(tasks) != 1 || tasks[0].ID != id {
-		t.Fatalf("compat QueryTasks = %+v, %v", tasks, err)
-	}
-	if err := api.ReportTask(id, 1, "done"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := api.QueryResult(id, time.Millisecond, time.Second)
-	if err != nil || res != "done" {
-		t.Fatalf("compat QueryResult = %q, %v", res, err)
-	}
-	// Tokens still ratcheted inside the wrapped Session even though the
-	// adapter's caller never sees them.
-	if db.Token() == 0 {
-		t.Fatal("session token did not advance under compat traffic")
-	}
-}
-
-// TestLiftRejectsDedup: a lifted token-less backend cannot honor idempotency
-// keys and must say so rather than silently dropping them.
-func TestLiftRejectsDedup(t *testing.T) {
-	db := walDB(t)
-	lifted := Lift(v1only{Compat(db)})
-	if !Tokenless(lifted) {
-		t.Fatal("Tokenless must recognize a lifted backend")
-	}
-	if Tokenless(Session(db)) {
-		t.Fatal("Tokenless must not flag a native Session")
-	}
-	ctx := context.Background()
-	if _, err := lifted.Submit(ctx, "e", 1, "p", WithDedupKey("k")); !errors.Is(err, ErrNoTokens) {
-		t.Fatalf("lifted submit with dedup key = %v, want ErrNoTokens", err)
-	}
-	if _, err := lifted.SubmitBatch(ctx, "e", 1, []string{"a"}, nil, []string{"k"}); !errors.Is(err, ErrNoTokens) {
-		t.Fatalf("lifted batch with dedup keys = %v, want ErrNoTokens", err)
-	}
-	// Keyless traffic flows, with zero tokens.
-	sub, err := lifted.Submit(ctx, "e", 1, "p")
-	if err != nil || sub.Token != 0 {
-		t.Fatalf("lifted keyless submit = %+v, %v", sub, err)
-	}
-	popped, err := lifted.QueryTasks(ctx, 1, 1, "pool")
-	if err != nil || len(popped.Tasks) != 1 || popped.Token != 0 {
-		t.Fatalf("lifted pop = %+v, %v", popped, err)
-	}
-}
-
-// v1only hides everything but the v1 API from Lift's type probes.
-type v1only struct{ API }

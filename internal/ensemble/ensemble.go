@@ -8,6 +8,7 @@
 package ensemble
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -162,7 +163,7 @@ type Config struct {
 
 // Run submits Members replicate tasks and aggregates their trajectories.
 // A worker pool running Runner() must be attached to the same work type.
-func Run(api core.API, cfg Config, levels []float64) (*Forecast, error) {
+func Run(ctx context.Context, sess core.Session, cfg Config, levels []float64) (*Forecast, error) {
 	if cfg.Members <= 0 {
 		cfg.Members = 100
 	}
@@ -185,21 +186,23 @@ func Run(api core.API, cfg Config, levels []float64) (*Forecast, error) {
 			Params: params, Init: cfg.Init, Horizon: cfg.Horizon,
 			Seed: cfg.Seed + int64(i),
 		})
-		id, err := api.SubmitTask(cfg.ExpID, cfg.WorkType, string(payload))
+		res, err := sess.Submit(ctx, cfg.ExpID, cfg.WorkType, string(payload))
 		if err != nil {
 			return nil, fmt.Errorf("ensemble: submit member %d: %w", i, err)
 		}
-		ids = append(ids, id)
+		ids = append(ids, res.ID)
 	}
 	trajectories := make([]Trajectory, 0, cfg.Members)
 	outstanding := ids
 	for len(trajectories) < cfg.Members {
-		results, err := api.PopResults(outstanding, cfg.Members, 5*time.Millisecond, cfg.PollTimeout)
+		pctx, cancel := context.WithTimeout(ctx, cfg.PollTimeout)
+		res, err := sess.PopResults(pctx, outstanding, cfg.Members)
+		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("ensemble: collecting (%d/%d done): %w",
 				len(trajectories), cfg.Members, err)
 		}
-		for _, r := range results {
+		for _, r := range res.Results {
 			var tr Trajectory
 			if err := json.Unmarshal([]byte(r.Result), &tr); err != nil {
 				return nil, fmt.Errorf("ensemble: bad trajectory from task %d: %w", r.ID, err)

@@ -133,7 +133,7 @@ func TestRunThroughTaskDatabase(t *testing.T) {
 	defer cancel()
 	go p.Run(ctx)
 
-	f, err := Run(core.Compat(db), Config{
+	f, err := Run(ctx, db, Config{
 		ExpID: "fc", WorkType: 3, Members: 60, Horizon: 28,
 		Init: testInit, Params: testParams, Seed: 100,
 		PollTimeout: 10 * time.Second,
@@ -246,7 +246,7 @@ func TestParamDrawsEnsemble(t *testing.T) {
 		{Beta: 0.3, Sigma: 0.25, Gamma: 0.15},
 		{Beta: 0.5, Sigma: 0.25, Gamma: 0.15},
 	}
-	f, err := Run(core.Compat(db), Config{
+	f, err := Run(ctx, db, Config{
 		ExpID: "pp", WorkType: 3, Members: 20, Horizon: 14,
 		Init: testInit, ParamDraws: draws, Seed: 7,
 		PollTimeout: 10 * time.Second,
@@ -256,7 +256,7 @@ func TestParamDrawsEnsemble(t *testing.T) {
 	}
 	// Parameter uncertainty widens the fan relative to a single-parameter
 	// ensemble with the same seeds.
-	single, err := Run(core.Compat(db), Config{
+	single, err := Run(ctx, db, Config{
 		ExpID: "sp", WorkType: 3, Members: 20, Horizon: 14,
 		Init: testInit, Params: draws[0], Seed: 7,
 		PollTimeout: 10 * time.Second,

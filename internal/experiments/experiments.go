@@ -328,7 +328,7 @@ func RunFig4(ctx context.Context, cfg Fig4Config) (*Fig4Result, error) {
 			}
 		},
 	}
-	report, err := opt.RunAsync(ctx, core.Compat(meClient), meCfg, rec)
+	report, err := opt.RunAsync(ctx, meClient, meCfg, rec)
 	if err != nil {
 		return nil, err
 	}

@@ -32,11 +32,6 @@ import (
 // ErrCanceled is returned when a result is requested from a canceled future.
 var ErrCanceled = errors.New("future: task canceled")
 
-// DefaultDelay is the poll recheck interval the v1 API used, retained for
-// callers that still parameterize polling; Session polls are notification-
-// driven and use it only as a chunk size.
-const DefaultDelay = 500 * time.Millisecond
-
 // Future is a handle on one submitted task (paper §V-B).
 type Future struct {
 	sess     core.Session
@@ -122,11 +117,12 @@ func (f *Future) Status() (core.Status, error) {
 // (core.ErrTimeout). Once retrieved, the result is cached locally: the
 // input-queue entry is consumed exactly once.
 //
-// On a watch-enabled Session the wait parks on a per-task event subscription:
-// a terminal transition wakes it, and cancellation surfaces as ErrCanceled in
-// the same hop — no follow-up status read, where the poll-based path needed a
-// second round trip after every timeout just to distinguish "not done" from
-// "canceled".
+// The wait parks on a per-task event subscription: a terminal transition
+// wakes it, and cancellation surfaces as ErrCanceled in the same hop. Only
+// when the subscription cannot be had or dies mid-wait (Watch's error cases:
+// overflow, hub reset, connection loss on a non-failover client) does the
+// call long-poll QueryResult for the same timeout instead, reading the status
+// after a timeout to tell "not done" from "canceled".
 func (f *Future) Result(timeout time.Duration) (string, error) {
 	f.mu.Lock()
 	if f.done {
@@ -135,10 +131,8 @@ func (f *Future) Result(timeout time.Duration) (string, error) {
 		return r, nil
 	}
 	f.mu.Unlock()
-	if ws, ok := f.sess.(watch.Session); ok {
-		if res, err, handled := f.resultWatch(ws, timeout); handled {
-			return res, err
-		}
+	if res, err, handled := f.resultWatch(timeout); handled {
+		return res, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -160,12 +154,12 @@ func (f *Future) Result(timeout time.Duration) (string, error) {
 // Subscribing from the submit's own commit token replays any transition that
 // already happened (a compacted position resyncs with current state), so a
 // task that completed before the call still wakes immediately. handled is
-// false when the subscription could not be established — the caller falls
-// back to the polling path.
-func (f *Future) resultWatch(ws watch.Session, timeout time.Duration) (string, error, bool) {
+// false when the subscription could not be established or ended early — the
+// caller long-polls instead.
+func (f *Future) resultWatch(timeout time.Duration) (string, error, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	st, err := ws.Watch(ctx, watch.Query{TaskID: f.id, Since: f.Token()}, 4)
+	st, err := f.sess.Watch(ctx, watch.Query{TaskID: f.id, Since: f.Token()}, 4)
 	if err != nil {
 		return "", nil, false
 	}
@@ -175,7 +169,7 @@ func (f *Future) resultWatch(ws watch.Session, timeout time.Duration) (string, e
 		case batch, ok := <-st.Events():
 			if !ok {
 				// Stream died mid-wait (overflow, reset, connection loss on a
-				// non-failover client): the polling path takes over.
+				// non-failover client): the long-poll takes over.
 				return "", nil, false
 			}
 			for _, ev := range batch {

@@ -2,7 +2,7 @@
 // worker pools that the paper lists as future work (§VII, the PSI/J item):
 // a registry that tracks pool heartbeats, exposes liveness, terminates
 // pools on demand, and automatically requeues tasks owned by pools whose
-// heartbeats stop — closing the fault-tolerance loop that core.API's
+// heartbeats stop — closing the fault-tolerance loop that core.Session's
 // RequeueRunning provides the primitive for.
 package monitor
 
@@ -46,7 +46,7 @@ type poolEntry struct {
 
 // Monitor tracks worker pools against an EMEWS DB.
 type Monitor struct {
-	api      core.API
+	sess     core.Session
 	interval time.Duration // heartbeat window
 	mu       sync.Mutex
 	pools    map[string]*poolEntry
@@ -57,12 +57,12 @@ type Monitor struct {
 // New creates a monitor. interval is the heartbeat window: a pool missing
 // one window becomes suspect, missing two is declared dead and its running
 // tasks are requeued.
-func New(api core.API, interval time.Duration) *Monitor {
+func New(sess core.Session, interval time.Duration) *Monitor {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	m := &Monitor{
-		api: api, interval: interval,
+		sess: sess, interval: interval,
 		pools: make(map[string]*poolEntry),
 		done:  make(chan struct{}),
 	}
@@ -111,14 +111,14 @@ func (m *Monitor) Terminate(name string) (requeued int, err error) {
 	if cancel != nil {
 		cancel()
 	}
-	n, err := m.api.RequeueRunning(name)
+	res, err := m.sess.RequeueRunning(context.Background(), name)
 	if err != nil {
 		return 0, err
 	}
 	m.mu.Lock()
-	e.info.Requeued += n
+	e.info.Requeued += res.Count
 	m.mu.Unlock()
-	return n, nil
+	return res.Count, nil
 }
 
 // Pools returns a snapshot of all monitored pools sorted by name.
@@ -182,10 +182,10 @@ func (m *Monitor) sweep() {
 		}
 		m.mu.Unlock()
 		for _, name := range toRequeue {
-			if n, err := m.api.RequeueRunning(name); err == nil {
+			if res, err := m.sess.RequeueRunning(context.Background(), name); err == nil {
 				m.mu.Lock()
 				if e, ok := m.pools[name]; ok {
-					e.info.Requeued += n
+					e.info.Requeued += res.Count
 				}
 				m.mu.Unlock()
 			}

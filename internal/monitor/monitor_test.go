@@ -36,7 +36,7 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 
 func TestHeartbeatLifecycle(t *testing.T) {
 	db := newDB(t)
-	m := New(core.Compat(db), 20*time.Millisecond)
+	m := New(db, 20*time.Millisecond)
 	defer m.Stop()
 	m.Register("p1", nil)
 	if !m.Alive("p1") {
@@ -61,12 +61,14 @@ func TestDeadPoolTasksRequeued(t *testing.T) {
 	db := newDB(t)
 	// A pool takes tasks and crashes without reporting.
 	for i := 0; i < 5; i++ {
-		core.Compat(db).SubmitTask("e", 1, "x")
+		db.Submit(context.Background(), "e", 1, "x")
 	}
-	if _, err := core.Compat(db).QueryTasks(1, 5, "doomed", time.Millisecond, waitMax); err != nil {
+	pctx, cancel := context.WithTimeout(context.Background(), waitMax)
+	defer cancel()
+	if _, err := db.QueryTasks(pctx, 1, 5, "doomed"); err != nil {
 		t.Fatal(err)
 	}
-	m := New(core.Compat(db), 15*time.Millisecond)
+	m := New(db, 15*time.Millisecond)
 	defer m.Stop()
 	m.Register("doomed", nil)
 	// No heartbeats: the sweep declares it dead and requeues.
@@ -78,7 +80,7 @@ func TestDeadPoolTasksRequeued(t *testing.T) {
 		}
 		return false
 	}, "dead pool's tasks not requeued")
-	counts, _ := core.Compat(db).Counts("e")
+	counts, _ := db.Counts(context.Background(), "e")
 	if counts[core.StatusQueued] != 5 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -87,7 +89,7 @@ func TestDeadPoolTasksRequeued(t *testing.T) {
 func TestTerminate(t *testing.T) {
 	db := newDB(t)
 	for i := 0; i < 10; i++ {
-		core.Compat(db).SubmitTask("e", 1, "x")
+		db.Submit(context.Background(), "e", 1, "x")
 	}
 	hang := make(chan struct{})
 	p, err := pool.New(db, pool.Config{Name: "victim", Workers: 2, BatchSize: 4, WorkType: 1},
@@ -100,7 +102,7 @@ func TestTerminate(t *testing.T) {
 	go func() { defer close(done); p.Run(ctx) }()
 	waitFor(t, func() bool { return p.Owned() >= 2 }, "pool never took tasks")
 
-	m := New(core.Compat(db), time.Second)
+	m := New(db, time.Second)
 	defer m.Stop()
 	m.Register("victim", cancel)
 	n, err := m.Terminate("victim")
@@ -125,7 +127,7 @@ func TestTerminate(t *testing.T) {
 
 func TestTerminateUnknown(t *testing.T) {
 	db := newDB(t)
-	m := New(core.Compat(db), time.Second)
+	m := New(db, time.Second)
 	defer m.Stop()
 	if _, err := m.Terminate("ghost"); !errors.Is(err, ErrUnknownPool) {
 		t.Fatalf("err = %v", err)
@@ -134,7 +136,7 @@ func TestTerminateUnknown(t *testing.T) {
 
 func TestHeartbeatUnknownPoolIgnored(t *testing.T) {
 	db := newDB(t)
-	m := New(core.Compat(db), time.Second)
+	m := New(db, time.Second)
 	defer m.Stop()
 	m.Heartbeat("never-registered") // must not panic
 	if len(m.Pools()) != 0 {
@@ -144,7 +146,7 @@ func TestHeartbeatUnknownPoolIgnored(t *testing.T) {
 
 func TestSuspectRecovers(t *testing.T) {
 	db := newDB(t)
-	m := New(core.Compat(db), 25*time.Millisecond)
+	m := New(db, 25*time.Millisecond)
 	defer m.Stop()
 	m.Register("flaky", nil)
 	// Let it go suspect.
@@ -160,7 +162,7 @@ func TestSuspectRecovers(t *testing.T) {
 
 func TestStopIdempotent(t *testing.T) {
 	db := newDB(t)
-	m := New(core.Compat(db), time.Second)
+	m := New(db, time.Second)
 	m.Stop()
 	m.Stop() // second stop must not panic
 }

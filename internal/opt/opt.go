@@ -12,6 +12,7 @@ package opt
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -174,11 +175,24 @@ type pendingTask struct {
 	x  []float64
 }
 
-// RunAsync executes the paper's §VI asynchronous workflow against api:
+// popResults is one bounded result poll: up to max results of ids, waiting at
+// most timeout. Nothing yet is (nil, nil) — the caller's loop re-checks ctx
+// and polls again.
+func popResults(ctx context.Context, sess core.Session, ids []int64, max int, timeout time.Duration) ([]core.TaskResult, error) {
+	pctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	res, err := sess.PopResults(pctx, ids, max)
+	if errors.Is(err, core.ErrTimeout) {
+		return nil, nil
+	}
+	return res.Results, err
+}
+
+// RunAsync executes the paper's §VI asynchronous workflow against sess:
 // submit all samples, then for every RetrainEvery completions retrain the
 // surrogate and batch-update the priorities of the incomplete tasks.
 // rec may be nil.
-func RunAsync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Recorder) (*Report, error) {
+func RunAsync(ctx context.Context, sess core.Session, cfg Config, rec *telemetry.Recorder) (*Report, error) {
 	cfg.applyDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	points := objective.SamplePoints(rng, cfg.Samples, cfg.Dim, cfg.Lo, cfg.Hi)
@@ -198,12 +212,12 @@ func RunAsync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Reco
 	for i, x := range points {
 		payloads[i] = objective.EncodePayload(objective.Payload{X: x, Delay: cfg.Delay.Sample(rng)})
 	}
-	ids, err := api.SubmitTasks(cfg.ExpID, cfg.WorkType, payloads, nil)
+	batch, err := sess.SubmitBatch(ctx, cfg.ExpID, cfg.WorkType, payloads, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("opt: submit: %w", err)
 	}
 	pending := make(map[int64]*pendingTask, cfg.Samples)
-	for i, id := range ids {
+	for i, id := range batch.IDs {
 		pending[id] = &pendingTask{id: id, x: points[i]}
 	}
 
@@ -221,11 +235,8 @@ func RunAsync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Reco
 		for id := range pending {
 			remaining = append(remaining, id)
 		}
-		results, err := api.PopResults(remaining, cfg.RetrainEvery, 5*time.Millisecond, cfg.PollTimeout)
+		results, err := popResults(ctx, sess, remaining, cfg.RetrainEvery, cfg.PollTimeout)
 		if err != nil {
-			if err == core.ErrTimeout {
-				continue
-			}
 			return report, fmt.Errorf("opt: pop results: %w", err)
 		}
 		for _, r := range results {
@@ -260,7 +271,7 @@ func RunAsync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Reco
 			}
 			prios, terr := cfg.Trainer.Rank(trainX, trainY, pendingX)
 			if terr == nil && len(prios) == len(pendingIDs) {
-				if _, uerr := api.UpdatePriorities(pendingIDs, prios); uerr != nil {
+				if _, uerr := sess.UpdatePriorities(ctx, pendingIDs, prios); uerr != nil {
 					terr = uerr
 				}
 			}
@@ -287,7 +298,7 @@ func RunAsync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Reco
 // training and choosing the next batch from the remaining samples by
 // predicted value. Stragglers in each batch idle the workers — the cost the
 // asynchronous API avoids (§II-B1d).
-func RunBatchSync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Recorder) (*Report, error) {
+func RunBatchSync(ctx context.Context, sess core.Session, cfg Config, rec *telemetry.Recorder) (*Report, error) {
 	cfg.applyDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	points := objective.SamplePoints(rng, cfg.Samples, cfg.Dim, cfg.Lo, cfg.Hi)
@@ -321,25 +332,22 @@ func RunBatchSync(ctx context.Context, api core.API, cfg Config, rec *telemetry.
 		for i, x := range batch {
 			payloads[i] = objective.EncodePayload(objective.Payload{X: x, Delay: cfg.Delay.Sample(rng)})
 		}
-		ids, err := api.SubmitTasks(cfg.ExpID, cfg.WorkType, payloads, nil)
+		submitted, err := sess.SubmitBatch(ctx, cfg.ExpID, cfg.WorkType, payloads, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("opt: submit: %w", err)
 		}
 		idToX := make(map[int64][]float64, n)
-		for i, id := range ids {
+		for i, id := range submitted.IDs {
 			idToX[id] = batch[i]
 		}
 		// Synchronous barrier: wait for every task in the batch.
-		outstanding := append([]int64(nil), ids...)
+		outstanding := append([]int64(nil), submitted.IDs...)
 		for len(outstanding) > 0 {
 			if err := ctx.Err(); err != nil {
 				return report, err
 			}
-			results, err := api.PopResults(outstanding, len(outstanding), 5*time.Millisecond, cfg.PollTimeout)
+			results, err := popResults(ctx, sess, outstanding, len(outstanding), cfg.PollTimeout)
 			if err != nil {
-				if err == core.ErrTimeout {
-					continue
-				}
 				return report, err
 			}
 			done := make(map[int64]bool, len(results))
@@ -388,11 +396,11 @@ func RunBatchSync(ctx context.Context, api core.API, cfg Config, rec *telemetry.
 
 // RunRandom executes the control: all samples submitted with uniform
 // priority and no reprioritization.
-func RunRandom(ctx context.Context, api core.API, cfg Config, rec *telemetry.Recorder) (*Report, error) {
+func RunRandom(ctx context.Context, sess core.Session, cfg Config, rec *telemetry.Recorder) (*Report, error) {
 	cfg.Trainer = noopTrainer{}
 	cfg.applyDefaults()
 	cfg.RetrainEvery = cfg.Samples + 1 // never retrain
-	r, err := RunAsync(ctx, api, cfg, rec)
+	r, err := RunAsync(ctx, sess, cfg, rec)
 	if r != nil {
 		r.Algorithm = "random"
 	}

@@ -65,7 +65,7 @@ func TestRunAsyncCompletesAllSamples(t *testing.T) {
 	rec := telemetry.NewRecorder(cfg.Delay.TimeScale)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	report, err := RunAsync(ctx, core.Compat(db), cfg, rec)
+	report, err := RunAsync(ctx, db, cfg, rec)
 	if err != nil {
 		t.Fatalf("RunAsync: %v", err)
 	}
@@ -97,13 +97,13 @@ func TestRunAsyncReprioritizationImprovesEarlyResults(t *testing.T) {
 	cfgA.RetrainEvery = 25
 	cfgA.Seed = 7
 
-	run := func(fn func(context.Context, core.API, Config, *telemetry.Recorder) (*Report, error), cfg Config) *Report {
+	run := func(fn func(context.Context, core.Session, Config, *telemetry.Recorder) (*Report, error), cfg Config) *Report {
 		db := newDB(t)
 		stop := startPool(t, db, cfg, 8)
 		defer stop()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		r, err := fn(ctx, core.Compat(db), cfg, nil)
+		r, err := fn(ctx, db, cfg, nil)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -133,7 +133,7 @@ func TestRunBatchSync(t *testing.T) {
 	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	report, err := RunBatchSync(ctx, core.Compat(db), cfg, nil)
+	report, err := RunBatchSync(ctx, db, cfg, nil)
 	if err != nil {
 		t.Fatalf("RunBatchSync: %v", err)
 	}
@@ -156,14 +156,14 @@ func TestAsyncFasterThanBatchSync(t *testing.T) {
 	cfg.RetrainEvery = 15
 	cfg.Delay = objective.DelayConfig{Mu: 0.5, Sigma: 0.8, TimeScale: 0.002} // heavy tail
 
-	run := func(fn func(context.Context, core.API, Config, *telemetry.Recorder) (*Report, error)) float64 {
+	run := func(fn func(context.Context, core.Session, Config, *telemetry.Recorder) (*Report, error)) float64 {
 		db := newDB(t)
 		stop := startPool(t, db, cfg, 8)
 		defer stop()
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 		defer cancel()
 		start := time.Now()
-		if _, err := fn(ctx, core.Compat(db), cfg, nil); err != nil {
+		if _, err := fn(ctx, db, cfg, nil); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		return time.Since(start).Seconds()
@@ -271,7 +271,7 @@ func TestRunAsyncContextCancel(t *testing.T) {
 	// No pool: nothing completes, the run must exit on ctx cancellation.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err := RunAsync(ctx, core.Compat(db), cfg, nil)
+	_, err := RunAsync(ctx, db, cfg, nil)
 	if err == nil {
 		t.Fatal("RunAsync must fail when the context expires")
 	}

@@ -38,7 +38,7 @@ func CheckpointFrom(cfg Config, trainX [][]float64, trainY []float64, pendingX [
 // re-submitted as fresh tasks; its training history seeds the surrogate so
 // the first reprioritization happens immediately rather than after
 // RetrainEvery new completions.
-func ResumeAsync(ctx context.Context, api core.API, cfg Config, ckpt *Checkpoint, rec *telemetry.Recorder) (*Report, error) {
+func ResumeAsync(ctx context.Context, sess core.Session, cfg Config, ckpt *Checkpoint, rec *telemetry.Recorder) (*Report, error) {
 	if ckpt == nil {
 		return nil, fmt.Errorf("opt: nil checkpoint")
 	}
@@ -72,12 +72,12 @@ func ResumeAsync(ctx context.Context, api core.API, cfg Config, ckpt *Checkpoint
 	for i, x := range ckpt.PendingX {
 		payloads[i] = objective.EncodePayload(objective.Payload{X: x, Delay: cfg.Delay.Sample(rng)})
 	}
-	ids, err := api.SubmitTasks(cfg.ExpID, cfg.WorkType, payloads, nil)
+	batch, err := sess.SubmitBatch(ctx, cfg.ExpID, cfg.WorkType, payloads, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("opt: resubmit: %w", err)
 	}
 	pending := make(map[int64]*pendingTask, len(ckpt.PendingX))
-	for i, id := range ids {
+	for i, id := range batch.IDs {
 		pending[id] = &pendingTask{id: id, x: ckpt.PendingX[i]}
 	}
 	if len(pending) == 0 {
@@ -99,7 +99,7 @@ func ResumeAsync(ctx context.Context, api core.API, cfg Config, ckpt *Checkpoint
 			xs = append(xs, task.x)
 		}
 		if prios, err := cfg.Trainer.Rank(trainX, trainY, xs); err == nil && len(prios) == len(ids) {
-			api.UpdatePriorities(ids, prios)
+			sess.UpdatePriorities(ctx, ids, prios)
 			report.ReprioRounds = round
 		}
 		if rec != nil {
@@ -117,11 +117,8 @@ func ResumeAsync(ctx context.Context, api core.API, cfg Config, ckpt *Checkpoint
 		for id := range pending {
 			remaining = append(remaining, id)
 		}
-		results, err := api.PopResults(remaining, cfg.RetrainEvery, 5*time.Millisecond, cfg.PollTimeout)
+		results, err := popResults(ctx, sess, remaining, cfg.RetrainEvery, cfg.PollTimeout)
 		if err != nil {
-			if err == core.ErrTimeout {
-				continue
-			}
 			return report, err
 		}
 		for _, r := range results {
@@ -155,7 +152,7 @@ func ResumeAsync(ctx context.Context, api core.API, cfg Config, ckpt *Checkpoint
 			}
 			prios, terr := cfg.Trainer.Rank(trainX, trainY, xs)
 			if terr == nil && len(prios) == len(ids) {
-				if _, uerr := api.UpdatePriorities(ids, prios); uerr == nil {
+				if _, uerr := sess.UpdatePriorities(ctx, ids, prios); uerr == nil {
 					report.ReprioRounds = round
 					if cfg.OnRound != nil {
 						cfg.OnRound(round)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"osprey/internal/core"
 	"osprey/internal/objective"
 )
 
@@ -40,7 +39,7 @@ func TestResumeAsyncCompletesRemainingWork(t *testing.T) {
 	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	report, err := ResumeAsync(ctx, core.Compat(db), cfg, ckpt, nil)
+	report, err := ResumeAsync(ctx, db, cfg, ckpt, nil)
 	if err != nil {
 		t.Fatalf("ResumeAsync: %v", err)
 	}
@@ -65,7 +64,7 @@ func TestResumeAsyncEmptyPending(t *testing.T) {
 	cfg := fastCfg(0)
 	ckpt := &Checkpoint{ExpID: "done", WorkType: 1, BestY: 1.5, BestX: []float64{1, 2}}
 	ctx := context.Background()
-	report, err := ResumeAsync(ctx, core.Compat(db), cfg, ckpt, nil)
+	report, err := ResumeAsync(ctx, db, cfg, ckpt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestResumeAsyncEmptyPending(t *testing.T) {
 
 func TestResumeAsyncNilCheckpoint(t *testing.T) {
 	db := newDB(t)
-	if _, err := ResumeAsync(context.Background(), core.Compat(db), fastCfg(0), nil, nil); err == nil {
+	if _, err := ResumeAsync(context.Background(), db, fastCfg(0), nil, nil); err == nil {
 		t.Fatal("nil checkpoint must error")
 	}
 }
@@ -103,7 +102,7 @@ func TestCrashResumeRoundTrip(t *testing.T) {
 	// Cancel after ~half the expected runtime.
 	ctx1, cancel1 := context.WithTimeout(context.Background(), 120*time.Millisecond)
 	defer cancel1()
-	partial, err := RunAsync(ctx1, core.Compat(db1), cfg, nil)
+	partial, err := RunAsync(ctx1, db1, cfg, nil)
 	stop1()
 	if err == nil {
 		t.Skip("run finished before the simulated crash; nothing to resume")
@@ -133,7 +132,7 @@ func TestCrashResumeRoundTrip(t *testing.T) {
 	defer stop2()
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel2()
-	resumed, err := ResumeAsync(ctx2, core.Compat(db2), cfg, ckpt, nil)
+	resumed, err := ResumeAsync(ctx2, db2, cfg, ckpt, nil)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

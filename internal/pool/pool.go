@@ -51,10 +51,10 @@ type Config struct {
 	Threshold int
 	// WorkType selects which tasks this pool consumes.
 	WorkType int
-	// QueryDelay is retained for configuration compatibility; sessions poll
-	// on queue notifications, so only QueryTimeout (the per-query deadline)
-	// still shapes the fetch loop.
-	QueryDelay   time.Duration
+	// QueryTimeout is the deadline of one deficit query (default 50ms). The
+	// pool only queries while it believes the queue holds work, so this
+	// bounds a query that raced another pool to the last tasks, not an idle
+	// wait.
 	QueryTimeout time.Duration
 	// CoresOf, when set, extracts a task's core requirement from its
 	// payload, supporting the paper's multi-process MPI tasks (§II-B1a,
@@ -95,9 +95,6 @@ func (c *Config) applyDefaults() error {
 	if c.Threshold > c.BatchSize {
 		return fmt.Errorf("pool: Threshold %d exceeds BatchSize %d", c.Threshold, c.BatchSize)
 	}
-	if c.QueryDelay <= 0 {
-		c.QueryDelay = 2 * time.Millisecond
-	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 50 * time.Millisecond
 	}
@@ -120,8 +117,7 @@ type Pool struct {
 
 // New creates a pool over any Session implementation — the in-process DB, a
 // service client, or a failover-aware cluster client. rec may be nil when
-// telemetry is not needed. Legacy core.API backends can be wrapped with
-// core.Lift.
+// telemetry is not needed.
 func New(api core.Session, cfg Config, exec TaskFunc, rec *telemetry.Recorder) (*Pool, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -263,20 +259,6 @@ func sleepJitter(ctx context.Context, backoff time.Duration) bool {
 	}
 }
 
-// fetch keeps the pool supplied with tasks: the watch-driven loop when the
-// backend supports it (an idle pool parks on push events and issues zero
-// periodic queries), the classic poll loop of §IV-D otherwise.
-func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <-chan struct{}) {
-	if ws, ok := p.api.(watch.Session); ok {
-		if p.fetchWatch(ctx, ws, taskCh, completions) {
-			return
-		}
-		// The backend answered that it cannot watch (a lifted legacy store or
-		// pre-v4 server): fall back to polling for the pool's lifetime.
-	}
-	p.fetchPoll(ctx, taskCh, completions)
-}
-
 // query issues one deficit query and hands the obtained tasks to dispatch.
 // It returns the number of tasks obtained; ok is false only for non-timeout
 // errors (a timeout is the backend's normal "queue empty" answer).
@@ -299,51 +281,45 @@ func (p *Pool) query(ctx context.Context, deficit int, taskCh chan<- core.Task) 
 	return len(res.Tasks), true
 }
 
-// fetchPoll implements the enhanced worker-pool query of §IV-D: request up to
-// (BatchSize - owned) tasks whenever that deficit reaches Threshold.
-func (p *Pool) fetchPoll(ctx context.Context, taskCh chan<- core.Task, completions <-chan struct{}) {
+// fetch keeps the pool supplied with tasks — the enhanced worker-pool query
+// of §IV-D (request up to BatchSize - owned tasks whenever that deficit
+// reaches Threshold), driven by push instead of a timer: a subscription to
+// the pool's work type says when the out queue has work, and the pool queries
+// only while it believes tasks are available. An idle pool — no queued work,
+// no deficit — parks in the select below issuing no reads at all, where the
+// paper's poll loop burns a query per delay per pool regardless of load.
+func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <-chan struct{}) {
 	backoff := fetchBackoffBase
-	for ctx.Err() == nil {
-		deficit := p.cfg.BatchSize - int(p.owned.Load())
-		if deficit < p.cfg.Threshold {
-			// Wait for a completion (or shutdown) before reconsidering.
-			select {
-			case <-completions:
-			case <-ctx.Done():
-				return
-			}
-			continue
+	// pause sleeps one full-jitter backoff step and doubles the window;
+	// false once ctx is done.
+	pause := func() bool {
+		if !sleepJitter(ctx, backoff) {
+			return false
 		}
-		if _, ok := p.query(ctx, deficit, taskCh); !ok {
-			// Transport or backend failure (not an empty queue): back off with
-			// full jitter before retrying so a restarting or failing-over
-			// backend is not hammered by a hot retry loop.
-			if !sleepJitter(ctx, backoff) {
-				return
-			}
-			if backoff *= 2; backoff > fetchBackoffCap {
-				backoff = fetchBackoffCap
-			}
-			continue
+		if backoff *= 2; backoff > fetchBackoffCap {
+			backoff = fetchBackoffCap
 		}
-		backoff = fetchBackoffBase
+		return true
 	}
-}
-
-// fetchWatch is the push-driven fetch loop: a subscription to the pool's work
-// type says when the out queue has work, and the pool queries only while it
-// believes tasks are available. An idle pool — no queued work, no deficit —
-// parks in the select below issuing no reads at all, which is the whole point
-// of push-based dispatch (the paper's poll loops, §IV-D, burn a query per
-// QueryDelay per pool regardless of load). Returns false when the backend
-// does not support watch (caller falls back to polling), true when ctx ended.
-func (p *Pool) fetchWatch(ctx context.Context, ws watch.Session, taskCh chan<- core.Task, completions <-chan struct{}) bool {
-	st, err := ws.Watch(ctx, watch.Query{WorkType: p.cfg.WorkType}, 0)
-	if err != nil {
-		return ctx.Err() != nil
+	// subscribe opens the pool's stream after the resume position, retrying a
+	// failed attempt (a dial error, a draining or not-yet-attached node) at
+	// the backoff pace for as long as ctx lives; nil once ctx is done.
+	subscribe := func(since uint64) watch.Stream {
+		for {
+			st, err := p.api.Watch(ctx, watch.Query{WorkType: p.cfg.WorkType, Since: since}, 0)
+			if err == nil {
+				return st
+			}
+			if !pause() {
+				return nil
+			}
+		}
 	}
-	// Only a live stream is closed on the way out: st is nil between a stream's
-	// end and the resubscribe that replaces it, and stays nil if that fails.
+	st := subscribe(0)
+	if st == nil {
+		return
+	}
+	// st is nil only on the way out, when ctx ended during a resubscribe.
 	defer func() {
 		if st != nil {
 			st.Close()
@@ -351,18 +327,17 @@ func (p *Pool) fetchWatch(ctx context.Context, ws watch.Session, taskCh chan<- c
 	}()
 	var last uint64 // newest token seen; resume position for resubscribes
 	avail := true   // until proven empty, the queue may hold tasks
-	backoff := fetchBackoffBase
 	for ctx.Err() == nil {
 		deficit := p.cfg.BatchSize - int(p.owned.Load())
 		if deficit >= p.cfg.Threshold && avail {
 			n, ok := p.query(ctx, deficit, taskCh)
 			switch {
 			case !ok:
-				if !sleepJitter(ctx, backoff) {
-					return true
-				}
-				if backoff *= 2; backoff > fetchBackoffCap {
-					backoff = fetchBackoffCap
+				// Transport or backend failure (not an empty queue): back off
+				// with full jitter so a restarting or failing-over backend is
+				// not hammered by a hot retry loop.
+				if !pause() {
+					return
 				}
 			case n < deficit:
 				// The queue had less than asked for: it is now empty of this
@@ -385,15 +360,11 @@ func (p *Pool) fetchWatch(ctx context.Context, ws watch.Session, taskCh chan<- c
 				avail = true
 				st.Close()
 				st = nil
-				if !sleepJitter(ctx, backoff) {
-					return true
+				if !pause() {
+					return
 				}
-				if backoff *= 2; backoff > fetchBackoffCap {
-					backoff = fetchBackoffCap
-				}
-				st, err = ws.Watch(ctx, watch.Query{WorkType: p.cfg.WorkType, Since: last}, 0)
-				if err != nil {
-					return ctx.Err() != nil
+				if st = subscribe(last); st == nil {
+					return
 				}
 				continue
 			}
@@ -409,10 +380,9 @@ func (p *Pool) fetchWatch(ctx context.Context, ws watch.Session, taskCh chan<- c
 				}
 			}
 		case <-ctx.Done():
-			return true
+			return
 		}
 	}
-	return true
 }
 
 // execute runs one task to completion and reports its result.

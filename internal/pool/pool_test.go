@@ -19,30 +19,39 @@ const (
 	waitMax = 5 * time.Second
 )
 
-// testDB pairs the Session-backed DB (handed to pools) with its v1 compat
-// adapter, so the existing v1-style assertions double as Compat coverage.
-type testDB struct {
-	core.API
-	DB *core.DB
-}
-
-func newDB(t *testing.T) testDB {
+func newDB(t *testing.T) *core.DB {
 	t.Helper()
 	db, err := core.NewDB()
 	if err != nil {
 		t.Fatalf("NewDB: %v", err)
 	}
 	t.Cleanup(db.Close)
-	return testDB{API: core.Compat(db), DB: db}
+	return db
 }
+
+// The tests call the Session surface directly; these shorthands only supply
+// the context and project a result struct onto the one field a test compares.
+var bg = context.Background()
+
+// within returns a context that expires after d, the polling calls' timeout.
+// It is released when the test ends.
+func within(t testing.TB, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+func idOf(r core.SubmitRes, err error) (int64, error)                   { return r.ID, err }
+func resultOf(r core.ResultRes, err error) (string, error)              { return r.Result, err }
+func resultsOf(r core.ResultsRes, err error) ([]core.TaskResult, error) { return r.Results, err }
 
 func echoExec(payload string) (string, error) { return "r:" + payload, nil }
 
-func submitN(t *testing.T, db testDB, workType, n int) []int64 {
+func submitN(t *testing.T, db *core.DB, workType, n int) []int64 {
 	t.Helper()
 	ids := make([]int64, n)
 	for i := range ids {
-		id, err := db.SubmitTask("e", workType, fmt.Sprint(i))
+		id, err := idOf(db.Submit(bg, "e", workType, fmt.Sprint(i)))
 		if err != nil {
 			t.Fatalf("SubmitTask: %v", err)
 		}
@@ -85,17 +94,17 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 func TestPoolExecutesAllTasks(t *testing.T) {
 	db := newDB(t)
 	ids := submitN(t, db, 1, 40)
-	p, err := New(db.DB, Config{Name: "p1", Workers: 4, BatchSize: 8, WorkType: 1}, echoExec, nil)
+	p, err := New(db, Config{Name: "p1", Workers: 4, BatchSize: 8, WorkType: 1}, echoExec, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	stop := runPool(t, p)
 	defer stop()
 
-	results, err := db.PopResults(ids, len(ids), tick, waitMax)
+	results, err := resultsOf(db.PopResults(within(t, waitMax), ids, len(ids)))
 	total := len(results)
 	for err == nil && total < len(ids) {
-		results, err = db.PopResults(ids, len(ids), tick, waitMax)
+		results, err = resultsOf(db.PopResults(within(t, waitMax), ids, len(ids)))
 		total += len(results)
 	}
 	if err != nil {
@@ -112,11 +121,11 @@ func TestPoolExecutesAllTasks(t *testing.T) {
 
 func TestPoolResultContents(t *testing.T) {
 	db := newDB(t)
-	id, _ := db.SubmitTask("e", 1, "payload-x")
-	p, _ := New(db.DB, Config{Name: "p", Workers: 1, WorkType: 1}, echoExec, nil)
+	id, _ := idOf(db.Submit(bg, "e", 1, "payload-x"))
+	p, _ := New(db, Config{Name: "p", Workers: 1, WorkType: 1}, echoExec, nil)
 	stop := runPool(t, p)
 	defer stop()
-	res, err := db.QueryResult(id, tick, waitMax)
+	res, err := resultOf(db.QueryResult(within(t, waitMax), id))
 	if err != nil || res != "r:payload-x" {
 		t.Fatalf("result = %q, %v", res, err)
 	}
@@ -124,16 +133,16 @@ func TestPoolResultContents(t *testing.T) {
 
 func TestPoolWorkTypeFilter(t *testing.T) {
 	db := newDB(t)
-	simID, _ := db.SubmitTask("e", 1, "sim")
-	gpuID, _ := db.SubmitTask("e", 2, "gpu")
-	p, _ := New(db.DB, Config{Name: "gpu-pool", Workers: 2, WorkType: 2}, echoExec, nil)
+	simID, _ := idOf(db.Submit(bg, "e", 1, "sim"))
+	gpuID, _ := idOf(db.Submit(bg, "e", 2, "gpu"))
+	p, _ := New(db, Config{Name: "gpu-pool", Workers: 2, WorkType: 2}, echoExec, nil)
 	stop := runPool(t, p)
 	defer stop()
-	if res, err := db.QueryResult(gpuID, tick, waitMax); err != nil || res != "r:gpu" {
+	if res, err := resultOf(db.QueryResult(within(t, waitMax), gpuID)); err != nil || res != "r:gpu" {
 		t.Fatalf("gpu result = %q, %v", res, err)
 	}
 	// The type-1 task must remain untouched.
-	st, _ := db.Statuses([]int64{simID})
+	st, _ := db.Statuses(bg, []int64{simID})
 	if st[simID] != core.StatusQueued {
 		t.Fatalf("type-1 task status = %v, want queued", st[simID])
 	}
@@ -148,7 +157,7 @@ func TestPoolOwnershipCap(t *testing.T) {
 		<-block
 		return "ok", nil
 	}
-	p, _ := New(db.DB, Config{Name: "p", Workers: 3, BatchSize: 10, WorkType: 1}, exec, nil)
+	p, _ := New(db, Config{Name: "p", Workers: 3, BatchSize: 10, WorkType: 1}, exec, nil)
 	stop := runPool(t, p)
 	defer stop()
 	// With all workers blocked the pool may own at most BatchSize tasks.
@@ -177,7 +186,7 @@ func TestPoolThresholdDefersFetching(t *testing.T) {
 	}
 	// BatchSize 10, threshold 5: after the initial fill, completing 4 tasks
 	// must not trigger a refetch; completing a 5th must.
-	p, _ := New(db.DB, Config{Name: "p", Workers: 10, BatchSize: 10, Threshold: 5, WorkType: 1}, exec, nil)
+	p, _ := New(db, Config{Name: "p", Workers: 10, BatchSize: 10, Threshold: 5, WorkType: 1}, exec, nil)
 	stop := runPool(t, p)
 	defer stop()
 	waitFor(t, func() bool { return p.Owned() == 10 }, "initial fill did not reach batch size")
@@ -206,8 +215,8 @@ func TestEquitableSharingAcrossPools(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return "ok", nil
 	}
-	p1, _ := New(db.DB, Config{Name: "a", Workers: 8, BatchSize: 8, WorkType: 1}, slowExec, nil)
-	p2, _ := New(db.DB, Config{Name: "b", Workers: 8, BatchSize: 8, WorkType: 1}, slowExec, nil)
+	p1, _ := New(db, Config{Name: "a", Workers: 8, BatchSize: 8, WorkType: 1}, slowExec, nil)
+	p2, _ := New(db, Config{Name: "b", Workers: 8, BatchSize: 8, WorkType: 1}, slowExec, nil)
 	stop1 := runPool(t, p1)
 	defer stop1()
 	stop2 := runPool(t, p2)
@@ -232,7 +241,7 @@ func TestPoolCrashRequeue(t *testing.T) {
 		<-hang
 		return "never", nil
 	}
-	crash, _ := New(db.DB, Config{Name: "crashy", Workers: 4, BatchSize: 8, WorkType: 1}, hungExec, nil)
+	crash, _ := New(db, Config{Name: "crashy", Workers: 4, BatchSize: 8, WorkType: 1}, hungExec, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); crash.Run(ctx) }()
@@ -241,16 +250,16 @@ func TestPoolCrashRequeue(t *testing.T) {
 	close(hang)
 	<-done
 
-	n, err := db.RequeueRunning("crashy")
-	if err != nil || n == 0 {
-		t.Fatalf("RequeueRunning = %d, %v", n, err)
+	requeued, err := db.RequeueRunning(bg, "crashy")
+	if err != nil || requeued.Count == 0 {
+		t.Fatalf("RequeueRunning = %d, %v", requeued.Count, err)
 	}
-	fresh, _ := New(db.DB, Config{Name: "fresh", Workers: 4, BatchSize: 8, WorkType: 1}, echoExec, nil)
+	fresh, _ := New(db, Config{Name: "fresh", Workers: 4, BatchSize: 8, WorkType: 1}, echoExec, nil)
 	stop := runPool(t, fresh)
 	defer stop()
 	got := 0
 	for got < len(ids) {
-		results, err := db.PopResults(ids, len(ids), tick, waitMax)
+		results, err := resultsOf(db.PopResults(within(t, waitMax), ids, len(ids)))
 		if err != nil {
 			t.Fatalf("PopResults after requeue: %v (have %d)", err, got)
 		}
@@ -260,12 +269,12 @@ func TestPoolCrashRequeue(t *testing.T) {
 
 func TestPoolTaskError(t *testing.T) {
 	db := newDB(t)
-	id, _ := db.SubmitTask("e", 1, "bad")
+	id, _ := idOf(db.Submit(bg, "e", 1, "bad"))
 	exec := func(payload string) (string, error) { return "", errors.New("exec exploded") }
-	p, _ := New(db.DB, Config{Name: "p", Workers: 1, WorkType: 1}, exec, nil)
+	p, _ := New(db, Config{Name: "p", Workers: 1, WorkType: 1}, exec, nil)
 	stop := runPool(t, p)
 	defer stop()
-	res, err := db.QueryResult(id, tick, waitMax)
+	res, err := resultOf(db.QueryResult(within(t, waitMax), id))
 	if err != nil {
 		t.Fatalf("QueryResult: %v", err)
 	}
@@ -279,7 +288,7 @@ func TestPoolTelemetry(t *testing.T) {
 	db := newDB(t)
 	submitN(t, db, 1, 10)
 	rec := telemetry.NewRecorder(1)
-	p, _ := New(db.DB, Config{Name: "p", Workers: 2, WorkType: 1}, echoExec, rec)
+	p, _ := New(db, Config{Name: "p", Workers: 2, WorkType: 1}, echoExec, rec)
 	stop := runPool(t, p)
 	waitFor(t, func() bool { return p.Executed() == 10 }, "tasks incomplete")
 	stop()
@@ -307,19 +316,19 @@ func TestPoolTelemetry(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	db := newDB(t)
-	if _, err := New(db.DB, Config{}, echoExec, nil); err == nil {
+	if _, err := New(db, Config{}, echoExec, nil); err == nil {
 		t.Fatal("missing name must error")
 	}
-	if _, err := New(db.DB, Config{Name: "p", BatchSize: 2, Threshold: 5}, echoExec, nil); err == nil {
+	if _, err := New(db, Config{Name: "p", BatchSize: 2, Threshold: 5}, echoExec, nil); err == nil {
 		t.Fatal("threshold > batch must error")
 	}
 	if _, err := New(nil, Config{Name: "p"}, echoExec, nil); err == nil {
 		t.Fatal("nil api must error")
 	}
-	if _, err := New(db.DB, Config{Name: "p"}, nil, nil); err == nil {
+	if _, err := New(db, Config{Name: "p"}, nil, nil); err == nil {
 		t.Fatal("nil exec must error")
 	}
-	p, err := New(db.DB, Config{Name: "p"}, echoExec, nil)
+	p, err := New(db, Config{Name: "p"}, echoExec, nil)
 	if err != nil {
 		t.Fatalf("minimal config: %v", err)
 	}
@@ -330,7 +339,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestPoolRunningFlag(t *testing.T) {
 	db := newDB(t)
-	p, _ := New(db.DB, Config{Name: "p", WorkType: 1}, echoExec, nil)
+	p, _ := New(db, Config{Name: "p", WorkType: 1}, echoExec, nil)
 	if p.Running() {
 		t.Fatal("Running before Run")
 	}
@@ -365,7 +374,7 @@ func TestMultiCoreTaskOccupiesSlots(t *testing.T) {
 		smallStarted.Add(1)
 		return "small-done", nil
 	}
-	p, err := New(db.DB, Config{
+	p, err := New(db, Config{
 		Name: "mpi", Workers: 4, BatchSize: 8, WorkType: 1, CoresOf: JSONCores,
 	}, exec, nil)
 	if err != nil {
@@ -374,10 +383,10 @@ func TestMultiCoreTaskOccupiesSlots(t *testing.T) {
 	stop := runPool(t, p)
 	defer stop()
 
-	bigID, _ := db.SubmitTask("e", 1, `{"cores": 4}`, core.WithPriority(10))
+	bigID, _ := idOf(db.Submit(bg, "e", 1, `{"cores": 4}`, core.WithPriority(10)))
 	var smallIDs []int64
 	for i := 0; i < 4; i++ {
-		id, _ := db.SubmitTask("e", 1, `{"cores": 1}`)
+		id, _ := idOf(db.Submit(bg, "e", 1, `{"cores": 1}`))
 		smallIDs = append(smallIDs, id)
 	}
 	<-bigRunning
@@ -386,12 +395,12 @@ func TestMultiCoreTaskOccupiesSlots(t *testing.T) {
 		t.Fatalf("%d single-core tasks ran while the 4-core task held all cores", n)
 	}
 	close(releaseBig)
-	if res, err := db.QueryResult(bigID, tick, waitMax); err != nil || res != "big-done" {
+	if res, err := resultOf(db.QueryResult(within(t, waitMax), bigID)); err != nil || res != "big-done" {
 		t.Fatalf("big result = %q, %v", res, err)
 	}
 	done := 0
 	for done < len(smallIDs) {
-		results, err := db.PopResults(smallIDs, 4, tick, waitMax)
+		results, err := resultsOf(db.PopResults(within(t, waitMax), smallIDs, 4))
 		if err != nil {
 			t.Fatalf("small tasks: %v", err)
 		}
@@ -403,12 +412,12 @@ func TestMultiCoreClampedToPoolSize(t *testing.T) {
 	// A task demanding more cores than the pool has is clamped, not
 	// deadlocked.
 	db := newDB(t)
-	id, _ := db.SubmitTask("e", 1, `{"cores": 64}`)
-	p, _ := New(db.DB, Config{Name: "small", Workers: 2, WorkType: 1, CoresOf: JSONCores},
+	id, _ := idOf(db.Submit(bg, "e", 1, `{"cores": 64}`))
+	p, _ := New(db, Config{Name: "small", Workers: 2, WorkType: 1, CoresOf: JSONCores},
 		func(string) (string, error) { return "ok", nil }, nil)
 	stop := runPool(t, p)
 	defer stop()
-	if res, err := db.QueryResult(id, tick, waitMax); err != nil || res != "ok" {
+	if res, err := resultOf(db.QueryResult(within(t, waitMax), id)); err != nil || res != "ok" {
 		t.Fatalf("oversized task = %q, %v", res, err)
 	}
 }
@@ -431,7 +440,7 @@ func TestMixedCoreThroughput(t *testing.T) {
 		curCores.Add(-k)
 		return "ok", nil
 	}
-	p, _ := New(db.DB, Config{Name: "mix", Workers: 4, BatchSize: 8, WorkType: 1, CoresOf: JSONCores}, exec, nil)
+	p, _ := New(db, Config{Name: "mix", Workers: 4, BatchSize: 8, WorkType: 1, CoresOf: JSONCores}, exec, nil)
 	stop := runPool(t, p)
 	defer stop()
 	var ids []int64
@@ -440,12 +449,12 @@ func TestMixedCoreThroughput(t *testing.T) {
 		if i%3 == 0 {
 			payload = `{"cores": 2}`
 		}
-		id, _ := db.SubmitTask("e", 1, payload)
+		id, _ := idOf(db.Submit(bg, "e", 1, payload))
 		ids = append(ids, id)
 	}
 	done := 0
 	for done < len(ids) {
-		results, err := db.PopResults(ids, len(ids), tick, waitMax)
+		results, err := resultsOf(db.PopResults(within(t, waitMax), ids, len(ids)))
 		if err != nil {
 			t.Fatalf("drain: %v (done %d)", err, done)
 		}
@@ -486,6 +495,43 @@ func (b *resubscribeFails) Watch(ctx context.Context, q watch.Query, buf int) (w
 	return nil, context.Canceled
 }
 
+// firstWatchFails is a backend whose first subscription attempt fails with a
+// transient, non-context error — one dial error at pool start — and whose
+// later attempts reach the real database.
+type firstWatchFails struct {
+	*core.DB
+	watches atomic.Int32
+}
+
+func (b *firstWatchFails) Watch(ctx context.Context, q watch.Query, buf int) (watch.Stream, error) {
+	if b.watches.Add(1) == 1 {
+		return nil, errors.New("dial tcp: connection refused")
+	}
+	return b.DB.Watch(ctx, q, buf)
+}
+
+// TestPoolRetriesFailedSubscribe: there is no polling mode to degrade to, so
+// a subscribe that fails while the pool's context is live is retried with
+// backoff, and the pool then executes work like any other.
+func TestPoolRetriesFailedSubscribe(t *testing.T) {
+	backend := &firstWatchFails{DB: newDB(t)}
+	p, err := New(backend, Config{Name: "p", WorkType: 1, Workers: 1}, echoExec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runPool(t, p)()
+	id, err := idOf(backend.Submit(bg, "e", 1, "after-retry"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := resultOf(backend.QueryResult(within(t, waitMax), id)); err != nil || res != "r:after-retry" {
+		t.Fatalf("result = %q, %v", res, err)
+	}
+	if n := backend.watches.Load(); n != 2 {
+		t.Fatalf("backend saw %d Watch calls, want the failed subscribe and its retry", n)
+	}
+}
+
 // TestPoolStopDuringResubscribe: a pool stopped while its fetch loop is
 // resubscribing an ended watch stream shuts down cleanly. The failed Watch
 // leaves no stream behind, and the loop's deferred close used to call Close
@@ -493,7 +539,7 @@ func (b *resubscribeFails) Watch(ctx context.Context, q watch.Query, buf int) (w
 func TestPoolStopDuringResubscribe(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	backend := &resubscribeFails{DB: newDB(t).DB, stop: cancel}
+	backend := &resubscribeFails{DB: newDB(t), stop: cancel}
 	p, err := New(backend, Config{Name: "p", WorkType: 1, Workers: 1, QueryTimeout: 5 * time.Millisecond}, echoExec, nil)
 	if err != nil {
 		t.Fatal(err)

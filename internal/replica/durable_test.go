@@ -4,6 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"osprey/internal/core"
 )
@@ -16,7 +17,11 @@ func newDurableNode(t *testing.T, id string, prio int, join, dir string) *Node {
 	n, err := New(Config{
 		ID: id, Priority: prio, Join: join,
 		Heartbeat: beat, ElectionTimeout: elect,
-		DataDir: dir, CheckpointEvery: 16,
+		// These tests have the leader write alone while its one follower is
+		// down; the default lease (2x elect) demotes it mid-write when the
+		// writes are slow (-race), so they run with one that cannot expire.
+		LeaseTimeout: time.Minute,
+		DataDir:      dir, CheckpointEvery: 16,
 		Logf: t.Logf,
 	})
 	if err != nil {

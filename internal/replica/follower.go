@@ -191,6 +191,9 @@ func (n *Node) followOnce(addr string, joined *bool, forceSnap bool) (redirect s
 			if err := n.adoptView(f); err != nil {
 				return "", err
 			}
+			// The answer to an accepted resume is a heartbeat: local state
+			// already extends the leader's log, no install will replace it.
+			n.attached.Store(true)
 			n.db.AdvanceWatch(f.Committed)
 			n.ack(enc, conn)
 		}
@@ -254,6 +257,7 @@ func (n *Node) applySnapshot(f frame) error {
 	// identity with that leader's log is established wholesale, which is
 	// what entitles later same-term joins to the incremental resume path.
 	n.noteAppliedTerm(f.Term)
+	n.attached.Store(true)
 	n.met.snapsInstall.Inc()
 	n.logf("bootstrapped from snapshot at index %d (term %d)", f.SnapIndex, f.Term)
 	return nil

@@ -46,6 +46,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"osprey/internal/core"
@@ -166,15 +167,15 @@ type Node struct {
 	// (appliedTerm, applied) ordered lexicographically decides both the
 	// election log gate and whether a join may resume incrementally.
 	appliedTerm uint64
-	wal       *minisql.WAL
-	peers     map[string]Peer
-	leader    Peer
-	followers map[string]*followerConn
-	contact   map[string]time.Time // last ack/join/probe heard from each peer
-	leaseRef  time.Time            // lease grace: no demotion before this
-	stream    net.Conn             // follower's live connection to the leader
-	started   bool
-	closed    bool
+	wal         *minisql.WAL
+	peers       map[string]Peer
+	leader      Peer
+	followers   map[string]*followerConn
+	contact     map[string]time.Time // last ack/join/probe heard from each peer
+	leaseRef    time.Time            // lease grace: no demotion before this
+	stream      net.Conn             // follower's live connection to the leader
+	started     bool
+	closed      bool
 	// standDownUntil suppresses this node's own candidacy after StepDown:
 	// a node that vacated leadership deliberately must not stand in the
 	// election it just triggered, or it would often win leadership straight
@@ -194,7 +195,13 @@ type Node struct {
 	closeCh   chan struct{}
 
 	committedSeen uint64 // newest quorum watermark fanned out via commitCh
-	wg        sync.WaitGroup
+	wg            sync.WaitGroup
+
+	// attached latches once this node's state is first tied to the cluster's
+	// log in this process: it boots or is promoted as leader, or — as a
+	// follower — its first join has been answered and processed (bootstrap
+	// snapshot installed, or resume accepted). See Attached.
+	attached atomic.Bool
 
 	// everJoined records that this node recovered a multi-member membership
 	// view from disk: it has provably been part of the cluster, so it may
@@ -330,6 +337,7 @@ func New(cfg Config) (*Node, error) {
 		n.wal.SetQuorum(cfg.WriteQuorum)
 		n.leader = self
 		n.persistTerm(n.term)
+		n.attached.Store(true)
 	} else {
 		n.role = RoleFollower
 	}
@@ -492,6 +500,17 @@ func (n *Node) Role() Role {
 	defer n.mu.Unlock()
 	return n.role
 }
+
+// Attached reports whether this node's state has been tied to the cluster's
+// log at least once in this process: always on a node that boots or is
+// promoted as leader, and on a follower from the moment its first join has
+// been answered and processed — the bootstrap snapshot installed, or the
+// resume from its own recovered position accepted. Before that a follower's
+// database (and watch hub) is a placeholder the first snapshot install will
+// replace wholesale, so the service refuses watch subscriptions on it. The
+// latch never clears: a follower that loses its leader mid-election keeps
+// serving the state it has.
+func (n *Node) Attached() bool { return n.attached.Load() }
 
 // IsLeader reports whether this node currently leads the cluster.
 func (n *Node) IsLeader() bool { return n.Role() == RoleLeader }
@@ -693,20 +712,6 @@ func (n *Node) Committed() uint64 {
 	return w.Committed()
 }
 
-// WaitQuorum blocks until every write committed so far is replicated to
-// WriteQuorum followers: the conservative wait on the newest applied index
-// at call time. It remains the fallback for callers that do not know their
-// write's own WAL index (a core.API backend without commit tokens); it can
-// over-wait — a write whose own entry replicated may still report a
-// transient failure because a later concurrent entry missed quorum. Callers
-// holding a commit token should use WaitQuorumIndex instead.
-func (n *Node) WaitQuorum() error {
-	n.mu.Lock()
-	idx := n.applied
-	n.mu.Unlock()
-	return n.WaitQuorumIndex(idx)
-}
-
 // WaitQuorumIndex blocks until the log entry at exactly idx is replicated to
 // WriteQuorum followers: the per-request quorum wait. Because idx is the
 // calling write's own commit token, a concurrent later write that misses
@@ -841,6 +846,7 @@ func (n *Node) promote(claimTerm uint64) {
 	n.leaseRef = now.Add(2 * n.cfg.LeaseTimeout)
 	term, applied := n.term, n.applied
 	n.mu.Unlock()
+	n.attached.Store(true)
 	n.persistTerm(term)
 	n.persistView()
 	n.met.promotions.Inc()

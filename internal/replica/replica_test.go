@@ -372,7 +372,7 @@ func TestLeaderDemotesWithoutMajority(t *testing.T) {
 }
 
 // TestQuorumWriteBlocksWithoutFollowers: with WriteQuorum 1 and no follower
-// connected, WaitQuorum fails (timeout or demotion) instead of confirming an
+// connected, WaitQuorumIndex fails (timeout or demotion) instead of confirming an
 // unreplicated write; with a follower streaming it returns promptly.
 func TestQuorumWriteBlocksWithoutFollowers(t *testing.T) {
 	n, err := New(Config{
@@ -389,15 +389,15 @@ func TestQuorumWriteBlocksWithoutFollowers(t *testing.T) {
 	n.Start()
 
 	submitN(t, n.DB(), 1)
-	if err := n.WaitQuorum(); err == nil {
-		t.Fatal("WaitQuorum succeeded with no follower in the cluster")
+	if err := n.WaitQuorumIndex(n.Applied()); err == nil {
+		t.Fatal("WaitQuorumIndex succeeded with no follower in the cluster")
 	}
 
 	fol := newNode(t, "q2", 2, n.Addr())
 	defer fol.Close()
 	waitFor(t, "follower catch-up", func() bool { return fol.Applied() == n.Applied() })
-	if err := n.WaitQuorum(); err != nil {
-		t.Fatalf("WaitQuorum with a caught-up follower: %v", err)
+	if err := n.WaitQuorumIndex(n.Applied()); err != nil {
+		t.Fatalf("WaitQuorumIndex with a caught-up follower: %v", err)
 	}
 	if got := n.Committed(); got != n.Applied() {
 		t.Fatalf("Committed = %d, want %d", got, n.Applied())

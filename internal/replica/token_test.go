@@ -69,19 +69,10 @@ func TestWaitQuorumIndexExact(t *testing.T) {
 		t.Fatalf("WaitQuorumIndex(%d) with no ack = %v, want commit timeout", tokB, err)
 	}
 
-	// The legacy whole-log wait in the same state fails — what every write
-	// suffered before per-request tokens.
-	if err := n.WaitQuorum(); !errors.Is(err, minisql.ErrCommitTimeout) {
-		t.Fatalf("conservative WaitQuorum = %v, want commit timeout (B is unreplicated)", err)
-	}
-
-	// Once B's entry is acknowledged too, both wait styles succeed.
+	// Once B's entry is acknowledged too, its wait succeeds.
 	n.wal.Ack("f1", tokB)
 	if err := n.WaitQuorumIndex(tokB); err != nil {
 		t.Fatalf("WaitQuorumIndex(%d) after ack: %v", tokB, err)
-	}
-	if err := n.WaitQuorum(); err != nil {
-		t.Fatalf("WaitQuorum after full ack: %v", err)
 	}
 }
 

@@ -19,8 +19,7 @@ import (
 // leader through the "cluster" op, routes calls to it, and on connection
 // loss or transient cluster errors re-resolves and retries until
 // FailTimeout elapses. ME algorithms and worker pools built on core.Session
-// (or the deprecated core.API via core.Compat) run unchanged across leader
-// failover.
+// run unchanged across leader failover.
 //
 // Retry semantics: idempotent reads retry freely. Queue-popping calls
 // (QueryTasks, PopResults, QueryResult) are at-most-once per attempt, so a
@@ -101,7 +100,6 @@ type ClusterClient struct {
 
 	dedupBase string // session-unique prefix for generated dedup keys
 	dedupSeq  uint64 // counter for generated dedup keys
-	noDedup   bool   // backend rejected dedup keys: stop auto-attaching them
 }
 
 var _ core.Session = (*ClusterClient)(nil)
@@ -179,30 +177,12 @@ func (cc *ClusterClient) noteToken(tok uint64) {
 	cc.mu.Unlock()
 }
 
-// autoDedupKey returns a fresh session-unique idempotency key, or "" when
-// the backend has rejected dedup keys (a lifted token-less backend) and
-// auto-keying is switched off for the session.
+// autoDedupKey returns a fresh session-unique idempotency key.
 func (cc *ClusterClient) autoDedupKey() string {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if cc.noDedup {
-		return ""
-	}
 	cc.dedupSeq++
 	return fmt.Sprintf("%s-%d", cc.dedupBase, cc.dedupSeq)
-}
-
-// dedupUnsupported recognizes the server's rejection of dedup keys. Only
-// auto-attached keys downgrade on it — a caller's explicit dedup key
-// demanded idempotency the backend cannot give, and must fail loudly.
-func (cc *ClusterClient) dedupUnsupported(err error) bool {
-	if err == nil || !strings.Contains(err.Error(), "dedup keys unsupported") {
-		return false
-	}
-	cc.mu.Lock()
-	cc.noDedup = true
-	cc.mu.Unlock()
-	return true
 }
 
 // Ping verifies some cluster node is reachable.
@@ -510,27 +490,15 @@ func (cc *ClusterClient) Submit(ctx context.Context, expID string, workType int,
 	for _, opt := range opts {
 		opt(&o)
 	}
-	auto := false
 	if o.DedupKey == "" {
-		if key := cc.autoDedupKey(); key != "" {
-			opts = append(opts[:len(opts):len(opts)], core.WithDedupKey(key))
-			auto = true
-		}
+		opts = append(opts[:len(opts):len(opts)], core.WithDedupKey(cc.autoDedupKey()))
 	}
 	var res core.SubmitRes
-	submit := func(sendOpts []core.SubmitOption) error {
-		return cc.do(time.Second, func(c *Client) error {
-			var err error
-			res, err = c.Submit(ctx, expID, workType, payload, sendOpts...)
-			return err
-		})
-	}
-	err := submit(opts)
-	if auto && cc.dedupUnsupported(err) {
-		// Token-less backend: fall back to the pre-token at-least-once
-		// semantics rather than failing the submit outright.
-		err = submit(opts[:len(opts)-1])
-	}
+	err := cc.do(time.Second, func(c *Client) error {
+		var err error
+		res, err = c.Submit(ctx, expID, workType, payload, opts...)
+		return err
+	})
 	return res, err
 }
 
@@ -539,29 +507,18 @@ func (cc *ClusterClient) Submit(ctx context.Context, expID string, workType int,
 // retried batch re-submits only the payloads that did not land the first
 // time.
 func (cc *ClusterClient) SubmitBatch(ctx context.Context, expID string, workType int, payloads []string, priorities []int, dedupKeys []string) (core.BatchRes, error) {
-	auto := false
-	if len(dedupKeys) == 0 && len(payloads) > 0 {
-		if first := cc.autoDedupKey(); first != "" {
-			dedupKeys = make([]string, len(payloads))
-			dedupKeys[0] = first
-			for i := 1; i < len(dedupKeys); i++ {
-				dedupKeys[i] = cc.autoDedupKey()
-			}
-			auto = true
+	if len(dedupKeys) == 0 {
+		dedupKeys = make([]string, len(payloads))
+		for i := range dedupKeys {
+			dedupKeys[i] = cc.autoDedupKey()
 		}
 	}
 	var res core.BatchRes
-	submit := func(sendKeys []string) error {
-		return cc.do(10*time.Second, func(c *Client) error {
-			var err error
-			res, err = c.SubmitBatch(ctx, expID, workType, payloads, priorities, sendKeys)
-			return err
-		})
-	}
-	err := submit(dedupKeys)
-	if auto && cc.dedupUnsupported(err) {
-		err = submit(nil)
-	}
+	err := cc.do(10*time.Second, func(c *Client) error {
+		var err error
+		res, err = c.SubmitBatch(ctx, expID, workType, payloads, priorities, dedupKeys)
+		return err
+	})
 	return res, err
 }
 

@@ -165,7 +165,7 @@ func TestClusterFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer folClient.Close()
-	id, err := core.Compat(folClient).SubmitTask("failover", 1, "via-follower")
+	id, err := idOf(folClient.Submit(bg, "failover", 1, "via-follower"))
 	if err != nil {
 		t.Fatalf("submit via follower: %v", err)
 	}
@@ -204,18 +204,18 @@ func TestDialClusterStandalone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-	id, err := core.Compat(cc).SubmitTask("solo", 1, "p")
+	id, err := idOf(cc.Submit(bg, "solo", 1, "p"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks, err := core.Compat(cc).QueryTasks(1, 1, "pool", tick, waitMax)
+	tasks, err := tasksOf(cc.QueryTasks(within(t, waitMax), 1, 1, "pool"))
 	if err != nil || len(tasks) != 1 || tasks[0].ID != id {
 		t.Fatalf("QueryTasks = %v, %v", tasks, err)
 	}
-	if err := core.Compat(cc).ReportTask(id, 1, "r"); err != nil {
+	if _, err := cc.Report(bg, id, 1, "r"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Compat(cc).QueryResult(id, tick, waitMax)
+	res, err := resultOf(cc.QueryResult(within(t, waitMax), id))
 	if err != nil || res != "r" {
 		t.Fatalf("QueryResult = %q, %v", res, err)
 	}
@@ -232,7 +232,7 @@ func TestFollowerServesReadsLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := core.Compat(leaderClient).SubmitTask("reads", 1, "x", core.WithTags("t1"))
+	id, err := idOf(leaderClient.Submit(bg, "reads", 1, "x", core.WithTags("t1")))
 	if err != nil {
 		t.Fatal(err)
 	}

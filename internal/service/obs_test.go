@@ -60,7 +60,7 @@ func TestReadyzStalledFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := core.Compat(c).SubmitTask("rz", 1, "payload"); err != nil {
+	if _, err := c.Submit(bg, "rz", 1, "payload"); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, "follower applied the submit", func() bool {
@@ -175,7 +175,7 @@ func TestTraceIDPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := core.Compat(c).SubmitTask("trace", 1, "payload"); err != nil {
+	if _, err := c.Submit(bg, "trace", 1, "payload"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,7 +223,7 @@ func TestClusterStatsOp(t *testing.T) {
 	}
 	defer c.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := core.Compat(c).SubmitTask("stats", 1, fmt.Sprintf("p%d", i)); err != nil {
+		if _, err := c.Submit(bg, "stats", 1, fmt.Sprintf("p%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"osprey/internal/core"
 	"osprey/internal/obs"
 )
 
@@ -128,8 +127,8 @@ func defaultLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
 }
 
-// Metrics returns the server's metrics registry: the node/database registry
-// when serving one (so a scrape covers every layer), a private one otherwise.
+// Metrics returns the server's metrics registry — the database's (and so the
+// node's), which is why one scrape covers every layer.
 func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 
 // ServeOps starts the ops HTTP listener for this server: /metrics in
@@ -174,9 +173,7 @@ func (s *Server) ServeOps(addr string) (*obs.OpsServer, error) {
 				s.node.Status().WriteStatus(w)
 			} else {
 				io.WriteString(w, "mode: standalone\n")
-				if db, ok := s.db.(*core.DB); ok {
-					db.WriteDurability(w)
-				}
+				s.db.WriteDurability(w)
 			}
 		},
 	})

@@ -2,11 +2,10 @@
 // network-facing mediator between model-exploration algorithms, worker
 // pools, and the resource-local EMEWS task database. In the paper the ME
 // script on a laptop reaches the service on the Bebop cluster through an
-// SSH tunnel; here the service speaks a length-prefixed binary protocol
-// (wire protocol v2, see wire.go) over TCP — multiplexed and pipelined,
-// with a newline-delimited JSON fallback negotiated per connection for
-// pre-v2 clients — and the Client type implements core.API so algorithms
-// and pools run unchanged against a local database or a remote service.
+// SSH tunnel; here the service speaks one length-prefixed binary protocol
+// (see wire.go) over TCP — multiplexed and pipelined — and the Client type
+// implements core.Session so algorithms and pools run unchanged against a
+// local database or a remote service.
 package service
 
 import (
@@ -17,59 +16,55 @@ import (
 
 // request is the wire form of one API call.
 type request struct {
-	Op string `json:"op"`
+	Op string
 
 	// Trace is the request's trace ID: 16 hex digits minted once at the
 	// originating client (obs.TraceID) and preserved verbatim across the
 	// follower→leader forward hop, so structured logs on every node that
 	// touched the request share one greppable ID. Optional; servers mint one
 	// for requests from older clients so their logs still correlate per hop.
-	Trace string `json:"trace,omitempty"`
+	Trace string
 
 	// Fwd marks a request a follower already forwarded once; it is never
 	// forwarded again, bounding replication forwarding to a single hop.
-	Fwd bool `json:"fwd,omitempty"`
+	Fwd bool
 
 	// Token is the caller's minimum-freshness bound for read ops: the
 	// answering replica must have applied the WAL through this index before
 	// serving, which is what gives a session read-your-writes (and, with
 	// tokens on pop responses, read-your-pops) when its reads are routed to
 	// followers. 0 imposes no bound.
-	Token uint64 `json:"token,omitempty"`
+	Token uint64
 	// WaitMS bounds how long the replica may block waiting to catch up to
 	// Token before answering "behind" (transient); 0 means answer
 	// immediately if behind. Polling ops reuse it as the poll deadline,
 	// derived from the caller's context.
-	WaitMS int64 `json:"wait_ms,omitempty"`
+	WaitMS int64
 	// Level is the read's consistency level: "" (session, token-bounded),
 	// "strong" (execute on the leader), or "eventual" (any replica, no
 	// bound). A follower forwards strong reads to the leader like writes.
-	Level string `json:"level,omitempty"`
+	Level string
 
 	// DedupKey (submit) / DedupKeys (submit_batch, one per payload) make
 	// retried submits idempotent: a key that already exists returns the
 	// original task id instead of inserting a duplicate.
-	DedupKey  string   `json:"dedup_key,omitempty"`
-	DedupKeys []string `json:"dedup_keys,omitempty"`
+	DedupKey  string
+	DedupKeys []string
 
-	ExpID    string   `json:"exp_id,omitempty"`
-	WorkType int      `json:"work_type,omitempty"`
-	Payload  string   `json:"payload,omitempty"`
-	Priority int      `json:"priority,omitempty"`
-	Tags     []string `json:"tags,omitempty"`
+	ExpID    string
+	WorkType int
+	Payload  string
+	Priority int
+	Tags     []string
 
-	TaskID  int64   `json:"task_id,omitempty"`
-	TaskIDs []int64 `json:"task_ids,omitempty"`
-	N       int     `json:"n,omitempty"`
-	Pool    string  `json:"pool,omitempty"`
-	// TimeMS is the previous release's polling deadline field; servers treat
-	// it as WaitMS when WaitMS is absent so old clients keep long-polling
-	// through a rolling upgrade. New clients send WaitMS only.
-	TimeMS int64 `json:"timeout_ms,omitempty"`
+	TaskID  int64
+	TaskIDs []int64
+	N       int
+	Pool    string
 
-	Result     string   `json:"result,omitempty"`
-	Priorities []int    `json:"priorities,omitempty"`
-	Payloads   []string `json:"payloads,omitempty"`
+	Result     string
+	Priorities []int
+	Payloads   []string
 
 	// Watch ("watch" op, wire v4) selects the subscription shape: "task"
 	// (transitions of TaskID), "type" (transitions touching WorkType), or
@@ -77,23 +72,23 @@ type request struct {
 	// transitions after it are delivered. The subscription is keyed by the
 	// frame's request ID: notification frames reuse it, and "unwatch" names
 	// it in SubID to tear the stream down.
-	Watch string `json:"watch,omitempty"`
-	SubID uint64 `json:"sub_id,omitempty"`
+	Watch string
+	SubID uint64
 }
 
 // wireTask mirrors core.Task with wire-friendly timestamps.
 type wireTask struct {
-	ID       int64  `json:"id"`
-	ExpID    string `json:"exp_id"`
-	WorkType int    `json:"work_type"`
-	Status   string `json:"status"`
-	Payload  string `json:"payload"`
-	Result   string `json:"result,omitempty"`
-	Pool     string `json:"pool,omitempty"`
-	Priority int    `json:"priority"`
-	Created  int64  `json:"created_ns"`
-	Started  int64  `json:"started_ns"`
-	Stopped  int64  `json:"stopped_ns"`
+	ID       int64
+	ExpID    string
+	WorkType int
+	Status   string
+	Payload  string
+	Result   string
+	Pool     string
+	Priority int
+	Created  int64
+	Started  int64
+	Stopped  int64
 }
 
 // toWireTask and fromWireTask are the single source of truth for the
@@ -137,76 +132,76 @@ func timeOf(ns int64) time.Time {
 
 // wireResult mirrors core.TaskResult.
 type wireResult struct {
-	ID     int64  `json:"id"`
-	Result string `json:"result"`
+	ID     int64
+	Result string
 }
 
 // response is the wire form of one API reply.
 type response struct {
-	OK      bool   `json:"ok"`
-	Error   string `json:"error,omitempty"`
-	Timeout bool   `json:"timeout,omitempty"`
+	OK      bool
+	Error   string
+	Timeout bool
 	// Transient marks errors worth retrying against another node (no leader
 	// elected yet, leader unreachable); failover clients re-resolve on them.
-	Transient bool `json:"transient,omitempty"`
+	Transient bool
 	// Overloaded marks a request the server shed at admission — refused
 	// before any execution (and before any side effect, so even
 	// non-idempotent ops are safe to resend verbatim). Clients back off
 	// with jitter and retry the SAME node rather than failing over: unlike
 	// Transient, the node is healthy, just saturated. Wire v3; absent on
 	// the wire from older servers, decoding as false.
-	Overloaded bool `json:"overloaded,omitempty"`
+	Overloaded bool
 
 	// Token is the commit token of the operation: for writes, the WAL index
 	// of the write's own log entry (what the server quorum-waited on); for
 	// reads, the answering replica's applied index at serve time. Clients
 	// ratchet their session high-water token from it, giving read-your-writes
 	// and monotonic reads across replicas.
-	Token uint64 `json:"token,omitempty"`
+	Token uint64
 
-	TaskID     int64            `json:"task_id,omitempty"`
-	TaskIDs    []int64          `json:"task_ids,omitempty"`
-	Tasks      []wireTask       `json:"tasks,omitempty"`
-	Results    []wireResult     `json:"results,omitempty"`
-	StatusMap  map[int64]string `json:"status_map,omitempty"`
-	PrioMap    map[int64]int    `json:"prio_map,omitempty"`
-	Count      int              `json:"count,omitempty"`
-	CountsMap  map[string]int   `json:"counts_map,omitempty"`
-	TagList    []string         `json:"tags,omitempty"`
-	ResultText string           `json:"result_text,omitempty"`
+	TaskID     int64
+	TaskIDs    []int64
+	Tasks      []wireTask
+	Results    []wireResult
+	StatusMap  map[int64]string
+	PrioMap    map[int64]int
+	Count      int
+	CountsMap  map[string]int
+	TagList    []string
+	ResultText string
 
 	// "cluster" op: replication status of the answering node. PeerSvcs lists
 	// the service addresses of every cluster member the node knows of, which
 	// is what lets DialCluster spread read-only traffic across followers.
-	Role      string   `json:"role,omitempty"`
-	NodeID    string   `json:"node_id,omitempty"`
-	LeaderSvc string   `json:"leader_svc,omitempty"`
-	Term      uint64   `json:"term,omitempty"`
-	Applied   uint64   `json:"applied,omitempty"`
-	PeerSvcs  []string `json:"peer_svcs,omitempty"`
+	Role      string
+	NodeID    string
+	LeaderSvc string
+	Term      uint64
+	Applied   uint64
+	PeerSvcs  []string
 
 	// Stats is the "cluster_stats" op's payload: the answering node's full
 	// metrics registry flattened to name{labels} -> value (histograms as
 	// _count/_sum/_p50/_p95/_p99), the same numbers /metrics exposes, for
 	// clients that can reach the service port but not the ops listener.
-	Stats map[string]float64 `json:"stats,omitempty"`
+	Stats map[string]float64
 
 	// Done (wire v4) marks the final frame of a watch subscription: the
 	// server will send nothing further under this request ID. Set on unwatch
 	// acknowledgements, drain terminations, and overflow drops.
-	Done bool `json:"done,omitempty"`
+	Done bool
 	// Events (wire v4) carries one commit's task-state transitions on watch
 	// notification frames (and the resume replay on the frames right after
 	// the subscribe acknowledgement).
-	Events []wireEvent `json:"events,omitempty"`
+	Events []wireEvent
 }
 
 // wireEvent mirrors watch.Event.
 type wireEvent struct {
-	Token    uint64 `json:"token"`
-	TaskID   int64  `json:"task_id,omitempty"`
-	WorkType int    `json:"work_type"`
-	Status   string `json:"status"`
-	Depth    int    `json:"depth,omitempty"`
-	Resync   bool   `json:"resync,omitempty"`
+	Token    uint64
+	TaskID   int64
+	WorkType int
+	Status   string
+	Depth    int
+	Resync   bool
 }

@@ -57,7 +57,7 @@ func TestQuorumWriteSurvivesLeaderKill(t *testing.T) {
 
 	const total = 10
 	for i := 0; i < total; i++ {
-		if _, err := core.Compat(cc).SubmitTask("quorum", 1, fmt.Sprint(i)); err != nil {
+		if _, err := cc.Submit(bg, "quorum", 1, fmt.Sprint(i)); err != nil {
 			t.Fatalf("quorum submit %d: %v", i, err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestAsyncAckWindowStillExists(t *testing.T) {
 		// Acknowledged with zero live followers: were the leader to die now,
 		// this write would be gone. WriteQuorum: 0 preserves exactly the old
 		// asynchronous semantics.
-		if _, err := core.Compat(c).SubmitTask("window", 1, "doomed"); err != nil {
+		if _, err := c.Submit(bg, "window", 1, "doomed"); err != nil {
 			t.Fatalf("async submit after follower death: %v", err)
 		}
 	})
@@ -129,7 +129,7 @@ func TestAsyncAckWindowStillExists(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if _, err := core.Compat(c).SubmitTask("window", 1, "refused"); !errors.Is(err, ErrUnavailable) {
+		if _, err := c.Submit(bg, "window", 1, "refused"); !errors.Is(err, ErrUnavailable) {
 			t.Fatalf("quorum submit after follower death = %v, want ErrUnavailable", err)
 		}
 	})
@@ -165,7 +165,7 @@ func TestMinorityLeaderDemotesAndRejectsWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := core.Compat(c).SubmitTask("zombie", 1, "doomed"); !errors.Is(err, ErrUnavailable) {
+	if _, err := c.Submit(bg, "zombie", 1, "doomed"); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("write on demoted leader = %v, want ErrUnavailable", err)
 	}
 
@@ -191,7 +191,7 @@ func TestQuorumZeroPreservesAsyncSemantics(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	id, err := core.Compat(c).SubmitTask("solo", 1, "p")
+	id, err := idOf(c.Submit(bg, "solo", 1, "p"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestServiceRestartMidWorkflow(t *testing.T) {
 	const total = 30
 	ids := make([]int64, total)
 	for i := range ids {
-		ids[i], err = core.Compat(me1).SubmitTask("restart", 1, fmt.Sprint(i))
+		ids[i], err = idOf(me1.Submit(bg, "restart", 1, fmt.Sprint(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestServiceRestartMidWorkflow(t *testing.T) {
 	defer me2.Close()
 
 	// Recover tasks the dead pool still owned.
-	requeued, err := core.Compat(me2).RequeueRunning("pool-v1")
+	requeued, err := countOf(me2.RequeueRunning(bg, "pool-v1"))
 	if err != nil {
 		t.Fatalf("RequeueRunning: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestServiceRestartMidWorkflow(t *testing.T) {
 	// snapshot, and the rest arrive from the new pool.
 	collected := 0
 	for collected < total {
-		results, err := core.Compat(me2).PopResults(ids, total, tick, waitMax)
+		results, err := resultsOf(me2.PopResults(within(t, waitMax), ids, total))
 		if err != nil {
 			t.Fatalf("PopResults after restart: %v (have %d/%d)", err, collected, total)
 		}

@@ -3,7 +3,6 @@ package service
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -24,10 +23,9 @@ type ListenFunc func(network, addr string) (net.Listener, error)
 
 // Server exposes an EMEWS task database over TCP.
 type Server struct {
-	db        core.Session
-	tokenless bool // db is a lifted v1 backend: no commit tokens
-	ln        net.Listener
-	node      *replica.Node // nil for standalone servers
+	db   *core.DB
+	ln   net.Listener
+	node *replica.Node // nil for standalone servers
 
 	met        *serverMetrics // per-op counters/histograms (ops.go)
 	log        *slog.Logger
@@ -67,8 +65,7 @@ type Server struct {
 
 // Serve starts a server for db on addr (e.g. "127.0.0.1:0") and returns once
 // the listener is bound. Use Addr for the chosen address and Close to stop.
-// Legacy token-less backends can be served through core.Lift.
-func Serve(db core.Session, addr string, opts ...ServerOption) (*Server, error) {
+func Serve(db *core.DB, addr string, opts ...ServerOption) (*Server, error) {
 	return serve(db, nil, addr, opts...)
 }
 
@@ -93,26 +90,13 @@ func ServeNode(n *replica.Node, addr string, opts ...ServerOption) (*Server, err
 	return s, nil
 }
 
-func serve(db core.Session, node *replica.Node, addr string, opts ...ServerOption) (*Server, error) {
-	// The metrics registry is shared downward: a replicated server reports
-	// into its node's (and therefore database's) registry so one scrape
-	// covers every layer; a standalone server over a core.DB does the same
-	// through the DB, and only a lifted legacy backend gets a private one.
-	var reg *obs.Registry
-	switch {
-	case node != nil:
-		reg = node.Metrics()
-	default:
-		if m, ok := db.(interface{ Metrics() *obs.Registry }); ok {
-			reg = m.Metrics()
-		} else {
-			reg = obs.NewRegistry()
-		}
-	}
+func serve(db *core.DB, node *replica.Node, addr string, opts ...ServerOption) (*Server, error) {
+	// The metrics registry is shared downward: the server reports into its
+	// database's registry (which a replica node shares too), so one scrape
+	// covers every layer.
 	s := &Server{
-		db: db, tokenless: core.Tokenless(db),
-		node: node, conns: make(map[net.Conn]struct{}),
-		met: newServerMetrics(reg), log: defaultLogger(),
+		db: db, node: node, conns: make(map[net.Conn]struct{}),
+		met: newServerMetrics(db.Metrics()), log: defaultLogger(),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -282,18 +266,17 @@ func sleepCtx(s *Server, d time.Duration) bool {
 	return !s.isClosed()
 }
 
-const maxLine = 64 << 20 // per-message bound; payloads are JSON strings
-
-// handle negotiates the connection's protocol version off its first byte —
-// the only negotiation the protocol has, chosen so it costs nothing on
-// established connections. A v2 client leads with the wireMagic byte (never
-// a valid JSON start); anything else is served by the legacy
-// newline-delimited JSON loop, which is what keeps pre-v2 clients working
-// across a rolling upgrade with zero configuration.
+// handle checks the connection's two-byte preamble — the wireMagic byte, then
+// the client's protocol version — and serves binary frames. It is the only
+// negotiation the protocol has, and it costs nothing on an established
+// connection. Anything else (a first byte that is not the magic, a version
+// this build does not speak) is not a protocol this server has: the
+// connection is counted in osprey_service_malformed_total, logged with the
+// peer address, and closed without a response.
 func (s *Server) handle(conn net.Conn) {
 	peer := conn.RemoteAddr().String()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	first, err := br.Peek(1)
+	magic, err := br.ReadByte()
 	if err != nil {
 		// Hung up (or was closed) before a single byte: not a protocol error.
 		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.isClosed() {
@@ -301,11 +284,12 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return
 	}
-	if first[0] != wireMagic {
-		s.handleV1(conn, br, peer)
+	if magic != wireMagic {
+		s.met.malformed.Inc()
+		s.log.Warn("not a wire-protocol preamble, closing connection",
+			"peer", peer, "first_byte", fmt.Sprintf("%#02x", magic))
 		return
 	}
-	br.Discard(1)
 	ver, err := br.ReadByte()
 	if err != nil || ver == 0 || ver > wireVersion {
 		s.met.malformed.Inc()
@@ -314,54 +298,6 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	s.handleV2(conn, br, peer)
-}
-
-// handleV1 serves one legacy JSON connection with a single reused JSON
-// decoder/encoder pair over buffered I/O: the per-request Unmarshal/Marshal
-// allocations and the unbuffered per-response write syscall were measurable
-// on the submit hot path. json.Encoder terminates every value with '\n', so
-// the wire format stays newline-delimited JSON. A malformed request closes
-// the connection (the stream position is unknowable after a decode error)
-// instead of answering per line. The LimitedReader is topped up before each
-// decode, preserving the old line scanner's property that one request can
-// never buffer more than maxLine bytes. v1 is strictly serial: one request,
-// one response, in order.
-func (s *Server) handleV1(conn net.Conn, br *bufio.Reader, peer string) {
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	lr := &io.LimitedReader{R: br}
-	dec := json.NewDecoder(lr)
-	enc := json.NewEncoder(bw)
-	for {
-		lr.N = maxLine
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			// A clean EOF is the client hanging up between requests; a
-			// network-level error is the connection dying (or the server
-			// closing it). Anything else is a malformed request: the stream
-			// position is unknowable after a decode error, so the connection
-			// closes — but no longer silently.
-			var netErr net.Error
-			switch {
-			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed), s.isClosed():
-			case errors.As(err, &netErr):
-				s.log.Debug("connection read failed", "peer", peer, "error", err)
-			default:
-				s.met.malformed.Inc()
-				s.log.Warn("malformed request, closing connection",
-					"peer", peer, "trace", req.Trace, "error", err)
-			}
-			return
-		}
-		resp := s.dispatch(req, peer)
-		if err := enc.Encode(&resp); err != nil {
-			s.logWriteErr(peer, req.Op, req.Trace, err)
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			s.logWriteErr(peer, req.Op, req.Trace, err)
-			return
-		}
-	}
 }
 
 // maxInflight bounds one v2 connection's concurrently executing requests: a
@@ -634,17 +570,9 @@ func (s *Server) route(req request) response {
 	// real leader instead of trusting a zombie. The write may still have
 	// committed locally — a failed ack is ambiguous, which is exactly what
 	// dedup-keyed submits exist to disambiguate on retry. The wait covers
-	// precisely the request's own WAL entry (its commit token); a lifted
-	// token-less backend falls back to waiting on the newest committed index
-	// (conservative over-wait).
+	// precisely the request's own WAL entry (its commit token).
 	if resp.OK && s.node != nil && quorumOps[req.Op] {
-		var err error
-		if s.tokenless {
-			err = s.node.WaitQuorum()
-		} else {
-			err = s.node.WaitQuorumIndex(resp.Token)
-		}
-		if err != nil {
+		if err := s.node.WaitQuorumIndex(resp.Token); err != nil {
 			return response{Error: "service: write not quorum-committed: " + err.Error(), Transient: true}
 		}
 	}
@@ -655,17 +583,10 @@ func (s *Server) route(req request) response {
 }
 
 // pollCtx builds the server-side polling context from the request's WaitMS
-// deadline, honoring the previous release's timeout_ms field when WaitMS is
-// absent (a rolling-upgrade client must keep long-polling, not busy-spin on
-// instant timeouts). An expired (or zero) budget still performs one
-// immediate attempt inside the Session, preserving the try-then-wait
-// contract.
+// deadline. An expired (or zero) budget still performs one immediate attempt
+// inside the Session, preserving the try-then-wait contract.
 func pollCtx(req request) (context.Context, context.CancelFunc) {
-	waitMS := req.WaitMS
-	if waitMS == 0 && req.TimeMS > 0 {
-		waitMS = req.TimeMS
-	}
-	return context.WithTimeout(context.Background(), ms(waitMS))
+	return context.WithTimeout(context.Background(), ms(req.WaitMS))
 }
 
 // exec runs one request against the local database.

@@ -17,15 +17,26 @@ const (
 	waitMax = 3 * time.Second
 )
 
-// v1client exposes the deprecated API surface of a wire Client (through
-// core.Compat) next to the Client itself, so the v1-style tests below double
-// as end-to-end coverage of the compat adapter over the wire.
-type v1client struct {
-	core.API
-	C *Client
+// The tests call the Session surface directly; these shorthands only supply
+// the context and project a result struct onto the one field a test compares.
+var bg = context.Background()
+
+// within returns a context that expires after d, the polling calls' timeout.
+// It is released when the test ends.
+func within(t testing.TB, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return ctx
 }
 
-func newServerClient(t *testing.T) (*core.DB, v1client) {
+func idOf(r core.SubmitRes, err error) (int64, error)                   { return r.ID, err }
+func idsOf(r core.BatchRes, err error) ([]int64, error)                 { return r.IDs, err }
+func tasksOf(r core.TasksRes, err error) ([]core.Task, error)           { return r.Tasks, err }
+func resultOf(r core.ResultRes, err error) (string, error)              { return r.Result, err }
+func resultsOf(r core.ResultsRes, err error) ([]core.TaskResult, error) { return r.Results, err }
+func countOf(r core.CountRes, err error) (int, error)                   { return r.Count, err }
+
+func newServerClient(t *testing.T) (*core.DB, *Client) {
 	t.Helper()
 	db, err := core.NewDB()
 	if err != nil {
@@ -44,23 +55,23 @@ func newServerClient(t *testing.T) (*core.DB, v1client) {
 		srv.Close()
 		db.Close()
 	})
-	return db, v1client{API: core.Compat(c), C: c}
+	return db, c
 }
 
 func TestPing(t *testing.T) {
 	_, c := newServerClient(t)
-	if err := c.C.Ping(); err != nil {
+	if err := c.Ping(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 }
 
 func TestRemoteSubmitQueryReport(t *testing.T) {
 	_, c := newServerClient(t)
-	id, err := c.SubmitTask("exp", 1, `{"x": [1, 2]}`, core.WithPriority(4), core.WithTags("remote"))
+	id, err := idOf(c.Submit(bg, "exp", 1, `{"x": [1, 2]}`, core.WithPriority(4), core.WithTags("remote")))
 	if err != nil {
 		t.Fatalf("SubmitTask: %v", err)
 	}
-	tasks, err := c.QueryTasks(1, 1, "remote-pool", tick, waitMax)
+	tasks, err := tasksOf(c.QueryTasks(within(t, waitMax), 1, 1, "remote-pool"))
 	if err != nil {
 		t.Fatalf("QueryTasks: %v", err)
 	}
@@ -68,14 +79,14 @@ func TestRemoteSubmitQueryReport(t *testing.T) {
 		tasks[0].Priority != 4 || tasks[0].Pool != "remote-pool" {
 		t.Fatalf("tasks = %+v", tasks)
 	}
-	if err := c.ReportTask(id, 1, "r"); err != nil {
+	if _, err := c.Report(bg, id, 1, "r"); err != nil {
 		t.Fatalf("ReportTask: %v", err)
 	}
-	res, err := c.QueryResult(id, tick, waitMax)
+	res, err := resultOf(c.QueryResult(within(t, waitMax), id))
 	if err != nil || res != "r" {
 		t.Fatalf("QueryResult = %q, %v", res, err)
 	}
-	tags, err := c.Tags(id)
+	tags, err := c.Tags(bg, id)
 	if err != nil || len(tags) != 1 || tags[0] != "remote" {
 		t.Fatalf("Tags = %v, %v", tags, err)
 	}
@@ -83,11 +94,11 @@ func TestRemoteSubmitQueryReport(t *testing.T) {
 
 func TestRemoteTimeoutMapsToErrTimeout(t *testing.T) {
 	_, c := newServerClient(t)
-	_, err := c.QueryTasks(1, 1, "p", tick, 50*time.Millisecond)
+	_, err := c.QueryTasks(within(t, 50*time.Millisecond), 1, 1, "p")
 	if !errors.Is(err, core.ErrTimeout) {
 		t.Fatalf("err = %v, want core.ErrTimeout", err)
 	}
-	if _, err := c.QueryResult(99, tick, 50*time.Millisecond); !errors.Is(err, core.ErrTimeout) {
+	if _, err := c.QueryResult(within(t, 50*time.Millisecond), 99); !errors.Is(err, core.ErrTimeout) {
 		t.Fatalf("QueryResult err = %v", err)
 	}
 }
@@ -96,26 +107,26 @@ func TestRemoteBatchOps(t *testing.T) {
 	_, c := newServerClient(t)
 	var ids []int64
 	for i := 0; i < 5; i++ {
-		id, _ := c.SubmitTask("e", 1, fmt.Sprint(i))
+		id, _ := idOf(c.Submit(bg, "e", 1, fmt.Sprint(i)))
 		ids = append(ids, id)
 	}
-	sts, err := c.Statuses(ids)
+	sts, err := c.Statuses(bg, ids)
 	if err != nil || len(sts) != 5 {
 		t.Fatalf("Statuses = %v, %v", sts, err)
 	}
-	n, err := c.UpdatePriorities(ids, []int{5, 4, 3, 2, 1})
+	n, err := countOf(c.UpdatePriorities(bg, ids, []int{5, 4, 3, 2, 1}))
 	if err != nil || n != 5 {
 		t.Fatalf("UpdatePriorities = %d, %v", n, err)
 	}
-	prios, err := c.Priorities(ids)
+	prios, err := c.Priorities(bg, ids)
 	if err != nil || prios[ids[0]] != 5 {
 		t.Fatalf("Priorities = %v, %v", prios, err)
 	}
-	nc, err := c.CancelTasks(ids[3:])
+	nc, err := countOf(c.CancelTasks(bg, ids[3:]))
 	if err != nil || nc != 2 {
 		t.Fatalf("CancelTasks = %d, %v", nc, err)
 	}
-	counts, err := c.Counts("e")
+	counts, err := c.Counts(bg, "e")
 	if err != nil || counts[core.StatusCanceled] != 2 || counts[core.StatusQueued] != 3 {
 		t.Fatalf("Counts = %v, %v", counts, err)
 	}
@@ -125,7 +136,7 @@ func TestRemotePopResults(t *testing.T) {
 	db, c := newServerClient(t)
 	var ids []int64
 	for i := 0; i < 3; i++ {
-		id, _ := c.SubmitTask("e", 1, "x")
+		id, _ := idOf(c.Submit(bg, "e", 1, "x"))
 		ids = append(ids, id)
 	}
 	qctx, qcancel := context.WithTimeout(context.Background(), waitMax)
@@ -134,7 +145,7 @@ func TestRemotePopResults(t *testing.T) {
 	for _, task := range popped.Tasks {
 		db.Report(context.Background(), task.ID, 1, fmt.Sprintf("res-%d", task.ID))
 	}
-	results, err := c.PopResults(ids, 10, tick, waitMax)
+	results, err := resultsOf(c.PopResults(within(t, waitMax), ids, 10))
 	if err != nil || len(results) != 3 {
 		t.Fatalf("PopResults = %v, %v", results, err)
 	}
@@ -147,11 +158,11 @@ func TestRemotePopResults(t *testing.T) {
 
 func TestRemoteRequeue(t *testing.T) {
 	_, c := newServerClient(t)
-	c.SubmitTask("e", 1, "x")
-	if _, err := c.QueryTasks(1, 1, "dead-pool", tick, waitMax); err != nil {
+	c.Submit(bg, "e", 1, "x")
+	if _, err := c.QueryTasks(within(t, waitMax), 1, 1, "dead-pool"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.RequeueRunning("dead-pool")
+	n, err := countOf(c.RequeueRunning(bg, "dead-pool"))
 	if err != nil || n != 1 {
 		t.Fatalf("RequeueRunning = %d, %v", n, err)
 	}
@@ -162,7 +173,7 @@ func TestWorkerPoolOverService(t *testing.T) {
 	// cross-resource deployment — completes tasks submitted by another
 	// client.
 	_, me := newServerClient(t)
-	_, poolClient := newServerClient2(t, me.C)
+	_, poolClient := newServerClient2(t, me)
 
 	p, err := pool.New(poolClient, pool.Config{Name: "svc-pool", Workers: 3, WorkType: 1},
 		func(payload string) (string, error) { return "done:" + payload, nil }, nil)
@@ -175,7 +186,7 @@ func TestWorkerPoolOverService(t *testing.T) {
 
 	var ids []int64
 	for i := 0; i < 10; i++ {
-		id, err := me.SubmitTask("e", 1, fmt.Sprint(i))
+		id, err := idOf(me.Submit(bg, "e", 1, fmt.Sprint(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +194,7 @@ func TestWorkerPoolOverService(t *testing.T) {
 	}
 	got := 0
 	for got < len(ids) {
-		results, err := me.PopResults(ids, len(ids), tick, waitMax)
+		results, err := resultsOf(me.PopResults(within(t, waitMax), ids, len(ids)))
 		if err != nil {
 			t.Fatalf("PopResults: %v (have %d)", err, got)
 		}
@@ -207,7 +218,7 @@ func TestConcurrentClients(t *testing.T) {
 	_ = db
 	var clients []*Client
 	for i := 0; i < 4; i++ {
-		ci, err := Dial(c.C.addr)
+		ci, err := Dial(c.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +239,7 @@ func TestConcurrentClients(t *testing.T) {
 		}(i, ci)
 	}
 	wg.Wait()
-	counts, err := c.Counts("e")
+	counts, err := c.Counts(bg, "e")
 	if err != nil || counts[core.StatusQueued] != 100 {
 		t.Fatalf("counts = %v, %v", counts, err)
 	}
@@ -237,11 +248,11 @@ func TestConcurrentClients(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, c := newServerClient(t)
 	// Unknown op via raw round trip.
-	if _, err := c.C.roundTrip(request{Op: "explode"}, time.Second); err == nil {
+	if _, err := c.roundTrip(request{Op: "explode"}, time.Second); err == nil {
 		t.Fatal("unknown op must error")
 	}
 	// Report for a nonexistent task surfaces the DB error.
-	if err := c.ReportTask(424242, 1, "x"); err == nil {
+	if _, err := c.Report(bg, 424242, 1, "x"); err == nil {
 		t.Fatal("report unknown task must error")
 	}
 }
@@ -290,11 +301,11 @@ func TestLargePayload(t *testing.T) {
 	for i := range big {
 		big[i] = 'a' + byte(i%26)
 	}
-	id, err := c.SubmitTask("e", 1, string(big))
+	id, err := idOf(c.Submit(bg, "e", 1, string(big)))
 	if err != nil {
 		t.Fatalf("submit 1MB payload: %v", err)
 	}
-	tasks, err := c.QueryTasks(1, 1, "p", tick, waitMax)
+	tasks, err := tasksOf(c.QueryTasks(within(t, waitMax), 1, 1, "p"))
 	if err != nil || tasks[0].ID != id || tasks[0].Payload != string(big) {
 		t.Fatalf("large payload round trip failed: %v", err)
 	}
@@ -306,15 +317,15 @@ func TestRemoteSubmitBatch(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = fmt.Sprintf(`{"i": %d}`, i)
 	}
-	ids, err := c.SubmitTasks("batch", 1, payloads, []int{3})
+	ids, err := idsOf(c.SubmitBatch(bg, "batch", 1, payloads, []int{3}, nil))
 	if err != nil || len(ids) != 100 {
 		t.Fatalf("SubmitTasks = %d ids, %v", len(ids), err)
 	}
-	counts, _ := c.Counts("batch")
+	counts, _ := c.Counts(bg, "batch")
 	if counts[core.StatusQueued] != 100 {
 		t.Fatalf("counts = %v", counts)
 	}
-	tasks, err := c.QueryTasks(1, 1, "p", tick, waitMax)
+	tasks, err := tasksOf(c.QueryTasks(within(t, waitMax), 1, 1, "p"))
 	if err != nil || tasks[0].Priority != 3 {
 		t.Fatalf("first pop = %+v, %v", tasks, err)
 	}

@@ -55,14 +55,14 @@ func TestDuplicateSubmitAfterQuorumTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := core.Compat(c).SubmitTask("warmup", 1, "w"); err != nil {
+	if _, err := c.Submit(bg, "warmup", 1, "w"); err != nil {
 		t.Fatalf("warm-up quorum submit: %v", err)
 	}
 
 	// Freeze n3: with WriteQuorum 2 and only n2 acking, the next submit
 	// commits locally and on n2 but cannot reach quorum.
 	release := stallEngine(t, n3)
-	id1, err := core.Compat(c).SubmitTask("ambiguous", 1, "payload", core.WithDedupKey("retry-1"))
+	id1, err := idOf(c.Submit(bg, "ambiguous", 1, "payload", core.WithDedupKey("retry-1")))
 	if !errors.Is(err, ErrUnavailable) {
 		release()
 		t.Fatalf("submit with a frozen quorum = (%d, %v), want ErrUnavailable", id1, err)
@@ -84,7 +84,7 @@ func TestDuplicateSubmitAfterQuorumTimeout(t *testing.T) {
 	waitCond(t, "stalled follower caught up", func() bool {
 		return n3.Applied() == n1.Applied() && n3.Applied() > 0
 	})
-	id2, err := core.Compat(c).SubmitTask("ambiguous", 1, "payload", core.WithDedupKey("retry-1"))
+	id2, err := idOf(c.Submit(bg, "ambiguous", 1, "payload", core.WithDedupKey("retry-1")))
 	if err != nil {
 		t.Fatalf("retried submit after heal: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestFollowerReadsAndForcedPromotion(t *testing.T) {
 	}
 	defer cc.Close()
 
-	id1, err := core.Compat(cc).SubmitTask("escape", 1, "pre-kill")
+	id1, err := idOf(cc.Submit(bg, "escape", 1, "pre-kill"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFollowerReadsAndForcedPromotion(t *testing.T) {
 
 	// Writes work again, and the session's read-your-writes holds across
 	// the forced leader switch.
-	id2, err := core.Compat(cc).SubmitTask("escape", 1, "post-promote")
+	id2, err := idOf(cc.Submit(bg, "escape", 1, "post-promote"))
 	if err != nil {
 		t.Fatalf("submit after forced promotion: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestFollowerReadRoutingAcrossFailover(t *testing.T) {
 
 	ids := make([]int64, 5)
 	for i := range ids {
-		id, err := core.Compat(cc).SubmitTask("routing", 1, "p")
+		id, err := idOf(cc.Submit(bg, "routing", 1, "p"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestFollowerReadRoutingAcrossFailover(t *testing.T) {
 
 	// Read-your-writes across the leader switch: a write accepted by the new
 	// leader is immediately visible to the session's follower reads.
-	id, err := core.Compat(cc).SubmitTask("routing", 1, "after-failover")
+	id, err := idOf(cc.Submit(bg, "routing", 1, "after-failover"))
 	if err != nil {
 		t.Fatalf("submit after failover: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestReadYourWritesOnLaggingFollower(t *testing.T) {
 	defer cc.Close()
 	cc.ReadStaleness = 100 * time.Millisecond
 
-	if _, err := core.Compat(cc).SubmitTask("lag", 1, "warm"); err != nil {
+	if _, err := cc.Submit(bg, "lag", 1, "warm"); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, "all applied", func() bool {
@@ -280,7 +280,7 @@ func TestReadYourWritesOnLaggingFollower(t *testing.T) {
 	})
 
 	release := stallEngine(t, n3)
-	id, err := core.Compat(cc).SubmitTask("lag", 1, "fresh")
+	id, err := idOf(cc.Submit(bg, "lag", 1, "fresh"))
 	if err != nil {
 		release()
 		t.Fatal(err)
@@ -301,46 +301,5 @@ func TestReadYourWritesOnLaggingFollower(t *testing.T) {
 	task, err := cc.GetTask(context.Background(), id)
 	if err != nil || task.Payload != "fresh" {
 		t.Fatalf("read after heal = %+v, %v", task, err)
-	}
-}
-
-// plainAPI wraps a DB exposing only the token-less core.API method set, like
-// a third-party backend predating commit tokens. Serving it requires the
-// core.Lift adapter, whose zero tokens and dedup rejection are exactly what
-// this test exercises.
-type plainAPI struct{ core.API }
-
-// TestDialClusterDowngradesDedupOnPlainBackend: DialCluster auto-attaches
-// dedup keys, but a backend without token support must not make submits fail
-// permanently — the client downgrades to keyless (pre-token, at-least-once)
-// submits for the session. An explicit caller-supplied key still fails
-// loudly: the backend cannot honor the idempotency the caller demanded.
-func TestDialClusterDowngradesDedupOnPlainBackend(t *testing.T) {
-	db, err := core.NewDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	srv, err := Serve(core.Lift(plainAPI{core.Compat(db)}), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cc, err := DialCluster(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-	id, err := core.Compat(cc).SubmitTask("plain", 1, "p")
-	if err != nil || id == 0 {
-		t.Fatalf("auto-keyed submit against a token-less backend = (%d, %v), want downgrade to keyless", id, err)
-	}
-	ids, err := core.Compat(cc).SubmitTasks("plain", 1, []string{"a", "b"}, nil)
-	if err != nil || len(ids) != 2 {
-		t.Fatalf("auto-keyed batch against a token-less backend = (%v, %v), want downgrade", ids, err)
-	}
-	if _, err := core.Compat(cc).SubmitTask("plain", 1, "p", core.WithDedupKey("explicit")); err == nil {
-		t.Fatal("explicit dedup key against a token-less backend must fail, not silently drop idempotency")
 	}
 }

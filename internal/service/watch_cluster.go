@@ -61,8 +61,8 @@ func (s *clusterStream) fail(err error) {
 // single-connection Client.Watch, the returned stream does not end on node
 // loss: it resubscribes (follower-first, leader as last resort) with its last
 // delivered token and continues, so the only terminal conditions are the
-// caller closing it, ctx ending, or a backend that does not support watch at
-// all (reported synchronously or via Err after the stream closes).
+// caller closing it, ctx ending, or the cluster refusing the query itself
+// (reported synchronously or via Err after the stream closes).
 func (cc *ClusterClient) Watch(ctx context.Context, q watch.Query, buf int) (watch.Stream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, core.CtxErr(ctx)
@@ -70,8 +70,8 @@ func (cc *ClusterClient) Watch(ctx context.Context, q watch.Query, buf int) (wat
 	if buf <= 0 {
 		buf = 16
 	}
-	// First subscribe runs synchronously so unsupported backends fail the
-	// call instead of a stream that dies on first read.
+	// First subscribe runs synchronously so a query the cluster refuses fails
+	// the call instead of a stream that dies on first read.
 	st, err := cc.subscribeWatch(q, buf)
 	if err != nil && !retryable(err) && !errors.Is(err, ErrOverloaded) {
 		return nil, err
@@ -86,7 +86,8 @@ func (cc *ClusterClient) Watch(ctx context.Context, q watch.Query, buf int) (wat
 
 // subscribeWatch opens one server-side subscription: follower replicas in
 // rotation first (cooldown-aware, like doRead), the leader connection last.
-// A non-retryable error (watch unsupported) aborts the scan immediately.
+// A non-retryable error (the query itself was refused) aborts the scan
+// immediately.
 func (cc *ClusterClient) subscribeWatch(q watch.Query, buf int) (watch.Stream, error) {
 	now := time.Now()
 	cc.mu.Lock()

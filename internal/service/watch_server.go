@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"osprey/internal/core"
 	"osprey/internal/watch"
 )
 
@@ -15,13 +14,9 @@ import (
 // single response: its request ID stays open, the server acknowledges the
 // subscribe with an OK frame, and every subsequent commit that matches the
 // subscription is pushed as a notification frame reusing the same ID —
-// the first server-initiated use of the v2 framing. The stream ends with a
+// the one server-initiated use of the framing. The stream ends with a
 // Done frame: clean after "unwatch", transient after an overflow, hub reset,
 // or drain (the client resubscribes elsewhere with its last token).
-//
-// Watch is v2-only by construction: the v1 JSON loop is strictly
-// request/response, so a "watch" op arriving there falls through to the
-// generic unknown-op error.
 
 // watchSubBuf is the per-subscription event-batch buffer between the hub and
 // the connection pump. A subscriber further behind than this many commits is
@@ -48,19 +43,6 @@ type srvSub struct {
 	// draining: the terminal frame goes out Transient so the client
 	// resubscribes elsewhere instead of treating the end as clean.
 	drained atomic.Bool
-}
-
-// watchDB resolves the *core.DB behind this server, the only backend kind
-// with a watch hub (replicated nodes included — followers push their own
-// applied transitions). Lifted legacy backends return nil.
-func (s *Server) watchDB() *core.DB {
-	if s.node != nil {
-		return s.node.DB()
-	}
-	if db, ok := s.db.(*core.DB); ok {
-		return db
-	}
-	return nil
 }
 
 // watchQuery maps the wire request to a hub query. The request's Token rides
@@ -101,9 +83,13 @@ func (v *v2conn) startWatch(id uint64, req *request) {
 		fail(response{Error: "service: draining", Transient: true})
 		return
 	}
-	db := s.watchDB()
-	if db == nil {
-		fail(response{Error: "service: watch unsupported by this backend"})
+	if s.node != nil && !s.node.Attached() {
+		// A follower that has never attached holds a placeholder database:
+		// its first join answer may install a snapshot, which resets the hub
+		// under any subscriber accepted now. Refuse transiently — the state
+		// worth watching is one join round trip away (ClusterClient retries
+		// elsewhere; a plain Client surfaces ErrUnavailable).
+		fail(response{Error: "service: follower has not attached to the cluster yet", Transient: true})
 		return
 	}
 	q, err := watchQuery(req)
@@ -111,11 +97,11 @@ func (v *v2conn) startWatch(id uint64, req *request) {
 		fail(response{Error: err.Error()})
 		return
 	}
-	if q.Since > db.WatchHub().Last() {
-		go v.finishWatch(id, req, q, db, t0)
+	if q.Since > s.db.WatchHub().Last() {
+		go v.finishWatch(id, req, q, t0)
 		return
 	}
-	v.finishWatch(id, req, q, db, t0)
+	v.finishWatch(id, req, q, t0)
 }
 
 // finishWatch completes the subscribe begun by startWatch. A resume position
@@ -123,8 +109,8 @@ func (v *v2conn) startWatch(id uint64, req *request) {
 // apply up to it, so a failover from a fresher node resumes live instead of
 // resyncing; only a position that never arrives — a rolled-back token
 // domain — falls through to the resync path.
-func (v *v2conn) finishWatch(id uint64, req *request, q watch.Query, db *core.DB, t0 time.Time) {
-	s := v.s
+func (v *v2conn) finishWatch(id uint64, req *request, q watch.Query, t0 time.Time) {
+	s, db := v.s, v.s.db
 	fail := func(resp response) {
 		resp.Done = true
 		v.writeResp(id, &resp, "watch", req.Trace)

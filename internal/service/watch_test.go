@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"osprey/internal/core"
 	"osprey/internal/obs"
 	"osprey/internal/pool"
+	"osprey/internal/replica"
 	"osprey/internal/watch"
 )
 
@@ -170,34 +172,6 @@ func TestWatchResumeOverWire(t *testing.T) {
 	}
 }
 
-// TestWatchUnsupportedBackend: a lifted legacy backend has no hub; the watch
-// op must fail cleanly (terminal frame), not hang or kill the connection.
-func TestWatchUnsupportedBackend(t *testing.T) {
-	db, err := core.NewDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	srv, err := Serve(core.Lift(plainAPI{core.Compat(db)}), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Watch(context.Background(), watch.Query{All: true}, 4)
-	if err == nil || !strings.Contains(err.Error(), "unsupported") {
-		t.Fatalf("Watch on lifted backend: err = %v, want unsupported", err)
-	}
-	// The connection must remain healthy for normal ops.
-	if err := c.Ping(); err != nil {
-		t.Fatalf("Ping after failed watch: %v", err)
-	}
-}
-
 // TestWatchDrainTerminatesStreams: Drain must proactively end push streams
 // with a transient terminal frame so subscribers fail over immediately.
 func TestWatchDrainTerminatesStreams(t *testing.T) {
@@ -257,6 +231,15 @@ func TestWatchFailoverResume(t *testing.T) {
 
 	ctx := context.Background()
 
+	// A formed cluster is the precondition, as in every failover test: both
+	// followers attached — a follower refuses watch subscriptions before that
+	// (TestWatchRefusedBeforeFirstAttach), and the plain Client below does
+	// not retry — and both holding the full membership view, so the survivors
+	// can find a majority once n1 dies.
+	waitCond(t, "cluster formed", func() bool {
+		return n2.Attached() && n3.Attached() && len(n2.Peers()) == 3 && len(n3.Peers()) == 3
+	})
+
 	// Subscribe on a follower directly: followers push their own applied
 	// transitions, so the stream works without touching the leader.
 	fc, err := Dial(srv2.Addr())
@@ -295,9 +278,23 @@ func TestWatchFailoverResume(t *testing.T) {
 		ids[res.ID] = true
 	}
 
-	// Resume on the surviving follower with the pre-failover token: exactly
-	// the post-failover submissions must replay — no loss, no duplicates.
-	st2, err := fc.Watch(ctx, watch.Query{All: true, Since: last}, 64)
+	// Resume with the pre-failover token on whichever survivor now leads
+	// (n2 by priority, n3 when it won the claim race): a promotion leaves the
+	// node's hub and its ring in place, so exactly the post-failover
+	// submissions must replay — no loss, no duplicates. The other survivor
+	// re-bootstraps from the new leader's snapshot, which resets its hub; a
+	// resume there is answered with a resync, not a replay.
+	waitCond(t, "a survivor to lead", func() bool { return n2.IsLeader() || n3.IsLeader() })
+	lead := srv2
+	if n3.IsLeader() {
+		lead = srv3
+	}
+	lc, err := Dial(lead.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	st2, err := lc.Watch(ctx, watch.Query{All: true, Since: last}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +318,73 @@ func TestWatchFailoverResume(t *testing.T) {
 			t.Fatalf("task %d delivered %d times, want exactly once", id, n)
 		}
 	}
+}
+
+// TestWatchRefusedBeforeFirstAttach: a follower that has never attached holds
+// a placeholder database whose hub the bootstrap snapshot install will reset,
+// so it must refuse a subscription (transiently, with a terminal frame that
+// leaves the connection usable) rather than accept one it is about to kill;
+// once attached it serves its hub, and keeps serving it after the leader dies.
+func TestWatchRefusedBeforeFirstAttach(t *testing.T) {
+	// Reserve a replication address with nothing behind it yet: the follower
+	// knocks on it and cannot attach.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaderAddr := ln.Addr().String()
+	ln.Close()
+
+	n2, srv2 := startClusterNode(t, "n2", 1, leaderAddr)
+	defer func() { srv2.Close(); n2.Close() }()
+	if n2.Attached() {
+		t.Fatal("a follower with no leader to join reports itself attached")
+	}
+	fc, err := Dial(srv2.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	ctx := context.Background()
+	if _, err := fc.Watch(ctx, watch.Query{All: true}, 4); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("Watch before first attach = %v, want ErrUnavailable", err)
+	}
+	if err := fc.Ping(); err != nil {
+		t.Fatalf("Ping after the refused watch: %v", err)
+	}
+
+	// The leader comes up on the reserved address; the follower bootstraps.
+	n1, err := replica.New(replica.Config{
+		ID: "n1", Priority: 2, Addr: leaderAddr,
+		Heartbeat: beat, ElectionTimeout: elect, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1, err := ServeNode(n1, "127.0.0.1:0")
+	if err != nil {
+		n1.Close()
+		t.Fatal(err)
+	}
+	waitCond(t, "n2's first attach", n2.Attached)
+	st, err := fc.Watch(ctx, watch.Query{All: true}, 4)
+	if err != nil {
+		t.Fatalf("Watch on the attached follower: %v", err)
+	}
+	st.Close()
+
+	// A follower that lost its leader is mid-election, not unattached.
+	srv1.Close()
+	n1.Close()
+	waitCond(t, "n2 to notice the leader is gone", func() bool {
+		ok, _ := n2.Ready(2 * elect)
+		return !ok
+	})
+	st, err = fc.Watch(ctx, watch.Query{All: true}, 4)
+	if err != nil {
+		t.Fatalf("Watch on an attached follower with no leader: %v", err)
+	}
+	st.Close()
 }
 
 // TestWatchClusterStreamResubscribe pins the subscription to the leader

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"reflect"
 	"strings"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"osprey/internal/core"
+	"osprey/internal/obs"
 )
 
 // fillValue sets v (and everything reachable from it) to non-zero values
@@ -281,11 +284,11 @@ func TestWireTaskZeroTimestamps(t *testing.T) {
 	}
 	// And over a live connection: GetTask on a queued task.
 	_, c := newServerClient(t)
-	id, err := c.SubmitTask("z", 1, "p")
+	id, err := idOf(c.Submit(bg, "z", 1, "p"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.C.GetTask(context.Background(), id)
+	got, err := c.GetTask(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +359,7 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	go func() {
 		// Long-poll for a task that is only submitted after the fast calls
 		// below complete — on the same connection.
-		res, err := c.C.QueryTasks(ctx, 42, 1, "pipeline")
+		res, err := c.QueryTasks(ctx, 42, 1, "pipeline")
 		if err == nil && len(res.Tasks) != 1 {
 			err = fmt.Errorf("QueryTasks = %+v", res)
 		}
@@ -365,17 +368,17 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	// Give the poll a moment to be parked server-side.
 	time.Sleep(20 * time.Millisecond)
 	fastStart := time.Now()
-	if err := c.C.Ping(); err != nil {
+	if err := c.Ping(); err != nil {
 		t.Fatalf("Ping behind a long-poll: %v", err)
 	}
-	if _, err := c.C.Submit(context.Background(), "fast", 7, "other-type"); err != nil {
+	if _, err := c.Submit(context.Background(), "fast", 7, "other-type"); err != nil {
 		t.Fatalf("Submit behind a long-poll: %v", err)
 	}
 	if d := time.Since(fastStart); d > time.Second {
 		t.Fatalf("pipelined calls took %v — head-of-line blocked behind the poll", d)
 	}
 	// Now satisfy the poll.
-	if _, err := c.C.Submit(context.Background(), "exp", 42, "wanted"); err != nil {
+	if _, err := c.Submit(context.Background(), "exp", 42, "wanted"); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-pollDone; err != nil {
@@ -395,7 +398,7 @@ func TestPipelinedConcurrentCallers(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := c.C.Submit(context.Background(), "conc", 1, fmt.Sprintf("%d-%d", g, i)); err != nil {
+				if _, err := c.Submit(context.Background(), "conc", 1, fmt.Sprintf("%d-%d", g, i)); err != nil {
 					errs <- err
 					return
 				}
@@ -416,89 +419,133 @@ func TestPipelinedConcurrentCallers(t *testing.T) {
 	}
 }
 
-// TestJSONV1Interop drives a v2 server with pinned JSON-v1 bytes over raw
-// TCP — the exact bytes a pre-v2 client emits — through a full
-// submit→pop→report→pop_results cycle, then runs the same cycle with a v2
-// client against the same server process (the mixed-version acceptance
-// criterion).
-func TestJSONV1Interop(t *testing.T) {
+// TestNonBinaryPreambleRejected: the server speaks one protocol. A connection
+// that opens with anything but the wire magic — here the JSON line a pre-binary
+// client would send — gets no response at all: it is closed, counted as
+// malformed and logged with the peer address, while a binary client on the
+// same server carries on.
+func TestNonBinaryPreambleRejected(t *testing.T) {
 	db, err := core.NewDB()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	srv, err := Serve(db, "127.0.0.1:0")
+	var logs lockedBuf
+	srv, err := Serve(db, "127.0.0.1:0", WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(waitMax))
-	br := bufio.NewReader(conn)
-	call := func(line string) response {
-		t.Helper()
-		if _, err := conn.Write([]byte(line + "\n")); err != nil {
-			t.Fatalf("write %q: %v", line, err)
-		}
-		reply, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("read reply to %q: %v", line, err)
-		}
-		var resp response
-		if err := json.Unmarshal([]byte(reply), &resp); err != nil {
-			t.Fatalf("parse reply %q: %v", strings.TrimSpace(reply), err)
-		}
-		if !resp.OK {
-			t.Fatalf("%q failed: %s", line, resp.Error)
-		}
-		return resp
+	malformed := func() float64 {
+		return obs.Flatten(srv.Metrics().Gather())["osprey_service_malformed_total"]
 	}
 
-	// Pinned v1 request bytes: field names and framing must never drift.
-	sub := call(`{"op":"submit","exp_id":"v1","work_type":9,"payload":"payload-v1"}`)
-	if sub.TaskID == 0 {
-		t.Fatal("submit returned no task id")
-	}
-	popped := call(`{"op":"query_tasks","work_type":9,"n":1,"pool":"v1pool","wait_ms":2000}`)
-	if len(popped.Tasks) != 1 || popped.Tasks[0].ID != sub.TaskID || popped.Tasks[0].Payload != "payload-v1" {
-		t.Fatalf("query_tasks = %+v", popped)
-	}
-	call(fmt.Sprintf(`{"op":"report","task_id":%d,"work_type":9,"result":"done-v1"}`, sub.TaskID))
-	res := call(fmt.Sprintf(`{"op":"pop_results","task_ids":[%d],"n":1,"wait_ms":2000}`, sub.TaskID))
-	if len(res.Results) != 1 || res.Results[0].Result != "done-v1" {
-		t.Fatalf("pop_results = %+v", res)
-	}
-
-	// Same cycle, same server, v2 client.
+	// The binary client is connected, with a long-poll parked, before the
+	// stray connection arrives and is still served after it is dropped.
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ctx := context.Background()
-	s2, err := c.Submit(ctx, "v2", 10, "payload-v2")
+	popped := make(chan error, 1)
+	go func() {
+		pctx, cancel := context.WithTimeout(ctx, waitMax)
+		defer cancel()
+		res, err := c.QueryTasks(pctx, 3, 1, "binary")
+		if err == nil && len(res.Tasks) != 1 {
+			err = fmt.Errorf("popped %d tasks, want 1", len(res.Tasks))
+		}
+		popped <- err
+	}()
+	if err := c.Ping(); err != nil {
+		t.Fatalf("Ping before: %v", err)
+	}
+	before := malformed()
+
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tctx, cancel := context.WithTimeout(ctx, waitMax)
-	defer cancel()
-	tasks, err := c.QueryTasks(tctx, 10, 1, "v2pool")
-	if err != nil || len(tasks.Tasks) != 1 || tasks.Tasks[0].ID != s2.ID {
-		t.Fatalf("v2 QueryTasks = %+v, %v", tasks, err)
-	}
-	if _, err := c.Report(ctx, s2.ID, 10, "done-v2"); err != nil {
+	defer conn.Close()
+	if _, err := conn.Write([]byte("{\"op\":\"ping\"}\n")); err != nil {
 		t.Fatal(err)
 	}
-	rctx, cancel2 := context.WithTimeout(ctx, waitMax)
-	defer cancel2()
-	got, err := c.PopResults(rctx, []int64{s2.ID}, 1)
-	if err != nil || len(got.Results) != 1 || got.Results[0].Result != "done-v2" {
-		t.Fatalf("v2 PopResults = %+v, %v", got, err)
+	conn.SetReadDeadline(time.Now().Add(waitMax))
+	if reply, err := io.ReadAll(conn); err != nil || len(reply) != 0 {
+		t.Fatalf("JSON preamble got reply %q, err %v; want the connection closed with no bytes", reply, err)
+	}
+	if got := malformed(); got != before+1 {
+		t.Fatalf("osprey_service_malformed_total = %v, want %v", got, before+1)
+	}
+	if out := logs.String(); !strings.Contains(out, "level=WARN") ||
+		!strings.Contains(out, "peer="+conn.LocalAddr().String()) {
+		t.Fatalf("rejection not logged at Warn with the peer address:\n%s", out)
+	}
+
+	if _, err := c.Submit(ctx, "after", 3, "still-served"); err != nil {
+		t.Fatalf("binary Submit after the rejection: %v", err)
+	}
+	if err := <-popped; err != nil {
+		t.Fatalf("binary long-poll parked across the rejection: %v", err)
+	}
+}
+
+// v4RequestFrame is one request frame — frameLen | request ID 99 | message —
+// exactly as the last build that still carried request.TimeMS encoded it at
+// wire version 4, with every field set (TimeMS was 777). The bytes are
+// copied from that build's output, not produced by today's encoder.
+const v4RequestFrame = "68630b71756572795f7461736b73103031323334353637383961626364656601ac02b817" +
+	"067374726f6e67026b310201610162036578700e077b2278223a317d050102743154030204d8040a06706f6f6c2d61" +
+	"920c037265730212110202703102703204747970650b"
+
+// TestWireV4FramePinned keeps the reserved slot executable: a v4 frame from
+// before request.TimeMS was deleted still decodes field for field (the slot's
+// value is read and dropped), and today's encoder differs from it in that
+// slot only — it writes zero there, in the same position.
+func TestWireV4FramePinned(t *testing.T) {
+	if wireVersion != 4 {
+		t.Fatalf("wireVersion = %d; this pin is the v4 layout — add a pin for the new version, keep this one", wireVersion)
+	}
+	pinned, err := hex.DecodeString(v4RequestFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := request{
+		Op: "query_tasks", Trace: "0123456789abcdef", Fwd: true, Token: 300, WaitMS: 1500,
+		Level: "strong", DedupKey: "k1", DedupKeys: []string{"a", "b"}, ExpID: "exp",
+		WorkType: 7, Payload: `{"x":1}`, Priority: -3, Tags: []string{"t1"},
+		TaskID: 42, TaskIDs: []int64{1, 2, 300}, N: 5, Pool: "pool-a",
+		Result: "res", Priorities: []int{9, -9}, Payloads: []string{"p1", "p2"},
+		Watch: "type", SubID: 11,
+	}
+	var f frameIO
+	id, got, err := f.readRequest(bufio.NewReader(bytes.NewReader(pinned)))
+	if err != nil {
+		t.Fatalf("decoding the pinned v4 frame: %v", err)
+	}
+	if id != 99 {
+		t.Fatalf("request ID = %d, want 99", id)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pinned v4 frame decoded to\n%+v\nwant\n%+v", got, want)
+	}
+
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := f.writeRequest(bw, 99, &want); err != nil {
+		t.Fatal(err)
+	}
+	bw.Flush()
+	// 777 is the two-byte varint 0x92 0x0c; zero is the single byte 0x00.
+	old, now := []byte("\x06pool-a\x92\x0c\x03res"), []byte("\x06pool-a\x00\x03res")
+	if bytes.Count(pinned, old) != 1 {
+		t.Fatal("test bug: the reserved slot is not where the pin expects it")
+	}
+	expect := bytes.Replace(pinned, old, now, 1)
+	expect[0]-- // frameLen: the slot shrank by one byte
+	if !bytes.Equal(buf.Bytes(), expect) {
+		t.Fatalf("today's encoding differs from the v4 layout beyond the reserved slot:\n got %x\nwant %x", buf.Bytes(), expect)
 	}
 }
 

@@ -90,9 +90,9 @@ type Stream interface {
 	Close() error
 }
 
-// Session is the optional capability interface for watch-enabled backends.
-// It is deliberately not part of core.Session: pool and future type-assert
-// it and fall back to polling when the backend doesn't provide it.
+// Session is the watch half of core.Session on its own: what a consumer that
+// only subscribes needs, and what a decorator forwards to. Every
+// core.Session implements it.
 type Session interface {
 	Watch(ctx context.Context, q Query, buf int) (Stream, error)
 }

@@ -164,18 +164,14 @@ func Run(ctx context.Context, spec *Spec) (*Result, error) {
 		RetrainEvery: spec.ME.RetrainEvery, Seed: spec.Seed,
 		Delay: delay, PollTimeout: 5 * time.Second,
 	}
-	// The ME algorithms consume the deprecated v1 core.API — they are the
-	// stand-in for third-party algorithm code — so the Session-backed DB is
-	// handed to them through the compat adapter.
-	api := core.Compat(db)
 	var report *opt.Report
 	switch spec.ME.Algorithm {
 	case "async-gpr":
-		report, err = opt.RunAsync(ctx, api, cfg, rec)
+		report, err = opt.RunAsync(ctx, db, cfg, rec)
 	case "batch-sync-gpr":
-		report, err = opt.RunBatchSync(ctx, api, cfg, rec)
+		report, err = opt.RunBatchSync(ctx, db, cfg, rec)
 	case "random":
-		report, err = opt.RunRandom(ctx, api, cfg, rec)
+		report, err = opt.RunRandom(ctx, db, cfg, rec)
 	}
 	if err != nil {
 		return nil, err

@@ -56,15 +56,13 @@ import (
 type (
 	// DB is the in-process EMEWS task database.
 	DB = core.DB
-	// Session is the unified context-aware task interface (v2) shared by DB,
-	// the remote service client, and the failover-aware cluster client: every
-	// operation takes a context, every mutating operation — queue pops
-	// included — returns its commit token, and reads take per-call
-	// consistency levels (Strong / session default / Eventual).
+	// Session is the context-aware task interface shared by DB, the remote
+	// service client, and the failover-aware cluster client: every operation
+	// takes a context, every mutating operation — queue pops included —
+	// returns its commit token, reads take per-call consistency levels
+	// (Strong / session default / Eventual), and Watch opens a push stream of
+	// task-state transitions.
 	Session = core.Session
-	// API is the deprecated v1 task interface; wrap any Session with Compat
-	// to obtain one.
-	API = core.API
 	// Task is one task row.
 	Task = core.Task
 	// TaskResult pairs a task id with its result payload.
@@ -146,13 +144,9 @@ var Strong = core.Strong
 // Eventual lets any replica answer a Session read with no freshness bound.
 var Eventual = core.Eventual
 
-// Watch API: server-push task-state streams, the push replacement for the
-// poll loops. DB, the service client, and the failover cluster client all
-// implement Watcher; pool and future type-assert it and fall back to polling
-// against backends that don't.
+// Watch API: Session.Watch's server-push task-state streams, what pool and
+// future block on instead of polling.
 type (
-	// Watcher is the optional push interface next to Session.
-	Watcher = watch.Session
 	// WatchQuery selects the transitions a subscription receives (all
 	// tasks, one task, or one work type) and the resume position (Since:
 	// only events with a newer commit token are delivered).
@@ -169,14 +163,6 @@ type (
 // ErrWatchOverflow terminates subscribers that fall behind the hub rather
 // than letting them stall commits; resubscribe with the last seen token.
 var ErrWatchOverflow = watch.ErrOverflow
-
-// Compat adapts a Session to the deprecated v1 API, so ME algorithms written
-// against core.API compile unchanged for one release.
-var Compat = core.Compat
-
-// Lift adapts a legacy token-less API backend to the Session interface
-// (tokens 0, dedup keys rejected) so it can still be served.
-var Lift = core.Lift
 
 // Futures API.
 type (
@@ -207,14 +193,14 @@ type (
 	TaskFunc = pool.TaskFunc
 )
 
-// NewPool creates a worker pool over any API implementation.
+// NewPool creates a worker pool over any Session implementation.
 var NewPool = pool.New
 
 // Remote service.
 type (
 	// Server exposes a DB over TCP (the EMEWS service, §IV-C).
 	Server = service.Server
-	// Client is a remote API implementation.
+	// Client is a remote Session implementation.
 	Client = service.Client
 )
 
@@ -237,7 +223,7 @@ type (
 	// many followers applied it, so acknowledged writes survive immediate
 	// leader death).
 	ReplicaConfig = replica.Config
-	// ClusterClient is a failover-aware API implementation that re-resolves
+	// ClusterClient is a failover-aware Session implementation that re-resolves
 	// the cluster leader on connection loss.
 	ClusterClient = service.ClusterClient
 )
@@ -256,7 +242,7 @@ var NewReplica = replica.New
 var ServeNode = service.ServeNode
 
 // DialCluster connects to a replicated EMEWS service given any subset of
-// its nodes' service addresses. The returned client implements API and
+// its nodes' service addresses. The returned client implements Session and
 // survives leader failover: it re-resolves the leader and retries, recovers
 // completed task results from the replicas, load-balances read-only calls
 // across follower replicas under a session commit token (read-your-writes),
