@@ -415,7 +415,7 @@ func BenchmarkPopTokenOverhead(b *testing.B) {
 			defer db.Close()
 			if mode == "logged" {
 				wal := minisql.NewWAL(0)
-				db.Engine().SetCommitHook(wal.Append)
+				db.Engine().SetCommitHook(func(stmts []minisql.Stmt) uint64 { return wal.Append(stmts).Index })
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -744,6 +744,36 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEntryCodec is BenchmarkWireCodec's twin for the commit log: one
+// real submit entry — what core hands its commit hook for a tagged submit —
+// encoded into a reused buffer and decoded back through minisql's record
+// codec, the one encoding the memory WAL, the disk log and the replication
+// stream share.
+func BenchmarkEntryCodec(b *testing.B) {
+	db, err := core.NewDB()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	var entry minisql.LogEntry
+	db.Engine().SetCommitHook(func(stmts []minisql.Stmt) uint64 {
+		entry = minisql.LogEntry{Index: 1, Stmts: stmts}
+		return 1
+	})
+	if _, err := db.Submit(bgctx, "bench", 1, `{"x": [0.25, 0.5, 0.75]}`, core.WithTags("sweep")); err != nil {
+		b.Fatal(err)
+	}
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = minisql.EncodeRecord(buf[:0], entry)
+		if _, _, err := minisql.DecodeRecord(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkReplicatedSubmit measures the submit path through a 3-node

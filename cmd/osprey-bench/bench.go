@@ -23,7 +23,8 @@ import (
 // host's storage stack, and gating it against a baseline from a different
 // machine would be pure hardware noise. The wire-protocol pair guards the
 // binary codec (BenchmarkWireCodec, encode+decode of a submit-shaped round
-// trip) and the multiplexed client's
+// trip), its commit-log twin (BenchmarkEntryCodec, minisql's record codec on
+// a real submit entry) and the multiplexed client's
 // pipelining win (BenchmarkPipelinedSubmitParallel8, eight submitters
 // sharing one connection). The watch trio guards the push subsystem:
 // BenchmarkWatchDispatch is the hub's fan-out cost per committed transition
@@ -39,7 +40,7 @@ const keyBenchmarks = "^(BenchmarkSubmitTask|BenchmarkInstrumentedSubmit|" +
 	"BenchmarkSubmitQueryReportCycle|BenchmarkDurableSubmit|" +
 	"BenchmarkPopResultsBatch50|BenchmarkQuorumSubmit|BenchmarkFollowerRead|" +
 	"BenchmarkMinisqlIndexedSelect|BenchmarkPopTokenOverhead|" +
-	"BenchmarkWireCodec|BenchmarkPipelinedSubmitParallel8|" +
+	"BenchmarkWireCodec|BenchmarkEntryCodec|BenchmarkPipelinedSubmitParallel8|" +
 	"BenchmarkWatchDispatch|BenchmarkWatchWake|BenchmarkPollWake|" +
 	"BenchmarkUpdatePrioritiesDepth20k|BenchmarkDedupSubmitBatchAt10kRows)$"
 

@@ -16,15 +16,18 @@ import (
 	"time"
 )
 
-// Disk log record framing: every LogEntry is one length-prefixed record
+// The entry codec: a committed entry has one encoded form, the record
 //
 //	uint32 payload length | uint32 CRC-32 (IEEE) of payload | payload
 //
 // with the payload a compact binary encoding of the entry (varint index,
 // statement count, then per statement the SQL text and typed argument
-// values). The CRC is what turns a torn write — the tail of the file the
-// process was killed while appending — into a detectable, truncatable
-// condition instead of silent corruption.
+// values). It is produced once, at commit (WAL.Append on a replicated node,
+// DiskLog.Append where the store assigns the index); the memory WAL, the
+// disk log and the replication stream all carry those bytes, and no other
+// package knows the layout. The CRC is what turns a torn write — the tail of
+// the file the process was killed while appending — or a frame damaged in
+// transit into a detectable condition instead of silent corruption.
 
 const (
 	recordHeaderSize = 8
@@ -37,7 +40,17 @@ const (
 // or malformed encoding. During recovery it means "valid log ends here".
 var errCorrupt = errors.New("minisql: corrupt log record")
 
-func encodeEntry(buf []byte, e LogEntry) []byte {
+// Record is one committed entry in its encoded form, with the index the
+// bytes encode so holders can order, ship and append it without decoding.
+type Record struct {
+	Index uint64
+	Data  []byte
+}
+
+// EncodeRecord appends e's record to buf and returns the extended buffer.
+func EncodeRecord(buf []byte, e LogEntry) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, recordHeaderSize)...)
 	buf = binary.AppendUvarint(buf, e.Index)
 	buf = binary.AppendUvarint(buf, uint64(len(e.Stmts)))
 	for _, s := range e.Stmts {
@@ -57,7 +70,23 @@ func encodeEntry(buf []byte, e LogEntry) []byte {
 			}
 		}
 	}
+	payload := buf[start+recordHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf
+}
+
+// DecodeRecord decodes the record at the front of b, whether read back from
+// a segment or received from a leader. It returns the entry and the record's
+// framed size (more records may follow in b), or errCorrupt when the length,
+// the CRC or the payload's structure does not check out.
+func DecodeRecord(b []byte) (e LogEntry, size int, err error) {
+	payload, size, err := readRecord(b)
+	if err != nil {
+		return LogEntry{}, 0, err
+	}
+	e, err = decodeEntry(payload)
+	return e, size, err
 }
 
 type entryReader struct{ b []byte }
@@ -160,13 +189,6 @@ func decodeEntry(payload []byte) (LogEntry, error) {
 	return e, nil
 }
 
-// appendRecord frames payload as one record onto buf.
-func appendRecord(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
 // readRecord decodes the record starting at b. It returns the payload and
 // the total framed size, or errCorrupt when the prefix does not hold one
 // intact record.
@@ -184,6 +206,24 @@ func readRecord(b []byte) (payload []byte, size int, err error) {
 		return nil, 0, errCorrupt
 	}
 	return payload, recordHeaderSize + int(n), nil
+}
+
+// walkRecords hands fn each record in data (framed bytes, and the payload
+// inside them) in order and returns how many bytes it consumed, stopping
+// with an error at the first record that fails its frame check or fn.
+func walkRecords(data []byte, fn func(rec, payload []byte) error) (int, error) {
+	off := 0
+	for off < len(data) {
+		payload, size, err := readRecord(data[off:])
+		if err == nil {
+			err = fn(data[off:off+size], payload)
+		}
+		if err != nil {
+			return off, err
+		}
+		off += size
+	}
+	return off, nil
 }
 
 // segment is one on-disk log file. The filename encodes the index of its
@@ -239,12 +279,12 @@ type DiskLog struct {
 	f        File      // active segment file
 	w        *bufio.Writer
 	dirty    []File // rolled-over files with writes not yet fsynced
-	base     uint64     // index before the first retained entry
-	last     uint64     // index of the newest appended entry
-	anchored bool       // last is a contiguity anchor (false: fresh log, any start index)
-	synced   uint64     // durable high-water mark
-	waiters  int        // callers blocked in WaitDurable
-	err      error      // sticky I/O error; fails all later operations
+	base     uint64 // index before the first retained entry
+	last     uint64 // index of the newest appended entry
+	anchored bool   // last is a contiguity anchor (false: fresh log, any start index)
+	synced   uint64 // durable high-water mark
+	waiters  int    // callers blocked in WaitDurable
+	err      error  // sticky I/O error; fails all later operations
 	closed   bool
 	encBuf   []byte
 	syncing  bool // an fsync batch is in flight outside the lock
@@ -324,23 +364,17 @@ func (d *DiskLog) scan() error {
 		if err != nil {
 			return err
 		}
-		off := 0
-		for off < len(data) {
-			payload, size, rerr := readRecord(data[off:])
-			if rerr != nil {
-				valid = false
-				break
-			}
-			e, derr := decodeEntry(payload)
-			if derr != nil || e.Index != s.last+1 {
-				valid = false
-				break
+		off, werr := walkRecords(data, func(_, payload []byte) error {
+			e, err := decodeEntry(payload)
+			if err != nil || e.Index != s.last+1 {
+				return errCorrupt
 			}
 			s.last = e.Index
-			off += size
-		}
-		if off < len(data) {
+			return nil
+		})
+		if werr != nil {
 			// Torn or corrupt tail: keep the intact prefix, drop the rest.
+			valid = false
 			if err := d.fs.Truncate(s.path, int64(off)); err != nil {
 				return err
 			}
@@ -375,41 +409,58 @@ func (d *DiskLog) scan() error {
 	return nil
 }
 
-// Append writes entries to the log in order. Entry indexes must be
-// contiguous with the log's newest entry; an empty log accepts any starting
-// index (it continues from a checkpoint). The write reaches the OS before
-// Append returns; call WaitDurable for the fsync guarantee.
+// Append encodes entries and appends their records: the path of a log that
+// is its own index authority (Store.AppendAssign).
 func (d *DiskLog) Append(entries ...LogEntry) error {
-	if len(entries) == 0 {
-		return nil
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for _, e := range entries {
+		d.encBuf = EncodeRecord(d.encBuf[:0], e)
+		if err := d.appendLocked(Record{Index: e.Index, Data: d.encBuf}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AppendRecords writes records to the log verbatim, in order. Their indexes
+// must be contiguous with the log's newest entry; an empty log accepts any
+// starting index (it continues from a checkpoint). The write reaches the OS
+// before it returns; call WaitDurable for the fsync guarantee.
+func (d *DiskLog) AppendRecords(recs ...Record) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.appendLocked(recs...)
+}
+
+func (d *DiskLog) appendLocked(recs ...Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	if d.err != nil {
 		return d.err
 	}
 	if d.closed {
 		return errors.New("minisql: disk log closed")
 	}
-	for _, e := range entries {
-		if d.anchored && e.Index != d.last+1 {
-			return fmt.Errorf("minisql: disk log gap: have %d, appending %d", d.last, e.Index)
+	for _, r := range recs {
+		if d.anchored && r.Index != d.last+1 {
+			return fmt.Errorf("minisql: disk log gap: have %d, appending %d", d.last, r.Index)
 		}
 		if d.f == nil || d.segs[len(d.segs)-1].bytes >= d.segBytes {
-			if err := d.rollLocked(e.Index); err != nil {
+			if err := d.rollLocked(r.Index); err != nil {
 				d.err = err
 				return err
 			}
 		}
 		s := &d.segs[len(d.segs)-1]
-		d.encBuf = appendRecord(d.encBuf[:0], encodeEntry(nil, e))
-		if _, err := d.w.Write(d.encBuf); err != nil {
+		if _, err := d.w.Write(r.Data); err != nil {
 			d.err = err
 			return err
 		}
-		s.bytes += int64(len(d.encBuf))
-		s.last = e.Index
-		d.last = e.Index
+		s.bytes += int64(len(r.Data))
+		s.last = r.Index
+		d.last = r.Index
 		d.anchored = true
 	}
 	if !d.fsync {
@@ -587,10 +638,10 @@ func (d *DiskLog) WaitDurable(idx uint64, timeout time.Duration) error {
 	}
 }
 
-// Entries returns a copy of all entries with index > after, reading them
-// back from the segment files. ok is false when after precedes the
-// truncated base — the caller needs a checkpoint instead.
-func (d *DiskLog) Entries(after uint64) (out []LogEntry, ok bool, err error) {
+// Records returns the records with index > after, read back from the
+// segment files. ok is false when after precedes the truncated base — the
+// caller needs a checkpoint instead.
+func (d *DiskLog) Records(after uint64) (out []Record, ok bool, err error) {
 	d.mu.Lock()
 	if d.err != nil {
 		err = d.err
@@ -630,20 +681,33 @@ func (d *DiskLog) Entries(after uint64) (out []LogEntry, ok bool, err error) {
 		if int64(len(data)) > s.bytes {
 			data = data[:s.bytes]
 		}
-		off := 0
-		for off < len(data) {
-			payload, size, rerr := readRecord(data[off:])
-			if rerr != nil {
-				return nil, false, fmt.Errorf("%w: segment %s offset %d", errCorrupt, s.path, off)
+		off, werr := walkRecords(data, func(rec, payload []byte) error {
+			idx, n := binary.Uvarint(payload)
+			if n <= 0 {
+				return errCorrupt
 			}
-			e, derr := decodeEntry(payload)
-			if derr != nil {
-				return nil, false, derr
+			if idx > after {
+				out = append(out, Record{Index: idx, Data: rec})
 			}
-			if e.Index > after {
-				out = append(out, e)
-			}
-			off += size
+			return nil
+		})
+		if werr != nil {
+			return nil, false, fmt.Errorf("%w: segment %s offset %d", werr, s.path, off)
+		}
+	}
+	return out, true, nil
+}
+
+// Entries is Records decoded: a copy of all entries with index > after.
+func (d *DiskLog) Entries(after uint64) ([]LogEntry, bool, error) {
+	recs, ok, err := d.Records(after)
+	if err != nil || !ok {
+		return nil, ok, err
+	}
+	out := make([]LogEntry, len(recs))
+	for i, r := range recs {
+		if out[i], _, err = DecodeRecord(r.Data); err != nil {
+			return nil, false, err
 		}
 	}
 	return out, true, nil

@@ -1,6 +1,12 @@
 package minisql
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,21 +35,184 @@ func testEntry(idx uint64) LogEntry {
 	}
 }
 
+func testRecord(idx uint64) Record {
+	return Record{Index: idx, Data: EncodeRecord(nil, testEntry(idx))}
+}
+
 func TestEntryCodecRoundTrip(t *testing.T) {
 	for _, e := range []LogEntry{
 		testEntry(1),
 		{Index: 7, Stmts: []Stmt{{SQL: "DELETE FROM t"}}},
 		{Index: 1 << 40, Stmts: nil},
 	} {
-		buf := encodeEntry(nil, e)
-		got, err := decodeEntry(buf)
-		if err != nil {
-			t.Fatalf("decode entry %d: %v", e.Index, err)
+		buf := EncodeRecord([]byte("prefix"), e)[len("prefix"):]
+		got, size, err := DecodeRecord(append(buf, "next record"...))
+		if err != nil || size != len(buf) {
+			t.Fatalf("decode entry %d: %d of %d bytes, err %v", e.Index, size, len(buf), err)
 		}
 		if !reflect.DeepEqual(normEntry(got), normEntry(e)) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, e)
 		}
 	}
+}
+
+// framePayload wraps a hand-built payload in a valid record header, so a
+// test reaches decodeEntry's own checks instead of stopping at the CRC.
+func framePayload(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// TestDecodeRejectsHostileStmtCount and TestDecodeRejectsHostileArgCount pin
+// the two count guards in decodeEntry: a count larger than the bytes left to
+// back it is corruption, rejected before it sizes a make. Without the guards
+// these inputs ask for terabyte slices.
+func TestDecodeRejectsHostileStmtCount(t *testing.T) {
+	payload := binary.AppendUvarint(nil, 9)        // index
+	payload = binary.AppendUvarint(payload, 1<<40) // statement count
+	payload = append(payload, 0, 0)                // two bytes cannot hold 2^40 statements
+	if _, _, err := DecodeRecord(framePayload(payload)); !errors.Is(err, errCorrupt) {
+		t.Fatalf("statement count 2^40 over 2 bytes: err = %v, want errCorrupt", err)
+	}
+	// The guard is a bound, not a ban: the densest legal input (statements
+	// with empty SQL and no arguments, two bytes each) still decodes.
+	payload = binary.AppendUvarint(binary.AppendUvarint(nil, 9), 2)
+	payload = append(payload, 0, 0, 0, 0)
+	if e, _, err := DecodeRecord(framePayload(payload)); err != nil || len(e.Stmts) != 2 {
+		t.Fatalf("two empty statements: %+v, %v", e, err)
+	}
+}
+
+func TestDecodeRejectsHostileArgCount(t *testing.T) {
+	payload := binary.AppendUvarint(nil, 9) // index
+	payload = binary.AppendUvarint(payload, 1)
+	payload = binary.AppendUvarint(payload, 1) // SQL length
+	payload = append(payload, 'X')
+	payload = binary.AppendUvarint(payload, 1<<40) // argument count
+	payload = append(payload, byte(KindNull))      // one byte cannot hold 2^40 arguments
+	if _, _, err := DecodeRecord(framePayload(payload)); !errors.Is(err, errCorrupt) {
+		t.Fatalf("argument count 2^40 over 1 byte: err = %v, want errCorrupt", err)
+	}
+}
+
+// parentSegment is seg-00000000000000000041.wal as DiskLog.Append wrote it at
+// the commit before records became the one entry encoding (entries 41-43 of
+// pinnedEntries, no fsync, closed cleanly). The on-disk format is a promise
+// to existing data directories; this is the promise in bytes.
+const parentSegment = "" +
+	"67000000f7cb5cef29014c494e5345525420494e544f2065715f7461736b7320" +
+	"2865715f7461736b5f747970652c206a736f6e5f6f75742c2074696d655f6372" +
+	"6561746564292056414c55455320283f2c203f2c203f2903010e030a7b227822" +
+	"3a20312e357d02000010a02d46d941db000000b4caa0372a033e494e53455254" +
+	"20494e544f2065715f6578705f69645f7461736b7320286578705f69642c2065" +
+	"715f7461736b5f6964292056414c55455320283f2c203f290203056578702d31" +
+	"011838494e5345525420494e544f2065715f7461736b5f74616773202865715f" +
+	"7461736b5f69642c20746167292056414c55455320283f2c203f290201180306" +
+	"7461672dceb1455550444154452065715f7461736b7320534554206a736f6e5f" +
+	"696e203d203f2c20776f726b65725f706f6f6c203d203f205748455245206571" +
+	"5f7461736b5f6964203d203f0300030001051800000058c141492b011444454c" +
+	"4554452046524f4d2065715f6f75745f7100"
+
+var pinnedEntries = []LogEntry{
+	{Index: 41, Stmts: []Stmt{{SQL: "INSERT INTO eq_tasks (eq_task_type, json_out, time_created) VALUES (?, ?, ?)",
+		Args: []Value{Int64(7), Text(`{"x": 1.5}`), Float64(1696118400.25)}}}},
+	{Index: 42, Stmts: []Stmt{
+		{SQL: "INSERT INTO eq_exp_id_tasks (exp_id, eq_task_id) VALUES (?, ?)", Args: []Value{Text("exp-1"), Int64(12)}},
+		{SQL: "INSERT INTO eq_task_tags (eq_task_id, tag) VALUES (?, ?)", Args: []Value{Int64(12), Text("tag-α")}},
+		{SQL: "UPDATE eq_tasks SET json_in = ?, worker_pool = ? WHERE eq_task_id = ?", Args: []Value{Null(), Text(""), Int64(-3)}},
+	}},
+	{Index: 43, Stmts: []Stmt{{SQL: "DELETE FROM eq_out_q"}}},
+}
+
+func TestDiskLogParentSegmentPinned(t *testing.T) {
+	seg, err := hex.DecodeString(parentSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(segmentPath(dir, 41), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDiskLog(dir, 0, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if st := d.Stats(); st.First != 41 || st.Last != 43 || st.DiskBytes != int64(len(seg)) {
+		t.Fatalf("scan of the parent's segment: %+v, want 41..43 with all %d bytes kept", st, len(seg))
+	}
+	got, ok, err := d.Entries(40)
+	if err != nil || !ok || len(got) != len(pinnedEntries) {
+		t.Fatalf("Entries(40): %d entries, ok=%v err=%v", len(got), ok, err)
+	}
+	var again []byte
+	for i, e := range got {
+		if !reflect.DeepEqual(normEntry(e), normEntry(pinnedEntries[i])) {
+			t.Fatalf("entry %d decoded as\n %+v\nwant\n %+v", e.Index, e, pinnedEntries[i])
+		}
+		again = EncodeRecord(again, e)
+	}
+	if !bytes.Equal(again, seg) {
+		t.Fatal("today's encoder no longer writes the parent's bytes for the same entries")
+	}
+	// The log continues where the parent left off.
+	if err := d.Append(testEntry(44)); err != nil {
+		t.Fatalf("append after the parent's tail: %v", err)
+	}
+}
+
+// FuzzDecodeRecord fuzzes the one decoder of bytes that come off a disk or a
+// replication socket. It must never panic, never size a slice past the bytes
+// it was given (so never past maxRecordSize), and whatever it accepts must
+// survive a round trip as a value — not as the input bytes: binary.Uvarint
+// accepts non-minimal varints the encoder never writes.
+func FuzzDecodeRecord(f *testing.F) {
+	nan := LogEntry{Index: 2, Stmts: []Stmt{{SQL: "X", Args: []Value{Float64(math.NaN())}}}}
+	seeds := append([]LogEntry{testEntry(1), {Index: 1 << 40}, nan}, pinnedEntries...)
+	for _, e := range seeds {
+		rec := EncodeRecord(nil, e)
+		f.Add(rec)
+		f.Add(rec[recordHeaderSize:])
+		f.Add(rec[:len(rec)/2])
+		f.Add(rec[:recordHeaderSize])
+		for _, bit := range []int{3, 40, 8*recordHeaderSize + 9, 8*len(rec) - 1} {
+			flipped := append([]byte(nil), rec...)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			f.Add(flipped)
+		}
+	}
+	f.Add([]byte{})
+	f.Add(framePayload([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0xFF, 0xFF, 0x03}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// As a record, and as a payload behind a valid header: a mutated
+		// record almost never passes its CRC, so the second form is what
+		// lets the fuzzer reach the structure checks.
+		for _, rec := range [][]byte{data, framePayload(data)} {
+			e, size, err := DecodeRecord(rec)
+			if cap(e.Stmts) > len(rec) {
+				t.Fatalf("%d bytes sized a %d-statement slice", len(rec), cap(e.Stmts))
+			}
+			for _, s := range e.Stmts {
+				if cap(s.Args) > len(rec) {
+					t.Fatalf("%d bytes sized a %d-argument slice", len(rec), cap(s.Args))
+				}
+			}
+			if err != nil {
+				continue
+			}
+			if size < recordHeaderSize || size > len(rec) {
+				t.Fatalf("accepted record claims %d of %d bytes", size, len(rec))
+			}
+			// Values compared through their canonical bytes: DeepEqual
+			// would call a NaN argument unequal to itself.
+			canon := EncodeRecord(nil, e)
+			e2, _, err := DecodeRecord(canon)
+			if err != nil || !bytes.Equal(EncodeRecord(nil, e2), canon) {
+				t.Fatalf("accepted entry does not round-trip: %v\n first %+v\nsecond %+v", err, e, e2)
+			}
+		}
+	})
 }
 
 // normEntry maps nil and empty slices to a comparable form: the codec does

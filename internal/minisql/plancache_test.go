@@ -87,7 +87,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 func TestPlanCacheReplayByteIdentical(t *testing.T) {
 	leader := NewEngine()
 	wal := NewWAL(0)
-	leader.SetCommitHook(wal.Append)
+	leader.SetCommitHook(func(stmts []Stmt) uint64 { return wal.Append(stmts).Index })
 
 	rng := rand.New(rand.NewSource(7))
 	mustExec(t, leader, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, wt INTEGER, prio INTEGER, s TEXT)")
@@ -108,7 +108,7 @@ func TestPlanCacheReplayByteIdentical(t *testing.T) {
 	}
 
 	follower := NewEngine()
-	entries, ok := wal.EntriesSince(0)
+	entries, ok := entriesSince(t, wal, 0)
 	if !ok {
 		t.Fatal("WAL compacted unexpectedly")
 	}

@@ -77,9 +77,9 @@ func TestRestoredEngineReplaysWAL(t *testing.T) {
 	if err := replica.Restore(&snap); err != nil {
 		t.Fatal(err)
 	}
-	entries, ok := w.EntriesSince(snapIndex)
+	entries, ok := entriesSince(t, w, snapIndex)
 	if !ok || len(entries) != 2 {
-		t.Fatalf("EntriesSince(%d): ok=%v len=%d, want 2", snapIndex, ok, len(entries))
+		t.Fatalf("RecordsSince(%d): ok=%v len=%d, want 2", snapIndex, ok, len(entries))
 	}
 	for _, ent := range entries {
 		if err := replica.ApplyEntry(ent); err != nil {

@@ -191,7 +191,7 @@ func TestSpreadINIndexedLookup(t *testing.T) {
 func TestSpreadINReplay(t *testing.T) {
 	leader, follower := NewEngine(), NewEngine()
 	wal := NewWAL(0)
-	leader.SetCommitHook(wal.Append)
+	leader.SetCommitHook(func(stmts []Stmt) uint64 { return wal.Append(stmts).Index })
 	setup := []string{
 		"CREATE TABLE q (id INTEGER PRIMARY KEY, wt INTEGER)",
 		"INSERT INTO q (id, wt) VALUES (1, 0), (2, 0), (3, 0), (4, 0)",
@@ -204,7 +204,7 @@ func TestSpreadINReplay(t *testing.T) {
 	if _, err := leader.Exec("DELETE FROM q WHERE id IN (?, ?)", 2, 4); err != nil {
 		t.Fatal(err)
 	}
-	entries, _ := wal.EntriesSince(0)
+	entries, _ := entriesSince(t, wal, 0)
 	if _, err := follower.Exec("SELECT 1 FROM q WHERE id IN (?...)", 1); err == nil {
 		t.Fatal("expected table-missing error before replay")
 	}

@@ -19,7 +19,7 @@ import (
 // statement log (DiskLog) plus periodic engine checkpoints, in one data
 // directory:
 //
-//	<dir>/wal/seg-<firstIndex>.wal   log segments (CRC-framed entries)
+//	<dir>/wal/seg-<firstIndex>.wal   log segments (records, see disklog.go)
 //	<dir>/checkpoint-<index>.snap    engine snapshots (atomic tmp+rename)
 //	<dir>/meta.json                  node metadata (leadership term, membership view)
 //
@@ -36,7 +36,7 @@ type Store struct {
 	log *DiskLog
 
 	// ckptMu serializes Checkpoint and InstallSnapshot: the automatic
-	// checkpoint loop (driven by Append) and a snapshot install (follower
+	// checkpoint loop (driven by appends) and a snapshot install (follower
 	// bootstrap) can otherwise race their write-tmp-rename publishes and
 	// prune each other's freshly renamed files.
 	ckptMu sync.Mutex
@@ -48,15 +48,15 @@ type Store struct {
 
 	mu          sync.Mutex
 	term        uint64
-	appliedTerm uint64 // leadership term that produced the newest applied entry
-	view        []byte // opaque membership view owned by the replication layer
-	checkIndex uint64    // index of the newest on-disk checkpoint
-	prevIndex  uint64    // index of the retained previous checkpoint
-	checkAt    time.Time // when the newest checkpoint was written (or recovery time)
-	sinceCheck uint64    // entries appended since the newest checkpoint
-	source     func(w io.Writer) (uint64, error)
-	written    uint64 // checkpoints written (metrics)
-	cpErr      error  // last checkpoint failure (surfaced in stats/status)
+	appliedTerm uint64    // leadership term that produced the newest applied entry
+	view        []byte    // opaque membership view owned by the replication layer
+	checkIndex  uint64    // index of the newest on-disk checkpoint
+	prevIndex   uint64    // index of the retained previous checkpoint
+	checkAt     time.Time // when the newest checkpoint was written (or recovery time)
+	sinceCheck  uint64    // entries appended since the newest checkpoint
+	source      func(w io.Writer) (uint64, error)
+	written     uint64 // checkpoints written (metrics)
+	cpErr       error  // last checkpoint failure (surfaced in stats/status)
 
 	ckptReq chan struct{}
 	closeCh chan struct{}
@@ -258,14 +258,20 @@ func (s *Store) SetSnapshotSource(fn func(w io.Writer) (uint64, error)) {
 	s.mu.Unlock()
 }
 
-// Append records committed entries in the log and schedules a checkpoint
-// when enough have accumulated.
-func (s *Store) Append(entries ...LogEntry) error {
-	if err := s.log.Append(entries...); err != nil {
+// AppendRecords records committed entries in the log as the bytes they
+// already are (encoded by the memory WAL at commit, or shipped by a leader)
+// and schedules a checkpoint when enough have accumulated.
+func (s *Store) AppendRecords(recs ...Record) error {
+	if err := s.log.AppendRecords(recs...); err != nil {
 		return err
 	}
+	s.noteAppended(len(recs))
+	return nil
+}
+
+func (s *Store) noteAppended(n int) {
 	s.mu.Lock()
-	s.sinceCheck += uint64(len(entries))
+	s.sinceCheck += uint64(n)
 	trigger := s.opt.CheckpointEvery > 0 && s.sinceCheck >= uint64(s.opt.CheckpointEvery) && s.source != nil
 	s.mu.Unlock()
 	if trigger {
@@ -274,18 +280,20 @@ func (s *Store) Append(entries ...LogEntry) error {
 		default:
 		}
 	}
-	return nil
 }
 
 // AppendAssign assigns the next log index to stmts and appends the entry:
 // the commit hook of a durable standalone database, where the store itself
 // is the index authority. Returns 0 on failure (the commit stays in memory;
-// the caller's durability wait surfaces the error).
+// the caller's durability wait surfaces the error). Reading the index and
+// appending take the log's lock separately, so callers must serialize among
+// themselves; the commit hook does, it runs under the engine lock.
 func (s *Store) AppendAssign(stmts []Stmt) uint64 {
 	idx := s.log.LastIndex() + 1
-	if err := s.Append(LogEntry{Index: idx, Stmts: stmts}); err != nil {
+	if err := s.log.Append(LogEntry{Index: idx, Stmts: stmts}); err != nil {
 		return 0
 	}
+	s.noteAppended(1)
 	return idx
 }
 
@@ -301,18 +309,25 @@ func (s *Store) WaitDurable(idx uint64, timeout time.Duration) error {
 // instead of silently acking them.
 func (s *Store) Err() error { return s.log.Err() }
 
-// EntriesAfter returns the retained log entries with index > after, or an
+// RecordsAfter returns the retained log records with index > after, or an
 // error when the log no longer reaches back that far (truncated by a
 // checkpoint) — the caller needs a checkpoint instead.
+func (s *Store) RecordsAfter(after uint64) ([]Record, error) {
+	out, ok, err := s.log.Records(after)
+	return out, truncatedErr(after, ok, err)
+}
+
+// EntriesAfter is RecordsAfter decoded.
 func (s *Store) EntriesAfter(after uint64) ([]LogEntry, error) {
 	out, ok, err := s.log.Entries(after)
-	if err != nil {
-		return nil, err
+	return out, truncatedErr(after, ok, err)
+}
+
+func truncatedErr(after uint64, ok bool, err error) error {
+	if err == nil && !ok {
+		err = fmt.Errorf("minisql: log entries after %d truncated by checkpoint", after)
 	}
-	if !ok {
-		return nil, fmt.Errorf("minisql: log entries after %d truncated by checkpoint", after)
-	}
-	return out, nil
+	return err
 }
 
 // Checkpoint writes an engine snapshot to disk (write-tmp, fsync, rename),
@@ -388,7 +403,7 @@ func (s *Store) noteCheckpoint(err error) error {
 	return err
 }
 
-// checkpointLoop services automatic checkpoint requests from Append.
+// checkpointLoop services automatic checkpoint requests from noteAppended.
 func (s *Store) checkpointLoop() {
 	defer close(s.done)
 	for {

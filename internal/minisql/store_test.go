@@ -40,7 +40,7 @@ func TestStoreCheckpointTruncateRecover(t *testing.T) {
 	src := &fakeSource{}
 	s.SetSnapshotSource(src.snapshot)
 	for i := uint64(1); i <= 50; i++ {
-		if err := s.Append(testEntry(i)); err != nil {
+		if err := s.AppendRecords(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestStoreCheckpointTruncateRecover(t *testing.T) {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	for i := uint64(51); i <= 60; i++ {
-		if err := s.Append(testEntry(i)); err != nil {
+		if err := s.AppendRecords(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestStoreCheckpointTruncateRecover(t *testing.T) {
 	if st.Log.Truncated == 0 {
 		t.Fatal("second checkpoint truncated nothing")
 	}
-	if err := s.Append(testEntry(61)); err != nil {
+	if err := s.AppendRecords(testRecord(61)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -104,7 +104,7 @@ func TestStoreRecoverFallsBackToOlderCheckpoint(t *testing.T) {
 	src := &fakeSource{}
 	s.SetSnapshotSource(src.snapshot)
 	for i := uint64(1); i <= 20; i++ {
-		if err := s.Append(testEntry(i)); err != nil {
+		if err := s.AppendRecords(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestStoreInstallSnapshot(t *testing.T) {
 	s := openTestStore(t, dir, StoreOptions{})
 	defer s.Close()
 	for i := uint64(1); i <= 5; i++ {
-		if err := s.Append(testEntry(i)); err != nil {
+		if err := s.AppendRecords(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestStoreInstallSnapshot(t *testing.T) {
 		t.Fatalf("log reset to %d, want 100", got)
 	}
 	// The follower continues appending right after the installed index.
-	if err := s.Append(testEntry(101)); err != nil {
+	if err := s.AppendRecords(testRecord(101)); err != nil {
 		t.Fatalf("append after install: %v", err)
 	}
 	tail, err := s.EntriesAfter(100)
@@ -203,7 +203,7 @@ func TestStoreAutomaticCheckpoint(t *testing.T) {
 	s.SetSnapshotSource(src.snapshot)
 	for i := uint64(1); i <= 20; i++ {
 		src.idx.Store(i)
-		if err := s.Append(testEntry(i)); err != nil {
+		if err := s.AppendRecords(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func TestStoreEntriesAfterTruncated(t *testing.T) {
 	src := &fakeSource{}
 	s.SetSnapshotSource(src.snapshot)
 	for i := uint64(1); i <= 40; i++ {
-		if err := s.Append(testEntry(i)); err != nil {
+		if err := s.AppendRecords(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

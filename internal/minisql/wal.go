@@ -20,7 +20,8 @@ type Stmt struct {
 
 // LogEntry is one committed unit of work: a single statement for autocommit
 // execs, or every mutating statement of a transaction. Entries carry a
-// monotonically increasing index assigned by the WAL.
+// monotonically increasing index assigned by the WAL, and are stored and
+// shipped as Records.
 type LogEntry struct {
 	Index uint64
 	Stmts []Stmt
@@ -122,11 +123,12 @@ func (e *Engine) SetLastLogged(idx uint64) {
 // does not reach the awaited index within the caller's timeout.
 var ErrCommitTimeout = errors.New("minisql: quorum commit timeout")
 
-// WAL is an in-memory write-ahead statement log: the ordered record of every
-// committed mutation since a base index. A leader replica appends its commit
-// hook output here and ships entries to followers; EntriesSince supports
-// resumable streaming and Compact trims entries every connected follower has
-// acknowledged.
+// WAL is the in-memory window of the commit log: the record of every
+// committed mutation since a base index, encoded once at Append (disklog.go
+// has the codec). A leader replica appends its commit hook output here,
+// hands the same record to its disk log and ships the same bytes to
+// followers; RecordsSince supports resumable streaming and Compact trims
+// records every connected follower has acknowledged.
 //
 // The WAL also carries the cluster's commit watermark: per-follower applied
 // acknowledgements feed Ack, and the watermark is the highest index that at
@@ -136,8 +138,9 @@ var ErrCommitTimeout = errors.New("minisql: quorum commit timeout")
 // preserves asynchronous semantics.
 type WAL struct {
 	mu      sync.Mutex
-	base    uint64 // index of the last entry *before* entries[0]
-	entries []LogEntry
+	base    uint64 // index of the last entry *before* records[0]
+	records []Record
+	encBuf  []byte        // Append's scratch; records keep exact-size copies
 	watch   chan struct{} // closed and replaced on every append
 
 	quorum  int               // follower acks required per index (0 = async)
@@ -161,39 +164,42 @@ func NewWAL(base uint64) *WAL {
 	}
 }
 
-// Append records one committed statement batch and returns its index.
-func (w *WAL) Append(stmts []Stmt) uint64 {
+// Append assigns one committed statement batch the next index and encodes
+// it — the only time a replicated node does — returning the record.
+func (w *WAL) Append(stmts []Stmt) Record {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	idx := w.base + uint64(len(w.entries)) + 1
-	w.entries = append(w.entries, LogEntry{Index: idx, Stmts: stmts})
+	idx := w.base + uint64(len(w.records)) + 1
+	w.encBuf = EncodeRecord(w.encBuf[:0], LogEntry{Index: idx, Stmts: stmts})
+	rec := Record{Index: idx, Data: append([]byte(nil), w.encBuf...)}
+	w.records = append(w.records, rec)
 	close(w.watch)
 	w.watch = make(chan struct{})
-	return idx
+	return rec
 }
 
 // LastIndex returns the index of the newest entry (the base when empty).
 func (w *WAL) LastIndex() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.base + uint64(len(w.entries))
+	return w.base + uint64(len(w.records))
 }
 
-// EntriesSince returns a copy of all entries with index > after. ok is false
-// when after precedes the compacted base, meaning the caller needs a fresh
-// snapshot instead of incremental entries.
-func (w *WAL) EntriesSince(after uint64) (out []LogEntry, ok bool) {
+// RecordsSince returns all records with index > after (their bytes are
+// shared: read-only). ok is false when after precedes the compacted base,
+// meaning the caller needs a fresh snapshot instead of incremental entries.
+func (w *WAL) RecordsSince(after uint64) (out []Record, ok bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if after < w.base {
 		return nil, false
 	}
 	from := after - w.base
-	if from >= uint64(len(w.entries)) {
+	if from >= uint64(len(w.records)) {
 		return nil, true
 	}
-	out = make([]LogEntry, len(w.entries)-int(from))
-	copy(out, w.entries[from:])
+	out = make([]Record, len(w.records)-int(from))
+	copy(out, w.records[from:])
 	return out, true
 }
 
@@ -261,7 +267,7 @@ func (w *WAL) Committed() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.quorum <= 0 {
-		return w.base + uint64(len(w.entries))
+		return w.base + uint64(len(w.records))
 	}
 	return w.commit
 }
@@ -333,7 +339,7 @@ func (w *WAL) QuorumWaiters() int {
 	return w.waiters
 }
 
-// Compact drops entries with index <= upTo, keeping memory bounded once all
+// Compact drops records with index <= upTo, keeping memory bounded once all
 // followers have acknowledged past that point.
 func (w *WAL) Compact(upTo uint64) {
 	w.mu.Lock()
@@ -342,9 +348,9 @@ func (w *WAL) Compact(upTo uint64) {
 		return
 	}
 	n := upTo - w.base
-	if n > uint64(len(w.entries)) {
-		n = uint64(len(w.entries))
+	if n > uint64(len(w.records)) {
+		n = uint64(len(w.records))
 	}
-	w.entries = append([]LogEntry(nil), w.entries[n:]...)
+	w.records = append([]Record(nil), w.records[n:]...)
 	w.base += n
 }

@@ -16,8 +16,25 @@ func newHookedEngine(t *testing.T, schema ...string) (*Engine, *WAL) {
 		mustExec(t, e, s)
 	}
 	w := NewWAL(0)
-	e.SetCommitHook(func(stmts []Stmt) uint64 { return w.Append(stmts) })
+	e.SetCommitHook(func(stmts []Stmt) uint64 { return w.Append(stmts).Index })
 	return e, w
+}
+
+// entriesSince reads the window the way a follower does: RecordsSince, then
+// DecodeRecord on each record, which must consume it whole and agree with
+// its index.
+func entriesSince(t testing.TB, w *WAL, after uint64) ([]LogEntry, bool) {
+	t.Helper()
+	recs, ok := w.RecordsSince(after)
+	out := make([]LogEntry, len(recs))
+	for i, r := range recs {
+		e, size, err := DecodeRecord(r.Data)
+		if err != nil || size != len(r.Data) || e.Index != r.Index {
+			t.Fatalf("record %d: decoded index %d, %d of %d bytes, err %v", r.Index, e.Index, size, len(r.Data), err)
+		}
+		out[i] = e
+	}
+	return out, ok
 }
 
 func TestCommitHookAutocommit(t *testing.T) {
@@ -27,7 +44,7 @@ func TestCommitHookAutocommit(t *testing.T) {
 	mustExec(t, e, "UPDATE t SET v = ? WHERE id = ?", "b", 1)
 	mustExec(t, e, "DELETE FROM t WHERE id = ?", 1)
 
-	entries, ok := w.EntriesSince(0)
+	entries, ok := entriesSince(t, w, 0)
 	if !ok || len(entries) != 3 {
 		t.Fatalf("got %d entries (ok=%v), want 3 autocommit entries", len(entries), ok)
 	}
@@ -64,7 +81,7 @@ func TestCommitHookTxBatchesAndRollbackDiscards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, _ := w.EntriesSince(0)
+	entries, _ := entriesSince(t, w, 0)
 	if len(entries) != 1 || len(entries[0].Stmts) != 2 {
 		t.Fatalf("committed tx logged as %d entries / %d stmts, want 1 entry with 2 stmts",
 			len(entries), len(entries[0].Stmts))
@@ -94,7 +111,7 @@ func TestCommitHookTxBatchesAndRollbackDiscards(t *testing.T) {
 	mustExec(t, e, "BEGIN")
 	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", "kept")
 	mustExec(t, e, "COMMIT")
-	entries, _ = w.EntriesSince(1)
+	entries, _ = entriesSince(t, w, 1)
 	if len(entries) != 1 || len(entries[0].Stmts) != 1 {
 		t.Fatalf("explicit commit logged %d entries, want 1", len(entries))
 	}
@@ -130,9 +147,9 @@ func TestApplyEntryReplayEquivalence(t *testing.T) {
 	for _, s := range schema {
 		mustExec(t, follower, s)
 	}
-	entries, ok := w.EntriesSince(0)
+	entries, ok := entriesSince(t, w, 0)
 	if !ok {
-		t.Fatal("EntriesSince(0) not ok")
+		t.Fatal("RecordsSince(0) not ok")
 	}
 	for _, ent := range entries {
 		if err := follower.ApplyEntry(ent); err != nil {
@@ -196,19 +213,19 @@ func TestWALCompactAndResume(t *testing.T) {
 		w.Append([]Stmt{{SQL: "INSERT"}})
 	}
 	w.Compact(6)
-	if _, ok := w.EntriesSince(3); ok {
-		t.Fatal("EntriesSince before compacted base should demand a snapshot")
+	if _, ok := w.RecordsSince(3); ok {
+		t.Fatal("RecordsSince before compacted base should demand a snapshot")
 	}
-	entries, ok := w.EntriesSince(6)
-	if !ok || len(entries) != 4 || entries[0].Index != 7 {
-		t.Fatalf("post-compact resume broken: ok=%v len=%d", ok, len(entries))
+	recs, ok := w.RecordsSince(6)
+	if !ok || len(recs) != 4 || recs[0].Index != 7 {
+		t.Fatalf("post-compact resume broken: ok=%v len=%d", ok, len(recs))
 	}
 	if w.LastIndex() != 10 {
 		t.Fatalf("LastIndex = %d after compact, want 10", w.LastIndex())
 	}
 	// A promoted follower continues numbering from its applied index.
 	w2 := NewWAL(10)
-	if idx := w2.Append([]Stmt{{SQL: "X"}}); idx != 11 {
+	if idx := w2.Append([]Stmt{{SQL: "X"}}).Index; idx != 11 {
 		t.Fatalf("promoted WAL first index = %d, want 11", idx)
 	}
 }
@@ -241,7 +258,7 @@ func TestRollbackRestoresNextKey(t *testing.T) {
 	// The follower replaying the log must assign the same ID.
 	follower := NewEngine()
 	mustExec(t, follower, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
-	entries, _ := w.EntriesSince(0)
+	entries, _ := entriesSince(t, w, 0)
 	for _, ent := range entries {
 		if err := follower.ApplyEntry(ent); err != nil {
 			t.Fatalf("ApplyEntry(%d): %v", ent.Index, err)
@@ -311,7 +328,7 @@ func TestTxStatementAtomic(t *testing.T) {
 	// A replaying follower lands on the identical state.
 	follower := NewEngine()
 	mustExec(t, follower, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
-	entries, _ := w.EntriesSince(0)
+	entries, _ := entriesSince(t, w, 0)
 	for _, ent := range entries {
 		if err := follower.ApplyEntry(ent); err != nil {
 			t.Fatalf("ApplyEntry(%d): %v", ent.Index, err)
@@ -351,7 +368,7 @@ func TestSnapshotWithObservesUnderLock(t *testing.T) {
 		}
 		// Replaying entries > idx onto the snapshot must be gap-free: entry
 		// idx+1 exists whenever any entry past the snapshot exists.
-		if entries, ok := w.EntriesSince(idx); ok && len(entries) > 0 && entries[0].Index != idx+1 {
+		if entries, ok := entriesSince(t, w, idx); ok && len(entries) > 0 && entries[0].Index != idx+1 {
 			t.Fatalf("snapshot index %d inconsistent: next entry %d", idx, entries[0].Index)
 		}
 	}
@@ -452,7 +469,7 @@ func TestQuorumWaitTimeoutAndSeal(t *testing.T) {
 // committed and WaitCommitted never blocks — the asynchronous semantics.
 func TestQuorumZeroIsAsync(t *testing.T) {
 	w := NewWAL(0)
-	idx := w.Append([]Stmt{{SQL: "INSERT"}})
+	idx := w.Append([]Stmt{{SQL: "INSERT"}}).Index
 	if got := w.Committed(); got != idx {
 		t.Fatalf("async Committed = %d, want %d", got, idx)
 	}

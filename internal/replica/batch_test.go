@@ -1,10 +1,19 @@
 package replica
 
 import (
+	"bytes"
 	"encoding/gob"
+	"errors"
+	"fmt"
+	"io"
 	"net"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"osprey/internal/minisql"
 )
 
 // fakeFollower is a hand-rolled replication peer: it joins the leader over
@@ -20,11 +29,7 @@ type fakeFollower struct {
 
 func joinFake(t *testing.T, addr string, id string, term, from uint64) *fakeFollower {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.SetDeadline(time.Now().Add(waitMax))
+	conn := dialRepl(t, addr)
 	f := &fakeFollower{t: t, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
 	join := frame{Type: frameJoin, Term: term, AppliedTerm: term, From: from,
 		Peer: Peer{ID: id, ReplAddr: "127.0.0.1:1", SvcAddr: "svc-" + id}}
@@ -47,14 +52,29 @@ func (f *fakeFollower) next() frame {
 	return fr
 }
 
-// nextEntries skips heartbeats until a data frame arrives.
-func (f *fakeFollower) nextEntries() frame {
+// nextEntries skips heartbeats until a data frame arrives and returns the
+// indexes of the records it carries, each record checked by the one decoder
+// a real follower uses; the frame's Last must name the final one.
+func (f *fakeFollower) nextEntries() []uint64 {
 	f.t.Helper()
 	for {
 		fr := f.next()
-		if fr.Type == frameEntries || fr.Type == frameEntry {
-			return fr
+		if fr.Type != frameEntries {
+			continue
 		}
+		var idxs []uint64
+		for b := fr.Records; len(b) > 0; {
+			ent, size, err := minisql.DecodeRecord(b)
+			if err != nil {
+				f.t.Fatalf("shipped record %d: %v", len(idxs), err)
+			}
+			idxs = append(idxs, ent.Index)
+			b = b[size:]
+		}
+		if len(idxs) == 0 || fr.Last != idxs[len(idxs)-1] {
+			f.t.Fatalf("frameEntries carries indexes %v with Last=%d", idxs, fr.Last)
+		}
+		return idxs
 	}
 }
 
@@ -100,16 +120,13 @@ func TestBatchShippingAndBatchAck(t *testing.T) {
 
 	fol := joinFake(t, leader.Addr(), "gbf", leader.Term(), base)
 	defer fol.close()
-	fr := fol.nextEntries()
-	if fr.Type != frameEntries {
-		t.Fatalf("got frame type %d, want frameEntries", fr.Type)
+	idxs := fol.nextEntries()
+	if len(idxs) != int(high-base) {
+		t.Fatalf("batch carries %d entries, want %d in one frame", len(idxs), high-base)
 	}
-	if len(fr.Entries) != int(high-base) {
-		t.Fatalf("batch carries %d entries, want %d in one frame", len(fr.Entries), high-base)
-	}
-	for i, ent := range fr.Entries {
-		if want := base + uint64(i) + 1; ent.Index != want {
-			t.Fatalf("entry %d has index %d, want %d", i, ent.Index, want)
+	for i, idx := range idxs {
+		if want := base + uint64(i) + 1; idx != want {
+			t.Fatalf("entry %d has index %d, want %d", i, idx, want)
 		}
 	}
 
@@ -150,10 +167,8 @@ func TestMidBatchDeathReships(t *testing.T) {
 	high := leader.Applied()
 
 	fol := joinFake(t, leader.Addr(), "gbf2", leader.Term(), base)
-	fr := fol.nextEntries()
-	if fr.Type != frameEntries || len(fr.Entries) != int(high-base) {
-		t.Fatalf("got frame type %d with %d entries, want the full %d-entry batch",
-			fr.Type, len(fr.Entries), high-base)
+	if idxs := fol.nextEntries(); len(idxs) != int(high-base) {
+		t.Fatalf("got %d entries, want the full %d-entry batch", len(idxs), high-base)
 	}
 	// "Die" mid-batch: ack only the first half, then drop the connection.
 	mid := base + (high-base)/2
@@ -165,14 +180,171 @@ func TestMidBatchDeathReships(t *testing.T) {
 	// snapshot bootstrap.
 	re := joinFake(t, leader.Addr(), "gbf2", leader.Term(), mid)
 	defer re.close()
-	fr = re.nextEntries()
-	if fr.Type != frameEntries {
-		t.Fatalf("re-joined follower got frame type %d, want frameEntries", fr.Type)
+	idxs := re.nextEntries()
+	if idxs[0] != mid+1 {
+		t.Fatalf("re-shipped batch starts at %d, want %d", idxs[0], mid+1)
 	}
-	if fr.Entries[0].Index != mid+1 {
-		t.Fatalf("re-shipped batch starts at %d, want %d", fr.Entries[0].Index, mid+1)
-	}
-	if last := fr.Entries[len(fr.Entries)-1].Index; last != high {
+	if last := idxs[len(idxs)-1]; last != high {
 		t.Fatalf("re-shipped batch ends at %d, want %d", last, high)
+	}
+}
+
+// fakeLeader is fakeFollower's counterpart: a listener that answers a real
+// follower's joins by hand, so a test decides byte for byte what the
+// follower is shipped.
+type fakeLeader struct {
+	t  *testing.T
+	ln net.Listener
+}
+
+// accept takes the follower's next connection through preamble and join,
+// answers with a resume hello, and returns the join frame and the stream.
+func (l *fakeLeader) accept() (frame, *fakeFollower) {
+	l.t.Helper()
+	conn, err := l.ln.Accept()
+	if err != nil {
+		l.t.Fatal(err)
+	}
+	conn.SetDeadline(time.Now().Add(waitMax))
+	var pre [2]byte
+	if _, err := io.ReadFull(conn, pre[:]); err != nil || pre != [2]byte{replMagic, replVersion} {
+		l.t.Fatalf("follower opened with % x (err %v), want the protocol preamble", pre, err)
+	}
+	s := &fakeFollower{t: l.t, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	join := s.next()
+	if join.Type != frameJoin {
+		l.t.Fatalf("first frame has type %d, want a join", join.Type)
+	}
+	me := Peer{ID: "fake-leader", Priority: 9, ReplAddr: l.ln.Addr().String(), SvcAddr: "svc-fake"}
+	s.send(frame{Type: frameHeartbeat, Term: 1, Role: RoleLeader, Peers: []Peer{me, join.Peer},
+		LeaderID: me.ID, LeaderRepl: me.ReplAddr, LeaderSvc: me.SvcAddr})
+	return join, s
+}
+
+func (f *fakeFollower) send(fr frame) {
+	f.t.Helper()
+	if err := f.enc.Encode(&fr); err != nil {
+		f.t.Fatal(err)
+	}
+}
+
+// TestCorruptShippedRecordRejected: a batch whose second record is damaged
+// in transit — one flipped bit, or a tail cut short — is a stream error, not
+// divergence. The follower applies the intact first record and nothing of
+// the second, acks nothing from that frame, drops the connection, re-joins
+// at its own position (a resume, not the forced snapshot of an apply
+// failure) and converges once the leader ships clean bytes.
+func TestCorruptShippedRecordRejected(t *testing.T) {
+	src := newNode(t, "src", 3, "")
+	defer src.Close()
+	submitN(t, src.DB(), 4)
+	src.mu.Lock()
+	recs, _ := src.wal.RecordsSince(0)
+	src.mu.Unlock()
+	concat := func(recs []minisql.Record) (b []byte) {
+		for _, r := range recs {
+			b = append(b, r.Data...)
+		}
+		return b
+	}
+	// The second record's last byte is argument data, which only the CRC
+	// can tell from the original.
+	flipped := concat(recs)
+	flipped[len(recs[0].Data)+len(recs[1].Data)-1] ^= 0x10
+	cut := concat(recs[:2])
+	cut = cut[:len(cut)-5]
+	for name, damaged := range map[string][]byte{"bit flip": flipped, "truncated tail": cut} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			lead := &fakeLeader{t: t, ln: ln}
+			fol := newNode(t, "victim", 1, ln.Addr().String())
+			defer fol.Close()
+
+			_, stream := lead.accept()
+			stream.send(frame{Type: frameEntries, Term: 1, Records: damaged, Last: recs[len(recs)-1].Index})
+			var fr frame
+			for stream.dec.Decode(&fr) == nil { // until the follower hangs up
+				if fr.Type == frameAck && fr.Applied != 0 {
+					t.Fatalf("follower acked %d out of a damaged frame", fr.Applied)
+				}
+			}
+			stream.close()
+			if got := fol.Applied(); got != 1 {
+				t.Fatalf("follower applied through %d, want exactly the intact first record", got)
+			}
+
+			join, stream := lead.accept()
+			defer stream.close()
+			if join.From != 1 || join.AppliedTerm != 1 {
+				t.Fatalf("re-join announces (term %d, index %d), want a resume from (1, 1)", join.AppliedTerm, join.From)
+			}
+			stream.send(frame{Type: frameEntries, Term: 1, Records: concat(recs[1:]), Last: recs[len(recs)-1].Index})
+			waitFor(t, "convergence on clean bytes", func() bool { return fol.Applied() == recs[len(recs)-1].Index })
+			if got := queuedCount(t, fol.DB()); got != 4 {
+				t.Fatalf("follower sees %d queued, want 4", got)
+			}
+			if got := fol.met.snapsInstall.Value(); got != 0 {
+				t.Fatalf("follower installed %d snapshots, want none", got)
+			}
+		})
+	}
+}
+
+// TestPreambleMismatchRejected: a connection that does not open with this
+// build's preamble — here what a pre-preamble build sends, a bare gob frame,
+// and a future protocol version — is closed unanswered, counted, and logged
+// with the peer's address; a well-formed probe beside them is served.
+func TestPreambleMismatchRejected(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	n, err := New(Config{ID: "p1", Heartbeat: beat, ElectionTimeout: elect, Logf: func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.Start()
+
+	var bare bytes.Buffer
+	gob.NewEncoder(&bare).Encode(&frame{Type: frameProbe, Peer: Peer{ID: "old-build"}})
+	for i, opening := range [][]byte{bare.Bytes(), {replMagic, replVersion + 1}} {
+		conn, err := net.Dial("tcp", n.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(waitMax))
+		conn.Write(opening)
+		// EOF or, when the close overtook unread bytes, a reset.
+		if b, err := io.ReadAll(conn); len(b) != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("opening %d: read %d bytes, err %v; want an unanswered close", i, len(b), err)
+		}
+		waitFor(t, "malformed counter", func() bool { return n.met.malformed.Value() == uint64(i+1) })
+		mu.Lock()
+		logged := strings.Join(lines, "\n")
+		mu.Unlock()
+		if !strings.Contains(logged, "warning") || !strings.Contains(logged, conn.LocalAddr().String()) {
+			t.Fatalf("opening %d: no warning naming peer %s in:\n%s", i, conn.LocalAddr(), logged)
+		}
+		conn.Close()
+	}
+
+	conn := dialRepl(t, n.Addr())
+	defer conn.Close()
+	if err := gob.NewEncoder(conn).Encode(&frame{Type: frameProbe, Peer: Peer{ID: "new-build"}}); err != nil {
+		t.Fatal(err)
+	}
+	var st frame
+	if err := gob.NewDecoder(conn).Decode(&st); err != nil || st.Type != frameStatus || st.Role != RoleLeader {
+		t.Fatalf("well-formed probe: %+v, %v", st, err)
+	}
+	if got := n.met.malformed.Value(); got != 2 {
+		t.Fatalf("malformed counter = %d after a well-formed probe, want 2", got)
 	}
 }

@@ -1,7 +1,9 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -149,5 +151,82 @@ func TestLaggedFollowerServedFromDiskLog(t *testing.T) {
 	})
 	if got := queuedCount(t, fol2.DB()); got != 610 {
 		t.Fatalf("lagged follower sees %d queued, want 610", got)
+	}
+}
+
+// TestFollowerLogBytesEqualLeader is the property the one-codec design buys:
+// an entry is encoded once, at commit, and those bytes are what the leader's
+// disk log holds, what the stream carries and what the follower's disk log
+// holds — so after a mixed workload the two logs past the follower's
+// bootstrap point are byte-identical. Stronger than the snapshot equality of
+// chaos invariant 4, and false the moment any hop re-encodes.
+func TestFollowerLogBytesEqualLeader(t *testing.T) {
+	base := t.TempDir()
+	mk := func(id string, prio int, join string) *Node {
+		n, err := New(Config{
+			ID: id, Priority: prio, Join: join,
+			Heartbeat: beat, ElectionTimeout: elect, LeaseTimeout: time.Minute,
+			DataDir: filepath.Join(base, id), CheckpointEvery: -1, // keep the whole log
+			Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatalf("New(%s): %v", id, err)
+		}
+		n.SetServiceAddr("svc-" + id)
+		n.Start()
+		return n
+	}
+	leader := mk("n1", 3, "")
+	defer leader.Close()
+	submitN(t, leader.DB(), 3) // history the follower gets by snapshot, not by log
+	fol := mk("n2", 2, leader.Addr())
+	defer fol.Close()
+	waitFor(t, "follower bootstrapped", func() bool { return fol.Attached() && fol.Applied() == leader.Applied() })
+	boot := fol.store.Stats().CheckpointIndex
+
+	ctx, db := context.Background(), leader.DB()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var spare []int64
+	for i := 0; i < 60; i++ {
+		// A tagged submit is a multi-statement entry; the plain one stays
+		// queued for the priority update and the cancel below.
+		_, err := db.Submit(ctx, "exp", 1, fmt.Sprintf(`{"i": %d, "x": %g}`, i, float64(i)/7),
+			core.WithTags("sweep", fmt.Sprintf("round-%d", i)), core.WithPriority(100+i))
+		must(err)
+		s, err := db.Submit(ctx, "exp", 2, "")
+		must(err)
+		spare = append(spare, s.ID)
+		popped, err := db.QueryTasks(ctx, 1, 1, "pool-a")
+		must(err)
+		_, err = db.Report(ctx, popped.Tasks[0].ID, 1, fmt.Sprintf("result %d", i))
+		must(err)
+		_, err = db.PopResults(ctx, []int64{popped.Tasks[0].ID}, 1)
+		must(err)
+	}
+	_, err := db.UpdatePriorities(ctx, spare[:20], []int{7})
+	must(err)
+	_, err = db.CancelTasks(ctx, spare[20:25])
+	must(err)
+
+	waitFor(t, "follower acked the leader's last entry", func() bool {
+		return leader.Status().Followers["n2"] == leader.Applied()
+	})
+	want, err := leader.store.RecordsAfter(boot)
+	must(err)
+	got, err := fol.store.RecordsAfter(boot)
+	must(err)
+	if len(want) < 300 || len(got) != len(want) {
+		t.Fatalf("leader holds %d records after %d, follower %d; want equal and a few hundred", len(want), boot, len(got))
+	}
+	for i := range want {
+		if got[i].Index != want[i].Index || !bytes.Equal(got[i].Data, want[i].Data) {
+			t.Fatalf("record %d: follower's log bytes differ from the leader's\n leader   %x\n follower %x",
+				want[i].Index, want[i].Data, got[i].Data)
+		}
 	}
 }

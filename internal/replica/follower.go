@@ -165,17 +165,13 @@ func (n *Node) followOnce(addr string, joined *bool, forceSnap bool) (redirect s
 			}
 			*joined = true
 			n.ack(enc, conn)
-		case frameEntry:
-			ok, err := n.applyOne(f.Entry)
-			if err != nil {
-				return "", err
-			}
-			if ok {
-				n.noteAppliedTerm(f.Term)
-				n.ack(enc, conn)
-			}
 		case frameEntries:
-			ok, err := n.applyEntriesFrame(f)
+			ok, err := n.applyRecords(f.Records)
+			if ok {
+				// Even if a later record failed: the re-join's resume gate
+				// compares applied terms.
+				n.noteAppliedTerm(f.Term)
+			}
 			if err != nil {
 				return "", err
 			}
@@ -184,7 +180,6 @@ func (n *Node) followOnce(addr string, joined *bool, forceSnap bool) (redirect s
 			// buffered by the gate) before acking.
 			n.db.AdvanceWatch(f.Committed)
 			if ok {
-				n.noteAppliedTerm(f.Term)
 				n.ack(enc, conn)
 			}
 		case frameHeartbeat:
@@ -263,9 +258,10 @@ func (n *Node) applySnapshot(f frame) error {
 	return nil
 }
 
-// applyOne replays one shipped entry; duplicates (replays after a reconnect)
-// are skipped, gaps force a re-join (and fresh snapshot).
-func (n *Node) applyOne(ent minisql.LogEntry) (applied bool, err error) {
+// applyOne replays one shipped entry and persists the record it came in;
+// duplicates (replays after a reconnect) are skipped, gaps force a re-join
+// (and fresh snapshot).
+func (n *Node) applyOne(ent minisql.LogEntry, rec []byte) (applied bool, err error) {
 	n.mu.Lock()
 	cur := n.applied
 	n.mu.Unlock()
@@ -279,9 +275,10 @@ func (n *Node) applyOne(ent minisql.LogEntry) (applied bool, err error) {
 		return false, fmt.Errorf("%w: %v", errApply, err)
 	}
 	if n.store != nil {
-		// Persist the applied entry so a restarted follower re-joins from
-		// its own recovered position instead of taking a fresh snapshot.
-		if err := n.store.Append(ent); err != nil {
+		// Persist the applied entry, as the leader's bytes, so a restarted
+		// follower re-joins from its own recovered position instead of
+		// taking a fresh snapshot.
+		if err := n.store.AppendRecords(minisql.Record{Index: ent.Index, Data: rec}); err != nil {
 			n.logf("disk WAL append %d: %v", ent.Index, err)
 		}
 	}
@@ -291,20 +288,28 @@ func (n *Node) applyOne(ent minisql.LogEntry) (applied bool, err error) {
 	return true, nil
 }
 
-// applyEntriesFrame replays one group-committed batch in order. Each entry
-// advances the applied index individually, so a crash mid-batch re-joins
-// from exactly the last applied entry and the leader re-ships the rest; the
-// single ack the caller sends afterwards carries the batch high-water mark,
-// advancing the leader's quorum watermark for every entry at once.
-func (n *Node) applyEntriesFrame(f frame) (applied bool, err error) {
-	for _, ent := range f.Entries {
-		ok, err := n.applyOne(ent)
+// applyRecords replays one group-committed batch in order. A record that
+// fails minisql's CRC/structure check is a damaged stream, not a diverged
+// log: the error drops the connection before any ack and the re-join resumes
+// from the last applied entry, no forced snapshot. Each entry advances the
+// applied index individually, so a crash mid-batch re-joins from exactly the
+// last applied entry and the leader re-ships the rest; the single ack the
+// caller sends afterwards carries the batch high-water mark, advancing the
+// leader's quorum watermark for every entry at once.
+func (n *Node) applyRecords(b []byte) (applied bool, err error) {
+	for len(b) > 0 {
+		ent, size, err := minisql.DecodeRecord(b)
+		if err != nil {
+			return applied, fmt.Errorf("replica: shipped record after index %d: %w", n.Applied(), err)
+		}
+		ok, err := n.applyOne(ent, b[:size])
 		if err != nil {
 			return applied, err
 		}
 		if ok {
 			applied = true
 		}
+		b = b[size:]
 	}
 	return applied, nil
 }
@@ -326,12 +331,7 @@ func (n *Node) adoptView(f frame) error {
 	peers := make(map[string]Peer, len(f.Peers)+1)
 	for _, p := range f.Peers {
 		peers[p.ID] = p
-		switch {
-		case f.LeaderID != "" && p.ID == f.LeaderID:
-			n.leader = p
-		case f.LeaderID == "" && p.ReplAddr == f.LeaderRepl:
-			// Legacy frame without an explicit leader ID: best-effort
-			// recovery by replication address.
+		if f.LeaderID != "" && p.ID == f.LeaderID {
 			n.leader = p
 		}
 	}

@@ -3,6 +3,7 @@ package replica
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync/atomic"
@@ -18,12 +19,13 @@ const compactionFloor = 256
 
 // followerConn is the leader-side state of one connected follower. enc is
 // the connection's single gob encoder (gob streams must not mix encoders);
-// only the join/stream goroutine writes with it.
+// only the join/stream goroutine writes with it, so it needs no write lock.
 type followerConn struct {
 	peer  Peer
 	conn  net.Conn
 	enc   *gob.Encoder
 	acked uint64 // highest applied index the follower acknowledged
+	batch []byte // ship's reused frameEntries payload buffer
 
 	// beatAt is the send time (unix nanos) of the heartbeat awaiting its
 	// ack, 0 when none is outstanding; the ack reader turns the round trip
@@ -47,13 +49,23 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// handleConn serves one inbound replication connection: a probe (answered
-// and closed) or a follower join (snapshot + entry stream until the
-// connection dies).
+// handleConn serves one inbound replication connection that opens with the
+// protocol preamble: a probe or claim (answered and closed) or a follower
+// join (snapshot + record stream until the connection dies).
 func (n *Node) handleConn(conn net.Conn) {
+	conn.SetReadDeadline(time.Now().Add(n.cfg.ElectionTimeout))
+	var pre [2]byte
+	if _, err := io.ReadFull(conn, pre[:]); err != nil {
+		return
+	}
+	if pre != [2]byte{replMagic, replVersion} {
+		n.met.malformed.Inc()
+		n.logf("warning: closing connection from %s: preamble %#02x %#02x is not replication protocol version %d (mixed builds?)",
+			conn.RemoteAddr(), pre[0], pre[1], replVersion)
+		return
+	}
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
-	conn.SetReadDeadline(time.Now().Add(n.cfg.ElectionTimeout))
 	var f frame
 	if err := dec.Decode(&f); err != nil {
 		return
@@ -205,12 +217,12 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 	resume := false
 	var snap []byte
 	var startIdx uint64
-	var diskTail []minisql.LogEntry
+	var diskTail []minisql.Record
 	if join.Term == term && join.AppliedTerm == term && join.From > 0 {
-		if _, ok := w.EntriesSince(join.From); ok {
+		if _, ok := w.RecordsSince(join.From); ok {
 			resume = true
 			startIdx = join.From
-		} else if tail, last, ok := n.diskEntries(w, join.From); ok {
+		} else if tail, last, ok := n.diskRecords(w, join.From); ok {
 			resume = true
 			startIdx = join.From
 			diskTail = tail
@@ -223,7 +235,7 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 				// File-streamed bootstrap: ship the checkpoint bytes as the
 				// snapshot if the disk log still holds everything after it.
 				if data, err := os.ReadFile(path); err == nil {
-					if tail, _, ok := n.diskEntries(w, cidx); ok {
+					if tail, _, ok := n.diskRecords(w, cidx); ok {
 						snap, startIdx, diskTail = data, cidx, tail
 						n.met.snapsFile.Inc()
 					}
@@ -276,23 +288,16 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 		n.logf("follower %s joined at index %d", join.Peer.ID, startIdx)
 	}
 
-	// Entries served from the disk log (positions the in-memory WAL has
+	// Records served from the disk log (positions the in-memory WAL has
 	// compacted away) ship before the live stream takes over. The follower's
 	// apply path skips anything at or below its applied index, so overlap
 	// with the memory stream is harmless.
 	pos := startIdx
-	for start := 0; start < len(diskTail); start += maxBatchEntries {
-		end := start + maxBatchEntries
-		if end > len(diskTail) {
-			end = len(diskTail)
-		}
-		batch := diskTail[start:end]
-		fol.conn.SetWriteDeadline(time.Now().Add(n.snapshotTimeout()))
-		if err := gobSend(fol, frame{Type: frameEntries, Term: term, Entries: batch, Committed: w.Committed()}); err != nil {
+	if len(diskTail) > 0 {
+		if err := n.ship(fol, w, term, diskTail, n.snapshotTimeout()); err != nil {
 			return
 		}
-		n.met.batchEntries.Observe(float64(len(batch)))
-		pos = batch[len(batch)-1].Index
+		pos = diskTail[len(diskTail)-1].Index
 	}
 
 	// Acks flow back on the same connection; reading them also detects a
@@ -335,17 +340,17 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 	n.streamTo(fol, w, pos)
 }
 
-// diskEntries fetches the log entries after `from` out of the durable store
+// diskRecords fetches the log records after `from` out of the durable store
 // for a follower whose position the in-memory WAL has compacted away. The
 // range is only usable when the live WAL still covers everything past the
 // disk tail's last index — otherwise there is a gap neither side holds and
 // the caller must fall back to a snapshot. Returns the tail, its last index,
 // and whether the handoff is contiguous.
-func (n *Node) diskEntries(w *minisql.WAL, from uint64) ([]minisql.LogEntry, uint64, bool) {
+func (n *Node) diskRecords(w *minisql.WAL, from uint64) ([]minisql.Record, uint64, bool) {
 	if n.store == nil {
 		return nil, 0, false
 	}
-	tail, err := n.store.EntriesAfter(from)
+	tail, err := n.store.RecordsAfter(from)
 	if err != nil {
 		return nil, 0, false
 	}
@@ -353,7 +358,7 @@ func (n *Node) diskEntries(w *minisql.WAL, from uint64) ([]minisql.LogEntry, uin
 	if len(tail) > 0 {
 		last = tail[len(tail)-1].Index
 	}
-	if _, ok := w.EntriesSince(last); !ok {
+	if _, ok := w.RecordsSince(last); !ok {
 		return nil, 0, false
 	}
 	return tail, last, true
@@ -363,7 +368,29 @@ func (n *Node) diskEntries(w *minisql.WAL, from uint64) ([]minisql.LogEntry, uin
 // catches up in bounded frames instead of one giant allocation.
 const maxBatchEntries = 256
 
-// streamTo ships WAL entries to one follower, interleaving heartbeats when
+// ship sends recs to one follower, as the bytes they are held in, in frames
+// of at most maxBatchEntries records, each under its own write deadline.
+func (n *Node) ship(fol *followerConn, w *minisql.WAL, term uint64, recs []minisql.Record, deadline time.Duration) error {
+	for len(recs) > 0 {
+		batch := recs[:min(len(recs), maxBatchEntries)]
+		recs = recs[len(batch):]
+		fol.batch = fol.batch[:0]
+		for _, r := range batch {
+			fol.batch = append(fol.batch, r.Data...)
+		}
+		fol.conn.SetWriteDeadline(time.Now().Add(deadline))
+		if err := fol.enc.Encode(&frame{
+			Type: frameEntries, Term: term, Committed: w.Committed(),
+			Records: fol.batch, Last: batch[len(batch)-1].Index,
+		}); err != nil {
+			return err
+		}
+		n.met.batchEntries.Observe(float64(len(batch)))
+	}
+	return nil
+}
+
+// streamTo ships WAL records to one follower, interleaving heartbeats when
 // the log is idle. Entries are group-committed: everything pending ships in
 // one batched frame, which the follower acks once at its high-water mark —
 // under concurrent write load N replication round trips collapse to ~1.
@@ -382,7 +409,7 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, from uint64) {
 		}
 		watch := w.Watch()
 		commits := n.commitWatch()
-		entries, ok := w.EntriesSince(pos)
+		recs, ok := w.RecordsSince(pos)
 		if !ok {
 			// Compacted past this follower's position (only possible when it
 			// lagged by more than the retention floor): force a re-join and
@@ -390,21 +417,11 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, from uint64) {
 			n.logf("follower %s lagged past compaction at %d", fol.peer.ID, pos)
 			return
 		}
-		if len(entries) > 0 {
-			term := n.Term()
-			for start := 0; start < len(entries); start += maxBatchEntries {
-				end := start + maxBatchEntries
-				if end > len(entries) {
-					end = len(entries)
-				}
-				batch := entries[start:end]
-				fol.conn.SetWriteDeadline(time.Now().Add(2 * n.cfg.ElectionTimeout))
-				if err := gobSend(fol, frame{Type: frameEntries, Term: term, Entries: batch, Committed: w.Committed()}); err != nil {
-					return
-				}
-				n.met.batchEntries.Observe(float64(len(batch)))
-				pos = batch[len(batch)-1].Index
+		if len(recs) > 0 {
+			if err := n.ship(fol, w, n.Term(), recs, 2*n.cfg.ElectionTimeout); err != nil {
+				return
 			}
+			pos = recs[len(recs)-1].Index
 			continue
 		}
 		sendBeat := false
@@ -443,18 +460,12 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, from uint64) {
 			n.mu.Unlock()
 			hb.Committed = w.Committed()
 			fol.conn.SetWriteDeadline(time.Now().Add(2 * n.cfg.ElectionTimeout))
-			if err := gobSend(fol, hb); err != nil {
+			if err := fol.enc.Encode(&hb); err != nil {
 				return
 			}
 			fol.beatAt.CompareAndSwap(0, time.Now().UnixNano())
 		}
 	}
-}
-
-// gobSend encodes one frame on the follower's connection. Each followerConn
-// has a single sender goroutine, so no write lock is needed.
-func gobSend(fol *followerConn, f frame) error {
-	return fol.enc.Encode(&f)
 }
 
 func (n *Node) dropFollower(id string, fol *followerConn) {

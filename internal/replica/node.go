@@ -641,17 +641,17 @@ func (n *Node) onCommit(stmts []minisql.Stmt) uint64 {
 	// The entry being appended belongs to this leadership: the applied-term
 	// watermark moves with the first write of each term (no-op after).
 	n.noteAppliedTerm(term)
-	idx := w.Append(stmts)
+	rec := w.Append(stmts)
 	if n.store != nil {
-		// The durable twin of the in-memory append. On failure the commit
-		// stands in memory and replication proceeds, but the client's
-		// durability wait (core waitDurable) surfaces the store error.
-		if err := n.store.Append(minisql.LogEntry{Index: idx, Stmts: stmts}); err != nil {
-			n.logf("disk WAL append %d: %v", idx, err)
+		// The durable twin of the in-memory append, same bytes. On failure
+		// the commit stands in memory and replication proceeds, but the
+		// client's durability wait (core waitDurable) surfaces the store error.
+		if err := n.store.AppendRecords(rec); err != nil {
+			n.logf("disk WAL append %d: %v", rec.Index, err)
 		}
 	}
-	n.setApplied(idx)
-	return idx
+	n.setApplied(rec.Index)
+	return rec.Index
 }
 
 // setApplied advances the applied index (never regresses) and wakes
@@ -941,12 +941,22 @@ func (n *Node) sleep(d time.Duration) bool {
 }
 
 // dial connects to a peer's replication address through the configured
-// dialer (the chaos seam) or the real network.
+// dialer (the chaos seam) or the real network and sends the preamble.
 func (n *Node) dial(addr string, timeout time.Duration) (net.Conn, error) {
-	if n.cfg.Dialer != nil {
-		return n.cfg.Dialer("tcp", addr, timeout)
+	dialer := n.cfg.Dialer
+	if dialer == nil {
+		dialer = net.DialTimeout
 	}
-	return net.DialTimeout("tcp", addr, timeout)
+	conn, err := dialer("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	conn.SetWriteDeadline(time.Now().Add(timeout))
+	if _, err := conn.Write([]byte{replMagic, replVersion}); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return conn, nil
 }
 
 // jitter spreads a failure-detection or heartbeat interval ±20%. Identical

@@ -21,6 +21,7 @@ type nodeMetrics struct {
 	snapsSent    *obs.Counter
 	snapsFile    *obs.Counter
 	snapsInstall *obs.Counter
+	malformed    *obs.Counter
 	quorumWait   *obs.Histogram
 	batchEntries *obs.Histogram
 	heartbeatRTT *obs.Histogram
@@ -34,6 +35,7 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		snapsSent:    reg.Counter("osprey_replica_snapshots_sent_total"),
 		snapsFile:    reg.Counter("osprey_replica_snapshots_file_streamed_total"),
 		snapsInstall: reg.Counter("osprey_replica_snapshots_installed_total"),
+		malformed:    reg.Counter("osprey_replica_malformed_total"),
 		quorumWait:   reg.Histogram("osprey_replica_quorum_wait_seconds", obs.DurationBuckets),
 		batchEntries: reg.Histogram("osprey_replica_batch_entries", obs.SizeBuckets),
 		heartbeatRTT: reg.Histogram("osprey_replica_heartbeat_rtt_seconds", obs.DurationBuckets),
@@ -114,12 +116,8 @@ func (n *Node) noteLeaderFrame(f frame) {
 			est = f.SnapIndex
 		}
 	case frameEntries:
-		if k := len(f.Entries); k > 0 && f.Entries[k-1].Index > est {
-			est = f.Entries[k-1].Index
-		}
-	case frameEntry:
-		if f.Entry.Index > est {
-			est = f.Entry.Index
+		if f.Last > est {
+			est = f.Last
 		}
 	}
 	n.leaderApplied = est

@@ -1,10 +1,6 @@
 package replica
 
-import (
-	"sort"
-
-	"osprey/internal/minisql"
-)
+import "sort"
 
 // Role is a node's position in the cluster.
 type Role int32
@@ -70,9 +66,6 @@ const (
 	// frameSnapshot: leader -> follower. Full database snapshot at SnapIndex;
 	// subsequent entries continue from there.
 	frameSnapshot
-	// frameEntry: leader -> follower. One committed log entry. Retained for
-	// compatibility; the leader now ships frameEntries batches.
-	frameEntry
 	// frameHeartbeat: leader -> follower. Liveness plus current term and
 	// membership, sent when no entries are flowing.
 	frameHeartbeat
@@ -80,7 +73,7 @@ const (
 	// compaction and catch-up monitoring.
 	frameAck
 	// frameEntries: leader -> follower. A group-committed batch of
-	// consecutive log entries in one frame: the follower applies them in
+	// consecutive log records in one frame: the follower applies them in
 	// order and acks once at the batch high-water mark, so N concurrent
 	// writes cost ~1 replication round trip instead of N.
 	frameEntries
@@ -98,8 +91,21 @@ const (
 	frameClaim
 )
 
-// frame is the single wire message of the replication protocol, gob-encoded
-// over the TCP log-shipping connection. Field use depends on Type.
+// replMagic and replVersion are the two-byte preamble Node.dial opens every
+// replication connection with; handleConn closes (counts, logs) one that
+// opens differently. gob skips fields it does not know, so without it a
+// build with another frame layout would attach, apply nothing and ack its
+// old index forever while quorum writes time out. Bump replVersion whenever
+// frame changes meaning.
+const (
+	replMagic   = 0xF6
+	replVersion = 1
+)
+
+// frame is the one message of the replication protocol: a gob-encoded
+// envelope, which for frameEntries carries log records as the opaque bytes
+// minisql produced (this package encodes no entry and decodes one only
+// through minisql.DecodeRecord). Field use depends on Type.
 type frame struct {
 	Type frameType
 	Term uint64
@@ -122,11 +128,10 @@ type frame struct {
 	Snapshot  []byte
 	SnapIndex uint64
 
-	// frameEntry
-	Entry minisql.LogEntry
-
-	// frameEntries: consecutive entries, ascending index
-	Entries []minisql.LogEntry
+	// frameEntries: consecutive minisql records back to back, ascending
+	// index, and the index of the last one
+	Records []byte
+	Last    uint64
 
 	// frameAck (cumulative applied index) and frameStatus (the responder's
 	// applied index, feeding the election log gate)
@@ -136,8 +141,8 @@ type frame struct {
 	// Followers gate their watch-hub publication on it, so subscribers on
 	// any node only ever see transitions the cluster has durably committed
 	// (an applied-but-unacked entry can still be rolled back). Zero in
-	// frames from builds or roles that do not ship it — a no-op for the
-	// receiver's gate.
+	// frames from roles that do not ship it — a no-op for the receiver's
+	// gate.
 	Committed uint64
 
 	// frameJoin / frameClaim / frameStatus: the term of the leadership that

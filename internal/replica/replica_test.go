@@ -141,15 +141,26 @@ func TestDeterministicPromotionOnLeaderDeath(t *testing.T) {
 	}
 }
 
-// dialJoin hand-rolls one join handshake and returns the first reply frame.
-func dialJoin(t *testing.T, addr string, join frame) frame {
+// dialRepl opens a raw replication connection the way Node.dial does:
+// connect, then the protocol preamble.
+func dialRepl(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(waitMax))
+	if _, err := conn.Write([]byte{replMagic, replVersion}); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// dialJoin hand-rolls one join handshake and returns the first reply frame.
+func dialJoin(t *testing.T, addr string, join frame) frame {
+	t.Helper()
+	conn := dialRepl(t, addr)
+	defer conn.Close()
 	if err := gob.NewEncoder(conn).Encode(&join); err != nil {
 		t.Fatal(err)
 	}
