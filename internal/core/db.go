@@ -768,9 +768,17 @@ func (db *DB) Priorities(ctx context.Context, ids []int64, opts ...ReadOption) (
 	return out, nil
 }
 
-// UpdatePriorities implements Session. The whole batch commits atomically,
-// which is what makes reprioritization cheap relative to per-task updates
-// (§V-B).
+// The reprioritisation statements, each executed once per call over the whole
+// id set (Tx.ExecRows) with argument rows (priority, task_id).
+const (
+	prioOutQUpd  = "UPDATE eq_out_q SET priority = ? WHERE task_id = ?"
+	prioTasksUpd = "UPDATE eq_tasks SET priority = ? WHERE task_id = ?"
+)
+
+// UpdatePriorities implements Session. The whole batch commits atomically, as
+// one log entry of at most two set-based statements — the queue rows, then
+// the task rows of the ids that were still queued — which is what makes
+// reprioritization cheap relative to per-task updates (§V-B).
 func (db *DB) UpdatePriorities(ctx context.Context, ids []int64, priorities []int) (CountRes, error) {
 	if db.closed.Load() {
 		return CountRes{}, ErrClosed
@@ -782,33 +790,44 @@ func (db *DB) UpdatePriorities(ctx context.Context, ids []int64, priorities []in
 		return CountRes{}, fmt.Errorf("eqsql: UpdatePriorities needs 1 or %d priorities, got %d",
 			len(ids), len(priorities))
 	}
+	if len(ids) == 0 {
+		return CountRes{Token: db.eng.LastLogged()}, nil
+	}
 	updated := 0
 	tok, err := db.eng.TxLogged(func(tx *minisql.Tx) error {
-		updated = 0
+		queue := make([]minisql.Value, 0, 2*len(ids))
 		for i, id := range ids {
 			p := priorities[0]
 			if len(priorities) > 1 {
 				p = priorities[i]
 			}
-			res, err := tx.Exec("UPDATE eq_out_q SET priority = ? WHERE task_id = ?", p, id)
-			if err != nil {
-				return err
-			}
-			if res.RowsAffected > 0 {
-				if _, err := tx.Exec(
-					"UPDATE eq_tasks SET priority = ? WHERE task_id = ?", p, id); err != nil {
-					return err
-				}
-				updated++
+			queue = append(queue, minisql.Int64(int64(p)), minisql.Int64(id))
+		}
+		hits, err := tx.ExecRows(prioOutQUpd, queue)
+		if err != nil {
+			return err
+		}
+		tasks := make([]minisql.Value, 0, len(queue))
+		for i, n := range hits {
+			if n > 0 {
+				tasks = append(tasks, queue[2*i], queue[2*i+1])
 			}
 		}
-		return nil
+		if updated = len(tasks) / 2; updated == 0 {
+			return nil
+		}
+		_, err = tx.ExecRows(prioTasksUpd, tasks)
+		return err
 	})
 	if err != nil {
 		return CountRes{}, err
 	}
-	// Priorities changed: waiting pools should re-pop in the new order.
-	db.outN.notify()
+	// Priorities changed: waiting pools should re-pop in the new order. When
+	// every id had already left the queue the order stands, and waking them
+	// would only re-run their pops under the engine lock.
+	if updated > 0 {
+		db.outN.notify()
+	}
 	if err := db.waitDurable(tok); err != nil {
 		return CountRes{}, err
 	}

@@ -101,9 +101,20 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 				}
 			}
 		case 6:
+			// A set-based write: several ids — queued, popped or canceled by
+			// now, one possibly twice — in one multi-row statement.
 			if len(live) > 0 {
-				id := live[rng.Intn(len(live))]
-				if _, err := db.UpdatePriorities(ctx, []int64{id}, []int{rng.Intn(30)}); err != nil {
+				ids, prios := make([]int64, 1+rng.Intn(8)), []int{rng.Intn(30)}
+				for j := range ids {
+					ids[j] = live[rng.Intn(len(live))]
+				}
+				if rng.Intn(2) == 0 {
+					prios = make([]int, len(ids))
+					for j := range prios {
+						prios[j] = rng.Intn(30)
+					}
+				}
+				if _, err := db.UpdatePriorities(ctx, ids, prios); err != nil {
 					t.Fatal(err)
 				}
 			}

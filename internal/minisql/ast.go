@@ -45,8 +45,9 @@ type createIndexStmt struct {
 	// instead of the first column alone.
 	Cols []string
 	// Ordered requests a sorted index (CREATE ORDERED INDEX): equality
-	// lookups still hit the hash side, and ORDER BY <col> ... LIMIT n reads
-	// the top-n directly off the sorted side instead of scan+sort.
+	// lookups on a single-column index still hit its hash side, and ORDER BY
+	// <col> ... LIMIT n reads the top-n directly off the sorted side instead
+	// of scan+sort.
 	Ordered bool
 }
 

@@ -169,7 +169,10 @@ func TestDiskLogParentSegmentPinned(t *testing.T) {
 // accepts non-minimal varints the encoder never writes.
 func FuzzDecodeRecord(f *testing.F) {
 	nan := LogEntry{Index: 2, Stmts: []Stmt{{SQL: "X", Args: []Value{Float64(math.NaN())}}}}
-	seeds := append([]LogEntry{testEntry(1), {Index: 1 << 40}, nan}, pinnedEntries...)
+	// One Stmt carrying three argument rows, as Tx.ExecRows logs it.
+	rows := LogEntry{Index: 3, Stmts: []Stmt{{SQL: "UPDATE q SET p = ? WHERE id = ?",
+		Args: []Value{Int64(7), Int64(1), Int64(-2), Int64(1 << 40), Int64(0), Int64(3)}}}}
+	seeds := append([]LogEntry{testEntry(1), {Index: 1 << 40}, nan, rows}, pinnedEntries...)
 	for _, e := range seeds {
 		rec := EncodeRecord(nil, e)
 		f.Add(rec)

@@ -88,24 +88,17 @@ func (e *Engine) ExecLogged(sql string, args ...any) (*Result, uint64, error) {
 		return nil, 0, err
 	}
 	stmt := p.stmt
-	if len(args) < p.nparams {
-		return nil, 0, fmt.Errorf("minisql: statement has %d parameters, %d arguments given (in %q)",
-			p.nparams, len(args), compactSQL(sql))
+	spreadN, err := p.spreadWidth(sql, len(args))
+	if err != nil {
+		return nil, 0, err
 	}
-	vals := make([]Value, len(args))
-	for i, a := range args {
-		v, err := toValue(a)
-		if err != nil {
-			return nil, 0, err
-		}
-		vals[i] = v
+	vals, err := toValues(args)
+	if err != nil {
+		return nil, 0, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.spreadN = 0
-	if p.spread {
-		e.spreadN = len(args) - p.nparams
-	}
+	e.spreadN = spreadN
 	if !e.inTx && isMutating(stmt) {
 		// Implicit transaction: a mutating statement that fails part-way
 		// (e.g. a bad row in a multi-row INSERT) must leave no trace —
@@ -113,7 +106,7 @@ func (e *Engine) ExecLogged(sql string, args ...any) (*Result, uint64, error) {
 		// diverging replicas from the leader.
 		e.inTx = true
 		e.undo = e.undo[:0]
-		res, err := e.execLocked(stmt, vals, sql)
+		res, err := e.execLocked(stmt, vals, sql, nil)
 		if err != nil {
 			e.rollbackLocked()
 			e.inTx = false
@@ -124,7 +117,7 @@ func (e *Engine) ExecLogged(sql string, args ...any) (*Result, uint64, error) {
 		idx := e.flushPendingLocked()
 		return res, idx, nil
 	}
-	res, err := e.execLocked(stmt, vals, sql)
+	res, err := e.execLocked(stmt, vals, sql, nil)
 	var idx uint64
 	if err == nil && !e.inTx {
 		idx = e.flushPendingLocked()
@@ -183,10 +176,68 @@ func (tx *Tx) Exec(sql string, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(args) < p.nparams {
-		return nil, fmt.Errorf("minisql: statement has %d parameters, %d arguments given (in %q)",
-			p.nparams, len(args), compactSQL(sql))
+	spreadN, err := p.spreadWidth(sql, len(args))
+	if err != nil {
+		return nil, err
 	}
+	vals, err := toValues(args)
+	if err != nil {
+		return nil, err
+	}
+	tx.e.spreadN = spreadN
+	return tx.e.execLocked(p.stmt, vals, sql, nil)
+}
+
+// ExecRows executes a parameterised UPDATE once per argument row: args holds
+// len(args)/nparams rows back to back, each bound to the statement's
+// parameters in turn and seeing the rows before it applied, exactly as that
+// many Exec calls would. The statement is parsed and bound once, and commits
+// as one logged Stmt carrying every row, which ApplyEntry replays row by row
+// through the same executor. The set is atomic: an error in any row undoes the
+// rows before it and logs nothing. It returns each argument row's
+// rows-affected count. args is surrendered to the log; the caller must not
+// modify it afterwards.
+func (tx *Tx) ExecRows(sql string, args []Value) ([]int, error) {
+	p, err := tx.e.cachedParse(sql)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := p.argRows(sql, len(args))
+	if err != nil {
+		return nil, err
+	}
+	tx.e.spreadN = 0
+	hits := make([]int, rows)
+	if _, err := tx.e.execLocked(p.stmt, args, sql, hits); err != nil {
+		return nil, err
+	}
+	return hits, nil
+}
+
+// spreadWidth checks an Exec's argument count against the plan — a statement
+// without a spread takes exactly its parameter count: surplus arguments would
+// read as further argument rows once logged — and returns how many arguments
+// the spread absorbs.
+func (p plan) spreadWidth(sql string, nargs int) (int, error) {
+	if nargs < p.nparams || (!p.spread && nargs > p.nparams) {
+		return 0, fmt.Errorf("minisql: statement has %d parameters, %d arguments given (in %q)",
+			p.nparams, nargs, compactSQL(sql))
+	}
+	return nargs - p.nparams, nil
+}
+
+// argRows reports how many whole argument rows nargs arguments make for a
+// set-based execution of the plan (Tx.ExecRows, or its logged Stmt replayed).
+func (p plan) argRows(sql string, nargs int) (int, error) {
+	if p.spread || p.nparams == 0 || nargs == 0 || nargs%p.nparams != 0 {
+		return 0, fmt.Errorf("minisql: %d arguments are not whole rows of the statement's %d fixed parameters (in %q)",
+			nargs, p.nparams, compactSQL(sql))
+	}
+	return nargs / p.nparams, nil
+}
+
+// toValues converts Exec arguments to Values.
+func toValues(args []any) ([]Value, error) {
 	vals := make([]Value, len(args))
 	for i, a := range args {
 		v, err := toValue(a)
@@ -195,11 +246,7 @@ func (tx *Tx) Exec(sql string, args ...any) (*Result, error) {
 		}
 		vals[i] = v
 	}
-	tx.e.spreadN = 0
-	if p.spread {
-		tx.e.spreadN = len(args) - p.nparams
-	}
-	return tx.e.execLocked(p.stmt, vals, sql)
+	return vals, nil
 }
 
 // execLocked executes one parsed statement and, on success, records mutating
@@ -209,13 +256,16 @@ func (tx *Tx) Exec(sql string, args ...any) (*Result, error) {
 // effects. Failed statements never reach the commit hook, so without the
 // unwind a caller that swallows the error and commits would persist rows
 // the statement log never saw — silently diverging replicas.
-func (e *Engine) execLocked(stmt any, args []Value, sql string) (*Result, error) {
+//
+// A non-nil hits makes the execution set-based: args holds len(hits) argument
+// rows and hits receives each row's rows-affected count (execUpdate).
+func (e *Engine) execLocked(stmt any, args []Value, sql string, hits []int) (*Result, error) {
 	mark := len(e.undo)
 	var t0 time.Time
 	if e.slowNanos > 0 {
 		t0 = time.Now()
 	}
-	res, err := e.execStmtLocked(stmt, args, sql)
+	res, err := e.execStmtLocked(stmt, args, sql, hits)
 	if e.slowNanos > 0 && e.slowFn != nil {
 		if d := time.Since(t0); int64(d) >= e.slowNanos {
 			e.slowFn(sql, d)
@@ -265,7 +315,10 @@ func (e *Engine) flushPendingLocked() uint64 {
 	return idx
 }
 
-func (e *Engine) execStmtLocked(stmt any, args []Value, sql string) (*Result, error) {
+func (e *Engine) execStmtLocked(stmt any, args []Value, sql string, hits []int) (*Result, error) {
+	if _, ok := stmt.(updateStmt); hits != nil && !ok {
+		return nil, fmt.Errorf("minisql: only UPDATE takes argument rows (in %q)", compactSQL(sql))
+	}
 	switch st := stmt.(type) {
 	case createTableStmt:
 		return e.execCreateTable(st)
@@ -278,7 +331,7 @@ func (e *Engine) execStmtLocked(stmt any, args []Value, sql string) (*Result, er
 	case selectStmt:
 		return e.execSelect(st, args)
 	case updateStmt:
-		return e.execUpdate(st, args)
+		return e.execUpdate(st, args, hits)
 	case deleteStmt:
 		return e.execDelete(st, args)
 	case beginStmt:
@@ -466,6 +519,11 @@ func (e *Engine) matchIDs(t *table, where expr, ev *evalCtx) ([]int64, error) {
 	if !indexed {
 		candidates = t.scanIDs()
 	}
+	return filterIDs(t, where, ev, candidates)
+}
+
+// filterIDs keeps, in place, the candidates whose row satisfies where.
+func filterIDs(t *table, where expr, ev *evalCtx, candidates []int64) ([]int64, error) {
 	if where == nil {
 		return candidates, nil
 	}
@@ -528,15 +586,13 @@ func (e *Engine) planCandidates(t *table, where expr, ev *evalCtx) (ids []int64,
 	return nil, false
 }
 
-// eqProbe recognises `col = const` (either order) on a column that carries a
-// single-column index, and returns that index with the constant coerced to
-// the column's declared type — the form row values are stored and keyed in,
-// so `int_col = '5'` probes the same key the row holding 5 sits under. The
-// probe only narrows candidates; the WHERE clause still decides each row.
-func eqProbe(t *table, c expr, ev *evalCtx) (*hashIndex, Value, bool) {
+// eqIndex recognises `col = const` (either order) on a column that carries a
+// single-column index, and returns that index with the constant's expression
+// (a literal or a parameter); a nil index when c is anything else.
+func eqIndex(t *table, c expr) (*hashIndex, expr) {
 	ex, ok := c.(*binExpr)
 	if !ok || ex.Op != "=" {
-		return nil, Value{}, false
+		return nil, nil
 	}
 	for _, side := range [2][2]expr{{ex.L, ex.R}, {ex.R, ex.L}} {
 		cr, ok := side[0].(*colRef)
@@ -549,12 +605,26 @@ func eqProbe(t *table, c expr, ev *evalCtx) (*hashIndex, Value, bool) {
 		}
 		switch side[1].(type) {
 		case *litExpr, *paramExpr:
-			if v, err := side[1].eval(ev); err == nil {
-				return ix, coerce(v, t.cols[ix.cols[0]].Type), true
-			}
+			return ix, side[1]
 		}
 	}
-	return nil, Value{}, false
+	return nil, nil
+}
+
+// eqProbe is eqIndex with the constant evaluated and coerced to the column's
+// declared type — the form row values are stored and keyed in, so
+// `int_col = '5'` probes the same key the row holding 5 sits under. The probe
+// only narrows candidates; the WHERE clause still decides each row.
+func eqProbe(t *table, c expr, ev *evalCtx) (*hashIndex, Value, bool) {
+	ix, k := eqIndex(t, c)
+	if ix == nil {
+		return nil, Value{}, false
+	}
+	v, err := k.eval(ev)
+	if err != nil {
+		return nil, Value{}, false
+	}
+	return ix, coerce(v, t.cols[ix.cols[0]].Type), true
 }
 
 // eqCardinality reports, without materializing candidates, how many rows a
@@ -564,7 +634,7 @@ func eqProbe(t *table, c expr, ev *evalCtx) (*hashIndex, Value, bool) {
 func (e *Engine) eqCardinality(t *table, where expr, ev *evalCtx) (est int, bounded bool) {
 	for _, c := range flattenAnd(where) {
 		if ix, probe, ok := eqProbe(t, c, ev); ok {
-			return len(ix.m[probe.key()]), true
+			return ix.count(probe), true
 		}
 	}
 	return 0, false
@@ -581,22 +651,22 @@ func (e *Engine) countByIndex(t *table, st selectStmt, ev *evalCtx) (n int, ok b
 	if !ok {
 		return 0, false, nil
 	}
-	set := ix.m[probe.key()]
-	for id := range set {
-		// Every row of the set holds the same column value, so the clause's
-		// verdict on one of them (a NULL or non-canonical probe such as '05'
-		// against 5 matches none) is its verdict on all.
-		ev.row = t.rows[id]
-		v, err := st.Where.eval(ev)
-		if err != nil {
-			return 0, false, err
-		}
-		if !truthy(v) {
-			return 0, true, nil
-		}
-		break
+	set, found := ix.m[probe.key()]
+	if !found {
+		return 0, true, nil
 	}
-	return len(set), true, nil
+	// Every row of the set holds the same column value, so the clause's
+	// verdict on one of them (a NULL or non-canonical probe such as '05'
+	// against 5 matches none) is its verdict on all.
+	ev.row = t.rows[set.any()]
+	v, err := st.Where.eval(ev)
+	if err != nil {
+		return 0, false, err
+	}
+	if !truthy(v) {
+		return 0, true, nil
+	}
+	return set.len(), true, nil
 }
 
 func flattenAnd(ex expr) []expr {
@@ -930,15 +1000,16 @@ func aggregate(op string, t *table, ids []int64, ci int) Value {
 	return acc
 }
 
-func (e *Engine) execUpdate(st updateStmt, args []Value) (*Result, error) {
+// execUpdate runs an UPDATE once per argument row: one row — all of args —
+// when hits is nil, else len(hits) rows back to back in args, each executed
+// as the statement with that row bound, in order, with its rows-affected count
+// stored in hits. Everything that does not depend on the arguments is resolved
+// once, before the loop: the table, the SET column positions, and the index a
+// `col = const` conjunct of the WHERE clause probes.
+func (e *Engine) execUpdate(st updateStmt, args []Value, hits []int) (*Result, error) {
 	t, ok := e.tables[st.Table]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
-	}
-	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
-	ids, err := e.matchIDs(t, st.Where, ev)
-	if err != nil {
-		return nil, err
 	}
 	setPos := make([]int, len(st.Set))
 	for i, a := range st.Set {
@@ -948,22 +1019,51 @@ func (e *Engine) execUpdate(st updateStmt, args []Value) (*Result, error) {
 		}
 		setPos[i] = ci
 	}
-	res := &Result{}
-	for _, id := range ids {
-		old := t.rows[id]
-		row := make([]Value, len(old))
-		copy(row, old)
-		ev.row = old
-		for i, a := range st.Set {
-			v, err := a.Val.eval(ev)
-			if err != nil {
-				return nil, err
-			}
-			row[setPos[i]] = coerce(v, t.cols[setPos[i]].Type)
+	var ix *hashIndex
+	var probe expr
+	for _, c := range flattenAnd(st.Where) {
+		if ix, probe = eqIndex(t, c); ix != nil {
+			break
 		}
-		prev := t.update(id, row)
-		e.logUndo(undoOp{kind: undoUpdate, table: t.name, rowid: id, row: prev})
-		res.RowsAffected++
+	}
+	rows := max(1, len(hits))
+	width := len(args) / rows
+	ev := &evalCtx{tbl: t, spreadN: e.spreadN}
+	res := &Result{}
+	var ids []int64 // candidate scratch, reused across rows
+	for r := 0; r < rows; r++ {
+		ev.args, ev.row = args[r*width:(r+1)*width], nil
+		var err error
+		if ix == nil {
+			ids, err = e.matchIDs(t, st.Where, ev)
+		} else if v, perr := probe.eval(ev); perr != nil {
+			err = perr
+		} else {
+			ids = ix.lookup(ids[:0], coerce(v, t.cols[ix.cols[0]].Type))
+			ids, err = filterIDs(t, st.Where, ev, ids)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, id := range ids {
+			old := t.rows[id]
+			row := make([]Value, len(old))
+			copy(row, old)
+			ev.row = old
+			for i, a := range st.Set {
+				v, err := a.Val.eval(ev)
+				if err != nil {
+					return nil, err
+				}
+				row[setPos[i]] = coerce(v, t.cols[setPos[i]].Type)
+			}
+			prev := t.update(id, row)
+			e.logUndo(undoOp{kind: undoUpdate, table: t.name, rowid: id, row: prev})
+		}
+		res.RowsAffected += len(ids)
+		if hits != nil {
+			hits[r] = len(ids)
+		}
 	}
 	return res, nil
 }

@@ -26,13 +26,9 @@ func whereOf(t *testing.T, e *Engine, sql string) (*table, expr) {
 
 func values(t *testing.T, args ...any) []Value {
 	t.Helper()
-	vals := make([]Value, len(args))
-	for i, a := range args {
-		v, err := toValue(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals[i] = v
+	vals, err := toValues(args)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return vals
 }

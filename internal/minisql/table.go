@@ -24,19 +24,46 @@ type table struct {
 	indexes map[string]*hashIndex // keyed by column name
 }
 
-// hashIndex maps a key-column value (or two-column value pair) to the rowids
-// holding it. An ordered index additionally maintains the entries sorted by
-// (value, [value2,] rowid), giving ORDER BY <col> ... LIMIT n queries the
-// top-n directly: equality lookups stay O(1) on the hash side, ordered scans
-// read the sorted side in place of the full-table scan-and-sort. A composite
-// (two-column) ordered index bounds the equal-key run length of that scan by
-// the (col1, col2) pair cardinality — the fix for queues whose first key is
-// uniform (every task at one priority) degenerating into one whole-queue run.
+// hashIndex is an index over one key column, or over a column pair. It keeps
+// only the sides a query can read. A single-column index has the hash side, m:
+// key value -> the rowids holding it, which serves `col = const`, IN and
+// COUNT probes in O(1). An ordered index has the sorted side: the entries
+// ascending by (value, [value2,] rowid), which gives ORDER BY <col> ... LIMIT n
+// its top-n in place of a full-table scan-and-sort. A composite (two-column)
+// index has no hash side — every probe finds its index by one column name, so
+// nothing could read a pair key — and exists for its sorted side, which bounds
+// the equal-key run length of the ordered scan by the (col1, col2) pair
+// cardinality: the fix for queues whose first key is uniform (every task at
+// one priority) degenerating into one whole-queue run.
 type hashIndex struct {
-	cols    []int // key column positions; 1 or 2 entries
-	m       map[string]map[int64]struct{}
+	cols    []int             // key column positions; 1 or 2 entries
+	m       map[hashKey]idSet // nil for a composite index
 	ordered bool
 	sorted  ordList // ascending by (v, v2, rowid); empty unless ordered
+}
+
+// idSet is the rowids under one hash key. Most keys are unique (a PRIMARY
+// KEY, a dedup key), so the first id is held inline and a map grows only from
+// the second; once grown, more holds every id of the set. A set in a
+// hashIndex is never empty.
+type idSet struct {
+	one  int64
+	more map[int64]struct{}
+}
+
+func (s idSet) len() int {
+	if s.more != nil {
+		return len(s.more)
+	}
+	return 1
+}
+
+// any returns one id of the set.
+func (s idSet) any() int64 {
+	for id := range s.more {
+		return id
+	}
+	return s.one
 }
 
 // ordEntry is one element of an ordered index: the key column value(s) and
@@ -170,15 +197,6 @@ func (ix *hashIndex) entry(row []Value, id int64) ordEntry {
 	return ent
 }
 
-// hashKey renders the entry's hash-side key. Composite keys join the
-// per-column keys with a separator no key prefix can collide with.
-func (ix *hashIndex) hashKey(ent ordEntry) string {
-	if len(ix.cols) == 1 {
-		return ent.v.key()
-	}
-	return ent.v.key() + "\x1f" + ent.v2.key()
-}
-
 func newTable(name string, cols []ColumnDef) (*table, error) {
 	t := &table{
 		name:    name,
@@ -206,7 +224,7 @@ func newTable(name string, cols []ColumnDef) (*table, error) {
 		}
 		// Primary keys get an index automatically.
 		if c.PrimaryKey {
-			t.indexes[c.Name] = &hashIndex{cols: []int{i}, m: make(map[string]map[int64]struct{})}
+			t.indexes[c.Name] = &hashIndex{cols: []int{i}, m: make(map[hashKey]idSet)}
 		}
 	}
 	return t, nil
@@ -232,16 +250,18 @@ func (t *table) addIndex(spec string, ordered bool) error {
 	}
 	if ix, exists := t.indexes[spec]; exists {
 		if ordered && !ix.ordered {
-			// Upgrade in place: the hash side is already maintained, only the
-			// sorted side needs building.
+			// Upgrade in place: only the sorted side needs building.
 			ix.ordered = true
 			ix.buildSorted(t)
 		}
 		return nil
 	}
-	idx := &hashIndex{cols: pos, m: make(map[string]map[int64]struct{}), ordered: ordered}
-	for id, row := range t.rows {
-		idx.addHash(idx.entry(row, id))
+	idx := &hashIndex{cols: pos, ordered: ordered}
+	if len(pos) == 1 {
+		idx.m = make(map[hashKey]idSet)
+		for id, row := range t.rows {
+			idx.addHash(row[pos[0]], id)
+		}
 	}
 	if ordered {
 		idx.buildSorted(t)
@@ -260,27 +280,40 @@ func (ix *hashIndex) buildSorted(t *table) {
 }
 
 func (ix *hashIndex) add(ent ordEntry) {
-	ix.addHash(ent)
+	ix.addHash(ent.v, ent.id)
 	if ix.ordered {
 		ix.sorted.add(ent)
 	}
 }
 
-func (ix *hashIndex) addHash(ent ordEntry) {
-	k := ix.hashKey(ent)
-	set := ix.m[k]
-	if set == nil {
-		set = make(map[int64]struct{})
-		ix.m[k] = set
+func (ix *hashIndex) addHash(v Value, id int64) {
+	if ix.m == nil {
+		return
 	}
-	set[ent.id] = struct{}{}
+	k := v.key()
+	set, ok := ix.m[k]
+	switch {
+	case !ok:
+		ix.m[k] = idSet{one: id}
+	case set.more != nil:
+		set.more[id] = struct{}{}
+	case set.one != id:
+		ix.m[k] = idSet{more: map[int64]struct{}{set.one: {}, id: {}}}
+	}
 }
 
 func (ix *hashIndex) remove(ent ordEntry) {
-	k := ix.hashKey(ent)
-	if set := ix.m[k]; set != nil {
-		delete(set, ent.id)
-		if len(set) == 0 {
+	if ix.m != nil {
+		k := ent.v.key()
+		set, ok := ix.m[k]
+		switch {
+		case !ok:
+		case set.more != nil:
+			delete(set.more, ent.id)
+			if len(set.more) == 0 {
+				delete(ix.m, k)
+			}
+		case set.one == ent.id:
 			delete(ix.m, k)
 		}
 	}
@@ -291,16 +324,28 @@ func (ix *hashIndex) remove(ent ordEntry) {
 
 // lookup appends the rowids holding value v to dst, those in ascending order.
 func (ix *hashIndex) lookup(dst []int64, v Value) []int64 {
-	set := ix.m[v.key()]
-	dst = slices.Grow(dst, len(set))
+	set, ok := ix.m[v.key()]
+	switch {
+	case !ok:
+		return dst
+	case set.more == nil:
+		return append(dst, set.one)
+	}
+	dst = slices.Grow(dst, len(set.more))
 	start := len(dst)
-	for id := range set {
+	for id := range set.more {
 		dst = append(dst, id)
 	}
-	if len(set) > 1 {
-		slices.Sort(dst[start:])
-	}
+	slices.Sort(dst[start:])
 	return dst
+}
+
+// count reports how many rowids hold value v.
+func (ix *hashIndex) count(v Value) int {
+	if set, ok := ix.m[v.key()]; ok {
+		return set.len()
+	}
+	return 0
 }
 
 // insert stores a full-width row and maintains indexes. The caller has

@@ -11,6 +11,7 @@ package minisql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -143,21 +144,36 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
-// key returns a canonical map key for hash indexing.
-func (v Value) key() string {
+// hashKey is a Value's identity on the hash side of an index: comparable, so
+// it keys a map directly and no index touch builds a string. Values that are
+// equal as SQL index keys have equal hashKeys and no others do: 1 and 1.0
+// share a key, 1 and '1' do not.
+type hashKey struct {
+	kind Kind
+	num  uint64 // the int64, or the float's bits; 0 for NULL and text
+	text string
+}
+
+// key returns v's canonical hash-index key.
+func (v Value) key() hashKey {
 	switch v.Kind {
 	case KindNull:
-		return "n"
+		return hashKey{}
 	case KindInt:
-		return "i" + strconv.FormatInt(v.Int, 10)
+		return hashKey{kind: KindInt, num: uint64(v.Int)}
 	case KindFloat:
-		// Integral floats hash like ints so 1 and 1.0 collide as SQL expects.
-		if v.Float == float64(int64(v.Float)) {
-			return "i" + strconv.FormatInt(int64(v.Float), 10)
+		f := v.Float
+		// Integral floats hash like ints so 1 and 1.0 collide as SQL expects
+		// (-0.0 is 0); a float outside int64 has no int to collide with.
+		if f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f) {
+			return hashKey{kind: KindInt, num: uint64(int64(f))}
 		}
-		return "f" + strconv.FormatFloat(v.Float, 'b', -1, 64)
+		if f != f {
+			f = math.NaN() // every NaN payload is the one key
+		}
+		return hashKey{kind: KindFloat, num: math.Float64bits(f)}
 	default:
-		return "t" + v.Text
+		return hashKey{kind: KindText, text: v.Text}
 	}
 }
 

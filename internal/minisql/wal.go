@@ -9,10 +9,11 @@ import (
 )
 
 // Stmt is one mutating SQL statement with its bound positional arguments,
-// exactly as executed on the engine. Replaying the same Stmt sequence against
-// an engine in the same starting state is deterministic: every dynamic value
-// (timestamps, payloads) arrives through Args, and AUTOINCREMENT keys are a
-// pure function of prior statements.
+// exactly as executed on the engine; a set-based write (Tx.ExecRows) is one
+// Stmt whose Args hold several argument rows back to back. Replaying the same
+// Stmt sequence against an engine in the same starting state is
+// deterministic: every dynamic value (timestamps, payloads) arrives through
+// Args, and AUTOINCREMENT keys are a pure function of prior statements.
 type Stmt struct {
 	SQL  string
 	Args []Value
@@ -78,17 +79,7 @@ func (e *Engine) ApplyEntry(entry LogEntry) error {
 	e.inTx = true
 	e.undo = e.undo[:0]
 	for _, s := range entry.Stmts {
-		p, err := e.cachedParse(s.SQL)
-		if err != nil {
-			e.rollbackLocked()
-			e.inTx = false
-			return fmt.Errorf("minisql: apply entry %d: %w", entry.Index, err)
-		}
-		e.spreadN = 0
-		if p.spread && len(s.Args) > p.nparams {
-			e.spreadN = len(s.Args) - p.nparams
-		}
-		if _, err := e.execLocked(p.stmt, s.Args, s.SQL); err != nil {
+		if err := e.applyStmtLocked(s); err != nil {
 			e.rollbackLocked()
 			e.inTx = false
 			return fmt.Errorf("minisql: apply entry %d: %w", entry.Index, err)
@@ -106,6 +97,31 @@ func (e *Engine) ApplyEntry(entry LogEntry) error {
 		e.observer(entry.Index, entry.Stmts)
 	}
 	return nil
+}
+
+// applyStmtLocked replays one logged statement. A statement without a spread
+// that carries more arguments than parameters was logged by Tx.ExecRows: its
+// Args are whole argument rows, run through the executor ExecRows used.
+func (e *Engine) applyStmtLocked(s Stmt) error {
+	p, err := e.cachedParse(s.SQL)
+	if err != nil {
+		return err
+	}
+	e.spreadN = 0
+	var hits []int
+	switch {
+	case len(s.Args) <= p.nparams:
+	case p.spread:
+		e.spreadN = len(s.Args) - p.nparams
+	default:
+		rows, err := p.argRows(s.SQL, len(s.Args))
+		if err != nil {
+			return err
+		}
+		hits = make([]int, rows)
+	}
+	_, err = e.execLocked(p.stmt, s.Args, s.SQL, hits)
+	return err
 }
 
 // SetLastLogged overrides the commit high-water mark. The replication layer

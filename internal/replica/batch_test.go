@@ -296,7 +296,7 @@ func TestCorruptShippedRecordRejected(t *testing.T) {
 
 // TestPreambleMismatchRejected: a connection that does not open with this
 // build's preamble — here what a pre-preamble build sends, a bare gob frame,
-// and a future protocol version — is closed unanswered, counted, and logged
+// a future protocol version and the previous one — is closed unanswered, counted, and logged
 // with the peer's address; a well-formed probe beside them is served.
 func TestPreambleMismatchRejected(t *testing.T) {
 	var mu sync.Mutex
@@ -314,7 +314,9 @@ func TestPreambleMismatchRejected(t *testing.T) {
 
 	var bare bytes.Buffer
 	gob.NewEncoder(&bare).Encode(&frame{Type: frameProbe, Peer: Peer{ID: "old-build"}})
-	for i, opening := range [][]byte{bare.Bytes(), {replMagic, replVersion + 1}} {
+	// A preamble-less build, a newer build, and a version-1 build (whose
+	// engine replays only the first argument row of a set-based write).
+	for i, opening := range [][]byte{bare.Bytes(), {replMagic, replVersion + 1}, {replMagic, 1}} {
 		conn, err := net.Dial("tcp", n.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -344,7 +346,7 @@ func TestPreambleMismatchRejected(t *testing.T) {
 	if err := gob.NewDecoder(conn).Decode(&st); err != nil || st.Type != frameStatus || st.Role != RoleLeader {
 		t.Fatalf("well-formed probe: %+v, %v", st, err)
 	}
-	if got := n.met.malformed.Value(); got != 2 {
-		t.Fatalf("malformed counter = %d after a well-formed probe, want 2", got)
+	if got := n.met.malformed.Value(); got != 3 {
+		t.Fatalf("malformed counter = %d after a well-formed probe, want 3", got)
 	}
 }

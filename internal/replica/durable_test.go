@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -212,6 +213,14 @@ func TestFollowerLogBytesEqualLeader(t *testing.T) {
 	must(err)
 	_, err = db.CancelTasks(ctx, spare[20:25])
 	must(err)
+	// A set-based write whose two statements carry different row counts: one
+	// priority per id, five of the ids just canceled out of the queue.
+	perID := make([]int, 30)
+	for i := range perID {
+		perID[i] = 1000 - i
+	}
+	_, err = db.UpdatePriorities(ctx, spare[10:40], perID)
+	must(err)
 
 	waitFor(t, "follower acked the leader's last entry", func() bool {
 		return leader.Status().Followers["n2"] == leader.Applied()
@@ -228,5 +237,13 @@ func TestFollowerLogBytesEqualLeader(t *testing.T) {
 			t.Fatalf("record %d: follower's log bytes differ from the leader's\n leader   %x\n follower %x",
 				want[i].Index, want[i].Data, got[i].Data)
 		}
+	}
+	// Same bytes, same replay: every argument row reached the follower's queue.
+	wantPrios, err := db.Priorities(ctx, spare)
+	must(err)
+	gotPrios, err := fol.DB().Priorities(ctx, spare)
+	must(err)
+	if len(wantPrios) != 55 || !reflect.DeepEqual(gotPrios, wantPrios) {
+		t.Fatalf("follower queue priorities %v, leader %v (want 55 queued)", gotPrios, wantPrios)
 	}
 }

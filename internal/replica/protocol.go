@@ -96,10 +96,12 @@ const (
 // opens differently. gob skips fields it does not know, so without it a
 // build with another frame layout would attach, apply nothing and ack its
 // old index forever while quorum writes time out. Bump replVersion whenever
-// frame changes meaning.
+// frame, or what a shipped record means to the engine replaying it, changes:
+// 2 is "a statement may carry several argument rows" — a version-1 build
+// would replay the first row of a set-based write and silently drop the rest.
 const (
 	replMagic   = 0xF6
-	replVersion = 1
+	replVersion = 2
 )
 
 // frame is the one message of the replication protocol: a gob-encoded
