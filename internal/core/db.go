@@ -70,8 +70,8 @@ var schema = []string{
 // remote sessions reading through followers.
 type DB struct {
 	eng    *minisql.Engine
-	outN   *notifier // signaled when the output queue grows
-	inN    *notifier // signaled when the input queue grows
+	outN   *notifier // signaled by the commit observer when the output queue grows
+	inN    *notifier // signaled by the commit observer when the input queue grows
 	met    *dbMetrics
 	store  *minisql.Store // durable WAL + checkpoints (nil: in-memory)
 	hub    *watch.Hub     // task-state transition fan-out (events.go)
@@ -98,8 +98,7 @@ func NewDB() (*DB, error) {
 // and flushing and closing the durable store when one is attached.
 func (db *DB) Close() {
 	db.closed.Store(true)
-	db.outN.notify()
-	db.inN.notify()
+	db.wakeAll()
 	if db.store != nil {
 		db.store.Close()
 	}
@@ -141,7 +140,7 @@ func (db *DB) Restore(r io.Reader) error {
 	// calls ResetWatch again once it has corrected the commit high-water mark
 	// to the snapshot index.
 	db.ResetWatch(db.eng.LastLogged())
-	db.Wake()
+	db.wakeAll()
 	return nil
 }
 
@@ -218,10 +217,10 @@ func migrateDedup(eng *minisql.Engine) error {
 // install a commit hook, replay shipped log entries, and take snapshots.
 func (db *DB) Engine() *minisql.Engine { return db.eng }
 
-// Wake prods both queue notifiers. The replication layer calls it after
-// applying externally shipped entries, so local pollers observe replicated
-// queue changes as promptly as local writes.
-func (db *DB) Wake() {
+// wakeAll wakes every parked long-poll for the two changes that reach the
+// queues without passing the commit observer (events.go): Close, so pollers
+// return ErrClosed, and an in-place Restore, which replaces the tables whole.
+func (db *DB) wakeAll() {
 	db.outN.notify()
 	db.inN.notify()
 }
@@ -332,7 +331,6 @@ func (db *DB) Submit(ctx context.Context, expID string, workType int, payload st
 	if dup {
 		return SubmitRes{ID: taskID, Token: db.eng.LastLogged()}, nil
 	}
-	db.outN.notify()
 	if err := db.waitDurable(tok); err != nil {
 		return SubmitRes{}, err
 	}
@@ -412,7 +410,6 @@ func (db *DB) SubmitBatch(ctx context.Context, expID string, workType int, paylo
 		// high-water mark covers all the original inserts.
 		return BatchRes{IDs: ids, Token: db.eng.LastLogged()}, nil
 	}
-	db.outN.notify()
 	if err := db.waitDurable(tok); err != nil {
 		return BatchRes{}, err
 	}
@@ -451,19 +448,17 @@ func (db *DB) QueryTasks(ctx context.Context, workType, n int, pool string) (Tas
 	}
 }
 
-// pollWait blocks until wake fires, DefaultPollDelay elapses (the missed-
-// notification recheck bound), or ctx finishes — reporting ErrTimeout on a
-// deadline expiry and the cancellation cause otherwise.
+// pollWait blocks until wake fires or ctx finishes — reporting ErrTimeout on
+// a deadline expiry and the cancellation cause otherwise. wake is taken
+// before the pop that came back empty and the commit observer signals under
+// the engine lock, so a row the pop missed has not signalled yet: there is
+// no notification to miss and nothing to re-poll for.
 func pollWait(ctx context.Context, wake <-chan struct{}) error {
 	if err := ctx.Err(); err != nil {
 		return ctxErr(ctx)
 	}
-	recheck := time.NewTimer(DefaultPollDelay)
-	defer recheck.Stop()
 	select {
 	case <-wake:
-		return nil
-	case <-recheck.C:
 		return nil
 	case <-ctx.Done():
 		return ctxErr(ctx)
@@ -631,7 +626,6 @@ func (db *DB) Report(ctx context.Context, taskID int64, workType int, result str
 	if already {
 		return Res{Token: db.eng.LastLogged()}, nil
 	}
-	db.inN.notify()
 	if err := db.waitDurable(tok); err != nil {
 		return Res{}, err
 	}
@@ -822,12 +816,6 @@ func (db *DB) UpdatePriorities(ctx context.Context, ids []int64, priorities []in
 	if err != nil {
 		return CountRes{}, err
 	}
-	// Priorities changed: waiting pools should re-pop in the new order. When
-	// every id had already left the queue the order stands, and waking them
-	// would only re-run their pops under the engine lock.
-	if updated > 0 {
-		db.outN.notify()
-	}
 	if err := db.waitDurable(tok); err != nil {
 		return CountRes{}, err
 	}
@@ -903,9 +891,6 @@ func (db *DB) RequeueRunning(ctx context.Context, pool string) (CountRes, error)
 	})
 	if err != nil {
 		return CountRes{}, err
-	}
-	if requeued > 0 {
-		db.outN.notify()
 	}
 	if err := db.waitDurable(tok); err != nil {
 		return CountRes{}, err

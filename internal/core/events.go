@@ -9,17 +9,45 @@ import (
 )
 
 // attachWatch creates the DB's watch hub and installs the engine commit
-// observer that feeds it. The observer runs under the engine lock on every
-// applied batch — leader commits, follower replays, and standalone durable
-// writes alike — so the hub sees transitions in exact WAL order with their
-// commit tokens.
+// observer: the one source of wake-ups. The observer runs under the engine
+// lock on every applied batch — leader commits, follower replays, and
+// standalone durable writes alike — so it sees transitions in exact WAL order
+// with their commit tokens. It wakes at two positions: parked long-polls at
+// apply (a local pop needs the row, not the quorum), hub subscribers through
+// the gate, at quorum commit.
 func (db *DB) attachWatch() {
 	db.hub = watch.NewHub(0, db.met.reg)
 	db.eng.SetCommitObserver(func(idx uint64, stmts []minisql.Stmt) {
-		if trs := classify(stmts); len(trs) > 0 {
-			db.publishCommit(idx, trs)
+		trs := classify(stmts)
+		if len(trs) == 0 {
+			return
 		}
+		db.wakePolls(trs)
+		db.publishCommit(idx, trs)
 	})
+}
+
+// wakePolls wakes the long-polls a batch can satisfy: a queued transition
+// put a row in the output queue (QueryTasks), a complete one put a row in the
+// input queue (PopResults). A poll parks only after its pop came back empty,
+// and nothing else makes an empty pop non-empty — running and canceled
+// transitions only take rows out, a reprioritisation moves none.
+func (db *DB) wakePolls(trs []watch.Transition) {
+	var out, in bool
+	for _, tr := range trs {
+		switch tr.Status {
+		case string(StatusQueued):
+			out = true
+		case string(StatusComplete):
+			in = true
+		}
+	}
+	if out {
+		db.outN.notify()
+	}
+	if in {
+		db.inN.notify()
+	}
 }
 
 // watchGate sits between the engine's commit observer and the hub on

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -205,5 +206,146 @@ func TestWatchTaskResync(t *testing.T) {
 	evs := collect(t, st, 1)
 	if !evs[0].Resync || evs[0].Status != watch.StatusCanceled || evs[0].TaskID != id.ID {
 		t.Fatalf("resync event = %+v, want canceled resync for task %d", evs[0], id.ID)
+	}
+}
+
+// TestCommitObserverWakesPolls: the commit observer is the only thing that
+// wakes a parked long-poll, so every transition that fills a queue must wake
+// the poll on that queue — on the database that committed it and on one that
+// only replays it through Engine.ApplyEntry, as a follower does. An edit to a
+// transition statement that silently stops classification fails here instead
+// of stalling pops.
+func TestCommitObserverWakesPolls(t *testing.T) {
+	queryTasks := func(ctx context.Context, db *DB) error {
+		_, err := db.QueryTasks(ctx, 1, 1, "parked")
+		return err
+	}
+	// runOne leaves task 1 running under pool "p".
+	runOne := func(t *testing.T, db *DB) {
+		if _, err := db.Submit(bg, "e", 1, "x"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.QueryTasks(within(t, waitMax), 1, 1, "p"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name string
+		prep func(t *testing.T, db *DB)              // state before the poll parks
+		poll func(ctx context.Context, db *DB) error // parks: its queue is empty
+		act  func(db *DB) error                      // the transition that fills it
+	}{
+		{"Submit", nil, queryTasks, func(db *DB) error {
+			_, err := db.Submit(bg, "e", 1, "x")
+			return err
+		}},
+		{"SubmitBatch", nil, queryTasks, func(db *DB) error {
+			_, err := db.SubmitBatch(bg, "e", 1, []string{"x", "y"}, nil, nil)
+			return err
+		}},
+		{"RequeueRunning", runOne, queryTasks, func(db *DB) error {
+			_, err := db.RequeueRunning(bg, "p")
+			return err
+		}},
+		{"Report", runOne, func(ctx context.Context, db *DB) error {
+			_, err := db.PopResults(ctx, []int64{1}, 1)
+			return err
+		}, func(db *DB) error {
+			_, err := db.Report(bg, 1, 1, "done")
+			return err
+		}},
+	}
+	// woken parks poll on db, runs wake, and fails unless the poll then
+	// returns its rows promptly.
+	woken := func(t *testing.T, db *DB, poll func(context.Context, *DB) error, wake func()) {
+		t.Helper()
+		ctx, done := within(t, waitMax), make(chan error, 1)
+		go func() { done <- poll(ctx, db) }()
+		time.Sleep(4 * tick) // let the poll find its queue empty and park
+		start := time.Now()
+		wake()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("parked poll: %v", err)
+			}
+			if d := time.Since(start); d > 50*time.Millisecond {
+				t.Fatalf("parked poll returned %v after the transition, want under 50ms", d)
+			}
+		case <-time.After(waitMax):
+			t.Fatal("the transition did not wake the parked poll")
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name+"/committed", func(t *testing.T) {
+			db := newTestDB(t)
+			if tc.prep != nil {
+				tc.prep(t, db)
+			}
+			woken(t, db, tc.poll, func() {
+				if err := tc.act(db); err != nil {
+					t.Error(err)
+				}
+			})
+		})
+		t.Run(tc.name+"/replayed", func(t *testing.T) {
+			src, rep := newTestDB(t), newTestDB(t)
+			log := captureLog(src.Engine())
+			applied := 0
+			replay := func() {
+				for ; applied < len(*log); applied++ {
+					if err := rep.Engine().ApplyEntry((*log)[applied]); err != nil {
+						t.Errorf("replaying entry %d: %v", (*log)[applied].Index, err)
+					}
+				}
+			}
+			if tc.prep != nil {
+				tc.prep(t, src)
+			}
+			replay()
+			woken(t, rep, tc.poll, func() {
+				if err := tc.act(src); err != nil {
+					t.Error(err)
+				}
+				replay()
+			})
+		})
+	}
+}
+
+// TestParkedPollsIdle: idle means idle. A parked QueryTasks and a parked
+// PopResults wait for the commit observer and execute nothing meanwhile — the
+// engine's statement count (plan-cache hits + misses) does not move.
+func TestParkedPollsIdle(t *testing.T) {
+	db := newTestDB(t)
+	id, err := idOf(db.Submit(bg, "e", 2, "never reported"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	done := make(chan error, 2)
+	go func() {
+		_, err := db.QueryTasks(ctx, 1, 1, "parked")
+		done <- err
+	}()
+	go func() {
+		_, err := db.PopResults(ctx, []int64{id}, 1)
+		done <- err
+	}()
+	statements := func() uint64 {
+		st := db.Engine().PlanCacheStats()
+		return st.Hits + st.Misses
+	}
+	time.Sleep(4 * tick) // both polls have run their one empty pop
+	before := statements()
+	time.Sleep(500 * time.Millisecond)
+	if n := statements() - before; n != 0 {
+		t.Fatalf("two parked polls executed %d statements in 500ms, want 0", n)
+	}
+	cancel()
+	for i := 0; i < 2; i++ {
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("parked poll ended with %v, want context.Canceled", err)
+		}
 	}
 }

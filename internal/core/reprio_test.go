@@ -171,9 +171,12 @@ func TestUpdatePrioritiesMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestUpdatePrioritiesWakesOnlyOnChange: a call that changed nothing — every
-// id already popped, or no ids at all — leaves the long-polling pops asleep,
-// and an empty call executes and logs nothing.
+// TestUpdatePrioritiesWakesOnlyOnChange: no UpdatePriorities call wakes the
+// long-polling pops, and an empty call executes and logs nothing. That holds
+// for a call that did change a queued row's priority too: a poller parks only
+// after its pop came back empty, and reordering the rows of a queue cannot
+// make an empty pop non-empty — waking it would only re-run the pop under the
+// engine lock. Only the commit observer's queued transition wakes QueryTasks.
 func TestUpdatePrioritiesWakesOnlyOnChange(t *testing.T) {
 	db := newTestDB(t)
 	ids, err := idsOf(db.SubmitBatch(bg, "exp", 1, []string{"a", "b", "c"}, nil, nil))
@@ -215,7 +218,7 @@ func TestUpdatePrioritiesWakesOnlyOnChange(t *testing.T) {
 	if err != nil || res.Count != 1 {
 		t.Fatalf("reprioritising one queued task = %+v, %v; want count 1", res, err)
 	}
-	if !woken(wake) {
-		t.Fatal("a priority change did not wake the queue's pollers")
+	if woken(wake) {
+		t.Fatal("a priority change woke the queue's pollers")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"time"
 
 	"osprey/internal/watch"
 )
@@ -110,11 +109,6 @@ type CountRes struct {
 	Count int
 	Token Token
 }
-
-// DefaultPollDelay is the fallback recheck interval of the polling
-// operations. Implementations wake on queue notifications where available;
-// the delay only bounds how stale a missed notification can leave a poll.
-const DefaultPollDelay = 100 * time.Millisecond
 
 // Session is the EMEWS DB task interface: one surface shared by the
 // in-process database (DB), the remote service client (service.Client),

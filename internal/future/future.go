@@ -118,11 +118,14 @@ func (f *Future) Status() (core.Status, error) {
 // input-queue entry is consumed exactly once.
 //
 // The wait parks on a per-task event subscription: a terminal transition
-// wakes it, and cancellation surfaces as ErrCanceled in the same hop. Only
-// when the subscription cannot be had or dies mid-wait (Watch's error cases:
-// overflow, hub reset, connection loss on a non-failover client) does the
-// call long-poll QueryResult for the same timeout instead, reading the status
-// after a timeout to tell "not done" from "canceled".
+// wakes it, and cancellation surfaces as ErrCanceled in the same hop.
+// Subscribing from the submit's own commit token replays any transition that
+// already happened (a compacted position resyncs with current state), so a
+// task that completed before the call still wakes immediately. A stream that
+// ends mid-wait (overflow, hub reset) is resubscribed from the last token it
+// delivered, inside the same deadline; a subscribe that fails — the session
+// is closed, the connection of a non-failover client is gone — returns its
+// error.
 func (f *Future) Result(timeout time.Duration) (string, error) {
 	f.mu.Lock()
 	if f.done {
@@ -131,64 +134,56 @@ func (f *Future) Result(timeout time.Duration) (string, error) {
 		return r, nil
 	}
 	f.mu.Unlock()
-	if res, err, handled := f.resultWatch(timeout); handled {
-		return res, err
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	res, err := f.sess.QueryResult(ctx, f.id)
-	if err != nil {
-		if errors.Is(err, core.ErrTimeout) {
-			// Canceled tasks never produce results; surface that instead.
-			if st, serr := f.Status(); serr == nil && st == core.StatusCanceled {
-				return "", ErrCanceled
-			}
+	since := f.Token()
+	for {
+		st, err := f.sess.Watch(ctx, watch.Query{TaskID: f.id, Since: since}, 4)
+		if err != nil {
+			return "", err
 		}
-		return "", err
+		var status string
+		status, since = awaitTerminal(ctx, st, since)
+		st.Close()
+		switch status {
+		case watch.StatusCanceled:
+			return "", ErrCanceled
+		case watch.StatusComplete:
+			// The result row is committed; pop it. The read rides the same
+			// ctx — ample for a committed result's round trip.
+			res, err := f.sess.QueryResult(ctx, f.id)
+			if err != nil {
+				return "", err
+			}
+			f.setResult(res.Result, res.Token)
+			return res.Result, nil
+		}
+		if ctx.Err() != nil {
+			return "", core.ErrTimeout
+		}
 	}
-	f.setResult(res.Result, res.Token)
-	return res.Result, nil
 }
 
-// resultWatch waits for the task's terminal transition on a watch stream.
-// Subscribing from the submit's own commit token replays any transition that
-// already happened (a compacted position resyncs with current state), so a
-// task that completed before the call still wakes immediately. handled is
-// false when the subscription could not be established or ended early — the
-// caller long-polls instead.
-func (f *Future) resultWatch(timeout time.Duration) (string, error, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	st, err := f.sess.Watch(ctx, watch.Query{TaskID: f.id, Since: f.Token()}, 4)
-	if err != nil {
-		return "", nil, false
-	}
-	defer st.Close()
+// awaitTerminal reads st until it delivers the task's terminal transition and
+// returns that status, or "" when the stream ended or ctx finished first,
+// with since advanced past the tokens delivered — where a resubscribe resumes.
+func awaitTerminal(ctx context.Context, st watch.Stream, since core.Token) (string, core.Token) {
 	for {
 		select {
 		case batch, ok := <-st.Events():
 			if !ok {
-				// Stream died mid-wait (overflow, reset, connection loss on a
-				// non-failover client): the long-poll takes over.
-				return "", nil, false
+				return "", since
 			}
 			for _, ev := range batch {
-				switch ev.Status {
-				case watch.StatusCanceled:
-					return "", ErrCanceled, true
-				case watch.StatusComplete:
-					// The result row is committed; pop it. The read rides the
-					// same ctx — ample for a committed result's round trip.
-					res, err := f.sess.QueryResult(ctx, f.id)
-					if err != nil {
-						return "", err, true
-					}
-					f.setResult(res.Result, res.Token)
-					return res.Result, nil, true
+				if ev.Token > since {
+					since = ev.Token
+				}
+				if ev.Status == watch.StatusCanceled || ev.Status == watch.StatusComplete {
+					return ev.Status, since
 				}
 			}
 		case <-ctx.Done():
-			return "", core.ErrTimeout, true
+			return "", since
 		}
 	}
 }

@@ -83,6 +83,52 @@ func TestFutureResult(t *testing.T) {
 	}
 }
 
+// TestResultResubscribesWhenStreamEnds kills the stream under a waiting
+// Result (a hub reset terminates every subscription, as a snapshot install
+// does) and sees the same call resubscribe and complete: watching is the one
+// way a Result waits, so a dead stream is replaced, not abandoned for a poll.
+func TestResultResubscribesWhenStreamEnds(t *testing.T) {
+	db := newDB(t)
+	f, err := Submit(db, "e", 1, "hello")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res string
+		err error
+	}
+	got := make(chan outcome, 1)
+	go func() {
+		res, err := f.Result(waitMax)
+		got <- outcome{res, err}
+	}()
+	subs := db.Metrics().Gauge("osprey_watch_subscriptions")
+	subscribed := func() {
+		t.Helper()
+		for deadline := time.Now().Add(waitMax); subs.Value() != 1; time.Sleep(tick) {
+			if time.Now().After(deadline) {
+				t.Fatalf("Result holds %v subscriptions, want 1", subs.Value())
+			}
+		}
+	}
+	subscribed()
+	db.ResetWatch(db.Token())
+	subscribed()
+
+	task := popOne(t, db, 1, 1)[0]
+	if _, err := db.Report(context.Background(), task.ID, 1, "echo:hello"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case o := <-got:
+		if o.err != nil || o.res != "echo:hello" {
+			t.Fatalf("Result across a stream reset = %q, %v", o.res, o.err)
+		}
+	case <-time.After(waitMax):
+		t.Fatal("Result did not complete after its stream was reset")
+	}
+}
+
 func TestFutureStatus(t *testing.T) {
 	db := newDB(t)
 	f, err := Submit(db, "e", 1, "x")

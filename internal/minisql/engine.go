@@ -41,7 +41,7 @@ type Engine struct {
 	lastLogged uint64         // highest log index the hook has assigned
 	spreadN    int            // spread-IN width of the statement executing now
 
-	plans *planCache // parsed-statement LRU (plancache.go)
+	plans *planCache // parsed statements by SQL text (plancache.go)
 
 	// Slow-query log (obs.go): statements at or over slowNanos are reported
 	// to slowFn. Both are read and written under mu; zero/nil means off.

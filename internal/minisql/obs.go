@@ -54,7 +54,7 @@ func (e *Engine) SetSlowQueryLog(threshold time.Duration, fn func(sql string, d 
 }
 
 // cacheCounters are the planCache's monotonic counters. Kept in a separate
-// struct so the cache's documented locking story stays about the LRU.
+// struct so the cache's documented locking story stays about the map.
 type cacheCounters struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64

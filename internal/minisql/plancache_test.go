@@ -67,14 +67,22 @@ func TestPlanCacheRestoreEviction(t *testing.T) {
 	}
 }
 
-func TestPlanCacheLRUBound(t *testing.T) {
+// TestPlanCacheBound: the cache never holds more than planCacheSize texts; the
+// text that would exceed the cap drops the map whole, and the dropped plans
+// are what the evictions counter reports.
+func TestPlanCacheBound(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER)")
 	for i := 0; i < planCacheSize+100; i++ {
 		mustExec(t, e, fmt.Sprintf("SELECT v FROM t WHERE v = %d", i))
+		if n := e.plans.len(); n > planCacheSize {
+			t.Fatalf("cache holds %d plans after %d texts, cap is %d", n, i+1, planCacheSize)
+		}
 	}
-	if n := e.plans.len(); n != planCacheSize {
-		t.Fatalf("cache holds %d plans, want the %d cap", n, planCacheSize)
+	st := e.PlanCacheStats()
+	if st.Size != 100 || st.Evictions != planCacheSize {
+		t.Fatalf("after cap+100 texts: size %d, evictions %d; want 100 and %d",
+			st.Size, st.Evictions, planCacheSize)
 	}
 }
 

@@ -53,80 +53,9 @@ func TestSpreadINWidths(t *testing.T) {
 	}
 }
 
-// TestSpreadINPlanCacheWidthOblivious: distinct batch widths of the same
-// logical statement — spread form or legacy explicit `?, ?, ...` lists —
-// share a single parsed plan. Each raw legacy text keeps a small alias
-// entry (so cache hits never re-scan the text), but every alias points at
-// the one normalized AST: the parser runs once per statement shape, not
-// once per arity.
-func TestSpreadINPlanCacheWidthOblivious(t *testing.T) {
-	e := NewEngine()
-	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY)")
-	mustExec(t, e, "INSERT INTO q (id) VALUES (1), (2), (3), (4)")
-
-	var texts []string
-	for w := 1; w <= 8; w++ {
-		marks := "?"
-		args := []any{1}
-		for i := 1; i < w; i++ {
-			marks += ", ?"
-			args = append(args, i+1)
-		}
-		text := "SELECT id FROM q WHERE id IN (" + marks + ")"
-		texts = append(texts, text)
-		if _, err := e.Exec(text, args...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The spread form and every legacy width resolve to the same AST.
-	canon, ok := e.plans.get("SELECT id FROM q WHERE id IN (?...)")
-	if !ok {
-		t.Fatal("normalized plan not cached")
-	}
-	want := canon.stmt.(selectStmt).Where
-	for _, text := range texts {
-		p, ok := e.plans.get(text)
-		if !ok {
-			t.Fatalf("raw text %q not aliased in the cache", text)
-		}
-		if p.stmt.(selectStmt).Where != want {
-			t.Fatalf("width variant %q parsed its own AST instead of sharing the normalized plan", text)
-		}
-	}
-}
-
-// TestNormalizeIN covers the rewrite rules, in particular what must NOT be
-// rewritten.
-func TestNormalizeIN(t *testing.T) {
-	for _, tc := range []struct{ in, want string }{
-		{"SELECT a FROM t WHERE a IN (?, ?, ?)", "SELECT a FROM t WHERE a IN (?...)"},
-		{"SELECT a FROM t WHERE a IN (?)", "SELECT a FROM t WHERE a IN (?...)"},
-		{"SELECT a FROM t WHERE a in ( ? , ? )", "SELECT a FROM t WHERE a IN (?...)"},
-		{"SELECT a FROM t WHERE a IN (?...)", "SELECT a FROM t WHERE a IN (?...)"},
-		{"SELECT a FROM t WHERE a IN (1, 2)", "SELECT a FROM t WHERE a IN (1, 2)"},
-		{"SELECT a FROM t WHERE a IN (?, 2)", "SELECT a FROM t WHERE a IN (?, 2)"},
-		{"INSERT INTO t (a, b) VALUES (?, ?)", "INSERT INTO t (a, b) VALUES (?, ?)"},
-		{"SELECT a FROM t WHERE a = 'x IN (?, ?)'", "SELECT a FROM t WHERE a = 'x IN (?, ?)'"},
-		{"SELECT a FROM tin WHERE a = ?", "SELECT a FROM tin WHERE a = ?"},
-		{"UPDATE t SET a = ? WHERE b IN (?, ?) AND c = ?", "UPDATE t SET a = ? WHERE b IN (?...) AND c = ?"},
-		// Only the FIRST all-parameter list is rewritten: a statement allows
-		// one spread, and the second list stays valid in explicit form.
-		{"SELECT a FROM t WHERE a IN (?, ?) AND b IN (?, ?)", "SELECT a FROM t WHERE a IN (?...) AND b IN (?, ?)"},
-		// A pre-existing spread disables rewriting anywhere else — on either
-		// side of it.
-		{"SELECT a FROM t WHERE a IN (?...) AND b IN (?, ?)", "SELECT a FROM t WHERE a IN (?...) AND b IN (?, ?)"},
-		{"SELECT a FROM t WHERE a IN (?, ?) AND b IN (?...)", "SELECT a FROM t WHERE a IN (?, ?) AND b IN (?...)"},
-	} {
-		if got := normalizeIN(tc.in); got != tc.want {
-			t.Errorf("normalizeIN(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestTwoParamINLists is the regression test for over-eager normalization:
-// a statement with two all-parameter IN lists was valid before the spread
-// form existed and must stay executable — the first list becomes the spread
-// (absorbing the surplus arguments), the second keeps its fixed width.
+// TestTwoParamINLists: explicit all-parameter IN lists are fixed-width lists
+// in their own right — two in one statement, or one beside a spread, bind
+// their arguments by position.
 func TestTwoParamINLists(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY, wt INTEGER)")
@@ -184,10 +113,9 @@ func TestSpreadINIndexedLookup(t *testing.T) {
 	}
 }
 
-// TestSpreadINReplay: a WAL entry whose statement carries a legacy explicit
-// IN list replays identically on a follower engine whose plan cache holds
-// the normalized spread form — leader/replica determinism across the
-// normalization boundary.
+// TestSpreadINReplay: a WAL entry whose statement carries an explicit IN
+// list is logged as written and replays to byte-identical state on a
+// follower engine.
 func TestSpreadINReplay(t *testing.T) {
 	leader, follower := NewEngine(), NewEngine()
 	wal := NewWAL(0)
@@ -199,15 +127,10 @@ func TestSpreadINReplay(t *testing.T) {
 	for _, s := range setup {
 		mustExec(t, leader, s)
 	}
-	// Warm the follower's cache with the spread form before replaying the
-	// legacy text, so both texts must resolve to the same plan.
 	if _, err := leader.Exec("DELETE FROM q WHERE id IN (?, ?)", 2, 4); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ := entriesSince(t, wal, 0)
-	if _, err := follower.Exec("SELECT 1 FROM q WHERE id IN (?...)", 1); err == nil {
-		t.Fatal("expected table-missing error before replay")
-	}
 	for _, ent := range entries {
 		if err := follower.ApplyEntry(ent); err != nil {
 			t.Fatalf("ApplyEntry(%d): %v", ent.Index, err)

@@ -76,10 +76,6 @@ type StoreOptions struct {
 	CheckpointEvery int
 	// SegmentBytes is the log segment roll threshold (0: DefaultSegmentBytes).
 	SegmentBytes int64
-	// CoalesceDelay is the group-fsync window: with more than one writer
-	// blocked on durability the fsync is held this long so they share one.
-	// 0 selects the default 200µs; negative disables coalescing.
-	CoalesceDelay time.Duration
 	// Logf, when set, receives storage lifecycle messages (checkpoint
 	// failures, recovery notes).
 	Logf func(format string, args ...any)
@@ -92,6 +88,11 @@ type StoreOptions struct {
 // DefaultCheckpointEvery is the automatic checkpoint interval in log
 // entries.
 const DefaultCheckpointEvery = 10000
+
+// coalesceDelay is the store's group-fsync window: with more than one writer
+// blocked on durability the fsync is held this long so they share one (the
+// same window the replication layer's group commit uses).
+const coalesceDelay = 200 * time.Microsecond
 
 type storeMeta struct {
 	Version     int
@@ -106,9 +107,6 @@ type storeMeta struct {
 func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 	if opt.CheckpointEvery == 0 {
 		opt.CheckpointEvery = DefaultCheckpointEvery
-	}
-	if opt.CoalesceDelay == 0 {
-		opt.CoalesceDelay = 200 * time.Microsecond
 	}
 	fsys := opt.FS
 	if fsys == nil {
@@ -126,7 +124,7 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 			}
 		}
 	}
-	log, err := OpenDiskLogFS(fsys, filepath.Join(dir, "wal"), opt.SegmentBytes, opt.Fsync, opt.CoalesceDelay)
+	log, err := OpenDiskLogFS(fsys, filepath.Join(dir, "wal"), opt.SegmentBytes, opt.Fsync, coalesceDelay)
 	if err != nil {
 		return nil, err
 	}

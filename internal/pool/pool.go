@@ -152,8 +152,7 @@ func (p *Pool) Executed() int { return int(p.executed.Load()) }
 // Failed returns the number of task executions that returned an error.
 func (p *Pool) Failed() int { return int(p.failed.Load()) }
 
-// Running reports whether the pool's Run loop is active — the "active
-// monitoring of worker pools" the paper lists as future work (§VII).
+// Running reports whether the pool's Run loop is active.
 func (p *Pool) Running() bool { return p.running.Load() }
 
 // Run starts the pool and blocks until ctx is canceled. On return all

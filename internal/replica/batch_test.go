@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"osprey/internal/core"
 	"osprey/internal/minisql"
 )
 
@@ -226,6 +227,63 @@ func (f *fakeFollower) send(fr frame) {
 	if err := f.enc.Encode(&fr); err != nil {
 		f.t.Fatal(err)
 	}
+}
+
+// TestGranterJoinsLeaderOutsideItsView reproduces the election livelock: n2
+// joined a leader that died before any frame told it about n3, so its view
+// is {leader, n2} and on its own it can never reach a majority. n3, whose
+// view holds all three, claims; n2 grants — and must then find the node it
+// voted for, although its view never named it. Before the grant adopted the
+// claimant into the view, n2 went on probing {leader, n2} forever while n3,
+// re-granted term after term, stepped down each time for lack of an ack.
+func TestGranterJoinsLeaderOutsideItsView(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead := &fakeLeader{t: t, ln: ln}
+	me := Peer{ID: "fake-leader", Priority: 9, ReplAddr: ln.Addr().String(), SvcAddr: "svc-fake"}
+	empty, err := core.NewDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer empty.Close()
+	var snap bytes.Buffer
+	if err := empty.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	// bootstrap makes the joiner a member (only a snapshot install does) and
+	// hands it the given view.
+	bootstrap := func(s *fakeFollower, view ...Peer) {
+		s.send(frame{Type: frameSnapshot, Term: 1, Role: RoleLeader, Snapshot: snap.Bytes(),
+			Peers: view, LeaderID: me.ID, LeaderRepl: me.ReplAddr, LeaderSvc: me.SvcAddr})
+	}
+
+	n2 := newNode(t, "n2", 2, ln.Addr().String())
+	defer n2.Close()
+	join2, stream2 := lead.accept()
+	bootstrap(stream2, me, join2.Peer)
+	n3 := newNode(t, "n3", 1, ln.Addr().String())
+	defer n3.Close()
+	join3, stream3 := lead.accept()
+	bootstrap(stream3, me, join2.Peer, join3.Peer)
+	waitFor(t, "both to bootstrap", func() bool {
+		return n2.met.snapsInstall.Value() == 1 && n3.met.snapsInstall.Value() == 1
+	})
+	if n2, n3 := len(n2.Peers()), len(n3.Peers()); n2 != 2 || n3 != 3 {
+		t.Fatalf("views hold %d and %d members, want n2's stale 2 beside n3's 3", n2, n3)
+	}
+
+	ln.Close()
+	stream2.close()
+	stream3.close()
+
+	// n3 claims first; once n2's view holds it either may win a later round.
+	waitFor(t, "the survivors to pair up as leader and follower", func() bool {
+		_, n2Follows := n3.Status().Followers["n2"]
+		_, n3Follows := n2.Status().Followers["n3"]
+		return n2Follows || n3Follows
+	})
 }
 
 // TestCorruptShippedRecordRejected: a batch whose second record is damaged

@@ -284,7 +284,6 @@ func (n *Node) applyOne(ent minisql.LogEntry, rec []byte) (applied bool, err err
 	}
 	n.met.entriesApp.Inc()
 	n.setApplied(ent.Index)
-	n.db.Wake()
 	return true, nil
 }
 

@@ -120,6 +120,15 @@ func (n *Node) handleClaim(conn net.Conn, enc *gob.Encoder, claim frame) {
 		// leader so the follower loop heads straight for it, and sever the
 		// stream to the one it replaces.
 		n.leader = claim.Peer
+		// And as a member: a granter still inside its own election probes
+		// only its view, so a claimant missing from it (it joined through a
+		// leader that died before a heartbeat brought the larger view here)
+		// would be voted for and then never found.
+		if _, known := n.peers[claim.Peer.ID]; !known {
+			n.peers[claim.Peer.ID] = claim.Peer
+			n.notifyPeersChangedLocked()
+			n.persistViewLocked()
+		}
 		stream = n.stream
 		if n.store != nil {
 			if err := n.store.SetTerm(claim.Term); err != nil {

@@ -7,11 +7,20 @@
 // write-ahead log (minisql.WAL); followers join over a small TCP protocol,
 // bootstrap from an engine snapshot taken at a log index, then stream and
 // deterministically replay entries. Heartbeats carry the term and the full
-// membership list. When the leader dies, the surviving follower with the
-// highest promotion rank (priority desc, ID asc) promotes itself after a
-// rank-proportional backoff, so exactly one node wins without a vote; the
-// rest re-join the new leader and re-bootstrap from its snapshot, which makes
-// the new leader's state authoritative and heals any divergence.
+// membership list. When the leader dies the survivors hold a claim-based
+// election (electOrPromote, promoteGated): every node ranks the remaining
+// membership identically (priority desc, ID asc) and waits its rank's share
+// of the election timeout for a better-ranked peer to win; a candidate first
+// probes its view — it stands only when it reaches a majority and nobody
+// reachable holds a newer (appliedTerm, applied) log — then bumps its term
+// and sends a claim to every peer. A peer grants a claim above its own term
+// from a log at least as new as its own, and granting adopts the term, drops
+// the stream to the old leader (a granting leader steps down) and takes the
+// claimant into its view; the candidate promotes on grants from a majority,
+// its own included. The rest re-join the new leader — resuming incrementally
+// when their log tail is that leadership's own, otherwise re-bootstrapping
+// from its snapshot, which makes the new leader's state authoritative and
+// heals any divergence.
 //
 // Replication is asynchronous by default: a write acknowledged by the leader
 // may be lost if the leader dies before shipping it. Setting
@@ -26,17 +35,16 @@
 // Leadership is leased: a leader that cannot hear acks or probes from a
 // majority of its membership within the lease window steps down to follower
 // (demote) and answers writes as unavailable, so a partitioned-away leader
-// stops accepting doomed writes instead of serving as a zombie. Elections are
-// majority-gated and log-aware: a candidate only self-promotes when it can
-// reach a majority of the membership and no reachable candidate has a more
-// up-to-date (term, applied) log position, which keeps quorum-acknowledged
-// writes alive across failover and prevents minority-side split brain.
+// stops accepting doomed writes instead of serving as a zombie. Because a
+// majority of grants is a majority that has left the old term, any write
+// quorum the deposed leader could still assemble would need a granter, and
+// granters reject its frames: quorum-acknowledged writes survive failover and
+// a minority side cannot elect.
 //
 // The majority rule is the standard quorum trade: automatic failover (and a
 // leader surviving follower loss) requires a cluster of at least 3 nodes. A
 // 2-node cluster that loses either member becomes read-only until the peer
-// returns — where PR 1's ungated promotion would instead have risked two
-// leaders under a partition.
+// returns (or an operator forces promotion, ForcePromote).
 package replica
 
 import (
@@ -850,7 +858,6 @@ func (n *Node) promote(claimTerm uint64) {
 	n.persistTerm(term)
 	n.persistView()
 	n.met.promotions.Inc()
-	n.db.Wake()
 	n.logf("promoted to leader (term %d, log index %d)", term, applied)
 	n.wg.Add(1)
 	go n.leaderHousekeeping()

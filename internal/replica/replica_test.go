@@ -156,7 +156,8 @@ func dialRepl(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-// dialJoin hand-rolls one join handshake and returns the first reply frame.
+// dialJoin hand-rolls one handshake — a join, or any other opening frame —
+// and returns the first reply frame.
 func dialJoin(t *testing.T, addr string, join frame) frame {
 	t.Helper()
 	conn := dialRepl(t, addr)
@@ -169,6 +170,27 @@ func dialJoin(t *testing.T, addr string, join frame) frame {
 		t.Fatal(err)
 	}
 	return reply
+}
+
+// TestClaimGrantAdoptsClaimant: a node that grants a leadership claim adds
+// the claimant to its membership view. A granter whose view lacked it — it
+// joined through a leader that died before a heartbeat carried the larger
+// view here — would otherwise elect among a view that cannot reach a majority
+// while the leader it just voted for starves for its ack.
+func TestClaimGrantAdoptsClaimant(t *testing.T) {
+	n := newNode(t, "g1", 3, "")
+	defer n.Close()
+	claimant := Peer{ID: "g2", Priority: 2, ReplAddr: "127.0.0.1:1", SvcAddr: "svc-g2"}
+	reply := dialJoin(t, n.Addr(), frame{Type: frameClaim, Term: n.Term() + 1, Peer: claimant})
+	if !reply.Granted {
+		t.Fatalf("claim for term %d not granted: %+v", n.Term()+1, reply)
+	}
+	for _, p := range n.Peers() {
+		if p == claimant {
+			return
+		}
+	}
+	t.Fatalf("view after the grant = %+v, want it to hold the claimant %+v", n.Peers(), claimant)
 }
 
 // TestJoinResumeVsSnapshot: a joiner announcing a position within the

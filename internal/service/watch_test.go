@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"osprey/internal/core"
+	"osprey/internal/future"
 	"osprey/internal/obs"
 	"osprey/internal/pool"
 	"osprey/internal/replica"
@@ -405,6 +406,16 @@ func TestWatchClusterStreamResubscribe(t *testing.T) {
 	defer cc.Close()
 	cc.ReadFromFollowers = false // force the subscription onto the leader
 
+	// A formed cluster is the precondition, as in TestWatchFailoverResume: a
+	// node that never attached keeps knocking on its join address and takes
+	// no part in an election, and a survivor still missing the other from
+	// its view finds it only through the claim it grants, a few election
+	// rounds later — by which time the transitions it missed sit behind the
+	// resync seam of its re-bootstrap, not in this stream.
+	waitCond(t, "cluster formed", func() bool {
+		return n2.Attached() && n3.Attached() && len(n2.Peers()) == 3 && len(n3.Peers()) == 3
+	})
+
 	ctx := context.Background()
 	st, err := cc.Watch(ctx, watch.Query{All: true}, 64)
 	if err != nil {
@@ -425,6 +436,12 @@ func TestWatchClusterStreamResubscribe(t *testing.T) {
 	submit(5)
 	evs := collectN(t, st, 5, 5*time.Second)
 
+	// Replication here is asynchronous: a survivor promoted short of entries
+	// the dead leader acknowledged would reissue their tokens, and the
+	// stream's duplicate filter would rightly drop what carries them.
+	waitCond(t, "followers caught up", func() bool {
+		return n2.Applied() == n1.Applied() && n3.Applied() == n1.Applied()
+	})
 	srv1.Close()
 	n1.Close()
 
@@ -518,20 +535,21 @@ func TestWatchClusterBatchCommit(t *testing.T) {
 	}
 }
 
-// queryTasksCount reads the server's query_tasks request counter.
-func queryTasksCount(srv *Server) float64 {
-	stats := obs.Flatten(srv.Metrics().Gather())
-	for k, v := range stats {
-		if strings.HasPrefix(k, "osprey_service_requests_total") && strings.Contains(k, `op="query_tasks"`) {
-			return v
+// requestCount sums the server's request counters over every op.
+func requestCount(srv *Server) float64 {
+	var n float64
+	for k, v := range obs.Flatten(srv.Metrics().Gather()) {
+		if strings.HasPrefix(k, "osprey_service_requests_total") {
+			n += v
 		}
 	}
-	return 0
+	return n
 }
 
 // TestWatchIdlePoolZeroReads is the issue's acceptance criterion: an idle
-// 8-worker pool on watch-based fetch issues zero periodic reads — the
-// server-side query_tasks counter must not move while the pool sits idle.
+// 8-worker pool on watch-based fetch and a Future.Result parked on a task
+// nobody serves issue zero periodic requests — no server-side request
+// counter may move while they sit idle.
 func TestWatchIdlePoolZeroReads(t *testing.T) {
 	db, err := core.NewDB()
 	if err != nil {
@@ -576,13 +594,46 @@ func TestWatchIdlePoolZeroReads(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	// Park a future on a work type no pool serves.
+	f, err := future.Submit(c, "idle", 2, "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res string
+		err error
+	}
+	got := make(chan outcome, 1)
+	go func() {
+		res, err := f.Result(10 * time.Second)
+		got <- outcome{res, err}
+	}()
+
 	// Let the post-completion fetch cycle settle (the completion signal
-	// triggers one final deficit check that discovers the queue empty).
+	// triggers one final deficit check that discovers the queue empty) and
+	// the future's subscribe land.
 	time.Sleep(150 * time.Millisecond)
-	start := queryTasksCount(srv)
+	start := requestCount(srv)
 	time.Sleep(500 * time.Millisecond)
-	if delta := queryTasksCount(srv) - start; delta != 0 {
-		t.Fatalf("idle pool issued %v query_tasks reads in 500ms, want 0", delta)
+	if delta := requestCount(srv) - start; delta != 0 {
+		t.Fatalf("idle pool and parked future issued %v requests in 500ms, want 0", delta)
+	}
+
+	// The parked future was live all along: completing its task wakes it.
+	tasks, err := db.QueryTasks(context.Background(), 2, 1, "by-hand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Report(context.Background(), tasks.Tasks[0].ID, 2, "done"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case o := <-got:
+		if o.err != nil || o.res != "done" {
+			t.Fatalf("parked Result = %q, %v; want \"done\"", o.res, o.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked Result did not wake on its task's completion")
 	}
 
 	cancel()
