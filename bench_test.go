@@ -415,7 +415,7 @@ func BenchmarkPopTokenOverhead(b *testing.B) {
 			defer db.Close()
 			if mode == "logged" {
 				wal := minisql.NewWAL(0)
-				db.Engine().SetCommitHook(func(stmts []minisql.Stmt) uint64 { return wal.Append(stmts).Index })
+				db.Engine().SetCommitHook(func(stmts []minisql.Stmt) (uint64, error) { return wal.Append(stmts).Index, nil })
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -758,9 +758,9 @@ func BenchmarkEntryCodec(b *testing.B) {
 	}
 	defer db.Close()
 	var entry minisql.LogEntry
-	db.Engine().SetCommitHook(func(stmts []minisql.Stmt) uint64 {
+	db.Engine().SetCommitHook(func(stmts []minisql.Stmt) (uint64, error) {
 		entry = minisql.LogEntry{Index: 1, Stmts: stmts}
-		return 1
+		return 1, nil
 	})
 	if _, err := db.Submit(bgctx, "bench", 1, `{"x": [0.25, 0.5, 0.75]}`, core.WithTags("sweep")); err != nil {
 		b.Fatal(err)

@@ -7,21 +7,16 @@
 // requests. A connection that opens with anything else is counted, logged
 // and closed.
 //
-// Standalone with restart persistence (§II-B1c):
-//
-//	osprey-service -addr 127.0.0.1:7654 -snapshot state.gob
-//
-// With -snapshot, existing state is restored at startup and persisted on
-// SIGINT/SIGTERM, providing the restart fault-tolerance path.
-//
-// Durable storage (crash fault tolerance, standalone or replicated):
+// Without flags the database is in memory and dies with the process.
+// Durable storage (the restart fault-tolerance path of §II-B1c, crash
+// fault tolerance included; standalone or replicated):
 //
 //	osprey-service -addr 127.0.0.1:7654 -data-dir /var/lib/osprey -fsync
 //
 // With -data-dir, every committed write lands in an on-disk write-ahead log
 // and the engine checkpoints periodically; on restart the node recovers its
 // state from the latest checkpoint plus the log tail — no clean shutdown and
-// no live peer required. -fsync holds each write acknowledgement until the
+// no live peer required. It is the one persistence mode. -fsync holds each write acknowledgement until the
 // log record is fsynced (concurrent writers share one fsync via the group
 // commit window), surviving power loss; without it the log is flushed to the
 // OS per write, surviving process crashes only. -checkpoint-every tunes how
@@ -66,7 +61,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -87,7 +81,6 @@ func main() {
 	log.SetPrefix("osprey-service: ")
 	var (
 		addr            = flag.String("addr", "127.0.0.1:7654", "listen address")
-		snapshot        = flag.String("snapshot", "", "optional snapshot file for restart persistence (standalone mode)")
 		dataDir         = flag.String("data-dir", "", "directory for the durable WAL and checkpoints; empty runs in-memory")
 		fsync           = flag.Bool("fsync", false, "fsync the WAL before acknowledging writes (requires -data-dir)")
 		checkpointEvery = flag.Int("checkpoint-every", 0, "log entries between engine checkpoints (0: default, negative: disabled)")
@@ -128,10 +121,10 @@ func main() {
 		opts = append(opts, service.WithMaxInflight(*maxInflight))
 	}
 	if *nodeID != "" {
-		runReplicated(*addr, *nodeID, *replAddr, *replAdvertise, *advertise, *priority, *writeQuorum, *join, *snapshot, *opsAddr, dur, *slowQuery, *drainTimeout, opts)
+		runReplicated(*addr, *nodeID, *replAddr, *replAdvertise, *advertise, *priority, *writeQuorum, *join, *opsAddr, dur, *slowQuery, *drainTimeout, opts)
 		return
 	}
-	runStandalone(*addr, *snapshot, *opsAddr, dur, *slowQuery, *drainTimeout, opts)
+	runStandalone(*addr, *opsAddr, dur, *slowQuery, *drainTimeout, opts)
 }
 
 // shutdown blocks until a termination signal and stops the server
@@ -225,10 +218,7 @@ func runPromote(addr string) {
 	log.Printf("node %s promoted: role=%s term=%d applied=%d", info.NodeID, info.Role, info.Term, info.Applied)
 }
 
-func runReplicated(addr, nodeID, replAddr, replAdvertise, advertise string, priority, writeQuorum int, join, snapshot, opsAddr string, dur durability, slowQuery, drainTimeout time.Duration, opts []service.ServerOption) {
-	if snapshot != "" {
-		log.Fatal("-snapshot is a standalone-mode flag; replicated nodes bootstrap from the leader (use -data-dir for durability)")
-	}
+func runReplicated(addr, nodeID, replAddr, replAdvertise, advertise string, priority, writeQuorum int, join, opsAddr string, dur durability, slowQuery, drainTimeout time.Duration, opts []service.ServerOption) {
 	n, err := replica.New(replica.Config{
 		ID:              nodeID,
 		Priority:        priority,
@@ -269,11 +259,8 @@ func runReplicated(addr, nodeID, replAddr, replAdvertise, advertise string, prio
 	n.Close()
 }
 
-func runStandalone(addr, snapshot, opsAddr string, dur durability, slowQuery, drainTimeout time.Duration, opts []service.ServerOption) {
-	if snapshot != "" && dur.dir != "" {
-		log.Fatal("-snapshot and -data-dir are mutually exclusive; -data-dir persists continuously")
-	}
-	db, err := loadDB(snapshot, dur)
+func runStandalone(addr, opsAddr string, dur durability, slowQuery, drainTimeout time.Duration, opts []service.ServerOption) {
+	db, err := loadDB(dur)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -288,58 +275,20 @@ func runStandalone(addr, snapshot, opsAddr string, dur durability, slowQuery, dr
 	log.Printf("EMEWS service listening on %s", srv.Addr())
 
 	shutdown(srv, drainTimeout)
-	if snapshot != "" {
-		if err := saveDB(db, snapshot); err != nil {
-			log.Fatalf("saving snapshot: %v", err)
-		}
-		log.Printf("state saved to %s", snapshot)
-	}
 }
 
-func loadDB(path string, dur durability) (*core.DB, error) {
-	if dur.dir != "" {
-		db, err := core.Open(dur.dir, core.OpenOptions{
-			Fsync:           dur.fsync,
-			CheckpointEvery: dur.checkpointEvery,
-			Logf:            log.Printf,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("opening %s: %w", dur.dir, err)
-		}
-		log.Printf("durable state in %s (fsync=%v)", dur.dir, dur.fsync)
-		return db, nil
-	}
-	if path == "" {
+func loadDB(dur durability) (*core.DB, error) {
+	if dur.dir == "" {
 		return core.NewDB()
 	}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return core.NewDB()
-	}
+	db, err := core.Open(dur.dir, core.OpenOptions{
+		Fsync:           dur.fsync,
+		CheckpointEvery: dur.checkpointEvery,
+		Logf:            log.Printf,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("opening %s: %w", dur.dir, err)
 	}
-	defer f.Close()
-	db, err := core.RestoreDB(f)
-	if err != nil {
-		return nil, fmt.Errorf("restoring %s: %w", path, err)
-	}
-	log.Printf("restored state from %s", path)
+	log.Printf("durable state in %s (fsync=%v)", dur.dir, dur.fsync)
 	return db, nil
-}
-
-func saveDB(db *core.DB, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := db.Snapshot(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -145,72 +144,55 @@ func (db *DB) Restore(r io.Reader) error {
 }
 
 // migrateSchema upgrades a database restored from a snapshot written by an
-// older version: first the dedup_key column rebuild (below), then a re-run
-// of the schema's idempotent statements — snapshots carry only the tables
-// and indexes that existed when they were written, so without the re-run a
+// older version: first the dedup_key column rebuild, then a re-run of the
+// schema's idempotent statements — snapshots carry only the tables and
+// indexes that existed when they were written, so without the re-run a
 // restore would silently drop later schema additions (canonically the
 // eq_out_prio ordered index, and with it the pop fast path). CREATE ... IF
 // NOT EXISTS no-ops on everything already present, and CREATE ORDERED INDEX
 // upgrades an existing plain index in place. A snapshot from the
 // single-column eq_out_prio era keeps its old (priority) index and gains the
 // composite one; both stay correct, the composite serves the pops.
+//
+// The rebuild is for snapshots written before the dedup_key column existed:
+// a pre-upgrade eq_tasks comes back without the column and every submit's
+// INSERT would fail, so its rows are re-inserted under the current schema (an
+// empty dedup_key, i.e. not deduplicable — exactly their old semantics).
+// Explicit task_ids keep the AUTOINCREMENT counter correct.
+//
+// The migration is upkeep every replica performs on its own copy, not a
+// commit, so it is applied the way a shipped entry is (atomically, past the
+// commit hook): a follower restoring in place has a hook that refuses.
 func migrateSchema(eng *minisql.Engine) error {
-	if err := migrateDedup(eng); err != nil {
-		return err
+	var migration minisql.LogEntry
+	add := func(sql string, args ...minisql.Value) {
+		migration.Stmts = append(migration.Stmts, minisql.Stmt{SQL: sql, Args: args})
+	}
+	var old [][]minisql.Value
+	if _, err := eng.Exec("SELECT dedup_key FROM eq_tasks LIMIT 1"); err != nil {
+		rows, err := eng.Exec(
+			`SELECT task_id, exp_id, work_type, status, payload, result, pool,
+				priority, created_at, start_at, stop_at FROM eq_tasks`)
+		if err != nil {
+			// No recognizable tasks table: not an EMEWS snapshot this version
+			// can migrate — surface the restore as-is rather than guessing.
+			return fmt.Errorf("eqsql: migrating restored schema: %w", err)
+		}
+		old = rows.Rows
+		add("DROP TABLE eq_tasks")
 	}
 	for _, stmt := range schema {
-		if _, err := eng.Exec(stmt); err != nil {
-			return fmt.Errorf("eqsql: ensuring schema after restore: %w", err)
-		}
+		add(stmt)
+	}
+	for _, r := range old {
+		add(`INSERT INTO eq_tasks (task_id, exp_id, work_type, status, payload,
+				result, pool, priority, created_at, start_at, stop_at, dedup_key)
+			 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`, append(r[:len(r):len(r)], minisql.Text(""))...)
+	}
+	if err := eng.ApplyEntry(migration); err != nil {
+		return fmt.Errorf("eqsql: ensuring schema after restore: %w", err)
 	}
 	return nil
-}
-
-// migrateDedup rebuilds eq_tasks for snapshots written before the dedup_key
-// column existed: a pre-upgrade eq_tasks comes back without the column and
-// every submit's INSERT would fail; the rebuild re-inserts the rows under
-// the current schema (an empty dedup_key, i.e. not deduplicable — exactly
-// their old semantics). Explicit task_ids keep the AUTOINCREMENT counter
-// correct.
-func migrateDedup(eng *minisql.Engine) error {
-	if _, err := eng.Exec("SELECT dedup_key FROM eq_tasks LIMIT 1"); err == nil {
-		return nil
-	}
-	rows, err := eng.Exec(
-		`SELECT task_id, exp_id, work_type, status, payload, result, pool,
-			priority, created_at, start_at, stop_at FROM eq_tasks`)
-	if err != nil {
-		// No recognizable tasks table: not an EMEWS snapshot this version can
-		// migrate — surface the restore as-is rather than guessing.
-		return fmt.Errorf("eqsql: migrating restored schema: %w", err)
-	}
-	return eng.Tx(func(tx *minisql.Tx) error {
-		if _, err := tx.Exec("DROP TABLE eq_tasks"); err != nil {
-			return err
-		}
-		for _, stmt := range schema {
-			if !strings.Contains(stmt, "eq_tasks") {
-				continue
-			}
-			if _, err := tx.Exec(stmt); err != nil {
-				return err
-			}
-		}
-		for _, r := range rows.Rows {
-			args := make([]any, 0, len(r)+1)
-			for _, v := range r {
-				args = append(args, v)
-			}
-			args = append(args, "")
-			if _, err := tx.Exec(
-				`INSERT INTO eq_tasks (task_id, exp_id, work_type, status, payload,
-					result, pool, priority, created_at, start_at, stop_at, dedup_key)
-				 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`, args...); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // Engine exposes the underlying SQL engine so the replication layer can

@@ -100,8 +100,8 @@ func Open(dir string, opt OpenOptions) (*DB, error) {
 	// every write a real commit token backed by its own on-disk WAL entry.
 	// The replication layer, when present, replaces this hook with its own
 	// (which appends to both the replication WAL and the store).
-	eng.SetCommitHook(func(stmts []minisql.Stmt) uint64 {
-		return store.AppendAssign(stmts)
+	eng.SetCommitHook(func(stmts []minisql.Stmt) (uint64, error) {
+		return store.AppendAssign(stmts), nil
 	})
 	return db, nil
 }

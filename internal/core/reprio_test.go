@@ -40,10 +40,10 @@ func updatePrioritiesLoop(eng *minisql.Engine, ids []int64, priorities []int) (i
 func captureLog(eng *minisql.Engine) *[]minisql.LogEntry {
 	log := new([]minisql.LogEntry)
 	idx := eng.LastLogged()
-	eng.SetCommitHook(func(stmts []minisql.Stmt) uint64 {
+	eng.SetCommitHook(func(stmts []minisql.Stmt) (uint64, error) {
 		idx++
 		*log = append(*log, minisql.LogEntry{Index: idx, Stmts: stmts})
-		return idx
+		return idx, nil
 	})
 	return log
 }

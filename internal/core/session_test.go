@@ -19,7 +19,7 @@ func walDB(t *testing.T) *DB {
 	}
 	t.Cleanup(db.Close)
 	wal := minisql.NewWAL(0)
-	db.Engine().SetCommitHook(func(stmts []minisql.Stmt) uint64 { return wal.Append(stmts).Index })
+	db.Engine().SetCommitHook(func(stmts []minisql.Stmt) (uint64, error) { return wal.Append(stmts).Index, nil })
 	return db
 }
 

@@ -113,14 +113,16 @@ func (e *Engine) ExecLogged(sql string, args ...any) (*Result, uint64, error) {
 			return nil, 0, err
 		}
 		e.inTx = false
-		e.undo = e.undo[:0]
-		idx := e.flushPendingLocked()
+		idx, err := e.flushPendingLocked()
+		if err != nil {
+			return nil, 0, err
+		}
 		return res, idx, nil
 	}
 	res, err := e.execLocked(stmt, vals, sql, nil)
 	var idx uint64
 	if err == nil && !e.inTx {
-		idx = e.flushPendingLocked()
+		idx, err = e.flushPendingLocked()
 	}
 	return res, idx, err
 }
@@ -153,8 +155,7 @@ func (e *Engine) TxLogged(fn func(tx *Tx) error) (uint64, error) {
 		return 0, err
 	}
 	e.inTx = false
-	e.undo = e.undo[:0]
-	return e.flushPendingLocked(), nil
+	return e.flushPendingLocked()
 }
 
 // LastLogged returns the highest log index the commit hook has assigned so
@@ -293,26 +294,32 @@ func isMutating(stmt any) bool {
 	return false
 }
 
-// flushPendingLocked hands the buffered committed statements to the hook and
-// returns the log index the hook assigned (0 when there was nothing to flush
-// or no hook). The slice is surrendered to the hook, never reused.
-func (e *Engine) flushPendingLocked() uint64 {
-	if len(e.pending) == 0 {
-		return 0
-	}
+// flushPendingLocked is the commit point of a transaction that has just
+// closed (inTx false, undo log intact): it hands the buffered statements to
+// the hook and returns the log index the hook assigned (0 when there was
+// nothing to flush or no hook), then drops the undo log. A hook that refuses
+// the batch vetoes the commit: the statements are undone, the observer never
+// sees them, and the hook's error is the commit's. The slice is surrendered
+// to the hook, never reused.
+func (e *Engine) flushPendingLocked() (uint64, error) {
 	stmts := e.pending
 	e.pending = nil
 	var idx uint64
-	if e.hook != nil {
-		idx = e.hook(stmts)
+	if len(stmts) > 0 && e.hook != nil {
+		var err error
+		if idx, err = e.hook(stmts); err != nil {
+			e.rollbackLocked()
+			return 0, err
+		}
 		if idx > e.lastLogged {
 			e.lastLogged = idx
 		}
 	}
-	if e.observer != nil {
+	e.undo = e.undo[:0]
+	if len(stmts) > 0 && e.observer != nil {
 		e.observer(idx, stmts)
 	}
-	return idx
+	return idx, nil
 }
 
 func (e *Engine) execStmtLocked(stmt any, args []Value, sql string, hits []int) (*Result, error) {
@@ -346,8 +353,7 @@ func (e *Engine) execStmtLocked(stmt any, args []Value, sql string, hits []int) 
 		if !e.inTx {
 			return nil, ErrNoTx
 		}
-		e.inTx = false
-		e.undo = e.undo[:0]
+		e.inTx = false // ExecLogged flushes: the commit point
 		return &Result{}, nil
 	case rollbackStmt:
 		if !e.inTx {

@@ -95,7 +95,7 @@ func TestPlanCacheBound(t *testing.T) {
 func TestPlanCacheReplayByteIdentical(t *testing.T) {
 	leader := NewEngine()
 	wal := NewWAL(0)
-	leader.SetCommitHook(func(stmts []Stmt) uint64 { return wal.Append(stmts).Index })
+	leader.SetCommitHook(func(stmts []Stmt) (uint64, error) { return wal.Append(stmts).Index, nil })
 
 	rng := rand.New(rand.NewSource(7))
 	mustExec(t, leader, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, wt INTEGER, prio INTEGER, s TEXT)")

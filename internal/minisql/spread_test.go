@@ -119,7 +119,7 @@ func TestSpreadINIndexedLookup(t *testing.T) {
 func TestSpreadINReplay(t *testing.T) {
 	leader, follower := NewEngine(), NewEngine()
 	wal := NewWAL(0)
-	leader.SetCommitHook(func(stmts []Stmt) uint64 { return wal.Append(stmts).Index })
+	leader.SetCommitHook(func(stmts []Stmt) (uint64, error) { return wal.Append(stmts).Index, nil })
 	setup := []string{
 		"CREATE TABLE q (id INTEGER PRIMARY KEY, wt INTEGER)",
 		"INSERT INTO q (id, wt) VALUES (1, 0), (2, 0), (3, 0), (4, 0)",

@@ -34,7 +34,10 @@ type LogEntry struct {
 // it assigned to the batch (0 when it did not record one); the engine hands
 // that index back to the committing caller through ExecLogged/TxLogged, which
 // is what gives every write a commit token identifying its own WAL entry.
-type CommitHook func(stmts []Stmt) uint64
+// A hook that returns an error refuses the commit: the engine rolls the batch
+// back and returns the error to the committing caller (a replica that does not
+// lead must not commit what it cannot log).
+type CommitHook func(stmts []Stmt) (uint64, error)
 
 // SetCommitHook installs h as the engine's commit observer (nil to remove).
 // The hook fires once per successful autocommit statement and once per

@@ -16,7 +16,7 @@ func newHookedEngine(t *testing.T, schema ...string) (*Engine, *WAL) {
 		mustExec(t, e, s)
 	}
 	w := NewWAL(0)
-	e.SetCommitHook(func(stmts []Stmt) uint64 { return w.Append(stmts).Index })
+	e.SetCommitHook(func(stmts []Stmt) (uint64, error) { return w.Append(stmts).Index, nil })
 	return e, w
 }
 
@@ -114,6 +114,60 @@ func TestCommitHookTxBatchesAndRollbackDiscards(t *testing.T) {
 	entries, _ = entriesSince(t, w, 1)
 	if len(entries) != 1 || len(entries[0].Stmts) != 1 {
 		t.Fatalf("explicit commit logged %d entries, want 1", len(entries))
+	}
+}
+
+// TestCommitHookRefusal: a hook that returns an error vetoes the commit on
+// every commit path — the batch is undone (AUTOINCREMENT counter included),
+// the observer never sees it, and the committing caller gets the hook's error.
+func TestCommitHookRefusal(t *testing.T) {
+	e := NewEngine()
+	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
+	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", "kept")
+	refuse := true
+	e.SetCommitHook(func(stmts []Stmt) (uint64, error) {
+		if refuse {
+			return 0, errAbort{}
+		}
+		return 7, nil
+	})
+	observed := 0
+	e.SetCommitObserver(func(uint64, []Stmt) { observed++ })
+
+	insert := "INSERT INTO t (v) VALUES (?)"
+	commits := map[string]func() error{
+		"autocommit": func() error { _, err := e.Exec(insert, "x"); return err },
+		"Tx": func() error {
+			return e.Tx(func(tx *Tx) error {
+				_, _ = tx.Exec("UPDATE t SET v = ? WHERE id = ?", "changed", 1)
+				_, err := tx.Exec(insert, "x")
+				return err
+			})
+		},
+		"COMMIT": func() error {
+			mustExec(t, e, "BEGIN")
+			mustExec(t, e, insert, "x")
+			_, err := e.Exec("COMMIT")
+			return err
+		},
+	}
+	for name, commit := range commits {
+		if err := commit(); !errors.Is(err, errAbort{}) {
+			t.Fatalf("%s under a refusing hook = %v, want the hook's error", name, err)
+		}
+		res := mustExec(t, e, "SELECT id, v FROM t")
+		if len(res.Rows) != 1 || res.Rows[0][1].AsText() != "kept" {
+			t.Fatalf("%s: refused commit left rows %v", name, res.Rows)
+		}
+	}
+	if observed != 0 || e.LastLogged() != 0 {
+		t.Fatalf("refused commits reached the observer %d times, LastLogged %d", observed, e.LastLogged())
+	}
+	refuse = false
+	res, tok, err := e.ExecLogged(insert, "y")
+	if err != nil || tok != 7 || res.LastInsertID != 2 || observed != 1 {
+		t.Fatalf("accepted commit = id %d token %d observed %d, %v; want id 2 (counter restored), token 7, 1",
+			res.LastInsertID, tok, observed, err)
 	}
 }
 

@@ -637,14 +637,18 @@ func (n *Node) logf(format string, args ...any) {
 // the assigned index — the commit token the engine hands back to the caller
 // through ExecLogged/TxLogged. It runs under the engine lock, so it only
 // touches the WAL, the store's buffered log append, and node bookkeeping.
-func (n *Node) onCommit(stmts []minisql.Stmt) uint64 {
+// Off the leader it refuses: a write that reaches this node's database anyway
+// (the node was demoted between the service's leadership check and the
+// write; a poll parked on an ex-leader woken by a replayed transition) would
+// be applied here, logged nowhere, published at token 0 and acknowledged.
+func (n *Node) onCommit(stmts []minisql.Stmt) (uint64, error) {
 	n.mu.Lock()
 	w := n.wal
 	isLeader := n.role == RoleLeader
 	term := n.term
 	n.mu.Unlock()
 	if !isLeader || w == nil {
-		return 0
+		return 0, ErrNotLeader
 	}
 	// The entry being appended belongs to this leadership: the applied-term
 	// watermark moves with the first write of each term (no-op after).
@@ -659,7 +663,7 @@ func (n *Node) onCommit(stmts []minisql.Stmt) uint64 {
 		}
 	}
 	n.setApplied(rec.Index)
-	return rec.Index
+	return rec.Index, nil
 }
 
 // setApplied advances the applied index (never regresses) and wakes
@@ -679,8 +683,8 @@ func (n *Node) setApplied(idx uint64) {
 // service callers surface them as ErrUnavailable so failover clients
 // re-resolve the leader and retry.
 var (
-	// ErrNotLeader is returned by the quorum waits on a node that is not (or
-	// no longer) the cluster leader.
+	// ErrNotLeader is returned by the quorum waits, and refuses the commit of
+	// a local write, on a node that is not (or no longer) the cluster leader.
 	ErrNotLeader = fmt.Errorf("replica: not the leader")
 	// ErrDemoted fails quorum waits that were pending when the leader
 	// stepped down after losing its majority lease.

@@ -3,11 +3,14 @@ package replica
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"osprey/internal/core"
+	"osprey/internal/watch"
 )
 
 const (
@@ -434,5 +437,65 @@ func TestQuorumWriteBlocksWithoutFollowers(t *testing.T) {
 	}
 	if got := n.Committed(); got != n.Applied() {
 		t.Fatalf("Committed = %d, want %d", got, n.Applied())
+	}
+}
+
+// TestCommitRefusedOffLeader: a write that reaches a node that does not lead
+// (a follower's database; a leader demoted between the service's leadership
+// check and the write) must not commit — it would be applied locally, never
+// logged or shipped, published at token 0 and acknowledged.
+func TestCommitRefusedOffLeader(t *testing.T) {
+	ctx := context.Background()
+	leader := newNode(t, "n1", 3, "")
+	defer leader.Close()
+	submitN(t, leader.DB(), 3)
+	fol := newNode(t, "n2", 2, leader.Addr())
+	defer fol.Close()
+	waitFor(t, "bootstrap", func() bool { return fol.Attached() && fol.Applied() == leader.Applied() })
+
+	before, err := fol.DB().Counts(ctx, "exp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := fol.DB().Watch(ctx, watch.Query{All: true}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	res, err := fol.DB().Submit(ctx, "exp", 1, "stray")
+	if !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("follower-local Submit = %+v, %v; want ErrNotLeader", res, err)
+	}
+	// A pop that finds work commits a transition too.
+	if res, err := fol.DB().QueryTasks(ctx, 1, 1, "pool"); !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("follower-local QueryTasks = %+v, %v; want ErrNotLeader", res, err)
+	}
+	after, err := fol.DB().Counts(ctx, "exp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused writes left a trace: counts %v -> %v", before, after)
+	}
+	for quiet := time.After(50 * time.Millisecond); quiet != nil; {
+		select {
+		case evs := <-st.Events():
+			for _, ev := range evs {
+				if !ev.Resync { // the subscription's opening position report
+					t.Fatalf("refused writes published %+v on the follower's hub", ev)
+				}
+			}
+		case <-quiet:
+			quiet = nil
+		}
+	}
+
+	// The follower still replicates: the refusals rolled back cleanly (the
+	// AUTOINCREMENT counter included, or the next shipped insert collides).
+	ids := submitN(t, leader.DB(), 1)
+	waitFor(t, "stream after refusal", func() bool { return fol.Applied() == leader.Applied() })
+	if task, err := fol.DB().GetTask(ctx, ids[0]); err != nil || task.Payload != "payload" {
+		t.Fatalf("follower's copy of task %d = %+v, %v", ids[0], task, err)
 	}
 }

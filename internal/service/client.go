@@ -15,15 +15,17 @@ import (
 )
 
 // Client is a TCP client for a remote EMEWS service implementing
-// core.Session. A Client is multiplexed and pipelined: it speaks wire
-// protocol v2 over one connection, every call ships a uniquely-numbered
-// frame without waiting for earlier replies, and a demux goroutine routes
-// response frames back to their callers by request ID. Concurrent callers
-// may share one Client — their requests interleave on the wire, so N
-// goroutines submitting through one connection land inside one server-side
-// group-commit window instead of serializing on round trips. A long-poll in
-// flight (QueryTasks, PopResults) never blocks other calls: the server
-// parks it on its own goroutine and answers the rest out of order.
+// core.Session: the embedded session (session.go) holds the ops, and the
+// Client is their transport over one connection (write, poll, read below).
+// A Client is multiplexed and pipelined: it speaks wire protocol v2 over one
+// connection, every call ships a uniquely-numbered frame without waiting for
+// earlier replies, and a demux goroutine routes response frames back to
+// their callers by request ID. Concurrent callers may share one Client —
+// their requests interleave on the wire, so N goroutines submitting through
+// one connection land inside one server-side group-commit window instead of
+// serializing on round trips. A long-poll in flight (QueryTasks, PopResults)
+// never blocks other calls: the server parks it on its own goroutine and
+// answers the rest out of order.
 //
 // The session commit token still ratchets on every response — writes and
 // pops return their own WAL index, reads report the serving replica's
@@ -31,6 +33,8 @@ import (
 // bound. When the connection dies, every in-flight call fails with ErrConn
 // and failover clients (DialCluster) re-resolve exactly as before.
 type Client struct {
+	session // the op set (session.go), travelling over this connection
+
 	conn net.Conn
 	addr string
 
@@ -104,7 +108,7 @@ var ErrUnavailable = errors.New("service: temporarily unavailable")
 // in-flight limit was reached. The request never executed (no side effects,
 // safe to resend verbatim, writes included); the right response is to back
 // off and retry the SAME node — unlike ErrUnavailable, failing over is
-// pointless because the node is healthy, just saturated. roundTrip retries
+// pointless because the node is healthy, just saturated. Client.write retries
 // these itself with full-jitter backoff inside the caller's budget, so
 // pipelined callers see slowdown, not errors, under overload.
 var ErrOverloaded = errors.New("service: server overloaded")
@@ -157,6 +161,7 @@ func DialWith(addr string, o DialOptions) (*Client, error) {
 		pending: make(map[uint64]*call),
 		done:    make(chan struct{}),
 	}
+	c.session = session{t: c}
 	c.bw.Write([]byte{wireMagic, wireVersion})
 	go c.demux()
 	return c, nil
@@ -232,12 +237,6 @@ func (c *Client) broken() bool {
 	return c.connErr != nil
 }
 
-// Ping verifies the service is reachable.
-func (c *Client) Ping() error {
-	_, err := c.roundTrip(request{Op: "ping"}, time.Second)
-	return err
-}
-
 // register allocates a request ID and parks a pooled call mailbox for it.
 func (c *Client) register() (uint64, *call, error) {
 	cl := callPool.Get().(*call)
@@ -307,22 +306,44 @@ const (
 	overloadBackoffCap  = 250 * time.Millisecond
 )
 
-// roundTrip issues one request, transparently retrying admission-control
-// sheds with full-jitter backoff inside the caller's overall budget. A shed
-// request never executed, so the resend is safe for every op including
-// writes; when the budget runs out the ErrOverloaded surfaces to the
-// caller (and, in a cluster client, to its own backoff loop).
-func (c *Client) roundTrip(req request, timeout time.Duration) (response, error) {
-	deadline := time.Now().Add(timeout + 10*time.Second)
+// write implements transport: one attempt on this connection, answered
+// within budget. Requests and responses cross the transport by value, so that
+// neither is ever heap-allocated; below it they travel by pointer, so that
+// the layering costs the calling goroutine no stack (a pool runs every task,
+// and so every Report, on a fresh one).
+func (c *Client) write(ctx context.Context, budget time.Duration, req request) (resp response, err error) {
+	err = c.exchange(ctx, budget, &req, &resp)
+	return resp, err
+}
+
+// exchange is what every request on this connection goes through. Mutating
+// ops honor cancellation before touching the wire — matching core.DB, a
+// finished context must not execute the write — and a context deadline
+// tightens budget. The cap budget puts on a generous deadline is what keeps
+// failover responsive: a single attempt against a silently dead peer must not
+// consume it; the retry layer (ClusterClient.do) owns the long-horizon
+// retrying, one bounded attempt at a time. Admission-control sheds are
+// retried here with full-jitter backoff inside the attempt's overall budget:
+// a shed request never executed, so the resend is safe for every op including
+// writes; when the budget runs out the ErrOverloaded surfaces to the caller
+// (and, in a cluster client, to its own backoff loop).
+func (c *Client) exchange(ctx context.Context, budget time.Duration, req *request, resp *response) error {
+	if err := ctx.Err(); err != nil {
+		return core.CtxErr(ctx)
+	}
+	if d, ok := ctx.Deadline(); ok {
+		budget = min(budget, max(time.Until(d), time.Millisecond))
+	}
+	deadline := time.Now().Add(budget + 10*time.Second)
 	backoff := overloadBackoffBase
 	for {
-		resp, err := c.roundTripOnce(req, timeout)
+		err := c.roundTrip(req, resp, budget)
 		if err == nil || !errors.Is(err, ErrOverloaded) {
-			return resp, err
+			return err
 		}
 		d := time.Duration(rand.Int63n(int64(backoff)))
 		if !time.Now().Add(d).Before(deadline) {
-			return resp, err
+			return err
 		}
 		time.Sleep(d)
 		if backoff *= 2; backoff > overloadBackoffCap {
@@ -331,43 +352,45 @@ func (c *Client) roundTrip(req request, timeout time.Duration) (response, error)
 	}
 }
 
-// roundTripOnce ships one request frame and waits for its response. Other
-// callers' round trips proceed concurrently on the same connection; this
-// request's reply may arrive before or after theirs. The wait allows the
-// server-side poll (timeout) plus grace for the network round trip.
-func (c *Client) roundTripOnce(req request, timeout time.Duration) (response, error) {
+// roundTrip ships one request frame and waits for its response, which it
+// leaves in *resp (zero unless one arrived). Other callers' round trips
+// proceed concurrently on the same connection; this request's reply may
+// arrive before or after theirs. The wait allows the server-side poll
+// (timeout) plus grace for the network round trip.
+func (c *Client) roundTrip(req *request, resp *response, timeout time.Duration) error {
+	*resp = response{}
 	if req.Trace == "" {
 		req.Trace = obs.TraceID()
 	}
 	id, cl, err := c.register()
 	if err != nil {
-		return response{}, err
+		return err
 	}
-	if err := c.send(id, &req); err != nil {
+	if err := c.send(id, req); err != nil {
 		c.unregister(id)
 		c.release(cl)
-		return response{}, err
+		return err
 	}
 	timer := acquireTimer(timeout + 10*time.Second)
 	defer releaseTimer(timer)
 	select {
-	case resp := <-cl.ch:
+	case *resp = <-cl.ch:
 		c.release(cl)
-		return finishRoundTrip(resp)
+		return respErr(resp)
 	case <-c.done:
 		// The connection died — but a response may have been delivered just
 		// before the teardown; prefer it.
 		select {
-		case resp := <-cl.ch:
+		case *resp = <-cl.ch:
 			c.release(cl)
-			return finishRoundTrip(resp)
+			return respErr(resp)
 		default:
 		}
 		c.mu.Lock()
 		err := c.connErr
 		c.mu.Unlock()
 		c.release(cl)
-		return response{}, fmt.Errorf("service: read: %w: %w", ErrConn, err)
+		return fmt.Errorf("service: read: %w: %w", ErrConn, err)
 	case <-timer.C:
 		// Leave the connection alive — only this request is abandoned; a
 		// late response frame is dropped by the demux loop. Failover layers
@@ -375,26 +398,24 @@ func (c *Client) roundTripOnce(req request, timeout time.Duration) (response, er
 		// a server silent past the poll budget plus grace is suspect.
 		c.unregister(id)
 		c.release(cl)
-		return response{}, fmt.Errorf("service: %w: no response to %q within %v",
+		return fmt.Errorf("service: %w: no response to %q within %v",
 			ErrConn, req.Op, timeout+10*time.Second)
 	}
 }
 
-// finishRoundTrip maps a decoded response to the Session error contract.
-func finishRoundTrip(resp response) (response, error) {
-	if !resp.OK {
-		if resp.Timeout {
-			return resp, core.ErrTimeout
-		}
-		if resp.Overloaded {
-			return resp, fmt.Errorf("%w: %s", ErrOverloaded, resp.Error)
-		}
-		if resp.Transient {
-			return resp, fmt.Errorf("%w: %s", ErrUnavailable, resp.Error)
-		}
-		return resp, errors.New(resp.Error)
+// respErr maps a decoded response to the Session error contract.
+func respErr(resp *response) error {
+	switch {
+	case resp.OK:
+		return nil
+	case resp.Timeout:
+		return core.ErrTimeout
+	case resp.Overloaded:
+		return fmt.Errorf("%w: %s", ErrOverloaded, resp.Error)
+	case resp.Transient:
+		return fmt.Errorf("%w: %s", ErrUnavailable, resp.Error)
 	}
-	return resp, nil
+	return errors.New(resp.Error)
 }
 
 // LastToken returns the highest commit token observed in any response on
@@ -409,29 +430,11 @@ func (c *Client) LastToken() uint64 {
 // Token implements core.Session.
 func (c *Client) Token() core.Token { return c.LastToken() }
 
-// callTimeout derives a per-attempt round-trip budget from ctx: the context
-// remaining time, capped at def. The cap is what keeps failover responsive —
-// a single write attempt against a silently dead peer must not consume a
-// generous caller deadline; the retry layers (ClusterClient.do) own the
-// long-horizon retrying, one bounded attempt at a time.
-func callTimeout(ctx context.Context, def time.Duration) time.Duration {
-	if d, ok := ctx.Deadline(); ok {
-		r := time.Until(d)
-		if r < time.Millisecond {
-			return time.Millisecond
-		}
-		if r < def {
-			return r
-		}
-	}
-	return def
-}
-
-// poll runs one polling op. With a context deadline the whole remaining
+// poll implements transport. With a context deadline the whole remaining
 // budget ships to the server as WaitMS in a single round trip; without one,
 // the client long-polls in chunks until the context is canceled or something
 // arrives — the wire analogue of an unbounded Session poll.
-func (c *Client) poll(ctx context.Context, send func(waitMS int64, budget time.Duration) (response, error)) (response, error) {
+func (c *Client) poll(ctx context.Context, req request) (resp response, err error) {
 	const chunk = time.Second
 	first := true
 	for {
@@ -453,7 +456,8 @@ func (c *Client) poll(ctx context.Context, send func(waitMS int64, budget time.D
 			}
 			budget = remain
 		}
-		resp, err := send(budget.Milliseconds(), budget)
+		req.WaitMS = budget.Milliseconds()
+		err = c.exchange(context.Background(), budget, &req, &resp)
 		first = false
 		if !errors.Is(err, core.ErrTimeout) {
 			return resp, err
@@ -469,290 +473,35 @@ func (c *Client) poll(ctx context.Context, send func(waitMS int64, budget time.D
 	}
 }
 
-// Submit implements core.Session.
-func (c *Client) Submit(ctx context.Context, expID string, workType int, payload string, opts ...core.SubmitOption) (core.SubmitRes, error) {
-	// Mutating ops honor cancellation before touching the wire — matching
-	// core.DB, a canceled context must not execute the write.
+// read implements transport: the per-call consistency options rendered into
+// wire terms, with the connection's own session token as the session-level
+// default freshness bound.
+func (c *Client) read(ctx context.Context, opts []core.ReadOption, req request) (response, error) {
 	if err := ctx.Err(); err != nil {
-		return core.SubmitRes{}, core.CtxErr(ctx)
+		return response{}, core.CtxErr(ctx)
 	}
-	var o core.SubmitOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	resp, err := c.roundTrip(request{
-		Op: "submit", ExpID: expID, WorkType: workType, Payload: payload,
-		Priority: o.Priority, Tags: o.Tags, DedupKey: o.DedupKey,
-	}, callTimeout(ctx, time.Second))
-	if err != nil {
-		return core.SubmitRes{}, err
-	}
-	return core.SubmitRes{ID: resp.TaskID, Token: resp.Token}, nil
-}
-
-// SubmitBatch implements core.Session.
-func (c *Client) SubmitBatch(ctx context.Context, expID string, workType int, payloads []string, priorities []int, dedupKeys []string) (core.BatchRes, error) {
-	if err := ctx.Err(); err != nil {
-		return core.BatchRes{}, core.CtxErr(ctx)
-	}
-	resp, err := c.roundTrip(request{
-		Op: "submit_batch", ExpID: expID, WorkType: workType,
-		Payloads: payloads, Priorities: priorities, DedupKeys: dedupKeys,
-	}, callTimeout(ctx, 10*time.Second))
-	if err != nil {
-		return core.BatchRes{}, err
-	}
-	return core.BatchRes{IDs: resp.TaskIDs, Token: resp.Token}, nil
-}
-
-// QueryTasks implements core.Session.
-func (c *Client) QueryTasks(ctx context.Context, workType, n int, pool string) (core.TasksRes, error) {
-	resp, err := c.poll(ctx, func(waitMS int64, budget time.Duration) (response, error) {
-		return c.roundTrip(request{
-			Op: "query_tasks", WorkType: workType, N: n, Pool: pool, WaitMS: waitMS,
-		}, budget)
-	})
-	if err != nil {
-		return core.TasksRes{}, err
-	}
-	tasks := make([]core.Task, len(resp.Tasks))
-	for i, t := range resp.Tasks {
-		tasks[i] = fromWireTask(t)
-	}
-	return core.TasksRes{Tasks: tasks, Token: resp.Token}, nil
-}
-
-// Report implements core.Session.
-func (c *Client) Report(ctx context.Context, taskID int64, workType int, result string) (core.Res, error) {
-	if err := ctx.Err(); err != nil {
-		return core.Res{}, core.CtxErr(ctx)
-	}
-	resp, err := c.roundTrip(request{Op: "report", TaskID: taskID, WorkType: workType, Result: result},
-		callTimeout(ctx, time.Second))
-	if err != nil {
-		return core.Res{}, err
-	}
-	return core.Res{Token: resp.Token}, nil
-}
-
-// QueryResult implements core.Session.
-func (c *Client) QueryResult(ctx context.Context, taskID int64) (core.ResultRes, error) {
-	resp, err := c.poll(ctx, func(waitMS int64, budget time.Duration) (response, error) {
-		return c.roundTrip(request{Op: "query_result", TaskID: taskID, WaitMS: waitMS}, budget)
-	})
-	if err != nil {
-		return core.ResultRes{}, err
-	}
-	return core.ResultRes{Result: resp.ResultText, Token: resp.Token}, nil
-}
-
-// PopResults implements core.Session.
-func (c *Client) PopResults(ctx context.Context, ids []int64, max int) (core.ResultsRes, error) {
-	resp, err := c.poll(ctx, func(waitMS int64, budget time.Duration) (response, error) {
-		return c.roundTrip(request{Op: "pop_results", TaskIDs: ids, N: max, WaitMS: waitMS}, budget)
-	})
-	if err != nil {
-		return core.ResultsRes{}, err
-	}
-	out := make([]core.TaskResult, len(resp.Results))
-	for i, r := range resp.Results {
-		out[i] = core.TaskResult{ID: r.ID, Result: r.Result}
-	}
-	return core.ResultsRes{Results: out, Token: resp.Token}, nil
-}
-
-// readParams renders per-call consistency options into wire terms: the
-// freshness token, the catch-up wait bound, and the level flag. The
-// connection's own session token is the session-level default.
-func (c *Client) readParams(ctx context.Context, opts []core.ReadOption) (token uint64, wait time.Duration, level string) {
-	o := core.ApplyReadOptions(opts)
-	switch o.Level {
+	switch core.ApplyReadOptions(opts).Level {
 	case core.LevelStrong:
-		return 0, 0, "strong"
+		return c.readAt(req, 0, 0, "strong")
 	case core.LevelEventual:
-		return 0, 0, "eventual"
-	default:
-		wait = DefaultReadWait
-		if d, ok := ctx.Deadline(); ok {
-			if r := time.Until(d); r < wait {
-				wait = max(r, 0)
-			}
+		return c.readAt(req, 0, 0, "eventual")
+	}
+	wait := DefaultReadWait
+	if d, ok := ctx.Deadline(); ok {
+		if r := time.Until(d); r < wait {
+			wait = max(r, 0)
 		}
-		return c.LastToken(), wait, ""
 	}
+	return c.readAt(req, c.LastToken(), wait, "")
 }
 
-// Statuses implements core.Session.
-func (c *Client) Statuses(ctx context.Context, ids []int64, opts ...core.ReadOption) (map[int64]core.Status, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, core.CtxErr(ctx)
-	}
-	token, wait, level := c.readParams(ctx, opts)
-	return c.statusesAt(ids, token, wait, level)
-}
-
-// statusesAt is Statuses with an explicit minimum-freshness commit token:
-// the replica answers only once it has applied the WAL through token
-// (waiting up to wait), or transiently refuses.
-func (c *Client) statusesAt(ids []int64, token uint64, wait time.Duration, level string) (map[int64]core.Status, error) {
-	resp, err := c.roundTrip(request{Op: "statuses", TaskIDs: ids, Token: token, WaitMS: wait.Milliseconds(), Level: level},
-		time.Second+wait)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int64]core.Status, len(resp.StatusMap))
-	for id, st := range resp.StatusMap {
-		out[id] = core.Status(st)
-	}
-	return out, nil
-}
-
-// Priorities implements core.Session.
-func (c *Client) Priorities(ctx context.Context, ids []int64, opts ...core.ReadOption) (map[int64]int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, core.CtxErr(ctx)
-	}
-	token, wait, level := c.readParams(ctx, opts)
-	return c.prioritiesAt(ids, token, wait, level)
-}
-
-func (c *Client) prioritiesAt(ids []int64, token uint64, wait time.Duration, level string) (map[int64]int, error) {
-	resp, err := c.roundTrip(request{Op: "priorities", TaskIDs: ids, Token: token, WaitMS: wait.Milliseconds(), Level: level},
-		time.Second+wait)
-	if err != nil {
-		return nil, err
-	}
-	if resp.PrioMap == nil {
-		return map[int64]int{}, nil
-	}
-	return resp.PrioMap, nil
-}
-
-// UpdatePriorities implements core.Session.
-func (c *Client) UpdatePriorities(ctx context.Context, ids []int64, priorities []int) (core.CountRes, error) {
-	if err := ctx.Err(); err != nil {
-		return core.CountRes{}, core.CtxErr(ctx)
-	}
-	resp, err := c.roundTrip(request{Op: "update_priorities", TaskIDs: ids, Priorities: priorities},
-		callTimeout(ctx, time.Second))
-	if err != nil {
-		return core.CountRes{}, err
-	}
-	return core.CountRes{Count: resp.Count, Token: resp.Token}, nil
-}
-
-// CancelTasks implements core.Session.
-func (c *Client) CancelTasks(ctx context.Context, ids []int64) (core.CountRes, error) {
-	if err := ctx.Err(); err != nil {
-		return core.CountRes{}, core.CtxErr(ctx)
-	}
-	resp, err := c.roundTrip(request{Op: "cancel", TaskIDs: ids}, callTimeout(ctx, time.Second))
-	if err != nil {
-		return core.CountRes{}, err
-	}
-	return core.CountRes{Count: resp.Count, Token: resp.Token}, nil
-}
-
-// RequeueRunning implements core.Session.
-func (c *Client) RequeueRunning(ctx context.Context, pool string) (core.CountRes, error) {
-	if err := ctx.Err(); err != nil {
-		return core.CountRes{}, core.CtxErr(ctx)
-	}
-	resp, err := c.roundTrip(request{Op: "requeue", Pool: pool}, callTimeout(ctx, time.Second))
-	if err != nil {
-		return core.CountRes{}, err
-	}
-	return core.CountRes{Count: resp.Count, Token: resp.Token}, nil
-}
-
-// Counts implements core.Session.
-func (c *Client) Counts(ctx context.Context, expID string, opts ...core.ReadOption) (map[core.Status]int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, core.CtxErr(ctx)
-	}
-	token, wait, level := c.readParams(ctx, opts)
-	return c.countsAt(expID, token, wait, level)
-}
-
-func (c *Client) countsAt(expID string, token uint64, wait time.Duration, level string) (map[core.Status]int, error) {
-	resp, err := c.roundTrip(request{Op: "counts", ExpID: expID, Token: token, WaitMS: wait.Milliseconds(), Level: level},
-		time.Second+wait)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[core.Status]int, len(resp.CountsMap))
-	for st, n := range resp.CountsMap {
-		out[core.Status(st)] = n
-	}
-	return out, nil
-}
-
-// Tags implements core.Session.
-func (c *Client) Tags(ctx context.Context, taskID int64, opts ...core.ReadOption) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, core.CtxErr(ctx)
-	}
-	token, wait, level := c.readParams(ctx, opts)
-	return c.tagsAt(taskID, token, wait, level)
-}
-
-func (c *Client) tagsAt(taskID int64, token uint64, wait time.Duration, level string) ([]string, error) {
-	resp, err := c.roundTrip(request{Op: "tags", TaskID: taskID, Token: token, WaitMS: wait.Milliseconds(), Level: level},
-		time.Second+wait)
-	if err != nil {
-		return nil, err
-	}
-	return resp.TagList, nil
-}
-
-// GetTask implements core.Session. It reads the local replica of whichever
-// node it reaches (under the session freshness bound), which is what lets
-// failover clients recover completed results whose input-queue entry died
-// with the old leader.
-func (c *Client) GetTask(ctx context.Context, taskID int64, opts ...core.ReadOption) (core.Task, error) {
-	if err := ctx.Err(); err != nil {
-		return core.Task{}, core.CtxErr(ctx)
-	}
-	token, wait, level := c.readParams(ctx, opts)
-	return c.getTaskAt(taskID, token, wait, level)
-}
-
-func (c *Client) getTaskAt(taskID int64, token uint64, wait time.Duration, level string) (core.Task, error) {
-	resp, err := c.roundTrip(request{Op: "task_get", TaskID: taskID, Token: token, WaitMS: wait.Milliseconds(), Level: level},
-		time.Second+wait)
-	if err != nil {
-		return core.Task{}, err
-	}
-	if len(resp.Tasks) == 0 {
-		return core.Task{}, fmt.Errorf("service: task_get returned no task")
-	}
-	return fromWireTask(resp.Tasks[0]), nil
-}
-
-// ClusterInfo is a node's replication status as reported by the "cluster"
-// op. Standalone (non-replicated) servers answer as their own leader, so
-// failover clients work against them unchanged.
-type ClusterInfo struct {
-	Role      string
-	NodeID    string
-	LeaderSvc string
-	Term      uint64
-	Applied   uint64
-	// PeerSvcs lists the service addresses of every cluster member the
-	// answering node knows of (itself included).
-	PeerSvcs []string
-}
-
-// Cluster queries the node's replication status.
-func (c *Client) Cluster() (ClusterInfo, error) {
-	resp, err := c.roundTrip(request{Op: "cluster"}, time.Second)
-	if err != nil {
-		return ClusterInfo{}, err
-	}
-	return ClusterInfo{
-		Role: resp.Role, NodeID: resp.NodeID, LeaderSvc: resp.LeaderSvc,
-		Term: resp.Term, Applied: resp.Applied, PeerSvcs: resp.PeerSvcs,
-	}, nil
+// readAt sends a read with an explicit minimum-freshness commit token: the
+// replica answers only once it has applied the WAL through token (waiting up
+// to wait), or transiently refuses.
+func (c *Client) readAt(req request, token uint64, wait time.Duration, level string) (resp response, err error) {
+	req.Token, req.WaitMS, req.Level = token, wait.Milliseconds(), level
+	err = c.exchange(context.Background(), time.Second+wait, &req, &resp)
+	return resp, err
 }
 
 // Promote forces the connected node to promote itself to cluster leader,
@@ -762,28 +511,11 @@ func (c *Client) Cluster() (ClusterInfo, error) {
 // when the missing peers are known dead; forcing both sides of a live
 // partition splits the brain.
 func (c *Client) Promote() (ClusterInfo, error) {
-	resp, err := c.roundTrip(request{Op: "cluster_promote"}, 5*time.Second)
+	resp, err := c.write(context.Background(), 5*time.Second, request{Op: "cluster_promote"})
 	if err != nil {
 		return ClusterInfo{}, err
 	}
-	return ClusterInfo{
-		Role: resp.Role, NodeID: resp.NodeID, LeaderSvc: resp.LeaderSvc,
-		Term: resp.Term, Applied: resp.Applied, PeerSvcs: resp.PeerSvcs,
-	}, nil
-}
-
-// ClusterStats fetches the answering node's full metrics snapshot over the
-// wire protocol: the same numbers /metrics exposes, flattened to
-// name{labels} -> value (histograms as _count/_sum/_p50/_p95/_p99), for
-// callers that can reach the service port but not the ops listener. On a
-// follower it reports that follower's own metrics — per-node, not
-// cluster-aggregated.
-func (c *Client) ClusterStats() (map[string]float64, error) {
-	resp, err := c.roundTrip(request{Op: "cluster_stats"}, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Stats, nil
+	return clusterInfo(resp), nil
 }
 
 // DialContext dials with retry until the service is up or ctx expires —

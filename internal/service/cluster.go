@@ -21,6 +21,16 @@ import (
 // FailTimeout elapses. ME algorithms and worker pools built on core.Session
 // run unchanged across leader failover.
 //
+// The ops themselves are written once, in the embedded session (session.go:
+// request construction, response conversion). ClusterClient supplies only
+// how a request travels — the three transport calls: write is the leader
+// connection re-resolved and retried (do), poll the same in sub-deadline
+// chunks (pollChunked), read the follower rotation with the leader last
+// (read, tryFollowers). The methods declared here are the ones that really
+// differ from a single connection's: Submit/SubmitBatch attach dedup keys,
+// QueryResult recovers a consumed result after a failover, Watch
+// resubscribes (watch_cluster.go).
+//
 // Retry semantics: idempotent reads retry freely. Queue-popping calls
 // (QueryTasks, PopResults, QueryResult) are at-most-once per attempt, so a
 // response lost to a dying leader can consume a queue entry without
@@ -53,6 +63,8 @@ import (
 // retries after an ambiguous quorum failure (write committed locally,
 // acknowledgement lost) can never create duplicate tasks.
 type ClusterClient struct {
+	session // the op set (session.go), travelling over the transport below
+
 	addrs []string
 
 	// FailTimeout bounds how long a single call keeps retrying through
@@ -127,6 +139,7 @@ func DialCluster(addrs ...string) (*ClusterClient, error) {
 		readBad:           make(map[string]time.Time),
 		dedupBase:         "cc-" + hex.EncodeToString(rnd[:]),
 	}
+	cc.session = session{t: cc}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if _, err := cc.clientLocked(); err != nil {
@@ -183,11 +196,6 @@ func (cc *ClusterClient) autoDedupKey() string {
 	defer cc.mu.Unlock()
 	cc.dedupSeq++
 	return fmt.Sprintf("%s-%d", cc.dedupBase, cc.dedupSeq)
-}
-
-// Ping verifies some cluster node is reachable.
-func (cc *ClusterClient) Ping() error {
-	return cc.do(time.Second, func(c *Client) error { return c.Ping() })
 }
 
 func (cc *ClusterClient) client() (*Client, error) {
@@ -385,100 +393,112 @@ func (cc *ClusterClient) dropReader(addr string, c *Client) {
 	c.Close()
 }
 
-// doRead runs one read-only call at the requested consistency level.
-//
-//   - LevelStrong pins the read to the leader connection and flags it
-//     "strong" on the wire, so a follower that turns out to be answering
-//     forwards it to the real leader.
-//   - LevelSession (default) rotates through the known follower replicas,
-//     shipping the session token as the freshness bound; a follower that is
-//     unreachable or cannot catch up within the staleness bound is skipped.
-//   - LevelEventual rotates the same way with no token, taking whatever
-//     state the first reachable replica has.
-//
-// The leader is the last resort — both the fallback when every follower
-// lags and the only target when no follower is known — so reads keep
-// working on clusters of one and during partial outages, including the
-// leaderless election window (followers still answer session and eventual
-// reads).
-func (cc *ClusterClient) doRead(ctx context.Context, opts []core.ReadOption, fn func(c *Client, token uint64, wait time.Duration, level string) error) error {
-	// A finished context aborts the read before any routing or round trip —
-	// matching the mutating ops (reads have no one-shot-attempt contract).
-	if err := ctx.Err(); err != nil {
-		return core.CtxErr(ctx)
+// tryFollowers runs fn against the follower replicas in round-robin order:
+// every known member but the leader, minus those that failed or lagged within
+// the last staleness window (a cooldown, so a bad follower does not tax every
+// call with a fresh dial or a full staleness wait). A follower that is
+// unreachable, saturated or answering transiently is cooled down — its
+// connection dropped if that is what failed — and the rotation moves on. done
+// reports that fn was answered for good, by success or by a refusal no other
+// node would lift (err says which); otherwise the caller falls back to the
+// leader connection and err is the last follower's failure, if any was tried.
+func (cc *ClusterClient) tryFollowers(fn func(c *Client) error) (done bool, err error) {
+	if !cc.ReadFromFollowers {
+		return false, nil
 	}
-	o := core.ApplyReadOptions(opts)
 	now := time.Now()
 	cc.mu.Lock()
-	token := cc.token
-	wait := cc.ReadStaleness
-	routed := cc.ReadFromFollowers && o.Level != core.LevelStrong
-	leader := cc.leader
 	var followers []string
-	if routed {
-		for _, addr := range cc.peers {
-			if addr == "" || addr == leader {
-				continue
-			}
-			// Cooldown: a follower that just failed or lagged is skipped for
-			// one staleness window instead of taxing every read with a fresh
-			// dial attempt or a full staleness wait.
-			if bad, ok := cc.readBad[addr]; ok && now.Sub(bad) < wait {
-				continue
-			}
-			followers = append(followers, addr)
+	for _, addr := range cc.peers {
+		if addr == "" || addr == cc.leader {
+			continue
 		}
+		if bad, ok := cc.readBad[addr]; ok && now.Sub(bad) < cc.ReadStaleness {
+			continue
+		}
+		followers = append(followers, addr)
 	}
 	seq := cc.readSeq
 	cc.readSeq++
 	cc.mu.Unlock()
 
+	for i := range followers {
+		addr := followers[(int(seq)+i)%len(followers)]
+		var c *Client
+		if c, err = cc.reader(addr); err == nil {
+			if err = fn(c); err == nil {
+				return true, nil
+			}
+			if !retryable(err) && !errors.Is(err, ErrOverloaded) {
+				return true, err
+			}
+			if errors.Is(err, ErrConn) {
+				cc.dropReader(addr, c)
+			}
+		}
+		cc.mu.Lock()
+		cc.readBad[addr] = time.Now()
+		cc.mu.Unlock()
+	}
+	return false, err
+}
+
+// write implements transport: the leader connection, re-resolved and retried
+// through connection loss and leaderless windows (do).
+func (cc *ClusterClient) write(ctx context.Context, budget time.Duration, req request) (resp response, err error) {
+	err = cc.do(budget, func(c *Client) error { return c.exchange(ctx, budget, &req, &resp) })
+	return resp, err
+}
+
+// poll implements transport: the leader connection in sub-deadline chunks
+// (pollChunked).
+func (cc *ClusterClient) poll(ctx context.Context, req request) (resp response, err error) {
+	err = cc.pollChunked(ctx, func(c *Client, chunk context.Context) (err error) {
+		resp, err = c.poll(chunk, req)
+		return err
+	})
+	return resp, err
+}
+
+// read implements transport: one read-only call at the consistency level
+// opts select, routed as "Read scale-out" in the type comment describes. A
+// strong read is also flagged on the wire, so a follower that turns out to be
+// answering forwards it to the real leader. For the other levels the leader
+// is the last resort — the fallback when every follower lags, the only target
+// when none is known — so reads keep working on clusters of one and through
+// the leaderless election window (followers still answer them).
+func (cc *ClusterClient) read(ctx context.Context, opts []core.ReadOption, req request) (resp response, err error) {
+	// A finished context aborts the read before any routing or round trip —
+	// matching the mutating ops (reads have no one-shot-attempt contract).
+	if err := ctx.Err(); err != nil {
+		return response{}, core.CtxErr(ctx)
+	}
+	token, wait, level := cc.Token(), cc.ReadStaleness, ""
 	if d, ok := ctx.Deadline(); ok {
 		if r := time.Until(d); r > 0 && r < wait {
 			wait = r
 		}
 	}
-	level := ""
+	o := core.ApplyReadOptions(opts)
 	switch o.Level {
 	case core.LevelStrong:
 		level = "strong"
 	case core.LevelEventual:
 		level, token, wait = "eventual", 0, 0
 	}
-
-	for i := range followers {
-		addr := followers[(int(seq)+i)%len(followers)]
-		c, err := cc.reader(addr)
-		if err != nil {
-			cc.markReadBad(addr)
-			continue
-		}
-		err = fn(c, token, wait, level)
-		if err == nil {
+	attempt := func(c *Client) (err error) {
+		if resp, err = c.readAt(req, token, wait, level); err == nil {
 			cc.noteToken(c.LastToken())
-			return nil
 		}
-		if errors.Is(err, ErrOverloaded) {
-			// A saturated follower sheds reads; cool it down and let the
-			// rotation try the next replica (connection stays good).
-			cc.markReadBad(addr)
-			continue
-		}
-		if !retryable(err) {
-			return err
-		}
-		cc.markReadBad(addr)
-		if errors.Is(err, ErrConn) {
-			cc.dropReader(addr, c)
+		return err
+	}
+	if o.Level != core.LevelStrong {
+		if done, err := cc.tryFollowers(attempt); done {
+			return resp, err
 		}
 	}
-	return cc.do(time.Second, func(c *Client) error { return fn(c, token, wait, level) })
-}
-
-func (cc *ClusterClient) markReadBad(addr string) {
-	cc.mu.Lock()
-	cc.readBad[addr] = time.Now()
-	cc.mu.Unlock()
+	err = cc.do(time.Second, attempt)
+	return resp, err
 }
 
 // Submit implements core.Session. Unless the caller supplied its own
@@ -493,13 +513,7 @@ func (cc *ClusterClient) Submit(ctx context.Context, expID string, workType int,
 	if o.DedupKey == "" {
 		opts = append(opts[:len(opts):len(opts)], core.WithDedupKey(cc.autoDedupKey()))
 	}
-	var res core.SubmitRes
-	err := cc.do(time.Second, func(c *Client) error {
-		var err error
-		res, err = c.Submit(ctx, expID, workType, payload, opts...)
-		return err
-	})
-	return res, err
+	return cc.session.Submit(ctx, expID, workType, payload, opts...)
 }
 
 // SubmitBatch implements core.Session. Like Submit, a batch without
@@ -513,35 +527,7 @@ func (cc *ClusterClient) SubmitBatch(ctx context.Context, expID string, workType
 			dedupKeys[i] = cc.autoDedupKey()
 		}
 	}
-	var res core.BatchRes
-	err := cc.do(10*time.Second, func(c *Client) error {
-		var err error
-		res, err = c.SubmitBatch(ctx, expID, workType, payloads, priorities, dedupKeys)
-		return err
-	})
-	return res, err
-}
-
-// QueryTasks implements core.Session.
-func (cc *ClusterClient) QueryTasks(ctx context.Context, workType, n int, pool string) (core.TasksRes, error) {
-	var res core.TasksRes
-	err := cc.pollChunked(ctx, func(c *Client, chunk context.Context) error {
-		var err error
-		res, err = c.QueryTasks(chunk, workType, n, pool)
-		return err
-	})
-	return res, err
-}
-
-// Report implements core.Session.
-func (cc *ClusterClient) Report(ctx context.Context, taskID int64, workType int, result string) (core.Res, error) {
-	var res core.Res
-	err := cc.do(time.Second, func(c *Client) error {
-		var err error
-		res, err = c.Report(ctx, taskID, workType, result)
-		return err
-	})
-	return res, err
+	return cc.session.SubmitBatch(ctx, expID, workType, payloads, priorities, dedupKeys)
 }
 
 // QueryResult implements core.Session. After a mid-call failover it
@@ -563,17 +549,6 @@ func (cc *ClusterClient) QueryResult(ctx context.Context, taskID int64) (core.Re
 		if retryable(err) {
 			failedOver = true
 		}
-		return err
-	})
-	return res, err
-}
-
-// PopResults implements core.Session.
-func (cc *ClusterClient) PopResults(ctx context.Context, ids []int64, max int) (core.ResultsRes, error) {
-	var res core.ResultsRes
-	err := cc.pollChunked(ctx, func(c *Client, chunk context.Context) error {
-		var err error
-		res, err = c.PopResults(chunk, ids, max)
 		return err
 	})
 	return res, err
@@ -668,120 +643,6 @@ func (cc *ClusterClient) pollChunked(ctx context.Context, fn func(c *Client, chu
 		cc.retrySleep(attempt)
 		attempt++
 	}
-}
-
-// Statuses implements core.Session. Status polls dominate ME workloads; they
-// are served by follower replicas under the session's freshness token.
-func (cc *ClusterClient) Statuses(ctx context.Context, ids []int64, opts ...core.ReadOption) (map[int64]core.Status, error) {
-	var out map[int64]core.Status
-	err := cc.doRead(ctx, opts, func(c *Client, token uint64, wait time.Duration, level string) error {
-		var err error
-		out, err = c.statusesAt(ids, token, wait, level)
-		return err
-	})
-	return out, err
-}
-
-// Priorities implements core.Session.
-func (cc *ClusterClient) Priorities(ctx context.Context, ids []int64, opts ...core.ReadOption) (map[int64]int, error) {
-	var out map[int64]int
-	err := cc.doRead(ctx, opts, func(c *Client, token uint64, wait time.Duration, level string) error {
-		var err error
-		out, err = c.prioritiesAt(ids, token, wait, level)
-		return err
-	})
-	return out, err
-}
-
-// UpdatePriorities implements core.Session.
-func (cc *ClusterClient) UpdatePriorities(ctx context.Context, ids []int64, priorities []int) (core.CountRes, error) {
-	var res core.CountRes
-	err := cc.do(time.Second, func(c *Client) error {
-		var err error
-		res, err = c.UpdatePriorities(ctx, ids, priorities)
-		return err
-	})
-	return res, err
-}
-
-// CancelTasks implements core.Session.
-func (cc *ClusterClient) CancelTasks(ctx context.Context, ids []int64) (core.CountRes, error) {
-	var res core.CountRes
-	err := cc.do(time.Second, func(c *Client) error {
-		var err error
-		res, err = c.CancelTasks(ctx, ids)
-		return err
-	})
-	return res, err
-}
-
-// RequeueRunning implements core.Session.
-func (cc *ClusterClient) RequeueRunning(ctx context.Context, pool string) (core.CountRes, error) {
-	var res core.CountRes
-	err := cc.do(time.Second, func(c *Client) error {
-		var err error
-		res, err = c.RequeueRunning(ctx, pool)
-		return err
-	})
-	return res, err
-}
-
-// Counts implements core.Session.
-func (cc *ClusterClient) Counts(ctx context.Context, expID string, opts ...core.ReadOption) (map[core.Status]int, error) {
-	var out map[core.Status]int
-	err := cc.doRead(ctx, opts, func(c *Client, token uint64, wait time.Duration, level string) error {
-		var err error
-		out, err = c.countsAt(expID, token, wait, level)
-		return err
-	})
-	return out, err
-}
-
-// Tags implements core.Session.
-func (cc *ClusterClient) Tags(ctx context.Context, taskID int64, opts ...core.ReadOption) ([]string, error) {
-	var out []string
-	err := cc.doRead(ctx, opts, func(c *Client, token uint64, wait time.Duration, level string) error {
-		var err error
-		out, err = c.tagsAt(taskID, token, wait, level)
-		return err
-	})
-	return out, err
-}
-
-// GetTask implements core.Session: the full task row from a follower replica
-// (or the leader as last resort), with read-your-writes and read-your-pops
-// guaranteed by the session token.
-func (cc *ClusterClient) GetTask(ctx context.Context, taskID int64, opts ...core.ReadOption) (core.Task, error) {
-	var t core.Task
-	err := cc.doRead(ctx, opts, func(c *Client, token uint64, wait time.Duration, level string) error {
-		var err error
-		t, err = c.getTaskAt(taskID, token, wait, level)
-		return err
-	})
-	return t, err
-}
-
-// Cluster reports the connected node's replication status.
-func (cc *ClusterClient) Cluster() (ClusterInfo, error) {
-	var info ClusterInfo
-	err := cc.do(time.Second, func(c *Client) error {
-		var err error
-		info, err = c.Cluster()
-		return err
-	})
-	return info, err
-}
-
-// ClusterStats fetches the current leader's metrics snapshot (see
-// Client.ClusterStats), retrying through failover like every other call.
-func (cc *ClusterClient) ClusterStats() (map[string]float64, error) {
-	var stats map[string]float64
-	err := cc.do(5*time.Second, func(c *Client) error {
-		var err error
-		stats, err = c.ClusterStats()
-		return err
-	})
-	return stats, err
 }
 
 // String describes the client for logs.

@@ -10,21 +10,85 @@ import (
 	"osprey/internal/obs"
 )
 
-// knownOps is every wire op the server answers, in exposition order. Per-op
-// metrics are pre-registered for all of them at serve time so a scrape (and
-// the CI smoke grep) sees the full metric surface at zero before any traffic.
-var knownOps = []string{
-	"ping", "cluster", "cluster_promote", "cluster_stats", "task_get",
-	"submit", "submit_batch", "query_tasks", "report", "query_result",
-	"pop_results", "statuses", "priorities", "update_priorities", "cancel",
-	"requeue", "counts", "tags", "watch", "unwatch",
+// opSpec declares one wire op: its name and everything the server decides
+// from the name alone. The table below is the only place an op's kind is
+// written down; exec's switch is the only other place its name appears.
+type opSpec struct {
+	name string
+	// write marks the API calls that mutate the task database and therefore
+	// must execute on the cluster leader (a follower forwards them) and on a
+	// connection worker (they can block). Everything else reads the local
+	// replica. Note the "query" ops are writes: popping a task or result
+	// mutates the queues.
+	write bool
+	// quorum marks the writes whose replies are held until the mutation is
+	// quorum-replicated (Config.WriteQuorum > 0): the client-initiated state
+	// changes that must survive the leader's immediate death once
+	// acknowledged. The queue-popping polls (query_tasks, pop_results,
+	// query_result) are deliberately excluded — they are at-most-once per
+	// attempt by design and quorum-waiting each poll chunk would serialize
+	// worker batching on replication round trips. Their responses still carry
+	// the pop's commit token, so a session's later follower reads wait for
+	// the pop to replicate (read-your-pops) even though the pop itself is
+	// acknowledged on the leader's commit alone.
+	quorum bool
+	// control ops bypass admission control and draining: health probes,
+	// leader resolution, and operator promotion must answer on a saturated or
+	// draining server — they are precisely how clients and operators route
+	// around it.
+	control bool
+	// blocks sends a non-write to a connection worker all the same
+	// (cluster_promote waits out an election round).
+	blocks bool
 }
 
-// serverMetrics is the service layer's observability surface. The per-op
-// maps are built once at serve time and read-only afterwards, so the request
-// hot path does one map lookup plus atomics; ops outside knownOps (a client
-// probing an unknown op name) fall through to the registry's locked
-// get-or-create.
+// opSpecs is every wire op the server answers, in exposition order.
+var opSpecs = []opSpec{
+	{name: "ping", control: true},
+	{name: "cluster", control: true},
+	{name: "cluster_promote", control: true, blocks: true},
+	{name: "cluster_stats", control: true},
+	{name: "task_get"},
+	{name: "submit", write: true, quorum: true},
+	{name: "submit_batch", write: true, quorum: true},
+	{name: "query_tasks", write: true},
+	{name: "report", write: true, quorum: true},
+	{name: "query_result", write: true},
+	{name: "pop_results", write: true},
+	{name: "statuses"},
+	{name: "priorities"},
+	{name: "update_priorities", write: true, quorum: true},
+	{name: "cancel", write: true, quorum: true},
+	{name: "requeue", write: true, quorum: true},
+	{name: "counts"},
+	{name: "tags"},
+	{name: "watch"},
+	{name: "unwatch"},
+}
+
+// opEntry is one server's view of an op: the declaration plus its metrics,
+// resolved once per request (serverMetrics.op) and passed along.
+type opEntry struct {
+	opSpec
+	reqs *obs.Counter
+	errs *obs.Counter
+	lat  *obs.Histogram
+}
+
+// observe records one served request.
+func (o *opEntry) observe(d time.Duration, ok bool) {
+	o.reqs.Inc()
+	if !ok {
+		o.errs.Inc()
+	}
+	o.lat.Observe(d.Seconds())
+}
+
+// serverMetrics is the service layer's observability surface. The op table
+// is built once at serve time — registering every op's metrics, so a scrape
+// (and the CI smoke grep) sees the full metric surface at zero before any
+// traffic — and is read-only afterwards: the request hot path does one map
+// lookup plus atomics.
 type serverMetrics struct {
 	reg       *obs.Registry
 	forwards  *obs.Counter
@@ -33,12 +97,10 @@ type serverMetrics struct {
 	shed      *obs.Counter
 	openConns *obs.Gauge
 	draining  *obs.Gauge
-	reqs      map[string]*obs.Counter
-	errs      map[string]*obs.Counter
-	lat       map[string]*obs.Histogram
+	ops       map[string]*opEntry
 
 	mu      sync.Mutex
-	unknown map[string]bool // interned unknown-op label guard
+	unknown map[string]*opEntry // the first few op names outside opSpecs
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -50,45 +112,43 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		shed:      reg.Counter("osprey_service_shed_total"),
 		openConns: reg.Gauge("osprey_service_open_connections"),
 		draining:  reg.Gauge("osprey_service_draining"),
-		reqs:      make(map[string]*obs.Counter, len(knownOps)),
-		errs:      make(map[string]*obs.Counter, len(knownOps)),
-		lat:       make(map[string]*obs.Histogram, len(knownOps)),
-		unknown:   make(map[string]bool),
+		ops:       make(map[string]*opEntry, len(opSpecs)),
+		unknown:   make(map[string]*opEntry),
 	}
-	for _, op := range knownOps {
-		m.reqs[op] = reg.Counter("osprey_service_requests_total", "op", op)
-		m.errs[op] = reg.Counter("osprey_service_errors_total", "op", op)
-		m.lat[op] = reg.Histogram("osprey_service_request_seconds", obs.DurationBuckets, "op", op)
+	for _, spec := range opSpecs {
+		m.ops[spec.name] = m.newOp(spec)
 	}
 	return m
 }
 
-// observe records one dispatched request. Unknown op names are folded into a
-// single "unknown" label after the first few distinct ones, so a client
-// spraying random op strings cannot grow the registry without bound.
-func (m *serverMetrics) observe(op string, d time.Duration, ok bool) {
-	if _, known := m.reqs[op]; !known {
-		m.mu.Lock()
-		if !m.unknown[op] {
-			if len(m.unknown) >= 8 {
-				op = "unknown"
-			} else {
-				m.unknown[op] = true
-			}
-		}
-		m.mu.Unlock()
-		m.reg.Counter("osprey_service_requests_total", "op", op).Inc()
-		if !ok {
-			m.reg.Counter("osprey_service_errors_total", "op", op).Inc()
-		}
-		m.reg.Histogram("osprey_service_request_seconds", obs.DurationBuckets, "op", op).Observe(d.Seconds())
-		return
+func (m *serverMetrics) newOp(spec opSpec) *opEntry {
+	return &opEntry{
+		opSpec: spec,
+		reqs:   m.reg.Counter("osprey_service_requests_total", "op", spec.name),
+		errs:   m.reg.Counter("osprey_service_errors_total", "op", spec.name),
+		lat:    m.reg.Histogram("osprey_service_request_seconds", obs.DurationBuckets, "op", spec.name),
 	}
-	m.reqs[op].Inc()
-	if !ok {
-		m.errs[op].Inc()
+}
+
+// op resolves a request's op name. A name outside opSpecs (a client probing)
+// resolves to a plain local read, which exec refuses; such names are folded
+// into a single "unknown" label after the first few distinct ones, so a
+// client spraying random op strings cannot grow the registry without bound.
+func (m *serverMetrics) op(name string) *opEntry {
+	if o := m.ops[name]; o != nil {
+		return o
 	}
-	m.lat[op].Observe(d.Seconds())
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.unknown[name] == nil && len(m.unknown) >= 8 {
+		name = "unknown"
+	}
+	o := m.unknown[name]
+	if o == nil {
+		o = m.newOp(opSpec{name: name})
+		m.unknown[name] = o
+	}
+	return o
 }
 
 // ServerOption configures a Server at serve time.

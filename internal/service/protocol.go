@@ -3,9 +3,16 @@
 // pools, and the resource-local EMEWS task database. In the paper the ME
 // script on a laptop reaches the service on the Bebop cluster through an
 // SSH tunnel; here the service speaks one length-prefixed binary protocol
-// (see wire.go) over TCP — multiplexed and pipelined — and the Client type
-// implements core.Session so algorithms and pools run unchanged against a
-// local database or a remote service.
+// over TCP — multiplexed and pipelined — and the Client type implements
+// core.Session so algorithms and pools run unchanged against a local
+// database or a remote service.
+//
+// Where the protocol is specified: preamble, framing, field encoding and the
+// append-only evolution rule head wire.go; the messages are request and
+// response below; the ops, and how each is routed, admitted and scheduled,
+// are the opSpecs table (ops.go); pipelining is Server.handleV2 on one side
+// and Client on the other; the client's op set is written once, in
+// session.go, over the transport Client and ClusterClient each supply.
 package service
 
 import (

@@ -143,7 +143,8 @@ func TestReadYourPopsStalledFollower(t *testing.T) {
 	}
 	defer direct.Close()
 	start := time.Now()
-	_, err = direct.statusesAt([]int64{sub.ID}, popTok, 100*time.Millisecond, "")
+	statuses := request{Op: "statuses", TaskIDs: []int64{sub.ID}}
+	_, err = direct.readAt(statuses, popTok, 100*time.Millisecond, "")
 	waited := time.Since(start)
 	if !errors.Is(err, ErrUnavailable) {
 		release()
@@ -173,9 +174,9 @@ func TestReadYourPopsStalledFollower(t *testing.T) {
 	// was bounded by the token becoming applied, not by wall-clock luck.
 	release()
 	waitCond(t, "stalled follower caught up", func() bool { return n3.Applied() >= popTok })
-	sts, err := direct.statusesAt([]int64{sub.ID}, popTok, 500*time.Millisecond, "")
-	if err != nil || sts[sub.ID] != core.StatusRunning {
-		t.Fatalf("healed follower token-bounded read = %v, %v; want running", sts, err)
+	resp, err := direct.readAt(statuses, popTok, 500*time.Millisecond, "")
+	if err != nil || resp.StatusMap[sub.ID] != string(core.StatusRunning) {
+		t.Fatalf("healed follower token-bounded read = %v, %v; want running", resp.StatusMap, err)
 	}
 }
 

@@ -16,14 +16,14 @@ import (
 // it is healthy, just saturated) and a draining/transient refusal maps to
 // ErrUnavailable (fail over to another node).
 func TestOverloadErrorMapping(t *testing.T) {
-	_, err := finishRoundTrip(response{OK: false, Overloaded: true, Error: "service: overloaded"})
+	err := respErr(&response{OK: false, Overloaded: true, Error: "service: overloaded"})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overloaded response mapped to %v, want ErrOverloaded", err)
 	}
 	if errors.Is(err, ErrUnavailable) {
 		t.Fatal("ErrOverloaded must not satisfy ErrUnavailable: failover clients would leave a healthy node")
 	}
-	_, err = finishRoundTrip(response{OK: false, Transient: true, Error: "service: draining"})
+	err = respErr(&response{OK: false, Transient: true, Error: "service: draining"})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("transient response mapped to %v, want ErrUnavailable", err)
 	}

@@ -341,8 +341,8 @@ func (v *v2conn) writeResp(id uint64, resp *response, op, trace string) {
 }
 
 // serve executes one request and writes its response frame.
-func (v *v2conn) serve(id uint64, req *request) {
-	resp := v.s.dispatch(*req, v.peer)
+func (v *v2conn) serve(id uint64, req *request, op *opEntry) {
+	resp := v.s.dispatch(*req, op, v.peer)
 	v.writeResp(id, &resp, req.Op, req.Trace)
 }
 
@@ -350,6 +350,7 @@ func (v *v2conn) serve(id uint64, req *request) {
 type v2work struct {
 	id  uint64
 	req request
+	op  *opEntry
 }
 
 // handleV2 serves one binary-protocol connection. The read loop decodes
@@ -403,21 +404,22 @@ func (s *Server) handleV2(conn net.Conn, br *bufio.Reader, peer string) {
 		// Watch subscriptions never go through dispatch: they need the frame
 		// ID and the connection's write side to push notification frames, and
 		// they hold no inflight slot (a parked subscriber is not load).
+		op := s.met.op(req.Op)
 		if req.Op == "watch" {
-			v.startWatch(id, &req)
+			v.startWatch(id, &req, op)
 			continue
 		}
 		if req.Op == "unwatch" {
-			v.serveUnwatch(id, &req)
+			v.serveUnwatch(id, &req, op)
 			continue
 		}
-		mayBlock := writeOps[req.Op] || req.Op == "cluster_promote" ||
+		mayBlock := op.write || op.blocks ||
 			(s.node != nil && (req.Level == "strong" || req.Token > 0))
 		if !mayBlock {
-			v.serve(id, &req)
+			v.serve(id, &req, op)
 			continue
 		}
-		w := v2work{id: id, req: req}
+		w := v2work{id: id, req: req, op: op}
 		select {
 		case work <- w: // an idle worker takes it
 		default:
@@ -427,7 +429,7 @@ func (s *Server) handleV2(conn net.Conn, br *bufio.Reader, peer string) {
 				go func() {
 					defer wg.Done()
 					for w := range work {
-						v.serve(w.id, &w.req)
+						v.serve(w.id, &w.req, w.op)
 					}
 				}()
 			}
@@ -446,31 +448,6 @@ func (s *Server) logWriteErr(peer, op, trace string, err error) {
 	s.log.Debug("response write failed", "peer", peer, "op", op, "trace", trace, "error", err)
 }
 
-// writeOps are the API calls that mutate the task database and therefore
-// must execute on the cluster leader. Everything else reads the local
-// replica. Note the "query" ops are writes: popping a task or result
-// mutates the queues.
-var writeOps = map[string]bool{
-	"submit": true, "submit_batch": true, "query_tasks": true, "report": true,
-	"query_result": true, "pop_results": true, "update_priorities": true,
-	"cancel": true, "requeue": true,
-}
-
-// quorumOps are the writes whose replies are held until the mutation is
-// quorum-replicated (Config.WriteQuorum > 0): the client-initiated state
-// changes that must survive the leader's immediate death once acknowledged.
-// The queue-popping polls (query_tasks, pop_results, query_result) are
-// deliberately excluded — they are at-most-once per attempt by design and
-// quorum-waiting each poll chunk would serialize worker batching on
-// replication round trips. Their responses still carry the pop's commit
-// token, so a session's later follower reads wait for the pop to replicate
-// (read-your-pops) even though the pop itself is acknowledged on the
-// leader's commit alone.
-var quorumOps = map[string]bool{
-	"submit": true, "submit_batch": true, "report": true,
-	"update_priorities": true, "cancel": true, "requeue": true,
-}
-
 // DefaultMaxInflight is the server-wide admission cap: the number of
 // data-plane requests allowed to execute concurrently before new arrivals
 // are shed with a fast Overloaded response. Four connections' worth of the
@@ -478,19 +455,12 @@ var quorumOps = map[string]bool{
 // latency for everyone already in line.
 const DefaultMaxInflight = 4 * maxInflight
 
-// controlOps bypass admission control and draining: health probes, leader
-// resolution, and operator promotion must answer on a saturated or draining
-// server — they are precisely how clients and operators route around it.
-var controlOps = map[string]bool{
-	"ping": true, "cluster": true, "cluster_stats": true, "cluster_promote": true,
-}
-
 // admit reserves an admission slot for a data-plane request, or returns the
 // refusal response. Shedding happens before any execution, so a shed request
 // has had no side effect and is safe to resend verbatim — even the
 // non-idempotent queue pops.
-func (s *Server) admit(op string) (func(), response, bool) {
-	if controlOps[op] {
+func (s *Server) admit(op *opEntry) (func(), response, bool) {
+	if op.control {
 		return func() {}, response{}, true
 	}
 	if s.draining.Load() {
@@ -510,8 +480,8 @@ func (s *Server) admit(op string) (func(), response, bool) {
 // outcomes, not errors), and the trace-correlated log lines that let one
 // request be followed across the forward hop. Requests from older clients
 // without a trace ID get one minted here so per-hop logs still correlate.
-func (s *Server) dispatch(req request, peer string) response {
-	release, refusal, ok := s.admit(req.Op)
+func (s *Server) dispatch(req request, op *opEntry, peer string) response {
+	release, refusal, ok := s.admit(op)
 	if !ok {
 		return refusal
 	}
@@ -520,8 +490,8 @@ func (s *Server) dispatch(req request, peer string) response {
 		req.Trace = obs.TraceID()
 	}
 	t0 := time.Now()
-	resp := s.route(req)
-	s.met.observe(req.Op, time.Since(t0), resp.OK || resp.Timeout)
+	resp := s.route(req, op)
+	op.observe(time.Since(t0), resp.OK || resp.Timeout)
 	if req.Fwd && s.node != nil {
 		// The leader half of the forward hop: the follower logged the same
 		// trace ID when it forwarded.
@@ -534,9 +504,9 @@ func (s *Server) dispatch(req request, peer string) response {
 	return resp
 }
 
-func (s *Server) route(req request) response {
+func (s *Server) route(req request, op *opEntry) response {
 	// Writes and strong-consistency reads must execute on the leader.
-	needLeader := writeOps[req.Op] || req.Level == "strong"
+	needLeader := op.write || req.Level == "strong"
 	if s.node != nil && needLeader && !s.node.IsLeader() {
 		return s.forward(req)
 	}
@@ -547,7 +517,7 @@ func (s *Server) route(req request) response {
 	// staleness bound that makes follower reads safe to load-balance. Strong
 	// reads reach here only on the leader, whose applied index is the newest
 	// committed state; eventual reads carry token 0 and never wait.
-	isRead := s.node != nil && !writeOps[req.Op]
+	isRead := s.node != nil && !op.write
 	if isRead && req.Token > 0 && req.Level != "strong" {
 		if err := s.node.WaitApplied(req.Token, ms(req.WaitMS)); err != nil {
 			return response{Error: "service: " + err.Error(), Transient: true}
@@ -571,7 +541,7 @@ func (s *Server) route(req request) response {
 	// committed locally — a failed ack is ambiguous, which is exactly what
 	// dedup-keyed submits exist to disambiguate on retry. The wait covers
 	// precisely the request's own WAL entry (its commit token).
-	if resp.OK && s.node != nil && quorumOps[req.Op] {
+	if resp.OK && s.node != nil && op.quorum {
 		if err := s.node.WaitQuorumIndex(resp.Token); err != nil {
 			return response{Error: "service: write not quorum-committed: " + err.Error(), Transient: true}
 		}
@@ -774,7 +744,7 @@ func (s *Server) forward(req request) response {
 	if timeout < time.Second {
 		timeout = time.Second
 	}
-	resp, err := c.roundTrip(req, timeout)
+	resp, err := c.write(context.Background(), timeout, req)
 	if err != nil && errors.Is(err, ErrConn) {
 		s.invalidateForward(c)
 		return response{Error: "service: leader unreachable: " + err.Error(), Transient: true}
@@ -817,7 +787,12 @@ func (s *Server) invalidateForward(c *Client) {
 }
 
 func errResponse(err error) response {
-	return response{Error: err.Error(), Timeout: errors.Is(err, core.ErrTimeout)}
+	return response{
+		Error: err.Error(), Timeout: errors.Is(err, core.ErrTimeout),
+		// A write refused at commit because this node stopped leading never
+		// happened; the client re-resolves the leader and retries.
+		Transient: errors.Is(err, replica.ErrNotLeader),
+	}
 }
 
 func ms(v int64) time.Duration { return time.Duration(v) * time.Millisecond }

@@ -248,7 +248,7 @@ func TestConcurrentClients(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, c := newServerClient(t)
 	// Unknown op via raw round trip.
-	if _, err := c.roundTrip(request{Op: "explode"}, time.Second); err == nil {
+	if _, err := c.write(bg, time.Second, request{Op: "explode"}); err == nil {
 		t.Fatal("unknown op must error")
 	}
 	// Report for a nonexistent task surfaces the DB error.

@@ -58,7 +58,7 @@ func (b *clientSub) Err() error {
 func (b *clientSub) Close() error {
 	b.c.dropSub(b.id)
 	b.finish(nil)
-	go b.c.roundTrip(request{Op: "unwatch", SubID: b.id}, time.Second)
+	go b.c.write(context.Background(), time.Second, request{Op: "unwatch", SubID: b.id})
 	return nil
 }
 
@@ -98,7 +98,7 @@ func (b *clientSub) deliver(resp *response) bool {
 	if !b.acked {
 		b.acked = true
 		if !resp.OK {
-			_, err := finishRoundTrip(*resp)
+			err := respErr(resp)
 			b.closed = true
 			b.err = err
 			b.ack <- err
@@ -125,14 +125,14 @@ func (b *clientSub) deliver(resp *response) bool {
 			b.err = ErrWatchOverflow
 			close(b.events)
 			b.mu.Unlock()
-			go b.c.roundTrip(request{Op: "unwatch", SubID: b.id}, time.Second)
+			go b.c.write(context.Background(), time.Second, request{Op: "unwatch", SubID: b.id})
 			return false
 		}
 	}
 	if resp.Done {
 		var err error
 		if !resp.OK {
-			_, err = finishRoundTrip(*resp)
+			err = respErr(resp)
 		}
 		b.closed = true
 		b.err = err

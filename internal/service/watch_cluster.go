@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"osprey/internal/core"
 	"osprey/internal/watch"
@@ -85,62 +84,26 @@ func (cc *ClusterClient) Watch(ctx context.Context, q watch.Query, buf int) (wat
 }
 
 // subscribeWatch opens one server-side subscription: follower replicas in
-// rotation first (cooldown-aware, like doRead), the leader connection last.
-// A non-retryable error (the query itself was refused) aborts the scan
+// rotation first (tryFollowers, as reads do), the leader connection last. A
+// non-retryable error (the query itself was refused) aborts the scan
 // immediately.
-func (cc *ClusterClient) subscribeWatch(q watch.Query, buf int) (watch.Stream, error) {
-	now := time.Now()
-	cc.mu.Lock()
-	leader := cc.leader
-	wait := cc.ReadStaleness
-	var followers []string
-	if cc.ReadFromFollowers {
-		for _, addr := range cc.peers {
-			if addr == "" || addr == leader {
-				continue
-			}
-			if bad, ok := cc.readBad[addr]; ok && now.Sub(bad) < wait {
-				continue
-			}
-			followers = append(followers, addr)
-		}
+func (cc *ClusterClient) subscribeWatch(q watch.Query, buf int) (st watch.Stream, err error) {
+	subscribe := func(c *Client) (err error) {
+		st, err = c.Watch(context.Background(), q, buf)
+		return err
 	}
-	seq := cc.readSeq
-	cc.readSeq++
-	cc.mu.Unlock()
-
-	ctx := context.Background()
-	var lastErr error
-	for i := range followers {
-		addr := followers[(int(seq)+i)%len(followers)]
-		c, err := cc.reader(addr)
-		if err != nil {
-			cc.markReadBad(addr)
-			lastErr = err
-			continue
-		}
-		st, err := c.Watch(ctx, q, buf)
-		if err == nil {
-			return st, nil
-		}
-		if !retryable(err) && !errors.Is(err, ErrOverloaded) {
-			return nil, err
-		}
-		lastErr = err
-		cc.markReadBad(addr)
-		if errors.Is(err, ErrConn) {
-			cc.dropReader(addr, c)
-		}
+	done, followerErr := cc.tryFollowers(subscribe)
+	if done {
+		return st, followerErr
 	}
 	c, err := cc.client()
 	if err != nil {
-		if lastErr != nil {
-			return nil, lastErr
+		if followerErr != nil {
+			return nil, followerErr
 		}
 		return nil, err
 	}
-	st, err := c.Watch(ctx, q, buf)
-	if err != nil {
+	if err := subscribe(c); err != nil {
 		if errors.Is(err, ErrConn) {
 			cc.invalidate(c)
 		}

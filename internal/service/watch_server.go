@@ -71,13 +71,13 @@ func watchQuery(req *request) (watch.Query, error) {
 // paths return quickly; when the resume position is ahead of this node's hub
 // the subscribe (which must first wait out replication lag) moves to its own
 // goroutine.
-func (v *v2conn) startWatch(id uint64, req *request) {
+func (v *v2conn) startWatch(id uint64, req *request, op *opEntry) {
 	s := v.s
 	t0 := time.Now()
 	fail := func(resp response) {
 		resp.Done = true
 		v.writeResp(id, &resp, "watch", req.Trace)
-		s.met.observe("watch", time.Since(t0), false)
+		op.observe(time.Since(t0), false)
 	}
 	if s.draining.Load() {
 		fail(response{Error: "service: draining", Transient: true})
@@ -98,10 +98,10 @@ func (v *v2conn) startWatch(id uint64, req *request) {
 		return
 	}
 	if q.Since > s.db.WatchHub().Last() {
-		go v.finishWatch(id, req, q, t0)
+		go v.finishWatch(id, req, op, q, t0)
 		return
 	}
-	v.finishWatch(id, req, q, t0)
+	v.finishWatch(id, req, op, q, t0)
 }
 
 // finishWatch completes the subscribe begun by startWatch. A resume position
@@ -109,12 +109,12 @@ func (v *v2conn) startWatch(id uint64, req *request) {
 // apply up to it, so a failover from a fresher node resumes live instead of
 // resyncing; only a position that never arrives — a rolled-back token
 // domain — falls through to the resync path.
-func (v *v2conn) finishWatch(id uint64, req *request, q watch.Query, t0 time.Time) {
+func (v *v2conn) finishWatch(id uint64, req *request, op *opEntry, q watch.Query, t0 time.Time) {
 	s, db := v.s, v.s.db
 	fail := func(resp response) {
 		resp.Done = true
 		v.writeResp(id, &resp, "watch", req.Trace)
-		s.met.observe("watch", time.Since(t0), false)
+		op.observe(time.Since(t0), false)
 	}
 	if hub := db.WatchHub(); q.Since > hub.Last() {
 		deadline := time.Now().Add(watchCatchUp)
@@ -143,7 +143,7 @@ func (v *v2conn) finishWatch(id uint64, req *request, q watch.Query, t0 time.Tim
 		cancel()
 	}
 	v.writeResp(id, &response{OK: true, Token: db.Token()}, "watch", req.Trace)
-	s.met.observe("watch", time.Since(t0), true)
+	op.observe(time.Since(t0), true)
 	go sub.pump()
 }
 
@@ -178,7 +178,7 @@ func (b *srvSub) pump() {
 // serveUnwatch tears down the subscription named by SubID. Idempotent: a
 // subscription that already ended acknowledges OK all the same (the client's
 // teardown raced the terminal frame, which is normal).
-func (v *v2conn) serveUnwatch(id uint64, req *request) {
+func (v *v2conn) serveUnwatch(id uint64, req *request, op *opEntry) {
 	t0 := time.Now()
 	v.subMu.Lock()
 	sub := v.subs[req.SubID]
@@ -187,7 +187,7 @@ func (v *v2conn) serveUnwatch(id uint64, req *request) {
 		sub.cancel()
 	}
 	v.writeResp(id, &response{OK: true, Done: true}, "unwatch", req.Trace)
-	v.s.met.observe("unwatch", time.Since(t0), true)
+	op.observe(time.Since(t0), true)
 }
 
 // addSub registers a subscription under its request ID; false when the
