@@ -134,7 +134,10 @@ func BenchmarkDurableSubmit(b *testing.B)      { benchDurableSubmit(b, false) }
 func BenchmarkDurableSubmitFsync(b *testing.B) { benchDurableSubmit(b, true) }
 
 // BenchmarkDurableSubmitParallel8 is the group-commit claim: 8 concurrent
-// fsync'd submitters should share fsync batches instead of paying one each.
+// fsync'd submitters share fsyncs instead of paying one each. Nothing holds
+// an fsync back to make that happen — the submits that commit while one
+// fsync is on the disk are the next one's group (minisql.DiskLog's sync
+// loop), so ns/op here is roughly the fsync's length over the group size.
 func BenchmarkDurableSubmitParallel8(b *testing.B) {
 	db, err := core.Open(b.TempDir(), core.OpenOptions{Fsync: true})
 	if err != nil {

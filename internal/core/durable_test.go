@@ -8,9 +8,12 @@ import (
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"osprey/internal/obs"
 )
 
 func openDurable(t *testing.T, dir string, opt OpenOptions) *DB {
@@ -236,4 +239,125 @@ func crashHelper() {
 	fmt.Println("ACKED")
 	os.Stdout.Sync()
 	time.Sleep(time.Minute) // hold the process open for the SIGKILL
+}
+
+// TestCheckpointReplayEquivalenceConcurrent is the equivalence check with the
+// churn coming from several sessions at once and a checkpoint every 200
+// entries, so snapshots capture their cut while commits are landing: under
+// -race it is the proof that the capture shares nothing mutable with the
+// commits it no longer blocks, and in any mode that each checkpoint is the
+// state at the index it recorded.
+func TestCheckpointReplayEquivalenceConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	db := openDurable(t, dir, OpenOptions{CheckpointEvery: 200})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			pool := fmt.Sprintf("p%d", w)
+			var mine []int64
+			for i := 0; i < 400; i++ {
+				var err error
+				switch rng.Intn(6) {
+				case 0, 1:
+					payloads := make([]string, 1+rng.Intn(5))
+					for j := range payloads {
+						payloads[j] = fmt.Sprintf(`{"w": %d, "n": %d}`, w, i)
+					}
+					var res BatchRes
+					if res, err = db.SubmitBatch(ctx, "churn", 1, payloads, []int{rng.Intn(20)}, nil); err == nil {
+						mine = append(mine, res.IDs...)
+					}
+				case 2, 3:
+					pc, cancel := context.WithTimeout(ctx, 5*time.Millisecond)
+					tasks, perr := db.QueryTasks(pc, 1, 1+rng.Intn(3), pool)
+					cancel()
+					for _, task := range tasks.Tasks {
+						if perr == nil && err == nil && rng.Intn(3) > 0 {
+							_, err = db.Report(ctx, task.ID, 1, `"done"`)
+						}
+					}
+				case 4:
+					if len(mine) > 0 {
+						ids := make([]int64, 1+rng.Intn(6))
+						for j := range ids {
+							ids[j] = mine[rng.Intn(len(mine))]
+						}
+						_, err = db.UpdatePriorities(ctx, ids, []int{rng.Intn(30)})
+					}
+				case 5:
+					_, err = db.RequeueRunning(ctx, pool)
+				}
+				if err != nil {
+					t.Errorf("session %d op %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := db.Store().Stats().Checkpoints; n < 3 {
+		t.Fatalf("%d checkpoints written beside the churn, want at least 3", n)
+	}
+	var liveSnap bytes.Buffer
+	if err := db.Snapshot(&liveSnap); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	db2 := openDurable(t, dir, OpenOptions{})
+	defer db2.Close()
+	var recSnap bytes.Buffer
+	if err := db2.Snapshot(&recSnap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(liveSnap.Bytes(), recSnap.Bytes()) {
+		t.Fatalf("recovered engine diverges from live engine (%d vs %d snapshot bytes)",
+			liveSnap.Len(), recSnap.Len())
+	}
+}
+
+// TestCheckpointHoldsLockForCapture drives a durable, fsyncing database
+// through automatic checkpoints the way durable-cycle does and reads the two
+// histograms an operator would: of the time its checkpoints took, the engine
+// lock — every commit's lock — was held for at most an eighth.
+func TestCheckpointHoldsLockForCapture(t *testing.T) {
+	ctx := context.Background()
+	db := openDurable(t, t.TempDir(), OpenOptions{Fsync: true, CheckpointEvery: 40})
+	defer db.Close()
+	payloads := make([]string, 50)
+	for i := range payloads {
+		payloads[i] = `{"x": [0.25, 0.5, 0.75], "seed": 12345}`
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := db.SubmitBatch(ctx, "exp", 1, payloads, []int{i % 7}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for db.Store().Stats().Checkpoints < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d automatic checkpoints after 200 entries at one per 40", db.Store().Stats().Checkpoints)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	flat := obs.Flatten(db.Metrics().Gather())
+	lock, lockN := flat["osprey_engine_snapshot_lock_seconds_sum"], flat["osprey_engine_snapshot_lock_seconds_count"]
+	ckpt, ckptN := flat["osprey_checkpoint_seconds_sum"], flat["osprey_checkpoint_seconds_count"]
+	t.Logf("%v checkpoints took %.1f ms; %v snapshots held the engine lock %.1f ms", ckptN, 1e3*ckpt, lockN, 1e3*lock)
+	if ckptN < 3 || lockN < ckptN {
+		t.Fatalf("%v checkpoint and %v snapshot-lock observations, want at least 3 and as many", ckptN, lockN)
+	}
+	if lock > ckpt/8 {
+		t.Fatalf("engine lock held %.1f ms of %.1f ms of checkpoints, want at most 1/8", 1e3*lock, 1e3*ckpt)
+	}
+	var status strings.Builder
+	db.WriteDurability(&status)
+	if s := status.String(); !strings.Contains(s, "last_took=") || strings.Contains(s, "last_took=0s") ||
+		!strings.Contains(s, "last_snapshot_lock=") || strings.Contains(s, "last_snapshot_lock=0s") {
+		t.Fatalf("/statusz durability block does not report the last checkpoint:\n%s", s)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"osprey/internal/minisql"
@@ -20,6 +21,11 @@ type dbMetrics struct {
 	popTasks    *obs.Histogram
 	popResults  *obs.Histogram
 	report      *obs.Histogram
+
+	// The newest checkpoint's duration and the newest snapshot's engine-lock
+	// hold, in nanoseconds, for /statusz (histograms keep no last value).
+	lastCheckpoint atomic.Int64
+	lastSnapLock   atomic.Int64
 }
 
 func newDBMetrics(eng *minisql.Engine) *dbMetrics {
@@ -32,6 +38,13 @@ func newDBMetrics(eng *minisql.Engine) *dbMetrics {
 		popResults:  reg.Histogram("osprey_db_op_seconds", obs.DurationBuckets, "op", "pop_results"),
 		report:      reg.Histogram("osprey_db_op_seconds", obs.DurationBuckets, "op", "report"),
 	}
+	// The longest hold the engine takes on its own lock: a snapshot capturing
+	// its consistent cut (a checkpoint, a follower bootstrap, DB.Snapshot).
+	snapLock := reg.Histogram("osprey_engine_snapshot_lock_seconds", obs.DurationBuckets)
+	eng.SetSnapshotObserver(func(held time.Duration) {
+		snapLock.Observe(held.Seconds())
+		m.lastSnapLock.Store(int64(held))
+	})
 	reg.CollectFunc(func(e *obs.Emitter) {
 		s := eng.PlanCacheStats()
 		e.Counter("osprey_minisql_plan_cache_hits_total", float64(s.Hits))
@@ -45,11 +58,19 @@ func newDBMetrics(eng *minisql.Engine) *dbMetrics {
 }
 
 // bindStore registers the durability metrics of a durable (Open) database:
-// the fsync latency histogram is fed from the store's group-fsync batches,
-// and the log/checkpoint position counters are collected at scrape time.
+// the fsync latency histogram is fed from the store's group-commit fsyncs,
+// the checkpoint histogram from each checkpoint written (beside it,
+// osprey_engine_snapshot_lock_seconds says how much of that held the engine
+// lock), and the log/checkpoint position counters are collected at scrape
+// time.
 func (m *dbMetrics) bindStore(store *minisql.Store) {
 	fsyncH := m.reg.Histogram("osprey_wal_fsync_seconds", obs.DurationBuckets)
 	store.SetFsyncObserver(func(d time.Duration) { fsyncH.Observe(d.Seconds()) })
+	ckptH := m.reg.Histogram("osprey_checkpoint_seconds", obs.DurationBuckets)
+	store.SetCheckpointObserver(func(d time.Duration) {
+		ckptH.Observe(d.Seconds())
+		m.lastCheckpoint.Store(int64(d))
+	})
 	m.reg.CollectFunc(func(e *obs.Emitter) {
 		st := store.Stats()
 		e.Gauge("osprey_wal_segment_count", float64(st.Log.Segments))

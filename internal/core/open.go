@@ -34,12 +34,33 @@ type OpenOptions struct {
 // the caller gets an error (retryable; dedup keys disambiguate).
 const durableWaitTimeout = 15 * time.Second
 
-// Open opens (or creates) a durable EMEWS task database in dir, recovering
-// existing state without any live peer: the newest valid checkpoint is
-// restored, then the WAL tail is replayed through the deterministic
-// ApplyEntry path. Every committed write is appended to the on-disk WAL;
-// periodic checkpoints truncate it. The in-memory NewDB remains the
-// zero-config default — Open is its durable sibling.
+// Open opens (or creates) a durable EMEWS task database in dir — what
+// osprey.Open and osprey-service -data-dir DIR [-fsync] [-checkpoint-every N]
+// run on; the in-memory NewDB remains the zero-config default. The directory
+// layout, the write path and checkpoints are minisql.Store's (store.go,
+// disklog.go, snapshot.go). Every committed write is appended to the on-disk
+// log before its call returns; with Fsync the call also waits for its
+// entry's fsync, which concurrent callers share (waitDurable).
+//
+// Recovery needs no live peer: restore the newest checkpoint Engine.Restore
+// accepts (falling back to the previous one), re-run the schema migration,
+// replay the log tail through the deterministic ApplyEntry path followers
+// use, and set the engine's logged index. TestCrashRecovery holds the
+// contract with a real SIGKILL; TestCheckpointReplayEquivalence byte-compares
+// a recovered engine against the live one after random churn.
+//
+// In a cluster (internal/replica) a durable follower appends each shipped
+// record to its own log as received — after DecodeRecord has checked it —
+// and fsyncs before acking, so a quorum-acked write is crash-durable on a
+// quorum. It recovers its applied index and term locally and resumes from
+// its own position; the leader serves ranges its memory WAL has compacted
+// out of its disk log and bootstraps fresh followers from the newest
+// checkpoint file. A restarted leader always opens a new term (persisted
+// term + 1), because crash recovery can roll its log back past entries
+// followers already applied: they return through the snapshot path, so a
+// full-cluster stop/start keeps all state at the cost of one re-bootstrap
+// per follower. Restart a dead leader with -join pointed at a live peer, or
+// it claims leadership until it sees the successor's higher term.
 func Open(dir string, opt OpenOptions) (*DB, error) {
 	store, err := minisql.OpenStore(dir, minisql.StoreOptions{
 		Fsync:           opt.Fsync,
@@ -128,8 +149,9 @@ func (db *DB) WriteDurability(w io.Writer) {
 	fmt.Fprintf(w, "durable: true (fsync=%v)\n", db.store.Fsync())
 	fmt.Fprintf(w, "wal: segments=%d bytes=%d range=%d..%d synced=%d\n",
 		st.Log.Segments, st.Log.DiskBytes, st.Log.First, st.Log.Last, st.Log.Synced)
-	fmt.Fprintf(w, "checkpoint: index=%d age=%v pending_entries=%d\n",
-		st.CheckpointIndex, st.CheckpointAge.Round(time.Second), st.SinceCheckpoint)
+	fmt.Fprintf(w, "checkpoint: index=%d age=%v pending_entries=%d last_took=%v last_snapshot_lock=%v\n",
+		st.CheckpointIndex, st.CheckpointAge.Round(time.Second), st.SinceCheckpoint,
+		time.Duration(db.met.lastCheckpoint.Load()), time.Duration(db.met.lastSnapLock.Load()))
 	if st.CheckpointErr != nil {
 		fmt.Fprintf(w, "checkpoint_error: %v\n", st.CheckpointErr)
 	}
@@ -137,9 +159,9 @@ func (db *DB) WriteDurability(w io.Writer) {
 
 // waitDurable blocks an acknowledged write until its log entry is durable
 // under the store's fsync policy. In-memory databases and unlogged commits
-// (token 0) return immediately. Because the store's fsync batching shares
-// one fsync across all concurrently blocked writers, N concurrent writes
-// pay ~one fsync, riding the same group-commit trade as replication.
+// (token 0) return immediately. The disk log's sync loop fsyncs whatever has
+// been appended and starts again as soon as asked, so a lone write pays one
+// fsync and the writes that arrive during it share the next.
 func (db *DB) waitDurable(tok Token) error {
 	if db.store == nil {
 		return nil

@@ -22,7 +22,9 @@ import (
 //
 // with the payload a compact binary encoding of the entry (varint index,
 // statement count, then per statement the SQL text and typed argument
-// values). It is produced once, at commit (WAL.Append on a replicated node,
+// values; a set-based write, Tx.ExecRows, is one statement of n parameters
+// carrying k·n arguments, which ApplyEntry replays row by row). It is
+// produced once, at commit (WAL.Append on a replicated node,
 // DiskLog.Append where the store assigns the index); the memory WAL, the
 // disk log and the replication stream all carry those bytes, and no other
 // package knows the layout. The CRC is what turns a torn write — the tail of
@@ -256,22 +258,25 @@ func parseSegmentName(name string) (uint64, bool) {
 // checkpoint reclaims disk file-by-file.
 const DefaultSegmentBytes = 8 << 20
 
-// DiskLog is a segmented on-disk write-ahead log of LogEntries. Appends go
-// to the active (newest) segment through a buffered writer; in fsync mode a
-// background syncer fsyncs on demand, coalescing the fsyncs of concurrent
-// writers blocked in WaitDurable into one — the disk-side twin of the
-// replication layer's group-commit window. Without fsync every append is
-// still flushed to the OS, so the log survives process death (kill -9);
-// fsync additionally survives machine/power loss.
+// DiskLog is a segmented on-disk write-ahead log of LogEntries:
+// <dir>/seg-<firstIndex>.wal files of records (above), rolled at segBytes.
+// Appends go to the active (newest) segment through a buffered writer. In
+// fsync mode a background syncer (syncLoop) makes them durable and
+// WaitDurable blocks an acknowledgement until its entry is: every write API
+// call of a durable node, and a follower's ack, waits there. Without fsync
+// every append is still flushed to the OS before it returns, so the log
+// survives process death (kill -9); fsync additionally survives
+// machine/power loss.
 //
-// Recovery truncates the log at the first torn or corrupt record and drops
-// any later segments: everything before that point is intact by CRC,
-// everything after could not have been acknowledged durable.
+// Recovery (scan, on open) truncates the log at the first torn or corrupt
+// record and drops any later segments: everything before that point is
+// intact by CRC, everything after could not have been acknowledged durable —
+// a crashed append never poisons recovery. TestDiskLogParentSegmentPinned
+// holds a segment written before the one-codec change to the format.
 type DiskLog struct {
 	dir      string
 	segBytes int64
 	fsync    bool
-	coalesce time.Duration
 	fs       FS // filesystem seam (fs.go); OSFS in production
 
 	mu       sync.Mutex
@@ -283,7 +288,6 @@ type DiskLog struct {
 	last     uint64 // index of the newest appended entry
 	anchored bool   // last is a contiguity anchor (false: fresh log, any start index)
 	synced   uint64 // durable high-water mark
-	waiters  int    // callers blocked in WaitDurable
 	err      error  // sticky I/O error; fails all later operations
 	closed   bool
 	encBuf   []byte
@@ -300,17 +304,17 @@ type DiskLog struct {
 }
 
 // OpenDiskLog opens (or creates) the segmented log in dir, recovering its
-// intact prefix. segBytes <= 0 selects DefaultSegmentBytes; coalesce is the
-// group-fsync window (<= 0 disables coalescing; ignored when fsync is
-// false).
-func OpenDiskLog(dir string, segBytes int64, fsync bool, coalesce time.Duration) (*DiskLog, error) {
-	return OpenDiskLogFS(nil, dir, segBytes, fsync, coalesce)
+// intact prefix. segBytes <= 0 selects DefaultSegmentBytes. The last
+// argument is ignored: it was a coalescing window before group commit came
+// from the fsync in flight, and stays in the signature for existing callers.
+func OpenDiskLog(dir string, segBytes int64, fsync bool, _ time.Duration) (*DiskLog, error) {
+	return OpenDiskLogFS(nil, dir, segBytes, fsync)
 }
 
 // OpenDiskLogFS is OpenDiskLog over an explicit filesystem. A nil fsys
 // selects OSFS; anything else (chaos fault injection) sees every open,
 // append, fsync, rename, and remove the log performs.
-func OpenDiskLogFS(fsys FS, dir string, segBytes int64, fsync bool, coalesce time.Duration) (*DiskLog, error) {
+func OpenDiskLogFS(fsys FS, dir string, segBytes int64, fsync bool) (*DiskLog, error) {
 	if fsys == nil {
 		fsys = OSFS
 	}
@@ -321,7 +325,7 @@ func OpenDiskLogFS(fsys FS, dir string, segBytes int64, fsync bool, coalesce tim
 		return nil, err
 	}
 	d := &DiskLog{
-		dir: dir, segBytes: segBytes, fsync: fsync, coalesce: coalesce, fs: fsys,
+		dir: dir, segBytes: segBytes, fsync: fsync, fs: fsys,
 		syncReq:  make(chan struct{}, 1),
 		syncIdle: make(chan struct{}),
 		syncedCh: make(chan struct{}),
@@ -506,12 +510,12 @@ func (d *DiskLog) rollLocked(next uint64) error {
 	return nil
 }
 
-// syncLoop is the group-fsync worker: each request flushes and fsyncs
+// syncLoop is the group-commit worker: each request flushes and fsyncs
 // everything appended so far, so N writers blocked in WaitDurable share one
-// fsync. When more than one waiter is blocked it holds the fsync for the
-// coalescing window first — the same trade as the replication layer's
-// group-commit delay: bounded added latency per write, large reduction in
-// fsyncs under concurrency.
+// fsync, and the next fsync starts as soon as one is requested. The loop
+// never waits on purpose: the entries that arrive while an fsync is in
+// flight are the next group, so batches grow by themselves on a slow disk
+// and shrink on a fast one, and a lone writer pays exactly one fsync.
 func (d *DiskLog) syncLoop() {
 	defer close(d.done)
 	for {
@@ -521,11 +525,6 @@ func (d *DiskLog) syncLoop() {
 		case <-d.syncReq:
 		}
 		d.mu.Lock()
-		if d.coalesce > 0 && d.waiters > 1 {
-			d.mu.Unlock()
-			time.Sleep(d.coalesce)
-			d.mu.Lock()
-		}
 		target := d.last
 		if d.err != nil || (target <= d.synced && len(d.dirty) == 0) {
 			d.mu.Unlock()
@@ -603,11 +602,7 @@ func (d *DiskLog) failLocked(err error) {
 func (d *DiskLog) WaitDurable(idx uint64, timeout time.Duration) error {
 	var timer *time.Timer
 	d.mu.Lock()
-	d.waiters++
-	defer func() {
-		d.waiters--
-		d.mu.Unlock()
-	}()
+	defer d.mu.Unlock()
 	for {
 		if d.err != nil {
 			return d.err

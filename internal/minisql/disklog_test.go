@@ -134,7 +134,7 @@ func TestDiskLogParentSegmentPinned(t *testing.T) {
 	if err := os.WriteFile(segmentPath(dir, 41), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := OpenDiskLog(dir, 0, false, 0)
+	d, err := OpenDiskLogFS(nil, dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func normEntry(e LogEntry) LogEntry {
 
 func TestDiskLogAppendReopen(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDiskLog(dir, 0, false, 0)
+	d, err := OpenDiskLogFS(nil, dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestDiskLogAppendReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := OpenDiskLog(dir, 0, false, 0)
+	d2, err := OpenDiskLogFS(nil, dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestDiskLogAppendReopen(t *testing.T) {
 
 func TestDiskLogSegmentRoll(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDiskLog(dir, 256, false, 0) // tiny segments force rolling
+	d, err := OpenDiskLogFS(nil, dir, 256, false) // tiny segments force rolling
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestDiskLogSegmentRoll(t *testing.T) {
 
 func TestDiskLogCorruptTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDiskLog(dir, 0, false, 0)
+	d, err := OpenDiskLogFS(nil, dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestDiskLogCorruptTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := OpenDiskLog(dir, 0, false, 0)
+	d2, err := OpenDiskLogFS(nil, dir, 0, false)
 	if err != nil {
 		t.Fatalf("reopen after corruption: %v", err)
 	}
@@ -357,7 +357,7 @@ func TestDiskLogCorruptTailTruncated(t *testing.T) {
 
 func TestDiskLogTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDiskLog(dir, 0, false, 0)
+	d, err := OpenDiskLogFS(nil, dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestDiskLogTornTailTruncated(t *testing.T) {
 	}
 	f.Close()
 
-	d2, err := OpenDiskLog(dir, 0, false, 0)
+	d2, err := OpenDiskLogFS(nil, dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestDiskLogTornTailTruncated(t *testing.T) {
 
 func TestDiskLogTruncateTo(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDiskLog(dir, 256, false, 0)
+	d, err := OpenDiskLogFS(nil, dir, 256, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestDiskLogTruncateTo(t *testing.T) {
 
 func TestDiskLogReset(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDiskLog(dir, 0, false, 0)
+	d, err := OpenDiskLogFS(nil, dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestDiskLogReset(t *testing.T) {
 
 func TestDiskLogWaitDurable(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDiskLog(dir, 0, true, 100*time.Microsecond)
+	d, err := OpenDiskLogFS(nil, dir, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestDiskLogIgnoresForeignFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := OpenDiskLog(dir, 0, false, 0)
+	d, err := OpenDiskLogFS(nil, dir, 0, false)
 	if err != nil {
 		t.Fatalf("open with foreign file present: %v", err)
 	}
@@ -503,7 +503,7 @@ func TestDiskLogIgnoresForeignFiles(t *testing.T) {
 // the lock instead of reporting corruption for the torn tail.
 func TestDiskLogEntriesToleratesTornActiveTail(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDiskLog(dir, 0, false, 0)
+	d, err := OpenDiskLogFS(nil, dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

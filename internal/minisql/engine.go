@@ -47,6 +47,8 @@ type Engine struct {
 	// to slowFn. Both are read and written under mu; zero/nil means off.
 	slowNanos int64
 	slowFn    func(sql string, d time.Duration)
+	// snapObs receives how long each snapshot held mu (obs.go).
+	snapObs func(held time.Duration)
 }
 
 type undoKind uint8

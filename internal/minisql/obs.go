@@ -53,6 +53,15 @@ func (e *Engine) SetSlowQueryLog(threshold time.Duration, fn func(sql string, d 
 	e.slowNanos, e.slowFn = int64(threshold), fn
 }
 
+// SetSnapshotObserver registers fn to receive, after every SnapshotWith, how
+// long the snapshot held the engine lock: the capture, not the encode. It is
+// the longest hold the engine takes on its own, so it is the one exported.
+func (e *Engine) SetSnapshotObserver(fn func(held time.Duration)) {
+	e.mu.Lock()
+	e.snapObs = fn
+	e.mu.Unlock()
+}
+
 // cacheCounters are the planCache's monotonic counters. Kept in a separate
 // struct so the cache's documented locking story stays about the map.
 type cacheCounters struct {

@@ -20,15 +20,28 @@ import (
 // directory:
 //
 //	<dir>/wal/seg-<firstIndex>.wal   log segments (records, see disklog.go)
-//	<dir>/checkpoint-<index>.snap    engine snapshots (atomic tmp+rename)
+//	<dir>/checkpoint-<index>.snap    engine snapshots (snapshot.go's gob encoding)
 //	<dir>/meta.json                  node metadata (leadership term, membership view)
+//
+// Checkpoints and meta.json are published atomically (tmp + fsync + rename).
+//
+// Write path: the engine's commit hook appends each committed transaction
+// under the engine lock. On a replicated node WAL.Append has encoded the
+// entry already and AppendRecords writes the record it returned, so the disk
+// log, the memory WAL and the replication stream carry the same bytes; a
+// standalone durable node has no WAL and encodes in AppendAssign. The
+// acknowledgement then waits in WaitDurable (see DiskLog for what fsync buys).
 //
 // Checkpoints bound both disk and replay time: after writing checkpoint N
 // the log is truncated at the *previous* checkpoint's index, so the two
 // newest checkpoints are always recoverable — if the newest file turns out
-// unreadable, recovery falls back to the older one and replays forward.
+// unreadable or malformed, recovery falls back to the older one and replays
+// forward. A checkpoint takes the engine lock only to capture its cut
+// (Engine.SnapshotWith); encoding, fsync and publish run beside commits.
 // Recovery = restore the newest valid checkpoint, then replay the log tail
-// with index > checkpoint through the engine's deterministic ApplyEntry.
+// with index > checkpoint through the engine's deterministic ApplyEntry; a
+// checkpoint ahead of a log whose non-fsynced tail was lost restarts the log
+// at the checkpoint's index.
 type Store struct {
 	dir string
 	opt StoreOptions
@@ -57,6 +70,7 @@ type Store struct {
 	source      func(w io.Writer) (uint64, error)
 	written     uint64 // checkpoints written (metrics)
 	cpErr       error  // last checkpoint failure (surfaced in stats/status)
+	ckptObs     func(time.Duration)
 
 	ckptReq chan struct{}
 	closeCh chan struct{}
@@ -89,11 +103,6 @@ type StoreOptions struct {
 // entries.
 const DefaultCheckpointEvery = 10000
 
-// coalesceDelay is the store's group-fsync window: with more than one writer
-// blocked on durability the fsync is held this long so they share one (the
-// same window the replication layer's group commit uses).
-const coalesceDelay = 200 * time.Microsecond
-
 type storeMeta struct {
 	Version     int
 	Term        uint64
@@ -124,7 +133,7 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 			}
 		}
 	}
-	log, err := OpenDiskLogFS(fsys, filepath.Join(dir, "wal"), opt.SegmentBytes, opt.Fsync, coalesceDelay)
+	log, err := OpenDiskLogFS(fsys, filepath.Join(dir, "wal"), opt.SegmentBytes, opt.Fsync)
 	if err != nil {
 		return nil, err
 	}
@@ -341,6 +350,7 @@ func (s *Store) Checkpoint() error {
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
+	t0 := time.Now()
 	f, err := s.fs.CreateTemp(s.dir, "checkpoint-*.tmp")
 	if err != nil {
 		return s.noteCheckpoint(err)
@@ -378,6 +388,7 @@ func (s *Store) Checkpoint() error {
 	s.sinceCheck = 0
 	s.written++
 	s.cpErr = nil
+	obs := s.ckptObs
 	s.mu.Unlock()
 
 	// Keep the new checkpoint and its predecessor; delete anything older,
@@ -389,6 +400,9 @@ func (s *Store) Checkpoint() error {
 	}
 	if prev > 0 {
 		s.log.TruncateTo(prev)
+	}
+	if obs != nil {
+		obs(time.Since(t0))
 	}
 	return nil
 }
@@ -585,6 +599,14 @@ func (s *Store) Fsync() bool { return s.opt.Fsync }
 
 // SetFsyncObserver forwards fsync durations to fn (the obs bridge).
 func (s *Store) SetFsyncObserver(fn func(time.Duration)) { s.log.SetFsyncObserver(fn) }
+
+// SetCheckpointObserver registers fn to receive the duration of every
+// checkpoint written: snapshot, fsync, publish and log truncation.
+func (s *Store) SetCheckpointObserver(fn func(time.Duration)) {
+	s.mu.Lock()
+	s.ckptObs = fn
+	s.mu.Unlock()
+}
 
 // StoreStats is the store's metrics snapshot.
 type StoreStats struct {

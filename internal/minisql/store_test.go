@@ -1,6 +1,8 @@
 package minisql
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -332,5 +334,82 @@ func TestStoreCheckpointInstallConcurrent(t *testing.T) {
 	}
 	if want := fmt.Sprintf("snap@%d", gotIdx); gotBody != want {
 		t.Fatalf("checkpoint %d holds %q, want %q: cross-writer tmp collision", gotIdx, gotBody, want)
+	}
+}
+
+// TestRecoverFallsBackPastMalformedCheckpoint: the newest checkpoint decodes
+// as gob but does not describe a database (a row narrower than its indexed
+// table). Engine.Restore refuses it, so recovery restores the previous
+// checkpoint and replays the log forward to the same state. Restore used to
+// panic on such a file and the fallback never ran.
+func TestRecoverFallsBackPastMalformedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, StoreOptions{})
+	e := NewEngine()
+	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
+	mustExec(t, e, "CREATE INDEX t_v ON t (v)")
+	e.SetCommitHook(func(stmts []Stmt) (uint64, error) { return s.AppendAssign(stmts), nil })
+	s.SetSnapshotSource(e.SnapshotLogged)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 10; i++ {
+			mustExec(t, e, "INSERT INTO t (v) VALUES (?)", fmt.Sprintf("r%d-%d", round, i))
+		}
+		if round < 2 {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var live bytes.Buffer
+	if err := e.Snapshot(&live); err != nil {
+		t.Fatal(err)
+	}
+	newest, idx, ok := s.CheckpointFile()
+	if !ok || idx != 20 {
+		t.Fatalf("newest checkpoint %q at %d (ok=%v), want index 20", newest, idx, ok)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var bad bytes.Buffer
+	if err := gob.NewEncoder(&bad).Encode(&snapDB{Version: 1, Tables: []snapTable{{
+		Name: "t", NextKey: 21, Indexes: []string{"v"},
+		Cols: []ColumnDef{{Name: "id", Type: TypeInteger}, {Name: "v", Type: TypeText}},
+		Rows: [][]snapValue{{snapValue(Int64(1))}},
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newest, bad.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openTestStore(t, dir, StoreOptions{})
+	defer s2.Close()
+	e2 := NewEngine()
+	var restoredAt uint64
+	applied, tail, err := s2.Recover(func(r io.Reader, idx uint64) error {
+		if err := e2.Restore(r); err != nil {
+			return err
+		}
+		restoredAt = idx
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("recover past a malformed newest checkpoint: %v", err)
+	}
+	if restoredAt != 10 || applied != 30 || len(tail) != 20 {
+		t.Fatalf("restored checkpoint %d, applied %d, %d tail entries; want 10, 30, 20", restoredAt, applied, len(tail))
+	}
+	for _, ent := range tail {
+		if err := e2.ApplyEntry(ent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var recovered bytes.Buffer
+	if err := e2.Snapshot(&recovered); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live.Bytes(), recovered.Bytes()) {
+		t.Fatalf("recovered engine diverges from the live one (%d vs %d snapshot bytes)", recovered.Len(), live.Len())
 	}
 }

@@ -222,7 +222,7 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 	// durable leader reaches further back through its on-disk log (truncated
 	// only at checkpoints) and serves the gap from disk. Anything else gets
 	// a snapshot — streamed from the on-disk checkpoint file when one covers
-	// it, avoiding a full in-memory serialize under the engine lock.
+	// it, avoiding a full in-memory serialize.
 	resume := false
 	var snap []byte
 	var startIdx uint64

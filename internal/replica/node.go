@@ -931,7 +931,7 @@ func (n *Node) snapshotAt(w *minisql.WAL) ([]byte, uint64, error) {
 // Bootstrap moves the whole database, so its deadline must not be coupled to
 // the heartbeat-scale failure-detection timeouts: a large task DB (or a slow
 // WAN link) would otherwise time out every join attempt forever, each retry
-// re-serializing a full snapshot under the engine lock.
+// re-serializing a full snapshot.
 func (n *Node) snapshotTimeout() time.Duration {
 	d := 10 * n.cfg.ElectionTimeout
 	if d < 30*time.Second {
