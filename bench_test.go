@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"osprey/internal/artifact"
 	"osprey/internal/core"
 	"osprey/internal/datastream"
 	"osprey/internal/ensemble"
@@ -1144,27 +1143,6 @@ func BenchmarkEnsembleWIS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := ensemble.WIS(f, obs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- artifact management (§II-B2c) ---
-
-func BenchmarkArtifactSaveLoad(b *testing.B) {
-	reg := proxystore.NewRegistry()
-	reg.Register(proxystore.NewMemStore("mem"))
-	m := artifact.NewManager(reg, "mem")
-	payload := make([]byte, 64<<10)
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		meta, err := m.Save("ckpt", artifact.KindCheckpoint, payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.Load("ckpt", meta.Version); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,6 +14,16 @@ import (
 // queue depths and plan-cache counters. Polling waits are deliberately
 // excluded from the latency histograms — a 30 s long-poll on an empty queue
 // is not a slow pop.
+//
+// Metrics: osprey_db_op_seconds{op=submit|submit_batch|pop_tasks|
+// pop_results|report}, osprey_db_queue_depth{queue=out|in},
+// osprey_minisql_plan_cache_{hits,misses,evictions}_total,
+// osprey_minisql_plan_cache_size, and osprey_engine_snapshot_lock_seconds
+// (every node: how long each snapshot — checkpoint, follower bootstrap,
+// DB.Snapshot — held the engine lock; read it beside
+// osprey_checkpoint_seconds). Durable databases add bindStore's. The
+// engine's slow-statement log (Engine.SetSlowQueryLog, `osprey-service
+// -slow-query 50ms`) is a log, not a metric.
 type dbMetrics struct {
 	reg         *obs.Registry
 	submit      *obs.Histogram
@@ -58,11 +68,14 @@ func newDBMetrics(eng *minisql.Engine) *dbMetrics {
 }
 
 // bindStore registers the durability metrics of a durable (Open) database:
-// the fsync latency histogram is fed from the store's group-commit fsyncs,
-// the checkpoint histogram from each checkpoint written (beside it,
+// the fsync latency histogram osprey_wal_fsync_seconds gets one observation
+// per group-commit fsync, osprey_checkpoint_seconds one per checkpoint
+// written — snapshot, fsync, publish, log truncation (beside it,
 // osprey_engine_snapshot_lock_seconds says how much of that held the engine
-// lock), and the log/checkpoint position counters are collected at scrape
-// time.
+// lock) — and the log/checkpoint positions are collected at scrape time:
+// osprey_wal_segment_count, osprey_wal_disk_bytes, osprey_wal_fsync_total,
+// osprey_checkpoint_written_total, osprey_checkpoint_truncated_entries_total,
+// osprey_checkpoint_age_seconds and osprey_checkpoint_index.
 func (m *dbMetrics) bindStore(store *minisql.Store) {
 	fsyncH := m.reg.Histogram("osprey_wal_fsync_seconds", obs.DurationBuckets)
 	store.SetFsyncObserver(func(d time.Duration) { fsyncH.Observe(d.Seconds()) })

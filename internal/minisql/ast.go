@@ -64,8 +64,7 @@ type insertStmt struct {
 
 type selectCol struct {
 	Star bool
-	Agg  string // "", "COUNT", "MIN", "MAX", "SUM"
-	Name string // column name ("" for COUNT(*))
+	Name string // column name ("" for *)
 }
 
 type orderKey struct {
@@ -74,6 +73,7 @@ type orderKey struct {
 }
 
 type selectStmt struct {
+	Count   bool // SELECT COUNT(*): the one aggregate, and Cols is empty
 	Cols    []selectCol
 	Table   string
 	Where   expr // nil when absent
@@ -96,10 +96,6 @@ type deleteStmt struct {
 	Table string
 	Where expr
 }
-
-type beginStmt struct{}
-type commitStmt struct{}
-type rollbackStmt struct{}
 
 // expr is a parsed SQL expression evaluated against a row.
 type expr interface {
@@ -130,7 +126,7 @@ type paramExpr struct {
 }
 
 type binExpr struct {
-	Op string // = != < <= > >= AND OR
+	Op string // = or AND
 	L  expr
 	R  expr
 }
@@ -145,9 +141,4 @@ type inExpr struct {
 	List        []expr
 	Spread      bool
 	SpreadStart int
-}
-
-type isNullExpr struct {
-	Target expr
-	Not    bool
 }

@@ -9,12 +9,8 @@ import (
 	"time"
 )
 
-// Common engine errors.
-var (
-	ErrNoSuchTable = errors.New("minisql: no such table")
-	ErrNoTx        = errors.New("minisql: no transaction in progress")
-	ErrInTx        = errors.New("minisql: transaction already in progress")
-)
+// ErrNoSuchTable is returned by statements naming a table the engine lacks.
+var ErrNoSuchTable = errors.New("minisql: no such table")
 
 // Result is the outcome of executing one statement.
 type Result struct {
@@ -27,12 +23,16 @@ type Result struct {
 // Engine is an embedded relational database. All methods are safe for
 // concurrent use; statements execute under a single engine-wide writer lock,
 // mirroring the paper's single resource-local database instance.
+//
+// Every write is a transaction that opens and closes within one hold of that
+// lock: a mutating Exec is autocommit, a multi-statement transaction is a
+// TxLogged closure, and a shipped entry is ApplyEntry. No transaction is ever
+// left open between calls.
 type Engine struct {
 	mu     sync.Mutex
 	tables map[string]*table
 
-	inTx bool
-	undo []undoOp
+	undo []undoOp // the open transaction's undo log; empty between calls
 
 	hook       CommitHook     // observes committed mutating statements (wal.go)
 	observer   CommitObserver // passive tap on every applied batch (wal.go)
@@ -73,90 +73,50 @@ func NewEngine() *Engine {
 }
 
 // Exec parses and executes a single SQL statement with positional `?`
-// arguments. It returns the statement result.
+// arguments and returns its result. A mutating statement is its own
+// transaction (autocommit): it commits as one log entry, and one that fails
+// part-way (e.g. a bad row in a multi-row INSERT) leaves no trace — partial
+// effects would never reach the statement log, silently diverging replicas
+// from the leader.
 func (e *Engine) Exec(sql string, args ...any) (*Result, error) {
-	res, _, err := e.ExecLogged(sql, args...)
-	return res, err
-}
-
-// ExecLogged is Exec returning, additionally, the commit token of the
-// statement: the log index the commit hook assigned to this statement's WAL
-// entry. The token is 0 for non-mutating statements, when no hook is
-// installed, or while inside an explicit transaction (the whole transaction
-// gets one entry at COMMIT — use TxLogged).
-func (e *Engine) ExecLogged(sql string, args ...any) (*Result, uint64, error) {
 	p, err := e.cachedParse(sql)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	stmt := p.stmt
 	spreadN, err := p.spreadWidth(sql, len(args))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	vals, err := toValues(args)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.spreadN = spreadN
-	if !e.inTx && isMutating(stmt) {
-		// Implicit transaction: a mutating statement that fails part-way
-		// (e.g. a bad row in a multi-row INSERT) must leave no trace —
-		// partial effects would never reach the statement log, silently
-		// diverging replicas from the leader.
-		e.inTx = true
-		e.undo = e.undo[:0]
-		res, err := e.execLocked(stmt, vals, sql, nil)
-		if err != nil {
-			e.rollbackLocked()
-			e.inTx = false
-			return nil, 0, err
-		}
-		e.inTx = false
-		idx, err := e.flushPendingLocked()
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, idx, nil
+	res, err := e.execLocked(p.stmt, vals, sql, nil)
+	if err != nil {
+		return nil, err
 	}
-	res, err := e.execLocked(stmt, vals, sql, nil)
-	var idx uint64
-	if err == nil && !e.inTx {
-		idx, err = e.flushPendingLocked()
+	if _, err := e.flushPendingLocked(); err != nil {
+		return nil, err
 	}
-	return res, idx, err
+	return res, nil
 }
 
-// Tx runs fn inside a transaction: fn's statements are committed if fn
-// returns nil and rolled back otherwise. The engine lock is held throughout,
-// so fn must not call Exec (use the passed Tx handle).
-func (e *Engine) Tx(fn func(tx *Tx) error) error {
-	_, err := e.TxLogged(fn)
-	return err
-}
-
-// TxLogged is Tx returning, additionally, the commit token of the
+// TxLogged runs fn inside a transaction: fn's statements are committed if fn
+// returns nil and rolled back otherwise. It returns the commit token of the
 // transaction: the log index the commit hook assigned to the transaction's
-// WAL entry. The token is 0 when the transaction contained no mutating
-// statements or no hook is installed.
+// WAL entry, 0 when the transaction contained no mutating statements or no
+// hook is installed. The engine lock is held throughout, so fn must not call
+// Exec (use the passed Tx handle).
 func (e *Engine) TxLogged(fn func(tx *Tx) error) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.inTx {
-		return 0, ErrInTx
-	}
-	e.inTx = true
-	e.undo = e.undo[:0]
-	e.pending = nil
-	err := fn(&Tx{e: e})
-	if err != nil {
+	if err := fn(&Tx{e: e}); err != nil {
 		e.rollbackLocked()
-		e.inTx = false
 		return 0, err
 	}
-	e.inTx = false
 	return e.flushPendingLocked()
 }
 
@@ -170,7 +130,7 @@ func (e *Engine) LastLogged() uint64 {
 	return e.lastLogged
 }
 
-// Tx is a transaction handle passed to Engine.Tx callbacks.
+// Tx is a transaction handle passed to Engine.TxLogged callbacks.
 type Tx struct{ e *Engine }
 
 // Exec executes a statement within the transaction.
@@ -253,12 +213,12 @@ func toValues(args []any) ([]Value, error) {
 }
 
 // execLocked executes one parsed statement and, on success, records mutating
-// statements for the commit hook (flushed by Exec and Tx at commit points).
-// Inside a transaction each statement is atomic: a mid-statement failure
-// (e.g. a bad row in a multi-row INSERT) unwinds just that statement's
-// effects. Failed statements never reach the commit hook, so without the
-// unwind a caller that swallows the error and commits would persist rows
-// the statement log never saw — silently diverging replicas.
+// statements for the commit hook (flushed by Exec and TxLogged at commit
+// points). Each statement is atomic: a mid-statement failure (e.g. a bad row
+// in a multi-row INSERT) unwinds just that statement's effects. Failed
+// statements never reach the commit hook, so without the unwind a caller that
+// swallows the error and commits would persist rows the statement log never
+// saw — silently diverging replicas.
 //
 // A non-nil hits makes the execution set-based: args holds len(hits) argument
 // rows and hits receives each row's rows-affected count (execUpdate).
@@ -275,9 +235,7 @@ func (e *Engine) execLocked(stmt any, args []Value, sql string, hits []int) (*Re
 		}
 	}
 	if err != nil {
-		if e.inTx {
-			e.rollbackToLocked(mark)
-		}
+		e.rollbackToLocked(mark)
 		return res, err
 	}
 	if (e.hook != nil || e.observer != nil) && !e.applying && isMutating(stmt) {
@@ -296,8 +254,8 @@ func isMutating(stmt any) bool {
 	return false
 }
 
-// flushPendingLocked is the commit point of a transaction that has just
-// closed (inTx false, undo log intact): it hands the buffered statements to
+// flushPendingLocked is the commit point of a transaction whose statements
+// all succeeded (undo log intact): it hands the buffered statements to
 // the hook and returns the log index the hook assigned (0 when there was
 // nothing to flush or no hook), then drops the undo log. A hook that refuses
 // the batch vetoes the commit: the statements are undone, the observer never
@@ -343,27 +301,6 @@ func (e *Engine) execStmtLocked(stmt any, args []Value, sql string, hits []int) 
 		return e.execUpdate(st, args, hits)
 	case deleteStmt:
 		return e.execDelete(st, args)
-	case beginStmt:
-		if e.inTx {
-			return nil, ErrInTx
-		}
-		e.inTx = true
-		e.undo = e.undo[:0]
-		e.pending = nil
-		return &Result{}, nil
-	case commitStmt:
-		if !e.inTx {
-			return nil, ErrNoTx
-		}
-		e.inTx = false // ExecLogged flushes: the commit point
-		return &Result{}, nil
-	case rollbackStmt:
-		if !e.inTx {
-			return nil, ErrNoTx
-		}
-		e.rollbackLocked()
-		e.inTx = false
-		return &Result{}, nil
 	}
 	return nil, fmt.Errorf("minisql: cannot execute %q", compactSQL(sql))
 }
@@ -397,12 +334,6 @@ func (e *Engine) rollbackToLocked(mark int) {
 		}
 	}
 	e.undo = e.undo[:mark]
-}
-
-func (e *Engine) logUndo(op undoOp) {
-	if e.inTx {
-		e.undo = append(e.undo, op)
-	}
 }
 
 func (e *Engine) execCreateTable(st createTableStmt) (*Result, error) {
@@ -513,7 +444,7 @@ func (e *Engine) execInsert(st insertStmt, args []Value) (*Result, error) {
 			res.LastInsertID = row[t.autoCol].AsInt()
 		}
 		id := t.insert(row)
-		e.logUndo(undoOp{kind: undoInsert, table: t.name, rowid: id, nextKey: prevNextKey})
+		e.undo = append(e.undo, undoOp{kind: undoInsert, table: t.name, rowid: id, nextKey: prevNextKey})
 		res.RowsAffected++
 	}
 	return res, nil
@@ -648,11 +579,11 @@ func (e *Engine) eqCardinality(t *table, where expr, ev *evalCtx) (est int, boun
 	return 0, false
 }
 
-// countByIndex answers SELECT COUNT(...) whose whole WHERE clause is one
+// countByIndex answers SELECT COUNT(*) whose whole WHERE clause is one
 // indexed `col = const` from the size of the index's rowid set. Anything
 // ANDed in needs per-row evaluation and is left to the caller.
 func (e *Engine) countByIndex(t *table, st selectStmt, ev *evalCtx) (n int, ok bool, err error) {
-	if len(st.Cols) != 1 || st.Cols[0].Agg != "COUNT" {
+	if !st.Count {
 		return 0, false, nil
 	}
 	ix, probe, ok := eqProbe(t, st.Where, ev)
@@ -698,7 +629,7 @@ func (e *Engine) execSelect(st selectStmt, args []Value) (*Result, error) {
 	if n, ok, err := e.countByIndex(t, st, ev); err != nil {
 		return nil, err
 	} else if ok {
-		return &Result{Columns: []string{aggName(st.Cols[0])}, Rows: [][]Value{{Int64(int64(n))}}}, nil
+		return countResult(n), nil
 	}
 
 	// Ordered top-n fast path: ORDER BY an ordered-indexed column with a
@@ -715,9 +646,8 @@ func (e *Engine) execSelect(st selectStmt, args []Value) (*Result, error) {
 		}
 	}
 
-	// Aggregate query?
-	if len(st.Cols) > 0 && st.Cols[0].Agg != "" {
-		return e.execAggregate(t, st, ids)
+	if st.Count {
+		return countResult(len(ids)), nil
 	}
 
 	// Resolve projection.
@@ -805,10 +735,7 @@ func (e *Engine) execSelect(st selectStmt, args []Value) (*Result, error) {
 // EMEWS queue pops (filter by work_type, order by priority) match most of
 // what they visit, which is exactly the shape this path is for.
 func (e *Engine) orderedTopN(t *table, st selectStmt, ev *evalCtx) (ids []int64, fromIndex bool, err error) {
-	if len(st.OrderBy) == 0 || st.Limit == nil {
-		return nil, false, nil
-	}
-	if len(st.Cols) > 0 && st.Cols[0].Agg != "" {
+	if len(st.OrderBy) == 0 || st.Limit == nil || st.Count {
 		return nil, false, nil
 	}
 	// Index selection: among ordered indexes leading with the first ORDER BY
@@ -937,75 +864,9 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, ev *evalCtx) (ids []int64,
 	return ids, true, nil
 }
 
-func (e *Engine) execAggregate(t *table, st selectStmt, ids []int64) (*Result, error) {
-	res := &Result{}
-	var out []Value
-	for _, sc := range st.Cols {
-		if sc.Agg == "" {
-			return nil, errors.New("minisql: cannot mix aggregate and plain columns")
-		}
-		res.Columns = append(res.Columns, aggName(sc))
-		switch sc.Agg {
-		case "COUNT":
-			out = append(out, Int64(int64(len(ids))))
-		case "MIN", "MAX", "SUM":
-			ci, ok := t.colIdx[sc.Name]
-			if !ok {
-				return nil, fmt.Errorf("minisql: no column %q in table %q", sc.Name, st.Table)
-			}
-			out = append(out, aggregate(sc.Agg, t, ids, ci))
-		}
-	}
-	res.Rows = [][]Value{out}
-	return res, nil
-}
-
-func aggName(sc selectCol) string {
-	if sc.Name == "" {
-		return "count"
-	}
-	return sc.Agg + "(" + sc.Name + ")"
-}
-
-func aggregate(op string, t *table, ids []int64, ci int) Value {
-	var acc Value
-	var sumI int64
-	var sumF float64
-	isFloat := false
-	n := 0
-	for _, id := range ids {
-		v := t.rows[id][ci]
-		if v.IsNull() {
-			continue
-		}
-		n++
-		switch op {
-		case "MIN":
-			if acc.IsNull() || v.Compare(acc) < 0 {
-				acc = v
-			}
-		case "MAX":
-			if acc.IsNull() || v.Compare(acc) > 0 {
-				acc = v
-			}
-		case "SUM":
-			if v.Kind == KindFloat {
-				isFloat = true
-			}
-			sumI += v.AsInt()
-			sumF += v.AsFloat()
-		}
-	}
-	if op == "SUM" {
-		if n == 0 {
-			return Null()
-		}
-		if isFloat {
-			return Float64(sumF)
-		}
-		return Int64(sumI)
-	}
-	return acc
+// countResult is the one-row, one-column answer of a SELECT COUNT(*).
+func countResult(n int) *Result {
+	return &Result{Columns: []string{"count"}, Rows: [][]Value{{Int64(int64(n))}}}
 }
 
 // execUpdate runs an UPDATE once per argument row: one row — all of args —
@@ -1066,7 +927,7 @@ func (e *Engine) execUpdate(st updateStmt, args []Value, hits []int) (*Result, e
 				row[setPos[i]] = coerce(v, t.cols[setPos[i]].Type)
 			}
 			prev := t.update(id, row)
-			e.logUndo(undoOp{kind: undoUpdate, table: t.name, rowid: id, row: prev})
+			e.undo = append(e.undo, undoOp{kind: undoUpdate, table: t.name, rowid: id, row: prev})
 		}
 		res.RowsAffected += len(ids)
 		if hits != nil {
@@ -1089,7 +950,7 @@ func (e *Engine) execDelete(st deleteStmt, args []Value) (*Result, error) {
 	for _, id := range ids {
 		row := t.delete(id)
 		if row != nil {
-			e.logUndo(undoOp{kind: undoDelete, table: t.name, rowid: id, row: row})
+			e.undo = append(e.undo, undoOp{kind: undoDelete, table: t.name, rowid: id, row: row})
 			res.RowsAffected++
 		}
 	}
@@ -1143,50 +1004,18 @@ func (b *binExpr) eval(ev *evalCtx) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	switch b.Op {
-	case "AND":
-		if !truthy(l) {
-			return Int64(0), nil
-		}
-		r, err := b.R.eval(ev)
-		if err != nil {
-			return Value{}, err
-		}
-		return boolVal(truthy(r)), nil
-	case "OR":
-		if truthy(l) {
-			return Int64(1), nil
-		}
-		r, err := b.R.eval(ev)
-		if err != nil {
-			return Value{}, err
-		}
-		return boolVal(truthy(r)), nil
+	if b.Op == "AND" && !truthy(l) {
+		return Int64(0), nil
 	}
 	r, err := b.R.eval(ev)
 	if err != nil {
 		return Value{}, err
 	}
-	// SQL three-valued logic: comparisons with NULL are false.
-	if l.IsNull() || r.IsNull() {
-		return Int64(0), nil
+	if b.Op == "AND" {
+		return boolVal(truthy(r)), nil
 	}
-	c := l.Compare(r)
-	switch b.Op {
-	case "=":
-		return boolVal(c == 0), nil
-	case "!=":
-		return boolVal(c != 0), nil
-	case "<":
-		return boolVal(c < 0), nil
-	case "<=":
-		return boolVal(c <= 0), nil
-	case ">":
-		return boolVal(c > 0), nil
-	case ">=":
-		return boolVal(c >= 0), nil
-	}
-	return Value{}, fmt.Errorf("minisql: unknown operator %q", b.Op)
+	// "=". SQL three-valued logic: a comparison with NULL is false.
+	return boolVal(!l.IsNull() && !r.IsNull() && l.Compare(r) == 0), nil
 }
 
 func (in *inExpr) eval(ev *evalCtx) (Value, error) {
@@ -1227,14 +1056,6 @@ func (in *inExpr) spreadArgs(ev *evalCtx) []Value {
 		return nil
 	}
 	return ev.args[lo:hi]
-}
-
-func (is *isNullExpr) eval(ev *evalCtx) (Value, error) {
-	tv, err := is.Target.eval(ev)
-	if err != nil {
-		return Value{}, err
-	}
-	return boolVal(tv.IsNull() != is.Not), nil
 }
 
 func boolVal(b bool) Value {

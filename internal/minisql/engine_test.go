@@ -110,26 +110,37 @@ func TestUpdateDelete(t *testing.T) {
 	}
 }
 
+// TestAggregates: COUNT(*), the one aggregate, is a single "count" column
+// holding the number of rows the WHERE clause matches.
 func TestAggregates(t *testing.T) {
 	e := newTaskEngine(t)
 	for i := 1; i <= 4; i++ {
-		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('x', ?, 'q')", float64(i))
+		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('x', ?, ?)", float64(i), []string{"q", "r"}[i%2])
 	}
-	sel := mustExec(t, e, "SELECT COUNT(*), MIN(score), MAX(score), SUM(score) FROM tasks")
-	row := sel.Rows[0]
-	if row[0].AsInt() != 4 || row[1].AsFloat() != 1 || row[2].AsFloat() != 4 || row[3].AsFloat() != 10 {
-		t.Fatalf("aggregates = %v", row)
+	for where, want := range map[string]int64{
+		"":                                   4,
+		" WHERE status = 'q'":                2,
+		" WHERE status = 'q' AND score = 2":  1,
+		" WHERE score IN (1, 2, 3)":          3,
+		" WHERE status = 'r' AND name = 'y'": 0,
+	} {
+		sel := mustExec(t, e, "SELECT COUNT(*) FROM tasks"+where)
+		if len(sel.Columns) != 1 || sel.Columns[0] != "count" || len(sel.Rows) != 1 || sel.Rows[0][0].AsInt() != want {
+			t.Errorf("COUNT(*)%s = %v %v, want [count] [[%d]]", where, sel.Columns, sel.Rows, want)
+		}
 	}
 }
 
 func TestAggregateEmpty(t *testing.T) {
 	e := newTaskEngine(t)
-	sel := mustExec(t, e, "SELECT COUNT(*), MAX(score) FROM tasks WHERE status = 'nope'")
-	if sel.Rows[0][0].AsInt() != 0 {
-		t.Fatalf("count = %v", sel.Rows[0][0])
-	}
-	if !sel.Rows[0][1].IsNull() {
-		t.Fatalf("max on empty = %v, want NULL", sel.Rows[0][1])
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM tasks",
+		"SELECT COUNT(*) FROM tasks WHERE status = 'nope'",
+	} {
+		sel := mustExec(t, e, sql)
+		if len(sel.Rows) != 1 || sel.Rows[0][0].AsInt() != 0 {
+			t.Fatalf("%s = %v, want one row holding 0", sql, sel.Rows)
+		}
 	}
 }
 
@@ -144,17 +155,16 @@ func TestWhereOperators(t *testing.T) {
 		args  []any
 		want  int
 	}{
-		{"score < 5", nil, 5},
-		{"score <= 5", nil, 6},
-		{"score > 7", nil, 2},
-		{"score >= 7", nil, 3},
-		{"score != 0", nil, 9},
-		{"score <> 0", nil, 9},
-		{"score = 3 OR score = 4", nil, 2},
-		{"score >= 2 AND score < 4", nil, 2},
-		{"(score = 1 OR score = 2) AND name != 't1'", nil, 1},
+		{"score = 3", nil, 1},
+		{"3 = score", nil, 1},
+		{"score = ?", []any{7}, 1},
+		{"name = 't3' AND score = 3", nil, 1},
+		{"name = 't3' AND score = 4", nil, 0},
+		{"status = 'q' AND name = 't2' AND score = 2", nil, 1},
 		{"score IN (1, 3, 5, 99)", nil, 3},
 		{"name IN (?, ?)", []any{"t0", "t9"}, 2},
+		{"score IN (?...)", []any{1, 2, 42}, 2},
+		{"status = 'q' AND score IN (1, 2)", nil, 2},
 	}
 	for _, c := range cases {
 		sel := mustExec(t, e, "SELECT id FROM tasks WHERE "+c.where, c.args...)
@@ -171,14 +181,16 @@ func TestNullSemantics(t *testing.T) {
 	if n := len(mustExec(t, e, "SELECT id FROM tasks WHERE score = 1").Rows); n != 1 {
 		t.Fatalf("= with null present: %d rows", n)
 	}
-	if n := len(mustExec(t, e, "SELECT id FROM tasks WHERE score != 1").Rows); n != 0 {
-		t.Fatalf("!= must not match NULL: %d rows", n)
-	}
-	if n := len(mustExec(t, e, "SELECT id FROM tasks WHERE score IS NULL").Rows); n != 1 {
-		t.Fatalf("IS NULL: %d rows", n)
-	}
-	if n := len(mustExec(t, e, "SELECT id FROM tasks WHERE score IS NOT NULL").Rows); n != 1 {
-		t.Fatalf("IS NOT NULL: %d rows", n)
+	// NULL equals nothing, itself included.
+	for where, args := range map[string][]any{
+		"score = NULL":    nil,
+		"score = ?":       {nil},
+		"score IN (NULL)": nil,
+		"score IN (?...)": {nil},
+	} {
+		if n := len(mustExec(t, e, "SELECT id FROM tasks WHERE "+where, args...).Rows); n != 0 {
+			t.Fatalf("%s must not match NULL: %d rows", where, n)
+		}
 	}
 }
 
@@ -224,11 +236,20 @@ func TestIndexMaintainedOnUpdateDelete(t *testing.T) {
 func TestTransactionRollback(t *testing.T) {
 	e := newTaskEngine(t)
 	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('keep', 1, 'q')")
-	mustExec(t, e, "BEGIN")
-	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('drop', 2, 'q')")
-	mustExec(t, e, "UPDATE tasks SET score = 99 WHERE name = 'keep'")
-	mustExec(t, e, "DELETE FROM tasks WHERE name = 'keep'")
-	mustExec(t, e, "ROLLBACK")
+	if _, err := e.TxLogged(func(tx *Tx) error {
+		for _, sql := range []string{
+			"INSERT INTO tasks (name, score, status) VALUES ('drop', 2, 'q')",
+			"UPDATE tasks SET score = 99 WHERE name = 'keep'",
+			"DELETE FROM tasks WHERE name = 'keep'",
+		} {
+			if _, err := tx.Exec(sql); err != nil {
+				return err
+			}
+		}
+		return errAbort{}
+	}); err != (errAbort{}) {
+		t.Fatalf("TxLogged = %v, want the callback's error", err)
+	}
 	sel := mustExec(t, e, "SELECT name, score FROM tasks")
 	if len(sel.Rows) != 1 || sel.Rows[0][0].AsText() != "keep" || sel.Rows[0][1].AsFloat() != 1 {
 		t.Fatalf("after rollback: %v", sel.Rows)
@@ -236,22 +257,29 @@ func TestTransactionRollback(t *testing.T) {
 }
 
 func TestTransactionCommit(t *testing.T) {
-	e := newTaskEngine(t)
-	mustExec(t, e, "BEGIN")
-	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'q')")
-	mustExec(t, e, "COMMIT")
+	e, w := newHookedEngine(t, "CREATE TABLE tasks (id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT, score REAL, status TEXT)")
+	tok, err := e.TxLogged(func(tx *Tx) error {
+		_, err := tx.Exec("INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'q')")
+		return err
+	})
+	if err != nil || tok != 1 || w.LastIndex() != 1 || e.LastLogged() != 1 {
+		t.Fatalf("TxLogged = token %d, %v; WAL at %d, LastLogged %d; want 1 everywhere", tok, err, w.LastIndex(), e.LastLogged())
+	}
 	if n := len(mustExec(t, e, "SELECT id FROM tasks").Rows); n != 1 {
 		t.Fatalf("after commit: %d rows", n)
 	}
-	// Rollback after commit must fail.
-	if _, err := e.Exec("ROLLBACK"); err == nil {
-		t.Fatal("ROLLBACK without transaction should error")
+	// A transaction that only reads commits nothing and gets no token.
+	if tok, err := e.TxLogged(func(tx *Tx) error {
+		_, err := tx.Exec("SELECT id FROM tasks")
+		return err
+	}); err != nil || tok != 0 || w.LastIndex() != 1 {
+		t.Fatalf("read-only TxLogged = token %d, %v; WAL at %d", tok, err, w.LastIndex())
 	}
 }
 
 func TestTxHelper(t *testing.T) {
 	e := newTaskEngine(t)
-	err := e.Tx(func(tx *Tx) error {
+	_, err := e.TxLogged(func(tx *Tx) error {
 		if _, err := tx.Exec("INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'q')"); err != nil {
 			return err
 		}
@@ -263,7 +291,7 @@ func TestTxHelper(t *testing.T) {
 	if n := len(mustExec(t, e, "SELECT id FROM tasks").Rows); n != 0 {
 		t.Fatalf("rolled-back Tx left %d rows", n)
 	}
-	if err := e.Tx(func(tx *Tx) error {
+	if _, err := e.TxLogged(func(tx *Tx) error {
 		_, err := tx.Exec("INSERT INTO tasks (name, score, status) VALUES ('b', 2, 'q')")
 		return err
 	}); err != nil {
@@ -279,9 +307,14 @@ func TestRollbackRestoresIndexes(t *testing.T) {
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, wt INTEGER)")
 	mustExec(t, e, "CREATE INDEX q_wt ON q (wt)")
 	mustExec(t, e, "INSERT INTO q (wt) VALUES (1)")
-	mustExec(t, e, "BEGIN")
-	mustExec(t, e, "UPDATE q SET wt = 5 WHERE wt = 1")
-	mustExec(t, e, "ROLLBACK")
+	if _, err := e.TxLogged(func(tx *Tx) error {
+		if _, err := tx.Exec("UPDATE q SET wt = 5 WHERE wt = 1"); err != nil {
+			return err
+		}
+		return errAbort{}
+	}); err == nil {
+		t.Fatal("TxLogged should surface the callback's error")
+	}
 	if n := len(mustExec(t, e, "SELECT id FROM q WHERE wt = 1").Rows); n != 1 {
 		t.Fatalf("index lookup after rollback: %d rows, want 1", n)
 	}
@@ -317,6 +350,44 @@ func TestErrors(t *testing.T) {
 	// Too few args.
 	if _, err := e.Exec("SELECT * FROM tasks WHERE name = ?"); err == nil {
 		t.Error("missing argument should fail")
+	}
+}
+
+// TestRemovedSQLRejected pins the grammar to what the EMEWS database issues:
+// SQL-text transactions, aggregates other than COUNT(*), OR, IS [NOT] NULL,
+// parenthesised conditions and every comparison but `=` are parse errors, and
+// none of their words is a keyword.
+func TestRemovedSQLRejected(t *testing.T) {
+	for _, sql := range []string{
+		"BEGIN",
+		"COMMIT",
+		"ROLLBACK",
+		"SELECT MIN(score) FROM tasks",
+		"SELECT MAX(score) FROM tasks",
+		"SELECT SUM(score) FROM tasks",
+		"SELECT COUNT(score) FROM tasks",
+		"SELECT COUNT(*), MAX(score) FROM tasks",
+		"SELECT id FROM tasks WHERE score = 1 OR score = 2",
+		"SELECT id FROM tasks WHERE score IS NULL",
+		"SELECT id FROM tasks WHERE score IS NOT NULL",
+		"SELECT id FROM tasks WHERE (score = 1)",
+		"SELECT id FROM tasks WHERE score != 1",
+		"SELECT id FROM tasks WHERE score <> 1",
+		"SELECT id FROM tasks WHERE score < 1",
+		"SELECT id FROM tasks WHERE score <= 1",
+		"SELECT id FROM tasks WHERE score > 1",
+		"SELECT id FROM tasks WHERE score >= 1",
+		"UPDATE tasks SET status = 'x' WHERE score > ?",
+		"DELETE FROM tasks WHERE score < ?",
+	} {
+		if _, _, _, err := parse(sql); err == nil {
+			t.Errorf("parse(%q) succeeded, want a parse error", sql)
+		}
+	}
+	for _, kw := range []string{"BEGIN", "COMMIT", "ROLLBACK", "MIN", "MAX", "SUM", "OR", "IS"} {
+		if keywords[kw] {
+			t.Errorf("%s is still a keyword", kw)
+		}
 	}
 }
 
@@ -554,11 +625,15 @@ func TestTombstoneCompaction(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER)")
 	// Queue churn: insert and delete many times; table must stay correct.
+	low := make([]any, 95)
+	for i := range low {
+		low[i] = i
+	}
 	for round := 0; round < 30; round++ {
 		for i := 0; i < 100; i++ {
 			mustExec(t, e, "INSERT INTO q (v) VALUES (?)", i)
 		}
-		mustExec(t, e, "DELETE FROM q WHERE v < 95")
+		mustExec(t, e, "DELETE FROM q WHERE v IN (?...)", low...)
 	}
 	sel := mustExec(t, e, "SELECT COUNT(*) FROM q")
 	if got := sel.Rows[0][0].AsInt(); got != 30*5 {
@@ -592,19 +667,28 @@ func TestCreateTableIfNotExists(t *testing.T) {
 	}
 }
 
+// TestNestedTransactionRejected: SQL text cannot open a transaction, neither
+// at top level nor nested inside a TxLogged closure, so none is ever left
+// open between calls — the next write from any caller commits on its own
+// with its own log entry instead of silently joining someone else's.
 func TestNestedTransactionRejected(t *testing.T) {
-	e := newTaskEngine(t)
-	mustExec(t, e, "BEGIN")
+	e, w := newHookedEngine(t, "CREATE TABLE tasks (id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT, score REAL, status TEXT)")
 	if _, err := e.Exec("BEGIN"); err == nil {
-		t.Fatal("nested BEGIN must error")
+		t.Fatal("BEGIN must be refused")
 	}
-	mustExec(t, e, "COMMIT")
-	// Tx helper refuses inside an open transaction too.
-	mustExec(t, e, "BEGIN")
-	if err := e.Tx(func(tx *Tx) error { return nil }); err == nil {
-		t.Fatal("Tx inside open transaction must error")
+	if _, err := e.TxLogged(func(tx *Tx) error {
+		if _, err := tx.Exec("BEGIN"); err == nil {
+			t.Error("BEGIN inside TxLogged must be refused")
+		}
+		_, err := tx.Exec("INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'q')")
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
-	mustExec(t, e, "ROLLBACK")
+	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('b', 2, 'q')")
+	if got := e.LastLogged(); got != 2 || w.LastIndex() != 2 {
+		t.Fatalf("after the refused BEGINs: LastLogged %d, WAL at %d; want each write its own entry (2)", got, w.LastIndex())
+	}
 }
 
 func TestUpdateFromColumnValue(t *testing.T) {
@@ -623,11 +707,8 @@ func TestOrderByMissingColumn(t *testing.T) {
 	if _, err := e.Exec("SELECT id FROM tasks ORDER BY nope"); err == nil {
 		t.Fatal("ORDER BY unknown column must error")
 	}
-	if _, err := e.Exec("SELECT MAX(nope) FROM tasks"); err == nil {
-		t.Fatal("aggregate over unknown column must error")
-	}
 	if _, err := e.Exec("SELECT COUNT(*), id FROM tasks"); err == nil {
-		t.Fatal("mixing aggregates and plain columns must error")
+		t.Fatal("mixing COUNT(*) and plain columns must error")
 	}
 }
 

@@ -3,6 +3,7 @@ package minisql
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -38,8 +39,8 @@ func TestSurplusArgumentsRejected(t *testing.T) {
 	before, logged := snapshotBytes(t, e), w.LastIndex()
 	const upd = "UPDATE q SET p = ? WHERE id = ?"
 
-	if _, _, err := e.ExecLogged(upd, 5, 1, 6, 2); err == nil {
-		t.Error("ExecLogged accepted two argument rows")
+	if _, err := e.Exec(upd, 5, 1, 6, 2); err == nil {
+		t.Error("Exec accepted two argument rows")
 	}
 	if _, err := e.Exec("SELECT p FROM q WHERE id = ?", 1, 2); err == nil {
 		t.Error("Exec accepted a surplus argument on a SELECT")
@@ -72,7 +73,7 @@ func TestSurplusArgumentsRejected(t *testing.T) {
 	} {
 		// The refused call is all the transaction does, so swallowing its
 		// error commits whatever it left behind.
-		if err := e.Tx(func(tx *Tx) error {
+		if _, err := e.TxLogged(func(tx *Tx) error {
 			if fn(tx) == nil {
 				t.Errorf("%s: accepted", name)
 			}
@@ -103,16 +104,16 @@ func TestExecRowsIsTheExecLoop(t *testing.T) {
 
 	// p = p + ? is not in the grammar; WHERE on the column a previous row
 	// wrote is what shows rows apply in order: id 2 moves to 10, then every
-	// row at 10 (ids 1 and 2) moves to 99, id 9 is not there, id 2 moves again.
-	const upd = "UPDATE q SET p = ? WHERE id = ? OR p = ?"
-	rows := [][]any{{10, 2, -1}, {99, -1, 10}, {7, 9, -1}, {55, 2, -1}}
+	// row at 10 (ids 1 and 2) moves to 99, no row is at 90, id 3 moves to 55.
+	const upd = "UPDATE q SET p = ? WHERE p = ?"
+	rows := [][]any{{10, 20}, {99, 10}, {7, 90}, {55, 30}}
 	var args []any
 	for _, r := range rows {
 		args = append(args, r...)
 		mustExec(t, ref, upd, r...)
 	}
 	var hits []int
-	if err := e.Tx(func(tx *Tx) (err error) {
+	if _, err := e.TxLogged(func(tx *Tx) (err error) {
 		hits, err = tx.ExecRows(upd, values(t, args...))
 		return err
 	}); err != nil {
@@ -136,13 +137,13 @@ func TestExecRowsIsTheExecLoop(t *testing.T) {
 	}
 
 	// One argument row logs what Exec logs.
-	if err := e.Tx(func(tx *Tx) error {
-		_, err := tx.ExecRows(upd, values(t, 1, 1, -1))
+	if _, err := e.TxLogged(func(tx *Tx) error {
+		_, err := tx.ExecRows(upd, values(t, 1, 99))
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, e, upd, 1, 1, -1)
+	mustExec(t, e, upd, 1, 99)
 	entries, _ = entriesSince(t, w, base+1)
 	if len(entries) != 2 || fmt.Sprint(entries[0].Stmts) != fmt.Sprint(entries[1].Stmts) {
 		t.Fatalf("a one-row ExecRows logged %+v, Exec logged %+v", entries[0].Stmts, entries[1:])
@@ -150,11 +151,11 @@ func TestExecRowsIsTheExecLoop(t *testing.T) {
 
 	// A ragged or non-UPDATE multi-row Stmt in a shipped entry is refused whole.
 	for _, bad := range []Stmt{
-		{SQL: upd, Args: values(t, 1, 1, -1, 2)},
+		{SQL: upd, Args: values(t, 1, 99, 2)},
 		{SQL: "DELETE FROM q WHERE id = ?", Args: values(t, 1, 2)},
 	} {
 		before := snapshotBytes(t, replica)
-		err := replica.ApplyEntry(LogEntry{Index: 99, Stmts: []Stmt{{SQL: upd, Args: values(t, 0, 3, -1)}, bad}})
+		err := replica.ApplyEntry(LogEntry{Index: 99, Stmts: []Stmt{{SQL: upd, Args: values(t, 0, 40)}, bad}})
 		if err == nil || !bytes.Equal(snapshotBytes(t, replica), before) {
 			t.Fatalf("entry holding %q with %d arguments: err %v, state changed %v",
 				bad.SQL, len(bad.Args), err, !bytes.Equal(snapshotBytes(t, replica), before))
@@ -166,19 +167,33 @@ func TestExecRowsIsTheExecLoop(t *testing.T) {
 // tables, in both sides of the indexes — and logs nothing, whether the
 // transaction then aborts or swallows the error and commits its other work.
 func TestExecRowsAtomic(t *testing.T) {
-	// Rows below 40 pass on the first disjunct; id 4 (p = 40) reaches the
-	// unknown column and fails the statement at its fourth argument row.
-	const upd = "UPDATE q SET p = ? WHERE id = ? AND (p < 40 OR nosuch = 1)"
+	// An IN list stops at its first equal member: ids 1-3 (p = 10, 20, 30)
+	// match on a literal, id 4 (p = 40) reads on to the unknown column and
+	// fails the statement at its fourth argument row, after three have applied.
+	const upd = "UPDATE q SET p = ? WHERE id = ? AND p IN (10, 20, 30, nosuch)"
 	for _, swallow := range []bool{false, true} {
 		e, w := newQueueEngine(t, 5)
 		before, logged := snapshotBytes(t, e), w.LastIndex()
-		err := e.Tx(func(tx *Tx) error {
+
+		// The first three rows alone apply, so the failure below has work to undo.
+		var hits []int
+		if _, err := e.TxLogged(func(tx *Tx) (err error) {
+			hits, err = tx.ExecRows(upd, values(t, 500, 1, 400, 2, 300, 3))
+			if err != nil {
+				return err
+			}
+			return errAbort{}
+		}); err != (errAbort{}) || fmt.Sprint(hits) != "[1 1 1]" {
+			t.Fatalf("first three rows: err %v, hits %v, want the abort and [1 1 1]", err, hits)
+		}
+
+		_, err := e.TxLogged(func(tx *Tx) error {
 			if _, err := tx.Exec("INSERT INTO q (id, p) VALUES (6, 60)"); err != nil {
 				return err
 			}
 			_, err := tx.ExecRows(upd, values(t, 500, 1, 400, 2, 300, 3, 200, 4, 100, 5))
-			if err == nil {
-				t.Fatal("ExecRows succeeded past an unknown column")
+			if err == nil || !strings.Contains(err.Error(), `no column "nosuch"`) {
+				t.Fatalf("ExecRows: err %v, want the unknown column", err)
 			}
 			if swallow {
 				return nil

@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// syncHookFS is OSFS with a hook in front of every segment file's Sync, so a
-// test can hold an fsync open or make it take a known time.
+// syncHookFS is OSFS with a hook in front of every file's Sync, so a test can
+// hold an fsync open, make it take a known time, or fail it (a non-nil error
+// from the hook is Sync's, and the file is not synced).
 type syncHookFS struct {
 	FS
-	beforeSync func()
+	beforeSync func(name string) error
 }
 
 func (fs syncHookFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
@@ -24,11 +25,13 @@ func (fs syncHookFS) OpenFile(name string, flag int, perm os.FileMode) (File, er
 
 type syncHookFile struct {
 	File
-	beforeSync func()
+	beforeSync func(name string) error
 }
 
 func (f syncHookFile) Sync() error {
-	f.beforeSync()
+	if err := f.beforeSync(f.Name()); err != nil {
+		return err
+	}
 	return f.File.Sync()
 }
 
@@ -38,9 +41,10 @@ func (f syncHookFile) Sync() error {
 func TestSyncLoopNeverSleeps(t *testing.T) {
 	started := make(chan struct{}, 16) // one token per Sync that began; roomier than the Syncs this test can cause
 	release := make(chan struct{})     // one receive lets one Sync proceed; closed, all do
-	fsys := syncHookFS{OSFS, func() {
+	fsys := syncHookFS{OSFS, func(string) error {
 		started <- struct{}{}
 		<-release
+		return nil
 	}}
 	d, err := OpenDiskLogFS(fsys, t.TempDir(), 0, true)
 	if err != nil {
@@ -97,7 +101,7 @@ func TestSyncLoopNeverSleeps(t *testing.T) {
 // the fsync's own length — while one is on the disk the other writers' entries
 // pile up behind it and share the next.
 func TestGroupCommitSharesFsyncs(t *testing.T) {
-	fsys := syncHookFS{OSFS, func() { time.Sleep(2 * time.Millisecond) }}
+	fsys := syncHookFS{OSFS, func(string) error { time.Sleep(2 * time.Millisecond); return nil }}
 	d, err := OpenDiskLogFS(fsys, t.TempDir(), 0, true)
 	if err != nil {
 		t.Fatal(err)

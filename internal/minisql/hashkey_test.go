@@ -161,7 +161,7 @@ func TestCompositeIndexHasNoHashSide(t *testing.T) {
 	}
 	mustExec(t, e, "UPDATE q SET p = 9 WHERE id = 7")
 	mustExec(t, e, "DELETE FROM q WHERE id = 8")
-	if err := e.Tx(func(tx *Tx) error {
+	if _, err := e.TxLogged(func(tx *Tx) error {
 		if _, err := tx.Exec("UPDATE q SET p = 5 WHERE wt = 1"); err != nil {
 			return err
 		}

@@ -239,16 +239,14 @@ func TestCountByIndex(t *testing.T) {
 		{"SELECT COUNT(*) FROM t WHERE n = NULL", nil, true},
 		{"SELECT COUNT(*) FROM t WHERE n = '3'", nil, true},
 		{"SELECT COUNT(*) FROM t WHERE n = '03'", nil, true},
-		{"SELECT COUNT(id) FROM t WHERE n = 3.0", nil, true},
+		{"SELECT COUNT(*) FROM t WHERE n = 3.0", nil, true},
 		{"SELECT COUNT(*) FROM t WHERE id = 17", nil, true},
 		{"SELECT COUNT(*) FROM t WHERE status = ? AND exp = ?", []any{"queued", "e1"}, false},
 		{"SELECT COUNT(*) FROM t WHERE status = ? AND n = 2", []any{"queued"}, false},
-		{"SELECT COUNT(*) FROM t WHERE status = ? OR n = 2", []any{"queued"}, false},
-		{"SELECT COUNT(*) FROM t WHERE status != ?", []any{"queued"}, false},
+		{"SELECT COUNT(*) FROM t WHERE status IN (?...)", []any{"queued", "running"}, false},
 		{"SELECT COUNT(*) FROM t WHERE exp = ?", []any{"e1"}, false},
 		{"SELECT COUNT(*) FROM t", nil, false},
-		{"SELECT COUNT(*), MAX(n) FROM t WHERE status = ?", []any{"queued"}, false},
-		{"SELECT MAX(n) FROM t WHERE status = ?", []any{"queued"}, false},
+		{"SELECT id FROM t WHERE status = ?", []any{"queued"}, false},
 	}
 	check := func(when string) {
 		t.Helper()
@@ -274,7 +272,7 @@ func TestCountByIndex(t *testing.T) {
 	check("loaded")
 
 	for _, e := range []*Engine{indexed, ref} {
-		err := e.Tx(func(tx *Tx) error {
+		_, err := e.TxLogged(func(tx *Tx) error {
 			for _, sql := range []string{
 				"UPDATE t SET status = 'queued' WHERE n = 1",
 				"DELETE FROM t WHERE status = 'running'",

@@ -15,7 +15,7 @@ const (
 	tokNumber
 	tokString
 	tokParam // ?
-	tokPunct // ( ) , ; * = != <> < <= > >=
+	tokPunct // ( ) , ; * =
 )
 
 type token struct {
@@ -30,11 +30,9 @@ var keywords = map[string]bool{
 	"AUTOINCREMENT": true, "INTEGER": true, "REAL": true, "TEXT": true,
 	"INSERT": true, "INTO": true, "VALUES": true,
 	"SELECT": true, "FROM": true, "WHERE": true, "ORDER": true, "BY": true,
-	"ASC": true, "DESC": true, "LIMIT": true, "COUNT": true, "MIN": true,
-	"MAX": true, "SUM": true, "AND": true, "OR": true, "IN": true,
-	"UPDATE": true, "SET": true, "DELETE": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "NULL": true,
-	"IS": true, "DROP": true,
+	"ASC": true, "DESC": true, "LIMIT": true, "COUNT": true, "AND": true,
+	"IN": true, "UPDATE": true, "SET": true, "DELETE": true, "NULL": true,
+	"DROP": true,
 }
 
 type lexer struct {
@@ -69,9 +67,7 @@ func lex(src string) ([]token, error) {
 			l.lexNumber()
 		case isIdentStart(c):
 			l.lexIdent()
-		case c == '!' || c == '<' || c == '>' || c == '=':
-			l.lexOperator()
-		case strings.ContainsRune("(),;*", rune(c)):
+		case strings.ContainsRune("(),;*=", rune(c)):
 			l.emit(tokPunct, string(c))
 			l.pos++
 		default:
@@ -143,23 +139,6 @@ func (l *lexer) lexIdent() {
 	} else {
 		l.toks = append(l.toks, token{kind: tokIdent, text: strings.ToLower(word), pos: start})
 	}
-}
-
-func (l *lexer) lexOperator() {
-	start := l.pos
-	c := l.src[l.pos]
-	two := ""
-	if l.pos+1 < len(l.src) {
-		two = l.src[l.pos : l.pos+2]
-	}
-	switch two {
-	case "!=", "<>", "<=", ">=":
-		l.pos += 2
-		l.toks = append(l.toks, token{kind: tokPunct, text: two, pos: start})
-		return
-	}
-	l.pos++
-	l.toks = append(l.toks, token{kind: tokPunct, text: string(c), pos: start})
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -141,7 +141,7 @@ func TestOrderedIndexRollback(t *testing.T) {
 	mustExec(t, e, "CREATE ORDERED INDEX q_prio ON q (prio)")
 	mustExec(t, e, "INSERT INTO q (task_id, prio) VALUES (1, 5), (2, 9)")
 
-	err := e.Tx(func(tx *Tx) error {
+	_, err := e.TxLogged(func(tx *Tx) error {
 		if _, err := tx.Exec("INSERT INTO q (task_id, prio) VALUES (3, 100)"); err != nil {
 			return err
 		}

@@ -114,15 +114,6 @@ func (p *parser) statement() (any, error) {
 		return p.updateStmt()
 	case "DELETE":
 		return p.deleteStmt()
-	case "BEGIN":
-		p.pos++
-		return beginStmt{}, nil
-	case "COMMIT":
-		p.pos++
-		return commitStmt{}, nil
-	case "ROLLBACK":
-		p.pos++
-		return rollbackStmt{}, nil
 	}
 	return nil, fmt.Errorf("minisql: unsupported statement %q", t.text)
 }
@@ -345,16 +336,24 @@ func (p *parser) insertStmt() (any, error) {
 func (p *parser) selectStmt() (any, error) {
 	p.pos++ // SELECT
 	st := selectStmt{}
-	for {
-		sc, err := p.selectCol()
-		if err != nil {
-			return nil, err
+	if p.acceptKeyword("COUNT") {
+		for _, s := range []string{"(", "*", ")"} {
+			if err := p.expectPunct(s); err != nil {
+				return nil, err
+			}
 		}
-		st.Cols = append(st.Cols, sc)
-		if p.acceptPunct(",") {
-			continue
+		st.Count = true
+	} else {
+		for {
+			sc, err := p.selectCol()
+			if err != nil {
+				return nil, err
+			}
+			st.Cols = append(st.Cols, sc)
+			if !p.acceptPunct(",") {
+				break
+			}
 		}
-		break
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
@@ -404,32 +403,8 @@ func (p *parser) selectStmt() (any, error) {
 }
 
 func (p *parser) selectCol() (selectCol, error) {
-	t := p.peek()
-	if t.kind == tokPunct && t.text == "*" {
-		p.pos++
+	if p.acceptPunct("*") {
 		return selectCol{Star: true}, nil
-	}
-	if t.kind == tokKeyword && (t.text == "COUNT" || t.text == "MIN" || t.text == "MAX" || t.text == "SUM") {
-		p.pos++
-		if err := p.expectPunct("("); err != nil {
-			return selectCol{}, err
-		}
-		sc := selectCol{Agg: t.text}
-		if p.acceptPunct("*") {
-			if t.text != "COUNT" {
-				return sc, fmt.Errorf("minisql: %s(*) is not supported", t.text)
-			}
-		} else {
-			col, err := p.ident()
-			if err != nil {
-				return sc, err
-			}
-			sc.Name = col
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return sc, err
-		}
-		return sc, nil
 	}
 	col, err := p.ident()
 	if err != nil {
@@ -498,23 +473,9 @@ func (p *parser) deleteStmt() (any, error) {
 	return st, nil
 }
 
-// expr parses OR-separated chains (lowest precedence).
+// expr parses an AND chain of `=` and IN comparisons, the whole WHERE
+// grammar; a VALUES row or SET clause uses it for a lone primary.
 func (p *parser) expr() (expr, error) {
-	left, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("OR") {
-		right, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &binExpr{Op: "OR", L: left, R: right}
-	}
-	return left, nil
-}
-
-func (p *parser) andExpr() (expr, error) {
 	left, err := p.cmpExpr()
 	if err != nil {
 		return nil, err
@@ -534,24 +495,14 @@ func (p *parser) cmpExpr() (expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := p.peek()
-	if t.kind == tokPunct {
-		switch t.text {
-		case "=", "!=", "<>", "<", "<=", ">", ">=":
-			p.pos++
-			right, err := p.primaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			op := t.text
-			if op == "<>" {
-				op = "!="
-			}
-			return &binExpr{Op: op, L: left, R: right}, nil
+	if p.acceptPunct("=") {
+		right, err := p.primaryExpr()
+		if err != nil {
+			return nil, err
 		}
+		return &binExpr{Op: "=", L: left, R: right}, nil
 	}
-	if t.kind == tokKeyword && t.text == "IN" {
-		p.pos++
+	if p.acceptKeyword("IN") {
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
 		}
@@ -582,14 +533,6 @@ func (p *parser) cmpExpr() (expr, error) {
 			return nil, err
 		}
 		return &inExpr{Target: left, List: list}, nil
-	}
-	if t.kind == tokKeyword && t.text == "IS" {
-		p.pos++
-		not := p.acceptKeyword("NOT")
-		if err := p.expectKeyword("NULL"); err != nil {
-			return nil, err
-		}
-		return &isNullExpr{Target: left, Not: not}, nil
 	}
 	return left, nil
 }
@@ -628,16 +571,6 @@ func (p *parser) primaryExpr() (expr, error) {
 	case t.kind == tokIdent:
 		p.pos++
 		return &colRef{Name: t.text}, nil
-	case t.kind == tokPunct && t.text == "(":
-		p.pos++
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
 	}
 	return nil, fmt.Errorf("minisql: unexpected token %q in expression", t.text)
 }

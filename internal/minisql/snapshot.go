@@ -62,10 +62,6 @@ func (e *Engine) Snapshot(w io.Writer) error {
 // and must not call back into the engine.
 func (e *Engine) SnapshotWith(w io.Writer, observe func()) error {
 	e.mu.Lock()
-	if e.inTx {
-		e.mu.Unlock()
-		return ErrInTx
-	}
 	t0 := time.Now()
 	// Tables and index lists serialize in sorted order so two engines in the
 	// same logical state produce byte-identical snapshots — the property the
@@ -187,9 +183,6 @@ func (e *Engine) Restore(r io.Reader) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.inTx {
-		return ErrInTx
-	}
 	e.tables = tables
 	// The restore is a wholesale schema replacement; stale plans must not
 	// survive it any more than they survive a DDL statement.

@@ -189,7 +189,7 @@ func taskLikeEngine(t testing.TB, n int) (*Engine, *WAL) {
 			t.Fatal(err)
 		}
 	}
-	err := e.Tx(func(tx *Tx) error {
+	_, err := e.TxLogged(func(tx *Tx) error {
 		for i := 0; i < n; i++ {
 			if _, err := tx.Exec("INSERT INTO tasks (exp, wt, status, prio, payload) VALUES (?, ?, ?, ?, ?)",
 				"exp", i%3, 0, i%17, `{"x": [0.25, 0.5, 0.75], "seed": 12345}`); err != nil {

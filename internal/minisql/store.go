@@ -55,8 +55,8 @@ type Store struct {
 	ckptMu sync.Mutex
 
 	// metaMu serializes meta.json writers (SetTerm / SetAppliedTerm /
-	// SetView), which would
-	// otherwise race their tmp+rename publishes through the same tmp path.
+	// SetView), which would otherwise race their tmp+rename publishes through
+	// the same tmp path, and makes each one's read-write-adopt atomic.
 	metaMu sync.Mutex
 
 	mu          sync.Mutex
@@ -494,19 +494,15 @@ func (s *Store) Term() uint64 {
 }
 
 // SetTerm persists a leadership term change (atomic tmp+rename). No-op when
-// the term is unchanged, so heartbeat-path callers stay cheap.
+// the term is unchanged, so heartbeat-path callers stay cheap. The new term
+// is adopted (Term) only once it is on disk: after a failed write Term still
+// reports the old one and a retry of the same term writes again.
 func (s *Store) SetTerm(t uint64) error {
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	s.mu.Lock()
-	if t == s.term {
-		s.mu.Unlock()
-		return nil
-	}
-	s.term = t
-	m := s.metaLocked()
-	s.mu.Unlock()
-	return s.writeMeta(m)
+	return s.updateMeta(func(m *storeMeta) bool {
+		changed := m.Term != t
+		m.Term = t
+		return changed
+	})
 }
 
 // AppliedTerm returns the persisted term of the newest applied entry.
@@ -517,26 +513,15 @@ func (s *Store) AppliedTerm() uint64 {
 }
 
 // SetAppliedTerm persists the leadership term that produced the newest
-// applied entry. It only changes when a node starts applying a new leader's
-// entries (or promotes), so the no-op check keeps the apply path free of
-// file I/O.
+// applied entry, adopting it once written as SetTerm does. It only changes
+// when a node starts applying a new leader's entries (or promotes), so the
+// no-op check keeps the apply path free of file I/O.
 func (s *Store) SetAppliedTerm(t uint64) error {
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	s.mu.Lock()
-	if t == s.appliedTerm {
-		s.mu.Unlock()
-		return nil
-	}
-	s.appliedTerm = t
-	m := s.metaLocked()
-	s.mu.Unlock()
-	return s.writeMeta(m)
-}
-
-// metaLocked assembles the current meta.json payload. Caller holds s.mu.
-func (s *Store) metaLocked() storeMeta {
-	return storeMeta{Version: 1, Term: s.term, AppliedTerm: s.appliedTerm, View: s.view}
+	return s.updateMeta(func(m *storeMeta) bool {
+		changed := m.AppliedTerm != t
+		m.AppliedTerm = t
+		return changed
+	})
 }
 
 // View returns the membership view last persisted with SetView (nil when
@@ -551,23 +536,42 @@ func (s *Store) View() []byte {
 // SetView persists the replication layer's membership view alongside the
 // term, so a restarted node recovers who the cluster was — the majority
 // denominator for its elections — instead of waking up alone. No-op when the
-// bytes are unchanged, keeping the adopt-on-every-heartbeat caller cheap.
+// bytes are unchanged, keeping the adopt-on-every-heartbeat caller cheap; like
+// SetTerm it adopts the view only once written.
 func (s *Store) SetView(v []byte) error {
+	return s.updateMeta(func(m *storeMeta) bool {
+		if bytes.Equal(v, m.View) {
+			return false
+		}
+		m.View = append([]byte(nil), v...)
+		return true
+	})
+}
+
+// updateMeta applies set to a copy of the persisted metadata and, when set
+// reports a change, publishes it and only then adopts it in memory — so the
+// in-memory fields never run ahead of meta.json.
+func (s *Store) updateMeta(set func(m *storeMeta) bool) error {
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()
 	s.mu.Lock()
-	if bytes.Equal(v, s.view) {
-		s.mu.Unlock()
+	m := storeMeta{Version: 1, Term: s.term, AppliedTerm: s.appliedTerm, View: s.view}
+	s.mu.Unlock()
+	if !set(&m) {
 		return nil
 	}
-	s.view = append([]byte(nil), v...)
-	m := s.metaLocked()
+	if err := s.writeMeta(m); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.term, s.appliedTerm, s.view = m.Term, m.AppliedTerm, m.View
 	s.mu.Unlock()
-	return s.writeMeta(m)
+	return nil
 }
 
 // writeMeta publishes meta.json atomically (tmp + optional fsync + rename).
-// Callers hold metaMu.
+// Any failure removes the tmp file and leaves meta.json as it was. Callers
+// hold metaMu.
 func (s *Store) writeMeta(m storeMeta) error {
 	data, err := json.Marshal(m)
 	if err != nil {
@@ -578,12 +582,18 @@ func (s *Store) writeMeta(m storeMeta) error {
 		return err
 	}
 	if s.opt.Fsync {
-		if f, err := s.fs.OpenFile(tmp, os.O_WRONLY, 0o644); err == nil {
-			f.Sync()
-			f.Close()
+		var f File
+		if f, err = s.fs.OpenFile(tmp, os.O_WRONLY, 0o644); err == nil {
+			err = f.Sync()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 		}
 	}
-	if err := s.fs.Rename(tmp, s.metaPath()); err != nil {
+	if err == nil {
+		err = s.fs.Rename(tmp, s.metaPath())
+	}
+	if err != nil {
 		s.fs.Remove(tmp)
 		return err
 	}

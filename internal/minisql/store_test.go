@@ -3,9 +3,11 @@ package minisql
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,6 +196,63 @@ func TestStoreTermPersistence(t *testing.T) {
 	defer s2.Close()
 	if got := s2.Term(); got != 3 {
 		t.Fatalf("term after reopen = %d, want 3", got)
+	}
+}
+
+// TestStoreTermWriteFailure: a term whose meta.json write fails to fsync is
+// reported, never published and never adopted, so a retry of the same term
+// writes again instead of no-oping against a value only memory holds.
+func TestStoreTermWriteFailure(t *testing.T) {
+	dir := t.TempDir()
+	errMetaSync := errors.New("injected meta.json.tmp fsync failure")
+	var fail atomic.Bool
+	var syncs atomic.Int32 // fsyncs of meta.json.tmp attempted
+	fsys := syncHookFS{OSFS, func(name string) error {
+		if filepath.Base(name) != "meta.json.tmp" {
+			return nil
+		}
+		syncs.Add(1)
+		if fail.Load() {
+			return errMetaSync
+		}
+		return nil
+	}}
+	s := openTestStore(t, dir, StoreOptions{Fsync: true, FS: fsys})
+	if err := s.SetTerm(3); err != nil {
+		t.Fatal(err)
+	}
+	meta := filepath.Join(dir, "meta.json")
+	before, err := os.ReadFile(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fail.Store(true)
+	if err := s.SetTerm(4); !errors.Is(err, errMetaSync) {
+		t.Fatalf("SetTerm with a failing fsync = %v, want the fsync error", err)
+	}
+	if after, _ := os.ReadFile(meta); !bytes.Equal(after, before) || s.Term() != 3 {
+		t.Fatalf("failed SetTerm(4): meta.json %s (was %s), Term %d; want both unchanged", after, before, s.Term())
+	}
+	if _, err := os.Stat(meta + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed SetTerm left meta.json.tmp behind (stat: %v)", err)
+	}
+
+	fail.Store(false)
+	attempts := syncs.Load()
+	if err := s.SetTerm(4); err != nil {
+		t.Fatal(err)
+	}
+	if syncs.Load() == attempts {
+		t.Fatal("retrying SetTerm(4) after the failure wrote nothing")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openTestStore(t, dir, StoreOptions{})
+	defer s2.Close()
+	if got := s2.Term(); got != 4 {
+		t.Fatalf("term after retry and reopen = %d, want 4", got)
 	}
 }
 

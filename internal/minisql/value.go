@@ -1,7 +1,10 @@
 // Package minisql is a small embedded relational database engine supporting
-// the SQL subset used by the OSPREY EMEWS task database: CREATE TABLE,
-// CREATE INDEX, INSERT, SELECT (WHERE / ORDER BY / LIMIT / COUNT / MIN / MAX),
-// UPDATE, DELETE and transactions (BEGIN / COMMIT / ROLLBACK).
+// the SQL subset the OSPREY EMEWS task database issues, and nothing more:
+// CREATE TABLE / [ORDERED] INDEX, DROP TABLE, INSERT (one or more VALUES
+// rows), SELECT (columns or COUNT(*), ORDER BY ... ASC|DESC, LIMIT), UPDATE
+// and DELETE, where a WHERE clause is an AND of `=` comparisons and
+// `IN (...)` / `IN (?...)` lists over columns, literals and `?` parameters.
+// Transactions are Go closures (Engine.TxLogged), never SQL text.
 //
 // It stands in for the resource-local PostgreSQL instance the paper uses: the
 // task-queue semantics of OSPREY are plain relational operations, and this

@@ -32,8 +32,9 @@ type LogEntry struct {
 // synchronously while the engine lock is held, so implementations must be
 // fast and must not call back into the engine. The hook returns the log index
 // it assigned to the batch (0 when it did not record one); the engine hands
-// that index back to the committing caller through ExecLogged/TxLogged, which
-// is what gives every write a commit token identifying its own WAL entry.
+// that index back to the committing caller through TxLogged (and records it
+// as LastLogged), which is what gives every write a commit token identifying
+// its own WAL entry.
 // A hook that returns an error refuses the commit: the engine rolls the batch
 // back and returns the error to the committing caller (a replica that does not
 // lead must not commit what it cannot log).
@@ -74,21 +75,14 @@ func (e *Engine) SetCommitObserver(o CommitObserver) {
 func (e *Engine) ApplyEntry(entry LogEntry) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.inTx {
-		return ErrInTx
-	}
 	e.applying = true
 	defer func() { e.applying = false }()
-	e.inTx = true
-	e.undo = e.undo[:0]
 	for _, s := range entry.Stmts {
 		if err := e.applyStmtLocked(s); err != nil {
 			e.rollbackLocked()
-			e.inTx = false
 			return fmt.Errorf("minisql: apply entry %d: %w", entry.Index, err)
 		}
 	}
-	e.inTx = false
 	e.undo = e.undo[:0]
 	// Replayed entries advance the commit high-water mark too: a replica
 	// promoted to leader must be able to issue covering tokens (LastLogged)

@@ -68,7 +68,7 @@ func TestCommitHookTxBatchesAndRollbackDiscards(t *testing.T) {
 	e, w := newHookedEngine(t, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
 
 	// A committed transaction produces exactly one entry with all mutations.
-	err := e.Tx(func(tx *Tx) error {
+	_, err := e.TxLogged(func(tx *Tx) error {
 		if _, err := tx.Exec("INSERT INTO t (v) VALUES (?)", "x"); err != nil {
 			return err
 		}
@@ -89,7 +89,7 @@ func TestCommitHookTxBatchesAndRollbackDiscards(t *testing.T) {
 
 	// A rolled-back transaction logs nothing.
 	sentinel := errAbort{}
-	if err := e.Tx(func(tx *Tx) error {
+	if _, err := e.TxLogged(func(tx *Tx) error {
 		_, _ = tx.Exec("INSERT INTO t (v) VALUES (?)", "discard")
 		return sentinel
 	}); err == nil {
@@ -97,23 +97,6 @@ func TestCommitHookTxBatchesAndRollbackDiscards(t *testing.T) {
 	}
 	if got := w.LastIndex(); got != 1 {
 		t.Fatalf("WAL advanced to %d after rollback, want 1", got)
-	}
-
-	// Explicit BEGIN/ROLLBACK via Exec also discards.
-	mustExec(t, e, "BEGIN")
-	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", "discard2")
-	mustExec(t, e, "ROLLBACK")
-	if got := w.LastIndex(); got != 1 {
-		t.Fatalf("WAL advanced to %d after explicit ROLLBACK, want 1", got)
-	}
-
-	// Explicit BEGIN/COMMIT flushes one batch.
-	mustExec(t, e, "BEGIN")
-	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", "kept")
-	mustExec(t, e, "COMMIT")
-	entries, _ = entriesSince(t, w, 1)
-	if len(entries) != 1 || len(entries[0].Stmts) != 1 {
-		t.Fatalf("explicit commit logged %d entries, want 1", len(entries))
 	}
 }
 
@@ -137,17 +120,12 @@ func TestCommitHookRefusal(t *testing.T) {
 	insert := "INSERT INTO t (v) VALUES (?)"
 	commits := map[string]func() error{
 		"autocommit": func() error { _, err := e.Exec(insert, "x"); return err },
-		"Tx": func() error {
-			return e.Tx(func(tx *Tx) error {
+		"TxLogged": func() error {
+			_, err := e.TxLogged(func(tx *Tx) error {
 				_, _ = tx.Exec("UPDATE t SET v = ? WHERE id = ?", "changed", 1)
 				_, err := tx.Exec(insert, "x")
 				return err
 			})
-		},
-		"COMMIT": func() error {
-			mustExec(t, e, "BEGIN")
-			mustExec(t, e, insert, "x")
-			_, err := e.Exec("COMMIT")
 			return err
 		},
 	}
@@ -164,8 +142,8 @@ func TestCommitHookRefusal(t *testing.T) {
 		t.Fatalf("refused commits reached the observer %d times, LastLogged %d", observed, e.LastLogged())
 	}
 	refuse = false
-	res, tok, err := e.ExecLogged(insert, "y")
-	if err != nil || tok != 7 || res.LastInsertID != 2 || observed != 1 {
+	res, err := e.Exec(insert, "y")
+	if tok := e.LastLogged(); err != nil || tok != 7 || res.LastInsertID != 2 || observed != 1 {
 		t.Fatalf("accepted commit = id %d token %d observed %d, %v; want id 2 (counter restored), token 7, 1",
 			res.LastInsertID, tok, observed, err)
 	}
@@ -186,7 +164,7 @@ func TestApplyEntryReplayEquivalence(t *testing.T) {
 
 	mustExec(t, leader, "INSERT INTO t (v, n) VALUES (?, ?)", "a", 1)
 	mustExec(t, leader, "INSERT INTO t (v, n) VALUES (?, ?)", "b", 2)
-	if err := leader.Tx(func(tx *Tx) error {
+	if _, err := leader.TxLogged(func(tx *Tx) error {
 		if _, err := tx.Exec("UPDATE t SET v = ? WHERE n = ?", "a2", 1); err != nil {
 			return err
 		}
@@ -291,7 +269,7 @@ func TestRollbackRestoresNextKey(t *testing.T) {
 	leader, w := newHookedEngine(t, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
 	mustExec(t, leader, "INSERT INTO t (v) VALUES (?)", "keep")
 
-	if err := leader.Tx(func(tx *Tx) error {
+	if _, err := leader.TxLogged(func(tx *Tx) error {
 		if _, err := tx.Exec("INSERT INTO t (v) VALUES (?)", "discard"); err != nil {
 			return err
 		}
@@ -299,14 +277,10 @@ func TestRollbackRestoresNextKey(t *testing.T) {
 	}); err == nil {
 		t.Fatal("Tx should surface fn error")
 	}
-	// Explicit BEGIN/ROLLBACK path too.
-	mustExec(t, leader, "BEGIN")
-	mustExec(t, leader, "INSERT INTO t (v) VALUES (?)", "discard2")
-	mustExec(t, leader, "ROLLBACK")
 
 	res := mustExec(t, leader, "INSERT INTO t (v) VALUES (?)", "second")
 	if res.LastInsertID != 2 {
-		t.Fatalf("leader id after rollbacks = %d, want 2", res.LastInsertID)
+		t.Fatalf("leader id after rollback = %d, want 2", res.LastInsertID)
 	}
 
 	// The follower replaying the log must assign the same ID.
@@ -357,7 +331,7 @@ func TestAutocommitInsertAtomic(t *testing.T) {
 // commits persists exactly what the statement log records.
 func TestTxStatementAtomic(t *testing.T) {
 	leader, w := newHookedEngine(t, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
-	if err := leader.Tx(func(tx *Tx) error {
+	if _, err := leader.TxLogged(func(tx *Tx) error {
 		if _, err := tx.Exec("INSERT INTO t (v) VALUES (?)", "good"); err != nil {
 			return err
 		}

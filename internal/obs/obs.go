@@ -9,6 +9,40 @@
 // atomic add, a histogram observation two), so instrumentation stays well
 // under the benchmark gate's noise floor; everything lock-shaped happens at
 // gather (scrape) time.
+//
+// One registry per node: core.DB creates it and every layer above registers
+// into the same one (db.Metrics() == node.Metrics() == server.Metrics()), so a
+// single scrape covers the engine, the queues, replication, the service, the
+// pools and the telemetry bridge. BenchmarkInstrumentedSubmit, in the gated
+// set, holds the hot-path cost to one pointer dereference and 2–3 atomics per
+// event. Counters end in _total; histograms expose _bucket/_sum/_count. Each
+// layer lists its metrics where it registers them: service.serverMetrics
+// (service/ops.go), replica.nodeMetrics (replica/obs.go), core.newDBMetrics
+// and dbMetrics.bindStore (core/obs.go: database, engine, plan cache and
+// durability), watch.NewHub, pool.New (with Config.Metrics set) and
+// telemetry.Recorder.BindObs.
+//
+// Endpoints (ServeOps; `osprey-service -ops-addr HOST:PORT`, or
+// service.Server.ServeOps embedded):
+//
+//   - /metrics — Prometheus text format 0.0.4; point any scrape_config at it.
+//   - /healthz — process liveness: 200 while the service listener is up.
+//   - /readyz — 200 only when the node would serve token-bounded reads: a
+//     leader always, a follower only while it has had leader contact within
+//     4× its election timeout and is caught up or still making apply progress
+//     (replica.Node.Ready). A stalled or partitioned follower goes 503 before
+//     clients start seeing ErrStale — the load-balancer signal — and so does a
+//     draining server.
+//   - /statusz — a human-readable node and cluster snapshot: role, term,
+//     applied and committed index, peers, each follower's acked index;
+//     durable nodes add WAL segment, byte and position counts, the checkpoint
+//     index and age, and the last checkpoint's duration and engine-lock hold.
+//   - /debug/pprof — the standard Go profiling handlers.
+//
+// Without an ops port, `osprey-service -stats HOST:PORT` (or ClusterStats on
+// either service client) fetches the same numbers over the service protocol —
+// the cluster_stats op — flattened by Flatten to name{labels} → value, with
+// histograms as _count/_sum/_p50/_p95/_p99.
 package obs
 
 import (

@@ -51,19 +51,15 @@ type Config struct {
 	Threshold int
 	// WorkType selects which tasks this pool consumes.
 	WorkType int
-	// QueryTimeout is the deadline of one deficit query (default 50ms). The
-	// pool only queries while it believes the queue holds work, so this
-	// bounds a query that raced another pool to the last tasks, not an idle
-	// wait.
-	QueryTimeout time.Duration
 	// CoresOf, when set, extracts a task's core requirement from its
 	// payload, supporting the paper's multi-process MPI tasks (§II-B1a,
 	// Swift/T's @par): a k-core task occupies k of the pool's Workers
 	// slots for its whole execution. Requirements are clamped to
 	// [1, Workers]; nil treats every task as single-core.
 	CoresOf func(payload string) int
-	// Metrics, when set, receives the pool's worker busy/idle gauges and
-	// task counters, labeled by pool name. Nil disables instrumentation.
+	// Metrics, when set, receives the pool's gauges and counters, labeled by
+	// pool name: osprey_pool_workers_{busy,idle}, osprey_pool_tasks_owned and
+	// osprey_pool_tasks_{executed,failed}_total. Nil disables instrumentation.
 	Metrics *obs.Registry
 }
 
@@ -94,9 +90,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.Threshold > c.BatchSize {
 		return fmt.Errorf("pool: Threshold %d exceeds BatchSize %d", c.Threshold, c.BatchSize)
-	}
-	if c.QueryTimeout <= 0 {
-		c.QueryTimeout = 50 * time.Millisecond
 	}
 	return nil
 }
@@ -258,11 +251,16 @@ func sleepJitter(ctx context.Context, backoff time.Duration) bool {
 	}
 }
 
+// queryTimeout is the deadline of one deficit query. The pool only queries
+// while it believes the queue holds work, so this bounds a query that raced
+// another pool to the last tasks, not an idle wait.
+const queryTimeout = 50 * time.Millisecond
+
 // query issues one deficit query and hands the obtained tasks to dispatch.
 // It returns the number of tasks obtained; ok is false only for non-timeout
 // errors (a timeout is the backend's normal "queue empty" answer).
 func (p *Pool) query(ctx context.Context, deficit int, taskCh chan<- core.Task) (n int, ok bool) {
-	qctx, cancel := context.WithTimeout(ctx, p.cfg.QueryTimeout)
+	qctx, cancel := context.WithTimeout(ctx, queryTimeout)
 	res, err := p.api.QueryTasks(qctx, p.cfg.WorkType, deficit, p.cfg.Name)
 	cancel()
 	if err != nil {

@@ -540,7 +540,7 @@ func TestPoolStopDuringResubscribe(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	backend := &resubscribeFails{DB: newDB(t), stop: cancel}
-	p, err := New(backend, Config{Name: "p", WorkType: 1, Workers: 1, QueryTimeout: 5 * time.Millisecond}, echoExec, nil)
+	p, err := New(backend, Config{Name: "p", WorkType: 1, Workers: 1}, echoExec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

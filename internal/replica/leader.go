@@ -108,6 +108,16 @@ func (n *Node) handleClaim(conn net.Conn, enc *gob.Encoder, claim frame) {
 	logOK := claim.AppliedTerm > n.appliedTerm ||
 		(claim.AppliedTerm == n.appliedTerm && claim.Applied >= n.applied)
 	grant := !n.closed && claim.Term > n.term && logOK
+	if grant && n.store != nil {
+		// A grant is a promise never to vote again in this term, so the term
+		// reaches disk before anything adopts it: a restart that forgot it
+		// could grant the same term to a second candidate. A grant whose term
+		// cannot be persisted is refused and changes nothing.
+		if err := n.store.SetTerm(claim.Term); err != nil {
+			n.logf("refusing leadership claim for term %d by %s: persisting the term: %v", claim.Term, claim.Peer.ID, err)
+			grant = false
+		}
+	}
 	var stream net.Conn
 	var finishDemote func(string)
 	if grant {
@@ -130,11 +140,6 @@ func (n *Node) handleClaim(conn net.Conn, enc *gob.Encoder, claim frame) {
 			n.persistViewLocked()
 		}
 		stream = n.stream
-		if n.store != nil {
-			if err := n.store.SetTerm(claim.Term); err != nil {
-				n.logf("persisting granted term %d: %v", claim.Term, err)
-			}
-		}
 	}
 	resp := frame{
 		Type: frameStatus, Term: n.term, Role: n.role,
@@ -560,20 +565,17 @@ func (n *Node) leaseExpired() bool {
 	return inContact < len(n.peers)/2+1
 }
 
+// peerDecayTimeouts is the membership decay window in election timeouts.
+const peerDecayTimeouts = 20
+
 // decayPeers drops membership entries with no live follower connection and
-// no contact for PeerDecayTimeouts election timeouts, then broadcasts the
+// no contact for peerDecayTimeouts election timeouts, then broadcasts the
 // shrunken view. Long-dead peers would otherwise consume a backoff slot in
 // every future election. The decay window is clamped above the lease window
 // so a partitioned minority leader demotes (lease) before it can shrink its
 // membership into a fake majority (decay).
 func (n *Node) decayPeers(w *minisql.WAL) {
-	if n.cfg.PeerDecayTimeouts < 0 {
-		return
-	}
-	window := time.Duration(n.cfg.PeerDecayTimeouts) * n.cfg.ElectionTimeout
-	if min := 2 * n.cfg.LeaseTimeout; window < min {
-		window = min
-	}
+	window := max(peerDecayTimeouts*n.cfg.ElectionTimeout, 2*n.cfg.LeaseTimeout)
 	now := time.Now()
 	var dropped []string
 	n.mu.Lock()

@@ -108,12 +108,6 @@ type Config struct {
 	// itself to follower and stops accepting writes (default
 	// 2x ElectionTimeout).
 	LeaseTimeout time.Duration
-	// PeerDecayTimeouts is the membership decay window in election timeouts:
-	// the leader drops a peer with no connection and no contact for this many
-	// ElectionTimeouts and broadcasts the shrunken view, so long-dead nodes
-	// stop consuming election backoff slots. 0 selects the default (20);
-	// negative disables decay.
-	PeerDecayTimeouts int
 	// DataDir enables durable storage: committed entries are appended to a
 	// segmented on-disk WAL under this directory, periodic checkpoints
 	// bound it, and a restart recovers the node's state from disk — no live
@@ -239,9 +233,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 2 * cfg.ElectionTimeout
-	}
-	if cfg.PeerDecayTimeouts == 0 {
-		cfg.PeerDecayTimeouts = 20
 	}
 	if cfg.GroupCommitDelay == 0 {
 		cfg.GroupCommitDelay = 200 * time.Microsecond
@@ -635,7 +626,7 @@ func (n *Node) logf(format string, args ...any) {
 // onCommit is the engine commit hook: on the leader it appends the committed
 // statements to the WAL, which wakes the per-follower senders, and returns
 // the assigned index — the commit token the engine hands back to the caller
-// through ExecLogged/TxLogged. It runs under the engine lock, so it only
+// through TxLogged. It runs under the engine lock, so it only
 // touches the WAL, the store's buffered log append, and node bookkeeping.
 // Off the leader it refuses: a write that reaches this node's database anyway
 // (the node was demoted between the service's leadership check and the

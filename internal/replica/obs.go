@@ -14,6 +14,18 @@ import (
 // cluster state. Counters and histograms are bumped on the hot paths
 // (atomics only); the positional gauges — role, term, applied/committed
 // index, replication lag — are computed at scrape time by a collector.
+//
+// Metrics: osprey_replica_role (1 = leader), osprey_replica_term,
+// osprey_replica_applied_index, osprey_replica_committed_index,
+// osprey_replica_lag (a follower's leader-applied − applied; 0 on a leader),
+// osprey_replica_follower_lag{peer} (leader side), the
+// osprey_replica_quorum_wait_seconds, osprey_replica_batch_entries and
+// osprey_replica_heartbeat_rtt_seconds histograms,
+// osprey_replica_{promotions,demotions,entries_applied,snapshots_sent,
+// snapshots_installed,snapshots_file_streamed}_total, and
+// osprey_replica_malformed_total (replication connections that did not open
+// with this build's preamble 0xF6 <version> — mixed builds, or a stray
+// client — closed unanswered and logged with the peer address).
 type nodeMetrics struct {
 	promotions   *obs.Counter
 	demotions    *obs.Counter
@@ -127,14 +139,12 @@ func (n *Node) noteLeaderFrame(f frame) {
 // Ready reports whether this node would serve token-bounded reads rather
 // than refuse them — the /readyz verdict. A leader is ready (its applied
 // index IS the freshest commit). A follower is ready while it has heard from
-// the leader within bound and is either caught up or still making apply
-// progress within bound; a stalled or partitioned follower goes unready, so
-// a load balancer stops routing session reads at it before clients start
-// seeing ErrStale. bound <= 0 defaults to 4x ElectionTimeout.
-func (n *Node) Ready(bound time.Duration) (bool, string) {
-	if bound <= 0 {
-		bound = 4 * n.cfg.ElectionTimeout
-	}
+// the leader within 4x ElectionTimeout and is either caught up or still
+// making apply progress within that bound; a stalled or partitioned follower
+// goes unready, so a load balancer stops routing session reads at it before
+// clients start seeing ErrStale.
+func (n *Node) Ready() (bool, string) {
+	bound := 4 * n.cfg.ElectionTimeout
 	now := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()

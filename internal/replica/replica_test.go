@@ -5,11 +5,15 @@ import (
 	"encoding/gob"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"osprey/internal/core"
+	"osprey/internal/minisql"
 	"osprey/internal/watch"
 )
 
@@ -196,6 +200,65 @@ func TestClaimGrantAdoptsClaimant(t *testing.T) {
 	t.Fatalf("view after the grant = %+v, want it to hold the claimant %+v", n.Peers(), claimant)
 }
 
+// metaSyncFailFS is the real disk, except that fsyncing meta.json.tmp — the
+// publish of a new term — fails while fail is set.
+type metaSyncFailFS struct {
+	minisql.FS
+	fail atomic.Bool
+}
+
+func (fs *metaSyncFailFS) OpenFile(name string, flag int, perm os.FileMode) (minisql.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != "meta.json.tmp" {
+		return f, err
+	}
+	return metaSyncFailFile{f, &fs.fail}, nil
+}
+
+type metaSyncFailFile struct {
+	minisql.File
+	fail *atomic.Bool
+}
+
+func (f metaSyncFailFile) Sync() error {
+	if f.fail.Load() {
+		return errors.New("injected meta.json.tmp fsync failure")
+	}
+	return f.File.Sync()
+}
+
+// TestClaimRefusedWhenTermNotPersisted: a node that cannot persist the term a
+// claim asks for refuses the claim and keeps its own term and role; granting
+// anyway would let a restart, which reads the older term back, vote a second
+// time in the same term.
+func TestClaimRefusedWhenTermNotPersisted(t *testing.T) {
+	fsys := &metaSyncFailFS{FS: minisql.OSFS}
+	n, err := New(Config{
+		ID: "p1", Priority: 3, Heartbeat: beat, ElectionTimeout: elect,
+		DataDir: t.TempDir(), Fsync: true, FS: fsys, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetServiceAddr("svc-p1")
+	n.Start()
+	defer n.Close()
+	waitFor(t, "p1 to lead", n.IsLeader)
+
+	term := n.Term()
+	claimant := Peer{ID: "p2", Priority: 2, ReplAddr: "127.0.0.1:1", SvcAddr: "svc-p2"}
+	fsys.fail.Store(true)
+	reply := dialJoin(t, n.Addr(), frame{Type: frameClaim, Term: term + 1, Peer: claimant})
+	fsys.fail.Store(false)
+	if reply.Granted || n.Term() != term || !n.IsLeader() {
+		t.Fatalf("claim for term %d with the term unpersistable: granted %v, term %d (was %d), leader %v; want refused and unchanged",
+			term+1, reply.Granted, n.Term(), term, n.IsLeader())
+	}
+	if reply := dialJoin(t, n.Addr(), frame{Type: frameClaim, Term: term + 1, Peer: claimant}); !reply.Granted {
+		t.Fatalf("the same claim once the disk recovered: %+v, want granted", reply)
+	}
+}
+
 // TestJoinResumeVsSnapshot: a joiner announcing a position within the
 // leader's term and retained WAL resumes incrementally (heartbeat hello, no
 // snapshot payload); a fresh joiner (From 0) or a stale-term joiner
@@ -346,29 +409,14 @@ func TestLeaderIDInFrames(t *testing.T) {
 }
 
 // TestPeerDecay: the leader drops a peer with no connection and no contact
-// for PeerDecayTimeouts election timeouts and broadcasts the shrunken view,
-// so long-dead nodes stop consuming election backoff slots.
+// for peerDecayTimeouts election timeouts (20 × elect here) and broadcasts the
+// shrunken view, so long-dead nodes stop consuming election backoff slots.
 func TestPeerDecay(t *testing.T) {
-	mk := func(id string, prio int, join string) *Node {
-		t.Helper()
-		n, err := New(Config{
-			ID: id, Priority: prio, Join: join,
-			Heartbeat: beat, ElectionTimeout: elect,
-			PeerDecayTimeouts: 1, // clamped up to 2x lease by the leader
-			Logf:              t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.SetServiceAddr("svc-" + id)
-		n.Start()
-		return n
-	}
-	leader := mk("d1", 3, "")
+	leader := newNode(t, "d1", 3, "")
 	defer leader.Close()
-	f2 := mk("d2", 2, leader.Addr())
+	f2 := newNode(t, "d2", 2, leader.Addr())
 	defer f2.Close()
-	f3 := mk("d3", 1, leader.Addr())
+	f3 := newNode(t, "d3", 1, leader.Addr())
 
 	waitFor(t, "membership convergence", func() bool {
 		return len(leader.Peers()) == 3 && len(f2.Peers()) == 3

@@ -71,17 +71,6 @@ type ClusterClient struct {
 	// connection loss and leaderless windows (beyond the call's own polling
 	// deadline). The default 15s rides out several election rounds.
 	FailTimeout time.Duration
-	// RetryDelay is the base of the exponential backoff between
-	// re-resolution attempts (default 25ms). Each retry sleeps a uniformly
-	// random duration in (0, min(RetryMaxDelay, RetryDelay·2^attempt)] —
-	// full jitter, so the many clients that lose a leader simultaneously
-	// spread their reconnects out instead of stampeding the new leader in
-	// 25ms lockstep waves.
-	RetryDelay time.Duration
-	// RetryMaxDelay caps the backoff (default 500ms): long enough to shed
-	// load during an election, short enough that calls notice a recovered
-	// leader within one heartbeat-scale delay.
-	RetryMaxDelay time.Duration
 	// DialTimeout bounds each connection attempt during leader resolution
 	// (default DefaultDialTimeout). Resolution scans every configured node,
 	// so a cluster with firewalled (silently dropping) members wants this
@@ -95,11 +84,6 @@ type ClusterClient struct {
 	// follower replicas. Enabled by DialCluster; disable to pin every call to
 	// the leader. Strong reads always go to the leader regardless.
 	ReadFromFollowers bool
-	// ReadStaleness is the default bound on how long a follower may block
-	// catching up to the session token before the read moves on (next
-	// follower, then leader) when the call's context has no deadline. A
-	// context deadline shorter than this tightens the bound per call.
-	ReadStaleness time.Duration
 
 	mu      sync.Mutex
 	c       *Client
@@ -131,10 +115,7 @@ func DialCluster(addrs ...string) (*ClusterClient, error) {
 	cc := &ClusterClient{
 		addrs:             append([]string(nil), addrs...),
 		FailTimeout:       15 * time.Second,
-		RetryDelay:        25 * time.Millisecond,
-		RetryMaxDelay:     500 * time.Millisecond,
 		ReadFromFollowers: true,
-		ReadStaleness:     time.Second,
 		readers:           make(map[string]*Client),
 		readBad:           make(map[string]time.Time),
 		dedupBase:         "cc-" + hex.EncodeToString(rnd[:]),
@@ -298,20 +279,28 @@ func (cc *ClusterClient) dial(addr string) (*Client, error) {
 	return DialWith(addr, DialOptions{Timeout: cc.DialTimeout, Dialer: cc.Dialer})
 }
 
+const (
+	// retryDelay is the base of the exponential backoff between
+	// re-resolution attempts, and retryMaxDelay its cap: long enough to shed
+	// load during an election, short enough that calls notice a recovered
+	// leader within one heartbeat-scale delay.
+	retryDelay    = 25 * time.Millisecond
+	retryMaxDelay = 500 * time.Millisecond
+	// readStaleness bounds how long a follower may block catching up to the
+	// session token before a read moves on (next follower, then leader) —
+	// tightened per call by a shorter context deadline — and is how long a
+	// follower that failed or lagged is skipped by later reads.
+	readStaleness = time.Second
+)
+
 // retrySleep pauses before retry attempt n (0-based) with full jitter: a
-// uniform draw from (0, min(RetryMaxDelay, RetryDelay·2^n)]. Early attempts
-// stay fast (a lost connection usually has a live leader one dial away);
-// later attempts back off so a leaderless or overloaded cluster is not
-// hammered by synchronized retry waves.
+// uniform draw from (0, min(retryMaxDelay, retryDelay·2^n)], so the many
+// clients that lose a leader at once spread their reconnects out instead of
+// stampeding the new leader in lockstep waves. Early attempts stay fast (a
+// lost connection usually has a live leader one dial away); later attempts
+// back off so a leaderless or overloaded cluster is not hammered.
 func (cc *ClusterClient) retrySleep(attempt int) {
-	base, ceil := cc.RetryDelay, cc.RetryMaxDelay
-	if base <= 0 {
-		base = 25 * time.Millisecond
-	}
-	if ceil <= 0 {
-		ceil = 500 * time.Millisecond
-	}
-	d := min(ceil, base<<uint(min(attempt, 16)))
+	d := min(retryMaxDelay, retryDelay<<uint(min(attempt, 16)))
 	time.Sleep(time.Duration(mrand.Int63n(int64(d))) + 1)
 }
 
@@ -413,7 +402,7 @@ func (cc *ClusterClient) tryFollowers(fn func(c *Client) error) (done bool, err 
 		if addr == "" || addr == cc.leader {
 			continue
 		}
-		if bad, ok := cc.readBad[addr]; ok && now.Sub(bad) < cc.ReadStaleness {
+		if bad, ok := cc.readBad[addr]; ok && now.Sub(bad) < readStaleness {
 			continue
 		}
 		followers = append(followers, addr)
@@ -473,7 +462,7 @@ func (cc *ClusterClient) read(ctx context.Context, opts []core.ReadOption, req r
 	if err := ctx.Err(); err != nil {
 		return response{}, core.CtxErr(ctx)
 	}
-	token, wait, level := cc.Token(), cc.ReadStaleness, ""
+	token, wait, level := cc.Token(), readStaleness, ""
 	if d, ok := ctx.Deadline(); ok {
 		if r := time.Until(d); r > 0 && r < wait {
 			wait = r

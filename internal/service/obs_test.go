@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"osprey/internal/core"
 	"osprey/internal/replica"
@@ -49,7 +48,8 @@ func TestReadyzStalledFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n2.Close()
-	srv2, err := ServeNode(n2, "127.0.0.1:0", WithReadyBound(100*time.Millisecond))
+	// /readyz's staleness bound is the node's 4x ElectionTimeout: 4*elect.
+	srv2, err := ServeNode(n2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,6 +89,16 @@ func (o *opEntry) observe(d time.Duration, ok bool) {
 // (and the CI smoke grep) sees the full metric surface at zero before any
 // traffic — and is read-only afterwards: the request hot path does one map
 // lookup plus atomics.
+//
+// Metrics: osprey_service_requests_total{op}, osprey_service_errors_total{op}
+// and osprey_service_request_seconds{op} per op; osprey_service_forwards_total
+// (requests a follower forwarded to its leader);
+// osprey_service_malformed_total (connections that did not open with this
+// build's preamble, or sent a bad frame — closed, and logged with the peer
+// address); osprey_service_accept_errors_total; osprey_service_shed_total
+// (requests refused at admission, WithMaxInflight);
+// osprey_service_open_connections; osprey_service_draining (1 while Drain
+// runs).
 type serverMetrics struct {
 	reg       *obs.Registry
 	forwards  *obs.Counter
@@ -162,14 +172,6 @@ func WithLogger(l *slog.Logger) ServerOption {
 	return func(s *Server) { s.log = l }
 }
 
-// WithReadyBound sets the staleness bound behind /readyz on a follower: the
-// longest a follower may go without leader contact (or, while lagging,
-// without apply progress) and still report ready. 0 keeps the node default
-// (4x ElectionTimeout).
-func WithReadyBound(d time.Duration) ServerOption {
-	return func(s *Server) { s.readyBound = d }
-}
-
 // WithListener replaces the net.Listen used to bind the service port. Chaos
 // tests inject fault-wrapped listeners here; nil keeps the real network.
 func WithListener(listen ListenFunc) ServerOption {
@@ -224,7 +226,7 @@ func (s *Server) ServeOps(addr string) (*obs.OpsServer, error) {
 			if s.node == nil {
 				return obs.Health{OK: true, Detail: "standalone"}
 			}
-			ok, detail := s.node.Ready(s.readyBound)
+			ok, detail := s.node.Ready()
 			return obs.Health{OK: ok, Detail: detail}
 		},
 		Statusz: func(w io.Writer) {

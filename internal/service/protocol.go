@@ -13,6 +13,14 @@
 // are the opSpecs table (ops.go); pipelining is Server.handleV2 on one side
 // and Client on the other; the client's op set is written once, in
 // session.go, over the transport Client and ClusterClient each supply.
+//
+// Tracing: every request carries a trace ID (request.Trace) minted once at
+// the originating client and kept verbatim across the follower→leader forward
+// hop. At -log-level info the follower logs "forwarding request to leader"
+// and the leader "handled forwarded request", both with the same trace=
+// attribute, so one grep follows a request across nodes. The default level is
+// warn: malformed frames and accept failures, each counted (serverMetrics)
+// and logged with the peer address and trace.
 package service
 
 import (

@@ -109,7 +109,6 @@ func TestReadYourPopsStalledFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-	cc.ReadStaleness = 150 * time.Millisecond
 	ctx := context.Background()
 
 	sub, err := cc.Submit(ctx, "stall", 1, "p")
@@ -157,9 +156,12 @@ func TestReadYourPopsStalledFollower(t *testing.T) {
 
 	// Through the cluster client the session still reads its own pop: both
 	// rotation starting points must come back `running` (one of them begins
-	// at the frozen n3 and has to rotate off it within the staleness bound).
+	// at the frozen n3 and has to rotate off it within the staleness bound,
+	// which the read's deadline sets).
 	for i := 0; i < 2; i++ {
-		sts, err := cc.Statuses(ctx, []int64{sub.ID})
+		rctx, cancel := context.WithTimeout(ctx, 150*time.Millisecond)
+		sts, err := cc.Statuses(rctx, []int64{sub.ID})
+		cancel()
 		if err != nil {
 			release()
 			t.Fatalf("read %d against stalled follower: %v", i, err)

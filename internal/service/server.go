@@ -27,11 +27,10 @@ type Server struct {
 	ln   net.Listener
 	node *replica.Node // nil for standalone servers
 
-	met        *serverMetrics // per-op counters/histograms (ops.go)
-	log        *slog.Logger
-	readyBound time.Duration // /readyz follower staleness bound (0 = node default)
-	listen     ListenFunc    // socket factory (WithListener); nil = net.Listen
-	maxReq     int           // server-wide admission cap (WithMaxInflight)
+	met    *serverMetrics // per-op counters/histograms (ops.go)
+	log    *slog.Logger
+	listen ListenFunc // socket factory (WithListener); nil = net.Listen
+	maxReq int        // server-wide admission cap (WithMaxInflight)
 
 	// Admission control: inflight counts the data-plane requests currently
 	// executing across every connection. A request arriving beyond maxReq is

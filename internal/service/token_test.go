@@ -22,7 +22,7 @@ func stallEngine(t *testing.T, n *replica.Node) (release func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		n.DB().Engine().Tx(func(tx *minisql.Tx) error {
+		n.DB().Engine().TxLogged(func(tx *minisql.Tx) error {
 			close(locked)
 			<-unblock
 			return nil
@@ -270,7 +270,6 @@ func TestReadYourWritesOnLaggingFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-	cc.ReadStaleness = 100 * time.Millisecond
 
 	if _, err := cc.Submit(bg, "lag", 1, "warm"); err != nil {
 		t.Fatal(err)
@@ -287,10 +286,12 @@ func TestReadYourWritesOnLaggingFollower(t *testing.T) {
 	}
 	// Two consecutive reads: round-robin makes them start at different
 	// followers, so one of them begins at the frozen n3, times out against
-	// the staleness bound, and rotates to the caught-up n2 — both must
-	// return the fresh write.
+	// the staleness bound (the read's deadline), and rotates to the caught-up
+	// n2 — both must return the fresh write.
 	for i := 0; i < 2; i++ {
-		task, err := cc.GetTask(context.Background(), id)
+		rctx, cancel := context.WithTimeout(bg, 100*time.Millisecond)
+		task, err := cc.GetTask(rctx, id)
+		cancel()
 		if err != nil || task.Payload != "fresh" {
 			release()
 			t.Fatalf("read %d against a lagging follower = %+v, %v", i, task, err)

@@ -378,7 +378,7 @@ func TestWatchRefusedBeforeFirstAttach(t *testing.T) {
 	srv1.Close()
 	n1.Close()
 	waitCond(t, "n2 to notice the leader is gone", func() bool {
-		ok, _ := n2.Ready(2 * elect)
+		ok, _ := n2.Ready()
 		return !ok
 	})
 	st, err = fc.Watch(ctx, watch.Query{All: true}, 4)

@@ -139,10 +139,12 @@ func (r *Recorder) Running(pool string) int64 {
 	return total
 }
 
-// BindObs bridges the recorder into a metrics registry: per-pool
-// running-task gauges (the live value behind the paper's Figures 3-4
-// concurrency series) plus history size and drop counters, sampled at
-// scrape time.
+// BindObs bridges the recorder into a metrics registry, sampled at scrape
+// time: osprey_telemetry_running_tasks{pool} (the live value behind the
+// paper's Figures 3-4 concurrency series), osprey_telemetry_events (the event
+// history, capped at DefaultMaxEvents) and
+// osprey_telemetry_events_dropped_total (events the cap dropped; the live
+// running counts are immune to it).
 func (r *Recorder) BindObs(reg *obs.Registry) {
 	reg.CollectFunc(func(e *obs.Emitter) {
 		r.mu.Lock()

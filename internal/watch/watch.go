@@ -130,7 +130,12 @@ type Hub struct {
 }
 
 // NewHub creates a hub retaining up to max events (DefaultRing when max <= 0)
-// and registering its metrics on reg (skipped when reg is nil).
+// and registering its metrics on reg (skipped when reg is nil):
+// osprey_watch_subscriptions (live subscribers),
+// osprey_watch_events_delivered_total, osprey_watch_events_dropped_total (a
+// slow subscriber overflowed its buffer and was ended with ErrOverflow; its
+// client resumes from its last token) and osprey_watch_resume_replays_total
+// (subscriptions whose backlog was served from the ring instead of a resync).
 func NewHub(max int, reg *obs.Registry) *Hub {
 	if max <= 0 {
 		max = DefaultRing

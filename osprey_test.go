@@ -2,8 +2,16 @@ package osprey
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"osprey/internal/core"
+	"osprey/internal/minisql"
+	"osprey/internal/pool"
+	"osprey/internal/replica"
+	"osprey/internal/service"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the package doc
@@ -74,5 +82,33 @@ func TestFacadeRemote(t *testing.T) {
 	ok, err := f.Cancel()
 	if err != nil || !ok {
 		t.Fatalf("Cancel = %v, %v", ok, err)
+	}
+}
+
+// TestOptionSurfacePinned lists the exported fields of the structs that carry
+// the system's options, so adding or removing an option is a one-line diff
+// here that review sees.
+func TestOptionSurfacePinned(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{replica.Config{}, "ID Priority Addr Advertise ServiceAddr Join Heartbeat ElectionTimeout WriteQuorum LeaseTimeout DataDir Fsync CheckpointEvery GroupCommitDelay Logf Dialer Listen FS"},
+		{service.ClusterClient{}, "FailTimeout DialTimeout Dialer ReadFromFollowers"},
+		{service.DialOptions{}, "Timeout Dialer"},
+		{pool.Config{}, "Name Workers BatchSize Threshold WorkType CoresOf Metrics"},
+		{core.OpenOptions{}, "Fsync CheckpointEvery SegmentBytes Logf FS"},
+		{minisql.StoreOptions{}, "Fsync CheckpointEvery SegmentBytes Logf FS"},
+	} {
+		typ := reflect.TypeOf(c.v)
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if g := strings.Join(got, " "); g != c.want {
+			t.Errorf("%v fields = %q, want %q", typ, g, c.want)
+		}
 	}
 }
