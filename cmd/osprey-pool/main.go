@@ -4,6 +4,10 @@
 //
 //	osprey-pool -addr 127.0.0.1:7654 -name pool1 -workers 33 -batch 50 \
 //	            -threshold 1 -worktype 1 -objective ackley
+//
+// -addr may name any member of a replicated cluster: the membership is
+// discovered from it, pops and reports go to the leader, and the pool rides
+// out leader failover.
 package main
 
 import (
@@ -23,7 +27,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("osprey-pool: ")
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7654", "EMEWS service address")
+		addr      = flag.String("addr", "127.0.0.1:7654", "EMEWS service address (any cluster member)")
 		name      = flag.String("name", "pool-1", "pool name")
 		workers   = flag.Int("workers", 33, "concurrent workers")
 		batch     = flag.Int("batch", 0, "query batch size (default: workers)")
@@ -38,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	client, err := service.Dial(*addr)
+	client, err := service.DialCluster(*addr)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,8 +51,9 @@
 //
 // Observability: -ops-addr starts an HTTP listener with /metrics (Prometheus
 // text format), /healthz, /readyz (non-200 on a follower too stale to serve
-// token-bounded reads), /statusz, and /debug/pprof. -log-level info adds the
-// per-hop request-forwarding log lines that carry trace IDs. -slow-query
+// token-bounded reads), /statusz, and /debug/pprof. -log-level info adds a
+// follower's "redirecting to leader" lines and -log-level debug every failed
+// request, each with the request's trace ID. -slow-query
 // logs statements slower than the threshold. Without the ops listener,
 //
 //	osprey-service -stats host1:7654

@@ -8,6 +8,9 @@
 //	osprey-submit -addr HOST:PORT cancel -task 42
 //	osprey-submit -addr HOST:PORT requeue -pool crashed-pool
 //	osprey-submit -addr HOST:PORT watch -worktype 7 -n 1 -timeout 10s
+//
+// -addr may name any member of a replicated cluster: the membership is
+// discovered from it, and ops only the leader executes go to the leader.
 package main
 
 import (
@@ -26,14 +29,14 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("osprey-submit: ")
-	addr := flag.String("addr", "127.0.0.1:7654", "EMEWS service address")
+	addr := flag.String("addr", "127.0.0.1:7654", "EMEWS service address (any cluster member)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
 		log.Fatal("usage: osprey-submit [-addr HOST:PORT] {submit|counts|result|cancel|requeue} [flags]")
 	}
 
-	client, err := service.Dial(*addr)
+	client, err := service.DialCluster(*addr)
 	if err != nil {
 		log.Fatal(err)
 	}

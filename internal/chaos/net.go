@@ -8,6 +8,18 @@
 // Dialer/Listen/FS, service DialOptions/WithListener, minisql FS — so the
 // code under test is byte-for-byte the code that ships; with the seams unset
 // none of this package is even linked into a production binary.
+//
+// The fault model: partitions, one-way blocks, added latency and connection
+// kills on the network (chaos.Transport, wrapping the replica and service
+// Dialer/Listener seams); write and sync errors and torn writes on disk (the
+// minisql FS seam); and kill -9 crash/restart cycles that keep only the data
+// directory. TestChaos drives a live 3-node quorum cluster through a seeded
+// schedule of all of them under client load, then heals it and checks six
+// invariants (runner.go, watcher.go). What the cluster must do to pass them —
+// claim-based elections, the log comparison that gates a join's resume, the
+// demotion of a leader that lost its majority — is specified in the replica
+// package comment; admission control and draining, the service's two
+// refusal kinds, in service.Server.admit and Server.Drain.
 package chaos
 
 import (

@@ -555,7 +555,11 @@ func (db *DB) tryPopTasks(workType, n int, pool string) ([]Task, Token, error) {
 	return tasks, tok, nil
 }
 
-// Report implements Session.
+// Report implements Session. It is a state machine, not an overwrite: only a
+// running task completes. Reporting a complete task again is an idempotent
+// no-op (a retry after an ambiguous ack); reporting a queued or canceled one
+// is an error, because the worker's claim was voided (chaos invariant 6 found
+// the double completion that accepting it caused; the cases are below).
 func (db *DB) Report(ctx context.Context, taskID int64, workType int, result string) (Res, error) {
 	if db.closed.Load() {
 		return Res{}, ErrClosed

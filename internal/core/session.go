@@ -26,7 +26,7 @@ const (
 	LevelSession Level = iota
 	// LevelStrong serves the read from the cluster leader's current state:
 	// the freshest answer the cluster can give, at the cost of leader load
-	// and a forwarding hop from followers.
+	// (a follower redirects it to the leader).
 	LevelStrong
 	// LevelEventual serves the read from any replica with no freshness bound:
 	// the cheapest read, a best-effort snapshot exactly like a token-0 read.

@@ -16,11 +16,11 @@ const hexDigits = "0123456789abcdef"
 
 // TraceID mints a 16-hex-digit request trace ID. IDs are minted once at the
 // originating client, carried in the wire protocol's `trace` field, preserved
-// across the follower→leader forward hop, and stamped on structured server
-// logs — grepping one ID across node logs follows a single request through
-// the cluster. Formatted by hand: TraceID sits on the per-request hot path
-// of every client and server, and fmt.Sprintf("%016x") costs two
-// allocations where this costs one.
+// when the client retries on the leader a follower redirected it to, and
+// stamped on structured server logs — grepping one ID across node logs
+// follows a single request through the cluster. Formatted by hand: TraceID
+// sits on the per-request hot path of every client and server, and
+// fmt.Sprintf("%016x") costs two allocations where this costs one.
 func TraceID() string {
 	v := traceBase ^ traceSeq.Add(1)
 	var b [16]byte

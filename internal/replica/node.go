@@ -45,6 +45,22 @@
 // leader surviving follower loss) requires a cluster of at least 3 nodes. A
 // 2-node cluster that loses either member becomes read-only until the peer
 // returns (or an operator forces promotion, ForcePromote).
+//
+// Term and log rules. On a durable node a candidate persists its bumped term
+// before it sends a claim, and a granter persists the term it adopts before
+// the grant is observable (refusing a grant it cannot persist), so a restart
+// cannot vote twice in one term. Logs compare Raft-style by (appliedTerm,
+// applied); appliedTerm — the term of the leadership that produced the newest
+// applied entry — is persisted with the store's metadata and also gates a
+// join: a follower resumes incrementally only when its appliedTerm is the
+// leader's term, and re-bootstraps from a snapshot otherwise, so a divergent
+// prefix left by a contested failover is never grafted silently. A join carrying a higher term deposes a term-stale
+// leader. A node that steps down (StepDown, the drain handoff) sits out its
+// own candidacy for four election timeouts so it does not win back the
+// leadership it vacated. Election and retry timers carry ±20% jitter, and
+// every dial is bounded by a timeout. The chaos suite (internal/chaos)
+// checks all of this under seeded partitions, disk faults and crashes; seed
+// 10 first caught the flap-and-lose case that made elections claim-based.
 package replica
 
 import (

@@ -100,9 +100,20 @@ const DefaultReadWait = time.Second
 // re-resolve the leader when a call fails with ErrConn.
 var ErrConn = errors.New("service: connection lost")
 
-// ErrUnavailable marks transient cluster conditions (no leader yet, leader
-// unreachable from a forwarding follower); callers may retry.
+// ErrUnavailable marks transient cluster conditions (no leader yet, a
+// draining node, a follower refusing a leader-only op: its message then names
+// the leader's service address); callers may retry.
 var ErrUnavailable = errors.New("service: temporarily unavailable")
+
+// redirectError is a follower's refusal of a leader-only op (a write or a
+// strong read): an ErrUnavailable carrying the leader's service address.
+type redirectError struct{ msg, leader string }
+
+func (e *redirectError) Error() string {
+	return fmt.Sprintf("%v: %s; leader is %s", ErrUnavailable, e.msg, e.leader)
+}
+
+func (e *redirectError) Unwrap() error { return ErrUnavailable }
 
 // ErrOverloaded marks a request the server refused at admission because its
 // in-flight limit was reached. The request never executed (no side effects,
@@ -227,14 +238,6 @@ func (c *Client) Close() error {
 	}
 	c.mu.Unlock()
 	return c.conn.Close()
-}
-
-// broken reports whether the connection has failed; used by connection
-// caches (the server's forward client) to decide when to redial.
-func (c *Client) broken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.connErr != nil
 }
 
 // register allocates a request ID and parks a pooled call mailbox for it.
@@ -412,6 +415,8 @@ func respErr(resp *response) error {
 		return core.ErrTimeout
 	case resp.Overloaded:
 		return fmt.Errorf("%w: %s", ErrOverloaded, resp.Error)
+	case resp.Transient && resp.LeaderSvc != "":
+		return &redirectError{msg: resp.Error, leader: resp.LeaderSvc}
 	case resp.Transient:
 		return fmt.Errorf("%w: %s", ErrUnavailable, resp.Error)
 	}

@@ -18,7 +18,9 @@ import (
 // core.Session against a replicated service cluster: it resolves the current
 // leader through the "cluster" op, routes calls to it, and on connection
 // loss or transient cluster errors re-resolves and retries until
-// FailTimeout elapses. ME algorithms and worker pools built on core.Session
+// FailTimeout elapses. A follower refuses a leader-only op naming the leader,
+// and the client re-resolves from that address at once (once per call; later
+// refusals back off). ME algorithms and worker pools built on core.Session
 // run unchanged across leader failover.
 //
 // The ops themselves are written once, in the embedded session (session.go:
@@ -87,7 +89,7 @@ type ClusterClient struct {
 
 	mu      sync.Mutex
 	c       *Client
-	leader  string               // service address the current client is connected to
+	leader  string               // service address of c; while c is nil, the next resolution's first try
 	token   uint64               // session high-water commit token
 	peers   []string             // every member's service address (last resolution)
 	readers map[string]*Client   // open read connections to followers
@@ -103,7 +105,9 @@ var _ core.Session = (*ClusterClient)(nil)
 // DialCluster connects to a replicated EMEWS service given the service
 // addresses of any subset of its nodes (any one live node suffices: the
 // membership is discovered from whichever answers). It fails only when no
-// node is reachable.
+// node is reachable: a cluster that answers but has no leader yet leaves the
+// client with its membership learned, serving reads from the followers and
+// resolving the leader on the first write.
 func DialCluster(addrs ...string) (*ClusterClient, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("service: DialCluster needs at least one address")
@@ -123,11 +127,13 @@ func DialCluster(addrs ...string) (*ClusterClient, error) {
 	cc.session = session{t: cc}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if _, err := cc.clientLocked(); err != nil {
+	if _, err := cc.clientLocked(); err != nil && !errors.Is(err, errNoLeader) {
 		return nil, err
 	}
 	return cc, nil
 }
+
+var errNoLeader = fmt.Errorf("%w: no cluster leader elected", ErrUnavailable) // nodes answered, none leads
 
 // Close drops the current connection and all follower read connections. The
 // client can be reused; the next call re-resolves.
@@ -189,17 +195,18 @@ func (cc *ClusterClient) client() (*Client, error) {
 // ask every configured node (and any leader it hints at) for its role and
 // term. Among nodes claiming leadership the highest term wins — a deposed
 // leader cut off from its followers still answers "leader" at its old term,
-// and pinning to it would black-hole writes. With no leader reachable, any
-// live node serves as fallback: its server forwards writes once a leader
-// emerges.
+// and pinning to it would black-hole writes. A follower is never kept as the
+// write connection: with nodes answering but none leading, resolution fails
+// with errNoLeader (an ErrUnavailable) and the caller retries.
 func (cc *ClusterClient) clientLocked() (*Client, error) {
 	if cc.c != nil {
 		return cc.c, nil
 	}
 	seen := make(map[string]bool, len(cc.addrs)+2)
-	// The last-known leader leads the scan: it is the most likely answer,
-	// and it keeps a client dialed with a subset of seed nodes working after
-	// those seeds die (the discovered leader survives re-resolution).
+	// The last-known leader (or the one a follower's redirect named) leads the
+	// scan: it is the most likely answer, and it keeps a client dialed with a
+	// subset of seed nodes working after those seeds die (the discovered
+	// leader survives re-resolution).
 	try := make([]string, 0, len(cc.addrs)+1)
 	if cc.leader != "" {
 		try = append(try, cc.leader)
@@ -208,9 +215,7 @@ func (cc *ClusterClient) clientLocked() (*Client, error) {
 	var best *Client // highest-term leader claimant so far
 	var bestAddr string
 	var bestTerm uint64
-	var fallback *Client
-	var fallbackAddr string
-	var firstErr error
+	var failed error // without a leader: errNoLeader if any node answered, else the first failure
 	for i := 0; i < len(try); i++ {
 		addr := try[i]
 		if addr == "" || seen[addr] {
@@ -218,20 +223,19 @@ func (cc *ClusterClient) clientLocked() (*Client, error) {
 		}
 		seen[addr] = true
 		c, err := cc.dial(addr)
+		var info ClusterInfo
+		if err == nil {
+			if info, err = c.Cluster(); err != nil {
+				c.Close()
+			}
+		}
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+			if failed == nil {
+				failed = err
 			}
 			continue
 		}
-		info, err := c.Cluster()
-		if err != nil {
-			c.Close()
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
+		failed = errNoLeader
 		if info.LeaderSvc != "" && !seen[info.LeaderSvc] {
 			try = append(try, info.LeaderSvc)
 		}
@@ -240,38 +244,23 @@ func (cc *ClusterClient) clientLocked() (*Client, error) {
 			// every heartbeat, so views converge within one beat.
 			cc.peers = append(cc.peers[:0], info.PeerSvcs...)
 		}
-		if info.Role == "leader" {
-			if best == nil || info.Term > bestTerm {
-				if best != nil {
-					best.Close()
-				}
-				best, bestAddr, bestTerm = c, addr, info.Term
-			} else {
-				c.Close()
-			}
+		if info.Role != "leader" || (best != nil && info.Term <= bestTerm) {
+			c.Close()
 			continue
 		}
-		if fallback == nil {
-			fallback, fallbackAddr = c, addr
-		} else {
-			c.Close()
+		if best != nil {
+			best.Close()
 		}
+		best, bestAddr, bestTerm = c, addr, info.Term
 	}
 	if best != nil {
-		if fallback != nil {
-			fallback.Close()
-		}
 		cc.c, cc.leader = best, bestAddr
 		return best, nil
 	}
-	if fallback != nil {
-		cc.c, cc.leader = fallback, fallbackAddr
-		return fallback, nil
+	if failed == nil {
+		failed = fmt.Errorf("%w: no cluster node reachable", ErrConn)
 	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("%w: no cluster node reachable", ErrConn)
-	}
-	return nil, firstErr
+	return nil, failed
 }
 
 // dial opens a client connection through the configured dialer and timeout.
@@ -304,14 +293,22 @@ func (cc *ClusterClient) retrySleep(attempt int) {
 	time.Sleep(time.Duration(mrand.Int63n(int64(d))) + 1)
 }
 
-// invalidate drops c if it is still the cached connection.
-func (cc *ClusterClient) invalidate(c *Client) {
+// invalidate drops c, which err made suspect, if it is still the cached
+// connection. If err is a follower's redirect, it reports true and, unless a
+// concurrent call already re-resolved, the named leader leads the next scan.
+func (cc *ClusterClient) invalidate(c *Client, err error) (redirected bool) {
+	var r *redirectError
+	redirected = errors.As(err, &r)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.c == c {
 		cc.c.Close()
 		cc.c = nil
 	}
+	if redirected && cc.c == nil {
+		cc.leader = r.leader
+	}
+	return redirected
 }
 
 // retryable reports whether an error justifies re-resolving the leader.
@@ -320,10 +317,12 @@ func retryable(err error) bool {
 }
 
 // do runs fn against the current leader, retrying through connection loss
-// and leaderless windows until budget + FailTimeout elapses.
+// and leaderless windows until budget + FailTimeout elapses. The first
+// redirect is followed at once; later refusals back off.
 func (cc *ClusterClient) do(budget time.Duration, fn func(c *Client) error) error {
 	deadline := time.Now().Add(budget + cc.FailTimeout)
 	var err error
+	redirected := false
 	for attempt := 0; ; attempt++ {
 		var c *Client
 		c, err = cc.client()
@@ -337,7 +336,10 @@ func (cc *ClusterClient) do(budget time.Duration, fn func(c *Client) error) erro
 				// The node is healthy, just saturated — keep the connection
 				// (failing over would dogpile another node) and back off.
 			case retryable(err):
-				cc.invalidate(c)
+				if cc.invalidate(c, err) && !redirected {
+					redirected = true
+					continue
+				}
 			default:
 				return err
 			}
@@ -452,7 +454,7 @@ func (cc *ClusterClient) poll(ctx context.Context, req request) (resp response, 
 // read implements transport: one read-only call at the consistency level
 // opts select, routed as "Read scale-out" in the type comment describes. A
 // strong read is also flagged on the wire, so a follower that turns out to be
-// answering forwards it to the real leader. For the other levels the leader
+// answering redirects it to the real leader. For the other levels the leader
 // is the last resort — the fallback when every follower lags, the only target
 // when none is known — so reads keep working on clusters of one and through
 // the leaderless election window (followers still answer them).
@@ -557,6 +559,7 @@ func (cc *ClusterClient) pollChunked(ctx context.Context, fn func(c *Client, chu
 	var connErr error // last connection-level failure; nil after any real answer
 	attempted := false
 	attempt := 0 // consecutive failed attempts, drives the retry backoff
+	redirected := false
 	for {
 		// A deadline expiry is handled below (grace chunks included); an
 		// explicit cancellation aborts the poll outright.
@@ -619,7 +622,10 @@ func (cc *ClusterClient) pollChunked(ctx context.Context, fn func(c *Client, chu
 				connErr = err
 			case retryable(err):
 				connErr = err
-				cc.invalidate(c)
+				if cc.invalidate(c, err) && !redirected {
+					redirected = true
+					continue
+				}
 			default:
 				return err
 			}

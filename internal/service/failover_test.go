@@ -2,13 +2,16 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"osprey/internal/core"
 	"osprey/internal/future"
+	"osprey/internal/obs"
 	"osprey/internal/pool"
 	"osprey/internal/replica"
 )
@@ -159,20 +162,28 @@ func TestClusterFailover(t *testing.T) {
 		t.Fatalf("counts after failover = %v, want %d complete", counts, total)
 	}
 
-	// Writes through a follower forward to the new leader.
+	// A write through a follower is refused with the new leader's address,
+	// and the write lands once sent there.
+	waitCond(t, "n3 to learn the new leader", func() bool { return n3.LeaderServiceAddr() == srv2.Addr() })
 	folClient, err := Dial(srv3.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer folClient.Close()
-	id, err := idOf(folClient.Submit(bg, "failover", 1, "via-follower"))
+	_, err = folClient.Submit(bg, "failover", 1, "via-follower")
+	hinted, err := Dial(redirectTo(t, srv2.Addr(), err))
 	if err != nil {
-		t.Fatalf("submit via follower: %v", err)
+		t.Fatal(err)
 	}
-	waitCond(t, "forwarded write replicated", func() bool { return n3.Applied() == n2.Applied() })
+	defer hinted.Close()
+	id, err := idOf(hinted.Submit(bg, "failover", 1, "via-follower"))
+	if err != nil {
+		t.Fatalf("submit at the hinted leader: %v", err)
+	}
+	waitCond(t, "redirected write replicated", func() bool { return n3.Applied() == n2.Applied() })
 	task, err := n3.DB().GetTask(context.Background(), id)
 	if err != nil || task.Payload != "via-follower" {
-		t.Fatalf("forwarded task on follower replica: %+v, %v", task, err)
+		t.Fatalf("redirected task on follower replica: %+v, %v", task, err)
 	}
 
 	// The failover client now reports the new leader.
@@ -182,6 +193,141 @@ func TestClusterFailover(t *testing.T) {
 	}
 	if info.NodeID != "n2" || info.Role != "leader" {
 		t.Fatalf("cluster info after failover = %+v, want leader n2", info)
+	}
+}
+
+// redirectTo returns the leader address a follower's refusal named, failing
+// the test unless err is that refusal: an ErrUnavailable whose message names
+// leader.
+func redirectTo(t *testing.T, leader string, err error) string {
+	t.Helper()
+	var r *redirectError
+	if !errors.Is(err, ErrUnavailable) || !errors.As(err, &r) ||
+		r.leader != leader || !strings.Contains(err.Error(), leader) {
+		t.Fatalf("got %v; want ErrUnavailable redirecting to the leader at %s", err, leader)
+	}
+	return r.leader
+}
+
+// TestFollowerRedirectsLeaderOnlyOps: a follower answers every leader-only op
+// — the writes, the pops and a strong read — with ErrUnavailable naming the
+// leader, and executes nothing: no state changes on either node, and the
+// follower opens no connection to the leader's service port.
+func TestFollowerRedirectsLeaderOnlyOps(t *testing.T) {
+	n1, srv1 := startClusterNode(t, "rd1", 2, "")
+	defer func() { srv1.Close(); n1.Close() }()
+	n2, srv2 := startClusterNode(t, "rd2", 1, n1.Addr())
+	defer func() { srv2.Close(); n2.Close() }()
+
+	// Set up on the leader's database directly, so no client ever connects
+	// to the leader's service port: one task running, one queued.
+	ids, err := idsOf(n1.DB().SubmitBatch(bg, "redirect", 1, []string{"a", "b"}, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	popped, err := tasksOf(n1.DB().QueryTasks(within(t, waitMax), 1, 1, "pool"))
+	if err != nil || len(popped) != 1 {
+		t.Fatalf("pop on the leader = %v, %v", popped, err)
+	}
+	running, queued := ids[0], ids[1]
+	if popped[0].ID != running {
+		running, queued = queued, running
+	}
+	waitCond(t, "follower caught up and knows the leader", func() bool {
+		return n2.Applied() == n1.Applied() && n2.LeaderServiceAddr() == srv1.Addr()
+	})
+	state := func() string {
+		var out []string
+		for _, n := range []*replica.Node{n1, n2} {
+			counts, err := n.DB().Counts(bg, "redirect")
+			if err != nil {
+				t.Fatal(err)
+			}
+			prios, err := n.DB().Priorities(bg, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprint(counts, prios))
+		}
+		return strings.Join(out, " | ")
+	}
+	conns := func() float64 {
+		return obs.Flatten(srv1.Metrics().Gather())["osprey_service_open_connections"]
+	}
+	before, connsBefore := state(), conns()
+
+	c, err := Dial(srv2.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(bg, waitMax)
+	defer cancel()
+	calls := map[string]func() error{
+		"Submit": func() error { _, err := c.Submit(ctx, "redirect", 1, "c"); return err },
+		"QueryTasks": func() error {
+			_, err := c.QueryTasks(ctx, 1, 1, "pool")
+			return err
+		},
+		"Report": func() error { _, err := c.Report(ctx, running, 1, "r"); return err },
+		"UpdatePriorities": func() error {
+			_, err := c.UpdatePriorities(ctx, []int64{queued}, []int{9})
+			return err
+		},
+		"Strong Statuses": func() error {
+			_, err := c.Statuses(ctx, ids, core.Strong())
+			return err
+		},
+	}
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) { redirectTo(t, srv1.Addr(), call()) })
+	}
+	if after := state(); after != before {
+		t.Fatalf("redirected ops changed state:\n before %s\n after  %s", before, after)
+	}
+	if got := conns(); got != connsBefore {
+		t.Fatalf("leader open connections %v -> %v: the follower relayed", connsBefore, got)
+	}
+}
+
+// TestDialClusterLeaderless: DialCluster fails only when no node is
+// reachable. A 2-node cluster that lost its leader cannot elect one (the
+// survivor is 1 of 2), yet dialing the survivor succeeds with the membership
+// learned and no leader connection; reads are served by the survivor, and a
+// write surfaces ErrUnavailable once FailTimeout runs out.
+func TestDialClusterLeaderless(t *testing.T) {
+	n1, srv1 := startClusterNode(t, "ll1", 2, "")
+	n2, srv2 := startClusterNode(t, "ll2", 1, n1.Addr())
+	defer func() { srv2.Close(); n2.Close() }()
+	id, err := idOf(n1.DB().Submit(bg, "leaderless", 1, "p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "replication", func() bool { return n2.Applied() == n1.Applied() })
+	srv1.Close()
+	n1.Close()
+
+	cc, err := DialCluster(srv2.Addr())
+	if err != nil {
+		t.Fatalf("DialCluster(survivor) = %v; want success while nodes answer", err)
+	}
+	defer cc.Close()
+	cc.mu.Lock()
+	peers, conn := len(cc.peers), cc.c
+	cc.mu.Unlock()
+	if peers == 0 || conn != nil {
+		t.Fatalf("after a leaderless dial: %d peers, leader connection open %t; want peers learned, none open", peers, conn != nil)
+	}
+	sts, err := cc.Statuses(bg, []int64{id}, core.Eventual())
+	if err != nil || sts[id] != core.StatusQueued {
+		t.Fatalf("eventual read on the survivor = %v, %v; want queued", sts, err)
+	}
+	cc.FailTimeout = 100 * time.Millisecond
+	if _, err := cc.Submit(bg, "leaderless", 1, "q"); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("Submit with no leader = %v; want ErrUnavailable", err)
+	}
+	if n2.IsLeader() {
+		t.Fatal("survivor self-promoted past the majority gate")
 	}
 }
 
@@ -222,7 +368,7 @@ func TestDialClusterStandalone(t *testing.T) {
 }
 
 // TestFollowerServesReadsLocally: reads on a follower answer from the local
-// replica even when the leader is gone (no forwarding).
+// replica even when the leader is gone (no redirect).
 func TestFollowerServesReadsLocally(t *testing.T) {
 	n1, srv1 := startClusterNode(t, "r1", 2, "")
 	n2, srv2 := startClusterNode(t, "r2", 1, n1.Addr())

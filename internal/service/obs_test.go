@@ -126,80 +126,104 @@ func (b *lockedBuf) String() string {
 	return b.buf.String()
 }
 
-// TestTraceIDPropagation: one write submitted at a follower carries a single
-// client-minted trace ID through the forward hop, so the follower's
-// "forwarding request to leader" line and the leader's "handled forwarded
-// request" line are greppable by the same 16-hex-digit ID.
+// TestTraceIDPropagation: one request keeps one client-minted trace ID
+// through a redirect and its retry. A ClusterClient cached on a leader that
+// then steps down sends it a Report; the deposed leader refuses it naming the
+// new leader, the client retries there, and the new leader fails it (the
+// task is queued, not running). The follower's "redirecting to leader" line
+// and the new leader's "request failed" line are greppable by the same
+// 16-hex-digit ID.
 func TestTraceIDPropagation(t *testing.T) {
-	var leaderLog, followerLog lockedBuf
-	infoLogger := func(w io.Writer) *slog.Logger {
-		return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelInfo}))
+	var logs [3]lockedBuf
+	nodes := make([]*replica.Node, 3)
+	srvs := make([]*Server, 3)
+	addrs := make([]string, 3)
+	for i := range nodes {
+		join := ""
+		if i > 0 {
+			join = nodes[0].Addr()
+		}
+		n, err := replica.New(replica.Config{
+			ID: fmt.Sprintf("tr%d", i+1), Priority: 3 - i, Join: join,
+			Heartbeat: beat, ElectionTimeout: elect, Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		logger := slog.New(slog.NewTextHandler(&logs[i], &slog.HandlerOptions{Level: slog.LevelDebug}))
+		srv, err := ServeNode(n, "127.0.0.1:0", WithLogger(logger))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		nodes[i], srvs[i], addrs[i] = n, srv, srv.Addr()
 	}
-
-	n1, err := replica.New(replica.Config{
-		ID: "tr1", Priority: 2,
-		Heartbeat: beat, ElectionTimeout: elect, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n1.Close()
-	srv1, err := ServeNode(n1, "127.0.0.1:0", WithLogger(infoLogger(&leaderLog)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv1.Close()
-
-	n2, err := replica.New(replica.Config{
-		ID: "tr2", Priority: 1, Join: n1.Addr(),
-		Heartbeat: beat, ElectionTimeout: elect, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n2.Close()
-	srv2, err := ServeNode(n2, "127.0.0.1:0", WithLogger(infoLogger(&followerLog)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-
-	waitCond(t, "follower to learn the leader service address", func() bool {
-		st := n2.Status()
-		return st.Role == replica.RoleFollower && st.LeaderSvc != ""
-	})
-
-	// Submit through the follower: the write must forward to the leader.
-	c, err := Dial(srv2.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Submit(bg, "trace", 1, "payload"); err != nil {
-		t.Fatal(err)
-	}
-
-	re := regexp.MustCompile(`trace=([0-9a-f]{16})`)
-	var trace string
-	waitCond(t, "forwarding log line on follower", func() bool {
-		for _, line := range strings.Split(followerLog.String(), "\n") {
-			if strings.Contains(line, "forwarding request to leader") && strings.Contains(line, "op=submit") {
-				if m := re.FindStringSubmatch(line); m != nil {
-					trace = m[1]
-					return true
-				}
+	waitCond(t, "membership converged", func() bool {
+		for _, n := range nodes {
+			if len(n.Peers()) != 3 {
+				return false
 			}
 		}
-		return false
+		return true
 	})
-	waitCond(t, "matching handled-forward line on leader", func() bool {
-		for _, line := range strings.Split(leaderLog.String(), "\n") {
-			if strings.Contains(line, "handled forwarded request") && strings.Contains(line, "trace="+trace) {
+
+	cc, err := DialCluster(addrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	if cc.Leader() != addrs[0] {
+		t.Fatalf("client resolved %s, want the leader %s", cc.Leader(), addrs[0])
+	}
+	id, err := idOf(cc.Submit(bg, "trace", 1, "payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A follower behind the deposed leader's log cannot win the election.
+	waitCond(t, "followers caught up", func() bool {
+		return nodes[1].Applied() == nodes[0].Applied() && nodes[2].Applied() == nodes[0].Applied()
+	})
+
+	if !nodes[0].StepDown() {
+		t.Fatal("leader did not step down")
+	}
+	next := -1
+	waitCond(t, "a new leader the deposed one knows", func() bool {
+		for i := 1; i < 3; i++ {
+			if nodes[i].IsLeader() && nodes[0].LeaderServiceAddr() == addrs[i] {
+				next = i
 				return true
 			}
 		}
 		return false
 	})
+
+	_, err = cc.Report(bg, id, 1, "r")
+	if err == nil || retryable(err) {
+		t.Fatalf("Report of a queued task = %v; want the new leader's refusal", err)
+	}
+
+	re := regexp.MustCompile(`trace=([0-9a-f]{16})`)
+	var trace string
+	for _, line := range strings.Split(logs[0].String(), "\n") {
+		if strings.Contains(line, "redirecting to leader") && strings.Contains(line, "op=report") &&
+			strings.Contains(line, "leader="+addrs[next]) {
+			if m := re.FindStringSubmatch(line); m != nil {
+				trace = m[1]
+			}
+		}
+	}
+	if trace == "" {
+		t.Fatalf("no redirect line for the report on the deposed leader:\n%s", logs[0].String())
+	}
+	for _, line := range strings.Split(logs[next].String(), "\n") {
+		if strings.Contains(line, "request failed") && strings.Contains(line, "op=report") &&
+			strings.Contains(line, "trace="+trace) {
+			return
+		}
+	}
+	t.Fatalf("no request-failed line with trace=%s on the new leader:\n%s", trace, logs[next].String())
 }
 
 // TestClusterStatsOp: the cluster_stats wire op returns the node's flattened

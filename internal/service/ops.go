@@ -16,7 +16,7 @@ import (
 type opSpec struct {
 	name string
 	// write marks the API calls that mutate the task database and therefore
-	// must execute on the cluster leader (a follower forwards them) and on a
+	// must execute on the cluster leader (a follower redirects them) and on a
 	// connection worker (they can block). Everything else reads the local
 	// replica. Note the "query" ops are writes: popping a task or result
 	// mutates the queues.
@@ -91,8 +91,8 @@ func (o *opEntry) observe(d time.Duration, ok bool) {
 // lookup plus atomics.
 //
 // Metrics: osprey_service_requests_total{op}, osprey_service_errors_total{op}
-// and osprey_service_request_seconds{op} per op; osprey_service_forwards_total
-// (requests a follower forwarded to its leader);
+// and osprey_service_request_seconds{op} per op (a follower's redirect of a
+// leader-only op counts as an error of that op);
 // osprey_service_malformed_total (connections that did not open with this
 // build's preamble, or sent a bad frame — closed, and logged with the peer
 // address); osprey_service_accept_errors_total; osprey_service_shed_total
@@ -101,7 +101,6 @@ func (o *opEntry) observe(d time.Duration, ok bool) {
 // runs).
 type serverMetrics struct {
 	reg       *obs.Registry
-	forwards  *obs.Counter
 	malformed *obs.Counter
 	acceptErr *obs.Counter
 	shed      *obs.Counter
@@ -116,7 +115,6 @@ type serverMetrics struct {
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	m := &serverMetrics{
 		reg:       reg,
-		forwards:  reg.Counter("osprey_service_forwards_total"),
 		malformed: reg.Counter("osprey_service_malformed_total"),
 		acceptErr: reg.Counter("osprey_service_accept_errors_total"),
 		shed:      reg.Counter("osprey_service_shed_total"),
@@ -166,8 +164,8 @@ type ServerOption func(*Server)
 
 // WithLogger sets the server's structured logger. The default logs at Warn
 // and above to stderr (malformed requests, accept failures); pass an
-// Info-level logger to also get the per-hop request-forwarding lines that
-// carry trace IDs across nodes.
+// Info-level logger to also get a follower's "redirecting to leader" lines,
+// and a Debug-level one for every failed request, each with its trace ID.
 func WithLogger(l *slog.Logger) ServerOption {
 	return func(s *Server) { s.log = l }
 }

@@ -15,12 +15,13 @@
 // session.go, over the transport Client and ClusterClient each supply.
 //
 // Tracing: every request carries a trace ID (request.Trace) minted once at
-// the originating client and kept verbatim across the follower→leader forward
-// hop. At -log-level info the follower logs "forwarding request to leader"
-// and the leader "handled forwarded request", both with the same trace=
-// attribute, so one grep follows a request across nodes. The default level is
-// warn: malformed frames and accept failures, each counted (serverMetrics)
-// and logged with the peer address and trace.
+// the originating client and kept verbatim when it retries on another node.
+// A follower never relays: it refuses a leader-only op naming the leader
+// (response.LeaderSvc) and, at -log-level info, logs "redirecting to leader"
+// with the trace= the client's retry carries to the leader, so one grep
+// follows a request across nodes (debug adds every failed request). The
+// default level is warn: malformed frames and accept failures, each counted
+// (serverMetrics) and logged with the peer address and trace.
 package service
 
 import (
@@ -34,15 +35,11 @@ type request struct {
 	Op string
 
 	// Trace is the request's trace ID: 16 hex digits minted once at the
-	// originating client (obs.TraceID) and preserved verbatim across the
-	// follower→leader forward hop, so structured logs on every node that
-	// touched the request share one greppable ID. Optional; servers mint one
-	// for requests from older clients so their logs still correlate per hop.
+	// originating client (obs.TraceID) and preserved verbatim when the client
+	// retries after a redirect, so structured logs on every node that touched
+	// the request share one greppable ID. Optional; servers mint one for
+	// requests from older clients so their own log lines still correlate.
 	Trace string
-
-	// Fwd marks a request a follower already forwarded once; it is never
-	// forwarded again, bounding replication forwarding to a single hop.
-	Fwd bool
 
 	// Token is the caller's minimum-freshness bound for read ops: the
 	// answering replica must have applied the WAL through this index before
@@ -57,7 +54,7 @@ type request struct {
 	WaitMS int64
 	// Level is the read's consistency level: "" (session, token-bounded),
 	// "strong" (execute on the leader), or "eventual" (any replica, no
-	// bound). A follower forwards strong reads to the leader like writes.
+	// bound). A follower redirects strong reads to the leader like writes.
 	Level string
 
 	// DedupKey (submit) / DedupKeys (submit_batch, one per payload) make
@@ -157,7 +154,8 @@ type response struct {
 	Error   string
 	Timeout bool
 	// Transient marks errors worth retrying against another node (no leader
-	// elected yet, leader unreachable); failover clients re-resolve on them.
+	// yet, a draining node, a follower's redirect: LeaderSvc then names the
+	// leader it knows); failover clients re-resolve on them.
 	Transient bool
 	// Overloaded marks a request the server shed at admission — refused
 	// before any execution (and before any side effect, so even

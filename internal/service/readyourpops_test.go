@@ -184,7 +184,7 @@ func TestReadYourPopsStalledFollower(t *testing.T) {
 
 // TestConsistencyLevels covers the per-call options end to end: strong
 // reads pin to the leader (never opening follower read connections, and
-// forwarded there when issued against a follower), eventual reads answer
+// redirected there when issued against a follower), eventual reads answer
 // without any freshness bound, and session reads route to followers.
 func TestConsistencyLevels(t *testing.T) {
 	n1, srv1 := startClusterNode(t, "lvl1", 3, "")
@@ -227,16 +227,22 @@ func TestConsistencyLevels(t *testing.T) {
 		t.Fatalf("strong reads opened %d follower connections — they must pin to the leader", readers)
 	}
 
-	// Strong through a follower connection forwards to the leader: the
-	// answer is leader-fresh even though the dialed node is a follower.
+	// Strong through a follower connection is refused with the leader's
+	// address; asked there, the answer is leader-fresh.
 	folClient, err := Dial(srv2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer folClient.Close()
-	fsts, err := folClient.Statuses(ctx, []int64{sub.ID}, core.Strong())
+	_, err = folClient.Statuses(ctx, []int64{sub.ID}, core.Strong())
+	hinted, err := Dial(redirectTo(t, srv1.Addr(), err))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hinted.Close()
+	fsts, err := hinted.Statuses(ctx, []int64{sub.ID}, core.Strong())
 	if err != nil || fsts[sub.ID] != core.StatusRunning {
-		t.Fatalf("follower-forwarded strong read = %v, %v; want running", fsts, err)
+		t.Fatalf("strong read at the hinted leader = %v, %v; want running", fsts, err)
 	}
 
 	// Eventual: served with no freshness bound — must answer, with either

@@ -51,15 +51,6 @@ type Server struct {
 	// push streams proactively (watch_server.go).
 	watchMu  sync.Mutex
 	watchers map[*srvSub]struct{}
-
-	// Cached multiplexed client for the follower→leader forward hop: every
-	// forwarded request pipelines over one upstream connection instead of
-	// dialing per request, and a slow forwarded long-poll no longer
-	// head-of-line-blocks other forwards.
-	fwdMu     sync.Mutex
-	fwd       *Client
-	fwdAddr   string
-	fwdClosed bool
 }
 
 // Serve starts a server for db on addr (e.g. "127.0.0.1:0") and returns once
@@ -69,10 +60,11 @@ func Serve(db *core.DB, addr string, opts ...ServerOption) (*Server, error) {
 }
 
 // ServeNode starts a replica-aware server for cluster node n: reads are
-// served from the local (replicated) database, writes — the queue-popping
-// ops included — and strong-consistency reads are forwarded to the cluster
-// leader while this node follows, and the "cluster" op reports leadership so
-// failover clients can re-resolve. ServeNode also advertises the server's
+// served from the local (replicated) database; while this node follows,
+// writes — the queue-popping ops included — and strong-consistency reads are
+// refused transiently with the leader's service address, so the client
+// redirects there; and the "cluster" op reports leadership so failover
+// clients can re-resolve. ServeNode also advertises the server's
 // address to the cluster (unless ReplicaConfig.ServiceAddr already names a
 // remotely dialable one — needed for wildcard binds or NAT) and starts the
 // node's replication loops, so it is the one-call way to bring a cluster
@@ -140,16 +132,6 @@ func (s *Server) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
-	// Closing the cached forward client before waiting aborts in-flight
-	// forwarded round trips instead of riding out their timeouts; the
-	// fwdClosed latch stops a racing handler from re-dialing after this.
-	s.fwdMu.Lock()
-	s.fwdClosed = true
-	if s.fwd != nil {
-		s.fwd.Close()
-		s.fwd = nil
-	}
-	s.fwdMu.Unlock()
 	s.wg.Wait()
 }
 
@@ -355,7 +337,7 @@ type v2work struct {
 // handleV2 serves one binary-protocol connection. The read loop decodes
 // frames with per-connection reusable buffers and dispatches each request by
 // shape: ops that can block — every write (pops and their long-polls
-// included), quorum waits, forwards, promote, and any read that may wait on
+// included), quorum waits, promote, and any read that may wait on
 // replication catch-up — are handed to connection workers so one slow
 // request never stalls the requests pipelined behind it; plain local reads
 // are answered inline, keeping the fast path allocation-light. Workers are
@@ -412,8 +394,8 @@ func (s *Server) handleV2(conn net.Conn, br *bufio.Reader, peer string) {
 			v.serveUnwatch(id, &req, op)
 			continue
 		}
-		mayBlock := op.write || op.blocks ||
-			(s.node != nil && (req.Level == "strong" || req.Token > 0))
+		// A strong read never waits: refused at once off the leader, local on it.
+		mayBlock := op.write || op.blocks || (s.node != nil && req.Token > 0)
 		if !mayBlock {
 			v.serve(id, &req, op)
 			continue
@@ -477,8 +459,9 @@ func (s *Server) admit(op *opEntry) (func(), response, bool) {
 // or drain refusals cost one atomic increment and no execution), then per-op
 // request count and latency, error count (timeouts are normal long-poll
 // outcomes, not errors), and the trace-correlated log lines that let one
-// request be followed across the forward hop. Requests from older clients
-// without a trace ID get one minted here so per-hop logs still correlate.
+// request be followed from a follower's redirect to the leader that served
+// it. Requests from older clients without a trace ID get one minted here so
+// the node's own log lines still correlate.
 func (s *Server) dispatch(req request, op *opEntry, peer string) response {
 	release, refusal, ok := s.admit(op)
 	if !ok {
@@ -491,12 +474,6 @@ func (s *Server) dispatch(req request, op *opEntry, peer string) response {
 	t0 := time.Now()
 	resp := s.route(req, op)
 	op.observe(time.Since(t0), resp.OK || resp.Timeout)
-	if req.Fwd && s.node != nil {
-		// The leader half of the forward hop: the follower logged the same
-		// trace ID when it forwarded.
-		s.log.Info("handled forwarded request",
-			"op", req.Op, "trace", req.Trace, "peer", peer, "ok", resp.OK)
-	}
 	if !resp.OK && !resp.Timeout {
 		s.log.Debug("request failed", "op", req.Op, "trace", req.Trace, "peer", peer, "error", resp.Error)
 	}
@@ -504,10 +481,13 @@ func (s *Server) dispatch(req request, op *opEntry, peer string) response {
 }
 
 func (s *Server) route(req request, op *opEntry) response {
-	// Writes and strong-consistency reads must execute on the leader.
-	needLeader := op.write || req.Level == "strong"
-	if s.node != nil && needLeader && !s.node.IsLeader() {
-		return s.forward(req)
+	// Writes and strong-consistency reads must execute on the leader. A
+	// follower refuses them transiently and names the leader it knows ("" while
+	// none is), the redirect of Raft §8: the client retries there itself.
+	if s.node != nil && (op.write || req.Level == "strong") && !s.node.IsLeader() {
+		leader := s.node.LeaderServiceAddr()
+		s.log.Info("redirecting to leader", "op", req.Op, "trace", req.Trace, "leader", leader)
+		return response{Error: "service: not the leader", Transient: true, LeaderSvc: leader}
 	}
 	// Freshness-bounded reads: a client shipping a commit token demands that
 	// this replica has applied the WAL at least through it. A replica that
@@ -712,77 +692,6 @@ func (s *Server) exec(req request) response {
 		return response{OK: true, TagList: tags}
 	}
 	return response{Error: fmt.Sprintf("unknown op %q", req.Op)}
-}
-
-// forward relays a request that needs the leader (a write, or a strong read)
-// from a follower to the current cluster leader and returns the leader's
-// response verbatim. The hop rides the server's cached multiplexed client —
-// concurrent forwards pipeline over one upstream connection, and because the
-// leader answers v2 frames out of order, a slow forwarded long-poll no
-// longer blocks the forwards behind it. Forwarding is single-hop: a request
-// that bounced once fails fast so two nodes with stale role views cannot
-// ping-pong it.
-func (s *Server) forward(req request) response {
-	if req.Fwd {
-		return response{Error: "service: not the leader", Transient: true}
-	}
-	addr := s.node.LeaderServiceAddr()
-	if addr == "" || addr == s.Addr() {
-		return response{Error: "service: no cluster leader elected", Transient: true}
-	}
-	s.met.forwards.Inc()
-	// The follower half of the forward hop: the leader logs the same trace
-	// ID when it handles the forwarded request.
-	s.log.Info("forwarding request to leader", "op", req.Op, "trace", req.Trace, "leader", addr)
-	c, err := s.forwardClient(addr)
-	if err != nil {
-		return response{Error: "service: leader unreachable: " + err.Error(), Transient: true}
-	}
-	req.Fwd = true
-	timeout := ms(req.WaitMS)
-	if timeout < time.Second {
-		timeout = time.Second
-	}
-	resp, err := c.write(context.Background(), timeout, req)
-	if err != nil && errors.Is(err, ErrConn) {
-		s.invalidateForward(c)
-		return response{Error: "service: leader unreachable: " + err.Error(), Transient: true}
-	}
-	return resp
-}
-
-// forwardClient returns the cached upstream client for addr, redialing when
-// the leader moved or the cached connection died.
-func (s *Server) forwardClient(addr string) (*Client, error) {
-	s.fwdMu.Lock()
-	defer s.fwdMu.Unlock()
-	if s.fwdClosed {
-		return nil, errors.New("server closed")
-	}
-	if s.fwd != nil && (s.fwdAddr != addr || s.fwd.broken()) {
-		s.fwd.Close()
-		s.fwd = nil
-	}
-	if s.fwd == nil {
-		c, err := Dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		s.fwd, s.fwdAddr = c, addr
-	}
-	return s.fwd, nil
-}
-
-// invalidateForward drops the cached forward client after a transport
-// failure, if it is still the cached one (a concurrent forward may already
-// have replaced it).
-func (s *Server) invalidateForward(c *Client) {
-	s.fwdMu.Lock()
-	defer s.fwdMu.Unlock()
-	if s.fwd == c {
-		s.fwd.Close()
-		s.fwd = nil
-	}
 }
 
 func errResponse(err error) response {

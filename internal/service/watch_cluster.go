@@ -105,7 +105,7 @@ func (cc *ClusterClient) subscribeWatch(q watch.Query, buf int) (st watch.Stream
 	}
 	if err := subscribe(c); err != nil {
 		if errors.Is(err, ErrConn) {
-			cc.invalidate(c)
+			cc.invalidate(c, err)
 		}
 		return nil, err
 	}

@@ -126,7 +126,10 @@ func appendFloat64(buf []byte, v float64) []byte {
 func appendRequest(buf []byte, req *request) []byte {
 	buf = appendString(buf, req.Op)
 	buf = appendString(buf, req.Trace)
-	buf = appendBool(buf, req.Fwd)
+	// Reserved slot: versions 1-4 carried the relay's single-hop mark here.
+	// Followers redirect instead of relaying, so nothing sets it: always write
+	// false, never reuse.
+	buf = append(buf, 0)
 	buf = binary.AppendUvarint(buf, req.Token)
 	buf = binary.AppendVarint(buf, req.WaitMS)
 	buf = appendString(buf, req.Level)
@@ -416,7 +419,7 @@ func (d *wireDec) intSlice() []int {
 func (d *wireDec) decodeRequest(req *request) error {
 	req.Op = d.string()
 	req.Trace = d.string()
-	req.Fwd = d.bool()
+	d.bool() // reserved slot (see appendRequest): read and discarded
 	req.Token = d.uvarint()
 	req.WaitMS = d.varint()
 	req.Level = d.string()

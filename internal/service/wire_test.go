@@ -499,10 +499,11 @@ const v4RequestFrame = "68630b71756572795f7461736b731030313233343536373839616263
 	"067374726f6e67026b310201610162036578700e077b2278223a317d050102743154030204d8040a06706f6f6c2d61" +
 	"920c037265730212110202703102703204747970650b"
 
-// TestWireV4FramePinned keeps the reserved slot executable: a v4 frame from
-// before request.TimeMS was deleted still decodes field for field (the slot's
-// value is read and dropped), and today's encoder differs from it in that
-// slot only — it writes zero there, in the same position.
+// TestWireV4FramePinned keeps the two reserved slots executable: a v4 frame
+// from before request.TimeMS and request.Fwd were deleted still decodes field
+// for field (each slot's value is read and dropped), and today's encoder
+// differs from it in those slots only — it writes zero there, in the same
+// positions.
 func TestWireV4FramePinned(t *testing.T) {
 	if wireVersion != 4 {
 		t.Fatalf("wireVersion = %d; this pin is the v4 layout — add a pin for the new version, keep this one", wireVersion)
@@ -512,7 +513,7 @@ func TestWireV4FramePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := request{
-		Op: "query_tasks", Trace: "0123456789abcdef", Fwd: true, Token: 300, WaitMS: 1500,
+		Op: "query_tasks", Trace: "0123456789abcdef", Token: 300, WaitMS: 1500,
 		Level: "strong", DedupKey: "k1", DedupKeys: []string{"a", "b"}, ExpID: "exp",
 		WorkType: 7, Payload: `{"x":1}`, Priority: -3, Tags: []string{"t1"},
 		TaskID: 42, TaskIDs: []int64{1, 2, 300}, N: 5, Pool: "pool-a",
@@ -537,15 +538,21 @@ func TestWireV4FramePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	bw.Flush()
-	// 777 is the two-byte varint 0x92 0x0c; zero is the single byte 0x00.
-	old, now := []byte("\x06pool-a\x92\x0c\x03res"), []byte("\x06pool-a\x00\x03res")
-	if bytes.Count(pinned, old) != 1 {
-		t.Fatal("test bug: the reserved slot is not where the pin expects it")
+	expect := pinned
+	for _, slot := range []struct{ old, now string }{
+		// Fwd was true (0x01) after the trace; false is 0x00, the same width.
+		{"0123456789abcdef\x01\xac\x02", "0123456789abcdef\x00\xac\x02"},
+		// 777 is the two-byte varint 0x92 0x0c; zero is the single byte 0x00.
+		{"\x06pool-a\x92\x0c\x03res", "\x06pool-a\x00\x03res"},
+	} {
+		if bytes.Count(expect, []byte(slot.old)) != 1 {
+			t.Fatalf("test bug: the reserved slot %q is not where the pin expects it", slot.old)
+		}
+		expect = bytes.Replace(expect, []byte(slot.old), []byte(slot.now), 1)
 	}
-	expect := bytes.Replace(pinned, old, now, 1)
-	expect[0]-- // frameLen: the slot shrank by one byte
+	expect[0]-- // frameLen: the TimeMS slot shrank by one byte
 	if !bytes.Equal(buf.Bytes(), expect) {
-		t.Fatalf("today's encoding differs from the v4 layout beyond the reserved slot:\n got %x\nwant %x", buf.Bytes(), expect)
+		t.Fatalf("today's encoding differs from the v4 layout beyond the reserved slots:\n got %x\nwant %x", buf.Bytes(), expect)
 	}
 }
 

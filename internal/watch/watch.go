@@ -14,6 +14,39 @@
 // token level: batches are emitted per commit, whole, and in token order, so
 // a consumer that drops duplicates with `tok <= last` observes every
 // transition exactly once across any number of reconnects.
+//
+// Where it is wired. Every core.DB owns one Hub fed by its commit observer
+// (core/events.go): applied statements are classified into transitions by
+// exact statement shape and, on nodes with a write quorum, held by a gate
+// until the quorum commit watermark covers them, so a delivered event is as
+// durable as an acknowledged write and never rolls back. Session.Watch —
+// implemented by core.DB, service.Client and service.ClusterClient — opens a
+// subscription; over the wire the server pushes its batches as unsolicited
+// frames tagged with the subscription's request ID, interleaved with ordinary
+// responses on the same connection (service/watch_server.go; the CLI surface
+// is `osprey-submit watch`). A subscriber whose buffer fills is ended with
+// ErrOverflow instead of stalling the hub, and resumes from its last token
+// out of the ring (DefaultRing events).
+//
+// Followers and failover. Followers serve watches from their own hubs: the
+// log orders every change, so a follower sees the same transitions at the
+// same tokens. The exception is a follower that has never attached
+// (replica.Node.Attached): its database is a placeholder the bootstrap
+// snapshot will replace, so it refuses the subscribe transiently. A resume
+// ahead of a follower's position waits briefly for replication before the
+// token domain is declared foreign and resynced. ClusterClient.Watch
+// resubscribes on any node from its last token, drops the overlap and
+// re-bases across resync seams: one logical stream per consumer for the
+// cluster's lifetime (TestWatchFailoverResume).
+//
+// Consumers and checks. future.Future waits on its task's transitions
+// instead of polling QueryResult; pool blocks on queue-depth events instead
+// of spinning on empty pops and retries a failed subscribe with full-jitter
+// backoff for as long as it runs (TestPoolRetriesFailedSubscribe), so idle
+// read load does not scale with worker count. Chaos invariant 6
+// (internal/chaos/watcher.go) holds delivery to exactly once under faults;
+// BenchmarkWatchDispatch, BenchmarkWatchWake and BenchmarkPollWake measure
+// the fan-out and the push wake-up against the poll round trip it replaced.
 package watch
 
 import (

@@ -15,9 +15,10 @@
 //   - a replication subsystem (internal/replica) that runs the service as a
 //     leader/follower cluster: committed statements ship through a
 //     write-ahead log, followers bootstrap from snapshots and serve reads
-//     locally while forwarding writes, a deterministic priority scheme
-//     promotes a follower when the leader dies (majority-gated, preferring
-//     the most-up-to-date survivor), an optional write quorum
+//     locally while redirecting writes to the leader, a deterministic
+//     priority scheme promotes a follower when the leader dies
+//     (majority-gated, preferring the most-up-to-date survivor), an
+//     optional write quorum
 //     (ReplicaConfig.WriteQuorum) makes acknowledged writes survive
 //     immediate leader death, a leader partitioned from the majority
 //     demotes itself instead of accepting doomed writes, and DialCluster
@@ -229,8 +230,9 @@ type (
 )
 
 // ErrUnavailable marks transient cluster conditions — no leader elected yet,
-// a demoted leader rejecting writes, a quorum not reached in time. Failover
-// clients (DialCluster) retry it automatically; direct Dial callers may too.
+// a demoted leader or a follower refusing writes (the message then names the
+// leader), a quorum not reached in time. Failover clients (DialCluster) retry
+// it automatically, on the named leader first; direct Dial callers may too.
 var ErrUnavailable = service.ErrUnavailable
 
 // NewReplica creates a cluster node: the initial leader when
@@ -238,7 +240,8 @@ var ErrUnavailable = service.ErrUnavailable
 var NewReplica = replica.New
 
 // ServeNode starts the EMEWS service for a cluster node: reads answer from
-// the local replica, writes forward to the leader while the node follows.
+// the local replica; while the node follows, writes are refused transiently
+// with the leader's address, and DialCluster clients retry there.
 var ServeNode = service.ServeNode
 
 // DialCluster connects to a replicated EMEWS service given any subset of
