@@ -419,11 +419,13 @@ func (c *Cluster) HealAndVerify() int {
 		}
 	}
 	// Invariant 5: recovery terminates — one leader, every other node an
-	// attached follower of that leader at its term, applied indexes equal.
-	// Equal applied alone is NOT convergence: a node still mid-election can
-	// hold a divergent history of coincidentally equal length, and only its
-	// (re)join to the leader — which the term check proves happened — forces
-	// the snapshot that heals it.
+	// attached follower of that leader at its term, applied indexes equal,
+	// and the leader holding its ack of that index. Equal applied alone is NOT
+	// convergence: a node still mid-election can hold a divergent history of
+	// coincidentally equal length, and only its (re)join to the leader — which
+	// the term check proves happened — forces the snapshot that heals it. Nor
+	// is the join alone: the hello adopts the leader's term before the
+	// snapshot is installed, and the follower acks only once it is.
 	converged := c.waitFor("recovery terminated (one leader, followers attached, applied converged)", 30*time.Second, func() bool {
 		lead := -1
 		for i, n := range c.Nodes {
@@ -447,7 +449,8 @@ func (c *Cluster) HealAndVerify() int {
 				continue
 			}
 			rn := n.Replica()
-			if rn.LeaderID() != leader.ID() || rn.Term() != leader.Term() || rn.Applied() != leader.Applied() {
+			if rn.LeaderID() != leader.ID() || rn.Term() != leader.Term() || rn.Applied() != leader.Applied() ||
+				leader.Status().Followers[n.ID] != leader.Applied() {
 				return false
 			}
 		}

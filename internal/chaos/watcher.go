@@ -43,8 +43,9 @@ type Watcher struct {
 
 	mu        sync.Mutex
 	term      map[int64][]delivery // non-resync terminal deliveries per task id
-	queued    map[int64]bool       // task ids whose queued transition was delivered
-	resyncTok uint64               // newest resync token observed (0 = no seam)
+	queued    map[int64]uint64     // token of each task's delivered queued transition
+	resyncTok uint64               // highest resync token observed (0 = no seam)
+	lastSeam  uint64               // token of the latest resync seam
 	epoch     int                  // resync seams observed so far
 	events    int                  // total events delivered, for the run log
 }
@@ -70,7 +71,7 @@ func (c *Cluster) StartWatcher() *Watcher {
 	}
 	w := &Watcher{
 		c: c, cc: cc, st: st, cancel: cancel,
-		term: make(map[int64][]delivery), queued: make(map[int64]bool),
+		term: make(map[int64][]delivery), queued: make(map[int64]uint64),
 	}
 	w.wg.Add(1)
 	go w.run()
@@ -89,13 +90,14 @@ func (w *Watcher) run() {
 				if ev.Token > w.resyncTok {
 					w.resyncTok = ev.Token
 				}
+				w.lastSeam = ev.Token
 				continue
 			}
 			switch ev.Status {
 			case watch.StatusComplete, watch.StatusCanceled:
 				w.term[ev.TaskID] = append(w.term[ev.TaskID], delivery{ev.Token, w.epoch, ev.Status})
 			case watch.StatusQueued:
-				w.queued[ev.TaskID] = true
+				w.queued[ev.TaskID] = ev.Token
 			}
 		}
 		if seam {
@@ -152,7 +154,9 @@ func (w *Watcher) DrainAndVerify(lead int) {
 	// sentinel committed, so its transition is legitimately behind the seam —
 	// but the stream position is past it all the same). Either way, every
 	// transition the drain commits below lands after the stream position and
-	// is unconditionally required to arrive.
+	// is unconditionally required to arrive. Both are matched by token, the
+	// latest seam's included: a domain rolled back by a snapshot install may
+	// have published the sentinel's task id, or a higher seam, before the heal.
 	sentinel, err := cc.Submit(ctx, "chaos", 0, "watch-drain-sentinel")
 	if err != nil {
 		c.fail("watcher drain: sentinel submit: %v", err)
@@ -162,7 +166,7 @@ func (w *Watcher) DrainAndVerify(lead int) {
 	if !c.waitFor("watcher live past post-heal sentinel", 20*time.Second, func() bool {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		return w.queued[sentinel.ID] || w.resyncTok >= uint64(sentinel.Token)
+		return w.queued[sentinel.ID] == uint64(sentinel.Token) || w.lastSeam >= uint64(sentinel.Token)
 	}) {
 		w.stopStream()
 		return

@@ -526,7 +526,8 @@ func (d *DiskLog) syncLoop() {
 		}
 		d.mu.Lock()
 		target := d.last
-		if d.err != nil || (target <= d.synced && len(d.dirty) == 0) {
+		// closed: Close took the handles while this request was pending.
+		if d.closed || d.err != nil || (target <= d.synced && len(d.dirty) == 0) {
 			d.mu.Unlock()
 			continue
 		}
@@ -595,6 +596,14 @@ func (d *DiskLog) failLocked(err error) {
 	}
 	close(d.syncedCh)
 	d.syncedCh = make(chan struct{})
+}
+
+// Synced returns the newest durable index: fsynced in fsync mode, flushed to
+// the OS otherwise.
+func (d *DiskLog) Synced() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.synced
 }
 
 // WaitDurable blocks until the entry at idx is durable: fsynced in fsync

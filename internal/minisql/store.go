@@ -310,6 +310,10 @@ func (s *Store) WaitDurable(idx uint64, timeout time.Duration) error {
 	return s.log.WaitDurable(idx, timeout)
 }
 
+// Synced returns the newest log index that is durable under the store's
+// fsync policy.
+func (s *Store) Synced() uint64 { return s.log.Synced() }
+
 // Err returns the log's sticky I/O error, if any. Callers acknowledging
 // writes must check it even for commits that got no log index (AppendAssign
 // returning 0 IS the failure signal), so a broken disk refuses writes

@@ -234,6 +234,17 @@ func (w *WAL) SetQuorum(q int) {
 	w.quorum = q
 }
 
+// SetCommitted lowers the quorum watermark to c when c is below it. A
+// promoted follower's log continues at its applied index, but only the prefix
+// its old leader reported committed is known to be on a quorum; the entries
+// after it count as committed once acknowledged, like new ones. Call before
+// the log is shared.
+func (w *WAL) SetCommitted(c uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.commit = min(w.commit, c)
+}
+
 // Ack records that follower id has applied the log through idx. Acks are
 // cumulative and monotonic per follower; a stale (lower) ack is ignored, so
 // reconnecting followers can never move the watermark backwards.
@@ -245,14 +256,6 @@ func (w *WAL) Ack(id string, idx uint64) {
 	}
 	w.acks[id] = idx
 	w.advanceLocked()
-}
-
-// Forget drops follower id's acknowledgement state (membership decay). The
-// watermark never regresses: indexes already committed stay committed.
-func (w *WAL) Forget(id string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.acks, id)
 }
 
 // advanceLocked recomputes the quorum watermark: the quorum-th highest

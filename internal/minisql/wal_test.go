@@ -508,9 +508,4 @@ func TestQuorumZeroIsAsync(t *testing.T) {
 	if time.Since(start) > 100*time.Millisecond {
 		t.Fatal("async WaitCommitted blocked")
 	}
-	// Forgetting followers is a no-op for the async watermark.
-	w.Forget("nobody")
-	if got := w.Committed(); got != idx {
-		t.Fatalf("async Committed after Forget = %d, want %d", got, idx)
-	}
 }

@@ -247,3 +247,50 @@ func TestFollowerLogBytesEqualLeader(t *testing.T) {
 		t.Fatalf("follower queue priorities %v, leader %v (want 55 queued)", gotPrios, wantPrios)
 	}
 }
+
+// TestSnapshotCoversLeadershipStart: a joiner that installs a snapshot takes
+// the leader's term as the term of its newest entry, a promise that it holds
+// everything the leader held when elected — entries committed under earlier
+// leaderships among them. A durable leader whose newest checkpoint predates
+// its promotion must therefore not bootstrap a joiner from that checkpoint
+// plus a log tail: a stream broken before the tail lands leaves a node that
+// claims the new term from a log missing committed entries, wins a vote from
+// a node that holds them, and leads without them (chaos seed 6).
+func TestSnapshotCoversLeadershipStart(t *testing.T) {
+	base := t.TempDir()
+	mk := func(id string, prio int, join string) *Node {
+		n, err := New(Config{
+			ID: id, Priority: prio, Join: join,
+			Heartbeat: beat, ElectionTimeout: elect, LeaseTimeout: time.Minute,
+			DataDir: filepath.Join(base, id), CheckpointEvery: -1,
+			Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatalf("New(%s): %v", id, err)
+		}
+		n.SetServiceAddr("svc-" + id)
+		n.Start()
+		return n
+	}
+	n1 := mk("n1", 3, "")
+	n2 := mk("n2", 2, n1.Addr())
+	defer n2.Close()
+	submitN(t, n1.DB(), 8)
+	waitFor(t, "n2 caught up", func() bool { return n2.Applied() == n1.Applied() })
+	if err := n2.store.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	submitN(t, n1.DB(), 2)
+	waitFor(t, "n2 caught up past its checkpoint", func() bool { return n2.Applied() == n1.Applied() })
+	n1.Close()
+	if err := n2.ForcePromote(); err != nil {
+		t.Fatal(err)
+	}
+	start := n2.Applied()
+
+	hello := dialJoin(t, n2.Addr(), frame{Type: frameJoin, Peer: Peer{ID: "n3", ReplAddr: "127.0.0.1:1"}, Term: n2.Term()})
+	if hello.Type != frameSnapshot || hello.SnapIndex < start {
+		t.Fatalf("joiner bootstrapped with frame type %d at index %d; want a snapshot at or past the leadership's start %d",
+			hello.Type, hello.SnapIndex, start)
+	}
+}

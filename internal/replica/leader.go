@@ -2,8 +2,8 @@ package replica
 
 import (
 	"encoding/gob"
-	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"sync/atomic"
@@ -24,8 +24,8 @@ type followerConn struct {
 	peer  Peer
 	conn  net.Conn
 	enc   *gob.Encoder
-	acked uint64 // highest applied index the follower acknowledged
-	batch []byte // ship's reused frameEntries payload buffer
+	acked atomic.Uint64 // highest applied index the follower acknowledged
+	batch []byte        // ship's reused frameEntries payload buffer
 
 	// beatAt is the send time (unix nanos) of the heartbeat awaiting its
 	// ack, 0 when none is outstanding; the ack reader turns the round trip
@@ -70,205 +70,89 @@ func (n *Node) handleConn(conn net.Conn) {
 	if err := dec.Decode(&f); err != nil {
 		return
 	}
-	switch f.Type {
-	case frameProbe:
-		// A probe is contact: a follower checking on us during an election
-		// counts toward the majority lease just like an ack does.
-		n.touchPeer(f.Peer.ID)
+	out, err := n.step(input{ev: evFrame, f: f}, nil)
+	if err != nil && f.Type == frameClaim {
+		// The grant could not reach disk, so it was never made: refuse.
+		n.logf("refusing leadership claim for term %d by %s: %v", f.Term, f.Peer.ID, err)
 		n.mu.Lock()
-		st := frame{
-			Type: frameStatus, Term: n.term, Role: n.role,
-			Applied: n.applied, AppliedTerm: n.appliedTerm,
-			LeaderID: n.leader.ID, LeaderRepl: n.leader.ReplAddr, LeaderSvc: n.leader.SvcAddr,
-		}
+		out = []output{{do: doReply, f: n.st.status(false)}}
 		n.mu.Unlock()
-		conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-		enc.Encode(&st)
-	case frameClaim:
-		n.handleClaim(conn, enc, f)
-	case frameJoin:
-		n.handleJoin(conn, enc, dec, f)
+	}
+	for _, o := range out {
+		switch o.do {
+		case doReply:
+			conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
+			enc.Encode(&o.f)
+			return
+		case doHello:
+			n.serveFollower(conn, enc, dec, f, o.f)
+			return
+		}
 	}
 }
 
-// handleClaim serves one leadership claim — the vote of the claim-based
-// election (see promoteGated). A claim for a term strictly above this node's
-// is granted when the candidate's log is at least as up-to-date as the local
-// one, (appliedTerm, applied) compared lexicographically. Granting adopts
-// the claimed term immediately, which is the teeth of the vote: a granting
-// follower detaches from the leader it was streaming from (whose frames it
-// will now reject as stale), and a granting leader steps down — so once a
-// majority has granted, the previous leadership is structurally unable to
-// commit another write. A denial for a log the candidate cannot match keeps
-// the local term unchanged, leaving the term free for a better candidate to
-// claim.
-func (n *Node) handleClaim(conn net.Conn, enc *gob.Encoder, claim frame) {
-	n.touchPeer(claim.Peer.ID)
+// serveFollower answers an admitted join with its hello and streams the log
+// to the follower until the connection dies. The core allowed a resume (a
+// heartbeat hello); it happens when the in-memory WAL still holds the
+// joiner's position or, on a durable leader, the disk log (truncated only at
+// checkpoints) reaches back to it. Anything else gets a snapshot — streamed
+// from the on-disk checkpoint file when one covers it, avoiding a full
+// in-memory serialize.
+func (n *Node) serveFollower(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, join, hello frame) {
 	n.mu.Lock()
-	logOK := claim.AppliedTerm > n.appliedTerm ||
-		(claim.AppliedTerm == n.appliedTerm && claim.Applied >= n.applied)
-	grant := !n.closed && claim.Term > n.term && logOK
-	if grant && n.store != nil {
-		// A grant is a promise never to vote again in this term, so the term
-		// reaches disk before anything adopts it: a restart that forgot it
-		// could grant the same term to a second candidate. A grant whose term
-		// cannot be persisted is refused and changes nothing.
-		if err := n.store.SetTerm(claim.Term); err != nil {
-			n.logf("refusing leadership claim for term %d by %s: persisting the term: %v", claim.Term, claim.Peer.ID, err)
-			grant = false
-		}
-	}
-	var stream net.Conn
-	var finishDemote func(string)
-	if grant {
-		n.term = claim.Term
-		// Stepping down (if leading) happens in the same critical section as
-		// the term adoption: a leader that granted but kept its WAL live for
-		// one more commit would stamp that write with the claimant's term.
-		finishDemote, _ = n.demoteLocked()
-		// The candidate is about to lead this term: remember it as the
-		// leader so the follower loop heads straight for it, and sever the
-		// stream to the one it replaces.
-		n.leader = claim.Peer
-		// And as a member: a granter still inside its own election probes
-		// only its view, so a claimant missing from it (it joined through a
-		// leader that died before a heartbeat brought the larger view here)
-		// would be voted for and then never found.
-		if _, known := n.peers[claim.Peer.ID]; !known {
-			n.peers[claim.Peer.ID] = claim.Peer
-			n.notifyPeersChangedLocked()
-			n.persistViewLocked()
-		}
-		stream = n.stream
-	}
-	resp := frame{
-		Type: frameStatus, Term: n.term, Role: n.role,
-		Applied: n.applied, AppliedTerm: n.appliedTerm, Granted: grant,
-		LeaderID: n.leader.ID, LeaderRepl: n.leader.ReplAddr, LeaderSvc: n.leader.SvcAddr,
-	}
+	w, walStart := n.wal, n.walStart
 	n.mu.Unlock()
-	if grant {
-		// Teardown strictly before the response: the grant must not be
-		// observable while this node could still ack the old leadership.
-		if finishDemote != nil {
-			finishDemote(fmt.Sprintf("deposed: granted leadership claim for term %d by %s", claim.Term, claim.Peer.ID))
-		} else if stream != nil {
-			stream.Close()
-		}
-		n.logf("granted leadership claim for term %d to %s", claim.Term, claim.Peer.ID)
+	if w == nil {
+		return
 	}
-	conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-	enc.Encode(&resp)
-}
-
-func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, join frame) {
-	n.mu.Lock()
-	if !n.closed && n.role == RoleLeader && join.Term > n.term {
-		// A joiner above our term means the cluster has voted past this
-		// leadership (we missed the claim — partitioned away, or its
-		// candidate died before finishing). Adopt the term and step down;
-		// the re-election this forces is the only way the higher-term node
-		// can ever rejoin, since it rejects our stale frames.
-		n.term = join.Term
-		if n.store != nil {
-			if err := n.store.SetTerm(join.Term); err != nil {
-				n.logf("persisting term %d: %v", join.Term, err)
+	startIdx := join.From
+	var diskTail []minisql.Record
+	if hello.Type == frameHeartbeat {
+		if _, ok := w.RecordsSince(join.From); !ok {
+			if tail, last, ok := n.diskRecords(w, join.From); ok {
+				diskTail = tail
+				n.logf("follower %s resuming via disk log %d..%d", join.Peer.ID, join.From+1, last)
+			} else {
+				hello.Type = frameSnapshot
 			}
 		}
-		finish, _ := n.demoteLocked()
-		resp := frame{Type: frameNotLeader, Term: n.term}
-		n.mu.Unlock()
-		if finish != nil {
-			finish(fmt.Sprintf("superseded: join from %s carries term %d", join.Peer.ID, join.Term))
-		}
-		conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-		enc.Encode(&resp)
-		return
 	}
-	if n.closed || n.role != RoleLeader {
-		resp := frame{
-			Type: frameNotLeader, Term: n.term,
-			LeaderID: n.leader.ID, LeaderRepl: n.leader.ReplAddr, LeaderSvc: n.leader.SvcAddr,
-		}
-		if n.leader.ID == join.Peer.ID {
-			// Our leader memory names the joiner itself — its old leadership,
-			// now stale (it is knocking as a follower). Pointing it at itself
-			// would send it chasing its own address.
-			resp.LeaderID, resp.LeaderRepl, resp.LeaderSvc = "", "", ""
-		}
-		n.mu.Unlock()
-		conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-		enc.Encode(&resp)
-		return
-	}
-	if _, known := n.peers[join.Peer.ID]; !known {
-		n.peers[join.Peer.ID] = join.Peer
-		n.notifyPeersChangedLocked()
-		n.persistViewLocked()
-	} else {
-		n.peers[join.Peer.ID] = join.Peer
-	}
-	n.contact[join.Peer.ID] = time.Now()
-	w := n.wal
-	term := n.term
-	n.mu.Unlock()
-
-	// A follower resuming within this leader's own term whose position the
-	// WAL still holds catches up incrementally — no re-bootstrap. "Within
-	// this term" means both halves: the joiner adopted this term AND its
-	// newest applied entry came from this leadership (AppliedTerm). The
-	// second half is what makes resume safe after a contested failover: a
-	// node whose term was bumped by a granted claim but whose log tail is
-	// the OLD leader's (possibly longer than ours, possibly divergent) must
-	// not graft our entries onto it. Its first attach goes through the
-	// snapshot path, which establishes byte identity with this leader's
-	// state; only then do later reconnects earn the incremental path. When
-	// the in-memory WAL has compacted past the follower's position, a
-	// durable leader reaches further back through its on-disk log (truncated
-	// only at checkpoints) and serves the gap from disk. Anything else gets
-	// a snapshot — streamed from the on-disk checkpoint file when one covers
-	// it, avoiding a full in-memory serialize.
-	resume := false
-	var snap []byte
-	var startIdx uint64
-	var diskTail []minisql.Record
-	if join.Term == term && join.AppliedTerm == term && join.From > 0 {
-		if _, ok := w.RecordsSince(join.From); ok {
-			resume = true
-			startIdx = join.From
-		} else if tail, last, ok := n.diskRecords(w, join.From); ok {
-			resume = true
-			startIdx = join.From
-			diskTail = tail
-			n.logf("follower %s resuming via disk log %d..%d", join.Peer.ID, join.From+1, last)
-		}
-	}
-	if !resume {
+	if hello.Type == frameSnapshot {
+		diskTail = nil
 		if n.store != nil {
-			if path, cidx, ok := n.store.CheckpointFile(); ok {
-				// File-streamed bootstrap: ship the checkpoint bytes as the
-				// snapshot if the disk log still holds everything after it.
+			// File-streamed bootstrap: ship the checkpoint bytes as the
+			// snapshot if the disk log still holds everything after it —
+			// and only a checkpoint taken since this leadership began. The
+			// joiner takes this leader's term as its applied term, a promise
+			// that it holds this leader's log as of its election; from an
+			// older checkpoint, a stream that broke before the tail landed
+			// would leave it claiming the term without entries committed
+			// under earlier leaderships, and winning votes with that claim.
+			if path, cidx, ok := n.store.CheckpointFile(); ok && cidx >= walStart {
 				if data, err := os.ReadFile(path); err == nil {
 					if tail, _, ok := n.diskRecords(w, cidx); ok {
-						snap, startIdx, diskTail = data, cidx, tail
+						hello.Snapshot, startIdx, diskTail = data, cidx, tail
 						n.met.snapsFile.Inc()
 					}
 				}
 			}
 		}
-		if snap == nil {
+		if hello.Snapshot == nil {
 			var err error
-			snap, startIdx, err = n.snapshotAt(w)
-			if err != nil {
+			if hello.Snapshot, startIdx, err = n.snapshotAt(w); err != nil {
 				n.logf("join %s: snapshot: %v", join.Peer.ID, err)
 				return
 			}
 		}
+		hello.SnapIndex = startIdx
 	}
 
-	fol := &followerConn{peer: join.Peer, conn: conn, enc: enc, acked: startIdx}
+	fol := &followerConn{peer: join.Peer, conn: conn, enc: enc}
+	if hello.Type == frameHeartbeat {
+		fol.acked.Store(startIdx) // a bootstrapping follower holds nothing until it acks the install
+	}
 	n.mu.Lock()
-	if n.closed || n.role != RoleLeader {
+	if n.closed || n.wal != w {
 		n.mu.Unlock()
 		return
 	}
@@ -276,16 +160,7 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 		old.conn.Close()
 	}
 	n.followers[join.Peer.ID] = fol
-	hello := frame{
-		Type: frameSnapshot, Term: n.term, Role: RoleLeader,
-		Snapshot: snap, SnapIndex: startIdx, Applied: n.applied,
-		Peers:    n.peerListLocked(),
-		LeaderID: n.leader.ID, LeaderRepl: n.leader.ReplAddr, LeaderSvc: n.leader.SvcAddr,
-	}
-	if resume {
-		hello.Type = frameHeartbeat
-		hello.Snapshot, hello.SnapIndex = nil, 0
-	}
+	hello.Applied, hello.Committed = n.st.applied, n.committed(w)
 	n.mu.Unlock()
 	defer n.dropFollower(join.Peer.ID, fol)
 
@@ -295,7 +170,7 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 	if err := enc.Encode(&hello); err != nil {
 		return
 	}
-	if resume {
+	if hello.Type == frameHeartbeat {
 		n.logf("follower %s resumed from index %d", join.Peer.ID, startIdx)
 	} else {
 		n.met.snapsSent.Inc()
@@ -308,7 +183,7 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 	// with the memory stream is harmless.
 	pos := startIdx
 	if len(diskTail) > 0 {
-		if err := n.ship(fol, w, term, diskTail, n.snapshotTimeout()); err != nil {
+		if err := n.ship(fol, w, hello.Term, diskTail, n.snapshotTimeout()); err != nil {
 			return
 		}
 		pos = diskTail[len(diskTail)-1].Index
@@ -317,8 +192,8 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 	// Acks flow back on the same connection; reading them also detects a
 	// dead follower, whose conn we close to unblock the sender below. The
 	// first ack waits out the follower's snapshot restore; later ones are
-	// heartbeat-paced. Each ack feeds the WAL's quorum commit watermark
-	// (unblocking synchronous writes) and renews the majority lease.
+	// heartbeat-paced. Each ack renews the majority lease (in the core) and
+	// feeds the WAL's quorum commit watermark, unblocking synchronous writes.
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -334,12 +209,10 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 			if ack.Type != frameAck {
 				continue
 			}
-			n.mu.Lock()
-			if cur := n.followers[join.Peer.ID]; cur == fol && ack.Applied > fol.acked {
-				fol.acked = ack.Applied
+			n.step(input{ev: evFrame, f: ack, from: join.Peer}, nil)
+			if ack.Applied > fol.acked.Load() {
+				fol.acked.Store(ack.Applied)
 			}
-			n.contact[join.Peer.ID] = time.Now()
-			n.mu.Unlock()
 			if t := fol.beatAt.Swap(0); t != 0 {
 				n.met.heartbeatRTT.Observe(float64(time.Now().UnixNano()-t) / 1e9)
 			}
@@ -347,11 +220,11 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 			// The ack may have advanced the quorum watermark: release the
 			// gated watch transitions it now covers and wake the senders so
 			// followers learn the new watermark without waiting a heartbeat.
-			n.noteCommitted(w.Committed())
+			n.noteCommitted(n.committed(w))
 		}
 	}()
 
-	n.streamTo(fol, w, pos)
+	n.streamTo(fol, w, hello.Term, pos)
 }
 
 // diskRecords fetches the log records after `from` out of the durable store
@@ -394,7 +267,7 @@ func (n *Node) ship(fol *followerConn, w *minisql.WAL, term uint64, recs []minis
 		}
 		fol.conn.SetWriteDeadline(time.Now().Add(deadline))
 		if err := fol.enc.Encode(&frame{
-			Type: frameEntries, Term: term, Committed: w.Committed(),
+			Type: frameEntries, Term: term, Committed: n.committed(w),
 			Records: fol.batch, Last: batch[len(batch)-1].Index,
 		}); err != nil {
 			return err
@@ -408,21 +281,24 @@ func (n *Node) ship(fol *followerConn, w *minisql.WAL, term uint64, recs []minis
 // the log is idle. Entries are group-committed: everything pending ships in
 // one batched frame, which the follower acks once at its high-water mark —
 // under concurrent write load N replication round trips collapse to ~1.
-// Returns when the connection breaks, the node closes, or leadership is
-// lost.
-func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, from uint64) {
+// Returns when the connection breaks, the node closes, or the leadership of
+// term ends.
+func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, term uint64, from uint64) {
 	pos := from
 	// Jittered heartbeat timer (not a fixed ticker): with many followers,
 	// lockstep beats synchronize the cluster's write bursts and, after a
-	// heal, its failure detectors. See Node.jitter.
-	beat := time.NewTimer(n.jitter(n.cfg.Heartbeat))
+	// heal, its failure detectors.
+	beat := time.NewTimer(jitter(n.cfg.Heartbeat, rand.Uint64()))
 	defer beat.Stop()
 	for {
-		if n.isClosed() || !n.IsLeader() {
+		n.mu.Lock()
+		leading := n.wal == w
+		n.mu.Unlock()
+		if n.isClosed() || !leading {
 			return
 		}
 		watch := w.Watch()
-		commits := n.commitWatch()
+		commits, peers := n.watches()
 		recs, ok := w.RecordsSince(pos)
 		if !ok {
 			// Compacted past this follower's position (only possible when it
@@ -432,7 +308,7 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, from uint64) {
 			return
 		}
 		if len(recs) > 0 {
-			if err := n.ship(fol, w, n.Term(), recs, 2*n.cfg.ElectionTimeout); err != nil {
+			if err := n.ship(fol, w, term, recs, 2*n.cfg.ElectionTimeout); err != nil {
 				return
 			}
 			pos = recs[len(recs)-1].Index
@@ -453,7 +329,7 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, from uint64) {
 					return
 				}
 			}
-		case <-n.peersWatch():
+		case <-peers:
 			sendBeat = true // membership changed: broadcast it immediately
 		case <-commits:
 			// The quorum watermark advanced with no new entries to carry it:
@@ -462,17 +338,16 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, from uint64) {
 			sendBeat = true
 		case <-beat.C:
 			sendBeat = true
-			beat.Reset(n.jitter(n.cfg.Heartbeat))
+			beat.Reset(jitter(n.cfg.Heartbeat, rand.Uint64()))
 		}
 		if sendBeat {
 			n.mu.Lock()
-			hb := frame{
-				Type: frameHeartbeat, Term: n.term, Role: n.role, Applied: n.applied,
-				Peers:    n.peerListLocked(),
-				LeaderID: n.leader.ID, LeaderRepl: n.leader.ReplAddr, LeaderSvc: n.leader.SvcAddr,
-			}
+			hb, leading := n.st.beat(), n.wal == w
 			n.mu.Unlock()
-			hb.Committed = w.Committed()
+			if !leading {
+				return // a beat of the state after a demotion would name no leader
+			}
+			hb.Committed = n.committed(w)
 			fol.conn.SetWriteDeadline(time.Now().Add(2 * n.cfg.ElectionTimeout))
 			if err := fol.enc.Encode(&hb); err != nil {
 				return
@@ -491,117 +366,21 @@ func (n *Node) dropFollower(id string, fol *followerConn) {
 	n.mu.Unlock()
 }
 
-// leaderHousekeeping runs the leader's periodic duties on a heartbeat tick:
-// the majority-lease check every tick (a partitioned leader must step down
-// within ~LeaseTimeout, which is heartbeat-scale), and — on an
-// election-timeout cadence — WAL compaction up to the slowest connected
-// follower's acknowledged index (with a retention floor so racing joins
-// don't immediately re-bootstrap) plus lease-based membership decay.
-func (n *Node) leaderHousekeeping() {
-	defer n.wg.Done()
-	tick := time.NewTicker(n.cfg.Heartbeat)
-	defer tick.Stop()
-	slowEvery := int(n.cfg.ElectionTimeout / n.cfg.Heartbeat)
-	if slowEvery < 1 {
-		slowEvery = 1
-	}
-	for i := 0; ; i++ {
-		select {
-		case <-n.closeCh:
-			return
-		case <-tick.C:
-		}
-		if !n.IsLeader() {
-			return
-		}
-		if n.leaseExpired() {
-			n.demote("no ack or probe from a majority of peers within the lease window")
-			return
-		}
-		if i%slowEvery != 0 {
-			continue
-		}
-		n.mu.Lock()
-		w := n.wal
-		min := uint64(0)
-		if w != nil {
-			min = w.LastIndex()
-			for _, f := range n.followers {
-				if f.acked < min {
-					min = f.acked
-				}
-			}
-		}
-		n.mu.Unlock()
-		if w != nil && min > compactionFloor {
-			w.Compact(min - compactionFloor)
-		}
-		n.decayPeers(w)
-	}
-}
-
-// leaseExpired reports whether this leader has lost its majority lease: it
-// holds the lease while it has heard (ack, join, or probe) from enough peers
-// within LeaseTimeout that, counting itself, a majority of the membership is
-// in contact. A single-node cluster is always in contact with itself. A
-// freshly promoted leader gets a grace period (set in promote) so survivors
-// have time to run their own failure detection and re-join.
-func (n *Node) leaseExpired() bool {
+// compact drops a leader's WAL records below the slowest connected
+// follower's acknowledged index, less a retention floor so racing joins
+// don't immediately re-bootstrap.
+func (n *Node) compact() {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	now := time.Now()
-	if now.Before(n.leaseRef) {
-		return false
-	}
-	inContact := 1 // self
-	for id := range n.peers {
-		if id == n.cfg.ID {
-			continue
+	w := n.wal
+	floor := uint64(0)
+	if w != nil {
+		floor = w.LastIndex()
+		for _, f := range n.followers {
+			floor = min(floor, f.acked.Load())
 		}
-		if t, ok := n.contact[id]; ok && now.Sub(t) <= n.cfg.LeaseTimeout {
-			inContact++
-		}
-	}
-	return inContact < len(n.peers)/2+1
-}
-
-// peerDecayTimeouts is the membership decay window in election timeouts.
-const peerDecayTimeouts = 20
-
-// decayPeers drops membership entries with no live follower connection and
-// no contact for peerDecayTimeouts election timeouts, then broadcasts the
-// shrunken view. Long-dead peers would otherwise consume a backoff slot in
-// every future election. The decay window is clamped above the lease window
-// so a partitioned minority leader demotes (lease) before it can shrink its
-// membership into a fake majority (decay).
-func (n *Node) decayPeers(w *minisql.WAL) {
-	window := max(peerDecayTimeouts*n.cfg.ElectionTimeout, 2*n.cfg.LeaseTimeout)
-	now := time.Now()
-	var dropped []string
-	n.mu.Lock()
-	for id := range n.peers {
-		if id == n.cfg.ID {
-			continue
-		}
-		if _, connected := n.followers[id]; connected {
-			continue
-		}
-		if t, ok := n.contact[id]; ok && now.Sub(t) <= window {
-			continue
-		}
-		delete(n.peers, id)
-		delete(n.contact, id)
-		dropped = append(dropped, id)
-	}
-	if len(dropped) > 0 {
-		n.notifyPeersChangedLocked()
-		n.persistViewLocked()
 	}
 	n.mu.Unlock()
-	for _, id := range dropped {
-		if w != nil {
-			w.Forget(id)
-		}
-		n.logf("decayed dead peer %s from membership", id)
+	if w != nil && floor > compactionFloor {
+		w.Compact(floor - compactionFloor)
 	}
 }

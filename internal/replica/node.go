@@ -2,65 +2,97 @@
 // cluster, extending the paper's snapshot/restart fault tolerance (§II-B1c)
 // to live node loss.
 //
-// The design follows the classic statement-shipping shape: the leader's SQL
-// engine records every committed mutating statement in an in-memory
+// The leader's SQL engine records every committed mutating statement in a
 // write-ahead log (minisql.WAL); followers join over a small TCP protocol,
-// bootstrap from an engine snapshot taken at a log index, then stream and
-// deterministically replay entries. Heartbeats carry the term and the full
-// membership list. When the leader dies the survivors hold a claim-based
-// election (electOrPromote, promoteGated): every node ranks the remaining
-// membership identically (priority desc, ID asc) and waits its rank's share
-// of the election timeout for a better-ranked peer to win; a candidate first
-// probes its view — it stands only when it reaches a majority and nobody
-// reachable holds a newer (appliedTerm, applied) log — then bumps its term
-// and sends a claim to every peer. A peer grants a claim above its own term
-// from a log at least as new as its own, and granting adopts the term, drops
-// the stream to the old leader (a granting leader steps down) and takes the
-// claimant into its view; the candidate promotes on grants from a majority,
-// its own included. The rest re-join the new leader — resuming incrementally
-// when their log tail is that leadership's own, otherwise re-bootstrapping
-// from its snapshot, which makes the new leader's state authoritative and
-// heals any divergence.
+// bootstrap from an engine snapshot taken at a log index (or resume from
+// their own position), then stream and replay its records. Replication is
+// asynchronous by default: an acknowledged write may be lost if the leader
+// dies before shipping it. With Config.WriteQuorum > 0 the WAL counts
+// follower acks into a quorum commit watermark and the service holds each
+// write's reply until the watermark covers it, so an acknowledged write
+// survives the leader's immediate death.
 //
-// Replication is asynchronous by default: a write acknowledged by the leader
-// may be lost if the leader dies before shipping it. Setting
-// Config.WriteQuorum > 0 switches writes to synchronous replication — the
-// leader's WAL tracks per-follower acknowledgements into a quorum commit
-// watermark, and the service layer holds each write's reply until the
-// watermark covers it, so an acknowledged write survives the immediate death
-// of the leader. Completed task results that have replicated survive any
-// single node loss either way, and the failover-aware service client
-// (service.DialCluster) recovers them from the new leader.
+// # One place decides
 //
-// Leadership is leased: a leader that cannot hear acks or probes from a
-// majority of its membership within the lease window steps down to follower
-// (demote) and answers writes as unavailable, so a partitioned-away leader
-// stops accepting doomed writes instead of serving as a zombie. Because a
-// majority of grants is a majority that has left the old term, any write
-// quorum the deposed leader could still assemble would need a granter, and
-// granters reject its frames: quorum-acknowledged writes survive failover and
-// a minority side cannot elect.
+// Every protocol decision is made by one pure function, step (step.go): it
+// owns term, vote, role, view and the log's term, and has no sockets, disk
+// or clock — the only clock is the tick input. Its rule for each input:
 //
-// The majority rule is the standard quorum trade: automatic failover (and a
-// leader surviving follower loss) requires a cluster of at least 3 nodes. A
-// 2-node cluster that loses either member becomes read-only until the peer
-// returns (or an operator forces promotion, ForcePromote).
+//   - tick: a leader that heard no ack, join or probe from a majority of its
+//     view within LeaseTimeout steps down (promotion starts a grace period
+//     of two lease windows); an electing node with no requests out probes
+//     again; a round out for two election timeouts counts its missing
+//     replies as unreachable.
+//   - probe: counts as contact, and is answered with the node's status.
+//   - claim: granted when above the local term from a log at least as new,
+//     by (appliedTerm, applied) compared lexicographically — Raft's election
+//     restriction, where appliedTerm is the term of the leadership that
+//     produced the newest applied entry. A granter adopts the term, steps
+//     down if leading, takes the claimant into its view and follows it at
+//     once; a refusal changes nothing.
+//   - join: a joiner above a leader's term deposes it; a non-leader
+//     redirects to the leader it knows; the leader takes the joiner into its
+//     view and says hello — a heartbeat, allowing an incremental resume, only
+//     when the joiner's term and applied term are both its own and it did
+//     not ask for a snapshot; a snapshot otherwise, which makes the leader's
+//     state authoritative and heals any divergent tail.
+//   - heartbeat, snapshot: from a term below the node's, the stream drops;
+//     otherwise the leader's term, identity and view are adopted. A snapshot
+//     is installed, and only once it is (the applied input) does appliedTerm
+//     become the leader's term and the node ack.
+//   - entries: applied only from the leader followed at the current term,
+//     and acked only if that is still so once they are applied — a node that
+//     granted a newer term meanwhile never acks the old leadership.
+//   - not-leader: the join is redirected; with no leader named, the node
+//     hunts as if its stream had dropped.
+//   - a lost stream (a failed request of round 0) starts an election. Every
+//     node ranks the view without the lost leader the same way (priority
+//     desc, ID asc) and waits its rank's share of election timeouts, probing
+//     the whole view meanwhile: a reachable leader, or a hint naming one
+//     other than the lost leader, ends the election. Past its wait, a round
+//     in which a majority (self included) answered and nobody's log was
+//     newer is the pre-vote: the node claims the next term from every member
+//     and leads on grants from a majority. Anything else retries an election
+//     timeout later, jittered ±20%.
+//   - status and failed requests: counted into the round they answer.
+//   - proposal (the commit hook): a leader's first write of a term moves
+//     appliedTerm to it; off the leader the write is refused.
+//   - operator: ForcePromote takes the next term without a vote; StepDown
+//     demotes and sits out candidacy for four election timeouts, so the
+//     handoff is not won straight back.
 //
-// Term and log rules. On a durable node a candidate persists its bumped term
-// before it sends a claim, and a granter persists the term it adopts before
-// the grant is observable (refusing a grant it cannot persist), so a restart
-// cannot vote twice in one term. Logs compare Raft-style by (appliedTerm,
-// applied); appliedTerm — the term of the leadership that produced the newest
-// applied entry — is persisted with the store's metadata and also gates a
-// join: a follower resumes incrementally only when its appliedTerm is the
-// leader's term, and re-bootstraps from a snapshot otherwise, so a divergent
-// prefix left by a contested failover is never grafted silently. A join carrying a higher term deposes a term-stale
-// leader. A node that steps down (StepDown, the drain handoff) sits out its
-// own candidacy for four election timeouts so it does not win back the
-// leadership it vacated. Election and retry timers carry ±20% jitter, and
-// every dial is bounded by a timeout. The chaos suite (internal/chaos)
-// checks all of this under seeded partitions, disk faults and crashes; seed
-// 10 first caught the flap-and-lose case that made elections claim-based.
+// node.go, leader.go and follower.go are the I/O side: dial and accept, gob
+// frames, timers, the record data path (WAL.Append, ship, applyRecords,
+// WAL.Ack) and the database. They keep one ordering rule: a step's persist
+// output — term, appliedTerm and view — is on disk before any of its sends
+// or role changes take effect, and a failed persist discards the step. So a
+// candidate never claims, a granter never grants and a leader never leads at
+// a term a restart could forget, and no node votes twice in one term. The
+// core is explored without sockets in step_test.go: three nodes, every
+// interleaving of delivery, drop and tick to a bounded depth.
+//
+// The node's data path keeps the core's log rule true. A joiner that
+// installs a snapshot takes the leader's term as its applied term, so the
+// snapshot always covers the leader's log as of its election: a checkpoint
+// file older than that is never shipped. A leader's commit watermark — what
+// its watch gate and its followers' publish — starts at the watermark it was
+// last shipped as a follower, not at the end of its log, and never passes
+// what it holds on disk: an entry in memory only is not committed.
+//
+// Membership is every peer a leader ever admitted by join, persisted in the
+// view, so a restart elects against the real majority denominator. Removing
+// a member is not supported. The cost: a permanently dead member counts in
+// every majority, and a dead high-priority one costs each later election one
+// rank slot (an election timeout).
+//
+// Because a majority of grants is a majority that has left the old term, any
+// write quorum a deposed leader could still assemble needs a granter, and
+// granters refuse its frames: quorum-acknowledged writes survive failover,
+// and a minority side cannot elect. Automatic failover therefore needs 3+
+// nodes; a 2-node cluster that loses either member is read-only until the
+// peer returns or an operator forces promotion (ForcePromote). The chaos
+// suite (internal/chaos) checks all of this under seeded partitions, disk
+// faults and crashes.
 package replica
 
 import (
@@ -163,42 +195,28 @@ type Config struct {
 }
 
 // Node is one member of a replicated EMEWS service cluster. It owns a
-// core.DB, ships (or applies) the statement WAL, and runs the failover
-// protocol. Create with New, wire the service with service.ServeNode (or
-// SetServiceAddr + Start), and shut down with Close.
+// core.DB, ships (or applies) the statement WAL, and drives the protocol
+// core (step) with frames, timers and disk. Create with New, wire the service
+// with service.ServeNode (or SetServiceAddr + Start), and shut down with
+// Close.
 type Node struct {
 	cfg   Config
 	db    *core.DB
 	eng   *minisql.Engine
 	store *minisql.Store // durable log + checkpoints (nil: in-memory node)
 	ln    net.Listener
+	born  time.Time // origin of the clock the core is ticked with
 
 	met *nodeMetrics // replication metrics (obs.go), on the DB's registry
 
-	mu      sync.Mutex
-	role    Role
-	term    uint64
-	applied uint64 // last applied (follower) / committed (leader) log index
-	// appliedTerm is the leadership term that produced the newest applied
-	// entry — the Raft last-log-term half of every log comparison. Two nodes
-	// whose applied terms match hold prefixes of the same leader's log, so
-	// (appliedTerm, applied) ordered lexicographically decides both the
-	// election log gate and whether a join may resume incrementally.
-	appliedTerm uint64
-	wal         *minisql.WAL
-	peers       map[string]Peer
-	leader      Peer
-	followers   map[string]*followerConn
-	contact     map[string]time.Time // last ack/join/probe heard from each peer
-	leaseRef    time.Time            // lease grace: no demotion before this
-	stream      net.Conn             // follower's live connection to the leader
-	started     bool
-	closed      bool
-	// standDownUntil suppresses this node's own candidacy after StepDown:
-	// a node that vacated leadership deliberately must not stand in the
-	// election it just triggered, or it would often win leadership straight
-	// back (freshest log, usually top priority) and defeat the handoff.
-	standDownUntil time.Time
+	mu        sync.Mutex
+	st        state        // the protocol state; only step changes its decisions
+	wal       *minisql.WAL // the leader's log (nil off the leader)
+	walStart  uint64       // the applied index the leader's log began at
+	followers map[string]*followerConn
+	stream    net.Conn // follower's live connection to the leader
+	started   bool
+	closed    bool
 
 	// Leader-health evidence for readiness (obs.go): when the leader was
 	// last heard from on the stream, its last reported applied index, and
@@ -211,8 +229,11 @@ type Node struct {
 	appliedCh chan struct{} // closed and replaced when the applied index advances
 	commitCh  chan struct{} // closed and replaced when the quorum watermark advances
 	closeCh   chan struct{}
+	kick      chan struct{} // wakes the follow loop: the leader to follow changed
 
-	committedSeen uint64 // newest quorum watermark fanned out via commitCh
+	// committedSeen is the newest quorum watermark known: fanned out via
+	// commitCh on a leader, shipped by the leader on a follower.
+	committedSeen uint64
 	wg            sync.WaitGroup
 
 	// attached latches once this node's state is first tied to the cluster's
@@ -220,19 +241,10 @@ type Node struct {
 	// follower — its first join has been answered and processed (bootstrap
 	// snapshot installed, or resume accepted). See Attached.
 	attached atomic.Bool
-
-	// everJoined records that this node recovered a multi-member membership
-	// view from disk: it has provably been part of the cluster, so it may
-	// take part in elections immediately after a restart instead of knocking
-	// on its join address forever waiting for a leader that may never exist
-	// (a fully-restarted cluster has no leader to find, only one to elect).
-	everJoined bool
 }
 
 // viewMeta is the durably persisted membership view: the peers list and
-// leader identity this node last adopted. A restarted node recovers it so
-// its elections run against the real majority denominator instead of a
-// one-node world view.
+// leader identity this node last adopted.
 type viewMeta struct {
 	Leader Peer
 	Peers  []Peer
@@ -291,70 +303,40 @@ func New(cfg Config) (*Node, error) {
 		eng:       db.Engine(),
 		store:     db.Store(),
 		ln:        ln,
-		peers:     make(map[string]Peer),
+		born:      time.Now(),
 		followers: make(map[string]*followerConn),
-		contact:   make(map[string]time.Time),
 		peersCh:   make(chan struct{}),
 		appliedCh: make(chan struct{}),
 		commitCh:  make(chan struct{}),
 		closeCh:   make(chan struct{}),
+		kick:      make(chan struct{}, 1),
 	}
 	n.met = newNodeMetrics(db.Metrics())
 	n.registerCollectors(db.Metrics())
-	self := n.selfPeerLocked()
-	n.peers[self.ID] = self
+	self := Peer{ID: cfg.ID, Priority: cfg.Priority, ReplAddr: n.Addr(), SvcAddr: cfg.ServiceAddr}
+	n.st = newState(self, cfg.Join, cfg.ElectionTimeout, cfg.LeaseTimeout, rand.Uint64())
 	if n.store != nil {
-		// Resume the cluster position recovered from disk: the applied index
-		// is the engine's replayed high-water mark, the term the one
-		// persisted before the restart. A restarted follower re-joins from
-		// that position (no re-bootstrap); a restarted leader reopens its
-		// log at it.
-		n.applied = n.eng.LastLogged()
-		n.term = n.store.Term()
-		n.appliedTerm = n.store.AppliedTerm()
-		if cfg.Join != "" {
-			// Recover the last adopted membership view: the restarted
-			// follower knows who the cluster was and may elect (majority- and
-			// log-gated as always) if it finds no leader to rejoin. A
-			// single-member view is not recovered — electing from it would be
-			// claiming leadership of a one-node world. The bootstrap-leader
-			// path (Join == "") keeps its fresh {self} view: it already leads,
-			// and members re-register as they return.
-			var vm viewMeta
-			if v := n.store.View(); len(v) > 0 && json.Unmarshal(v, &vm) == nil && len(vm.Peers) > 1 {
-				for _, p := range vm.Peers {
-					n.peers[p.ID] = p
-				}
-				n.peers[self.ID] = self // own addresses win over the recorded ones
-				if vm.Leader.ID != cfg.ID {
-					// A recovered leader identity naming this node is its own
-					// pre-crash leadership — stale the moment it restarts as
-					// a follower.
-					n.leader = vm.Leader
-				}
-				n.everJoined = true
-			}
-		}
+		// Resume the cluster position recovered from disk: the engine's
+		// replayed high-water mark, the persisted terms and view. A restarted
+		// follower re-joins from there (no re-bootstrap).
+		var vm viewMeta
+		_ = json.Unmarshal(n.store.View(), &vm) // none or unreadable: no view to recover
+		n.st.restore(n.store.Term(), n.store.AppliedTerm(), n.eng.LastLogged(), vm.Peers)
 	}
 	if cfg.Join == "" {
-		n.role = RoleLeader
-		// Always start a NEW term, even when one was recovered from disk.
-		// Crash recovery can roll this leader's log back past entries a
-		// follower already applied (a non-fsync tail lost with the OS
-		// buffers, or a frame streamed from the memory WAL before its fsync
-		// completed). Resuming the old term would let such a follower pass
-		// the same-term resume check with nothing to stream and then watch
-		// new writes reuse its indexes with different content — silent
-		// divergence. The bump forces returning followers through the
+		// A bootstrap leader always starts a NEW term, even over one
+		// recovered from disk. Crash recovery can roll its log back past
+		// entries a follower already applied (a non-fsync tail lost with the
+		// OS buffers, or a frame streamed before its fsync completed);
+		// resuming the old term would let such a follower pass the same-term
+		// resume check and then watch new writes reuse its indexes with
+		// different content. The bump forces returning followers through the
 		// snapshot path, which heals any divergence wholesale.
-		n.term++
-		n.wal = minisql.NewWAL(n.applied)
-		n.wal.SetQuorum(cfg.WriteQuorum)
-		n.leader = self
-		n.persistTerm(n.term)
-		n.attached.Store(true)
-	} else {
-		n.role = RoleFollower
+		if _, err := n.step(input{ev: evPromote}, nil); err != nil {
+			ln.Close()
+			db.Close()
+			return nil, err
+		}
 	}
 	if cfg.WriteQuorum > 0 {
 		// Synchronous replication: gate watch publication on the quorum
@@ -369,80 +351,152 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// persistTerm records a term change in the durable store (no-op in-memory
-// or when unchanged), so a restart resumes the cluster's term instead of
-// restarting history at 1.
-func (n *Node) persistTerm(t uint64) {
-	if n.store == nil {
-		return
-	}
-	if err := n.store.SetTerm(t); err != nil {
-		n.logf("persisting term %d: %v", t, err)
-	}
-}
-
-// noteAppliedTerm advances the applied-term watermark (the term whose leader
-// produced the newest applied entry) and persists the change. It moves once
-// per adopted leadership, so the apply fast path only ever pays the no-op
-// comparison.
-func (n *Node) noteAppliedTerm(t uint64) {
+// step feeds one input to the core and carries out the outputs every caller
+// shares — requests, role changes, following, logs — returning all of them
+// for the caller's own (replies, hello, install, apply, ack). A persist
+// output reaches disk before the new state is published or anything else
+// happens; if it fails, the step is discarded: the state stays as it was,
+// nothing is sent, and the error is returned. out is appended to, so a
+// caller's buffer keeps the hot inputs (ack, entries) free of allocations.
+func (n *Node) step(in input, out []output) ([]output, error) {
 	n.mu.Lock()
-	changed := t != n.appliedTerm
-	if changed {
-		n.appliedTerm = t
+	if n.closed {
+		n.mu.Unlock()
+		return nil, ErrClosed
 	}
-	n.mu.Unlock()
-	if changed && n.store != nil {
-		if err := n.store.SetAppliedTerm(t); err != nil {
-			n.logf("persisting applied term %d: %v", t, err)
+	if in.ev == evApplied && in.f.Type == frameSnapshot {
+		// Unlike setApplied this may move the index backwards: a
+		// re-bootstrap replaces local state wholesale, and the index tracks
+		// it down too. WaitApplied callers are woken either way and re-block
+		// until the stream catches back up past their token.
+		n.st.applied, n.committedSeen = in.f.SnapIndex, 0 // the hello's watermark follows
+		n.lastProgress = time.Now()
+		close(n.appliedCh)
+		n.appliedCh = make(chan struct{})
+	}
+	out, err := n.stepLocked(in, out)
+	var sealed *minisql.WAL
+	var fols map[string]*followerConn
+	var stream net.Conn
+	for _, o := range out {
+		switch o.do {
+		case doRequest:
+			n.wg.Add(1) // under mu: Close cannot be waiting yet
+		case doLead:
+			n.wal, n.walStart = minisql.NewWAL(n.st.applied), n.st.applied // continues the cluster's numbering
+			n.wal.SetQuorum(n.cfg.WriteQuorum)
+			// Past what the old leader reported committed, this log may hold
+			// entries no quorum has: they publish once a follower acks them.
+			n.committedSeen = min(n.committedSeen, n.st.applied)
+			n.wal.SetCommitted(n.committedSeen)
+			n.followers = make(map[string]*followerConn)
+			stream = n.stream
+		case doDemote:
+			// In the critical section that published the role: no commit can
+			// reach the detached WAL.
+			sealed, fols = n.wal, n.followers
+			n.wal, n.followers = nil, make(map[string]*followerConn)
+		case doFollow:
+			stream = n.stream
+		case doCommit:
+			n.committedSeen = max(n.committedSeen, o.f.Committed)
 		}
 	}
-}
-
-// persistViewLocked records the current membership view in the durable store
-// (no-op in-memory or when unchanged), so a restart recovers the cluster it
-// was part of. Caller holds n.mu.
-func (n *Node) persistViewLocked() {
-	if n.store == nil {
-		return
-	}
-	peers := n.peerListLocked()
-	rankPeers(peers) // stable order, so unchanged views compare equal
-	data, err := json.Marshal(viewMeta{Leader: n.leader, Peers: peers})
+	term, applied := n.st.term, n.st.applied
+	n.mu.Unlock()
 	if err != nil {
-		return
+		return nil, err
 	}
-	if err := n.store.SetView(data); err != nil {
-		n.logf("persisting membership view: %v", err)
+	// Teardown before the caller's reply: a grant must not be observable
+	// while this node could still ack the leadership it left.
+	if stream != nil {
+		stream.Close()
 	}
+	for _, o := range out {
+		switch o.do {
+		case doRequest:
+			go n.request(o)
+		case doFollow:
+			select {
+			case n.kick <- struct{}{}:
+			default:
+			}
+		case doLead:
+			n.attached.Store(true)
+			n.met.promotions.Inc()
+			n.logf("promoted to leader (term %d, log index %d)", term, applied)
+		case doDemote:
+			if sealed != nil {
+				sealed.Seal(ErrDemoted)
+			}
+			for _, f := range fols {
+				f.conn.Close()
+			}
+			n.met.demotions.Inc()
+			n.logf("stepping down at term %d: %s", term, o.why)
+		case doLog:
+			n.logf("%s", o.why)
+		}
+	}
+	return out, nil
 }
 
-func (n *Node) persistView() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.persistViewLocked()
+// stepLocked runs the core on a copy of the state and publishes the copy
+// once its persist output (always last, when there is one) is on disk.
+// Caller holds n.mu.
+func (n *Node) stepLocked(in input, out []output) ([]output, error) {
+	next := n.st
+	out = step(&next, in, out)
+	if k := len(out) - 1; k >= 0 && out[k].do == doPersist {
+		if err := n.persist(out[k]); err != nil {
+			return nil, err
+		}
+		if out[k].view {
+			// Wake every follower stream: the view reaches the cluster within
+			// one send, not one heartbeat tick.
+			close(n.peersCh)
+			n.peersCh = make(chan struct{})
+		}
+	}
+	n.st = next
+	return out, nil
+}
+
+// persist writes a persist output to the durable store (no-op in-memory).
+// Each setter is a no-op for an unchanged value, so only what moved costs a
+// metadata write.
+func (n *Node) persist(o output) error {
+	if n.store == nil {
+		return nil
+	}
+	err := n.store.SetTerm(o.f.Term)
+	if err == nil {
+		err = n.store.SetAppliedTerm(o.f.AppliedTerm)
+	}
+	if err == nil && o.view {
+		var data []byte
+		if data, err = json.Marshal(viewMeta{Leader: o.to, Peers: o.f.Peers}); err == nil {
+			err = n.store.SetView(data)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("replica: persisting term %d: %w", o.f.Term, err)
+	}
+	return nil
 }
 
 // Start launches the replication loops. Idempotent.
 func (n *Node) Start() {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.started || n.closed {
-		n.mu.Unlock()
 		return
 	}
 	n.started = true
-	role := n.role
-	n.mu.Unlock()
-
-	n.wg.Add(1)
+	n.wg.Add(3)
 	go n.acceptLoop()
-	if role == RoleFollower {
-		n.wg.Add(1)
-		go n.runFollower()
-	} else {
-		n.wg.Add(1)
-		go n.leaderHousekeeping()
-	}
+	go n.tickLoop()
+	go n.followLoop()
 }
 
 // Close stops all replication activity and shuts the node's database down.
@@ -471,6 +525,26 @@ func (n *Node) Close() {
 	n.db.Close()
 }
 
+// tickLoop feeds the core its clock every heartbeat, and on an
+// election-timeout cadence compacts a leader's WAL.
+func (n *Node) tickLoop() {
+	defer n.wg.Done()
+	tick := time.NewTicker(n.cfg.Heartbeat)
+	defer tick.Stop()
+	slowEvery := max(1, int(n.cfg.ElectionTimeout/n.cfg.Heartbeat))
+	for i := 1; ; i++ {
+		select {
+		case <-n.closeCh:
+			return
+		case <-tick.C:
+		}
+		n.step(input{ev: evTick, now: time.Since(n.born)}, nil)
+		if i%slowEvery == 0 {
+			n.compact()
+		}
+	}
+}
+
 // DB returns the node's task database, for local serving.
 func (n *Node) DB() *core.DB { return n.db }
 
@@ -494,11 +568,7 @@ func (n *Node) SetServiceAddr(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.cfg.ServiceAddr = addr
-	self := n.selfPeerLocked()
-	n.peers[self.ID] = self
-	if n.leader.ID == self.ID {
-		n.leader = self
-	}
+	n.st.setSelf(Peer{ID: n.cfg.ID, Priority: n.cfg.Priority, ReplAddr: n.Addr(), SvcAddr: addr})
 }
 
 // ServiceAddr returns the EMEWS service address this node advertises
@@ -513,7 +583,7 @@ func (n *Node) ServiceAddr() string {
 func (n *Node) Role() Role {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.role
+	return n.st.role
 }
 
 // Attached reports whether this node's state has been tied to the cluster's
@@ -534,7 +604,7 @@ func (n *Node) IsLeader() bool { return n.Role() == RoleLeader }
 func (n *Node) Term() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.term
+	return n.st.term
 }
 
 // Applied returns the index of the last log entry applied to (or committed
@@ -542,7 +612,7 @@ func (n *Node) Term() uint64 {
 func (n *Node) Applied() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.applied
+	return n.st.applied
 }
 
 // LeaderServiceAddr returns the EMEWS service address of the current leader
@@ -550,47 +620,21 @@ func (n *Node) Applied() uint64 {
 func (n *Node) LeaderServiceAddr() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.leader.SvcAddr
+	return n.st.leader.SvcAddr
 }
 
 // LeaderID returns the node ID of the current leader ("" when unknown).
 func (n *Node) LeaderID() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.leader.ID
+	return n.st.leader.ID
 }
 
 // Peers returns the node's view of cluster membership in promotion order.
 func (n *Node) Peers() []Peer {
 	n.mu.Lock()
-	out := n.peerListLocked()
-	n.mu.Unlock()
-	rankPeers(out)
-	return out
-}
-
-func (n *Node) selfPeerLocked() Peer {
-	repl := n.cfg.Advertise
-	if repl == "" {
-		repl = n.ln.Addr().String()
-	}
-	return Peer{ID: n.cfg.ID, Priority: n.cfg.Priority, ReplAddr: repl, SvcAddr: n.cfg.ServiceAddr}
-}
-
-func (n *Node) peerListLocked() []Peer {
-	out := make([]Peer, 0, len(n.peers))
-	for _, p := range n.peers {
-		out = append(out, p)
-	}
-	return out
-}
-
-// notifyPeersChangedLocked wakes every follower stream so a membership
-// change reaches the whole cluster within one send, not one heartbeat tick:
-// followers must agree on membership for promotion to stay deterministic.
-func (n *Node) notifyPeersChangedLocked() {
-	close(n.peersCh)
-	n.peersCh = make(chan struct{})
+	defer n.mu.Unlock()
+	return append([]Peer(nil), n.st.peers...)
 }
 
 // noteCommitted fans a quorum-watermark advance out to the watch gate and
@@ -610,18 +654,12 @@ func (n *Node) noteCommitted(c uint64) {
 	n.db.AdvanceWatch(c)
 }
 
-// commitWatch returns a channel closed at the next quorum-watermark advance.
-func (n *Node) commitWatch() <-chan struct{} {
+// watches returns the channels closed at the next quorum-watermark advance
+// and the next membership change.
+func (n *Node) watches() (commits, peers <-chan struct{}) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.commitCh
-}
-
-// peersWatch returns a channel closed at the next membership change.
-func (n *Node) peersWatch() <-chan struct{} {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.peersCh
+	return n.commitCh, n.peersCh
 }
 
 func (n *Node) isClosed() bool {
@@ -642,24 +680,24 @@ func (n *Node) logf(format string, args ...any) {
 // onCommit is the engine commit hook: on the leader it appends the committed
 // statements to the WAL, which wakes the per-follower senders, and returns
 // the assigned index — the commit token the engine hands back to the caller
-// through TxLogged. It runs under the engine lock, so it only
-// touches the WAL, the store's buffered log append, and node bookkeeping.
-// Off the leader it refuses: a write that reaches this node's database anyway
-// (the node was demoted between the service's leadership check and the
-// write; a poll parked on an ex-leader woken by a replayed transition) would
-// be applied here, logged nowhere, published at token 0 and acknowledged.
+// through TxLogged. It runs under the engine lock, so it only touches the
+// core, the WAL and the store's buffered log append. Off the leader it
+// refuses: a write that reaches this node's database anyway (the node was
+// demoted between the service's leadership check and the write; a poll parked
+// on an ex-leader woken by a replayed transition) would be applied here,
+// logged nowhere, published at token 0 and acknowledged.
 func (n *Node) onCommit(stmts []minisql.Stmt) (uint64, error) {
+	var buf [1]output
 	n.mu.Lock()
-	w := n.wal
-	isLeader := n.role == RoleLeader
-	term := n.term
+	_, err := n.stepLocked(input{ev: evPropose}, buf[:0])
+	w, lead := n.wal, n.st.role == RoleLeader
 	n.mu.Unlock()
-	if !isLeader || w == nil {
+	if err != nil {
+		return 0, err
+	}
+	if !lead || w == nil {
 		return 0, ErrNotLeader
 	}
-	// The entry being appended belongs to this leadership: the applied-term
-	// watermark moves with the first write of each term (no-op after).
-	n.noteAppliedTerm(term)
 	rec := w.Append(stmts)
 	if n.store != nil {
 		// The durable twin of the in-memory append, same bytes. On failure
@@ -677,8 +715,8 @@ func (n *Node) onCommit(stmts []minisql.Stmt) (uint64, error) {
 // WaitApplied callers.
 func (n *Node) setApplied(idx uint64) {
 	n.mu.Lock()
-	if idx > n.applied {
-		n.applied = idx
+	if idx > n.st.applied {
+		n.st.applied = idx
 		n.lastProgress = time.Now()
 		close(n.appliedCh)
 		n.appliedCh = make(chan struct{})
@@ -704,17 +742,6 @@ var (
 	ErrClosed = fmt.Errorf("replica: node closed")
 )
 
-// touchPeer records that peer id was heard from (ack, join, or probe) for the
-// majority lease and membership decay.
-func (n *Node) touchPeer(id string) {
-	if id == "" {
-		return
-	}
-	n.mu.Lock()
-	n.contact[id] = time.Now()
-	n.mu.Unlock()
-}
-
 // WriteQuorum returns the configured synchronous-replication quorum
 // (0 = asynchronous).
 func (n *Node) WriteQuorum() int { return n.cfg.WriteQuorum }
@@ -723,12 +750,24 @@ func (n *Node) WriteQuorum() int { return n.cfg.WriteQuorum }
 // Applied in asynchronous mode) and the applied index elsewhere.
 func (n *Node) Committed() uint64 {
 	n.mu.Lock()
-	w, applied := n.wal, n.applied
+	w, applied := n.wal, n.st.applied
 	n.mu.Unlock()
 	if w == nil {
 		return applied
 	}
-	return w.Committed()
+	return n.committed(w)
+}
+
+// committed is a leader's commit watermark: its WAL's quorum watermark,
+// capped at what it holds on disk. An entry that reached only its memory (the
+// disk append failed) is not committed however many followers ack it: the
+// leader's restart forgets it, and a majority without it can elect.
+func (n *Node) committed(w *minisql.WAL) uint64 {
+	c := w.Committed()
+	if n.store != nil {
+		c = min(c, n.store.Synced())
+	}
+	return c
 }
 
 // WaitQuorumIndex blocks until the log entry at exactly idx is replicated to
@@ -745,12 +784,11 @@ func (n *Node) WaitQuorumIndex(idx uint64) error {
 		return nil
 	}
 	n.mu.Lock()
-	if n.role != RoleLeader || n.wal == nil {
-		n.mu.Unlock()
-		return ErrNotLeader
-	}
 	w := n.wal
 	n.mu.Unlock()
+	if w == nil {
+		return ErrNotLeader
+	}
 	t0 := time.Now()
 	err := w.WaitCommitted(idx, 2*n.cfg.LeaseTimeout)
 	n.met.quorumWait.ObserveSince(t0)
@@ -768,7 +806,7 @@ func (n *Node) WaitApplied(idx uint64, timeout time.Duration) error {
 	var timer *time.Timer
 	for {
 		n.mu.Lock()
-		if n.applied >= idx {
+		if n.st.applied >= idx {
 			n.mu.Unlock()
 			return nil
 		}
@@ -799,125 +837,34 @@ func (n *Node) WaitApplied(idx uint64, timeout time.Duration) error {
 // electing majority — the canonical case is a 2-node cluster after one node
 // dies, where the survivor is 1 of 2 and the majority gate (correctly)
 // refuses automatic failover. It promotes this node to leader immediately,
-// overriding the gate. The operator asserts what the protocol cannot know:
-// that the missing peers are really dead, not partitioned away. Forcing
-// promotion on BOTH sides of a live partition creates split brain, exactly
-// as it would in any quorum system. Idempotent on a current leader.
+// at the next term, overriding the gate. The operator asserts what the
+// protocol cannot know: that the missing peers are really dead, not
+// partitioned away. Forcing promotion on BOTH sides of a live partition
+// creates split brain, exactly as it would in any quorum system. Idempotent
+// on a current leader; fails when the new term cannot be persisted.
 func (n *Node) ForcePromote() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return ErrClosed
+	if !n.IsLeader() {
+		n.logf("forced promotion: operator override of the majority election gate")
 	}
-	if n.role == RoleLeader {
-		n.mu.Unlock()
-		return nil
-	}
-	stream := n.stream
-	n.mu.Unlock()
-	n.logf("forced promotion: operator override of the majority election gate")
-	n.promote(0)
-	// Sever any live stream to an old leader; the follower loop observes the
-	// role change and exits instead of re-electing.
-	if stream != nil {
-		stream.Close()
-	}
-	return nil
+	_, err := n.step(input{ev: evPromote}, nil)
+	return err
 }
 
-// promote makes this follower the new leader: adopt the claimed term (0
-// means bump the current one — the operator ForcePromote path, which skips
-// the claim round), drop the dead leader from membership, and open a fresh
-// WAL continuing at the applied index so joiners resume the cluster's
-// numbering. A claimTerm the node has already moved past aborts the
-// promotion: this node granted a higher claim between its own claim round
-// and now, and leading at the stale term would undo that vote.
-func (n *Node) promote(claimTerm uint64) {
-	n.mu.Lock()
-	if n.closed || n.role == RoleLeader {
-		n.mu.Unlock()
-		return
-	}
-	if claimTerm == 0 {
-		claimTerm = n.term + 1
-	}
-	if claimTerm < n.term {
-		n.mu.Unlock()
-		n.logf("promotion at term %d aborted: already granted term %d", claimTerm, n.term)
-		return
-	}
-	n.role = RoleLeader
-	n.term = claimTerm
-	if n.leader.ID != "" && n.leader.ID != n.cfg.ID {
-		delete(n.peers, n.leader.ID)
-	}
-	n.leader = n.selfPeerLocked()
-	n.wal = minisql.NewWAL(n.applied)
-	n.wal.SetQuorum(n.cfg.WriteQuorum)
-	n.followers = make(map[string]*followerConn)
-	// Lease grace: surviving followers need their own failure detection and
-	// election backoff before they re-join, so the fresh leader must not
-	// count the silence since its own promotion against them.
-	now := time.Now()
-	for id := range n.peers {
-		n.contact[id] = now
-	}
-	n.leaseRef = now.Add(2 * n.cfg.LeaseTimeout)
-	term, applied := n.term, n.applied
-	n.mu.Unlock()
-	n.attached.Store(true)
-	n.persistTerm(term)
-	n.persistView()
-	n.met.promotions.Inc()
-	n.logf("promoted to leader (term %d, log index %d)", term, applied)
-	n.wg.Add(1)
-	go n.leaderHousekeeping()
-}
-
-// demote steps a leader down to follower after it lost its majority lease:
-// it stops accepting writes (pending quorum waits fail with ErrDemoted),
-// drops its follower streams, forgets the leader identity, and starts the
-// follower loop to hunt for the majority side's leader. The mirror image of
-// promote — leadership is no longer one-way.
-func (n *Node) demote(reason string) {
-	n.mu.Lock()
-	finish, ok := n.demoteLocked()
-	n.mu.Unlock()
-	if ok {
-		finish(reason)
-	}
-}
-
-// demoteLocked flips the leader to follower under the caller's hold of n.mu:
-// the role change, the WAL detach, and whatever state change motivated the
-// demotion (a granted leadership claim adopting a higher term, say) land in
-// one critical section, so no commit can slip through between them. It
-// returns the teardown to run after unlock. Claim grants rely on the
-// atomicity: a leader that adopted a claimed term but still had a live WAL
-// for one more commit would stamp that write with the claimant's term.
-func (n *Node) demoteLocked() (finish func(reason string), ok bool) {
-	if n.closed || n.role != RoleLeader {
-		return nil, false
-	}
-	n.role = RoleFollower
-	w := n.wal
-	n.wal = nil
-	n.leader = Peer{} // unknown until the majority side's leader is found
-	fols := n.followers
-	n.followers = make(map[string]*followerConn)
-	term := n.term
-	return func(reason string) {
-		if w != nil {
-			w.Seal(ErrDemoted)
+// StepDown demotes a leader to follower on operator request — the graceful
+// half of drain: a node about to shut down hands leadership off proactively
+// instead of making the cluster discover its death by timeout. The caller
+// is responsible for sequencing it after in-flight quorum waits resolve
+// (service.Server.Drain does). No-op on followers; returns false when the
+// node has no peer to hand off to (a sole member demoting itself would just
+// leave the cluster leaderless).
+func (n *Node) StepDown() bool {
+	out, _ := n.step(input{ev: evStepDown}, nil)
+	for _, o := range out {
+		if o.do == doDemote {
+			return true
 		}
-		for _, f := range fols {
-			f.conn.Close()
-		}
-		n.met.demotions.Inc()
-		n.logf("stepping down at term %d: %s", term, reason)
-		n.wg.Add(1)
-		go n.followLoop("", true)
-	}, true
+	}
+	return false
 }
 
 // snapshotAt captures a database snapshot together with the WAL index it
@@ -940,11 +887,7 @@ func (n *Node) snapshotAt(w *minisql.WAL) ([]byte, uint64, error) {
 // WAN link) would otherwise time out every join attempt forever, each retry
 // re-serializing a full snapshot.
 func (n *Node) snapshotTimeout() time.Duration {
-	d := 10 * n.cfg.ElectionTimeout
-	if d < 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
+	return max(10*n.cfg.ElectionTimeout, 30*time.Second)
 }
 
 func (n *Node) sleep(d time.Duration) bool {
@@ -975,37 +918,4 @@ func (n *Node) dial(addr string, timeout time.Duration) (net.Conn, error) {
 		return nil, err
 	}
 	return conn, nil
-}
-
-// jitter spreads a failure-detection or heartbeat interval ±20%. Identical
-// configs otherwise fire their election timers in lockstep after a
-// partition heals — every candidate probes, sees the same view, and backs
-// off the same amount, making split elections more likely and synchronizing
-// the retry storm that follows. Randomized timers are the standard fix
-// (Raft §5.2); the promotion rank still decides the winner, jitter only
-// de-synchronizes when each node looks.
-func (n *Node) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	return d*4/5 + time.Duration(rand.Int63n(int64(d)*2/5+1))
-}
-
-// StepDown demotes a leader to follower on operator request — the graceful
-// half of drain: a node about to shut down hands leadership off proactively
-// instead of making the cluster discover its death by timeout. The caller
-// is responsible for sequencing it after in-flight quorum waits resolve
-// (service.Server.Drain does). No-op on followers; returns false when the
-// node has no live peer to hand off to (a sole survivor demoting itself
-// would just leave the cluster leaderless).
-func (n *Node) StepDown() bool {
-	n.mu.Lock()
-	if n.closed || n.role != RoleLeader || len(n.peers) < 2 {
-		n.mu.Unlock()
-		return false
-	}
-	n.standDownUntil = time.Now().Add(4 * n.cfg.ElectionTimeout)
-	n.mu.Unlock()
-	n.demote("drain: operator-requested handoff")
-	return true
 }

@@ -59,9 +59,9 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 func (n *Node) registerCollectors(reg *obs.Registry) {
 	reg.CollectFunc(func(e *obs.Emitter) {
 		n.mu.Lock()
-		role := n.role
-		term := n.term
-		applied := n.applied
+		role := n.st.role
+		term := n.st.term
+		applied := n.st.applied
 		w := n.wal
 		leaderApplied := n.leaderApplied
 		type fl struct {
@@ -74,8 +74,8 @@ func (n *Node) registerCollectors(reg *obs.Registry) {
 			last = w.LastIndex()
 			for id, f := range n.followers {
 				lag := uint64(0)
-				if last > f.acked {
-					lag = last - f.acked
+				if acked := f.acked.Load(); last > acked {
+					lag = last - acked
 				}
 				fols = append(fols, fl{id: id, lag: lag})
 			}
@@ -87,7 +87,7 @@ func (n *Node) registerCollectors(reg *obs.Registry) {
 		e.Gauge("osprey_replica_applied_index", float64(applied))
 		committed := applied
 		if w != nil {
-			committed = w.Committed()
+			committed = n.committed(w)
 		}
 		e.Gauge("osprey_replica_committed_index", float64(committed))
 		if role == RoleFollower {
@@ -151,8 +151,8 @@ func (n *Node) Ready() (bool, string) {
 	if n.closed {
 		return false, "node closed"
 	}
-	if n.role == RoleLeader {
-		return true, fmt.Sprintf("leader (term %d, applied %d)", n.term, n.applied)
+	if n.st.role == RoleLeader {
+		return true, fmt.Sprintf("leader (term %d, applied %d)", n.st.term, n.st.applied)
 	}
 	if n.leaderContact.IsZero() {
 		return false, "follower: no leader contact yet"
@@ -161,13 +161,13 @@ func (n *Node) Ready() (bool, string) {
 		return false, fmt.Sprintf("follower: last leader contact %v ago exceeds bound %v", age.Round(time.Millisecond), bound)
 	}
 	lag := uint64(0)
-	if n.leaderApplied > n.applied {
-		lag = n.leaderApplied - n.applied
+	if n.leaderApplied > n.st.applied {
+		lag = n.leaderApplied - n.st.applied
 		if prog := now.Sub(n.lastProgress); n.lastProgress.IsZero() || prog > bound {
 			return false, fmt.Sprintf("follower: lag %d entries with no apply progress in %v", lag, bound)
 		}
 	}
-	return true, fmt.Sprintf("follower (term %d, applied %d, lag %d)", n.term, n.applied, lag)
+	return true, fmt.Sprintf("follower (term %d, applied %d, lag %d)", n.st.term, n.st.applied, lag)
 }
 
 // NodeStatus is a point-in-time snapshot of cluster-visible node state, for
@@ -205,23 +205,19 @@ type NodeStatus struct {
 func (n *Node) Status() NodeStatus {
 	n.mu.Lock()
 	st := NodeStatus{
-		ID: n.cfg.ID, Role: n.role, Term: n.term, Applied: n.applied,
-		LeaderID: n.leader.ID, LeaderSvc: n.leader.SvcAddr,
-		Peers:         n.peerListLocked(),
+		ID: n.cfg.ID, Role: n.st.role, Term: n.st.term, Applied: n.st.applied,
+		LeaderID: n.st.leader.ID, LeaderSvc: n.st.leader.SvcAddr,
+		Peers:         append([]Peer(nil), n.st.peers...),
 		LeaderApplied: n.leaderApplied,
 	}
-	w := n.wal
 	if len(n.followers) > 0 {
 		st.Followers = make(map[string]uint64, len(n.followers))
 		for id, f := range n.followers {
-			st.Followers[id] = f.acked
+			st.Followers[id] = f.acked.Load()
 		}
 	}
 	n.mu.Unlock()
-	st.Committed = st.Applied
-	if w != nil {
-		st.Committed = w.Committed()
-	}
+	st.Committed = n.Committed()
 	if n.store != nil {
 		ss := n.store.Stats()
 		st.Durable = true
@@ -238,7 +234,6 @@ func (n *Node) Status() NodeStatus {
 			st.CheckpointErr = ss.CheckpointErr.Error()
 		}
 	}
-	rankPeers(st.Peers)
 	return st
 }
 

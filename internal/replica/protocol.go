@@ -50,8 +50,8 @@ const (
 	// applied index. The leader replies with frameSnapshot, or — when the
 	// joiner is resuming within the leader's own term and the WAL still
 	// holds its position — a frameHeartbeat hello followed by the entries
-	// after From (incremental catch-up, no re-bootstrap). From 0 always
-	// forces a snapshot.
+	// after From (incremental catch-up, no re-bootstrap). ForceSnapshot asks
+	// for a snapshot regardless; From 0 means only "nothing applied".
 	frameJoin frameType = iota
 	// frameProbe: any -> any. Ask a node for its role, known leader, and
 	// applied index; answered with frameStatus. Used during elections (the
@@ -98,10 +98,13 @@ const (
 // old index forever while quorum writes time out. Bump replVersion whenever
 // frame, or what a shipped record means to the engine replaying it, changes:
 // 2 is "a statement may carry several argument rows" — a version-1 build
-// would replay the first row of a set-based write and silently drop the rest.
+// would replay the first row of a set-based write and silently drop the rest;
+// 3 is "a join asks for a snapshot with ForceSnapshot, not with From 0" — a
+// version-2 leader would resume a joiner that needs one, and a version-2
+// joiner with nothing applied would be sent a snapshot it did not need.
 const (
 	replMagic   = 0xF6
-	replVersion = 2
+	replVersion = 3
 )
 
 // frame is the one message of the replication protocol: a gob-encoded
@@ -112,9 +115,10 @@ type frame struct {
 	Type frameType
 	Term uint64
 
-	// frameJoin / frameProbe
-	Peer Peer
-	From uint64 // joiner's applied index
+	// frameJoin / frameProbe / frameClaim
+	Peer          Peer
+	From          uint64 // joiner's applied index
+	ForceSnapshot bool   // joiner's state failed to extend the leader's log
 
 	// frameStatus / frameNotLeader / frameSnapshot / frameHeartbeat.
 	// LeaderID names the leader explicitly so followers recover the full

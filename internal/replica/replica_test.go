@@ -1,9 +1,11 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -261,8 +263,9 @@ func TestClaimRefusedWhenTermNotPersisted(t *testing.T) {
 
 // TestJoinResumeVsSnapshot: a joiner announcing a position within the
 // leader's term and retained WAL resumes incrementally (heartbeat hello, no
-// snapshot payload); a fresh joiner (From 0) or a stale-term joiner
-// bootstraps from a snapshot.
+// snapshot payload), From 0 included; a fresh joiner (applied term 0), a
+// stale-term joiner or one that asks with ForceSnapshot bootstraps from a
+// snapshot.
 func TestJoinResumeVsSnapshot(t *testing.T) {
 	leader := newNode(t, "j1", 3, "")
 	defer leader.Close()
@@ -291,6 +294,20 @@ func TestJoinResumeVsSnapshot(t *testing.T) {
 	stale := dialJoin(t, leader.Addr(), frame{Type: frameJoin, Peer: peer, Term: 0, From: 3})
 	if stale.Type != frameSnapshot {
 		t.Fatalf("stale-term join got frame type %d, want snapshot", stale.Type)
+	}
+
+	// A snapshot is asked for explicitly, never inferred from From 0: a
+	// snapshot resets the follower's watch hub under live subscriptions.
+	forced := dialJoin(t, leader.Addr(), frame{Type: frameJoin, Peer: peer, Term: 1, AppliedTerm: 1, From: 3, ForceSnapshot: true})
+	if forced.Type != frameSnapshot || forced.SnapIndex != 5 {
+		t.Fatalf("ForceSnapshot join got frame type %d snapIndex %d, want snapshot at 5", forced.Type, forced.SnapIndex)
+	}
+	empty := newNode(t, "j2", 3, "")
+	defer empty.Close()
+	nothing := dialJoin(t, empty.Addr(), frame{Type: frameJoin, Peer: peer, Term: 1, AppliedTerm: 1, From: 0})
+	if nothing.Type != frameHeartbeat || nothing.Snapshot != nil {
+		t.Fatalf("same-term join at From 0 to an empty log got frame type %d (snapshot %d bytes), want heartbeat hello",
+			nothing.Type, len(nothing.Snapshot))
 	}
 }
 
@@ -368,8 +385,8 @@ func TestAdoptViewLeaderID(t *testing.T) {
 	}
 	defer n.Close()
 
-	err = n.adoptView(frame{
-		Term:     7,
+	_, err = n.step(input{ev: evFrame, f: frame{
+		Type: frameHeartbeat, Term: 7, Role: RoleLeader,
 		LeaderID: "lead", LeaderRepl: "198.51.100.2:7700", LeaderSvc: "svc-lead",
 		Peers: []Peer{
 			// The membership entry carries a different ReplAddr than the
@@ -377,15 +394,15 @@ func TestAdoptViewLeaderID(t *testing.T) {
 			{ID: "lead", Priority: 9, ReplAddr: "10.0.0.2:7700", SvcAddr: "svc-lead"},
 			{ID: "f1", Priority: 1, ReplAddr: "10.0.0.3:7700"},
 		},
-	})
+	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := n.LeaderID(); got != "lead" {
-		t.Fatalf("LeaderID after adoptView = %q, want %q", got, "lead")
+		t.Fatalf("LeaderID after adopting a heartbeat = %q, want %q", got, "lead")
 	}
 	n.mu.Lock()
-	leader := n.leader
+	leader := n.st.leader
 	n.mu.Unlock()
 	if leader.Priority != 9 {
 		t.Fatalf("adopted leader peer = %+v, want the full membership entry", leader)
@@ -408,29 +425,105 @@ func TestLeaderIDInFrames(t *testing.T) {
 	}
 }
 
-// TestPeerDecay: the leader drops a peer with no connection and no contact
-// for peerDecayTimeouts election timeouts (20 × elect here) and broadcasts the
-// shrunken view, so long-dead nodes stop consuming election backoff slots.
-func TestPeerDecay(t *testing.T) {
-	leader := newNode(t, "d1", 3, "")
+// TestMembershipNeverDecays: membership is every peer a leader admitted. A
+// survivor whose two peers are dead keeps counting them — 1 of 3 is no
+// majority — instead of shrinking its view into a majority of one.
+func TestMembershipNeverDecays(t *testing.T) {
+	leader := newNode(t, "v1", 3, "")
 	defer leader.Close()
-	f2 := newNode(t, "d2", 2, leader.Addr())
-	defer f2.Close()
-	f3 := newNode(t, "d3", 1, leader.Addr())
+	f2 := newNode(t, "v2", 2, leader.Addr())
+	f3 := newNode(t, "v3", 1, leader.Addr())
+	waitFor(t, "membership convergence", func() bool { return len(leader.Peers()) == 3 })
 
-	waitFor(t, "membership convergence", func() bool {
-		return len(leader.Peers()) == 3 && len(f2.Peers()) == 3
-	})
-
+	f2.Close()
 	f3.Close()
-	waitFor(t, "leader decays d3", func() bool { return len(leader.Peers()) == 2 })
-	for _, p := range leader.Peers() {
-		if p.ID == "d3" {
-			t.Fatal("decayed peer still in leader membership")
-		}
+	time.Sleep(25 * elect)
+	if n := len(leader.Peers()); n != 3 || leader.IsLeader() {
+		t.Fatalf("survivor after 25 election timeouts: %d peers, leader %v; want 3 peers and not leading", n, leader.IsLeader())
 	}
-	// The shrunken view reaches the surviving follower via heartbeat.
-	waitFor(t, "follower adopts decayed view", func() bool { return len(f2.Peers()) == 2 })
+}
+
+// fakePeer is a cluster member that only answers: a probe with a follower's
+// status at term 1 and an empty log, a claim with a refusal. It counts the
+// claims it is sent.
+func fakePeer(t *testing.T) (Peer, *atomic.Int32) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	claims := new(atomic.Int32)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.SetDeadline(time.Now().Add(waitMax))
+			var pre [2]byte
+			var f frame
+			if _, err := io.ReadFull(conn, pre[:]); err == nil && gob.NewDecoder(conn).Decode(&f) == nil {
+				if f.Type == frameClaim {
+					claims.Add(1)
+				}
+				gob.NewEncoder(conn).Encode(&frame{Type: frameStatus, Term: 1})
+			}
+			conn.Close()
+		}
+	}()
+	return Peer{ID: "p3", Priority: 1, ReplAddr: ln.Addr().String(), SvcAddr: "svc-p3"}, claims
+}
+
+// TestClaimNotSentWhenTermNotPersisted: a candidate claims a term only once
+// it is on disk. With meta.json's fsync failing, the candidate that has a
+// majority in reach sends no claim and keeps its term and role: a restart
+// reading the older term back could otherwise vote a second time in the
+// term it claimed. Once the disk recovers it claims.
+func TestClaimNotSentWhenTermNotPersisted(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead := &fakeLeader{t: t, ln: ln}
+	me := Peer{ID: "fake-leader", Priority: 9, ReplAddr: ln.Addr().String(), SvcAddr: "svc-fake"}
+	p3, claims := fakePeer(t)
+	empty, err := core.NewDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer empty.Close()
+	var snap bytes.Buffer
+	if err := empty.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys := &metaSyncFailFS{FS: minisql.OSFS}
+	n, err := New(Config{
+		ID: "p2", Priority: 2, Join: ln.Addr().String(), Heartbeat: beat, ElectionTimeout: elect,
+		DataDir: t.TempDir(), Fsync: true, FS: fsys, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetServiceAddr("svc-p2")
+	n.Start()
+	defer n.Close()
+	join, stream := lead.accept()
+	stream.send(frame{Type: frameSnapshot, Term: 1, Role: RoleLeader, Snapshot: snap.Bytes(),
+		Peers: []Peer{me, join.Peer, p3}, LeaderID: me.ID, LeaderRepl: me.ReplAddr, LeaderSvc: me.SvcAddr})
+	waitFor(t, "bootstrap", func() bool { return n.store.AppliedTerm() == 1 && len(n.Peers()) == 3 })
+
+	// The leader dies; p2 ranks first among the survivors and reaches p3: a
+	// majority of three.
+	fsys.fail.Store(true)
+	ln.Close()
+	stream.close()
+	time.Sleep(8 * elect)
+	if c, term := claims.Load(), n.Term(); c != 0 || term != 1 || n.IsLeader() {
+		t.Fatalf("with the term unpersistable: %d claims sent, term %d, leader %v; want none, 1, false", c, term, n.IsLeader())
+	}
+	fsys.fail.Store(false)
+	waitFor(t, "a claim once the term persists", func() bool { return claims.Load() > 0 })
 }
 
 // TestLeaderDemotesWithoutMajority: a leader that stops hearing from a
