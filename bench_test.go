@@ -108,8 +108,10 @@ func BenchmarkSubmitTask(b *testing.B) {
 // benchDurableSubmit is BenchmarkSubmitTask against a durable (Open) DB: the
 // submit path additionally encodes the entry into the on-disk WAL and — with
 // fsync — waits for the group-commit fsync batch before acknowledging.
+// Checkpoints are off: their cost, spread over however many submits b.N
+// makes, would make allocs/op depend on the run's length.
 func benchDurableSubmit(b *testing.B, fsync bool) {
-	db, err := core.Open(b.TempDir(), core.OpenOptions{Fsync: fsync})
+	db, err := core.Open(b.TempDir(), core.OpenOptions{Fsync: fsync, CheckpointEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

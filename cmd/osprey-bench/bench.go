@@ -96,12 +96,19 @@ func writeBaseline(path string, results map[string]benchResult) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
+// maxAllocGrowth is the fractional allocs/op growth over the baseline that
+// fails -check: the bound BENCHMARK.json fixes for the end-to-end
+// allocs_per_task. An allocation count repeats from run to run where a time
+// does not, so it is gated far tighter than ns/op.
+const maxAllocGrowth = 0.05
+
 // checkBaseline compares fresh results against a committed baseline and
 // returns an error when any benchmark's ns/op regressed beyond maxRegress
-// (0.25 = 25%), or when a baseline benchmark was not measured at all — a
-// renamed or regex-dropped benchmark must not silently fall out of the gate
-// while it reports green. New benchmarks absent from the baseline are
-// reported but pass; they start gating once their baseline lands.
+// (0.25 = 25%) or its allocs/op grew beyond maxAllocGrowth, or when a
+// baseline benchmark was not measured at all — a renamed or regex-dropped
+// benchmark must not silently fall out of the gate while it reports green.
+// New benchmarks absent from the baseline are reported but pass; they start
+// gating once their baseline lands.
 func checkBaseline(path string, results map[string]benchResult, maxRegress float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -117,22 +124,29 @@ func checkBaseline(path string, results map[string]benchResult, maxRegress float
 	}
 	sort.Strings(names)
 	var failed []string
-	fmt.Printf("%-34s %14s %14s %8s\n", "benchmark", "baseline ns/op", "current ns/op", "delta")
+	fmt.Printf("%-34s %14s %14s %8s %10s %10s\n",
+		"benchmark", "baseline ns/op", "current ns/op", "delta", "base alloc", "allocs/op")
 	for _, name := range names {
 		cur := results[name]
 		b, ok := base[name]
 		if !ok {
-			fmt.Printf("%-34s %14s %14.0f %8s\n", name, "(new)", cur.NsOp, "-")
+			fmt.Printf("%-34s %14s %14.0f %8s %10s %10d\n", name, "(new)", cur.NsOp, "-", "-", cur.AllocsOp)
 			continue
 		}
 		delta := (cur.NsOp - b.NsOp) / b.NsOp
 		mark := ""
 		if delta > maxRegress {
 			mark = "  << REGRESSION"
-			failed = append(failed, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.0f%%)",
-				name, b.NsOp, cur.NsOp, delta*100))
+			failed = append(failed, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.0f%%, limit %.0f%%)",
+				name, b.NsOp, cur.NsOp, delta*100, maxRegress*100))
 		}
-		fmt.Printf("%-34s %14.0f %14.0f %+7.1f%%%s\n", name, b.NsOp, cur.NsOp, delta*100, mark)
+		if float64(cur.AllocsOp) > float64(b.AllocsOp)*(1+maxAllocGrowth) {
+			mark += "  << ALLOCS"
+			failed = append(failed, fmt.Sprintf("%s: %d -> %d allocs/op (limit +%.0f%%)",
+				name, b.AllocsOp, cur.AllocsOp, maxAllocGrowth*100))
+		}
+		fmt.Printf("%-34s %14.0f %14.0f %+7.1f%% %10d %10d%s\n",
+			name, b.NsOp, cur.NsOp, delta*100, b.AllocsOp, cur.AllocsOp, mark)
 	}
 	for name := range base {
 		if _, ok := results[name]; !ok {
@@ -142,8 +156,7 @@ func checkBaseline(path string, results map[string]benchResult, maxRegress float
 		}
 	}
 	if len(failed) > 0 {
-		return fmt.Errorf("ns/op regressed >%.0f%% vs %s:\n  %s",
-			maxRegress*100, path, strings.Join(failed, "\n  "))
+		return fmt.Errorf("regressed vs %s:\n  %s", path, strings.Join(failed, "\n  "))
 	}
 	return nil
 }

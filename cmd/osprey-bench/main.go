@@ -5,7 +5,7 @@
 //	osprey-bench -fig 4            # combined federated workflow (Figure 4)
 //	osprey-bench -fig 0            # both
 //	osprey-bench -json BENCH_pr4.json        # record the key-benchmark baseline
-//	osprey-bench -check BENCH_pr4.json       # fail if ns/op regressed >25%
+//	osprey-bench -check BENCH_pr4.json       # fail if ns/op regressed >25% or allocs/op grew >5%
 //
 // The -json/-check modes shell out to `go test -bench` for the key hot-path
 // benchmarks and read/write name → {ns_op, b_op, allocs_op} JSON, so perf
@@ -42,7 +42,7 @@ func main() {
 		csvPath   = flag.String("csv", "", "write series CSV to this file prefix")
 
 		jsonPath   = flag.String("json", "", "run the key benchmarks and write a BENCH_*.json baseline to this path")
-		checkPath  = flag.String("check", "", "run the key benchmarks and fail if ns/op regressed beyond -max-regress vs this baseline")
+		checkPath  = flag.String("check", "", "run the key benchmarks and fail if ns/op regressed beyond -max-regress or allocs/op grew more than 5% vs this baseline")
 		benchRe    = flag.String("bench", keyBenchmarks, "benchmark regex for -json/-check")
 		benchtime  = flag.String("benchtime", "0.3s", "per-benchmark measuring time for -json/-check")
 		maxRegress = flag.Float64("max-regress", 0.25, "allowed fractional ns/op regression for -check")

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -59,6 +61,62 @@ var schema = []string{
 	`CREATE INDEX IF NOT EXISTS eq_tags_task ON eq_tags (task_id)`,
 }
 
+// A statement is one that core issues, apart from the schema's DDL and
+// migrateSchema's; statementSQL holds the texts in declaration order. Every DB
+// prepares each once on its own engine (newDB) and runs the handle in
+// db.stmts with Value arguments. The handles are also how the watch classifier
+// (events.go) recognises a committed transition: on a follower, ApplyEntry
+// resolves each record's text to the same pinned handle. A write's text is
+// what its log records carry, byte for byte, so editing one changes the log.
+// The pop statements use the width-oblivious IN (?...) spread, so every batch
+// size runs one handle and commits one statement per table.
+type statement int
+
+var statementSQL []string
+
+func newStatement(sql string) statement {
+	statementSQL = append(statementSQL, sql)
+	return statement(len(statementSQL) - 1)
+}
+
+var (
+	expCount   = newStatement("SELECT COUNT(*) FROM eq_exp WHERE exp_id = ?")
+	expInsert  = newStatement("INSERT INTO eq_exp (exp_id, created_at) VALUES (?, ?)")
+	dedupSel   = newStatement("SELECT task_id FROM eq_tasks WHERE dedup_key = ?")
+	taskInsert = newStatement(`INSERT INTO eq_tasks (exp_id, work_type, status, payload, result,
+			pool, priority, created_at, start_at, stop_at, dedup_key)
+		 VALUES (?, ?, ?, ?, '', '', ?, ?, 0, 0, ?)`)
+	outQInsert = newStatement("INSERT INTO eq_out_q (task_id, work_type, priority) VALUES (?, ?, ?)")
+	tagInsert  = newStatement("INSERT INTO eq_tags (task_id, tag) VALUES (?, ?)")
+
+	popPick        = newStatement("SELECT task_id, priority FROM eq_out_q WHERE work_type = ? ORDER BY priority DESC, task_id ASC LIMIT ?")
+	popTasksDel    = newStatement("DELETE FROM eq_out_q WHERE task_id IN (?...)")
+	popTasksUpd    = newStatement("UPDATE eq_tasks SET status = ?, pool = ?, start_at = ? WHERE task_id IN (?...)")
+	popTasksSel    = newStatement("SELECT task_id, exp_id, payload, created_at FROM eq_tasks WHERE task_id IN (?...)")
+	reportSel      = newStatement("SELECT status FROM eq_tasks WHERE task_id = ?")
+	reportUpd      = newStatement("UPDATE eq_tasks SET status = ?, result = ?, stop_at = ? WHERE task_id = ?")
+	inQInsert      = newStatement("INSERT INTO eq_in_q (task_id, work_type) VALUES (?, ?)")
+	popResultsPick = newStatement("SELECT task_id FROM eq_in_q WHERE task_id IN (?...) ORDER BY task_id ASC LIMIT ?")
+	popResultsDel  = newStatement("DELETE FROM eq_in_q WHERE task_id IN (?...)")
+	popResultsSel  = newStatement("SELECT task_id, result FROM eq_tasks WHERE task_id IN (?...)")
+
+	prioOutQUpd  = newStatement("UPDATE eq_out_q SET priority = ? WHERE task_id = ?")
+	prioTasksUpd = newStatement("UPDATE eq_tasks SET priority = ? WHERE task_id = ?")
+	cancelDel    = newStatement("DELETE FROM eq_out_q WHERE task_id = ?")
+	cancelUpd    = newStatement("UPDATE eq_tasks SET status = ?, stop_at = ? WHERE task_id = ?")
+	requeueSel   = newStatement("SELECT task_id, work_type, priority FROM eq_tasks WHERE pool = ? AND status = ?")
+	requeueUpd   = newStatement("UPDATE eq_tasks SET status = ?, pool = '', start_at = 0 WHERE task_id = ?")
+
+	statusesSel    = newStatement("SELECT task_id, status FROM eq_tasks WHERE task_id IN (?...)")
+	prioritiesSel  = newStatement("SELECT task_id, priority FROM eq_out_q WHERE task_id IN (?...)")
+	countStatus    = newStatement("SELECT COUNT(*) FROM eq_tasks WHERE status = ?")
+	countStatusExp = newStatement("SELECT COUNT(*) FROM eq_tasks WHERE status = ? AND exp_id = ?")
+	tagsSel        = newStatement("SELECT tag FROM eq_tags WHERE task_id = ?")
+	taskSel        = newStatement("SELECT exp_id, work_type, status, payload, result, pool, priority, created_at, start_at, stop_at FROM eq_tasks WHERE task_id = ?")
+	outQTypes      = newStatement("SELECT task_id, work_type FROM eq_out_q")
+	runningTypes   = newStatement("SELECT task_id, work_type FROM eq_tasks WHERE status = ?")
+)
+
 // DB is the in-process EMEWS task database. It is safe for concurrent use by
 // any number of ME algorithms and worker pools.
 //
@@ -69,8 +127,9 @@ var schema = []string{
 // remote sessions reading through followers.
 type DB struct {
 	eng    *minisql.Engine
-	outN   *notifier // signaled by the commit observer when the output queue grows
-	inN    *notifier // signaled by the commit observer when the input queue grows
+	stmts  []*minisql.Prepared // by statement
+	outN   *notifier           // signaled by the commit observer when the output queue grows
+	inN    *notifier           // signaled by the commit observer when the input queue grows
 	met    *dbMetrics
 	store  *minisql.Store // durable WAL + checkpoints (nil: in-memory)
 	hub    *watch.Hub     // task-state transition fan-out (events.go)
@@ -80,6 +139,22 @@ type DB struct {
 
 var _ Session = (*DB)(nil)
 
+// newDB wraps an engine whose schema is in place, preparing every statement
+// core issues on it. The texts are constants, so one that does not parse is a
+// bug, not an input.
+func newDB(eng *minisql.Engine, store *minisql.Store) *DB {
+	db := &DB{eng: eng, outN: newNotifier(), inN: newNotifier(), met: newDBMetrics(eng), store: store}
+	for _, sql := range statementSQL {
+		h, err := eng.Prepare(sql)
+		if err != nil {
+			panic(fmt.Sprintf("eqsql: preparing %q: %v", sql, err))
+		}
+		db.stmts = append(db.stmts, h)
+	}
+	db.attachWatch()
+	return db
+}
+
 // NewDB creates an empty EMEWS task database with the standard schema.
 func NewDB() (*DB, error) {
 	eng := minisql.NewEngine()
@@ -88,9 +163,7 @@ func NewDB() (*DB, error) {
 			return nil, fmt.Errorf("eqsql: creating schema: %w", err)
 		}
 	}
-	db := &DB{eng: eng, outN: newNotifier(), inN: newNotifier(), met: newDBMetrics(eng)}
-	db.attachWatch()
-	return db, nil
+	return newDB(eng, nil), nil
 }
 
 // Close shuts the database down, waking all polling queries with ErrClosed
@@ -109,18 +182,13 @@ func (db *DB) Snapshot(w io.Writer) error { return db.eng.Snapshot(w) }
 
 // RestoreDB loads a snapshot produced by Snapshot into a fresh DB.
 func RestoreDB(r io.Reader) (*DB, error) {
-	eng := minisql.NewEngine()
-	if err := eng.Restore(r); err != nil {
+	db, err := NewDB()
+	if err != nil {
 		return nil, err
 	}
-	if err := migrateSchema(eng); err != nil {
+	if err := db.Restore(r); err != nil {
 		return nil, err
 	}
-	db := &DB{eng: eng, outN: newNotifier(), inN: newNotifier(), met: newDBMetrics(eng)}
-	db.attachWatch()
-	// The restored tables may hold queued and running tasks whose transitions
-	// predate this hub; seed depth/type state and mark history unreplayable.
-	db.ResetWatch(eng.LastLogged())
 	return db, nil
 }
 
@@ -134,10 +202,10 @@ func (db *DB) Restore(r io.Reader) error {
 	if err := migrateSchema(db.eng); err != nil {
 		return err
 	}
-	// In-place restore invalidates the hub's history: subscribers are reset
-	// and the depth/type maps reseeded from the restored tables. Replication
-	// calls ResetWatch again once it has corrected the commit high-water mark
-	// to the snapshot index.
+	// A restore invalidates the hub's history: subscribers are reset and the
+	// depth/type maps reseeded from the restored tables, which may hold
+	// queued and running tasks. Replication calls ResetWatch again once it
+	// has corrected the commit high-water mark to the snapshot index.
 	db.ResetWatch(db.eng.LastLogged())
 	db.wakeAll()
 	return nil
@@ -195,6 +263,28 @@ func migrateSchema(eng *minisql.Engine) error {
 	return nil
 }
 
+// open reports why a call may not start: the database is closed or the
+// caller's context has ended.
+func (db *DB) open(ctx context.Context) error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
+	if ctx.Err() != nil {
+		return ctxErr(ctx)
+	}
+	return nil
+}
+
+// commit runs fn as one logged transaction and waits until its log entry is
+// durable, returning the commit token.
+func (db *DB) commit(fn func(tx *minisql.Tx) error) (Token, error) {
+	tok, err := db.eng.TxLogged(fn)
+	if err == nil {
+		err = db.waitDurable(tok)
+	}
+	return tok, err
+}
+
 // Engine exposes the underlying SQL engine so the replication layer can
 // install a commit hook, replay shipped log entries, and take snapshots.
 func (db *DB) Engine() *minisql.Engine { return db.eng }
@@ -214,48 +304,39 @@ func nowNano() int64 { return time.Now().UnixNano() }
 func (db *DB) Token() Token { return db.eng.LastLogged() }
 
 // ensureExp creates the experiment row on first reference.
-func ensureExp(tx *minisql.Tx, expID string) error {
-	res, err := tx.Exec("SELECT COUNT(*) FROM eq_exp WHERE exp_id = ?", expID)
-	if err != nil {
+func (db *DB) ensureExp(tx *minisql.Tx, expID string) error {
+	n, err := tx.Count(db.stmts[expCount], minisql.Text(expID))
+	if err != nil || n > 0 {
 		return err
 	}
-	if res.Rows[0][0].AsInt() == 0 {
-		if _, err := tx.Exec(
-			"INSERT INTO eq_exp (exp_id, created_at) VALUES (?, ?)",
-			expID, nowNano()); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = tx.Run(db.stmts[expInsert], minisql.Text(expID), minisql.Int64(nowNano()))
+	return err
 }
 
 // dedupLookup returns the id of the existing task carrying key, if any. Keys
 // are only ever checked when non-empty, so the unkeyed (empty-string) rows
 // never match.
-func dedupLookup(tx *minisql.Tx, key string) (int64, bool, error) {
-	res, err := tx.Exec("SELECT task_id FROM eq_tasks WHERE dedup_key = ?", key)
-	if err != nil {
-		return 0, false, err
-	}
-	if len(res.Rows) == 0 {
-		return 0, false, nil
-	}
-	return res.Rows[0][0].AsInt(), true, nil
+func (db *DB) dedupLookup(tx *minisql.Tx, key string) (id int64, found bool, err error) {
+	err = tx.Query(db.stmts[dedupSel], []minisql.Value{minisql.Text(key)}, func(row []minisql.Value) error {
+		if !found {
+			id, found = row[0].AsInt(), true
+		}
+		return nil
+	})
+	return id, found, err
 }
 
 // insertTask inserts one task row plus its output-queue entry and returns the
 // new task id.
-func insertTask(tx *minisql.Tx, expID string, workType int, payload string, priority int, dedupKey string, now int64) (int64, error) {
-	res, err := tx.Exec(
-		`INSERT INTO eq_tasks (exp_id, work_type, status, payload, result,
-			pool, priority, created_at, start_at, stop_at, dedup_key)
-		 VALUES (?, ?, ?, ?, '', '', ?, ?, 0, 0, ?)`,
-		expID, workType, string(StatusQueued), payload, priority, now, dedupKey)
+func (db *DB) insertTask(tx *minisql.Tx, expID string, workType int, payload string, priority int, dedupKey string, now int64) (int64, error) {
+	wt, prio := minisql.Int64(int64(workType)), minisql.Int64(int64(priority))
+	res, err := tx.Run(db.stmts[taskInsert], minisql.Text(expID), wt, minisql.Text(string(StatusQueued)),
+		minisql.Text(payload), prio, minisql.Int64(now), minisql.Text(dedupKey))
 	if err != nil {
 		return 0, err
 	}
 	id := res.LastInsertID
-	if _, err := tx.Exec(outQInsert, id, workType, priority); err != nil {
+	if _, err := tx.Run(db.stmts[outQInsert], minisql.Int64(id), wt, prio); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -266,11 +347,8 @@ func insertTask(tx *minisql.Tx, expID string, workType int, payload string, prio
 // engine's commit high-water mark, which is ≥ the original insert's entry —
 // so waiting on it (for quorum or freshness) still covers the original write.
 func (db *DB) Submit(ctx context.Context, expID string, workType int, payload string, opts ...SubmitOption) (SubmitRes, error) {
-	if db.closed.Load() {
-		return SubmitRes{}, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return SubmitRes{}, ctxErr(ctx)
+	if err := db.open(ctx); err != nil {
+		return SubmitRes{}, err
 	}
 	var o SubmitOptions
 	for _, opt := range opts {
@@ -282,7 +360,7 @@ func (db *DB) Submit(ctx context.Context, expID string, workType int, payload st
 	tok, err := db.eng.TxLogged(func(tx *minisql.Tx) error {
 		dup = false
 		if o.DedupKey != "" {
-			id, found, err := dedupLookup(tx, o.DedupKey)
+			id, found, err := db.dedupLookup(tx, o.DedupKey)
 			if err != nil {
 				return err
 			}
@@ -291,17 +369,16 @@ func (db *DB) Submit(ctx context.Context, expID string, workType int, payload st
 				return nil
 			}
 		}
-		if err := ensureExp(tx, expID); err != nil {
+		if err := db.ensureExp(tx, expID); err != nil {
 			return err
 		}
-		id, err := insertTask(tx, expID, workType, payload, o.Priority, o.DedupKey, nowNano())
+		id, err := db.insertTask(tx, expID, workType, payload, o.Priority, o.DedupKey, nowNano())
 		if err != nil {
 			return err
 		}
 		taskID = id
 		for _, tag := range o.Tags {
-			if _, err := tx.Exec(
-				"INSERT INTO eq_tags (task_id, tag) VALUES (?, ?)", taskID, tag); err != nil {
+			if _, err := tx.Run(db.stmts[tagInsert], minisql.Int64(taskID), minisql.Text(tag)); err != nil {
 				return err
 			}
 		}
@@ -321,11 +398,8 @@ func (db *DB) Submit(ctx context.Context, expID string, workType int, payload st
 
 // SubmitBatch implements Session.
 func (db *DB) SubmitBatch(ctx context.Context, expID string, workType int, payloads []string, priorities []int, dedupKeys []string) (BatchRes, error) {
-	if db.closed.Load() {
-		return BatchRes{}, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return BatchRes{}, ctxErr(ctx)
+	if err := db.open(ctx); err != nil {
+		return BatchRes{}, err
 	}
 	if len(payloads) == 0 {
 		return BatchRes{}, nil
@@ -360,13 +434,13 @@ func (db *DB) SubmitBatch(ctx context.Context, expID string, workType int, paylo
 	tok, err := db.eng.TxLogged(func(tx *minisql.Tx) error {
 		ids = ids[:0]
 		inserted = false
-		if err := ensureExp(tx, expID); err != nil {
+		if err := db.ensureExp(tx, expID); err != nil {
 			return err
 		}
 		now := nowNano()
 		for i, payload := range payloads {
 			if key := keyOf(i); key != "" {
-				id, found, err := dedupLookup(tx, key)
+				id, found, err := db.dedupLookup(tx, key)
 				if err != nil {
 					return err
 				}
@@ -375,7 +449,7 @@ func (db *DB) SubmitBatch(ctx context.Context, expID string, workType int, paylo
 					continue
 				}
 			}
-			id, err := insertTask(tx, expID, workType, payload, prioOf(i), keyOf(i), now)
+			id, err := db.insertTask(tx, expID, workType, payload, prioOf(i), keyOf(i), now)
 			if err != nil {
 				return err
 			}
@@ -447,37 +521,8 @@ func pollWait(ctx context.Context, wake <-chan struct{}) error {
 	}
 }
 
-// The pop statements use the width-oblivious IN (?...) spread, so every
-// batch size executes through one cached plan and the transaction (and the
-// WAL entry it ships to followers) stays O(1) in statement count no matter
-// the batch width.
-const (
-	popTasksDel = "DELETE FROM eq_out_q WHERE task_id IN (?...)"
-	popTasksUpd = "UPDATE eq_tasks SET status = ?, pool = ?, start_at = ? WHERE task_id IN (?...)"
-	popTasksSel = "SELECT task_id, exp_id, payload, created_at FROM eq_tasks WHERE task_id IN (?...)"
-
-	popResultsPick = "SELECT task_id FROM eq_in_q WHERE task_id IN (?...) ORDER BY task_id ASC LIMIT ?"
-	popResultsDel  = "DELETE FROM eq_in_q WHERE task_id IN (?...)"
-	popResultsSel  = "SELECT task_id, result FROM eq_tasks WHERE task_id IN (?...)"
-)
-
-// The transition statements are named constants because the watch classifier
-// (events.go) matches committed statements by exact SQL text: every code path
-// that moves a task between states must go through one of these strings.
-const (
-	outQInsert = "INSERT INTO eq_out_q (task_id, work_type, priority) VALUES (?, ?, ?)"
-	reportUpd  = "UPDATE eq_tasks SET status = ?, result = ?, stop_at = ? WHERE task_id = ?"
-	cancelUpd  = "UPDATE eq_tasks SET status = ?, stop_at = ? WHERE task_id = ?"
-)
-
-// idArgs widens an id slice into statement arguments.
-func idArgs(ids []int64, extra int) []any {
-	args := make([]any, len(ids), len(ids)+extra)
-	for i, id := range ids {
-		args[i] = id
-	}
-	return args
-}
+// byID orders tasks by id, the order a binary search over them needs.
+func byID(a, b Task) int { return cmp.Compare(a.ID, b.ID) }
 
 // tryPopTasks pops the top-n queue entries with three batched statements —
 // one DELETE, one UPDATE, one SELECT over the popped id set — instead of
@@ -487,69 +532,57 @@ func idArgs(ids []int64, extra int) []any {
 func (db *DB) tryPopTasks(workType, n int, pool string) ([]Task, Token, error) {
 	defer db.met.popTasks.ObserveSince(time.Now())
 	var tasks []Task
-	tok, err := db.eng.TxLogged(func(tx *minisql.Tx) error {
+	tok, err := db.commit(func(tx *minisql.Tx) error {
 		tasks = tasks[:0]
-		res, err := tx.Exec(
-			`SELECT task_id, priority FROM eq_out_q WHERE work_type = ?
-			 ORDER BY priority DESC, task_id ASC LIMIT ?`, workType, n)
-		if err != nil {
-			return err
-		}
-		if len(res.Rows) == 0 {
-			return nil
-		}
-		// The picked row count is the exact output size; sizing the slice
-		// here keeps a batch-50 pop from growing it append by append.
-		if cap(tasks) < len(res.Rows) {
-			tasks = make([]Task, 0, len(res.Rows))
-		}
 		now := nowNano()
-		ids := make([]int64, len(res.Rows))
-		prio := make(map[int64]int, len(res.Rows))
-		for i, row := range res.Rows {
-			id := row[0].AsInt()
-			ids[i] = id
-			prio[id] = int(row[1].AsInt())
-		}
-		args := idArgs(ids, 0)
-		if _, err := tx.Exec(popTasksDel, args...); err != nil {
-			return err
-		}
-		uargs := append([]any{string(StatusRunning), pool, now}, args...)
-		if _, err := tx.Exec(popTasksUpd, uargs...); err != nil {
-			return err
-		}
-		tres, err := tx.Exec(popTasksSel, args...)
-		if err != nil {
-			return err
-		}
-		rowOf := make(map[int64][]minisql.Value, len(tres.Rows))
-		for _, r := range tres.Rows {
-			rowOf[r[0].AsInt()] = r
-		}
-		for _, id := range ids {
-			r, ok := rowOf[id]
-			if !ok {
-				return fmt.Errorf("eqsql: queue references missing task %d", id)
+		pick := []minisql.Value{minisql.Int64(int64(workType)), minisql.Int64(int64(n))}
+		if err := tx.Query(db.stmts[popPick], pick, func(row []minisql.Value) error {
+			if tasks == nil {
+				tasks = make([]Task, 0, min(n, 16))
 			}
-			tasks = append(tasks, Task{
-				ID:       id,
-				ExpID:    r[1].AsText(),
-				WorkType: workType,
-				Status:   StatusRunning,
-				Payload:  r[2].AsText(),
-				Pool:     pool,
-				Priority: prio[id],
-				Created:  time.Unix(0, r[3].AsInt()),
-				Started:  time.Unix(0, now),
-			})
+			tasks = append(tasks, Task{ID: row[0].AsInt(), WorkType: workType, Pool: pool,
+				Priority: int(row[1].AsInt()), Started: time.Unix(0, now)})
+			return nil
+		}); err != nil || len(tasks) == 0 {
+			return err
 		}
+		// popTasksUpd's arguments end with the popped ids, which are the
+		// DELETE's and the SELECT's arguments: one slice for all three.
+		upd := append(make([]minisql.Value, 0, 3+len(tasks)),
+			minisql.Text(string(StatusRunning)), minisql.Text(pool), minisql.Int64(now))
+		for _, t := range tasks {
+			upd = append(upd, minisql.Int64(t.ID))
+		}
+		ids := upd[3:]
+		if _, err := tx.Run(db.stmts[popTasksDel], ids...); err != nil {
+			return err
+		}
+		if _, err := tx.Run(db.stmts[popTasksUpd], upd...); err != nil {
+			return err
+		}
+		// The rows come back in table order: each finds its task by binary
+		// search over the tasks sorted by id, and the pop order — the pick's
+		// ORDER BY priority DESC, task_id ASC — is restored after.
+		slices.SortFunc(tasks, byID)
+		if err := tx.Query(db.stmts[popTasksSel], ids, func(row []minisql.Value) error {
+			if i, ok := slices.BinarySearchFunc(tasks, Task{ID: row[0].AsInt()}, byID); ok {
+				t := &tasks[i]
+				t.ExpID, t.Payload, t.Created = row[1].AsText(), row[2].AsText(), time.Unix(0, row[3].AsInt())
+				t.Status = StatusRunning
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		for _, t := range tasks {
+			if t.Status != StatusRunning {
+				return fmt.Errorf("eqsql: queue references missing task %d", t.ID)
+			}
+		}
+		slices.SortFunc(tasks, func(a, b Task) int { return cmp.Or(cmp.Compare(b.Priority, a.Priority), byID(a, b)) })
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
-	}
-	if err := db.waitDurable(tok); err != nil {
 		return nil, 0, err
 	}
 	return tasks, tok, nil
@@ -561,23 +594,24 @@ func (db *DB) tryPopTasks(workType, n int, pool string) ([]Task, Token, error) {
 // is an error, because the worker's claim was voided (chaos invariant 6 found
 // the double completion that accepting it caused; the cases are below).
 func (db *DB) Report(ctx context.Context, taskID int64, workType int, result string) (Res, error) {
-	if db.closed.Load() {
-		return Res{}, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return Res{}, ctxErr(ctx)
+	if err := db.open(ctx); err != nil {
+		return Res{}, err
 	}
 	defer db.met.report.ObserveSince(time.Now())
 	already := false
 	tok, err := db.eng.TxLogged(func(tx *minisql.Tx) error {
-		sel, err := tx.Exec("SELECT status FROM eq_tasks WHERE task_id = ?", taskID)
-		if err != nil {
+		id := minisql.Int64(taskID)
+		status, found := "", false
+		if err := tx.Query(db.stmts[reportSel], []minisql.Value{id}, func(row []minisql.Value) error {
+			status, found = row[0].AsText(), true
+			return nil
+		}); err != nil {
 			return err
 		}
-		if len(sel.Rows) == 0 {
+		if !found {
 			return fmt.Errorf("eqsql: report for unknown task %d", taskID)
 		}
-		switch Status(sel.Rows[0][0].AsText()) {
+		switch Status(status) {
 		case StatusComplete:
 			// Idempotent retry: the first attempt committed and its ack was
 			// lost in flight. Re-applying would log a second complete
@@ -596,14 +630,13 @@ func (db *DB) Report(ctx context.Context, taskID int64, workType int, result str
 			// in the outbound queue to be popped — and completed — a second
 			// time, breaking terminal-transition exactly-once. The result
 			// is discarded; whoever holds the task now reports it.
-			return fmt.Errorf("eqsql: report for task %d in state %q (not running)",
-				taskID, sel.Rows[0][0].AsText())
+			return fmt.Errorf("eqsql: report for task %d in state %q (not running)", taskID, status)
 		}
-		if _, err := tx.Exec(reportUpd, string(StatusComplete), result, nowNano(), taskID); err != nil {
+		if _, err := tx.Run(db.stmts[reportUpd], minisql.Text(string(StatusComplete)), minisql.Text(result),
+			minisql.Int64(nowNano()), id); err != nil {
 			return err
 		}
-		_, err = tx.Exec(
-			"INSERT INTO eq_in_q (task_id, work_type) VALUES (?, ?)", taskID, workType)
+		_, err := tx.Run(db.stmts[inQInsert], id, minisql.Int64(int64(workType)))
 		return err
 	})
 	if err != nil {
@@ -662,51 +695,76 @@ func (db *DB) PopResults(ctx context.Context, ids []int64, max int) (ResultsRes,
 func (db *DB) tryPopResults(ids []int64, max int) ([]TaskResult, Token, error) {
 	defer db.met.popResults.ObserveSince(time.Now())
 	var results []TaskResult
-	tok, err := db.eng.TxLogged(func(tx *minisql.Tx) error {
+	tok, err := db.commit(func(tx *minisql.Tx) error {
 		results = results[:0]
-		args := append(idArgs(ids, 1), max)
-		res, err := tx.Exec(popResultsPick, args...)
-		if err != nil {
-			return err
+		pick := make([]minisql.Value, len(ids)+1)
+		for i, id := range ids {
+			pick[i] = minisql.Int64(id)
 		}
-		if len(res.Rows) == 0 {
+		pick[len(ids)] = minisql.Int64(int64(max))
+		// A read runs on a copy of its arguments, so the popped ids — at most
+		// len(ids) of them — overwrite the front of pick as they stream.
+		popped := pick[:0]
+		if err := tx.Query(db.stmts[popResultsPick], pick, func(row []minisql.Value) error {
+			popped = append(popped, row[0])
 			return nil
-		}
-		if cap(results) < len(res.Rows) {
-			results = make([]TaskResult, 0, len(res.Rows))
-		}
-		popped := make([]int64, len(res.Rows))
-		for i, row := range res.Rows {
-			popped[i] = row[0].AsInt()
-		}
-		pargs := idArgs(popped, 0)
-		if _, err := tx.Exec(popResultsDel, pargs...); err != nil {
+		}); err != nil || len(popped) == 0 {
 			return err
 		}
-		rres, err := tx.Exec(popResultsSel, pargs...)
-		if err != nil {
+		if _, err := tx.Run(db.stmts[popResultsDel], popped...); err != nil {
 			return err
 		}
-		resOf := make(map[int64]string, len(rres.Rows))
-		for _, r := range rres.Rows {
-			resOf[r[0].AsInt()] = r[1].AsText()
+		// The pick's ORDER BY task_id ASC leaves results sorted by id: each
+		// streamed row finds its entry by binary search.
+		results = make([]TaskResult, len(popped))
+		for i, v := range popped {
+			results[i].ID = v.AsInt()
 		}
-		for _, id := range popped {
-			text, ok := resOf[id]
-			if !ok {
-				return fmt.Errorf("eqsql: input queue references missing task %d", id)
+		found := 0
+		if err := tx.Query(db.stmts[popResultsSel], popped, func(row []minisql.Value) error {
+			if i, ok := slices.BinarySearchFunc(results, row[0].AsInt(), func(r TaskResult, id int64) int {
+				return cmp.Compare(r.ID, id)
+			}); ok {
+				results[i].Result = row[1].AsText()
+				found++
 			}
-			results = append(results, TaskResult{ID: id, Result: text})
+			return nil
+		}); err != nil {
+			return err
+		}
+		if found != len(results) {
+			return fmt.Errorf("eqsql: input queue references %d missing tasks", len(results)-found)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := db.waitDurable(tok); err != nil {
-		return nil, 0, err
-	}
 	return results, tok, nil
+}
+
+// read runs one read through the engine lock. A transaction that writes
+// nothing logs nothing.
+func (db *DB) read(h *minisql.Prepared, args []minisql.Value, fn func(row []minisql.Value) error) error {
+	_, err := db.eng.TxLogged(func(tx *minisql.Tx) error { return tx.Query(h, args, fn) })
+	return err
+}
+
+// readByID reads, through h, one value per task of ids: h's rows are
+// (task_id, v).
+func readByID[V any](db *DB, h *minisql.Prepared, ids []int64, v func(minisql.Value) V) (map[int64]V, error) {
+	out := make(map[int64]V, len(ids))
+	args := make([]minisql.Value, len(ids))
+	for i, id := range ids {
+		args[i] = minisql.Int64(id)
+	}
+	if err := db.read(h, args, func(row []minisql.Value) error {
+		out[row[0].AsInt()] = v(row[1])
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Statuses implements Session. In-process reads are always current, so the
@@ -715,18 +773,7 @@ func (db *DB) Statuses(ctx context.Context, ids []int64, opts ...ReadOption) (ma
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(ctx)
 	}
-	if len(ids) == 0 {
-		return map[int64]Status{}, nil
-	}
-	res, err := db.eng.Exec("SELECT task_id, status FROM eq_tasks WHERE task_id IN (?...)", idArgs(ids, 0)...)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int64]Status, len(res.Rows))
-	for _, row := range res.Rows {
-		out[row[0].AsInt()] = Status(row[1].AsText())
-	}
-	return out, nil
+	return readByID(db, db.stmts[statusesSel], ids, func(v minisql.Value) Status { return Status(v.AsText()) })
 }
 
 // Priorities implements Session.
@@ -734,37 +781,17 @@ func (db *DB) Priorities(ctx context.Context, ids []int64, opts ...ReadOption) (
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(ctx)
 	}
-	if len(ids) == 0 {
-		return map[int64]int{}, nil
-	}
-	res, err := db.eng.Exec("SELECT task_id, priority FROM eq_out_q WHERE task_id IN (?...)", idArgs(ids, 0)...)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int64]int, len(res.Rows))
-	for _, row := range res.Rows {
-		out[row[0].AsInt()] = int(row[1].AsInt())
-	}
-	return out, nil
+	return readByID(db, db.stmts[prioritiesSel], ids, func(v minisql.Value) int { return int(v.AsInt()) })
 }
 
-// The reprioritisation statements, each executed once per call over the whole
-// id set (Tx.ExecRows) with argument rows (priority, task_id).
-const (
-	prioOutQUpd  = "UPDATE eq_out_q SET priority = ? WHERE task_id = ?"
-	prioTasksUpd = "UPDATE eq_tasks SET priority = ? WHERE task_id = ?"
-)
-
 // UpdatePriorities implements Session. The whole batch commits atomically, as
-// one log entry of at most two set-based statements — the queue rows, then
-// the task rows of the ids that were still queued — which is what makes
-// reprioritization cheap relative to per-task updates (§V-B).
+// one log entry of at most two set-based statements (Tx.RunRows, argument
+// rows (priority, task_id)) — the queue rows, then the task rows of the ids
+// that were still queued — which is what makes reprioritization cheap
+// relative to per-task updates (§V-B).
 func (db *DB) UpdatePriorities(ctx context.Context, ids []int64, priorities []int) (CountRes, error) {
-	if db.closed.Load() {
-		return CountRes{}, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return CountRes{}, ctxErr(ctx)
+	if err := db.open(ctx); err != nil {
+		return CountRes{}, err
 	}
 	if len(priorities) != 1 && len(priorities) != len(ids) {
 		return CountRes{}, fmt.Errorf("eqsql: UpdatePriorities needs 1 or %d priorities, got %d",
@@ -774,7 +801,7 @@ func (db *DB) UpdatePriorities(ctx context.Context, ids []int64, priorities []in
 		return CountRes{Token: db.eng.LastLogged()}, nil
 	}
 	updated := 0
-	tok, err := db.eng.TxLogged(func(tx *minisql.Tx) error {
+	tok, err := db.commit(func(tx *minisql.Tx) error {
 		queue := make([]minisql.Value, 0, 2*len(ids))
 		for i, id := range ids {
 			p := priorities[0]
@@ -783,7 +810,7 @@ func (db *DB) UpdatePriorities(ctx context.Context, ids []int64, priorities []in
 			}
 			queue = append(queue, minisql.Int64(int64(p)), minisql.Int64(id))
 		}
-		hits, err := tx.ExecRows(prioOutQUpd, queue)
+		hits, err := tx.RunRows(db.stmts[prioOutQUpd], queue)
 		if err != nil {
 			return err
 		}
@@ -796,13 +823,10 @@ func (db *DB) UpdatePriorities(ctx context.Context, ids []int64, priorities []in
 		if updated = len(tasks) / 2; updated == 0 {
 			return nil
 		}
-		_, err = tx.ExecRows(prioTasksUpd, tasks)
+		_, err = tx.RunRows(db.stmts[prioTasksUpd], tasks)
 		return err
 	})
 	if err != nil {
-		return CountRes{}, err
-	}
-	if err := db.waitDurable(tok); err != nil {
 		return CountRes{}, err
 	}
 	return CountRes{Count: updated, Token: tok}, nil
@@ -812,22 +836,20 @@ func (db *DB) UpdatePriorities(ctx context.Context, ids []int64, priorities []in
 // canceled; running tasks are owned by a pool (paper §VI: oversubscribed
 // tasks become ineligible for cancellation).
 func (db *DB) CancelTasks(ctx context.Context, ids []int64) (CountRes, error) {
-	if db.closed.Load() {
-		return CountRes{}, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return CountRes{}, ctxErr(ctx)
+	if err := db.open(ctx); err != nil {
+		return CountRes{}, err
 	}
 	canceled := 0
-	tok, err := db.eng.TxLogged(func(tx *minisql.Tx) error {
+	tok, err := db.commit(func(tx *minisql.Tx) error {
 		canceled = 0
 		for _, id := range ids {
-			res, err := tx.Exec("DELETE FROM eq_out_q WHERE task_id = ?", id)
+			res, err := tx.Run(db.stmts[cancelDel], minisql.Int64(id))
 			if err != nil {
 				return err
 			}
 			if res.RowsAffected > 0 {
-				if _, err := tx.Exec(cancelUpd, string(StatusCanceled), nowNano(), id); err != nil {
+				if _, err := tx.Run(db.stmts[cancelUpd], minisql.Text(string(StatusCanceled)),
+					minisql.Int64(nowNano()), minisql.Int64(id)); err != nil {
 					return err
 				}
 				canceled++
@@ -838,71 +860,68 @@ func (db *DB) CancelTasks(ctx context.Context, ids []int64) (CountRes, error) {
 	if err != nil {
 		return CountRes{}, err
 	}
-	if err := db.waitDurable(tok); err != nil {
-		return CountRes{}, err
-	}
 	return CountRes{Count: canceled, Token: tok}, nil
 }
 
 // RequeueRunning implements Session.
 func (db *DB) RequeueRunning(ctx context.Context, pool string) (CountRes, error) {
-	if db.closed.Load() {
-		return CountRes{}, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return CountRes{}, ctxErr(ctx)
+	if err := db.open(ctx); err != nil {
+		return CountRes{}, err
 	}
 	requeued := 0
-	tok, err := db.eng.TxLogged(func(tx *minisql.Tx) error {
-		requeued = 0
-		res, err := tx.Exec(
-			"SELECT task_id, work_type, priority FROM eq_tasks WHERE pool = ? AND status = ?",
-			pool, string(StatusRunning))
-		if err != nil {
+	tok, err := db.commit(func(tx *minisql.Tx) error {
+		// (task_id, work_type, priority) of every task the pool holds, read
+		// before the writes that requeue them.
+		var held []int64
+		if err := tx.Query(db.stmts[requeueSel], []minisql.Value{minisql.Text(pool), minisql.Text(string(StatusRunning))},
+			func(row []minisql.Value) error {
+				held = append(held, row[0].AsInt(), row[1].AsInt(), row[2].AsInt())
+				return nil
+			}); err != nil {
 			return err
 		}
-		for _, row := range res.Rows {
-			id := row[0].AsInt()
-			if _, err := tx.Exec(outQInsert, id, row[1].AsInt(), row[2].AsInt()); err != nil {
+		for i := 0; i < len(held); i += 3 {
+			id := minisql.Int64(held[i])
+			if _, err := tx.Run(db.stmts[outQInsert], id, minisql.Int64(held[i+1]), minisql.Int64(held[i+2])); err != nil {
 				return err
 			}
-			if _, err := tx.Exec(
-				"UPDATE eq_tasks SET status = ?, pool = '', start_at = 0 WHERE task_id = ?",
-				string(StatusQueued), id); err != nil {
+			if _, err := tx.Run(db.stmts[requeueUpd], minisql.Text(string(StatusQueued)), id); err != nil {
 				return err
 			}
-			requeued++
 		}
+		requeued = len(held) / 3
 		return nil
 	})
 	if err != nil {
 		return CountRes{}, err
 	}
-	if err := db.waitDurable(tok); err != nil {
-		return CountRes{}, err
-	}
 	return CountRes{Count: requeued, Token: tok}, nil
 }
 
-// Counts implements Session.
+// Counts implements Session. The four counts are read in one engine-lock
+// hold — a transaction that writes nothing and so logs nothing — so a task
+// changing state between them cannot be counted twice or not at all.
 func (db *DB) Counts(ctx context.Context, expID string, opts ...ReadOption) (map[Status]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(ctx)
 	}
-	out := map[Status]int{}
-	for _, st := range []Status{StatusQueued, StatusRunning, StatusComplete, StatusCanceled} {
-		var res *minisql.Result
-		var err error
-		if expID == "" {
-			res, err = db.eng.Exec("SELECT COUNT(*) FROM eq_tasks WHERE status = ?", string(st))
-		} else {
-			res, err = db.eng.Exec(
-				"SELECT COUNT(*) FROM eq_tasks WHERE status = ? AND exp_id = ?", string(st), expID)
+	out := make(map[Status]int, 4)
+	_, err := db.eng.TxLogged(func(tx *minisql.Tx) error {
+		for _, s := range []Status{StatusQueued, StatusRunning, StatusComplete, StatusCanceled} {
+			h, args := db.stmts[countStatusExp], []minisql.Value{minisql.Text(string(s)), minisql.Text(expID)}
+			if expID == "" {
+				h, args = db.stmts[countStatus], args[:1]
+			}
+			n, err := tx.Count(h, args...)
+			if err != nil {
+				return err
+			}
+			out[s] = n
 		}
-		if err != nil {
-			return nil, err
-		}
-		out[st] = int(res.Rows[0][0].AsInt())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -912,13 +931,13 @@ func (db *DB) Tags(ctx context.Context, taskID int64, opts ...ReadOption) ([]str
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(ctx)
 	}
-	res, err := db.eng.Exec("SELECT tag FROM eq_tags WHERE task_id = ?", taskID)
+	tags := []string{}
+	err := db.read(db.stmts[tagsSel], []minisql.Value{minisql.Int64(taskID)}, func(row []minisql.Value) error {
+		tags = append(tags, row[0].AsText())
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	tags := make([]string, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		tags = append(tags, row[0].AsText())
 	}
 	return tags, nil
 }
@@ -929,41 +948,20 @@ func (db *DB) GetTask(ctx context.Context, taskID int64, opts ...ReadOption) (Ta
 	if err := ctx.Err(); err != nil {
 		return Task{}, ctxErr(ctx)
 	}
-	res, err := db.eng.Exec(
-		`SELECT exp_id, work_type, status, payload, result, pool, priority,
-			created_at, start_at, stop_at
-		 FROM eq_tasks WHERE task_id = ?`, taskID)
+	t := Task{ID: taskID}
+	found := false
+	err := db.read(db.stmts[taskSel], []minisql.Value{minisql.Int64(taskID)}, func(r []minisql.Value) error {
+		found = true
+		t.ExpID, t.WorkType, t.Status = r[0].AsText(), int(r[1].AsInt()), Status(r[2].AsText())
+		t.Payload, t.Result, t.Pool, t.Priority = r[3].AsText(), r[4].AsText(), r[5].AsText(), int(r[6].AsInt())
+		t.Created, t.Started, t.Stopped = time.Unix(0, r[7].AsInt()), time.Unix(0, r[8].AsInt()), time.Unix(0, r[9].AsInt())
+		return nil
+	})
 	if err != nil {
 		return Task{}, err
 	}
-	if len(res.Rows) == 0 {
+	if !found {
 		return Task{}, fmt.Errorf("eqsql: no task %d", taskID)
 	}
-	r := res.Rows[0]
-	return Task{
-		ID:       taskID,
-		ExpID:    r[0].AsText(),
-		WorkType: int(r[1].AsInt()),
-		Status:   Status(r[2].AsText()),
-		Payload:  r[3].AsText(),
-		Result:   r[4].AsText(),
-		Pool:     r[5].AsText(),
-		Priority: int(r[6].AsInt()),
-		Created:  time.Unix(0, r[7].AsInt()),
-		Started:  time.Unix(0, r[8].AsInt()),
-		Stopped:  time.Unix(0, r[9].AsInt()),
-	}, nil
-}
-
-// QueueLengths reports the output and input queue depths (monitoring).
-func (db *DB) QueueLengths() (out, in int, err error) {
-	o, err := db.eng.Exec("SELECT COUNT(*) FROM eq_out_q")
-	if err != nil {
-		return 0, 0, err
-	}
-	i, err := db.eng.Exec("SELECT COUNT(*) FROM eq_in_q")
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(o.Rows[0][0].AsInt()), int(i.Rows[0][0].AsInt()), nil
+	return t, nil
 }

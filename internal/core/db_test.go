@@ -651,3 +651,69 @@ func TestSubmitTasksBatchAtomicWithClose(t *testing.T) {
 		t.Fatalf("submit after close = %v", err)
 	}
 }
+
+// TestCountsIsOneSnapshot: the four counts of one Counts call are read in a
+// single engine-lock hold, so a task that a concurrent pop moves from queued
+// to running, or a report from running to complete, is counted once — every
+// call's counts sum to the number of tasks submitted.
+func TestCountsIsOneSnapshot(t *testing.T) {
+	db := newTestDB(t)
+	const n = 400
+	if _, err := db.SubmitBatch(bg, "e", 1, make([]string, n), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// An expired deadline still gets one immediate attempt: the pop
+			// never waits, and an empty queue ends the loop.
+			ctx, cancel := context.WithDeadline(bg, time.Now())
+			tasks, err := tasksOf(db.QueryTasks(ctx, 1, 1, "p"))
+			cancel()
+			if errors.Is(err, ErrTimeout) {
+				return
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := db.Report(bg, tasks[0].ID, 1, "r"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var bad error
+	for calls, running := 0, true; running && bad == nil; calls++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		counts, err := db.Counts(bg, "")
+		sum := 0
+		for _, c := range counts {
+			sum += c
+		}
+		switch {
+		case err != nil:
+			bad = err
+		case sum != n:
+			bad = fmt.Errorf("call %d: counts %v sum to %d, want the %d tasks submitted", calls, counts, sum, n)
+		}
+	}
+	close(stop)
+	<-done
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	if counts, _ := db.Counts(bg, ""); counts[StatusComplete] != n {
+		t.Fatalf("after the run: %v, want all %d complete", counts, n)
+	}
+}

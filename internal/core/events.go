@@ -18,7 +18,7 @@ import (
 func (db *DB) attachWatch() {
 	db.hub = watch.NewHub(0, db.met.reg)
 	db.eng.SetCommitObserver(func(idx uint64, stmts []minisql.Stmt) {
-		trs := classify(stmts)
+		trs := db.classify(stmts)
 		if len(trs) == 0 {
 			return
 		}
@@ -126,8 +126,9 @@ func (db *DB) AdvanceWatch(mark uint64) {
 func (db *DB) WatchHub() *watch.Hub { return db.hub }
 
 // classify extracts task-state transitions from one committed statement
-// batch. Matching is by exact SQL text against the named transition
-// statements, which every state-changing code path routes through:
+// batch. A statement is recognised by the handle that ran it (on a follower,
+// the pinned handle ApplyEntry resolved its text to), not by its text; every
+// state-changing code path runs one of the transition statements:
 //
 //   - outQInsert marks a task queued (both fresh submits and requeues — the
 //     requeue's companion eq_tasks UPDATE is deliberately ignored so one
@@ -139,11 +140,11 @@ func (db *DB) WatchHub() *watch.Hub { return db.hub }
 //
 // Everything else (tags, priorities, schema, experiment rows) is not a
 // transition and classifies to nothing.
-func classify(stmts []minisql.Stmt) []watch.Transition {
+func (db *DB) classify(stmts []minisql.Stmt) []watch.Transition {
 	var out []watch.Transition
 	for _, s := range stmts {
-		switch s.SQL {
-		case outQInsert:
+		switch s.Prepared() {
+		case db.stmts[outQInsert]:
 			if len(s.Args) >= 2 {
 				out = append(out, watch.Transition{
 					TaskID:   s.Args[0].AsInt(),
@@ -151,7 +152,7 @@ func classify(stmts []minisql.Stmt) []watch.Transition {
 					Status:   string(StatusQueued),
 				})
 			}
-		case popTasksUpd:
+		case db.stmts[popTasksUpd]:
 			if len(s.Args) >= 4 && s.Args[0].AsText() == string(StatusRunning) {
 				for _, a := range s.Args[3:] {
 					out = append(out, watch.Transition{
@@ -161,7 +162,7 @@ func classify(stmts []minisql.Stmt) []watch.Transition {
 					})
 				}
 			}
-		case reportUpd:
+		case db.stmts[reportUpd]:
 			if len(s.Args) >= 4 && s.Args[0].AsText() == string(StatusComplete) {
 				out = append(out, watch.Transition{
 					TaskID:   s.Args[3].AsInt(),
@@ -169,7 +170,7 @@ func classify(stmts []minisql.Stmt) []watch.Transition {
 					Status:   string(StatusComplete),
 				})
 			}
-		case cancelUpd:
+		case db.stmts[cancelUpd]:
 			if len(s.Args) >= 3 && s.Args[0].AsText() == string(StatusCanceled) {
 				out = append(out, watch.Transition{
 					TaskID:   s.Args[2].AsInt(),
@@ -193,21 +194,19 @@ func (db *DB) ResetWatch(token Token) {
 	}
 	typeOf := make(map[int64]int)
 	depth := make(map[int]int)
-	if res, err := db.eng.Exec("SELECT task_id, work_type FROM eq_out_q"); err == nil {
-		for _, row := range res.Rows {
-			wt := int(row[1].AsInt())
-			typeOf[row[0].AsInt()] = wt
-			depth[wt]++
-		}
-	}
+	_ = db.read(db.stmts[outQTypes], nil, func(row []minisql.Value) error {
+		wt := int(row[1].AsInt())
+		typeOf[row[0].AsInt()] = wt
+		depth[wt]++
+		return nil
+	})
 	// Running tasks keep their type mapping so their terminal transitions
 	// (which carry only the task id) still resolve a work type.
-	if res, err := db.eng.Exec(
-		"SELECT task_id, work_type FROM eq_tasks WHERE status = ?", string(StatusRunning)); err == nil {
-		for _, row := range res.Rows {
+	_ = db.read(db.stmts[runningTypes], []minisql.Value{minisql.Text(string(StatusRunning))},
+		func(row []minisql.Value) error {
 			typeOf[row[0].AsInt()] = int(row[1].AsInt())
-		}
-	}
+			return nil
+		})
 	// A reset replaces history wholesale, so anything the gate was holding
 	// belongs to the discarded domain: drop it and re-base the watermark at
 	// the reset token (downwards included — this is the one path where the
@@ -233,17 +232,16 @@ func (db *DB) ResetWatch(token Token) {
 func (db *DB) resyncEvents(q watch.Query, last uint64) []watch.Event {
 	marker := []watch.Event{{Token: last, WorkType: -1, Resync: true}}
 	if q.TaskID != 0 && !q.All {
-		res, err := db.eng.Exec(
-			"SELECT status, work_type FROM eq_tasks WHERE task_id = ?", q.TaskID)
-		if err != nil || len(res.Rows) == 0 {
+		t, err := db.GetTask(context.Background(), q.TaskID)
+		if err != nil {
 			return marker
 		}
 		return []watch.Event{{
 			Token:    last,
 			TaskID:   q.TaskID,
-			WorkType: int(res.Rows[0][1].AsInt()),
-			Status:   res.Rows[0][0].AsText(),
-			Depth:    db.hub.Depth(int(res.Rows[0][1].AsInt())),
+			WorkType: t.WorkType,
+			Status:   string(t.Status),
+			Depth:    db.hub.Depth(t.WorkType),
 			Resync:   true,
 		}}
 	}

@@ -17,7 +17,10 @@ import (
 //
 // Metrics: osprey_db_op_seconds{op=submit|submit_batch|pop_tasks|
 // pop_results|report}, osprey_db_queue_depth{queue=out|in},
-// osprey_minisql_plan_cache_{hits,misses,evictions}_total,
+// osprey_minisql_plan_cache_{hits,misses,evictions}_total (statement
+// executions that reused a compiled statement and those that had to parse:
+// core prepares every statement it issues, so only DDL, migrations and
+// ad-hoc texts miss and the hit ratio stays near 1),
 // osprey_minisql_plan_cache_size, and osprey_engine_snapshot_lock_seconds
 // (every node: how long each snapshot — checkpoint, follower bootstrap,
 // DB.Snapshot — held the engine lock; read it beside

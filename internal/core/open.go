@@ -109,9 +109,8 @@ func Open(dir string, opt OpenOptions) (*DB, error) {
 	eng.SetLastLogged(applied)
 	store.SetSnapshotSource(eng.SnapshotLogged)
 
-	db := &DB{eng: eng, outN: newNotifier(), inN: newNotifier(), met: newDBMetrics(eng), store: store}
+	db := newDB(eng, store)
 	db.met.bindStore(store)
-	db.attachWatch()
 	if restored || applied > 0 {
 		// Recovered tables may hold queued/running tasks from before this
 		// boot; seed the hub and mark pre-boot history unreplayable.

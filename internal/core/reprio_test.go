@@ -11,20 +11,20 @@ import (
 // updatePrioritiesLoop is the per-id reference UpdatePriorities was before it
 // became set-based: two single-row UPDATEs per id in one transaction. The
 // set-based call must leave the engine in exactly the state this leaves it.
-func updatePrioritiesLoop(eng *minisql.Engine, ids []int64, priorities []int) (int, error) {
+func updatePrioritiesLoop(db *DB, ids []int64, priorities []int) (int, error) {
 	updated := 0
-	_, err := eng.TxLogged(func(tx *minisql.Tx) error {
+	_, err := db.Engine().TxLogged(func(tx *minisql.Tx) error {
 		for i, id := range ids {
 			p := priorities[0]
 			if len(priorities) > 1 {
 				p = priorities[i]
 			}
-			res, err := tx.Exec(prioOutQUpd, p, id)
+			res, err := tx.Run(db.stmts[prioOutQUpd], minisql.Int64(int64(p)), minisql.Int64(id))
 			if err != nil {
 				return err
 			}
 			if res.RowsAffected > 0 {
-				if _, err := tx.Exec(prioTasksUpd, p, id); err != nil {
+				if _, err := tx.Run(db.stmts[prioTasksUpd], minisql.Int64(int64(p)), minisql.Int64(id)); err != nil {
 					return err
 				}
 				updated++
@@ -139,7 +139,7 @@ func TestUpdatePrioritiesMatchesLoop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: UpdatePriorities: %v", round, err)
 		}
-		want, err := updatePrioritiesLoop(loop.Engine(), pick, newPrios)
+		want, err := updatePrioritiesLoop(loop, pick, newPrios)
 		if err != nil {
 			t.Fatalf("round %d: reference loop: %v", round, err)
 		}

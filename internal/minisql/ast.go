@@ -97,7 +97,9 @@ type deleteStmt struct {
 	Where expr
 }
 
-// expr is a parsed SQL expression evaluated against a row.
+// expr is a SQL expression evaluated against a row. The parser's trees are
+// never evaluated: a Prepared handle evaluates the copy it bound to a table
+// (bindExpr).
 type expr interface {
 	eval(ev *evalCtx) (Value, error)
 }
@@ -106,13 +108,20 @@ type expr interface {
 // statement's spread parameter (0 when the statement has none): the number of
 // trailing arguments the `IN (?...)` list absorbed at execution time.
 type evalCtx struct {
-	tbl     *table
 	row     []Value
 	args    []Value
 	spreadN int
 }
 
-type colRef struct{ Name string }
+// colRef is a column reference. Bound (bindExpr), Pos is the column's
+// position in Table's rows, or -1 when Table has no such column — an error
+// only if the reference is evaluated, as it was when columns were looked up
+// by name per row.
+type colRef struct {
+	Name  string
+	Table string
+	Pos   int
+}
 
 type litExpr struct{ V Value }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 )
@@ -12,7 +11,10 @@ import (
 // ErrNoSuchTable is returned by statements naming a table the engine lacks.
 var ErrNoSuchTable = errors.New("minisql: no such table")
 
-// Result is the outcome of executing one statement.
+// Result is the outcome of executing one statement through Exec: a SELECT's
+// column names and rows, a write's affected-row count and AUTOINCREMENT key.
+// Tx.Run returns the write half; reads through a handle stream their rows
+// instead (Tx.Query).
 type Result struct {
 	Columns      []string
 	Rows         [][]Value
@@ -28,9 +30,19 @@ type Result struct {
 // lock: a mutating Exec is autocommit, a multi-statement transaction is a
 // TxLogged closure, and a shipped entry is ApplyEntry. No transaction is ever
 // left open between calls.
+//
+// A statement a program issues repeatedly is compiled once: Prepare returns a
+// handle that a transaction runs with Value arguments (Tx.Run, Tx.RunRows,
+// Tx.Query, Tx.Count). Exec is the ad-hoc path — DDL, migrations, tests — and
+// resolves its text to a handle through the engine's text index before
+// running it through the same executor, with the same checks.
 type Engine struct {
 	mu     sync.Mutex
 	tables map[string]*table
+	// epoch is the schema epoch, bumped by CREATE/DROP TABLE, CREATE INDEX and
+	// Restore: a handle bound in an older epoch re-binds at its next run.
+	epoch uint64
+	tx    Tx // what TxLogged hands its closure; one transaction holds mu at a time
 
 	undo []undoOp // the open transaction's undo log; empty between calls
 
@@ -39,9 +51,8 @@ type Engine struct {
 	applying   bool           // true while replaying a shipped entry
 	pending    []Stmt         // mutating statements awaiting commit
 	lastLogged uint64         // highest log index the hook has assigned
-	spreadN    int            // spread-IN width of the statement executing now
 
-	plans *planCache // parsed statements by SQL text (plancache.go)
+	plans *planCache // compiled statements by SQL text (plancache.go)
 
 	// Slow-query log (obs.go): statements at or over slowNanos are reported
 	// to slowFn. Both are read and written under mu; zero/nil means off.
@@ -69,32 +80,25 @@ type undoOp struct {
 
 // NewEngine returns an empty database.
 func NewEngine() *Engine {
-	return &Engine{tables: make(map[string]*table), plans: newPlanCache()}
+	e := &Engine{tables: make(map[string]*table), plans: newPlanCache(), epoch: 1}
+	e.tx.e = e
+	return e
 }
 
-// Exec parses and executes a single SQL statement with positional `?`
-// arguments and returns its result. A mutating statement is its own
-// transaction (autocommit): it commits as one log entry, and one that fails
-// part-way (e.g. a bad row in a multi-row INSERT) leaves no trace — partial
-// effects would never reach the statement log, silently diverging replicas
-// from the leader.
+// Exec parses (or finds compiled) and executes a single SQL statement with
+// positional `?` arguments and returns its result. A mutating statement is its
+// own transaction (autocommit): it commits as one log entry, and one that
+// fails part-way (e.g. a bad row in a multi-row INSERT) leaves no trace —
+// partial effects would never reach the statement log, silently diverging
+// replicas from the leader.
 func (e *Engine) Exec(sql string, args ...any) (*Result, error) {
-	p, err := e.cachedParse(sql)
-	if err != nil {
-		return nil, err
-	}
-	spreadN, err := p.spreadWidth(sql, len(args))
-	if err != nil {
-		return nil, err
-	}
-	vals, err := toValues(args)
+	h, vals, spreadN, err := e.adhoc(sql, args)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.spreadN = spreadN
-	res, err := e.execLocked(p.stmt, vals, sql, nil)
+	res, err := e.collectLocked(h, vals, spreadN)
 	if err != nil {
 		return nil, err
 	}
@@ -104,16 +108,60 @@ func (e *Engine) Exec(sql string, args ...any) (*Result, error) {
 	return res, nil
 }
 
+// adhoc resolves an execution by text: its handle, its arguments as Values
+// and the width of its spread.
+func (e *Engine) adhoc(sql string, args []any) (*Prepared, []Value, int, error) {
+	h, err := e.lookup(sql, false)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	spreadN, err := h.spreadWidth(len(args))
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	vals, err := toValues(args)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return h, vals, spreadN, nil
+}
+
+// collectLocked runs h as Exec does: a SELECT's streamed rows are copied out
+// into the Result.
+func (e *Engine) collectLocked(h *Prepared, args []Value, spreadN int) (*Result, error) {
+	if !h.query {
+		n, id, err := e.execLocked(h, args, spreadN, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{RowsAffected: n, LastInsertID: id}, nil
+	}
+	var flat []Value
+	if _, _, err := e.execLocked(h, args, spreadN, nil, func(row []Value) error {
+		flat = append(flat, row...)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	w := len(h.b.names)
+	res := &Result{Columns: h.b.names, Rows: make([][]Value, len(flat)/w)}
+	for k := range res.Rows {
+		res.Rows[k] = flat[k*w : (k+1)*w : (k+1)*w]
+	}
+	return res, nil
+}
+
 // TxLogged runs fn inside a transaction: fn's statements are committed if fn
 // returns nil and rolled back otherwise. It returns the commit token of the
 // transaction: the log index the commit hook assigned to the transaction's
 // WAL entry, 0 when the transaction contained no mutating statements or no
-// hook is installed. The engine lock is held throughout, so fn must not call
-// Exec (use the passed Tx handle).
+// hook is installed. A transaction of reads alone logs nothing, so it is also
+// how several reads see one state. The engine lock is held throughout, so fn
+// must not call Exec (use the passed Tx handle).
 func (e *Engine) TxLogged(fn func(tx *Tx) error) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := fn(&Tx{e: e}); err != nil {
+	if err := fn(&e.tx); err != nil {
 		e.rollbackLocked()
 		return 0, err
 	}
@@ -133,70 +181,112 @@ func (e *Engine) LastLogged() uint64 {
 // Tx is a transaction handle passed to Engine.TxLogged callbacks.
 type Tx struct{ e *Engine }
 
-// Exec executes a statement within the transaction.
+// Exec executes a statement by text within the transaction.
 func (tx *Tx) Exec(sql string, args ...any) (*Result, error) {
-	p, err := tx.e.cachedParse(sql)
+	h, vals, spreadN, err := tx.e.adhoc(sql, args)
 	if err != nil {
 		return nil, err
 	}
-	spreadN, err := p.spreadWidth(sql, len(args))
-	if err != nil {
-		return nil, err
-	}
-	vals, err := toValues(args)
-	if err != nil {
-		return nil, err
-	}
-	tx.e.spreadN = spreadN
-	return tx.e.execLocked(p.stmt, vals, sql, nil)
+	return tx.e.collectLocked(h, vals, spreadN)
 }
 
-// ExecRows executes a parameterised UPDATE once per argument row: args holds
+// Run executes a prepared write (or DDL) with args and returns its
+// RowsAffected and LastInsertID. args is surrendered to the log; the caller
+// must not modify it afterwards.
+func (tx *Tx) Run(h *Prepared, args ...Value) (Result, error) {
+	spreadN, err := tx.start(h, len(args))
+	if err != nil {
+		return Result{}, err
+	}
+	if h.query {
+		return Result{}, fmt.Errorf("minisql: Run executes writes; read %q with Query", compactSQL(h.sql))
+	}
+	n, id, err := tx.e.execLocked(h, args, spreadN, nil, nil)
+	return Result{RowsAffected: n, LastInsertID: id}, err
+}
+
+// RunRows executes a prepared UPDATE once per argument row: args holds
 // len(args)/nparams rows back to back, each bound to the statement's
 // parameters in turn and seeing the rows before it applied, exactly as that
-// many Exec calls would. The statement is parsed and bound once, and commits
-// as one logged Stmt carrying every row, which ApplyEntry replays row by row
-// through the same executor. The set is atomic: an error in any row undoes the
-// rows before it and logs nothing. It returns each argument row's
-// rows-affected count. args is surrendered to the log; the caller must not
-// modify it afterwards.
+// many Run calls would. It commits as one logged Stmt carrying every row,
+// which ApplyEntry replays row by row through the same executor. The set is
+// atomic: an error in any row undoes the rows before it and logs nothing. It
+// returns each argument row's rows-affected count. args is surrendered to the
+// log; the caller must not modify it afterwards.
+func (tx *Tx) RunRows(h *Prepared, args []Value) ([]int, error) {
+	if _, err := tx.start(h, -1); err != nil {
+		return nil, err
+	}
+	return tx.e.runRowsLocked(h, args)
+}
+
+// ExecRows is RunRows by text.
 func (tx *Tx) ExecRows(sql string, args []Value) ([]int, error) {
-	p, err := tx.e.cachedParse(sql)
+	h, err := tx.e.lookup(sql, false)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := p.argRows(sql, len(args))
+	return tx.e.runRowsLocked(h, args)
+}
+
+func (e *Engine) runRowsLocked(h *Prepared, args []Value) ([]int, error) {
+	rows, err := h.argRows(len(args))
 	if err != nil {
 		return nil, err
 	}
-	tx.e.spreadN = 0
 	hits := make([]int, rows)
-	if _, err := tx.e.execLocked(p.stmt, args, sql, hits); err != nil {
+	if _, _, err := e.execLocked(h, args, 0, hits, nil); err != nil {
 		return nil, err
 	}
 	return hits, nil
 }
 
-// spreadWidth checks an Exec's argument count against the plan — a statement
-// without a spread takes exactly its parameter count: surplus arguments would
-// read as further argument rows once logged — and returns how many arguments
-// the spread absorbs.
-func (p plan) spreadWidth(sql string, nargs int) (int, error) {
-	if nargs < p.nparams || (!p.spread && nargs > p.nparams) {
-		return 0, fmt.Errorf("minisql: statement has %d parameters, %d arguments given (in %q)",
-			p.nparams, nargs, compactSQL(sql))
+// Query runs a prepared SELECT with args and calls fn with each result row,
+// in result order. The row is scratch, valid only during the call; fn must not
+// use the transaction. An error from fn ends the query and is returned. args
+// is read during the call only.
+func (tx *Tx) Query(h *Prepared, args []Value, fn func(row []Value) error) error {
+	if !h.query || h.count {
+		return fmt.Errorf("minisql: Query streams a SELECT's rows; %q is not one", compactSQL(h.sql))
 	}
-	return nargs - p.nparams, nil
+	_, err := tx.read(h, args, fn)
+	return err
 }
 
-// argRows reports how many whole argument rows nargs arguments make for a
-// set-based execution of the plan (Tx.ExecRows, or its logged Stmt replayed).
-func (p plan) argRows(sql string, nargs int) (int, error) {
-	if p.spread || p.nparams == 0 || nargs == 0 || nargs%p.nparams != 0 {
-		return 0, fmt.Errorf("minisql: %d arguments are not whole rows of the statement's %d fixed parameters (in %q)",
-			nargs, p.nparams, compactSQL(sql))
+// Count runs a prepared SELECT COUNT(*) with args and returns the count.
+func (tx *Tx) Count(h *Prepared, args ...Value) (int, error) {
+	if !h.count {
+		return 0, fmt.Errorf("minisql: Count answers a SELECT COUNT(*); %q is not one", compactSQL(h.sql))
 	}
-	return nargs / p.nparams, nil
+	return tx.read(h, args, nil)
+}
+
+// read runs a read on a copy of its arguments, so the caller's slice never
+// outlives the call.
+func (tx *Tx) read(h *Prepared, args []Value, fn func(row []Value) error) (int, error) {
+	spreadN, err := tx.start(h, len(args))
+	if err != nil {
+		return 0, err
+	}
+	h.args = append(h.args[:0], args...)
+	n, _, err := tx.e.execLocked(h, h.args, spreadN, nil, fn)
+	clear(h.args)
+	return n, err
+}
+
+// start checks one execution of h on this transaction's engine and counts it
+// as a reuse of a compiled statement. With nargs >= 0 it also checks the
+// argument count and returns the width of the spread; RunRows passes -1 and
+// checks whole argument rows instead.
+func (tx *Tx) start(h *Prepared, nargs int) (int, error) {
+	if h.e != tx.e {
+		return 0, fmt.Errorf("minisql: statement prepared on another engine (in %q)", compactSQL(h.sql))
+	}
+	tx.e.plans.hits.Add(1)
+	if nargs < 0 {
+		return 0, nil
+	}
+	return h.spreadWidth(nargs)
 }
 
 // toValues converts Exec arguments to Values.
@@ -212,36 +302,40 @@ func toValues(args []any) ([]Value, error) {
 	return vals, nil
 }
 
-// execLocked executes one parsed statement and, on success, records mutating
-// statements for the commit hook (flushed by Exec and TxLogged at commit
-// points). Each statement is atomic: a mid-statement failure (e.g. a bad row
-// in a multi-row INSERT) unwinds just that statement's effects. Failed
-// statements never reach the commit hook, so without the unwind a caller that
-// swallows the error and commits would persist rows the statement log never
-// saw — silently diverging replicas.
+// execLocked executes h — the one executor every path reaches — and, on
+// success, records a mutating statement for the commit hook (flushed by Exec
+// and TxLogged at commit points). Each statement is atomic: a mid-statement
+// failure (e.g. a bad row in a multi-row INSERT) unwinds just that
+// statement's effects. Failed statements never reach the commit hook, so
+// without the unwind a caller that swallows the error and commits would
+// persist rows the statement log never saw — silently diverging replicas.
 //
 // A non-nil hits makes the execution set-based: args holds len(hits) argument
-// rows and hits receives each row's rows-affected count (execUpdate).
-func (e *Engine) execLocked(stmt any, args []Value, sql string, hits []int) (*Result, error) {
+// rows and hits receives each row's rows-affected count (execUpdate). A
+// SELECT streams its rows to fn. n is the rows affected, streamed or counted.
+func (e *Engine) execLocked(h *Prepared, args []Value, spreadN int, hits []int, fn func([]Value) error) (n int, lastID int64, err error) {
 	mark := len(e.undo)
 	var t0 time.Time
 	if e.slowNanos > 0 {
 		t0 = time.Now()
 	}
-	res, err := e.execStmtLocked(stmt, args, sql, hits)
+	n, lastID, err = e.execStmtLocked(h, args, spreadN, hits, fn)
 	if e.slowNanos > 0 && e.slowFn != nil {
 		if d := time.Since(t0); int64(d) >= e.slowNanos {
-			e.slowFn(sql, d)
+			e.slowFn(h.sql, d)
 		}
 	}
 	if err != nil {
 		e.rollbackToLocked(mark)
-		return res, err
+		return 0, 0, err
 	}
-	if (e.hook != nil || e.observer != nil) && !e.applying && isMutating(stmt) {
-		e.pending = append(e.pending, Stmt{SQL: sql, Args: args})
+	if (e.hook != nil || e.observer != nil) && !e.applying && h.mutating {
+		if e.pending == nil {
+			e.pending = make([]Stmt, 0, 4)
+		}
+		e.pending = append(e.pending, Stmt{SQL: h.sql, Args: args, prep: h})
 	}
-	return res, err
+	return n, lastID, nil
 }
 
 // isMutating reports whether a parsed statement changes database state and so
@@ -282,27 +376,39 @@ func (e *Engine) flushPendingLocked() (uint64, error) {
 	return idx, nil
 }
 
-func (e *Engine) execStmtLocked(stmt any, args []Value, sql string, hits []int) (*Result, error) {
-	if _, ok := stmt.(updateStmt); hits != nil && !ok {
-		return nil, fmt.Errorf("minisql: only UPDATE takes argument rows (in %q)", compactSQL(sql))
+func (e *Engine) execStmtLocked(h *Prepared, args []Value, spreadN int, hits []int, fn func([]Value) error) (int, int64, error) {
+	if _, ok := h.stmt.(updateStmt); hits != nil && !ok {
+		return 0, 0, fmt.Errorf("minisql: only UPDATE takes argument rows (in %q)", compactSQL(h.sql))
 	}
-	switch st := stmt.(type) {
+	switch st := h.stmt.(type) {
 	case createTableStmt:
-		return e.execCreateTable(st)
+		return 0, 0, e.execCreateTable(st)
 	case createIndexStmt:
-		return e.execCreateIndex(st)
+		return 0, 0, e.execCreateIndex(st)
 	case dropTableStmt:
-		return e.execDropTable(st)
-	case insertStmt:
-		return e.execInsert(st, args)
-	case selectStmt:
-		return e.execSelect(st, args)
-	case updateStmt:
-		return e.execUpdate(st, args, hits)
-	case deleteStmt:
-		return e.execDelete(st, args)
+		return 0, 0, e.execDropTable(st)
 	}
-	return nil, fmt.Errorf("minisql: cannot execute %q", compactSQL(sql))
+	b := e.bindLocked(h)
+	if b.err != nil {
+		return 0, 0, b.err
+	}
+	ev := &h.ev
+	*ev = evalCtx{args: args, spreadN: spreadN}
+	defer func() { *ev = evalCtx{} }()
+	switch h.stmt.(type) {
+	case insertStmt:
+		return e.execInsert(b, ev)
+	case selectStmt:
+		n, err := h.execSelect(ev, fn)
+		return n, 0, err
+	case updateStmt:
+		n, err := e.execUpdate(h, ev, hits)
+		return n, 0, err
+	case deleteStmt:
+		n, err := e.execDelete(h, ev)
+		return n, 0, err
+	}
+	return 0, 0, fmt.Errorf("minisql: cannot execute %q", compactSQL(h.sql))
 }
 
 func (e *Engine) rollbackLocked() {
@@ -336,101 +442,71 @@ func (e *Engine) rollbackToLocked(mark int) {
 	e.undo = e.undo[:mark]
 }
 
-func (e *Engine) execCreateTable(st createTableStmt) (*Result, error) {
+func (e *Engine) execCreateTable(st createTableStmt) error {
 	if _, exists := e.tables[st.Name]; exists {
 		if st.IfNotExists {
-			return &Result{}, nil
+			return nil
 		}
-		return nil, fmt.Errorf("minisql: table %q already exists", st.Name)
+		return fmt.Errorf("minisql: table %q already exists", st.Name)
 	}
 	t, err := newTable(st.Name, st.Cols)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.tables[st.Name] = t
-	e.plans.purge()
-	return &Result{}, nil
+	e.epoch++
+	return nil
 }
 
-func (e *Engine) execCreateIndex(st createIndexStmt) (*Result, error) {
+func (e *Engine) execCreateIndex(st createIndexStmt) error {
 	t, ok := e.tables[st.Table]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
+		return fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
 	}
 	spec := indexSpec(st.Cols)
 	if ix, exists := t.indexes[spec]; exists {
-		if st.Ordered && !ix.ordered {
-			// Orderedness is a property the statement demands, not a second
-			// index: upgrade the existing hash index in place (even under IF
-			// NOT EXISTS) instead of refusing.
-			if err := t.addIndex(spec, true); err != nil {
-				return nil, err
+		if !st.Ordered || ix.ordered {
+			if st.IfNotExists {
+				return nil
 			}
-			e.plans.purge()
-			return &Result{}, nil
+			return fmt.Errorf("minisql: index on %s (%s) already exists", st.Table, spec)
 		}
-		if st.IfNotExists {
-			return &Result{}, nil
-		}
-		return nil, fmt.Errorf("minisql: index on %s (%s) already exists", st.Table, spec)
+		// Orderedness is a property the statement demands, not a second
+		// index: upgrade the existing hash index in place (even under IF NOT
+		// EXISTS) instead of refusing.
 	}
 	if err := t.addIndex(spec, st.Ordered); err != nil {
-		return nil, err
+		return err
 	}
-	e.plans.purge()
-	return &Result{}, nil
+	e.epoch++
+	return nil
 }
 
-func (e *Engine) execDropTable(st dropTableStmt) (*Result, error) {
+func (e *Engine) execDropTable(st dropTableStmt) error {
 	if _, ok := e.tables[st.Name]; !ok {
 		if st.IfExists {
-			return &Result{}, nil
+			return nil
 		}
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Name)
+		return fmt.Errorf("%w: %q", ErrNoSuchTable, st.Name)
 	}
 	delete(e.tables, st.Name)
-	e.plans.purge()
-	return &Result{}, nil
+	e.epoch++
+	return nil
 }
 
-func (e *Engine) execInsert(st insertStmt, args []Value) (*Result, error) {
-	t, ok := e.tables[st.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
-	}
-	cols := st.Cols
-	if len(cols) == 0 {
-		cols = make([]string, len(t.cols))
-		for i, c := range t.cols {
-			cols[i] = c.Name
-		}
-	}
-	colPos := make([]int, len(cols))
-	for i, c := range cols {
-		ci, ok := t.colIdx[c]
-		if !ok {
-			return nil, fmt.Errorf("minisql: no column %q in table %q", c, st.Table)
-		}
-		colPos[i] = ci
-	}
-	res := &Result{}
-	for _, exprRow := range st.Rows {
-		if len(exprRow) != len(cols) {
-			return nil, fmt.Errorf("minisql: INSERT into %q has %d values for %d columns",
-				st.Table, len(exprRow), len(cols))
-		}
-		row := make([]Value, len(t.cols))
-		for i := range row {
-			row[i] = Null()
-		}
+func (e *Engine) execInsert(b *bound, ev *evalCtx) (int, int64, error) {
+	t := b.t
+	var last int64
+	for _, exprRow := range b.rows {
+		row := make([]Value, len(t.cols)) // the zero Value is NULL
 		prevNextKey := t.nextKey
-		ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
+		ev.row = nil
 		for i, ex := range exprRow {
 			v, err := ex.eval(ev)
 			if err != nil {
-				return nil, err
+				return 0, 0, err
 			}
-			row[colPos[i]] = coerce(v, t.cols[colPos[i]].Type)
+			row[b.pos[i]] = coerce(v, t.cols[b.pos[i]].Type)
 		}
 		if t.autoCol >= 0 && row[t.autoCol].IsNull() {
 			row[t.autoCol] = Int64(t.nextKey)
@@ -441,24 +517,26 @@ func (e *Engine) execInsert(st insertStmt, args []Value) (*Result, error) {
 			}
 		}
 		if t.autoCol >= 0 {
-			res.LastInsertID = row[t.autoCol].AsInt()
+			last = row[t.autoCol].AsInt()
 		}
 		id := t.insert(row)
 		e.undo = append(e.undo, undoOp{kind: undoInsert, table: t.name, rowid: id, nextKey: prevNextKey})
-		res.RowsAffected++
 	}
-	return res, nil
+	return len(b.rows), last, nil
 }
 
-// matchIDs evaluates the WHERE clause and returns matching rowids in
-// insertion order, using a hash index when the predicate contains a
-// top-level equality (or IN) conjunct on an indexed column.
-func (e *Engine) matchIDs(t *table, where expr, ev *evalCtx) ([]int64, error) {
-	candidates, indexed := e.planCandidates(t, where, ev)
-	if !indexed {
-		candidates = t.scanIDs()
+// matchIDs evaluates the WHERE clause and appends the matching rowids to dst:
+// ascending when an index probe (an equality or IN conjunct on an indexed
+// column) supplied the candidates, in insertion order when a scan did.
+func (b *bound) matchIDs(dst []int64, ev *evalCtx) ([]int64, error) {
+	ids, indexed, err := b.probe.candidates(dst, ev)
+	if err != nil {
+		return nil, err
 	}
-	return filterIDs(t, where, ev, candidates)
+	if !indexed {
+		ids = b.t.scanIDs(dst)
+	}
+	return filterIDs(b.t, b.where, ev, ids)
 }
 
 // filterIDs keeps, in place, the candidates whose row satisfies where.
@@ -484,337 +562,190 @@ func filterIDs(t *table, where expr, ev *evalCtx, candidates []int64) ([]int64, 
 	return out, nil
 }
 
-// planCandidates returns a candidate rowid set, ascending, from the first
-// top-level conjunct an index serves; indexed is false when none does and a
-// full scan is needed. An indexed probe that matches nothing is an empty set,
-// not a scan.
-func (e *Engine) planCandidates(t *table, where expr, ev *evalCtx) (ids []int64, indexed bool) {
-	for _, c := range flattenAnd(where) {
-		if ix, probe, ok := eqProbe(t, c, ev); ok {
-			return ix.lookup(nil, probe), true
+// candidates appends to dst the rowids the probe's index holds for this
+// execution's arguments, ascending and without duplicates; indexed is false
+// when the probe has no index and a full scan is needed. An indexed probe
+// that matches nothing is an empty set, not a scan. Probe constants are
+// coerced to the column's declared type — the form row values are stored and
+// keyed in, so `int_col = '5'` probes the key the row holding 5 sits under;
+// the probe only narrows, the WHERE clause still decides each row.
+func (p *probe) candidates(dst []int64, ev *evalCtx) (ids []int64, indexed bool, err error) {
+	switch {
+	case p.ix == nil:
+		return dst, false, nil
+	case p.in == nil:
+		v, err := p.key.eval(ev)
+		if err != nil {
+			return nil, false, err
 		}
-		ex, ok := c.(*inExpr)
-		if !ok {
-			continue
+		return p.ix.lookup(dst, coerce(v, p.typ)), true, nil
+	case p.in.Spread:
+		for _, v := range p.in.spreadArgs(ev) {
+			dst = p.ix.lookup(dst, coerce(v, p.typ))
 		}
-		cr, ok := ex.Target.(*colRef)
-		if !ok {
-			continue
-		}
-		ix := t.indexes[cr.Name]
-		if ix == nil {
-			continue
-		}
-		typ := t.cols[ix.cols[0]].Type
-		if ex.Spread {
-			for _, v := range ex.spreadArgs(ev) {
-				ids = ix.lookup(ids, coerce(v, typ))
+	default:
+		for _, le := range p.in.List {
+			v, err := le.eval(ev)
+			if err != nil {
+				return nil, false, err
 			}
-		} else {
-			for _, le := range ex.List {
-				v, err := le.eval(ev)
-				if err != nil {
-					return nil, false
-				}
-				ids = ix.lookup(ids, coerce(v, typ))
-			}
+			dst = p.ix.lookup(dst, coerce(v, p.typ))
 		}
-		slices.Sort(ids)
-		return slices.Compact(ids), true
 	}
-	return nil, false
+	slices.Sort(dst)
+	return slices.Compact(dst), true, nil
 }
 
-// eqIndex recognises `col = const` (either order) on a column that carries a
-// single-column index, and returns that index with the constant's expression
-// (a literal or a parameter); a nil index when c is anything else.
-func eqIndex(t *table, c expr) (*hashIndex, expr) {
-	ex, ok := c.(*binExpr)
-	if !ok || ex.Op != "=" {
-		return nil, nil
-	}
-	for _, side := range [2][2]expr{{ex.L, ex.R}, {ex.R, ex.L}} {
-		cr, ok := side[0].(*colRef)
-		if !ok {
-			continue
-		}
-		ix := t.indexes[cr.Name]
-		if ix == nil {
-			continue
-		}
-		switch side[1].(type) {
-		case *litExpr, *paramExpr:
-			return ix, side[1]
-		}
-	}
-	return nil, nil
-}
-
-// eqProbe is eqIndex with the constant evaluated and coerced to the column's
-// declared type — the form row values are stored and keyed in, so
-// `int_col = '5'` probes the same key the row holding 5 sits under. The probe
-// only narrows candidates; the WHERE clause still decides each row.
-func eqProbe(t *table, c expr, ev *evalCtx) (*hashIndex, Value, bool) {
-	ix, k := eqIndex(t, c)
-	if ix == nil {
-		return nil, Value{}, false
-	}
-	v, err := k.eval(ev)
+// countByIndex answers a SELECT COUNT(*) whose whole WHERE clause is one
+// indexed `col = const` from the size of the index's rowid set.
+func (b *bound) countByIndex(ev *evalCtx) (int, error) {
+	p := &b.probe
+	v, err := p.key.eval(ev)
 	if err != nil {
-		return nil, Value{}, false
+		return 0, err
 	}
-	return ix, coerce(v, t.cols[ix.cols[0]].Type), true
-}
-
-// eqCardinality reports, without materializing candidates, how many rows a
-// top-level `col = const` conjunct on a hash-indexed column pins the result
-// to. bounded is false when no such conjunct exists (the result could be the
-// whole table).
-func (e *Engine) eqCardinality(t *table, where expr, ev *evalCtx) (est int, bounded bool) {
-	for _, c := range flattenAnd(where) {
-		if ix, probe, ok := eqProbe(t, c, ev); ok {
-			return ix.count(probe), true
-		}
-	}
-	return 0, false
-}
-
-// countByIndex answers SELECT COUNT(*) whose whole WHERE clause is one
-// indexed `col = const` from the size of the index's rowid set. Anything
-// ANDed in needs per-row evaluation and is left to the caller.
-func (e *Engine) countByIndex(t *table, st selectStmt, ev *evalCtx) (n int, ok bool, err error) {
-	if !st.Count {
-		return 0, false, nil
-	}
-	ix, probe, ok := eqProbe(t, st.Where, ev)
-	if !ok {
-		return 0, false, nil
-	}
-	set, found := ix.m[probe.key()]
+	set, found := p.ix.m[coerce(v, p.typ).key()]
 	if !found {
-		return 0, true, nil
+		return 0, nil
 	}
 	// Every row of the set holds the same column value, so the clause's
 	// verdict on one of them (a NULL or non-canonical probe such as '05'
 	// against 5 matches none) is its verdict on all.
-	ev.row = t.rows[set.any()]
-	v, err := st.Where.eval(ev)
-	if err != nil {
-		return 0, false, err
+	ev.row = b.t.rows[set.any()]
+	if v, err = b.where.eval(ev); err != nil || !truthy(v) {
+		return 0, err
 	}
-	if !truthy(v) {
-		return 0, true, nil
-	}
-	return set.len(), true, nil
+	return set.len(), nil
 }
 
-func flattenAnd(ex expr) []expr {
-	b, ok := ex.(*binExpr)
-	if !ok || b.Op != "AND" {
-		if ex == nil {
-			return nil
+// execSelect streams the query's rows to fn (or, for COUNT(*), one row
+// holding the count) and returns how many it produced or counted.
+func (h *Prepared) execSelect(ev *evalCtx, fn func([]Value) error) (int, error) {
+	b := &h.b
+	t := b.t
+	if h.count {
+		var n int
+		var err error
+		if b.countIx {
+			n, err = b.countByIndex(ev)
+		} else {
+			var ids []int64
+			ids, err = b.matchIDs(h.ids[:0], ev)
+			h.ids, n = ids[:0], len(ids)
 		}
-		return []expr{ex}
-	}
-	return append(flattenAnd(b.L), flattenAnd(b.R)...)
-}
-
-func (e *Engine) execSelect(st selectStmt, args []Value) (*Result, error) {
-	t, ok := e.tables[st.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
-	}
-
-	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
-	if n, ok, err := e.countByIndex(t, st, ev); err != nil {
-		return nil, err
-	} else if ok {
-		return countResult(n), nil
+		if err != nil {
+			return 0, err
+		}
+		if fn != nil {
+			h.row[0] = Int64(int64(n))
+			err = fn(h.row[:1])
+		}
+		return n, err
 	}
 
 	// Ordered top-n fast path: ORDER BY an ordered-indexed column with a
 	// LIMIT reads the index in key order and stops at n matches, replacing
 	// the scan-everything-then-sort pipeline below.
-	ids, fromIndex, err := e.orderedTopN(t, st, ev)
+	ids, fromIndex, err := b.orderedTopN(h.ids[:0], ev)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if !fromIndex {
-		ids, err = e.matchIDs(t, st.Where, ev)
-		if err != nil {
-			return nil, err
+		if ids, err = b.matchIDs(h.ids[:0], ev); err != nil {
+			return 0, err
 		}
-	}
-
-	if st.Count {
-		return countResult(len(ids)), nil
-	}
-
-	// Resolve projection.
-	var names []string
-	var pos []int
-	for _, sc := range st.Cols {
-		if sc.Star {
-			for i, c := range t.cols {
-				names = append(names, c.Name)
-				pos = append(pos, i)
-			}
-			continue
-		}
-		ci, ok := t.colIdx[sc.Name]
-		if !ok {
-			return nil, fmt.Errorf("minisql: no column %q in table %q", sc.Name, st.Table)
-		}
-		names = append(names, sc.Name)
-		pos = append(pos, ci)
-	}
-
-	// ORDER BY and LIMIT — already applied when the ids came off the index.
-	if !fromIndex {
-		if len(st.OrderBy) > 0 {
-			keyPos := make([]int, len(st.OrderBy))
-			for i, k := range st.OrderBy {
-				ci, ok := t.colIdx[k.Col]
-				if !ok {
-					return nil, fmt.Errorf("minisql: no column %q in table %q", k.Col, st.Table)
-				}
-				keyPos[i] = ci
-			}
-			sort.SliceStable(ids, func(a, b int) bool {
-				ra, rb := t.rows[ids[a]], t.rows[ids[b]]
-				for i, kp := range keyPos {
-					c := ra[kp].Compare(rb[kp])
-					if c == 0 {
-						continue
-					}
-					if st.OrderBy[i].Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-				return false
+		if len(b.order) > 0 {
+			slices.SortStableFunc(ids, func(x, y int64) int {
+				return cmpRows(t.rows[x], t.rows[y], b.order)
 			})
 		}
-		if st.Limit != nil {
-			lv, err := st.Limit.eval(ev)
+		if b.limit != nil {
+			lv, err := b.limit.eval(ev)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			n := int(lv.AsInt())
-			if n < 0 {
-				n = 0
-			}
-			if n < len(ids) {
+			if n := max(0, int(lv.AsInt())); n < len(ids) {
 				ids = ids[:n]
 			}
 		}
 	}
-
-	// One flat backing array for all result rows: the per-row []Value
-	// allocation is the dominant allocator in queue-pop result sets.
-	res := &Result{Columns: names, Rows: make([][]Value, len(ids))}
-	flat := make([]Value, len(ids)*len(pos))
-	for k, id := range ids {
-		row := t.rows[id]
-		out := flat[k*len(pos) : (k+1)*len(pos) : (k+1)*len(pos)]
-		for i, p := range pos {
-			out[i] = row[p]
-		}
-		res.Rows[k] = out
+	h.ids = ids[:0]
+	if fn == nil {
+		return len(ids), nil
 	}
-	return res, nil
+	for _, id := range ids {
+		row := t.rows[id]
+		for i, p := range b.pos {
+			h.row[i] = row[p]
+		}
+		if err := fn(h.row); err != nil {
+			return 0, err
+		}
+	}
+	return len(ids), nil
+}
+
+// cmpRows orders two rows by ORDER BY keys.
+func cmpRows(ra, rb []Value, keys []orderPos) int {
+	for _, k := range keys {
+		if c := ra[k.pos].Compare(rb[k.pos]); c != 0 {
+			if k.desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
 }
 
 // orderedTopN serves SELECT ... [WHERE ...] ORDER BY k1 [DESC] [, k2 ...]
-// LIMIT n off the ordered index on k1, when one exists: rows are visited in
-// k1 order (runs of equal k1 sub-sorted by the remaining keys) and the scan
-// stops as soon as n rows matched the WHERE clause. fromIndex is false when
-// the query shape or schema rules the path out and the caller must fall back
-// to scan-and-sort. The trade: a highly selective WHERE over a huge table
-// pays an index scan proportional to the rows *visited*, not matched — the
-// EMEWS queue pops (filter by work_type, order by priority) match most of
-// what they visit, which is exactly the shape this path is for.
-func (e *Engine) orderedTopN(t *table, st selectStmt, ev *evalCtx) (ids []int64, fromIndex bool, err error) {
-	if len(st.OrderBy) == 0 || st.Limit == nil || st.Count {
-		return nil, false, nil
+// LIMIT n off the ordered index on k1 the binding chose, when there is one:
+// rows are visited in k1 order (runs of equal k1 sub-sorted by the remaining
+// keys) and the scan stops as soon as n rows matched the WHERE clause.
+// fromIndex is false when the query shape or schema rules the path out and
+// the caller must fall back to scan-and-sort. The trade: a highly selective
+// WHERE over a huge table pays an index scan proportional to the rows
+// *visited*, not matched — the EMEWS queue pops (filter by work_type, order by
+// priority) match most of what they visit, which is exactly the shape this
+// path is for.
+func (b *bound) orderedTopN(dst []int64, ev *evalCtx) (ids []int64, fromIndex bool, err error) {
+	if b.top == nil {
+		return dst, false, nil
 	}
-	// Index selection: among ordered indexes leading with the first ORDER BY
-	// column, prefer a composite whose second column continues the ORDER BY
-	// ascending — its sorted side carries the full query order, so the scan
-	// streams matches and stops at n even when every row shares one first-key
-	// value (the uniform-priority queue case, where a single-column index
-	// degenerates into one whole-table run). A composite whose second column
-	// does not match the query is unusable here: its within-run order is not
-	// the insertion order the fallback sort would produce.
-	var ix, single *hashIndex
-	stream := false
-	for _, cand := range t.indexes {
-		if !cand.ordered || t.cols[cand.cols[0]].Name != st.OrderBy[0].Col {
-			continue
-		}
-		if len(cand.cols) == 1 {
-			single = cand
-			continue
-		}
-		if len(st.OrderBy) == 2 && t.cols[cand.cols[1]].Name == st.OrderBy[1].Col && !st.OrderBy[1].Desc {
-			ix, stream = cand, true
-		}
-	}
-	if ix == nil {
-		ix = single
-	}
-	if ix == nil {
-		return nil, false, nil
-	}
-	rest := st.OrderBy[1:]
-	restPos := make([]int, len(rest))
-	for i, k := range rest {
-		ci, ok := t.colIdx[k.Col]
-		if !ok {
-			return nil, false, fmt.Errorf("minisql: no column %q in table %q", k.Col, st.Table)
-		}
-		restPos[i] = ci
-	}
-	lv, err := st.Limit.eval(ev)
+	t := b.t
+	lv, err := b.limit.eval(ev)
 	if err != nil {
 		return nil, false, err
 	}
 	n := int(lv.AsInt())
 	if n <= 0 {
-		return []int64{}, true, nil
+		return dst[:0], true, nil
 	}
 	// When an equality conjunct pins the result to a small hash-indexed
 	// candidate set, sorting those few candidates beats walking the ordered
 	// index past every non-matching row — leave the query to the fallback.
-	if est, bounded := e.eqCardinality(t, st.Where, ev); bounded && est <= 4*n+16 {
-		return nil, false, nil
-	}
-
-	cmpRest := func(a, b int64) int {
-		ra, rb := t.rows[a], t.rows[b]
-		for i, kp := range restPos {
-			c := ra[kp].Compare(rb[kp])
-			if c == 0 {
-				continue
-			}
-			if rest[i].Desc {
-				return -c
-			}
-			return c
+	if c := &b.card; c.ix != nil {
+		v, err := c.key.eval(ev)
+		if err != nil {
+			return nil, false, err
 		}
-		return 0
+		if c.ix.count(coerce(v, c.typ)) <= 4*n+16 {
+			return dst, false, nil
+		}
 	}
+	rest := b.order[1:]
+	cmpRest := func(x, y int64) int { return cmpRows(t.rows[x], t.rows[y], rest) }
 
 	// The index is consumed one run of equal first-key values at a time, runs
 	// in query order and each run ascending by (second key,) rowid, until n
 	// rows matched. [lo, hi) is the part not yet visited.
-	list := &ix.sorted
-	desc := st.OrderBy[0].Desc
-	ids = []int64{}
+	list := &b.top.sorted
+	desc := b.order[0].desc
+	ids = dst[:0]
 	for lo, hi := (ordPos{}), list.end(); lo != hi && len(ids) < n; {
 		from, to := lo, hi
 		switch {
-		case stream && !desc:
+		case b.stream && !desc:
 			// Ascending on both keys: the list's own order is the query order.
 			lo = hi
 		case desc:
@@ -832,13 +763,13 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, ev *evalCtx) (ids []int64,
 			// order (second key ascending, rowid tiebreak matching the
 			// fallback's stable sort), so the visit is bounded by the matches
 			// needed, not by the run's length.
-			if stream && len(ids) == n {
+			if b.stream && len(ids) == n {
 				break
 			}
 			id := list.at(p).id
-			if st.Where != nil {
+			if b.where != nil {
 				ev.row = t.rows[id]
-				v, err := st.Where.eval(ev)
+				v, err := b.where.eval(ev)
 				if err != nil {
 					return nil, false, err
 				}
@@ -853,7 +784,7 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, ev *evalCtx) (ids []int64,
 		// keeps full ties in rowid order, matching the fallback path's stable
 		// full sort. Queue pops usually find the run already in order (task
 		// ids ascend with rowids), so an O(len) pre-pass skips the sort.
-		if run := ids[start:]; !stream && len(restPos) > 0 &&
+		if run := ids[start:]; !b.stream && len(rest) > 0 &&
 			!slices.IsSortedFunc(run, cmpRest) {
 			slices.SortStableFunc(run, cmpRest)
 		}
@@ -864,97 +795,62 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, ev *evalCtx) (ids []int64,
 	return ids, true, nil
 }
 
-// countResult is the one-row, one-column answer of a SELECT COUNT(*).
-func countResult(n int) *Result {
-	return &Result{Columns: []string{"count"}, Rows: [][]Value{{Int64(int64(n))}}}
-}
-
-// execUpdate runs an UPDATE once per argument row: one row — all of args —
-// when hits is nil, else len(hits) rows back to back in args, each executed
-// as the statement with that row bound, in order, with its rows-affected count
-// stored in hits. Everything that does not depend on the arguments is resolved
-// once, before the loop: the table, the SET column positions, and the index a
-// `col = const` conjunct of the WHERE clause probes.
-func (e *Engine) execUpdate(st updateStmt, args []Value, hits []int) (*Result, error) {
-	t, ok := e.tables[st.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
-	}
-	setPos := make([]int, len(st.Set))
-	for i, a := range st.Set {
-		ci, ok := t.colIdx[a.Col]
-		if !ok {
-			return nil, fmt.Errorf("minisql: no column %q in table %q", a.Col, st.Table)
-		}
-		setPos[i] = ci
-	}
-	var ix *hashIndex
-	var probe expr
-	for _, c := range flattenAnd(st.Where) {
-		if ix, probe = eqIndex(t, c); ix != nil {
-			break
-		}
-	}
+// execUpdate runs an UPDATE once per argument row: one row — all of the
+// arguments — when hits is nil, else len(hits) rows back to back, each
+// executed as the statement with that row bound, in order, with its
+// rows-affected count stored in hits.
+func (e *Engine) execUpdate(h *Prepared, ev *evalCtx, hits []int) (int, error) {
+	b := &h.b
+	t := b.t
+	args := ev.args
 	rows := max(1, len(hits))
 	width := len(args) / rows
-	ev := &evalCtx{tbl: t, spreadN: e.spreadN}
-	res := &Result{}
-	var ids []int64 // candidate scratch, reused across rows
+	total := 0
 	for r := 0; r < rows; r++ {
 		ev.args, ev.row = args[r*width:(r+1)*width], nil
-		var err error
-		if ix == nil {
-			ids, err = e.matchIDs(t, st.Where, ev)
-		} else if v, perr := probe.eval(ev); perr != nil {
-			err = perr
-		} else {
-			ids = ix.lookup(ids[:0], coerce(v, t.cols[ix.cols[0]].Type))
-			ids, err = filterIDs(t, st.Where, ev, ids)
-		}
+		ids, err := b.matchIDs(h.ids[:0], ev)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
+		h.ids = ids[:0]
 		for _, id := range ids {
 			old := t.rows[id]
 			row := make([]Value, len(old))
 			copy(row, old)
 			ev.row = old
-			for i, a := range st.Set {
-				v, err := a.Val.eval(ev)
+			for i, x := range b.set {
+				v, err := x.eval(ev)
 				if err != nil {
-					return nil, err
+					return 0, err
 				}
-				row[setPos[i]] = coerce(v, t.cols[setPos[i]].Type)
+				row[b.pos[i]] = coerce(v, t.cols[b.pos[i]].Type)
 			}
 			prev := t.update(id, row)
 			e.undo = append(e.undo, undoOp{kind: undoUpdate, table: t.name, rowid: id, row: prev})
 		}
-		res.RowsAffected += len(ids)
+		total += len(ids)
 		if hits != nil {
 			hits[r] = len(ids)
 		}
 	}
-	return res, nil
+	return total, nil
 }
 
-func (e *Engine) execDelete(st deleteStmt, args []Value) (*Result, error) {
-	t, ok := e.tables[st.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
-	}
-	ids, err := e.matchIDs(t, st.Where, &evalCtx{tbl: t, args: args, spreadN: e.spreadN})
+func (e *Engine) execDelete(h *Prepared, ev *evalCtx) (int, error) {
+	t := h.b.t
+	ids, err := h.b.matchIDs(h.ids[:0], ev)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	res := &Result{}
+	h.ids = ids[:0]
+	n := 0
 	for _, id := range ids {
-		row := t.delete(id)
-		if row != nil {
+		if row := t.delete(id); row != nil {
 			e.undo = append(e.undo, undoOp{kind: undoDelete, table: t.name, rowid: id, row: row})
-			res.RowsAffected++
+			n++
 		}
 	}
-	return res, nil
+	return n, nil
 }
 
 func truthy(v Value) bool {
@@ -973,14 +869,13 @@ func truthy(v Value) bool {
 // --- expression evaluation ---
 
 func (c *colRef) eval(ev *evalCtx) (Value, error) {
-	ci, ok := ev.tbl.colIdx[c.Name]
-	if !ok {
-		return Value{}, fmt.Errorf("minisql: no column %q in table %q", c.Name, ev.tbl.name)
+	if c.Pos < 0 {
+		return Value{}, fmt.Errorf("minisql: no column %q in table %q", c.Name, c.Table)
 	}
 	if ev.row == nil {
 		return Value{}, fmt.Errorf("minisql: column %q referenced outside row context", c.Name)
 	}
-	return ev.row[ci], nil
+	return ev.row[c.Pos], nil
 }
 
 func (l *litExpr) eval(*evalCtx) (Value, error) { return l.V, nil }

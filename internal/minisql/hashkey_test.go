@@ -177,12 +177,7 @@ func TestCompositeIndexHasNoHashSide(t *testing.T) {
 		if ix == nil || ix.m != nil {
 			t.Fatalf("composite index = %+v, want one without a hash side", ix)
 		}
-		p, err := e.cachedParse(pop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbl := e.tables["q"]
-		_, fromIndex, err := e.orderedTopN(tbl, p.stmt.(selectStmt), &evalCtx{tbl: tbl})
+		_, fromIndex, err := boundOf(t, e, pop).orderedTopN(nil, &evalCtx{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,23 +5,20 @@ import (
 	"testing"
 )
 
-// whereOf parses a statement and returns its table and WHERE clause.
-func whereOf(t *testing.T, e *Engine, sql string) (*table, expr) {
+// boundOf prepares a statement and returns its plan bound to e's schema.
+func boundOf(t *testing.T, e *Engine, sql string) *bound {
 	t.Helper()
-	p, err := e.cachedParse(sql)
+	h, err := e.Prepare(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch st := p.stmt.(type) {
-	case selectStmt:
-		return e.tables[st.Table], st.Where
-	case updateStmt:
-		return e.tables[st.Table], st.Where
-	case deleteStmt:
-		return e.tables[st.Table], st.Where
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	b := e.bindLocked(h)
+	if b.err != nil {
+		t.Fatal(b.err)
 	}
-	t.Fatalf("%q has no WHERE clause to plan", sql)
-	return nil, nil
+	return b
 }
 
 func values(t *testing.T, args ...any) []Value {
@@ -59,9 +56,12 @@ func TestPlanCandidatesIndexedMiss(t *testing.T) {
 		// No index on v: the scan is still asked for.
 		{"SELECT v FROM q WHERE v = ?", []any{"nope"}, 0, false, "[]"},
 	} {
-		tbl, where := whereOf(t, e, tc.sql)
-		ev := &evalCtx{tbl: tbl, args: values(t, tc.args...), spreadN: tc.spreadN}
-		ids, indexed := e.planCandidates(tbl, where, ev)
+		b := boundOf(t, e, tc.sql)
+		ev := &evalCtx{args: values(t, tc.args...), spreadN: tc.spreadN}
+		ids, indexed, err := b.probe.candidates([]int64{}, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if indexed != tc.indexed || fmt.Sprint(ids) != tc.ids {
 			t.Errorf("%s %v: candidates %v indexed %v, want %s indexed %v",
 				tc.sql, tc.args, ids, indexed, tc.ids, tc.indexed)
@@ -110,17 +110,17 @@ func TestIndexMissEvaluatesNoRows(t *testing.T) {
 		{"SELECT task_id FROM eq_tasks WHERE dedup_key = ?", []any{"k17"}, 0, 1},
 		{"SELECT task_id FROM eq_in_q WHERE task_id IN (?...) ORDER BY task_id ASC LIMIT ?", []any{3, 901, 5, 10}, 3, 2},
 	} {
-		tbl, where := whereOf(t, e, tc.sql)
+		b := *boundOf(t, e, tc.sql)
 		evaluated := 0
-		counted := &binExpr{Op: "AND", L: countingExpr{&evaluated}, R: where}
-		ev := &evalCtx{tbl: tbl, args: values(t, tc.args...), spreadN: tc.spreadN}
-		ids, err := e.matchIDs(tbl, counted, ev)
+		b.where = &binExpr{Op: "AND", L: countingExpr{&evaluated}, R: b.where}
+		ev := &evalCtx{args: values(t, tc.args...), spreadN: tc.spreadN}
+		ids, err := b.matchIDs(nil, ev)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
 		if evaluated != tc.rows || len(ids) != tc.rows {
 			t.Errorf("%s %v: WHERE evaluated on %d rows and matched %d, want %d of %d in the table",
-				tc.sql, tc.args, evaluated, len(ids), tc.rows, len(tbl.rows))
+				tc.sql, tc.args, evaluated, len(ids), tc.rows, len(b.t.rows))
 		}
 	}
 }
@@ -257,15 +257,8 @@ func TestCountByIndex(t *testing.T) {
 				t.Errorf("%s, %q %v: indexed %v %v, scan %v %v",
 					when, q.sql, q.args, ri.Columns, ri.Rows, rr.Columns, rr.Rows)
 			}
-			p, err := indexed.cachedParse(q.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := p.stmt.(selectStmt)
-			tbl := indexed.tables["t"]
-			_, fast, err := indexed.countByIndex(tbl, st, &evalCtx{tbl: tbl, args: values(t, q.args...)})
-			if err != nil || fast != q.fast {
-				t.Errorf("%q: answered from the index = %v (err %v), want %v", q.sql, fast, err, q.fast)
+			if fast := boundOf(t, indexed, q.sql).countIx; fast != q.fast {
+				t.Errorf("%q: answered from the index = %v, want %v", q.sql, fast, q.fast)
 			}
 		}
 	}

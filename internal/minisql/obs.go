@@ -5,8 +5,13 @@ import (
 	"time"
 )
 
-// PlanCacheStats is a snapshot of the engine's plan-cache counters, exported
-// for the observability layer (osprey_minisql_plan_cache_* metrics).
+// PlanCacheStats is a snapshot of the engine's compiled-statement counters,
+// exported for the observability layer (osprey_minisql_plan_cache_* metrics).
+// Hits counts executions that reused a compiled statement — every run through
+// a prepared handle, and every Exec or replayed Stmt whose text was compiled
+// already; Misses counts those that had to parse. Evictions counts ad-hoc
+// texts dropped at the text index's bound, and Size the compiled statements
+// held, prepared and ad-hoc.
 type PlanCacheStats struct {
 	Hits      uint64
 	Misses    uint64
@@ -14,7 +19,7 @@ type PlanCacheStats struct {
 	Size      int
 }
 
-// PlanCacheStats returns the current plan-cache counters.
+// PlanCacheStats returns the current compiled-statement counters.
 func (e *Engine) PlanCacheStats() PlanCacheStats {
 	return PlanCacheStats{
 		Hits:      e.plans.hits.Load(),
@@ -63,7 +68,7 @@ func (e *Engine) SetSnapshotObserver(fn func(held time.Duration)) {
 }
 
 // cacheCounters are the planCache's monotonic counters. Kept in a separate
-// struct so the cache's documented locking story stays about the map.
+// struct so the cache's documented locking story stays about the maps.
 type cacheCounters struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64

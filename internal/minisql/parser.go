@@ -570,7 +570,7 @@ func (p *parser) primaryExpr() (expr, error) {
 		return &litExpr{V: Null()}, nil
 	case t.kind == tokIdent:
 		p.pos++
-		return &colRef{Name: t.text}, nil
+		return &colRef{Name: t.text, Pos: -1}, nil
 	}
 	return nil, fmt.Errorf("minisql: unexpected token %q in expression", t.text)
 }

@@ -184,8 +184,8 @@ func (e *Engine) Restore(r io.Reader) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.tables = tables
-	// The restore is a wholesale schema replacement; stale plans must not
-	// survive it any more than they survive a DDL statement.
-	e.plans.purge()
+	// A wholesale schema replacement: every handle re-binds at its next run,
+	// as after a DDL statement.
+	e.epoch++
 	return nil
 }

@@ -86,30 +86,25 @@ func TestTwoParamINLists(t *testing.T) {
 
 // TestSpreadINIndexedLookup: the spread list still drives the hash-index
 // candidate plan rather than a full scan — observed through a working WHERE
-// over a primary-key column (behavioral check plus a direct planCandidates
-// probe).
+// over a primary-key column (behavioral check plus a direct probe of the
+// bound plan's candidates).
 func TestSpreadINIndexedLookup(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY, v TEXT)")
 	for i := 1; i <= 100; i++ {
 		mustExec(t, e, "INSERT INTO q (id, v) VALUES (?, ?)", i, fmt.Sprintf("v%d", i))
 	}
-	p, err := e.cachedParse("DELETE FROM q WHERE id IN (?...)")
+	b := boundOf(t, e, "DELETE FROM q WHERE id IN (?...)")
+	ids, indexed, err := b.probe.candidates(nil,
+		&evalCtx{args: []Value{Int64(7), Int64(3), Int64(99)}, spreadN: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := p.stmt.(deleteStmt)
-	e.mu.Lock()
-	e.spreadN = 3
-	tbl := e.tables["q"]
-	ids, indexed := e.planCandidates(tbl, st.Where,
-		&evalCtx{tbl: tbl, args: []Value{Int64(7), Int64(3), Int64(99)}, spreadN: 3})
-	e.mu.Unlock()
-	// planCandidates returns internal rowids (0-based insertion ids here):
-	// task ids 3, 7, 99 occupy rowids 2, 6, 98. The point is the set is 3
-	// indexed hits, not a 100-row scan.
+	// The candidates are internal rowids (0-based insertion ids here): task
+	// ids 3, 7, 99 occupy rowids 2, 6, 98. The point is the set is 3 indexed
+	// hits, not a 100-row scan.
 	if !indexed || fmt.Sprint(ids) != "[2 6 98]" {
-		t.Fatalf("planCandidates over spread IN = %v, want the indexed candidate set [2 6 98]", ids)
+		t.Fatalf("candidates over spread IN = %v, want the indexed candidate set [2 6 98]", ids)
 	}
 }
 

@@ -437,9 +437,9 @@ func (t *table) maybeCompact() {
 	t.tomb = make(map[int64]struct{})
 }
 
-// scanIDs returns all live rowids in insertion order.
-func (t *table) scanIDs() []int64 {
-	ids := make([]int64, 0, len(t.rows))
+// scanIDs appends all live rowids to ids in insertion order.
+func (t *table) scanIDs(ids []int64) []int64 {
+	ids = slices.Grow(ids, len(t.rows))
 	for _, id := range t.order {
 		if _, ok := t.rows[id]; ok {
 			ids = append(ids, id)

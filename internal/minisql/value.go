@@ -6,6 +6,20 @@
 // `IN (...)` / `IN (?...)` lists over columns, literals and `?` parameters.
 // Transactions are Go closures (Engine.TxLogged), never SQL text.
 //
+// Statements are compiled once (plancache.go). Engine.Prepare parses a text
+// and returns a *Prepared handle; a transaction runs it with Value arguments
+// — Tx.Run for a write, Tx.RunRows for a set-based UPDATE, Tx.Query to stream
+// a read's rows into a callback, Tx.Count for a COUNT(*) — with no boxing, no
+// re-planning and no materialised Result. A handle binds to the schema at its
+// first run in each schema epoch (table, column positions, WHERE conjuncts,
+// the index they probe); CREATE/DROP TABLE, CREATE INDEX and Restore start a
+// new epoch, and a stale handle re-binds at its next run. Exec is the ad-hoc
+// path (DDL, migrations, tests): it resolves its text to a handle through the
+// engine's text index — prepared handles pinned, ad-hoc texts bounded — and
+// runs it through the same executor with the same checks. ApplyEntry resolves
+// each logged statement's text the same way, so a follower runs the handle
+// its leader's code prepared.
+//
 // It stands in for the resource-local PostgreSQL instance the paper uses: the
 // task-queue semantics of OSPREY are plain relational operations, and this
 // engine executes the identical SQL access paths against in-memory tables

@@ -3,13 +3,12 @@ package minisql
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
 
 // Stmt is one mutating SQL statement with its bound positional arguments,
-// exactly as executed on the engine; a set-based write (Tx.ExecRows) is one
+// exactly as executed on the engine; a set-based write (Tx.RunRows) is one
 // Stmt whose Args hold several argument rows back to back. Replaying the same
 // Stmt sequence against an engine in the same starting state is
 // deterministic: every dynamic value (timestamps, payloads) arrives through
@@ -17,7 +16,16 @@ import (
 type Stmt struct {
 	SQL  string
 	Args []Value
+
+	// prep is the handle that executed the statement, or replayed it
+	// (ApplyEntry), on this engine: in memory only, never encoded.
+	prep *Prepared
 }
+
+// Prepared returns the handle that executed s, or replayed it through
+// ApplyEntry, on the engine that reports it — what a commit observer
+// recognises a statement by. It is nil for a Stmt that has not run.
+func (s *Stmt) Prepared() *Prepared { return s.prep }
 
 // LogEntry is one committed unit of work: a single statement for autocommit
 // execs, or every mutating statement of a transaction. Entries carry a
@@ -77,8 +85,8 @@ func (e *Engine) ApplyEntry(entry LogEntry) error {
 	defer e.mu.Unlock()
 	e.applying = true
 	defer func() { e.applying = false }()
-	for _, s := range entry.Stmts {
-		if err := e.applyStmtLocked(s); err != nil {
+	for i := range entry.Stmts {
+		if err := e.applyStmtLocked(&entry.Stmts[i]); err != nil {
 			e.rollbackLocked()
 			return fmt.Errorf("minisql: apply entry %d: %w", entry.Index, err)
 		}
@@ -96,28 +104,32 @@ func (e *Engine) ApplyEntry(entry LogEntry) error {
 	return nil
 }
 
-// applyStmtLocked replays one logged statement. A statement without a spread
-// that carries more arguments than parameters was logged by Tx.ExecRows: its
-// Args are whole argument rows, run through the executor ExecRows used.
-func (e *Engine) applyStmtLocked(s Stmt) error {
-	p, err := e.cachedParse(s.SQL)
+// applyStmtLocked replays one logged statement through the handle its text
+// resolves to on this engine — the pinned one when the engine prepared that
+// text, so a follower runs the plan its leader ran — and records the handle
+// in s for the commit observer. A statement without a spread that carries
+// more arguments than parameters was logged by Tx.RunRows: its Args are whole
+// argument rows, run through the executor RunRows used.
+func (e *Engine) applyStmtLocked(s *Stmt) error {
+	h, err := e.lookup(s.SQL, false)
 	if err != nil {
 		return err
 	}
-	e.spreadN = 0
+	s.prep = h
+	spreadN := 0
 	var hits []int
 	switch {
-	case len(s.Args) <= p.nparams:
-	case p.spread:
-		e.spreadN = len(s.Args) - p.nparams
+	case len(s.Args) <= h.nparams:
+	case h.spread:
+		spreadN = len(s.Args) - h.nparams
 	default:
-		rows, err := p.argRows(s.SQL, len(s.Args))
+		rows, err := h.argRows(len(s.Args))
 		if err != nil {
 			return err
 		}
 		hits = make([]int, rows)
 	}
-	_, err = e.execLocked(p.stmt, s.Args, s.SQL, hits)
+	_, _, err = e.execLocked(h, s.Args, spreadN, hits, nil)
 	return err
 }
 
@@ -159,7 +171,7 @@ type WAL struct {
 	quorum  int               // follower acks required per index (0 = async)
 	acks    map[string]uint64 // per-follower highest applied index
 	commit  uint64            // quorum watermark (meaningful when quorum > 0)
-	waitCh  chan struct{}     // closed and replaced when commit advances or the log seals
+	waitCh  chan struct{}     // made by a waiter; closed and dropped when commit advances or the log seals
 	sealed  error             // non-nil once Seal is called; fails all waits
 	waiters int               // writers currently blocked in WaitCommitted
 }
@@ -173,7 +185,6 @@ func NewWAL(base uint64) *WAL {
 		watch:  make(chan struct{}),
 		acks:   make(map[string]uint64),
 		commit: base,
-		waitCh: make(chan struct{}),
 	}
 }
 
@@ -259,20 +270,41 @@ func (w *WAL) Ack(id string, idx uint64) {
 }
 
 // advanceLocked recomputes the quorum watermark: the quorum-th highest
-// per-follower acknowledged index.
+// per-follower acknowledged index, which is the highest ack that at least
+// quorum acks reach. Counting in place over the few followers a cluster has
+// allocates nothing on the per-ack path.
 func (w *WAL) advanceLocked() {
 	if w.quorum <= 0 || len(w.acks) < w.quorum {
 		return
 	}
-	vals := make([]uint64, 0, len(w.acks))
+	c := w.commit
 	for _, v := range w.acks {
-		vals = append(vals, v)
+		if v <= c {
+			continue
+		}
+		reach := 0
+		for _, u := range w.acks {
+			if u >= v {
+				reach++
+			}
+		}
+		if reach >= w.quorum {
+			c = v
+		}
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] > vals[j] })
-	if c := vals[w.quorum-1]; c > w.commit {
+	if c > w.commit {
 		w.commit = c
+		w.wakeLocked()
+	}
+}
+
+// wakeLocked releases every writer blocked in WaitCommitted. The channel is
+// made only when a writer waits, so advancing with none blocked allocates
+// nothing.
+func (w *WAL) wakeLocked() {
+	if w.waitCh != nil {
 		close(w.waitCh)
-		w.waitCh = make(chan struct{})
+		w.waitCh = nil
 	}
 }
 
@@ -298,8 +330,7 @@ func (w *WAL) Seal(err error) {
 		return
 	}
 	w.sealed = err
-	close(w.waitCh)
-	w.waitCh = make(chan struct{})
+	w.wakeLocked()
 }
 
 // WaitCommitted blocks until the quorum watermark reaches idx, the timeout
@@ -327,6 +358,9 @@ func (w *WAL) WaitCommitted(idx uint64, timeout time.Duration) error {
 		if w.commit >= idx {
 			w.mu.Unlock()
 			return nil
+		}
+		if w.waitCh == nil {
+			w.waitCh = make(chan struct{})
 		}
 		ch := w.waitCh
 		w.mu.Unlock()

@@ -3,6 +3,7 @@ package minisql
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -507,5 +508,75 @@ func TestQuorumZeroIsAsync(t *testing.T) {
 	}
 	if time.Since(start) > 100*time.Millisecond {
 		t.Fatal("async WaitCommitted blocked")
+	}
+}
+
+// TestQuorumWatermarkTable: for quorum 1 and 2, under out-of-order, stale and
+// duplicate acks, the watermark after every ack equals the sort-based
+// reference — the quorum-th highest per-follower ack, never regressing — and
+// an ack allocates nothing.
+func TestQuorumWatermarkTable(t *testing.T) {
+	type ack struct {
+		id  string
+		idx uint64
+	}
+	reference := func(quorum int, acks map[string]uint64, prev uint64) uint64 {
+		if len(acks) < quorum {
+			return prev
+		}
+		vals := make([]uint64, 0, len(acks))
+		for _, v := range acks {
+			vals = append(vals, v)
+		}
+		slices.Sort(vals)
+		return max(prev, vals[len(vals)-quorum])
+	}
+	for _, tc := range []struct {
+		name   string
+		quorum int
+		acks   []ack
+	}{
+		{"q1 in order", 1, []ack{{"a", 1}, {"a", 2}, {"b", 3}, {"b", 4}}},
+		{"q1 out of order", 1, []ack{{"b", 4}, {"a", 2}, {"c", 3}, {"a", 5}}},
+		{"q1 stale and duplicate", 1, []ack{{"a", 3}, {"a", 1}, {"a", 3}, {"b", 2}, {"b", 2}}},
+		{"q2 in order", 2, []ack{{"a", 1}, {"b", 1}, {"a", 2}, {"b", 2}, {"c", 3}}},
+		{"q2 out of order", 2, []ack{{"c", 5}, {"a", 2}, {"b", 4}, {"a", 3}, {"c", 6}}},
+		{"q2 stale and duplicate", 2, []ack{{"a", 4}, {"b", 4}, {"b", 2}, {"a", 4}, {"c", 1}, {"c", 9}, {"c", 3}}},
+		{"q2 one follower", 2, []ack{{"a", 3}, {"a", 5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWAL(0)
+			w.SetQuorum(tc.quorum)
+			for i := 0; i < 10; i++ {
+				w.Append([]Stmt{{SQL: "INSERT"}})
+			}
+			seen := map[string]uint64{}
+			var want uint64
+			for i, a := range tc.acks {
+				w.Ack(a.id, a.idx)
+				seen[a.id] = max(seen[a.id], a.idx)
+				want = reference(tc.quorum, seen, want)
+				if got := w.Committed(); got != want {
+					t.Fatalf("after ack %d (%s=%d): watermark %d, want %d", i, a.id, a.idx, got, want)
+				}
+			}
+		})
+	}
+
+	w := NewWAL(0)
+	w.SetQuorum(2)
+	w.Ack("a", 0)
+	w.Ack("b", 0)
+	var next uint64
+	if allocs := testing.AllocsPerRun(100, func() {
+		next++
+		w.Ack("a", next) // each ack advances the watermark
+		w.Ack("b", next)
+		w.Ack("b", next) // a duplicate
+	}); allocs != 0 {
+		t.Fatalf("Ack allocates %.1f times per run, want 0", allocs)
+	}
+	if got := w.Committed(); got != next {
+		t.Fatalf("watermark %d after both followers reached %d", got, next)
 	}
 }

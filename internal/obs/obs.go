@@ -18,8 +18,10 @@
 // event. Counters end in _total; histograms expose _bucket/_sum/_count. Each
 // layer lists its metrics where it registers them: service.serverMetrics
 // (service/ops.go), replica.nodeMetrics (replica/obs.go), core.newDBMetrics
-// and dbMetrics.bindStore (core/obs.go: database, engine, plan cache and
-// durability), watch.NewHub, pool.New (with Config.Metrics set) and
+// and dbMetrics.bindStore (core/obs.go: database, engine, compiled
+// statements — the plan_cache metrics count executions that reused a
+// prepared or cached statement against those that parsed — and durability),
+// watch.NewHub, pool.New (with Config.Metrics set) and
 // telemetry.Recorder.BindObs.
 //
 // Endpoints (ServeOps; `osprey-service -ops-addr HOST:PORT`, or

@@ -113,8 +113,9 @@ func (q Query) matches(ev Event) bool {
 }
 
 // Stream is the consumer half of a subscription. Events() yields batches in
-// token order until the stream ends; after the channel closes, Err() reports
-// why (nil for a consumer-initiated Close). Implementations wrap a hub Sub
+// token order until the stream ends; a batch may be shared with other
+// subscribers and must not be modified. After the channel closes, Err()
+// reports why (nil for a consumer-initiated Close). Implementations wrap a hub Sub
 // (in-process), a single service connection (Client), or a resubscribing
 // failover loop (ClusterClient).
 type Stream interface {
@@ -284,11 +285,21 @@ func (h *Hub) trimLocked() {
 	}
 }
 
+// deliverLocked hands sub the events of batch its query matches. Batches are
+// read-only to consumers, so a subscriber matching the whole batch shares it
+// and only a filtered subset is copied: a commit allocates one batch, not one
+// per subscriber.
 func (h *Hub) deliverLocked(sub *Sub, batch []Event) {
-	out := batch[:0:0]
-	for _, ev := range batch {
-		if sub.q.matches(ev) {
-			out = append(out, ev)
+	out := batch
+	for i, ev := range batch {
+		if !sub.q.matches(ev) {
+			out = append([]Event(nil), batch[:i]...)
+			for _, ev := range batch[i+1:] {
+				if sub.q.matches(ev) {
+					out = append(out, ev)
+				}
+			}
+			break
 		}
 	}
 	if len(out) == 0 {
