@@ -754,7 +754,9 @@ func BenchmarkWireCodec(b *testing.B) {
 // real submit entry — what core hands its commit hook for a tagged submit —
 // encoded into a reused buffer and decoded back through minisql's record
 // codec, the one encoding the memory WAL, the disk log and the replication
-// stream share.
+// stream share. It decodes the way a follower does: into one kept entry,
+// through the engine that prepared core's statements, so only the entry's
+// text arguments allocate.
 func BenchmarkEntryCodec(b *testing.B) {
 	db, err := core.NewDB()
 	if err != nil {
@@ -770,11 +772,12 @@ func BenchmarkEntryCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf []byte
+	var decoded minisql.LogEntry
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = minisql.EncodeRecord(buf[:0], entry)
-		if _, _, err := minisql.DecodeRecord(buf); err != nil {
+		if _, err := db.Engine().DecodeRecordInto(&decoded, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,6 +30,16 @@ import (
 // package knows the layout. The CRC is what turns a torn write — the tail of
 // the file the process was killed while appending — or a frame damaged in
 // transit into a detectable condition instead of silent corruption.
+//
+// There is one decoder, decodeRecord, in two forms. DecodeRecord returns a
+// fresh entry. Engine.DecodeRecordInto decodes into the caller's entry,
+// reusing its Stmts and each statement's Args capacity, and resolves SQL text
+// the engine has prepared to the pinned handle's own string: a follower
+// replaying its leader's stream allocates only the text arguments, plus the
+// SQL of statements it never prepared (DDL, ad-hoc text). Counts in the
+// payload size nothing: slices grow as statements and arguments actually
+// decode, never past what the record claims, so a record whose counts its
+// bytes cannot back fails having allocated no more than it decoded.
 
 const (
 	recordHeaderSize = 8
@@ -83,12 +93,32 @@ func EncodeRecord(buf []byte, e LogEntry) []byte {
 // framed size (more records may follow in b), or errCorrupt when the length,
 // the CRC or the payload's structure does not check out.
 func DecodeRecord(b []byte) (e LogEntry, size int, err error) {
-	payload, size, err := readRecord(b)
-	if err != nil {
+	if size, err = decodeRecord(&e, b, nil); err != nil {
 		return LogEntry{}, 0, err
 	}
-	e, err = decodeEntry(payload)
-	return e, size, err
+	return e, size, nil
+}
+
+// DecodeRecordInto is DecodeRecord decoding into ent, whose Stmts and Args
+// capacity it reuses: a follower keeps one entry for its whole stream. SQL
+// text this engine has prepared resolves to the pinned handle's string, with
+// no copy. On error ent holds a partial decode, to be overwritten, not used.
+func (e *Engine) DecodeRecordInto(ent *LogEntry, b []byte) (size int, err error) {
+	return decodeRecord(ent, b, e.plans)
+}
+
+// decodeRecord is the one decoder: the record at the front of b into e,
+// reusing e's capacity, with SQL text resolved through pins' pinned handles
+// when pins is not nil.
+func decodeRecord(e *LogEntry, b []byte, pins *planCache) (int, error) {
+	payload, size, err := readRecord(b)
+	if err != nil {
+		return 0, err
+	}
+	if err := decodeEntry(e, payload, pins); err != nil {
+		return 0, err
+	}
+	return size, nil
 }
 
 type entryReader struct{ b []byte }
@@ -120,75 +150,88 @@ func (r *entryReader) bytes(n uint64) ([]byte, error) {
 	return out, nil
 }
 
-func decodeEntry(payload []byte) (LogEntry, error) {
+// decodeEntry decodes payload into e (see decodeRecord).
+func decodeEntry(e *LogEntry, payload []byte, pins *planCache) error {
 	r := entryReader{b: payload}
-	var e LogEntry
 	var err error
 	if e.Index, err = r.uvarint(); err != nil {
-		return e, err
+		return err
 	}
 	nStmts, err := r.uvarint()
 	if err != nil || nStmts > uint64(len(r.b)) {
-		return e, errCorrupt
+		return errCorrupt
 	}
-	e.Stmts = make([]Stmt, 0, nStmts)
+	e.Stmts = e.Stmts[:0]
 	for i := uint64(0); i < nStmts; i++ {
-		var s Stmt
+		e.Stmts = growOne(e.Stmts, nStmts)
+		s := &e.Stmts[i]
+		s.prep = nil
 		slen, err := r.uvarint()
 		if err != nil {
-			return e, err
+			return err
 		}
 		sql, err := r.bytes(slen)
 		if err != nil {
-			return e, err
+			return err
 		}
-		s.SQL = string(sql)
+		s.SQL = pins.text(sql)
 		nArgs, err := r.uvarint()
 		if err != nil || nArgs > uint64(len(r.b))+1 {
-			return e, errCorrupt
+			return errCorrupt
 		}
-		if nArgs > 0 {
-			s.Args = make([]Value, 0, nArgs)
-		}
+		s.Args = s.Args[:0]
 		for j := uint64(0); j < nArgs; j++ {
 			kb, err := r.bytes(1)
 			if err != nil {
-				return e, err
+				return err
 			}
 			v := Value{Kind: Kind(kb[0])}
 			switch v.Kind {
 			case KindNull:
 			case KindInt:
 				if v.Int, err = r.varint(); err != nil {
-					return e, err
+					return err
 				}
 			case KindFloat:
 				fb, err := r.bytes(8)
 				if err != nil {
-					return e, err
+					return err
 				}
 				v.Float = math.Float64frombits(binary.LittleEndian.Uint64(fb))
 			case KindText:
 				tlen, err := r.uvarint()
 				if err != nil {
-					return e, err
+					return err
 				}
 				tb, err := r.bytes(tlen)
 				if err != nil {
-					return e, err
+					return err
 				}
 				v.Text = string(tb)
 			default:
-				return e, errCorrupt
+				return errCorrupt
 			}
-			s.Args = append(s.Args, v)
+			s.Args = growOne(s.Args, nArgs)
+			s.Args[j] = v
 		}
-		e.Stmts = append(e.Stmts, s)
 	}
 	if len(r.b) != 0 {
-		return e, errCorrupt
+		return errCorrupt
 	}
-	return e, nil
+	return nil
+}
+
+// growOne extends s by one element, reusing its capacity. Past it, capacity
+// doubles but never beyond claimed, the count the record states: allocation
+// follows what decodes, and a count the bytes cannot back sizes nothing. The
+// new element may hold a previous decode's value, which the caller overwrites.
+func growOne[T any](s []T, claimed uint64) []T {
+	if len(s) < cap(s) {
+		return s[:len(s)+1]
+	}
+	g := make([]T, len(s)+1, min(max(2*cap(s), 4), int(claimed)))
+	copy(g, s)
+	return g
 }
 
 // readRecord decodes the record starting at b. It returns the payload and
@@ -368,9 +411,9 @@ func (d *DiskLog) scan() error {
 		if err != nil {
 			return err
 		}
+		var e LogEntry
 		off, werr := walkRecords(data, func(_, payload []byte) error {
-			e, err := decodeEntry(payload)
-			if err != nil || e.Index != s.last+1 {
+			if err := decodeEntry(&e, payload, nil); err != nil || e.Index != s.last+1 {
 				return errCorrupt
 			}
 			s.last = e.Index

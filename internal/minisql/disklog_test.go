@@ -10,8 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func testEntry(idx uint64) LogEntry {
@@ -93,6 +95,77 @@ func TestDecodeRejectsHostileArgCount(t *testing.T) {
 	payload = append(payload, byte(KindNull))      // one byte cannot hold 2^40 arguments
 	if _, _, err := DecodeRecord(framePayload(payload)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("argument count 2^40 over 1 byte: err = %v, want errCorrupt", err)
+	}
+}
+
+// TestDecodeRecordAllocationBounded: a count the guards above let through —
+// one the record's bytes could back — still sizes nothing. A CRC-valid 1 MiB
+// record claiming a million statements (or one statement claiming a million
+// arguments) whose bytes turn to garbage after a hundred fails having
+// allocated about what it decoded, not 48 bytes per claimed statement.
+func TestDecodeRecordAllocationBounded(t *testing.T) {
+	const size = 1 << 20
+	stmt := func(p []byte, nArgs uint64) []byte {
+		p = append(binary.AppendUvarint(p, 1), 'X')
+		return binary.AppendUvarint(p, nArgs)
+	}
+	stmts := binary.AppendUvarint(binary.AppendUvarint(nil, 9), 1<<20)
+	for range 100 {
+		stmts = binary.AppendVarint(append(stmt(stmts, 1), byte(KindInt)), 7)
+	}
+	args := stmt(binary.AppendUvarint(binary.AppendUvarint(nil, 9), 1), 1<<20)
+	for range 100 {
+		args = binary.AppendVarint(append(args, byte(KindInt)), 7)
+	}
+	for name, payload := range map[string][]byte{"statements": stmts, "arguments": args} {
+		for len(payload) < size+64 { // enough bytes to pass the count guards
+			payload = append(payload, 0xFF) // a uvarint that never ends
+		}
+		rec := framePayload(payload)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeRecord(rec)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errCorrupt) {
+			t.Fatalf("%s: err = %v, want errCorrupt", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*uint64(len(rec)) {
+			t.Fatalf("%s: decoding a %d-byte record allocated %d bytes", name, len(rec), grew)
+		}
+	}
+}
+
+// TestDecodeRecordIntoReusesAndInterns: decoding into a kept entry allocates
+// nothing for an entry without text arguments, and SQL text the engine
+// prepared is the pinned handle's own string; text it did not is a copy.
+func TestDecodeRecordIntoReusesAndInterns(t *testing.T) {
+	eng := NewEngine()
+	const pinned = "UPDATE t SET a = ? WHERE b = ?"
+	h, err := eng.Prepare(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := EncodeRecord(nil, LogEntry{Index: 5, Stmts: []Stmt{
+		{SQL: pinned, Args: []Value{Int64(1), Float64(2.5), Int64(3), Int64(4)}},
+		{SQL: "DELETE FROM t"},
+	}})
+	var e LogEntry
+	if _, err := eng.DecodeRecordInto(&e, rec); err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.StringData(e.Stmts[0].SQL) != unsafe.StringData(h.sql) {
+		t.Fatal("prepared SQL text decoded as a copy, not the pinned handle's string")
+	}
+	if e.Stmts[1].SQL != "DELETE FROM t" {
+		t.Fatalf("ad-hoc SQL decoded as %q", e.Stmts[1].SQL)
+	}
+	rec = EncodeRecord(nil, LogEntry{Index: 6, Stmts: []Stmt{{SQL: pinned, Args: []Value{Int64(1), Null()}}}})
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := eng.DecodeRecordInto(&e, rec); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decoding into a kept entry: %v allocs, want 0", allocs)
 	}
 }
 
@@ -187,12 +260,34 @@ func FuzzDecodeRecord(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(framePayload([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0xFF, 0xFF, 0x03}))
+	// The differential half decodes through an engine that prepared the
+	// seeds' texts, into one entry primed by a longer one, the way a follower
+	// does: whatever the reused entry holds must equal the fresh decode.
+	eng := NewEngine()
+	var long LogEntry
+	for _, e := range seeds {
+		for _, s := range e.Stmts {
+			eng.Prepare(s.SQL) // "X" does not parse, and stays ad-hoc text
+			long.Stmts = append(long.Stmts, s, s)
+		}
+	}
+	primer := EncodeRecord(nil, long)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var reused LogEntry
 		// As a record, and as a payload behind a valid header: a mutated
 		// record almost never passes its CRC, so the second form is what
 		// lets the fuzzer reach the structure checks.
-		for _, rec := range [][]byte{data, framePayload(data)} {
+		// The primer on both sides leaves the fuzzer's input a longer entry
+		// to overwrite, and follows whatever a failed decode left behind.
+		for _, rec := range [][]byte{primer, data, framePayload(data), primer} {
 			e, size, err := DecodeRecord(rec)
+			sizeInto, errInto := eng.DecodeRecordInto(&reused, rec)
+			if (err == nil) != (errInto == nil) || size != sizeInto {
+				t.Fatalf("fresh decode: %d bytes, %v; into a reused entry: %d bytes, %v", size, err, sizeInto, errInto)
+			}
+			if err == nil && !bytes.Equal(EncodeRecord(nil, reused), EncodeRecord(nil, e)) {
+				t.Fatalf("decoded into a reused entry\n %+v\nfresh\n %+v", reused, e)
+			}
 			if cap(e.Stmts) > len(rec) {
 				t.Fatalf("%d bytes sized a %d-statement slice", len(rec), cap(e.Stmts))
 			}

@@ -49,6 +49,7 @@ type Engine struct {
 	hook       CommitHook     // observes committed mutating statements (wal.go)
 	observer   CommitObserver // passive tap on every applied batch (wal.go)
 	applying   bool           // true while replaying a shipped entry
+	applyHits  []int          // a replayed set-based write's per-row counts, reused
 	pending    []Stmt         // mutating statements awaiting commit
 	lastLogged uint64         // highest log index the hook has assigned
 

@@ -119,6 +119,21 @@ func (c *planCache) get(sql string, pin bool) (*Prepared, bool) {
 	return h, ok
 }
 
+// text returns the SQL text b names: the pinned handle's own string when
+// the engine prepared that text, else a copy. A nil cache always copies.
+func (c *planCache) text(b []byte) string {
+	if c == nil {
+		return string(b)
+	}
+	c.mu.Lock()
+	h, ok := c.pinned[string(b)]
+	c.mu.Unlock()
+	if ok {
+		return h.sql
+	}
+	return string(b)
+}
+
 // Prepare compiles sql once for this engine and returns its handle, pinned:
 // the text index never drops it, so ApplyEntry resolves a record carrying the
 // same text to this handle. Preparing a text twice returns the same handle.

@@ -3,6 +3,7 @@ package minisql
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -127,7 +128,8 @@ func (e *Engine) applyStmtLocked(s *Stmt) error {
 		if err != nil {
 			return err
 		}
-		hits = make([]int, rows)
+		e.applyHits = slices.Grow(e.applyHits[:0], rows)[:rows]
+		hits = e.applyHits
 	}
 	_, _, err = e.execLocked(h, s.Args, spreadN, hits, nil)
 	return err
@@ -209,22 +211,21 @@ func (w *WAL) LastIndex() uint64 {
 	return w.base + uint64(len(w.records))
 }
 
-// RecordsSince returns all records with index > after (their bytes are
-// shared: read-only). ok is false when after precedes the compacted base,
-// meaning the caller needs a fresh snapshot instead of incremental entries.
-func (w *WAL) RecordsSince(after uint64) (out []Record, ok bool) {
+// RecordsSince appends all records with index > after to dst and returns
+// the extended slice (the records' bytes are shared: read-only). A streaming
+// sender passes the same slice back each time, so a ship pass allocates
+// nothing. ok is false when after precedes the compacted base, meaning the
+// caller needs a fresh snapshot instead of incremental entries.
+func (w *WAL) RecordsSince(dst []Record, after uint64) (out []Record, ok bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if after < w.base {
-		return nil, false
+		return dst, false
 	}
-	from := after - w.base
-	if from >= uint64(len(w.records)) {
-		return nil, true
+	if from := after - w.base; from < uint64(len(w.records)) {
+		dst = append(dst, w.records[from:]...)
 	}
-	out = make([]Record, len(w.records)-int(from))
-	copy(out, w.records[from:])
-	return out, true
+	return dst, true
 }
 
 // Watch returns a channel closed at the next Append, for streaming senders

@@ -26,7 +26,7 @@ func newHookedEngine(t *testing.T, schema ...string) (*Engine, *WAL) {
 // its index.
 func entriesSince(t testing.TB, w *WAL, after uint64) ([]LogEntry, bool) {
 	t.Helper()
-	recs, ok := w.RecordsSince(after)
+	recs, ok := w.RecordsSince(nil, after)
 	out := make([]LogEntry, len(recs))
 	for i, r := range recs {
 		e, size, err := DecodeRecord(r.Data)
@@ -246,10 +246,10 @@ func TestWALCompactAndResume(t *testing.T) {
 		w.Append([]Stmt{{SQL: "INSERT"}})
 	}
 	w.Compact(6)
-	if _, ok := w.RecordsSince(3); ok {
+	if _, ok := w.RecordsSince(nil, 3); ok {
 		t.Fatal("RecordsSince before compacted base should demand a snapshot")
 	}
-	recs, ok := w.RecordsSince(6)
+	recs, ok := w.RecordsSince(nil, 6)
 	if !ok || len(recs) != 4 || recs[0].Index != 7 {
 		t.Fatalf("post-compact resume broken: ok=%v len=%d", ok, len(recs))
 	}

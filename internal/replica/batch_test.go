@@ -2,7 +2,7 @@ package replica
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -18,25 +18,25 @@ import (
 )
 
 // fakeFollower is a hand-rolled replication peer: it joins the leader over
-// raw gob and lets the test control exactly when entries are "applied" and
-// acked, which is how the batching tests observe frame boundaries the real
-// follower hides.
+// raw frames and lets the test control exactly when entries are "applied"
+// and acked, which is how the batching tests observe frame boundaries the
+// real follower hides.
 type fakeFollower struct {
 	t    *testing.T
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	w    frameWriter
+	rd   *frameReader
+}
+
+func newFake(t *testing.T, conn net.Conn) *fakeFollower {
+	return &fakeFollower{t: t, conn: conn, w: frameWriter{w: conn}, rd: newFrameReader(conn)}
 }
 
 func joinFake(t *testing.T, addr string, id string, term, from uint64) *fakeFollower {
 	t.Helper()
-	conn := dialRepl(t, addr)
-	f := &fakeFollower{t: t, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-	join := frame{Type: frameJoin, Term: term, AppliedTerm: term, From: from,
-		Peer: Peer{ID: id, ReplAddr: "127.0.0.1:1", SvcAddr: "svc-" + id}}
-	if err := f.enc.Encode(&join); err != nil {
-		t.Fatal(err)
-	}
+	f := newFake(t, dialRepl(t, addr))
+	f.send(frame{Type: frameJoin, Term: term, AppliedTerm: term, From: from,
+		Peer: Peer{ID: id, ReplAddr: "127.0.0.1:1", SvcAddr: "svc-" + id}})
 	hello := f.next()
 	if hello.Type != frameHeartbeat {
 		t.Fatalf("resume join got frame type %d, want heartbeat hello", hello.Type)
@@ -44,10 +44,11 @@ func joinFake(t *testing.T, addr string, id string, term, from uint64) *fakeFoll
 	return f
 }
 
+// next reads one frame. Its Records and Snapshot hold until the next read.
 func (f *fakeFollower) next() frame {
 	f.t.Helper()
 	var fr frame
-	if err := f.dec.Decode(&fr); err != nil {
+	if err := f.rd.read(&fr); err != nil {
 		f.t.Fatalf("fake follower read: %v", err)
 	}
 	return fr
@@ -81,9 +82,7 @@ func (f *fakeFollower) nextEntries() []uint64 {
 
 func (f *fakeFollower) ack(applied uint64) {
 	f.t.Helper()
-	if err := f.enc.Encode(&frame{Type: frameAck, Applied: applied}); err != nil {
-		f.t.Fatal(err)
-	}
+	f.send(frame{Type: frameAck, Applied: applied})
 }
 
 func (f *fakeFollower) close() { f.conn.Close() }
@@ -211,7 +210,7 @@ func (l *fakeLeader) accept() (frame, *fakeFollower) {
 	if _, err := io.ReadFull(conn, pre[:]); err != nil || pre != [2]byte{replMagic, replVersion} {
 		l.t.Fatalf("follower opened with % x (err %v), want the protocol preamble", pre, err)
 	}
-	s := &fakeFollower{t: l.t, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	s := newFake(l.t, conn)
 	join := s.next()
 	if join.Type != frameJoin {
 		l.t.Fatalf("first frame has type %d, want a join", join.Type)
@@ -224,7 +223,7 @@ func (l *fakeLeader) accept() (frame, *fakeFollower) {
 
 func (f *fakeFollower) send(fr frame) {
 	f.t.Helper()
-	if err := f.enc.Encode(&fr); err != nil {
+	if err := f.w.write(&fr); err != nil {
 		f.t.Fatal(err)
 	}
 }
@@ -297,7 +296,7 @@ func TestCorruptShippedRecordRejected(t *testing.T) {
 	defer src.Close()
 	submitN(t, src.DB(), 4)
 	src.mu.Lock()
-	recs, _ := src.wal.RecordsSince(0)
+	recs, _ := src.wal.RecordsSince(nil, 0)
 	src.mu.Unlock()
 	concat := func(recs []minisql.Record) (b []byte) {
 		for _, r := range recs {
@@ -325,7 +324,7 @@ func TestCorruptShippedRecordRejected(t *testing.T) {
 			_, stream := lead.accept()
 			stream.send(frame{Type: frameEntries, Term: 1, Records: damaged, Last: recs[len(recs)-1].Index})
 			var fr frame
-			for stream.dec.Decode(&fr) == nil { // until the follower hangs up
+			for stream.rd.read(&fr) == nil { // until the follower hangs up
 				if fr.Type == frameAck && fr.Applied != 0 {
 					t.Fatalf("follower acked %d out of a damaged frame", fr.Applied)
 				}
@@ -352,10 +351,18 @@ func TestCorruptShippedRecordRejected(t *testing.T) {
 	}
 }
 
+// oldBuildProbe opens what a build from before the preamble sent for a
+// probe, frame{Type: frameProbe, Peer: Peer{ID: "old-build"}}: a bare gob
+// stream, the frame type's definition first (its first 64 bytes).
+const oldBuildProbe = "" +
+	"ffed7f030101056672616d6501ff800001120104547970650106000104546572" +
+	"6d01060001045065657201ff8200010446726f6d010600010d466f726365536e"
+
 // TestPreambleMismatchRejected: a connection that does not open with this
 // build's preamble — here what a pre-preamble build sends, a bare gob frame,
-// a future protocol version and the previous one — is closed unanswered, counted, and logged
-// with the peer's address; a well-formed probe beside them is served.
+// a future protocol version, version 1 and the gob-speaking version 3 — is
+// closed unanswered, counted, and logged with the peer's address; a
+// well-formed probe beside them is served.
 func TestPreambleMismatchRejected(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
@@ -370,11 +377,15 @@ func TestPreambleMismatchRejected(t *testing.T) {
 	defer n.Close()
 	n.Start()
 
-	var bare bytes.Buffer
-	gob.NewEncoder(&bare).Encode(&frame{Type: frameProbe, Peer: Peer{ID: "old-build"}})
-	// A preamble-less build, a newer build, and a version-1 build (whose
-	// engine replays only the first argument row of a set-based write).
-	for i, opening := range [][]byte{bare.Bytes(), {replMagic, replVersion + 1}, {replMagic, 1}} {
+	bare, err := hex.DecodeString(oldBuildProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A preamble-less build, a newer build, a version-1 build (whose engine
+	// replays only the first argument row of a set-based write) and a
+	// version-3 build, whose frames are gob.
+	openings := [][]byte{bare, {replMagic, replVersion + 1}, {replMagic, 1}, append([]byte{replMagic, 3}, bare...)}
+	for i, opening := range openings {
 		conn, err := net.Dial("tcp", n.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -395,16 +406,10 @@ func TestPreambleMismatchRejected(t *testing.T) {
 		conn.Close()
 	}
 
-	conn := dialRepl(t, n.Addr())
-	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(&frame{Type: frameProbe, Peer: Peer{ID: "new-build"}}); err != nil {
-		t.Fatal(err)
+	if st := dialJoin(t, n.Addr(), frame{Type: frameProbe, Peer: Peer{ID: "new-build"}}); st.Type != frameStatus || st.Role != RoleLeader {
+		t.Fatalf("well-formed probe: %+v", st)
 	}
-	var st frame
-	if err := gob.NewDecoder(conn).Decode(&st); err != nil || st.Type != frameStatus || st.Role != RoleLeader {
-		t.Fatalf("well-formed probe: %+v, %v", st, err)
-	}
-	if got := n.met.malformed.Value(); got != 3 {
-		t.Fatalf("malformed counter = %d after a well-formed probe, want 3", got)
+	if got := n.met.malformed.Value(); got != uint64(len(openings)) {
+		t.Fatalf("malformed counter = %d after a well-formed probe, want %d", got, len(openings))
 	}
 }

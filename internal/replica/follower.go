@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -92,10 +91,10 @@ func (n *Node) followOnce(addr string, join frame) error {
 		n.mu.Unlock()
 	}()
 
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	w := frameWriter{w: conn}
+	rd := newFrameReader(conn)
 	conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-	if err := enc.Encode(&join); err != nil {
+	if err := w.write(&join); err != nil {
 		return err
 	}
 	// The hello may carry a full database snapshot, so the first read gets
@@ -103,14 +102,18 @@ func (n *Node) followOnce(addr string, join frame) error {
 	// cfg.Heartbeat and a silent leader is dead.
 	readDeadline := n.snapshotTimeout()
 	var buf [4]output
+	// One frame and one entry for the whole stream: each frame is handled
+	// before the next is read, and each entry applied before the next
+	// decodes into it.
+	var f frame
+	var ent minisql.LogEntry
 	for {
 		conn.SetReadDeadline(time.Now().Add(readDeadline))
 		readDeadline = 2 * n.cfg.ElectionTimeout
-		var f frame
-		if err := dec.Decode(&f); err != nil {
+		if err := rd.read(&f); err != nil {
 			return err
 		}
-		if err := n.onStream(f, enc, conn, buf[:0]); err != nil || f.Type == frameNotLeader {
+		if err := n.onStream(&f, &ent, &w, conn, buf[:0]); err != nil || f.Type == frameNotLeader {
 			return err
 		}
 	}
@@ -119,8 +122,8 @@ func (n *Node) followOnce(addr string, join frame) error {
 // onStream steps one frame from the leader and carries out what the core
 // decided: drop the stream, install or apply — then step evApplied, which
 // decides the ack — release watch transitions, and ack.
-func (n *Node) onStream(f frame, enc *gob.Encoder, conn net.Conn, buf []output) error {
-	for in := (input{ev: evFrame, f: f}); in.ev != 0; {
+func (n *Node) onStream(f *frame, ent *minisql.LogEntry, w *frameWriter, conn net.Conn, buf []output) error {
+	for in := (input{ev: evFrame, f: *f}); in.ev != 0; {
 		out, err := n.step(in, buf)
 		if err != nil {
 			return err
@@ -139,7 +142,7 @@ func (n *Node) onStream(f frame, enc *gob.Encoder, conn net.Conn, buf []output) 
 				}
 				in.ev = evApplied
 			case doApply:
-				if err := n.applyRecords(f.Records); err != nil {
+				if err := n.applyRecords(ent, f.Records); err != nil {
 					return err
 				}
 				in.ev = evApplied
@@ -149,7 +152,7 @@ func (n *Node) onStream(f frame, enc *gob.Encoder, conn net.Conn, buf []output) 
 				n.db.AdvanceWatch(o.f.Committed)
 			case doAck:
 				n.attached.Store(true)
-				if err := n.ack(enc, conn, o.f.Applied); err != nil {
+				if err := n.ack(w, conn, o.f.Applied); err != nil {
 					return err
 				}
 			}
@@ -165,20 +168,20 @@ func (n *Node) onStream(f frame, enc *gob.Encoder, conn net.Conn, buf []output) 
 // covers a whole batched entries frame, riding the same group-commit
 // economics as the leader's fsync. A follower whose disk cannot keep its
 // promise drops the stream instead of lying.
-func (n *Node) ack(enc *gob.Encoder, conn net.Conn, applied uint64) error {
+func (n *Node) ack(w *frameWriter, conn net.Conn, applied uint64) error {
 	if n.store != nil && n.store.Fsync() {
 		if err := n.store.WaitDurable(applied, 4*n.cfg.ElectionTimeout); err != nil {
 			return fmt.Errorf("replica: durability wait before ack of %d: %w", applied, err)
 		}
 	}
 	conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-	return enc.Encode(&frame{Type: frameAck, Applied: applied})
+	return w.write(&frame{Type: frameAck, Applied: applied})
 }
 
 // install bootstraps the local database from the leader's snapshot frame.
 // The new applied index is published by the evApplied step that follows,
 // together with the applied term that makes it resumable.
-func (n *Node) install(f frame) error {
+func (n *Node) install(f *frame) error {
 	if err := n.db.Restore(bytes.NewReader(f.Snapshot)); err != nil {
 		return fmt.Errorf("replica: restoring snapshot: %w", err)
 	}
@@ -204,7 +207,7 @@ func (n *Node) install(f frame) error {
 // applyOne replays one shipped entry and persists the record it came in;
 // duplicates (replays after a reconnect) are skipped, gaps force a re-join
 // (and fresh snapshot).
-func (n *Node) applyOne(ent minisql.LogEntry, rec []byte) error {
+func (n *Node) applyOne(ent *minisql.LogEntry, rec []byte) error {
 	cur := n.Applied()
 	if ent.Index <= cur {
 		return nil
@@ -212,7 +215,7 @@ func (n *Node) applyOne(ent minisql.LogEntry, rec []byte) error {
 	if ent.Index != cur+1 {
 		return fmt.Errorf("%w: have %d, got %d", errLogGap, cur, ent.Index)
 	}
-	if err := n.eng.ApplyEntry(ent); err != nil {
+	if err := n.eng.ApplyEntry(*ent); err != nil {
 		return fmt.Errorf("%w: %v", errApply, err)
 	}
 	if n.store != nil {
@@ -235,10 +238,12 @@ func (n *Node) applyOne(ent minisql.LogEntry, rec []byte) error {
 // applied index individually, so a crash mid-batch re-joins from exactly the
 // last applied entry and the leader re-ships the rest; the single ack that
 // follows carries the batch high-water mark, advancing the leader's quorum
-// watermark for every entry at once.
-func (n *Node) applyRecords(b []byte) error {
+// watermark for every entry at once. Each record decodes into ent, whose
+// capacity the stream keeps: ApplyEntry holds on to no argument (rows copy
+// their values) and no statement.
+func (n *Node) applyRecords(ent *minisql.LogEntry, b []byte) error {
 	for len(b) > 0 {
-		ent, size, err := minisql.DecodeRecord(b)
+		size, err := n.eng.DecodeRecordInto(ent, b)
 		if err != nil {
 			return fmt.Errorf("replica: shipped record after index %d: %w", n.Applied(), err)
 		}
@@ -257,7 +262,8 @@ func (n *Node) request(o output) {
 	in := input{ev: evDown, from: o.to, round: o.round}
 	if conn, err := n.dial(o.to.ReplAddr, n.cfg.ElectionTimeout/2); err == nil {
 		conn.SetDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-		if gob.NewEncoder(conn).Encode(&o.f) == nil && gob.NewDecoder(conn).Decode(&in.f) == nil {
+		w := frameWriter{w: conn}
+		if w.write(&o.f) == nil && newFrameReader(conn).read(&in.f) == nil {
 			in.ev = evReply
 		}
 		conn.Close()

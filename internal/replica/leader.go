@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"encoding/gob"
 	"io"
 	"math/rand"
 	"net"
@@ -17,15 +16,16 @@ import (
 // compaction still finds its entries and avoids a redundant re-bootstrap.
 const compactionFloor = 256
 
-// followerConn is the leader-side state of one connected follower. enc is
-// the connection's single gob encoder (gob streams must not mix encoders);
-// only the join/stream goroutine writes with it, so it needs no write lock.
+// followerConn is the leader-side state of one connected follower. Only the
+// join/stream goroutine writes to the connection, through w, so it needs no
+// write lock.
 type followerConn struct {
 	peer  Peer
 	conn  net.Conn
-	enc   *gob.Encoder
-	acked atomic.Uint64 // highest applied index the follower acknowledged
-	batch []byte        // ship's reused frameEntries payload buffer
+	w     frameWriter
+	acked atomic.Uint64    // highest applied index the follower acknowledged
+	batch []byte           // ship's reused frameEntries payload buffer
+	recs  []minisql.Record // streamTo's reused RecordsSince window
 
 	// beatAt is the send time (unix nanos) of the heartbeat awaiting its
 	// ack, 0 when none is outstanding; the ack reader turns the round trip
@@ -64,10 +64,9 @@ func (n *Node) handleConn(conn net.Conn) {
 			conn.RemoteAddr(), pre[0], pre[1], replVersion)
 		return
 	}
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	rd := newFrameReader(conn)
 	var f frame
-	if err := dec.Decode(&f); err != nil {
+	if err := rd.read(&f); err != nil {
 		return
 	}
 	out, err := n.step(input{ev: evFrame, f: f}, nil)
@@ -82,10 +81,11 @@ func (n *Node) handleConn(conn net.Conn) {
 		switch o.do {
 		case doReply:
 			conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-			enc.Encode(&o.f)
+			w := frameWriter{w: conn}
+			w.write(&o.f) // the connection closes either way; a lost reply is a failed request
 			return
 		case doHello:
-			n.serveFollower(conn, enc, dec, f, o.f)
+			n.serveFollower(conn, rd, f, o.f)
 			return
 		}
 	}
@@ -98,7 +98,7 @@ func (n *Node) handleConn(conn net.Conn) {
 // checkpoints) reaches back to it. Anything else gets a snapshot — streamed
 // from the on-disk checkpoint file when one covers it, avoiding a full
 // in-memory serialize.
-func (n *Node) serveFollower(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, join, hello frame) {
+func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) {
 	n.mu.Lock()
 	w, walStart := n.wal, n.walStart
 	n.mu.Unlock()
@@ -108,7 +108,7 @@ func (n *Node) serveFollower(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, 
 	startIdx := join.From
 	var diskTail []minisql.Record
 	if hello.Type == frameHeartbeat {
-		if _, ok := w.RecordsSince(join.From); !ok {
+		if _, ok := w.RecordsSince(nil, join.From); !ok {
 			if tail, last, ok := n.diskRecords(w, join.From); ok {
 				diskTail = tail
 				n.logf("follower %s resuming via disk log %d..%d", join.Peer.ID, join.From+1, last)
@@ -147,7 +147,7 @@ func (n *Node) serveFollower(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, 
 		hello.SnapIndex = startIdx
 	}
 
-	fol := &followerConn{peer: join.Peer, conn: conn, enc: enc}
+	fol := &followerConn{peer: join.Peer, conn: conn, w: frameWriter{w: conn}}
 	if hello.Type == frameHeartbeat {
 		fol.acked.Store(startIdx) // a bootstrapping follower holds nothing until it acks the install
 	}
@@ -167,7 +167,7 @@ func (n *Node) serveFollower(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, 
 	// Snapshot transfer gets its own generous deadline, decoupled from the
 	// failure-detection timings (see snapshotTimeout).
 	conn.SetWriteDeadline(time.Now().Add(n.snapshotTimeout()))
-	if err := enc.Encode(&hello); err != nil {
+	if err := fol.w.write(&hello); err != nil {
 		return
 	}
 	if hello.Type == frameHeartbeat {
@@ -199,11 +199,11 @@ func (n *Node) serveFollower(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, 
 		defer n.wg.Done()
 		defer conn.Close()
 		ackDeadline := n.snapshotTimeout()
+		var ack frame
 		for {
 			conn.SetReadDeadline(time.Now().Add(ackDeadline))
 			ackDeadline = 4 * n.cfg.ElectionTimeout
-			var ack frame
-			if err := dec.Decode(&ack); err != nil {
+			if err := rd.read(&ack); err != nil {
 				return
 			}
 			if ack.Type != frameAck {
@@ -245,7 +245,7 @@ func (n *Node) diskRecords(w *minisql.WAL, from uint64) ([]minisql.Record, uint6
 	if len(tail) > 0 {
 		last = tail[len(tail)-1].Index
 	}
-	if _, ok := w.RecordsSince(last); !ok {
+	if _, ok := w.RecordsSince(nil, last); !ok {
 		return nil, 0, false
 	}
 	return tail, last, true
@@ -266,7 +266,7 @@ func (n *Node) ship(fol *followerConn, w *minisql.WAL, term uint64, recs []minis
 			fol.batch = append(fol.batch, r.Data...)
 		}
 		fol.conn.SetWriteDeadline(time.Now().Add(deadline))
-		if err := fol.enc.Encode(&frame{
+		if err := fol.w.write(&frame{
 			Type: frameEntries, Term: term, Committed: n.committed(w),
 			Records: fol.batch, Last: batch[len(batch)-1].Index,
 		}); err != nil {
@@ -299,7 +299,8 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, term uint64, from uin
 		}
 		watch := w.Watch()
 		commits, peers := n.watches()
-		recs, ok := w.RecordsSince(pos)
+		recs, ok := w.RecordsSince(fol.recs[:0], pos)
+		fol.recs = recs
 		if !ok {
 			// Compacted past this follower's position (only possible when it
 			// lagged by more than the retention floor): force a re-join and
@@ -349,7 +350,7 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, term uint64, from uin
 			}
 			hb.Committed = n.committed(w)
 			fol.conn.SetWriteDeadline(time.Now().Add(2 * n.cfg.ElectionTimeout))
-			if err := fol.enc.Encode(&hb); err != nil {
+			if err := fol.w.write(&hb); err != nil {
 				return
 			}
 			fol.beatAt.CompareAndSwap(0, time.Now().UnixNano())

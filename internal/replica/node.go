@@ -61,8 +61,8 @@
 //     demotes and sits out candidacy for four election timeouts, so the
 //     handoff is not won straight back.
 //
-// node.go, leader.go and follower.go are the I/O side: dial and accept, gob
-// frames, timers, the record data path (WAL.Append, ship, applyRecords,
+// node.go, leader.go and follower.go are the I/O side: dial and accept,
+// frames (the codec in protocol.go), timers, the record data path (WAL.Append, ship, applyRecords,
 // WAL.Ack) and the database. They keep one ordering rule: a step's persist
 // output — term, appliedTerm and view — is on disk before any of its sends
 // or role changes take effect, and a failed persist discards the step. So a
@@ -70,6 +70,16 @@
 // a term a restart could forget, and no node votes twice in one term. The
 // core is explored without sockets in step_test.go: three nodes, every
 // interleaving of delivery, drop and tick to a bounded depth.
+//
+// On the wire, every replication connection opens with the preamble 0xF6,
+// replVersion; a peer that opens otherwise — a gob-speaking build of
+// versions 1 to 3 included — is closed unanswered, counted and logged. Then
+// come frames, each a uvarint length, a type byte, a mask of the fields that
+// are set and those fields (protocol.go has the layout and its bounds). An
+// entries frame carries minisql records byte for byte; the follower decodes
+// each into one entry it keeps for the stream, and the engine resolves the
+// SQL text to the string of the handle it prepared, so the stream allocates
+// little beyond the rows it stores.
 //
 // The node's data path keeps the core's log rule true. A joiner that
 // installs a snapshot takes the leader's term as its applied term, so the
@@ -226,7 +236,7 @@ type Node struct {
 	lastProgress  time.Time
 
 	peersCh   chan struct{} // closed and replaced when membership changes
-	appliedCh chan struct{} // closed and replaced when the applied index advances
+	appliedCh chan struct{} // made by a WaitApplied waiter; closed and dropped when the applied index moves
 	commitCh  chan struct{} // closed and replaced when the quorum watermark advances
 	closeCh   chan struct{}
 	kick      chan struct{} // wakes the follow loop: the leader to follow changed
@@ -306,7 +316,6 @@ func New(cfg Config) (*Node, error) {
 		born:      time.Now(),
 		followers: make(map[string]*followerConn),
 		peersCh:   make(chan struct{}),
-		appliedCh: make(chan struct{}),
 		commitCh:  make(chan struct{}),
 		closeCh:   make(chan struct{}),
 		kick:      make(chan struct{}, 1),
@@ -371,8 +380,7 @@ func (n *Node) step(in input, out []output) ([]output, error) {
 		// until the stream catches back up past their token.
 		n.st.applied, n.committedSeen = in.f.SnapIndex, 0 // the hello's watermark follows
 		n.lastProgress = time.Now()
-		close(n.appliedCh)
-		n.appliedCh = make(chan struct{})
+		n.wakeAppliedLocked()
 	}
 	out, err := n.stepLocked(in, out)
 	var sealed *minisql.WAL
@@ -718,10 +726,19 @@ func (n *Node) setApplied(idx uint64) {
 	if idx > n.st.applied {
 		n.st.applied = idx
 		n.lastProgress = time.Now()
-		close(n.appliedCh)
-		n.appliedCh = make(chan struct{})
+		n.wakeAppliedLocked()
 	}
 	n.mu.Unlock()
+}
+
+// wakeAppliedLocked releases every WaitApplied caller. The channel is made
+// only when one waits, so an apply with none blocked allocates nothing.
+// Caller holds n.mu.
+func (n *Node) wakeAppliedLocked() {
+	if n.appliedCh != nil {
+		close(n.appliedCh)
+		n.appliedCh = nil
+	}
 }
 
 // Lease and quorum sentinel errors. Both are transient cluster conditions:
@@ -814,11 +831,16 @@ func (n *Node) WaitApplied(idx uint64, timeout time.Duration) error {
 			n.mu.Unlock()
 			return ErrClosed
 		}
+		if timeout <= 0 {
+			applied := n.st.applied
+			n.mu.Unlock()
+			return fmt.Errorf("%w: have %d, need %d", ErrStale, applied, idx)
+		}
+		if n.appliedCh == nil {
+			n.appliedCh = make(chan struct{})
+		}
 		ch := n.appliedCh
 		n.mu.Unlock()
-		if timeout <= 0 {
-			return fmt.Errorf("%w: have %d, need %d", ErrStale, n.Applied(), idx)
-		}
 		if timer == nil {
 			timer = time.NewTimer(timeout)
 			defer timer.Stop()

@@ -113,7 +113,7 @@ func (n *Node) Metrics() *obs.Registry { return n.db.Metrics() }
 // frame: the contact time always, and the leader's applied index when the
 // frame carries one. Entry frames advance the estimate to their last index —
 // the leader had applied at least that much to ship it.
-func (n *Node) noteLeaderFrame(f frame) {
+func (n *Node) noteLeaderFrame(f *frame) {
 	now := time.Now()
 	n.mu.Lock()
 	n.leaderContact = now

@@ -1,6 +1,14 @@
 package replica
 
-import "sort"
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"slices"
+	"sort"
+)
 
 // Role is a node's position in the cluster.
 type Role int32
@@ -93,24 +101,25 @@ const (
 
 // replMagic and replVersion are the two-byte preamble Node.dial opens every
 // replication connection with; handleConn closes (counts, logs) one that
-// opens differently. gob skips fields it does not know, so without it a
-// build with another frame layout would attach, apply nothing and ack its
-// old index forever while quorum writes time out. Bump replVersion whenever
-// frame, or what a shipped record means to the engine replaying it, changes:
+// opens differently, so two builds that would read each other's frames or
+// records differently never exchange one. Bump replVersion whenever the frame
+// codec, or what a shipped record means to the engine replaying it, changes:
 // 2 is "a statement may carry several argument rows" — a version-1 build
 // would replay the first row of a set-based write and silently drop the rest;
 // 3 is "a join asks for a snapshot with ForceSnapshot, not with From 0" — a
 // version-2 leader would resume a joiner that needs one, and a version-2
-// joiner with nothing applied would be sent a snapshot it did not need.
+// joiner with nothing applied would be sent a snapshot it did not need;
+// 4 is "frames are the hand-written codec below" — versions 1 to 3 spoke gob.
 const (
 	replMagic   = 0xF6
-	replVersion = 3
+	replVersion = 4
 )
 
-// frame is the one message of the replication protocol: a gob-encoded
-// envelope, which for frameEntries carries log records as the opaque bytes
-// minisql produced (this package encodes no entry and decodes one only
-// through minisql.DecodeRecord). Field use depends on Type.
+// frame is the one message of the replication protocol, which for
+// frameEntries carries log records as the opaque bytes minisql produced
+// (this package encodes no entry and decodes one only through minisql's
+// record decoder). Field use depends on Type; the codec below carries the
+// fields that are not zero.
 type frame struct {
 	Type frameType
 	Term uint64
@@ -160,4 +169,376 @@ type frame struct {
 
 	// frameStatus reply to frameClaim: the receiver adopted the claimed term.
 	Granted bool
+}
+
+// The frame codec. After the preamble a connection carries frames, each
+//
+//	uvarint body length | body
+//	body = type byte | uvarint field mask | the fields whose bit is set, in bit order
+//
+// A field's bit is set when the field is not its zero value, so a frame costs
+// what it carries: an ack is a length, a type, a mask and its index; an
+// entries frame is its records and about a dozen bytes more. Unsigned integers and Role are uvarints, Peer.Priority a
+// zigzag varint, strings and byte slices a uvarint length and their bytes; a
+// bool is its bit alone. A Peer is its own mask byte (fields in declaration
+// order) and fields, Peers a count and that many Peers. The field bits run
+// from fTerm up, the hot frames' fields first so their masks take one byte.
+//
+// Bounds: a body longer than maxFrameSize is refused before anything is
+// allocated, and a longer body than the reader has held is read into a
+// buffer grown as its bytes arrive, so a length claim allocates at most twice
+// what was actually sent, or one 4 KiB chunk. A Peers count must fit the
+// bytes left and grows as peers decode. An unknown type, a mask
+// bit past fSnapIndex or bytes left over refuse the frame. A reader
+// allocates only what changed since the frames it read before: Records and
+// Snapshot alias its buffer, Peers its own slice, both holding until the next
+// read, and a string equal to the one last read in its place is that string.
+// So entries frames, acks and a steady leader's heartbeats decode with no
+// allocation.
+const (
+	fTerm = 1 << iota
+	fRecords
+	fLast
+	fCommitted
+	fApplied
+	fRole
+	fLeaderID
+	fLeaderRepl
+	fLeaderSvc
+	fPeers
+	fPeer
+	fFrom
+	fAppliedTerm
+	fForceSnapshot
+	fGranted
+	fSnapshot
+	fSnapIndex
+)
+
+const (
+	// maxFrameSize bounds a frame body: gob's own limit, which bounded a
+	// snapshot frame before this codec (8 GiB; 1 GiB on 32-bit platforms).
+	maxFrameSize = (1 << 30) << (^uint(0) >> 62)
+	// frameBufKeep is the largest buffer a reader or writer keeps for its
+	// next frame. A body past it — in practice a bootstrap snapshot — gets
+	// its own allocation, which nothing pins once the frame is handled.
+	frameBufKeep = 1 << 20
+)
+
+// errBadFrame marks a frame body that does not decode.
+var errBadFrame = errors.New("replica: malformed frame")
+
+// bit is m when on, else 0.
+func bit(m uint64, on bool) uint64 {
+	if on {
+		return m
+	}
+	return 0
+}
+
+// appendFrameBody appends f's body (type, mask, fields) to b.
+func appendFrameBody(b []byte, f *frame) []byte {
+	mask := bit(fTerm, f.Term != 0) | bit(fRecords, len(f.Records) > 0) | bit(fLast, f.Last != 0) |
+		bit(fCommitted, f.Committed != 0) | bit(fApplied, f.Applied != 0) | bit(fRole, f.Role != 0) |
+		bit(fLeaderID, f.LeaderID != "") | bit(fLeaderRepl, f.LeaderRepl != "") |
+		bit(fLeaderSvc, f.LeaderSvc != "") | bit(fPeers, len(f.Peers) > 0) | bit(fPeer, f.Peer != Peer{}) |
+		bit(fFrom, f.From != 0) | bit(fAppliedTerm, f.AppliedTerm != 0) |
+		bit(fForceSnapshot, f.ForceSnapshot) | bit(fGranted, f.Granted) |
+		bit(fSnapshot, len(f.Snapshot) > 0) | bit(fSnapIndex, f.SnapIndex != 0)
+	b = binary.AppendUvarint(append(b, byte(f.Type)), mask)
+	if mask&fTerm != 0 {
+		b = binary.AppendUvarint(b, f.Term)
+	}
+	if mask&fRecords != 0 {
+		b = appendBytes(b, f.Records)
+	}
+	if mask&fLast != 0 {
+		b = binary.AppendUvarint(b, f.Last)
+	}
+	if mask&fCommitted != 0 {
+		b = binary.AppendUvarint(b, f.Committed)
+	}
+	if mask&fApplied != 0 {
+		b = binary.AppendUvarint(b, f.Applied)
+	}
+	if mask&fRole != 0 {
+		b = binary.AppendUvarint(b, uint64(f.Role))
+	}
+	if mask&fLeaderID != 0 {
+		b = appendBytes(b, f.LeaderID)
+	}
+	if mask&fLeaderRepl != 0 {
+		b = appendBytes(b, f.LeaderRepl)
+	}
+	if mask&fLeaderSvc != 0 {
+		b = appendBytes(b, f.LeaderSvc)
+	}
+	if mask&fPeers != 0 {
+		b = binary.AppendUvarint(b, uint64(len(f.Peers)))
+		for i := range f.Peers {
+			b = appendPeer(b, &f.Peers[i])
+		}
+	}
+	if mask&fPeer != 0 {
+		b = appendPeer(b, &f.Peer)
+	}
+	if mask&fFrom != 0 {
+		b = binary.AppendUvarint(b, f.From)
+	}
+	if mask&fAppliedTerm != 0 {
+		b = binary.AppendUvarint(b, f.AppliedTerm)
+	}
+	if mask&fSnapshot != 0 {
+		b = appendBytes(b, f.Snapshot)
+	}
+	if mask&fSnapIndex != 0 {
+		b = binary.AppendUvarint(b, f.SnapIndex)
+	}
+	return b
+}
+
+func appendBytes[T string | []byte](b []byte, v T) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(v))), v...)
+}
+
+func appendPeer(b []byte, p *Peer) []byte {
+	mask := bit(1, p.ID != "") | bit(2, p.Priority != 0) | bit(4, p.ReplAddr != "") | bit(8, p.SvcAddr != "")
+	b = append(b, byte(mask))
+	if p.ID != "" {
+		b = appendBytes(b, p.ID)
+	}
+	if p.Priority != 0 {
+		b = binary.AppendVarint(b, int64(p.Priority))
+	}
+	if p.ReplAddr != "" {
+		b = appendBytes(b, p.ReplAddr)
+	}
+	if p.SvcAddr != "" {
+		b = appendBytes(b, p.SvcAddr)
+	}
+	return b
+}
+
+// decodeFrame decodes body into f, overwriting all of it. Records and
+// Snapshot alias body. seen remembers the strings and Peers of the frames
+// decoded before: a string equal to the one seen in its place is kept, not
+// copied, and Peers reuses seen's slice, so the heartbeats a stream repeats
+// decode without allocating.
+func decodeFrame(f *frame, body []byte, seen *frame) error {
+	*f = frame{}
+	if len(body) == 0 || body[0] > byte(frameClaim) {
+		return errBadFrame
+	}
+	f.Type = frameType(body[0])
+	d := frameDecoder{b: body[1:]}
+	mask := d.uvarint()
+	if mask >= fSnapIndex<<1 {
+		return errBadFrame
+	}
+	if mask&fTerm != 0 {
+		f.Term = d.uvarint()
+	}
+	if mask&fRecords != 0 {
+		f.Records = d.bytes()
+	}
+	if mask&fLast != 0 {
+		f.Last = d.uvarint()
+	}
+	if mask&fCommitted != 0 {
+		f.Committed = d.uvarint()
+	}
+	if mask&fApplied != 0 {
+		f.Applied = d.uvarint()
+	}
+	if mask&fRole != 0 {
+		if r := d.uvarint(); r <= uint64(RoleLeader) {
+			f.Role = Role(r)
+		} else {
+			d.bad = true
+		}
+	}
+	if mask&fLeaderID != 0 {
+		f.LeaderID = d.str(&seen.LeaderID)
+	}
+	if mask&fLeaderRepl != 0 {
+		f.LeaderRepl = d.str(&seen.LeaderRepl)
+	}
+	if mask&fLeaderSvc != 0 {
+		f.LeaderSvc = d.str(&seen.LeaderSvc)
+	}
+	if mask&fPeers != 0 {
+		// Each peer takes at least its mask byte.
+		n := d.uvarint()
+		d.bad = d.bad || n > uint64(len(d.b))
+		for i := 0; i < int(n) && !d.bad; i++ {
+			if i == len(seen.Peers) {
+				seen.Peers = append(seen.Peers, Peer{})
+			}
+			d.peer(&seen.Peers[i])
+		}
+		f.Peers = seen.Peers[:min(n, uint64(len(seen.Peers)))]
+	}
+	if mask&fPeer != 0 {
+		d.peer(&seen.Peer)
+		f.Peer = seen.Peer
+	}
+	if mask&fFrom != 0 {
+		f.From = d.uvarint()
+	}
+	if mask&fAppliedTerm != 0 {
+		f.AppliedTerm = d.uvarint()
+	}
+	f.ForceSnapshot = mask&fForceSnapshot != 0
+	f.Granted = mask&fGranted != 0
+	if mask&fSnapshot != 0 {
+		f.Snapshot = d.bytes()
+	}
+	if mask&fSnapIndex != 0 {
+		f.SnapIndex = d.uvarint()
+	}
+	if d.bad || len(d.b) != 0 {
+		return errBadFrame
+	}
+	return nil
+}
+
+// frameDecoder reads a body's fields; the first failure sticks in bad and
+// every later read returns a zero value.
+type frameDecoder struct {
+	b   []byte
+	bad bool
+}
+
+func (d *frameDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.bad, d.b = true, nil
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *frameDecoder) bytes() []byte {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.bad, d.b = true, nil
+		return nil
+	}
+	v := d.b[:n:n]
+	d.b = d.b[n:]
+	return v
+}
+
+// str decodes a string into *seen — a copy only when the bytes spell
+// something else — and returns it.
+func (d *frameDecoder) str(seen *string) string {
+	if b := d.bytes(); string(b) != *seen {
+		*seen = string(b)
+	}
+	return *seen
+}
+
+// peer decodes a Peer into *p, keeping its strings where they are unchanged.
+func (d *frameDecoder) peer(p *Peer) {
+	if len(d.b) == 0 || d.b[0] > 15 {
+		d.bad, d.b = true, nil
+		return
+	}
+	mask := d.b[0]
+	d.b = d.b[1:]
+	var next Peer
+	if mask&1 != 0 {
+		next.ID = d.str(&p.ID)
+	}
+	if mask&2 != 0 {
+		v, n := binary.Varint(d.b)
+		if n <= 0 || int64(int(v)) != v {
+			d.bad, d.b = true, nil
+			return
+		}
+		next.Priority, d.b = int(v), d.b[n:]
+	}
+	if mask&4 != 0 {
+		next.ReplAddr = d.str(&p.ReplAddr)
+	}
+	if mask&8 != 0 {
+		next.SvcAddr = d.str(&p.SvcAddr)
+	}
+	*p = next
+}
+
+// frameWriter writes frames to one connection, each with a single Write,
+// encoded into a buffer it reuses.
+type frameWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+func (w *frameWriter) write(f *frame) error {
+	// The body is encoded behind room for the longest length prefix, which
+	// then goes right in front of it: no second copy.
+	const room = binary.MaxVarintLen64
+	b := appendFrameBody(append(w.buf[:0], make([]byte, room)...), f)
+	var pre [room]byte
+	k := binary.PutUvarint(pre[:], uint64(len(b)-room))
+	copy(b[room-k:], pre[:k])
+	if w.buf = b; cap(b) > frameBufKeep {
+		w.buf = nil
+	}
+	_, err := w.w.Write(b[room-k:])
+	return err
+}
+
+// frameReader reads frames from one connection into a body buffer it
+// reuses (up to frameBufKeep).
+type frameReader struct {
+	r    *bufio.Reader
+	buf  []byte
+	seen frame // strings and Peers decoded so far (decodeFrame)
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReader(r)}
+}
+
+// read decodes the next frame into f. Its Records and Snapshot hold until
+// the next read.
+func (fr *frameReader) read(f *frame) error {
+	n, err := binary.ReadUvarint(fr.r)
+	if err != nil {
+		return err
+	}
+	if n > maxFrameSize {
+		return fmt.Errorf("%w: %d-byte body", errBadFrame, n)
+	}
+	body, err := fr.body(int(n))
+	if err != nil {
+		return err
+	}
+	return decodeFrame(f, body, &fr.seen)
+}
+
+// body reads the next n bytes: into the reused buffer when they fit, else
+// into one grown as the bytes arrive — by at most what it already holds —
+// so memory follows what the peer sent, not what it claimed.
+func (fr *frameReader) body(n int) ([]byte, error) {
+	b := fr.buf[:0]
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(n-len(b), max(len(b), 4096)))
+		}
+		k, err := io.ReadFull(fr.r, b[len(b):min(n, cap(b))])
+		b = b[:len(b)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if cap(b) <= frameBufKeep {
+		fr.buf = b
+	}
+	return b, nil
 }

@@ -3,7 +3,6 @@ package replica
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -169,16 +168,10 @@ func dialRepl(t *testing.T, addr string) net.Conn {
 // and returns the first reply frame.
 func dialJoin(t *testing.T, addr string, join frame) frame {
 	t.Helper()
-	conn := dialRepl(t, addr)
-	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(&join); err != nil {
-		t.Fatal(err)
-	}
-	var reply frame
-	if err := gob.NewDecoder(conn).Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	return reply
+	s := newFake(t, dialRepl(t, addr))
+	defer s.close()
+	s.send(join)
+	return s.next()
 }
 
 // TestClaimGrantAdoptsClaimant: a node that grants a leadership claim adds
@@ -462,11 +455,12 @@ func fakePeer(t *testing.T) (Peer, *atomic.Int32) {
 			conn.SetDeadline(time.Now().Add(waitMax))
 			var pre [2]byte
 			var f frame
-			if _, err := io.ReadFull(conn, pre[:]); err == nil && gob.NewDecoder(conn).Decode(&f) == nil {
+			if _, err := io.ReadFull(conn, pre[:]); err == nil && newFrameReader(conn).read(&f) == nil {
 				if f.Type == frameClaim {
 					claims.Add(1)
 				}
-				gob.NewEncoder(conn).Encode(&frame{Type: frameStatus, Term: 1})
+				w := frameWriter{w: conn}
+				w.write(&frame{Type: frameStatus, Term: 1})
 			}
 			conn.Close()
 		}
