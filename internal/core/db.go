@@ -61,11 +61,11 @@ var schema = []string{
 	`CREATE INDEX IF NOT EXISTS eq_tags_task ON eq_tags (task_id)`,
 }
 
-// A statement is one that core issues, apart from the schema's DDL and
-// migrateSchema's; statementSQL holds the texts in declaration order. Every DB
-// prepares each once on its own engine (newDB) and runs the handle in
-// db.stmts with Value arguments. The handles are also how the watch classifier
-// (events.go) recognises a committed transition: on a follower, ApplyEntry
+// A statement is one that core issues, apart from the schema's DDL;
+// statementSQL holds the texts in declaration order. Every DB prepares each
+// once on its own engine (newDB) and runs the handle in db.stmts with Value
+// arguments. The handles are also how the watch classifier (events.go)
+// recognises a committed transition: on a follower, ApplyEntry
 // resolves each record's text to the same pinned handle. A write's text is
 // what its log records carry, byte for byte, so editing one changes the log.
 // The pop statements use the width-oblivious IN (?...) spread, so every batch
@@ -158,10 +158,8 @@ func newDB(eng *minisql.Engine, store *minisql.Store) *DB {
 // NewDB creates an empty EMEWS task database with the standard schema.
 func NewDB() (*DB, error) {
 	eng := minisql.NewEngine()
-	for _, stmt := range schema {
-		if _, err := eng.Exec(stmt); err != nil {
-			return nil, fmt.Errorf("eqsql: creating schema: %w", err)
-		}
+	if err := migrateSchema(eng); err != nil {
+		return nil, err
 	}
 	return newDB(eng, nil), nil
 }
@@ -211,54 +209,28 @@ func (db *DB) Restore(r io.Reader) error {
 	return nil
 }
 
-// migrateSchema upgrades a database restored from a snapshot written by an
-// older version: first the dedup_key column rebuild, then a re-run of the
-// schema's idempotent statements — snapshots carry only the tables and
-// indexes that existed when they were written, so without the re-run a
-// restore would silently drop later schema additions (canonically the
-// eq_out_prio ordered index, and with it the pop fast path). CREATE ... IF
-// NOT EXISTS no-ops on everything already present, and CREATE ORDERED INDEX
-// upgrades an existing plain index in place. A snapshot from the
-// single-column eq_out_prio era keeps its old (priority) index and gains the
-// composite one; both stay correct, the composite serves the pops.
+// migrateSchema brings an engine's schema up to this version's by running the
+// schema's idempotent statements: on an empty engine they create it, and on
+// one restored from a snapshot or checkpoint they add what the snapshot
+// predates. A snapshot carries only the tables and indexes that existed when
+// it was written, so without the re-run a restore would silently drop later
+// schema additions (canonically the eq_out_prio ordered index, and with it
+// the pop fast path). CREATE ... IF NOT EXISTS no-ops on everything already
+// present, and CREATE ORDERED INDEX upgrades an existing plain index in
+// place. A snapshot from the single-column eq_out_prio era keeps its old
+// (priority) index and gains the composite one; both stay correct, the
+// composite serves the pops.
 //
-// The rebuild is for snapshots written before the dedup_key column existed:
-// a pre-upgrade eq_tasks comes back without the column and every submit's
-// INSERT would fail, so its rows are re-inserted under the current schema (an
-// empty dedup_key, i.e. not deduplicable — exactly their old semantics).
-// Explicit task_ids keep the AUTOINCREMENT counter correct.
-//
-// The migration is upkeep every replica performs on its own copy, not a
-// commit, so it is applied the way a shipped entry is (atomically, past the
-// commit hook): a follower restoring in place has a hook that refuses.
+// The statements are upkeep every replica performs on its own copy, not a
+// commit, so they are applied the way a shipped entry is (atomically, past
+// the commit hook): a follower restoring in place has a hook that refuses.
 func migrateSchema(eng *minisql.Engine) error {
 	var migration minisql.LogEntry
-	add := func(sql string, args ...minisql.Value) {
-		migration.Stmts = append(migration.Stmts, minisql.Stmt{SQL: sql, Args: args})
-	}
-	var old [][]minisql.Value
-	if _, err := eng.Exec("SELECT dedup_key FROM eq_tasks LIMIT 1"); err != nil {
-		rows, err := eng.Exec(
-			`SELECT task_id, exp_id, work_type, status, payload, result, pool,
-				priority, created_at, start_at, stop_at FROM eq_tasks`)
-		if err != nil {
-			// No recognizable tasks table: not an EMEWS snapshot this version
-			// can migrate — surface the restore as-is rather than guessing.
-			return fmt.Errorf("eqsql: migrating restored schema: %w", err)
-		}
-		old = rows.Rows
-		add("DROP TABLE eq_tasks")
-	}
 	for _, stmt := range schema {
-		add(stmt)
-	}
-	for _, r := range old {
-		add(`INSERT INTO eq_tasks (task_id, exp_id, work_type, status, payload,
-				result, pool, priority, created_at, start_at, stop_at, dedup_key)
-			 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`, append(r[:len(r):len(r)], minisql.Text(""))...)
+		migration.Stmts = append(migration.Stmts, minisql.Stmt{SQL: stmt})
 	}
 	if err := eng.ApplyEntry(migration); err != nil {
-		return fmt.Errorf("eqsql: ensuring schema after restore: %w", err)
+		return fmt.Errorf("eqsql: ensuring schema: %w", err)
 	}
 	return nil
 }

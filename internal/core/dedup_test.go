@@ -130,68 +130,6 @@ func TestSubmitTasksDedupKeys(t *testing.T) {
 	}
 }
 
-// TestRestoreMigratesPreDedupSnapshot: a snapshot written before the
-// dedup_key column existed restores into a working database — the migration
-// rebuilds eq_tasks under the current schema, keeps the rows and the
-// AUTOINCREMENT counter, and submits (which now name dedup_key) work again.
-func TestRestoreMigratesPreDedupSnapshot(t *testing.T) {
-	// Reconstruct the pre-upgrade schema and state by hand.
-	old := minisql.NewEngine()
-	for _, stmt := range []string{
-		`CREATE TABLE eq_exp (exp_id TEXT PRIMARY KEY, created_at INTEGER)`,
-		`CREATE TABLE eq_tasks (
-			task_id INTEGER PRIMARY KEY AUTOINCREMENT,
-			exp_id TEXT, work_type INTEGER, status TEXT, payload TEXT,
-			result TEXT, pool TEXT, priority INTEGER,
-			created_at INTEGER, start_at INTEGER, stop_at INTEGER)`,
-		`CREATE INDEX eq_tasks_status ON eq_tasks (status)`,
-		`CREATE INDEX eq_tasks_pool ON eq_tasks (pool)`,
-		`CREATE TABLE eq_out_q (task_id INTEGER PRIMARY KEY, work_type INTEGER, priority INTEGER)`,
-		`CREATE INDEX eq_out_wt ON eq_out_q (work_type)`,
-		`CREATE TABLE eq_in_q (task_id INTEGER PRIMARY KEY, work_type INTEGER)`,
-		`CREATE TABLE eq_tags (task_id INTEGER, tag TEXT)`,
-		`CREATE INDEX eq_tags_task ON eq_tags (task_id)`,
-		`INSERT INTO eq_exp (exp_id, created_at) VALUES ('legacy', 1)`,
-		`INSERT INTO eq_tasks (exp_id, work_type, status, payload, result, pool,
-			priority, created_at, start_at, stop_at)
-		 VALUES ('legacy', 1, 'queued', 'old-payload', '', '', 5, 1, 0, 0)`,
-		`INSERT INTO eq_out_q (task_id, work_type, priority) VALUES (1, 1, 5)`,
-	} {
-		if _, err := old.Exec(stmt); err != nil {
-			t.Fatalf("building legacy state: %v", err)
-		}
-	}
-	var snap bytes.Buffer
-	if err := old.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := RestoreDB(&snap)
-	if err != nil {
-		t.Fatalf("restoring pre-dedup snapshot: %v", err)
-	}
-	defer db.Close()
-
-	// The legacy row survived the rebuild.
-	ctx := context.Background()
-	task, err := db.GetTask(ctx, 1)
-	if err != nil || task.Payload != "old-payload" || task.Priority != 5 {
-		t.Fatalf("legacy task after migration = %+v, %v", task, err)
-	}
-	// Submits (which name dedup_key) work, and the AUTOINCREMENT counter
-	// continues past the migrated rows.
-	sub, err := db.Submit(ctx, "legacy", 1, "new-payload", WithDedupKey("mig-k"))
-	if err != nil {
-		t.Fatalf("submit after migration: %v", err)
-	}
-	if sub.ID != 2 {
-		t.Fatalf("post-migration task id = %d, want 2 (AUTOINCREMENT continued)", sub.ID)
-	}
-	if dup, err := db.Submit(ctx, "legacy", 1, "new-payload", WithDedupKey("mig-k")); err != nil || dup.ID != sub.ID {
-		t.Fatalf("dedup on migrated db = (%d, %v), want %d", dup.ID, err, sub.ID)
-	}
-}
-
 // TestRestoreEnsuresOrderedIndex: a snapshot from the version that already
 // had dedup_key but predated the eq_out_prio ordered index must come back
 // with the index — migrateSchema re-applies the idempotent schema statements

@@ -3,16 +3,19 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"osprey/internal/minisql"
 	"osprey/internal/obs"
 )
 
@@ -359,5 +362,50 @@ func TestCheckpointHoldsLockForCapture(t *testing.T) {
 	if s := status.String(); !strings.Contains(s, "last_took=") || strings.Contains(s, "last_took=0s") ||
 		!strings.Contains(s, "last_snapshot_lock=") || strings.Contains(s, "last_snapshot_lock=0s") {
 		t.Fatalf("/statusz durability block does not report the last checkpoint:\n%s", s)
+	}
+}
+
+// gobEraCheckpointHex opens a checkpoint of this schema as builds before the
+// record format wrote it: one encoding/gob message.
+const gobEraCheckpointHex = "" +
+	"2b7f03010106736e6170444201ff80000102010756657273696f6e0104000106" +
+	"5461626c657301ff9000000022ff8f020101135b5d6d696e6973716c2e736e61"
+
+// TestOpenRefusesGobEraCheckpoint: a data dir whose only checkpoint predates
+// the record format does not open when its log cannot replay what the
+// checkpoint held — no log at all, or one that starts after it — and the
+// error names the checkpoint's format instead of only the log's gap.
+func TestOpenRefusesGobEraCheckpoint(t *testing.T) {
+	gobEra, err := hex.DecodeString(gobEraCheckpointHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, logFrom := range []uint64{0, 6} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("checkpoint-%020d.snap", 5)), gobEra, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if logFrom > 0 {
+			log, err := minisql.OpenDiskLog(filepath.Join(dir, "wal"), 0, false, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Append(minisql.LogEntry{Index: logFrom, Stmts: []minisql.Stmt{{
+				SQL: "DELETE FROM eq_out_q WHERE task_id = ?", Args: []minisql.Value{minisql.Int64(1)},
+			}}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db, err := Open(dir, OpenOptions{})
+		if err == nil {
+			db.Close()
+			t.Fatalf("log from %d: opened a data dir whose only checkpoint is gob-era", logFrom)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "unrecognised checkpoint format") || !strings.Contains(msg, "gob") {
+			t.Fatalf("log from %d: Open: %v; want an error naming the checkpoint format", logFrom, err)
+		}
 	}
 }

@@ -43,11 +43,17 @@ const durableWaitTimeout = 15 * time.Second
 // entry's fsync, which concurrent callers share (waitDurable).
 //
 // Recovery needs no live peer: restore the newest checkpoint Engine.Restore
-// accepts (falling back to the previous one), re-run the schema migration,
-// replay the log tail through the deterministic ApplyEntry path followers
-// use, and set the engine's logged index. TestCrashRecovery holds the
+// accepts (falling back to the previous one), run migrateSchema, replay the
+// log tail through the deterministic ApplyEntry path followers use, and set
+// the engine's logged index. TestCrashRecovery holds the
 // contract with a real SIGKILL; TestCheckpointReplayEquivalence byte-compares
-// a recovered engine against the live one after random churn.
+// a recovered engine against the live one after random churn. A data dir
+// whose checkpoints all fail Restore and whose log no longer reaches back to
+// the first entry does not open: the error names the newest checkpoint's
+// refusal. That is the fate of a data dir written before checkpoints were
+// records, whose gob-era checkpoints this build does not read: a replica in
+// that state is recovered by wiping its data dir and re-joining the cluster,
+// which bootstraps it from the leader's snapshot.
 //
 // In a cluster (internal/replica) a durable follower appends each shipped
 // record to its own log as received — after DecodeRecord has checked it —
@@ -85,20 +91,9 @@ func Open(dir string, opt OpenOptions) (*DB, error) {
 		store.Close()
 		return nil, fmt.Errorf("eqsql: recovering %s: %w", dir, err)
 	}
-	if restored {
-		// Checkpoints from older versions migrate exactly like restored
-		// snapshots do.
-		if err := migrateSchema(eng); err != nil {
-			store.Close()
-			return nil, err
-		}
-	} else {
-		for _, stmt := range schema {
-			if _, err := eng.Exec(stmt); err != nil {
-				store.Close()
-				return nil, fmt.Errorf("eqsql: creating schema: %w", err)
-			}
-		}
+	if err := migrateSchema(eng); err != nil {
+		store.Close()
+		return nil, err
 	}
 	for _, e := range tail {
 		if err := eng.ApplyEntry(e); err != nil {

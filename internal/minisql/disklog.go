@@ -22,7 +22,8 @@ import (
 //
 // with the payload a compact binary encoding of the entry (varint index,
 // statement count, then per statement the SQL text and typed argument
-// values; a set-based write, Tx.ExecRows, is one statement of n parameters
+// values, each appendValue's cell, the form checkpoints store cells in; a
+// set-based write, Tx.ExecRows, is one statement of n parameters
 // carrying k·n arguments, which ApplyEntry replays row by row). It is
 // produced once, at commit (WAL.Append on a replicated node,
 // DiskLog.Append where the store assigns the index); the memory WAL, the
@@ -48,9 +49,10 @@ const (
 	maxRecordSize = 256 << 20
 )
 
-// errCorrupt marks an undecodable record: CRC mismatch, truncated payload,
-// or malformed encoding. During recovery it means "valid log ends here".
-var errCorrupt = errors.New("minisql: corrupt log record")
+// errCorrupt marks an undecodable record, a log entry's or a checkpoint's:
+// CRC mismatch, truncated payload, or malformed encoding. During log recovery
+// it means "valid log ends here".
+var errCorrupt = errors.New("minisql: corrupt record")
 
 // Record is one committed entry in its encoded form, with the index the
 // bytes encode so holders can order, ship and append it without decoding.
@@ -66,26 +68,45 @@ func EncodeRecord(buf []byte, e LogEntry) []byte {
 	buf = binary.AppendUvarint(buf, e.Index)
 	buf = binary.AppendUvarint(buf, uint64(len(e.Stmts)))
 	for _, s := range e.Stmts {
-		buf = binary.AppendUvarint(buf, uint64(len(s.SQL)))
-		buf = append(buf, s.SQL...)
+		buf = appendText(buf, s.SQL)
 		buf = binary.AppendUvarint(buf, uint64(len(s.Args)))
 		for _, v := range s.Args {
-			buf = append(buf, byte(v.Kind))
-			switch v.Kind {
-			case KindInt:
-				buf = binary.AppendVarint(buf, v.Int)
-			case KindFloat:
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float))
-			case KindText:
-				buf = binary.AppendUvarint(buf, uint64(len(v.Text)))
-				buf = append(buf, v.Text...)
-			}
+			buf = appendValue(buf, v)
 		}
 	}
+	return sealRecord(buf, start)
+}
+
+// sealRecord fills in the header of the record that starts at buf[start]:
+// the payload is everything after the header's reserved bytes.
+func sealRecord(buf []byte, start int) []byte {
 	payload := buf[start+recordHeaderSize:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf
+}
+
+// appendText appends a uvarint length and the bytes of s.
+func appendText(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// appendValue appends v as one cell: its Kind byte, then a zigzag varint for
+// an integer, the little-endian IEEE bits for a float, or appendText's form
+// for text; NULL is the Kind byte alone. It and entryReader.value are the one
+// cell codec, so a value has the same bytes in a log record (an argument)
+// and in a checkpoint (a stored cell).
+func appendValue(b []byte, v Value) []byte {
+	b = append(b, byte(v.Kind))
+	switch v.Kind {
+	case KindInt:
+		b = binary.AppendVarint(b, v.Int)
+	case KindFloat:
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float))
+	case KindText:
+		b = appendText(b, v.Text)
+	}
+	return b
 }
 
 // DecodeRecord decodes the record at the front of b, whether read back from
@@ -121,104 +142,111 @@ func decodeRecord(e *LogEntry, b []byte, pins *planCache) (int, error) {
 	return size, nil
 }
 
-type entryReader struct{ b []byte }
+// entryReader walks a record payload, a log entry's or a checkpoint's. A
+// read the bytes left cannot back sets err to errCorrupt, and every read after
+// it returns zero values, so a decoder checks err where it must stop.
+type entryReader struct {
+	b   []byte
+	err error
+}
 
-func (r *entryReader) uvarint() (uint64, error) {
+func (r *entryReader) fail() { r.b, r.err = nil, errCorrupt }
+
+func (r *entryReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		return 0, errCorrupt
+		r.fail()
+		return 0
 	}
 	r.b = r.b[n:]
-	return v, nil
+	return v
 }
 
-func (r *entryReader) varint() (int64, error) {
+func (r *entryReader) varint() int64 {
 	v, n := binary.Varint(r.b)
 	if n <= 0 {
-		return 0, errCorrupt
+		r.fail()
+		return 0
 	}
 	r.b = r.b[n:]
-	return v, nil
+	return v
 }
 
-func (r *entryReader) bytes(n uint64) ([]byte, error) {
+// count reads a uvarint claiming items that take a byte each at least.
+func (r *entryReader) count() uint64 {
+	if n := r.uvarint(); n <= uint64(len(r.b)) {
+		return n
+	}
+	r.fail()
+	return 0
+}
+
+// bytes reads n bytes, which alias the payload; nil on failure.
+func (r *entryReader) bytes(n uint64) []byte {
 	if n > uint64(len(r.b)) {
-		return nil, errCorrupt
+		r.fail()
+		return nil
 	}
 	out := r.b[:n]
 	r.b = r.b[n:]
-	return out, nil
+	return out
+}
+
+func (r *entryReader) u8() byte {
+	if b := r.bytes(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+// text reads appendText's form.
+func (r *entryReader) text() []byte { return r.bytes(r.uvarint()) }
+
+// value reads one appendValue cell. An unknown Kind is corrupt.
+func (r *entryReader) value() Value {
+	v := Value{Kind: Kind(r.u8())}
+	switch v.Kind {
+	case KindNull:
+	case KindInt:
+		v.Int = r.varint()
+	case KindFloat:
+		if b := r.bytes(8); b != nil {
+			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		}
+	case KindText:
+		v.Text = string(r.text())
+	default:
+		r.fail()
+	}
+	return v
 }
 
 // decodeEntry decodes payload into e (see decodeRecord).
 func decodeEntry(e *LogEntry, payload []byte, pins *planCache) error {
 	r := entryReader{b: payload}
-	var err error
-	if e.Index, err = r.uvarint(); err != nil {
-		return err
-	}
-	nStmts, err := r.uvarint()
-	if err != nil || nStmts > uint64(len(r.b)) {
-		return errCorrupt
-	}
+	e.Index = r.uvarint()
+	nStmts := r.count()
 	e.Stmts = e.Stmts[:0]
-	for i := uint64(0); i < nStmts; i++ {
+	for i := uint64(0); i < nStmts && r.err == nil; i++ {
 		e.Stmts = growOne(e.Stmts, nStmts)
 		s := &e.Stmts[i]
 		s.prep = nil
-		slen, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		sql, err := r.bytes(slen)
-		if err != nil {
-			return err
-		}
-		s.SQL = pins.text(sql)
-		nArgs, err := r.uvarint()
-		if err != nil || nArgs > uint64(len(r.b))+1 {
-			return errCorrupt
+		s.SQL = pins.text(r.text())
+		nArgs := r.uvarint()
+		if nArgs > uint64(len(r.b))+1 {
+			r.fail()
 		}
 		s.Args = s.Args[:0]
-		for j := uint64(0); j < nArgs; j++ {
-			kb, err := r.bytes(1)
-			if err != nil {
-				return err
-			}
-			v := Value{Kind: Kind(kb[0])}
-			switch v.Kind {
-			case KindNull:
-			case KindInt:
-				if v.Int, err = r.varint(); err != nil {
-					return err
-				}
-			case KindFloat:
-				fb, err := r.bytes(8)
-				if err != nil {
-					return err
-				}
-				v.Float = math.Float64frombits(binary.LittleEndian.Uint64(fb))
-			case KindText:
-				tlen, err := r.uvarint()
-				if err != nil {
-					return err
-				}
-				tb, err := r.bytes(tlen)
-				if err != nil {
-					return err
-				}
-				v.Text = string(tb)
-			default:
-				return errCorrupt
-			}
+		for j := uint64(0); j < nArgs && r.err == nil; j++ {
+			v := r.value()
 			s.Args = growOne(s.Args, nArgs)
 			s.Args[j] = v
 		}
 	}
 	if len(r.b) != 0 {
-		return errCorrupt
+		r.fail()
 	}
-	return nil
+	return r.err
 }
 
 // growOne extends s by one element, reusing its capacity. Past it, capacity

@@ -547,8 +547,8 @@ func filterIDs(t *table, where expr, ev *evalCtx, candidates []int64) ([]int64, 
 	}
 	out := candidates[:0]
 	for _, id := range candidates {
-		row, ok := t.rows[id]
-		if !ok {
+		row := t.row(id)
+		if row == nil {
 			continue
 		}
 		ev.row = row
@@ -612,7 +612,7 @@ func (b *bound) countByIndex(ev *evalCtx) (int, error) {
 	// Every row of the set holds the same column value, so the clause's
 	// verdict on one of them (a NULL or non-canonical probe such as '05'
 	// against 5 matches none) is its verdict on all.
-	ev.row = b.t.rows[set.any()]
+	ev.row = b.t.row(set.any())
 	if v, err = b.where.eval(ev); err != nil || !truthy(v) {
 		return 0, err
 	}
@@ -657,7 +657,7 @@ func (h *Prepared) execSelect(ev *evalCtx, fn func([]Value) error) (int, error) 
 		}
 		if len(b.order) > 0 {
 			slices.SortStableFunc(ids, func(x, y int64) int {
-				return cmpRows(t.rows[x], t.rows[y], b.order)
+				return cmpRows(t.row(x), t.row(y), b.order)
 			})
 		}
 		if b.limit != nil {
@@ -675,7 +675,7 @@ func (h *Prepared) execSelect(ev *evalCtx, fn func([]Value) error) (int, error) 
 		return len(ids), nil
 	}
 	for _, id := range ids {
-		row := t.rows[id]
+		row := t.row(id)
 		for i, p := range b.pos {
 			h.row[i] = row[p]
 		}
@@ -735,7 +735,7 @@ func (b *bound) orderedTopN(dst []int64, ev *evalCtx) (ids []int64, fromIndex bo
 		}
 	}
 	rest := b.order[1:]
-	cmpRest := func(x, y int64) int { return cmpRows(t.rows[x], t.rows[y], rest) }
+	cmpRest := func(x, y int64) int { return cmpRows(t.row(x), t.row(y), rest) }
 
 	// The index is consumed one run of equal first-key values at a time, runs
 	// in query order and each run ascending by (second key,) rowid, until n
@@ -769,7 +769,7 @@ func (b *bound) orderedTopN(dst []int64, ev *evalCtx) (ids []int64, fromIndex bo
 			}
 			id := list.at(p).id
 			if b.where != nil {
-				ev.row = t.rows[id]
+				ev.row = t.row(id)
 				v, err := b.where.eval(ev)
 				if err != nil {
 					return nil, false, err
@@ -815,7 +815,7 @@ func (e *Engine) execUpdate(h *Prepared, ev *evalCtx, hits []int) (int, error) {
 		}
 		h.ids = ids[:0]
 		for _, id := range ids {
-			old := t.rows[id]
+			old := t.row(id)
 			row := make([]Value, len(old))
 			copy(row, old)
 			ev.row = old

@@ -120,7 +120,7 @@ func TestIndexMissEvaluatesNoRows(t *testing.T) {
 		}
 		if evaluated != tc.rows || len(ids) != tc.rows {
 			t.Errorf("%s %v: WHERE evaluated on %d rows and matched %d, want %d of %d in the table",
-				tc.sql, tc.args, evaluated, len(ids), tc.rows, len(b.t.rows))
+				tc.sql, tc.args, evaluated, len(ids), tc.rows, b.t.live)
 		}
 	}
 }

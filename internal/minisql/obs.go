@@ -39,7 +39,7 @@ func (e *Engine) TableRows(name string) int {
 	if !ok {
 		return 0
 	}
-	return len(t.rows)
+	return t.live
 }
 
 // SetSlowQueryLog installs a threshold-gated slow-statement callback: fn is

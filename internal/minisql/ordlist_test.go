@@ -152,7 +152,7 @@ func TestOrdListModel(t *testing.T) {
 	}
 	update := func() {
 		id := live[rng.Intn(len(live))]
-		row := []Value{tbl.rows[id][0], prio()}
+		row := []Value{tbl.row(id)[0], prio()}
 		old := tbl.update(id, row)
 		mirror(old, id, false)
 		mirror(row, id, true)
@@ -180,8 +180,8 @@ func TestOrdListModel(t *testing.T) {
 		t.Helper()
 		for _, spec := range specs {
 			l, ref := &tbl.indexes[spec].sorted, *refs[spec]
-			if l.count() != len(ref) || len(ref) != len(tbl.rows) {
-				t.Fatalf("step %d, index %s: %d entries, reference %d, rows %d", step, spec, l.count(), len(ref), len(tbl.rows))
+			if l.count() != len(ref) || len(ref) != tbl.live {
+				t.Fatalf("step %d, index %s: %d entries, reference %d, rows %d", step, spec, l.count(), len(ref), tbl.live)
 			}
 			if err := sameEntries(l.forward(), ref); err != nil {
 				t.Fatalf("step %d, index %s, forward: %v", step, spec, err)

@@ -1,41 +1,56 @@
 package minisql
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 )
 
-// The snapshot format: one gob message, a snapDB. Tables, index lists and
-// rows are written in a fixed order, so two engines in the same logical state
-// produce the same bytes — what checkpoint files, a follower's bootstrap
-// frame and the byte-comparing recovery and replication tests all rely on.
-// Only exported types cross the gob boundary.
+// The checkpoint format: a run of disklog.go's CRC-framed records. The first
+// payload is
+//
+//	"minisql checkpoint" | uvarint format version | uvarint table count
+//
+// and every later one is a table record or a rows record:
+//
+//	ckptTable | name | uvarint column count, per column its name, ColType byte
+//	          and flag byte (1 PrimaryKey, 2 AutoInc) | varint nextKey |
+//	          plain index specs | ordered index specs | uvarint row count
+//	ckptRows  | rows, each a uvarint cell count and its cells
+//
+// Names and specs are a uvarint length and bytes, a spec list a count and
+// specs, a cell appendValue's form — the bytes a log record gives a value. A
+// table record is followed by rows records holding exactly the rows it
+// counts. A rows record is closed before a row would take it past
+// ckptChunkBytes (a larger row gets a record of its own), so the writer holds
+// a chunk, never the checkpoint, and a flipped byte anywhere fails its
+// record's CRC. Tables are written in name order, index specs sorted and rows
+// in scan order, so two engines in the same logical state write the same
+// bytes — what checkpoint files, a follower's bootstrap frame and the
+// byte-comparing recovery and replication tests rely on. Format version 1 was
+// one encoding/gob message; it is refused as an unrecognised format.
 
-type snapValue struct {
-	Kind  Kind
-	Int   int64
-	Float float64
-	Text  string
-}
+const (
+	ckptMagic      = "minisql checkpoint"
+	ckptVersion    = 2
+	ckptTable      = 1
+	ckptRows       = 2
+	ckptChunkBytes = 64 << 10
+)
 
-type snapTable struct {
-	Name    string
-	Cols    []ColumnDef
-	Rows    [][]snapValue
-	NextKey int64
-	Indexes []string
-	// Ordered lists the columns whose index carries the sorted side. A
-	// pre-ordered-index snapshot decodes with Ordered nil and restores plain
-	// hash indexes — correct, just without the top-n fast path.
-	Ordered []string
-}
+var errCheckpointFormat = errors.New("unrecognised checkpoint format: no record-format header (a gob-encoded checkpoint from an older build is not read)")
 
-type snapDB struct {
-	Version int
-	Tables  []snapTable
+// tableCut is one table as a checkpoint holds it.
+type tableCut struct {
+	name           string
+	cols           []ColumnDef
+	nextKey        int64
+	plain, ordered []string
+	rows           [][]Value
 }
 
 // Snapshot serializes the full database state to w. It provides the
@@ -46,10 +61,10 @@ func (e *Engine) Snapshot(w io.Writer) error {
 }
 
 // SnapshotWith serializes the database like Snapshot. It holds the engine
-// lock only to capture the state — per-table metadata and the row slice
-// headers in scan order — and to invoke observe; building the wire rows and
-// gob-encoding them into w happen after the lock is released, so a slow
-// writer (a checkpoint file, a follower's socket) parks no commit. The
+// lock only to capture the state — per-table metadata and a copy of each
+// table's slots, into a buffer sized before the hold — and to invoke observe;
+// encoding and writing the records happen after the lock is released, so a
+// slow writer (a checkpoint file, a follower's socket) parks no commit. The
 // capture is a consistent cut because stored rows are copy-on-write: INSERT
 // builds a fresh slice, UPDATE copies before table.update, rollback puts the
 // old slice back, and nothing writes a stored []Value in place.
@@ -62,36 +77,26 @@ func (e *Engine) Snapshot(w io.Writer) error {
 // and must not call back into the engine.
 func (e *Engine) SnapshotWith(w io.Writer, observe func()) error {
 	e.mu.Lock()
-	t0 := time.Now()
-	// Tables and index lists serialize in sorted order so two engines in the
-	// same logical state produce byte-identical snapshots — the property the
-	// replication tests compare leader and replayed-follower state by.
-	names := make([]string, 0, len(e.tables))
-	for name := range e.tables {
-		names = append(names, name)
+	n := 0
+	for _, t := range e.tables {
+		n += len(t.slots)
 	}
-	sort.Strings(names)
-	s := snapDB{Version: 1, Tables: make([]snapTable, len(names))}
-	rows := make([][][]Value, len(names))
-	for i, name := range names {
-		t := e.tables[name]
-		st := snapTable{Name: t.name, Cols: t.cols, NextKey: t.nextKey}
-		for col, ix := range t.indexes {
+	e.mu.Unlock()
+	all := make([]slot, 0, n+n/8+64) // room for commits landing in between
+	e.mu.Lock()
+	t0 := time.Now()
+	cuts, slots := make([]tableCut, 0, len(e.tables)), make([][]slot, 0, len(e.tables))
+	for _, t := range e.tables {
+		c := tableCut{name: t.name, cols: t.cols, nextKey: t.nextKey}
+		for spec, ix := range t.indexes {
 			if ix.ordered {
-				st.Ordered = append(st.Ordered, col)
+				c.ordered = append(c.ordered, spec)
 			} else {
-				st.Indexes = append(st.Indexes, col)
+				c.plain = append(c.plain, spec)
 			}
 		}
-		sort.Strings(st.Indexes)
-		sort.Strings(st.Ordered)
-		s.Tables[i] = st
-		rows[i] = make([][]Value, 0, len(t.rows))
-		for _, id := range t.order {
-			if row, ok := t.rows[id]; ok {
-				rows[i] = append(rows[i], row)
-			}
-		}
+		all = append(all, t.slots...)
+		cuts, slots = append(cuts, c), append(slots, all[len(all)-len(t.slots):])
 	}
 	if observe != nil {
 		observe()
@@ -101,19 +106,83 @@ func (e *Engine) SnapshotWith(w io.Writer, observe func()) error {
 	if obs != nil {
 		obs(held)
 	}
-
-	for i, trows := range rows {
-		srows := make([][]snapValue, len(trows))
-		for j, row := range trows {
-			sr := make([]snapValue, len(row))
-			for k, v := range row {
-				sr[k] = snapValue(v)
+	for i, c := range cuts {
+		for _, s := range slots[i] {
+			if s.row != nil {
+				c.rows = append(c.rows, s.row)
 			}
-			srows[j] = sr
 		}
-		s.Tables[i].Rows = srows
+		sort.Strings(c.plain)
+		sort.Strings(c.ordered)
+		cuts[i] = c
 	}
-	return gob.NewEncoder(w).Encode(&s)
+	sort.Slice(cuts, func(i, j int) bool { return cuts[i].name < cuts[j].name })
+	return writeCheckpoint(w, cuts)
+}
+
+// writeCheckpoint encodes tables as a checkpoint into w.
+func writeCheckpoint(w io.Writer, cuts []tableCut) error {
+	var out, rec, row []byte
+	var err error
+	write := func() {
+		if err == nil && len(out) > 0 {
+			_, err = w.Write(out)
+		}
+		out = out[:0]
+	}
+	// emit frames rec as a record onto out, which goes to w once a chunk.
+	emit := func() {
+		if len(rec) > maxRecordSize && err == nil {
+			err = fmt.Errorf("minisql: snapshot: a %d-byte record exceeds the record bound", len(rec))
+		}
+		start := len(out)
+		out = sealRecord(append(append(out, make([]byte, recordHeaderSize)...), rec...), start)
+		if rec = rec[:0]; len(out) >= ckptChunkBytes {
+			write()
+		}
+	}
+	rec = binary.AppendUvarint(binary.AppendUvarint(append(rec, ckptMagic...), ckptVersion), uint64(len(cuts)))
+	emit()
+	for _, t := range cuts {
+		rec = binary.AppendUvarint(appendText(append(rec, ckptTable), t.name), uint64(len(t.cols)))
+		for _, col := range t.cols {
+			flags := byte(0)
+			if col.PrimaryKey {
+				flags = 1
+			}
+			if col.AutoInc {
+				flags |= 2
+			}
+			rec = append(appendText(rec, col.Name), byte(col.Type), flags)
+		}
+		rec = binary.AppendVarint(rec, t.nextKey)
+		for _, specs := range [][]string{t.plain, t.ordered} {
+			rec = binary.AppendUvarint(rec, uint64(len(specs)))
+			for _, s := range specs {
+				rec = appendText(rec, s)
+			}
+		}
+		rec = binary.AppendUvarint(rec, uint64(len(t.rows)))
+		emit()
+		for _, r := range t.rows {
+			row = binary.AppendUvarint(row[:0], uint64(len(r)))
+			for _, v := range r {
+				row = appendValue(row, v)
+			}
+			if len(rec) > 1 && len(rec)+len(row) > ckptChunkBytes {
+				emit()
+			}
+			if len(rec) == 0 {
+				rec = append(rec, ckptRows)
+			}
+			rec = append(rec, row...)
+		}
+		if len(rec) > 0 {
+			emit()
+		}
+	}
+	write()
+	return err
 }
 
 // SnapshotLogged serializes the database like Snapshot and returns the
@@ -127,59 +196,20 @@ func (e *Engine) SnapshotLogged(w io.Writer) (uint64, error) {
 }
 
 // Restore replaces the database contents with a snapshot produced by
-// Snapshot. The bytes come from a disk or a socket, so the decoded snapshot is
-// checked before anything is built from it (a row narrower than its table
-// would index out of range under the first index): on any error the engine is
-// untouched, which is what lets Store.Recover fall back to the older
-// checkpoint and a follower refuse a bad bootstrap instead of dying.
+// Snapshot. The bytes come from a disk or a socket, so all of them are
+// checked before the engine sees a table — every record's CRC, the layout,
+// each row's width and cells, keys against nextKey, the row and table counts,
+// the index specs: on any error the engine is untouched, which is what lets
+// Store.Recover fall back to the older checkpoint and a follower refuse a bad
+// bootstrap instead of dying.
 func (e *Engine) Restore(r io.Reader) error {
-	var s snapDB
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	data, err := io.ReadAll(r)
+	var tables map[string]*table
+	if err == nil {
+		tables, err = decodeCheckpoint(data)
+	}
+	if err != nil {
 		return fmt.Errorf("minisql: restore: %w", err)
-	}
-	if s.Version != 1 {
-		return fmt.Errorf("minisql: restore: unsupported snapshot version %d", s.Version)
-	}
-	tables := make(map[string]*table, len(s.Tables))
-	for _, st := range s.Tables {
-		if _, dup := tables[st.Name]; dup {
-			return fmt.Errorf("minisql: restore: duplicate table %q", st.Name)
-		}
-		t, err := newTable(st.Name, st.Cols) // refuses duplicate columns
-		if err != nil {
-			return err
-		}
-		t.nextKey = st.NextKey
-		for _, sr := range st.Rows {
-			if len(sr) != len(st.Cols) {
-				return fmt.Errorf("minisql: restore: table %q: row of %d values for %d columns", st.Name, len(sr), len(st.Cols))
-			}
-			row := make([]Value, len(sr))
-			for i, v := range sr {
-				if v.Kind > KindText {
-					return fmt.Errorf("minisql: restore: table %q: unknown value kind %d", st.Name, v.Kind)
-				}
-				row[i] = Value(v)
-			}
-			if t.autoCol >= 0 && row[t.autoCol].AsInt() >= st.NextKey {
-				return fmt.Errorf("minisql: restore: table %q: key %d at or above NextKey %d", st.Name, row[t.autoCol].AsInt(), st.NextKey)
-			}
-			t.insert(row)
-		}
-		// Rows first, indexes after: addIndex builds each index in one pass
-		// (one sort for a sorted side) instead of n incremental inserts. It
-		// refuses a column the table lacks.
-		for _, col := range st.Indexes {
-			if err := t.addIndex(col, false); err != nil {
-				return err
-			}
-		}
-		for _, col := range st.Ordered {
-			if err := t.addIndex(col, true); err != nil {
-				return err
-			}
-		}
-		tables[st.Name] = t
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -187,5 +217,131 @@ func (e *Engine) Restore(r io.Reader) error {
 	// A wholesale schema replacement: every handle re-binds at its next run,
 	// as after a DDL statement.
 	e.epoch++
+	return nil
+}
+
+func decodeCheckpoint(data []byte) (map[string]*table, error) {
+	head, size, err := readRecord(data)
+	if err != nil || !bytes.HasPrefix(head, []byte(ckptMagic)) {
+		return nil, errCheckpointFormat
+	}
+	r := entryReader{b: head[len(ckptMagic):]}
+	if v := r.uvarint(); v != ckptVersion && r.err == nil {
+		return nil, fmt.Errorf("unsupported checkpoint format version %d", v)
+	}
+	nTables := r.uvarint()
+	if r.err != nil || len(r.b) != 0 {
+		return nil, errors.New("malformed checkpoint header")
+	}
+	d := ckptDecoder{tables: make(map[string]*table)}
+	off, err := walkRecords(data[size:], d.record)
+	if err == nil {
+		err = d.finish()
+	}
+	if err == nil && uint64(len(d.tables)) != nTables {
+		err = fmt.Errorf("%d tables for a header counting %d", len(d.tables), nTables)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint record at byte %d: %w", size+off, err)
+	}
+	return d.tables, nil
+}
+
+// ckptDecoder builds tables record by record. A table's indexes are built
+// once its rows are in: addIndex builds each in one pass (one sort for a
+// sorted side) instead of n incremental inserts.
+type ckptDecoder struct {
+	tables         map[string]*table
+	t              *table // the table whose rows are arriving
+	want, got      uint64 // the rows its record counts, and those seen
+	plain, ordered []string
+}
+
+func (d *ckptDecoder) record(_, payload []byte) error {
+	r := entryReader{b: payload}
+	switch kind := r.u8(); {
+	case kind == ckptTable:
+		if err := d.finish(); err != nil {
+			return err
+		}
+		return d.table(&r)
+	case kind != ckptRows:
+		return fmt.Errorf("unknown record kind %d", kind)
+	case d.t == nil:
+		return errors.New("rows record before any table record")
+	}
+	for t := d.t; len(r.b) > 0; d.got++ {
+		if d.got == d.want {
+			return fmt.Errorf("table %q: more rows than the %d its record counts", t.name, d.want)
+		}
+		if n := r.uvarint(); n != uint64(len(t.cols)) && r.err == nil {
+			return fmt.Errorf("table %q: row of %d values for %d columns", t.name, n, len(t.cols))
+		}
+		row := make([]Value, len(t.cols))
+		for i := range row {
+			row[i] = r.value()
+		}
+		if r.err != nil {
+			return fmt.Errorf("table %q: row %d: %w", t.name, d.got, r.err)
+		}
+		if k := t.autoCol; k >= 0 && row[k].AsInt() >= t.nextKey {
+			return fmt.Errorf("table %q: key %d at or above nextKey %d", t.name, row[k].AsInt(), t.nextKey)
+		}
+		t.insert(row)
+	}
+	return nil
+}
+
+func (d *ckptDecoder) table(r *entryReader) error {
+	name := string(r.text())
+	cols := make([]ColumnDef, r.count())
+	for i := range cols {
+		cols[i].Name = string(r.text())
+		typ, flags := ColType(r.u8()), r.u8()
+		if typ > TypeText || flags > 3 {
+			r.fail()
+		}
+		cols[i].Type, cols[i].PrimaryKey, cols[i].AutoInc = typ, flags&1 != 0, flags&2 != 0
+	}
+	nextKey := r.varint()
+	d.plain, d.ordered = r.specs(), r.specs()
+	if d.want, d.got = r.uvarint(), 0; r.err != nil || len(r.b) != 0 {
+		return errCorrupt
+	}
+	if _, dup := d.tables[name]; dup {
+		return fmt.Errorf("duplicate table %q", name)
+	}
+	t, err := newTable(name, cols) // refuses duplicate columns
+	if err == nil {
+		t.nextKey, d.t = nextKey, t
+	}
+	return err
+}
+
+func (r *entryReader) specs() []string {
+	out := make([]string, r.count())
+	for i := range out {
+		out[i] = string(r.text())
+	}
+	return out
+}
+
+// finish completes the table whose rows were arriving, if any.
+func (d *ckptDecoder) finish() error {
+	t := d.t
+	if t == nil {
+		return nil
+	}
+	if d.got != d.want {
+		return fmt.Errorf("table %q: %d rows, its record counts %d", t.name, d.got, d.want)
+	}
+	for i, specs := range [][]string{d.plain, d.ordered} {
+		for _, spec := range specs {
+			if err := t.addIndex(spec, i == 1); err != nil { // refuses a column the table lacks
+				return err
+			}
+		}
+	}
+	d.tables[t.name], d.t = t, nil
 	return nil
 }

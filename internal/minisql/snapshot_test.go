@@ -2,17 +2,20 @@ package minisql
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestSnapshotPreservesIndexesAndNextKey pins down the gob fields that had no
-// direct coverage: secondary index definitions and the AUTOINCREMENT nextKey
-// must survive a snapshot round trip, or a restored replica would serve
-// unindexed scans and hand out duplicate task ids.
+// TestSnapshotPreservesIndexesAndNextKey pins down the checkpoint fields that
+// had no direct coverage: secondary index definitions and the AUTOINCREMENT
+// nextKey must survive a snapshot round trip, or a restored replica would
+// serve unindexed scans and hand out duplicate task ids.
 func TestSnapshotPreservesIndexesAndNextKey(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, wt INTEGER, v TEXT)")
@@ -105,73 +108,124 @@ func TestRestoredEngineReplaysWAL(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsMalformedSnapshot: a snapshot that gob can decode but that
-// does not describe a database — damaged on disk, or sent by a broken leader —
-// is refused with an error. Restore used to trust it and panic while building
-// indexes, so Store.Recover never reached the older checkpoint.
+// encodeCheckpoint is the checkpoint writer run on tables given by hand.
+func encodeCheckpoint(t testing.TB, cuts ...tableCut) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeCheckpoint(&buf, cuts); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// ckptRecord frames body as one checkpoint record of the given kind.
+func ckptRecord(kind byte, body []byte) []byte {
+	b := append(make([]byte, recordHeaderSize), kind)
+	return sealRecord(append(b, body...), 0)
+}
+
+// TestRestoreRejectsMalformedSnapshot: a checkpoint whose records check out
+// but do not describe a database — damaged on disk, or sent by a broken
+// leader — is refused with an error, and so is one whose bytes were damaged.
+// Restore used to trust a decodable snapshot and panic while building
+// indexes, so Store.Recover never reached the older checkpoint; and it used
+// to load a text cell with a flipped byte as a different value.
 func TestRestoreRejectsMalformedSnapshot(t *testing.T) {
 	cols := []ColumnDef{
 		{Name: "id", Type: TypeInteger, PrimaryKey: true, AutoInc: true},
 		{Name: "v", Type: TypeText},
 	}
-	row := func(vs ...Value) []snapValue {
-		out := make([]snapValue, len(vs))
-		for i, v := range vs {
-			out[i] = snapValue(v)
-		}
-		return out
+	good := tableCut{name: "t", cols: cols, nextKey: 2, plain: []string{"id", "v"},
+		rows: [][]Value{{Int64(1), Text("cell-text")}}}
+	with := func(edit func(*tableCut)) []byte {
+		c := good
+		edit(&c)
+		return encodeCheckpoint(t, c)
 	}
-	good := snapTable{Name: "t", Cols: cols, NextKey: 2, Indexes: []string{"id", "v"},
-		Rows: [][]snapValue{row(Int64(1), Text("a"))}}
-	with := func(edit func(*snapTable)) []snapTable {
-		st := good
-		edit(&st)
-		return []snapTable{st}
-	}
+	control := encodeCheckpoint(t, good)
+	rowRecord := ckptRecord(ckptRows, appendValue(appendValue([]byte{2}, Int64(1)), Text("x")))
+	header := encodeCheckpoint(t)
+	flipped := bytes.Clone(control)
+	flipped[bytes.Index(flipped, []byte("cell-text"))+2] ^= 0x01
+	// control is three records: the header, the table's and its one rows
+	// record. end[i] is where record i ends.
+	var end []int
+	off := 0
+	walkRecords(control, func(rec, _ []byte) error {
+		off += len(rec)
+		end = append(end, off)
+		return nil
+	})
 	cases := []struct {
-		name   string
-		tables []snapTable
+		name string
+		data []byte
 	}{
-		{"short row under an index on the missing column", with(func(st *snapTable) {
-			st.Rows = [][]snapValue{row(Int64(1))}
+		{"short row under an index on the missing column", with(func(c *tableCut) {
+			c.rows = [][]Value{{Int64(1)}}
 		})},
-		{"short row under the primary key only", with(func(st *snapTable) {
-			st.Indexes, st.Rows = nil, [][]snapValue{{}}
+		{"short row under the primary key only", with(func(c *tableCut) {
+			c.plain, c.rows = nil, [][]Value{{}}
 		})},
-		{"long row", with(func(st *snapTable) {
-			st.Rows = [][]snapValue{row(Int64(1), Text("a"), Text("b"))}
+		{"long row", with(func(c *tableCut) {
+			c.rows = [][]Value{{Int64(1), Text("a"), Text("b")}}
 		})},
-		{"index on a column the table lacks", with(func(st *snapTable) { st.Indexes = []string{"w"} })},
-		{"ordered index on a column the table lacks", with(func(st *snapTable) { st.Ordered = []string{"v,w"} })},
-		{"duplicate column", with(func(st *snapTable) { st.Cols = append(cols[:2:2], cols[1]) })},
-		{"duplicate table", []snapTable{good, good}},
-		{"NextKey below a stored key", with(func(st *snapTable) { st.NextKey = 1 })},
-		{"unknown value kind", with(func(st *snapTable) {
-			st.Rows = [][]snapValue{{snapValue(Int64(1)), {Kind: 9}}}
+		{"index on a column the table lacks", with(func(c *tableCut) { c.plain = []string{"w"} })},
+		{"ordered index on a column the table lacks", with(func(c *tableCut) { c.ordered = []string{"v,w"} })},
+		{"duplicate column", with(func(c *tableCut) { c.cols = append(cols[:2:2], cols[1]) })},
+		{"duplicate table", encodeCheckpoint(t, good, good)},
+		{"NextKey below a stored key", with(func(c *tableCut) { c.nextKey = 1 })},
+		{"unknown value kind", with(func(c *tableCut) {
+			c.rows = [][]Value{{Int64(1), {Kind: 9}}}
 		})},
+		{"rows record before any table record", append(bytes.Clone(header), rowRecord...)},
+		{"more rows than the table record counts", append(bytes.Clone(control), rowRecord...)},
+		{"fewer rows than the table record counts", control[:end[1]]},
+		{"fewer tables than the header counts", append(encodeCheckpoint(t, good, good)[:end[0]], control[end[0]:]...)},
+		{"bytes after the last record", append(bytes.Clone(control), 0)},
+		{"a flipped byte inside a text cell", flipped},
+		{"a gob-era checkpoint", gobEraCheckpoint(t)},
+		{"empty", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&snapDB{Version: 1, Tables: tc.tables}); err != nil {
-				t.Fatal(err)
-			}
 			e := NewEngine()
 			mustExec(t, e, "CREATE TABLE keep (id INTEGER)")
-			if err := e.Restore(&buf); err == nil {
+			err := e.Restore(bytes.NewReader(tc.data))
+			if err == nil {
 				t.Fatal("Restore accepted the snapshot")
 			}
+			t.Log(err)
 			if _, ok := e.tables["keep"]; !ok {
 				t.Fatal("a refused Restore replaced the engine's tables")
 			}
 		})
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snapDB{Version: 1, Tables: []snapTable{good}}); err != nil {
+	if err := NewEngine().Restore(bytes.NewReader(control)); err != nil {
+		t.Fatalf("Restore refused the well-formed control: %v", err)
+	}
+}
+
+// gobEraCheckpointHex is the opening of a checkpoint of core's empty schema
+// as builds before the record format wrote it: one encoding/gob message, the
+// snapDB type's definition first.
+const gobEraCheckpointHex = "" +
+	"2b7f03010106736e6170444201ff80000102010756657273696f6e0104000106" +
+	"5461626c657301ff9000000022ff8f020101135b5d6d696e6973716c2e736e61"
+
+func gobEraCheckpoint(t testing.TB) []byte {
+	b, err := hex.DecodeString(gobEraCheckpointHex)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := NewEngine().Restore(&buf); err != nil {
-		t.Fatalf("Restore refused the well-formed control: %v", err)
+	return b
+}
+
+// TestRestoreRefusesGobEraCheckpoint: a gob-era checkpoint is refused with an
+// error that names the format, not restored and not misread.
+func TestRestoreRefusesGobEraCheckpoint(t *testing.T) {
+	err := NewEngine().Restore(bytes.NewReader(gobEraCheckpoint(t)))
+	if err == nil || !strings.Contains(err.Error(), "unrecognised checkpoint format") || !strings.Contains(err.Error(), "gob") {
+		t.Fatalf("Restore of a gob-era checkpoint: %v, want an error naming the format", err)
 	}
 }
 
@@ -316,9 +370,59 @@ func TestSnapshotLockHoldIsCapture(t *testing.T) {
 	}
 }
 
+// TestCheckpointPinned holds the checkpoint format to its bytes: a change to
+// the layout, the cell codec or the order tables, index specs and rows are
+// written in fails here, and must bump ckptVersion. Two tables, a composite
+// ordered index beside a plain one, NULL, integer, float and text cells, and
+// a nextKey above the largest stored key (the row holding it was deleted).
+func TestCheckpointPinned(t *testing.T) {
+	e := NewEngine()
+	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, prio INTEGER, w REAL, note TEXT)")
+	mustExec(t, e, "CREATE ORDERED INDEX q_prio ON q (prio, id)")
+	mustExec(t, e, "CREATE INDEX q_note ON q (note)")
+	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", 5, 0.5, "a")
+	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", -1, nil, nil)
+	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", 7, 2.0, "gone")
+	mustExec(t, e, "DELETE FROM q WHERE id = ?", 3)
+	mustExec(t, e, "CREATE TABLE tags (task INTEGER, tag TEXT)")
+	mustExec(t, e, "INSERT INTO tags (task, tag) VALUES (?, ?)", 1, "x")
+	var buf bytes.Buffer
+	if err := e.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != pinnedCheckpointHex {
+		t.Fatalf("checkpoint bytes changed:\n got %s\nwant %s", got, pinnedCheckpointHex)
+	}
+	e2 := NewEngine()
+	if err := e2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := e2.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("the pinned checkpoint does not restore to the same bytes")
+	}
+	if ins := mustExec(t, e2, "INSERT INTO q (prio) VALUES (?)", 1); ins.LastInsertID != 4 {
+		t.Fatalf("restored engine allocated id %d, want 4", ins.LastInsertID)
+	}
+}
+
+const pinnedCheckpointHex = "" +
+	"140000003f0c0e2c6d696e6973716c20636865636b706f696e7402022f000000" +
+	"2e26c9b1010171040269640003047072696f000001770100046e6f7465020008" +
+	"02026964046e6f746501077072696f2c69640219000000fb5f10790204010201" +
+	"0a02000000000000e03f03016104010401010000180000004f80800101047461" +
+	"677302047461736b0000037461670200020000010700000071f8d19502020102" +
+	"030178"
+
 // FuzzRestoreSnapshot: a checkpoint file or a leader's bootstrap frame is
-// bytes from outside. Restore may refuse them but must not panic, and an
-// engine it did build must be whole enough to snapshot again.
+// bytes from outside. Restore may refuse them but must not panic, allocates
+// in proportion to the bytes it was given, and an engine it did build
+// snapshots to bytes that restore to the same bytes again. Each input is
+// also tried with its records' CRCs recomputed, which lets mutations reach
+// the layout checks past the CRC.
 func FuzzRestoreSnapshot(f *testing.F) {
 	e, _ := taskLikeEngine(f, 40)
 	for i := 1; i <= 60; i++ {
@@ -351,13 +455,55 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
+	f.Add(gobEraCheckpoint(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e := NewEngine()
-		if err := e.Restore(bytes.NewReader(data)); err != nil {
-			return
-		}
-		if err := e.Snapshot(io.Discard); err != nil {
-			t.Fatalf("restored engine cannot snapshot: %v", err)
+		for _, in := range [][]byte{data, resealed(data)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e := NewEngine()
+			err := e.Restore(bytes.NewReader(in))
+			runtime.ReadMemStats(&after)
+			// The densest allocation per byte is rows of NULL cells under as
+			// many ordered indexes as a table may carry: a five-byte row of
+			// four NULLs under sixteen costs ~720 bytes per byte. The constant
+			// is the engine.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > restoreAllocPerByte*uint64(len(in))+64<<10 {
+				t.Fatalf("restoring %d bytes allocated %d", len(in), grew)
+			}
+			if err != nil {
+				continue
+			}
+			var once, twice bytes.Buffer
+			if err := e.Snapshot(&once); err != nil {
+				t.Fatalf("restored engine cannot snapshot: %v", err)
+			}
+			e2 := NewEngine()
+			if err := e2.Restore(bytes.NewReader(once.Bytes())); err != nil {
+				t.Fatalf("a restored engine's snapshot does not restore: %v", err)
+			}
+			if err := e2.Snapshot(&twice); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+				t.Fatalf("snapshot -> restore -> snapshot changed the bytes (%d vs %d)", once.Len(), twice.Len())
+			}
 		}
 	})
+}
+
+const restoreAllocPerByte = 1024
+
+// resealed returns data with the CRC of every whole record it frames
+// recomputed, leaving any tail that frames no whole record as it is.
+func resealed(data []byte) []byte {
+	out := bytes.Clone(data)
+	for off := 0; off+recordHeaderSize <= len(out); {
+		n := int(binary.LittleEndian.Uint32(out[off:]))
+		if n > len(out)-off-recordHeaderSize {
+			break
+		}
+		sealRecord(out[:off+recordHeaderSize+n], off)
+		off += recordHeaderSize + n
+	}
+	return out
 }

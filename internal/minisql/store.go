@@ -20,7 +20,7 @@ import (
 // directory:
 //
 //	<dir>/wal/seg-<firstIndex>.wal   log segments (records, see disklog.go)
-//	<dir>/checkpoint-<index>.snap    engine snapshots (snapshot.go's gob encoding)
+//	<dir>/checkpoint-<index>.snap    engine snapshots (records, see snapshot.go)
 //	<dir>/meta.json                  node metadata (leadership term, membership view)
 //
 // Checkpoints and meta.json are published atomically (tmp + fsync + rename).
@@ -202,29 +202,28 @@ func checkpointPath(dir string, idx uint64) string {
 // failure, as Engine.Restore does) and returns the log tail to replay plus
 // the resulting applied index. A fresh directory returns (0, nil, nil).
 func (s *Store) Recover(restore func(r io.Reader, index uint64) error) (applied uint64, tail []LogEntry, err error) {
-	var restored uint64
-	var lastErr error
+	var restored, newestIdx uint64
+	var newestErr error // why the newest checkpoint, at newestIdx, was refused
 	for _, cp := range s.checkpointFiles() {
 		f, err := s.fs.Open(cp.Path)
-		if err != nil {
-			lastErr = err
-			continue
+		if err == nil {
+			err = restore(f, cp.Index)
+			f.Close()
 		}
-		rerr := restore(f, cp.Index)
-		f.Close()
-		if rerr != nil {
-			lastErr = rerr
-			s.logf("checkpoint %s unreadable, falling back: %v", cp.Path, rerr)
-			continue
+		if err == nil {
+			restored = cp.Index
+			break
 		}
-		restored = cp.Index
-		break
+		if newestErr == nil {
+			newestIdx, newestErr = cp.Index, fmt.Errorf("checkpoint %s: %w", cp.Path, err)
+		}
+		s.logf("checkpoint %s unreadable, falling back: %v", cp.Path, err)
 	}
-	if restored == 0 && lastErr != nil {
+	if restored == 0 && newestErr != nil {
 		// No readable checkpoint. Recovery can still succeed below when the
-		// log reaches all the way back to genesis; otherwise Entries reports
-		// the gap and the open fails.
-		s.logf("no readable checkpoint, attempting full-log replay: %v", lastErr)
+		// log reaches all the way back to genesis; otherwise the open fails
+		// naming the newest checkpoint's refusal.
+		s.logf("no readable checkpoint, attempting full-log replay: %v", newestErr)
 	}
 	// The fsynced checkpoint can be ahead of a non-fsynced log tail lost in
 	// a crash: restart the log at the checkpoint so appends continue from
@@ -238,8 +237,17 @@ func (s *Store) Recover(restore func(r io.Reader, index uint64) error) (applied 
 	if err != nil {
 		return 0, nil, err
 	}
+	// A refused checkpoint at index n > 0 stands for entries 1..n, which
+	// only a log starting at the first entry can replay in its place.
+	if restored == 0 && newestIdx > 0 && (len(tail) == 0 || tail[0].Index != 1) {
+		ok = false
+	}
 	if !ok {
-		return 0, nil, fmt.Errorf("minisql: log truncated past checkpoint %d: unrecoverable gap", restored)
+		err := fmt.Errorf("minisql: log truncated past checkpoint %d: unrecoverable gap", restored)
+		if restored == 0 && newestErr != nil {
+			err = fmt.Errorf("%w, and the newest %w", err, newestErr)
+		}
+		return 0, nil, err
 	}
 	applied = restored
 	for _, e := range tail {

@@ -2,7 +2,6 @@ package minisql
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -396,8 +395,8 @@ func TestStoreCheckpointInstallConcurrent(t *testing.T) {
 	}
 }
 
-// TestRecoverFallsBackPastMalformedCheckpoint: the newest checkpoint decodes
-// as gob but does not describe a database (a row narrower than its indexed
+// TestRecoverFallsBackPastMalformedCheckpoint: the newest checkpoint's
+// records check out but do not describe a database (a row narrower than its indexed
 // table). Engine.Restore refuses it, so recovery restores the previous
 // checkpoint and replays the log forward to the same state. Restore used to
 // panic on such a file and the fallback never ran.
@@ -430,15 +429,12 @@ func TestRecoverFallsBackPastMalformedCheckpoint(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var bad bytes.Buffer
-	if err := gob.NewEncoder(&bad).Encode(&snapDB{Version: 1, Tables: []snapTable{{
-		Name: "t", NextKey: 21, Indexes: []string{"v"},
-		Cols: []ColumnDef{{Name: "id", Type: TypeInteger}, {Name: "v", Type: TypeText}},
-		Rows: [][]snapValue{{snapValue(Int64(1))}},
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newest, bad.Bytes(), 0o644); err != nil {
+	bad := encodeCheckpoint(t, tableCut{
+		name: "t", nextKey: 21, plain: []string{"v"},
+		cols: []ColumnDef{{Name: "id", Type: TypeInteger}, {Name: "v", Type: TypeText}},
+		rows: [][]Value{{Int64(1)}},
+	})
+	if err := os.WriteFile(newest, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

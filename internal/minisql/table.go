@@ -8,20 +8,35 @@ import (
 )
 
 // table is the in-memory storage for one relation. Rows are keyed by a
-// monotonically increasing rowid; insertion order is preserved for scans so
-// that unordered SELECTs are deterministic.
+// monotonically increasing rowid and kept in slots in insertion order, which
+// scans follow so that unordered SELECTs are deterministic. A deleted row
+// leaves its slot empty (nil) until compaction, and its rowid in pos, so a
+// rollback revives it in place.
 type table struct {
 	name    string
 	cols    []ColumnDef
 	colIdx  map[string]int
-	rows    map[int64][]Value
-	order   []int64 // insertion order; may contain tombstoned ids
-	tomb    map[int64]struct{}
-	dead    int // count of tombstoned entries in order
+	slots   []slot
+	pos     map[int64]int // rowid -> its slot
+	live    int           // slots holding a row
 	nextRow int64
 	autoCol int // index of AUTOINCREMENT column, or -1
 	nextKey int64
 	indexes map[string]*hashIndex // keyed by column name
+}
+
+// slot is one row of a table and its rowid; row is nil once deleted.
+type slot struct {
+	id  int64
+	row []Value
+}
+
+// row returns the live row with rowid id, or nil.
+func (t *table) row(id int64) []Value {
+	if p, ok := t.pos[id]; ok {
+		return t.slots[p].row
+	}
+	return nil
 }
 
 // hashIndex is an index over one key column, or over a column pair. It keeps
@@ -202,8 +217,7 @@ func newTable(name string, cols []ColumnDef) (*table, error) {
 		name:    name,
 		cols:    cols,
 		colIdx:  make(map[string]int, len(cols)),
-		rows:    make(map[int64][]Value),
-		tomb:    make(map[int64]struct{}),
+		pos:     make(map[int64]int),
 		autoCol: -1,
 		nextKey: 1,
 		indexes: make(map[string]*hashIndex),
@@ -229,6 +243,10 @@ func newTable(name string, cols []ColumnDef) (*table, error) {
 	}
 	return t, nil
 }
+
+// maxTableIndexes bounds the indexes one table may carry, and with them the
+// index entries a checkpoint's bytes can make Restore build per stored row.
+const maxTableIndexes = 16
 
 // indexSpec is the canonical map key for an index: its column names joined
 // with commas ("priority" / "priority,task_id").
@@ -256,11 +274,16 @@ func (t *table) addIndex(spec string, ordered bool) error {
 		}
 		return nil
 	}
+	if len(t.indexes) >= maxTableIndexes {
+		return fmt.Errorf("minisql: table %q already has %d indexes, the most a table may carry", t.name, maxTableIndexes)
+	}
 	idx := &hashIndex{cols: pos, ordered: ordered}
 	if len(pos) == 1 {
 		idx.m = make(map[hashKey]idSet)
-		for id, row := range t.rows {
-			idx.addHash(row[pos[0]], id)
+		for _, s := range t.slots {
+			if s.row != nil {
+				idx.addHash(s.row[pos[0]], s.id)
+			}
 		}
 	}
 	if ordered {
@@ -272,9 +295,11 @@ func (t *table) addIndex(spec string, ordered bool) error {
 
 // buildSorted (re)derives the sorted side from the live rows.
 func (ix *hashIndex) buildSorted(t *table) {
-	ents := make([]ordEntry, 0, len(t.rows))
-	for id, row := range t.rows {
-		ents = append(ents, ix.entry(row, id))
+	ents := make([]ordEntry, 0, t.live)
+	for _, s := range t.slots {
+		if s.row != nil {
+			ents = append(ents, ix.entry(s.row, s.id))
+		}
 	}
 	ix.sorted.build(ents)
 }
@@ -353,25 +378,20 @@ func (ix *hashIndex) count(v Value) int {
 func (t *table) insert(row []Value) int64 {
 	id := t.nextRow
 	t.nextRow++
-	t.rows[id] = row
-	t.order = append(t.order, id)
-	for _, ix := range t.indexes {
-		ix.add(ix.entry(row, id))
-	}
+	t.insertAt(id, row)
 	return id
 }
 
-// insertAt restores a row under a previous rowid (transaction rollback).
-// If the rowid is still tombstoned in the order slice, it is revived in
-// place rather than appended, so order never holds duplicates.
+// insertAt stores a row under rowid id: a new one, or (transaction rollback)
+// a deleted one, revived in its slot when compaction has not dropped it.
 func (t *table) insertAt(id int64, row []Value) {
-	t.rows[id] = row
-	if _, tombed := t.tomb[id]; tombed {
-		delete(t.tomb, id)
-		t.dead--
+	if p, ok := t.pos[id]; ok {
+		t.slots[p].row = row
 	} else {
-		t.order = append(t.order, id)
+		t.pos[id] = len(t.slots)
+		t.slots = append(t.slots, slot{id, row})
 	}
+	t.live++
 	if id >= t.nextRow {
 		t.nextRow = id + 1
 	}
@@ -381,16 +401,15 @@ func (t *table) insertAt(id int64, row []Value) {
 }
 
 func (t *table) delete(id int64) []Value {
-	row, ok := t.rows[id]
-	if !ok {
+	row := t.row(id)
+	if row == nil {
 		return nil
 	}
 	for _, ix := range t.indexes {
 		ix.remove(ix.entry(row, id))
 	}
-	delete(t.rows, id)
-	t.tomb[id] = struct{}{}
-	t.dead++
+	t.slots[t.pos[id]].row = nil
+	t.live--
 	t.maybeCompact()
 	return row
 }
@@ -406,8 +425,8 @@ func (ix *hashIndex) keyChanged(old, new []Value) bool {
 }
 
 func (t *table) update(id int64, row []Value) []Value {
-	old, ok := t.rows[id]
-	if !ok {
+	old := t.row(id)
+	if old == nil {
 		return nil
 	}
 	for _, ix := range t.indexes {
@@ -416,33 +435,36 @@ func (t *table) update(id int64, row []Value) []Value {
 			ix.add(ix.entry(row, id))
 		}
 	}
-	t.rows[id] = row
+	t.slots[t.pos[id]].row = row
 	return old
 }
 
-// maybeCompact rebuilds the order slice when most entries are tombstones,
-// keeping full-table scans O(live rows) for queue-like churn workloads.
+// maybeCompact drops the empty slots when they are most of them, keeping
+// full-table scans O(live rows) for queue-like churn workloads.
 func (t *table) maybeCompact() {
-	if t.dead < 1024 || t.dead*2 < len(t.order) {
+	dead := len(t.slots) - t.live
+	if dead < 1024 || dead*2 < len(t.slots) {
 		return
 	}
-	live := t.order[:0]
-	for _, id := range t.order {
-		if _, ok := t.rows[id]; ok {
-			live = append(live, id)
+	live := t.slots[:0]
+	for _, s := range t.slots {
+		if s.row == nil {
+			delete(t.pos, s.id)
+			continue
 		}
+		t.pos[s.id] = len(live)
+		live = append(live, s)
 	}
-	t.order = live
-	t.dead = 0
-	t.tomb = make(map[int64]struct{})
+	clear(t.slots[len(live):])
+	t.slots = live
 }
 
 // scanIDs appends all live rowids to ids in insertion order.
 func (t *table) scanIDs(ids []int64) []int64 {
-	ids = slices.Grow(ids, len(t.rows))
-	for _, id := range t.order {
-		if _, ok := t.rows[id]; ok {
-			ids = append(ids, id)
+	ids = slices.Grow(ids, t.live)
+	for _, s := range t.slots {
+		if s.row != nil {
+			ids = append(ids, s.id)
 		}
 	}
 	return ids

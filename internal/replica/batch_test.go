@@ -360,9 +360,9 @@ const oldBuildProbe = "" +
 
 // TestPreambleMismatchRejected: a connection that does not open with this
 // build's preamble — here what a pre-preamble build sends, a bare gob frame,
-// a future protocol version, version 1 and the gob-speaking version 3 — is
-// closed unanswered, counted, and logged with the peer's address; a
-// well-formed probe beside them is served.
+// a future protocol version, version 1, the gob-speaking version 3 and
+// version 4, whose snapshots are gob — is closed unanswered, counted, and
+// logged with the peer's address; a well-formed probe beside them is served.
 func TestPreambleMismatchRejected(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
@@ -382,9 +382,13 @@ func TestPreambleMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A preamble-less build, a newer build, a version-1 build (whose engine
-	// replays only the first argument row of a set-based write) and a
-	// version-3 build, whose frames are gob.
-	openings := [][]byte{bare, {replMagic, replVersion + 1}, {replMagic, 1}, append([]byte{replMagic, 3}, bare...)}
+	// replays only the first argument row of a set-based write), a version-3
+	// build, whose frames are gob, and a version-4 build, whose frames are
+	// this codec's but whose snapshot frames carry a gob checkpoint.
+	var v4 bytes.Buffer
+	(&frameWriter{w: &v4}).write(&frame{Type: frameProbe, Peer: Peer{ID: "v4-build"}})
+	openings := [][]byte{bare, {replMagic, replVersion + 1}, {replMagic, 1}, append([]byte{replMagic, 3}, bare...),
+		append([]byte{replMagic, 4}, v4.Bytes()...)}
 	for i, opening := range openings {
 		conn, err := net.Dial("tcp", n.Addr())
 		if err != nil {

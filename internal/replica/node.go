@@ -72,8 +72,9 @@
 // interleaving of delivery, drop and tick to a bounded depth.
 //
 // On the wire, every replication connection opens with the preamble 0xF6,
-// replVersion; a peer that opens otherwise — a gob-speaking build of
-// versions 1 to 3 included — is closed unanswered, counted and logged. Then
+// replVersion; a peer that opens otherwise — a build of versions 1 to 3,
+// whose frames are gob, or of version 4, whose snapshots are — is closed
+// unanswered, counted and logged. Then
 // come frames, each a uvarint length, a type byte, a mask of the fields that
 // are set and those fields (protocol.go has the layout and its bounds). An
 // entries frame carries minisql records byte for byte; the follower decodes

@@ -102,17 +102,20 @@ const (
 // replMagic and replVersion are the two-byte preamble Node.dial opens every
 // replication connection with; handleConn closes (counts, logs) one that
 // opens differently, so two builds that would read each other's frames or
-// records differently never exchange one. Bump replVersion whenever the frame
-// codec, or what a shipped record means to the engine replaying it, changes:
+// records or checkpoints differently never exchange one. Bump replVersion
+// whenever the frame codec, what a shipped record means to the engine
+// replaying it, or the checkpoint bytes a snapshot frame carries change:
 // 2 is "a statement may carry several argument rows" — a version-1 build
 // would replay the first row of a set-based write and silently drop the rest;
 // 3 is "a join asks for a snapshot with ForceSnapshot, not with From 0" — a
 // version-2 leader would resume a joiner that needs one, and a version-2
 // joiner with nothing applied would be sent a snapshot it did not need;
-// 4 is "frames are the hand-written codec below" — versions 1 to 3 spoke gob.
+// 4 is "frames are the hand-written codec below" — versions 1 to 3 spoke gob;
+// 5 is "a snapshot frame's checkpoint bytes are minisql records" — a version-4
+// build sends and expects a gob-encoded checkpoint.
 const (
 	replMagic   = 0xF6
-	replVersion = 4
+	replVersion = 5
 )
 
 // frame is the one message of the replication protocol, which for

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 const (
@@ -68,6 +69,9 @@ const (
 	// maxFrame bounds one frame's decoded size, so a corrupt or hostile
 	// length prefix cannot balloon memory.
 	maxFrame = 64 << 20
+	// frameBufKeep is the largest read buffer a connection keeps for its
+	// next frame; a larger frame's buffer goes when the frame is handled.
+	frameBufKeep = 1 << 20
 )
 
 // errFrameTooBig marks a length prefix beyond maxFrame — malformed by fiat.
@@ -592,15 +596,25 @@ func (f *frameIO) readFrame(r *bufio.Reader) (id uint64, msg []byte, err error) 
 	if frameLen > maxFrame {
 		return 0, nil, errFrameTooBig
 	}
-	if uint64(cap(f.read)) < frameLen {
-		f.read = make([]byte, frameLen)
-	}
-	buf := f.read[:frameLen]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// The body grows as its bytes arrive — by at most what it already holds
+	// — so memory follows what the peer sent, not what it claimed, and only
+	// a buffer up to frameBufKeep stays with the connection.
+	buf, n := f.read[:0], int(frameLen)
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 4096)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return 0, nil, fmt.Errorf("%w: %w", errTruncated, err)
 		}
-		return 0, nil, err
+		if err != nil {
+			return 0, nil, err
+		}
+	}
+	if cap(buf) <= frameBufKeep {
+		f.read = buf
 	}
 	f.dec.reset(buf)
 	id = f.dec.uvarint()

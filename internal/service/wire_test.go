@@ -6,11 +6,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -344,6 +346,24 @@ func TestWireMalformedFrame(t *testing.T) {
 	sendRaw([]byte{wireMagic, 0x7F})
 	if got := srv.met.malformed.Value(); got != before+3 {
 		t.Fatalf("malformed counter = %d, want %d", got, before+3)
+	}
+}
+
+// TestReadFrameAllocatesWhatArrives: a length prefix claiming the largest
+// frame, then the end of the stream, allocates about what arrived — a few
+// KiB, not the 64 MiB claimed — and the read still reports a truncated frame.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	r := bufio.NewReader(bytes.NewReader(binary.AppendUvarint(nil, maxFrame)))
+	var f frameIO
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := f.readFrame(r)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errTruncated) {
+		t.Fatalf("readFrame: %v, want errTruncated", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("a %d-byte claim over no body allocated %d bytes", maxFrame, grew)
 	}
 }
 
