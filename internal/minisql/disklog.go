@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"osprey/internal/codec"
 )
 
 // The entry codec: a committed entry has one encoded form, the record
@@ -37,10 +38,12 @@ import (
 // reusing its Stmts and each statement's Args capacity, and resolves SQL text
 // the engine has prepared to the pinned handle's own string: a follower
 // replaying its leader's stream allocates only the text arguments, plus the
-// SQL of statements it never prepared (DDL, ad-hoc text). Counts in the
-// payload size nothing: slices grow as statements and arguments actually
-// decode, never past what the record claims, so a record whose counts its
-// bytes cannot back fails having allocated no more than it decoded.
+// SQL of statements it never prepared (DDL, ad-hoc text).
+//
+// Bounds: the codec package's rule, with maxRecordSize the record bound. On
+// top of it, Stmts and Args grow as statements and arguments decode, never
+// past what the record claims, so a record whose counts its bytes cannot
+// back fails having allocated no more than it decoded.
 
 const (
 	recordHeaderSize = 8
@@ -65,11 +68,11 @@ type Record struct {
 func EncodeRecord(buf []byte, e LogEntry) []byte {
 	start := len(buf)
 	buf = append(buf, make([]byte, recordHeaderSize)...)
-	buf = binary.AppendUvarint(buf, e.Index)
-	buf = binary.AppendUvarint(buf, uint64(len(e.Stmts)))
+	buf = codec.AppendUvarint(buf, e.Index)
+	buf = codec.AppendUvarint(buf, uint64(len(e.Stmts)))
 	for _, s := range e.Stmts {
-		buf = appendText(buf, s.SQL)
-		buf = binary.AppendUvarint(buf, uint64(len(s.Args)))
+		buf = codec.AppendString(buf, s.SQL)
+		buf = codec.AppendUvarint(buf, uint64(len(s.Args)))
 		for _, v := range s.Args {
 			buf = appendValue(buf, v)
 		}
@@ -86,25 +89,20 @@ func sealRecord(buf []byte, start int) []byte {
 	return buf
 }
 
-// appendText appends a uvarint length and the bytes of s.
-func appendText(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
 // appendValue appends v as one cell: its Kind byte, then a zigzag varint for
-// an integer, the little-endian IEEE bits for a float, or appendText's form
-// for text; NULL is the Kind byte alone. It and entryReader.value are the one
-// cell codec, so a value has the same bytes in a log record (an argument)
-// and in a checkpoint (a stored cell).
+// an integer, the little-endian IEEE bits for a float, or a uvarint length
+// and the bytes for text; NULL is the Kind byte alone. It and readValue are
+// the one cell codec, so a value has the same bytes in a log record (an
+// argument) and in a checkpoint (a stored cell).
 func appendValue(b []byte, v Value) []byte {
 	b = append(b, byte(v.Kind))
 	switch v.Kind {
 	case KindInt:
-		b = binary.AppendVarint(b, v.Int)
+		b = codec.AppendVarint(b, v.Int)
 	case KindFloat:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float))
+		b = codec.AppendFloat64(b, v.Float)
 	case KindText:
-		b = appendText(b, v.Text)
+		b = codec.AppendString(b, v.Text)
 	}
 	return b
 }
@@ -142,122 +140,57 @@ func decodeRecord(e *LogEntry, b []byte, pins *planCache) (int, error) {
 	return size, nil
 }
 
-// entryReader walks a record payload, a log entry's or a checkpoint's. A
-// read the bytes left cannot back sets err to errCorrupt, and every read after
-// it returns zero values, so a decoder checks err where it must stop.
-type entryReader struct {
-	b   []byte
-	err error
-}
-
-func (r *entryReader) fail() { r.b, r.err = nil, errCorrupt }
-
-func (r *entryReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *entryReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// count reads a uvarint claiming items that take a byte each at least.
-func (r *entryReader) count() uint64 {
-	if n := r.uvarint(); n <= uint64(len(r.b)) {
-		return n
-	}
-	r.fail()
-	return 0
-}
-
-// bytes reads n bytes, which alias the payload; nil on failure.
-func (r *entryReader) bytes(n uint64) []byte {
-	if n > uint64(len(r.b)) {
-		r.fail()
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *entryReader) u8() byte {
-	if b := r.bytes(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-// text reads appendText's form.
-func (r *entryReader) text() []byte { return r.bytes(r.uvarint()) }
-
-// value reads one appendValue cell. An unknown Kind is corrupt.
-func (r *entryReader) value() Value {
-	v := Value{Kind: Kind(r.u8())}
+// readValue reads one appendValue cell. An unknown Kind is corrupt.
+func readValue(r *codec.Reader) Value {
+	v := Value{Kind: Kind(r.Byte())}
 	switch v.Kind {
 	case KindNull:
 	case KindInt:
-		v.Int = r.varint()
+		v.Int = r.Varint()
 	case KindFloat:
-		if b := r.bytes(8); b != nil {
-			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		}
+		v.Float = r.Float64()
 	case KindText:
-		v.Text = string(r.text())
+		v.Text = r.String()
 	default:
-		r.fail()
+		r.Fail()
 	}
 	return v
 }
 
 // decodeEntry decodes payload into e (see decodeRecord).
 func decodeEntry(e *LogEntry, payload []byte, pins *planCache) error {
-	r := entryReader{b: payload}
-	e.Index = r.uvarint()
-	nStmts := r.count()
+	r := codec.NewReader(payload, errCorrupt)
+	e.Index = r.Uvarint()
+	nStmts := r.Count(2) // SQL text length, argument count
 	e.Stmts = e.Stmts[:0]
-	for i := uint64(0); i < nStmts && r.err == nil; i++ {
+	for i := 0; i < nStmts && r.Err() == nil; i++ {
 		e.Stmts = growOne(e.Stmts, nStmts)
 		s := &e.Stmts[i]
 		s.prep = nil
-		s.SQL = pins.text(r.text())
-		nArgs := r.uvarint()
-		if nArgs > uint64(len(r.b))+1 {
-			r.fail()
-		}
+		s.SQL = pins.text(r.Bytes())
+		nArgs := r.Count(1) // a cell's Kind byte
 		s.Args = s.Args[:0]
-		for j := uint64(0); j < nArgs && r.err == nil; j++ {
-			v := r.value()
+		for j := 0; j < nArgs && r.Err() == nil; j++ {
+			v := readValue(&r)
 			s.Args = growOne(s.Args, nArgs)
 			s.Args[j] = v
 		}
 	}
-	if len(r.b) != 0 {
-		r.fail()
+	if r.Len() != 0 {
+		r.Fail()
 	}
-	return r.err
+	return r.Err()
 }
 
 // growOne extends s by one element, reusing its capacity. Past it, capacity
 // doubles but never beyond claimed, the count the record states: allocation
 // follows what decodes, and a count the bytes cannot back sizes nothing. The
 // new element may hold a previous decode's value, which the caller overwrites.
-func growOne[T any](s []T, claimed uint64) []T {
+func growOne[T any](s []T, claimed int) []T {
 	if len(s) < cap(s) {
 		return s[:len(s)+1]
 	}
-	g := make([]T, len(s)+1, min(max(2*cap(s), 4), int(claimed)))
+	g := make([]T, len(s)+1, min(max(2*cap(s), 4), claimed))
 	copy(g, s)
 	return g
 }
@@ -757,14 +690,11 @@ func (d *DiskLog) Records(after uint64) (out []Record, ok bool, err error) {
 			data = data[:s.bytes]
 		}
 		off, werr := walkRecords(data, func(rec, payload []byte) error {
-			idx, n := binary.Uvarint(payload)
-			if n <= 0 {
-				return errCorrupt
-			}
-			if idx > after {
+			r := codec.NewReader(payload, errCorrupt)
+			if idx := r.Uvarint(); idx > after {
 				out = append(out, Record{Index: idx, Data: rec})
 			}
-			return nil
+			return r.Err()
 		})
 		if werr != nil {
 			return nil, false, fmt.Errorf("%w: segment %s offset %d", werr, s.path, off)

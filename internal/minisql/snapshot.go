@@ -2,12 +2,13 @@ package minisql
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"time"
+
+	"osprey/internal/codec"
 )
 
 // The checkpoint format: a run of disklog.go's CRC-framed records. The first
@@ -141,10 +142,10 @@ func writeCheckpoint(w io.Writer, cuts []tableCut) error {
 			write()
 		}
 	}
-	rec = binary.AppendUvarint(binary.AppendUvarint(append(rec, ckptMagic...), ckptVersion), uint64(len(cuts)))
+	rec = codec.AppendUvarint(codec.AppendUvarint(append(rec, ckptMagic...), ckptVersion), uint64(len(cuts)))
 	emit()
 	for _, t := range cuts {
-		rec = binary.AppendUvarint(appendText(append(rec, ckptTable), t.name), uint64(len(t.cols)))
+		rec = codec.AppendUvarint(codec.AppendString(append(rec, ckptTable), t.name), uint64(len(t.cols)))
 		for _, col := range t.cols {
 			flags := byte(0)
 			if col.PrimaryKey {
@@ -153,19 +154,19 @@ func writeCheckpoint(w io.Writer, cuts []tableCut) error {
 			if col.AutoInc {
 				flags |= 2
 			}
-			rec = append(appendText(rec, col.Name), byte(col.Type), flags)
+			rec = append(codec.AppendString(rec, col.Name), byte(col.Type), flags)
 		}
-		rec = binary.AppendVarint(rec, t.nextKey)
+		rec = codec.AppendVarint(rec, t.nextKey)
 		for _, specs := range [][]string{t.plain, t.ordered} {
-			rec = binary.AppendUvarint(rec, uint64(len(specs)))
+			rec = codec.AppendUvarint(rec, uint64(len(specs)))
 			for _, s := range specs {
-				rec = appendText(rec, s)
+				rec = codec.AppendString(rec, s)
 			}
 		}
-		rec = binary.AppendUvarint(rec, uint64(len(t.rows)))
+		rec = codec.AppendUvarint(rec, uint64(len(t.rows)))
 		emit()
 		for _, r := range t.rows {
-			row = binary.AppendUvarint(row[:0], uint64(len(r)))
+			row = codec.AppendUvarint(row[:0], uint64(len(r)))
 			for _, v := range r {
 				row = appendValue(row, v)
 			}
@@ -225,12 +226,12 @@ func decodeCheckpoint(data []byte) (map[string]*table, error) {
 	if err != nil || !bytes.HasPrefix(head, []byte(ckptMagic)) {
 		return nil, errCheckpointFormat
 	}
-	r := entryReader{b: head[len(ckptMagic):]}
-	if v := r.uvarint(); v != ckptVersion && r.err == nil {
+	r := codec.NewReader(head[len(ckptMagic):], errCorrupt)
+	if v := r.Uvarint(); v != ckptVersion && r.Err() == nil {
 		return nil, fmt.Errorf("unsupported checkpoint format version %d", v)
 	}
-	nTables := r.uvarint()
-	if r.err != nil || len(r.b) != 0 {
+	nTables := r.Uvarint()
+	if r.Err() != nil || r.Len() != 0 {
 		return nil, errors.New("malformed checkpoint header")
 	}
 	d := ckptDecoder{tables: make(map[string]*table)}
@@ -258,8 +259,8 @@ type ckptDecoder struct {
 }
 
 func (d *ckptDecoder) record(_, payload []byte) error {
-	r := entryReader{b: payload}
-	switch kind := r.u8(); {
+	r := codec.NewReader(payload, errCorrupt)
+	switch kind := r.Byte(); {
 	case kind == ckptTable:
 		if err := d.finish(); err != nil {
 			return err
@@ -270,19 +271,19 @@ func (d *ckptDecoder) record(_, payload []byte) error {
 	case d.t == nil:
 		return errors.New("rows record before any table record")
 	}
-	for t := d.t; len(r.b) > 0; d.got++ {
+	for t := d.t; r.Len() > 0; d.got++ {
 		if d.got == d.want {
 			return fmt.Errorf("table %q: more rows than the %d its record counts", t.name, d.want)
 		}
-		if n := r.uvarint(); n != uint64(len(t.cols)) && r.err == nil {
+		if n := r.Uvarint(); n != uint64(len(t.cols)) && r.Err() == nil {
 			return fmt.Errorf("table %q: row of %d values for %d columns", t.name, n, len(t.cols))
 		}
 		row := make([]Value, len(t.cols))
 		for i := range row {
-			row[i] = r.value()
+			row[i] = readValue(&r)
 		}
-		if r.err != nil {
-			return fmt.Errorf("table %q: row %d: %w", t.name, d.got, r.err)
+		if r.Err() != nil {
+			return fmt.Errorf("table %q: row %d: %w", t.name, d.got, r.Err())
 		}
 		if k := t.autoCol; k >= 0 && row[k].AsInt() >= t.nextKey {
 			return fmt.Errorf("table %q: key %d at or above nextKey %d", t.name, row[k].AsInt(), t.nextKey)
@@ -292,20 +293,20 @@ func (d *ckptDecoder) record(_, payload []byte) error {
 	return nil
 }
 
-func (d *ckptDecoder) table(r *entryReader) error {
-	name := string(r.text())
-	cols := make([]ColumnDef, r.count())
+func (d *ckptDecoder) table(r *codec.Reader) error {
+	name := r.String()
+	cols := make([]ColumnDef, r.Count(3)) // name length, type, flags
 	for i := range cols {
-		cols[i].Name = string(r.text())
-		typ, flags := ColType(r.u8()), r.u8()
+		cols[i].Name = r.String()
+		typ, flags := ColType(r.Byte()), r.Byte()
 		if typ > TypeText || flags > 3 {
-			r.fail()
+			r.Fail()
 		}
 		cols[i].Type, cols[i].PrimaryKey, cols[i].AutoInc = typ, flags&1 != 0, flags&2 != 0
 	}
-	nextKey := r.varint()
-	d.plain, d.ordered = r.specs(), r.specs()
-	if d.want, d.got = r.uvarint(), 0; r.err != nil || len(r.b) != 0 {
+	nextKey := r.Varint()
+	d.plain, d.ordered = readSpecs(r), readSpecs(r)
+	if d.want, d.got = r.Uvarint(), 0; r.Err() != nil || r.Len() != 0 {
 		return errCorrupt
 	}
 	if _, dup := d.tables[name]; dup {
@@ -318,10 +319,10 @@ func (d *ckptDecoder) table(r *entryReader) error {
 	return err
 }
 
-func (r *entryReader) specs() []string {
-	out := make([]string, r.count())
+func readSpecs(r *codec.Reader) []string {
+	out := make([]string, r.Count(1))
 	for i := range out {
-		out[i] = string(r.text())
+		out[i] = r.String()
 	}
 	return out
 }

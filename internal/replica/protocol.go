@@ -2,12 +2,11 @@ package replica
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-	"slices"
 	"sort"
+
+	"osprey/internal/codec"
 )
 
 // Role is a node's position in the cluster.
@@ -181,23 +180,21 @@ type frame struct {
 //
 // A field's bit is set when the field is not its zero value, so a frame costs
 // what it carries: an ack is a length, a type, a mask and its index; an
-// entries frame is its records and about a dozen bytes more. Unsigned integers and Role are uvarints, Peer.Priority a
-// zigzag varint, strings and byte slices a uvarint length and their bytes; a
-// bool is its bit alone. A Peer is its own mask byte (fields in declaration
-// order) and fields, Peers a count and that many Peers. The field bits run
-// from fTerm up, the hot frames' fields first so their masks take one byte.
+// entries frame is its records and about a dozen bytes more. Unsigned
+// integers and Role are uvarints, Peer.Priority a zigzag varint, strings and
+// byte slices a uvarint length and their bytes; a bool is its bit alone. A
+// Peer is its own mask byte (fields in declaration order) and fields, Peers a
+// count and that many Peers. The field bits run from fTerm up, the hot
+// frames' fields first so their masks take one byte.
 //
-// Bounds: a body longer than maxFrameSize is refused before anything is
-// allocated, and a longer body than the reader has held is read into a
-// buffer grown as its bytes arrive, so a length claim allocates at most twice
-// what was actually sent, or one 4 KiB chunk. A Peers count must fit the
-// bytes left and grows as peers decode. An unknown type, a mask
-// bit past fSnapIndex or bytes left over refuse the frame. A reader
-// allocates only what changed since the frames it read before: Records and
-// Snapshot alias its buffer, Peers its own slice, both holding until the next
-// read, and a string equal to the one last read in its place is that string.
-// So entries frames, acks and a steady leader's heartbeats decode with no
-// allocation.
+// Bounds: the codec package's rule, with maxFrameSize the body bound and a
+// Peer's mask byte its smallest encoding; Peers grow as peers decode. An
+// unknown type, a mask bit past fSnapIndex or bytes left over refuse the
+// frame. A reader allocates only what changed since the frames it read
+// before: Records and Snapshot alias its buffer, Peers its own slice, both
+// holding until the next read, and a string equal to the one last read in
+// its place is that string. So entries frames, acks and a steady leader's
+// heartbeats decode with no allocation.
 const (
 	fTerm = 1 << iota
 	fRecords
@@ -218,15 +215,10 @@ const (
 	fSnapIndex
 )
 
-const (
-	// maxFrameSize bounds a frame body: gob's own limit, which bounded a
-	// snapshot frame before this codec (8 GiB; 1 GiB on 32-bit platforms).
-	maxFrameSize = (1 << 30) << (^uint(0) >> 62)
-	// frameBufKeep is the largest buffer a reader or writer keeps for its
-	// next frame. A body past it — in practice a bootstrap snapshot — gets
-	// its own allocation, which nothing pins once the frame is handled.
-	frameBufKeep = 1 << 20
-)
+// maxFrameSize bounds a frame body (8 GiB; 1 GiB on 32-bit platforms). It is
+// this large because a bootstrap snapshot frame carries a whole checkpoint in
+// one body; a chunked bootstrap would need no more than a chunk.
+const maxFrameSize = (1 << 30) << (^uint(0) >> 62)
 
 // errBadFrame marks a frame body that does not decode.
 var errBadFrame = errors.New("replica: malformed frame")
@@ -248,36 +240,36 @@ func appendFrameBody(b []byte, f *frame) []byte {
 		bit(fFrom, f.From != 0) | bit(fAppliedTerm, f.AppliedTerm != 0) |
 		bit(fForceSnapshot, f.ForceSnapshot) | bit(fGranted, f.Granted) |
 		bit(fSnapshot, len(f.Snapshot) > 0) | bit(fSnapIndex, f.SnapIndex != 0)
-	b = binary.AppendUvarint(append(b, byte(f.Type)), mask)
+	b = codec.AppendUvarint(append(b, byte(f.Type)), mask)
 	if mask&fTerm != 0 {
-		b = binary.AppendUvarint(b, f.Term)
+		b = codec.AppendUvarint(b, f.Term)
 	}
 	if mask&fRecords != 0 {
-		b = appendBytes(b, f.Records)
+		b = codec.AppendBytes(b, f.Records)
 	}
 	if mask&fLast != 0 {
-		b = binary.AppendUvarint(b, f.Last)
+		b = codec.AppendUvarint(b, f.Last)
 	}
 	if mask&fCommitted != 0 {
-		b = binary.AppendUvarint(b, f.Committed)
+		b = codec.AppendUvarint(b, f.Committed)
 	}
 	if mask&fApplied != 0 {
-		b = binary.AppendUvarint(b, f.Applied)
+		b = codec.AppendUvarint(b, f.Applied)
 	}
 	if mask&fRole != 0 {
-		b = binary.AppendUvarint(b, uint64(f.Role))
+		b = codec.AppendUvarint(b, uint64(f.Role))
 	}
 	if mask&fLeaderID != 0 {
-		b = appendBytes(b, f.LeaderID)
+		b = codec.AppendString(b, f.LeaderID)
 	}
 	if mask&fLeaderRepl != 0 {
-		b = appendBytes(b, f.LeaderRepl)
+		b = codec.AppendString(b, f.LeaderRepl)
 	}
 	if mask&fLeaderSvc != 0 {
-		b = appendBytes(b, f.LeaderSvc)
+		b = codec.AppendString(b, f.LeaderSvc)
 	}
 	if mask&fPeers != 0 {
-		b = binary.AppendUvarint(b, uint64(len(f.Peers)))
+		b = codec.AppendUvarint(b, uint64(len(f.Peers)))
 		for i := range f.Peers {
 			b = appendPeer(b, &f.Peers[i])
 		}
@@ -286,38 +278,34 @@ func appendFrameBody(b []byte, f *frame) []byte {
 		b = appendPeer(b, &f.Peer)
 	}
 	if mask&fFrom != 0 {
-		b = binary.AppendUvarint(b, f.From)
+		b = codec.AppendUvarint(b, f.From)
 	}
 	if mask&fAppliedTerm != 0 {
-		b = binary.AppendUvarint(b, f.AppliedTerm)
+		b = codec.AppendUvarint(b, f.AppliedTerm)
 	}
 	if mask&fSnapshot != 0 {
-		b = appendBytes(b, f.Snapshot)
+		b = codec.AppendBytes(b, f.Snapshot)
 	}
 	if mask&fSnapIndex != 0 {
-		b = binary.AppendUvarint(b, f.SnapIndex)
+		b = codec.AppendUvarint(b, f.SnapIndex)
 	}
 	return b
-}
-
-func appendBytes[T string | []byte](b []byte, v T) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(v))), v...)
 }
 
 func appendPeer(b []byte, p *Peer) []byte {
 	mask := bit(1, p.ID != "") | bit(2, p.Priority != 0) | bit(4, p.ReplAddr != "") | bit(8, p.SvcAddr != "")
 	b = append(b, byte(mask))
 	if p.ID != "" {
-		b = appendBytes(b, p.ID)
+		b = codec.AppendString(b, p.ID)
 	}
 	if p.Priority != 0 {
-		b = binary.AppendVarint(b, int64(p.Priority))
+		b = codec.AppendVarint(b, int64(p.Priority))
 	}
 	if p.ReplAddr != "" {
-		b = appendBytes(b, p.ReplAddr)
+		b = codec.AppendString(b, p.ReplAddr)
 	}
 	if p.SvcAddr != "" {
-		b = appendBytes(b, p.SvcAddr)
+		b = codec.AppendString(b, p.SvcAddr)
 	}
 	return b
 }
@@ -329,146 +317,114 @@ func appendPeer(b []byte, p *Peer) []byte {
 // decode without allocating.
 func decodeFrame(f *frame, body []byte, seen *frame) error {
 	*f = frame{}
-	if len(body) == 0 || body[0] > byte(frameClaim) {
-		return errBadFrame
+	d := codec.NewReader(body, errBadFrame)
+	if f.Type = frameType(d.Byte()); f.Type > frameClaim {
+		d.Fail()
 	}
-	f.Type = frameType(body[0])
-	d := frameDecoder{b: body[1:]}
-	mask := d.uvarint()
+	mask := d.Uvarint()
 	if mask >= fSnapIndex<<1 {
-		return errBadFrame
+		d.Fail()
 	}
 	if mask&fTerm != 0 {
-		f.Term = d.uvarint()
+		f.Term = d.Uvarint()
 	}
 	if mask&fRecords != 0 {
-		f.Records = d.bytes()
+		f.Records = d.Bytes()
 	}
 	if mask&fLast != 0 {
-		f.Last = d.uvarint()
+		f.Last = d.Uvarint()
 	}
 	if mask&fCommitted != 0 {
-		f.Committed = d.uvarint()
+		f.Committed = d.Uvarint()
 	}
 	if mask&fApplied != 0 {
-		f.Applied = d.uvarint()
+		f.Applied = d.Uvarint()
 	}
 	if mask&fRole != 0 {
-		if r := d.uvarint(); r <= uint64(RoleLeader) {
+		if r := d.Uvarint(); r <= uint64(RoleLeader) {
 			f.Role = Role(r)
 		} else {
-			d.bad = true
+			d.Fail()
 		}
 	}
 	if mask&fLeaderID != 0 {
-		f.LeaderID = d.str(&seen.LeaderID)
+		f.LeaderID = readStr(&d, &seen.LeaderID)
 	}
 	if mask&fLeaderRepl != 0 {
-		f.LeaderRepl = d.str(&seen.LeaderRepl)
+		f.LeaderRepl = readStr(&d, &seen.LeaderRepl)
 	}
 	if mask&fLeaderSvc != 0 {
-		f.LeaderSvc = d.str(&seen.LeaderSvc)
+		f.LeaderSvc = readStr(&d, &seen.LeaderSvc)
 	}
 	if mask&fPeers != 0 {
-		// Each peer takes at least its mask byte.
-		n := d.uvarint()
-		d.bad = d.bad || n > uint64(len(d.b))
-		for i := 0; i < int(n) && !d.bad; i++ {
+		n := d.Count(1) // a Peer's mask byte
+		for i := 0; i < n && d.Err() == nil; i++ {
 			if i == len(seen.Peers) {
 				seen.Peers = append(seen.Peers, Peer{})
 			}
-			d.peer(&seen.Peers[i])
+			readPeer(&d, &seen.Peers[i])
 		}
-		f.Peers = seen.Peers[:min(n, uint64(len(seen.Peers)))]
+		f.Peers = seen.Peers[:min(n, len(seen.Peers))]
 	}
 	if mask&fPeer != 0 {
-		d.peer(&seen.Peer)
+		readPeer(&d, &seen.Peer)
 		f.Peer = seen.Peer
 	}
 	if mask&fFrom != 0 {
-		f.From = d.uvarint()
+		f.From = d.Uvarint()
 	}
 	if mask&fAppliedTerm != 0 {
-		f.AppliedTerm = d.uvarint()
+		f.AppliedTerm = d.Uvarint()
 	}
 	f.ForceSnapshot = mask&fForceSnapshot != 0
 	f.Granted = mask&fGranted != 0
 	if mask&fSnapshot != 0 {
-		f.Snapshot = d.bytes()
+		f.Snapshot = d.Bytes()
 	}
 	if mask&fSnapIndex != 0 {
-		f.SnapIndex = d.uvarint()
+		f.SnapIndex = d.Uvarint()
 	}
-	if d.bad || len(d.b) != 0 {
-		return errBadFrame
+	if d.Len() != 0 {
+		d.Fail()
 	}
-	return nil
+	return d.Err()
 }
 
-// frameDecoder reads a body's fields; the first failure sticks in bad and
-// every later read returns a zero value.
-type frameDecoder struct {
-	b   []byte
-	bad bool
-}
-
-func (d *frameDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.bad, d.b = true, nil
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *frameDecoder) bytes() []byte {
-	n := d.uvarint()
-	if n > uint64(len(d.b)) {
-		d.bad, d.b = true, nil
-		return nil
-	}
-	v := d.b[:n:n]
-	d.b = d.b[n:]
-	return v
-}
-
-// str decodes a string into *seen — a copy only when the bytes spell
+// readStr decodes a string into *seen — a copy only when the bytes spell
 // something else — and returns it.
-func (d *frameDecoder) str(seen *string) string {
-	if b := d.bytes(); string(b) != *seen {
+func readStr(d *codec.Reader, seen *string) string {
+	if b := d.Bytes(); string(b) != *seen {
 		*seen = string(b)
 	}
 	return *seen
 }
 
-// peer decodes a Peer into *p, keeping its strings where they are unchanged.
-func (d *frameDecoder) peer(p *Peer) {
-	if len(d.b) == 0 || d.b[0] > 15 {
-		d.bad, d.b = true, nil
-		return
-	}
-	mask := d.b[0]
-	d.b = d.b[1:]
+// readPeer decodes a Peer into *p, keeping its strings where they are
+// unchanged.
+func readPeer(d *codec.Reader, p *Peer) {
 	var next Peer
+	mask := d.Byte()
+	if mask > 15 {
+		d.Fail()
+	}
 	if mask&1 != 0 {
-		next.ID = d.str(&p.ID)
+		next.ID = readStr(d, &p.ID)
 	}
 	if mask&2 != 0 {
-		v, n := binary.Varint(d.b)
-		if n <= 0 || int64(int(v)) != v {
-			d.bad, d.b = true, nil
-			return
+		v := d.Varint()
+		if next.Priority = int(v); int64(next.Priority) != v {
+			d.Fail()
 		}
-		next.Priority, d.b = int(v), d.b[n:]
 	}
 	if mask&4 != 0 {
-		next.ReplAddr = d.str(&p.ReplAddr)
+		next.ReplAddr = readStr(d, &p.ReplAddr)
 	}
 	if mask&8 != 0 {
-		next.SvcAddr = d.str(&p.SvcAddr)
+		next.SvcAddr = readStr(d, &p.SvcAddr)
 	}
-	*p = next
+	if d.Err() == nil {
+		*p = next
+	}
 }
 
 // frameWriter writes frames to one connection, each with a single Write,
@@ -479,22 +435,11 @@ type frameWriter struct {
 }
 
 func (w *frameWriter) write(f *frame) error {
-	// The body is encoded behind room for the longest length prefix, which
-	// then goes right in front of it: no second copy.
-	const room = binary.MaxVarintLen64
-	b := appendFrameBody(append(w.buf[:0], make([]byte, room)...), f)
-	var pre [room]byte
-	k := binary.PutUvarint(pre[:], uint64(len(b)-room))
-	copy(b[room-k:], pre[:k])
-	if w.buf = b; cap(b) > frameBufKeep {
-		w.buf = nil
-	}
-	_, err := w.w.Write(b[room-k:])
-	return err
+	return codec.WriteFrame(w.w, &w.buf, appendFrameBody(codec.BeginFrame(w.buf), f))
 }
 
 // frameReader reads frames from one connection into a body buffer it
-// reuses (up to frameBufKeep).
+// reuses.
 type frameReader struct {
 	r    *bufio.Reader
 	buf  []byte
@@ -508,40 +453,9 @@ func newFrameReader(r io.Reader) *frameReader {
 // read decodes the next frame into f. Its Records and Snapshot hold until
 // the next read.
 func (fr *frameReader) read(f *frame) error {
-	n, err := binary.ReadUvarint(fr.r)
-	if err != nil {
-		return err
-	}
-	if n > maxFrameSize {
-		return fmt.Errorf("%w: %d-byte body", errBadFrame, n)
-	}
-	body, err := fr.body(int(n))
+	body, err := codec.ReadFrame(fr.r, &fr.buf, maxFrameSize, errBadFrame)
 	if err != nil {
 		return err
 	}
 	return decodeFrame(f, body, &fr.seen)
-}
-
-// body reads the next n bytes: into the reused buffer when they fit, else
-// into one grown as the bytes arrive — by at most what it already holds —
-// so memory follows what the peer sent, not what it claimed.
-func (fr *frameReader) body(n int) ([]byte, error) {
-	b := fr.buf[:0]
-	for len(b) < n {
-		if len(b) == cap(b) {
-			b = slices.Grow(b, min(n-len(b), max(len(b), 4096)))
-		}
-		k, err := io.ReadFull(fr.r, b[len(b):min(n, cap(b))])
-		b = b[:len(b)+k]
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cap(b) <= frameBufKeep {
-		fr.buf = b
-	}
-	return b, nil
 }

@@ -8,8 +8,10 @@
 // database or a remote service.
 //
 // Where the protocol is specified: preamble, framing, field encoding and the
-// append-only evolution rule head wire.go; the messages are request and
-// response below; the ops, and how each is routed, admitted and scheduled,
+// append-only evolution rule head wire.go; the primitives fields and frames
+// are read and written with, and the one rule bounding what a decode of
+// untrusted bytes allocates, are internal/codec's; the messages are request
+// and response below; the ops, and how each is routed, admitted and scheduled,
 // are the opSpecs table (ops.go); pipelining is Server.handleV2 on one side
 // and Client on the other; the client's op set is written once, in
 // session.go, over the transport Client and ClusterClient each supply.

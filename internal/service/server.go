@@ -365,7 +365,7 @@ func (s *Server) handleV2(conn net.Conn, br *bufio.Reader, peer string) {
 			var netErr net.Error
 			switch {
 			case s.isClosed(), errors.Is(err, net.ErrClosed):
-			case errors.Is(err, errTruncated), errors.Is(err, errFrameTooBig):
+			case errors.Is(err, errTruncated):
 				// Includes a peer dying mid-frame (wrapped unexpected EOF):
 				// either way the stream is unrecoverable and counted.
 				s.met.malformed.Inc()

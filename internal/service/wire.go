@@ -36,15 +36,15 @@ package service
 // reusable per-connection scratch buffer, decoders read frames into a
 // reusable buffer and allocate only what escapes into the decoded struct
 // (strings, slices, maps). BenchmarkWireCodec measures one round trip.
+//
+// Bounds: the codec package's rule, with maxFrame the frame bound and each
+// collection's smallest element encoding given at the decoders below.
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
-	"math"
-	"slices"
+
+	"osprey/internal/codec"
 )
 
 const (
@@ -58,9 +58,8 @@ const (
 	//
 	// v3 appended response.Overloaded (admission-control shed marker). A v2
 	// peer's decoder ignores the trailing byte; a v3 decoder reading a v2
-	// writer's message sees an exhausted buffer and defaults the field
-	// (tailBool) — both directions stay compatible across a rolling
-	// upgrade.
+	// writer's message sees an exhausted buffer and defaults the field —
+	// both directions stay compatible across a rolling upgrade.
 	//
 	// v4 appended the watch subsystem's fields: request.Watch/SubID and
 	// response.Done/Events (server-push task-state transition frames). Same
@@ -69,570 +68,344 @@ const (
 	// maxFrame bounds one frame's decoded size, so a corrupt or hostile
 	// length prefix cannot balloon memory.
 	maxFrame = 64 << 20
-	// frameBufKeep is the largest read buffer a connection keeps for its
-	// next frame; a larger frame's buffer goes when the frame is handled.
-	frameBufKeep = 1 << 20
 )
 
-// errFrameTooBig marks a length prefix beyond maxFrame — malformed by fiat.
-var errFrameTooBig = errors.New("service: wire frame exceeds size bound")
-
-// errTruncated marks a message that ended mid-field: a torn or corrupt frame.
+// errTruncated marks a frame or message that ended mid-field, or a frame
+// longer than maxFrame: a torn or corrupt frame.
 var errTruncated = errors.New("service: truncated wire message")
 
 // --- encoding ---
 
-// appendUvarint/appendVarint/appendString/appendBool are the primitive
-// appenders; they grow buf like append and return it.
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBool(buf []byte, v bool) []byte {
-	if v {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func appendStringSlice(buf []byte, ss []string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ss)))
-	for _, s := range ss {
-		buf = appendString(buf, s)
-	}
-	return buf
-}
-
-func appendInt64Slice(buf []byte, vs []int64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(vs)))
+// appendSlice appends vs as a uvarint count and each element in app's form;
+// readSlice reads it back. app and read are plain functions or method
+// expressions, never closures, so passing them allocates nothing. The call
+// through read does leak its Reader to escape analysis, which is why a
+// decoding Reader lives in frameIO, not on the stack.
+func appendSlice[T any](buf []byte, vs []T, app func([]byte, T) []byte) []byte {
+	buf = codec.AppendUvarint(buf, uint64(len(vs)))
 	for _, v := range vs {
-		buf = binary.AppendVarint(buf, v)
+		buf = app(buf, v)
 	}
 	return buf
 }
 
-func appendIntSlice(buf []byte, vs []int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(vs)))
-	for _, v := range vs {
-		buf = binary.AppendVarint(buf, int64(v))
-	}
-	return buf
-}
-
-func appendFloat64(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-}
+func appendInt(buf []byte, v int) []byte { return codec.AppendVarint(buf, int64(v)) }
 
 // appendRequest encodes req after the frame's request ID. Field order is the
 // wire contract; append new fields at the END and bump wireVersion.
 func appendRequest(buf []byte, req *request) []byte {
-	buf = appendString(buf, req.Op)
-	buf = appendString(buf, req.Trace)
+	buf = codec.AppendString(buf, req.Op)
+	buf = codec.AppendString(buf, req.Trace)
 	// Reserved slot: versions 1-4 carried the relay's single-hop mark here.
 	// Followers redirect instead of relaying, so nothing sets it: always write
 	// false, never reuse.
 	buf = append(buf, 0)
-	buf = binary.AppendUvarint(buf, req.Token)
-	buf = binary.AppendVarint(buf, req.WaitMS)
-	buf = appendString(buf, req.Level)
-	buf = appendString(buf, req.DedupKey)
-	buf = appendStringSlice(buf, req.DedupKeys)
-	buf = appendString(buf, req.ExpID)
-	buf = binary.AppendVarint(buf, int64(req.WorkType))
-	buf = appendString(buf, req.Payload)
-	buf = binary.AppendVarint(buf, int64(req.Priority))
-	buf = appendStringSlice(buf, req.Tags)
-	buf = binary.AppendVarint(buf, req.TaskID)
-	buf = appendInt64Slice(buf, req.TaskIDs)
-	buf = binary.AppendVarint(buf, int64(req.N))
-	buf = appendString(buf, req.Pool)
+	buf = codec.AppendUvarint(buf, req.Token)
+	buf = codec.AppendVarint(buf, req.WaitMS)
+	buf = codec.AppendString(buf, req.Level)
+	buf = codec.AppendString(buf, req.DedupKey)
+	buf = appendSlice(buf, req.DedupKeys, codec.AppendString)
+	buf = codec.AppendString(buf, req.ExpID)
+	buf = appendInt(buf, req.WorkType)
+	buf = codec.AppendString(buf, req.Payload)
+	buf = appendInt(buf, req.Priority)
+	buf = appendSlice(buf, req.Tags, codec.AppendString)
+	buf = codec.AppendVarint(buf, req.TaskID)
+	buf = appendSlice(buf, req.TaskIDs, codec.AppendVarint)
+	buf = appendInt(buf, req.N)
+	buf = codec.AppendString(buf, req.Pool)
 	// Reserved slot: versions 1-4 carried the JSON era's timeout_ms here. No
 	// binary client ever set it, so the field is gone from the struct, but its
 	// position is part of the v1-v4 layout: always write zero, never reuse.
-	buf = binary.AppendVarint(buf, 0)
-	buf = appendString(buf, req.Result)
-	buf = appendIntSlice(buf, req.Priorities)
-	buf = appendStringSlice(buf, req.Payloads)
+	buf = codec.AppendVarint(buf, 0)
+	buf = codec.AppendString(buf, req.Result)
+	buf = appendSlice(buf, req.Priorities, appendInt)
+	buf = appendSlice(buf, req.Payloads, codec.AppendString)
 	// --- fields appended in v4 ---
-	buf = appendString(buf, req.Watch)
-	buf = binary.AppendUvarint(buf, req.SubID)
+	buf = codec.AppendString(buf, req.Watch)
+	buf = codec.AppendUvarint(buf, req.SubID)
 	return buf
 }
 
 func appendWireTask(buf []byte, t *wireTask) []byte {
-	buf = binary.AppendVarint(buf, t.ID)
-	buf = appendString(buf, t.ExpID)
-	buf = binary.AppendVarint(buf, int64(t.WorkType))
-	buf = appendString(buf, t.Status)
-	buf = appendString(buf, t.Payload)
-	buf = appendString(buf, t.Result)
-	buf = appendString(buf, t.Pool)
-	buf = binary.AppendVarint(buf, int64(t.Priority))
-	buf = binary.AppendVarint(buf, t.Created)
-	buf = binary.AppendVarint(buf, t.Started)
-	buf = binary.AppendVarint(buf, t.Stopped)
+	buf = codec.AppendVarint(buf, t.ID)
+	buf = codec.AppendString(buf, t.ExpID)
+	buf = appendInt(buf, t.WorkType)
+	buf = codec.AppendString(buf, t.Status)
+	buf = codec.AppendString(buf, t.Payload)
+	buf = codec.AppendString(buf, t.Result)
+	buf = codec.AppendString(buf, t.Pool)
+	buf = appendInt(buf, t.Priority)
+	buf = codec.AppendVarint(buf, t.Created)
+	buf = codec.AppendVarint(buf, t.Started)
+	buf = codec.AppendVarint(buf, t.Stopped)
 	return buf
 }
 
 // appendResponse encodes resp after the frame's request ID. Same evolution
 // rule as appendRequest: new fields append at the end only.
 func appendResponse(buf []byte, resp *response) []byte {
-	buf = appendBool(buf, resp.OK)
-	buf = appendString(buf, resp.Error)
-	buf = appendBool(buf, resp.Timeout)
-	buf = appendBool(buf, resp.Transient)
-	buf = binary.AppendUvarint(buf, resp.Token)
-	buf = binary.AppendVarint(buf, resp.TaskID)
-	buf = appendInt64Slice(buf, resp.TaskIDs)
-	buf = binary.AppendUvarint(buf, uint64(len(resp.Tasks)))
+	buf = codec.AppendBool(buf, resp.OK)
+	buf = codec.AppendString(buf, resp.Error)
+	buf = codec.AppendBool(buf, resp.Timeout)
+	buf = codec.AppendBool(buf, resp.Transient)
+	buf = codec.AppendUvarint(buf, resp.Token)
+	buf = codec.AppendVarint(buf, resp.TaskID)
+	buf = appendSlice(buf, resp.TaskIDs, codec.AppendVarint)
+	buf = codec.AppendUvarint(buf, uint64(len(resp.Tasks)))
 	for i := range resp.Tasks {
 		buf = appendWireTask(buf, &resp.Tasks[i])
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(resp.Results)))
+	buf = codec.AppendUvarint(buf, uint64(len(resp.Results)))
 	for i := range resp.Results {
-		buf = binary.AppendVarint(buf, resp.Results[i].ID)
-		buf = appendString(buf, resp.Results[i].Result)
+		buf = codec.AppendVarint(buf, resp.Results[i].ID)
+		buf = codec.AppendString(buf, resp.Results[i].Result)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(resp.StatusMap)))
+	buf = codec.AppendUvarint(buf, uint64(len(resp.StatusMap)))
 	for id, st := range resp.StatusMap {
-		buf = binary.AppendVarint(buf, id)
-		buf = appendString(buf, st)
+		buf = codec.AppendVarint(buf, id)
+		buf = codec.AppendString(buf, st)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(resp.PrioMap)))
+	buf = codec.AppendUvarint(buf, uint64(len(resp.PrioMap)))
 	for id, p := range resp.PrioMap {
-		buf = binary.AppendVarint(buf, id)
-		buf = binary.AppendVarint(buf, int64(p))
+		buf = codec.AppendVarint(buf, id)
+		buf = appendInt(buf, p)
 	}
-	buf = binary.AppendVarint(buf, int64(resp.Count))
-	buf = binary.AppendUvarint(buf, uint64(len(resp.CountsMap)))
+	buf = appendInt(buf, resp.Count)
+	buf = codec.AppendUvarint(buf, uint64(len(resp.CountsMap)))
 	for st, n := range resp.CountsMap {
-		buf = appendString(buf, st)
-		buf = binary.AppendVarint(buf, int64(n))
+		buf = codec.AppendString(buf, st)
+		buf = appendInt(buf, n)
 	}
-	buf = appendStringSlice(buf, resp.TagList)
-	buf = appendString(buf, resp.ResultText)
-	buf = appendString(buf, resp.Role)
-	buf = appendString(buf, resp.NodeID)
-	buf = appendString(buf, resp.LeaderSvc)
-	buf = binary.AppendUvarint(buf, resp.Term)
-	buf = binary.AppendUvarint(buf, resp.Applied)
-	buf = appendStringSlice(buf, resp.PeerSvcs)
-	buf = binary.AppendUvarint(buf, uint64(len(resp.Stats)))
+	buf = appendSlice(buf, resp.TagList, codec.AppendString)
+	buf = codec.AppendString(buf, resp.ResultText)
+	buf = codec.AppendString(buf, resp.Role)
+	buf = codec.AppendString(buf, resp.NodeID)
+	buf = codec.AppendString(buf, resp.LeaderSvc)
+	buf = codec.AppendUvarint(buf, resp.Term)
+	buf = codec.AppendUvarint(buf, resp.Applied)
+	buf = appendSlice(buf, resp.PeerSvcs, codec.AppendString)
+	buf = codec.AppendUvarint(buf, uint64(len(resp.Stats)))
 	for k, v := range resp.Stats {
-		buf = appendString(buf, k)
-		buf = appendFloat64(buf, v)
+		buf = codec.AppendString(buf, k)
+		buf = codec.AppendFloat64(buf, v)
 	}
 	// --- fields appended in v3 ---
-	buf = appendBool(buf, resp.Overloaded)
+	buf = codec.AppendBool(buf, resp.Overloaded)
 	// --- fields appended in v4 ---
-	buf = appendBool(buf, resp.Done)
-	buf = binary.AppendUvarint(buf, uint64(len(resp.Events)))
+	buf = codec.AppendBool(buf, resp.Done)
+	buf = codec.AppendUvarint(buf, uint64(len(resp.Events)))
 	for i := range resp.Events {
 		ev := &resp.Events[i]
-		buf = binary.AppendUvarint(buf, ev.Token)
-		buf = binary.AppendVarint(buf, ev.TaskID)
-		buf = binary.AppendVarint(buf, int64(ev.WorkType))
-		buf = appendString(buf, ev.Status)
-		buf = binary.AppendVarint(buf, int64(ev.Depth))
-		buf = appendBool(buf, ev.Resync)
+		buf = codec.AppendUvarint(buf, ev.Token)
+		buf = codec.AppendVarint(buf, ev.TaskID)
+		buf = appendInt(buf, ev.WorkType)
+		buf = codec.AppendString(buf, ev.Status)
+		buf = appendInt(buf, ev.Depth)
+		buf = codec.AppendBool(buf, ev.Resync)
 	}
 	return buf
 }
 
 // --- decoding ---
+//
+// The decoders are straight-line field reads over a codec.Reader failing
+// with errTruncated; no input can make them panic (TestWireDecodeNeverPanics,
+// FuzzWireCodec). A field appended by a newer version is read only while
+// bytes are left: an exhausted message at its boundary is an older writer and
+// the field keeps its zero value, while one present and then torn still
+// fails. Every value takes at least a byte, so the smallest encodings Count
+// is given are a slice element's 1, a wireResult's or a map entry's 2 (a
+// Stats entry's 9: a string and a float64), a wireEvent's 6 and a wireTask's
+// 11.
 
-// wireDec is a bounds-checked cursor over one frame's bytes. Every read
-// method degrades to a zero value once err is set, so decoders are written
-// as straight-line field reads with a single error check at the end; no
-// input can make it panic (TestWireDecodeNeverPanics / FuzzWireCodec).
-type wireDec struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (d *wireDec) reset(buf []byte) { d.buf, d.pos, d.err = buf, 0, nil }
-
-func (d *wireDec) fail() {
-	if d.err == nil {
-		d.err = errTruncated
-	}
-}
-
-func (d *wireDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *wireDec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *wireDec) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.pos >= len(d.buf) {
-		d.fail()
-		return false
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b != 0
-}
-
-func (d *wireDec) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)-d.pos) {
-		d.fail()
-		return ""
-	}
-	if n == 0 {
-		return ""
-	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s
-}
-
-// count reads a collection length and sanity-bounds it: every element costs
-// at least one byte, so a count beyond the remaining bytes is corruption and
-// must not drive a huge preallocation.
-func (d *wireDec) count() int {
-	n := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(len(d.buf)-d.pos) {
-		d.fail()
-		return 0
-	}
-	return int(n)
-}
-
-// tailBool reads one bool appended by a NEWER protocol version: an
-// exhausted buffer is not an error but an older writer, and the field
-// defaults to false. Only valid for version-appended fields at the tail of
-// a message — mandatory fields keep the loud errTruncated behavior.
-func (d *wireDec) tailBool() bool {
-	if d.err != nil || d.pos >= len(d.buf) {
-		return false
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b != 0
-}
-
-// tailString and tailUvarint are the string/uvarint analogues of tailBool: an
-// exhausted buffer at the field boundary is an older writer and defaults the
-// field, but a field that is present and then torn mid-bytes still fails.
-func (d *wireDec) tailString() string {
-	if d.err != nil || d.pos >= len(d.buf) {
-		return ""
-	}
-	return d.string()
-}
-
-func (d *wireDec) tailUvarint() uint64 {
-	if d.err != nil || d.pos >= len(d.buf) {
-		return 0
-	}
-	return d.uvarint()
-}
-
-func (d *wireDec) float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf)-d.pos < 8 {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.pos:]))
-	d.pos += 8
-	return v
-}
-
-func (d *wireDec) stringSlice() []string {
-	n := d.count()
+func readSlice[T any](d *codec.Reader, read func(*codec.Reader) T) []T {
+	n := d.Count(1)
 	if n == 0 {
 		return nil
 	}
-	out := make([]string, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = d.string()
+		out[i] = read(d)
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return nil
 	}
 	return out
 }
 
-func (d *wireDec) int64Slice() []int64 {
-	n := d.count()
-	if n == 0 {
-		return nil
+func readInt(d *codec.Reader) int { return int(d.Varint()) }
+
+func decodeRequest(d *codec.Reader, req *request) error {
+	req.Op = d.String()
+	req.Trace = d.String()
+	d.Bool() // reserved slot (see appendRequest): read and discarded
+	req.Token = d.Uvarint()
+	req.WaitMS = d.Varint()
+	req.Level = d.String()
+	req.DedupKey = d.String()
+	req.DedupKeys = readSlice(d, (*codec.Reader).String)
+	req.ExpID = d.String()
+	req.WorkType = readInt(d)
+	req.Payload = d.String()
+	req.Priority = readInt(d)
+	req.Tags = readSlice(d, (*codec.Reader).String)
+	req.TaskID = d.Varint()
+	req.TaskIDs = readSlice(d, (*codec.Reader).Varint)
+	req.N = readInt(d)
+	req.Pool = d.String()
+	d.Varint() // reserved slot (see appendRequest): read and discarded
+	req.Result = d.String()
+	req.Priorities = readSlice(d, readInt)
+	req.Payloads = readSlice(d, (*codec.Reader).String)
+	// v4 tail.
+	if d.Len() > 0 {
+		req.Watch = d.String()
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.varint()
+	if d.Len() > 0 {
+		req.SubID = d.Uvarint()
 	}
-	if d.err != nil {
-		return nil
-	}
-	return out
+	return d.Err()
 }
 
-func (d *wireDec) intSlice() []int {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(d.varint())
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
+func readWireTask(d *codec.Reader, t *wireTask) {
+	t.ID = d.Varint()
+	t.ExpID = d.String()
+	t.WorkType = readInt(d)
+	t.Status = d.String()
+	t.Payload = d.String()
+	t.Result = d.String()
+	t.Pool = d.String()
+	t.Priority = readInt(d)
+	t.Created = d.Varint()
+	t.Started = d.Varint()
+	t.Stopped = d.Varint()
 }
 
-func (d *wireDec) decodeRequest(req *request) error {
-	req.Op = d.string()
-	req.Trace = d.string()
-	d.bool() // reserved slot (see appendRequest): read and discarded
-	req.Token = d.uvarint()
-	req.WaitMS = d.varint()
-	req.Level = d.string()
-	req.DedupKey = d.string()
-	req.DedupKeys = d.stringSlice()
-	req.ExpID = d.string()
-	req.WorkType = int(d.varint())
-	req.Payload = d.string()
-	req.Priority = int(d.varint())
-	req.Tags = d.stringSlice()
-	req.TaskID = d.varint()
-	req.TaskIDs = d.int64Slice()
-	req.N = int(d.varint())
-	req.Pool = d.string()
-	d.varint() // reserved slot (see appendRequest): read and discarded
-	req.Result = d.string()
-	req.Priorities = d.intSlice()
-	req.Payloads = d.stringSlice()
-	// v4 tail: absent when the writer is older, defaulting to zero values.
-	req.Watch = d.tailString()
-	req.SubID = d.tailUvarint()
-	return d.err
-}
-
-func (d *wireDec) decodeWireTask(t *wireTask) {
-	t.ID = d.varint()
-	t.ExpID = d.string()
-	t.WorkType = int(d.varint())
-	t.Status = d.string()
-	t.Payload = d.string()
-	t.Result = d.string()
-	t.Pool = d.string()
-	t.Priority = int(d.varint())
-	t.Created = d.varint()
-	t.Started = d.varint()
-	t.Stopped = d.varint()
-}
-
-func (d *wireDec) decodeResponse(resp *response) error {
+func decodeResponse(d *codec.Reader, resp *response) error {
 	// Start from zero: the caller reuses resp across frames, and collection
 	// fields below are only assigned when non-empty on the wire — without
 	// this a frame with an empty Tasks (or Events) would inherit the previous
 	// frame's slice.
 	*resp = response{}
-	resp.OK = d.bool()
-	resp.Error = d.string()
-	resp.Timeout = d.bool()
-	resp.Transient = d.bool()
-	resp.Token = d.uvarint()
-	resp.TaskID = d.varint()
-	resp.TaskIDs = d.int64Slice()
-	if n := d.count(); n > 0 {
+	resp.OK = d.Bool()
+	resp.Error = d.String()
+	resp.Timeout = d.Bool()
+	resp.Transient = d.Bool()
+	resp.Token = d.Uvarint()
+	resp.TaskID = d.Varint()
+	resp.TaskIDs = readSlice(d, (*codec.Reader).Varint)
+	if n := d.Count(11); n > 0 {
 		resp.Tasks = make([]wireTask, n)
 		for i := range resp.Tasks {
-			d.decodeWireTask(&resp.Tasks[i])
+			readWireTask(d, &resp.Tasks[i])
 		}
 	}
-	if n := d.count(); n > 0 {
+	if n := d.Count(2); n > 0 {
 		resp.Results = make([]wireResult, n)
 		for i := range resp.Results {
-			resp.Results[i].ID = d.varint()
-			resp.Results[i].Result = d.string()
+			resp.Results[i].ID = d.Varint()
+			resp.Results[i].Result = d.String()
 		}
 	}
-	if n := d.count(); n > 0 {
+	if n := d.Count(2); n > 0 {
 		resp.StatusMap = make(map[int64]string, n)
 		for i := 0; i < n; i++ {
-			id := d.varint()
-			resp.StatusMap[id] = d.string()
+			id := d.Varint()
+			resp.StatusMap[id] = d.String()
 		}
 	}
-	if n := d.count(); n > 0 {
+	if n := d.Count(2); n > 0 {
 		resp.PrioMap = make(map[int64]int, n)
 		for i := 0; i < n; i++ {
-			id := d.varint()
-			resp.PrioMap[id] = int(d.varint())
+			id := d.Varint()
+			resp.PrioMap[id] = readInt(d)
 		}
 	}
-	resp.Count = int(d.varint())
-	if n := d.count(); n > 0 {
+	resp.Count = readInt(d)
+	if n := d.Count(2); n > 0 {
 		resp.CountsMap = make(map[string]int, n)
 		for i := 0; i < n; i++ {
-			st := d.string()
-			resp.CountsMap[st] = int(d.varint())
+			st := d.String()
+			resp.CountsMap[st] = readInt(d)
 		}
 	}
-	resp.TagList = d.stringSlice()
-	resp.ResultText = d.string()
-	resp.Role = d.string()
-	resp.NodeID = d.string()
-	resp.LeaderSvc = d.string()
-	resp.Term = d.uvarint()
-	resp.Applied = d.uvarint()
-	resp.PeerSvcs = d.stringSlice()
-	if n := d.count(); n > 0 {
+	resp.TagList = readSlice(d, (*codec.Reader).String)
+	resp.ResultText = d.String()
+	resp.Role = d.String()
+	resp.NodeID = d.String()
+	resp.LeaderSvc = d.String()
+	resp.Term = d.Uvarint()
+	resp.Applied = d.Uvarint()
+	resp.PeerSvcs = readSlice(d, (*codec.Reader).String)
+	if n := d.Count(9); n > 0 {
 		resp.Stats = make(map[string]float64, n)
 		for i := 0; i < n; i++ {
-			k := d.string()
-			resp.Stats[k] = d.float64()
+			k := d.String()
+			resp.Stats[k] = d.Float64()
 		}
 	}
-	// v3 tail: absent when the writer is older, defaulting to false.
-	resp.Overloaded = d.tailBool()
+	// v3 tail.
+	if d.Len() > 0 {
+		resp.Overloaded = d.Bool()
+	}
 	// v4 tail: watch push fields.
-	resp.Done = d.tailBool()
-	if d.err == nil && d.pos < len(d.buf) {
-		if n := d.count(); n > 0 {
+	if d.Len() > 0 {
+		resp.Done = d.Bool()
+	}
+	if d.Len() > 0 {
+		if n := d.Count(6); n > 0 {
 			resp.Events = make([]wireEvent, n)
 			for i := range resp.Events {
 				ev := &resp.Events[i]
-				ev.Token = d.uvarint()
-				ev.TaskID = d.varint()
-				ev.WorkType = int(d.varint())
-				ev.Status = d.string()
-				ev.Depth = int(d.varint())
-				ev.Resync = d.bool()
+				ev.Token = d.Uvarint()
+				ev.TaskID = d.Varint()
+				ev.WorkType = readInt(d)
+				ev.Status = d.String()
+				ev.Depth = readInt(d)
+				ev.Resync = d.Bool()
 			}
 		}
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		// A torn frame must not hand half-decoded collections to the caller.
 		*resp = response{}
 	}
-	return d.err
+	return d.Err()
 }
 
 // --- framing ---
 
-// frameIO owns one side's reusable frame buffers: an encode scratch the
-// writer appends messages into and a read buffer frames are slurped into
-// before decoding. One frameIO per connection direction; not safe for
-// concurrent use (callers serialize on the connection's write lock or the
-// single demux goroutine).
+// frameIO owns one side's reusable frame buffer — the writer encodes frames
+// into it, the reader reads frames into it — and the Reader decoding them
+// (see appendSlice for why it is not on the stack). One frameIO per
+// connection direction; not safe for concurrent use (callers serialize on
+// the connection's write lock or the single demux goroutine).
 type frameIO struct {
-	enc  []byte
-	head [2 * binary.MaxVarintLen64]byte
-	read []byte
-	dec  wireDec
-}
-
-// writeFrame emits one frame — uvarint(len) | uvarint(id) | body — where
-// body was appended into f.enc by the caller. A single bufio write per
-// component keeps this allocation-free.
-func (f *frameIO) writeFrame(w *bufio.Writer, id uint64, body []byte) error {
-	head := binary.PutUvarint(f.head[:], uint64(len(body))+uint64(varintLen(id)))
-	head += binary.PutUvarint(f.head[head:], id)
-	if _, err := w.Write(f.head[:head]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-func varintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	buf []byte
+	dec codec.Reader
 }
 
 // readFrame reads one frame into the reusable buffer and returns the request
-// ID and the message bytes (valid until the next call).
-func (f *frameIO) readFrame(r *bufio.Reader) (id uint64, msg []byte, err error) {
-	frameLen, err := binary.ReadUvarint(r)
+// ID and f.dec over the message (valid until the next call).
+func (f *frameIO) readFrame(r *bufio.Reader) (uint64, *codec.Reader, error) {
+	body, err := codec.ReadFrame(r, &f.buf, maxFrame, errTruncated)
 	if err != nil {
 		return 0, nil, err
 	}
-	if frameLen > maxFrame {
-		return 0, nil, errFrameTooBig
-	}
-	// The body grows as its bytes arrive — by at most what it already holds
-	// — so memory follows what the peer sent, not what it claimed, and only
-	// a buffer up to frameBufKeep stays with the connection.
-	buf, n := f.read[:0], int(frameLen)
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 4096)))
-		}
-		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
-		buf = buf[:len(buf)+k]
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, fmt.Errorf("%w: %w", errTruncated, err)
-		}
-		if err != nil {
-			return 0, nil, err
-		}
-	}
-	if cap(buf) <= frameBufKeep {
-		f.read = buf
-	}
-	f.dec.reset(buf)
-	id = f.dec.uvarint()
-	if f.dec.err != nil {
-		return 0, nil, f.dec.err
-	}
-	return id, buf[f.dec.pos:], nil
+	f.dec = codec.NewReader(body, errTruncated)
+	id := f.dec.Uvarint()
+	return id, &f.dec, f.dec.Err()
 }
 
 // readRequest reads and decodes one request frame (server side).
 func (f *frameIO) readRequest(r *bufio.Reader) (uint64, request, error) {
-	id, msg, err := f.readFrame(r)
 	var req request
-	if err != nil {
-		return 0, req, err
+	id, d, err := f.readFrame(r)
+	if err == nil {
+		err = decodeRequest(d, &req)
 	}
-	f.dec.reset(msg)
-	if err := f.dec.decodeRequest(&req); err != nil {
+	if err != nil {
 		return 0, request{}, err
 	}
 	return id, req, nil
@@ -644,12 +417,11 @@ func (f *frameIO) readRequest(r *bufio.Reader) (uint64, request, error) {
 // frames, and what the decoded response owns (strings, slices, maps) is
 // freshly allocated and safe to hand off by value.
 func (f *frameIO) readResponse(r *bufio.Reader, resp *response) (uint64, error) {
-	id, msg, err := f.readFrame(r)
-	if err != nil {
-		return 0, err
+	id, d, err := f.readFrame(r)
+	if err == nil {
+		err = decodeResponse(d, resp)
 	}
-	f.dec.reset(msg)
-	if err := f.dec.decodeResponse(resp); err != nil {
+	if err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -658,15 +430,13 @@ func (f *frameIO) readResponse(r *bufio.Reader, resp *response) (uint64, error) 
 // writeRequest encodes and frames one request into w (client side; caller
 // holds the connection write lock).
 func (f *frameIO) writeRequest(w *bufio.Writer, id uint64, req *request) error {
-	f.enc = appendRequest(f.enc[:0], req)
-	return f.writeFrame(w, id, f.enc)
+	return codec.WriteFrame(w, &f.buf, appendRequest(codec.AppendUvarint(codec.BeginFrame(f.buf), id), req))
 }
 
 // writeResponse encodes and frames one response into w (server side; caller
 // holds the connection write lock).
 func (f *frameIO) writeResponse(w *bufio.Writer, id uint64, resp *response) error {
-	f.enc = appendResponse(f.enc[:0], resp)
-	return f.writeFrame(w, id, f.enc)
+	return codec.WriteFrame(w, &f.buf, appendResponse(codec.AppendUvarint(codec.BeginFrame(f.buf), id), resp))
 }
 
 // --- benchmark access ---
@@ -696,16 +466,17 @@ func NewCodecBench() *CodecBench {
 // RoundTripV2 encodes and decodes the request and response pair through the
 // binary codec, reusing the harness scratch like a live connection would.
 func (cb *CodecBench) RoundTripV2() error {
-	cb.f.enc = appendRequest(cb.f.enc[:0], &cb.req)
+	f := &cb.f
+	f.buf = appendRequest(f.buf[:0], &cb.req)
 	var req request
-	cb.f.dec.reset(cb.f.enc)
-	if err := cb.f.dec.decodeRequest(&req); err != nil {
+	f.dec = codec.NewReader(f.buf, errTruncated)
+	if err := decodeRequest(&f.dec, &req); err != nil {
 		return err
 	}
-	cb.f.enc = appendResponse(cb.f.enc[:0], &cb.resp)
+	f.buf = appendResponse(f.buf[:0], &cb.resp)
 	var resp response
-	cb.f.dec.reset(cb.f.enc)
-	if err := cb.f.dec.decodeResponse(&resp); err != nil {
+	f.dec = codec.NewReader(f.buf, errTruncated)
+	if err := decodeResponse(&f.dec, &resp); err != nil {
 		return err
 	}
 	if req.Op != cb.req.Op || resp.TaskID != cb.resp.TaskID {

@@ -18,9 +18,20 @@ import (
 	"testing"
 	"time"
 
+	"osprey/internal/codec"
 	"osprey/internal/core"
 	"osprey/internal/obs"
 )
+
+// wireDec and appendString give the tests that pin the layout through them
+// (TestWireZeroValuesRoundTrip, TestWireDecodeNeverPanics) the decoders and
+// the string encoder in the form those tests call.
+type wireDec struct{ r codec.Reader }
+
+func (d *wireDec) reset(b []byte)                   { d.r = codec.NewReader(b, errTruncated) }
+func (d *wireDec) decodeRequest(q *request) error   { return decodeRequest(&d.r, q) }
+func (d *wireDec) decodeResponse(p *response) error { return decodeResponse(&d.r, p) }
+func appendString(b []byte, s string) []byte        { return codec.AppendString(b, s) }
 
 // fillValue sets v (and everything reachable from it) to non-zero values
 // derived from seed, so a round-trip losing any field is observable.
@@ -68,14 +79,13 @@ func TestWireFieldCoverage(t *testing.T) {
 	var req request
 	fillValue(reflect.ValueOf(&req).Elem(), 0)
 	buf := appendRequest(nil, &req)
-	var dec wireDec
-	dec.reset(buf)
+	dec := codec.NewReader(buf, errTruncated)
 	var got request
-	if err := dec.decodeRequest(&got); err != nil {
+	if err := decodeRequest(&dec, &got); err != nil {
 		t.Fatalf("decodeRequest: %v", err)
 	}
-	if dec.pos != len(buf) {
-		t.Fatalf("decodeRequest left %d trailing bytes", len(buf)-dec.pos)
+	if dec.Len() != 0 {
+		t.Fatalf("decodeRequest left %d trailing bytes", dec.Len())
 	}
 	rv, gv := reflect.ValueOf(req), reflect.ValueOf(got)
 	for i := 0; i < rv.NumField(); i++ {
@@ -88,13 +98,13 @@ func TestWireFieldCoverage(t *testing.T) {
 	var resp response
 	fillValue(reflect.ValueOf(&resp).Elem(), 100)
 	buf = appendResponse(nil, &resp)
-	dec.reset(buf)
+	dec = codec.NewReader(buf, errTruncated)
 	var gotR response
-	if err := dec.decodeResponse(&gotR); err != nil {
+	if err := decodeResponse(&dec, &gotR); err != nil {
 		t.Fatalf("decodeResponse: %v", err)
 	}
-	if dec.pos != len(buf) {
-		t.Fatalf("decodeResponse left %d trailing bytes", len(buf)-dec.pos)
+	if dec.Len() != 0 {
+		t.Fatalf("decodeResponse left %d trailing bytes", dec.Len())
 	}
 	rv, gv = reflect.ValueOf(resp), reflect.ValueOf(gotR)
 	for i := 0; i < rv.NumField(); i++ {
@@ -220,9 +230,26 @@ func TestWireDecodeNeverPanics(t *testing.T) {
 	}
 }
 
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// wireAllocBound is the most a decode of n bytes may allocate. The codec's
+// Count rule keeps every shape under it: a slice of empty strings costs 16×
+// its bytes (a string header per byte), and a map sized for a count claiming
+// an entry per 2 bytes about 27×, the worst TestDecodeResponseAllocationBounded
+// measures.
+func wireAllocBound(n int) uint64 { return 32*uint64(n) + 64<<10 }
+
 // FuzzWireCodec fuzzes the frame and message decoders with arbitrary bytes:
-// decoding must never panic, and any bytes that decode successfully must
-// re-encode and re-decode to the same value (the codec is canonical).
+// decoding must never panic, must allocate within wireAllocBound, and any
+// bytes that decode successfully must re-encode and re-decode to the same
+// value (the codec is canonical).
 func FuzzWireCodec(f *testing.F) {
 	var req request
 	fillValue(reflect.ValueOf(&req).Elem(), 1)
@@ -234,38 +261,76 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var dec wireDec
-		dec.reset(data)
 		var q request
-		if err := dec.decodeRequest(&q); err == nil {
-			re := appendRequest(nil, &q)
-			dec.reset(re)
+		var p response
+		var qerr, perr error
+		for what, decode := range map[string]func(){
+			"request": func() {
+				d := codec.NewReader(data, errTruncated)
+				qerr = decodeRequest(&d, &q)
+			},
+			"response": func() {
+				d := codec.NewReader(data, errTruncated)
+				perr = decodeResponse(&d, &p)
+			},
+			// The frame reader must terminate with a frame or an error.
+			"frame": func() {
+				var fio frameIO
+				fio.readFrame(bufio.NewReader(bytes.NewReader(data)))
+			},
+		} {
+			if grew := allocated(decode); grew > wireAllocBound(len(data)) {
+				t.Fatalf("%s decode of %d bytes allocated %d", what, len(data), grew)
+			}
+		}
+		if qerr == nil {
+			d := codec.NewReader(appendRequest(nil, &q), errTruncated)
 			var q2 request
-			if err := dec.decodeRequest(&q2); err != nil {
+			if err := decodeRequest(&d, &q2); err != nil {
 				t.Fatalf("re-decode of re-encoded request failed: %v", err)
 			}
 			if !reflect.DeepEqual(q, q2) {
 				t.Fatalf("request not canonical: %+v != %+v", q, q2)
 			}
 		}
-		dec.reset(data)
-		var p response
-		if err := dec.decodeResponse(&p); err == nil {
-			re := appendResponse(nil, &p)
-			dec.reset(re)
+		if perr == nil {
+			d := codec.NewReader(appendResponse(nil, &p), errTruncated)
 			var p2 response
-			if err := dec.decodeResponse(&p2); err != nil {
+			if err := decodeResponse(&d, &p2); err != nil {
 				t.Fatalf("re-decode of re-encoded response failed: %v", err)
 			}
 			if !reflect.DeepEqual(p, p2) {
 				t.Fatalf("response not canonical: %+v != %+v", p, p2)
 			}
 		}
-		// Frame reader over the same bytes: must terminate with a value or
-		// an error, never panic, never allocate beyond the frame bound.
-		var fio frameIO
-		fio.readFrame(bufio.NewReader(bytes.NewReader(data)))
 	})
+}
+
+// TestDecodeResponseAllocationBounded: a response claiming as many elements
+// of a collection as its bytes might back allocates within wireAllocBound.
+// Each shape is the zero fields up to one collection, a count, and 256 KiB of
+// zero bytes, which decode as zero elements. The worst measured shape is a
+// StatusMap or CountsMap claiming one entry per 2 bytes: the map sized for
+// the claim, 26.7× the message (Go 1.24, amd64), before the message runs out.
+func TestDecodeResponseAllocationBounded(t *testing.T) {
+	const zeros = 256 << 10
+	// Offsets of the collection counts in a zero response: TaskIDs, Tasks,
+	// Results, StatusMap, PrioMap, CountsMap, TagList, PeerSvcs, Stats, Events.
+	for _, at := range []int{6, 7, 8, 9, 10, 12, 13, 20, 21, 24} {
+		for _, per := range []int{1, 2, 6, 9, 11} {
+			msg := codec.AppendUvarint(make([]byte, at), zeros/uint64(per))
+			msg = append(msg, make([]byte, zeros)...)
+			var resp response
+			grew := allocated(func() {
+				d := codec.NewReader(msg, errTruncated)
+				decodeResponse(&d, &resp)
+			})
+			if grew > wireAllocBound(len(msg)) {
+				t.Errorf("count at byte %d claiming one element per %d bytes: %d bytes allocated %d (%.1f×)",
+					at, per, len(msg), grew, float64(grew)/float64(len(msg)))
+			}
+		}
+	}
 }
 
 // TestWireTaskZeroTimestamps is the satellite fix's unit pin: an unstarted
