@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"osprey/internal/codec"
 	"osprey/internal/core"
 	"osprey/internal/datastream"
 	"osprey/internal/ensemble"
@@ -773,11 +774,12 @@ func BenchmarkEntryCodec(b *testing.B) {
 	}
 	var buf []byte
 	var decoded minisql.LogEntry
+	var text codec.Text
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = minisql.EncodeRecord(buf[:0], entry)
-		if _, err := db.Engine().DecodeRecordInto(&decoded, buf); err != nil {
+		if _, err := db.Engine().DecodeRecordInto(&decoded, &text, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,6 +13,19 @@
 // or String, which refuse one beyond Len(), and a frame body is read by
 // ReadFrame, which refuses one beyond the format's bound and grows its buffer
 // only as bytes arrive.
+//
+// Text. String copies a string's bytes to the end of a Text arena's current
+// chunk and returns a string over the copy, so a frame's or a record's text
+// costs one allocation per chunk, not one per field. A chunk holds only text
+// bytes, each written once, before the string over it is returned, and is
+// sized from the bytes present, never from a claim: max(n, min(4 KiB, bytes
+// left)) for an n-byte string the current chunk cannot take. A decoded string
+// thus pins at most one chunk of text bytes. The decoder owning a stream owns
+// its Text and hands it by pointer to each Reader over the stream, so one
+// frame's leftover chunk serves the next; a Text copied with a Reader value
+// would let two copies append over each other's free bytes, and one shared
+// between goroutines would race. NewReader's Reader makes its own at its
+// first string.
 package codec
 
 import (
@@ -24,6 +37,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // Reader reads fields from the front of a byte slice. The first read the
@@ -34,10 +48,34 @@ type Reader struct {
 	b        []byte
 	pos      int // reads advance pos, never b: no pointer write, no GC write barrier
 	err, bad error
+	text     *Text
 }
 
 // NewReader returns a Reader over b that fails with bad, which must not be nil.
 func NewReader(b []byte, bad error) Reader { return Reader{b: b, bad: bad} }
+
+// Text is the arena a stream's strings are carved from; its zero value is
+// ready to use.
+type Text struct{ chunk []byte }
+
+// textChunk is the most a chunk is sized for when the string fits in less.
+const textChunk = 4 << 10
+
+// Reader returns a Reader over b that fails with bad and carves its strings
+// from t.
+func (t *Text) Reader(b []byte, bad error) Reader { return Reader{b: b, bad: bad, text: t} }
+
+// carve copies b to the end of the current chunk — a fresh one of
+// max(len(b), min(textChunk, left)) bytes when it does not fit — and returns
+// a string over the copy.
+func (t *Text) carve(b []byte, left int) string {
+	if len(b) > cap(t.chunk)-len(t.chunk) {
+		t.chunk = make([]byte, 0, max(len(b), min(textChunk, left)))
+	}
+	start := len(t.chunk)
+	t.chunk = append(t.chunk, b...)
+	return unsafe.String(&t.chunk[start], len(b))
+}
 
 // Err is nil until a read fails, then the Reader's sentinel error.
 func (r *Reader) Err() error { return r.err }
@@ -115,12 +153,18 @@ func (r *Reader) Float64() float64 {
 // with capacity capped at their length.
 func (r *Reader) Bytes() []byte { return r.next(r.Uvarint()) }
 
-// String reads Bytes' form as a string of its own.
+// String reads Bytes' form as a string carved from the Reader's Text: it
+// holds a copy, not the input, so it outlives the bytes it was read from.
 func (r *Reader) String() string {
-	if b := r.Bytes(); len(b) > 0 {
-		return string(b)
+	left := r.Len()
+	b := r.Bytes()
+	if len(b) == 0 {
+		return ""
 	}
-	return ""
+	if r.text == nil {
+		r.text = new(Text)
+	}
+	return r.text.carve(b, left)
 }
 
 // AppendUvarint appends v as an unsigned varint.

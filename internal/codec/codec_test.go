@@ -16,7 +16,10 @@ var errTest = errors.New("codec test: bad input")
 // bytes. The Reader never panics and never returns bytes it was not given;
 // once a read fails, Err sticks and every later read returns the zero value;
 // Count refuses a claim beyond Len()/minItem; and every Append helper's
-// output reads back to its input.
+// output reads back to its input. Strings are carved from the Reader's Text:
+// no chunk is sized past max(n, min(textChunk, Len())) for an n-byte string,
+// and every string keeps its bytes after the input is scribbled over and
+// more strings are carved from the same arena.
 func FuzzCodecReader(f *testing.F) {
 	var b []byte
 	b = AppendUvarint(b, 300)
@@ -28,11 +31,18 @@ func FuzzCodecReader(f *testing.F) {
 	b = AppendUvarint(b, 3)
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 15, 0}, b)
 	f.Add([]byte{5, 0}, AppendUvarint(AppendString(nil, "abc"), 7))
+	f.Add([]byte{6, 6, 6}, AppendString(AppendString(AppendString(nil, "abc"), string(make([]byte, 5000))), "de"))
 	f.Add([]byte{7, 0x7f, 5}, []byte{0x80})
 	f.Add([]byte{5, 5}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, ops, data []byte) {
-		r := NewReader(data, errTest)
+		in := bytes.Clone(data)
+		r := NewReader(in, errTest)
+		type carved struct {
+			s    string
+			want []byte
+		}
+		var kept []carved
 		failed := false
 		for i, op := range ops {
 			pos := len(data) - r.Len()
@@ -56,14 +66,26 @@ func FuzzCodecReader(f *testing.F) {
 						t.Fatalf("op %d: Bytes returned %d bytes with capacity %d", i, len(got), cap(got))
 					}
 				} else {
-					got = []byte(r.String())
+					var before []byte
+					if r.text != nil {
+						before = r.text.chunk
+					}
+					left := r.Len()
+					s := r.String()
+					got = []byte(s)
+					if s != "" {
+						kept = append(kept, carved{s, got})
+						if c := r.text.chunk; first(c) != first(before) && cap(c) > max(len(s), min(textChunk, left)) {
+							t.Fatalf("op %d: a %d-byte string with %d bytes left made a %d-byte chunk", i, len(s), left, cap(c))
+						}
+					}
 				}
 				zero = len(got) == 0
 				end := len(data) - r.Len()
 				if r.Err() == nil && (len(got) > end-pos || !bytes.Equal(got, data[end-len(got):end])) {
 					t.Fatalf("op %d: read %x, not the bytes it consumed, %x", i, got, data[pos:end])
 				}
-				if op%8 == 5 && len(got) > 0 && &got[0] != &data[end-len(got)] {
+				if op%8 == 5 && len(got) > 0 && &got[0] != &in[end-len(got)] {
 					t.Fatalf("op %d: Bytes does not alias its input", i)
 				}
 			case 7:
@@ -88,6 +110,20 @@ func FuzzCodecReader(f *testing.F) {
 				failed = true
 			} else if failed {
 				t.Fatalf("op %d: Err did not stick", i)
+			}
+		}
+		for i := range in {
+			in[i] ^= 0xA5
+		}
+		if r.text != nil {
+			more := r.text.Reader(bytes.Clone(data), errTest)
+			for more.Len() > 0 && more.Err() == nil {
+				_ = more.String()
+			}
+		}
+		for _, k := range kept {
+			if k.s != string(k.want) {
+				t.Fatalf("string %q became %q after scribbling and more reads", k.want, k.s)
 			}
 		}
 
@@ -177,4 +213,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := ReadFrame(torn, &rbuf, 10, errTest); !errors.Is(err, errTest) || !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("a 5-byte frame cut at 2: err %v", err)
 	}
+}
+
+// first is the address of b's first byte, nil for no array.
+func first(b []byte) *byte {
+	if cap(b) == 0 {
+		return nil
+	}
+	return &b[:1][0]
 }

@@ -5,10 +5,13 @@ import "sync"
 // notifier is a broadcast signal: waiters grab the current channel and block
 // on it; notify closes that channel and installs a fresh one. This gives the
 // polling queries prompt wakeups without busy-waiting while preserving the
-// delay/timeout semantics of the paper's API.
+// delay/timeout semantics of the paper's API. A notify with no waiter since
+// the last one keeps the channel: a follower, which parks no long-poll,
+// commits without making channels nobody waits on.
 type notifier struct {
-	mu sync.Mutex
-	ch chan struct{}
+	mu    sync.Mutex
+	ch    chan struct{}
+	taken bool // a waiter took ch since it was made
 }
 
 func newNotifier() *notifier {
@@ -19,13 +22,16 @@ func newNotifier() *notifier {
 func (n *notifier) wait() <-chan struct{} {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.taken = true
 	return n.ch
 }
 
 // notify wakes all current waiters.
 func (n *notifier) notify() {
 	n.mu.Lock()
-	close(n.ch)
-	n.ch = make(chan struct{})
+	if n.taken {
+		close(n.ch)
+		n.ch, n.taken = make(chan struct{}), false
+	}
 	n.mu.Unlock()
 }

@@ -35,10 +35,11 @@ import (
 //
 // There is one decoder, decodeRecord, in two forms. DecodeRecord returns a
 // fresh entry. Engine.DecodeRecordInto decodes into the caller's entry,
-// reusing its Stmts and each statement's Args capacity, and resolves SQL text
-// the engine has prepared to the pinned handle's own string: a follower
-// replaying its leader's stream allocates only the text arguments, plus the
-// SQL of statements it never prepared (DDL, ad-hoc text).
+// reusing its Stmts and each statement's Args capacity, carves text from the
+// caller's codec.Text and resolves SQL text the engine has prepared to the
+// pinned handle's own string: a follower replaying its leader's stream
+// allocates only its arena's chunks for text arguments, plus the SQL of
+// statements it never prepared (DDL, ad-hoc text).
 //
 // Bounds: the codec package's rule, with maxRecordSize the record bound. On
 // top of it, Stmts and Args grow as statements and arguments decode, never
@@ -112,29 +113,31 @@ func appendValue(b []byte, v Value) []byte {
 // framed size (more records may follow in b), or errCorrupt when the length,
 // the CRC or the payload's structure does not check out.
 func DecodeRecord(b []byte) (e LogEntry, size int, err error) {
-	if size, err = decodeRecord(&e, b, nil); err != nil {
+	if size, err = decodeRecord(&e, b, nil, nil); err != nil {
 		return LogEntry{}, 0, err
 	}
 	return e, size, nil
 }
 
 // DecodeRecordInto is DecodeRecord decoding into ent, whose Stmts and Args
-// capacity it reuses: a follower keeps one entry for its whole stream. SQL
-// text this engine has prepared resolves to the pinned handle's string, with
-// no copy. On error ent holds a partial decode, to be overwritten, not used.
-func (e *Engine) DecodeRecordInto(ent *LogEntry, b []byte) (size int, err error) {
-	return decodeRecord(ent, b, e.plans)
+// capacity it reuses, carving its text from text: a follower keeps one entry
+// and one arena for its whole stream. SQL text this engine has prepared
+// resolves to the pinned handle's string, with no copy. On error ent holds a
+// partial decode, to be overwritten, not used.
+func (e *Engine) DecodeRecordInto(ent *LogEntry, text *codec.Text, b []byte) (size int, err error) {
+	return decodeRecord(ent, b, e.plans, text)
 }
 
 // decodeRecord is the one decoder: the record at the front of b into e,
 // reusing e's capacity, with SQL text resolved through pins' pinned handles
-// when pins is not nil.
-func decodeRecord(e *LogEntry, b []byte, pins *planCache) (int, error) {
+// when pins is not nil and other text carved from text (a Reader's own
+// arena when nil).
+func decodeRecord(e *LogEntry, b []byte, pins *planCache, text *codec.Text) (int, error) {
 	payload, size, err := readRecord(b)
 	if err != nil {
 		return 0, err
 	}
-	if err := decodeEntry(e, payload, pins); err != nil {
+	if err := decodeEntry(e, payload, pins, text); err != nil {
 		return 0, err
 	}
 	return size, nil
@@ -158,8 +161,8 @@ func readValue(r *codec.Reader) Value {
 }
 
 // decodeEntry decodes payload into e (see decodeRecord).
-func decodeEntry(e *LogEntry, payload []byte, pins *planCache) error {
-	r := codec.NewReader(payload, errCorrupt)
+func decodeEntry(e *LogEntry, payload []byte, pins *planCache, text *codec.Text) error {
+	r := text.Reader(payload, errCorrupt)
 	e.Index = r.Uvarint()
 	nStmts := r.Count(2) // SQL text length, argument count
 	e.Stmts = e.Stmts[:0]
@@ -167,7 +170,11 @@ func decodeEntry(e *LogEntry, payload []byte, pins *planCache) error {
 		e.Stmts = growOne(e.Stmts, nStmts)
 		s := &e.Stmts[i]
 		s.prep = nil
-		s.SQL = pins.text(r.Bytes())
+		if pins != nil {
+			s.SQL = pins.text(r.Bytes())
+		} else {
+			s.SQL = r.String()
+		}
 		nArgs := r.Count(1) // a cell's Kind byte
 		s.Args = s.Args[:0]
 		for j := 0; j < nArgs && r.Err() == nil; j++ {
@@ -373,8 +380,9 @@ func (d *DiskLog) scan() error {
 			return err
 		}
 		var e LogEntry
+		var text codec.Text
 		off, werr := walkRecords(data, func(_, payload []byte) error {
-			if err := decodeEntry(&e, payload, nil); err != nil || e.Index != s.last+1 {
+			if err := decodeEntry(&e, payload, nil, &text); err != nil || e.Index != s.last+1 {
 				return errCorrupt
 			}
 			s.last = e.Index
@@ -710,8 +718,9 @@ func (d *DiskLog) Entries(after uint64) ([]LogEntry, bool, error) {
 		return nil, ok, err
 	}
 	out := make([]LogEntry, len(recs))
+	var text codec.Text // one arena for the whole read-back
 	for i, r := range recs {
-		if out[i], _, err = DecodeRecord(r.Data); err != nil {
+		if _, err = decodeRecord(&out[i], r.Data, nil, &text); err != nil {
 			return nil, false, err
 		}
 	}

@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"osprey/internal/codec"
 )
 
 func testEntry(idx uint64) LogEntry {
@@ -150,7 +152,8 @@ func TestDecodeRecordIntoReusesAndInterns(t *testing.T) {
 		{SQL: "DELETE FROM t"},
 	}})
 	var e LogEntry
-	if _, err := eng.DecodeRecordInto(&e, rec); err != nil {
+	var text codec.Text
+	if _, err := eng.DecodeRecordInto(&e, &text, rec); err != nil {
 		t.Fatal(err)
 	}
 	if unsafe.StringData(e.Stmts[0].SQL) != unsafe.StringData(h.sql) {
@@ -161,7 +164,7 @@ func TestDecodeRecordIntoReusesAndInterns(t *testing.T) {
 	}
 	rec = EncodeRecord(nil, LogEntry{Index: 6, Stmts: []Stmt{{SQL: pinned, Args: []Value{Int64(1), Null()}}}})
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := eng.DecodeRecordInto(&e, rec); err != nil {
+		if _, err := eng.DecodeRecordInto(&e, &text, rec); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -274,6 +277,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	primer := EncodeRecord(nil, long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var reused LogEntry
+		var text codec.Text
 		// As a record, and as a payload behind a valid header: a mutated
 		// record almost never passes its CRC, so the second form is what
 		// lets the fuzzer reach the structure checks.
@@ -281,7 +285,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		// to overwrite, and follows whatever a failed decode left behind.
 		for _, rec := range [][]byte{primer, data, framePayload(data), primer} {
 			e, size, err := DecodeRecord(rec)
-			sizeInto, errInto := eng.DecodeRecordInto(&reused, rec)
+			sizeInto, errInto := eng.DecodeRecordInto(&reused, &text, rec)
 			if (err == nil) != (errInto == nil) || size != sizeInto {
 				t.Fatalf("fresh decode: %d bytes, %v; into a reused entry: %d bytes, %v", size, err, sizeInto, errInto)
 			}

@@ -120,11 +120,8 @@ func (c *planCache) get(sql string, pin bool) (*Prepared, bool) {
 }
 
 // text returns the SQL text b names: the pinned handle's own string when
-// the engine prepared that text, else a copy. A nil cache always copies.
+// the engine prepared that text, else a copy.
 func (c *planCache) text(b []byte) string {
-	if c == nil {
-		return string(b)
-	}
 	c.mu.Lock()
 	h, ok := c.pinned[string(b)]
 	c.mu.Unlock()

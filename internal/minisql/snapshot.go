@@ -248,18 +248,20 @@ func decodeCheckpoint(data []byte) (map[string]*table, error) {
 	return d.tables, nil
 }
 
-// ckptDecoder builds tables record by record. A table's indexes are built
-// once its rows are in: addIndex builds each in one pass (one sort for a
-// sorted side) instead of n incremental inserts.
+// ckptDecoder builds tables record by record, carving every record's text
+// from one arena. A table's indexes are built once its rows are in: addIndex
+// builds each in one pass (one sort for a sorted side) instead of n
+// incremental inserts.
 type ckptDecoder struct {
 	tables         map[string]*table
 	t              *table // the table whose rows are arriving
 	want, got      uint64 // the rows its record counts, and those seen
 	plain, ordered []string
+	text           codec.Text
 }
 
 func (d *ckptDecoder) record(_, payload []byte) error {
-	r := codec.NewReader(payload, errCorrupt)
+	r := d.text.Reader(payload, errCorrupt)
 	switch kind := r.Byte(); {
 	case kind == ckptTable:
 		if err := d.finish(); err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"osprey/internal/codec"
 	"osprey/internal/core"
 	"osprey/internal/minisql"
 )
@@ -316,9 +317,10 @@ func TestFollowerInternsPreparedSQL(t *testing.T) {
 	// A second decode through the same engine: pinned text comes back as the
 	// same string, ad-hoc text as a fresh copy.
 	var again minisql.LogEntry
+	var text codec.Text
 	var want []*byte
 	for b := batch; len(b) > 0; {
-		size, err := fol.eng.DecodeRecordInto(&again, b)
+		size, err := fol.eng.DecodeRecordInto(&again, &text, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"time"
 
+	"osprey/internal/codec"
 	"osprey/internal/minisql"
 )
 
@@ -102,18 +103,19 @@ func (n *Node) followOnce(addr string, join frame) error {
 	// cfg.Heartbeat and a silent leader is dead.
 	readDeadline := n.snapshotTimeout()
 	var buf [4]output
-	// One frame and one entry for the whole stream: each frame is handled
-	// before the next is read, and each entry applied before the next
-	// decodes into it.
+	// One frame, one entry and one text arena for the whole stream: each
+	// frame is handled before the next is read, and each entry applied
+	// before the next decodes into it.
 	var f frame
 	var ent minisql.LogEntry
+	var text codec.Text
 	for {
 		conn.SetReadDeadline(time.Now().Add(readDeadline))
 		readDeadline = 2 * n.cfg.ElectionTimeout
 		if err := rd.read(&f); err != nil {
 			return err
 		}
-		if err := n.onStream(&f, &ent, &w, conn, buf[:0]); err != nil || f.Type == frameNotLeader {
+		if err := n.onStream(&f, &ent, &text, &w, conn, buf[:0]); err != nil || f.Type == frameNotLeader {
 			return err
 		}
 	}
@@ -122,7 +124,7 @@ func (n *Node) followOnce(addr string, join frame) error {
 // onStream steps one frame from the leader and carries out what the core
 // decided: drop the stream, install or apply — then step evApplied, which
 // decides the ack — release watch transitions, and ack.
-func (n *Node) onStream(f *frame, ent *minisql.LogEntry, w *frameWriter, conn net.Conn, buf []output) error {
+func (n *Node) onStream(f *frame, ent *minisql.LogEntry, text *codec.Text, w *frameWriter, conn net.Conn, buf []output) error {
 	for in := (input{ev: evFrame, f: *f}); in.ev != 0; {
 		out, err := n.step(in, buf)
 		if err != nil {
@@ -142,7 +144,7 @@ func (n *Node) onStream(f *frame, ent *minisql.LogEntry, w *frameWriter, conn ne
 				}
 				in.ev = evApplied
 			case doApply:
-				if err := n.applyRecords(ent, f.Records); err != nil {
+				if err := n.applyRecords(ent, text, f.Records); err != nil {
 					return err
 				}
 				in.ev = evApplied
@@ -239,11 +241,12 @@ func (n *Node) applyOne(ent *minisql.LogEntry, rec []byte) error {
 // last applied entry and the leader re-ships the rest; the single ack that
 // follows carries the batch high-water mark, advancing the leader's quorum
 // watermark for every entry at once. Each record decodes into ent, whose
-// capacity the stream keeps: ApplyEntry holds on to no argument (rows copy
-// their values) and no statement.
-func (n *Node) applyRecords(ent *minisql.LogEntry, b []byte) error {
+// capacity the stream keeps, and carves its text from the stream's arena:
+// ApplyEntry holds on to no argument (rows copy their values) and no
+// statement.
+func (n *Node) applyRecords(ent *minisql.LogEntry, text *codec.Text, b []byte) error {
 	for len(b) > 0 {
-		size, err := n.eng.DecodeRecordInto(ent, b)
+		size, err := n.eng.DecodeRecordInto(ent, text, b)
 		if err != nil {
 			return fmt.Errorf("replica: shipped record after index %d: %w", n.Applied(), err)
 		}

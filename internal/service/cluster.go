@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -177,12 +179,23 @@ func (cc *ClusterClient) noteToken(tok uint64) {
 	cc.mu.Unlock()
 }
 
-// autoDedupKey returns a fresh session-unique idempotency key.
-func (cc *ClusterClient) autoDedupKey() string {
+// autoDedupKeys fills keys with fresh session-unique idempotency keys,
+// <dedupBase>-<seq>, reserved under one lock and sliced from one string.
+func (cc *ClusterClient) autoDedupKeys(keys []string) {
 	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	cc.dedupSeq++
-	return fmt.Sprintf("%s-%d", cc.dedupBase, cc.dedupSeq)
+	seq := cc.dedupSeq
+	cc.dedupSeq += uint64(len(keys))
+	cc.mu.Unlock()
+	var small [64]byte
+	buf := slices.Grow(small[:0], len(keys)*(len(cc.dedupBase)+21)) // '-' and 20 digits
+	for i := range keys {
+		buf = strconv.AppendUint(append(append(buf, cc.dedupBase...), '-'), seq+uint64(i)+1, 10)
+	}
+	all := string(buf)
+	for i := range keys {
+		n := len(cc.dedupBase) + 1 + len(strconv.AppendUint(small[:0], seq+uint64(i)+1, 10))
+		keys[i], all = all[:n], all[n:]
+	}
 }
 
 func (cc *ClusterClient) client() (*Client, error) {
@@ -502,7 +515,9 @@ func (cc *ClusterClient) Submit(ctx context.Context, expID string, workType int,
 		opt(&o)
 	}
 	if o.DedupKey == "" {
-		opts = append(opts[:len(opts):len(opts)], core.WithDedupKey(cc.autoDedupKey()))
+		var key [1]string
+		cc.autoDedupKeys(key[:])
+		opts = append(opts[:len(opts):len(opts)], core.WithDedupKey(key[0]))
 	}
 	return cc.session.Submit(ctx, expID, workType, payload, opts...)
 }
@@ -514,9 +529,7 @@ func (cc *ClusterClient) Submit(ctx context.Context, expID string, workType int,
 func (cc *ClusterClient) SubmitBatch(ctx context.Context, expID string, workType int, payloads []string, priorities []int, dedupKeys []string) (core.BatchRes, error) {
 	if len(dedupKeys) == 0 {
 		dedupKeys = make([]string, len(payloads))
-		for i := range dedupKeys {
-			dedupKeys[i] = cc.autoDedupKey()
-		}
+		cc.autoDedupKeys(dedupKeys)
 	}
 	return cc.session.SubmitBatch(ctx, expID, workType, payloads, priorities, dedupKeys)
 }

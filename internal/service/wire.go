@@ -34,8 +34,9 @@ package service
 //
 // The codec is deliberately allocation-light: encoders append into a
 // reusable per-connection scratch buffer, decoders read frames into a
-// reusable buffer and allocate only what escapes into the decoded struct
-// (strings, slices, maps). BenchmarkWireCodec measures one round trip.
+// reusable buffer and allocate only what escapes into the decoded struct:
+// slices, maps, and the chunks of the connection side's text arena its
+// strings are carved from. BenchmarkWireCodec measures one round trip.
 //
 // Bounds: the codec package's rule, with maxFrame the frame bound and each
 // collection's smallest element encoding given at the decoders below.
@@ -377,13 +378,15 @@ func decodeResponse(d *codec.Reader, resp *response) error {
 // --- framing ---
 
 // frameIO owns one side's reusable frame buffer — the writer encodes frames
-// into it, the reader reads frames into it — and the Reader decoding them
-// (see appendSlice for why it is not on the stack). One frameIO per
-// connection direction; not safe for concurrent use (callers serialize on
-// the connection's write lock or the single demux goroutine).
+// into it, the reader reads frames into it — the Reader decoding them (see
+// appendSlice for why it is not on the stack) and the text arena that
+// Reader carves every frame's strings from. One frameIO per connection
+// direction; not safe for concurrent use (callers serialize on the
+// connection's write lock or the single demux goroutine).
 type frameIO struct {
-	buf []byte
-	dec codec.Reader
+	buf  []byte
+	dec  codec.Reader
+	text codec.Text
 }
 
 // readFrame reads one frame into the reusable buffer and returns the request
@@ -393,7 +396,7 @@ func (f *frameIO) readFrame(r *bufio.Reader) (uint64, *codec.Reader, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	f.dec = codec.NewReader(body, errTruncated)
+	f.dec = f.text.Reader(body, errTruncated)
 	id := f.dec.Uvarint()
 	return id, &f.dec, f.dec.Err()
 }
@@ -414,8 +417,9 @@ func (f *frameIO) readRequest(r *bufio.Reader) (uint64, request, error) {
 // readResponse reads and decodes one response frame into resp (client demux
 // side). Both the frame buffer and resp are reusable across calls:
 // decodeResponse assigns every field, so stale state never leaks between
-// frames, and what the decoded response owns (strings, slices, maps) is
-// freshly allocated and safe to hand off by value.
+// frames. What the decoded response holds is safe to hand off by value: its
+// slices and maps are freshly allocated, and its strings are carved from
+// f.text, whose bytes no later frame overwrites.
 func (f *frameIO) readResponse(r *bufio.Reader, resp *response) (uint64, error) {
 	id, d, err := f.readFrame(r)
 	if err == nil {
@@ -469,13 +473,13 @@ func (cb *CodecBench) RoundTripV2() error {
 	f := &cb.f
 	f.buf = appendRequest(f.buf[:0], &cb.req)
 	var req request
-	f.dec = codec.NewReader(f.buf, errTruncated)
+	f.dec = f.text.Reader(f.buf, errTruncated)
 	if err := decodeRequest(&f.dec, &req); err != nil {
 		return err
 	}
 	f.buf = appendResponse(f.buf[:0], &cb.resp)
 	var resp response
-	f.dec = codec.NewReader(f.buf, errTruncated)
+	f.dec = f.text.Reader(f.buf, errTruncated)
 	if err := decodeResponse(&f.dec, &resp); err != nil {
 		return err
 	}
