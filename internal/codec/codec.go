@@ -10,9 +10,9 @@
 // bytes one item's encoding can take, which refuses any claim beyond
 // Len()/minItem. A slice or map made from the count is then bounded by the
 // bytes left, times the item's size over minItem. A length is read with Bytes
-// or String, which refuse one beyond Len(), and a frame body is read by
-// ReadFrame, which refuses one beyond the format's bound and grows its buffer
-// only as bytes arrive.
+// or String, which refuse one beyond Len(), and a body on a stream is read by
+// ReadBody — a frame's by ReadFrame, which first refuses a length beyond the
+// format's bound — which grows its buffer only as bytes arrive.
 //
 // Text. String copies a string's bytes to the end of a Text arena's current
 // chunk and returns a string over the copy, so a frame's or a record's text
@@ -195,11 +195,11 @@ func AppendString(b []byte, s string) []byte {
 }
 
 // A frame is a uvarint body length and the body. The frame functions reuse
-// one buffer per connection side, kept while it is at most keepBytes: a
-// larger frame (in practice a bootstrap snapshot) gets its own allocation,
-// which nothing pins once the frame is handled.
+// one buffer per connection side, kept while it is at most KeepBytes: a
+// larger body (a frame or record holding one record past that size) gets its
+// own allocation, which nothing pins once it is handled.
 const (
-	keepBytes = 1 << 20
+	KeepBytes = 1 << 20
 	room      = binary.MaxVarintLen64
 )
 
@@ -219,13 +219,9 @@ func WriteFrame(w io.Writer, buf *[]byte, b []byte) error {
 	return err
 }
 
-// ReadFrame reads the next frame from r and returns its body, which holds
-// until the next read into *buf. A length above limit fails with bad before
-// any body is read. The body is read into *buf when it fits, else into a
-// buffer grown as its bytes arrive — by at most what it already holds — so
-// memory follows what the peer sent, not what it claimed; a stream that ends
-// mid-body fails with bad wrapping io.ErrUnexpectedEOF. A clean end of the
-// stream before a frame is io.EOF.
+// ReadFrame reads the next frame's body from r with ReadBody, failing with
+// bad on a length above limit before reading any. A clean end of the stream
+// before a frame is io.EOF.
 func ReadFrame(r *bufio.Reader, buf *[]byte, limit uint64, bad error) ([]byte, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -234,7 +230,17 @@ func ReadFrame(r *bufio.Reader, buf *[]byte, limit uint64, bad error) ([]byte, e
 	if size > limit {
 		return nil, fmt.Errorf("%w: a %d-byte frame over the %d-byte bound", bad, size, limit)
 	}
-	b, n := (*buf)[:0], int(size)
+	return ReadBody(r, buf, int(size), bad)
+}
+
+// ReadBody reads the next n bytes of r, a body whose length its format has
+// already read and bounded, and returns them; they hold until the next read
+// into *buf. The body is read into *buf when it fits, else into a buffer
+// grown as its bytes arrive — by at most what it already holds — so memory
+// follows what the peer sent, not what it claimed; a stream that ends
+// mid-body fails with bad wrapping io.ErrUnexpectedEOF.
+func ReadBody(r io.Reader, buf *[]byte, n int, bad error) ([]byte, error) {
+	b := (*buf)[:0]
 	for len(b) < n {
 		if len(b) == cap(b) {
 			b = slices.Grow(b, min(n-len(b), max(len(b), 4096)))
@@ -253,7 +259,7 @@ func ReadFrame(r *bufio.Reader, buf *[]byte, limit uint64, bad error) ([]byte, e
 }
 
 func keep(buf *[]byte, b []byte) {
-	if cap(b) <= keepBytes {
+	if cap(b) <= KeepBytes {
 		*buf = b
 	}
 }

@@ -173,10 +173,10 @@ func FuzzCodecReader(f *testing.F) {
 
 // TestFrameRoundTrip: frames written one Write each read back in order
 // through one buffer, which keeps its array only while it is at most
-// keepBytes; a length over the bound, a body cut short and a clean end of
+// KeepBytes; a length over the bound, a body cut short and a clean end of
 // stream each fail as documented.
 func TestFrameRoundTrip(t *testing.T) {
-	bodies := [][]byte{{}, []byte("x"), bytes.Repeat([]byte("ab"), 300), make([]byte, keepBytes+1), []byte("after")}
+	bodies := [][]byte{{}, []byte("x"), bytes.Repeat([]byte("ab"), 300), make([]byte, KeepBytes+1), []byte("after")}
 	var stream bytes.Buffer
 	var wbuf []byte
 	for _, body := range bodies {
@@ -187,18 +187,18 @@ func TestFrameRoundTrip(t *testing.T) {
 		if want := len(AppendUvarint(nil, uint64(len(body)))) + len(body); stream.Len()-writes != want {
 			t.Fatalf("a %d-byte body wrote %d bytes, want %d", len(body), stream.Len()-writes, want)
 		}
-		if cap(wbuf) > keepBytes {
+		if cap(wbuf) > KeepBytes {
 			t.Fatalf("the writer kept a %d-byte buffer", cap(wbuf))
 		}
 	}
 	r := bufio.NewReader(&stream)
 	var rbuf []byte
 	for _, want := range bodies {
-		got, err := ReadFrame(r, &rbuf, keepBytes+1, errTest)
+		got, err := ReadFrame(r, &rbuf, KeepBytes+1, errTest)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("read a %d-byte frame: %d bytes, err %v", len(want), len(got), err)
 		}
-		if cap(rbuf) > keepBytes {
+		if cap(rbuf) > KeepBytes {
 			t.Fatalf("the reader kept a %d-byte buffer", cap(rbuf))
 		}
 	}

@@ -184,27 +184,29 @@ func RestoreDB(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := db.Restore(r); err != nil {
+	if err := db.Restore(r, 0); err != nil {
 		return nil, err
 	}
 	return db, nil
 }
 
-// Restore replaces the database contents in place with a snapshot, keeping
-// the DB identity (and any servers holding it) intact. Replication uses this
-// when a follower bootstraps from a leader snapshot.
-func (db *DB) Restore(r io.Reader) error {
+// Restore replaces the database contents in place with a snapshot of the log
+// up to token, which becomes the commit high-water mark, keeping the DB
+// identity (and any servers holding it) intact. Replication uses this when a
+// follower bootstraps from a leader snapshot. A refused snapshot leaves the
+// database as it was.
+func (db *DB) Restore(r io.Reader, token Token) error {
 	if err := db.eng.Restore(r); err != nil {
 		return err
 	}
+	db.eng.SetLastLogged(token)
 	if err := migrateSchema(db.eng); err != nil {
 		return err
 	}
 	// A restore invalidates the hub's history: subscribers are reset and the
 	// depth/type maps reseeded from the restored tables, which may hold
-	// queued and running tasks. Replication calls ResetWatch again once it
-	// has corrected the commit high-water mark to the snapshot index.
-	db.ResetWatch(db.eng.LastLogged())
+	// queued and running tasks, with the resume floor at token.
+	db.ResetWatch(token)
 	db.wakeAll()
 	return nil
 }

@@ -286,7 +286,7 @@ func FuzzApplyEntry(f *testing.F) {
 		}
 		// A successful entry changed the state the next input should start
 		// from: go back to the churned base.
-		if err := db.Restore(bytes.NewReader(base.Bytes())); err != nil {
+		if err := db.Restore(bytes.NewReader(base.Bytes()), db.Token()); err != nil {
 			t.Fatal(err)
 		}
 	})

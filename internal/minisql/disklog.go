@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,16 +42,16 @@ import (
 // allocates only its arena's chunks for text arguments, plus the SQL of
 // statements it never prepared (DDL, ad-hoc text).
 //
-// Bounds: the codec package's rule, with maxRecordSize the record bound. On
+// Bounds: the codec package's rule, with MaxRecordSize the record bound. On
 // top of it, Stmts and Args grow as statements and arguments decode, never
 // past what the record claims, so a record whose counts its bytes cannot
 // back fails having allocated no more than it decoded.
 
 const (
 	recordHeaderSize = 8
-	// maxRecordSize bounds a single decoded record so a corrupt length
+	// MaxRecordSize bounds a single record's payload so a corrupt length
 	// prefix cannot ask for a multi-gigabyte allocation.
-	maxRecordSize = 256 << 20
+	MaxRecordSize = 256 << 20
 )
 
 // errCorrupt marks an undecodable record, a log entry's or a checkpoint's:
@@ -211,11 +212,34 @@ func readRecord(b []byte) (payload []byte, size int, err error) {
 	}
 	n := binary.LittleEndian.Uint32(b)
 	crc := binary.LittleEndian.Uint32(b[4:])
-	if n > maxRecordSize || uint64(len(b)) < recordHeaderSize+uint64(n) {
+	if n > MaxRecordSize || uint64(len(b)) < recordHeaderSize+uint64(n) {
 		return nil, 0, errCorrupt
 	}
 	payload = b[recordHeaderSize : recordHeaderSize+n]
 	if crc32.ChecksumIEEE(payload) != crc {
+		return nil, 0, errCorrupt
+	}
+	return payload, recordHeaderSize + int(n), nil
+}
+
+// nextRecord is readRecord for a stream, reading the payload into *buf. A
+// stream ending before a record is io.EOF, inside one errCorrupt.
+func nextRecord(r io.Reader, buf *[]byte) (payload []byte, size int, err error) {
+	var h [recordHeaderSize]byte
+	if _, err := io.ReadFull(r, h[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = errCorrupt
+		}
+		return nil, 0, err
+	}
+	n := binary.LittleEndian.Uint32(h[:])
+	if n > MaxRecordSize {
+		return nil, 0, errCorrupt
+	}
+	if payload, err = codec.ReadBody(r, buf, int(n), errCorrupt); err != nil {
+		return nil, 0, err
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(h[4:]) {
 		return nil, 0, errCorrupt
 	}
 	return payload, recordHeaderSize + int(n), nil

@@ -240,7 +240,7 @@ func TestDiskLogParentSegmentPinned(t *testing.T) {
 
 // FuzzDecodeRecord fuzzes the one decoder of bytes that come off a disk or a
 // replication socket. It must never panic, never size a slice past the bytes
-// it was given (so never past maxRecordSize), and whatever it accepts must
+// it was given (so never past MaxRecordSize), and whatever it accepts must
 // survive a round trip as a value — not as the input bytes: binary.Uvarint
 // accepts non-minimal varints the encoder never writes.
 func FuzzDecodeRecord(f *testing.F) {

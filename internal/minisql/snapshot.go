@@ -1,6 +1,7 @@
 package minisql
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -27,13 +28,15 @@ import (
 // specs, a cell appendValue's form — the bytes a log record gives a value. A
 // table record is followed by rows records holding exactly the rows it
 // counts. A rows record is closed before a row would take it past
-// ckptChunkBytes (a larger row gets a record of its own), so the writer holds
-// a chunk, never the checkpoint, and a flipped byte anywhere fails its
-// record's CRC. Tables are written in name order, index specs sorted and rows
-// in scan order, so two engines in the same logical state write the same
-// bytes — what checkpoint files, a follower's bootstrap frame and the
-// byte-comparing recovery and replication tests rely on. Format version 1 was
-// one encoding/gob message; it is refused as an unrecognised format.
+// ckptChunkBytes (a larger row gets a record of its own), and each Write
+// holds whole records, ckptChunkBytes or more (a leader sends each as one
+// chunk): the writer holds a chunk, never the checkpoint, a reader one
+// record, and a flipped byte anywhere fails its record's CRC. Tables are
+// written in name order, index specs sorted and rows in scan order, so two
+// engines in the same logical state write the same bytes — what checkpoint
+// files, a follower's bootstrap and the byte-comparing recovery and
+// replication tests rely on. Format version 1 was one encoding/gob message;
+// it is refused as an unrecognised format.
 
 const (
 	ckptMagic      = "minisql checkpoint"
@@ -108,6 +111,7 @@ func (e *Engine) SnapshotWith(w io.Writer, observe func()) error {
 		obs(held)
 	}
 	for i, c := range cuts {
+		c.rows = make([][]Value, 0, len(slots[i]))
 		for _, s := range slots[i] {
 			if s.row != nil {
 				c.rows = append(c.rows, s.row)
@@ -133,7 +137,7 @@ func writeCheckpoint(w io.Writer, cuts []tableCut) error {
 	}
 	// emit frames rec as a record onto out, which goes to w once a chunk.
 	emit := func() {
-		if len(rec) > maxRecordSize && err == nil {
+		if len(rec) > MaxRecordSize && err == nil {
 			err = fmt.Errorf("minisql: snapshot: a %d-byte record exceeds the record bound", len(rec))
 		}
 		start := len(out)
@@ -197,18 +201,14 @@ func (e *Engine) SnapshotLogged(w io.Writer) (uint64, error) {
 }
 
 // Restore replaces the database contents with a snapshot produced by
-// Snapshot. The bytes come from a disk or a socket, so all of them are
-// checked before the engine sees a table — every record's CRC, the layout,
-// each row's width and cells, keys against nextKey, the row and table counts,
-// the index specs: on any error the engine is untouched, which is what lets
-// Store.Recover fall back to the older checkpoint and a follower refuse a bad
-// bootstrap instead of dying.
+// Snapshot, read from r a record at a time. The bytes come from a disk or a
+// socket, so all of them are checked before the engine sees a table — every
+// record's CRC, the layout, each row's width and cells, keys against nextKey,
+// the row and table counts, the index specs — up to r's end: on any error
+// the engine is untouched, which is what lets Store.Recover fall back to the
+// older checkpoint and a follower refuse a bad or broken bootstrap.
 func (e *Engine) Restore(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	var tables map[string]*table
-	if err == nil {
-		tables, err = decodeCheckpoint(data)
-	}
+	tables, err := decodeCheckpoint(r)
 	if err != nil {
 		return fmt.Errorf("minisql: restore: %w", err)
 	}
@@ -221,46 +221,60 @@ func (e *Engine) Restore(r io.Reader) error {
 	return nil
 }
 
-func decodeCheckpoint(data []byte) (map[string]*table, error) {
-	head, size, err := readRecord(data)
+func decodeCheckpoint(r io.Reader) (map[string]*table, error) {
+	br := bufio.NewReader(r)
+	var buf []byte
+	head, off, err := nextRecord(br, &buf)
+	if err != nil && err != io.EOF && !errors.Is(err, errCorrupt) {
+		return nil, err // the reader failed, not the bytes
+	}
 	if err != nil || !bytes.HasPrefix(head, []byte(ckptMagic)) {
 		return nil, errCheckpointFormat
 	}
-	r := codec.NewReader(head[len(ckptMagic):], errCorrupt)
-	if v := r.Uvarint(); v != ckptVersion && r.Err() == nil {
+	h := codec.NewReader(head[len(ckptMagic):], errCorrupt)
+	if v := h.Uvarint(); v != ckptVersion && h.Err() == nil {
 		return nil, fmt.Errorf("unsupported checkpoint format version %d", v)
 	}
-	nTables := r.Uvarint()
-	if r.Err() != nil || r.Len() != 0 {
+	nTables := h.Uvarint()
+	if h.Err() != nil || h.Len() != 0 {
 		return nil, errors.New("malformed checkpoint header")
 	}
 	d := ckptDecoder{tables: make(map[string]*table)}
-	off, err := walkRecords(data[size:], d.record)
-	if err == nil {
-		err = d.finish()
+	for {
+		payload, size, err := nextRecord(br, &buf)
+		if err == io.EOF {
+			break
+		}
+		if err == nil {
+			err = d.record(payload)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint record at byte %d: %w", off, err)
+		}
+		off += size
 	}
+	err = d.finish()
 	if err == nil && uint64(len(d.tables)) != nTables {
 		err = fmt.Errorf("%d tables for a header counting %d", len(d.tables), nTables)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint record at byte %d: %w", size+off, err)
+		return nil, fmt.Errorf("checkpoint record at byte %d: %w", off, err)
 	}
 	return d.tables, nil
 }
 
 // ckptDecoder builds tables record by record, carving every record's text
-// from one arena. A table's indexes are built once its rows are in: addIndex
-// builds each in one pass (one sort for a sorted side) instead of n
-// incremental inserts.
+// from one arena. A table's indexes exist before its rows arrive and take
+// each as it is inserted, so a restore reading as bytes arrive (a follower's
+// bootstrap) never stops reading for long to build one.
 type ckptDecoder struct {
-	tables         map[string]*table
-	t              *table // the table whose rows are arriving
-	want, got      uint64 // the rows its record counts, and those seen
-	plain, ordered []string
-	text           codec.Text
+	tables    map[string]*table
+	t         *table // the table whose rows are arriving
+	want, got uint64 // the rows its record counts, and those seen
+	text      codec.Text
 }
 
-func (d *ckptDecoder) record(_, payload []byte) error {
+func (d *ckptDecoder) record(payload []byte) error {
 	r := d.text.Reader(payload, errCorrupt)
 	switch kind := r.Byte(); {
 	case kind == ckptTable:
@@ -307,7 +321,7 @@ func (d *ckptDecoder) table(r *codec.Reader) error {
 		cols[i].Type, cols[i].PrimaryKey, cols[i].AutoInc = typ, flags&1 != 0, flags&2 != 0
 	}
 	nextKey := r.Varint()
-	d.plain, d.ordered = readSpecs(r), readSpecs(r)
+	plain, ordered := readSpecs(r), readSpecs(r)
 	if d.want, d.got = r.Uvarint(), 0; r.Err() != nil || r.Len() != 0 {
 		return errCorrupt
 	}
@@ -315,10 +329,18 @@ func (d *ckptDecoder) table(r *codec.Reader) error {
 		return fmt.Errorf("duplicate table %q", name)
 	}
 	t, err := newTable(name, cols) // refuses duplicate columns
-	if err == nil {
-		t.nextKey, d.t = nextKey, t
+	if err != nil {
+		return err
 	}
-	return err
+	for i, specs := range [][]string{plain, ordered} {
+		for _, spec := range specs {
+			if err := t.addIndex(spec, i == 1); err != nil { // refuses a column the table lacks
+				return err
+			}
+		}
+	}
+	t.nextKey, d.t = nextKey, t
+	return nil
 }
 
 func readSpecs(r *codec.Reader) []string {
@@ -337,13 +359,6 @@ func (d *ckptDecoder) finish() error {
 	}
 	if d.got != d.want {
 		return fmt.Errorf("table %q: %d rows, its record counts %d", t.name, d.got, d.want)
-	}
-	for i, specs := range [][]string{d.plain, d.ordered} {
-		for _, spec := range specs {
-			if err := t.addIndex(spec, i == 1); err != nil { // refuses a column the table lacks
-				return err
-			}
-		}
 	}
 	d.tables[t.name], d.t = t, nil
 	return nil

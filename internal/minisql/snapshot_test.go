@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -417,12 +418,13 @@ const pinnedCheckpointHex = "" +
 	"677302047461736b0000037461670200020000010700000071f8d19502020102" +
 	"030178"
 
-// FuzzRestoreSnapshot: a checkpoint file or a leader's bootstrap frame is
+// FuzzRestoreSnapshot: a checkpoint file or a leader's bootstrap stream is
 // bytes from outside. Restore may refuse them but must not panic, allocates
 // in proportion to the bytes it was given, and an engine it did build
 // snapshots to bytes that restore to the same bytes again. Each input is
 // also tried with its records' CRCs recomputed, which lets mutations reach
-// the layout checks past the CRC.
+// the layout checks past the CRC, and read one byte at a time, which must
+// change neither the verdict nor the engine.
 func FuzzRestoreSnapshot(f *testing.F) {
 	e, _ := taskLikeEngine(f, 40)
 	for i := 1; i <= 60; i++ {
@@ -470,12 +472,22 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > restoreAllocPerByte*uint64(len(in))+64<<10 {
 				t.Fatalf("restoring %d bytes allocated %d", len(in), grew)
 			}
+			// A stream that hands over one byte per read — a socket at its
+			// slowest — reaches the same verdict and the same engine.
+			slow := NewEngine()
+			slowErr := slow.Restore(iotest.OneByteReader(bytes.NewReader(in)))
+			if (err == nil) != (slowErr == nil) {
+				t.Fatalf("whole read: %v; one byte per read: %v", err, slowErr)
+			}
 			if err != nil {
 				continue
 			}
-			var once, twice bytes.Buffer
+			var once, twice, slowOnce bytes.Buffer
 			if err := e.Snapshot(&once); err != nil {
 				t.Fatalf("restored engine cannot snapshot: %v", err)
+			}
+			if err := slow.Snapshot(&slowOnce); err != nil || !bytes.Equal(once.Bytes(), slowOnce.Bytes()) {
+				t.Fatalf("one byte per read restored an engine that snapshots differently (err %v)", err)
 			}
 			e2 := NewEngine()
 			if err := e2.Restore(bytes.NewReader(once.Bytes())); err != nil {

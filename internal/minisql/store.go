@@ -197,9 +197,9 @@ func checkpointPath(dir string, idx uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("checkpoint-%020d.snap", idx))
 }
 
-// Recover rebuilds engine state from disk: it restores the newest readable
-// checkpoint via restore (which must leave the target untouched on decode
-// failure, as Engine.Restore does) and returns the log tail to replay plus
+// Recover rebuilds engine state from disk: it streams the newest readable
+// checkpoint file through restore (which must leave the target untouched on
+// decode failure, as Engine.Restore does) and returns the log tail to replay plus
 // the resulting applied index. A fresh directory returns (0, nil, nil).
 func (s *Store) Recover(restore func(r io.Reader, index uint64) error) (applied uint64, tail []LogEntry, err error) {
 	var restored, newestIdx uint64
@@ -363,34 +363,22 @@ func (s *Store) Checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	t0 := time.Now()
-	f, err := s.fs.CreateTemp(s.dir, "checkpoint-*.tmp")
-	if err != nil {
-		return s.noteCheckpoint(err)
-	}
-	tmp := f.Name()
-	idx, err := src(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		s.fs.Remove(tmp)
-		return s.noteCheckpoint(err)
-	}
 	s.mu.Lock()
 	cur := s.checkIndex
 	s.mu.Unlock()
-	if idx <= cur {
-		s.fs.Remove(tmp)
+	idx, err := s.publish(true, func(w io.Writer) (uint64, error) {
+		idx, err := src(w)
+		if err == nil && idx <= cur {
+			err = errUnchanged
+		}
+		return idx, err
+	})
+	if err == errUnchanged {
 		return nil // nothing new committed since the last checkpoint
 	}
-	if err := s.fs.Rename(tmp, checkpointPath(s.dir, idx)); err != nil {
-		s.fs.Remove(tmp)
+	if err != nil {
 		return s.noteCheckpoint(err)
 	}
-	syncDir(s.dir)
 
 	s.mu.Lock()
 	prev := s.checkIndex
@@ -440,34 +428,48 @@ func (s *Store) checkpointLoop() {
 	}
 }
 
-// InstallSnapshot atomically replaces all durable state with snapshot data
-// at the given log index — the disk half of a follower snapshot bootstrap.
-// Old checkpoints and the whole log are discarded: they belong to a history
-// the install just replaced.
-func (s *Store) InstallSnapshot(data []byte, idx uint64) error {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
+// errUnchanged refuses to publish a checkpoint of an index already on disk.
+var errUnchanged = errors.New("minisql: checkpoint unchanged")
+
+// publish writes a checkpoint file with write, which returns the log index
+// the file holds, fsyncs it when sync, and renames it into place. A failure
+// removes the tmp file. Callers hold ckptMu.
+func (s *Store) publish(sync bool, write func(io.Writer) (uint64, error)) (uint64, error) {
 	f, err := s.fs.CreateTemp(s.dir, "checkpoint-*.tmp")
 	if err != nil {
-		return err
+		return 0, err
 	}
-	tmp := f.Name()
-	_, werr := f.Write(data)
-	if werr == nil && s.opt.Fsync {
-		werr = f.Sync()
+	idx, err := write(f)
+	if err == nil && sync {
+		err = f.Sync()
 	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if werr != nil {
-		s.fs.Remove(tmp)
-		return werr
+	if err == nil {
+		err = s.fs.Rename(f.Name(), checkpointPath(s.dir, idx))
 	}
-	if err := s.fs.Rename(tmp, checkpointPath(s.dir, idx)); err != nil {
-		s.fs.Remove(tmp)
-		return err
+	if err != nil {
+		s.fs.Remove(f.Name())
+		return 0, err
 	}
 	syncDir(s.dir)
+	return idx, nil
+}
+
+// InstallSnapshot makes the checkpoint read from r, at log index idx, all of
+// the node's durable state — the disk half of a follower's bootstrap. restore
+// (the engine's Restore) reads the bytes, teed into the checkpoint file as it
+// does; only once it has taken them all is the file published and the old
+// checkpoints and the log, a replaced history, discarded.
+func (s *Store) InstallSnapshot(r io.Reader, idx uint64, restore func(io.Reader) error) error {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	if _, err := s.publish(s.opt.Fsync, func(w io.Writer) (uint64, error) {
+		return idx, restore(io.TeeReader(r, w))
+	}); err != nil {
+		return err
+	}
 	for _, cp := range s.checkpointFiles() {
 		if cp.Index != idx {
 			s.fs.Remove(cp.Path)
@@ -486,8 +488,9 @@ func (s *Store) InstallSnapshot(data []byte, idx uint64) error {
 	return nil
 }
 
-// CheckpointFile returns the newest on-disk checkpoint's path and index,
-// for file-streamed snapshot sends. ok is false when none exists yet.
+// CheckpointFile returns the newest on-disk checkpoint's path and index, for
+// a reader of the checkpoint itself (Engine.Restore takes the open file). ok
+// is false when none exists yet.
 func (s *Store) CheckpointFile() (path string, idx uint64, ok bool) {
 	s.mu.Lock()
 	idx = s.checkIndex

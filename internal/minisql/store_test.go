@@ -156,7 +156,7 @@ func TestStoreInstallSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.InstallSnapshot([]byte("snap@100"), 100); err != nil {
+	if err := s.InstallSnapshot(bytes.NewReader([]byte("snap@100")), 100, drain); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 	path, idx, ok := s.CheckpointFile()
@@ -176,6 +176,57 @@ func TestStoreInstallSnapshot(t *testing.T) {
 	tail, err := s.EntriesAfter(100)
 	if err != nil || len(tail) != 1 || tail[0].Index != 101 {
 		t.Fatalf("EntriesAfter(100) = %+v err %v", tail, err)
+	}
+}
+
+// drain is an InstallSnapshot restore that takes every byte and refuses
+// none.
+func drain(r io.Reader) error {
+	_, err := io.Copy(io.Discard, r)
+	return err
+}
+
+// TestStoreInstallSnapshotRefusedKeepsState: an install whose restore
+// refuses the stream — a broken bootstrap, or bytes that do not decode —
+// publishes no checkpoint, keeps the log and the checkpoint it had, and
+// leaves no tmp file behind.
+func TestStoreInstallSnapshotRefusedKeepsState(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, StoreOptions{})
+	defer s.Close()
+	src := &fakeSource{}
+	s.SetSnapshotSource(src.snapshot)
+	for i := uint64(1); i <= 5; i++ {
+		if err := s.AppendRecords(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.idx.Store(5)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cut := errors.New("stream cut")
+	refuse := func(r io.Reader) error {
+		io.CopyN(io.Discard, r, 4) // some bytes reach the tmp file first
+		return cut
+	}
+	if err := s.InstallSnapshot(bytes.NewReader([]byte("snap@100")), 100, refuse); !errors.Is(err, cut) {
+		t.Fatalf("refused install: err = %v, want the restore's", err)
+	}
+	if _, idx, _ := s.CheckpointFile(); idx != 5 {
+		t.Fatalf("newest checkpoint after a refused install is %d, want 5", idx)
+	}
+	if got := s.LastIndex(); got != 5 {
+		t.Fatalf("log ends at %d after a refused install, want 5", got)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if filepath.Ext(name) == ".tmp" || filepath.Base(name) == "checkpoint-00000000000000000100.snap" {
+			t.Fatalf("a refused install left %s", name)
+		}
 	}
 }
 
@@ -363,7 +414,7 @@ func TestStoreCheckpointInstallConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := uint64(1); i <= 50; i++ {
 			idx := 2*i + 1
-			if err := s.InstallSnapshot([]byte(fmt.Sprintf("snap@%d", idx)), idx); err != nil {
+			if err := s.InstallSnapshot(bytes.NewReader([]byte(fmt.Sprintf("snap@%d", idx))), idx, drain); err != nil {
 				t.Errorf("InstallSnapshot(%d): %v", idx, err)
 			}
 		}

@@ -108,7 +108,7 @@ func TestDecodedTextOutlivesInput(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
-		tables, err := decodeCheckpoint(data)
+		tables, err := decodeCheckpoint(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -135,8 +135,8 @@ func (e *Engine) applyStmtLocked(s *Stmt) error {
 	return err
 }
 
-// SetLastLogged overrides the commit high-water mark. The replication layer
-// calls it after a snapshot bootstrap: the snapshot's writes are reflected
+// SetLastLogged overrides the commit high-water mark. A snapshot bootstrap
+// sets it to the snapshot's index: the snapshot's writes are reflected
 // in the restored state but never pass through ApplyEntry, so without this
 // a promoted ex-bootstrapper would issue zero tokens for deduplicated
 // re-submits of pre-snapshot writes.

@@ -44,7 +44,7 @@ func joinFake(t *testing.T, addr string, id string, term, from uint64) *fakeFoll
 	return f
 }
 
-// next reads one frame. Its Records and Snapshot hold until the next read.
+// next reads one frame. Its Records hold until the next read.
 func (f *fakeFollower) next() frame {
 	f.t.Helper()
 	var fr frame
@@ -228,6 +228,16 @@ func (f *fakeFollower) send(fr frame) {
 	}
 }
 
+// sendSnapshot bootstraps the follower as a leader does: the hello, the
+// checkpoint as one chunk frame, and the end frame.
+func (f *fakeFollower) sendSnapshot(hello frame, ckpt []byte) {
+	f.t.Helper()
+	hello.Type = frameSnapshot
+	f.send(hello)
+	f.send(frame{Type: frameChunk, Records: ckpt})
+	f.send(frame{Type: frameSnapEnd})
+}
+
 // TestGranterJoinsLeaderOutsideItsView reproduces the election livelock: n2
 // joined a leader that died before any frame told it about n3, so its view
 // is {leader, n2} and on its own it can never reach a majority. n3, whose
@@ -254,8 +264,8 @@ func TestGranterJoinsLeaderOutsideItsView(t *testing.T) {
 	// bootstrap makes the joiner a member (only a snapshot install does) and
 	// hands it the given view.
 	bootstrap := func(s *fakeFollower, view ...Peer) {
-		s.send(frame{Type: frameSnapshot, Term: 1, Role: RoleLeader, Snapshot: snap.Bytes(),
-			Peers: view, LeaderID: me.ID, LeaderRepl: me.ReplAddr, LeaderSvc: me.SvcAddr})
+		s.sendSnapshot(frame{Term: 1, Role: RoleLeader,
+			Peers: view, LeaderID: me.ID, LeaderRepl: me.ReplAddr, LeaderSvc: me.SvcAddr}, snap.Bytes())
 	}
 
 	n2 := newNode(t, "n2", 2, ln.Addr().String())

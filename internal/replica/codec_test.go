@@ -123,16 +123,16 @@ func TestFrameReaderRefusesOversizedClaim(t *testing.T) {
 	if err := newFrameReader(bytes.NewReader(huge)).read(new(frame)); !errors.Is(err, errBadFrame) {
 		t.Fatalf("a %d-byte claim: err = %v, want errBadFrame", uint64(maxFrameSize)+1, err)
 	}
-	short := append(binary.AppendUvarint(nil, 1<<30), bytes.Repeat([]byte{0xEE}, 100<<10)...)
+	short := append(binary.AppendUvarint(nil, maxFrameSize), bytes.Repeat([]byte{0xEE}, 100<<10)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	err := newFrameReader(bytes.NewReader(short)).read(new(frame))
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		t.Fatal("a 1 GiB claim over 100 KiB decoded")
+		t.Fatal("a maxFrameSize claim over 100 KiB decoded")
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*uint64(len(short)) {
-		t.Fatalf("a 1 GiB claim over %d bytes allocated %d bytes", len(short), grew)
+		t.Fatalf("a maxFrameSize claim over %d bytes allocated %d bytes", len(short), grew)
 	}
 }
 
@@ -146,7 +146,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Type: frameProbe, Peer: peers[1]},
 		{Type: frameStatus, Term: 2, Role: RoleLeader, Applied: 9, AppliedTerm: 2, Granted: true, LeaderID: "a"},
 		{Type: frameNotLeader, Term: 2, LeaderID: "a", LeaderRepl: "ra", LeaderSvc: "sa"},
-		{Type: frameSnapshot, Term: 2, Snapshot: []byte("snapshot"), SnapIndex: 9, Peers: peers},
+		{Type: frameSnapshot, Term: 2, SnapIndex: 9, Peers: peers},
+		{Type: frameChunk, Records: []byte("checkpoint records")},
+		{Type: frameSnapEnd},
 		{Type: frameClaim, Term: 3, Peer: peers[0], Applied: 9, AppliedTerm: 2},
 	}
 	for _, p := range pinnedFrames {
@@ -269,7 +271,7 @@ func TestWaitAppliedWakesOnApplyAndInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	done = parkedWait(t, fol, last+10)
-	stream.send(frame{Type: frameSnapshot, Term: 1, Role: RoleLeader, Snapshot: snap.Bytes(), SnapIndex: last + 10})
+	stream.sendSnapshot(frame{Term: 1, Role: RoleLeader, SnapIndex: last + 10}, snap.Bytes())
 	wantWoken(t, "an install", done)
 }
 

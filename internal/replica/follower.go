@@ -1,9 +1,9 @@
 package replica
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -92,39 +92,78 @@ func (n *Node) followOnce(addr string, join frame) error {
 		n.mu.Unlock()
 	}()
 
-	w := frameWriter{w: conn}
-	rd := newFrameReader(conn)
-	conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-	if err := w.write(&join); err != nil {
+	s := &leaderStream{conn: conn, w: frameWriter{w: conn}, rd: newFrameReader(conn), elect: n.cfg.ElectionTimeout}
+	if err := s.write(&join); err != nil {
 		return err
 	}
-	// The hello may carry a full database snapshot, so the first read gets
-	// the bootstrap deadline; after that heartbeats arrive every
-	// cfg.Heartbeat and a silent leader is dead.
-	readDeadline := n.snapshotTimeout()
+	// A live leader beats every cfg.Heartbeat and writes a snapshot a chunk
+	// at a time: a frame that misses the per-frame deadline means it is dead.
 	var buf [4]output
-	// One frame, one entry and one text arena for the whole stream: each
-	// frame is handled before the next is read, and each entry applied
-	// before the next decodes into it.
 	var f frame
-	var ent minisql.LogEntry
-	var text codec.Text
 	for {
-		conn.SetReadDeadline(time.Now().Add(readDeadline))
-		readDeadline = 2 * n.cfg.ElectionTimeout
-		if err := rd.read(&f); err != nil {
+		if err := s.next(&f); err != nil {
 			return err
 		}
-		if err := n.onStream(&f, &ent, &text, &w, conn, buf[:0]); err != nil || f.Type == frameNotLeader {
+		if err := n.onStream(&f, s, buf[:0]); err != nil || f.Type == frameNotLeader {
 			return err
 		}
 	}
 }
 
+// leaderStream is a follower's end of one connection to its leader. Its
+// entry and text arena serve the whole stream: each frame is handled before
+// the next is read, each entry applied before the next decodes into it.
+type leaderStream struct {
+	conn  net.Conn
+	w     frameWriter
+	rd    *frameReader
+	elect time.Duration // the node's ElectionTimeout
+	ent   minisql.LogEntry
+	text  codec.Text
+	chunk frame  // the chunk frame Read is reading
+	rest  []byte // what Read has not yet returned of it
+}
+
+// next reads the stream's next frame within the per-frame deadline.
+func (s *leaderStream) next(f *frame) error {
+	s.conn.SetReadDeadline(time.Now().Add(2 * s.elect))
+	return s.rd.read(f)
+}
+
+func (s *leaderStream) write(f *frame) error {
+	s.conn.SetWriteDeadline(time.Now().Add(s.elect))
+	return s.w.write(f)
+}
+
+// Read reads a bootstrap's checkpoint from the chunk frames after its hello,
+// to the end frame. It acks each frame it takes, with no index: progress,
+// which renews the leader's lease and moves on its write deadline, since its
+// chunks queue behind a restore slower than its encoding.
+func (s *leaderStream) Read(p []byte) (int, error) {
+	for len(s.rest) == 0 {
+		if s.chunk.Type == frameSnapEnd {
+			return 0, io.EOF
+		}
+		if err := s.next(&s.chunk); err != nil {
+			return 0, err
+		}
+		if s.chunk.Type != frameChunk && s.chunk.Type != frameSnapEnd {
+			return 0, fmt.Errorf("%w: frame type %d inside a snapshot", errBadFrame, s.chunk.Type)
+		}
+		if err := s.write(&frame{Type: frameAck}); err != nil {
+			return 0, err
+		}
+		s.rest = s.chunk.Records
+	}
+	k := copy(p, s.rest)
+	s.rest = s.rest[k:]
+	return k, nil
+}
+
 // onStream steps one frame from the leader and carries out what the core
 // decided: drop the stream, install or apply — then step evApplied, which
 // decides the ack — release watch transitions, and ack.
-func (n *Node) onStream(f *frame, ent *minisql.LogEntry, text *codec.Text, w *frameWriter, conn net.Conn, buf []output) error {
+func (n *Node) onStream(f *frame, s *leaderStream, buf []output) error {
 	for in := (input{ev: evFrame, f: *f}); in.ev != 0; {
 		out, err := n.step(in, buf)
 		if err != nil {
@@ -139,12 +178,12 @@ func (n *Node) onStream(f *frame, ent *minisql.LogEntry, text *codec.Text, w *fr
 			case doDrop:
 				return errors.New(o.why)
 			case doInstall:
-				if err := n.install(f); err != nil {
+				if err := n.install(f, s); err != nil {
 					return err
 				}
 				in.ev = evApplied
 			case doApply:
-				if err := n.applyRecords(ent, text, f.Records); err != nil {
+				if err := n.applyRecords(&s.ent, &s.text, f.Records); err != nil {
 					return err
 				}
 				in.ev = evApplied
@@ -154,7 +193,7 @@ func (n *Node) onStream(f *frame, ent *minisql.LogEntry, text *codec.Text, w *fr
 				n.db.AdvanceWatch(o.f.Committed)
 			case doAck:
 				n.attached.Store(true)
-				if err := n.ack(w, conn, o.f.Applied); err != nil {
+				if err := n.ack(s, o.f.Applied); err != nil {
 					return err
 				}
 			}
@@ -170,35 +209,33 @@ func (n *Node) onStream(f *frame, ent *minisql.LogEntry, text *codec.Text, w *fr
 // covers a whole batched entries frame, riding the same group-commit
 // economics as the leader's fsync. A follower whose disk cannot keep its
 // promise drops the stream instead of lying.
-func (n *Node) ack(w *frameWriter, conn net.Conn, applied uint64) error {
+func (n *Node) ack(s *leaderStream, applied uint64) error {
 	if n.store != nil && n.store.Fsync() {
 		if err := n.store.WaitDurable(applied, 4*n.cfg.ElectionTimeout); err != nil {
 			return fmt.Errorf("replica: durability wait before ack of %d: %w", applied, err)
 		}
 	}
-	conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-	return w.write(&frame{Type: frameAck, Applied: applied})
+	return s.write(&frame{Type: frameAck, Applied: applied})
 }
 
-// install bootstraps the local database from the leader's snapshot frame.
-// The new applied index is published by the evApplied step that follows,
+// install bootstraps the local database from the snapshot whose hello is f,
+// restoring from the stream's chunks as they arrive (on a durable node the
+// store tees them into its checkpoint): a broken stream changes nothing. The
+// new applied index is published by the evApplied step that follows,
 // together with the applied term that makes it resumable.
-func (n *Node) install(f *frame) error {
-	if err := n.db.Restore(bytes.NewReader(f.Snapshot)); err != nil {
-		return fmt.Errorf("replica: restoring snapshot: %w", err)
-	}
-	n.eng.SetLastLogged(f.SnapIndex)
-	// Reposition the watch hub's resume floor at the snapshot index: Restore
-	// already reseeded it, but with whatever stale high-water mark the engine
-	// held mid-bootstrap. Local watch subscribers were reset and will resync.
-	n.db.ResetWatch(f.SnapIndex)
+func (n *Node) install(f *frame, s *leaderStream) error {
+	restore := func(r io.Reader) error { return n.db.Restore(r, f.SnapIndex) }
+	var err error
 	if n.store != nil {
-		// Persist the bootstrap: the snapshot becomes the local checkpoint
-		// and the old log (a replaced history) is discarded, so a restart
-		// recovers from this point instead of re-bootstrapping.
-		if err := n.store.InstallSnapshot(f.Snapshot, f.SnapIndex); err != nil {
-			return fmt.Errorf("replica: persisting snapshot: %w", err)
-		}
+		// The snapshot becomes the local checkpoint and the old log (a
+		// replaced history) is discarded, so a restart recovers from this
+		// point instead of re-bootstrapping.
+		err = n.store.InstallSnapshot(s, f.SnapIndex, restore)
+	} else {
+		err = restore(s)
+	}
+	if err != nil {
+		return fmt.Errorf("replica: installing snapshot at %d: %w", f.SnapIndex, err)
 	}
 	n.attached.Store(true)
 	n.met.snapsInstall.Inc()

@@ -4,10 +4,10 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"os"
 	"sync/atomic"
 	"time"
 
+	"osprey/internal/codec"
 	"osprey/internal/minisql"
 )
 
@@ -20,12 +20,14 @@ const compactionFloor = 256
 // join/stream goroutine writes to the connection, through w, so it needs no
 // write lock.
 type followerConn struct {
-	peer  Peer
-	conn  net.Conn
-	w     frameWriter
-	acked atomic.Uint64    // highest applied index the follower acknowledged
-	batch []byte           // ship's reused frameEntries payload buffer
-	recs  []minisql.Record // streamTo's reused RecordsSince window
+	peer    Peer
+	conn    net.Conn
+	w       frameWriter
+	timeout time.Duration    // the per-frame write deadline
+	hello   *frame           // a snapshot hello, sent at the snapshot's first Write
+	acked   atomic.Uint64    // highest applied index the follower acknowledged
+	batch   []byte           // ship's reused frameEntries payload buffer
+	recs    []minisql.Record // streamTo's reused RecordsSince window
 
 	// beatAt is the send time (unix nanos) of the heartbeat awaiting its
 	// ack, 0 when none is outstanding; the ack reader turns the round trip
@@ -51,7 +53,8 @@ func (n *Node) acceptLoop() {
 
 // handleConn serves one inbound replication connection that opens with the
 // protocol preamble: a probe or claim (answered and closed) or a follower
-// join (snapshot + record stream until the connection dies).
+// join (hello, snapshot or resume, then the record stream until the
+// connection dies).
 func (n *Node) handleConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(n.cfg.ElectionTimeout))
 	var pre [2]byte
@@ -95,61 +98,28 @@ func (n *Node) handleConn(conn net.Conn) {
 // to the follower until the connection dies. The core allowed a resume (a
 // heartbeat hello); it happens when the in-memory WAL still holds the
 // joiner's position or, on a durable leader, the disk log (truncated only at
-// checkpoints) reaches back to it. Anything else gets a snapshot — streamed
-// from the on-disk checkpoint file when one covers it, avoiding a full
-// in-memory serialize.
+// checkpoints) reaches back to it. Anything else gets a snapshot of the live
+// engine, written onto the connection as chunk frames (followerConn.Write).
 func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) {
 	n.mu.Lock()
-	w, walStart := n.wal, n.walStart
+	w := n.wal
 	n.mu.Unlock()
 	if w == nil {
 		return
 	}
-	startIdx := join.From
+	pos := join.From
 	var diskTail []minisql.Record
 	if hello.Type == frameHeartbeat {
-		if _, ok := w.RecordsSince(nil, join.From); !ok {
-			if tail, last, ok := n.diskRecords(w, join.From); ok {
-				diskTail = tail
-				n.logf("follower %s resuming via disk log %d..%d", join.Peer.ID, join.From+1, last)
-			} else {
+		if _, ok := w.RecordsSince(nil, pos); !ok {
+			if diskTail, ok = n.diskRecords(w, pos); !ok {
 				hello.Type = frameSnapshot
 			}
 		}
 	}
-	if hello.Type == frameSnapshot {
-		diskTail = nil
-		if n.store != nil {
-			// File-streamed bootstrap: ship the checkpoint bytes as the
-			// snapshot if the disk log still holds everything after it —
-			// and only a checkpoint taken since this leadership began. The
-			// joiner takes this leader's term as its applied term, a promise
-			// that it holds this leader's log as of its election; from an
-			// older checkpoint, a stream that broke before the tail landed
-			// would leave it claiming the term without entries committed
-			// under earlier leaderships, and winning votes with that claim.
-			if path, cidx, ok := n.store.CheckpointFile(); ok && cidx >= walStart {
-				if data, err := os.ReadFile(path); err == nil {
-					if tail, _, ok := n.diskRecords(w, cidx); ok {
-						hello.Snapshot, startIdx, diskTail = data, cidx, tail
-						n.met.snapsFile.Inc()
-					}
-				}
-			}
-		}
-		if hello.Snapshot == nil {
-			var err error
-			if hello.Snapshot, startIdx, err = n.snapshotAt(w); err != nil {
-				n.logf("join %s: snapshot: %v", join.Peer.ID, err)
-				return
-			}
-		}
-		hello.SnapIndex = startIdx
-	}
 
-	fol := &followerConn{peer: join.Peer, conn: conn, w: frameWriter{w: conn}}
+	fol := &followerConn{peer: join.Peer, conn: conn, w: frameWriter{w: conn}, timeout: 2 * n.cfg.ElectionTimeout}
 	if hello.Type == frameHeartbeat {
-		fol.acked.Store(startIdx) // a bootstrapping follower holds nothing until it acks the install
+		fol.acked.Store(pos) // a bootstrapping follower holds nothing until it acks the install
 	}
 	n.mu.Lock()
 	if n.closed || n.wal != w {
@@ -164,51 +134,25 @@ func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) 
 	n.mu.Unlock()
 	defer n.dropFollower(join.Peer.ID, fol)
 
-	// Snapshot transfer gets its own generous deadline, decoupled from the
-	// failure-detection timings (see snapshotTimeout).
-	conn.SetWriteDeadline(time.Now().Add(n.snapshotTimeout()))
-	if err := fol.w.write(&hello); err != nil {
-		return
-	}
-	if hello.Type == frameHeartbeat {
-		n.logf("follower %s resumed from index %d", join.Peer.ID, startIdx)
-	} else {
-		n.met.snapsSent.Inc()
-		n.logf("follower %s joined at index %d", join.Peer.ID, startIdx)
-	}
-
-	// Records served from the disk log (positions the in-memory WAL has
-	// compacted away) ship before the live stream takes over. The follower's
-	// apply path skips anything at or below its applied index, so overlap
-	// with the memory stream is harmless.
-	pos := startIdx
-	if len(diskTail) > 0 {
-		if err := n.ship(fol, w, hello.Term, diskTail, n.snapshotTimeout()); err != nil {
-			return
-		}
-		pos = diskTail[len(diskTail)-1].Index
-	}
-
 	// Acks flow back on the same connection; reading them also detects a
-	// dead follower, whose conn we close to unblock the sender below. The
-	// first ack waits out the follower's snapshot restore; later ones are
-	// heartbeat-paced. Each ack renews the majority lease (in the core) and
-	// feeds the WAL's quorum commit watermark, unblocking synchronous writes.
+	// dead follower, whose conn we close to unblock the sender below. Each
+	// ack renews the majority lease (in the core), feeds the WAL's quorum
+	// commit watermark, unblocking synchronous writes, and is progress: it
+	// moves the write deadline on (see leaderStream.Read).
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		defer conn.Close()
-		ackDeadline := n.snapshotTimeout()
 		var ack frame
 		for {
-			conn.SetReadDeadline(time.Now().Add(ackDeadline))
-			ackDeadline = 4 * n.cfg.ElectionTimeout
+			conn.SetReadDeadline(time.Now().Add(4 * n.cfg.ElectionTimeout))
 			if err := rd.read(&ack); err != nil {
 				return
 			}
 			if ack.Type != frameAck {
 				continue
 			}
+			conn.SetWriteDeadline(time.Now().Add(fol.timeout))
 			n.step(input{ev: evFrame, f: ack, from: join.Peer}, nil)
 			if ack.Applied > fol.acked.Load() {
 				fol.acked.Store(ack.Applied)
@@ -224,55 +168,95 @@ func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) 
 		}
 	}()
 
+	if hello.Type == frameHeartbeat {
+		// Records served from the disk log (positions the in-memory WAL has
+		// compacted away) ship before the live stream takes over. The
+		// follower's apply path skips anything at or below its applied index,
+		// so overlap with the memory stream is harmless.
+		if fol.send(&hello) != nil || n.ship(fol, w, hello.Term, diskTail) != nil {
+			return
+		}
+		n.logf("follower %s resumed from index %d (%d records from the disk log)", join.Peer.ID, pos, len(diskTail))
+		if len(diskTail) > 0 {
+			pos = diskTail[len(diskTail)-1].Index
+		}
+	} else {
+		// The live engine at the log index read under the lock hold that
+		// captures it, exact under any write load: WAL appends take that
+		// lock too (the commit hook).
+		fol.hello = &hello
+		err := n.eng.SnapshotWith(fol, func() { hello.SnapIndex = w.LastIndex() })
+		if err == nil {
+			err = fol.send(&frame{Type: frameSnapEnd})
+		}
+		if err != nil {
+			n.logf("join %s: snapshot: %v", join.Peer.ID, err)
+			return
+		}
+		pos = hello.SnapIndex
+		n.met.snapsSent.Inc()
+		n.logf("follower %s joined at index %d", join.Peer.ID, pos)
+	}
 	n.streamTo(fol, w, hello.Term, pos)
+}
+
+// send writes one frame to the follower under the per-frame deadline.
+func (fol *followerConn) send(f *frame) error {
+	fol.conn.SetWriteDeadline(time.Now().Add(fol.timeout))
+	return fol.w.write(f)
+}
+
+// Write sends a snapshot as the checkpoint writer hands it over, whole
+// records per write: the pending hello first, then each write as one chunk.
+func (fol *followerConn) Write(p []byte) (int, error) {
+	if fol.hello != nil {
+		if err := fol.send(fol.hello); err != nil {
+			return 0, err
+		}
+		fol.hello = nil
+	}
+	if err := fol.send(&frame{Type: frameChunk, Records: p}); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 // diskRecords fetches the log records after `from` out of the durable store
 // for a follower whose position the in-memory WAL has compacted away. The
-// range is only usable when the live WAL still covers everything past the
-// disk tail's last index — otherwise there is a gap neither side holds and
-// the caller must fall back to a snapshot. Returns the tail, its last index,
-// and whether the handoff is contiguous.
-func (n *Node) diskRecords(w *minisql.WAL, from uint64) ([]minisql.Record, uint64, bool) {
+// range is only usable (ok) when the live WAL still covers everything past
+// the disk tail's last index — otherwise there is a gap neither side holds
+// and the caller must fall back to a snapshot.
+func (n *Node) diskRecords(w *minisql.WAL, from uint64) (tail []minisql.Record, ok bool) {
 	if n.store == nil {
-		return nil, 0, false
+		return nil, false
 	}
 	tail, err := n.store.RecordsAfter(from)
-	if err != nil {
-		return nil, 0, false
-	}
 	last := from
 	if len(tail) > 0 {
 		last = tail[len(tail)-1].Index
 	}
-	if _, ok := w.RecordsSince(nil, last); !ok {
-		return nil, 0, false
-	}
-	return tail, last, true
+	_, ok = w.RecordsSince(nil, last)
+	return tail, ok && err == nil
 }
 
-// maxBatchEntries caps one frameEntries frame so a deeply lagged follower
-// catches up in bounded frames instead of one giant allocation.
-const maxBatchEntries = 256
-
-// ship sends recs to one follower, as the bytes they are held in, in frames
-// of at most maxBatchEntries records, each under its own write deadline.
-func (n *Node) ship(fol *followerConn, w *minisql.WAL, term uint64, recs []minisql.Record, deadline time.Duration) error {
+// ship sends recs to one follower, as the bytes they are held in, in
+// entries frames that close at codec.KeepBytes of records (a larger record
+// goes alone), each under the per-frame deadline.
+func (n *Node) ship(fol *followerConn, w *minisql.WAL, term uint64, recs []minisql.Record) error {
 	for len(recs) > 0 {
-		batch := recs[:min(len(recs), maxBatchEntries)]
-		recs = recs[len(batch):]
-		fol.batch = fol.batch[:0]
-		for _, r := range batch {
-			fol.batch = append(fol.batch, r.Data...)
+		fol.batch = append(fol.batch[:0], recs[0].Data...)
+		k := 1
+		for ; k < len(recs) && len(fol.batch)+len(recs[k].Data) <= codec.KeepBytes; k++ {
+			fol.batch = append(fol.batch, recs[k].Data...)
 		}
-		fol.conn.SetWriteDeadline(time.Now().Add(deadline))
-		if err := fol.w.write(&frame{
+		if err := fol.send(&frame{
 			Type: frameEntries, Term: term, Committed: n.committed(w),
-			Records: fol.batch, Last: batch[len(batch)-1].Index,
+			Records: fol.batch, Last: recs[k-1].Index,
 		}); err != nil {
 			return err
 		}
-		n.met.batchEntries.Observe(float64(len(batch)))
+		n.met.batchEntries.Observe(float64(k))
+		recs = recs[k:]
 	}
 	return nil
 }
@@ -309,7 +293,7 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, term uint64, from uin
 			return
 		}
 		if len(recs) > 0 {
-			if err := n.ship(fol, w, term, recs, 2*n.cfg.ElectionTimeout); err != nil {
+			if err := n.ship(fol, w, term, recs); err != nil {
 				return
 			}
 			pos = recs[len(recs)-1].Index
@@ -349,8 +333,7 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, term uint64, from uin
 				return // a beat of the state after a demotion would name no leader
 			}
 			hb.Committed = n.committed(w)
-			fol.conn.SetWriteDeadline(time.Now().Add(2 * n.cfg.ElectionTimeout))
-			if err := fol.w.write(&hb); err != nil {
+			if err := fol.send(&hb); err != nil {
 				return
 			}
 			fol.beatAt.CompareAndSwap(0, time.Now().UnixNano())

@@ -73,8 +73,8 @@
 //
 // On the wire, every replication connection opens with the preamble 0xF6,
 // replVersion; a peer that opens otherwise — a build of versions 1 to 3,
-// whose frames are gob, or of version 4, whose snapshots are — is closed
-// unanswered, counted and logged. Then
+// whose frames are gob, of version 4, whose snapshots are, or of version 5,
+// whose snapshot is one frame — is closed unanswered, counted and logged. Then
 // come frames, each a uvarint length, a type byte, a mask of the fields that
 // are set and those fields (protocol.go has the layout and its bounds). An
 // entries frame carries minisql records byte for byte; the follower decodes
@@ -82,13 +82,21 @@
 // SQL text to the string of the handle it prepared, so the stream allocates
 // little beyond the rows it stores.
 //
+// A bootstrap is a record stream too: the leader writes a snapshot of its
+// live engine onto the connection — a hello, each ~64 KiB of checkpoint
+// records as a chunk frame, an end frame — and the follower restores (and
+// tees to its checkpoint file) as chunks arrive, acking each, and installs
+// only once the last record checks out. Entries frames close at
+// codec.KeepBytes of records, so no frame passes that budget and one record,
+// and no wait has a deadline but the stream's per-frame ones.
+//
 // The node's data path keeps the core's log rule true. A joiner that
 // installs a snapshot takes the leader's term as its applied term, so the
-// snapshot always covers the leader's log as of its election: a checkpoint
-// file older than that is never shipped. A leader's commit watermark — what
-// its watch gate and its followers' publish — starts at the watermark it was
-// last shipped as a follower, not at the end of its log, and never passes
-// what it holds on disk: an entry in memory only is not committed.
+// snapshot always covers the leader's log as of its election: it is the
+// leader's live engine. A leader's commit watermark — what its watch gate
+// and its followers' publish — starts at the watermark it was last shipped
+// as a follower, not at the end of its log, and never passes what it holds
+// on disk: an entry in memory only is not committed.
 //
 // Membership is every peer a leader ever admitted by join, persisted in the
 // view, so a restart elects against the real majority denominator. Removing
@@ -107,7 +115,6 @@
 package replica
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -223,7 +230,6 @@ type Node struct {
 	mu        sync.Mutex
 	st        state        // the protocol state; only step changes its decisions
 	wal       *minisql.WAL // the leader's log (nil off the leader)
-	walStart  uint64       // the applied index the leader's log began at
 	followers map[string]*followerConn
 	stream    net.Conn // follower's live connection to the leader
 	started   bool
@@ -392,7 +398,7 @@ func (n *Node) step(in input, out []output) ([]output, error) {
 		case doRequest:
 			n.wg.Add(1) // under mu: Close cannot be waiting yet
 		case doLead:
-			n.wal, n.walStart = minisql.NewWAL(n.st.applied), n.st.applied // continues the cluster's numbering
+			n.wal = minisql.NewWAL(n.st.applied) // continues the cluster's numbering
 			n.wal.SetQuorum(n.cfg.WriteQuorum)
 			// Past what the old leader reported committed, this log may hold
 			// entries no quorum has: they publish once a follower acks them.
@@ -888,29 +894,6 @@ func (n *Node) StepDown() bool {
 		}
 	}
 	return false
-}
-
-// snapshotAt captures a database snapshot together with the WAL index it
-// corresponds to. WAL appends happen under the engine lock (via the commit
-// hook), so reading LastIndex inside SnapshotWith's locked observation
-// yields the exact index the snapshot reflects — even under a sustained
-// write stream.
-func (n *Node) snapshotAt(w *minisql.WAL) ([]byte, uint64, error) {
-	var buf bytes.Buffer
-	var idx uint64
-	if err := n.eng.SnapshotWith(&buf, func() { idx = w.LastIndex() }); err != nil {
-		return nil, 0, err
-	}
-	return buf.Bytes(), idx, nil
-}
-
-// snapshotTimeout bounds snapshot transfer and restore during a join.
-// Bootstrap moves the whole database, so its deadline must not be coupled to
-// the heartbeat-scale failure-detection timeouts: a large task DB (or a slow
-// WAN link) would otherwise time out every join attempt forever, each retry
-// re-serializing a full snapshot.
-func (n *Node) snapshotTimeout() time.Duration {
-	return max(10*n.cfg.ElectionTimeout, 30*time.Second)
 }
 
 func (n *Node) sleep(d time.Duration) bool {

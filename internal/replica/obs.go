@@ -22,7 +22,7 @@ import (
 // osprey_replica_quorum_wait_seconds, osprey_replica_batch_entries and
 // osprey_replica_heartbeat_rtt_seconds histograms,
 // osprey_replica_{promotions,demotions,entries_applied,snapshots_sent,
-// snapshots_installed,snapshots_file_streamed}_total, and
+// snapshots_installed}_total, and
 // osprey_replica_malformed_total (replication connections that did not open
 // with this build's preamble 0xF6 <version> — mixed builds, or a stray
 // client — closed unanswered and logged with the peer address).
@@ -31,7 +31,6 @@ type nodeMetrics struct {
 	demotions    *obs.Counter
 	entriesApp   *obs.Counter
 	snapsSent    *obs.Counter
-	snapsFile    *obs.Counter
 	snapsInstall *obs.Counter
 	malformed    *obs.Counter
 	quorumWait   *obs.Histogram
@@ -45,7 +44,6 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		demotions:    reg.Counter("osprey_replica_demotions_total"),
 		entriesApp:   reg.Counter("osprey_replica_entries_applied_total"),
 		snapsSent:    reg.Counter("osprey_replica_snapshots_sent_total"),
-		snapsFile:    reg.Counter("osprey_replica_snapshots_file_streamed_total"),
 		snapsInstall: reg.Counter("osprey_replica_snapshots_installed_total"),
 		malformed:    reg.Counter("osprey_replica_malformed_total"),
 		quorumWait:   reg.Histogram("osprey_replica_quorum_wait_seconds", obs.DurationBuckets),
@@ -117,22 +115,12 @@ func (n *Node) noteLeaderFrame(f *frame) {
 	now := time.Now()
 	n.mu.Lock()
 	n.leaderContact = now
-	est := n.leaderApplied
 	switch f.Type {
-	case frameHeartbeat:
-		if f.Applied > est {
-			est = f.Applied
-		}
-	case frameSnapshot:
-		if f.SnapIndex > est {
-			est = f.SnapIndex
-		}
+	case frameHeartbeat, frameSnapshot:
+		n.leaderApplied = max(n.leaderApplied, f.Applied)
 	case frameEntries:
-		if f.Last > est {
-			est = f.Last
-		}
+		n.leaderApplied = max(n.leaderApplied, f.Last)
 	}
-	n.leaderApplied = est
 	n.mu.Unlock()
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"osprey/internal/codec"
+	"osprey/internal/minisql"
 )
 
 // Role is a node's position in the cluster.
@@ -54,7 +55,7 @@ type frameType uint8
 
 const (
 	// frameJoin: follower -> leader. Announce identity, term, and last
-	// applied index. The leader replies with frameSnapshot, or — when the
+	// applied index. The leader replies with a snapshot, or — when the
 	// joiner is resuming within the leader's own term and the WAL still
 	// holds its position — a frameHeartbeat hello followed by the entries
 	// after From (incremental catch-up, no re-bootstrap). ForceSnapshot asks
@@ -70,14 +71,16 @@ const (
 	// frameNotLeader: join/probe reached a non-leader; carries the sender's
 	// best guess at the current leader.
 	frameNotLeader
-	// frameSnapshot: leader -> follower. Full database snapshot at SnapIndex;
-	// subsequent entries continue from there.
+	// frameSnapshot: leader -> follower. The hello of a bootstrap: the
+	// database at SnapIndex follows as frameChunk frames up to a frameSnapEnd,
+	// and entries continue from SnapIndex.
 	frameSnapshot
 	// frameHeartbeat: leader -> follower. Liveness plus current term and
 	// membership, sent when no entries are flowing.
 	frameHeartbeat
 	// frameAck: follower -> leader. Cumulative applied index, used for WAL
-	// compaction and catch-up monitoring.
+	// compaction and catch-up monitoring; a bootstrap's chunks are acked
+	// with none.
 	frameAck
 	// frameEntries: leader -> follower. A group-committed batch of
 	// consecutive log records in one frame: the follower applies them in
@@ -96,6 +99,10 @@ const (
 	// asymmetric partition then yields two leaders acking writes in
 	// parallel until one history is rolled back.
 	frameClaim
+	// frameChunk: leader -> follower. Whole checkpoint records of a snapshot.
+	frameChunk
+	// frameSnapEnd: leader -> follower. The snapshot's last chunk was sent.
+	frameSnapEnd
 )
 
 // replMagic and replVersion are the two-byte preamble Node.dial opens every
@@ -103,7 +110,7 @@ const (
 // opens differently, so two builds that would read each other's frames or
 // records or checkpoints differently never exchange one. Bump replVersion
 // whenever the frame codec, what a shipped record means to the engine
-// replaying it, or the checkpoint bytes a snapshot frame carries change:
+// replaying it, or the checkpoint bytes a snapshot carries change:
 // 2 is "a statement may carry several argument rows" — a version-1 build
 // would replay the first row of a set-based write and silently drop the rest;
 // 3 is "a join asks for a snapshot with ForceSnapshot, not with From 0" — a
@@ -111,10 +118,12 @@ const (
 // joiner with nothing applied would be sent a snapshot it did not need;
 // 4 is "frames are the hand-written codec below" — versions 1 to 3 spoke gob;
 // 5 is "a snapshot frame's checkpoint bytes are minisql records" — a version-4
-// build sends and expects a gob-encoded checkpoint.
+// build sends and expects a gob-encoded checkpoint;
+// 6 is "a snapshot's checkpoint follows its hello as chunk frames" — a
+// version-5 build sends and expects the whole checkpoint inside the hello.
 const (
 	replMagic   = 0xF6
-	replVersion = 5
+	replVersion = 6
 )
 
 // frame is the one message of the replication protocol, which for
@@ -141,12 +150,11 @@ type frame struct {
 	LeaderSvc  string
 	Peers      []Peer
 
-	// frameSnapshot
-	Snapshot  []byte
+	// frameSnapshot: the log index of the snapshot its chunks hold
 	SnapIndex uint64
 
 	// frameEntries: consecutive minisql records back to back, ascending
-	// index, and the index of the last one
+	// index, and the index of the last one. frameChunk: checkpoint records.
 	Records []byte
 	Last    uint64
 
@@ -191,8 +199,8 @@ type frame struct {
 // Peer's mask byte its smallest encoding; Peers grow as peers decode. An
 // unknown type, a mask bit past fSnapIndex or bytes left over refuse the
 // frame. A reader allocates only what changed since the frames it read
-// before: Records and Snapshot alias its buffer, Peers its own slice, both
-// holding until the next read, and a string equal to the one last read in
+// before: Records aliases its buffer, Peers its own slice, both holding
+// until the next read, and a string equal to the one last read in
 // its place is that string. So entries frames, acks and a steady leader's
 // heartbeats decode with no allocation.
 const (
@@ -211,14 +219,14 @@ const (
 	fAppliedTerm
 	fForceSnapshot
 	fGranted
-	fSnapshot
 	fSnapIndex
 )
 
-// maxFrameSize bounds a frame body (8 GiB; 1 GiB on 32-bit platforms). It is
-// this large because a bootstrap snapshot frame carries a whole checkpoint in
-// one body; a chunked bootstrap would need no more than a chunk.
-const maxFrameSize = (1 << 30) << (^uint(0) >> 62)
+// maxFrameSize bounds a frame body: entries and chunk frames close by
+// codec.KeepBytes of records, so none holds more than that and one record
+// (an 8-byte header and its payload), and other fields take well under
+// 64 KiB.
+const maxFrameSize = codec.KeepBytes + 8 + minisql.MaxRecordSize + 64<<10
 
 // errBadFrame marks a frame body that does not decode.
 var errBadFrame = errors.New("replica: malformed frame")
@@ -238,8 +246,7 @@ func appendFrameBody(b []byte, f *frame) []byte {
 		bit(fLeaderID, f.LeaderID != "") | bit(fLeaderRepl, f.LeaderRepl != "") |
 		bit(fLeaderSvc, f.LeaderSvc != "") | bit(fPeers, len(f.Peers) > 0) | bit(fPeer, f.Peer != Peer{}) |
 		bit(fFrom, f.From != 0) | bit(fAppliedTerm, f.AppliedTerm != 0) |
-		bit(fForceSnapshot, f.ForceSnapshot) | bit(fGranted, f.Granted) |
-		bit(fSnapshot, len(f.Snapshot) > 0) | bit(fSnapIndex, f.SnapIndex != 0)
+		bit(fForceSnapshot, f.ForceSnapshot) | bit(fGranted, f.Granted) | bit(fSnapIndex, f.SnapIndex != 0)
 	b = codec.AppendUvarint(append(b, byte(f.Type)), mask)
 	if mask&fTerm != 0 {
 		b = codec.AppendUvarint(b, f.Term)
@@ -283,9 +290,6 @@ func appendFrameBody(b []byte, f *frame) []byte {
 	if mask&fAppliedTerm != 0 {
 		b = codec.AppendUvarint(b, f.AppliedTerm)
 	}
-	if mask&fSnapshot != 0 {
-		b = codec.AppendBytes(b, f.Snapshot)
-	}
 	if mask&fSnapIndex != 0 {
 		b = codec.AppendUvarint(b, f.SnapIndex)
 	}
@@ -310,15 +314,15 @@ func appendPeer(b []byte, p *Peer) []byte {
 	return b
 }
 
-// decodeFrame decodes body into f, overwriting all of it. Records and
-// Snapshot alias body. seen remembers the strings and Peers of the frames
+// decodeFrame decodes body into f, overwriting all of it. Records aliases
+// body. seen remembers the strings and Peers of the frames
 // decoded before: a string equal to the one seen in its place is kept, not
 // copied, and Peers reuses seen's slice, so the heartbeats a stream repeats
 // decode without allocating.
 func decodeFrame(f *frame, body []byte, seen *frame) error {
 	*f = frame{}
 	d := codec.NewReader(body, errBadFrame)
-	if f.Type = frameType(d.Byte()); f.Type > frameClaim {
+	if f.Type = frameType(d.Byte()); f.Type > frameSnapEnd {
 		d.Fail()
 	}
 	mask := d.Uvarint()
@@ -378,9 +382,6 @@ func decodeFrame(f *frame, body []byte, seen *frame) error {
 	}
 	f.ForceSnapshot = mask&fForceSnapshot != 0
 	f.Granted = mask&fGranted != 0
-	if mask&fSnapshot != 0 {
-		f.Snapshot = d.Bytes()
-	}
 	if mask&fSnapIndex != 0 {
 		f.SnapIndex = d.Uvarint()
 	}
@@ -450,8 +451,7 @@ func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{r: bufio.NewReader(r)}
 }
 
-// read decodes the next frame into f. Its Records and Snapshot hold until
-// the next read.
+// read decodes the next frame into f. Its Records hold until the next read.
 func (fr *frameReader) read(f *frame) error {
 	body, err := codec.ReadFrame(fr.r, &fr.buf, maxFrameSize, errBadFrame)
 	if err != nil {

@@ -2,4 +2,7 @@
 
 package replica
 
-func init() { exploreDepth = 7 }
+func init() {
+	exploreDepth = 7
+	bootstrapRows = 20_000
+}

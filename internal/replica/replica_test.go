@@ -266,9 +266,9 @@ func TestJoinResumeVsSnapshot(t *testing.T) {
 	peer := Peer{ID: "probe", Priority: 0, ReplAddr: "127.0.0.1:1", SvcAddr: "svc-probe"}
 
 	resume := dialJoin(t, leader.Addr(), frame{Type: frameJoin, Peer: peer, Term: 1, AppliedTerm: 1, From: 3})
-	if resume.Type != frameHeartbeat || resume.Snapshot != nil {
-		t.Fatalf("same-term resume got frame type %d (snapshot %d bytes), want heartbeat hello",
-			resume.Type, len(resume.Snapshot))
+	if resume.Type != frameHeartbeat || resume.SnapIndex != 0 {
+		t.Fatalf("same-term resume got frame type %d (snapshot at %d), want heartbeat hello",
+			resume.Type, resume.SnapIndex)
 	}
 
 	// Same adopted term but an older applied term: the joiner's log tail
@@ -280,7 +280,7 @@ func TestJoinResumeVsSnapshot(t *testing.T) {
 	}
 
 	fresh := dialJoin(t, leader.Addr(), frame{Type: frameJoin, Peer: peer, Term: 1, From: 0})
-	if fresh.Type != frameSnapshot || len(fresh.Snapshot) == 0 || fresh.SnapIndex != 5 {
+	if fresh.Type != frameSnapshot || fresh.SnapIndex != 5 {
 		t.Fatalf("fresh join got frame type %d snapIndex %d, want snapshot at 5", fresh.Type, fresh.SnapIndex)
 	}
 
@@ -298,9 +298,9 @@ func TestJoinResumeVsSnapshot(t *testing.T) {
 	empty := newNode(t, "j2", 3, "")
 	defer empty.Close()
 	nothing := dialJoin(t, empty.Addr(), frame{Type: frameJoin, Peer: peer, Term: 1, AppliedTerm: 1, From: 0})
-	if nothing.Type != frameHeartbeat || nothing.Snapshot != nil {
-		t.Fatalf("same-term join at From 0 to an empty log got frame type %d (snapshot %d bytes), want heartbeat hello",
-			nothing.Type, len(nothing.Snapshot))
+	if nothing.Type != frameHeartbeat || nothing.SnapIndex != 0 {
+		t.Fatalf("same-term join at From 0 to an empty log got frame type %d (snapshot at %d), want heartbeat hello",
+			nothing.Type, nothing.SnapIndex)
 	}
 }
 
@@ -503,8 +503,8 @@ func TestClaimNotSentWhenTermNotPersisted(t *testing.T) {
 	n.Start()
 	defer n.Close()
 	join, stream := lead.accept()
-	stream.send(frame{Type: frameSnapshot, Term: 1, Role: RoleLeader, Snapshot: snap.Bytes(),
-		Peers: []Peer{me, join.Peer, p3}, LeaderID: me.ID, LeaderRepl: me.ReplAddr, LeaderSvc: me.SvcAddr})
+	stream.sendSnapshot(frame{Term: 1, Role: RoleLeader,
+		Peers: []Peer{me, join.Peer, p3}, LeaderID: me.ID, LeaderRepl: me.ReplAddr, LeaderSvc: me.SvcAddr}, snap.Bytes())
 	waitFor(t, "bootstrap", func() bool { return n.store.AppliedTerm() == 1 && len(n.Peers()) == 3 })
 
 	// The leader dies; p2 ranks first among the survivors and reaches p3: a

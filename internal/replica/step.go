@@ -77,7 +77,7 @@ const (
 	doReply                     // answer the inbound request with f
 	doHello                     // answer a join as leader with f: a heartbeat allows a resume
 	doRequest                   // send f to `to` as part of round `round`, and step its reply
-	doInstall                   // install the stream's snapshot frame, then step evApplied
+	doInstall                   // install the snapshot the hello begins, then step evApplied
 	doApply                     // apply the stream's entries frame, then step evApplied
 	doAck                       // ack f.Applied on the stream
 	doCommit                    // release watch transitions up to f.Committed

@@ -189,7 +189,7 @@ func (w *xworld) step(i int, in input, req *xmsg) {
 			from := min(req.f.From, uint64(len(nd.log)))
 			if hello.Type == frameSnapshot {
 				from = uint64(max(nd.start, len(nd.log)-1))
-				hello.Snapshot, hello.SnapIndex = slices.Clone(nd.log[:from]), from
+				hello.Records, hello.SnapIndex = slices.Clone(nd.log[:from]), from // the chunks
 			}
 			hello.Applied = nd.st.applied
 			nd.fols[j] = int(from)
@@ -225,7 +225,7 @@ func (w *xworld) step(i int, in input, req *xmsg) {
 		case doDrop:
 			w.closeStream(i, true)
 		case doInstall:
-			nd.log = slices.Clone(in.f.Snapshot)
+			nd.log = slices.Clone(in.f.Records)
 			nd.st.applied = in.f.SnapIndex
 			w.step(i, input{ev: evApplied, f: in.f}, req)
 		case doApply:
@@ -499,7 +499,6 @@ func (w *xworld) key(b []byte) (uint64, []byte) {
 		u(m.f.SnapIndex)
 		s(m.f.LeaderRepl)
 		b = append(append(b, m.f.Records...), 0xFF)
-		b = append(append(b, m.f.Snapshot...), 0xFF)
 		if m.f.Granted || m.f.ForceSnapshot {
 			b = append(b, 1)
 		}
@@ -574,8 +573,8 @@ func (w *xworld) describe(a xaction) string {
 func frameSummary(f frame) string {
 	names := map[frameType]string{frameJoin: "join", frameProbe: "probe", frameStatus: "status", frameNotLeader: "not-leader",
 		frameSnapshot: "snapshot", frameHeartbeat: "heartbeat", frameAck: "ack", frameEntries: "entries", frameClaim: "claim"}
-	return fmt.Sprintf("%s{term %d applied %d appliedTerm %d from %d last %d granted %v records %v snapshot %v}",
-		names[f.Type], f.Term, f.Applied, f.AppliedTerm, f.From, f.Last, f.Granted, f.Records, f.Snapshot)
+	return fmt.Sprintf("%s{term %d applied %d appliedTerm %d from %d last %d granted %v records %v}",
+		names[f.Type], f.Term, f.Applied, f.AppliedTerm, f.From, f.Last, f.Granted, f.Records)
 }
 
 func (w *xworld) summary() string {
