@@ -101,7 +101,7 @@ func (db *DB) GateWatch() {
 
 // AdvanceWatch lifts the publish watermark to mark (never backwards) and
 // releases the buffered commits it now covers, in index order. The leader
-// calls it as follower acks advance the WAL's quorum watermark; followers
+// calls it as follower acks advance its quorum watermark; followers
 // call it with the watermark the leader ships in its frames. A mark ahead of
 // the local applied index is fine: it releases nothing yet, and later
 // applies at or below it publish immediately.

@@ -1,11 +1,9 @@
 package minisql
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 )
 
 // Stmt is one mutating SQL statement with its bound positional arguments,
@@ -146,48 +144,27 @@ func (e *Engine) SetLastLogged(idx uint64) {
 	e.mu.Unlock()
 }
 
-// ErrCommitTimeout is returned by WaitCommitted when the quorum watermark
-// does not reach the awaited index within the caller's timeout.
-var ErrCommitTimeout = errors.New("minisql: quorum commit timeout")
-
 // WAL is the in-memory window of the commit log: the record of every
 // committed mutation since a base index, encoded once at Append (disklog.go
 // has the codec). A leader replica appends its commit hook output here,
 // hands the same record to its disk log and ships the same bytes to
 // followers; RecordsSince supports resumable streaming and Compact trims
-// records every connected follower has acknowledged.
-//
-// The WAL also carries the cluster's commit watermark: per-follower applied
-// acknowledgements feed Ack, and the watermark is the highest index that at
-// least quorum followers have applied. WaitCommitted lets a writer block
-// until its entry is quorum-replicated (synchronous-replication mode); with
-// quorum 0 every index counts as committed the moment it is appended, which
-// preserves asynchronous semantics.
+// records every connected follower has acknowledged. The WAL holds records
+// only: what the cluster has committed of them is the replication layer's
+// decision, not the log's.
 type WAL struct {
 	mu      sync.Mutex
 	base    uint64 // index of the last entry *before* records[0]
 	records []Record
 	encBuf  []byte        // Append's scratch; records keep exact-size copies
 	watch   chan struct{} // closed and replaced on every append
-
-	quorum  int               // follower acks required per index (0 = async)
-	acks    map[string]uint64 // per-follower highest applied index
-	commit  uint64            // quorum watermark (meaningful when quorum > 0)
-	waitCh  chan struct{}     // made by a waiter; closed and dropped when commit advances or the log seals
-	sealed  error             // non-nil once Seal is called; fails all waits
-	waiters int               // writers currently blocked in WaitCommitted
 }
 
 // NewWAL returns an empty log whose first entry will get index base+1.
 // Use base 0 for a fresh database, or the applied index of a promoted
 // follower so its log continues the cluster's numbering.
 func NewWAL(base uint64) *WAL {
-	return &WAL{
-		base:   base,
-		watch:  make(chan struct{}),
-		acks:   make(map[string]uint64),
-		commit: base,
-	}
+	return &WAL{base: base, watch: make(chan struct{})}
 }
 
 // Append assigns one committed statement batch the next index and encodes
@@ -234,160 +211,6 @@ func (w *WAL) Watch() <-chan struct{} {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.watch
-}
-
-// SetQuorum sets how many distinct follower acknowledgements an index needs
-// before WaitCommitted considers it committed. 0 (the default) keeps the
-// asynchronous semantics: WaitCommitted returns immediately. Set once, before
-// the log is shared.
-func (w *WAL) SetQuorum(q int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.quorum = q
-}
-
-// SetCommitted lowers the quorum watermark to c when c is below it. A
-// promoted follower's log continues at its applied index, but only the prefix
-// its old leader reported committed is known to be on a quorum; the entries
-// after it count as committed once acknowledged, like new ones. Call before
-// the log is shared.
-func (w *WAL) SetCommitted(c uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.commit = min(w.commit, c)
-}
-
-// Ack records that follower id has applied the log through idx. Acks are
-// cumulative and monotonic per follower; a stale (lower) ack is ignored, so
-// reconnecting followers can never move the watermark backwards.
-func (w *WAL) Ack(id string, idx uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if idx <= w.acks[id] {
-		return
-	}
-	w.acks[id] = idx
-	w.advanceLocked()
-}
-
-// advanceLocked recomputes the quorum watermark: the quorum-th highest
-// per-follower acknowledged index, which is the highest ack that at least
-// quorum acks reach. Counting in place over the few followers a cluster has
-// allocates nothing on the per-ack path.
-func (w *WAL) advanceLocked() {
-	if w.quorum <= 0 || len(w.acks) < w.quorum {
-		return
-	}
-	c := w.commit
-	for _, v := range w.acks {
-		if v <= c {
-			continue
-		}
-		reach := 0
-		for _, u := range w.acks {
-			if u >= v {
-				reach++
-			}
-		}
-		if reach >= w.quorum {
-			c = v
-		}
-	}
-	if c > w.commit {
-		w.commit = c
-		w.wakeLocked()
-	}
-}
-
-// wakeLocked releases every writer blocked in WaitCommitted. The channel is
-// made only when a writer waits, so advancing with none blocked allocates
-// nothing.
-func (w *WAL) wakeLocked() {
-	if w.waitCh != nil {
-		close(w.waitCh)
-		w.waitCh = nil
-	}
-}
-
-// Committed returns the commit watermark: the highest index known replicated
-// to at least quorum followers. With quorum 0 everything appended counts as
-// committed.
-func (w *WAL) Committed() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.quorum <= 0 {
-		return w.base + uint64(len(w.records))
-	}
-	return w.commit
-}
-
-// Seal fails every pending and future WaitCommitted with err. A leader seals
-// its log when it steps down: waiters must not block out their full timeout
-// against a log that will never advance.
-func (w *WAL) Seal(err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.sealed != nil {
-		return
-	}
-	w.sealed = err
-	w.wakeLocked()
-}
-
-// WaitCommitted blocks until the quorum watermark reaches idx, the timeout
-// expires (ErrCommitTimeout), or the log is sealed (the Seal error). With
-// quorum 0 it returns nil immediately — asynchronous mode.
-func (w *WAL) WaitCommitted(idx uint64, timeout time.Duration) error {
-	w.mu.Lock()
-	if w.quorum <= 0 {
-		w.mu.Unlock()
-		return nil
-	}
-	w.waiters++
-	defer func() {
-		w.mu.Lock()
-		w.waiters--
-		w.mu.Unlock()
-	}()
-	var timer *time.Timer
-	for {
-		if w.sealed != nil {
-			err := w.sealed
-			w.mu.Unlock()
-			return err
-		}
-		if w.commit >= idx {
-			w.mu.Unlock()
-			return nil
-		}
-		if w.waitCh == nil {
-			w.waitCh = make(chan struct{})
-		}
-		ch := w.waitCh
-		w.mu.Unlock()
-		if timer == nil {
-			timer = time.NewTimer(timeout)
-			defer timer.Stop()
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			return fmt.Errorf("%w: index %d not replicated to %d followers within %v",
-				ErrCommitTimeout, idx, w.quorum, timeout)
-		}
-		w.mu.Lock()
-	}
-}
-
-// QuorumWaiters reports how many writers are currently blocked in
-// WaitCommitted. It is the leader's group-commit concurrency signal: two or
-// more blocked writers mean the next flush is worth holding for the
-// coalescing deadline, because every write in the resulting batch completes
-// on one follower ack.
-func (w *WAL) QuorumWaiters() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.waiters
 }
 
 // Compact drops records with index <= upTo, keeping memory bounded once all

@@ -3,9 +3,7 @@ package minisql
 import (
 	"bytes"
 	"errors"
-	"slices"
 	"testing"
-	"time"
 )
 
 // newHookedEngine returns an engine with a WAL-feeding commit hook installed
@@ -417,166 +415,5 @@ func TestCreateIndexIfNotExists(t *testing.T) {
 	res := mustExec(t, e, "SELECT id FROM t WHERE v = ?", "a")
 	if len(res.Rows) != 1 {
 		t.Fatalf("indexed lookup after IF NOT EXISTS returned %d rows", len(res.Rows))
-	}
-}
-
-// TestQuorumWatermark: the commit watermark is the quorum-th highest
-// per-follower acknowledged index, acks are monotonic per follower, and
-// WaitCommitted unblocks exactly when the watermark covers the index.
-func TestQuorumWatermark(t *testing.T) {
-	w := NewWAL(0)
-	w.SetQuorum(2)
-	for i := 0; i < 5; i++ {
-		w.Append([]Stmt{{SQL: "INSERT"}})
-	}
-
-	if got := w.Committed(); got != 0 {
-		t.Fatalf("Committed before any acks = %d, want 0", got)
-	}
-	w.Ack("a", 3)
-	if got := w.Committed(); got != 0 {
-		t.Fatalf("Committed with 1 of 2 acks = %d, want 0", got)
-	}
-	w.Ack("b", 5)
-	if got := w.Committed(); got != 3 {
-		t.Fatalf("Committed(a=3, b=5) = %d, want 3 (2nd-highest ack)", got)
-	}
-	// Stale ack never regresses the watermark.
-	w.Ack("a", 2)
-	if got := w.Committed(); got != 3 {
-		t.Fatalf("Committed after stale ack = %d, want 3", got)
-	}
-	w.Ack("c", 4)
-	if got := w.Committed(); got != 4 {
-		t.Fatalf("Committed(a=3, b=5, c=4) = %d, want 4", got)
-	}
-
-	// WaitCommitted: index 3 is already committed; index 5 blocks until a
-	// second follower reaches it.
-	if err := w.WaitCommitted(3, time.Second); err != nil {
-		t.Fatalf("WaitCommitted(3): %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- w.WaitCommitted(5, 5*time.Second) }()
-	select {
-	case err := <-done:
-		t.Fatalf("WaitCommitted(5) returned early: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	w.Ack("c", 5)
-	if err := <-done; err != nil {
-		t.Fatalf("WaitCommitted(5) after quorum: %v", err)
-	}
-}
-
-// TestQuorumWaitTimeoutAndSeal: an unreplicated index times out with
-// ErrCommitTimeout, and Seal fails pending and future waits immediately with
-// the seal error (a demoted leader must not strand writers).
-func TestQuorumWaitTimeoutAndSeal(t *testing.T) {
-	w := NewWAL(0)
-	w.SetQuorum(1)
-	w.Append([]Stmt{{SQL: "INSERT"}})
-
-	if err := w.WaitCommitted(1, 10*time.Millisecond); !errors.Is(err, ErrCommitTimeout) {
-		t.Fatalf("WaitCommitted on silent cluster = %v, want ErrCommitTimeout", err)
-	}
-
-	sealErr := errors.New("stepped down")
-	done := make(chan error, 1)
-	go func() { done <- w.WaitCommitted(1, 5*time.Second) }()
-	time.Sleep(10 * time.Millisecond)
-	w.Seal(sealErr)
-	if err := <-done; !errors.Is(err, sealErr) {
-		t.Fatalf("pending wait after Seal = %v, want seal error", err)
-	}
-	if err := w.WaitCommitted(1, time.Second); !errors.Is(err, sealErr) {
-		t.Fatalf("new wait after Seal = %v, want seal error", err)
-	}
-}
-
-// TestQuorumZeroIsAsync: with quorum 0, every append is immediately
-// committed and WaitCommitted never blocks — the asynchronous semantics.
-func TestQuorumZeroIsAsync(t *testing.T) {
-	w := NewWAL(0)
-	idx := w.Append([]Stmt{{SQL: "INSERT"}}).Index
-	if got := w.Committed(); got != idx {
-		t.Fatalf("async Committed = %d, want %d", got, idx)
-	}
-	start := time.Now()
-	if err := w.WaitCommitted(idx, time.Minute); err != nil {
-		t.Fatalf("async WaitCommitted: %v", err)
-	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("async WaitCommitted blocked")
-	}
-}
-
-// TestQuorumWatermarkTable: for quorum 1 and 2, under out-of-order, stale and
-// duplicate acks, the watermark after every ack equals the sort-based
-// reference — the quorum-th highest per-follower ack, never regressing — and
-// an ack allocates nothing.
-func TestQuorumWatermarkTable(t *testing.T) {
-	type ack struct {
-		id  string
-		idx uint64
-	}
-	reference := func(quorum int, acks map[string]uint64, prev uint64) uint64 {
-		if len(acks) < quorum {
-			return prev
-		}
-		vals := make([]uint64, 0, len(acks))
-		for _, v := range acks {
-			vals = append(vals, v)
-		}
-		slices.Sort(vals)
-		return max(prev, vals[len(vals)-quorum])
-	}
-	for _, tc := range []struct {
-		name   string
-		quorum int
-		acks   []ack
-	}{
-		{"q1 in order", 1, []ack{{"a", 1}, {"a", 2}, {"b", 3}, {"b", 4}}},
-		{"q1 out of order", 1, []ack{{"b", 4}, {"a", 2}, {"c", 3}, {"a", 5}}},
-		{"q1 stale and duplicate", 1, []ack{{"a", 3}, {"a", 1}, {"a", 3}, {"b", 2}, {"b", 2}}},
-		{"q2 in order", 2, []ack{{"a", 1}, {"b", 1}, {"a", 2}, {"b", 2}, {"c", 3}}},
-		{"q2 out of order", 2, []ack{{"c", 5}, {"a", 2}, {"b", 4}, {"a", 3}, {"c", 6}}},
-		{"q2 stale and duplicate", 2, []ack{{"a", 4}, {"b", 4}, {"b", 2}, {"a", 4}, {"c", 1}, {"c", 9}, {"c", 3}}},
-		{"q2 one follower", 2, []ack{{"a", 3}, {"a", 5}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := NewWAL(0)
-			w.SetQuorum(tc.quorum)
-			for i := 0; i < 10; i++ {
-				w.Append([]Stmt{{SQL: "INSERT"}})
-			}
-			seen := map[string]uint64{}
-			var want uint64
-			for i, a := range tc.acks {
-				w.Ack(a.id, a.idx)
-				seen[a.id] = max(seen[a.id], a.idx)
-				want = reference(tc.quorum, seen, want)
-				if got := w.Committed(); got != want {
-					t.Fatalf("after ack %d (%s=%d): watermark %d, want %d", i, a.id, a.idx, got, want)
-				}
-			}
-		})
-	}
-
-	w := NewWAL(0)
-	w.SetQuorum(2)
-	w.Ack("a", 0)
-	w.Ack("b", 0)
-	var next uint64
-	if allocs := testing.AllocsPerRun(100, func() {
-		next++
-		w.Ack("a", next) // each ack advances the watermark
-		w.Ack("b", next)
-		w.Ack("b", next) // a duplicate
-	}); allocs != 0 {
-		t.Fatalf("Ack allocates %.1f times per run, want 0", allocs)
-	}
-	if got := w.Committed(); got != next {
-		t.Fatalf("watermark %d after both followers reached %d", got, next)
 	}
 }

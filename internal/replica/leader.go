@@ -130,20 +130,24 @@ func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) 
 		old.conn.Close()
 	}
 	n.followers[join.Peer.ID] = fol
-	hello.Applied, hello.Committed = n.st.applied, n.committed(w)
+	hello.Applied, hello.Committed = n.st.applied, n.committedLocked(w)
 	n.mu.Unlock()
 	defer n.dropFollower(join.Peer.ID, fol)
 
 	// Acks flow back on the same connection; reading them also detects a
 	// dead follower, whose conn we close to unblock the sender below. Each
-	// ack renews the majority lease (in the core), feeds the WAL's quorum
-	// commit watermark, unblocking synchronous writes, and is progress: it
-	// moves the write deadline on (see leaderStream.Read).
+	// ack is stepped as this leadership's — it renews the majority lease and
+	// may raise the quorum watermark, which wakes the synchronous writers and
+	// the senders — and is progress: it moves the write deadline on (see
+	// leaderStream.Read). An ack past the log's end acks what this leader
+	// never shipped: it would commit entries no follower holds.
+	term := hello.Term
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		defer conn.Close()
 		var ack frame
+		var buf [2]output
 		for {
 			conn.SetReadDeadline(time.Now().Add(4 * n.cfg.ElectionTimeout))
 			if err := rd.read(&ack); err != nil {
@@ -152,19 +156,27 @@ func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) 
 			if ack.Type != frameAck {
 				continue
 			}
+			if last := w.LastIndex(); ack.Applied > last {
+				n.met.malformed.Inc()
+				n.logf("warning: closing stream of follower %s at %s: ack of index %d past the log's end %d",
+					join.Peer.ID, conn.RemoteAddr(), ack.Applied, last)
+				return
+			}
 			conn.SetWriteDeadline(time.Now().Add(fol.timeout))
-			n.step(input{ev: evFrame, f: ack, from: join.Peer}, nil)
+			ack.Term = term
+			n.step(input{ev: evFrame, f: ack, from: join.Peer}, buf[:0])
 			if ack.Applied > fol.acked.Load() {
 				fol.acked.Store(ack.Applied)
 			}
 			if t := fol.beatAt.Swap(0); t != 0 {
 				n.met.heartbeatRTT.Observe(float64(time.Now().UnixNano()-t) / 1e9)
 			}
-			w.Ack(join.Peer.ID, ack.Applied)
-			// The ack may have advanced the quorum watermark: release the
-			// gated watch transitions it now covers and wake the senders so
-			// followers learn the new watermark without waiting a heartbeat.
-			n.noteCommitted(n.committed(w))
+			if n.cfg.WriteQuorum > 0 {
+				// Release the gated watch transitions the watermark covers,
+				// including any an earlier ack committed before the leader's
+				// own disk held them.
+				n.db.AdvanceWatch(n.committed(w))
+			}
 		}
 	}()
 
@@ -309,7 +321,7 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, term uint64, from uin
 			// group-commit deadline and ship them — and quorum-ack them — as
 			// one frame. A single (serial) writer never waits: its entry
 			// flushes immediately.
-			if n.cfg.GroupCommitDelay > 0 && w.QuorumWaiters() > 1 {
+			if n.cfg.GroupCommitDelay > 0 && n.quorumWaiters.Load() > 1 {
 				if !n.sleep(n.cfg.GroupCommitDelay) {
 					return
 				}
@@ -328,11 +340,11 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, term uint64, from uin
 		if sendBeat {
 			n.mu.Lock()
 			hb, leading := n.st.beat(), n.wal == w
+			hb.Committed = n.committedLocked(w)
 			n.mu.Unlock()
 			if !leading {
 				return // a beat of the state after a demotion would name no leader
 			}
-			hb.Committed = n.committed(w)
 			if err := fol.send(&hb); err != nil {
 				return
 			}

@@ -7,7 +7,7 @@
 // bootstrap from an engine snapshot taken at a log index (or resume from
 // their own position), then stream and replay its records. Replication is
 // asynchronous by default: an acknowledged write may be lost if the leader
-// dies before shipping it. With Config.WriteQuorum > 0 the WAL counts
+// dies before shipping it. With Config.WriteQuorum > 0 the leader counts
 // follower acks into a quorum commit watermark and the service holds each
 // write's reply until the watermark covers it, so an acknowledged write
 // survives the leader's immediate death.
@@ -15,8 +15,9 @@
 // # One place decides
 //
 // Every protocol decision is made by one pure function, step (step.go): it
-// owns term, vote, role, view and the log's term, and has no sockets, disk
-// or clock — the only clock is the tick input. Its rule for each input:
+// owns term, vote, role, view, the log's term and the commit watermark, and
+// has no sockets, disk or clock — the only clock is the tick input. Its rule
+// for each input:
 //
 //   - tick: a leader that heard no ack, join or probe from a majority of its
 //     view within LeaseTimeout steps down (promotion starts a grace period
@@ -42,7 +43,16 @@
 //     become the leader's term and the node ack.
 //   - entries: applied only from the leader followed at the current term,
 //     and acked only if that is still so once they are applied — a node that
-//     granted a newer term meanwhile never acks the old leadership.
+//     granted a newer term meanwhile never acks the old leadership. A
+//     follower's watermark is the newest its leader's frames carry; a
+//     snapshot starts it again from the hello's.
+//   - ack: counts as contact, and only toward the leadership whose stream
+//     carried it. A follower's ack is cumulative (a lower one changes
+//     nothing); the leader's watermark rises to the highest index that
+//     WriteQuorum followers' acks reach, and a rise is the commit output. A
+//     promotion forgets every earlier leadership's acks and starts the
+//     watermark at the one last shipped to the node, capped at its log;
+//     with WriteQuorum 0 no ack commits (every appended entry counts).
 //   - not-leader: the join is redirected; with no leader named, the node
 //     hunts as if its stream had dropped.
 //   - a lost stream (a failed request of round 0) starts an election. Every
@@ -62,8 +72,9 @@
 //     handoff is not won straight back.
 //
 // node.go, leader.go and follower.go are the I/O side: dial and accept,
-// frames (the codec in protocol.go), timers, the record data path (WAL.Append, ship, applyRecords,
-// WAL.Ack) and the database. They keep one ordering rule: a step's persist
+// frames (the codec in protocol.go), timers, the record data path
+// (WAL.Append, ship, applyRecords), the waits on the watermark and the
+// database. They keep one ordering rule: a step's persist
 // output — term, appliedTerm and view — is on disk before any of its sends
 // or role changes take effect, and a failed persist discards the step. So a
 // candidate never claims, a granter never grants and a leader never leads at
@@ -116,6 +127,7 @@ package replica
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -187,7 +199,7 @@ type Config struct {
 	// (0: default 10000; negative disables). Only meaningful with DataDir.
 	CheckpointEvery int
 	// GroupCommitDelay is the group-commit flush deadline. When two or more
-	// writers are blocked in quorum waits (WAL.QuorumWaiters > 1 — i.e.
+	// writers are blocked in quorum waits (WaitQuorumIndex — i.e.
 	// synchronous-replication mode under concurrent load), the leader holds
 	// the next flush this long so commits landing close together coalesce
 	// into one batched frame — and one follower ack covering them all. A
@@ -244,13 +256,11 @@ type Node struct {
 
 	peersCh   chan struct{} // closed and replaced when membership changes
 	appliedCh chan struct{} // made by a WaitApplied waiter; closed and dropped when the applied index moves
-	commitCh  chan struct{} // closed and replaced when the quorum watermark advances
+	commitCh  chan struct{} // closed and replaced when a leader's watermark advances or its leadership ends
 	closeCh   chan struct{}
 	kick      chan struct{} // wakes the follow loop: the leader to follow changed
 
-	// committedSeen is the newest quorum watermark known: fanned out via
-	// commitCh on a leader, shipped by the leader on a follower.
-	committedSeen uint64
+	quorumWaiters atomic.Int32 // writers blocked in WaitQuorumIndex: the group-commit signal
 	wg            sync.WaitGroup
 
 	// attached latches once this node's state is first tied to the cluster's
@@ -330,7 +340,7 @@ func New(cfg Config) (*Node, error) {
 	n.met = newNodeMetrics(db.Metrics())
 	n.registerCollectors(db.Metrics())
 	self := Peer{ID: cfg.ID, Priority: cfg.Priority, ReplAddr: n.Addr(), SvcAddr: cfg.ServiceAddr}
-	n.st = newState(self, cfg.Join, cfg.ElectionTimeout, cfg.LeaseTimeout, rand.Uint64())
+	n.st = newState(self, cfg.Join, cfg.ElectionTimeout, cfg.LeaseTimeout, cfg.WriteQuorum, rand.Uint64())
 	if n.store != nil {
 		// Resume the cluster position recovered from disk: the engine's
 		// replayed high-water mark, the persisted terms and view. A restarted
@@ -385,12 +395,11 @@ func (n *Node) step(in input, out []output) ([]output, error) {
 		// re-bootstrap replaces local state wholesale, and the index tracks
 		// it down too. WaitApplied callers are woken either way and re-block
 		// until the stream catches back up past their token.
-		n.st.applied, n.committedSeen = in.f.SnapIndex, 0 // the hello's watermark follows
+		n.st.applied = in.f.SnapIndex
 		n.lastProgress = time.Now()
 		n.wakeAppliedLocked()
 	}
 	out, err := n.stepLocked(in, out)
-	var sealed *minisql.WAL
 	var fols map[string]*followerConn
 	var stream net.Conn
 	for _, o := range out {
@@ -399,22 +408,20 @@ func (n *Node) step(in input, out []output) ([]output, error) {
 			n.wg.Add(1) // under mu: Close cannot be waiting yet
 		case doLead:
 			n.wal = minisql.NewWAL(n.st.applied) // continues the cluster's numbering
-			n.wal.SetQuorum(n.cfg.WriteQuorum)
-			// Past what the old leader reported committed, this log may hold
-			// entries no quorum has: they publish once a follower acks them.
-			n.committedSeen = min(n.committedSeen, n.st.applied)
-			n.wal.SetCommitted(n.committedSeen)
 			n.followers = make(map[string]*followerConn)
 			stream = n.stream
 		case doDemote:
 			// In the critical section that published the role: no commit can
-			// reach the detached WAL.
-			sealed, fols = n.wal, n.followers
+			// reach the detached WAL, and its quorum waiters wake to fail.
+			fols = n.followers
 			n.wal, n.followers = nil, make(map[string]*followerConn)
+			n.wakeCommitLocked()
 		case doFollow:
 			stream = n.stream
 		case doCommit:
-			n.committedSeen = max(n.committedSeen, o.f.Committed)
+			if n.st.role == RoleLeader {
+				n.wakeCommitLocked()
+			}
 		}
 	}
 	term, applied := n.st.term, n.st.applied
@@ -441,9 +448,6 @@ func (n *Node) step(in input, out []output) ([]output, error) {
 			n.met.promotions.Inc()
 			n.logf("promoted to leader (term %d, log index %d)", term, applied)
 		case doDemote:
-			if sealed != nil {
-				sealed.Seal(ErrDemoted)
-			}
 			for _, f := range fols {
 				f.conn.Close()
 			}
@@ -652,21 +656,11 @@ func (n *Node) Peers() []Peer {
 	return append([]Peer(nil), n.st.peers...)
 }
 
-// noteCommitted fans a quorum-watermark advance out to the watch gate and
-// the per-follower senders (which propagate it in their next frame). Called
-// by the leader's ack readers; deduplicated so only genuine advances wake
-// anyone.
-func (n *Node) noteCommitted(c uint64) {
-	n.mu.Lock()
-	if c <= n.committedSeen {
-		n.mu.Unlock()
-		return
-	}
-	n.committedSeen = c
+// wakeCommitLocked releases the quorum waiters and the per-follower senders
+// (which ship the new watermark in a heartbeat). Caller holds n.mu.
+func (n *Node) wakeCommitLocked() {
 	close(n.commitCh)
 	n.commitCh = make(chan struct{})
-	n.mu.Unlock()
-	n.db.AdvanceWatch(c)
 }
 
 // watches returns the channels closed at the next quorum-watermark advance
@@ -758,6 +752,9 @@ var (
 	// ErrDemoted fails quorum waits that were pending when the leader
 	// stepped down after losing its majority lease.
 	ErrDemoted = fmt.Errorf("replica: leader demoted (lost majority lease)")
+	// ErrQuorumTimeout is returned by WaitQuorumIndex when the watermark
+	// does not reach the index within its bounded window.
+	ErrQuorumTimeout = fmt.Errorf("replica: quorum commit timeout")
 	// ErrStale is returned by WaitApplied when the replica cannot reach the
 	// requested log index within the staleness bound: the caller's freshness
 	// requirement (commit token) is ahead of this replica.
@@ -774,20 +771,34 @@ func (n *Node) WriteQuorum() int { return n.cfg.WriteQuorum }
 // Applied in asynchronous mode) and the applied index elsewhere.
 func (n *Node) Committed() uint64 {
 	n.mu.Lock()
-	w, applied := n.wal, n.st.applied
-	n.mu.Unlock()
-	if w == nil {
-		return applied
+	defer n.mu.Unlock()
+	if n.wal == nil {
+		return n.st.applied
 	}
-	return n.committed(w)
+	return n.committedLocked(n.wal)
 }
 
-// committed is a leader's commit watermark: its WAL's quorum watermark,
-// capped at what it holds on disk. An entry that reached only its memory (the
-// disk append failed) is not committed however many followers ack it: the
-// leader's restart forgets it, and a majority without it can elect.
+// committed is the commit watermark of the leadership that holds log w.
 func (n *Node) committed(w *minisql.WAL) uint64 {
-	c := w.Committed()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.committedLocked(w)
+}
+
+// committedLocked is the commit watermark of the leadership that holds log
+// w (0 once w is not the node's log): step's quorum watermark — in
+// asynchronous mode every appended entry — capped at what the leader holds
+// on disk. An entry that reached only its memory (the disk append failed) is
+// not committed however many followers ack it: the leader's restart forgets
+// it, and a majority without it can elect. Caller holds n.mu.
+func (n *Node) committedLocked(w *minisql.WAL) uint64 {
+	if n.wal != w {
+		return 0
+	}
+	c := n.st.committed
+	if n.cfg.WriteQuorum <= 0 {
+		c = w.LastIndex()
+	}
 	if n.store != nil {
 		c = min(c, n.store.Synced())
 	}
@@ -813,9 +824,20 @@ func (n *Node) WaitQuorumIndex(idx uint64) error {
 	if w == nil {
 		return ErrNotLeader
 	}
+	n.quorumWaiters.Add(1)
+	defer n.quorumWaiters.Add(-1)
 	t0 := time.Now()
-	err := w.WaitCommitted(idx, 2*n.cfg.LeaseTimeout)
+	timeout := 2 * n.cfg.LeaseTimeout
+	err := n.await(timeout, func() (bool, error) {
+		if n.wal != w {
+			return false, ErrDemoted
+		}
+		return n.st.committed >= idx, nil
+	}, func() <-chan struct{} { return n.commitCh })
 	n.met.quorumWait.ObserveSince(t0)
+	if err == errTimedOut {
+		err = fmt.Errorf("%w: index %d not replicated to %d followers within %v", ErrQuorumTimeout, idx, n.cfg.WriteQuorum, timeout)
+	}
 	return err
 }
 
@@ -827,26 +849,42 @@ func (n *Node) WaitQuorumIndex(idx uint64) error {
 // the applied index is the newest committed index, so a token the cluster
 // has issued never blocks there.
 func (n *Node) WaitApplied(idx uint64, timeout time.Duration) error {
-	var timer *time.Timer
-	for {
-		n.mu.Lock()
-		if n.st.applied >= idx {
-			n.mu.Unlock()
-			return nil
-		}
-		if n.closed {
-			n.mu.Unlock()
-			return ErrClosed
-		}
-		if timeout <= 0 {
-			applied := n.st.applied
-			n.mu.Unlock()
-			return fmt.Errorf("%w: have %d, need %d", ErrStale, applied, idx)
-		}
+	err := n.await(timeout, func() (bool, error) { return n.st.applied >= idx, nil }, func() <-chan struct{} {
 		if n.appliedCh == nil {
 			n.appliedCh = make(chan struct{})
 		}
-		ch := n.appliedCh
+		return n.appliedCh
+	})
+	if err == errTimedOut {
+		err = fmt.Errorf("%w: have %d, need %d after %v", ErrStale, n.Applied(), idx, timeout)
+	}
+	return err
+}
+
+// errTimedOut is await's timeout, which each wait words for its caller.
+var errTimedOut = errors.New("replica: wait timed out")
+
+// await blocks until reached, called under n.mu, reports true or fails with
+// its error, the node closes (ErrClosed), or timeout passes (errTimedOut; 0
+// checks once). wake, also called under n.mu, returns the channel closed at
+// the next change reached reads.
+func (n *Node) await(timeout time.Duration, reached func() (bool, error), wake func() <-chan struct{}) error {
+	var timer *time.Timer
+	for {
+		n.mu.Lock()
+		ok, err := reached()
+		switch {
+		case ok || err != nil:
+		case n.closed:
+			err = ErrClosed
+		case timeout <= 0:
+			err = errTimedOut
+		}
+		if ok || err != nil {
+			n.mu.Unlock()
+			return err
+		}
+		ch := wake()
 		n.mu.Unlock()
 		if timer == nil {
 			timer = time.NewTimer(timeout)
@@ -857,7 +895,7 @@ func (n *Node) WaitApplied(idx uint64, timeout time.Duration) error {
 		case <-n.closeCh:
 			return ErrClosed
 		case <-timer.C:
-			return fmt.Errorf("%w: have %d, need %d after %v", ErrStale, n.Applied(), idx, timeout)
+			return errTimedOut
 		}
 	}
 }

@@ -5,29 +5,34 @@ import (
 	"time"
 )
 
-// state is what step decides over: term, vote, role, view and log position,
-// plus the election in progress. Nothing outside step.go assigns its
-// decision fields; the node writes only applied (its data path's fact) and
-// reads the rest. peers is replaced, never edited in place, so copying a
-// state is a snapshot of it — the node's way of discarding a step. heard is
-// the exception: it is evidence of contact, edited in place, and a discarded
-// step keeps what it recorded there.
+// state is what step decides over: term, vote, role, view, log position and
+// commit watermark, plus the election in progress. Nothing outside step.go
+// assigns its decision fields; the node writes only applied (its data path's
+// fact) and reads the rest. peers is replaced, never edited in place, so
+// copying a state is a snapshot of it — the node's way of discarding a step.
+// heard is the exception: it is evidence of contact and acks, edited in
+// place, and a discarded step keeps what it recorded there.
 type state struct {
-	self  Peer
-	join  string        // where a node that never joined knocks
-	elect time.Duration // ElectionTimeout: rank slot, retry backoff
-	lease time.Duration // LeaseTimeout
+	self   Peer
+	join   string        // where a node that never joined knocks
+	elect  time.Duration // ElectionTimeout: rank slot, retry backoff
+	lease  time.Duration // LeaseTimeout
+	quorum int           // WriteQuorum: follower acks that commit an index (0: asynchronous)
 
 	role        Role
 	term        uint64
 	applied     uint64 // last applied (follower) / committed (leader) index
 	appliedTerm uint64 // term of the leadership that produced the newest applied entry
-	leader      Peer   // the leader followed (self when leading); zero when unknown
-	peers       []Peer // ranked membership, self included
-	joined      bool   // part of the cluster (leads, installed its snapshot or recovered its view): may elect
-	now         time.Duration
-	heard       []contact     // leader: last ack, join or probe from each member
-	leaseRef    time.Duration // no lease demotion before this
+	// committed is the commit watermark: on a leader the highest index that
+	// quorum followers' acks in this leadership reach, on a follower the
+	// newest its leader shipped.
+	committed uint64
+	leader    Peer   // the leader followed (self when leading); zero when unknown
+	peers     []Peer // ranked membership, self included
+	joined    bool   // part of the cluster (leads, installed its snapshot or recovered its view): may elect
+	now       time.Duration
+	heard     []contact     // leader: last ack, join or probe from each member, and its ack
+	leaseRef  time.Duration // no lease demotion before this
 	// standDownUntil keeps a node that stepped down out of the election it
 	// triggered, which it would often win straight back.
 	standDownUntil time.Duration
@@ -80,7 +85,7 @@ const (
 	doInstall                   // install the snapshot the hello begins, then step evApplied
 	doApply                     // apply the stream's entries frame, then step evApplied
 	doAck                       // ack f.Applied on the stream
-	doCommit                    // release watch transitions up to f.Committed
+	doCommit                    // release what the watermark f.Committed covers (on a leader: it rose)
 	doDrop                      // end the stream: why
 	doFollow                    // the leader to stream from changed: drop the stream and dial anew
 	doLead                      // leadership began
@@ -97,9 +102,9 @@ type output struct {
 	why   string
 }
 
-func newState(self Peer, join string, elect, lease time.Duration, seed uint64) state {
+func newState(self Peer, join string, elect, lease time.Duration, quorum int, seed uint64) state {
 	return state{
-		self: self, join: join, elect: elect, lease: lease, role: RoleFollower,
+		self: self, join: join, elect: elect, lease: lease, quorum: quorum, role: RoleFollower,
 		leader: Peer{ReplAddr: join}, peers: []Peer{self},
 		rnd: seed | 1,
 	}
@@ -185,13 +190,14 @@ func (st *state) on(in input, out []output) []output {
 	case evApplied:
 		if f.Type == frameSnapshot {
 			// The snapshot is a byte copy of the term-f.Term leader's state:
-			// prefix identity with its log is established wholesale.
-			st.appliedTerm, st.joined = f.Term, true
+			// prefix identity with its log is established wholesale. The
+			// watermark starts again from the one the hello carries.
+			st.appliedTerm, st.joined, st.committed = f.Term, true, 0
 		}
 		// A node that has granted a newer term since must not ack the old
 		// leadership: that ack could complete a quorum the new leader lacks.
 		if st.streaming(f.Term) {
-			out = append(out, output{do: doCommit, f: *f}, output{do: doAck, f: frame{Applied: st.applied}})
+			return st.acknowledge(f.Committed, out)
 		}
 	case evFrame:
 		return st.receive(f, in.from, out)
@@ -204,8 +210,16 @@ func (st *state) on(in input, out []output) []output {
 func (st *state) receive(f *frame, from Peer, out []output) []output {
 	switch f.Type {
 	case frameAck:
-		if st.role == RoleLeader {
-			st.touch(from.ID)
+		// An ack counts only toward the leadership whose stream carried it:
+		// the node stamps it with the term of that stream's hello.
+		if st.role == RoleLeader && f.Term == st.term {
+			if c := st.touch(from.ID); c != nil && f.Applied > c.acked {
+				c.acked = f.Applied
+				if q := st.quorumAck(); q > st.committed {
+					st.committed = q
+					return append(out, output{do: doCommit, f: frame{Committed: q}})
+				}
+			}
 		}
 	case frameProbe:
 		// A probe is contact: it counts toward the majority lease like an ack.
@@ -258,7 +272,7 @@ func (st *state) receive(f *frame, from Peer, out []output) []output {
 		if f.Type == frameSnapshot {
 			return append(out, output{do: doInstall})
 		}
-		return append(out, output{do: doCommit, f: *f}, output{do: doAck, f: frame{Applied: st.applied}})
+		return st.acknowledge(f.Committed, out)
 	case frameEntries:
 		if !st.streaming(f.Term) {
 			return append(out, output{do: doDrop, why: fmt.Sprintf("replica: entries of term %d from a leader not followed at term %d", f.Term, st.term)})
@@ -429,11 +443,18 @@ func (st *state) follow(out []output, p Peer) []output {
 
 // lead promotes. The lease starts with a grace period: surviving followers
 // need their own failure detection and election backoff before they rejoin.
+// No ack of an earlier leadership counts in this one, and the watermark
+// starts at the one last shipped to this node, never past its log: the
+// entries after it are committed once acked, like new ones.
 func (st *state) lead(out []output) []output {
 	st.role, st.leader, st.joined, st.electing, st.asking = RoleLeader, st.self, true, false, false
+	for i := range st.heard {
+		st.heard[i].acked = 0
+	}
 	for _, p := range st.peers {
 		st.touch(p.ID)
 	}
+	st.committed = min(st.committed, st.applied)
 	st.leaseRef = st.now + 2*st.lease
 	return append(out, output{do: doLead})
 }
@@ -458,23 +479,63 @@ func (st *state) inContact() bool {
 	return n >= len(st.peers)/2+1
 }
 
-// contact is when a member was last heard from.
+// contact is when a member was last heard from and, on a leader, the
+// highest index it acked in this leadership.
 type contact struct {
-	id string
-	at time.Duration
+	id    string
+	at    time.Duration
+	acked uint64
 }
 
-// touch records contact with member id; others are not tracked.
-func (st *state) touch(id string) {
+// touch records contact with member id and returns its entry; others are
+// not tracked (nil).
+func (st *state) touch(id string) *contact {
 	for i := range st.heard {
 		if st.heard[i].id == id {
 			st.heard[i].at = st.now
-			return
+			return &st.heard[i]
 		}
 	}
-	if hasPeer(st.peers, id) {
-		st.heard = append(st.heard, contact{id, st.now})
+	if !hasPeer(st.peers, id) {
+		return nil
 	}
+	st.heard = append(st.heard, contact{id: id, at: st.now})
+	return &st.heard[len(st.heard)-1]
+}
+
+// quorumAck is the highest index that at least quorum members' acks reach —
+// the quorum-th highest ack; 0 in asynchronous mode, where no ack commits.
+// It counts in place over the few members a view has: an ack allocates
+// nothing.
+func (st *state) quorumAck() uint64 {
+	var c uint64
+	if st.quorum <= 0 {
+		return 0
+	}
+	for _, a := range st.heard {
+		if a.acked <= c {
+			continue
+		}
+		reach := 0
+		for _, b := range st.heard {
+			if b.acked >= a.acked {
+				reach++
+			}
+		}
+		if reach >= st.quorum {
+			c = a.acked
+		}
+	}
+	return c
+}
+
+// acknowledge is a follower's answer to each frame it takes from its leader:
+// adopt the watermark the frame carries, release what the watermark covers —
+// every frame, as the node's own may be past the leader's and not yet
+// released — and ack.
+func (st *state) acknowledge(c uint64, out []output) []output {
+	st.committed = max(st.committed, c)
+	return append(out, output{do: doCommit, f: frame{Committed: st.committed}}, output{do: doAck, f: frame{Applied: st.applied}})
 }
 
 // streaming reports whether frames of term come from the leader this node
@@ -488,9 +549,9 @@ func (st *state) status(granted bool) frame {
 		Granted: granted, LeaderID: st.leader.ID, LeaderRepl: st.leader.ReplAddr, LeaderSvc: st.leader.SvcAddr}
 }
 
-// beat is the leader's heartbeat: term, view and identity.
+// beat is the leader's heartbeat: term, watermark, view and identity.
 func (st *state) beat() frame {
-	return frame{Type: frameHeartbeat, Term: st.term, Role: st.role, Applied: st.applied, Peers: st.peers,
+	return frame{Type: frameHeartbeat, Term: st.term, Role: st.role, Applied: st.applied, Committed: st.committed, Peers: st.peers,
 		LeaderID: st.leader.ID, LeaderRepl: st.leader.ReplAddr, LeaderSvc: st.leader.SvcAddr}
 }
 

@@ -21,8 +21,10 @@ var xpeers = []Peer{
 
 const xelect = 100 * time.Millisecond
 
+// xstate is node i's state, in the view of all three, committing on one
+// follower's ack (WriteQuorum 1: a majority of three).
 func xstate(i int) state {
-	st := newState(xpeers[i], xpeers[0].ReplAddr, xelect, xelect, uint64(i+1))
+	st := newState(xpeers[i], xpeers[0].ReplAddr, xelect, xelect, 1, uint64(i+1))
 	st.peers = append([]Peer(nil), xpeers...)
 	st.joined = true
 	return st
@@ -102,7 +104,10 @@ func TestStepClaimCarriesPersistedTerm(t *testing.T) {
 //  2. no node's acked index ever decreases (with three nodes one follower's
 //     ack makes a majority, so no legal history un-acks an entry);
 //  3. a leader of term T holds every entry quorum-acked before T;
-//  4. from the frontier, once drops stop, a connected majority elects.
+//  4. from the frontier, once drops stop, a connected majority elects;
+//  5. every commit a leader's step emits is quorum-acked — no longer than the
+//     quorum-acked prefix the harness keeps — and never below the last one
+//     of its leadership.
 //
 // Streams are FIFO; dropping any frame of one breaks it. Dropping a request
 // or its reply fails the request. Leaders send no idle heartbeats: streams
@@ -114,6 +119,7 @@ type xnode struct {
 	up     int    // follower: node streamed from (-1: none)
 	fols   [3]int // leader: acked index per follower stream (-1: none)
 	start  int    // leader: its log's length when its leadership began
+	commit uint64 // leader: its step's newest commit this leadership
 	maxAck uint64
 	force  bool // the next join asks for a snapshot
 }
@@ -196,7 +202,7 @@ func (w *xworld) step(i int, in input, req *xmsg) {
 			w.msgs = append(w.msgs, xmsg{kind: mDown, from: i, to: j, f: hello})
 			if from < uint64(len(nd.log)) {
 				w.msgs = append(w.msgs, xmsg{kind: mDown, from: i, to: j, f: frame{Type: frameEntries, Term: nd.st.term,
-					Records: slices.Clone(nd.log[from:]), Last: uint64(len(nd.log))}})
+					Committed: nd.st.committed, Records: slices.Clone(nd.log[from:]), Last: uint64(len(nd.log))}})
 			}
 		case doRequest:
 			w.msgs = append(w.msgs, xmsg{kind: mReq, from: i, to: nodeOf(o.to.ReplAddr), f: o.f, round: o.round})
@@ -214,7 +220,7 @@ func (w *xworld) step(i int, in input, req *xmsg) {
 			if !bytes.HasPrefix(nd.log, w.committed) {
 				w.fail("invariant 3: n%d leads term %d with log %v, missing quorum-acked %v", i+1, nd.st.term, nd.log, w.committed)
 			}
-			nd.fols, nd.start = [3]int{-1, -1, -1}, len(nd.log)
+			nd.fols, nd.start, nd.commit = [3]int{-1, -1, -1}, len(nd.log), nd.st.committed
 			w.closeStream(i, false)
 		case doDemote:
 			for j := range nd.fols {
@@ -224,6 +230,14 @@ func (w *xworld) step(i int, in input, req *xmsg) {
 			}
 		case doDrop:
 			w.closeStream(i, true)
+		case doCommit:
+			if nd.st.role != RoleLeader {
+				break
+			}
+			if c := o.f.Committed; c > uint64(len(w.committed)) || c < nd.commit {
+				w.fail("invariant 5: n%d commits %d at term %d after committing %d; quorum-acked %v", i+1, c, nd.st.term, nd.commit, w.committed)
+			}
+			nd.commit = o.f.Committed
 		case doInstall:
 			nd.log = slices.Clone(in.f.Records)
 			nd.st.applied = in.f.SnapIndex
@@ -306,10 +320,12 @@ func (w *xworld) deliver(k int) {
 		w.step(m.to, input{ev: evReply, f: m.f, from: xpeers[m.from], round: m.round}, nil)
 	case mUp:
 		l := &w.n[m.to]
-		w.step(m.to, input{ev: evFrame, f: m.f, from: xpeers[m.from]}, &m)
 		if m.f.Type == frameAck && l.fols[m.from] >= 0 {
-			// The leader's WAL counts the ack: with three nodes, one
-			// follower's ack is a quorum.
+			// The oracle counts the ack before the leader's step does: with
+			// three nodes, one follower's ack is a quorum. The leader steps it
+			// stamped with its hello's term, as the node's ack reader does — a
+			// live stream's, since demotion closes them all.
+			m.f.Term = l.st.term
 			if m.f.Applied > uint64(len(l.log)) {
 				w.fail("n%d acked %d past its leader n%d's log %v", m.from+1, m.f.Applied, m.to+1, l.log)
 				return
@@ -323,6 +339,7 @@ func (w *xworld) deliver(k int) {
 				w.committed = slices.Clone(acked)
 			}
 		}
+		w.step(m.to, input{ev: evFrame, f: m.f, from: xpeers[m.from]}, &m)
 	case mDown:
 		w.step(m.to, input{ev: evFrame, f: m.f}, &m)
 		if m.f.Type == frameNotLeader {
@@ -395,7 +412,7 @@ func (w *xworld) write(i int) {
 	for j, acked := range nd.fols {
 		if acked >= 0 {
 			w.msgs = append(w.msgs, xmsg{kind: mDown, from: i, to: j, f: frame{Type: frameEntries, Term: nd.st.term,
-				Records: []byte{byte(nd.st.term)}, Last: nd.st.applied}})
+				Committed: nd.st.committed, Records: []byte{byte(nd.st.term)}, Last: nd.st.applied}})
 		}
 	}
 }
@@ -453,6 +470,7 @@ func (w *xworld) key(b []byte) (uint64, []byte) {
 		u(st.term)
 		u(st.applied)
 		u(st.appliedTerm)
+		u(st.committed)
 		s(st.leader.ID)
 		s(st.leader.ReplAddr)
 		u(uint64(st.now))
@@ -476,6 +494,7 @@ func (w *xworld) key(b []byte) (uint64, []byte) {
 		for _, c := range st.heard {
 			s(c.id)
 			u(uint64(c.at))
+			u(c.acked)
 		}
 		b = append(append(b, nd.log...), 0xFF)
 		u(uint64(nd.up + 1))
@@ -483,6 +502,7 @@ func (w *xworld) key(b []byte) (uint64, []byte) {
 			u(uint64(a + 1))
 		}
 		u(uint64(nd.start))
+		u(nd.commit)
 		u(nd.maxAck)
 	}
 	for _, m := range w.msgs {
@@ -494,6 +514,7 @@ func (w *xworld) key(b []byte) (uint64, []byte) {
 		u(m.f.Term)
 		u(m.f.Applied)
 		u(m.f.AppliedTerm)
+		u(m.f.Committed)
 		u(m.f.From)
 		u(m.f.Last)
 		u(m.f.SnapIndex)
@@ -573,15 +594,15 @@ func (w *xworld) describe(a xaction) string {
 func frameSummary(f frame) string {
 	names := map[frameType]string{frameJoin: "join", frameProbe: "probe", frameStatus: "status", frameNotLeader: "not-leader",
 		frameSnapshot: "snapshot", frameHeartbeat: "heartbeat", frameAck: "ack", frameEntries: "entries", frameClaim: "claim"}
-	return fmt.Sprintf("%s{term %d applied %d appliedTerm %d from %d last %d granted %v records %v}",
-		names[f.Type], f.Term, f.Applied, f.AppliedTerm, f.From, f.Last, f.Granted, f.Records)
+	return fmt.Sprintf("%s{term %d applied %d appliedTerm %d committed %d from %d last %d granted %v records %v}",
+		names[f.Type], f.Term, f.Applied, f.AppliedTerm, f.Committed, f.From, f.Last, f.Granted, f.Records)
 }
 
 func (w *xworld) summary() string {
 	var sb strings.Builder
 	for i, nd := range w.n {
-		fmt.Fprintf(&sb, "  n%d: %v term %d log %v appliedTerm %d leader %q up %d acked %v electing %v\n",
-			i+1, nd.st.role, nd.st.term, nd.log, nd.st.appliedTerm, nd.st.leader.ID, nd.up+1, nd.maxAck, nd.st.electing)
+		fmt.Fprintf(&sb, "  n%d: %v term %d log %v appliedTerm %d committed %d leader %q up %d acked %v electing %v\n",
+			i+1, nd.st.role, nd.st.term, nd.log, nd.st.appliedTerm, nd.st.committed, nd.st.leader.ID, nd.up+1, nd.maxAck, nd.st.electing)
 	}
 	fmt.Fprintf(&sb, "  quorum-acked %v\n", w.committed)
 	return sb.String()
@@ -599,6 +620,34 @@ func steady(t *testing.T) *xworld {
 	w.settleLosses()
 	if !w.settle(3) || len(w.committed) != 1 || w.bad != "" {
 		t.Fatalf("no steady start:\n%s%s", w.summary(), w.bad)
+	}
+	w.drops, w.ticks, w.writes = 0, 0, 0
+	return w
+}
+
+// trailing builds the explorer's second start: as steady, but n3's ack of
+// the entry is still in flight, so once n1 writes again it acks less than
+// n1's log holds — where the commit rule and the count of acks part, which
+// the first start never reaches within its depth.
+func trailing(t *testing.T) *xworld {
+	w := &xworld{}
+	for i := range w.n {
+		w.n[i] = xnode{st: xstate(i), up: -1, fols: [3]int{-1, -1, -1}}
+	}
+	w.step(0, input{ev: evPromote}, nil)
+	w.settleLosses()
+	if !w.settle(3) || w.bad != "" {
+		t.Fatalf("no trailing start:\n%s%s", w.summary(), w.bad)
+	}
+	w.write(0)
+	for k := 0; k < len(w.msgs); k++ {
+		if m := w.msgs[k]; !(m.kind == mUp && m.from == 2) && w.deliverable(k) {
+			w.deliver(k)
+			k = -1
+		}
+	}
+	if len(w.committed) != 1 || len(w.msgs) != 1 || w.bad != "" {
+		t.Fatalf("no trailing start:\n%s%s", w.summary(), w.bad)
 	}
 	w.drops, w.ticks, w.writes = 0, 0, 0
 	return w
@@ -647,11 +696,21 @@ func (e *explorer) run(t *testing.T, w *xworld, left int, path []xaction, worlds
 	}
 }
 
-// TestExploreElections runs the explorer from a steady three-node cluster.
+// TestExploreElections runs the explorer from a steady three-node cluster,
+// then — three actions shallower — from the trailing-ack start.
 func TestExploreElections(t *testing.T) {
-	e := &explorer{depth: exploreDepth, drops: 2, ticks: 3, writes: 1, seen: map[uint64]int{}}
-	start := time.Now()
-	e.run(t, steady(t), e.depth, nil, nil)
-	t.Logf("depth %d (≤ %d drops, %d ticks, %d writes): %d states expanded, liveness settled from %d, %v",
-		e.depth, e.drops, e.ticks, e.writes, e.states, e.settles, time.Since(start).Round(time.Millisecond))
+	for _, s := range []struct {
+		name  string
+		start func(*testing.T) *xworld
+		depth int
+	}{
+		{"steady", steady, exploreDepth},
+		{"trailing ack", trailing, exploreDepth - 3},
+	} {
+		e := &explorer{depth: s.depth, drops: 2, ticks: 3, writes: 1, seen: map[uint64]int{}}
+		start := time.Now()
+		e.run(t, s.start(t), e.depth, nil, nil)
+		t.Logf("%s start, depth %d (≤ %d drops, %d ticks, %d writes): %d states expanded, liveness settled from %d, %v",
+			s.name, e.depth, e.drops, e.ticks, e.writes, e.states, e.settles, time.Since(start).Round(time.Millisecond))
+	}
 }

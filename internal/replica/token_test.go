@@ -7,12 +7,11 @@ import (
 	"time"
 
 	"osprey/internal/core"
-	"osprey/internal/minisql"
 )
 
 // newSoloLeader returns an unstarted leader node: commits append to its WAL
-// and acks can be fed directly, which gives tests exact control over which
-// indexes are quorum-replicated.
+// and acks can be stepped directly, which gives tests exact control over
+// which indexes are quorum-replicated.
 func newSoloLeader(t *testing.T, quorum int) *Node {
 	t.Helper()
 	n, err := New(Config{
@@ -36,6 +35,7 @@ func newSoloLeader(t *testing.T, quorum int) *Node {
 // interleaving the old code got wrong.
 func TestWaitQuorumIndexExact(t *testing.T) {
 	n := newSoloLeader(t, 1)
+	admit(t, n, "f1")
 
 	resA, err := n.DB().Submit(context.Background(), "exact", 1, "a")
 	if err != nil {
@@ -55,7 +55,7 @@ func TestWaitQuorumIndexExact(t *testing.T) {
 	errB := make(chan error, 1)
 	go func() { errA <- n.WaitQuorumIndex(tokA) }()
 	go func() { errB <- n.WaitQuorumIndex(tokB) }()
-	n.wal.Ack("f1", tokA)
+	stepAck(t, n, "f1", tokA)
 
 	select {
 	case err := <-errA:
@@ -65,12 +65,12 @@ func TestWaitQuorumIndexExact(t *testing.T) {
 	case <-time.After(waitMax):
 		t.Fatalf("WaitQuorumIndex(%d) still blocked although its own entry is acked", tokA)
 	}
-	if err := <-errB; !errors.Is(err, minisql.ErrCommitTimeout) {
+	if err := <-errB; !errors.Is(err, ErrQuorumTimeout) {
 		t.Fatalf("WaitQuorumIndex(%d) with no ack = %v, want commit timeout", tokB, err)
 	}
 
 	// Once B's entry is acknowledged too, its wait succeeds.
-	n.wal.Ack("f1", tokB)
+	stepAck(t, n, "f1", tokB)
 	if err := n.WaitQuorumIndex(tokB); err != nil {
 		t.Fatalf("WaitQuorumIndex(%d) after ack: %v", tokB, err)
 	}
