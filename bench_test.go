@@ -406,8 +406,8 @@ func BenchmarkRequeue(b *testing.B) {
 
 // BenchmarkPopTokenOverhead quantifies what moving the pop paths to
 // TxLogged costs: the same submit-then-pop cycle against a plain engine
-// (commit hook absent — pops commit without logging) and against a
-// WAL-hooked engine (every pop appends its statement batch and earns a
+// (commit hook absent — pops commit without logging) and against one whose
+// hook is a leader's Log (every pop appends its statement batch and earns a
 // commit token, as on a replicated leader). The claim the suite tracks is
 // logged pops staying within 10% of unlogged.
 func BenchmarkPopTokenOverhead(b *testing.B) {
@@ -419,8 +419,8 @@ func BenchmarkPopTokenOverhead(b *testing.B) {
 			}
 			defer db.Close()
 			if mode == "logged" {
-				wal := minisql.NewWAL(0)
-				db.Engine().SetCommitHook(func(stmts []minisql.Stmt) (uint64, error) { return wal.Append(stmts).Index, nil })
+				db.Log().SetWindow(true) // a leader's log keeps what it appends
+				db.Engine().SetCommitHook(db.Log().Append)
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -131,7 +131,8 @@ type DB struct {
 	outN   *notifier           // signaled by the commit observer when the output queue grows
 	inN    *notifier           // signaled by the commit observer when the input queue grows
 	met    *dbMetrics
-	store  *minisql.Store // durable WAL + checkpoints (nil: in-memory)
+	store  *minisql.Store // durable log + checkpoints (nil: in-memory)
+	log    *minisql.Log   // the node's commit log, over store
 	hub    *watch.Hub     // task-state transition fan-out (events.go)
 	gate   watchGate      // quorum gate in front of the hub (events.go)
 	closed atomic.Bool
@@ -143,7 +144,7 @@ var _ Session = (*DB)(nil)
 // core issues on it. The texts are constants, so one that does not parse is a
 // bug, not an input.
 func newDB(eng *minisql.Engine, store *minisql.Store) *DB {
-	db := &DB{eng: eng, outN: newNotifier(), inN: newNotifier(), met: newDBMetrics(eng), store: store}
+	db := &DB{eng: eng, outN: newNotifier(), inN: newNotifier(), met: newDBMetrics(eng), store: store, log: minisql.NewLog(store)}
 	for _, sql := range statementSQL {
 		h, err := eng.Prepare(sql)
 		if err != nil {

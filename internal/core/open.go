@@ -56,12 +56,12 @@ const durableWaitTimeout = 15 * time.Second
 // which bootstraps it from the leader's snapshot.
 //
 // In a cluster (internal/replica) a durable follower appends each shipped
-// record to its own log as received — after DecodeRecord has checked it —
-// and fsyncs before acking, so a quorum-acked write is crash-durable on a
-// quorum. It recovers its applied index and term locally and resumes from
-// its own position; the leader serves ranges its memory WAL has compacted
-// out of its disk log and bootstraps fresh followers from the newest
-// checkpoint file. A restarted leader always opens a new term (persisted
+// record to the same Log as received — after DecodeRecord has checked it —
+// and waits for it to be durable before acking, so a quorum-acked write is
+// crash-durable on a quorum. It resumes from its own recovered position,
+// which the leader's log serves from its window or segments; a fresh
+// follower bootstraps from a snapshot of the leader's live engine. A
+// restarted leader always opens a new term (persisted
 // term + 1), because crash recovery can roll its log back past entries
 // followers already applied: they return through the snapshot path, so a
 // full-cluster stop/start keeps all state at the cost of one re-bootstrap
@@ -111,19 +111,21 @@ func Open(dir string, opt OpenOptions) (*DB, error) {
 		// boot; seed the hub and mark pre-boot history unreplayable.
 		db.ResetWatch(applied)
 	}
-	// Standalone durable mode: the store assigns commit indexes, giving
-	// every write a real commit token backed by its own on-disk WAL entry.
-	// The replication layer, when present, replaces this hook with its own
-	// (which appends to both the replication WAL and the store).
-	eng.SetCommitHook(func(stmts []minisql.Stmt) (uint64, error) {
-		return store.AppendAssign(stmts), nil
-	})
+	// Standalone durable mode: the log assigns commit indexes, giving every
+	// write a real commit token backed by its own on-disk log entry. The
+	// replication layer replaces this hook with its own, which appends to the
+	// same log on the leader.
+	eng.SetCommitHook(db.log.Append)
 	return db, nil
 }
 
 // Store exposes the node's durable store (nil for an in-memory DB), so the
-// replication layer can persist shipped entries, terms, and snapshots.
+// replication layer can persist terms and views and read its position.
 func (db *DB) Store() *minisql.Store { return db.store }
+
+// Log returns the node's commit log: over the store on an Open database, in
+// memory (and unused until a replication layer hooks it) otherwise.
+func (db *DB) Log() *minisql.Log { return db.log }
 
 // Checkpoint forces an immediate engine checkpoint (durable DBs only).
 func (db *DB) Checkpoint() error {
@@ -152,22 +154,13 @@ func (db *DB) WriteDurability(w io.Writer) {
 }
 
 // waitDurable blocks an acknowledged write until its log entry is durable
-// under the store's fsync policy. In-memory databases and unlogged commits
-// (token 0) return immediately. The disk log's sync loop fsyncs whatever has
-// been appended and starts again as soon as asked, so a lone write pays one
-// fsync and the writes that arrive during it share the next.
+// under the store's fsync policy. In-memory databases and commits that
+// logged nothing (token 0; an append the disk refused failed the commit)
+// return immediately. The disk log's sync loop fsyncs whatever has been
+// appended and starts again as soon as asked, so a lone write pays one fsync
+// and the writes that arrive during it share the next.
 func (db *DB) waitDurable(tok Token) error {
-	if db.store == nil {
-		return nil
-	}
-	if tok == 0 {
-		// No log entry to wait for — but token 0 is also what the commit
-		// hook returns when the disk append itself failed. Check the log's
-		// sticky error so a write the store could not persist is refused
-		// loudly instead of acked as durable.
-		if err := db.store.Err(); err != nil {
-			return fmt.Errorf("eqsql: write committed but not durable: %w", err)
-		}
+	if db.store == nil || tok == 0 {
 		return nil
 	}
 	if err := db.store.WaitDurable(tok, durableWaitTimeout); err != nil {

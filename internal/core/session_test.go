@@ -5,11 +5,9 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"osprey/internal/minisql"
 )
 
-// walDB returns a DB whose engine records commits into a WAL, like a
+// walDB returns a DB whose engine records commits into its Log, like a
 // replicated leader — the configuration under which commit tokens are real.
 func walDB(t *testing.T) *DB {
 	t.Helper()
@@ -18,8 +16,7 @@ func walDB(t *testing.T) *DB {
 		t.Fatal(err)
 	}
 	t.Cleanup(db.Close)
-	wal := minisql.NewWAL(0)
-	db.Engine().SetCommitHook(func(stmts []minisql.Stmt) (uint64, error) { return wal.Append(stmts).Index, nil })
+	db.Engine().SetCommitHook(db.Log().Append)
 	return db
 }
 

@@ -27,12 +27,12 @@ import (
 // values, each appendValue's cell, the form checkpoints store cells in; a
 // set-based write, Tx.ExecRows, is one statement of n parameters
 // carrying k·n arguments, which ApplyEntry replays row by row). It is
-// produced once, at commit (WAL.Append on a replicated node,
-// DiskLog.Append where the store assigns the index); the memory WAL, the
-// disk log and the replication stream all carry those bytes, and no other
-// package knows the layout. The CRC is what turns a torn write — the tail of
-// the file the process was killed while appending — or a frame damaged in
-// transit into a detectable condition instead of silent corruption.
+// produced once, at commit, by the node's Log (Log.Append); the disk log, a
+// leader's window and the replication stream all carry those bytes, and no
+// other package knows the layout. The CRC is what turns a torn write — the
+// tail of the file the process was killed while appending — or a frame
+// damaged in transit into a detectable condition instead of silent
+// corruption.
 //
 // There is one decoder, decodeRecord, in two forms. DecodeRecord returns a
 // fresh entry. Engine.DecodeRecordInto decodes into the caller's entry,
@@ -330,7 +330,7 @@ type DiskLog struct {
 
 	syncReq   chan struct{}
 	syncIdle  chan struct{} // closed and replaced when an fsync batch finishes
-	syncedCh  chan struct{} // closed and replaced when synced advances
+	syncedCh  chan struct{} // made by a WaitDurable waiter, closed and dropped when synced advances
 	closeCh   chan struct{}
 	done      chan struct{}
 	truncated uint64 // entries dropped by TruncateTo (for metrics)
@@ -363,7 +363,6 @@ func OpenDiskLogFS(fsys FS, dir string, segBytes int64, fsync bool) (*DiskLog, e
 		dir: dir, segBytes: segBytes, fsync: fsync, fs: fsys,
 		syncReq:  make(chan struct{}, 1),
 		syncIdle: make(chan struct{}),
-		syncedCh: make(chan struct{}),
 		closeCh:  make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -449,8 +448,9 @@ func (d *DiskLog) scan() error {
 	return nil
 }
 
-// Append encodes entries and appends their records: the path of a log that
-// is its own index authority (Store.AppendAssign).
+// Append encodes entries and appends their records, for a caller that
+// numbers entries itself; a node's Log encodes in Log.Append and writes
+// through AppendRecords.
 func (d *DiskLog) Append(entries ...LogEntry) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -619,8 +619,16 @@ func (d *DiskLog) syncLoop() {
 func (d *DiskLog) advanceSyncedLocked(idx uint64) {
 	if idx > d.synced {
 		d.synced = idx
+		d.wakeSyncedLocked()
+	}
+}
+
+// wakeSyncedLocked releases every WaitDurable caller. The channel is made
+// only when one waits, so an append nobody waits on allocates nothing.
+func (d *DiskLog) wakeSyncedLocked() {
+	if d.syncedCh != nil {
 		close(d.syncedCh)
-		d.syncedCh = make(chan struct{})
+		d.syncedCh = nil
 	}
 }
 
@@ -630,8 +638,7 @@ func (d *DiskLog) failLocked(err error) {
 	if d.err == nil {
 		d.err = fmt.Errorf("minisql: disk log: %w", err)
 	}
-	close(d.syncedCh)
-	d.syncedCh = make(chan struct{})
+	d.wakeSyncedLocked()
 }
 
 // Synced returns the newest durable index: fsynced in fsync mode, flushed to
@@ -657,6 +664,9 @@ func (d *DiskLog) WaitDurable(idx uint64, timeout time.Duration) error {
 		}
 		if d.closed {
 			return errors.New("minisql: disk log closed")
+		}
+		if d.syncedCh == nil {
+			d.syncedCh = make(chan struct{})
 		}
 		ch := d.syncedCh
 		select {
@@ -733,6 +743,13 @@ func (d *DiskLog) Records(after uint64) (out []Record, ok bool, err error) {
 		}
 	}
 	return out, true, nil
+}
+
+// reaches reports whether Records can serve the records after after.
+func (d *DiskLog) reaches(after uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.err == nil && after >= d.base
 }
 
 // Entries is Records decoded: a copy of all entries with index > after.
@@ -845,15 +862,6 @@ func (d *DiskLog) SetFsyncObserver(fn func(time.Duration)) {
 	d.mu.Unlock()
 }
 
-// Err returns the log's sticky I/O error, if any. Once set, every append
-// and durability wait fails with it: a log that cannot persist must fail
-// writes loudly, not ack them.
-func (d *DiskLog) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.err
-}
-
 // LastIndex returns the index of the newest appended entry.
 func (d *DiskLog) LastIndex() uint64 {
 	d.mu.Lock()
@@ -885,8 +893,7 @@ func (d *DiskLog) Close() error {
 	d.dirty = nil
 	f := d.f
 	d.f, d.w = nil, nil
-	close(d.syncedCh)
-	d.syncedCh = make(chan struct{})
+	d.wakeSyncedLocked()
 	d.mu.Unlock()
 	<-d.done
 	for _, df := range files {

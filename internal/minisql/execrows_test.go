@@ -18,7 +18,7 @@ func snapshotBytes(t *testing.T, e *Engine) []byte {
 
 // newQueueEngine returns a hooked engine holding rows (id, p) = (i, 10i) for
 // i in 1..n.
-func newQueueEngine(t *testing.T, n int) (*Engine, *WAL) {
+func newQueueEngine(t *testing.T, n int) (*Engine, *Log) {
 	t.Helper()
 	e, w := newHookedEngine(t,
 		"CREATE TABLE q (id INTEGER PRIMARY KEY, p INTEGER)",

@@ -132,8 +132,8 @@ func TestPlanCacheBound(t *testing.T) {
 // mid-stream DDL that starts a new schema epoch.
 func TestPlanCacheReplayByteIdentical(t *testing.T) {
 	leader := NewEngine()
-	wal := NewWAL(0)
-	leader.SetCommitHook(func(stmts []Stmt) (uint64, error) { return wal.Append(stmts).Index, nil })
+	wal := leaderLog()
+	leader.SetCommitHook(wal.Append)
 
 	rng := rand.New(rand.NewSource(7))
 	mustExec(t, leader, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, wt INTEGER, prio INTEGER, s TEXT)")

@@ -232,7 +232,7 @@ func TestRestoreRefusesGobEraCheckpoint(t *testing.T) {
 
 // taskLikeEngine returns an engine with a log and a table shaped like the task
 // table (a key, indexed and ordered columns, a text payload) holding n rows.
-func taskLikeEngine(t testing.TB, n int) (*Engine, *WAL) {
+func taskLikeEngine(t testing.TB, n int) (*Engine, *Log) {
 	t.Helper()
 	e := NewEngine()
 	for _, s := range []string{
@@ -256,8 +256,8 @@ func taskLikeEngine(t testing.TB, n int) (*Engine, *WAL) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWAL(0)
-	e.SetCommitHook(func(stmts []Stmt) (uint64, error) { return w.Append(stmts).Index, nil })
+	w := leaderLog()
+	e.SetCommitHook(w.Append)
 	return e, w
 }
 

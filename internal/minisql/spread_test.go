@@ -113,8 +113,8 @@ func TestSpreadINIndexedLookup(t *testing.T) {
 // follower engine.
 func TestSpreadINReplay(t *testing.T) {
 	leader, follower := NewEngine(), NewEngine()
-	wal := NewWAL(0)
-	leader.SetCommitHook(func(stmts []Stmt) (uint64, error) { return wal.Append(stmts).Index, nil })
+	wal := leaderLog()
+	leader.SetCommitHook(wal.Append)
 	setup := []string{
 		"CREATE TABLE q (id INTEGER PRIMARY KEY, wt INTEGER)",
 		"INSERT INTO q (id, wt) VALUES (1, 0), (2, 0), (3, 0), (4, 0)",

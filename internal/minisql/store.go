@@ -25,12 +25,12 @@ import (
 //
 // Checkpoints and meta.json are published atomically (tmp + fsync + rename).
 //
-// Write path: the engine's commit hook appends each committed transaction
-// under the engine lock. On a replicated node WAL.Append has encoded the
-// entry already and AppendRecords writes the record it returned, so the disk
-// log, the memory WAL and the replication stream carry the same bytes; a
-// standalone durable node has no WAL and encodes in AppendAssign. The
-// acknowledgement then waits in WaitDurable (see DiskLog for what fsync buys).
+// Write path: the node's Log (wal.go), the engine's commit hook, numbers and
+// encodes each committed transaction under the engine lock and writes the
+// record here with AppendRecords; a follower's Log writes its leader's
+// records the same way. So the disk log, a leader's window and the
+// replication stream carry the same bytes. The acknowledgement then waits in
+// WaitDurable (see DiskLog for what fsync buys).
 //
 // Checkpoints bound both disk and replay time: after writing checkpoint N
 // the log is truncated at the *previous* checkpoint's index, so the two
@@ -274,19 +274,14 @@ func (s *Store) SetSnapshotSource(fn func(w io.Writer) (uint64, error)) {
 }
 
 // AppendRecords records committed entries in the log as the bytes they
-// already are (encoded by the memory WAL at commit, or shipped by a leader)
+// already are (encoded by the node's Log at commit, or shipped by a leader)
 // and schedules a checkpoint when enough have accumulated.
 func (s *Store) AppendRecords(recs ...Record) error {
 	if err := s.log.AppendRecords(recs...); err != nil {
 		return err
 	}
-	s.noteAppended(len(recs))
-	return nil
-}
-
-func (s *Store) noteAppended(n int) {
 	s.mu.Lock()
-	s.sinceCheck += uint64(n)
+	s.sinceCheck += uint64(len(recs))
 	trigger := s.opt.CheckpointEvery > 0 && s.sinceCheck >= uint64(s.opt.CheckpointEvery) && s.source != nil
 	s.mu.Unlock()
 	if trigger {
@@ -295,21 +290,7 @@ func (s *Store) noteAppended(n int) {
 		default:
 		}
 	}
-}
-
-// AppendAssign assigns the next log index to stmts and appends the entry:
-// the commit hook of a durable standalone database, where the store itself
-// is the index authority. Returns 0 on failure (the commit stays in memory;
-// the caller's durability wait surfaces the error). Reading the index and
-// appending take the log's lock separately, so callers must serialize among
-// themselves; the commit hook does, it runs under the engine lock.
-func (s *Store) AppendAssign(stmts []Stmt) uint64 {
-	idx := s.log.LastIndex() + 1
-	if err := s.log.Append(LogEntry{Index: idx, Stmts: stmts}); err != nil {
-		return 0
-	}
-	s.noteAppended(1)
-	return idx
+	return nil
 }
 
 // WaitDurable blocks until the entry at idx is durable under the store's
@@ -322,31 +303,15 @@ func (s *Store) WaitDurable(idx uint64, timeout time.Duration) error {
 // fsync policy.
 func (s *Store) Synced() uint64 { return s.log.Synced() }
 
-// Err returns the log's sticky I/O error, if any. Callers acknowledging
-// writes must check it even for commits that got no log index (AppendAssign
-// returning 0 IS the failure signal), so a broken disk refuses writes
-// instead of silently acking them.
-func (s *Store) Err() error { return s.log.Err() }
-
-// RecordsAfter returns the retained log records with index > after, or an
-// error when the log no longer reaches back that far (truncated by a
-// checkpoint) — the caller needs a checkpoint instead.
-func (s *Store) RecordsAfter(after uint64) ([]Record, error) {
-	out, ok, err := s.log.Records(after)
-	return out, truncatedErr(after, ok, err)
-}
-
-// EntriesAfter is RecordsAfter decoded.
+// EntriesAfter returns the retained log entries with index > after, decoded,
+// or an error when the log no longer reaches back that far (truncated by a
+// checkpoint).
 func (s *Store) EntriesAfter(after uint64) ([]LogEntry, error) {
 	out, ok, err := s.log.Entries(after)
-	return out, truncatedErr(after, ok, err)
-}
-
-func truncatedErr(after uint64, ok bool, err error) error {
 	if err == nil && !ok {
 		err = fmt.Errorf("minisql: log entries after %d truncated by checkpoint", after)
 	}
-	return err
+	return out, err
 }
 
 // Checkpoint writes an engine snapshot to disk (write-tmp, fsync, rename),
@@ -415,7 +380,7 @@ func (s *Store) noteCheckpoint(err error) error {
 	return err
 }
 
-// checkpointLoop services automatic checkpoint requests from noteAppended.
+// checkpointLoop services automatic checkpoint requests from AppendRecords.
 func (s *Store) checkpointLoop() {
 	defer close(s.done)
 	for {

@@ -358,29 +358,33 @@ func TestStoreEntriesAfterTruncated(t *testing.T) {
 	}
 }
 
-// TestStoreAppendAssignFailureSurfaced pins the ack-path contract: a failed
-// append yields token 0 AND a sticky store error. Token 0 alone looks like
-// "nothing to wait for" to durability waits, which would silently ack a
-// write the log never persisted.
-func TestStoreAppendAssignFailureSurfaced(t *testing.T) {
+// TestLogAppendFailureSurfaced pins the ack-path contract: an append the
+// disk refused is an error, and the engine's commit hook passes it on, so the
+// write is rolled back and refused to its client instead of acked at a token
+// the log never persisted. The store's sticky error refuses every later
+// write the same way.
+func TestLogAppendFailureSurfaced(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
 	defer s.Close()
-	if idx := s.AppendAssign([]Stmt{{SQL: "INSERT"}}); idx != 1 {
-		t.Fatalf("healthy AppendAssign = %d, want 1", idx)
-	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("healthy store Err() = %v, want nil", err)
+	l := NewLog(s)
+	e := NewEngine()
+	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
+	e.SetCommitHook(l.Append)
+	if _, err := e.Exec("INSERT INTO t (v) VALUES (?)", "kept"); err != nil || e.LastLogged() != 1 {
+		t.Fatalf("healthy write = %v, token %d; want token 1", err, e.LastLogged())
 	}
 	// Poison the log the way a failed write/flush would.
 	s.log.mu.Lock()
 	s.log.err = fmt.Errorf("minisql: disk log: %w", os.ErrClosed)
 	s.log.mu.Unlock()
-	if idx := s.AppendAssign([]Stmt{{SQL: "INSERT"}}); idx != 0 {
-		t.Fatalf("poisoned AppendAssign = %d, want 0", idx)
+	for i := 0; i < 2; i++ {
+		if _, err := e.Exec("INSERT INTO t (v) VALUES (?)", "lost"); !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("write %d on a poisoned log = %v, want the disk error", i, err)
+		}
 	}
-	if err := s.Err(); err == nil {
-		t.Fatal("store Err() = nil after append failure; the ack path would silently accept the write")
+	if got := mustExec(t, e, "SELECT COUNT(*) FROM t").Rows[0][0].AsInt(); got != 1 || l.LastIndex() != 1 || e.LastLogged() != 1 {
+		t.Fatalf("after refused writes: %d rows, log at %d, LastLogged %d; want 1 everywhere", got, l.LastIndex(), e.LastLogged())
 	}
 }
 
@@ -392,6 +396,7 @@ func TestStoreAppendAssignFailureSurfaced(t *testing.T) {
 func TestStoreCheckpointInstallConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
+	l := NewLog(s)
 	src := &fakeSource{}
 	s.SetSnapshotSource(src.snapshot)
 	var wg sync.WaitGroup
@@ -399,11 +404,11 @@ func TestStoreCheckpointInstallConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			// AppendAssign rides the store's own index authority, so a
-			// concurrent install resetting the log just moves the next index
-			// instead of tearing a contiguity gap.
-			idx := s.AppendAssign(testEntry(1).Stmts)
-			if idx == 0 {
+			// The log restarts after each install, so a concurrent install
+			// just moves the next index; an append that lands between the
+			// store's reset and the log's is refused as a gap.
+			idx, err := l.Append(testEntry(1).Stmts)
+			if err != nil {
 				continue
 			}
 			src.idx.Store(idx)
@@ -414,7 +419,7 @@ func TestStoreCheckpointInstallConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := uint64(1); i <= 50; i++ {
 			idx := 2*i + 1
-			if err := s.InstallSnapshot(bytes.NewReader([]byte(fmt.Sprintf("snap@%d", idx))), idx, drain); err != nil {
+			if err := l.InstallSnapshot(bytes.NewReader([]byte(fmt.Sprintf("snap@%d", idx))), idx, drain); err != nil {
 				t.Errorf("InstallSnapshot(%d): %v", idx, err)
 			}
 		}
@@ -457,7 +462,7 @@ func TestRecoverFallsBackPastMalformedCheckpoint(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
 	mustExec(t, e, "CREATE INDEX t_v ON t (v)")
-	e.SetCommitHook(func(stmts []Stmt) (uint64, error) { return s.AppendAssign(stmts), nil })
+	e.SetCommitHook(NewLog(s).Append)
 	s.SetSnapshotSource(e.SnapshotLogged)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 10; i++ {

@@ -1,7 +1,9 @@
 package minisql
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 )
@@ -28,8 +30,8 @@ func (s *Stmt) Prepared() *Prepared { return s.prep }
 
 // LogEntry is one committed unit of work: a single statement for autocommit
 // execs, or every mutating statement of a transaction. Entries carry a
-// monotonically increasing index assigned by the WAL, and are stored and
-// shipped as Records.
+// monotonically increasing index assigned by the node's Log, and are stored
+// and shipped as Records.
 type LogEntry struct {
 	Index uint64
 	Stmts []Stmt
@@ -144,87 +146,170 @@ func (e *Engine) SetLastLogged(idx uint64) {
 	e.mu.Unlock()
 }
 
-// WAL is the in-memory window of the commit log: the record of every
-// committed mutation since a base index, encoded once at Append (disklog.go
-// has the codec). A leader replica appends its commit hook output here,
-// hands the same record to its disk log and ships the same bytes to
-// followers; RecordsSince supports resumable streaming and Compact trims
-// records every connected follower has acknowledged. The WAL holds records
-// only: what the cluster has committed of them is the replication layer's
-// decision, not the log's.
-type WAL struct {
+// Log is a node's commit log, and its only one: where a committed entry is
+// numbered and encoded (disklog.go has the codec), written — through to the
+// node's Store on a durable node — and read back. An in-memory node's log is
+// built over no store and holds only its position.
+//
+// While the node leads, the log also keeps a window: a copy of every record
+// appended since it opened, which RecordsSince serves a streaming sender
+// from and Compact trims once every follower holds it. Below the window a
+// durable log reads its segments; an in-memory one has nothing. What the
+// cluster has committed of the log is the replication layer's decision.
+type Log struct {
+	store *Store // nil: an in-memory log
+
 	mu      sync.Mutex
-	base    uint64 // index of the last entry *before* records[0]
-	records []Record
-	encBuf  []byte        // Append's scratch; records keep exact-size copies
-	watch   chan struct{} // closed and replaced on every append
+	last    uint64        // index of the newest entry
+	open    bool          // the window is open: appends keep a copy
+	base    uint64        // index of the last entry before records[0]; last while closed
+	records []Record      // the window: entries base+1..last
+	encBuf  []byte        // Append's scratch; the window keeps exact-size copies
+	watch   chan struct{} // made by a Watch caller, closed and dropped at the next append
 }
 
-// NewWAL returns an empty log whose first entry will get index base+1.
-// Use base 0 for a fresh database, or the applied index of a promoted
-// follower so its log continues the cluster's numbering.
-func NewWAL(base uint64) *WAL {
-	return &WAL{base: base, watch: make(chan struct{})}
+// NewLog returns the commit log over store (nil for an in-memory node),
+// continuing from the store's newest entry: open it once the store has
+// recovered. Its window starts closed.
+func NewLog(store *Store) *Log {
+	l := &Log{store: store}
+	if store != nil {
+		l.last = store.LastIndex()
+	}
+	l.base = l.last
+	return l
 }
 
-// Append assigns one committed statement batch the next index and encodes
-// it — the only time a replicated node does — returning the record.
-func (w *WAL) Append(stmts []Stmt) Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	idx := w.base + uint64(len(w.records)) + 1
-	w.encBuf = EncodeRecord(w.encBuf[:0], LogEntry{Index: idx, Stmts: stmts})
-	rec := Record{Index: idx, Data: append([]byte(nil), w.encBuf...)}
-	w.records = append(w.records, rec)
-	close(w.watch)
-	w.watch = make(chan struct{})
-	return rec
+// Append numbers one committed statement batch, encodes it — the only time
+// a committed entry is encoded — and writes the record through to the store.
+// It is a logging node's commit hook: on error nothing is logged and the
+// engine refuses the commit. It allocates only the window's copy.
+func (l *Log) Append(stmts []Stmt) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	idx := l.last + 1
+	l.encBuf = EncodeRecord(l.encBuf[:0], LogEntry{Index: idx, Stmts: stmts})
+	if err := l.appendLocked(Record{Index: idx, Data: l.encBuf}); err != nil {
+		return 0, err
+	}
+	return idx, nil
 }
 
-// LastIndex returns the index of the newest entry (the base when empty).
-func (w *WAL) LastIndex() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.base + uint64(len(w.records))
+// AppendRecord logs a record another node numbered and encoded — a
+// follower's copy of its leader's entry, as the bytes it arrived in.
+func (l *Log) AppendRecord(rec Record) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appendLocked(rec)
 }
 
-// RecordsSince appends all records with index > after to dst and returns
-// the extended slice (the records' bytes are shared: read-only). A streaming
-// sender passes the same slice back each time, so a ship pass allocates
-// nothing. ok is false when after precedes the compacted base, meaning the
-// caller needs a fresh snapshot instead of incremental entries.
-func (w *WAL) RecordsSince(dst []Record, after uint64) (out []Record, ok bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if after < w.base {
+func (l *Log) appendLocked(rec Record) error {
+	if l.store != nil {
+		if err := l.store.AppendRecords(rec); err != nil {
+			return err
+		}
+	}
+	l.last = rec.Index
+	if l.open {
+		l.records = append(l.records, Record{Index: rec.Index, Data: bytes.Clone(rec.Data)})
+	} else {
+		l.base = l.last
+	}
+	if l.watch != nil {
+		close(l.watch)
+		l.watch = nil
+	}
+	return nil
+}
+
+// InstallSnapshot replaces the node's state with the snapshot read from r at
+// index idx, which restore reads — on a durable log the store keeps it as
+// its checkpoint and discards the old log (Store.InstallSnapshot) — and
+// restarts the log after idx.
+func (l *Log) InstallSnapshot(r io.Reader, idx uint64, restore func(io.Reader) error) error {
+	var err error
+	if l.store != nil {
+		err = l.store.InstallSnapshot(r, idx, restore)
+	} else {
+		err = restore(r)
+	}
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.last, l.base, l.records = idx, idx, nil
+	l.mu.Unlock()
+	return nil
+}
+
+// SetWindow opens the window at the log's end (the node has begun to lead)
+// or drops it and the records it kept (the node no longer leads).
+func (l *Log) SetWindow(open bool) {
+	l.mu.Lock()
+	l.open, l.base, l.records = open, l.last, nil
+	l.mu.Unlock()
+}
+
+// LastIndex returns the index of the newest entry.
+func (l *Log) LastIndex() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.last
+}
+
+// RecordsSince appends records with index > after to dst, contiguous from
+// after+1, and returns the extended slice (the bytes are shared: read-only).
+// The window serves them to the log's end, allocating nothing once dst has
+// grown; below it a durable log serves what its segments hold. ok is false
+// when the log no longer reaches back to after (an in-memory log below its
+// window, a durable one below its truncated segments): send a snapshot.
+func (l *Log) RecordsSince(dst []Record, after uint64) (out []Record, ok bool) {
+	l.mu.Lock()
+	if after >= l.base {
+		if after < l.last {
+			dst = append(dst, l.records[after-l.base:]...)
+		}
+		l.mu.Unlock()
+		return dst, true
+	}
+	l.mu.Unlock()
+	if l.store == nil {
 		return dst, false
 	}
-	if from := after - w.base; from < uint64(len(w.records)) {
-		dst = append(dst, w.records[from:]...)
+	recs, ok, err := l.store.log.Records(after)
+	if err != nil || !ok {
+		return dst, false
 	}
-	return dst, true
+	return append(dst, recs...), true
 }
 
-// Watch returns a channel closed at the next Append, for streaming senders
-// to block on without polling.
-func (w *WAL) Watch() <-chan struct{} {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.watch
+// Reaches reports whether RecordsSince can serve the records after after.
+func (l *Log) Reaches(after uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return after >= l.base || l.store != nil && l.store.log.reaches(after)
 }
 
-// Compact drops records with index <= upTo, keeping memory bounded once all
-// followers have acknowledged past that point.
-func (w *WAL) Compact(upTo uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if upTo <= w.base {
+// Watch returns a channel closed at the next append, for streaming senders
+// to block on. It is made only when one waits: an append allocates none.
+func (l *Log) Watch() <-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.watch == nil {
+		l.watch = make(chan struct{})
+	}
+	return l.watch
+}
+
+// Compact drops window records with index <= upTo, keeping memory bounded
+// once every follower holds them (a durable log still has them on disk).
+func (l *Log) Compact(upTo uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if upTo <= l.base {
 		return
 	}
-	n := upTo - w.base
-	if n > uint64(len(w.records)) {
-		n = uint64(len(w.records))
-	}
-	w.records = append([]Record(nil), w.records[n:]...)
-	w.base += n
+	n := min(upTo-l.base, uint64(len(l.records)))
+	l.records = append([]Record(nil), l.records[n:]...)
+	l.base += n
 }

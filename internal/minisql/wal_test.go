@@ -6,23 +6,32 @@ import (
 	"testing"
 )
 
-// newHookedEngine returns an engine with a WAL-feeding commit hook installed
-// after the schema is created, mirroring how a leader replica wires up.
-func newHookedEngine(t *testing.T, schema ...string) (*Engine, *WAL) {
+// leaderLog returns an in-memory commit log with its window open, as a
+// leader's is.
+func leaderLog() *Log {
+	l := NewLog(nil)
+	l.SetWindow(true)
+	return l
+}
+
+// newHookedEngine returns an engine whose commit hook is a leader's Log,
+// installed after the schema is created, mirroring how a leader replica wires
+// up.
+func newHookedEngine(t *testing.T, schema ...string) (*Engine, *Log) {
 	t.Helper()
 	e := NewEngine()
 	for _, s := range schema {
 		mustExec(t, e, s)
 	}
-	w := NewWAL(0)
-	e.SetCommitHook(func(stmts []Stmt) (uint64, error) { return w.Append(stmts).Index, nil })
+	w := leaderLog()
+	e.SetCommitHook(w.Append)
 	return e, w
 }
 
 // entriesSince reads the window the way a follower does: RecordsSince, then
 // DecodeRecord on each record, which must consume it whole and agree with
 // its index.
-func entriesSince(t testing.TB, w *WAL, after uint64) ([]LogEntry, bool) {
+func entriesSince(t testing.TB, w *Log, after uint64) ([]LogEntry, bool) {
 	t.Helper()
 	recs, ok := w.RecordsSince(nil, after)
 	out := make([]LogEntry, len(recs))
@@ -238,8 +247,8 @@ func TestApplyEntrySuppressesHookAndIsAtomic(t *testing.T) {
 	}
 }
 
-func TestWALCompactAndResume(t *testing.T) {
-	w := NewWAL(0)
+func TestLogCompactAndResume(t *testing.T) {
+	w := leaderLog()
 	for i := 0; i < 10; i++ {
 		w.Append([]Stmt{{SQL: "INSERT"}})
 	}
@@ -254,10 +263,179 @@ func TestWALCompactAndResume(t *testing.T) {
 	if w.LastIndex() != 10 {
 		t.Fatalf("LastIndex = %d after compact, want 10", w.LastIndex())
 	}
-	// A promoted follower continues numbering from its applied index.
-	w2 := NewWAL(10)
-	if idx := w2.Append([]Stmt{{SQL: "X"}}).Index; idx != 11 {
-		t.Fatalf("promoted WAL first index = %d, want 11", idx)
+	// A promoted follower's log ends at its applied index, so leading
+	// continues the numbering from there.
+	fol := NewLog(nil)
+	for i := uint64(1); i <= 10; i++ {
+		if err := fol.AppendRecord(Record{Index: i, Data: EncodeRecord(nil, LogEntry{Index: i})}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fol.SetWindow(true)
+	if idx, err := fol.Append([]Stmt{{SQL: "X"}}); idx != 11 || err != nil {
+		t.Fatalf("promoted log first index = %d (%v), want 11", idx, err)
+	}
+	if recs, ok := fol.RecordsSince(nil, 10); !ok || len(recs) != 1 || recs[0].Index != 11 {
+		t.Fatalf("promoted log's window = %v (ok=%v), want entry 11", recs, ok)
+	}
+}
+
+// TestLogInMemoryBelowWindow: an in-memory log holds nothing below its
+// window. A closed window starts at the log's end, and a snapshot install
+// restarts the log past its index.
+func TestLogInMemoryBelowWindow(t *testing.T) {
+	l := NewLog(nil)
+	for i := 0; i < 3; i++ {
+		l.Append([]Stmt{{SQL: "INSERT"}})
+	}
+	if _, ok := l.RecordsSince(nil, 2); ok {
+		t.Fatal("a closed in-memory log served records it never kept")
+	}
+	if recs, ok := l.RecordsSince(nil, 3); !ok || len(recs) != 0 {
+		t.Fatalf("RecordsSince(last) = %v (ok=%v), want none, ok", recs, ok)
+	}
+	if err := l.InstallSnapshot(bytes.NewReader(nil), 40, drain); err != nil {
+		t.Fatal(err)
+	}
+	l.SetWindow(true)
+	if idx, _ := l.Append([]Stmt{{SQL: "INSERT"}}); idx != 41 {
+		t.Fatalf("first index after an install at 40 = %d, want 41", idx)
+	}
+	if _, ok := l.RecordsSince(nil, 39); ok {
+		t.Fatal("RecordsSince below the window of an in-memory log should demand a snapshot")
+	}
+}
+
+// TestLogRecordsStraddleWindowAndDisk: on a durable log the window and the
+// segments answer a range read as one. Below the window the segments serve
+// every record to the log's end, byte for byte what the window held; below
+// the checkpoint-truncated base the log demands a snapshot.
+func TestLogRecordsStraddleWindowAndDisk(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), StoreOptions{SegmentBytes: 256, CheckpointEvery: -1})
+	defer s.Close()
+	l := NewLog(s)
+	for i := 0; i < 10; i++ {
+		l.Append(testEntry(1).Stmts) // before the window: on disk only
+	}
+	l.SetWindow(true)
+	for i := 0; i < 30; i++ {
+		l.Append(testEntry(1).Stmts)
+	}
+	window, _ := l.RecordsSince(nil, 10)
+	l.Compact(25)
+	recs, ok := l.RecordsSince(nil, 4)
+	if !ok || len(recs) != 36 {
+		t.Fatalf("RecordsSince(4) across window and disk = %d records (ok=%v), want 36", len(recs), ok)
+	}
+	for i, r := range recs {
+		if r.Index != uint64(5+i) {
+			t.Fatalf("record %d has index %d, want %d", i, r.Index, 5+i)
+		}
+		if r.Index > 10 && !bytes.Equal(r.Data, window[r.Index-11].Data) {
+			t.Fatalf("disk record %d differs from the window's copy", r.Index)
+		}
+	}
+	if recs, ok := l.RecordsSince(nil, 30); !ok || len(recs) != 10 || recs[0].Index != 31 {
+		t.Fatalf("RecordsSince(30) from the window = %d records (ok=%v)", len(recs), ok)
+	}
+
+	// A checkpoint at 20 followed by one at 40 truncates the segments at 20.
+	src := &fakeSource{}
+	s.SetSnapshotSource(src.snapshot)
+	for _, idx := range []uint64{20, 40} {
+		src.idx.Store(idx)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Stats().Log.Truncated == 0 {
+		t.Fatal("segments did not roll; nothing truncated")
+	}
+	if l.Reaches(4) {
+		t.Fatal("Reaches(4) past the truncated segments")
+	}
+	if _, ok := l.RecordsSince(nil, 4); ok {
+		t.Fatal("RecordsSince below the truncated base should demand a snapshot")
+	}
+	if !l.Reaches(20) {
+		t.Fatal("Reaches(20) false with the segments holding 21 on")
+	}
+}
+
+// TestLogConcurrentReadsContiguous races appends, compactions and range
+// reads from both below and inside the window of a durable log: whatever a
+// read returns runs contiguously from after+1. Run with -race.
+func TestLogConcurrentReadsContiguous(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), StoreOptions{SegmentBytes: 512, CheckpointEvery: -1})
+	defer s.Close()
+	l := NewLog(s)
+	l.SetWindow(true)
+	const n = 400
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			if _, err := l.Append(testEntry(1).Stmts); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%7 == 0 {
+				l.Compact(l.LastIndex() - 3)
+			}
+		}
+	}()
+	var dst []Record
+	reads := 0
+	for {
+		select {
+		case <-done:
+			if reads == 0 {
+				t.Fatal("no read overlapped the appends")
+			}
+			return
+		default:
+		}
+		last := l.LastIndex()
+		for _, after := range []uint64{0, last / 2, last} {
+			recs, ok := l.RecordsSince(dst[:0], after)
+			if !ok {
+				t.Fatalf("RecordsSince(%d) not ok on a log whose segments reach back to 0", after)
+			}
+			for i, r := range recs {
+				if r.Index != after+1+uint64(i) {
+					t.Fatalf("RecordsSince(%d)[%d] has index %d: not contiguous", after, i, r.Index)
+				}
+			}
+			dst = recs
+			reads++
+		}
+	}
+}
+
+// TestLogAppendAllocs pins what an append costs: nothing when the log keeps
+// no window (a standalone node, durable or not), one allocation — the
+// window's copy of the record — when it leads.
+func TestLogAppendAllocs(t *testing.T) {
+	stmts := testEntry(1).Stmts
+	s := openTestStore(t, t.TempDir(), StoreOptions{CheckpointEvery: -1})
+	defer s.Close()
+	for _, c := range []struct {
+		name   string
+		log    *Log
+		window bool
+		want   float64
+	}{
+		{"in-memory", NewLog(nil), false, 0},
+		{"durable", NewLog(s), false, 0},
+		{"leading", NewLog(nil), true, 1},
+	} {
+		if c.window {
+			c.log.SetWindow(true)
+		}
+		c.log.Append(stmts) // grow the encode buffer
+		if got := testing.AllocsPerRun(1000, func() { c.log.Append(stmts) }); got > c.want {
+			t.Errorf("%s Append allocates %v per call, want <= %v", c.name, got, c.want)
+		}
 	}
 }
 

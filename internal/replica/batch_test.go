@@ -305,9 +305,7 @@ func TestCorruptShippedRecordRejected(t *testing.T) {
 	src := newNode(t, "src", 3, "")
 	defer src.Close()
 	submitN(t, src.DB(), 4)
-	src.mu.Lock()
-	recs, _ := src.wal.RecordsSince(nil, 0)
-	src.mu.Unlock()
+	recs, _ := src.log.RecordsSince(nil, 0)
 	concat := func(recs []minisql.Record) (b []byte) {
 		for _, r := range recs {
 			b = append(b, r.Data...)

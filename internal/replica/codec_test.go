@@ -232,9 +232,7 @@ func shippedRecords(t *testing.T, n int) ([]byte, uint64) {
 	src := newNode(t, "src", 3, "")
 	defer src.Close()
 	submitN(t, src.DB(), n)
-	src.mu.Lock()
-	recs, _ := src.wal.RecordsSince(nil, 0)
-	src.mu.Unlock()
+	recs, _ := src.log.RecordsSince(nil, 0)
 	var b []byte
 	for _, r := range recs {
 		b = append(b, r.Data...)

@@ -3,13 +3,17 @@ package replica
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"osprey/internal/core"
+	"osprey/internal/minisql"
 )
 
 // newDurableNode is newNode with a data dir: fsync off (the tests exercise
@@ -140,10 +144,7 @@ func TestLaggedFollowerServedFromDiskLog(t *testing.T) {
 	// Far more writes than the compaction floor retains, then force the
 	// memory WAL down to it so the follower's position is long gone.
 	submitN(t, leader.DB(), 600)
-	leader.mu.Lock()
-	w := leader.wal
-	leader.mu.Unlock()
-	w.Compact(w.LastIndex() - 8)
+	leader.log.Compact(leader.log.LastIndex() - 8)
 
 	fol2 := newDurableNode(t, "n2", 2, leader.Addr(), folDir)
 	defer fol2.Close()
@@ -225,10 +226,11 @@ func TestFollowerLogBytesEqualLeader(t *testing.T) {
 	waitFor(t, "follower acked the leader's last entry", func() bool {
 		return leader.Status().Followers["n2"] == leader.Applied()
 	})
-	want, err := leader.store.RecordsAfter(boot)
-	must(err)
-	got, err := fol.store.RecordsAfter(boot)
-	must(err)
+	want, ok := leader.log.RecordsSince(nil, boot)
+	got, fok := fol.log.RecordsSince(nil, boot)
+	if !ok || !fok {
+		t.Fatalf("logs no longer reach back to the bootstrap at %d (leader %v, follower %v)", boot, ok, fok)
+	}
 	if len(want) < 300 || len(got) != len(want) {
 		t.Fatalf("leader holds %d records after %d, follower %d; want equal and a few hundred", len(want), boot, len(got))
 	}
@@ -292,5 +294,83 @@ func TestSnapshotCoversLeadershipStart(t *testing.T) {
 	if hello.Type != frameSnapshot || hello.SnapIndex < start {
 		t.Fatalf("joiner bootstrapped with frame type %d at index %d; want a snapshot at or past the leadership's start %d",
 			hello.Type, hello.SnapIndex, start)
+	}
+}
+
+// segWriteFailFS is the real disk, except that writes to log segments fail
+// while fail is set.
+type segWriteFailFS struct {
+	minisql.FS
+	fail atomic.Bool
+}
+
+func (fs *segWriteFailFS) OpenFile(name string, flag int, perm os.FileMode) (minisql.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Ext(name) != ".wal" {
+		return f, err
+	}
+	return segWriteFailFile{f, &fs.fail}, nil
+}
+
+type segWriteFailFile struct {
+	minisql.File
+	fail *atomic.Bool
+}
+
+func (f segWriteFailFile) Write(p []byte) (int, error) {
+	if f.fail.Load() {
+		return 0, errors.New("injected write failure")
+	}
+	return f.File.Write(p)
+}
+
+// TestFollowerAckWaitsForItsDisk: a durable follower acks only entries its
+// disk took, fsync or not. Without fsync its log flushes every append, and an
+// append the disk refused leaves the log's sticky error; acking the entry
+// anyway would count it toward the leader's quorum from a node whose restart
+// forgets it. The leader runs a lease that cannot expire, so its watermark
+// is its own for the whole check.
+func TestFollowerAckWaitsForItsDisk(t *testing.T) {
+	leader, err := New(Config{
+		ID: "n1", Priority: 3,
+		Heartbeat: beat, ElectionTimeout: elect, LeaseTimeout: time.Minute,
+		WriteQuorum: 1, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	leader.SetServiceAddr("svc-n1")
+	leader.Start()
+	fsys := &segWriteFailFS{FS: minisql.OSFS}
+	fol, err := New(Config{
+		ID: "n2", Priority: 2, Join: leader.Addr(),
+		Heartbeat: beat, ElectionTimeout: elect,
+		DataDir: t.TempDir(), FS: fsys, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	fol.SetServiceAddr("svc-n2")
+	fol.Start()
+
+	submitN(t, leader.DB(), 3)
+	waitFor(t, "follower acked the leader's log", func() bool { return leader.Committed() == leader.Applied() })
+	fsys.fail.Store(true)
+	submitN(t, leader.DB(), 1)
+	tok := leader.Applied()
+	waitFor(t, "follower applied the entry", func() bool { return fol.Applied() == tok })
+	diskErr := fol.store.WaitDurable(tok, time.Second)
+	if diskErr == nil {
+		t.Fatal("the follower's disk took the entry: no fault to check")
+	}
+	for deadline := time.Now().Add(4 * elect); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if got := leader.Committed(); got >= tok {
+			t.Fatalf("leader committed %d: the follower acked entry %d its disk refused (%v)", got, tok, diskErr)
+		}
+	}
+	if !leader.IsLeader() {
+		t.Fatal("leader lost its leadership during the check")
 	}
 }

@@ -203,14 +203,14 @@ func (n *Node) onStream(f *frame, s *leaderStream, buf []output) error {
 }
 
 // ack reports this follower's applied high-water mark back to the leader.
-// On a durable node with fsync enabled the ack waits until that index is
-// actually on disk first — ack-after-fsync ordering, so the leader's quorum
-// watermark only ever counts follower state that survives a crash. One wait
-// covers a whole batched entries frame, riding the same group-commit
-// economics as the leader's fsync. A follower whose disk cannot keep its
+// On a durable node the ack waits until that index is durable first (with
+// fsync, ack-after-fsync ordering), so the leader's quorum watermark only
+// ever counts follower state that survives a crash. One wait covers a whole
+// batched entries frame, riding the same group-commit economics as the
+// leader's fsync. A follower whose disk refused an entry or cannot keep its
 // promise drops the stream instead of lying.
 func (n *Node) ack(s *leaderStream, applied uint64) error {
-	if n.store != nil && n.store.Fsync() {
+	if n.store != nil {
 		if err := n.store.WaitDurable(applied, 4*n.cfg.ElectionTimeout); err != nil {
 			return fmt.Errorf("replica: durability wait before ack of %d: %w", applied, err)
 		}
@@ -220,20 +220,12 @@ func (n *Node) ack(s *leaderStream, applied uint64) error {
 
 // install bootstraps the local database from the snapshot whose hello is f,
 // restoring from the stream's chunks as they arrive (on a durable node the
-// store tees them into its checkpoint): a broken stream changes nothing. The
-// new applied index is published by the evApplied step that follows,
-// together with the applied term that makes it resumable.
+// store tees them into its checkpoint, and a restart recovers from there):
+// a broken stream changes nothing. The new applied index is published by
+// the evApplied step that follows, together with the applied term that
+// makes it resumable.
 func (n *Node) install(f *frame, s *leaderStream) error {
-	restore := func(r io.Reader) error { return n.db.Restore(r, f.SnapIndex) }
-	var err error
-	if n.store != nil {
-		// The snapshot becomes the local checkpoint and the old log (a
-		// replaced history) is discarded, so a restart recovers from this
-		// point instead of re-bootstrapping.
-		err = n.store.InstallSnapshot(s, f.SnapIndex, restore)
-	} else {
-		err = restore(s)
-	}
+	err := n.log.InstallSnapshot(s, f.SnapIndex, func(r io.Reader) error { return n.db.Restore(r, f.SnapIndex) })
 	if err != nil {
 		return fmt.Errorf("replica: installing snapshot at %d: %w", f.SnapIndex, err)
 	}
@@ -243,9 +235,9 @@ func (n *Node) install(f *frame, s *leaderStream) error {
 	return nil
 }
 
-// applyOne replays one shipped entry and persists the record it came in;
-// duplicates (replays after a reconnect) are skipped, gaps force a re-join
-// (and fresh snapshot).
+// applyOne replays one shipped entry and appends the record it came in to the
+// node's log; duplicates (replays after a reconnect) are skipped, gaps force
+// a re-join (and fresh snapshot).
 func (n *Node) applyOne(ent *minisql.LogEntry, rec []byte) error {
 	cur := n.Applied()
 	if ent.Index <= cur {
@@ -257,13 +249,11 @@ func (n *Node) applyOne(ent *minisql.LogEntry, rec []byte) error {
 	if err := n.eng.ApplyEntry(*ent); err != nil {
 		return fmt.Errorf("%w: %v", errApply, err)
 	}
-	if n.store != nil {
-		// Persist the applied entry, as the leader's bytes, so a restarted
-		// follower re-joins from its own recovered position instead of
-		// taking a fresh snapshot.
-		if err := n.store.AppendRecords(minisql.Record{Index: ent.Index, Data: rec}); err != nil {
-			n.logf("disk WAL append %d: %v", ent.Index, err)
-		}
+	// As the leader's bytes: a durable log persists them, so a restarted
+	// follower re-joins from its own position. An append the disk refused
+	// leaves a sticky error that fails the ack's durability wait.
+	if err := n.log.AppendRecord(minisql.Record{Index: ent.Index, Data: rec}); err != nil {
+		n.logf("disk log append %d: %v", ent.Index, err)
 	}
 	n.met.entriesApp.Inc()
 	n.setApplied(ent.Index)

@@ -96,33 +96,19 @@ func (n *Node) handleConn(conn net.Conn) {
 
 // serveFollower answers an admitted join with its hello and streams the log
 // to the follower until the connection dies. The core allowed a resume (a
-// heartbeat hello); it happens when the in-memory WAL still holds the
-// joiner's position or, on a durable leader, the disk log (truncated only at
-// checkpoints) reaches back to it. Anything else gets a snapshot of the live
-// engine, written onto the connection as chunk frames (followerConn.Write).
+// heartbeat hello); it happens when the log still reaches the joiner's
+// position. Anything else gets a snapshot of the live engine, written onto
+// the connection as chunk frames (followerConn.Write).
 func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) {
-	n.mu.Lock()
-	w := n.wal
-	n.mu.Unlock()
-	if w == nil {
-		return
-	}
-	pos := join.From
-	var diskTail []minisql.Record
-	if hello.Type == frameHeartbeat {
-		if _, ok := w.RecordsSince(nil, pos); !ok {
-			if diskTail, ok = n.diskRecords(w, pos); !ok {
-				hello.Type = frameSnapshot
-			}
-		}
-	}
-
+	term, pos := hello.Term, join.From
 	fol := &followerConn{peer: join.Peer, conn: conn, w: frameWriter{w: conn}, timeout: 2 * n.cfg.ElectionTimeout}
-	if hello.Type == frameHeartbeat {
+	if hello.Type == frameHeartbeat && n.log.Reaches(pos) {
 		fol.acked.Store(pos) // a bootstrapping follower holds nothing until it acks the install
+	} else {
+		hello.Type = frameSnapshot
 	}
 	n.mu.Lock()
-	if n.closed || n.wal != w {
+	if n.closed || !n.leadingLocked(term) {
 		n.mu.Unlock()
 		return
 	}
@@ -130,7 +116,7 @@ func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) 
 		old.conn.Close()
 	}
 	n.followers[join.Peer.ID] = fol
-	hello.Applied, hello.Committed = n.st.applied, n.committedLocked(w)
+	hello.Applied, hello.Committed = n.st.applied, n.committedLocked(term)
 	n.mu.Unlock()
 	defer n.dropFollower(join.Peer.ID, fol)
 
@@ -141,7 +127,6 @@ func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) 
 	// the senders — and is progress: it moves the write deadline on (see
 	// leaderStream.Read). An ack past the log's end acks what this leader
 	// never shipped: it would commit entries no follower holds.
-	term := hello.Term
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -156,7 +141,7 @@ func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) 
 			if ack.Type != frameAck {
 				continue
 			}
-			if last := w.LastIndex(); ack.Applied > last {
+			if last := n.log.LastIndex(); ack.Applied > last {
 				n.met.malformed.Inc()
 				n.logf("warning: closing stream of follower %s at %s: ack of index %d past the log's end %d",
 					join.Peer.ID, conn.RemoteAddr(), ack.Applied, last)
@@ -175,29 +160,22 @@ func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) 
 				// Release the gated watch transitions the watermark covers,
 				// including any an earlier ack committed before the leader's
 				// own disk held them.
-				n.db.AdvanceWatch(n.committed(w))
+				n.db.AdvanceWatch(n.committed(term))
 			}
 		}
 	}()
 
 	if hello.Type == frameHeartbeat {
-		// Records served from the disk log (positions the in-memory WAL has
-		// compacted away) ship before the live stream takes over. The
-		// follower's apply path skips anything at or below its applied index,
-		// so overlap with the memory stream is harmless.
-		if fol.send(&hello) != nil || n.ship(fol, w, hello.Term, diskTail) != nil {
+		if fol.send(&hello) != nil {
 			return
 		}
-		n.logf("follower %s resumed from index %d (%d records from the disk log)", join.Peer.ID, pos, len(diskTail))
-		if len(diskTail) > 0 {
-			pos = diskTail[len(diskTail)-1].Index
-		}
+		n.logf("follower %s resumed from index %d", join.Peer.ID, pos)
 	} else {
 		// The live engine at the log index read under the lock hold that
-		// captures it, exact under any write load: WAL appends take that
+		// captures it, exact under any write load: log appends take that
 		// lock too (the commit hook).
 		fol.hello = &hello
-		err := n.eng.SnapshotWith(fol, func() { hello.SnapIndex = w.LastIndex() })
+		err := n.eng.SnapshotWith(fol, func() { hello.SnapIndex = n.log.LastIndex() })
 		if err == nil {
 			err = fol.send(&frame{Type: frameSnapEnd})
 		}
@@ -209,7 +187,7 @@ func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) 
 		n.met.snapsSent.Inc()
 		n.logf("follower %s joined at index %d", join.Peer.ID, pos)
 	}
-	n.streamTo(fol, w, hello.Term, pos)
+	n.streamTo(fol, term, pos)
 }
 
 // send writes one frame to the follower under the per-frame deadline.
@@ -233,28 +211,10 @@ func (fol *followerConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// diskRecords fetches the log records after `from` out of the durable store
-// for a follower whose position the in-memory WAL has compacted away. The
-// range is only usable (ok) when the live WAL still covers everything past
-// the disk tail's last index — otherwise there is a gap neither side holds
-// and the caller must fall back to a snapshot.
-func (n *Node) diskRecords(w *minisql.WAL, from uint64) (tail []minisql.Record, ok bool) {
-	if n.store == nil {
-		return nil, false
-	}
-	tail, err := n.store.RecordsAfter(from)
-	last := from
-	if len(tail) > 0 {
-		last = tail[len(tail)-1].Index
-	}
-	_, ok = w.RecordsSince(nil, last)
-	return tail, ok && err == nil
-}
-
 // ship sends recs to one follower, as the bytes they are held in, in
 // entries frames that close at codec.KeepBytes of records (a larger record
 // goes alone), each under the per-frame deadline.
-func (n *Node) ship(fol *followerConn, w *minisql.WAL, term uint64, recs []minisql.Record) error {
+func (n *Node) ship(fol *followerConn, term uint64, recs []minisql.Record) error {
 	for len(recs) > 0 {
 		fol.batch = append(fol.batch[:0], recs[0].Data...)
 		k := 1
@@ -262,7 +222,7 @@ func (n *Node) ship(fol *followerConn, w *minisql.WAL, term uint64, recs []minis
 			fol.batch = append(fol.batch, recs[k].Data...)
 		}
 		if err := fol.send(&frame{
-			Type: frameEntries, Term: term, Committed: n.committed(w),
+			Type: frameEntries, Term: term, Committed: n.committed(term),
 			Records: fol.batch, Last: recs[k-1].Index,
 		}); err != nil {
 			return err
@@ -273,14 +233,14 @@ func (n *Node) ship(fol *followerConn, w *minisql.WAL, term uint64, recs []minis
 	return nil
 }
 
-// streamTo ships WAL records to one follower, interleaving heartbeats when
-// the log is idle. Entries are group-committed: everything pending ships in
-// one batched frame, which the follower acks once at its high-water mark —
-// under concurrent write load N replication round trips collapse to ~1.
-// Returns when the connection breaks, the node closes, or the leadership of
-// term ends.
-func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, term uint64, from uint64) {
-	pos := from
+// streamTo ships the log's records after pos to one follower — from a
+// durable leader's segments until it reaches the window — interleaving
+// heartbeats when the log is idle. Entries are group-committed: everything
+// pending ships in one batched frame, which the follower acks once at its
+// high-water mark — under concurrent write load N replication round trips
+// collapse to ~1. Returns when the connection breaks, the node closes, or
+// the leadership of term ends.
+func (n *Node) streamTo(fol *followerConn, term, pos uint64) {
 	// Jittered heartbeat timer (not a fixed ticker): with many followers,
 	// lockstep beats synchronize the cluster's write bursts and, after a
 	// heal, its failure detectors.
@@ -288,27 +248,28 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, term uint64, from uin
 	defer beat.Stop()
 	for {
 		n.mu.Lock()
-		leading := n.wal == w
+		leading := n.leadingLocked(term)
 		n.mu.Unlock()
 		if n.isClosed() || !leading {
 			return
 		}
-		watch := w.Watch()
+		watch := n.log.Watch()
 		commits, peers := n.watches()
-		recs, ok := w.RecordsSince(fol.recs[:0], pos)
+		recs, ok := n.log.RecordsSince(fol.recs[:0], pos)
 		fol.recs = recs
 		if !ok {
-			// Compacted past this follower's position (only possible when it
-			// lagged by more than the retention floor): force a re-join and
-			// fresh snapshot by dropping the stream.
+			// The follower lagged past what the log retains: drop the stream,
+			// and the re-join gets a snapshot.
 			n.logf("follower %s lagged past compaction at %d", fol.peer.ID, pos)
 			return
 		}
 		if len(recs) > 0 {
-			if err := n.ship(fol, w, term, recs); err != nil {
+			err := n.ship(fol, term, recs)
+			pos = recs[len(recs)-1].Index
+			clear(recs) // records read from segments pin the files' bytes
+			if err != nil {
 				return
 			}
-			pos = recs[len(recs)-1].Index
 			continue
 		}
 		sendBeat := false
@@ -339,8 +300,8 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, term uint64, from uin
 		}
 		if sendBeat {
 			n.mu.Lock()
-			hb, leading := n.st.beat(), n.wal == w
-			hb.Committed = n.committedLocked(w)
+			hb, leading := n.st.beat(), n.leadingLocked(term)
+			hb.Committed = n.committedLocked(term)
 			n.mu.Unlock()
 			if !leading {
 				return // a beat of the state after a demotion would name no leader
@@ -362,21 +323,17 @@ func (n *Node) dropFollower(id string, fol *followerConn) {
 	n.mu.Unlock()
 }
 
-// compact drops a leader's WAL records below the slowest connected
+// compact drops a leader's window records below the slowest connected
 // follower's acknowledged index, less a retention floor so racing joins
 // don't immediately re-bootstrap.
 func (n *Node) compact() {
 	n.mu.Lock()
-	w := n.wal
-	floor := uint64(0)
-	if w != nil {
-		floor = w.LastIndex()
-		for _, f := range n.followers {
-			floor = min(floor, f.acked.Load())
-		}
+	floor := n.log.LastIndex()
+	for _, f := range n.followers {
+		floor = min(floor, f.acked.Load())
 	}
 	n.mu.Unlock()
-	if w != nil && floor > compactionFloor {
-		w.Compact(floor - compactionFloor)
+	if floor > compactionFloor { // a no-op off the leader: no window to trim
+		n.log.Compact(floor - compactionFloor)
 	}
 }

@@ -2,15 +2,15 @@
 // cluster, extending the paper's snapshot/restart fault tolerance (§II-B1c)
 // to live node loss.
 //
-// The leader's SQL engine records every committed mutating statement in a
-// write-ahead log (minisql.WAL); followers join over a small TCP protocol,
-// bootstrap from an engine snapshot taken at a log index (or resume from
-// their own position), then stream and replay its records. Replication is
-// asynchronous by default: an acknowledged write may be lost if the leader
-// dies before shipping it. With Config.WriteQuorum > 0 the leader counts
-// follower acks into a quorum commit watermark and the service holds each
-// write's reply until the watermark covers it, so an acknowledged write
-// survives the leader's immediate death.
+// Each node keeps one commit log (minisql.Log), where the leader's engine
+// records every committed mutating statement; followers join over a small
+// TCP protocol, bootstrap from an engine snapshot taken at a log index (or
+// resume from their own position), then stream, replay and log its records.
+// Replication is asynchronous by default: an acknowledged write may be lost
+// if the leader dies before shipping it. With Config.WriteQuorum > 0 the
+// leader counts follower acks into a quorum commit watermark and the service
+// holds each write's reply until the watermark covers it, so an acknowledged
+// write survives the leader's immediate death.
 //
 // # One place decides
 //
@@ -73,7 +73,7 @@
 //
 // node.go, leader.go and follower.go are the I/O side: dial and accept,
 // frames (the codec in protocol.go), timers, the record data path
-// (WAL.Append, ship, applyRecords), the waits on the watermark and the
+// (Log.Append, ship, applyRecords), the waits on the watermark and the
 // database. They keep one ordering rule: a step's persist
 // output — term, appliedTerm and view — is on disk before any of its sends
 // or role changes take effect, and a failed persist discards the step. So a
@@ -186,10 +186,11 @@ type Config struct {
 	// itself to follower and stops accepting writes (default
 	// 2x ElectionTimeout).
 	LeaseTimeout time.Duration
-	// DataDir enables durable storage: committed entries are appended to a
-	// segmented on-disk WAL under this directory, periodic checkpoints
-	// bound it, and a restart recovers the node's state from disk — no live
-	// peer required. Empty (the default) keeps the node fully in-memory.
+	// DataDir enables durable storage: the commit log writes every entry
+	// through to segments under this directory (which serve a lagging
+	// follower below a leader's window), periodic checkpoints bound them, and
+	// a restart recovers the node's state from disk — no live peer required.
+	// Empty (the default) keeps the node fully in-memory.
 	DataDir string
 	// Fsync, with DataDir set, makes the node acknowledge writes (and ack
 	// replicated entries) only after fsync, surviving machine/power loss.
@@ -225,7 +226,7 @@ type Config struct {
 }
 
 // Node is one member of a replicated EMEWS service cluster. It owns a
-// core.DB, ships (or applies) the statement WAL, and drives the protocol
+// core.DB, ships (or applies) its commit log, and drives the protocol
 // core (step) with frames, timers and disk. Create with New, wire the service
 // with service.ServeNode (or SetServiceAddr + Start), and shut down with
 // Close.
@@ -234,14 +235,14 @@ type Node struct {
 	db    *core.DB
 	eng   *minisql.Engine
 	store *minisql.Store // durable log + checkpoints (nil: in-memory node)
+	log   *minisql.Log   // the node's commit log; its window is open while it leads
 	ln    net.Listener
 	born  time.Time // origin of the clock the core is ticked with
 
 	met *nodeMetrics // replication metrics (obs.go), on the DB's registry
 
 	mu        sync.Mutex
-	st        state        // the protocol state; only step changes its decisions
-	wal       *minisql.WAL // the leader's log (nil off the leader)
+	st        state // the protocol state; only step changes its decisions
 	followers map[string]*followerConn
 	stream    net.Conn // follower's live connection to the leader
 	started   bool
@@ -299,7 +300,7 @@ func New(cfg Config) (*Node, error) {
 	var err error
 	if cfg.DataDir != "" {
 		// Durable node: recover engine state from the data directory
-		// (checkpoint + WAL tail) before any peer contact.
+		// (checkpoint + log tail) before any peer contact.
 		db, err = core.Open(cfg.DataDir, core.OpenOptions{
 			Fsync:           cfg.Fsync,
 			CheckpointEvery: cfg.CheckpointEvery,
@@ -329,6 +330,7 @@ func New(cfg Config) (*Node, error) {
 		db:        db,
 		eng:       db.Engine(),
 		store:     db.Store(),
+		log:       db.Log(),
 		ln:        ln,
 		born:      time.Now(),
 		followers: make(map[string]*followerConn),
@@ -407,14 +409,15 @@ func (n *Node) step(in input, out []output) ([]output, error) {
 		case doRequest:
 			n.wg.Add(1) // under mu: Close cannot be waiting yet
 		case doLead:
-			n.wal = minisql.NewWAL(n.st.applied) // continues the cluster's numbering
+			n.log.SetWindow(true) // the log ends at the applied index: numbering continues
 			n.followers = make(map[string]*followerConn)
 			stream = n.stream
 		case doDemote:
 			// In the critical section that published the role: no commit can
-			// reach the detached WAL, and its quorum waiters wake to fail.
+			// reach the window, and the leadership's quorum waiters wake to fail.
 			fols = n.followers
-			n.wal, n.followers = nil, make(map[string]*followerConn)
+			n.followers = make(map[string]*followerConn)
+			n.log.SetWindow(false)
 			n.wakeCommitLocked()
 		case doFollow:
 			stream = n.stream
@@ -545,7 +548,7 @@ func (n *Node) Close() {
 }
 
 // tickLoop feeds the core its clock every heartbeat, and on an
-// election-timeout cadence compacts a leader's WAL.
+// election-timeout cadence compacts a leader's window.
 func (n *Node) tickLoop() {
 	defer n.wg.Done()
 	tick := time.NewTicker(n.cfg.Heartbeat)
@@ -687,37 +690,31 @@ func (n *Node) logf(format string, args ...any) {
 }
 
 // onCommit is the engine commit hook: on the leader it appends the committed
-// statements to the WAL, which wakes the per-follower senders, and returns
-// the assigned index — the commit token the engine hands back to the caller
-// through TxLogged. It runs under the engine lock, so it only touches the
-// core, the WAL and the store's buffered log append. Off the leader it
-// refuses: a write that reaches this node's database anyway (the node was
-// demoted between the service's leadership check and the write; a poll parked
-// on an ex-leader woken by a replayed transition) would be applied here,
-// logged nowhere, published at token 0 and acknowledged.
+// statements to the node's log, which wakes the per-follower senders, and
+// returns the assigned index — the commit token the engine hands back to the
+// caller through TxLogged. It runs under the engine lock, so it only touches
+// the core and the log. A failed append refuses the commit. Off the leader it
+// refuses too: a write that reaches this node's database anyway (the node
+// was demoted between the service's leadership check and the write; a poll
+// parked on an ex-leader woken by a replayed transition) would be applied
+// here, logged nowhere, published at token 0 and acknowledged.
 func (n *Node) onCommit(stmts []minisql.Stmt) (uint64, error) {
 	var buf [1]output
 	n.mu.Lock()
 	_, err := n.stepLocked(input{ev: evPropose}, buf[:0])
-	w, lead := n.wal, n.st.role == RoleLeader
+	lead := n.st.role == RoleLeader
 	n.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	if !lead || w == nil {
+	if !lead {
 		return 0, ErrNotLeader
 	}
-	rec := w.Append(stmts)
-	if n.store != nil {
-		// The durable twin of the in-memory append, same bytes. On failure
-		// the commit stands in memory and replication proceeds, but the
-		// client's durability wait (core waitDurable) surfaces the store error.
-		if err := n.store.AppendRecords(rec); err != nil {
-			n.logf("disk WAL append %d: %v", rec.Index, err)
-		}
+	idx, err := n.log.Append(stmts)
+	if err == nil {
+		n.setApplied(idx)
 	}
-	n.setApplied(rec.Index)
-	return rec.Index, nil
+	return idx, err
 }
 
 // setApplied advances the applied index (never regresses) and wakes
@@ -772,32 +769,38 @@ func (n *Node) WriteQuorum() int { return n.cfg.WriteQuorum }
 func (n *Node) Committed() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.wal == nil {
+	if n.st.role != RoleLeader {
 		return n.st.applied
 	}
-	return n.committedLocked(n.wal)
+	return n.committedLocked(n.st.term)
 }
 
-// committed is the commit watermark of the leadership that holds log w.
-func (n *Node) committed(w *minisql.WAL) uint64 {
+// leadingLocked reports whether the node still holds the leadership of term
+// (it leads a term at most once). Caller holds n.mu.
+func (n *Node) leadingLocked(term uint64) bool {
+	return n.st.role == RoleLeader && n.st.term == term
+}
+
+// committed is the commit watermark of the leadership of term.
+func (n *Node) committed(term uint64) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.committedLocked(w)
+	return n.committedLocked(term)
 }
 
-// committedLocked is the commit watermark of the leadership that holds log
-// w (0 once w is not the node's log): step's quorum watermark — in
-// asynchronous mode every appended entry — capped at what the leader holds
-// on disk. An entry that reached only its memory (the disk append failed) is
-// not committed however many followers ack it: the leader's restart forgets
-// it, and a majority without it can elect. Caller holds n.mu.
-func (n *Node) committedLocked(w *minisql.WAL) uint64 {
-	if n.wal != w {
+// committedLocked is the commit watermark of the leadership of term (0 once
+// that leadership has ended): step's quorum watermark — in asynchronous mode
+// every appended entry — capped at what the leader holds durably. An entry
+// in the disk's buffers but not yet fsynced is not committed however many
+// followers ack it: the leader's restart forgets it, and a majority without
+// it can elect. Caller holds n.mu.
+func (n *Node) committedLocked(term uint64) uint64 {
+	if !n.leadingLocked(term) {
 		return 0
 	}
 	c := n.st.committed
 	if n.cfg.WriteQuorum <= 0 {
-		c = w.LastIndex()
+		c = n.log.LastIndex()
 	}
 	if n.store != nil {
 		c = min(c, n.store.Synced())
@@ -819,9 +822,9 @@ func (n *Node) WaitQuorumIndex(idx uint64) error {
 		return nil
 	}
 	n.mu.Lock()
-	w := n.wal
+	term, lead := n.st.term, n.st.role == RoleLeader
 	n.mu.Unlock()
-	if w == nil {
+	if !lead {
 		return ErrNotLeader
 	}
 	n.quorumWaiters.Add(1)
@@ -829,7 +832,7 @@ func (n *Node) WaitQuorumIndex(idx uint64) error {
 	t0 := time.Now()
 	timeout := 2 * n.cfg.LeaseTimeout
 	err := n.await(timeout, func() (bool, error) {
-		if n.wal != w {
+		if !n.leadingLocked(term) {
 			return false, ErrDemoted
 		}
 		return n.st.committed >= idx, nil

@@ -60,16 +60,16 @@ func (n *Node) registerCollectors(reg *obs.Registry) {
 		role := n.st.role
 		term := n.st.term
 		applied := n.st.applied
-		w := n.wal
+		committed := applied
 		leaderApplied := n.leaderApplied
 		type fl struct {
 			id  string
 			lag uint64
 		}
 		var fols []fl
-		var last uint64
-		if w != nil {
-			last = w.LastIndex()
+		if role == RoleLeader {
+			committed = n.committedLocked(term)
+			last := n.log.LastIndex()
 			for id, f := range n.followers {
 				lag := uint64(0)
 				if acked := f.acked.Load(); last > acked {
@@ -83,10 +83,6 @@ func (n *Node) registerCollectors(reg *obs.Registry) {
 		e.Gauge("osprey_replica_role", float64(role))
 		e.Gauge("osprey_replica_term", float64(term))
 		e.Gauge("osprey_replica_applied_index", float64(applied))
-		committed := applied
-		if w != nil {
-			committed = n.committed(w)
-		}
 		e.Gauge("osprey_replica_committed_index", float64(committed))
 		if role == RoleFollower {
 			lag := uint64(0)
