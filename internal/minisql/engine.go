@@ -44,7 +44,9 @@ type Engine struct {
 	epoch uint64
 	tx    Tx // what TxLogged hands its closure; one transaction holds mu at a time
 
-	undo []undoOp // the open transaction's undo log; empty between calls
+	undo     []undoOp // the open transaction's undo log; empty between calls
+	undoVals []Value  // the old values its undoUpdate entries hold, back to back
+	captures int      // checkpoint captures in flight (SnapshotWith): writes detach rows
 
 	hook       CommitHook     // observes committed mutating statements (wal.go)
 	observer   CommitObserver // passive tap on every applied batch (wal.go)
@@ -68,15 +70,16 @@ type undoKind uint8
 const (
 	undoInsert undoKind = iota // undone by deleting rowid (and restoring nextKey)
 	undoDelete                 // undone by re-inserting row
-	undoUpdate                 // undone by restoring old row
+	undoUpdate                 // undone by writing the SET columns' old values back
 )
 
 type undoOp struct {
 	kind    undoKind
-	table   string
+	t       *table
 	rowid   int64
-	row     []Value
-	nextKey int64 // undoInsert: the table's nextKey before the insert
+	row     []Value // undoDelete: the row; undoUpdate: the old values of cols, in undoVals
+	cols    []int   // undoUpdate: the SET column positions (the bound plan's, read-only)
+	nextKey int64   // undoInsert: the table's nextKey before the insert
 }
 
 // NewEngine returns an empty database.
@@ -370,7 +373,7 @@ func (e *Engine) flushPendingLocked() (uint64, error) {
 			e.lastLogged = idx
 		}
 	}
-	e.undo = e.undo[:0]
+	e.truncUndoLocked(0, 0)
 	if len(stmts) > 0 && e.observer != nil {
 		e.observer(idx, stmts)
 	}
@@ -420,13 +423,11 @@ func (e *Engine) rollbackLocked() {
 // rollbackToLocked unwinds undo entries down to mark (a statement-level
 // savepoint), leaving earlier entries in place.
 func (e *Engine) rollbackToLocked(mark int) {
+	vals := len(e.undoVals)
 	for i := len(e.undo) - 1; i >= mark; i-- {
 		op := e.undo[i]
-		t := e.tables[op.table]
-		if t == nil {
-			continue
-		}
-		switch op.kind {
+		vals -= len(op.cols) // an undoUpdate's old values end undoVals
+		switch t := op.t; op.kind {
 		case undoInsert:
 			t.delete(op.rowid)
 			// Restore the AUTOINCREMENT counter: a rolled-back insert is
@@ -437,10 +438,19 @@ func (e *Engine) rollbackToLocked(mark int) {
 		case undoDelete:
 			t.insertAt(op.rowid, op.row)
 		case undoUpdate:
-			t.update(op.rowid, op.row)
+			t.write(op.rowid, op.cols, op.row, e.captures > 0)
 		}
 	}
-	e.undo = e.undo[:mark]
+	e.truncUndoLocked(mark, vals)
+}
+
+// truncUndoLocked cuts the undo log to n entries holding vals old values. It
+// clears what it cuts: the reused arrays would otherwise keep a finished
+// transaction's deleted rows and old values reachable.
+func (e *Engine) truncUndoLocked(n, vals int) {
+	clear(e.undo[n:])
+	clear(e.undoVals[vals:])
+	e.undo, e.undoVals = e.undo[:n], e.undoVals[:vals]
 }
 
 func (e *Engine) execCreateTable(st createTableStmt) error {
@@ -521,7 +531,7 @@ func (e *Engine) execInsert(b *bound, ev *evalCtx) (int, int64, error) {
 			last = row[t.autoCol].AsInt()
 		}
 		id := t.insert(row)
-		e.undo = append(e.undo, undoOp{kind: undoInsert, table: t.name, rowid: id, nextKey: prevNextKey})
+		e.undo = append(e.undo, undoOp{kind: undoInsert, t: t, rowid: id, nextKey: prevNextKey})
 	}
 	return len(b.rows), last, nil
 }
@@ -800,6 +810,9 @@ func (b *bound) orderedTopN(dst []int64, ev *evalCtx) (ids []int64, fromIndex bo
 // arguments — when hits is nil, else len(hits) rows back to back, each
 // executed as the statement with that row bound, in order, with its
 // rows-affected count stored in hits.
+// A matched row is written in place (table.write, which copies it only while
+// a checkpoint capture is in flight): its SET values are evaluated against
+// the old row first, and the SET columns' old values go to the undo log.
 func (e *Engine) execUpdate(h *Prepared, ev *evalCtx, hits []int) (int, error) {
 	b := &h.b
 	t := b.t
@@ -815,19 +828,21 @@ func (e *Engine) execUpdate(h *Prepared, ev *evalCtx, hits []int) (int, error) {
 		}
 		h.ids = ids[:0]
 		for _, id := range ids {
-			old := t.row(id)
-			row := make([]Value, len(old))
-			copy(row, old)
-			ev.row = old
+			row := t.row(id)
+			ev.row = row
 			for i, x := range b.set {
 				v, err := x.eval(ev)
 				if err != nil {
 					return 0, err
 				}
-				row[b.pos[i]] = coerce(v, t.cols[b.pos[i]].Type)
+				h.row[i] = coerce(v, t.cols[b.pos[i]].Type)
 			}
-			prev := t.update(id, row)
-			e.undo = append(e.undo, undoOp{kind: undoUpdate, table: t.name, rowid: id, row: prev})
+			lo := len(e.undoVals)
+			for _, c := range b.pos {
+				e.undoVals = append(e.undoVals, row[c])
+			}
+			e.undo = append(e.undo, undoOp{kind: undoUpdate, t: t, rowid: id, row: e.undoVals[lo:], cols: b.pos})
+			t.write(id, b.pos, h.row, e.captures > 0)
 		}
 		total += len(ids)
 		if hits != nil {
@@ -847,7 +862,7 @@ func (e *Engine) execDelete(h *Prepared, ev *evalCtx) (int, error) {
 	n := 0
 	for _, id := range ids {
 		if row := t.delete(id); row != nil {
-			e.undo = append(e.undo, undoOp{kind: undoDelete, table: t.name, rowid: id, row: row})
+			e.undo = append(e.undo, undoOp{kind: undoDelete, t: t, rowid: id, row: row})
 			n++
 		}
 	}

@@ -150,13 +150,18 @@ func TestOrdListModel(t *testing.T) {
 		mirror(row, id, false)
 		undoLog = append(undoLog, undo{kind: undoDelete, id: id, row: row})
 	}
+	// write stores vals into cols of row id the way an UPDATE does, in place
+	// or (as beside a checkpoint capture) detached, mirroring the re-key.
+	prioCol := []int{1}
+	write := func(id int64, vals []Value) {
+		mirror(tbl.row(id), id, false)
+		tbl.write(id, prioCol, vals, rng.Intn(4) == 0)
+		mirror(tbl.row(id), id, true)
+	}
 	update := func() {
 		id := live[rng.Intn(len(live))]
-		row := []Value{tbl.row(id)[0], prio()}
-		old := tbl.update(id, row)
-		mirror(old, id, false)
-		mirror(row, id, true)
-		undoLog = append(undoLog, undo{kind: undoUpdate, id: id, row: old})
+		undoLog = append(undoLog, undo{kind: undoUpdate, id: id, row: []Value{tbl.row(id)[1]}})
+		write(id, []Value{prio()})
 	}
 	// rollback unwinds the undo log the way Engine.rollbackToLocked does.
 	rollback := func() {
@@ -169,8 +174,7 @@ func TestOrdListModel(t *testing.T) {
 				tbl.insertAt(u.id, u.row)
 				mirror(u.row, u.id, true)
 			case undoUpdate:
-				mirror(tbl.update(u.id, u.row), u.id, false)
-				mirror(u.row, u.id, true)
+				write(u.id, u.row)
 			}
 		}
 	}

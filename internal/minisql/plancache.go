@@ -39,7 +39,7 @@ type Prepared struct {
 	ev    evalCtx // the running execution's context
 	args  []Value // a read's copy of its arguments
 	ids   []int64 // candidate rowids, reused across runs
-	row   []Value // the projected row a read streams
+	row   []Value // the projected row a read streams, or an UPDATE's SET values
 }
 
 // bound is a statement bound to one schema epoch: everything its execution
@@ -209,9 +209,7 @@ func (h *Prepared) argRows(nargs int) (int, error) {
 func (e *Engine) bindLocked(h *Prepared) *bound {
 	if h.epoch != e.epoch {
 		h.b = bind(e.tables, h.stmt)
-		if h.query {
-			h.row = make([]Value, max(1, len(h.b.pos)))
-		}
+		h.row = make([]Value, max(1, len(h.b.pos)))
 		h.epoch = e.epoch
 	}
 	return &h.b

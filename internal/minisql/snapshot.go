@@ -69,9 +69,11 @@ func (e *Engine) Snapshot(w io.Writer) error {
 // table's slots, into a buffer sized before the hold — and to invoke observe;
 // encoding and writing the records happen after the lock is released, so a
 // slow writer (a checkpoint file, a follower's socket) parks no commit. The
-// capture is a consistent cut because stored rows are copy-on-write: INSERT
-// builds a fresh slice, UPDATE copies before table.update, rollback puts the
-// old slice back, and nothing writes a stored []Value in place.
+// capture is a consistent cut because no captured row slice is written while
+// it is read: INSERT builds a fresh slice, DELETE and its rollback move
+// slices, and UPDATE and its rollback write in place only while no capture is
+// in flight — the capture counts itself from its hold until writeCheckpoint
+// returns, and meanwhile a write detaches the row, giving the slot a copy.
 //
 // Commits (and so commit-hook WAL appends) happen under the engine lock, and
 // observe runs under the same hold as the capture, which lets the checkpoint
@@ -105,8 +107,10 @@ func (e *Engine) SnapshotWith(w io.Writer, observe func()) error {
 	if observe != nil {
 		observe()
 	}
+	e.captures++
 	held, obs := time.Since(t0), e.snapObs
 	e.mu.Unlock()
+	defer func() { e.mu.Lock(); e.captures--; e.mu.Unlock() }()
 	if obs != nil {
 		obs(held)
 	}

@@ -414,29 +414,40 @@ func (t *table) delete(id int64) []Value {
 	return row
 }
 
-// keyChanged reports whether any key column differs between the rows.
-func (ix *hashIndex) keyChanged(old, new []Value) bool {
-	for _, ci := range ix.cols {
-		if old[ci].Compare(new[ci]) != 0 || old[ci].Kind != new[ci].Kind {
+// keyChanged reports whether writing vals into row's columns cols changes
+// the index's key.
+func (ix *hashIndex) keyChanged(row []Value, cols []int, vals []Value) bool {
+	for i, c := range cols {
+		if slices.Contains(ix.cols, c) && (row[c].Compare(vals[i]) != 0 || row[c].Kind != vals[i].Kind) {
 			return true
 		}
 	}
 	return false
 }
 
-func (t *table) update(id int64, row []Value) []Value {
-	old := t.row(id)
-	if old == nil {
-		return nil
+// write stores vals into row id's columns cols in place, re-keying each index
+// whose key that changes. With detach the write goes to a copy that replaces
+// the slot's slice: a checkpoint capture holding the old slice keeps reading
+// the row as it took it.
+func (t *table) write(id int64, cols []int, vals []Value, detach bool) {
+	row := t.row(id)
+	if detach {
+		row = slices.Clone(row)
+		t.slots[t.pos[id]].row = row
 	}
+	rekey := make([]*hashIndex, 0, maxTableIndexes)
 	for _, ix := range t.indexes {
-		if ix.keyChanged(old, row) {
-			ix.remove(ix.entry(old, id))
-			ix.add(ix.entry(row, id))
+		if ix.keyChanged(row, cols, vals) {
+			ix.remove(ix.entry(row, id)) // under the old key, before the write
+			rekey = append(rekey, ix)
 		}
 	}
-	t.slots[t.pos[id]].row = row
-	return old
+	for i, c := range cols {
+		row[c] = vals[i]
+	}
+	for _, ix := range rekey {
+		ix.add(ix.entry(row, id))
+	}
 }
 
 // maybeCompact drops the empty slots when they are most of them, keeping

@@ -92,7 +92,7 @@ func (e *Engine) ApplyEntry(entry LogEntry) error {
 			return fmt.Errorf("minisql: apply entry %d: %w", entry.Index, err)
 		}
 	}
-	e.undo = e.undo[:0]
+	e.truncUndoLocked(0, 0)
 	// Replayed entries advance the commit high-water mark too: a replica
 	// promoted to leader must be able to issue covering tokens (LastLogged)
 	// for writes it only ever saw through the log.

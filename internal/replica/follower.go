@@ -92,7 +92,7 @@ func (n *Node) followOnce(addr string, join frame) error {
 		n.mu.Unlock()
 	}()
 
-	s := &leaderStream{conn: conn, w: frameWriter{w: conn}, rd: newFrameReader(conn), elect: n.cfg.ElectionTimeout}
+	s := &leaderStream{conn: conn, w: n.frameWriter(conn), rd: newFrameReader(conn), elect: n.cfg.ElectionTimeout}
 	if err := s.write(&join); err != nil {
 		return err
 	}
@@ -292,7 +292,7 @@ func (n *Node) request(o output) {
 	in := input{ev: evDown, from: o.to, round: o.round}
 	if conn, err := n.dial(o.to.ReplAddr, n.cfg.ElectionTimeout/2); err == nil {
 		conn.SetDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-		w := frameWriter{w: conn}
+		w := n.frameWriter(conn)
 		if w.write(&o.f) == nil && newFrameReader(conn).read(&in.f) == nil {
 			in.ev = evReply
 		}

@@ -84,7 +84,7 @@ func (n *Node) handleConn(conn net.Conn) {
 		switch o.do {
 		case doReply:
 			conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-			w := frameWriter{w: conn}
+			w := n.frameWriter(conn)
 			w.write(&o.f) // the connection closes either way; a lost reply is a failed request
 			return
 		case doHello:
@@ -101,7 +101,7 @@ func (n *Node) handleConn(conn net.Conn) {
 // the connection as chunk frames (followerConn.Write).
 func (n *Node) serveFollower(conn net.Conn, rd *frameReader, join, hello frame) {
 	term, pos := hello.Term, join.From
-	fol := &followerConn{peer: join.Peer, conn: conn, w: frameWriter{w: conn}, timeout: 2 * n.cfg.ElectionTimeout}
+	fol := &followerConn{peer: join.Peer, conn: conn, w: n.frameWriter(conn), timeout: 2 * n.cfg.ElectionTimeout}
 	if hello.Type == frameHeartbeat && n.log.Reaches(pos) {
 		fol.acked.Store(pos) // a bootstrapping follower holds nothing until it acks the install
 	} else {

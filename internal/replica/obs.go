@@ -22,7 +22,8 @@ import (
 // osprey_replica_quorum_wait_seconds, osprey_replica_batch_entries and
 // osprey_replica_heartbeat_rtt_seconds histograms,
 // osprey_replica_{promotions,demotions,entries_applied,snapshots_sent,
-// snapshots_installed}_total, and
+// snapshots_installed}_total, osprey_replica_frames_sent_total{type} (every
+// replication frame this node wrote, by frameTypeNames), and
 // osprey_replica_malformed_total (replication connections that did not open
 // with this build's preamble 0xF6 <version> — mixed builds, or a stray
 // client — closed unanswered and logged with the peer address).
@@ -36,10 +37,18 @@ type nodeMetrics struct {
 	quorumWait   *obs.Histogram
 	batchEntries *obs.Histogram
 	heartbeatRTT *obs.Histogram
+	framesSent   [len(frameTypeNames)]*obs.Counter
+}
+
+// frameTypeNames labels osprey_replica_frames_sent_total by frame type.
+var frameTypeNames = [...]string{
+	frameJoin: "join", frameProbe: "probe", frameStatus: "status", frameNotLeader: "not_leader",
+	frameSnapshot: "snapshot", frameHeartbeat: "heartbeat", frameAck: "ack", frameEntries: "entries",
+	frameClaim: "claim", frameChunk: "chunk", frameSnapEnd: "snap_end",
 }
 
 func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
-	return &nodeMetrics{
+	m := &nodeMetrics{
 		promotions:   reg.Counter("osprey_replica_promotions_total"),
 		demotions:    reg.Counter("osprey_replica_demotions_total"),
 		entriesApp:   reg.Counter("osprey_replica_entries_applied_total"),
@@ -50,6 +59,16 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		batchEntries: reg.Histogram("osprey_replica_batch_entries", obs.SizeBuckets),
 		heartbeatRTT: reg.Histogram("osprey_replica_heartbeat_rtt_seconds", obs.DurationBuckets),
 	}
+	for t, name := range frameTypeNames {
+		m.framesSent[t] = reg.Counter("osprey_replica_frames_sent_total", "type", name)
+	}
+	return m
+}
+
+// frameWriter returns a writer of frames onto conn that counts each one it
+// sends in osprey_replica_frames_sent_total.
+func (n *Node) frameWriter(conn io.Writer) frameWriter {
+	return frameWriter{w: conn, sent: &n.met.framesSent}
 }
 
 // registerCollectors wires the scrape-time cluster gauges. Called once from

@@ -8,6 +8,7 @@ import (
 
 	"osprey/internal/codec"
 	"osprey/internal/minisql"
+	"osprey/internal/obs"
 )
 
 // Role is a node's position in the cluster.
@@ -429,14 +430,20 @@ func readPeer(d *codec.Reader, p *Peer) {
 }
 
 // frameWriter writes frames to one connection, each with a single Write,
-// encoded into a buffer it reuses.
+// encoded into a buffer it reuses, and counts each frame written in sent by
+// its type (nil: uncounted).
 type frameWriter struct {
-	w   io.Writer
-	buf []byte
+	w    io.Writer
+	buf  []byte
+	sent *[len(frameTypeNames)]*obs.Counter
 }
 
 func (w *frameWriter) write(f *frame) error {
-	return codec.WriteFrame(w.w, &w.buf, appendFrameBody(codec.BeginFrame(w.buf), f))
+	err := codec.WriteFrame(w.w, &w.buf, appendFrameBody(codec.BeginFrame(w.buf), f))
+	if err == nil && w.sent != nil {
+		w.sent[f.Type].Inc()
+	}
+	return err
 }
 
 // frameReader reads frames from one connection into a body buffer it
