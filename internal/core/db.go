@@ -131,10 +131,11 @@ type DB struct {
 	outN   *notifier           // signaled by the commit observer when the output queue grows
 	inN    *notifier           // signaled by the commit observer when the input queue grows
 	met    *dbMetrics
-	store  *minisql.Store // durable log + checkpoints (nil: in-memory)
-	log    *minisql.Log   // the node's commit log, over store
-	hub    *watch.Hub     // task-state transition fan-out (events.go)
-	gate   watchGate      // quorum gate in front of the hub (events.go)
+	store  *minisql.Store     // durable log + checkpoints (nil: in-memory)
+	log    *minisql.Log       // the node's commit log, over store
+	hub    *watch.Hub         // task-state transition fan-out (events.go)
+	gate   watchGate          // quorum gate in front of the hub (events.go)
+	trs    []watch.Transition // the commit observer's classify buffer, under the engine lock
 	closed atomic.Bool
 }
 

@@ -14,18 +14,27 @@ import (
 // standalone durable writes alike — so it sees transitions in exact WAL order
 // with their commit tokens. It wakes at two positions: parked long-polls at
 // apply (a local pop needs the row, not the quorum), hub subscribers through
-// the gate, at quorum commit.
+// the gate, at quorum commit. A batch's transitions are classified into
+// db.trs, which the engine lock guards; the hub and the gate copy what they
+// keep.
 func (db *DB) attachWatch() {
 	db.hub = watch.NewHub(0, db.met.reg)
 	db.eng.SetCommitObserver(func(idx uint64, stmts []minisql.Stmt) {
-		trs := db.classify(stmts)
-		if len(trs) == 0 {
+		db.trs = db.classify(db.trs[:0], stmts)
+		if len(db.trs) == 0 {
 			return
 		}
-		db.wakePolls(trs)
-		db.publishCommit(idx, trs)
+		db.wakePolls(db.trs)
+		db.publishCommit(idx, db.trs)
+		if cap(db.trs) > keepTransitions {
+			db.trs = nil
+		}
 	})
 }
+
+// keepTransitions bounds the transition buffers a DB keeps between commits:
+// one a huge batch grew past it is released rather than pinned.
+const keepTransitions = 1 << 14
 
 // wakePolls wakes the long-polls a batch can satisfy: a queued transition
 // put a row in the output queue (QueryTasks), a complete one put a row in the
@@ -64,28 +73,33 @@ func (db *DB) wakePolls(trs []watch.Transition) {
 // DBs and asynchronous replication, where acknowledged writes carry no
 // quorum promise either), commits flow straight through.
 type watchGate struct {
-	mu      sync.Mutex
-	gated   bool
-	mark    uint64 // publish watermark: commits at or below it are released
-	pending []pendingCommit
+	mu    sync.Mutex
+	gated bool
+	mark  uint64 // publish watermark: commits at or below it are released
+	// The applied-but-unreleased commits, in ascending index order (the
+	// observer runs under the engine lock): commits[k] holds the next n of
+	// trs, which keeps every pending transition back to back.
+	commits []pendingCommit
+	trs     []watch.Transition
 }
 
-// pendingCommit is one applied-but-unreleased commit, held in ascending
-// index order (the observer runs under the engine lock).
+// pendingCommit marks one held commit's transitions in watchGate.trs.
 type pendingCommit struct {
 	idx uint64
-	trs []watch.Transition
+	n   int
 }
 
 // publishCommit routes one classified commit through the gate. Commits
 // already covered by the watermark — and every commit on an ungated DB —
-// publish immediately; the rest wait for AdvanceWatch.
+// publish immediately; the rest are copied into the gate to wait for
+// AdvanceWatch.
 func (db *DB) publishCommit(idx uint64, trs []watch.Transition) {
 	g := &db.gate
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.gated && idx > g.mark {
-		g.pending = append(g.pending, pendingCommit{idx: idx, trs: trs})
+		g.commits = append(g.commits, pendingCommit{idx: idx, n: len(trs)})
+		g.trs = append(g.trs, trs...)
 		return
 	}
 	db.hub.Commit(idx, trs)
@@ -113,12 +127,20 @@ func (db *DB) AdvanceWatch(mark uint64) {
 		return
 	}
 	g.mark = mark
-	n := 0
-	for ; n < len(g.pending) && g.pending[n].idx <= mark; n++ {
-		db.hub.Commit(g.pending[n].idx, g.pending[n].trs)
+	k, off := 0, 0
+	for ; k < len(g.commits) && g.commits[k].idx <= mark; k++ {
+		c := g.commits[k]
+		db.hub.Commit(c.idx, g.trs[off:off+c.n])
+		off += c.n
 	}
-	if n > 0 {
-		g.pending = append(g.pending[:0:0], g.pending[n:]...)
+	if k == 0 {
+		return
+	}
+	// The hub copied what it released: compact what is still held in place.
+	g.commits = g.commits[:copy(g.commits, g.commits[k:])]
+	g.trs = g.trs[:copy(g.trs, g.trs[off:])]
+	if len(g.commits) == 0 && cap(g.trs) > keepTransitions {
+		g.commits, g.trs = nil, nil
 	}
 }
 
@@ -139,9 +161,8 @@ func (db *DB) WatchHub() *watch.Hub { return db.hub }
 //   - cancelUpd with "canceled" marks it canceled.
 //
 // Everything else (tags, priorities, schema, experiment rows) is not a
-// transition and classifies to nothing.
-func (db *DB) classify(stmts []minisql.Stmt) []watch.Transition {
-	var out []watch.Transition
+// transition and classifies to nothing. The transitions are appended to out.
+func (db *DB) classify(out []watch.Transition, stmts []minisql.Stmt) []watch.Transition {
 	for _, s := range stmts {
 		switch s.Prepared() {
 		case db.stmts[outQInsert]:
@@ -212,7 +233,7 @@ func (db *DB) ResetWatch(token Token) {
 	// the reset token (downwards included — this is the one path where the
 	// mark may regress, mirroring the applied index).
 	db.gate.mu.Lock()
-	db.gate.pending = nil
+	db.gate.commits, db.gate.trs = nil, nil
 	db.gate.mark = token
 	db.gate.mu.Unlock()
 	db.hub.Reset(token, typeOf, depth)

@@ -77,6 +77,133 @@ func TestWatchLifecycleEvents(t *testing.T) {
 	}
 }
 
+// TestWatchGateReleasesInIndexOrder: on a gated DB, commits applied above
+// the publish watermark wait in the gate, and each AdvanceWatch releases
+// exactly those its mark now covers, in index order, whole, and compacts what
+// it still holds in place. Commits of 1-3 transitions interleave with marks
+// that release none, one, several and all of them; a mark ahead of the log
+// lets the next commits through at once.
+func TestWatchGateReleasesInIndexOrder(t *testing.T) {
+	db := walDB(t)
+	db.GateWatch()
+	st, err := db.Watch(within(t, waitMax), watch.Query{All: true}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	type commit struct {
+		tok Token
+		ids []int64
+	}
+	var held []commit // applied, not yet received
+	var mark Token    // the publish watermark: the gate holds what is above it
+	submit := func(n int) Token {
+		t.Helper()
+		res, err := db.SubmitBatch(bg, "e", 1, make([]string, n), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, commit{res.Token, res.IDs})
+		return res.Token
+	}
+	checkGate := func() {
+		t.Helper()
+		g := &db.gate
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		var gated []commit
+		var ids []int64
+		for _, c := range held {
+			if c.tok > mark {
+				gated = append(gated, c)
+				ids = append(ids, c.ids...)
+			}
+		}
+		if len(g.commits) != len(gated) || len(g.trs) != len(ids) {
+			t.Fatalf("gate holds %d commits of %d transitions, want %d of %d", len(g.commits), len(g.trs), len(gated), len(ids))
+		}
+		for k, c := range g.commits {
+			if c.idx != gated[k].tok || c.n != len(gated[k].ids) {
+				t.Fatalf("gate commit %d = %+v, want index %d of %d", k, c, gated[k].tok, len(gated[k].ids))
+			}
+		}
+		for i, tr := range g.trs {
+			if tr.TaskID != ids[i] || tr.Status != watch.StatusQueued {
+				t.Fatalf("gate transition %d = %+v, want task %d queued", i, tr, ids[i])
+			}
+		}
+	}
+	release := func(to Token) {
+		t.Helper()
+		mark = max(mark, to)
+		var want []watch.Event
+		for len(held) > 0 && held[0].tok <= mark {
+			for _, id := range held[0].ids {
+				want = append(want, watch.Event{Token: held[0].tok, TaskID: id, Status: watch.StatusQueued})
+			}
+			held = held[1:]
+		}
+		db.AdvanceWatch(to)
+		for i, ev := range collect(t, st, len(want)) {
+			if i >= len(want) || ev.Token != want[i].Token || ev.TaskID != want[i].TaskID || ev.Status != want[i].Status {
+				t.Fatalf("released event %d = %+v, want %+v", i, ev, want)
+			}
+		}
+		checkGate()
+	}
+
+	a := submit(1)
+	submit(3)
+	c := submit(2)
+	checkGate()
+	release(a - 1) // below every held commit: releases nothing
+	release(a)     // the first alone
+	d := submit(2)
+	submit(1)
+	release(c) // two commits, leaving two behind
+	e := submit(3)
+	release(d) // one, from the middle of what was applied
+	release(e) // the rest
+	release(e + 2)
+	submit(2) // at or below the mark: published at once, the gate holds none
+	f := submit(1)
+	checkGate()
+	release(f) // what the mark already covered arrives
+	g := submit(2)
+	submit(1)
+	checkGate()
+	release(g + 1)
+}
+
+// TestHugeCommitReleasesTransitionBuffers: the classify buffer and the
+// gate's held transitions are kept between ordinary commits and released
+// once one commit of more than keepTransitions tasks grew them past it.
+func TestHugeCommitReleasesTransitionBuffers(t *testing.T) {
+	db := walDB(t)
+	db.GateWatch()
+	submit := func(n int) Token {
+		t.Helper()
+		res, err := db.SubmitBatch(bg, "e", 1, make([]string, n), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Token
+	}
+	gateCap := func() int {
+		db.gate.mu.Lock()
+		defer db.gate.mu.Unlock()
+		return cap(db.gate.trs)
+	}
+	db.AdvanceWatch(submit(3))
+	if cap(db.trs) == 0 || gateCap() == 0 {
+		t.Fatalf("an ordinary commit's buffers were not kept: caps %d and %d", cap(db.trs), gateCap())
+	}
+	db.AdvanceWatch(submit(keepTransitions + 1))
+	if c, g := cap(db.trs), gateCap(); c > keepTransitions || g > keepTransitions {
+		t.Fatalf("after %d transitions the buffers keep capacities %d and %d, over the bound %d", keepTransitions+1, c, g, keepTransitions)
+	}
+}
+
 func TestWatchCancelAndRequeueEvents(t *testing.T) {
 	db, err := NewDB()
 	if err != nil {

@@ -36,13 +36,19 @@ func updatePrioritiesLoop(db *DB, ids []int64, priorities []int) (int, error) {
 }
 
 // captureLog installs a commit hook that numbers and keeps every entry the
-// engine commits; the caller may drain the slice between commits.
+// engine commits; the caller may drain the slice between commits. The hook
+// borrows its statements, so it keeps each entry as the log does: encoded,
+// and decoded back into memory of its own.
 func captureLog(eng *minisql.Engine) *[]minisql.LogEntry {
 	log := new([]minisql.LogEntry)
 	idx := eng.LastLogged()
 	eng.SetCommitHook(func(stmts []minisql.Stmt) (uint64, error) {
+		entry, _, err := minisql.DecodeRecord(minisql.EncodeRecord(nil, minisql.LogEntry{Index: idx + 1, Stmts: stmts}))
+		if err != nil {
+			return 0, err
+		}
 		idx++
-		*log = append(*log, minisql.LogEntry{Index: idx, Stmts: stmts})
+		*log = append(*log, entry)
 		return idx, nil
 	})
 	return log

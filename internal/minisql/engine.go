@@ -53,6 +53,7 @@ type Engine struct {
 	applying   bool           // true while replaying a shipped entry
 	applyHits  []int          // a replayed set-based write's per-row counts, reused
 	pending    []Stmt         // mutating statements awaiting commit
+	pendArgs   []Value        // the prepared writes' arguments, back to back: their Stmt.Args
 	lastLogged uint64         // highest log index the hook has assigned
 
 	plans *planCache // compiled statements by SQL text (plancache.go)
@@ -195,8 +196,7 @@ func (tx *Tx) Exec(sql string, args ...any) (*Result, error) {
 }
 
 // Run executes a prepared write (or DDL) with args and returns its
-// RowsAffected and LastInsertID. args is surrendered to the log; the caller
-// must not modify it afterwards.
+// RowsAffected and LastInsertID. args is read during the call only.
 func (tx *Tx) Run(h *Prepared, args ...Value) (Result, error) {
 	spreadN, err := tx.start(h, len(args))
 	if err != nil {
@@ -205,7 +205,7 @@ func (tx *Tx) Run(h *Prepared, args ...Value) (Result, error) {
 	if h.query {
 		return Result{}, fmt.Errorf("minisql: Run executes writes; read %q with Query", compactSQL(h.sql))
 	}
-	n, id, err := tx.e.execLocked(h, args, spreadN, nil, nil)
+	n, id, err := tx.e.writeLocked(h, args, spreadN, nil)
 	return Result{RowsAffected: n, LastInsertID: id}, err
 }
 
@@ -215,8 +215,8 @@ func (tx *Tx) Run(h *Prepared, args ...Value) (Result, error) {
 // many Run calls would. It commits as one logged Stmt carrying every row,
 // which ApplyEntry replays row by row through the same executor. The set is
 // atomic: an error in any row undoes the rows before it and logs nothing. It
-// returns each argument row's rows-affected count. args is surrendered to the
-// log; the caller must not modify it afterwards.
+// returns each argument row's rows-affected count. args is read during the
+// call only.
 func (tx *Tx) RunRows(h *Prepared, args []Value) ([]int, error) {
 	if _, err := tx.start(h, -1); err != nil {
 		return nil, err
@@ -239,10 +239,25 @@ func (e *Engine) runRowsLocked(h *Prepared, args []Value) ([]int, error) {
 		return nil, err
 	}
 	hits := make([]int, rows)
-	if _, _, err := e.execLocked(h, args, 0, hits, nil); err != nil {
+	if _, _, err := e.writeLocked(h, args, 0, hits); err != nil {
 		return nil, err
 	}
 	return hits, nil
+}
+
+// writeLocked runs a write on the engine's copy of args in pendArgs, so the
+// caller's slice never outlives the call: the copy is what the pending Stmt
+// keeps until the commit, or is cut again when nothing records it.
+func (e *Engine) writeLocked(h *Prepared, args []Value, spreadN int, hits []int) (int, int64, error) {
+	lo := len(e.pendArgs)
+	e.pendArgs = append(e.pendArgs, args...)
+	hi := len(e.pendArgs)
+	n, id, err := e.execLocked(h, e.pendArgs[lo:hi:hi], spreadN, hits, nil)
+	if err != nil || !e.recording(h) {
+		clear(e.pendArgs[lo:])
+		e.pendArgs = e.pendArgs[:lo]
+	}
+	return n, id, err
 }
 
 // Query runs a prepared SELECT with args and calls fn with each result row,
@@ -333,13 +348,16 @@ func (e *Engine) execLocked(h *Prepared, args []Value, spreadN int, hits []int, 
 		e.rollbackToLocked(mark)
 		return 0, 0, err
 	}
-	if (e.hook != nil || e.observer != nil) && !e.applying && h.mutating {
-		if e.pending == nil {
-			e.pending = make([]Stmt, 0, 4)
-		}
+	if e.recording(h) {
 		e.pending = append(e.pending, Stmt{SQL: h.sql, Args: args, prep: h})
 	}
 	return n, lastID, nil
+}
+
+// recording reports whether a successful execution of h is kept for the
+// commit hook and observer.
+func (e *Engine) recording(h *Prepared) bool {
+	return (e.hook != nil || e.observer != nil) && !e.applying && h.mutating
 }
 
 // isMutating reports whether a parsed statement changes database state and so
@@ -357,11 +375,12 @@ func isMutating(stmt any) bool {
 // the hook and returns the log index the hook assigned (0 when there was
 // nothing to flush or no hook), then drops the undo log. A hook that refuses
 // the batch vetoes the commit: the statements are undone, the observer never
-// sees them, and the hook's error is the commit's. The slice is surrendered
-// to the hook, never reused.
+// sees them, and the hook's error is the commit's. The hook and the observer
+// borrow the statements: once they return, the buffers are emptied for the
+// next transaction.
 func (e *Engine) flushPendingLocked() (uint64, error) {
 	stmts := e.pending
-	e.pending = nil
+	defer e.truncPendingLocked()
 	var idx uint64
 	if len(stmts) > 0 && e.hook != nil {
 		var err error
@@ -417,7 +436,30 @@ func (e *Engine) execStmtLocked(h *Prepared, args []Value, spreadN int, hits []i
 
 func (e *Engine) rollbackLocked() {
 	e.rollbackToLocked(0)
-	e.pending = nil
+	e.truncPendingLocked()
+}
+
+// truncPendingLocked empties the pending statements and their arguments for
+// the next transaction.
+func (e *Engine) truncPendingLocked() {
+	e.pending, e.pendArgs = reuse(e.pending), reuse(e.pendArgs)
+}
+
+// keepBuffered bounds, in elements, a per-transaction buffer the engine
+// keeps for the next transaction. A buffer one huge transaction grew past it
+// (a 100 000-task batch) is released instead, so that size is not pinned for
+// the engine's lifetime.
+const keepBuffered = 1 << 14
+
+// reuse empties a finished transaction's buffer for the next one. It clears
+// it, so the reused array keeps no finished transaction's values reachable,
+// and releases one grown past keepBuffered.
+func reuse[T any](buf []T) []T {
+	if cap(buf) > keepBuffered {
+		return nil
+	}
+	clear(buf)
+	return buf[:0]
 }
 
 // rollbackToLocked unwinds undo entries down to mark (a statement-level
@@ -446,8 +488,13 @@ func (e *Engine) rollbackToLocked(mark int) {
 
 // truncUndoLocked cuts the undo log to n entries holding vals old values. It
 // clears what it cuts: the reused arrays would otherwise keep a finished
-// transaction's deleted rows and old values reachable.
+// transaction's deleted rows and old values reachable. Emptied, a log grown
+// past keepBuffered is released.
 func (e *Engine) truncUndoLocked(n, vals int) {
+	if n == 0 {
+		e.undo, e.undoVals = reuse(e.undo), reuse(e.undoVals)
+		return
+	}
 	clear(e.undo[n:])
 	clear(e.undoVals[vals:])
 	e.undo, e.undoVals = e.undo[:n], e.undoVals[:vals]

@@ -47,6 +47,9 @@ type LogEntry struct {
 // A hook that returns an error refuses the commit: the engine rolls the batch
 // back and returns the error to the committing caller (a replica that does not
 // lead must not commit what it cannot log).
+// stmts and their Args are borrowed for the duration of the call: the engine
+// reuses them for its next transaction, so a hook that keeps a batch keeps
+// what it encodes or copies from it (Log.Append encodes it).
 type CommitHook func(stmts []Stmt) (uint64, error)
 
 // SetCommitHook installs h as the engine's commit observer (nil to remove).
@@ -66,6 +69,8 @@ func (e *Engine) SetCommitHook(h CommitHook) {
 // the one ordered feed covering leaders, followers, durable standalone
 // engines, and plain in-memory databases. It runs under the engine lock:
 // implementations must be fast and must not call back into the engine.
+// stmts and their Args are borrowed for the duration of the call, as a
+// CommitHook's are: an observer copies out what it keeps.
 type CommitObserver func(idx uint64, stmts []Stmt)
 
 // SetCommitObserver installs o as the engine's applied-batch tap (nil to

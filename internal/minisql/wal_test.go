@@ -595,3 +595,92 @@ func TestCreateIndexIfNotExists(t *testing.T) {
 		t.Fatalf("indexed lookup after IF NOT EXISTS returned %d rows", len(res.Rows))
 	}
 }
+
+// TestCommitAllocatesOnlyRows pins what a committed transaction allocates
+// with a commit hook and an observer installed: the rows it stores and
+// nothing else. The prepared writes' arguments, the pending statements and
+// the undo log are engine buffers the hook and the observer borrow.
+func TestCommitAllocatesOnlyRows(t *testing.T) {
+	e := NewEngine()
+	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT, n INTEGER)")
+	e.SetCommitHook(NewLog(nil).Append)
+	seen := 0
+	e.SetCommitObserver(func(_ uint64, stmts []Stmt) {
+		for _, s := range stmts {
+			seen += len(s.Args)
+		}
+	})
+	h, err := e.Prepare("INSERT INTO t (v, n) VALUES (?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	commit := func() {
+		if _, err := e.TxLogged(func(tx *Tx) error {
+			n++
+			if _, err := tx.Run(h, Text("a"), Int64(n)); err != nil {
+				return err
+			}
+			_, err := tx.Run(h, Text("b"), Int64(-n))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit() // grow the engine's buffers
+	if got := testing.AllocsPerRun(1000, commit); got > 2 {
+		t.Fatalf("a transaction of 2 prepared INSERTs allocates %v, want its 2 rows", got)
+	}
+	if want := 4 * int(n); seen != want {
+		t.Fatalf("the observer saw %d arguments over %d commits, want %d", seen, n, want)
+	}
+}
+
+// TestHugeTransactionReleasesBuffers: the buffers a transaction leaves for
+// the next one — its pending statements, their arguments and the undo log —
+// are kept at an ordinary size and released once a huge transaction grew
+// them past keepBuffered, whether it committed or rolled back.
+func TestHugeTransactionReleasesBuffers(t *testing.T) {
+	e := NewEngine()
+	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER)")
+	e.SetCommitHook(NewLog(nil).Append)
+	h, err := e.Prepare("INSERT INTO t (v) VALUES (?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(rows int, fail error) {
+		t.Helper()
+		_, err := e.TxLogged(func(tx *Tx) error {
+			for i := 0; i < rows; i++ {
+				if _, err := tx.Run(h, Int64(int64(i))); err != nil {
+					return err
+				}
+			}
+			return fail
+		})
+		if !errors.Is(err, fail) {
+			t.Fatalf("TxLogged of %d rows = %v, want %v", rows, err, fail)
+		}
+	}
+	caps := func() []int {
+		return []int{cap(e.pending), cap(e.pendArgs), cap(e.undo)}
+	}
+	insert(10, nil)
+	for i, c := range caps() {
+		if c == 0 {
+			t.Fatalf("buffer %d of an ordinary transaction was not kept: caps %v", i, caps())
+		}
+	}
+	for _, fail := range []error{nil, errAbort{}} {
+		insert(keepBuffered+1, fail)
+		for i, c := range caps() {
+			if c > keepBuffered {
+				t.Fatalf("after %d rows (error %v) buffer %d keeps capacity %d, over the bound %d", keepBuffered+1, fail, i, c, keepBuffered)
+			}
+		}
+		insert(10, nil)
+	}
+	if got := e.TableRows("t"); got != 30+keepBuffered+1 {
+		t.Fatalf("%d rows, want %d", got, 30+keepBuffered+1)
+	}
+}

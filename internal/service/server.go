@@ -439,20 +439,21 @@ const DefaultMaxInflight = 4 * maxInflight
 // admit reserves an admission slot for a data-plane request, or returns the
 // refusal response. Shedding happens before any execution, so a shed request
 // has had no side effect and is safe to resend verbatim — even the
-// non-idempotent queue pops.
-func (s *Server) admit(op *opEntry) (func(), response, bool) {
+// non-idempotent queue pops. A control op takes no slot; an admitted
+// data-plane request releases its slot through dispatch.
+func (s *Server) admit(op *opEntry) (response, bool) {
 	if op.control {
-		return func() {}, response{}, true
+		return response{}, true
 	}
 	if s.draining.Load() {
-		return nil, response{Error: "service: draining", Transient: true}, false
+		return response{Error: "service: draining", Transient: true}, false
 	}
 	if n := s.inflight.Add(1); int(n) > s.maxReq {
 		s.inflight.Add(-1)
 		s.met.shed.Inc()
-		return nil, response{Error: "service: overloaded", Overloaded: true}, false
+		return response{Error: "service: overloaded", Overloaded: true}, false
 	}
-	return func() { s.inflight.Add(-1) }, response{}, true
+	return response{}, true
 }
 
 // dispatch instruments and routes one request: admission control first (shed
@@ -463,11 +464,12 @@ func (s *Server) admit(op *opEntry) (func(), response, bool) {
 // it. Requests from older clients without a trace ID get one minted here so
 // the node's own log lines still correlate.
 func (s *Server) dispatch(req request, op *opEntry, peer string) response {
-	release, refusal, ok := s.admit(op)
-	if !ok {
+	if refusal, ok := s.admit(op); !ok {
 		return refusal
 	}
-	defer release()
+	if !op.control {
+		defer s.inflight.Add(-1)
+	}
 	if req.Trace == "" {
 		req.Trace = obs.TraceID()
 	}

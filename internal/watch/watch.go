@@ -15,6 +15,10 @@
 // a consumer that drops duplicates with `tok <= last` observes every
 // transition exactly once across any number of reconnects.
 //
+// A delivered batch may alias the hub's ring, which every subscriber shares
+// and later resume replays read: read it, never write to it or append to it
+// in place. A consumer that edits events copies them first.
+//
 // Where it is wired. Every core.DB owns one Hub fed by its commit observer
 // (core/events.go): applied statements are classified into transitions by
 // exact statement shape and, on nodes with a write quorum, held by a gate
@@ -113,11 +117,12 @@ func (q Query) matches(ev Event) bool {
 }
 
 // Stream is the consumer half of a subscription. Events() yields batches in
-// token order until the stream ends; a batch may be shared with other
-// subscribers and must not be modified. After the channel closes, Err()
-// reports why (nil for a consumer-initiated Close). Implementations wrap a hub Sub
-// (in-process), a single service connection (Client), or a resubscribing
-// failover loop (ClusterClient).
+// token order until the stream ends; a batch may alias the hub's ring and be
+// shared with other subscribers: read it, never write to it or append to it
+// in place. After the channel closes, Err() reports why (nil for a
+// consumer-initiated Close). Implementations wrap a hub Sub (in-process), a
+// single service connection (Client), or a resubscribing failover loop
+// (ClusterClient).
 type Stream interface {
 	Events() <-chan []Event
 	Err() error
@@ -220,7 +225,12 @@ func (h *Hub) Depths() map[int]int {
 // unlogged engine: plain in-memory DB with no commit hook) self-assigns the
 // next token so resume semantics still hold locally. Events from one commit
 // share a token and are delivered to each subscriber as one batch, so a
-// consumer's "last token" always covers whole commits.
+// consumer's "last token" always covers whole commits. trs is read during the
+// call only.
+//
+// The events are appended straight to the ring, and the batch delivered is
+// the ring's own capped subslice: the ring only grows at its tail and is
+// trimmed from its front, so no later commit writes over a delivered batch.
 func (h *Hub) Commit(idx uint64, trs []Transition) {
 	if len(trs) == 0 {
 		return
@@ -231,7 +241,7 @@ func (h *Hub) Commit(idx uint64, trs []Transition) {
 		idx = h.last + 1
 	}
 	h.last = idx
-	batch := make([]Event, 0, len(trs))
+	start := len(h.ring)
 	for _, tr := range trs {
 		wt := tr.WorkType
 		if wt < 0 {
@@ -261,9 +271,9 @@ func (h *Hub) Commit(idx uint64, trs []Transition) {
 		if wt >= 0 {
 			d = h.depth[wt]
 		}
-		batch = append(batch, Event{Token: idx, TaskID: tr.TaskID, WorkType: wt, Status: tr.Status, Depth: d})
+		h.ring = append(h.ring, Event{Token: idx, TaskID: tr.TaskID, WorkType: wt, Status: tr.Status, Depth: d})
 	}
-	h.ring = append(h.ring, batch...)
+	batch := h.ring[start:len(h.ring):len(h.ring)]
 	h.trimLocked()
 	for sub := range h.subs {
 		h.deliverLocked(sub, batch)

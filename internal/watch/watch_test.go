@@ -2,6 +2,7 @@ package watch
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"osprey/internal/obs"
@@ -123,6 +124,58 @@ func TestHubWholeCommitTrim(t *testing.T) {
 	}
 	if len(replay) != 2 || replay[0].Token != 2 || replay[1].Token != 2 {
 		t.Fatalf("replay after trim = %+v, want both token-2 events", replay)
+	}
+}
+
+// TestHubHeldBatchesOutliveRing: a delivered batch aliases the hub's ring,
+// so it must stay as delivered however long its subscriber holds it. One
+// subscriber keeps every batch, reading each as it arrives on its own
+// goroutine, while more than 3 × the ring's size commits through — the ring
+// trims and regrows many times — and the caller reuses one transition buffer
+// for every commit, as the commit observer does.
+func TestHubHeldBatchesOutliveRing(t *testing.T) {
+	const ring, commits = 16, 40 // 1-3 events a commit: 80 events, 5 rings
+	h := NewHub(ring, nil)
+	sub, _, _, _ := h.Subscribe(Query{All: true}, commits)
+	want := func(tok uint64) []Event {
+		evs := make([]Event, 1+tok%3)
+		for j := range evs {
+			evs[j] = Event{Token: tok, TaskID: int64(10*tok) + int64(j), WorkType: -1, Status: StatusRunning}
+		}
+		return evs
+	}
+	held, copies := make([][]Event, 0, commits), make([][]Event, 0, commits)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for batch := range sub.C {
+			held = append(held, batch)
+			copies = append(copies, slices.Clone(batch))
+			if len(held) == commits {
+				return
+			}
+		}
+	}()
+	var trs []Transition
+	for tok := uint64(1); tok <= commits; tok++ {
+		trs = trs[:0]
+		for _, ev := range want(tok) {
+			trs = append(trs, Transition{TaskID: ev.TaskID, WorkType: -1, Status: StatusRunning})
+		}
+		h.Commit(tok, trs)
+	}
+	<-done
+	if len(held) != commits {
+		t.Fatalf("received %d batches, want %d", len(held), commits)
+	}
+	for k, batch := range held {
+		tok := uint64(k + 1)
+		if !slices.Equal(copies[k], want(tok)) {
+			t.Fatalf("batch %d was delivered as %+v, want %+v", tok, copies[k], want(tok))
+		}
+		if !slices.Equal(batch, copies[k]) {
+			t.Fatalf("held batch %d reads %+v after later commits, was delivered as %+v", tok, batch, copies[k])
+		}
 	}
 }
 
