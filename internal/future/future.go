@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"osprey/internal/core"
+	"osprey/internal/wait"
 	"osprey/internal/watch"
 )
 
@@ -134,7 +135,9 @@ func (f *Future) Result(timeout time.Duration) (string, error) {
 		return r, nil
 	}
 	f.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	// Unpooled: the watch stream's goroutine may still select on ctx after
+	// the stream is closed.
+	ctx, cancel := wait.Timeout(timeout)
 	defer cancel()
 	since := f.Token()
 	for {
@@ -289,8 +292,8 @@ func PopCompleted(fs *[]*Future, timeout time.Duration) (*Future, error) {
 		ids[i] = f.id
 		byID[f.id] = i
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
+	ctx, release := wait.Deadline(timeout)
+	defer release()
 	res, err := sess.PopResults(ctx, ids, 1)
 	if err != nil {
 		return nil, err
@@ -318,30 +321,30 @@ func AsCompleted(ctx context.Context, fs []*Future, n int) <-chan *Future {
 		for _, f := range remaining {
 			byID[f.id] = f
 		}
+		ids := make([]int64, 0, len(remaining))
 		yielded := 0
 		for yielded < n && len(remaining) > 0 {
 			if ctx.Err() != nil {
 				return
 			}
 			sess := remaining[0].sess
-			ids := make([]int64, len(remaining))
-			for i, f := range remaining {
-				ids[i] = f.id
+			ids = ids[:0]
+			for _, f := range remaining {
+				ids = append(ids, f.id)
 			}
-			popCtx, cancel := context.WithTimeout(ctx, time.Second)
-			res, err := sess.PopResults(popCtx, ids, n-yielded)
-			cancel()
+			// PopResults long-polls ctx itself, in chunks when it crosses a
+			// connection, and returns on its cancellation.
+			res, err := sess.PopResults(ctx, ids, n-yielded)
 			if err != nil {
 				if errors.Is(err, core.ErrTimeout) {
-					continue // poll again, honoring ctx
+					continue // ctx's deadline: the loop's check returns
 				}
 				return
 			}
-			got := make(map[int64]bool, len(res.Results))
 			for _, r := range res.Results {
 				f := byID[r.ID]
+				delete(byID, r.ID)
 				f.setResult(r.Result, res.Token)
-				got[r.ID] = true
 				select {
 				case out <- f:
 					yielded++
@@ -351,7 +354,7 @@ func AsCompleted(ctx context.Context, fs []*Future, n int) <-chan *Future {
 			}
 			rest := remaining[:0]
 			for _, f := range remaining {
-				if !got[f.id] {
+				if _, ok := byID[f.id]; ok {
 					rest = append(rest, f)
 				}
 			}

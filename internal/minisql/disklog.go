@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"osprey/internal/codec"
+	"osprey/internal/wait"
 )
 
 // The entry codec: a committed entry has one encoded form, the record
@@ -654,7 +655,12 @@ func (d *DiskLog) Synced() uint64 {
 func (d *DiskLog) WaitDurable(idx uint64, timeout time.Duration) error {
 	var timer *time.Timer
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer func() {
+		d.mu.Unlock()
+		if timer != nil {
+			wait.Release(timer)
+		}
+	}()
 	for {
 		if d.err != nil {
 			return d.err
@@ -675,8 +681,7 @@ func (d *DiskLog) WaitDurable(idx uint64, timeout time.Duration) error {
 		}
 		d.mu.Unlock()
 		if timer == nil {
-			timer = time.NewTimer(timeout)
-			defer timer.Stop()
+			timer = wait.Timer(timeout)
 		}
 		select {
 		case <-ch:

@@ -9,6 +9,7 @@ import (
 
 	"osprey/internal/codec"
 	"osprey/internal/minisql"
+	"osprey/internal/wait"
 )
 
 // compactionFloor is how many acknowledged entries the leader retains beyond
@@ -244,8 +245,8 @@ func (n *Node) streamTo(fol *followerConn, term, pos uint64) {
 	// Jittered heartbeat timer (not a fixed ticker): with many followers,
 	// lockstep beats synchronize the cluster's write bursts and, after a
 	// heal, its failure detectors.
-	beat := time.NewTimer(jitter(n.cfg.Heartbeat, rand.Uint64()))
-	defer beat.Stop()
+	beat := wait.Timer(jitter(n.cfg.Heartbeat, rand.Uint64()))
+	defer wait.Release(beat)
 	for {
 		n.mu.Lock()
 		leading := n.leadingLocked(term)

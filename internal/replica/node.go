@@ -137,6 +137,7 @@ import (
 
 	"osprey/internal/core"
 	"osprey/internal/minisql"
+	"osprey/internal/wait"
 )
 
 // DialFunc dials a replication peer; the signature matches net.DialTimeout.
@@ -873,6 +874,11 @@ var errTimedOut = errors.New("replica: wait timed out")
 // the next change reached reads.
 func (n *Node) await(timeout time.Duration, reached func() (bool, error), wake func() <-chan struct{}) error {
 	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			wait.Release(timer)
+		}
+	}()
 	for {
 		n.mu.Lock()
 		ok, err := reached()
@@ -890,8 +896,7 @@ func (n *Node) await(timeout time.Duration, reached func() (bool, error), wake f
 		ch := wake()
 		n.mu.Unlock()
 		if timer == nil {
-			timer = time.NewTimer(timeout)
-			defer timer.Stop()
+			timer = wait.Timer(timeout)
 		}
 		select {
 		case <-ch:
@@ -938,8 +943,8 @@ func (n *Node) StepDown() bool {
 }
 
 func (n *Node) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t := wait.Timer(d)
+	defer wait.Release(t)
 	select {
 	case <-n.closeCh:
 		return false

@@ -12,6 +12,7 @@ import (
 
 	"osprey/internal/core"
 	"osprey/internal/obs"
+	"osprey/internal/wait"
 )
 
 // Client is a TCP client for a remote EMEWS service implementing
@@ -69,23 +70,6 @@ type call struct {
 
 var callPool = sync.Pool{
 	New: func() any { return &call{ch: make(chan response, 1)} },
-}
-
-// timerPool recycles round-trip timers. Go 1.23+ timer channels are
-// synchronous, so Stop followed by Reset can never observe a stale tick.
-var timerPool sync.Pool
-
-func acquireTimer(d time.Duration) *time.Timer {
-	if t, ok := timerPool.Get().(*time.Timer); ok {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func releaseTimer(t *time.Timer) {
-	t.Stop()
-	timerPool.Put(t)
 }
 
 var _ core.Session = (*Client)(nil)
@@ -374,8 +358,8 @@ func (c *Client) roundTrip(req *request, resp *response, timeout time.Duration) 
 		c.release(cl)
 		return err
 	}
-	timer := acquireTimer(timeout + 10*time.Second)
-	defer releaseTimer(timer)
+	timer := wait.Timer(timeout + 10*time.Second)
+	defer wait.Release(timer)
 	select {
 	case *resp = <-cl.ch:
 		c.release(cl)
@@ -543,10 +527,14 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 			}
 			c.Close()
 		}
+		retry := wait.Timer(20 * time.Millisecond)
 		select {
 		case <-ctx.Done():
-			return nil, fmt.Errorf("service: %s not reachable: %w", addr, ctx.Err())
-		case <-time.After(20 * time.Millisecond):
+		case <-retry.C:
+		}
+		wait.Release(retry)
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("service: %s not reachable: %w", addr, err)
 		}
 	}
 }

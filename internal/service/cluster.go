@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"osprey/internal/core"
+	"osprey/internal/wait"
 )
 
 // ClusterClient is a failover-aware EMEWS service client. It implements
@@ -561,7 +562,10 @@ func (cc *ClusterClient) QueryResult(ctx context.Context, taskID int64) (core.Re
 // pollChunked runs one polling call in sub-deadline chunks so a leader that
 // dies mid-poll is noticed and replaced without giving up the whole wait.
 // The overall deadline comes from ctx; without one the poll runs until
-// something arrives or ctx is canceled.
+// something arrives or ctx is canceled. A chunk's context is a pooled
+// wait.Deadline, released when fn returns, so fn must not keep it: the
+// calls made with it (Client.poll, GetTask, QueryResult) read its Deadline
+// and Err during the call only.
 func (cc *ClusterClient) pollChunked(ctx context.Context, fn func(c *Client, chunk context.Context) error) error {
 	const chunk = 500 * time.Millisecond
 	deadline, bounded := ctx.Deadline()
@@ -610,9 +614,9 @@ func (cc *ClusterClient) pollChunked(ctx context.Context, fn func(c *Client, chu
 		c, err := cc.client()
 		if err == nil {
 			attempted = true
-			stepCtx, cancel := context.WithTimeout(context.Background(), step)
+			stepCtx, release := wait.Deadline(step)
 			err = fn(c, stepCtx)
-			cancel()
+			release()
 			switch {
 			case err == nil:
 				cc.noteToken(c.LastToken())

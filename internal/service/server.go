@@ -15,6 +15,7 @@ import (
 	"osprey/internal/core"
 	"osprey/internal/obs"
 	"osprey/internal/replica"
+	"osprey/internal/wait"
 )
 
 // ListenFunc opens the server's listening socket; it matches net.Listen.
@@ -203,7 +204,10 @@ func (s *Server) acceptLoop() {
 			// listener for the rest of the process lifetime.
 			s.met.acceptErr.Inc()
 			s.log.Warn("accept failed", "error", err)
-			if !sleepCtx(s, 10*time.Millisecond) {
+			// The pause does not end early on Close: the check after it
+			// returns at most 10ms late.
+			time.Sleep(10 * time.Millisecond)
+			if s.isClosed() {
 				return
 			}
 			continue
@@ -236,15 +240,6 @@ func (s *Server) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
-}
-
-// sleepCtx pauses the accept loop briefly, aborting early on Close. Returns
-// false when the server closed during the pause.
-func sleepCtx(s *Server, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	<-t.C
-	return !s.isClosed()
 }
 
 // handle checks the connection's two-byte preamble — the wireMagic byte, then
@@ -535,9 +530,12 @@ func (s *Server) route(req request, op *opEntry) response {
 
 // pollCtx builds the server-side polling context from the request's WaitMS
 // deadline. An expired (or zero) budget still performs one immediate attempt
-// inside the Session, preserving the try-then-wait contract.
-func pollCtx(req request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), ms(req.WaitMS))
+// inside the Session, preserving the try-then-wait contract. The context is
+// a pooled wait.Deadline, released when the op returns: core.DB's
+// QueryTasks, QueryResult and PopResults read its Err and block on its Done
+// (pollWait) during the call only, and derive nothing from it.
+func pollCtx(req request) (context.Context, func()) {
+	return wait.Deadline(ms(req.WaitMS))
 }
 
 // exec runs one request against the local database.
@@ -605,8 +603,8 @@ func (s *Server) exec(req request) response {
 		}
 		return response{OK: true, TaskIDs: res.IDs, Token: res.Token}
 	case "query_tasks":
-		pctx, cancel := pollCtx(req)
-		defer cancel()
+		pctx, release := pollCtx(req)
+		defer release()
 		res, err := s.db.QueryTasks(pctx, req.WorkType, req.N, req.Pool)
 		if err != nil {
 			return errResponse(err)
@@ -623,16 +621,16 @@ func (s *Server) exec(req request) response {
 		}
 		return response{OK: true, Token: res.Token}
 	case "query_result":
-		pctx, cancel := pollCtx(req)
-		defer cancel()
+		pctx, release := pollCtx(req)
+		defer release()
 		res, err := s.db.QueryResult(pctx, req.TaskID)
 		if err != nil {
 			return errResponse(err)
 		}
 		return response{OK: true, ResultText: res.Result, Token: res.Token}
 	case "pop_results":
-		pctx, cancel := pollCtx(req)
-		defer cancel()
+		pctx, release := pollCtx(req)
+		defer release()
 		res, err := s.db.PopResults(pctx, req.TaskIDs, req.N)
 		if err != nil {
 			return errResponse(err)

@@ -9,6 +9,7 @@ import (
 
 	"osprey/internal/core"
 	"osprey/internal/obs"
+	"osprey/internal/wait"
 	"osprey/internal/watch"
 )
 
@@ -190,8 +191,8 @@ func (c *Client) Watch(ctx context.Context, q watch.Query, buf int) (watch.Strea
 		c.dropSub(sub.id)
 		return nil, err
 	}
-	timer := acquireTimer(watchAckTimeout)
-	defer releaseTimer(timer)
+	timer := wait.Timer(watchAckTimeout)
+	defer wait.Release(timer)
 	select {
 	case err := <-sub.ack:
 		if err != nil {
