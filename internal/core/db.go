@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"osprey/internal/minisql"
+	"osprey/internal/wait"
 	"osprey/internal/watch"
 )
 
@@ -128,8 +129,8 @@ var (
 type DB struct {
 	eng    *minisql.Engine
 	stmts  []*minisql.Prepared // by statement
-	outN   *notifier           // signaled by the commit observer when the output queue grows
-	inN    *notifier           // signaled by the commit observer when the input queue grows
+	outN   wait.Signal         // woken by the commit observer when the output queue grows
+	inN    wait.Signal         // woken by the commit observer when the input queue grows
 	met    *dbMetrics
 	store  *minisql.Store     // durable log + checkpoints (nil: in-memory)
 	log    *minisql.Log       // the node's commit log, over store
@@ -145,7 +146,7 @@ var _ Session = (*DB)(nil)
 // core issues on it. The texts are constants, so one that does not parse is a
 // bug, not an input.
 func newDB(eng *minisql.Engine, store *minisql.Store) *DB {
-	db := &DB{eng: eng, outN: newNotifier(), inN: newNotifier(), met: newDBMetrics(eng), store: store, log: minisql.NewLog(store)}
+	db := &DB{eng: eng, met: newDBMetrics(eng), store: store, log: minisql.NewLog(store)}
 	for _, sql := range statementSQL {
 		h, err := eng.Prepare(sql)
 		if err != nil {
@@ -269,8 +270,8 @@ func (db *DB) Engine() *minisql.Engine { return db.eng }
 // queues without passing the commit observer (events.go): Close, so pollers
 // return ErrClosed, and an in-place Restore, which replaces the tables whole.
 func (db *DB) wakeAll() {
-	db.outN.notify()
-	db.inN.notify()
+	db.outN.Wake()
+	db.inN.Wake()
 }
 
 func nowNano() int64 { return time.Now().UnixNano() }
@@ -466,7 +467,7 @@ func (db *DB) QueryTasks(ctx context.Context, workType, n int, pool string) (Tas
 		if err := ctx.Err(); errors.Is(err, context.Canceled) {
 			return TasksRes{}, err
 		}
-		wake := db.outN.wait()
+		wake := db.outN.Wait()
 		tasks, tok, err := db.tryPopTasks(workType, n, pool)
 		if err != nil {
 			return TasksRes{}, err
@@ -651,7 +652,7 @@ func (db *DB) PopResults(ctx context.Context, ids []int64, max int) (ResultsRes,
 		if err := ctx.Err(); errors.Is(err, context.Canceled) {
 			return ResultsRes{}, err
 		}
-		wake := db.inN.wait()
+		wake := db.inN.Wait()
 		results, tok, err := db.tryPopResults(ids, max)
 		if err != nil {
 			return ResultsRes{}, err

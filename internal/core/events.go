@@ -52,10 +52,10 @@ func (db *DB) wakePolls(trs []watch.Transition) {
 		}
 	}
 	if out {
-		db.outN.notify()
+		db.outN.Wake()
 	}
 	if in {
-		db.inN.notify()
+		db.inN.Wake()
 	}
 }
 

@@ -18,8 +18,6 @@ type OpenOptions struct {
 	// CheckpointEvery is the automatic checkpoint interval in committed log
 	// entries (0: the minisql default of 10000; negative disables).
 	CheckpointEvery int
-	// SegmentBytes is the WAL segment roll threshold (0: minisql default).
-	SegmentBytes int64
 	// Logf, when set, receives storage lifecycle messages.
 	Logf func(format string, args ...any)
 	// FS overrides the filesystem under the WAL and checkpoints (nil: the
@@ -71,7 +69,6 @@ func Open(dir string, opt OpenOptions) (*DB, error) {
 	store, err := minisql.OpenStore(dir, minisql.StoreOptions{
 		Fsync:           opt.Fsync,
 		CheckpointEvery: opt.CheckpointEvery,
-		SegmentBytes:    opt.SegmentBytes,
 		Logf:            opt.Logf,
 		FS:              opt.FS,
 	})

@@ -202,7 +202,7 @@ func TestUpdatePrioritiesWakesOnlyOnChange(t *testing.T) {
 		}
 	}
 
-	wake := db.outN.wait()
+	wake := db.outN.Wait()
 	res, err := db.UpdatePriorities(bg, ids[:2], []int{9})
 	if err != nil || res.Count != 0 {
 		t.Fatalf("reprioritising popped tasks = %+v, %v; want count 0", res, err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -330,8 +331,8 @@ type DiskLog struct {
 	syncing  bool // an fsync batch is in flight outside the lock
 
 	syncReq   chan struct{}
-	syncIdle  chan struct{} // closed and replaced when an fsync batch finishes
-	syncedCh  chan struct{} // made by a WaitDurable waiter, closed and dropped when synced advances
+	syncIdle  wait.Signal // woken when an fsync batch finishes
+	durable   wait.Signal // woken when synced advances, the log fails or it closes
 	closeCh   chan struct{}
 	done      chan struct{}
 	truncated uint64 // entries dropped by TruncateTo (for metrics)
@@ -362,10 +363,9 @@ func OpenDiskLogFS(fsys FS, dir string, segBytes int64, fsync bool) (*DiskLog, e
 	}
 	d := &DiskLog{
 		dir: dir, segBytes: segBytes, fsync: fsync, fs: fsys,
-		syncReq:  make(chan struct{}, 1),
-		syncIdle: make(chan struct{}),
-		closeCh:  make(chan struct{}),
-		done:     make(chan struct{}),
+		syncReq: make(chan struct{}, 1),
+		closeCh: make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	if err := d.scan(); err != nil {
 		return nil, err
@@ -611,8 +611,7 @@ func (d *DiskLog) syncLoop() {
 			d.advanceSyncedLocked(target)
 		}
 		d.syncing = false
-		close(d.syncIdle)
-		d.syncIdle = make(chan struct{})
+		d.syncIdle.Wake()
 		d.mu.Unlock()
 	}
 }
@@ -620,16 +619,7 @@ func (d *DiskLog) syncLoop() {
 func (d *DiskLog) advanceSyncedLocked(idx uint64) {
 	if idx > d.synced {
 		d.synced = idx
-		d.wakeSyncedLocked()
-	}
-}
-
-// wakeSyncedLocked releases every WaitDurable caller. The channel is made
-// only when one waits, so an append nobody waits on allocates nothing.
-func (d *DiskLog) wakeSyncedLocked() {
-	if d.syncedCh != nil {
-		close(d.syncedCh)
-		d.syncedCh = nil
+		d.durable.Wake()
 	}
 }
 
@@ -639,7 +629,7 @@ func (d *DiskLog) failLocked(err error) {
 	if d.err == nil {
 		d.err = fmt.Errorf("minisql: disk log: %w", err)
 	}
-	d.wakeSyncedLocked()
+	d.durable.Wake()
 }
 
 // Synced returns the newest durable index: fsynced in fsync mode, flushed to
@@ -653,44 +643,27 @@ func (d *DiskLog) Synced() uint64 {
 // WaitDurable blocks until the entry at idx is durable: fsynced in fsync
 // mode, flushed to the OS otherwise (where it returns immediately).
 func (d *DiskLog) WaitDurable(idx uint64, timeout time.Duration) error {
-	var timer *time.Timer
 	d.mu.Lock()
-	defer func() {
-		d.mu.Unlock()
-		if timer != nil {
-			wait.Release(timer)
+	defer d.mu.Unlock()
+	err := wait.For(&d.mu, &d.durable, timeout, func() (bool, error) {
+		switch {
+		case d.err != nil:
+			return false, d.err
+		case d.synced >= idx:
+			return true, nil
+		case d.closed:
+			return false, errors.New("minisql: disk log closed")
 		}
-	}()
-	for {
-		if d.err != nil {
-			return d.err
-		}
-		if d.synced >= idx {
-			return nil
-		}
-		if d.closed {
-			return errors.New("minisql: disk log closed")
-		}
-		if d.syncedCh == nil {
-			d.syncedCh = make(chan struct{})
-		}
-		ch := d.syncedCh
-		select {
+		select { // not durable yet: ask the sync loop for a batch
 		case d.syncReq <- struct{}{}:
 		default:
 		}
-		d.mu.Unlock()
-		if timer == nil {
-			timer = wait.Timer(timeout)
-		}
-		select {
-		case <-ch:
-			d.mu.Lock()
-		case <-timer.C:
-			d.mu.Lock()
-			return fmt.Errorf("minisql: entry %d not durable within %v", idx, timeout)
-		}
+		return false, nil
+	})
+	if err == wait.ErrTimeout {
+		err = fmt.Errorf("minisql: entry %d not durable within %v", idx, timeout)
 	}
+	return err
 }
 
 // Records returns the records with index > after, read back from the
@@ -802,15 +775,9 @@ func (d *DiskLog) TruncateTo(upTo uint64) uint64 {
 func (d *DiskLog) Reset(base uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Wait out any in-flight fsync batch: it holds copies of the handles
-	// closed below, and its verdict (including a failure) belongs to the
+	// The in-flight batch's verdict (including a failure) belongs to the
 	// history being discarded, so it must land before d.err is cleared.
-	for d.syncing {
-		ch := d.syncIdle
-		d.mu.Unlock()
-		<-ch
-		d.mu.Lock()
-	}
+	d.waitIdleLocked()
 	if d.f != nil {
 		d.w.Flush()
 		d.f.Close()
@@ -829,6 +796,12 @@ func (d *DiskLog) Reset(base uint64) error {
 	d.err = nil
 	syncDir(d.dir)
 	return nil
+}
+
+// waitIdleLocked waits out an in-flight fsync batch, which holds copies of
+// the handles Reset and Close are about to close. Caller holds d.mu.
+func (d *DiskLog) waitIdleLocked() {
+	wait.For(&d.mu, &d.syncIdle, math.MaxInt64, func() (bool, error) { return !d.syncing, nil })
 }
 
 // DiskLogStats is the log's metrics snapshot.
@@ -883,13 +856,7 @@ func (d *DiskLog) Close() error {
 	}
 	d.closed = true
 	close(d.closeCh)
-	// Let an in-flight fsync batch finish before harvesting its handles.
-	for d.syncing {
-		ch := d.syncIdle
-		d.mu.Unlock()
-		<-ch
-		d.mu.Lock()
-	}
+	d.waitIdleLocked()
 	var err error
 	if d.w != nil {
 		err = d.w.Flush()
@@ -898,7 +865,7 @@ func (d *DiskLog) Close() error {
 	d.dirty = nil
 	f := d.f
 	d.f, d.w = nil, nil
-	d.wakeSyncedLocked()
+	d.durable.Wake()
 	d.mu.Unlock()
 	<-d.done
 	for _, df := range files {

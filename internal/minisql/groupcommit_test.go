@@ -2,6 +2,7 @@ package minisql
 
 import (
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -142,4 +143,35 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 		t.Fatalf("%d fsyncs for %d durable appends by %d writers: they are not sharing", st.Fsyncs, writers*each, writers)
 	}
 	t.Logf("%d fsyncs for %d appends (%.1f entries per fsync)", st.Fsyncs, writers*each, float64(writers*each)/float64(st.Fsyncs))
+}
+
+// TestCloseReleasesWaitDurable: a WaitDurable parked in fsync mode on an
+// entry not yet durable returns the closed error as soon as the log closes,
+// not at its timeout.
+func TestCloseReleasesWaitDurable(t *testing.T) {
+	d, err := OpenDiskLogFS(nil, t.TempDir(), 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AppendRecords(testRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- d.WaitDurable(2, time.Minute) }() // entry 2 is never appended
+	time.Sleep(20 * time.Millisecond)                     // let the waiter park
+	start := time.Now()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "closed") {
+			t.Fatalf("WaitDurable on a closing log = %v, want the closed error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a parked WaitDurable was not released by Close")
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("WaitDurable returned %v after Close", el)
+	}
 }

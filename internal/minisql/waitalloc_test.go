@@ -11,10 +11,10 @@ import (
 )
 
 // TestWaitDurableAllocatesNothing: a WaitDurable that blocks on the fsync in
-// flight waits on a pooled timer. What a round allocates is its two wake
-// channels, the waiter's syncedCh and the sync loop's syncIdle; the wait
-// itself allocates nothing (a fresh timer and a deferred Stop in the wait
-// loop cost four more).
+// flight waits on a pooled timer. What a round allocates is the durable
+// signal's replacement wake channel (the sync loop's idle signal makes none:
+// nobody waits on it here); the wait itself allocates nothing (a fresh timer
+// and a deferred Stop in the wait loop cost four more).
 func TestWaitDurableAllocatesNothing(t *testing.T) {
 	slow := syncHookFS{FS: OSFS, beforeSync: func(string) error {
 		time.Sleep(time.Millisecond) // the waiter is parked before the fsync lands

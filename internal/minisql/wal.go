@@ -6,6 +6,8 @@ import (
 	"io"
 	"slices"
 	"sync"
+
+	"osprey/internal/wait"
 )
 
 // Stmt is one mutating SQL statement with its bound positional arguments,
@@ -165,12 +167,12 @@ type Log struct {
 	store *Store // nil: an in-memory log
 
 	mu      sync.Mutex
-	last    uint64        // index of the newest entry
-	open    bool          // the window is open: appends keep a copy
-	base    uint64        // index of the last entry before records[0]; last while closed
-	records []Record      // the window: entries base+1..last
-	encBuf  []byte        // Append's scratch; the window keeps exact-size copies
-	watch   chan struct{} // made by a Watch caller, closed and dropped at the next append
+	last    uint64      // index of the newest entry
+	open    bool        // the window is open: appends keep a copy
+	base    uint64      // index of the last entry before records[0]; last while closed
+	records []Record    // the window: entries base+1..last
+	encBuf  []byte      // Append's scratch; the window keeps exact-size copies
+	watch   wait.Signal // woken at every append
 }
 
 // NewLog returns the commit log over store (nil for an in-memory node),
@@ -220,10 +222,7 @@ func (l *Log) appendLocked(rec Record) error {
 	} else {
 		l.base = l.last
 	}
-	if l.watch != nil {
-		close(l.watch)
-		l.watch = nil
-	}
+	l.watch.Wake()
 	return nil
 }
 
@@ -296,15 +295,8 @@ func (l *Log) Reaches(after uint64) bool {
 }
 
 // Watch returns a channel closed at the next append, for streaming senders
-// to block on. It is made only when one waits: an append allocates none.
-func (l *Log) Watch() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.watch == nil {
-		l.watch = make(chan struct{})
-	}
-	return l.watch
-}
+// to block on: take it before reading what the log holds.
+func (l *Log) Watch() <-chan struct{} { return l.watch.Wait() }
 
 // Compact drops window records with index <= upTo, keeping memory bounded
 // once every follower holds them (a durable log still has them on disk).

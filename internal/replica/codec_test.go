@@ -205,16 +205,12 @@ func TestSetAppliedNoWaiterAllocs(t *testing.T) {
 }
 
 // parkedWait starts WaitApplied(idx) and returns once it is blocked on the
-// applied channel, with the channel its result arrives on.
+// applied signal, with the channel its result arrives on.
 func parkedWait(t *testing.T, n *Node, idx uint64) <-chan error {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- n.WaitApplied(idx, waitMax) }()
-	waitFor(t, "the waiter to park", func() bool {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return n.appliedCh != nil
-	})
+	waitFor(t, "the waiter to park", n.applied.Waiting)
 	return done
 }
 

@@ -255,7 +255,7 @@ func (n *Node) streamTo(fol *followerConn, term, pos uint64) {
 			return
 		}
 		watch := n.log.Watch()
-		commits, peers := n.watches()
+		commits, peers := n.commits.Wait(), n.peers.Wait()
 		recs, ok := n.log.RecordsSince(fol.recs[:0], pos)
 		fol.recs = recs
 		if !ok {

@@ -127,7 +127,6 @@ package replica
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -256,11 +255,11 @@ type Node struct {
 	leaderApplied uint64
 	lastProgress  time.Time
 
-	peersCh   chan struct{} // closed and replaced when membership changes
-	appliedCh chan struct{} // made by a WaitApplied waiter; closed and dropped when the applied index moves
-	commitCh  chan struct{} // closed and replaced when a leader's watermark advances or its leadership ends
-	closeCh   chan struct{}
-	kick      chan struct{} // wakes the follow loop: the leader to follow changed
+	peers   wait.Signal // woken when membership changes
+	applied wait.Signal // woken when the applied index moves and when the node closes
+	commits wait.Signal // woken when a leader's watermark advances, its leadership ends or the node closes
+	closeCh chan struct{}
+	kick    chan struct{} // wakes the follow loop: the leader to follow changed
 
 	quorumWaiters atomic.Int32 // writers blocked in WaitQuorumIndex: the group-commit signal
 	wg            sync.WaitGroup
@@ -335,8 +334,6 @@ func New(cfg Config) (*Node, error) {
 		ln:        ln,
 		born:      time.Now(),
 		followers: make(map[string]*followerConn),
-		peersCh:   make(chan struct{}),
-		commitCh:  make(chan struct{}),
 		closeCh:   make(chan struct{}),
 		kick:      make(chan struct{}, 1),
 	}
@@ -400,7 +397,7 @@ func (n *Node) step(in input, out []output) ([]output, error) {
 		// until the stream catches back up past their token.
 		n.st.applied = in.f.SnapIndex
 		n.lastProgress = time.Now()
-		n.wakeAppliedLocked()
+		n.applied.Wake()
 	}
 	out, err := n.stepLocked(in, out)
 	var fols map[string]*followerConn
@@ -419,12 +416,14 @@ func (n *Node) step(in input, out []output) ([]output, error) {
 			fols = n.followers
 			n.followers = make(map[string]*followerConn)
 			n.log.SetWindow(false)
-			n.wakeCommitLocked()
+			n.commits.Wake()
 		case doFollow:
 			stream = n.stream
 		case doCommit:
 			if n.st.role == RoleLeader {
-				n.wakeCommitLocked()
+				// Releases the quorum waiters and the per-follower senders,
+				// which ship the new watermark in a heartbeat.
+				n.commits.Wake()
 			}
 		}
 	}
@@ -477,8 +476,7 @@ func (n *Node) stepLocked(in input, out []output) ([]output, error) {
 		if out[k].view {
 			// Wake every follower stream: the view reaches the cluster within
 			// one send, not one heartbeat tick.
-			close(n.peersCh)
-			n.peersCh = make(chan struct{})
+			n.peers.Wake()
 		}
 	}
 	n.st = next
@@ -531,6 +529,9 @@ func (n *Node) Close() {
 	}
 	n.closed = true
 	close(n.closeCh)
+	// Parked WaitApplied and WaitQuorumIndex calls wake to fail with ErrClosed.
+	n.applied.Wake()
+	n.commits.Wake()
 	conns := make([]net.Conn, 0, len(n.followers)+1)
 	for _, f := range n.followers {
 		conns = append(conns, f.conn)
@@ -660,21 +661,6 @@ func (n *Node) Peers() []Peer {
 	return append([]Peer(nil), n.st.peers...)
 }
 
-// wakeCommitLocked releases the quorum waiters and the per-follower senders
-// (which ship the new watermark in a heartbeat). Caller holds n.mu.
-func (n *Node) wakeCommitLocked() {
-	close(n.commitCh)
-	n.commitCh = make(chan struct{})
-}
-
-// watches returns the channels closed at the next quorum-watermark advance
-// and the next membership change.
-func (n *Node) watches() (commits, peers <-chan struct{}) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.commitCh, n.peersCh
-}
-
 func (n *Node) isClosed() bool {
 	select {
 	case <-n.closeCh:
@@ -725,19 +711,9 @@ func (n *Node) setApplied(idx uint64) {
 	if idx > n.st.applied {
 		n.st.applied = idx
 		n.lastProgress = time.Now()
-		n.wakeAppliedLocked()
+		n.applied.Wake()
 	}
 	n.mu.Unlock()
-}
-
-// wakeAppliedLocked releases every WaitApplied caller. The channel is made
-// only when one waits, so an apply with none blocked allocates nothing.
-// Caller holds n.mu.
-func (n *Node) wakeAppliedLocked() {
-	if n.appliedCh != nil {
-		close(n.appliedCh)
-		n.appliedCh = nil
-	}
 }
 
 // Lease and quorum sentinel errors. Both are transient cluster conditions:
@@ -824,22 +800,28 @@ func (n *Node) WaitQuorumIndex(idx uint64) error {
 	}
 	n.mu.Lock()
 	term, lead := n.st.term, n.st.role == RoleLeader
-	n.mu.Unlock()
 	if !lead {
+		n.mu.Unlock()
 		return ErrNotLeader
 	}
 	n.quorumWaiters.Add(1)
-	defer n.quorumWaiters.Add(-1)
 	t0 := time.Now()
 	timeout := 2 * n.cfg.LeaseTimeout
-	err := n.await(timeout, func() (bool, error) {
-		if !n.leadingLocked(term) {
+	err := wait.For(&n.mu, &n.commits, timeout, func() (bool, error) {
+		switch {
+		case !n.leadingLocked(term):
 			return false, ErrDemoted
+		case n.st.committed >= idx:
+			return true, nil
+		case n.closed:
+			return false, ErrClosed
 		}
-		return n.st.committed >= idx, nil
-	}, func() <-chan struct{} { return n.commitCh })
+		return false, nil
+	})
+	n.mu.Unlock()
+	n.quorumWaiters.Add(-1)
 	n.met.quorumWait.ObserveSince(t0)
-	if err == errTimedOut {
+	if err == wait.ErrTimeout {
 		err = fmt.Errorf("%w: index %d not replicated to %d followers within %v", ErrQuorumTimeout, idx, n.cfg.WriteQuorum, timeout)
 	}
 	return err
@@ -853,59 +835,21 @@ func (n *Node) WaitQuorumIndex(idx uint64) error {
 // the applied index is the newest committed index, so a token the cluster
 // has issued never blocks there.
 func (n *Node) WaitApplied(idx uint64, timeout time.Duration) error {
-	err := n.await(timeout, func() (bool, error) { return n.st.applied >= idx, nil }, func() <-chan struct{} {
-		if n.appliedCh == nil {
-			n.appliedCh = make(chan struct{})
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	err := wait.For(&n.mu, &n.applied, timeout, func() (bool, error) {
+		switch {
+		case n.st.applied >= idx:
+			return true, nil
+		case n.closed:
+			return false, ErrClosed
 		}
-		return n.appliedCh
+		return false, nil
 	})
-	if err == errTimedOut {
-		err = fmt.Errorf("%w: have %d, need %d after %v", ErrStale, n.Applied(), idx, timeout)
+	if err == wait.ErrTimeout {
+		err = fmt.Errorf("%w: have %d, need %d after %v", ErrStale, n.st.applied, idx, timeout)
 	}
 	return err
-}
-
-// errTimedOut is await's timeout, which each wait words for its caller.
-var errTimedOut = errors.New("replica: wait timed out")
-
-// await blocks until reached, called under n.mu, reports true or fails with
-// its error, the node closes (ErrClosed), or timeout passes (errTimedOut; 0
-// checks once). wake, also called under n.mu, returns the channel closed at
-// the next change reached reads.
-func (n *Node) await(timeout time.Duration, reached func() (bool, error), wake func() <-chan struct{}) error {
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			wait.Release(timer)
-		}
-	}()
-	for {
-		n.mu.Lock()
-		ok, err := reached()
-		switch {
-		case ok || err != nil:
-		case n.closed:
-			err = ErrClosed
-		case timeout <= 0:
-			err = errTimedOut
-		}
-		if ok || err != nil {
-			n.mu.Unlock()
-			return err
-		}
-		ch := wake()
-		n.mu.Unlock()
-		if timer == nil {
-			timer = wait.Timer(timeout)
-		}
-		select {
-		case <-ch:
-		case <-n.closeCh:
-			return ErrClosed
-		case <-timer.C:
-			return errTimedOut
-		}
-	}
 }
 
 // ForcePromote is the operator escape hatch for clusters that cannot form an

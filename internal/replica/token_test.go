@@ -189,3 +189,46 @@ func TestForcePromoteTwoNodeCluster(t *testing.T) {
 		t.Fatalf("forced leader has counts %v, want 3 queued", counts)
 	}
 }
+
+// TestCloseReleasesParkedWaits: a WaitApplied and a WaitQuorumIndex parked
+// on a node return ErrClosed as soon as the node closes, not at their
+// timeouts.
+func TestCloseReleasesParkedWaits(t *testing.T) {
+	n, err := New(Config{
+		ID: "closing", WriteQuorum: 1,
+		Heartbeat: beat, ElectionTimeout: elect,
+		LeaseTimeout: time.Minute, // the quorum wait times out after 2 minutes
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.SetServiceAddr("svc-closing")
+	n.Start()
+	waitFor(t, "leadership", n.IsLeader)
+	submitN(t, n.DB(), 1)
+	idx := n.Applied() // applied, never quorum-committed: the node has no follower
+
+	applied := make(chan error, 1)
+	quorum := make(chan error, 1)
+	go func() { applied <- n.WaitApplied(idx+1, time.Minute) }()
+	go func() { quorum <- n.WaitQuorumIndex(idx) }()
+	waitFor(t, "the quorum waiter to park", func() bool { return n.quorumWaiters.Load() == 1 })
+	time.Sleep(20 * time.Millisecond) // let the WaitApplied caller park too
+	start := time.Now()
+	n.Close()
+	for what, ch := range map[string]chan error{"WaitApplied": applied, "WaitQuorumIndex": quorum} {
+		select {
+		case err := <-ch:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("%s on a closing node = %v, want ErrClosed", what, err)
+			}
+		case <-time.After(waitMax):
+			t.Fatalf("a parked %s was not released by Close", what)
+		}
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("the waits returned %v after Close", el)
+	}
+}

@@ -13,7 +13,7 @@ import (
 // TestWaitQuorumIndexAllocatesNothing: a WaitQuorumIndex that blocks until
 // the watermark reaches its entry waits on a pooled timer. The one
 // allocation a round makes is the commit's replacement wake channel
-// (wakeCommitLocked); the wait itself allocates nothing (a fresh timer and a
+// (commits.Wake); the wait itself allocates nothing (a fresh timer and a
 // deferred Stop in the wait loop cost four more).
 func TestWaitQuorumIndexAllocatesNothing(t *testing.T) {
 	n, err := New(Config{
@@ -41,7 +41,7 @@ func TestWaitQuorumIndexAllocatesNothing(t *testing.T) {
 			time.Sleep(500 * time.Microsecond)
 			n.mu.Lock()
 			n.st.committed = idx
-			n.wakeCommitLocked()
+			n.commits.Wake()
 			n.mu.Unlock()
 		}
 	}()

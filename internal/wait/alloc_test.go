@@ -27,3 +27,18 @@ func TestWaitsAllocateNothing(t *testing.T) {
 		t.Errorf("Deadline and release: %v allocs, want 0", n)
 	}
 }
+
+// TestSignalAllocs: a Wake nobody waits on allocates nothing, and a Wait
+// with its Wake allocates only the channel.
+func TestSignalAllocs(t *testing.T) {
+	var s Signal
+	if n := testing.AllocsPerRun(100, s.Wake); n != 0 {
+		t.Errorf("Wake with no waiter: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s.Wait()
+		s.Wake()
+	}); n != 1 {
+		t.Errorf("Wait and Wake: %v allocs, want 1", n)
+	}
+}

@@ -3,6 +3,7 @@ package wait
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -109,5 +110,158 @@ func TestTimerNoStaleTick(t *testing.T) {
 	}
 	if reuses == 0 {
 		t.Fatal("a released timer never came back from the pool")
+	}
+}
+
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestSignalWakesOnlyTakenChannels: a Wake before any Wait is not
+// remembered, a channel taken before a Wake is closed by it (once, however
+// many Wakes follow), and a Wait after the Wake gets a fresh open channel.
+func TestSignalWakesOnlyTakenChannels(t *testing.T) {
+	var s Signal
+	s.Wake()
+	if isClosed(s.Wait()) {
+		t.Fatal("a Wake before any Wait was remembered")
+	}
+	for range 2 {
+		ch := s.Wait()
+		if !s.Waiting() {
+			t.Fatal("Waiting is false with a channel taken")
+		}
+		s.Wake()
+		s.Wake() // no waiter since the first: must not close ch again
+		if !isClosed(ch) {
+			t.Fatal("Wake left a taken channel open")
+		}
+		if s.Waiting() {
+			t.Fatal("Waiting is true after the Wake")
+		}
+		next := s.Wait()
+		if next == ch || isClosed(next) {
+			t.Fatal("a Wait after the Wake did not get a fresh open channel")
+		}
+		s.Wake()
+	}
+}
+
+// TestSignalWakesConcurrentWaiters: every goroutine parked on the channel
+// it took is released by one Wake.
+func TestSignalWakesConcurrentWaiters(t *testing.T) {
+	var s Signal
+	const n = 4
+	parked := make(chan struct{})
+	done := make(chan struct{}, n)
+	for range n {
+		go func() {
+			ch := s.Wait()
+			parked <- struct{}{}
+			<-ch
+			done <- struct{}{}
+		}()
+	}
+	for range n {
+		<-parked
+	}
+	s.Wake()
+	for range n {
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a parked waiter was not released by Wake")
+		}
+	}
+}
+
+// TestForZeroTimeoutChecksOnce: timeout 0 runs ready exactly once and
+// reports ErrTimeout without parking.
+func TestForZeroTimeoutChecksOnce(t *testing.T) {
+	var mu sync.Mutex
+	var s Signal
+	for _, d := range []time.Duration{0, -time.Second} {
+		calls := 0
+		mu.Lock()
+		err := For(&mu, &s, d, func() (bool, error) { calls++; return false, nil })
+		mu.Unlock()
+		if err != ErrTimeout || calls != 1 {
+			t.Fatalf("For(timeout %v) = %v after %d checks; want ErrTimeout after 1", d, err, calls)
+		}
+		if s.Waiting() {
+			t.Fatalf("For(timeout %v) took a channel it never parked on", d)
+		}
+	}
+}
+
+// TestForReturnsReadyError: ready's error ends the wait as is, on the first
+// check and after a wake.
+func TestForReturnsReadyError(t *testing.T) {
+	var mu sync.Mutex
+	var s Signal
+	errGone := errors.New("gone")
+	mu.Lock()
+	err := For(&mu, &s, time.Hour, func() (bool, error) { return false, errGone })
+	mu.Unlock()
+	if err != errGone {
+		t.Fatalf("For = %v, want ready's error", err)
+	}
+
+	gone := false
+	go func() {
+		for !s.Waiting() {
+			time.Sleep(time.Millisecond)
+		}
+		mu.Lock()
+		gone = true
+		mu.Unlock()
+		s.Wake()
+	}()
+	mu.Lock()
+	err = For(&mu, &s, time.Hour, func() (bool, error) {
+		if gone {
+			return false, errGone
+		}
+		return false, nil
+	})
+	mu.Unlock()
+	if err != errGone {
+		t.Fatalf("For after a wake = %v, want ready's error", err)
+	}
+}
+
+// TestForWakesAndTimesOut: a parked For returns nil once a wake follows the
+// change ready waits for, holding l again on return, and ErrTimeout when
+// nothing changes within its timeout.
+func TestForWakesAndTimesOut(t *testing.T) {
+	var mu sync.Mutex
+	var s Signal
+	ready := false
+	go func() {
+		for !s.Waiting() {
+			time.Sleep(time.Millisecond)
+		}
+		mu.Lock()
+		ready = true
+		mu.Unlock()
+		s.Wake()
+	}()
+	mu.Lock()
+	if err := For(&mu, &s, time.Hour, func() (bool, error) { return ready, nil }); err != nil {
+		t.Fatalf("For woken with ready true = %v, want nil", err)
+	}
+	if mu.TryLock() {
+		t.Fatal("For returned without holding l")
+	}
+	start := time.Now()
+	err := For(&mu, &s, 20*time.Millisecond, func() (bool, error) { return false, nil })
+	mu.Unlock()
+	if err != ErrTimeout || time.Since(start) < 20*time.Millisecond {
+		t.Fatalf("For with nothing changing = %v after %v, want ErrTimeout after 20ms", err, time.Since(start))
 	}
 }

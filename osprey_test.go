@@ -97,7 +97,7 @@ func TestOptionSurfacePinned(t *testing.T) {
 		{service.ClusterClient{}, "FailTimeout DialTimeout Dialer ReadFromFollowers"},
 		{service.DialOptions{}, "Timeout Dialer"},
 		{pool.Config{}, "Name Workers BatchSize Threshold WorkType CoresOf Metrics"},
-		{core.OpenOptions{}, "Fsync CheckpointEvery SegmentBytes Logf FS"},
+		{core.OpenOptions{}, "Fsync CheckpointEvery Logf FS"},
 		{minisql.StoreOptions{}, "Fsync CheckpointEvery SegmentBytes Logf FS"},
 	} {
 		typ := reflect.TypeOf(c.v)
