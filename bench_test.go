@@ -442,16 +442,32 @@ func BenchmarkPopTokenOverhead(b *testing.B) {
 
 // --- minisql substrate ---
 
-func BenchmarkMinisqlInsert(b *testing.B) {
-	e := minisql.NewEngine()
-	if _, err := e.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v REAL, s TEXT)"); err != nil {
+// prepare compiles sql on e, failing the benchmark on an error.
+func prepare(b *testing.B, e *minisql.Engine, sql string) *minisql.Prepared {
+	h, err := e.Prepare(sql)
+	if err != nil {
 		b.Fatal(err)
 	}
+	return h
+}
+
+// runSQL runs one write or DDL statement on e as its own transaction.
+func runSQL(b *testing.B, e *minisql.Engine, h *minisql.Prepared, args ...minisql.Value) {
+	if _, err := e.TxLogged(func(tx *minisql.Tx) error {
+		_, err := tx.Run(h, args...)
+		return err
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkMinisqlInsert(b *testing.B) {
+	e := minisql.NewEngine()
+	runSQL(b, e, prepare(b, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v REAL, s TEXT)"))
+	ins := prepare(b, e, "INSERT INTO t (v, s) VALUES (?, ?)")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Exec("INSERT INTO t (v, s) VALUES (?, ?)", float64(i), "payload"); err != nil {
-			b.Fatal(err)
-		}
+		runSQL(b, e, ins, minisql.Float64(float64(i)), minisql.Text("payload"))
 	}
 }
 
@@ -461,19 +477,30 @@ func BenchmarkMinisqlInsert(b *testing.B) {
 // the sort column, so the ORDER BY ... LIMIT reads the top-n directly.
 func BenchmarkMinisqlIndexedSelect(b *testing.B) {
 	e := minisql.NewEngine()
-	e.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, wt INTEGER, prio INTEGER)")
-	e.Exec("CREATE INDEX t_wt ON t (wt)")
-	e.Exec("CREATE ORDERED INDEX t_prio ON t (prio)")
+	for _, ddl := range []string{
+		"CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, wt INTEGER, prio INTEGER)",
+		"CREATE INDEX t_wt ON t (wt)",
+		"CREATE ORDERED INDEX t_prio ON t (prio)",
+	} {
+		runSQL(b, e, prepare(b, e, ddl))
+	}
+	ins := prepare(b, e, "INSERT INTO t (wt, prio) VALUES (?, ?)")
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
-		e.Exec("INSERT INTO t (wt, prio) VALUES (?, ?)", rng.Intn(8), rng.Intn(1000))
+		runSQL(b, e, ins, minisql.Int64(int64(rng.Intn(8))), minisql.Int64(int64(rng.Intn(1000))))
 	}
+	sel := prepare(b, e, "SELECT id, prio FROM t WHERE wt = ? ORDER BY prio DESC LIMIT 10")
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Exec(
-			"SELECT id, prio FROM t WHERE wt = ? ORDER BY prio DESC LIMIT 10", i%8); err != nil {
-			b.Fatal(err)
+		n := 0
+		if _, err := e.TxLogged(func(tx *minisql.Tx) error {
+			return tx.Query(sel, []minisql.Value{minisql.Int64(int64(i % 8))}, func([]minisql.Value) error {
+				n++
+				return nil
+			})
+		}); err != nil || n != 10 {
+			b.Fatalf("%d rows, %v; want 10", n, err)
 		}
 	}
 }

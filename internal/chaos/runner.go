@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"osprey/internal/core"
+	"osprey/internal/minisql"
 	"osprey/internal/replica"
 	"osprey/internal/service"
 )
@@ -449,7 +450,7 @@ func (c *Cluster) HealAndVerify() int {
 				continue
 			}
 			rn := n.Replica()
-			if rn.LeaderID() != leader.ID() || rn.Term() != leader.Term() || rn.Applied() != leader.Applied() ||
+			if rn.Status().LeaderID != leader.ID() || rn.Term() != leader.Term() || rn.Applied() != leader.Applied() ||
 				leader.Status().Followers[n.ID] != leader.Applied() {
 				return false
 			}
@@ -476,18 +477,16 @@ func (c *Cluster) HealAndVerify() int {
 	// Invariants 1 + 2 on the leader's final state: every acked payload
 	// present, no dedup key present twice.
 	eng := c.Nodes[lead].Replica().DB().Engine()
-	res, err := eng.Exec("SELECT payload, dedup_key FROM eq_tasks")
-	if err != nil {
-		c.fail("reading final state: %v", err)
-		return lead
-	}
-	payloads := make(map[string]int, len(res.Rows))
-	dedups := make(map[string]int, len(res.Rows))
-	for _, row := range res.Rows {
+	payloads := make(map[string]int)
+	dedups := make(map[string]int)
+	if err := selectRows(eng, "SELECT payload, dedup_key FROM eq_tasks", func(row []minisql.Value) {
 		payloads[row[0].AsText()]++
 		if !row[1].IsNull() {
 			dedups[row[1].AsText()]++
 		}
+	}); err != nil {
+		c.fail("reading final state: %v", err)
+		return lead
 	}
 	c.mu.Lock()
 	acked := make(map[string]uint64, len(c.acked))
@@ -536,4 +535,20 @@ func (c *Cluster) AckedWrites() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.acked)
+}
+
+// selectRows runs a SELECT without arguments on eng and calls fn with each
+// row; the row is valid only during the call.
+func selectRows(eng *minisql.Engine, sql string, fn func(row []minisql.Value)) error {
+	h, err := eng.Prepare(sql)
+	if err != nil {
+		return err
+	}
+	_, err = eng.TxLogged(func(tx *minisql.Tx) error {
+		return tx.Query(h, nil, func(row []minisql.Value) error {
+			fn(row)
+			return nil
+		})
+	})
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"osprey/internal/minisql"
 	"osprey/internal/service"
 	"osprey/internal/watch"
 )
@@ -176,15 +177,13 @@ func (w *Watcher) DrainAndVerify(lead int) {
 		c.fail("watcher drain: requeue running: %v", err)
 	}
 	eng := c.Nodes[lead].Replica().DB().Engine()
-	res, err := eng.Exec("SELECT task_id FROM eq_out_q")
-	if err != nil {
+	var queued []int64
+	if err := selectRows(eng, "SELECT task_id FROM eq_out_q", func(row []minisql.Value) {
+		queued = append(queued, row[0].AsInt())
+	}); err != nil {
 		c.fail("watcher drain: reading queue: %v", err)
 		w.stopStream()
 		return
-	}
-	var queued []int64
-	for _, row := range res.Rows {
-		queued = append(queued, row[0].AsInt())
 	}
 	drained := make(map[int64]bool, len(queued))
 	if len(queued) > 0 {
@@ -201,15 +200,13 @@ func (w *Watcher) DrainAndVerify(lead int) {
 
 	// Map the acked ledger (payload -> token) to task ids via the leader's
 	// final state. A payload missing here was already failed by invariant 1.
-	res, err = eng.Exec("SELECT task_id, payload FROM eq_tasks")
-	if err != nil {
+	idOf := make(map[string]int64)
+	if err := selectRows(eng, "SELECT task_id, payload FROM eq_tasks", func(row []minisql.Value) {
+		idOf[row[1].AsText()] = row[0].AsInt()
+	}); err != nil {
 		c.fail("watcher drain: reading final state: %v", err)
 		w.stopStream()
 		return
-	}
-	idOf := make(map[string]int64, len(res.Rows))
-	for _, row := range res.Rows {
-		idOf[row[1].AsText()] = row[0].AsInt()
 	}
 	c.mu.Lock()
 	ackedIDs := make(map[int64]string, len(c.acked))

@@ -158,7 +158,7 @@ func TestRestoreEnsuresOrderedIndex(t *testing.T) {
 		        ('legacy', 1, 'queued', 'p2', '', '', 8, 1, 0, 0, '')`,
 		`INSERT INTO eq_out_q (task_id, work_type, priority) VALUES (1, 1, 3), (2, 1, 8)`,
 	} {
-		if _, err := old.Exec(stmt); err != nil {
+		if err := runText(old, stmt); err != nil {
 			t.Fatalf("building pre-ordered-index state: %v", err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestRestoreEnsuresOrderedIndex(t *testing.T) {
 
 	// The (now composite) ordered index must already exist: creating it
 	// again WITHOUT IF NOT EXISTS has to fail with "already exists".
-	if _, err := db.Engine().Exec(
+	if err := runText(db.Engine(),
 		"CREATE ORDERED INDEX eq_out_prio ON eq_out_q (priority, task_id)"); err == nil {
 		t.Fatal("eq_out_prio missing after restore: migrateSchema did not re-apply the schema")
 	}

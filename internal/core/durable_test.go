@@ -249,7 +249,9 @@ func crashHelper() {
 // entries, so snapshots capture their cut while commits are landing: under
 // -race it is the proof that the capture shares nothing mutable with the
 // commits it no longer blocks, and in any mode that each checkpoint is the
-// state at the index it recorded.
+// state at the index it recorded. The store writes checkpoints on its own
+// goroutine, so a session runs 400 ops and then keeps churning, up to 4 000,
+// until three have been written beside it.
 func TestCheckpointReplayEquivalenceConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -262,7 +264,7 @@ func TestCheckpointReplayEquivalenceConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			pool := fmt.Sprintf("p%d", w)
 			var mine []int64
-			for i := 0; i < 400; i++ {
+			for i := 0; i < 400 || (i < 4000 && db.Store().Stats().Checkpoints < 3); i++ {
 				var err error
 				switch rng.Intn(6) {
 				case 0, 1:

@@ -124,14 +124,6 @@ func (db *DB) Store() *minisql.Store { return db.store }
 // memory (and unused until a replication layer hooks it) otherwise.
 func (db *DB) Log() *minisql.Log { return db.log }
 
-// Checkpoint forces an immediate engine checkpoint (durable DBs only).
-func (db *DB) Checkpoint() error {
-	if db.store == nil {
-		return fmt.Errorf("eqsql: in-memory database has no checkpoints")
-	}
-	return db.store.Checkpoint()
-}
-
 // WriteDurability renders the store's position and checkpoint state as
 // human-readable text for /statusz; a no-op on in-memory databases.
 func (db *DB) WriteDurability(w io.Writer) {

@@ -11,7 +11,6 @@
 package datastream
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -95,22 +94,6 @@ func (s *Store) Len() int {
 	return len(s.records)
 }
 
-// Sources returns the distinct source names seen, sorted.
-func (s *Store) Sources() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	set := map[string]bool{}
-	for _, r := range s.records {
-		set[r.Source] = true
-	}
-	out := make([]string, 0, len(set))
-	for src := range set {
-		out = append(out, src)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AsOf reconstructs the series a consumer would have seen on reportDay:
 // for each event day, the latest revision with ReportDay <= reportDay.
 // Days with no report are absent from the map. This is the "data vintage"
@@ -137,36 +120,6 @@ func (s *Store) AsOf(source string, reportDay int) (map[int]float64, error) {
 		out[d] = r.Value
 	}
 	return out, nil
-}
-
-// Final returns the fully revised series for a source.
-func (s *Store) Final(source string) (map[int]float64, error) {
-	return s.AsOf(source, math.MaxInt32)
-}
-
-// Snapshot serializes the store (records + provenance) for wide-area
-// staging through ProxyStore.
-func (s *Store) Snapshot() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return json.Marshal(struct {
-		Records []Record          `json:"records"`
-		Log     []ProvenanceEntry `json:"log"`
-		Seq     int64             `json:"seq"`
-	}{s.records, s.log, s.seq})
-}
-
-// Restore loads a snapshot produced by Snapshot.
-func Restore(data []byte) (*Store, error) {
-	var w struct {
-		Records []Record          `json:"records"`
-		Log     []ProvenanceEntry `json:"log"`
-		Seq     int64             `json:"seq"`
-	}
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("datastream: restore: %w", err)
-	}
-	return &Store{records: w.Records, log: w.Log, seq: w.Seq}, nil
 }
 
 // --- curation pipeline (paper §II-B2b: automated data curation) ---
@@ -299,7 +252,6 @@ func (sv *SeriesView) Smooth(window int) error {
 type Pipeline struct {
 	store  *Store
 	source string
-	steps  []string
 }
 
 // NewPipeline creates a curation pipeline for one source.
@@ -332,14 +284,10 @@ func (p *Pipeline) Curate(reportDay, start, end, smoothWindow int) (*SeriesView,
 }
 
 func (p *Pipeline) step(op, detail string) {
-	p.steps = append(p.steps, op)
 	p.store.mu.Lock()
 	p.store.logLocked("curate:"+op, fmt.Sprintf("source=%s %s", p.source, detail))
 	p.store.mu.Unlock()
 }
-
-// Steps returns the ops applied so far.
-func (p *Pipeline) Steps() []string { return append([]string(nil), p.steps...) }
 
 // --- synthetic surveillance generator ---
 
@@ -389,23 +337,4 @@ func SyntheticFeed(truth []float64, cfg FeedConfig, rng *rand.Rand) []Observatio
 	}
 	sort.SliceStable(obs, func(i, j int) bool { return obs[i].ReportDay < obs[j].ReportDay })
 	return obs
-}
-
-// RMSE measures curated values against the truth over the overlap.
-func RMSE(sv *SeriesView, truth []float64) float64 {
-	var sum float64
-	n := 0
-	for i := range sv.Values {
-		day := sv.Start + i
-		if day < 0 || day >= len(truth) {
-			continue
-		}
-		d := sv.Values[i] - truth[day]
-		sum += d * d
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(sum / float64(n))
 }

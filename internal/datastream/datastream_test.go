@@ -1,8 +1,11 @@
 package datastream
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -331,4 +334,69 @@ func TestPropertyDenseComplete(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Sources returns the distinct source names seen, sorted.
+func (s *Store) Sources() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	set := map[string]bool{}
+	for _, r := range s.records {
+		set[r.Source] = true
+	}
+	out := make([]string, 0, len(set))
+	for src := range set {
+		out = append(out, src)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Final returns the fully revised series for a source.
+func (s *Store) Final(source string) (map[int]float64, error) {
+	return s.AsOf(source, math.MaxInt32)
+}
+
+// Snapshot serializes the store (records + provenance) for wide-area
+// staging through ProxyStore.
+func (s *Store) Snapshot() ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return json.Marshal(struct {
+		Records []Record          `json:"records"`
+		Log     []ProvenanceEntry `json:"log"`
+		Seq     int64             `json:"seq"`
+	}{s.records, s.log, s.seq})
+}
+
+// Restore loads a snapshot produced by Snapshot.
+func Restore(data []byte) (*Store, error) {
+	var w struct {
+		Records []Record          `json:"records"`
+		Log     []ProvenanceEntry `json:"log"`
+		Seq     int64             `json:"seq"`
+	}
+	if err := json.Unmarshal(data, &w); err != nil {
+		return nil, fmt.Errorf("datastream: restore: %w", err)
+	}
+	return &Store{records: w.Records, log: w.Log, seq: w.Seq}, nil
+}
+
+// RMSE measures curated values against the truth over the overlap.
+func RMSE(sv *SeriesView, truth []float64) float64 {
+	var sum float64
+	n := 0
+	for i := range sv.Values {
+		day := sv.Start + i
+		if day < 0 || day >= len(truth) {
+			continue
+		}
+		d := sv.Values[i] - truth[day]
+		sum += d * d
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return math.Sqrt(sum / float64(n))
 }

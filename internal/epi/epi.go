@@ -267,15 +267,3 @@ func (t *CalibrationTarget) Objective() func(payload string) (string, error) {
 		return string(out), nil
 	}
 }
-
-// Marshal serializes the target (for shipping to worker pools).
-func (t *CalibrationTarget) Marshal() ([]byte, error) { return json.Marshal(t) }
-
-// LoadTarget parses a serialized target.
-func LoadTarget(data []byte) (*CalibrationTarget, error) {
-	var t CalibrationTarget
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("epi: bad target: %w", err)
-	}
-	return &t, nil
-}

@@ -1,6 +1,8 @@
 package epi
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -251,4 +253,16 @@ func TestR0(t *testing.T) {
 	if r := (Params{Beta: 0.5, Sigma: 1, Gamma: 0.25}).R0(); r != 2 {
 		t.Fatalf("R0 = %v", r)
 	}
+}
+
+// Marshal serializes the target (for shipping to worker pools).
+func (t *CalibrationTarget) Marshal() ([]byte, error) { return json.Marshal(t) }
+
+// LoadTarget parses a serialized target.
+func LoadTarget(data []byte) (*CalibrationTarget, error) {
+	var t CalibrationTarget
+	if err := json.Unmarshal(data, &t); err != nil {
+		return nil, fmt.Errorf("epi: bad target: %w", err)
+	}
+	return &t, nil
 }

@@ -91,13 +91,6 @@ func (ti *TokenIssuer) Validate(token, scope string) bool {
 	return ok && info.scope == scope && time.Now().Before(info.expires)
 }
 
-// Revoke invalidates a token.
-func (ti *TokenIssuer) Revoke(token string) {
-	ti.mu.Lock()
-	delete(ti.tokens, token)
-	ti.mu.Unlock()
-}
-
 // --- broker ---
 
 type task struct {
@@ -250,26 +243,6 @@ func (b *Broker) requeue(t *task) {
 	b.mu.Unlock()
 }
 
-// status returns the task's state.
-func (b *Broker) status(id string) (TaskState, error) {
-	b.mu.Lock()
-	t, ok := b.tasks[id]
-	b.mu.Unlock()
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrNoTask, id)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state, nil
-}
-
-// PendingFor reports the queue depth for an endpoint (monitoring).
-func (b *Broker) PendingFor(endpointID string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.pending[endpointID])
-}
-
 // --- client ---
 
 // Client submits functions through a broker on behalf of a user.
@@ -287,11 +260,6 @@ func NewClient(b *Broker, token string) *Client {
 // task id immediately (fire-and-forget).
 func (c *Client) Submit(endpointID, fn string, payload []byte) (string, error) {
 	return c.broker.submit(c.token, endpointID, fn, payload)
-}
-
-// Status returns a task's current state without blocking.
-func (c *Client) Status(taskID string) (TaskState, error) {
-	return c.broker.status(taskID)
 }
 
 // Result blocks until the task completes or ctx is done, returning the
@@ -365,13 +333,6 @@ func (ep *Endpoint) Register(name string, fn Function) {
 	ep.mu.Lock()
 	ep.fns[name] = fn
 	ep.mu.Unlock()
-}
-
-// Online reports whether the endpoint is currently serving.
-func (ep *Endpoint) Online() bool {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.online
 }
 
 // GoOnline starts the endpoint's poller; it is a no-op when already online.

@@ -301,3 +301,35 @@ func TestManyTasksAllComplete(t *testing.T) {
 		}
 	}
 }
+
+// Revoke invalidates a token.
+func (ti *TokenIssuer) Revoke(token string) {
+	ti.mu.Lock()
+	delete(ti.tokens, token)
+	ti.mu.Unlock()
+}
+
+// status returns the task's state.
+func (b *Broker) status(id string) (TaskState, error) {
+	b.mu.Lock()
+	t, ok := b.tasks[id]
+	b.mu.Unlock()
+	if !ok {
+		return "", fmt.Errorf("%w: %q", ErrNoTask, id)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.state, nil
+}
+
+// PendingFor reports the queue depth for an endpoint (monitoring).
+func (b *Broker) PendingFor(endpointID string) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.pending[endpointID])
+}
+
+// Status returns a task's current state without blocking.
+func (c *Client) Status(taskID string) (TaskState, error) {
+	return c.broker.status(taskID)
+}

@@ -63,9 +63,6 @@ func Wrap(sess core.Session, taskID int64, workType int) *Future {
 // TaskID returns the unique EMEWS DB task identifier.
 func (f *Future) TaskID() int64 { return f.id }
 
-// WorkType returns the task's work type.
-func (f *Future) WorkType() int { return f.workType }
-
 // Token returns the highest commit token any of this future's operations has
 // produced — at minimum the submit's own token, ratcheting as results are
 // retrieved or the task is canceled or reprioritized. A reader session given
@@ -212,28 +209,6 @@ func (f *Future) Cancel() (bool, error) {
 	return res.Count > 0, nil
 }
 
-// Priority returns the task's current output-queue priority; ok is false if
-// the task is no longer queued.
-func (f *Future) Priority() (prio int, ok bool, err error) {
-	prios, err := f.sess.Priorities(context.Background(), []int64{f.id})
-	if err != nil {
-		return 0, false, err
-	}
-	p, ok := prios[f.id]
-	return p, ok, nil
-}
-
-// SetPriority updates the task's priority while it remains queued. It
-// reports whether the task was still queued.
-func (f *Future) SetPriority(p int) (bool, error) {
-	res, err := f.sess.UpdatePriorities(context.Background(), []int64{f.id}, []int{p})
-	if err != nil {
-		return false, err
-	}
-	f.noteToken(res.Token)
-	return res.Count > 0, nil
-}
-
 // UpdatePriorities batch-updates the priorities of all still-queued futures
 // in fs. priorities must contain either a single value (applied to all) or
 // one value per future. It returns how many queue entries changed.
@@ -247,26 +222,6 @@ func UpdatePriorities(fs []*Future, priorities []int) (int, error) {
 		ids[i] = f.id
 	}
 	res, err := sess.UpdatePriorities(context.Background(), ids, priorities)
-	if err != nil {
-		return 0, err
-	}
-	for _, f := range fs {
-		f.noteToken(res.Token)
-	}
-	return res.Count, nil
-}
-
-// CancelAll cancels every still-queued future in fs as one batch, returning
-// the number canceled.
-func CancelAll(fs []*Future) (int, error) {
-	if len(fs) == 0 {
-		return 0, nil
-	}
-	ids := make([]int64, len(fs))
-	for i, f := range fs {
-		ids[i] = f.id
-	}
-	res, err := fs[0].sess.CancelTasks(context.Background(), ids)
 	if err != nil {
 		return 0, err
 	}

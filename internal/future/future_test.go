@@ -177,21 +177,27 @@ func TestFutureCancel(t *testing.T) {
 func TestFuturePriority(t *testing.T) {
 	db := newDB(t)
 	f, _ := Submit(db, "e", 1, "x", core.WithPriority(5))
-	p, ok, err := f.Priority()
-	if err != nil || !ok || p != 5 {
-		t.Fatalf("Priority = %d, %v, %v", p, ok, err)
+	priority := func() (int, bool) {
+		t.Helper()
+		prios, err := db.Priorities(context.Background(), []int64{f.TaskID()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok := prios[f.TaskID()]
+		return p, ok
 	}
-	changed, err := f.SetPriority(9)
-	if err != nil || !changed {
-		t.Fatalf("SetPriority = %v, %v", changed, err)
+	if p, ok := priority(); !ok || p != 5 {
+		t.Fatalf("priority = %d, %v; want 5", p, ok)
 	}
-	p, _, _ = f.Priority()
-	if p != 9 {
+	changed, err := UpdatePriorities([]*Future{f}, []int{9})
+	if err != nil || changed != 1 {
+		t.Fatalf("UpdatePriorities = %v, %v", changed, err)
+	}
+	if p, _ := priority(); p != 9 {
 		t.Fatalf("priority = %d, want 9", p)
 	}
 	popOne(t, db, 1, 1)
-	_, ok, _ = f.Priority()
-	if ok {
+	if _, ok := priority(); ok {
 		t.Fatal("running task still reports a queue priority")
 	}
 }
@@ -315,9 +321,18 @@ func TestCancelAll(t *testing.T) {
 		fs = append(fs, f)
 	}
 	popOne(t, db, 1, 1) // one becomes running
-	n, err := CancelAll(fs)
-	if err != nil || n != 3 {
-		t.Fatalf("CancelAll = %d, %v", n, err)
+	n := 0
+	for _, f := range fs {
+		ok, err := f.Cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			n++
+		}
+	}
+	if n != 3 {
+		t.Fatalf("canceled %d futures, want the 3 still queued", n)
 	}
 }
 
@@ -326,7 +341,7 @@ func TestWrap(t *testing.T) {
 	sub, _ := db.Submit(context.Background(), "e", 7, "payload")
 	f := Wrap(db, sub.ID, 7)
 	id := sub.ID
-	if f.TaskID() != id || f.WorkType() != 7 {
+	if f.TaskID() != id || f.workType != 7 {
 		t.Fatalf("Wrap = %+v", f)
 	}
 	st, err := f.Status()

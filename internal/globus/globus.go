@@ -64,13 +64,6 @@ func (ep *Endpoint) Has(path string) bool {
 	return ok
 }
 
-// Delete removes path.
-func (ep *Endpoint) Delete(path string) {
-	ep.mu.Lock()
-	delete(ep.files, path)
-	ep.mu.Unlock()
-}
-
 // Service coordinates third-party transfers between endpoints.
 type Service struct {
 	timeScale float64
@@ -78,7 +71,7 @@ type Service struct {
 	mu        sync.Mutex
 	endpoints map[string]*Endpoint
 	nextID    int
-	corrupt   bool // fault injection: corrupt the next transfer
+	corrupt   bool // fault injection (tests): corrupt the next transfer
 }
 
 // NewService creates a transfer service. timeScale converts paper-seconds to
@@ -117,14 +110,6 @@ func (s *Service) Endpoint(name string) (*Endpoint, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoEndpoint, name)
 	}
 	return ep, nil
-}
-
-// CorruptNextTransfer arms fault injection: the next transfer's payload is
-// flipped in transit and must be detected by the checksum.
-func (s *Service) CorruptNextTransfer() {
-	s.mu.Lock()
-	s.corrupt = true
-	s.mu.Unlock()
 }
 
 // Transfer is a handle on an asynchronous third-party transfer.
@@ -191,13 +176,4 @@ func (s *Service) Submit(src, dst, path string) (*Transfer, error) {
 		dstEP.Put(path, data)
 	}()
 	return t, nil
-}
-
-// Copy is Submit followed by Wait: the synchronous convenience.
-func (s *Service) Copy(ctx context.Context, src, dst, path string) error {
-	t, err := s.Submit(src, dst, path)
-	if err != nil {
-		return err
-	}
-	return t.Wait(ctx)
 }

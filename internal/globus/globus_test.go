@@ -150,3 +150,27 @@ func TestWaitContextCancel(t *testing.T) {
 		t.Fatalf("Wait err = %v", err)
 	}
 }
+
+// Delete removes path.
+func (ep *Endpoint) Delete(path string) {
+	ep.mu.Lock()
+	delete(ep.files, path)
+	ep.mu.Unlock()
+}
+
+// CorruptNextTransfer arms fault injection: the next transfer's payload is
+// flipped in transit and must be detected by the checksum.
+func (s *Service) CorruptNextTransfer() {
+	s.mu.Lock()
+	s.corrupt = true
+	s.mu.Unlock()
+}
+
+// Copy is Submit followed by Wait: the synchronous convenience.
+func (s *Service) Copy(ctx context.Context, src, dst, path string) error {
+	t, err := s.Submit(src, dst, path)
+	if err != nil {
+		return err
+	}
+	return t.Wait(ctx)
+}

@@ -2,13 +2,10 @@
 // surrogate model the paper's example workflow trains on completed Ackley
 // evaluations to reprioritize the remaining tasks (§VI). It provides an RBF
 // (squared-exponential) kernel, exact inference via Cholesky decomposition,
-// log-marginal-likelihood evaluation, grid-search hyperparameter selection,
-// and JSON serialization so fitted models can be shipped between sites as
-// ProxyStore payloads.
+// and grid-search hyperparameter selection by log marginal likelihood.
 package gpr
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -22,11 +19,6 @@ type Params struct {
 	SignalVar float64 `json:"signal_var"`
 	// NoiseVar is the observation noise variance σn² added to the diagonal.
 	NoiseVar float64 `json:"noise_var"`
-}
-
-// DefaultParams returns a reasonable starting point for unit-scale inputs.
-func DefaultParams() Params {
-	return Params{LengthScale: 1.0, SignalVar: 1.0, NoiseVar: 1e-6}
 }
 
 // ErrNotFitted is returned by Predict before Fit.
@@ -150,12 +142,6 @@ func FitGrid(x [][]float64, y []float64, lengthScales, signalVars []float64, noi
 // Params returns the fitted hyperparameters.
 func (g *GP) Params() Params { return g.params }
 
-// LogMarginalLikelihood returns the training LML.
-func (g *GP) LogMarginalLikelihood() float64 { return g.lml }
-
-// N returns the number of training points.
-func (g *GP) N() int { return len(g.x) }
-
 // Predict returns the posterior mean and variance at query point q.
 func (g *GP) Predict(q []float64) (mean, variance float64, err error) {
 	if g == nil || len(g.x) == 0 {
@@ -196,39 +182,6 @@ func (g *GP) PredictBatch(qs [][]float64) ([]float64, error) {
 		out[i] = m
 	}
 	return out, nil
-}
-
-// --- serialization (for ProxyStore shipping) ---
-
-type gpWire struct {
-	Params Params      `json:"params"`
-	X      [][]float64 `json:"x"`
-	Alpha  []float64   `json:"alpha"`
-	Chol   [][]float64 `json:"chol"`
-	YMean  float64     `json:"y_mean"`
-	LML    float64     `json:"lml"`
-}
-
-// Marshal serializes the fitted model.
-func (g *GP) Marshal() ([]byte, error) {
-	if g == nil || len(g.x) == 0 {
-		return nil, ErrNotFitted
-	}
-	return json.Marshal(gpWire{
-		Params: g.params, X: g.x, Alpha: g.alpha, Chol: g.chol, YMean: g.yMean, LML: g.lml,
-	})
-}
-
-// Unmarshal reconstructs a fitted model serialized with Marshal.
-func Unmarshal(data []byte) (*GP, error) {
-	var w gpWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("gpr: unmarshal: %w", err)
-	}
-	if len(w.X) == 0 || len(w.Alpha) != len(w.X) || len(w.Chol) != len(w.X) {
-		return nil, errors.New("gpr: unmarshal: inconsistent model")
-	}
-	return &GP{params: w.Params, x: w.X, alpha: w.Alpha, chol: w.Chol, yMean: w.YMean, lml: w.LML}, nil
 }
 
 // --- linear algebra ---

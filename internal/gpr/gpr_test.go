@@ -1,6 +1,9 @@
 package gpr
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,8 +227,8 @@ func TestFitGridPicksBetterLengthScale(t *testing.T) {
 	if gp.Params().LengthScale != 1 {
 		t.Fatalf("grid picked length scale %v", gp.Params().LengthScale)
 	}
-	if gp.N() != 25 {
-		t.Fatalf("N = %d", gp.N())
+	if len(gp.x) != 25 {
+		t.Fatalf("%d training points, want 25", len(gp.x))
 	}
 }
 
@@ -241,4 +244,40 @@ func TestPredictBatch(t *testing.T) {
 	if _, err := gp.PredictBatch([][]float64{{0, 1}}); err == nil {
 		t.Fatal("bad dimension must error")
 	}
+}
+
+// DefaultParams returns a reasonable starting point for unit-scale inputs.
+func DefaultParams() Params {
+	return Params{LengthScale: 1.0, SignalVar: 1.0, NoiseVar: 1e-6}
+}
+
+type gpWire struct {
+	Params Params      `json:"params"`
+	X      [][]float64 `json:"x"`
+	Alpha  []float64   `json:"alpha"`
+	Chol   [][]float64 `json:"chol"`
+	YMean  float64     `json:"y_mean"`
+	LML    float64     `json:"lml"`
+}
+
+// Marshal serializes the fitted model.
+func (g *GP) Marshal() ([]byte, error) {
+	if g == nil || len(g.x) == 0 {
+		return nil, ErrNotFitted
+	}
+	return json.Marshal(gpWire{
+		Params: g.params, X: g.x, Alpha: g.alpha, Chol: g.chol, YMean: g.yMean, LML: g.lml,
+	})
+}
+
+// Unmarshal reconstructs a fitted model serialized with Marshal.
+func Unmarshal(data []byte) (*GP, error) {
+	var w gpWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return nil, fmt.Errorf("gpr: unmarshal: %w", err)
+	}
+	if len(w.X) == 0 || len(w.Alpha) != len(w.X) || len(w.Chol) != len(w.X) {
+		return nil, errors.New("gpr: unmarshal: inconsistent model")
+	}
+	return &GP{params: w.Params, x: w.X, alpha: w.Alpha, chol: w.Chol, yMean: w.YMean, lml: w.LML}, nil
 }

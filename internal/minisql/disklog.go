@@ -27,7 +27,7 @@ import (
 // with the payload a compact binary encoding of the entry (varint index,
 // statement count, then per statement the SQL text and typed argument
 // values, each appendValue's cell, the form checkpoints store cells in; a
-// set-based write, Tx.ExecRows, is one statement of n parameters
+// set-based write, Tx.RunRows, is one statement of n parameters
 // carrying k·n arguments, which ApplyEntry replays row by row). It is
 // produced once, at commit, by the node's Log (Log.Append); the disk log, a
 // leader's window and the replication stream all carry those bytes, and no

@@ -11,13 +11,9 @@ import (
 // ErrNoSuchTable is returned by statements naming a table the engine lacks.
 var ErrNoSuchTable = errors.New("minisql: no such table")
 
-// Result is the outcome of executing one statement through Exec: a SELECT's
-// column names and rows, a write's affected-row count and AUTOINCREMENT key.
-// Tx.Run returns the write half; reads through a handle stream their rows
-// instead (Tx.Query).
+// Result is the outcome of a write (Tx.Run): its affected-row count and
+// AUTOINCREMENT key. A read streams its rows instead (Tx.Query).
 type Result struct {
-	Columns      []string
-	Rows         [][]Value
 	RowsAffected int
 	LastInsertID int64
 }
@@ -27,15 +23,14 @@ type Result struct {
 // mirroring the paper's single resource-local database instance.
 //
 // Every write is a transaction that opens and closes within one hold of that
-// lock: a mutating Exec is autocommit, a multi-statement transaction is a
-// TxLogged closure, and a shipped entry is ApplyEntry. No transaction is ever
-// left open between calls.
+// lock: a TxLogged closure, or a shipped entry (ApplyEntry). No transaction is
+// ever left open between calls.
 //
-// A statement a program issues repeatedly is compiled once: Prepare returns a
-// handle that a transaction runs with Value arguments (Tx.Run, Tx.RunRows,
-// Tx.Query, Tx.Count). Exec is the ad-hoc path — DDL, migrations, tests — and
-// resolves its text to a handle through the engine's text index before
-// running it through the same executor, with the same checks.
+// Every statement is compiled once: Prepare returns a handle that a
+// transaction runs with Value arguments (Tx.Run, Tx.RunRows, Tx.Query,
+// Tx.Count). ApplyEntry alone resolves statements by text, through the
+// engine's text index, and runs them through the same executor with the same
+// checks.
 type Engine struct {
 	mu     sync.Mutex
 	tables map[string]*table
@@ -90,79 +85,14 @@ func NewEngine() *Engine {
 	return e
 }
 
-// Exec parses (or finds compiled) and executes a single SQL statement with
-// positional `?` arguments and returns its result. A mutating statement is its
-// own transaction (autocommit): it commits as one log entry, and one that
-// fails part-way (e.g. a bad row in a multi-row INSERT) leaves no trace —
-// partial effects would never reach the statement log, silently diverging
-// replicas from the leader.
-func (e *Engine) Exec(sql string, args ...any) (*Result, error) {
-	h, vals, spreadN, err := e.adhoc(sql, args)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	res, err := e.collectLocked(h, vals, spreadN)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := e.flushPendingLocked(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// adhoc resolves an execution by text: its handle, its arguments as Values
-// and the width of its spread.
-func (e *Engine) adhoc(sql string, args []any) (*Prepared, []Value, int, error) {
-	h, err := e.lookup(sql, false)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	spreadN, err := h.spreadWidth(len(args))
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	vals, err := toValues(args)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return h, vals, spreadN, nil
-}
-
-// collectLocked runs h as Exec does: a SELECT's streamed rows are copied out
-// into the Result.
-func (e *Engine) collectLocked(h *Prepared, args []Value, spreadN int) (*Result, error) {
-	if !h.query {
-		n, id, err := e.execLocked(h, args, spreadN, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{RowsAffected: n, LastInsertID: id}, nil
-	}
-	var flat []Value
-	if _, _, err := e.execLocked(h, args, spreadN, nil, func(row []Value) error {
-		flat = append(flat, row...)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	w := len(h.b.names)
-	res := &Result{Columns: h.b.names, Rows: make([][]Value, len(flat)/w)}
-	for k := range res.Rows {
-		res.Rows[k] = flat[k*w : (k+1)*w : (k+1)*w]
-	}
-	return res, nil
-}
-
 // TxLogged runs fn inside a transaction: fn's statements are committed if fn
 // returns nil and rolled back otherwise. It returns the commit token of the
 // transaction: the log index the commit hook assigned to the transaction's
 // WAL entry, 0 when the transaction contained no mutating statements or no
 // hook is installed. A transaction of reads alone logs nothing, so it is also
 // how several reads see one state. The engine lock is held throughout, so fn
-// must not call Exec (use the passed Tx handle).
+// runs statements through the passed Tx and calls no Engine method that
+// takes the lock (Prepare does not).
 func (e *Engine) TxLogged(fn func(tx *Tx) error) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -185,15 +115,6 @@ func (e *Engine) LastLogged() uint64 {
 
 // Tx is a transaction handle passed to Engine.TxLogged callbacks.
 type Tx struct{ e *Engine }
-
-// Exec executes a statement by text within the transaction.
-func (tx *Tx) Exec(sql string, args ...any) (*Result, error) {
-	h, vals, spreadN, err := tx.e.adhoc(sql, args)
-	if err != nil {
-		return nil, err
-	}
-	return tx.e.collectLocked(h, vals, spreadN)
-}
 
 // Run executes a prepared write (or DDL) with args and returns its
 // RowsAffected and LastInsertID. args is read during the call only.
@@ -221,25 +142,12 @@ func (tx *Tx) RunRows(h *Prepared, args []Value) ([]int, error) {
 	if _, err := tx.start(h, -1); err != nil {
 		return nil, err
 	}
-	return tx.e.runRowsLocked(h, args)
-}
-
-// ExecRows is RunRows by text.
-func (tx *Tx) ExecRows(sql string, args []Value) ([]int, error) {
-	h, err := tx.e.lookup(sql, false)
-	if err != nil {
-		return nil, err
-	}
-	return tx.e.runRowsLocked(h, args)
-}
-
-func (e *Engine) runRowsLocked(h *Prepared, args []Value) ([]int, error) {
 	rows, err := h.argRows(len(args))
 	if err != nil {
 		return nil, err
 	}
 	hits := make([]int, rows)
-	if _, _, err := e.writeLocked(h, args, 0, hits); err != nil {
+	if _, _, err := tx.e.writeLocked(h, args, 0, hits); err != nil {
 		return nil, err
 	}
 	return hits, nil
@@ -308,22 +216,9 @@ func (tx *Tx) start(h *Prepared, nargs int) (int, error) {
 	return h.spreadWidth(nargs)
 }
 
-// toValues converts Exec arguments to Values.
-func toValues(args []any) ([]Value, error) {
-	vals := make([]Value, len(args))
-	for i, a := range args {
-		v, err := toValue(a)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	return vals, nil
-}
-
 // execLocked executes h — the one executor every path reaches — and, on
-// success, records a mutating statement for the commit hook (flushed by Exec
-// and TxLogged at commit points). Each statement is atomic: a mid-statement
+// success, records a mutating statement for the commit hook (flushed when
+// TxLogged commits). Each statement is atomic: a mid-statement
 // failure (e.g. a bad row in a multi-row INSERT) unwinds just that
 // statement's effects. Failed statements never reach the commit hook, so
 // without the unwind a caller that swallows the error and commits would

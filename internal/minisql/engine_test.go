@@ -4,17 +4,87 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-func mustExec(t *testing.T, e *Engine, sql string, args ...any) *Result {
-	t.Helper()
-	res, err := e.Exec(sql, args...)
+// execResult is what execSQL returns: a write's counts, or a read's rows.
+type execResult struct {
+	Rows         [][]Value
+	RowsAffected int
+	LastInsertID int64
+}
+
+// execSQL runs one statement through a handle prepared from its text, as its
+// own transaction.
+func execSQL(e *Engine, sql string, args ...Value) (*execResult, error) {
+	var res *execResult
+	_, err := e.TxLogged(func(tx *Tx) error {
+		var err error
+		res, err = txExecSQL(tx, sql, args...)
+		return err
+	})
+	return res, err
+}
+
+// txExecSQL runs one statement through a handle prepared from its text,
+// inside tx: a read's rows are copied out, and a COUNT(*) is one row.
+func txExecSQL(tx *Tx, sql string, args ...Value) (*execResult, error) {
+	h, err := tx.e.Prepare(sql)
 	if err != nil {
-		t.Fatalf("Exec(%q): %v", sql, err)
+		return nil, err
+	}
+	res := &execResult{}
+	switch {
+	case h.count:
+		n, err := tx.Count(h, args...)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = [][]Value{{Int64(int64(n))}}
+	case h.query:
+		if err := tx.Query(h, args, func(row []Value) error {
+			res.Rows = append(res.Rows, slices.Clone(row))
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+	default:
+		r, err := tx.Run(h, args...)
+		if err != nil {
+			return nil, err
+		}
+		res.RowsAffected, res.LastInsertID = r.RowsAffected, r.LastInsertID
+	}
+	return res, nil
+}
+
+// txExecRows runs a set-based UPDATE through a handle prepared from its text.
+func txExecRows(tx *Tx, sql string, args []Value) ([]int, error) {
+	h, err := tx.e.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return tx.RunRows(h, args)
+}
+
+// ints makes integer arguments.
+func ints(ns ...int64) []Value {
+	vals := make([]Value, len(ns))
+	for i, n := range ns {
+		vals[i] = Int64(n)
+	}
+	return vals
+}
+
+func mustExec(t *testing.T, e *Engine, sql string, args ...Value) *execResult {
+	t.Helper()
+	res, err := execSQL(e, sql, args...)
+	if err != nil {
+		t.Fatalf("execSQL(%q): %v", sql, err)
 	}
 	return res
 }
@@ -30,20 +100,20 @@ func newTaskEngine(t *testing.T) *Engine {
 
 func TestCreateInsertSelect(t *testing.T) {
 	e := newTaskEngine(t)
-	res := mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, ?)", "a", 1.5, "queued")
+	res := mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, ?)", Text("a"), Float64(1.5), Text("queued"))
 	if res.LastInsertID != 1 {
 		t.Fatalf("LastInsertID = %d, want 1", res.LastInsertID)
 	}
 	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('b', 2.5, 'queued'), ('c', 0.5, 'running')")
-	sel := mustExec(t, e, "SELECT id, name, score FROM tasks WHERE status = ?", "queued")
+	sel := mustExec(t, e, "SELECT id, name, score FROM tasks WHERE status = ?", Text("queued"))
 	if len(sel.Rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(sel.Rows))
 	}
 	if sel.Rows[0][1].AsText() != "a" || sel.Rows[1][1].AsText() != "b" {
 		t.Fatalf("unexpected rows: %v", sel.Rows)
 	}
-	if got := sel.Columns; len(got) != 3 || got[0] != "id" {
-		t.Fatalf("columns = %v", got)
+	if got := sel.Rows[0]; len(got) != 3 || got[0].AsInt() != 1 {
+		t.Fatalf("first row = %v, want id, name and score of task 1", got)
 	}
 }
 
@@ -51,16 +121,15 @@ func TestSelectStar(t *testing.T) {
 	e := newTaskEngine(t)
 	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('a', 1, 's')")
 	sel := mustExec(t, e, "SELECT * FROM tasks")
-	if len(sel.Columns) != 4 || len(sel.Rows) != 1 || len(sel.Rows[0]) != 4 {
-		t.Fatalf("star select shape wrong: cols=%v rows=%v", sel.Columns, sel.Rows)
+	if len(sel.Rows) != 1 || len(sel.Rows[0]) != 4 {
+		t.Fatalf("star select shape wrong: rows=%v", sel.Rows)
 	}
 }
 
 func TestOrderByLimit(t *testing.T) {
 	e := newTaskEngine(t)
 	for i := 0; i < 10; i++ {
-		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')",
-			fmt.Sprintf("t%d", i), float64(i%5))
+		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')", Text(fmt.Sprintf("t%d", i)), Float64(float64(i%5)))
 	}
 	sel := mustExec(t, e, "SELECT name, score FROM tasks ORDER BY score DESC, name ASC LIMIT 3")
 	if len(sel.Rows) != 3 {
@@ -79,11 +148,11 @@ func TestLimitParam(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('x', 0, 'q')")
 	}
-	sel := mustExec(t, e, "SELECT id FROM tasks LIMIT ?", 2)
+	sel := mustExec(t, e, "SELECT id FROM tasks LIMIT ?", Int64(2))
 	if len(sel.Rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(sel.Rows))
 	}
-	sel = mustExec(t, e, "SELECT id FROM tasks LIMIT ?", 0)
+	sel = mustExec(t, e, "SELECT id FROM tasks LIMIT ?", Int64(0))
 	if len(sel.Rows) != 0 {
 		t.Fatalf("LIMIT 0 returned rows: %v", sel.Rows)
 	}
@@ -92,7 +161,7 @@ func TestLimitParam(t *testing.T) {
 func TestUpdateDelete(t *testing.T) {
 	e := newTaskEngine(t)
 	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'queued'), ('b', 2, 'queued')")
-	res := mustExec(t, e, "UPDATE tasks SET status = ?, score = ? WHERE name = ?", "running", 9.0, "a")
+	res := mustExec(t, e, "UPDATE tasks SET status = ?, score = ? WHERE name = ?", Text("running"), Float64(9.0), Text("a"))
 	if res.RowsAffected != 1 {
 		t.Fatalf("update affected %d, want 1", res.RowsAffected)
 	}
@@ -110,12 +179,12 @@ func TestUpdateDelete(t *testing.T) {
 	}
 }
 
-// TestAggregates: COUNT(*), the one aggregate, is a single "count" column
-// holding the number of rows the WHERE clause matches.
+// TestAggregates: COUNT(*), the one aggregate, answers the number of rows the
+// WHERE clause matches.
 func TestAggregates(t *testing.T) {
 	e := newTaskEngine(t)
 	for i := 1; i <= 4; i++ {
-		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('x', ?, ?)", float64(i), []string{"q", "r"}[i%2])
+		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('x', ?, ?)", Float64(float64(i)), Text([]string{"q", "r"}[i%2]))
 	}
 	for where, want := range map[string]int64{
 		"":                                   4,
@@ -125,8 +194,8 @@ func TestAggregates(t *testing.T) {
 		" WHERE status = 'r' AND name = 'y'": 0,
 	} {
 		sel := mustExec(t, e, "SELECT COUNT(*) FROM tasks"+where)
-		if len(sel.Columns) != 1 || sel.Columns[0] != "count" || len(sel.Rows) != 1 || sel.Rows[0][0].AsInt() != want {
-			t.Errorf("COUNT(*)%s = %v %v, want [count] [[%d]]", where, sel.Columns, sel.Rows, want)
+		if len(sel.Rows) != 1 || len(sel.Rows[0]) != 1 || sel.Rows[0][0].AsInt() != want {
+			t.Errorf("COUNT(*)%s = %v, want [[%d]]", where, sel.Rows, want)
 		}
 	}
 }
@@ -147,23 +216,22 @@ func TestAggregateEmpty(t *testing.T) {
 func TestWhereOperators(t *testing.T) {
 	e := newTaskEngine(t)
 	for i := 0; i < 10; i++ {
-		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')",
-			fmt.Sprintf("t%d", i), float64(i))
+		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')", Text(fmt.Sprintf("t%d", i)), Float64(float64(i)))
 	}
 	cases := []struct {
 		where string
-		args  []any
+		args  []Value
 		want  int
 	}{
 		{"score = 3", nil, 1},
 		{"3 = score", nil, 1},
-		{"score = ?", []any{7}, 1},
+		{"score = ?", []Value{Int64(7)}, 1},
 		{"name = 't3' AND score = 3", nil, 1},
 		{"name = 't3' AND score = 4", nil, 0},
 		{"status = 'q' AND name = 't2' AND score = 2", nil, 1},
 		{"score IN (1, 3, 5, 99)", nil, 3},
-		{"name IN (?, ?)", []any{"t0", "t9"}, 2},
-		{"score IN (?...)", []any{1, 2, 42}, 2},
+		{"name IN (?, ?)", []Value{Text("t0"), Text("t9")}, 2},
+		{"score IN (?...)", ints(1, 2, 42), 2},
 		{"status = 'q' AND score IN (1, 2)", nil, 2},
 	}
 	for _, c := range cases {
@@ -182,11 +250,11 @@ func TestNullSemantics(t *testing.T) {
 		t.Fatalf("= with null present: %d rows", n)
 	}
 	// NULL equals nothing, itself included.
-	for where, args := range map[string][]any{
+	for where, args := range map[string][]Value{
 		"score = NULL":    nil,
-		"score = ?":       {nil},
+		"score = ?":       {Null()},
 		"score IN (NULL)": nil,
-		"score IN (?...)": {nil},
+		"score IN (?...)": {Null()},
 	} {
 		if n := len(mustExec(t, e, "SELECT id FROM tasks WHERE "+where, args...).Rows); n != 0 {
 			t.Fatalf("%s must not match NULL: %d rows", where, n)
@@ -199,7 +267,7 @@ func TestIndexEqualityMatchesScan(t *testing.T) {
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, wt INTEGER, prio INTEGER)")
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
-		mustExec(t, e, "INSERT INTO q (wt, prio) VALUES (?, ?)", rng.Intn(4), rng.Intn(100))
+		mustExec(t, e, "INSERT INTO q (wt, prio) VALUES (?, ?)", Int64(int64(rng.Intn(4))), Int64(int64(rng.Intn(100))))
 	}
 	// Results with no index.
 	noIdx := mustExec(t, e, "SELECT id FROM q WHERE wt = 2 ORDER BY prio DESC, id ASC")
@@ -242,7 +310,7 @@ func TestTransactionRollback(t *testing.T) {
 			"UPDATE tasks SET score = 99 WHERE name = 'keep'",
 			"DELETE FROM tasks WHERE name = 'keep'",
 		} {
-			if _, err := tx.Exec(sql); err != nil {
+			if _, err := txExecSQL(tx, sql); err != nil {
 				return err
 			}
 		}
@@ -259,7 +327,7 @@ func TestTransactionRollback(t *testing.T) {
 func TestTransactionCommit(t *testing.T) {
 	e, w := newHookedEngine(t, "CREATE TABLE tasks (id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT, score REAL, status TEXT)")
 	tok, err := e.TxLogged(func(tx *Tx) error {
-		_, err := tx.Exec("INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'q')")
+		_, err := txExecSQL(tx, "INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'q')")
 		return err
 	})
 	if err != nil || tok != 1 || w.LastIndex() != 1 || e.LastLogged() != 1 {
@@ -270,7 +338,7 @@ func TestTransactionCommit(t *testing.T) {
 	}
 	// A transaction that only reads commits nothing and gets no token.
 	if tok, err := e.TxLogged(func(tx *Tx) error {
-		_, err := tx.Exec("SELECT id FROM tasks")
+		_, err := txExecSQL(tx, "SELECT id FROM tasks")
 		return err
 	}); err != nil || tok != 0 || w.LastIndex() != 1 {
 		t.Fatalf("read-only TxLogged = token %d, %v; WAL at %d", tok, err, w.LastIndex())
@@ -280,7 +348,7 @@ func TestTransactionCommit(t *testing.T) {
 func TestTxHelper(t *testing.T) {
 	e := newTaskEngine(t)
 	_, err := e.TxLogged(func(tx *Tx) error {
-		if _, err := tx.Exec("INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'q')"); err != nil {
+		if _, err := txExecSQL(tx, "INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'q')"); err != nil {
 			return err
 		}
 		return fmt.Errorf("boom")
@@ -292,7 +360,7 @@ func TestTxHelper(t *testing.T) {
 		t.Fatalf("rolled-back Tx left %d rows", n)
 	}
 	if _, err := e.TxLogged(func(tx *Tx) error {
-		_, err := tx.Exec("INSERT INTO tasks (name, score, status) VALUES ('b', 2, 'q')")
+		_, err := txExecSQL(tx, "INSERT INTO tasks (name, score, status) VALUES ('b', 2, 'q')")
 		return err
 	}); err != nil {
 		t.Fatalf("Tx: %v", err)
@@ -308,7 +376,7 @@ func TestRollbackRestoresIndexes(t *testing.T) {
 	mustExec(t, e, "CREATE INDEX q_wt ON q (wt)")
 	mustExec(t, e, "INSERT INTO q (wt) VALUES (1)")
 	if _, err := e.TxLogged(func(tx *Tx) error {
-		if _, err := tx.Exec("UPDATE q SET wt = 5 WHERE wt = 1"); err != nil {
+		if _, err := txExecSQL(tx, "UPDATE q SET wt = 5 WHERE wt = 1"); err != nil {
 			return err
 		}
 		return errAbort{}
@@ -343,12 +411,12 @@ func TestErrors(t *testing.T) {
 		"SELECT * FROM tasks WHERE",
 		"INSERT INTO tasks (name) VALUES (?, ?)",
 	} {
-		if _, err := e.Exec(sql); err == nil {
+		if _, err := execSQL(e, sql); err == nil {
 			t.Errorf("Exec(%q) should fail", sql)
 		}
 	}
 	// Too few args.
-	if _, err := e.Exec("SELECT * FROM tasks WHERE name = ?"); err == nil {
+	if _, err := execSQL(e, "SELECT * FROM tasks WHERE name = ?"); err == nil {
 		t.Error("missing argument should fail")
 	}
 }
@@ -403,7 +471,7 @@ func TestStringEscapes(t *testing.T) {
 func TestTypeCoercion(t *testing.T) {
 	e := newTaskEngine(t)
 	// Text into REAL column coerces to number; int into TEXT becomes text.
-	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')", 42, "3.5")
+	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')", Int64(42), Text("3.5"))
 	sel := mustExec(t, e, "SELECT name, score FROM tasks")
 	if sel.Rows[0][0].Kind != KindText || sel.Rows[0][0].AsText() != "42" {
 		t.Fatalf("name = %#v", sel.Rows[0][0])
@@ -417,8 +485,7 @@ func TestSnapshotRestore(t *testing.T) {
 	e := newTaskEngine(t)
 	mustExec(t, e, "CREATE INDEX t_status ON tasks (status)")
 	for i := 0; i < 20; i++ {
-		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, ?)",
-			fmt.Sprintf("t%d", i), float64(i), []string{"queued", "running"}[i%2])
+		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, ?)", Text(fmt.Sprintf("t%d", i)), Float64(float64(i)), Text([]string{"queued", "running"}[i%2]))
 	}
 	var buf bytes.Buffer
 	if err := e.Snapshot(&buf); err != nil {
@@ -461,11 +528,11 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				if _, err := e.Exec("INSERT INTO c (v) VALUES (?)", g*n+i); err != nil {
+				if _, err := execSQL(e, "INSERT INTO c (v) VALUES (?)", Int64(int64(g*n+i))); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
-				if _, err := e.Exec("SELECT COUNT(*) FROM c"); err != nil {
+				if _, err := execSQL(e, "SELECT COUNT(*) FROM c"); err != nil {
 					t.Errorf("select: %v", err)
 					return
 				}
@@ -493,15 +560,15 @@ func TestConcurrentAccess(t *testing.T) {
 func TestPropertyOrderBy(t *testing.T) {
 	f := func(vals []int16) bool {
 		e := NewEngine()
-		if _, err := e.Exec("CREATE TABLE p (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER)"); err != nil {
+		if _, err := execSQL(e, "CREATE TABLE p (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER)"); err != nil {
 			return false
 		}
 		for _, v := range vals {
-			if _, err := e.Exec("INSERT INTO p (v) VALUES (?)", int64(v)); err != nil {
+			if _, err := execSQL(e, "INSERT INTO p (v) VALUES (?)", Int64(int64(v))); err != nil {
 				return false
 			}
 		}
-		res, err := e.Exec("SELECT v FROM p ORDER BY v ASC")
+		res, err := execSQL(e, "SELECT v FROM p ORDER BY v ASC")
 		if err != nil {
 			return false
 		}
@@ -527,22 +594,22 @@ func TestPropertyOrderBy(t *testing.T) {
 func TestPropertyIndexLookup(t *testing.T) {
 	f := func(keys []uint8) bool {
 		e := NewEngine()
-		if _, err := e.Exec("CREATE TABLE p (id INTEGER PRIMARY KEY AUTOINCREMENT, k INTEGER)"); err != nil {
+		if _, err := execSQL(e, "CREATE TABLE p (id INTEGER PRIMARY KEY AUTOINCREMENT, k INTEGER)"); err != nil {
 			return false
 		}
-		if _, err := e.Exec("CREATE INDEX p_k ON p (k)"); err != nil {
+		if _, err := execSQL(e, "CREATE INDEX p_k ON p (k)"); err != nil {
 			return false
 		}
 		counts := map[int64]int{}
 		for _, k := range keys {
 			kk := int64(k % 8)
 			counts[kk]++
-			if _, err := e.Exec("INSERT INTO p (k) VALUES (?)", kk); err != nil {
+			if _, err := execSQL(e, "INSERT INTO p (k) VALUES (?)", Int64(int64(kk))); err != nil {
 				return false
 			}
 		}
 		for k := int64(0); k < 8; k++ {
-			res, err := e.Exec("SELECT id FROM p WHERE k = ?", k)
+			res, err := execSQL(e, "SELECT id FROM p WHERE k = ?", Int64(int64(k)))
 			if err != nil {
 				return false
 			}
@@ -561,7 +628,7 @@ func TestPropertyIndexLookup(t *testing.T) {
 func TestPropertySnapshotRoundTrip(t *testing.T) {
 	f := func(vals []int32, texts []string) bool {
 		e := NewEngine()
-		if _, err := e.Exec("CREATE TABLE p (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER, s TEXT)"); err != nil {
+		if _, err := execSQL(e, "CREATE TABLE p (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER, s TEXT)"); err != nil {
 			return false
 		}
 		for i, v := range vals {
@@ -569,7 +636,7 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 			if i < len(texts) {
 				s = texts[i]
 			}
-			if _, err := e.Exec("INSERT INTO p (v, s) VALUES (?, ?)", int64(v), s); err != nil {
+			if _, err := execSQL(e, "INSERT INTO p (v, s) VALUES (?, ?)", Int64(int64(v)), Text(s)); err != nil {
 				return false
 			}
 		}
@@ -581,8 +648,8 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 		if err := e2.Restore(&buf); err != nil {
 			return false
 		}
-		a, err1 := e.Exec("SELECT id, v, s FROM p ORDER BY id")
-		b, err2 := e2.Exec("SELECT id, v, s FROM p ORDER BY id")
+		a, err1 := execSQL(e, "SELECT id, v, s FROM p ORDER BY id")
+		b, err2 := execSQL(e2, "SELECT id, v, s FROM p ORDER BY id")
 		if err1 != nil || err2 != nil || len(a.Rows) != len(b.Rows) {
 			return false
 		}
@@ -625,13 +692,13 @@ func TestTombstoneCompaction(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER)")
 	// Queue churn: insert and delete many times; table must stay correct.
-	low := make([]any, 95)
+	low := make([]Value, 95)
 	for i := range low {
-		low[i] = i
+		low[i] = Int64(int64(i))
 	}
 	for round := 0; round < 30; round++ {
 		for i := 0; i < 100; i++ {
-			mustExec(t, e, "INSERT INTO q (v) VALUES (?)", i)
+			mustExec(t, e, "INSERT INTO q (v) VALUES (?)", Int64(int64(i)))
 		}
 		mustExec(t, e, "DELETE FROM q WHERE v IN (?...)", low...)
 	}
@@ -644,10 +711,10 @@ func TestTombstoneCompaction(t *testing.T) {
 func TestDropTable(t *testing.T) {
 	e := newTaskEngine(t)
 	mustExec(t, e, "DROP TABLE tasks")
-	if _, err := e.Exec("SELECT * FROM tasks"); err == nil {
+	if _, err := execSQL(e, "SELECT * FROM tasks"); err == nil {
 		t.Fatal("dropped table still queryable")
 	}
-	if _, err := e.Exec("DROP TABLE tasks"); err == nil {
+	if _, err := execSQL(e, "DROP TABLE tasks"); err == nil {
 		t.Fatal("dropping a missing table must error")
 	}
 	mustExec(t, e, "DROP TABLE IF EXISTS tasks") // no-op succeeds
@@ -662,7 +729,7 @@ func TestDropTable(t *testing.T) {
 func TestCreateTableIfNotExists(t *testing.T) {
 	e := newTaskEngine(t)
 	mustExec(t, e, "CREATE TABLE IF NOT EXISTS tasks (id INTEGER)")
-	if _, err := e.Exec("CREATE TABLE tasks (id INTEGER)"); err == nil {
+	if _, err := execSQL(e, "CREATE TABLE tasks (id INTEGER)"); err == nil {
 		t.Fatal("duplicate CREATE TABLE without IF NOT EXISTS must error")
 	}
 }
@@ -673,14 +740,14 @@ func TestCreateTableIfNotExists(t *testing.T) {
 // with its own log entry instead of silently joining someone else's.
 func TestNestedTransactionRejected(t *testing.T) {
 	e, w := newHookedEngine(t, "CREATE TABLE tasks (id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT, score REAL, status TEXT)")
-	if _, err := e.Exec("BEGIN"); err == nil {
+	if _, err := execSQL(e, "BEGIN"); err == nil {
 		t.Fatal("BEGIN must be refused")
 	}
 	if _, err := e.TxLogged(func(tx *Tx) error {
-		if _, err := tx.Exec("BEGIN"); err == nil {
+		if _, err := txExecSQL(tx, "BEGIN"); err == nil {
 			t.Error("BEGIN inside TxLogged must be refused")
 		}
-		_, err := tx.Exec("INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'q')")
+		_, err := txExecSQL(tx, "INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'q')")
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -704,10 +771,10 @@ func TestUpdateFromColumnValue(t *testing.T) {
 
 func TestOrderByMissingColumn(t *testing.T) {
 	e := newTaskEngine(t)
-	if _, err := e.Exec("SELECT id FROM tasks ORDER BY nope"); err == nil {
+	if _, err := execSQL(e, "SELECT id FROM tasks ORDER BY nope"); err == nil {
 		t.Fatal("ORDER BY unknown column must error")
 	}
-	if _, err := e.Exec("SELECT COUNT(*), id FROM tasks"); err == nil {
+	if _, err := execSQL(e, "SELECT COUNT(*), id FROM tasks"); err == nil {
 		t.Fatal("mixing COUNT(*) and plain columns must error")
 	}
 }
@@ -715,7 +782,7 @@ func TestOrderByMissingColumn(t *testing.T) {
 func TestSemicolonTolerated(t *testing.T) {
 	e := newTaskEngine(t)
 	mustExec(t, e, "SELECT id FROM tasks;")
-	if _, err := e.Exec("SELECT id FROM tasks; SELECT id FROM tasks"); err == nil {
+	if _, err := execSQL(e, "SELECT id FROM tasks; SELECT id FROM tasks"); err == nil {
 		t.Fatal("multiple statements must be rejected")
 	}
 }

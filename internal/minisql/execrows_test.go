@@ -24,7 +24,7 @@ func newQueueEngine(t *testing.T, n int) (*Engine, *Log) {
 		"CREATE TABLE q (id INTEGER PRIMARY KEY, p INTEGER)",
 		"CREATE ORDERED INDEX q_p ON q (p, id)")
 	for i := 1; i <= n; i++ {
-		mustExec(t, e, "INSERT INTO q (id, p) VALUES (?, ?)", i, 10*i)
+		mustExec(t, e, "INSERT INTO q (id, p) VALUES (?, ?)", Int64(int64(i)), Int64(int64(10*i)))
 	}
 	return e, w
 }
@@ -39,35 +39,35 @@ func TestSurplusArgumentsRejected(t *testing.T) {
 	before, logged := snapshotBytes(t, e), w.LastIndex()
 	const upd = "UPDATE q SET p = ? WHERE id = ?"
 
-	if _, err := e.Exec(upd, 5, 1, 6, 2); err == nil {
+	if _, err := execSQL(e, upd, ints(5, 1, 6, 2)...); err == nil {
 		t.Error("Exec accepted two argument rows")
 	}
-	if _, err := e.Exec("SELECT p FROM q WHERE id = ?", 1, 2); err == nil {
+	if _, err := execSQL(e, "SELECT p FROM q WHERE id = ?", Int64(1), Int64(2)); err == nil {
 		t.Error("Exec accepted a surplus argument on a SELECT")
 	}
 	for name, fn := range map[string]func(tx *Tx) error{
 		"Tx.Exec with a surplus argument": func(tx *Tx) error {
-			_, err := tx.Exec(upd, 5, 1, 9)
+			_, err := txExecSQL(tx, upd, ints(5, 1, 9)...)
 			return err
 		},
 		"ExecRows with a ragged last row": func(tx *Tx) error {
-			_, err := tx.ExecRows(upd, values(t, 5, 1, 9))
+			_, err := txExecRows(tx, upd, ints(5, 1, 9))
 			return err
 		},
 		"ExecRows with no rows": func(tx *Tx) error {
-			_, err := tx.ExecRows(upd, nil)
+			_, err := txExecRows(tx, upd, nil)
 			return err
 		},
 		"ExecRows of a spread statement": func(tx *Tx) error {
-			_, err := tx.ExecRows("UPDATE q SET p = ? WHERE id IN (?...)", values(t, 5, 1, 2))
+			_, err := txExecRows(tx, "UPDATE q SET p = ? WHERE id IN (?...)", ints(5, 1, 2))
 			return err
 		},
 		"ExecRows of a statement without parameters": func(tx *Tx) error {
-			_, err := tx.ExecRows("UPDATE q SET p = 0", values(t, 1))
+			_, err := txExecRows(tx, "UPDATE q SET p = 0", []Value{Int64(1)})
 			return err
 		},
 		"ExecRows of an INSERT": func(tx *Tx) error {
-			_, err := tx.ExecRows("INSERT INTO q (id, p) VALUES (?, ?)", values(t, 7, 70, 8, 80))
+			_, err := txExecRows(tx, "INSERT INTO q (id, p) VALUES (?, ?)", ints(7, 70, 8, 80))
 			return err
 		},
 	} {
@@ -87,7 +87,7 @@ func TestSurplusArgumentsRejected(t *testing.T) {
 	}
 
 	// A spread still absorbs any number of arguments.
-	if res := mustExec(t, e, "UPDATE q SET p = ? WHERE id IN (?...)", 3, 1, 2, 3, 4); res.RowsAffected != 3 {
+	if res := mustExec(t, e, "UPDATE q SET p = ? WHERE id IN (?...)", ints(3, 1, 2, 3, 4)...); res.RowsAffected != 3 {
 		t.Fatalf("spread UPDATE affected %d rows, want 3", res.RowsAffected)
 	}
 }
@@ -106,15 +106,15 @@ func TestExecRowsIsTheExecLoop(t *testing.T) {
 	// wrote is what shows rows apply in order: id 2 moves to 10, then every
 	// row at 10 (ids 1 and 2) moves to 99, no row is at 90, id 3 moves to 55.
 	const upd = "UPDATE q SET p = ? WHERE p = ?"
-	rows := [][]any{{10, 20}, {99, 10}, {7, 90}, {55, 30}}
-	var args []any
+	rows := [][]Value{{Int64(10), Int64(20)}, {Int64(99), Int64(10)}, {Int64(7), Int64(90)}, {Int64(55), Int64(30)}}
+	var args []Value
 	for _, r := range rows {
 		args = append(args, r...)
 		mustExec(t, ref, upd, r...)
 	}
 	var hits []int
 	if _, err := e.TxLogged(func(tx *Tx) (err error) {
-		hits, err = tx.ExecRows(upd, values(t, args...))
+		hits, err = txExecRows(tx, upd, args)
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -138,12 +138,12 @@ func TestExecRowsIsTheExecLoop(t *testing.T) {
 
 	// One argument row logs what Exec logs.
 	if _, err := e.TxLogged(func(tx *Tx) error {
-		_, err := tx.ExecRows(upd, values(t, 1, 99))
+		_, err := txExecRows(tx, upd, ints(1, 99))
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, e, upd, 1, 99)
+	mustExec(t, e, upd, Int64(1), Int64(99))
 	entries, _ = entriesSince(t, w, base+1)
 	if len(entries) != 2 || fmt.Sprint(entries[0].Stmts) != fmt.Sprint(entries[1].Stmts) {
 		t.Fatalf("a one-row ExecRows logged %+v, Exec logged %+v", entries[0].Stmts, entries[1:])
@@ -151,11 +151,11 @@ func TestExecRowsIsTheExecLoop(t *testing.T) {
 
 	// A ragged or non-UPDATE multi-row Stmt in a shipped entry is refused whole.
 	for _, bad := range []Stmt{
-		{SQL: upd, Args: values(t, 1, 99, 2)},
-		{SQL: "DELETE FROM q WHERE id = ?", Args: values(t, 1, 2)},
+		{SQL: upd, Args: ints(1, 99, 2)},
+		{SQL: "DELETE FROM q WHERE id = ?", Args: ints(1, 2)},
 	} {
 		before := snapshotBytes(t, replica)
-		err := replica.ApplyEntry(LogEntry{Index: 99, Stmts: []Stmt{{SQL: upd, Args: values(t, 0, 40)}, bad}})
+		err := replica.ApplyEntry(LogEntry{Index: 99, Stmts: []Stmt{{SQL: upd, Args: ints(0, 40)}, bad}})
 		if err == nil || !bytes.Equal(snapshotBytes(t, replica), before) {
 			t.Fatalf("entry holding %q with %d arguments: err %v, state changed %v",
 				bad.SQL, len(bad.Args), err, !bytes.Equal(snapshotBytes(t, replica), before))
@@ -178,7 +178,7 @@ func TestExecRowsAtomic(t *testing.T) {
 		// The first three rows alone apply, so the failure below has work to undo.
 		var hits []int
 		if _, err := e.TxLogged(func(tx *Tx) (err error) {
-			hits, err = tx.ExecRows(upd, values(t, 500, 1, 400, 2, 300, 3))
+			hits, err = txExecRows(tx, upd, ints(500, 1, 400, 2, 300, 3))
 			if err != nil {
 				return err
 			}
@@ -188,10 +188,10 @@ func TestExecRowsAtomic(t *testing.T) {
 		}
 
 		_, err := e.TxLogged(func(tx *Tx) error {
-			if _, err := tx.Exec("INSERT INTO q (id, p) VALUES (6, 60)"); err != nil {
+			if _, err := txExecSQL(tx, "INSERT INTO q (id, p) VALUES (6, 60)"); err != nil {
 				return err
 			}
-			_, err := tx.ExecRows(upd, values(t, 500, 1, 400, 2, 300, 3, 200, 4, 100, 5))
+			_, err := txExecRows(tx, upd, ints(500, 1, 400, 2, 300, 3, 200, 4, 100, 5))
 			if err == nil || !strings.Contains(err.Error(), `no column "nosuch"`) {
 				t.Fatalf("ExecRows: err %v, want the unknown column", err)
 			}

@@ -157,12 +157,12 @@ func TestCompositeIndexHasNoHashSide(t *testing.T) {
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY, wt INTEGER, p INTEGER)")
 	mustExec(t, e, "CREATE INDEX q_p ON q (p, id)")
 	for i := 1; i <= 40; i++ {
-		mustExec(t, e, "INSERT INTO q (id, wt, p) VALUES (?, 1, ?)", i, i%4)
+		mustExec(t, e, "INSERT INTO q (id, wt, p) VALUES (?, 1, ?)", Int64(int64(i)), Int64(int64(i%4)))
 	}
 	mustExec(t, e, "UPDATE q SET p = 9 WHERE id = 7")
 	mustExec(t, e, "DELETE FROM q WHERE id = 8")
 	if _, err := e.TxLogged(func(tx *Tx) error {
-		if _, err := tx.Exec("UPDATE q SET p = 5 WHERE wt = 1"); err != nil {
+		if _, err := txExecSQL(tx, "UPDATE q SET p = 5 WHERE wt = 1"); err != nil {
 			return err
 		}
 		return fmt.Errorf("abort")

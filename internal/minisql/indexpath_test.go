@@ -21,43 +21,34 @@ func boundOf(t *testing.T, e *Engine, sql string) *bound {
 	return b
 }
 
-func values(t *testing.T, args ...any) []Value {
-	t.Helper()
-	vals, err := toValues(args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return vals
-}
-
 // TestPlanCandidatesIndexedMiss: a probe of an indexed column that matches
 // nothing is an empty candidate set from the index, not a request for a scan.
 func TestPlanCandidatesIndexedMiss(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY, v TEXT)")
 	for i := 1; i <= 50; i++ {
-		mustExec(t, e, "INSERT INTO q (id, v) VALUES (?, ?)", i, fmt.Sprint("v", i))
+		mustExec(t, e, "INSERT INTO q (id, v) VALUES (?, ?)", Int64(int64(i)), Text(fmt.Sprint("v", i)))
 	}
 	for _, tc := range []struct {
 		sql     string
-		args    []any
+		args    []Value
 		spreadN int
 		indexed bool
 		ids     string
 	}{
-		{"SELECT v FROM q WHERE id = ?", []any{999}, 0, true, "[]"},
+		{"SELECT v FROM q WHERE id = ?", []Value{Int64(999)}, 0, true, "[]"},
 		{"SELECT v FROM q WHERE id IN (777, 888)", nil, 0, true, "[]"},
-		{"SELECT v FROM q WHERE id IN (?...)", []any{777, 888, 999}, 3, true, "[]"},
+		{"SELECT v FROM q WHERE id IN (?...)", ints(777, 888, 999), 3, true, "[]"},
 		{"SELECT v FROM q WHERE id IN (?...)", nil, 0, true, "[]"},
-		{"SELECT v FROM q WHERE v = 'v1' AND id = ?", []any{999}, 0, true, "[]"},
+		{"SELECT v FROM q WHERE v = 'v1' AND id = ?", []Value{Int64(999)}, 0, true, "[]"},
 		// Hits keep working, ascending and without duplicates.
-		{"SELECT v FROM q WHERE id = ?", []any{7}, 0, true, "[6]"},
-		{"SELECT v FROM q WHERE id IN (?...)", []any{9, 3, 9, 999}, 4, true, "[2 8]"},
+		{"SELECT v FROM q WHERE id = ?", []Value{Int64(7)}, 0, true, "[6]"},
+		{"SELECT v FROM q WHERE id IN (?...)", ints(9, 3, 9, 999), 4, true, "[2 8]"},
 		// No index on v: the scan is still asked for.
-		{"SELECT v FROM q WHERE v = ?", []any{"nope"}, 0, false, "[]"},
+		{"SELECT v FROM q WHERE v = ?", []Value{Text("nope")}, 0, false, "[]"},
 	} {
 		b := boundOf(t, e, tc.sql)
-		ev := &evalCtx{args: values(t, tc.args...), spreadN: tc.spreadN}
+		ev := &evalCtx{args: tc.args, spreadN: tc.spreadN}
 		ids, indexed, err := b.probe.candidates([]int64{}, ev)
 		if err != nil {
 			t.Fatal(err)
@@ -92,28 +83,28 @@ func TestIndexMissEvaluatesNoRows(t *testing.T) {
 	mustExec(t, e, "CREATE ORDERED INDEX eq_out_prio ON eq_out_q (priority, task_id)")
 	mustExec(t, e, "CREATE TABLE eq_in_q (task_id INTEGER PRIMARY KEY, work_type INTEGER)")
 	for i := 1; i <= 200; i++ {
-		mustExec(t, e, "INSERT INTO eq_tasks (status, dedup_key) VALUES ('queued', ?)", fmt.Sprint("k", i))
-		mustExec(t, e, "INSERT INTO eq_out_q (task_id, work_type, priority) VALUES (?, 1, ?)", i, i%7)
-		mustExec(t, e, "INSERT INTO eq_in_q (task_id, work_type) VALUES (?, 1)", i)
+		mustExec(t, e, "INSERT INTO eq_tasks (status, dedup_key) VALUES ('queued', ?)", Text(fmt.Sprint("k", i)))
+		mustExec(t, e, "INSERT INTO eq_out_q (task_id, work_type, priority) VALUES (?, 1, ?)", Int64(int64(i)), Int64(int64(i%7)))
+		mustExec(t, e, "INSERT INTO eq_in_q (task_id, work_type) VALUES (?, 1)", Int64(int64(i)))
 	}
 	for _, tc := range []struct {
 		sql     string
-		args    []any
+		args    []Value
 		spreadN int
 		rows    int // rows the clause must be evaluated on
 	}{
-		{"SELECT task_id FROM eq_tasks WHERE dedup_key = ?", []any{"never-submitted"}, 0, 0},
-		{"SELECT task_id FROM eq_in_q WHERE task_id IN (?...) ORDER BY task_id ASC LIMIT ?", []any{901, 902, 903, 10}, 3, 0},
-		{"UPDATE eq_out_q SET priority = ? WHERE task_id = ?", []any{5, 901}, 0, 0},
-		{"DELETE FROM eq_out_q WHERE task_id = ?", []any{901}, 0, 0},
+		{"SELECT task_id FROM eq_tasks WHERE dedup_key = ?", []Value{Text("never-submitted")}, 0, 0},
+		{"SELECT task_id FROM eq_in_q WHERE task_id IN (?...) ORDER BY task_id ASC LIMIT ?", ints(901, 902, 903, 10), 3, 0},
+		{"UPDATE eq_out_q SET priority = ? WHERE task_id = ?", ints(5, 901), 0, 0},
+		{"DELETE FROM eq_out_q WHERE task_id = ?", []Value{Int64(901)}, 0, 0},
 		// And a hit evaluates exactly the rows the index named.
-		{"SELECT task_id FROM eq_tasks WHERE dedup_key = ?", []any{"k17"}, 0, 1},
-		{"SELECT task_id FROM eq_in_q WHERE task_id IN (?...) ORDER BY task_id ASC LIMIT ?", []any{3, 901, 5, 10}, 3, 2},
+		{"SELECT task_id FROM eq_tasks WHERE dedup_key = ?", []Value{Text("k17")}, 0, 1},
+		{"SELECT task_id FROM eq_in_q WHERE task_id IN (?...) ORDER BY task_id ASC LIMIT ?", ints(3, 901, 5, 10), 3, 2},
 	} {
 		b := *boundOf(t, e, tc.sql)
 		evaluated := 0
 		b.where = &binExpr{Op: "AND", L: countingExpr{&evaluated}, R: b.where}
-		ev := &evalCtx{args: values(t, tc.args...), spreadN: tc.spreadN}
+		ev := &evalCtx{args: tc.args, spreadN: tc.spreadN}
 		ids, err := b.matchIDs(nil, ev)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
@@ -139,37 +130,36 @@ func TestIndexedProbeCoercion(t *testing.T) {
 		mustExec(t, indexed, ddl)
 	}
 	for i := 0; i < 40; i++ {
-		execBoth(t, indexed, ref, "INSERT INTO t (k, n, s, r) VALUES (?, ?, ?, ?)",
-			i, i%10, fmt.Sprint(i%10), float64(i%10)/2)
+		execBoth(t, indexed, ref, "INSERT INTO t (k, n, s, r) VALUES (?, ?, ?, ?)", Int64(int64(i)), Int64(int64(i%10)), Text(fmt.Sprint(i%10)), Int64(int64(float64(i%10)/2)))
 	}
 	execBoth(t, indexed, ref, "INSERT INTO t (k, n, s, r) VALUES (100, NULL, NULL, NULL)")
 	execBoth(t, indexed, ref, "INSERT INTO t (k, n, s, r) VALUES (101, 0, '05', 2.5)")
 
 	for _, tc := range []struct {
 		sql  string
-		args []any
+		args []Value
 	}{
 		{"SELECT k FROM t WHERE k = '5'", nil},
-		{"SELECT k FROM t WHERE k = ?", []any{"5"}},
+		{"SELECT k FROM t WHERE k = ?", []Value{Text("5")}},
 		{"SELECT k FROM t WHERE '5' = k", nil},
 		{"SELECT k FROM t WHERE k = '05'", nil},  // text compare: matches nothing
 		{"SELECT k FROM t WHERE k = 'abc'", nil}, // coerces to 0, matches nothing
 		{"SELECT k FROM t WHERE n = 5.0", nil},
-		{"SELECT k FROM t WHERE n = ?", []any{5.0}},
+		{"SELECT k FROM t WHERE n = ?", []Value{Float64(5.0)}},
 		{"SELECT k FROM t WHERE n = 5.5", nil},
-		{"SELECT k FROM t WHERE n = ?", []any{true}},
+		{"SELECT k FROM t WHERE n = ?", []Value{Int64(1)}},
 		{"SELECT k FROM t WHERE s = 5", nil},
-		{"SELECT k FROM t WHERE s = ?", []any{5}},
+		{"SELECT k FROM t WHERE s = ?", []Value{Int64(5)}},
 		{"SELECT k FROM t WHERE s = 5.0", nil},
 		{"SELECT k FROM t WHERE s = '05'", nil},
 		{"SELECT k FROM t WHERE r = 2", nil},
 		{"SELECT k FROM t WHERE r = '2.5'", nil},
-		{"SELECT k FROM t WHERE r = ?", []any{"2"}},
+		{"SELECT k FROM t WHERE r = ?", []Value{Text("2")}},
 		{"SELECT k FROM t WHERE n = NULL", nil},
-		{"SELECT k FROM t WHERE s = ?", []any{nil}},
+		{"SELECT k FROM t WHERE s = ?", []Value{Null()}},
 		{"SELECT k FROM t WHERE k IN ('5', 6, 7.0, 'x', NULL)", nil},
-		{"SELECT k FROM t WHERE s IN (?...)", []any{5, "6", 7.0, nil}},
-		{"SELECT k FROM t WHERE n IN (?...) AND s = 5", []any{"5", 6.0}},
+		{"SELECT k FROM t WHERE s IN (?...)", []Value{Int64(5), Text("6"), Float64(7.0), Null()}},
+		{"SELECT k FROM t WHERE n IN (?...) AND s = 5", []Value{Text("5"), Float64(6.0)}},
 		{"UPDATE t SET s = 'hit' WHERE k = '7'", nil},
 		{"DELETE FROM t WHERE n = '3'", nil},
 		{"SELECT k, s FROM t WHERE k IN (3, 7, 13)", nil},
@@ -179,11 +169,11 @@ func TestIndexedProbeCoercion(t *testing.T) {
 		{"SELECT COUNT(*) FROM t WHERE k = '05'", nil},
 		{"SELECT k FROM t WHERE n = '5' ORDER BY r DESC, k ASC LIMIT 2", nil},
 	} {
-		ri, err := indexed.Exec(tc.sql, tc.args...)
+		ri, err := execSQL(indexed, tc.sql, tc.args...)
 		if err != nil {
 			t.Fatalf("indexed %q: %v", tc.sql, err)
 		}
-		rr, err := ref.Exec(tc.sql, tc.args...)
+		rr, err := execSQL(ref, tc.sql, tc.args...)
 		if err != nil {
 			t.Fatalf("reference %q: %v", tc.sql, err)
 		}
@@ -202,10 +192,10 @@ func TestEqProbeAfterSpread(t *testing.T) {
 	mustExec(t, e, "CREATE TABLE t (k INTEGER, wt INTEGER)")
 	mustExec(t, e, "CREATE INDEX t_wt ON t (wt)")
 	for i := 1; i <= 9; i++ {
-		mustExec(t, e, "INSERT INTO t (k, wt) VALUES (?, ?)", i, i%3)
+		mustExec(t, e, "INSERT INTO t (k, wt) VALUES (?, ?)", Int64(int64(i)), Int64(int64(i%3)))
 	}
 	// k carries no index, so the planner reaches the wt conjunct.
-	res := mustExec(t, e, "SELECT k FROM t WHERE k IN (?...) AND wt = ?", 2, 4, 5, 7, 1)
+	res := mustExec(t, e, "SELECT k FROM t WHERE k IN (?...) AND wt = ?", ints(2, 4, 5, 7, 1)...)
 	if fmt.Sprint(res.Rows) != "[[4] [7]]" {
 		t.Fatalf("rows = %v, want k 4 and 7 (wt = 1)", res.Rows)
 	}
@@ -222,40 +212,39 @@ func TestCountByIndex(t *testing.T) {
 	mustExec(t, indexed, "CREATE INDEX t_n ON t (n)")
 	statuses := []string{"queued", "running", "complete"}
 	for i := 1; i <= 300; i++ {
-		execBoth(t, indexed, ref, "INSERT INTO t (id, status, exp, n) VALUES (?, ?, ?, ?)",
-			i, statuses[i%3], fmt.Sprint("e", i%2), i%5)
+		execBoth(t, indexed, ref, "INSERT INTO t (id, status, exp, n) VALUES (?, ?, ?, ?)", Int64(int64(i)), Text(statuses[i%3]), Text(fmt.Sprint("e", i%2)), Int64(int64(i%5)))
 	}
 	execBoth(t, indexed, ref, "INSERT INTO t (id, status, exp, n) VALUES (1000, NULL, NULL, NULL)")
 
 	queries := []struct {
 		sql  string
-		args []any
+		args []Value
 		fast bool
 	}{
-		{"SELECT COUNT(*) FROM t WHERE status = ?", []any{"queued"}, true},
-		{"SELECT COUNT(*) FROM t WHERE ? = status", []any{"running"}, true},
+		{"SELECT COUNT(*) FROM t WHERE status = ?", []Value{Text("queued")}, true},
+		{"SELECT COUNT(*) FROM t WHERE ? = status", []Value{Text("running")}, true},
 		{"SELECT COUNT(*) FROM t WHERE status = 'canceled'", nil, true},
-		{"SELECT COUNT(*) FROM t WHERE status = ?", []any{nil}, true},
+		{"SELECT COUNT(*) FROM t WHERE status = ?", []Value{Null()}, true},
 		{"SELECT COUNT(*) FROM t WHERE n = NULL", nil, true},
 		{"SELECT COUNT(*) FROM t WHERE n = '3'", nil, true},
 		{"SELECT COUNT(*) FROM t WHERE n = '03'", nil, true},
 		{"SELECT COUNT(*) FROM t WHERE n = 3.0", nil, true},
 		{"SELECT COUNT(*) FROM t WHERE id = 17", nil, true},
-		{"SELECT COUNT(*) FROM t WHERE status = ? AND exp = ?", []any{"queued", "e1"}, false},
-		{"SELECT COUNT(*) FROM t WHERE status = ? AND n = 2", []any{"queued"}, false},
-		{"SELECT COUNT(*) FROM t WHERE status IN (?...)", []any{"queued", "running"}, false},
-		{"SELECT COUNT(*) FROM t WHERE exp = ?", []any{"e1"}, false},
+		{"SELECT COUNT(*) FROM t WHERE status = ? AND exp = ?", []Value{Text("queued"), Text("e1")}, false},
+		{"SELECT COUNT(*) FROM t WHERE status = ? AND n = 2", []Value{Text("queued")}, false},
+		{"SELECT COUNT(*) FROM t WHERE status IN (?...)", []Value{Text("queued"), Text("running")}, false},
+		{"SELECT COUNT(*) FROM t WHERE exp = ?", []Value{Text("e1")}, false},
 		{"SELECT COUNT(*) FROM t", nil, false},
-		{"SELECT id FROM t WHERE status = ?", []any{"queued"}, false},
+		{"SELECT id FROM t WHERE status = ?", []Value{Text("queued")}, false},
 	}
 	check := func(when string) {
 		t.Helper()
 		for _, q := range queries {
 			ri := mustExec(t, indexed, q.sql, q.args...)
 			rr := mustExec(t, ref, q.sql, q.args...)
-			if fmt.Sprint(ri.Columns, ri.Rows) != fmt.Sprint(rr.Columns, rr.Rows) {
-				t.Errorf("%s, %q %v: indexed %v %v, scan %v %v",
-					when, q.sql, q.args, ri.Columns, ri.Rows, rr.Columns, rr.Rows)
+			if fmt.Sprint(ri.Rows) != fmt.Sprint(rr.Rows) {
+				t.Errorf("%s, %q %v: indexed %v, scan %v",
+					when, q.sql, q.args, ri.Rows, rr.Rows)
 			}
 			if fast := boundOf(t, indexed, q.sql).countIx; fast != q.fast {
 				t.Errorf("%q: answered from the index = %v, want %v", q.sql, fast, q.fast)
@@ -271,7 +260,7 @@ func TestCountByIndex(t *testing.T) {
 				"DELETE FROM t WHERE status = 'running'",
 				"INSERT INTO t (id, status, exp, n) VALUES (2000, 'queued', 'e1', 3)",
 			} {
-				if _, err := tx.Exec(sql); err != nil {
+				if _, err := txExecSQL(tx, sql); err != nil {
 					return err
 				}
 			}

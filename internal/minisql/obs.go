@@ -8,10 +8,10 @@ import (
 // PlanCacheStats is a snapshot of the engine's compiled-statement counters,
 // exported for the observability layer (osprey_minisql_plan_cache_* metrics).
 // Hits counts executions that reused a compiled statement — every run through
-// a prepared handle, and every Exec or replayed Stmt whose text was compiled
-// already; Misses counts those that had to parse. Evictions counts ad-hoc
-// texts dropped at the text index's bound, and Size the compiled statements
-// held, prepared and ad-hoc.
+// a prepared handle, and every replayed Stmt whose text was compiled already;
+// Misses counts those that had to parse. Evictions counts ad-hoc texts
+// dropped at the text index's bound, and Size the compiled statements held,
+// prepared and ad-hoc.
 type PlanCacheStats struct {
 	Hits      uint64
 	Misses    uint64

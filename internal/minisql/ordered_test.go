@@ -9,12 +9,12 @@ import (
 
 // execBoth runs the same statement against the indexed and reference engines
 // and fails on any error.
-func execBoth(t *testing.T, a, b *Engine, sql string, args ...any) {
+func execBoth(t *testing.T, a, b *Engine, sql string, args ...Value) {
 	t.Helper()
-	if _, err := a.Exec(sql, args...); err != nil {
+	if _, err := execSQL(a, sql, args...); err != nil {
 		t.Fatalf("indexed Exec(%q): %v", sql, err)
 	}
-	if _, err := b.Exec(sql, args...); err != nil {
+	if _, err := execSQL(b, sql, args...); err != nil {
 		t.Fatalf("reference Exec(%q): %v", sql, err)
 	}
 }
@@ -48,7 +48,7 @@ func orderedChurn(t *testing.T, index string, steps, every, maxLimit int) {
 	indexed, ref := NewEngine(), NewEngine()
 	const schema = "CREATE TABLE q (task_id INTEGER PRIMARY KEY, wt INTEGER, prio INTEGER)"
 	execBoth(t, indexed, ref, schema)
-	if _, err := indexed.Exec(index); err != nil {
+	if _, err := execSQL(indexed, index); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,17 +64,17 @@ func orderedChurn(t *testing.T, index string, steps, every, maxLimit int) {
 	check := func(indexed *Engine) {
 		t.Helper()
 		for _, qs := range queries {
-			var args []any
+			var args []Value
 			if countParams(qs) == 2 {
-				args = []any{rng.Intn(3), rng.Intn(maxLimit) + 1}
+				args = []Value{Int64(int64(rng.Intn(3))), Int64(int64(rng.Intn(maxLimit) + 1))}
 			} else {
-				args = []any{rng.Intn(maxLimit) + 1}
+				args = []Value{Int64(int64(rng.Intn(maxLimit) + 1))}
 			}
-			ri, err := indexed.Exec(qs, args...)
+			ri, err := execSQL(indexed, qs, args...)
 			if err != nil {
 				t.Fatalf("indexed %q: %v", qs, err)
 			}
-			rr, err := ref.Exec(qs, args...)
+			rr, err := execSQL(ref, qs, args...)
 			if err != nil {
 				t.Fatalf("reference %q: %v", qs, err)
 			}
@@ -88,17 +88,15 @@ func orderedChurn(t *testing.T, index string, steps, every, maxLimit int) {
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
 		case op < 6 || len(live) == 0: // insert (duplicate priorities on purpose)
-			execBoth(t, indexed, ref, "INSERT INTO q (task_id, wt, prio) VALUES (?, ?, ?)",
-				nextID, rng.Intn(3), rng.Intn(8))
+			execBoth(t, indexed, ref, "INSERT INTO q (task_id, wt, prio) VALUES (?, ?, ?)", Int64(int64(nextID)), Int64(int64(rng.Intn(3))), Int64(int64(rng.Intn(8))))
 			live = append(live, nextID)
 			nextID++
 		case op < 8: // delete
 			i := rng.Intn(len(live))
-			execBoth(t, indexed, ref, "DELETE FROM q WHERE task_id = ?", live[i])
+			execBoth(t, indexed, ref, "DELETE FROM q WHERE task_id = ?", Int64(live[i]))
 			live = append(live[:i], live[i+1:]...)
 		default: // reprioritize
-			execBoth(t, indexed, ref, "UPDATE q SET prio = ? WHERE task_id = ?",
-				rng.Intn(8), live[rng.Intn(len(live))])
+			execBoth(t, indexed, ref, "UPDATE q SET prio = ? WHERE task_id = ?", Int64(int64(rng.Intn(8))), Int64(live[rng.Intn(len(live))]))
 		}
 		if step%every == 0 {
 			check(indexed)
@@ -142,13 +140,13 @@ func TestOrderedIndexRollback(t *testing.T) {
 	mustExec(t, e, "INSERT INTO q (task_id, prio) VALUES (1, 5), (2, 9)")
 
 	_, err := e.TxLogged(func(tx *Tx) error {
-		if _, err := tx.Exec("INSERT INTO q (task_id, prio) VALUES (3, 100)"); err != nil {
+		if _, err := txExecSQL(tx, "INSERT INTO q (task_id, prio) VALUES (3, 100)"); err != nil {
 			return err
 		}
-		if _, err := tx.Exec("UPDATE q SET prio = 0 WHERE task_id = 2"); err != nil {
+		if _, err := txExecSQL(tx, "UPDATE q SET prio = 0 WHERE task_id = 2"); err != nil {
 			return err
 		}
-		if _, err := tx.Exec("DELETE FROM q WHERE task_id = 1"); err != nil {
+		if _, err := txExecSQL(tx, "DELETE FROM q WHERE task_id = 1"); err != nil {
 			return err
 		}
 		return fmt.Errorf("abort")
@@ -169,7 +167,7 @@ func TestOrderedIndexSnapshotRoundTrip(t *testing.T) {
 	mustExec(t, e, "CREATE TABLE q (task_id INTEGER PRIMARY KEY, prio INTEGER)")
 	mustExec(t, e, "CREATE ORDERED INDEX q_prio ON q (prio)")
 	for i := 1; i <= 20; i++ {
-		mustExec(t, e, "INSERT INTO q (task_id, prio) VALUES (?, ?)", i, i%5)
+		mustExec(t, e, "INSERT INTO q (task_id, prio) VALUES (?, ?)", Int64(int64(i)), Int64(int64(i%5)))
 	}
 	var snap bytes.Buffer
 	if err := e.Snapshot(&snap); err != nil {
@@ -186,7 +184,7 @@ func TestOrderedIndexSnapshotRoundTrip(t *testing.T) {
 	if n := ix.sorted.count(); n != 20 {
 		t.Fatalf("restored sorted side has %d entries, want 20", n)
 	}
-	res, err := r.Exec("SELECT task_id FROM q WHERE prio = ? ORDER BY prio DESC, task_id ASC LIMIT 3", 4)
+	res, err := execSQL(r, "SELECT task_id FROM q WHERE prio = ? ORDER BY prio DESC, task_id ASC LIMIT 3", Int64(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // planCacheSize bounds the ad-hoc statement texts the engine keeps compiled:
-// those first met by Exec, ExecRows or ApplyEntry rather than Prepare. A new
+// those first met by ApplyEntry rather than Prepare. A new
 // text arriving at the bound drops them all. Only a workload of unbounded
 // ad-hoc texts gets there; the EMEWS statements are prepared, and prepared
 // handles are never dropped.
@@ -55,7 +55,6 @@ type bound struct {
 	countIx bool
 
 	pos   []int      // SELECT projection, INSERT target or UPDATE SET column positions
-	names []string   // SELECT result column names (Result.Columns)
 	set   []expr     // UPDATE SET values
 	rows  [][]expr   // INSERT VALUES rows
 	order []orderPos // ORDER BY keys
@@ -83,9 +82,8 @@ type probe struct {
 }
 
 // planCache is the engine's text index: SQL text to its compiled handle. It
-// has its own lock so Exec callers resolve their text before taking the
-// engine lock. Tx.Exec and ApplyEntry resolve theirs under the engine lock;
-// the order engine → cache is never reversed.
+// has its own lock so Prepare takes no engine lock. ApplyEntry resolves its
+// texts under the engine lock; the order engine → cache is never reversed.
 type planCache struct {
 	mu     sync.Mutex
 	pinned map[string]*Prepared // made by Prepare: never dropped
@@ -140,9 +138,9 @@ func (e *Engine) Prepare(sql string) (*Prepared, error) {
 	return e.lookup(sql, true)
 }
 
-// lookup resolves sql to its handle, parsing it on first sight. An
-// execution by text (pin false) counts as a hit when the text was compiled
-// already and as a miss when it had to be parsed.
+// lookup resolves sql to its handle, parsing it on first sight. A replay by
+// text (pin false) counts as a hit when the text was compiled already and as
+// a miss when it had to be parsed.
 func (e *Engine) lookup(sql string, pin bool) (*Prepared, error) {
 	c := e.plans
 	c.mu.Lock()
@@ -298,15 +296,13 @@ func (b *bound) bindSelect(st selectStmt) error {
 	t := b.t
 	if st.Count {
 		// ORDER BY and LIMIT do not change a count, and are not bound.
-		b.names = []string{"count"}
 		ix, _ := eqIndex(t, b.where)
 		b.countIx = ix != nil
 		return nil
 	}
 	for _, sc := range st.Cols {
 		if sc.Star {
-			for i, c := range t.cols {
-				b.names = append(b.names, c.Name)
+			for i := range t.cols {
 				b.pos = append(b.pos, i)
 			}
 			continue
@@ -315,7 +311,6 @@ func (b *bound) bindSelect(st selectStmt) error {
 		if err != nil {
 			return err
 		}
-		b.names = append(b.names, sc.Name)
 		b.pos = append(b.pos, ci)
 	}
 	b.order = make([]orderPos, len(st.OrderBy))

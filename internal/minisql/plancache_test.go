@@ -9,17 +9,25 @@ import (
 	"testing"
 )
 
+// applyText replays one statement by its text, as a follower does.
+func applyText(t *testing.T, e *Engine, sql string, args ...Value) {
+	t.Helper()
+	if err := e.ApplyEntry(LogEntry{Stmts: []Stmt{{SQL: sql, Args: args}}}); err != nil {
+		t.Fatalf("ApplyEntry(%q): %v", sql, err)
+	}
+}
+
 // TestPlanCacheReuseAndEviction: each text is compiled once and reused by
 // every later execution; a DDL statement evicts nothing but starts a new
 // schema epoch, and a handle bound in the old one re-binds at its next run.
 func TestPlanCacheReuseAndEviction(t *testing.T) {
 	e := NewEngine()
-	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER)")
+	applyText(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER)")
 	for i := 0; i < 10; i++ {
-		mustExec(t, e, "INSERT INTO t (v) VALUES (?)", i)
+		applyText(t, e, "INSERT INTO t (v) VALUES (?)", Int64(int64(i)))
 	}
 	const sel = "SELECT v FROM t WHERE v = ?"
-	mustExec(t, e, sel, 3)
+	applyText(t, e, sel, Int64(3))
 	if st := e.PlanCacheStats(); st.Size != 3 || st.Misses != 3 || st.Hits != 9 {
 		t.Fatalf("cache %+v, want 3 texts (DDL, INSERT, SELECT) parsed once each and 9 reuses", st)
 	}
@@ -38,7 +46,7 @@ func TestPlanCacheReuseAndEviction(t *testing.T) {
 		"CREATE ORDERED INDEX IF NOT EXISTS t_v2 ON t (v)", // the upgrade path too
 		"DROP TABLE u",
 	} {
-		mustExec(t, e, sel, 1)
+		mustExec(t, e, sel, Int64(1))
 		before, bound := epochs()
 		if bound != before {
 			t.Fatalf("before %q: handle bound in epoch %d, engine at %d", stmt, bound, before)
@@ -51,7 +59,7 @@ func TestPlanCacheReuseAndEviction(t *testing.T) {
 		if got := e.PlanCacheStats().Size; got < size {
 			t.Fatalf("%q dropped compiled statements: %d -> %d", stmt, size, got)
 		}
-		if res := mustExec(t, e, sel, 1); fmt.Sprint(res.Rows) != "[[1]]" {
+		if res := mustExec(t, e, sel, Int64(1)); fmt.Sprint(res.Rows) != "[[1]]" {
 			t.Fatalf("after %q: %s = %v", stmt, sel, res.Rows)
 		}
 		if now, bound := epochs(); bound != now {
@@ -66,14 +74,14 @@ func TestPlanCacheReuseAndEviction(t *testing.T) {
 func TestPlanCacheRestoreEviction(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER)")
-	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", 1)
+	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", Int64(1))
 	var snap bytes.Buffer
 	if err := e.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", 2)
+	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", Int64(2))
 
-	mustExec(t, e, "SELECT v FROM t WHERE v = ?", 1)
+	mustExec(t, e, "SELECT v FROM t WHERE v = ?", Int64(1))
 	e.mu.Lock()
 	before, tbl := e.epoch, e.tables["t"]
 	e.mu.Unlock()
@@ -88,7 +96,7 @@ func TestPlanCacheRestoreEviction(t *testing.T) {
 	}
 	// The statement compiled against the replaced table answers from the
 	// restored one.
-	res := mustExec(t, e, "SELECT v FROM t WHERE v = ?", 1)
+	res := mustExec(t, e, "SELECT v FROM t WHERE v = ?", Int64(1))
 	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 1 {
 		t.Fatalf("post-restore select got %v", res.Rows)
 	}
@@ -103,13 +111,13 @@ func TestPlanCacheRestoreEviction(t *testing.T) {
 // pinned: they survive the drop and are not counted against the bound.
 func TestPlanCacheBound(t *testing.T) {
 	e := NewEngine()
-	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER)") // the first ad-hoc text
+	applyText(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER)") // the first ad-hoc text
 	pinned, err := e.Prepare("SELECT v FROM t WHERE id = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < planCacheSize+99; i++ {
-		mustExec(t, e, fmt.Sprintf("SELECT v FROM t WHERE v = %d", i))
+		applyText(t, e, fmt.Sprintf("SELECT v FROM t WHERE v = %d", i))
 		if n := len(e.plans.adhoc); n > planCacheSize {
 			t.Fatalf("cache holds %d ad-hoc texts after %d, cap is %d", n, i+2, planCacheSize)
 		}
@@ -138,18 +146,18 @@ func TestPlanCacheReplayByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	mustExec(t, leader, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, wt INTEGER, prio INTEGER, s TEXT)")
 	for i := 0; i < 50; i++ {
-		mustExec(t, leader, "INSERT INTO q (wt, prio, s) VALUES (?, ?, ?)", rng.Intn(3), rng.Intn(20), "x")
+		mustExec(t, leader, "INSERT INTO q (wt, prio, s) VALUES (?, ?, ?)", Int64(int64(rng.Intn(3))), Int64(int64(rng.Intn(20))), Text("x"))
 	}
 	// DDL mid-stream: later executions of the same texts re-bind their plans.
 	mustExec(t, leader, "CREATE ORDERED INDEX q_prio ON q (prio)")
 	for i := 0; i < 50; i++ {
 		switch rng.Intn(3) {
 		case 0:
-			mustExec(t, leader, "INSERT INTO q (wt, prio, s) VALUES (?, ?, ?)", rng.Intn(3), rng.Intn(20), "y")
+			mustExec(t, leader, "INSERT INTO q (wt, prio, s) VALUES (?, ?, ?)", Int64(int64(rng.Intn(3))), Int64(int64(rng.Intn(20))), Text("y"))
 		case 1:
-			mustExec(t, leader, "UPDATE q SET prio = ? WHERE id = ?", rng.Intn(20), rng.Intn(50)+1)
+			mustExec(t, leader, "UPDATE q SET prio = ? WHERE id = ?", Int64(int64(rng.Intn(20))), Int64(int64(rng.Intn(50)+1)))
 		case 2:
-			mustExec(t, leader, "DELETE FROM q WHERE id = ?", rng.Intn(50)+1)
+			mustExec(t, leader, "DELETE FROM q WHERE id = ?", Int64(int64(rng.Intn(50)+1)))
 		}
 	}
 
@@ -189,7 +197,7 @@ func TestPreparedRebindsAcrossSchemaChange(t *testing.T) {
 	mustExec(t, e, "CREATE INDEX q_wt ON q (wt)")
 	mustExec(t, e, "CREATE INDEX q_prio ON q (prio)")
 	for i := 0; i < 40; i++ {
-		mustExec(t, e, "INSERT INTO q (wt, prio, s) VALUES (?, ?, ?)", i%3, i%7, fmt.Sprint("s", i%5))
+		mustExec(t, e, "INSERT INTO q (wt, prio, s) VALUES (?, ?, ?)", Int64(int64(i%3)), Int64(int64(i%7)), Text(fmt.Sprint("s", i%5)))
 	}
 	var first bytes.Buffer
 	if err := e.Snapshot(&first); err != nil {
@@ -242,11 +250,7 @@ func TestPreparedRebindsAcrossSchemaChange(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("%s: %q through its handle: %v", stage, r.sql, err)
 			}
-			args := make([]any, len(r.args))
-			for j, v := range r.args {
-				args[j] = v
-			}
-			want := mustExec(t, ref, r.sql, args...)
+			want := mustExec(t, ref, r.sql, r.args...)
 			if fmt.Sprint(got) != fmt.Sprint(want.Rows) || len(want.Rows) == 0 {
 				t.Fatalf("%s: %q through its handle = %v, a fresh compile = %v", stage, r.sql, got, want.Rows)
 			}

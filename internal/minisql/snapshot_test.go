@@ -22,11 +22,11 @@ func TestSnapshotPreservesIndexesAndNextKey(t *testing.T) {
 	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, wt INTEGER, v TEXT)")
 	mustExec(t, e, "CREATE INDEX t_wt ON t (wt)")
 	for i := 0; i < 5; i++ {
-		mustExec(t, e, "INSERT INTO t (wt, v) VALUES (?, ?)", i%2, "x")
+		mustExec(t, e, "INSERT INTO t (wt, v) VALUES (?, ?)", Int64(int64(i%2)), Text("x"))
 	}
 	// Delete the highest row so nextKey (6) is ahead of the max stored id (4):
 	// only the persisted nextKey field can restore it correctly.
-	mustExec(t, e, "DELETE FROM t WHERE id = ?", 5)
+	mustExec(t, e, "DELETE FROM t WHERE id = ?", Int64(5))
 
 	var buf bytes.Buffer
 	if err := e.Snapshot(&buf); err != nil {
@@ -52,13 +52,13 @@ func TestSnapshotPreservesIndexesAndNextKey(t *testing.T) {
 	}
 
 	// The restored index actually answers queries.
-	res := mustExec(t, e2, "SELECT id FROM t WHERE wt = ?", 1)
+	res := mustExec(t, e2, "SELECT id FROM t WHERE wt = ?", Int64(1))
 	if len(res.Rows) != 2 {
 		t.Fatalf("indexed lookup on restored engine returned %d rows, want 2", len(res.Rows))
 	}
 
 	// AUTOINCREMENT continues where the source left off.
-	ins := mustExec(t, e2, "INSERT INTO t (wt, v) VALUES (?, ?)", 0, "new")
+	ins := mustExec(t, e2, "INSERT INTO t (wt, v) VALUES (?, ?)", Int64(0), Text("new"))
 	if ins.LastInsertID != 6 {
 		t.Fatalf("restored engine allocated id %d, want 6", ins.LastInsertID)
 	}
@@ -69,8 +69,8 @@ func TestSnapshotPreservesIndexesAndNextKey(t *testing.T) {
 func TestRestoredEngineReplaysWAL(t *testing.T) {
 	src, w := newHookedEngine(t,
 		"CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
-	mustExec(t, src, "INSERT INTO t (v) VALUES (?)", "before-1")
-	mustExec(t, src, "INSERT INTO t (v) VALUES (?)", "before-2")
+	mustExec(t, src, "INSERT INTO t (v) VALUES (?)", Text("before-1"))
+	mustExec(t, src, "INSERT INTO t (v) VALUES (?)", Text("before-2"))
 
 	var snap bytes.Buffer
 	if err := src.Snapshot(&snap); err != nil {
@@ -78,8 +78,8 @@ func TestRestoredEngineReplaysWAL(t *testing.T) {
 	}
 	snapIndex := w.LastIndex()
 
-	mustExec(t, src, "INSERT INTO t (v) VALUES (?)", "after-1")
-	mustExec(t, src, "UPDATE t SET v = ? WHERE id = ?", "rewritten", 1)
+	mustExec(t, src, "INSERT INTO t (v) VALUES (?)", Text("after-1"))
+	mustExec(t, src, "UPDATE t SET v = ? WHERE id = ?", Text("rewritten"), Int64(1))
 
 	replica := NewEngine()
 	if err := replica.Restore(&snap); err != nil {
@@ -240,14 +240,13 @@ func taskLikeEngine(t testing.TB, n int) (*Engine, *Log) {
 		"CREATE INDEX tasks_exp ON tasks (exp)",
 		"CREATE ORDERED INDEX tasks_prio ON tasks (prio, id)",
 	} {
-		if _, err := e.Exec(s); err != nil {
+		if _, err := execSQL(e, s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	_, err := e.TxLogged(func(tx *Tx) error {
 		for i := 0; i < n; i++ {
-			if _, err := tx.Exec("INSERT INTO tasks (exp, wt, status, prio, payload) VALUES (?, ?, ?, ?, ?)",
-				"exp", i%3, 0, i%17, `{"x": [0.25, 0.5, 0.75], "seed": 12345}`); err != nil {
+			if _, err := txExecSQL(tx, "INSERT INTO tasks (exp, wt, status, prio, payload) VALUES (?, ?, ?, ?, ?)", Text("exp"), Int64(int64(i%3)), Int64(0), Int64(int64(i%17)), Text(`{"x": [0.25, 0.5, 0.75], "seed": 12345}`)); err != nil {
 				return err
 			}
 		}
@@ -295,13 +294,13 @@ func TestSnapshotDoesNotBlockCommits(t *testing.T) {
 			var err error
 			switch i % 4 {
 			case 0:
-				_, err = e.Exec("INSERT INTO tasks (exp, wt, status, prio, payload) VALUES (?, ?, ?, ?, ?)", "late", 1, 0, i, "p")
+				_, err = execSQL(e, "INSERT INTO tasks (exp, wt, status, prio, payload) VALUES (?, ?, ?, ?, ?)", Text("late"), Int64(1), Int64(0), Int64(int64(i)), Text("p"))
 			case 1:
-				_, err = e.Exec("UPDATE tasks SET status = ?, result = ? WHERE id = ?", 2, "done", i*7)
+				_, err = execSQL(e, "UPDATE tasks SET status = ?, result = ? WHERE id = ?", Int64(2), Text("done"), Int64(int64(i*7)))
 			case 2:
-				_, err = e.Exec("UPDATE tasks SET prio = ? WHERE exp = ? AND wt = ?", i, "late", 1)
+				_, err = execSQL(e, "UPDATE tasks SET prio = ? WHERE exp = ? AND wt = ?", Int64(int64(i)), Text("late"), Int64(1))
 			case 3:
-				_, err = e.Exec("DELETE FROM tasks WHERE id = ?", i*11)
+				_, err = execSQL(e, "DELETE FROM tasks WHERE id = ?", Int64(int64(i*11)))
 			}
 			if err != nil {
 				commits <- err
@@ -381,12 +380,12 @@ func TestCheckpointPinned(t *testing.T) {
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, prio INTEGER, w REAL, note TEXT)")
 	mustExec(t, e, "CREATE ORDERED INDEX q_prio ON q (prio, id)")
 	mustExec(t, e, "CREATE INDEX q_note ON q (note)")
-	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", 5, 0.5, "a")
-	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", -1, nil, nil)
-	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", 7, 2.0, "gone")
-	mustExec(t, e, "DELETE FROM q WHERE id = ?", 3)
+	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", Int64(5), Float64(0.5), Text("a"))
+	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", Int64(-1), Null(), Null())
+	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", Int64(7), Float64(2.0), Text("gone"))
+	mustExec(t, e, "DELETE FROM q WHERE id = ?", Int64(3))
 	mustExec(t, e, "CREATE TABLE tags (task INTEGER, tag TEXT)")
-	mustExec(t, e, "INSERT INTO tags (task, tag) VALUES (?, ?)", 1, "x")
+	mustExec(t, e, "INSERT INTO tags (task, tag) VALUES (?, ?)", Int64(1), Text("x"))
 	var buf bytes.Buffer
 	if err := e.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -405,7 +404,7 @@ func TestCheckpointPinned(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("the pinned checkpoint does not restore to the same bytes")
 	}
-	if ins := mustExec(t, e2, "INSERT INTO q (prio) VALUES (?)", 1); ins.LastInsertID != 4 {
+	if ins := mustExec(t, e2, "INSERT INTO q (prio) VALUES (?)", Int64(1)); ins.LastInsertID != 4 {
 		t.Fatalf("restored engine allocated id %d, want 4", ins.LastInsertID)
 	}
 }
@@ -431,11 +430,11 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		var err error
 		switch i % 3 {
 		case 0:
-			_, err = e.Exec("UPDATE tasks SET status = ?, result = ?, prio = ? WHERE id = ?", 2, 0.5, nil, i/2)
+			_, err = execSQL(e, "UPDATE tasks SET status = ?, result = ?, prio = ? WHERE id = ?", Int64(2), Float64(0.5), Null(), Int64(int64(i/2)))
 		case 1:
-			_, err = e.Exec("DELETE FROM tasks WHERE id = ?", i/3)
+			_, err = execSQL(e, "DELETE FROM tasks WHERE id = ?", Int64(int64(i/3)))
 		case 2:
-			_, err = e.Exec("INSERT INTO tasks (exp, prio) VALUES (?, ?)", "churn", i)
+			_, err = execSQL(e, "INSERT INTO tasks (exp, prio) VALUES (?, ?)", Text("churn"), Int64(int64(i)))
 		}
 		if err != nil {
 			f.Fatal(err)
@@ -540,20 +539,20 @@ func TestSnapshotCutUnderInPlaceUpdates(t *testing.T) {
 
 	const lo, hi = 19000, 20000
 	for id := lo; id <= hi; id += 10 {
-		mustExec(t, e, "UPDATE tasks SET prio = ?, payload = ?, exp = ? WHERE id = ?", 1000+id, "rewritten", "moved", id)
+		mustExec(t, e, "UPDATE tasks SET prio = ?, payload = ?, exp = ? WHERE id = ?", Int64(int64(1000+id)), Text("rewritten"), Text("moved"), Int64(int64(id)))
 	}
-	mustExec(t, e, "UPDATE tasks SET prio = ?, status = ? WHERE id = ?", -1, 9, hi)
+	mustExec(t, e, "UPDATE tasks SET prio = ?, status = ? WHERE id = ?", Int64(-1), Int64(9), Int64(int64(hi)))
 	ids := make([]Value, 0, 2*100)
 	for id := lo + 1; id <= lo+100; id++ {
 		ids = append(ids, Int64(int64(id)), Int64(int64(id)))
 	}
 	if _, err := e.TxLogged(func(tx *Tx) error {
-		_, err := tx.ExecRows("UPDATE tasks SET prio = ? WHERE id = ?", ids)
+		_, err := txExecRows(tx, "UPDATE tasks SET prio = ? WHERE id = ?", ids)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := mustExec(t, e, "SELECT prio, status FROM tasks WHERE id = ?", hi).Rows[0]; got[0].AsInt() != -1 || got[1].AsInt() != 9 {
+	if got := mustExec(t, e, "SELECT prio, status FROM tasks WHERE id = ?", Int64(int64(hi))).Rows[0]; got[0].AsInt() != -1 || got[1].AsInt() != 9 {
 		t.Fatalf("live row %d = %v, want the update applied", hi, got)
 	}
 
@@ -566,7 +565,7 @@ func TestSnapshotCutUnderInPlaceUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []int{lo, lo + 1, hi} {
-		row := mustExec(t, restored, "SELECT prio, payload, exp, status FROM tasks WHERE id = ?", id).Rows
+		row := mustExec(t, restored, "SELECT prio, payload, exp, status FROM tasks WHERE id = ?", Int64(int64(id))).Rows
 		if len(row) != 1 || row[0][0].AsInt() != int64((id-1)%17) || row[0][2].AsText() != "exp" || row[0][3].AsInt() != 0 {
 			t.Fatalf("restored row %d = %v, want its values from before the capture (prio %d, exp \"exp\", status 0)", id, row, (id-1)%17)
 		}

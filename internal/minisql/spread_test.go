@@ -13,20 +13,20 @@ func TestSpreadINWidths(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY, wt INTEGER)")
 	for i := 1; i <= 10; i++ {
-		mustExec(t, e, "INSERT INTO q (id, wt) VALUES (?, ?)", i, i%2)
+		mustExec(t, e, "INSERT INTO q (id, wt) VALUES (?, ?)", Int64(int64(i)), Int64(int64(i%2)))
 	}
 
 	const sel = "SELECT id FROM q WHERE id IN (?...) ORDER BY id ASC LIMIT ?"
 	for _, tc := range []struct {
-		args []any
+		args []Value
 		want []int64
 	}{
-		{[]any{3, 100}, []int64{3}},
-		{[]any{5, 2, 9, 100}, []int64{2, 5, 9}},
-		{[]any{5, 2, 9, 2}, []int64{2, 5}}, // LIMIT binds after the spread
-		{[]any{100}, nil},                  // zero-width spread matches nothing
+		{ints(3, 100), []int64{3}},
+		{ints(5, 2, 9, 100), []int64{2, 5, 9}},
+		{ints(5, 2, 9, 2), []int64{2, 5}}, // LIMIT binds after the spread
+		{[]Value{Int64(100)}, nil},        // zero-width spread matches nothing
 	} {
-		res, err := e.Exec(sel, tc.args...)
+		res, err := execSQL(e, sel, tc.args...)
 		if err != nil {
 			t.Fatalf("Exec(%v): %v", tc.args, err)
 		}
@@ -40,14 +40,14 @@ func TestSpreadINWidths(t *testing.T) {
 	}
 
 	// Parameters before the spread keep their positions.
-	res, err := e.Exec("UPDATE q SET wt = ? WHERE id IN (?...)", 7, 1, 2, 3)
+	res, err := execSQL(e, "UPDATE q SET wt = ? WHERE id IN (?...)", ints(7, 1, 2, 3)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.RowsAffected != 3 {
 		t.Fatalf("spread update affected %d rows, want 3", res.RowsAffected)
 	}
-	res = mustExec(t, e, "SELECT COUNT(*) FROM q WHERE wt = ?", 7)
+	res = mustExec(t, e, "SELECT COUNT(*) FROM q WHERE wt = ?", Int64(7))
 	if res.Rows[0][0].AsInt() != 3 {
 		t.Fatalf("wt=7 count = %d, want 3", res.Rows[0][0].AsInt())
 	}
@@ -60,9 +60,9 @@ func TestTwoParamINLists(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY, wt INTEGER)")
 	for i := 1; i <= 6; i++ {
-		mustExec(t, e, "INSERT INTO q (id, wt) VALUES (?, ?)", i, i)
+		mustExec(t, e, "INSERT INTO q (id, wt) VALUES (?, ?)", Int64(int64(i)), Int64(int64(i)))
 	}
-	res, err := e.Exec("SELECT id FROM q WHERE id IN (?, ?, ?) AND wt IN (?, ?)", 1, 2, 5, 2, 5)
+	res, err := execSQL(e, "SELECT id FROM q WHERE id IN (?, ?, ?) AND wt IN (?, ?)", ints(1, 2, 5, 2, 5)...)
 	if err != nil {
 		t.Fatalf("two-IN-list statement: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestTwoParamINLists(t *testing.T) {
 	}
 	// An explicit fixed list ahead of a spread is equally valid: the fixed
 	// list keeps its width, the spread absorbs the surplus.
-	res, err = e.Exec("SELECT id FROM q WHERE wt IN (?, ?) AND id IN (?...)", 2, 5, 1, 2, 5)
+	res, err = execSQL(e, "SELECT id FROM q WHERE wt IN (?, ?) AND id IN (?...)", ints(2, 5, 1, 2, 5)...)
 	if err != nil {
 		t.Fatalf("fixed-list-before-spread statement: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestSpreadINIndexedLookup(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY, v TEXT)")
 	for i := 1; i <= 100; i++ {
-		mustExec(t, e, "INSERT INTO q (id, v) VALUES (?, ?)", i, fmt.Sprintf("v%d", i))
+		mustExec(t, e, "INSERT INTO q (id, v) VALUES (?, ?)", Int64(int64(i)), Text(fmt.Sprintf("v%d", i)))
 	}
 	b := boundOf(t, e, "DELETE FROM q WHERE id IN (?...)")
 	ids, indexed, err := b.probe.candidates(nil,
@@ -122,7 +122,7 @@ func TestSpreadINReplay(t *testing.T) {
 	for _, s := range setup {
 		mustExec(t, leader, s)
 	}
-	if _, err := leader.Exec("DELETE FROM q WHERE id IN (?, ?)", 2, 4); err != nil {
+	if _, err := execSQL(leader, "DELETE FROM q WHERE id IN (?, ?)", Int64(2), Int64(4)); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ := entriesSince(t, wal, 0)
@@ -151,7 +151,7 @@ func TestCompositeOrderedTopNMatchesSort(t *testing.T) {
 	indexed, ref := NewEngine(), NewEngine()
 	const schema = "CREATE TABLE q (task_id INTEGER PRIMARY KEY, wt INTEGER, prio INTEGER)"
 	execBoth(t, indexed, ref, schema)
-	if _, err := indexed.Exec("CREATE ORDERED INDEX q_prio ON q (prio, task_id)"); err != nil {
+	if _, err := execSQL(indexed, "CREATE ORDERED INDEX q_prio ON q (prio, task_id)"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,17 +170,17 @@ func TestCompositeOrderedTopNMatchesSort(t *testing.T) {
 	check := func() {
 		t.Helper()
 		for _, qs := range queries {
-			var args []any
+			var args []Value
 			if countParams(qs) == 2 {
-				args = []any{rng.Intn(3), rng.Intn(12) + 1}
+				args = []Value{Int64(int64(rng.Intn(3))), Int64(int64(rng.Intn(12) + 1))}
 			} else {
-				args = []any{rng.Intn(12) + 1}
+				args = []Value{Int64(int64(rng.Intn(12) + 1))}
 			}
-			ri, err := indexed.Exec(qs, args...)
+			ri, err := execSQL(indexed, qs, args...)
 			if err != nil {
 				t.Fatalf("indexed %q: %v", qs, err)
 			}
-			rr, err := ref.Exec(qs, args...)
+			rr, err := execSQL(ref, qs, args...)
 			if err != nil {
 				t.Fatalf("reference %q: %v", qs, err)
 			}
@@ -200,17 +200,15 @@ func TestCompositeOrderedTopNMatchesSort(t *testing.T) {
 			if rng.Intn(5) == 0 {
 				prio = rng.Intn(8)
 			}
-			execBoth(t, indexed, ref, "INSERT INTO q (task_id, wt, prio) VALUES (?, ?, ?)",
-				nextID, rng.Intn(3), prio)
+			execBoth(t, indexed, ref, "INSERT INTO q (task_id, wt, prio) VALUES (?, ?, ?)", Int64(int64(nextID)), Int64(int64(rng.Intn(3))), Int64(int64(prio)))
 			live = append(live, nextID)
 			nextID++
 		case op < 8:
 			i := rng.Intn(len(live))
-			execBoth(t, indexed, ref, "DELETE FROM q WHERE task_id = ?", live[i])
+			execBoth(t, indexed, ref, "DELETE FROM q WHERE task_id = ?", Int64(live[i]))
 			live = append(live[:i], live[i+1:]...)
 		default:
-			execBoth(t, indexed, ref, "UPDATE q SET prio = ? WHERE task_id = ?",
-				rng.Intn(8), live[rng.Intn(len(live))])
+			execBoth(t, indexed, ref, "UPDATE q SET prio = ? WHERE task_id = ?", Int64(int64(rng.Intn(8))), Int64(live[rng.Intn(len(live))]))
 		}
 		if step%20 == 0 {
 			check()
@@ -226,7 +224,7 @@ func TestCompositeOrderedSnapshotRoundTrip(t *testing.T) {
 	mustExec(t, e, "CREATE TABLE q (task_id INTEGER PRIMARY KEY, prio INTEGER)")
 	mustExec(t, e, "CREATE ORDERED INDEX IF NOT EXISTS q_prio ON q (prio, task_id)")
 	for i := 1; i <= 30; i++ {
-		mustExec(t, e, "INSERT INTO q (task_id, prio) VALUES (?, 0)", i)
+		mustExec(t, e, "INSERT INTO q (task_id, prio) VALUES (?, 0)", Int64(int64(i)))
 	}
 	var snap bytes.Buffer
 	if err := e.Snapshot(&snap); err != nil {
@@ -240,7 +238,7 @@ func TestCompositeOrderedSnapshotRoundTrip(t *testing.T) {
 	if ix == nil || !ix.ordered || len(ix.cols) != 2 {
 		t.Fatalf("restored composite index = %+v, want ordered 2-column", ix)
 	}
-	res, err := r.Exec("SELECT task_id FROM q ORDER BY prio DESC, task_id ASC LIMIT 3")
+	res, err := execSQL(r, "SELECT task_id FROM q ORDER BY prio DESC, task_id ASC LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}

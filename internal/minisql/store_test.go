@@ -371,7 +371,7 @@ func TestLogAppendFailureSurfaced(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
 	e.SetCommitHook(l.Append)
-	if _, err := e.Exec("INSERT INTO t (v) VALUES (?)", "kept"); err != nil || e.LastLogged() != 1 {
+	if _, err := execSQL(e, "INSERT INTO t (v) VALUES (?)", Text("kept")); err != nil || e.LastLogged() != 1 {
 		t.Fatalf("healthy write = %v, token %d; want token 1", err, e.LastLogged())
 	}
 	// Poison the log the way a failed write/flush would.
@@ -379,7 +379,7 @@ func TestLogAppendFailureSurfaced(t *testing.T) {
 	s.log.err = fmt.Errorf("minisql: disk log: %w", os.ErrClosed)
 	s.log.mu.Unlock()
 	for i := 0; i < 2; i++ {
-		if _, err := e.Exec("INSERT INTO t (v) VALUES (?)", "lost"); !errors.Is(err, os.ErrClosed) {
+		if _, err := execSQL(e, "INSERT INTO t (v) VALUES (?)", Text("lost")); !errors.Is(err, os.ErrClosed) {
 			t.Fatalf("write %d on a poisoned log = %v, want the disk error", i, err)
 		}
 	}
@@ -466,7 +466,7 @@ func TestRecoverFallsBackPastMalformedCheckpoint(t *testing.T) {
 	s.SetSnapshotSource(e.SnapshotLogged)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 10; i++ {
-			mustExec(t, e, "INSERT INTO t (v) VALUES (?)", fmt.Sprintf("r%d-%d", round, i))
+			mustExec(t, e, "INSERT INTO t (v) VALUES (?)", Text(fmt.Sprintf("r%d-%d", round, i)))
 		}
 		if round < 2 {
 			if err := s.Checkpoint(); err != nil {

@@ -101,7 +101,7 @@ func TestDecodedTextOutlivesInput(t *testing.T) {
 		mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
 		want := func(i int) []string { return []string{fmt.Sprintf("row-%d-%s", i, bytes.Repeat([]byte("x"), i))} }
 		for i := range 101 {
-			mustExec(t, e, "INSERT INTO t (v) VALUES (?)", want(i)[0])
+			mustExec(t, e, "INSERT INTO t (v) VALUES (?)", Text(want(i)[0]))
 		}
 		var buf bytes.Buffer
 		if err := e.Snapshot(&buf); err != nil {

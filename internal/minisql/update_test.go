@@ -86,20 +86,20 @@ func inPlaceUpdates(tx *Tx) error {
 	}
 	for _, s := range []struct {
 		sql  string
-		args []any
+		args []Value
 	}{
-		{"UPDATE tasks SET exp = ? WHERE id = ?", []any{"moved", 5}},
-		{"UPDATE tasks SET exp = ?, prio = ? WHERE id = ?", []any{"exp2", 99, 6}},
-		{"UPDATE tasks SET prio = ? WHERE id = ?", []any{500, 5}},
-		{"UPDATE tasks SET prio = ?, prio = ? WHERE id = ?", []any{501, 3, 5}},
-		{"UPDATE tasks SET status = ?, result = ?, exp = ? WHERE id = ?", []any{3, "r", "exp2", 5}},
-		{"UPDATE tasks SET status = status WHERE wt = ?", []any{2}},
-		{"UPDATE tasks SET prio = ?, status = ? WHERE exp = ? AND wt = ?", []any{7, 1, "exp", 1}},
-		{"DELETE FROM tasks WHERE id = ?", []any{6}},
-		{"INSERT INTO tasks (exp, wt, status, prio, payload) VALUES (?, ?, ?, ?, ?)", []any{"new", 1, 0, 1, "p"}},
-		{"UPDATE tasks SET exp = ?, prio = ?, payload = ? WHERE exp = ?", []any{"newer", 2, "q", "new"}},
+		{"UPDATE tasks SET exp = ? WHERE id = ?", []Value{Text("moved"), Int64(5)}},
+		{"UPDATE tasks SET exp = ?, prio = ? WHERE id = ?", []Value{Text("exp2"), Int64(99), Int64(6)}},
+		{"UPDATE tasks SET prio = ? WHERE id = ?", ints(500, 5)},
+		{"UPDATE tasks SET prio = ?, prio = ? WHERE id = ?", ints(501, 3, 5)},
+		{"UPDATE tasks SET status = ?, result = ?, exp = ? WHERE id = ?", []Value{Int64(3), Text("r"), Text("exp2"), Int64(5)}},
+		{"UPDATE tasks SET status = status WHERE wt = ?", []Value{Int64(2)}},
+		{"UPDATE tasks SET prio = ?, status = ? WHERE exp = ? AND wt = ?", []Value{Int64(7), Int64(1), Text("exp"), Int64(1)}},
+		{"DELETE FROM tasks WHERE id = ?", []Value{Int64(6)}},
+		{"INSERT INTO tasks (exp, wt, status, prio, payload) VALUES (?, ?, ?, ?, ?)", []Value{Text("new"), Int64(1), Int64(0), Int64(1), Text("p")}},
+		{"UPDATE tasks SET exp = ?, prio = ?, payload = ? WHERE exp = ?", []Value{Text("newer"), Int64(2), Text("q"), Text("new")}},
 	} {
-		if _, err := tx.Exec(s.sql, s.args...); err != nil {
+		if _, err := txExecSQL(tx, s.sql, s.args...); err != nil {
 			return fmt.Errorf("%s: %w", s.sql, err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestUpdateInPlaceAllocs(t *testing.T) {
 	const n = 500
 	args := make([]Value, 0, 3*n)
 	for id := int64(1); id <= n; id++ {
-		mustExec(t, e, "INSERT INTO t (id, v, s) VALUES (?, 0, 'a')", id)
+		mustExec(t, e, "INSERT INTO t (id, v, s) VALUES (?, 0, 'a')", Int64(int64(id)))
 		args = append(args, Int64(id), Text("b"), Int64(id))
 	}
 	h, err := e.Prepare("UPDATE t SET v = ?, s = ? WHERE id = ?")
@@ -189,7 +189,7 @@ func TestUpdateInPlaceAllocs(t *testing.T) {
 		t.Fatalf("RunRows of %d UPDATEs beside a capture: %.0f allocs, want a copy per row", n, got)
 	}
 	e.captures--
-	if got := mustExec(t, e, "SELECT v, s FROM t WHERE id = ?", 7).Rows; len(got) != 1 || got[0][0].AsInt() != 7 || got[0][1].AsText() != "b" {
+	if got := mustExec(t, e, "SELECT v, s FROM t WHERE id = ?", Int64(7)).Rows; len(got) != 1 || got[0][0].AsInt() != 7 || got[0][1].AsText() != "b" {
 		t.Fatalf("row 7 after the updates = %v, want [7 b]", got)
 	}
 }

@@ -13,12 +13,11 @@
 // re-planning and no materialised Result. A handle binds to the schema at its
 // first run in each schema epoch (table, column positions, WHERE conjuncts,
 // the index they probe); CREATE/DROP TABLE, CREATE INDEX and Restore start a
-// new epoch, and a stale handle re-binds at its next run. Exec is the ad-hoc
-// path (DDL, migrations, tests): it resolves its text to a handle through the
-// engine's text index — prepared handles pinned, ad-hoc texts bounded — and
-// runs it through the same executor with the same checks. ApplyEntry resolves
-// each logged statement's text the same way, so a follower runs the handle
-// its leader's code prepared.
+// new epoch, and a stale handle re-binds at its next run. ApplyEntry resolves
+// each logged statement's text to a handle through the engine's text index —
+// prepared handles pinned, ad-hoc texts bounded — so a follower runs the
+// handle its leader's code prepared, through the same executor with the same
+// checks.
 //
 // It stands in for the resource-local PostgreSQL instance the paper uses: the
 // task-queue semantics of OSPREY are plain relational operations, and this
@@ -27,7 +26,6 @@
 package minisql
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 )
@@ -191,38 +189,5 @@ func (v Value) key() hashKey {
 		return hashKey{kind: KindFloat, num: math.Float64bits(f)}
 	default:
 		return hashKey{kind: KindText, text: v.Text}
-	}
-}
-
-// toValue converts a Go value supplied as a query argument into a Value.
-func toValue(arg any) (Value, error) {
-	switch a := arg.(type) {
-	case nil:
-		return Null(), nil
-	case int:
-		return Int64(int64(a)), nil
-	case int32:
-		return Int64(int64(a)), nil
-	case int64:
-		return Int64(a), nil
-	case uint:
-		return Int64(int64(a)), nil
-	case float32:
-		return Float64(float64(a)), nil
-	case float64:
-		return Float64(a), nil
-	case bool:
-		if a {
-			return Int64(1), nil
-		}
-		return Int64(0), nil
-	case string:
-		return Text(a), nil
-	case []byte:
-		return Text(string(a)), nil
-	case Value:
-		return a, nil
-	default:
-		return Value{}, fmt.Errorf("minisql: unsupported argument type %T", arg)
 	}
 }

@@ -47,10 +47,10 @@ func entriesSince(t testing.TB, w *Log, after uint64) ([]LogEntry, bool) {
 
 func TestCommitHookAutocommit(t *testing.T) {
 	e, w := newHookedEngine(t, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
-	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", "a")
+	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", Text("a"))
 	mustExec(t, e, "SELECT * FROM t") // reads are never logged
-	mustExec(t, e, "UPDATE t SET v = ? WHERE id = ?", "b", 1)
-	mustExec(t, e, "DELETE FROM t WHERE id = ?", 1)
+	mustExec(t, e, "UPDATE t SET v = ? WHERE id = ?", Text("b"), Int64(1))
+	mustExec(t, e, "DELETE FROM t WHERE id = ?", Int64(1))
 
 	entries, ok := entriesSince(t, w, 0)
 	if !ok || len(entries) != 3 {
@@ -77,13 +77,13 @@ func TestCommitHookTxBatchesAndRollbackDiscards(t *testing.T) {
 
 	// A committed transaction produces exactly one entry with all mutations.
 	_, err := e.TxLogged(func(tx *Tx) error {
-		if _, err := tx.Exec("INSERT INTO t (v) VALUES (?)", "x"); err != nil {
+		if _, err := txExecSQL(tx, "INSERT INTO t (v) VALUES (?)", Text("x")); err != nil {
 			return err
 		}
-		if _, err := tx.Exec("SELECT COUNT(*) FROM t"); err != nil {
+		if _, err := txExecSQL(tx, "SELECT COUNT(*) FROM t"); err != nil {
 			return err
 		}
-		_, err := tx.Exec("INSERT INTO t (v) VALUES (?)", "y")
+		_, err := txExecSQL(tx, "INSERT INTO t (v) VALUES (?)", Text("y"))
 		return err
 	})
 	if err != nil {
@@ -98,7 +98,7 @@ func TestCommitHookTxBatchesAndRollbackDiscards(t *testing.T) {
 	// A rolled-back transaction logs nothing.
 	sentinel := errAbort{}
 	if _, err := e.TxLogged(func(tx *Tx) error {
-		_, _ = tx.Exec("INSERT INTO t (v) VALUES (?)", "discard")
+		_, _ = txExecSQL(tx, "INSERT INTO t (v) VALUES (?)", Text("discard"))
 		return sentinel
 	}); err == nil {
 		t.Fatal("Tx should surface fn error")
@@ -114,7 +114,7 @@ func TestCommitHookTxBatchesAndRollbackDiscards(t *testing.T) {
 func TestCommitHookRefusal(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
-	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", "kept")
+	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", Text("kept"))
 	refuse := true
 	e.SetCommitHook(func(stmts []Stmt) (uint64, error) {
 		if refuse {
@@ -127,11 +127,11 @@ func TestCommitHookRefusal(t *testing.T) {
 
 	insert := "INSERT INTO t (v) VALUES (?)"
 	commits := map[string]func() error{
-		"autocommit": func() error { _, err := e.Exec(insert, "x"); return err },
+		"autocommit": func() error { _, err := execSQL(e, insert, Text("x")); return err },
 		"TxLogged": func() error {
 			_, err := e.TxLogged(func(tx *Tx) error {
-				_, _ = tx.Exec("UPDATE t SET v = ? WHERE id = ?", "changed", 1)
-				_, err := tx.Exec(insert, "x")
+				_, _ = txExecSQL(tx, "UPDATE t SET v = ? WHERE id = ?", Text("changed"), Int64(1))
+				_, err := txExecSQL(tx, insert, Text("x"))
 				return err
 			})
 			return err
@@ -150,7 +150,7 @@ func TestCommitHookRefusal(t *testing.T) {
 		t.Fatalf("refused commits reached the observer %d times, LastLogged %d", observed, e.LastLogged())
 	}
 	refuse = false
-	res, err := e.Exec(insert, "y")
+	res, err := execSQL(e, insert, Text("y"))
 	if tok := e.LastLogged(); err != nil || tok != 7 || res.LastInsertID != 2 || observed != 1 {
 		t.Fatalf("accepted commit = id %d token %d observed %d, %v; want id 2 (counter restored), token 7, 1",
 			res.LastInsertID, tok, observed, err)
@@ -170,18 +170,18 @@ func TestApplyEntryReplayEquivalence(t *testing.T) {
 	}
 	leader, w := newHookedEngine(t, schema...)
 
-	mustExec(t, leader, "INSERT INTO t (v, n) VALUES (?, ?)", "a", 1)
-	mustExec(t, leader, "INSERT INTO t (v, n) VALUES (?, ?)", "b", 2)
+	mustExec(t, leader, "INSERT INTO t (v, n) VALUES (?, ?)", Text("a"), Int64(1))
+	mustExec(t, leader, "INSERT INTO t (v, n) VALUES (?, ?)", Text("b"), Int64(2))
 	if _, err := leader.TxLogged(func(tx *Tx) error {
-		if _, err := tx.Exec("UPDATE t SET v = ? WHERE n = ?", "a2", 1); err != nil {
+		if _, err := txExecSQL(tx, "UPDATE t SET v = ? WHERE n = ?", Text("a2"), Int64(1)); err != nil {
 			return err
 		}
-		_, err := tx.Exec("DELETE FROM t WHERE n = ?", 2)
+		_, err := txExecSQL(tx, "DELETE FROM t WHERE n = ?", Int64(2))
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, leader, "INSERT INTO t (v, n) VALUES (?, ?)", "c", 3)
+	mustExec(t, leader, "INSERT INTO t (v, n) VALUES (?, ?)", Text("c"), Int64(3))
 
 	follower := NewEngine()
 	for _, s := range schema {
@@ -212,8 +212,8 @@ func TestApplyEntryReplayEquivalence(t *testing.T) {
 	}
 
 	// AUTOINCREMENT state converged too: next insert gets the same key.
-	wi := mustExec(t, leader, "INSERT INTO t (v, n) VALUES (?, ?)", "d", 4)
-	gi := mustExec(t, follower, "INSERT INTO t (v, n) VALUES (?, ?)", "d", 4)
+	wi := mustExec(t, leader, "INSERT INTO t (v, n) VALUES (?, ?)", Text("d"), Int64(4))
+	gi := mustExec(t, follower, "INSERT INTO t (v, n) VALUES (?, ?)", Text("d"), Int64(4))
 	if wi.LastInsertID != gi.LastInsertID {
 		t.Fatalf("diverged autoincrement: leader %d follower %d", wi.LastInsertID, gi.LastInsertID)
 	}
@@ -444,10 +444,10 @@ func TestLogAppendAllocs(t *testing.T) {
 // leader hands out IDs that WAL-replaying followers assign differently.
 func TestRollbackRestoresNextKey(t *testing.T) {
 	leader, w := newHookedEngine(t, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
-	mustExec(t, leader, "INSERT INTO t (v) VALUES (?)", "keep")
+	mustExec(t, leader, "INSERT INTO t (v) VALUES (?)", Text("keep"))
 
 	if _, err := leader.TxLogged(func(tx *Tx) error {
-		if _, err := tx.Exec("INSERT INTO t (v) VALUES (?)", "discard"); err != nil {
+		if _, err := txExecSQL(tx, "INSERT INTO t (v) VALUES (?)", Text("discard")); err != nil {
 			return err
 		}
 		return errAbort{}
@@ -455,7 +455,7 @@ func TestRollbackRestoresNextKey(t *testing.T) {
 		t.Fatal("Tx should surface fn error")
 	}
 
-	res := mustExec(t, leader, "INSERT INTO t (v) VALUES (?)", "second")
+	res := mustExec(t, leader, "INSERT INTO t (v) VALUES (?)", Text("second"))
 	if res.LastInsertID != 2 {
 		t.Fatalf("leader id after rollback = %d, want 2", res.LastInsertID)
 	}
@@ -487,7 +487,7 @@ func TestRollbackRestoresNextKey(t *testing.T) {
 // partial effects would be invisible to the statement log.
 func TestAutocommitInsertAtomic(t *testing.T) {
 	e, w := newHookedEngine(t, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
-	if _, err := e.Exec("INSERT INTO t (v) VALUES (?), (?, ?)", "a", "b", "c"); err == nil {
+	if _, err := execSQL(e, "INSERT INTO t (v) VALUES (?), (?, ?)", Text("a"), Text("b"), Text("c")); err == nil {
 		t.Fatal("mismatched row arity should fail")
 	}
 	res := mustExec(t, e, "SELECT COUNT(*) FROM t")
@@ -497,7 +497,7 @@ func TestAutocommitInsertAtomic(t *testing.T) {
 	if got := w.LastIndex(); got != 0 {
 		t.Fatalf("failed statement logged: WAL at %d", got)
 	}
-	ins := mustExec(t, e, "INSERT INTO t (v) VALUES (?)", "ok")
+	ins := mustExec(t, e, "INSERT INTO t (v) VALUES (?)", Text("ok"))
 	if ins.LastInsertID != 1 {
 		t.Fatalf("id after failed insert = %d, want 1", ins.LastInsertID)
 	}
@@ -509,15 +509,15 @@ func TestAutocommitInsertAtomic(t *testing.T) {
 func TestTxStatementAtomic(t *testing.T) {
 	leader, w := newHookedEngine(t, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
 	if _, err := leader.TxLogged(func(tx *Tx) error {
-		if _, err := tx.Exec("INSERT INTO t (v) VALUES (?)", "good"); err != nil {
+		if _, err := txExecSQL(tx, "INSERT INTO t (v) VALUES (?)", Text("good")); err != nil {
 			return err
 		}
 		// Row 1 of this statement succeeds, row 2 has bad arity; the error
 		// is swallowed and the tx commits anyway.
-		if _, err := tx.Exec("INSERT INTO t (v) VALUES (?), (?, ?)", "p1", "p2", "p3"); err == nil {
+		if _, err := txExecSQL(tx, "INSERT INTO t (v) VALUES (?), (?, ?)", Text("p1"), Text("p2"), Text("p3")); err == nil {
 			t.Error("mismatched arity should fail")
 		}
-		_, err := tx.Exec("INSERT INTO t (v) VALUES (?)", "last")
+		_, err := txExecSQL(tx, "INSERT INTO t (v) VALUES (?)", Text("last"))
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -558,7 +558,7 @@ func TestSnapshotWithObservesUnderLock(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if _, err := e.Exec("INSERT INTO t (v) VALUES (?)", "x"); err != nil {
+				if _, err := execSQL(e, "INSERT INTO t (v) VALUES (?)", Text("x")); err != nil {
 					t.Errorf("writer: %v", err)
 					return
 				}
@@ -585,12 +585,12 @@ func TestCreateIndexIfNotExists(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE t (id INTEGER, v TEXT)")
 	mustExec(t, e, "CREATE INDEX t_v ON t (v)")
-	if _, err := e.Exec("CREATE INDEX t_v ON t (v)"); err == nil {
+	if _, err := execSQL(e, "CREATE INDEX t_v ON t (v)"); err == nil {
 		t.Fatal("duplicate CREATE INDEX should fail")
 	}
 	mustExec(t, e, "CREATE INDEX IF NOT EXISTS t_v ON t (v)") // no-op
-	mustExec(t, e, "INSERT INTO t (id, v) VALUES (?, ?)", 1, "a")
-	res := mustExec(t, e, "SELECT id FROM t WHERE v = ?", "a")
+	mustExec(t, e, "INSERT INTO t (id, v) VALUES (?, ?)", Int64(1), Text("a"))
+	res := mustExec(t, e, "SELECT id FROM t WHERE v = ?", Text("a"))
 	if len(res.Rows) != 1 {
 		t.Fatalf("indexed lookup after IF NOT EXISTS returned %d rows", len(res.Rows))
 	}

@@ -137,11 +137,3 @@ func (s *HistSnapshot) Quantile(p float64) float64 {
 	}
 	return s.Bounds[len(s.Bounds)-1]
 }
-
-// Mean returns the average observed value.
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}

@@ -12,8 +12,8 @@
 //
 // One registry per node: core.DB creates it and every layer above registers
 // into the same one (db.Metrics() == node.Metrics() == server.Metrics()), so a
-// single scrape covers the engine, the queues, replication, the service, the
-// pools and the telemetry bridge. BenchmarkInstrumentedSubmit, in the gated
+// single scrape covers the engine, the queues, replication, the service and
+// the pools. BenchmarkInstrumentedSubmit, in the gated
 // set, holds the hot-path cost to one pointer dereference and 2–3 atomics per
 // event. Counters end in _total; histograms expose _bucket/_sum/_count. Each
 // layer lists its metrics where it registers them: service.serverMetrics
@@ -21,8 +21,7 @@
 // and dbMetrics.bindStore (core/obs.go: database, engine, compiled
 // statements — the plan_cache metrics count executions that reused a
 // prepared or cached statement against those that parsed — and durability),
-// watch.NewHub, pool.New (with Config.Metrics set) and
-// telemetry.Recorder.BindObs.
+// watch.NewHub and pool.New (with Config.Metrics set).
 //
 // Endpoints (ServeOps; `osprey-service -ops-addr HOST:PORT`, or
 // service.Server.ServeOps embedded):
@@ -172,12 +171,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry, for single-node processes that
-// don't thread an explicit one.
-func Default() *Registry { return defaultRegistry }
-
 // Counter returns the counter with this name and label pairs, creating it on
 // first use. Labels are alternating key, value strings.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
@@ -239,11 +232,6 @@ func (r *Registry) CollectFunc(fn func(*Emitter)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.collects = append(r.collects, fn)
-}
-
-// GaugeFunc registers a single gauge computed at gather time.
-func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
-	r.CollectFunc(func(e *Emitter) { e.Gauge(name, fn(), labels...) })
 }
 
 // Gather snapshots every metric. Samples are ordered by registration (func

@@ -217,3 +217,16 @@ func TestOpsServer(t *testing.T) {
 		t.Fatalf("/debug/pprof/cmdline: code=%d", code)
 	}
 }
+
+// Mean returns the average observed value.
+func (s *HistSnapshot) Mean() float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	return s.Sum / float64(s.Count)
+}
+
+// GaugeFunc registers a single gauge computed at gather time.
+func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
+	r.CollectFunc(func(e *Emitter) { e.Gauge(name, fn(), labels...) })
+}

@@ -11,7 +11,6 @@ package opt
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -154,20 +153,6 @@ type Report struct {
 	ReprioRounds int     `json:"reprio_rounds"`
 	// Evals, ordered by completion, give the best-so-far trajectory.
 	Evals []Eval `json:"evals"`
-}
-
-// BestAfter returns the best objective seen among the first n completions.
-func (r *Report) BestAfter(n int) float64 {
-	best := math.Inf(1)
-	if n > len(r.Evals) {
-		n = len(r.Evals)
-	}
-	for _, e := range r.Evals[:n] {
-		if e.Y < best {
-			best = e.Y
-		}
-	}
-	return best
 }
 
 type pendingTask struct {
@@ -411,31 +396,4 @@ type noopTrainer struct{}
 
 func (noopTrainer) Rank(_ [][]float64, _ []float64, pending [][]float64) ([]int, error) {
 	return make([]int, len(pending)), nil
-}
-
-// --- checkpointing (paper §II-B2c: managing algorithm/model artifacts) ---
-
-// Checkpoint captures resumable ME state: everything needed to continue an
-// exploration on the original or a different resource.
-type Checkpoint struct {
-	ExpID    string      `json:"exp_id"`
-	WorkType int         `json:"work_type"`
-	TrainX   [][]float64 `json:"train_x"`
-	TrainY   []float64   `json:"train_y"`
-	PendingX [][]float64 `json:"pending_x"`
-	BestY    float64     `json:"best_y"`
-	BestX    []float64   `json:"best_x"`
-	Rounds   int         `json:"rounds"`
-}
-
-// Marshal serializes the checkpoint.
-func (c *Checkpoint) Marshal() ([]byte, error) { return json.Marshal(c) }
-
-// LoadCheckpoint parses a checkpoint produced by Marshal.
-func LoadCheckpoint(data []byte) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("opt: checkpoint: %w", err)
-	}
-	return &c, nil
 }

@@ -57,6 +57,20 @@ func newDB(t *testing.T) *core.DB {
 	return db
 }
 
+// BestAfter returns the best objective seen among the first n completions.
+func (r *Report) BestAfter(n int) float64 {
+	best := math.Inf(1)
+	if n > len(r.Evals) {
+		n = len(r.Evals)
+	}
+	for _, e := range r.Evals[:n] {
+		if e.Y < best {
+			best = e.Y
+		}
+	}
+	return best
+}
+
 func TestRunAsyncCompletesAllSamples(t *testing.T) {
 	db := newDB(t)
 	cfg := fastCfg(60)
@@ -187,33 +201,6 @@ func TestRankFromPredictions(t *testing.T) {
 	}
 	if len(RankFromPredictions(nil)) != 0 {
 		t.Fatal("empty predictions must give empty priorities")
-	}
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	c := &Checkpoint{
-		ExpID:    "e",
-		WorkType: 2,
-		TrainX:   [][]float64{{1, 2}, {3, 4}},
-		TrainY:   []float64{0.5, 0.7},
-		PendingX: [][]float64{{5, 6}},
-		BestY:    0.5,
-		BestX:    []float64{1, 2},
-		Rounds:   3,
-	}
-	data, err := c.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ExpID != "e" || got.Rounds != 3 || len(got.TrainX) != 2 || got.BestY != 0.5 {
-		t.Fatalf("checkpoint = %+v", got)
-	}
-	if _, err := LoadCheckpoint([]byte("{")); err == nil {
-		t.Fatal("bad checkpoint must error")
 	}
 }
 

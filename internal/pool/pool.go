@@ -21,7 +21,6 @@ package pool
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -61,18 +60,6 @@ type Config struct {
 	// pool name: osprey_pool_workers_{busy,idle}, osprey_pool_tasks_owned and
 	// osprey_pool_tasks_{executed,failed}_total. Nil disables instrumentation.
 	Metrics *obs.Registry
-}
-
-// JSONCores extracts an integer "cores" field from a JSON payload,
-// defaulting to 1 — a ready-made Config.CoresOf for JSON task schemas.
-func JSONCores(payload string) int {
-	var p struct {
-		Cores int `json:"cores"`
-	}
-	if err := json.Unmarshal([]byte(payload), &p); err != nil || p.Cores < 1 {
-		return 1
-	}
-	return p.Cores
 }
 
 func (c *Config) applyDefaults() error {
@@ -133,20 +120,11 @@ func New(api core.Session, cfg Config, exec TaskFunc, rec *telemetry.Recorder) (
 	return p, nil
 }
 
-// Name returns the pool's identifier.
-func (p *Pool) Name() string { return p.cfg.Name }
-
-// Owned returns the number of tasks currently obtained but not completed.
-func (p *Pool) Owned() int { return int(p.owned.Load()) }
-
 // Executed returns the number of tasks completed so far.
 func (p *Pool) Executed() int { return int(p.executed.Load()) }
 
 // Failed returns the number of task executions that returned an error.
 func (p *Pool) Failed() int { return int(p.failed.Load()) }
-
-// Running reports whether the pool's Run loop is active.
-func (p *Pool) Running() bool { return p.running.Load() }
 
 // Run starts the pool and blocks until ctx is canceled. On return all
 // workers have exited; tasks that were fetched but never started remain

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -558,3 +559,21 @@ func TestPoolStopDuringResubscribe(t *testing.T) {
 		t.Fatalf("backend saw %d Watch calls, want the subscription and one resubscribe", n)
 	}
 }
+
+// JSONCores extracts an integer "cores" field from a JSON payload,
+// defaulting to 1 — a ready-made Config.CoresOf for JSON task schemas.
+func JSONCores(payload string) int {
+	var p struct {
+		Cores int `json:"cores"`
+	}
+	if err := json.Unmarshal([]byte(payload), &p); err != nil || p.Cores < 1 {
+		return 1
+	}
+	return p.Cores
+}
+
+// Owned returns the number of tasks currently obtained but not completed.
+func (p *Pool) Owned() int { return int(p.owned.Load()) }
+
+// Running reports whether the pool's Run loop is active.
+func (p *Pool) Running() bool { return p.running.Load() }

@@ -4,7 +4,8 @@
 // Proxy reference; consumers pass proxies through size-limited channels
 // (such as the 10 MB funcX payload cap) and Resolve them lazily — the bytes
 // move only when actually needed, over whichever backend the store plugs in
-// (in-memory, shared filesystem, or Globus wide-area transfer).
+// (GlobusStore's wide-area transfer here; the tests add in-memory and
+// shared-filesystem stores).
 package proxystore
 
 import (
@@ -13,9 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 
 	"osprey/internal/globus"
@@ -36,8 +34,6 @@ type Store interface {
 	Put(key string, data []byte) error
 	// Get retrieves the data stored under key.
 	Get(key string) ([]byte, error)
-	// Delete evicts key.
-	Delete(key string) error
 }
 
 // Proxy is the lazy reference passed between workflow components in place of
@@ -125,106 +121,6 @@ func (r *Registry) Resolve(p Proxy) ([]byte, error) {
 	return data, nil
 }
 
-// Evict drops a cached resolution.
-func (r *Registry) Evict(p Proxy) {
-	r.mu.Lock()
-	delete(r.cache, p.Store+"\x00"+p.Key)
-	r.mu.Unlock()
-}
-
-// --- in-memory store ---
-
-// MemStore is a process-local store (ProxyStore's Redis-like backend).
-type MemStore struct {
-	name string
-	mu   sync.Mutex
-	m    map[string][]byte
-}
-
-// NewMemStore creates an in-memory store.
-func NewMemStore(name string) *MemStore {
-	return &MemStore{name: name, m: make(map[string][]byte)}
-}
-
-// Name implements Store.
-func (s *MemStore) Name() string { return s.name }
-
-// Put implements Store.
-func (s *MemStore) Put(key string, data []byte) error {
-	s.mu.Lock()
-	s.m[key] = append([]byte(nil), data...)
-	s.mu.Unlock()
-	return nil
-}
-
-// Get implements Store.
-func (s *MemStore) Get(key string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.m[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q in %q", ErrNoKey, key, s.name)
-	}
-	return append([]byte(nil), data...), nil
-}
-
-// Delete implements Store.
-func (s *MemStore) Delete(key string) error {
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
-	return nil
-}
-
-// --- shared-filesystem store ---
-
-// FileStore persists payloads under a directory, modeling ProxyStore's
-// shared-filesystem backend.
-type FileStore struct {
-	name string
-	dir  string
-}
-
-// NewFileStore creates a file-backed store rooted at dir.
-func NewFileStore(name, dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("proxystore: %w", err)
-	}
-	return &FileStore{name: name, dir: dir}, nil
-}
-
-// Name implements Store.
-func (s *FileStore) Name() string { return s.name }
-
-func (s *FileStore) path(key string) string {
-	// Keys may contain separators; flatten them.
-	safe := strings.NewReplacer("/", "_", "\\", "_", "..", "_").Replace(key)
-	return filepath.Join(s.dir, safe)
-}
-
-// Put implements Store.
-func (s *FileStore) Put(key string, data []byte) error {
-	return os.WriteFile(s.path(key), data, 0o644)
-}
-
-// Get implements Store.
-func (s *FileStore) Get(key string) ([]byte, error) {
-	data, err := os.ReadFile(s.path(key))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %q in %q", ErrNoKey, key, s.name)
-	}
-	return data, err
-}
-
-// Delete implements Store.
-func (s *FileStore) Delete(key string) error {
-	err := os.Remove(s.path(key))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
 // --- Globus-backed store ---
 
 // GlobusStore moves payloads between sites with third-party Globus
@@ -281,14 +177,4 @@ func (s *GlobusStore) Get(key string) ([]byte, error) {
 		}
 	}
 	return local.Get(key)
-}
-
-// Delete implements Store (removes the local replica only).
-func (s *GlobusStore) Delete(key string) error {
-	local, err := s.svc.Endpoint(s.local)
-	if err != nil {
-		return err
-	}
-	local.Delete(key)
-	return nil
 }

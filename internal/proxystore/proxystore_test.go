@@ -3,6 +3,11 @@ package proxystore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -199,4 +204,100 @@ func TestPropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Evict drops a cached resolution.
+func (r *Registry) Evict(p Proxy) {
+	r.mu.Lock()
+	delete(r.cache, p.Store+"\x00"+p.Key)
+	r.mu.Unlock()
+}
+
+// MemStore is a process-local store (ProxyStore's Redis-like backend).
+type MemStore struct {
+	name string
+	mu   sync.Mutex
+	m    map[string][]byte
+}
+
+// NewMemStore creates an in-memory store.
+func NewMemStore(name string) *MemStore {
+	return &MemStore{name: name, m: make(map[string][]byte)}
+}
+
+// Name implements Store.
+func (s *MemStore) Name() string { return s.name }
+
+// Put implements Store.
+func (s *MemStore) Put(key string, data []byte) error {
+	s.mu.Lock()
+	s.m[key] = append([]byte(nil), data...)
+	s.mu.Unlock()
+	return nil
+}
+
+// Get implements Store.
+func (s *MemStore) Get(key string) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data, ok := s.m[key]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q in %q", ErrNoKey, key, s.name)
+	}
+	return append([]byte(nil), data...), nil
+}
+
+// Delete implements Store.
+func (s *MemStore) Delete(key string) error {
+	s.mu.Lock()
+	delete(s.m, key)
+	s.mu.Unlock()
+	return nil
+}
+
+// FileStore persists payloads under a directory, modeling ProxyStore's
+// shared-filesystem backend.
+type FileStore struct {
+	name string
+	dir  string
+}
+
+// NewFileStore creates a file-backed store rooted at dir.
+func NewFileStore(name, dir string) (*FileStore, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("proxystore: %w", err)
+	}
+	return &FileStore{name: name, dir: dir}, nil
+}
+
+// Name implements Store.
+func (s *FileStore) Name() string { return s.name }
+
+func (s *FileStore) path(key string) string {
+	// Keys may contain separators; flatten them.
+	safe := strings.NewReplacer("/", "_", "\\", "_", "..", "_").Replace(key)
+	return filepath.Join(s.dir, safe)
+}
+
+// Put implements Store.
+func (s *FileStore) Put(key string, data []byte) error {
+	return os.WriteFile(s.path(key), data, 0o644)
+}
+
+// Get implements Store.
+func (s *FileStore) Get(key string) ([]byte, error) {
+	data, err := os.ReadFile(s.path(key))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %q in %q", ErrNoKey, key, s.name)
+	}
+	return data, err
+}
+
+// Delete implements Store.
+func (s *FileStore) Delete(key string) error {
+	err := os.Remove(s.path(key))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	return err
 }

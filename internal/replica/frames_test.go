@@ -16,7 +16,7 @@ func framesSent(nodes []*Node) (byType map[string]float64, total float64) {
 	byType = map[string]float64{}
 	const name = "osprey_replica_frames_sent_total"
 	for _, n := range nodes {
-		for k, v := range obs.Flatten(n.Metrics().Gather()) {
+		for k, v := range obs.Flatten(n.db.Metrics().Gather()) {
 			if strings.HasPrefix(k, name+"{") {
 				byType[strings.TrimPrefix(k, name)] += v
 				total += v

@@ -647,13 +647,6 @@ func (n *Node) LeaderServiceAddr() string {
 	return n.st.leader.SvcAddr
 }
 
-// LeaderID returns the node ID of the current leader ("" when unknown).
-func (n *Node) LeaderID() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.st.leader.ID
-}
-
 // Peers returns the node's view of cluster membership in promotion order.
 func (n *Node) Peers() []Peer {
 	n.mu.Lock()
@@ -736,10 +729,6 @@ var (
 	// ErrClosed is returned by waits on a closed node.
 	ErrClosed = fmt.Errorf("replica: node closed")
 )
-
-// WriteQuorum returns the configured synchronous-replication quorum
-// (0 = asynchronous).
-func (n *Node) WriteQuorum() int { return n.cfg.WriteQuorum }
 
 // Committed returns the quorum commit watermark on the leader (equal to
 // Applied in asynchronous mode) and the applied index elsewhere.

@@ -119,9 +119,6 @@ func (n *Node) registerCollectors(reg *obs.Registry) {
 	})
 }
 
-// Metrics returns the node's metrics registry (shared with its database).
-func (n *Node) Metrics() *obs.Registry { return n.db.Metrics() }
-
 // noteLeaderFrame records evidence of a live leader from one received stream
 // frame: the contact time always, and the leader's applied index when the
 // frame carries one. Entry frames advance the estimate to their last index —

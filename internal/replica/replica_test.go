@@ -96,8 +96,8 @@ func TestFollowerBootstrapAndStream(t *testing.T) {
 	}
 
 	// Membership propagated.
-	if len(fol.Peers()) != 2 || fol.LeaderID() != "n1" {
-		t.Fatalf("follower membership %v, leader %q", fol.Peers(), fol.LeaderID())
+	if len(fol.Peers()) != 2 || fol.Status().LeaderID != "n1" {
+		t.Fatalf("follower membership %v, leader %q", fol.Peers(), fol.Status().LeaderID)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestDeterministicPromotionOnLeaderDeath(t *testing.T) {
 	}
 
 	// The lower-priority follower re-joins the new leader, never promotes.
-	waitFor(t, "n3 re-follow", func() bool { return f3.LeaderID() == "n2" })
+	waitFor(t, "n3 re-follow", func() bool { return f3.Status().LeaderID == "n2" })
 	if f3.IsLeader() {
 		t.Fatal("n3 must not promote while n2 lives")
 	}
@@ -391,7 +391,7 @@ func TestAdoptViewLeaderID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := n.LeaderID(); got != "lead" {
+	if got := n.Status().LeaderID; got != "lead" {
 		t.Fatalf("LeaderID after adopting a heartbeat = %q, want %q", got, "lead")
 	}
 	n.mu.Lock()

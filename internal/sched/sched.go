@@ -47,11 +47,6 @@ func ConstantDelay(paperSeconds float64) DelayFunc {
 	return func(*rand.Rand) float64 { return paperSeconds }
 }
 
-// UniformDelay returns a DelayFunc drawing uniformly from [lo, hi].
-func UniformDelay(lo, hi float64) DelayFunc {
-	return func(rng *rand.Rand) float64 { return lo + (hi-lo)*rng.Float64() }
-}
-
 // Config describes one simulated cluster.
 type Config struct {
 	Name         string
@@ -92,17 +87,6 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
-// QueueWait returns how long the job waited before starting, in
-// paper-seconds; zero if it has not started.
-func (j *Job) QueueWait() float64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.started.IsZero() {
-		return 0
-	}
-	return j.started.Sub(j.submitted).Seconds() / j.c.scale
-}
-
 // Wait blocks until the job reaches a terminal state or ctx is done.
 func (j *Job) Wait(ctx context.Context) error {
 	select {
@@ -112,10 +96,6 @@ func (j *Job) Wait(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
-
-// Cancel cancels the job: a queued job never starts, a running job's
-// context is canceled.
-func (j *Job) Cancel() { j.c.terminate(j, JobCanceled) }
 
 // Cluster simulates one HPC resource.
 type Cluster struct {
@@ -155,32 +135,8 @@ func New(cfg Config) (*Cluster, error) {
 	}, nil
 }
 
-// Name returns the cluster's name.
-func (c *Cluster) Name() string { return c.cfg.Name }
-
 // TotalCores returns the cluster capacity in cores.
 func (c *Cluster) TotalCores() int { return c.cfg.Nodes * c.cfg.CoresPerNode }
-
-// FreeCores returns currently unallocated cores.
-func (c *Cluster) FreeCores() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.free
-}
-
-// QueueLength returns the number of jobs waiting to start.
-func (c *Cluster) QueueLength() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
-
-// RunningJobs returns the number of currently running jobs.
-func (c *Cluster) RunningJobs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.running)
-}
 
 // Submit queues fn as a batch job requesting cores, with an optional
 // walltime limit in paper-seconds (0 = unlimited).
@@ -318,25 +274,6 @@ func (c *Cluster) terminate(j *Job, state JobState) {
 	if cancel != nil {
 		cancel()
 	}
-}
-
-// Preempt forcibly stops the most recently started job, modeling
-// site-specific preemption protocols (§II-B1c). It reports whether a job
-// was preempted.
-func (c *Cluster) Preempt() bool {
-	c.mu.Lock()
-	var victim *Job
-	for _, j := range c.running {
-		if victim == nil || j.ID > victim.ID {
-			victim = j
-		}
-	}
-	c.mu.Unlock()
-	if victim == nil {
-		return false
-	}
-	c.terminate(victim, JobPreempted)
-	return true
 }
 
 // Stop shuts the cluster down, canceling all queued and running jobs.

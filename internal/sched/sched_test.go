@@ -302,3 +302,61 @@ func TestTerminalStateSurvivesCancelRace(t *testing.T) {
 		}
 	}
 }
+
+// QueueWait returns how long the job waited before starting, in
+// paper-seconds; zero if it has not started.
+func (j *Job) QueueWait() float64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.started.IsZero() {
+		return 0
+	}
+	return j.started.Sub(j.submitted).Seconds() / j.c.scale
+}
+
+// Cancel cancels the job: a queued job never starts, a running job's
+// context is canceled.
+func (j *Job) Cancel() { j.c.terminate(j, JobCanceled) }
+
+// Name returns the cluster's name.
+func (c *Cluster) Name() string { return c.cfg.Name }
+
+// FreeCores returns currently unallocated cores.
+func (c *Cluster) FreeCores() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.free
+}
+
+// QueueLength returns the number of jobs waiting to start.
+func (c *Cluster) QueueLength() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.queue)
+}
+
+// RunningJobs returns the number of currently running jobs.
+func (c *Cluster) RunningJobs() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.running)
+}
+
+// Preempt forcibly stops the most recently started job, modeling
+// site-specific preemption protocols (§II-B1c). It reports whether a job
+// was preempted.
+func (c *Cluster) Preempt() bool {
+	c.mu.Lock()
+	var victim *Job
+	for _, j := range c.running {
+		if victim == nil || j.ID > victim.ID {
+			victim = j
+		}
+	}
+	c.mu.Unlock()
+	if victim == nil {
+		return false
+	}
+	c.terminate(victim, JobPreempted)
+	return true
+}

@@ -252,7 +252,7 @@ func TestFollowerRedirectsLeaderOnlyOps(t *testing.T) {
 		return strings.Join(out, " | ")
 	}
 	conns := func() float64 {
-		return obs.Flatten(srv1.Metrics().Gather())["osprey_service_open_connections"]
+		return obs.Flatten(srv1.met.reg.Gather())["osprey_service_open_connections"]
 	}
 	before, connsBefore := state(), conns()
 

@@ -187,10 +187,6 @@ func defaultLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
 }
 
-// Metrics returns the server's metrics registry — the database's (and so the
-// node's), which is why one scrape covers every layer.
-func (s *Server) Metrics() *obs.Registry { return s.met.reg }
-
 // ServeOps starts the ops HTTP listener for this server: /metrics in
 // Prometheus text format, /healthz (process liveness), /readyz (whether
 // token-bounded reads would be served — a follower stalled past the

@@ -141,7 +141,7 @@ func TestDrainRefusesNewFinishesInflight(t *testing.T) {
 
 	clean := make(chan bool, 1)
 	go func() { clean <- srv.Drain(5 * time.Second) }()
-	waitCond(t, "server draining", func() bool { return srv.Draining() })
+	waitCond(t, "server draining", func() bool { return srv.draining.Load() })
 
 	// New work on the existing pipelined connection is refused transiently.
 	if _, err := c.Submit(context.Background(), "post", 0, "during-drain"); !errors.Is(err, ErrUnavailable) {

@@ -189,9 +189,6 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	return clean
 }
 
-// Draining reports whether Drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 func (s *Server) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()

@@ -538,7 +538,7 @@ func TestWatchClusterBatchCommit(t *testing.T) {
 // requestCount sums the server's request counters over every op.
 func requestCount(srv *Server) float64 {
 	var n float64
-	for k, v := range obs.Flatten(srv.Metrics().Gather()) {
+	for k, v := range obs.Flatten(srv.met.reg.Gather()) {
 		if strings.HasPrefix(k, "osprey_service_requests_total") {
 			n += v
 		}

@@ -522,7 +522,7 @@ func TestNonBinaryPreambleRejected(t *testing.T) {
 	}
 	defer srv.Close()
 	malformed := func() float64 {
-		return obs.Flatten(srv.Metrics().Gather())["osprey_service_malformed_total"]
+		return obs.Flatten(srv.met.reg.Gather())["osprey_service_malformed_total"]
 	}
 
 	// The binary client is connected, with a long-poll parked, before the

@@ -16,8 +16,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"osprey/internal/obs"
 )
 
 // Kind labels a recorded event.
@@ -76,22 +74,6 @@ func NewRecorder(timeScale float64) *Recorder {
 	}
 }
 
-// SetMaxEvents changes the event-history cap (default DefaultMaxEvents).
-// n <= 0 removes the bound. Shrinking below the current history length keeps
-// the history already recorded and only blocks further growth.
-func (r *Recorder) SetMaxEvents(n int) {
-	r.mu.Lock()
-	r.maxEvents = n
-	r.mu.Unlock()
-}
-
-// Dropped returns how many events were discarded at the history cap.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
 // Now returns the current time in paper-seconds since the recorder start.
 func (r *Recorder) Now() float64 {
 	return time.Since(r.start).Seconds() / r.scale
@@ -104,8 +86,8 @@ func (r *Recorder) Record(kind Kind, pool string, taskID int64) {
 
 // RecordRound appends an event carrying a reprioritization round number.
 // Past the history cap the event is dropped (and counted); the live per-pool
-// running counts stay exact either way, so the obs bridge keeps reporting
-// correct concurrency gauges on runs long enough to overflow the history.
+// running counts stay exact either way, so concurrency read from them stays
+// correct on runs long enough to overflow the history.
 func (r *Recorder) RecordRound(kind Kind, pool string, taskID int64, round int) {
 	e := Event{T: r.Now(), Kind: kind, Pool: pool, TaskID: taskID, Round: round}
 	r.mu.Lock()
@@ -121,50 +103,6 @@ func (r *Recorder) RecordRound(kind Kind, pool string, taskID int64, round int) 
 		r.events = append(r.events, e)
 	}
 	r.mu.Unlock()
-}
-
-// Running returns the live number of running tasks for pool ("" sums all
-// pools). Unlike ConcurrencySeries this is O(pools) and immune to the
-// history cap.
-func (r *Recorder) Running(pool string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if pool != "" {
-		return r.runCount[pool]
-	}
-	total := int64(0)
-	for _, n := range r.runCount {
-		total += n
-	}
-	return total
-}
-
-// BindObs bridges the recorder into a metrics registry, sampled at scrape
-// time: osprey_telemetry_running_tasks{pool} (the live value behind the
-// paper's Figures 3-4 concurrency series), osprey_telemetry_events (the event
-// history, capped at DefaultMaxEvents) and
-// osprey_telemetry_events_dropped_total (events the cap dropped; the live
-// running counts are immune to it).
-func (r *Recorder) BindObs(reg *obs.Registry) {
-	reg.CollectFunc(func(e *obs.Emitter) {
-		r.mu.Lock()
-		pools := make([]string, 0, len(r.runCount))
-		for p := range r.runCount {
-			pools = append(pools, p)
-		}
-		sort.Strings(pools)
-		counts := make([]int64, len(pools))
-		for i, p := range pools {
-			counts[i] = r.runCount[p]
-		}
-		events, dropped := len(r.events), r.dropped
-		r.mu.Unlock()
-		for i, p := range pools {
-			e.Gauge("osprey_telemetry_running_tasks", float64(counts[i]), "pool", p)
-		}
-		e.Gauge("osprey_telemetry_events", float64(events))
-		e.Counter("osprey_telemetry_events_dropped_total", float64(dropped))
-	})
 }
 
 // Events returns a copy of all recorded events sorted by time.
@@ -228,23 +166,6 @@ func (r *Recorder) ConcurrencySeries(pool string) Series {
 			continue
 		}
 		s.Points = append(s.Points, Point{T: e.T, V: float64(n)})
-	}
-	return s
-}
-
-// SampledConcurrency resamples the concurrency series on a fixed step grid
-// over [0, end], carrying the last value forward.
-func (r *Recorder) SampledConcurrency(pool string, step, end float64) Series {
-	raw := r.ConcurrencySeries(pool)
-	s := Series{Name: raw.Name}
-	i := 0
-	cur := 0.0
-	for t := 0.0; t <= end+1e-9; t += step {
-		for i < len(raw.Points) && raw.Points[i].T <= t {
-			cur = raw.Points[i].V
-			i++
-		}
-		s.Points = append(s.Points, Point{T: t, V: cur})
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"osprey/internal/obs"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -217,4 +218,81 @@ func TestEventCapAndObsBridge(t *testing.T) {
 	if got := len(r.Events()); got != 11 {
 		t.Fatalf("events after unbounding = %d, want 11", got)
 	}
+}
+
+// SetMaxEvents changes the event-history cap (default DefaultMaxEvents).
+// n <= 0 removes the bound. Shrinking below the current history length keeps
+// the history already recorded and only blocks further growth.
+func (r *Recorder) SetMaxEvents(n int) {
+	r.mu.Lock()
+	r.maxEvents = n
+	r.mu.Unlock()
+}
+
+// Dropped returns how many events were discarded at the history cap.
+func (r *Recorder) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
+// Running returns the live number of running tasks for pool ("" sums all
+// pools). Unlike ConcurrencySeries this is O(pools) and immune to the
+// history cap.
+func (r *Recorder) Running(pool string) int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if pool != "" {
+		return r.runCount[pool]
+	}
+	total := int64(0)
+	for _, n := range r.runCount {
+		total += n
+	}
+	return total
+}
+
+// BindObs bridges the recorder into a metrics registry, sampled at scrape
+// time: osprey_telemetry_running_tasks{pool} (the live value behind the
+// paper's Figures 3-4 concurrency series), osprey_telemetry_events (the event
+// history, capped at DefaultMaxEvents) and
+// osprey_telemetry_events_dropped_total (events the cap dropped; the live
+// running counts are immune to it).
+func (r *Recorder) BindObs(reg *obs.Registry) {
+	reg.CollectFunc(func(e *obs.Emitter) {
+		r.mu.Lock()
+		pools := make([]string, 0, len(r.runCount))
+		for p := range r.runCount {
+			pools = append(pools, p)
+		}
+		sort.Strings(pools)
+		counts := make([]int64, len(pools))
+		for i, p := range pools {
+			counts[i] = r.runCount[p]
+		}
+		events, dropped := len(r.events), r.dropped
+		r.mu.Unlock()
+		for i, p := range pools {
+			e.Gauge("osprey_telemetry_running_tasks", float64(counts[i]), "pool", p)
+		}
+		e.Gauge("osprey_telemetry_events", float64(events))
+		e.Counter("osprey_telemetry_events_dropped_total", float64(dropped))
+	})
+}
+
+// SampledConcurrency resamples the concurrency series on a fixed step grid
+// over [0, end], carrying the last value forward.
+func (r *Recorder) SampledConcurrency(pool string, step, end float64) Series {
+	raw := r.ConcurrencySeries(pool)
+	s := Series{Name: raw.Name}
+	i := 0
+	cur := 0.0
+	for t := 0.0; t <= end+1e-9; t += step {
+		for i < len(raw.Points) && raw.Points[i].T <= t {
+			cur = raw.Points[i].V
+			i++
+		}
+		s.Points = append(s.Points, Point{T: t, V: cur})
+	}
+	return s
 }

@@ -97,9 +97,6 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Marshal serializes the spec for sharing.
-func (s *Spec) Marshal() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
-
 // Load parses and validates a shared spec.
 func Load(data []byte) (*Spec, error) {
 	var s Spec

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -165,3 +166,6 @@ func TestLoadBaselineValidation(t *testing.T) {
 		t.Fatal("publishing an invalid spec must error")
 	}
 }
+
+// Marshal serializes the spec for sharing.
+func (s *Spec) Marshal() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
