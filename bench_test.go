@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,6 +219,56 @@ func BenchmarkSubmitQueryReportCycle(b *testing.B) {
 		if _, err := db.QueryResult(bgctx, sub.ID); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPoolTasks is a running pool over an in-process core.DB draining a
+// batch of poolBenchTasks tasks: the batch's submit, the queued events that
+// wake the pool, one deficit query, and each task's dispatch, execution and
+// Report. BatchSize and Threshold exceed the batch, so the pool queries once
+// per batch and then parks, which keeps the op's allocation count the same
+// from run to run.
+func BenchmarkPoolTasks(b *testing.B) {
+	const poolBenchTasks = 64
+	db, err := core.NewDB()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	payloads := make([]string, poolBenchTasks)
+	for i := range payloads {
+		payloads[i] = "p"
+	}
+	// The last task of each batch to run tells the loop its batch drained.
+	var ran atomic.Int64
+	drained := make(chan struct{}, 1)
+	exec := func(string) (string, error) {
+		if ran.Add(1)%poolBenchTasks == 0 {
+			drained <- struct{}{}
+		}
+		return "r", nil
+	}
+	p, err := pool.New(db, pool.Config{
+		Name: "bench", Workers: 4, WorkType: 1,
+		BatchSize: 2 * poolBenchTasks, Threshold: 2 * poolBenchTasks,
+	}, exec, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(bgctx)
+	done := make(chan error, 1)
+	go func() { done <- p.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.SubmitBatch(bgctx, "bench", 1, payloads, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		<-drained
 	}
 }
 

@@ -36,13 +36,17 @@ import (
 // (the ordered index at the depth the 700-row priority benchmarks never
 // reach), and BenchmarkDedupSubmitBatchAt10kRows submits under fresh dedup
 // keys into a 10 000-row table (an index miss must not become a table scan).
+// BenchmarkPoolTasks is a running pool draining a 64-task batch over an
+// in-process DB: its allocations per op guard the pool's long-lived workers
+// against a goroutine, closure or deadline context per task coming back.
 const keyBenchmarks = "^(BenchmarkSubmitTask|BenchmarkInstrumentedSubmit|" +
 	"BenchmarkSubmitQueryReportCycle|BenchmarkDurableSubmit|" +
 	"BenchmarkPopResultsBatch50|BenchmarkQuorumSubmit|BenchmarkFollowerRead|" +
 	"BenchmarkMinisqlIndexedSelect|BenchmarkPopTokenOverhead|" +
 	"BenchmarkWireCodec|BenchmarkEntryCodec|BenchmarkPipelinedSubmitParallel8|" +
 	"BenchmarkWatchDispatch|BenchmarkWatchWake|BenchmarkPollWake|" +
-	"BenchmarkUpdatePrioritiesDepth20k|BenchmarkDedupSubmitBatchAt10kRows)$"
+	"BenchmarkUpdatePrioritiesDepth20k|BenchmarkDedupSubmitBatchAt10kRows|" +
+	"BenchmarkPoolTasks)$"
 
 // benchResult is one benchmark's measurements as recorded in BENCH_*.json.
 type benchResult struct {

@@ -163,6 +163,40 @@ func TestTraceIDUnique(t *testing.T) {
 	}
 }
 
+// TestTraceIDBatches: IDs are carved from one string minted traceBatch at a
+// time, so minting allocates once per batch and IDs taken on several
+// goroutines at once never repeat.
+func TestTraceIDBatches(t *testing.T) {
+	if n := testing.AllocsPerRun(4*traceBatch, func() { _ = TraceID() }); n != 0 {
+		t.Errorf("TraceID: %v allocs per ID, want one per %d IDs", n, traceBatch)
+	}
+	const goroutines, each = 4, 3 * traceBatch
+	ids := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				ids[g] = append(ids[g], TraceID())
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[string]bool{}
+	for _, list := range ids {
+		for _, id := range list {
+			if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
+				t.Fatalf("trace id %q: want 16 hex digits", id)
+			}
+			if seen[id] {
+				t.Fatalf("duplicate trace id %q", id)
+			}
+			seen[id] = true
+		}
+	}
+}
+
 func TestOpsServer(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("osprey_up_total").Inc()

@@ -3,8 +3,10 @@
 // A pool is the stand-in for the paper's Swift/T pilot-job application: a
 // fixed set of workers that query the EMEWS DB output queue for tasks of the
 // pool's work type, execute them concurrently, and report results to the
-// input queue. The pool's querying is governed by two knobs studied in
-// Figure 3:
+// input queue. The workers are goroutines that live as long as Run: the
+// fetcher queries, the dispatcher takes each task's core slots and hands the
+// task to an idle worker, and no goroutine is started per task. The pool's
+// querying is governed by two knobs studied in Figure 3:
 //
 //   - BatchSize: the maximum number of tasks the pool may own (obtained but
 //     not yet completed). A batch size above the worker count oversubscribes
@@ -31,6 +33,7 @@ import (
 	"osprey/internal/core"
 	"osprey/internal/obs"
 	"osprey/internal/telemetry"
+	"osprey/internal/wait"
 	"osprey/internal/watch"
 )
 
@@ -93,6 +96,11 @@ type Pool struct {
 	failed   atomic.Int64
 	busy     atomic.Int64 // cores currently held by executing tasks
 	running  atomic.Bool
+
+	// inQuery is the deficit query in flight (nil between queries), which
+	// expireQuery ends when Run's ctx does.
+	queryMu sync.Mutex
+	inQuery context.Context
 }
 
 // New creates a pool over any Session implementation — the in-process DB, a
@@ -126,10 +134,12 @@ func (p *Pool) Executed() int { return int(p.executed.Load()) }
 // Failed returns the number of task executions that returned an error.
 func (p *Pool) Failed() int { return int(p.failed.Load()) }
 
-// Run starts the pool and blocks until ctx is canceled. On return all
-// workers have exited; tasks that were fetched but never started remain
-// marked running in the database and can be recovered with
-// Session.RequeueRunning (the paper's fault-tolerance path, §II-B1c).
+// Run starts the pool's Workers worker goroutines and blocks until ctx is
+// canceled. The workers live as long as Run: a task runs on one of them, not
+// on a goroutine of its own. On return all workers have exited; tasks that
+// were fetched but never started remain marked running in the database and
+// can be recovered with Session.RequeueRunning (the paper's fault-tolerance
+// path, §II-B1c).
 func (p *Pool) Run(ctx context.Context) error {
 	p.running.Store(true)
 	defer p.running.Store(false)
@@ -142,26 +152,43 @@ func (p *Pool) Run(ctx context.Context) error {
 	// completions has capacity for every worker so completion signals never
 	// block; the fetcher drains it opportunistically.
 	completions := make(chan struct{}, p.cfg.Workers)
+	cores := make(chan struct{}, p.cfg.Workers)
+	jobs := make(chan job)
 
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(p.cfg.Workers + 1)
+	for range p.cfg.Workers {
+		go func() {
+			defer wg.Done()
+			p.work(jobs, cores, completions)
+		}()
+	}
 	go func() {
 		defer wg.Done()
-		p.dispatch(ctx, taskCh, completions, &wg)
+		p.dispatch(ctx, taskCh, cores, jobs)
 	}()
-
+	stop := context.AfterFunc(ctx, p.expireQuery)
+	defer stop()
 	p.fetch(ctx, taskCh, completions)
 	wg.Wait()
 	return ctx.Err()
+}
+
+// job is a task handed to a worker with the core slots it holds.
+type job struct {
+	task core.Task
+	need int
 }
 
 // dispatch assigns tasks to worker-core slots. Cores are a weighted
 // semaphore of Workers units; a k-core task (Config.CoresOf) holds k units,
 // modeling Swift/T running MPI executables across several workers. The
 // dispatcher is the only acquirer, so large tasks cannot deadlock: they
-// simply wait until enough cores free up.
-func (p *Pool) dispatch(ctx context.Context, taskCh <-chan core.Task, completions chan<- struct{}, wg *sync.WaitGroup) {
-	cores := make(chan struct{}, p.cfg.Workers)
+// simply wait until enough cores free up. Every running task holds at least
+// one unit, so once a task's units are taken a worker is free to take it.
+// dispatch closes jobs when ctx ends, which lets the workers exit.
+func (p *Pool) dispatch(ctx context.Context, taskCh <-chan core.Task, cores chan<- struct{}, jobs chan<- job) {
+	defer close(jobs)
 	for {
 		var task core.Task
 		select {
@@ -171,40 +198,33 @@ func (p *Pool) dispatch(ctx context.Context, taskCh <-chan core.Task, completion
 		}
 		need := 1
 		if p.cfg.CoresOf != nil {
-			need = p.cfg.CoresOf(task.Payload)
-			if need < 1 {
-				need = 1
-			}
-			if need > p.cfg.Workers {
-				need = p.cfg.Workers
-			}
+			need = min(max(p.cfg.CoresOf(task.Payload), 1), p.cfg.Workers)
 		}
-		acquired := 0
-		for acquired < need {
+		for range need {
 			select {
 			case cores <- struct{}{}:
-				acquired++
 			case <-ctx.Done():
-				for ; acquired > 0; acquired-- {
-					<-cores
-				}
 				return
 			}
 		}
-		wg.Add(1)
-		go func(task core.Task, need int) {
-			defer wg.Done()
-			p.busy.Add(int64(need))
-			p.execute(task)
-			p.busy.Add(int64(-need))
-			for i := 0; i < need; i++ {
-				<-cores
-			}
-			select {
-			case completions <- struct{}{}:
-			default:
-			}
-		}(task, need)
+		jobs <- job{task, need}
+	}
+}
+
+// work is one worker: it runs the tasks dispatch hands it until jobs closes,
+// releasing each task's cores and signalling its completion to fetch.
+func (p *Pool) work(jobs <-chan job, cores <-chan struct{}, completions chan<- struct{}) {
+	for j := range jobs {
+		p.busy.Add(int64(j.need))
+		p.execute(j.task)
+		p.busy.Add(int64(-j.need))
+		for range j.need {
+			<-cores
+		}
+		select {
+		case completions <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -219,8 +239,8 @@ const (
 // sleepJitter sleeps a uniform random fraction of backoff, honoring ctx;
 // false once ctx is done.
 func sleepJitter(ctx context.Context, backoff time.Duration) bool {
-	t := time.NewTimer(time.Duration(rand.Int63n(int64(backoff))) + 1)
-	defer t.Stop()
+	t := wait.Timer(time.Duration(rand.Int63n(int64(backoff))) + 1)
+	defer wait.Release(t)
 	select {
 	case <-t.C:
 		return true
@@ -236,11 +256,19 @@ const queryTimeout = 50 * time.Millisecond
 
 // query issues one deficit query and hands the obtained tasks to dispatch.
 // It returns the number of tasks obtained; ok is false only for non-timeout
-// errors (a timeout is the backend's normal "queue empty" answer).
+// errors (a timeout is the backend's normal "queue empty" answer). The query
+// takes a pooled deadline, which does not derive from ctx: ctx's end expires
+// it through expireQuery, so a cancelled Run does not wait it out.
 func (p *Pool) query(ctx context.Context, deficit int, taskCh chan<- core.Task) (n int, ok bool) {
-	qctx, cancel := context.WithTimeout(ctx, queryTimeout)
-	res, err := p.api.QueryTasks(qctx, p.cfg.WorkType, deficit, p.cfg.Name)
-	cancel()
+	qctx, release := wait.Deadline(queryTimeout)
+	p.setQuery(qctx)
+	var res core.TasksRes
+	var err error
+	if ctx.Err() == nil { // else ctx ended before expireQuery could see qctx
+		res, err = p.api.QueryTasks(qctx, p.cfg.WorkType, deficit, p.cfg.Name)
+	}
+	p.setQuery(nil)
+	release()
 	if err != nil {
 		return 0, errors.Is(err, core.ErrTimeout)
 	}
@@ -254,6 +282,21 @@ func (p *Pool) query(ctx context.Context, deficit int, taskCh chan<- core.Task) 
 		}
 	}
 	return len(res.Tasks), true
+}
+
+// setQuery records the deficit query in flight, nil once it returned.
+func (p *Pool) setQuery(qctx context.Context) {
+	p.queryMu.Lock()
+	p.inQuery = qctx
+	p.queryMu.Unlock()
+}
+
+// expireQuery ends the deficit query in flight, if any. Run calls it when
+// its ctx ends.
+func (p *Pool) expireQuery() {
+	p.queryMu.Lock()
+	wait.Expire(p.inQuery)
+	p.queryMu.Unlock()
 }
 
 // fetch keeps the pool supplied with tasks — the enhanced worker-pool query

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -464,6 +466,113 @@ func TestMixedCoreThroughput(t *testing.T) {
 	if peak := peakCores.Load(); peak > 4 {
 		t.Fatalf("peak core usage %d exceeds 4 workers", peak)
 	}
+}
+
+// goroutineID reads the calling goroutine's id from its stack header,
+// "goroutine N [running]:".
+func goroutineID() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	return strings.Fields(string(buf[:n]))[1]
+}
+
+// TestPoolRunsTasksOnItsWorkers: a pool runs every task on one of its Workers
+// goroutines, not on a goroutine started for the task.
+func TestPoolRunsTasksOnItsWorkers(t *testing.T) {
+	db := newDB(t)
+	submitN(t, db, 1, 200)
+	var mu sync.Mutex
+	ran := map[string]int{}
+	exec := func(payload string) (string, error) {
+		id := goroutineID()
+		mu.Lock()
+		ran[id]++
+		mu.Unlock()
+		return "ok", nil
+	}
+	p, _ := New(db, Config{Name: "p", Workers: 4, BatchSize: 8, WorkType: 1}, exec, nil)
+	stop := runPool(t, p)
+	waitFor(t, func() bool { return p.Executed() == 200 }, "pool did not drain 200 tasks")
+	stop()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) > 4 {
+		t.Fatalf("200 tasks ran on %d goroutines, want at most the 4 workers", len(ran))
+	}
+}
+
+// TestPoolCancelLeavesNoGoroutines: after a cancel with tasks in flight, Run
+// returns once its workers have finished them, and no goroutine it started
+// outlives it.
+func TestPoolCancelLeavesNoGoroutines(t *testing.T) {
+	db := newDB(t)
+	submitN(t, db, 1, 20)
+	baseline := runtime.NumGoroutine()
+	release := make(chan struct{})
+	exec := func(payload string) (string, error) {
+		<-release
+		return "ok", nil
+	}
+	p, _ := New(db, Config{Name: "p", Workers: 4, BatchSize: 8, WorkType: 1}, exec, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- p.Run(ctx) }()
+	waitFor(t, func() bool { return p.busy.Load() == 4 }, "workers never took tasks")
+	cancel()
+	close(release)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run = %v, want context.Canceled", err)
+		}
+	case <-time.After(waitMax):
+		t.Fatal("pool did not shut down")
+	}
+	if n := p.Executed(); n < 4 {
+		t.Fatalf("executed %d tasks, want the 4 in flight at the cancel finished", n)
+	}
+	// The watch stream's goroutine and the one that ran Run's AfterFunc end
+	// just after Run returns.
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= baseline },
+		fmt.Sprintf("goroutines stayed above the baseline %d after Run returned", baseline))
+}
+
+// parkedQuery is a backend whose QueryTasks says when it is entered and
+// reports whether it returned before its context's deadline.
+type parkedQuery struct {
+	*core.DB
+	entered chan struct{}
+	early   chan bool
+}
+
+func (b *parkedQuery) QueryTasks(ctx context.Context, workType, n int, pool string) (core.TasksRes, error) {
+	b.entered <- struct{}{}
+	res, err := b.DB.QueryTasks(ctx, workType, n, pool)
+	dl, _ := ctx.Deadline()
+	b.early <- time.Now().Before(dl)
+	return res, err
+}
+
+// TestPoolCancelEndsParkedQuery: a deficit query parked on an empty queue
+// ends when Run's context does, not at its own deadline, so a cancelled pool
+// stops at once (an experiment's makespan ends at the pool's stop).
+func TestPoolCancelEndsParkedQuery(t *testing.T) {
+	backend := &parkedQuery{DB: newDB(t), entered: make(chan struct{}, 1), early: make(chan bool, 1)}
+	p, _ := New(backend, Config{Name: "p", WorkType: 1}, echoExec, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- p.Run(ctx) }()
+	select {
+	case <-backend.entered:
+	case <-time.After(waitMax):
+		t.Fatal("the pool never queried")
+	}
+	cancel()
+	if !<-backend.early {
+		t.Error("the parked query ran to its deadline after Run's context ended")
+	}
+	<-done
 }
 
 // endedStream is a watch stream that has already ended.

@@ -296,8 +296,8 @@ const (
 // write implements transport: one attempt on this connection, answered
 // within budget. Requests and responses cross the transport by value, so that
 // neither is ever heap-allocated; below it they travel by pointer, so that
-// the layering costs the calling goroutine no stack (a pool runs every task,
-// and so every Report, on a fresh one).
+// the layering costs the calling goroutine little stack (each AsCompleted
+// call pops its results on a fresh goroutine).
 func (c *Client) write(ctx context.Context, budget time.Duration, req request) (resp response, err error) {
 	err = c.exchange(ctx, budget, &req, &resp)
 	return resp, err

@@ -44,9 +44,8 @@ type Event struct {
 
 // DefaultMaxEvents bounds a Recorder's in-memory event history. At the
 // paper's workload scale (thousands of tasks, two events each) the default
-// is far out of reach; a production service recording for days hits it and
-// starts dropping — counted, never silent — instead of growing memory with
-// history forever.
+// is far out of reach; a pool recording for days hits it and keeps its first
+// DefaultMaxEvents events instead of growing memory with history forever.
 const DefaultMaxEvents = 1 << 20
 
 // Recorder collects events. It is safe for concurrent use.
@@ -55,9 +54,7 @@ type Recorder struct {
 	start     time.Time
 	scale     float64
 	events    []Event
-	maxEvents int              // cap on len(events); <= 0 means unbounded
-	dropped   uint64           // events discarded at the cap
-	runCount  map[string]int64 // live running-task count per pool
+	maxEvents int // cap on len(events); <= 0 means unbounded
 }
 
 // NewRecorder creates a Recorder. timeScale is wall-seconds per
@@ -67,11 +64,7 @@ func NewRecorder(timeScale float64) *Recorder {
 	if timeScale <= 0 {
 		timeScale = 1
 	}
-	return &Recorder{
-		start: time.Now(), scale: timeScale,
-		maxEvents: DefaultMaxEvents,
-		runCount:  make(map[string]int64),
-	}
+	return &Recorder{start: time.Now(), scale: timeScale, maxEvents: DefaultMaxEvents}
 }
 
 // Now returns the current time in paper-seconds since the recorder start.
@@ -85,21 +78,11 @@ func (r *Recorder) Record(kind Kind, pool string, taskID int64) {
 }
 
 // RecordRound appends an event carrying a reprioritization round number.
-// Past the history cap the event is dropped (and counted); the live per-pool
-// running counts stay exact either way, so concurrency read from them stays
-// correct on runs long enough to overflow the history.
+// Past the history cap the event is not kept.
 func (r *Recorder) RecordRound(kind Kind, pool string, taskID int64, round int) {
 	e := Event{T: r.Now(), Kind: kind, Pool: pool, TaskID: taskID, Round: round}
 	r.mu.Lock()
-	switch kind {
-	case TaskStart:
-		r.runCount[pool]++
-	case TaskEnd:
-		r.runCount[pool]--
-	}
-	if r.maxEvents > 0 && len(r.events) >= r.maxEvents {
-		r.dropped++
-	} else {
+	if r.maxEvents <= 0 || len(r.events) < r.maxEvents {
 		r.events = append(r.events, e)
 	}
 	r.mu.Unlock()

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"osprey/internal/obs"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -173,7 +171,7 @@ func TestPropertyConcurrencyBounds(t *testing.T) {
 	}
 }
 
-func TestEventCapAndObsBridge(t *testing.T) {
+func TestEventCap(t *testing.T) {
 	r := NewRecorder(1)
 	r.SetMaxEvents(10)
 	for i := 0; i < 20; i++ {
@@ -183,34 +181,14 @@ func TestEventCapAndObsBridge(t *testing.T) {
 		r.Record(TaskEnd, "cpu", int64(i))
 	}
 	r.Record(TaskStart, "gpu", 100)
-	if got := len(r.Events()); got != 10 {
+	events := r.Events()
+	if got := len(events); got != 10 {
 		t.Fatalf("events kept = %d, want 10 (cap)", got)
 	}
-	if got := r.Dropped(); got != 16 {
-		t.Fatalf("dropped = %d, want 16", got)
-	}
-	// Running counts must survive the cap: 20 starts - 5 ends on cpu, 1 on gpu.
-	if got := r.Running("cpu"); got != 15 {
-		t.Fatalf("running(cpu) = %d, want 15", got)
-	}
-	if got := r.Running(""); got != 16 {
-		t.Fatalf("running(all) = %d, want 16", got)
-	}
-
-	reg := obs.NewRegistry()
-	r.BindObs(reg)
-	flat := obs.Flatten(reg.Gather())
-	if got := flat[`osprey_telemetry_running_tasks{pool="cpu"}`]; got != 15 {
-		t.Fatalf("bridge running cpu = %v, want 15", got)
-	}
-	if got := flat[`osprey_telemetry_running_tasks{pool="gpu"}`]; got != 1 {
-		t.Fatalf("bridge running gpu = %v, want 1", got)
-	}
-	if got := flat["osprey_telemetry_events_dropped_total"]; got != 16 {
-		t.Fatalf("bridge dropped = %v, want 16", got)
-	}
-	if got := flat["osprey_telemetry_events"]; got != 10 {
-		t.Fatalf("bridge events = %v, want 10", got)
+	for i, e := range events {
+		if e.Kind != TaskStart || e.Pool != "cpu" || e.TaskID != int64(i) {
+			t.Fatalf("event %d = %+v, want the first ten cpu starts", i, e)
+		}
 	}
 
 	r.SetMaxEvents(0) // unbounded again
@@ -227,57 +205,6 @@ func (r *Recorder) SetMaxEvents(n int) {
 	r.mu.Lock()
 	r.maxEvents = n
 	r.mu.Unlock()
-}
-
-// Dropped returns how many events were discarded at the history cap.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Running returns the live number of running tasks for pool ("" sums all
-// pools). Unlike ConcurrencySeries this is O(pools) and immune to the
-// history cap.
-func (r *Recorder) Running(pool string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if pool != "" {
-		return r.runCount[pool]
-	}
-	total := int64(0)
-	for _, n := range r.runCount {
-		total += n
-	}
-	return total
-}
-
-// BindObs bridges the recorder into a metrics registry, sampled at scrape
-// time: osprey_telemetry_running_tasks{pool} (the live value behind the
-// paper's Figures 3-4 concurrency series), osprey_telemetry_events (the event
-// history, capped at DefaultMaxEvents) and
-// osprey_telemetry_events_dropped_total (events the cap dropped; the live
-// running counts are immune to it).
-func (r *Recorder) BindObs(reg *obs.Registry) {
-	reg.CollectFunc(func(e *obs.Emitter) {
-		r.mu.Lock()
-		pools := make([]string, 0, len(r.runCount))
-		for p := range r.runCount {
-			pools = append(pools, p)
-		}
-		sort.Strings(pools)
-		counts := make([]int64, len(pools))
-		for i, p := range pools {
-			counts[i] = r.runCount[p]
-		}
-		events, dropped := len(r.events), r.dropped
-		r.mu.Unlock()
-		for i, p := range pools {
-			e.Gauge("osprey_telemetry_running_tasks", float64(counts[i]), "pool", p)
-		}
-		e.Gauge("osprey_telemetry_events", float64(events))
-		e.Counter("osprey_telemetry_events_dropped_total", float64(dropped))
-	})
 }
 
 // SampledConcurrency resamples the concurrency series on a fixed step grid

@@ -13,7 +13,9 @@
 // callee it was handed has returned and kept nothing: no goroutine still
 // selecting on its Done, no child context still derived from it. A context a
 // callee hands on to something that outlives the call (a watch stream's
-// goroutine) takes Timeout, which is not pooled.
+// goroutine) takes Timeout, which is not pooled. A Deadline context does not
+// derive from a caller's context; an owner whose own wait ends first cuts the
+// call short with Expire.
 package wait
 
 import (
@@ -94,6 +96,18 @@ func Deadline(d time.Duration) (ctx context.Context, release func()) {
 func (c *deadlineCtx) expire() {
 	c.expired.Store(true)
 	close(c.done)
+}
+
+// Expire ends ctx, a context from Deadline whose release has not been called,
+// as if its deadline had passed now; an owner whose own wait ended early uses
+// it to cut the call short. It does nothing to an expired context or to one
+// Deadline did not return (nil included), and calls racing the deadline or
+// each other close Done once: only the one whose Stop caught the timer
+// pending expires it.
+func Expire(ctx context.Context) {
+	if c, ok := ctx.(*deadlineCtx); ok && c.timer != nil && c.timer.Stop() {
+		c.expire()
+	}
 }
 
 // put pools c again only when Stop kept expire from ever running: an expired

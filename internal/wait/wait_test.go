@@ -69,6 +69,51 @@ func TestDeadlineExpiredNeverReused(t *testing.T) {
 	}
 }
 
+// TestExpireEndsDeadlineEarly: Expire closes Done and turns Err to
+// DeadlineExceeded at once; expiring twice, racing the timer, or expiring an
+// already expired context closes Done once; an expired context is never
+// handed out again.
+func TestExpireEndsDeadlineEarly(t *testing.T) {
+	ctx, release := Deadline(time.Hour)
+	Expire(ctx)
+	select {
+	case <-ctx.Done():
+	default:
+		t.Fatal("Expire left Done open")
+	}
+	if err := ctx.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Err after Expire = %v, want DeadlineExceeded", err)
+	}
+	Expire(ctx)
+	release()
+	for range 1000 {
+		next, release := Deadline(time.Hour)
+		if next == ctx {
+			t.Fatal("an expired context was handed out again")
+		}
+		release()
+	}
+	var wg sync.WaitGroup
+	for range 100 {
+		ctx, release := Deadline(time.Microsecond)
+		wg.Add(2)
+		for range 2 {
+			go func() {
+				defer wg.Done()
+				Expire(ctx)
+			}()
+		}
+		<-ctx.Done()
+		wg.Wait()
+		release()
+	}
+	expired, release := Deadline(0)
+	Expire(expired)
+	release()
+	Expire(nil)
+	Expire(context.Background())
+}
+
 // TestDeadlineNonPositiveIsExpired: d <= 0 gives a context that has expired
 // on return, as context.WithTimeout does.
 func TestDeadlineNonPositiveIsExpired(t *testing.T) {
