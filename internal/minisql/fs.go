@@ -1,8 +1,8 @@
 package minisql
 
 // The filesystem seam. Every byte the durability layer persists — WAL
-// segments (disklog.go), checkpoints and term metadata (store.go) — flows
-// through the FS interface below instead of calling package os directly.
+// segments (disklog.go), checkpoints and the node's meta record (store.go) —
+// flows through the FS interface below instead of calling package os directly.
 // Production always runs on OSFS, a zero-state passthrough whose only cost
 // is one interface dispatch per (already syscall-priced) operation; tests
 // swap in a fault-injecting implementation (internal/chaos.FaultFS) to

@@ -24,6 +24,14 @@ func (fs syncHookFS) OpenFile(name string, flag int, perm os.FileMode) (File, er
 	return syncHookFile{f, fs.beforeSync}, nil
 }
 
+func (fs syncHookFS) CreateTemp(dir, pattern string) (File, error) {
+	f, err := fs.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return syncHookFile{f, fs.beforeSync}, nil
+}
+
 type syncHookFile struct {
 	File
 	beforeSync func(name string) error

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"osprey/internal/codec"
 )
 
 // Store is the durable storage spine of one node: a segmented on-disk
@@ -21,9 +23,11 @@ import (
 //
 //	<dir>/wal/seg-<firstIndex>.wal   log segments (records, see disklog.go)
 //	<dir>/checkpoint-<index>.snap    engine snapshots (records, see snapshot.go)
-//	<dir>/meta.json                  node metadata (leadership term, membership view)
+//	<dir>/meta                       node metadata (one record, see Meta)
 //
-// Checkpoints and meta.json are published atomically (tmp + fsync + rename).
+// Checkpoints and meta are published the same way (publish): written to a
+// tmp file, fsynced (a checkpoint always, meta and an installed snapshot with
+// Fsync), renamed into place and the directory synced.
 //
 // Write path: the node's Log (wal.go), the engine's commit hook, numbers and
 // encodes each committed transaction under the engine lock and writes the
@@ -54,23 +58,22 @@ type Store struct {
 	// prune each other's freshly renamed files.
 	ckptMu sync.Mutex
 
-	// metaMu serializes meta.json writers (SetTerm / SetAppliedTerm /
-	// SetView), which would otherwise race their tmp+rename publishes through
-	// the same tmp path, and makes each one's read-write-adopt atomic.
+	// metaMu serializes SetMeta calls, making each one's compare, publish
+	// and adopt atomic: two racing writers could otherwise adopt in the
+	// opposite order to the one their files landed in.
 	metaMu sync.Mutex
 
-	mu          sync.Mutex
-	term        uint64
-	appliedTerm uint64    // leadership term that produced the newest applied entry
-	view        []byte    // opaque membership view owned by the replication layer
-	checkIndex  uint64    // index of the newest on-disk checkpoint
-	prevIndex   uint64    // index of the retained previous checkpoint
-	checkAt     time.Time // when the newest checkpoint was written (or recovery time)
-	sinceCheck  uint64    // entries appended since the newest checkpoint
-	source      func(w io.Writer) (uint64, error)
-	written     uint64 // checkpoints written (metrics)
-	cpErr       error  // last checkpoint failure (surfaced in stats/status)
-	ckptObs     func(time.Duration)
+	mu         sync.Mutex
+	meta       Meta
+	legacyMeta bool      // meta was read from a pre-record meta.json, which the next SetMeta replaces
+	checkIndex uint64    // index of the newest on-disk checkpoint
+	prevIndex  uint64    // index of the retained previous checkpoint
+	checkAt    time.Time // when the newest checkpoint was written (or recovery time)
+	sinceCheck uint64    // entries appended since the newest checkpoint
+	source     func(w io.Writer) (uint64, error)
+	written    uint64 // checkpoints written (metrics)
+	cpErr      error  // last checkpoint failure (surfaced in stats/status)
+	ckptObs    func(time.Duration)
 
 	ckptReq chan struct{}
 	closeCh chan struct{}
@@ -103,13 +106,6 @@ type StoreOptions struct {
 // entries.
 const DefaultCheckpointEvery = 10000
 
-type storeMeta struct {
-	Version     int
-	Term        uint64
-	AppliedTerm uint64          `json:",omitempty"`
-	View        json.RawMessage `json:",omitempty"`
-}
-
 // OpenStore opens (or creates) the data directory and its log. The caller
 // drives recovery with Recover, then installs a snapshot source with
 // SetSnapshotSource to enable checkpoints.
@@ -133,25 +129,21 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 			}
 		}
 	}
-	log, err := OpenDiskLogFS(fsys, filepath.Join(dir, "wal"), opt.SegmentBytes, opt.Fsync)
-	if err != nil {
-		return nil, err
-	}
 	s := &Store{
-		dir: dir, opt: opt, fs: fsys, log: log,
+		dir: dir, opt: opt, fs: fsys,
 		checkAt: time.Now(),
 		ckptReq: make(chan struct{}, 1),
 		closeCh: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	if data, err := fsys.ReadFile(s.metaPath()); err == nil {
-		var m storeMeta
-		if err := json.Unmarshal(data, &m); err == nil {
-			s.term = m.Term
-			s.appliedTerm = m.AppliedTerm
-			s.view = m.View
-		}
+	if err := s.readMeta(); err != nil {
+		return nil, err
 	}
+	log, err := OpenDiskLogFS(fsys, filepath.Join(dir, "wal"), opt.SegmentBytes, opt.Fsync)
+	if err != nil {
+		return nil, err
+	}
+	s.log = log
 	cps := s.checkpointFiles()
 	if len(cps) > 0 {
 		s.checkIndex = cps[0].Index
@@ -162,8 +154,6 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 	go s.checkpointLoop()
 	return s, nil
 }
-
-func (s *Store) metaPath() string { return filepath.Join(s.dir, "meta.json") }
 
 // CheckpointRef names one on-disk checkpoint file.
 type CheckpointRef struct {
@@ -331,12 +321,13 @@ func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	cur := s.checkIndex
 	s.mu.Unlock()
-	idx, err := s.publish(true, func(w io.Writer) (uint64, error) {
-		idx, err := src(w)
-		if err == nil && idx <= cur {
+	var idx uint64
+	err := s.publish("checkpoint-*.tmp", true, func(w io.Writer) (string, error) {
+		var err error
+		if idx, err = src(w); err == nil && idx <= cur {
 			err = errUnchanged
 		}
-		return idx, err
+		return checkpointPath(s.dir, idx), err
 	})
 	if err == errUnchanged {
 		return nil // nothing new committed since the last checkpoint
@@ -396,15 +387,17 @@ func (s *Store) checkpointLoop() {
 // errUnchanged refuses to publish a checkpoint of an index already on disk.
 var errUnchanged = errors.New("minisql: checkpoint unchanged")
 
-// publish writes a checkpoint file with write, which returns the log index
-// the file holds, fsyncs it when sync, and renames it into place. A failure
-// removes the tmp file. Callers hold ckptMu.
-func (s *Store) publish(sync bool, write func(io.Writer) (uint64, error)) (uint64, error) {
-	f, err := s.fs.CreateTemp(s.dir, "checkpoint-*.tmp")
+// publish is the one way a file in the data directory is replaced: write
+// fills a tmp file named by pattern and returns the path it publishes to; the
+// tmp is fsynced when sync, renamed onto that path, and the directory synced.
+// A failure removes the tmp file and leaves the target as it was. Callers
+// serialize publishes of one target: ckptMu for checkpoints, metaMu for meta.
+func (s *Store) publish(pattern string, sync bool, write func(io.Writer) (target string, err error)) error {
+	f, err := s.fs.CreateTemp(s.dir, pattern)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	idx, err := write(f)
+	target, err := write(f)
 	if err == nil && sync {
 		err = f.Sync()
 	}
@@ -412,14 +405,14 @@ func (s *Store) publish(sync bool, write func(io.Writer) (uint64, error)) (uint6
 		err = cerr
 	}
 	if err == nil {
-		err = s.fs.Rename(f.Name(), checkpointPath(s.dir, idx))
+		err = s.fs.Rename(f.Name(), target)
 	}
 	if err != nil {
 		s.fs.Remove(f.Name())
-		return 0, err
+		return err
 	}
 	syncDir(s.dir)
-	return idx, nil
+	return nil
 }
 
 // InstallSnapshot makes the checkpoint read from r, at log index idx, all of
@@ -430,8 +423,8 @@ func (s *Store) publish(sync bool, write func(io.Writer) (uint64, error)) (uint6
 func (s *Store) InstallSnapshot(r io.Reader, idx uint64, restore func(io.Reader) error) error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	if _, err := s.publish(s.opt.Fsync, func(w io.Writer) (uint64, error) {
-		return idx, restore(io.TeeReader(r, w))
+	if err := s.publish("checkpoint-*.tmp", s.opt.Fsync, func(w io.Writer) (string, error) {
+		return checkpointPath(s.dir, idx), restore(io.TeeReader(r, w))
 	}); err != nil {
 		return err
 	}
@@ -466,119 +459,127 @@ func (s *Store) CheckpointFile() (path string, idx uint64, ok bool) {
 	return checkpointPath(s.dir, idx), idx, true
 }
 
-// Term returns the persisted leadership term.
-func (s *Store) Term() uint64 {
+// Meta is a node's persistent replication state: its leadership term, the
+// term that produced its newest applied entry, and its membership view, bytes
+// the replication layer encodes. <dir>/meta holds it as one CRC-framed record
+// (disklog.go) whose payload has a checkpoint's header shape:
+//
+//	"minisql meta" | uvarint version | uvarint term | uvarint applied term |
+//	uvarint view length | view bytes
+type Meta struct {
+	Term, AppliedTerm uint64
+	View              []byte
+}
+
+const (
+	metaFile, legacyMetaFile = "meta", "meta.json" // meta.json: builds before the record
+	metaMagic                = "minisql meta"
+	metaVersion              = 1
+)
+
+// ErrMetaCorrupt refuses a data directory whose meta file does not check: a
+// term read as 0 would let the node vote again in terms it voted in. Wipe
+// the directory and rejoin the cluster, which bootstraps the node by snapshot.
+var ErrMetaCorrupt = errors.New("corrupt node metadata")
+
+// Meta returns the persisted node metadata (zero in a fresh directory). Its
+// View is shared: read it, do not modify it.
+func (s *Store) Meta() Meta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.term
+	return s.meta
 }
 
-// SetTerm persists a leadership term change (atomic tmp+rename). No-op when
-// the term is unchanged, so heartbeat-path callers stay cheap. The new term
-// is adopted (Term) only once it is on disk: after a failed write Term still
-// reports the old one and a retry of the same term writes again.
-func (s *Store) SetTerm(t uint64) error {
-	return s.updateMeta(func(m *storeMeta) bool {
-		changed := m.Term != t
-		m.Term = t
-		return changed
-	})
-}
-
-// AppliedTerm returns the persisted term of the newest applied entry.
-func (s *Store) AppliedTerm() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appliedTerm
-}
-
-// SetAppliedTerm persists the leadership term that produced the newest
-// applied entry, adopting it once written as SetTerm does. It only changes
-// when a node starts applying a new leader's entries (or promotes), so the
-// no-op check keeps the apply path free of file I/O.
-func (s *Store) SetAppliedTerm(t uint64) error {
-	return s.updateMeta(func(m *storeMeta) bool {
-		changed := m.AppliedTerm != t
-		m.AppliedTerm = t
-		return changed
-	})
-}
-
-// View returns the membership view last persisted with SetView (nil when
-// none was ever saved). The bytes are opaque to the store; the replication
-// layer owns their encoding.
-func (s *Store) View() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.view
-}
-
-// SetView persists the replication layer's membership view alongside the
-// term, so a restarted node recovers who the cluster was — the majority
-// denominator for its elections — instead of waking up alone. No-op when the
-// bytes are unchanged, keeping the adopt-on-every-heartbeat caller cheap; like
-// SetTerm it adopts the view only once written.
-func (s *Store) SetView(v []byte) error {
-	return s.updateMeta(func(m *storeMeta) bool {
-		if bytes.Equal(v, m.View) {
-			return false
-		}
-		m.View = append([]byte(nil), v...)
-		return true
-	})
-}
-
-// updateMeta applies set to a copy of the persisted metadata and, when set
-// reports a change, publishes it and only then adopts it in memory — so the
-// in-memory fields never run ahead of meta.json.
-func (s *Store) updateMeta(set func(m *storeMeta) bool) error {
+// SetMeta persists m in one publish and adopts it (Meta) only once it is on
+// disk: after a failed write Meta still reports the old value, and a retry
+// writes again. No-op when m equals Meta, so heartbeat-path callers stay free
+// of file I/O — unless Meta came from a pre-record meta.json, which the first
+// SetMeta replaces.
+func (s *Store) SetMeta(m Meta) error {
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()
 	s.mu.Lock()
-	m := storeMeta{Version: 1, Term: s.term, AppliedTerm: s.appliedTerm, View: s.view}
+	cur, legacy := s.meta, s.legacyMeta
 	s.mu.Unlock()
-	if !set(&m) {
+	if !legacy && m.Term == cur.Term && m.AppliedTerm == cur.AppliedTerm && bytes.Equal(m.View, cur.View) {
 		return nil
 	}
-	if err := s.writeMeta(m); err != nil {
+	m.View = bytes.Clone(m.View)
+	if err := s.publish("meta-*.tmp", s.opt.Fsync, func(w io.Writer) (string, error) {
+		_, err := w.Write(encodeMeta(m))
+		return filepath.Join(s.dir, metaFile), err
+	}); err != nil {
 		return err
 	}
+	if legacy {
+		s.fs.Remove(filepath.Join(s.dir, legacyMetaFile))
+	}
 	s.mu.Lock()
-	s.term, s.appliedTerm, s.view = m.Term, m.AppliedTerm, m.View
+	s.meta, s.legacyMeta = m, false
 	s.mu.Unlock()
 	return nil
 }
 
-// writeMeta publishes meta.json atomically (tmp + optional fsync + rename).
-// Any failure removes the tmp file and leaves meta.json as it was. Callers
-// hold metaMu.
-func (s *Store) writeMeta(m storeMeta) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	tmp := s.metaPath() + ".tmp"
-	if err := s.fs.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if s.opt.Fsync {
-		var f File
-		if f, err = s.fs.OpenFile(tmp, os.O_WRONLY, 0o644); err == nil {
-			err = f.Sync()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
+// readMeta loads <dir>/meta, else a pre-record meta.json; neither is a fresh
+// node, and one that does not decode is ErrMetaCorrupt. meta wins over a
+// meta.json that a crash left beside it, before SetMeta removed it.
+func (s *Store) readMeta() error {
+	path, decode := filepath.Join(s.dir, metaFile), decodeMeta
+	data, err := s.fs.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		path, decode = filepath.Join(s.dir, legacyMetaFile), decodeLegacyMeta
+		if data, err = s.fs.ReadFile(path); errors.Is(err, os.ErrNotExist) {
+			return nil
 		}
+		s.legacyMeta = true
 	}
 	if err == nil {
-		err = s.fs.Rename(tmp, s.metaPath())
+		s.meta, err = decode(data)
 	}
 	if err != nil {
-		s.fs.Remove(tmp)
-		return err
+		return fmt.Errorf("minisql: %s: %w", path, err)
 	}
-	syncDir(s.dir)
 	return nil
+}
+
+// encodeMeta returns m as the meta file's one record.
+func encodeMeta(m Meta) []byte {
+	b := codec.AppendUvarint(append(make([]byte, recordHeaderSize), metaMagic...), metaVersion)
+	b = codec.AppendUvarint(codec.AppendUvarint(b, m.Term), m.AppliedTerm)
+	return sealRecord(codec.AppendBytes(b, m.View), 0)
+}
+
+// decodeMeta reads a meta file: anything but the bytes encodeMeta writes for
+// what it decodes is ErrMetaCorrupt, so each Meta has one encoding.
+func decodeMeta(data []byte) (Meta, error) {
+	payload, _, err := readRecord(data)
+	if err != nil || !bytes.HasPrefix(payload, []byte(metaMagic)) {
+		return Meta{}, ErrMetaCorrupt
+	}
+	r := codec.NewReader(payload[len(metaMagic):], ErrMetaCorrupt)
+	r.Uvarint() // the version: any but metaVersion fails the comparison below
+	m := Meta{Term: r.Uvarint(), AppliedTerm: r.Uvarint()}
+	if v := r.Bytes(); len(v) > 0 {
+		m.View = bytes.Clone(v)
+	}
+	if r.Err() != nil || !bytes.Equal(encodeMeta(m), data) {
+		return Meta{}, ErrMetaCorrupt
+	}
+	return m, nil
+}
+
+// decodeLegacyMeta reads the meta.json of builds before the record:
+// {"Version":1,"Term":…,"AppliedTerm":…,"View":…}.
+func decodeLegacyMeta(data []byte) (Meta, error) {
+	var j struct {
+		Version           int
+		Term, AppliedTerm uint64
+		View              json.RawMessage
+	}
+	if err := json.Unmarshal(data, &j); err != nil || j.Version != 1 {
+		return Meta{}, ErrMetaCorrupt
+	}
+	return Meta{j.Term, j.AppliedTerm, j.View}, nil
 }
 
 // LastIndex returns the index of the newest entry in the log.

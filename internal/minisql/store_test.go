@@ -7,6 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,10 +236,10 @@ func TestStoreInstallSnapshotRefusedKeepsState(t *testing.T) {
 func TestStoreTermPersistence(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if got := s.Term(); got != 0 {
+	if got := s.Meta().Term; got != 0 {
 		t.Fatalf("fresh term = %d", got)
 	}
-	if err := s.SetTerm(3); err != nil {
+	if err := s.SetMeta(Meta{Term: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -244,21 +247,21 @@ func TestStoreTermPersistence(t *testing.T) {
 	}
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	if got := s2.Term(); got != 3 {
+	if got := s2.Meta().Term; got != 3 {
 		t.Fatalf("term after reopen = %d, want 3", got)
 	}
 }
 
-// TestStoreTermWriteFailure: a term whose meta.json write fails to fsync is
+// TestStoreTermWriteFailure: a term whose meta write fails to fsync is
 // reported, never published and never adopted, so a retry of the same term
 // writes again instead of no-oping against a value only memory holds.
 func TestStoreTermWriteFailure(t *testing.T) {
 	dir := t.TempDir()
-	errMetaSync := errors.New("injected meta.json.tmp fsync failure")
+	errMetaSync := errors.New("injected meta tmp fsync failure")
 	var fail atomic.Bool
-	var syncs atomic.Int32 // fsyncs of meta.json.tmp attempted
+	var syncs atomic.Int32 // fsyncs of a meta tmp file attempted
 	fsys := syncHookFS{OSFS, func(name string) error {
-		if filepath.Base(name) != "meta.json.tmp" {
+		if !strings.HasPrefix(filepath.Base(name), "meta-") {
 			return nil
 		}
 		syncs.Add(1)
@@ -268,40 +271,40 @@ func TestStoreTermWriteFailure(t *testing.T) {
 		return nil
 	}}
 	s := openTestStore(t, dir, StoreOptions{Fsync: true, FS: fsys})
-	if err := s.SetTerm(3); err != nil {
+	if err := s.SetMeta(Meta{Term: 3}); err != nil {
 		t.Fatal(err)
 	}
-	meta := filepath.Join(dir, "meta.json")
+	meta := filepath.Join(dir, "meta")
 	before, err := os.ReadFile(meta)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	fail.Store(true)
-	if err := s.SetTerm(4); !errors.Is(err, errMetaSync) {
-		t.Fatalf("SetTerm with a failing fsync = %v, want the fsync error", err)
+	if err := s.SetMeta(Meta{Term: 4}); !errors.Is(err, errMetaSync) {
+		t.Fatalf("SetMeta with a failing fsync = %v, want the fsync error", err)
 	}
-	if after, _ := os.ReadFile(meta); !bytes.Equal(after, before) || s.Term() != 3 {
-		t.Fatalf("failed SetTerm(4): meta.json %s (was %s), Term %d; want both unchanged", after, before, s.Term())
+	if after, _ := os.ReadFile(meta); !bytes.Equal(after, before) || s.Meta().Term != 3 {
+		t.Fatalf("failed SetMeta(term 4): meta %q (was %q), term %d; want both unchanged", after, before, s.Meta().Term)
 	}
-	if _, err := os.Stat(meta + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("failed SetTerm left meta.json.tmp behind (stat: %v)", err)
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "meta-*.tmp")); len(tmps) != 0 {
+		t.Fatalf("failed SetMeta left %v behind", tmps)
 	}
 
 	fail.Store(false)
 	attempts := syncs.Load()
-	if err := s.SetTerm(4); err != nil {
+	if err := s.SetMeta(Meta{Term: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if syncs.Load() == attempts {
-		t.Fatal("retrying SetTerm(4) after the failure wrote nothing")
+		t.Fatal("retrying SetMeta(term 4) after the failure wrote nothing")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	if got := s2.Term(); got != 4 {
+	if got := s2.Meta().Term; got != 4 {
 		t.Fatalf("term after retry and reopen = %d, want 4", got)
 	}
 }
@@ -523,4 +526,133 @@ func TestRecoverFallsBackPastMalformedCheckpoint(t *testing.T) {
 	if !bytes.Equal(live.Bytes(), recovered.Bytes()) {
 		t.Fatalf("recovered engine diverges from the live one (%d vs %d snapshot bytes)", recovered.Len(), live.Len())
 	}
+}
+
+// TestMetaDamageRefused: a meta file that is torn, zeroed, bit-flipped or
+// trailed by stray bytes, and a legacy meta.json that is torn or zeroed, fail
+// OpenStore with ErrMetaCorrupt. None reads as term 0.
+func TestMetaDamageRefused(t *testing.T) {
+	good := encodeMeta(Meta{Term: 7, AppliedTerm: 6, View: []byte(`{"Peers":[{"ID":"n1"},{"ID":"n2"},{"ID":"n3"}]}`)})
+	legacy := []byte(`{"Version":1,"Term":7,"AppliedTerm":6,"View":{"Peers":[{"ID":"n1"},{"ID":"n2"},{"ID":"n3"}]}}`)
+	flip := func(b []byte, bit int) []byte {
+		b = bytes.Clone(b)
+		b[bit/8] ^= 1 << (bit % 8)
+		return b
+	}
+	cases := []struct {
+		name, file string
+		data       []byte
+	}{
+		{"torn", "meta", good[:len(good)/2]},
+		{"torn header", "meta", good[:recordHeaderSize-1]},
+		{"empty", "meta", nil},
+		{"zeroed", "meta", make([]byte, len(good))},
+		{"length bit", "meta", flip(good, 1)},
+		{"crc bit", "meta", flip(good, 8*4+3)},
+		{"magic bit", "meta", flip(good, 8*recordHeaderSize)},
+		{"term bit", "meta", flip(good, 8*(recordHeaderSize+len(metaMagic)+1))},
+		{"last bit", "meta", flip(good, 8*len(good)-1)},
+		{"trailing byte", "meta", append(bytes.Clone(good), 0)},
+		{"legacy torn", "meta.json", legacy[:len(legacy)/2]},
+		{"legacy zeroed", "meta.json", make([]byte, len(legacy))},
+		{"legacy empty", "meta.json", nil},
+	}
+	for _, c := range cases {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, c.file), c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenStore(dir, StoreOptions{})
+		if err == nil {
+			term := s.Meta().Term
+			s.Close()
+			t.Errorf("%s: OpenStore succeeded at term %d, want ErrMetaCorrupt", c.name, term)
+			continue
+		}
+		if !errors.Is(err, ErrMetaCorrupt) {
+			t.Errorf("%s: OpenStore = %v, want ErrMetaCorrupt", c.name, err)
+		}
+	}
+}
+
+// TestLegacyMetaMigrates: a meta.json is read once; the first SetMeta, even
+// of the same values, writes meta and removes meta.json. When both are
+// present, meta wins.
+func TestLegacyMetaMigrates(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "meta.json")
+	view := `{"Peers":[{"ID":"n1"}]}`
+	if err := os.WriteFile(legacy, []byte(`{"Version":1,"Term":7,"AppliedTerm":6,"View":`+view+`}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := Meta{Term: 7, AppliedTerm: 6, View: []byte(view)}
+	s := openTestStore(t, dir, StoreOptions{})
+	if got := s.Meta(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("from meta.json: %+v, want %+v", got, want)
+	}
+	if err := s.SetMeta(want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("meta.json after the first SetMeta: stat %v, want it removed", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A crash between the publish and the removal leaves both: meta, the
+	// newer, wins.
+	if err := os.WriteFile(legacy, []byte(`{"Version":1,"Term":2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openTestStore(t, dir, StoreOptions{})
+	defer s2.Close()
+	if got := s2.Meta(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("with meta and meta.json: %+v, want meta's %+v", got, want)
+	}
+}
+
+// FuzzDecodeMeta: the meta decoder may refuse anything, never panics,
+// allocates in proportion to its input, and what it accepts re-encodes to
+// the same bytes.
+func FuzzDecodeMeta(f *testing.F) {
+	for _, m := range []Meta{{}, {Term: 1}, {Term: 7, AppliedTerm: 6, View: []byte(`{"Peers":[{"ID":"n1"}]}`)}, {Term: 1 << 62, AppliedTerm: 1 << 40, View: []byte{0}}} {
+		rec := encodeMeta(m)
+		f.Add(rec)
+		f.Add(rec[recordHeaderSize:])
+		f.Add(rec[:len(rec)/2])
+		f.Add(append(bytes.Clone(rec), rec...))
+		for _, bit := range []int{5, 8*recordHeaderSize + 2, 8*len(rec) - 1} {
+			flipped := bytes.Clone(rec)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			f.Add(flipped)
+		}
+	}
+	// A view length that claims more than the payload holds.
+	f.Add(framePayload(append([]byte(metaMagic), 1, 7, 6, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// As a file, and as a payload behind a valid header: a mutated record
+		// almost never passes its CRC, so the second form is what lets the
+		// fuzzer reach the payload checks.
+		for _, in := range [][]byte{data, framePayload(data)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := decodeMeta(in)
+			runtime.ReadMemStats(&after)
+			// A decode holds the view and a re-encode; the slack is what the
+			// fuzzing process allocates meanwhile.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*uint64(len(in))+64<<10 {
+				t.Fatalf("decoding %d bytes allocated %d", len(in), grew)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrMetaCorrupt) {
+					t.Fatalf("refusal %v is not ErrMetaCorrupt", err)
+				}
+				continue
+			}
+			if again := encodeMeta(m); !bytes.Equal(again, in) {
+				t.Fatalf("accepted %x, which re-encodes to %x", in, again)
+			}
+		}
+	})
 }

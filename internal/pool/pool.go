@@ -321,10 +321,15 @@ func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <
 	}
 	// subscribe opens the pool's stream after the resume position, retrying a
 	// failed attempt (a dial error, a draining or not-yet-attached node) at
-	// the backoff pace for as long as ctx lives; nil once ctx is done.
+	// the backoff pace for as long as ctx lives; nil once ctx is done. The
+	// stream carries the pool's own tasks' transitions too, and fetch does not
+	// read it while a query hands tasks over, so its buffer holds a round:
+	// one batch per owned task's report, the pop's and the next submit's. A
+	// full buffer overflows: the stream ends into a pause and a replay.
+	buf := max(16, p.cfg.BatchSize+2)
 	subscribe := func(since uint64) watch.Stream {
 		for {
-			st, err := p.api.Watch(ctx, watch.Query{WorkType: p.cfg.WorkType, Since: since}, 0)
+			st, err := p.api.Watch(ctx, watch.Query{WorkType: p.cfg.WorkType, Since: since}, buf)
 			if err == nil {
 				return st
 			}

@@ -669,6 +669,58 @@ func TestPoolStopDuringResubscribe(t *testing.T) {
 	}
 }
 
+// countedWatches is the real database, counting subscriptions.
+type countedWatches struct {
+	*core.DB
+	watches atomic.Int32
+}
+
+func (b *countedWatches) Watch(ctx context.Context, q watch.Query, buf int) (watch.Stream, error) {
+	b.watches.Add(1)
+	return b.DB.Watch(ctx, q, buf)
+}
+
+// TestPoolSubscriptionHoldsARound: a pool's subscription carries its own
+// tasks' running and complete transitions beside the queued ones, and its
+// fetch loop does not read it while a query hands tasks to the workers. The
+// buffer holds a round of them, so a pool draining rounds in
+// BenchmarkPoolTasks' shape (64 tasks, BatchSize 128) never overflows and
+// resubscribes. A 16-batch buffer overflowed in most rounds.
+func TestPoolSubscriptionHoldsARound(t *testing.T) {
+	const tasks, rounds = 64, 200
+	backend := &countedWatches{DB: newDB(t)}
+	var ran atomic.Int64
+	drained := make(chan struct{}, 1)
+	exec := func(string) (string, error) {
+		if ran.Add(1)%tasks == 0 {
+			drained <- struct{}{}
+		}
+		return "r", nil
+	}
+	p, err := New(backend, Config{Name: "p", WorkType: 1, Workers: 4, BatchSize: 2 * tasks, Threshold: 2 * tasks}, exec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runPool(t, p)()
+	payloads := make([]string, tasks)
+	for i := range payloads {
+		payloads[i] = "p"
+	}
+	for i := 0; i < rounds; i++ {
+		if _, err := backend.SubmitBatch(bg, "e", 1, payloads, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-drained:
+		case <-time.After(waitMax):
+			t.Fatalf("round %d did not drain", i)
+		}
+	}
+	if n := backend.watches.Load(); n != 1 {
+		t.Fatalf("%d rounds took %d subscriptions, want 1: the stream overflowed %d times", rounds, n, n-1)
+	}
+}
+
 // JSONCores extracts an integer "cores" field from a JSON payload,
 // defaulting to 1 — a ready-made Config.CoresOf for JSON task schemas.
 func JSONCores(payload string) int {

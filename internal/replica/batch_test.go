@@ -97,14 +97,14 @@ func TestBatchShippingAndBatchAck(t *testing.T) {
 	leader, err := New(Config{
 		ID: "gb1", Priority: 3,
 		Heartbeat: beat, ElectionTimeout: elect,
-		WriteQuorum:      1,
-		GroupCommitDelay: time.Hour,
-		Logf:             t.Logf,
+		WriteQuorum: 1,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer leader.Close()
+	leader.groupCommit = time.Hour
 	leader.SetServiceAddr("svc-gb1")
 	leader.Start()
 

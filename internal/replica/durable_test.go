@@ -374,3 +374,90 @@ func TestFollowerAckWaitsForItsDisk(t *testing.T) {
 		t.Fatal("leader lost its leadership during the check")
 	}
 }
+
+// parentMetaJSON is a meta.json as builds before the meta record wrote it
+// (json.Marshal of the store's metadata, the view a json.Marshal of the
+// replica's view with the leader it then also held), at term 7, applied term
+// 6, with three peers.
+const parentMetaJSON = `{"Version":1,"Term":7,"AppliedTerm":6,"View":{"Leader":{"ID":"n1","Priority":3,"ReplAddr":"10.0.0.1:7700","SvcAddr":"10.0.0.1:7654"},"Peers":[{"ID":"n1","Priority":3,"ReplAddr":"10.0.0.1:7700","SvcAddr":"10.0.0.1:7654"},{"ID":"n2","Priority":2,"ReplAddr":"10.0.0.2:7700","SvcAddr":"10.0.0.2:7654"},{"ID":"n3","Priority":1,"ReplAddr":"10.0.0.3:7700","SvcAddr":"10.0.0.3:7654"}]}}`
+
+// TestParentMetaJSONPinned: a data dir whose metadata an older build wrote
+// as meta.json opens to the same term, applied term and peers.
+func TestParentMetaJSONPinned(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(parentMetaJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A follower that is not started: New restores the persisted state and
+	// nothing moves it.
+	n, err := New(Config{ID: "n2", Priority: 2, Join: "127.0.0.1:1", DataDir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if term, applied := n.Term(), n.store.Meta().AppliedTerm; term != 7 || applied != 6 {
+		t.Fatalf("term %d, applied term %d; want 7 and 6", term, applied)
+	}
+	peers := n.Peers()
+	want := []Peer{
+		{ID: "n1", Priority: 3, ReplAddr: "10.0.0.1:7700", SvcAddr: "10.0.0.1:7654"},
+		{ID: "n2", Priority: 2, ReplAddr: n.Addr()}, // self: this process's own address
+		{ID: "n3", Priority: 1, ReplAddr: "10.0.0.3:7700", SvcAddr: "10.0.0.3:7654"},
+	}
+	if !reflect.DeepEqual(peers, want) {
+		t.Fatalf("peers %+v, want %+v", peers, want)
+	}
+}
+
+// TestUnreadableViewRefused: a view that checks as a record but does not
+// decode fails New instead of starting the node with no membership, whose
+// majority denominator would be one.
+func TestUnreadableViewRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := minisql.OpenStore(dir, minisql.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.SetMeta(minisql.Meta{Term: 3, AppliedTerm: 3, View: []byte(`{"Peers":[{"ID":`)})
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Config{ID: "n2", Join: "127.0.0.1:1", DataDir: dir, Logf: t.Logf})
+	if err == nil {
+		n.Close()
+		t.Fatal("New over an undecodable view succeeded")
+	}
+}
+
+// renameCountFS is the real disk, counting renames onto the meta file.
+type renameCountFS struct {
+	minisql.FS
+	metaRenames atomic.Int32
+}
+
+func (fs *renameCountFS) Rename(oldpath, newpath string) error {
+	if filepath.Base(newpath) == "meta" {
+		fs.metaRenames.Add(1)
+	}
+	return fs.FS.Rename(oldpath, newpath)
+}
+
+// TestPromotionPublishesMetaOnce: the step that promotes a fresh durable
+// leader moves its term and its view, and persists both in one publish.
+func TestPromotionPublishesMetaOnce(t *testing.T) {
+	fsys := &renameCountFS{FS: minisql.OSFS}
+	n, err := New(Config{ID: "p1", DataDir: t.TempDir(), Fsync: true, FS: fsys, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if !n.IsLeader() || n.Term() != 1 {
+		t.Fatalf("leader %v at term %d, want a leader at term 1", n.IsLeader(), n.Term())
+	}
+	if got := fsys.metaRenames.Load(); got != 1 {
+		t.Fatalf("promotion published meta %d times, want 1", got)
+	}
+}

@@ -283,10 +283,8 @@ func (n *Node) streamTo(fol *followerConn, term, pos uint64) {
 			// group-commit deadline and ship them — and quorum-ack them — as
 			// one frame. A single (serial) writer never waits: its entry
 			// flushes immediately.
-			if n.cfg.GroupCommitDelay > 0 && n.quorumWaiters.Load() > 1 {
-				if !n.sleep(n.cfg.GroupCommitDelay) {
-					return
-				}
+			if n.quorumWaiters.Load() > 1 && !n.sleep(n.groupCommit) {
+				return
 			}
 		case <-peers:
 			sendBeat = true // membership changed: broadcast it immediately

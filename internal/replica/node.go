@@ -75,10 +75,11 @@
 // frames (the codec in protocol.go), timers, the record data path
 // (Log.Append, ship, applyRecords), the waits on the watermark and the
 // database. They keep one ordering rule: a step's persist
-// output — term, appliedTerm and view — is on disk before any of its sends
-// or role changes take effect, and a failed persist discards the step. So a
-// candidate never claims, a granter never grants and a leader never leads at
-// a term a restart could forget, and no node votes twice in one term. The
+// output — term, appliedTerm and view, one minisql.Meta — is on disk before
+// any of its sends or role changes take effect, and a failed persist discards
+// the step. So a candidate never claims, a granter never grants and a leader
+// never leads at a term a restart could forget, no node votes twice in one
+// term, and a restart that cannot read the record back fails New. The
 // core is explored without sockets in step_test.go: three nodes, every
 // interleaving of delivery, drop and tick to a bounded depth.
 //
@@ -199,18 +200,6 @@ type Config struct {
 	// CheckpointEvery is the automatic checkpoint interval in log entries
 	// (0: default 10000; negative disables). Only meaningful with DataDir.
 	CheckpointEvery int
-	// GroupCommitDelay is the group-commit flush deadline. When two or more
-	// writers are blocked in quorum waits (WaitQuorumIndex — i.e.
-	// synchronous-replication mode under concurrent load), the leader holds
-	// the next flush this long so commits landing close together coalesce
-	// into one batched frame — and one follower ack covering them all. A
-	// single serial writer never pays the delay, so it bounds the *added*
-	// write latency under concurrency rather than taxing every write. In
-	// asynchronous mode (WriteQuorum 0) no one blocks, the delay never
-	// engages, and batching still happens naturally whenever entries
-	// accumulate while a frame is in flight. 0 selects the default (200µs);
-	// negative disables coalescing.
-	GroupCommitDelay time.Duration
 	// Logf, when set, receives replication lifecycle messages.
 	Logf func(format string, args ...any)
 	// Dialer overrides how this node dials peers (joins, probes). Nil uses
@@ -261,7 +250,8 @@ type Node struct {
 	closeCh chan struct{}
 	kick    chan struct{} // wakes the follow loop: the leader to follow changed
 
-	quorumWaiters atomic.Int32 // writers blocked in WaitQuorumIndex: the group-commit signal
+	quorumWaiters atomic.Int32  // writers blocked in WaitQuorumIndex: the group-commit signal
+	groupCommit   time.Duration // the group-commit flush deadline: groupCommitDelay, which tests lengthen before Start
 	wg            sync.WaitGroup
 
 	// attached latches once this node's state is first tied to the cluster's
@@ -271,11 +261,17 @@ type Node struct {
 	attached atomic.Bool
 }
 
-// viewMeta is the durably persisted membership view: the peers list and
-// leader identity this node last adopted.
+// groupCommitDelay is the group-commit flush deadline: while two or more
+// writers are blocked in quorum waits (WaitQuorumIndex), the leader holds the
+// next flush this long, so commits landing close together ship as one frame
+// and one follower ack covers them all. A serial writer never pays it; in
+// asynchronous mode (WriteQuorum 0) nobody blocks and it never engages.
+const groupCommitDelay = 200 * time.Microsecond
+
+// viewMeta is the durably persisted membership view: the peers list this
+// node last adopted, JSON-encoded into minisql.Meta's View.
 type viewMeta struct {
-	Leader Peer
-	Peers  []Peer
+	Peers []Peer
 }
 
 // New creates a node with a fresh EMEWS database and a bound replication
@@ -289,9 +285,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 2 * cfg.ElectionTimeout
-	}
-	if cfg.GroupCommitDelay == 0 {
-		cfg.GroupCommitDelay = 200 * time.Microsecond
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -336,6 +329,8 @@ func New(cfg Config) (*Node, error) {
 		followers: make(map[string]*followerConn),
 		closeCh:   make(chan struct{}),
 		kick:      make(chan struct{}, 1),
+
+		groupCommit: groupCommitDelay,
 	}
 	n.met = newNodeMetrics(db.Metrics())
 	n.registerCollectors(db.Metrics())
@@ -345,11 +340,16 @@ func New(cfg Config) (*Node, error) {
 		// Resume the cluster position recovered from disk: the engine's
 		// replayed high-water mark, the persisted terms and view. A restarted
 		// follower re-joins from there (no re-bootstrap).
+		m := n.store.Meta()
 		var vm viewMeta
-		_ = json.Unmarshal(n.store.View(), &vm) // none or unreadable: no view to recover
-		n.st.restore(n.store.Term(), n.store.AppliedTerm(), n.eng.LastLogged(), vm.Peers)
+		if len(m.View) > 0 {
+			if err = json.Unmarshal(m.View, &vm); err != nil {
+				err = fmt.Errorf("replica: persisted membership view: %w", err)
+			}
+		}
+		n.st.restore(m.Term, m.AppliedTerm, n.eng.LastLogged(), vm.Peers)
 	}
-	if cfg.Join == "" {
+	if err == nil && cfg.Join == "" {
 		// A bootstrap leader always starts a NEW term, even over one
 		// recovered from disk. Crash recovery can roll its log back past
 		// entries a follower already applied (a non-fsync tail lost with the
@@ -358,11 +358,12 @@ func New(cfg Config) (*Node, error) {
 		// resume check and then watch new writes reuse its indexes with
 		// different content. The bump forces returning followers through the
 		// snapshot path, which heals any divergence wholesale.
-		if _, err := n.step(input{ev: evPromote}, nil); err != nil {
-			ln.Close()
-			db.Close()
-			return nil, err
-		}
+		_, err = n.step(input{ev: evPromote}, nil)
+	}
+	if err != nil {
+		ln.Close()
+		db.Close()
+		return nil, err
 	}
 	if cfg.WriteQuorum > 0 {
 		// Synchronous replication: gate watch publication on the quorum
@@ -483,22 +484,20 @@ func (n *Node) stepLocked(in input, out []output) ([]output, error) {
 	return out, nil
 }
 
-// persist writes a persist output to the durable store (no-op in-memory).
-// Each setter is a no-op for an unchanged value, so only what moved costs a
-// metadata write.
+// persist writes a persist output to the durable store (no-op in-memory) in
+// one SetMeta, which is itself a no-op when nothing moved.
 func (n *Node) persist(o output) error {
 	if n.store == nil {
 		return nil
 	}
-	err := n.store.SetTerm(o.f.Term)
-	if err == nil {
-		err = n.store.SetAppliedTerm(o.f.AppliedTerm)
+	m := n.store.Meta()
+	m.Term, m.AppliedTerm = o.f.Term, o.f.AppliedTerm
+	var err error
+	if o.view {
+		m.View, err = json.Marshal(viewMeta{Peers: o.f.Peers})
 	}
-	if err == nil && o.view {
-		var data []byte
-		if data, err = json.Marshal(viewMeta{Leader: o.to, Peers: o.f.Peers}); err == nil {
-			err = n.store.SetView(data)
-		}
+	if err == nil {
+		err = n.store.SetMeta(m)
 	}
 	if err != nil {
 		return fmt.Errorf("replica: persisting term %d: %w", o.f.Term, err)

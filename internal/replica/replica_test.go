@@ -6,9 +6,9 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,16 +195,16 @@ func TestClaimGrantAdoptsClaimant(t *testing.T) {
 	t.Fatalf("view after the grant = %+v, want it to hold the claimant %+v", n.Peers(), claimant)
 }
 
-// metaSyncFailFS is the real disk, except that fsyncing meta.json.tmp — the
-// publish of a new term — fails while fail is set.
+// metaSyncFailFS is the real disk, except that fsyncing a meta tmp file —
+// the publish of a new term — fails while fail is set.
 type metaSyncFailFS struct {
 	minisql.FS
 	fail atomic.Bool
 }
 
-func (fs *metaSyncFailFS) OpenFile(name string, flag int, perm os.FileMode) (minisql.File, error) {
-	f, err := fs.FS.OpenFile(name, flag, perm)
-	if err != nil || filepath.Base(name) != "meta.json.tmp" {
+func (fs *metaSyncFailFS) CreateTemp(dir, pattern string) (minisql.File, error) {
+	f, err := fs.FS.CreateTemp(dir, pattern)
+	if err != nil || !strings.HasPrefix(filepath.Base(f.Name()), "meta-") {
 		return f, err
 	}
 	return metaSyncFailFile{f, &fs.fail}, nil
@@ -217,7 +217,7 @@ type metaSyncFailFile struct {
 
 func (f metaSyncFailFile) Sync() error {
 	if f.fail.Load() {
-		return errors.New("injected meta.json.tmp fsync failure")
+		return errors.New("injected meta tmp fsync failure")
 	}
 	return f.File.Sync()
 }
@@ -469,7 +469,7 @@ func fakePeer(t *testing.T) (Peer, *atomic.Int32) {
 }
 
 // TestClaimNotSentWhenTermNotPersisted: a candidate claims a term only once
-// it is on disk. With meta.json's fsync failing, the candidate that has a
+// it is on disk. With the meta file's fsync failing, the candidate that has a
 // majority in reach sends no claim and keeps its term and role: a restart
 // reading the older term back could otherwise vote a second time in the
 // term it claimed. Once the disk recovers it claims.
@@ -505,7 +505,7 @@ func TestClaimNotSentWhenTermNotPersisted(t *testing.T) {
 	join, stream := lead.accept()
 	stream.sendSnapshot(frame{Term: 1, Role: RoleLeader,
 		Peers: []Peer{me, join.Peer, p3}, LeaderID: me.ID, LeaderRepl: me.ReplAddr, LeaderSvc: me.SvcAddr}, snap.Bytes())
-	waitFor(t, "bootstrap", func() bool { return n.store.AppliedTerm() == 1 && len(n.Peers()) == 3 })
+	waitFor(t, "bootstrap", func() bool { return n.store.Meta().AppliedTerm == 1 && len(n.Peers()) == 3 })
 
 	// The leader dies; p2 ranks first among the survivors and reaches p3: a
 	// majority of three.

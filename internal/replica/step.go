@@ -78,7 +78,7 @@ type input struct {
 type action uint8
 
 const (
-	doPersist action = iota + 1 // write f.Term, f.AppliedTerm and (view) the view {to, f.Peers} first
+	doPersist action = iota + 1 // write f.Term, f.AppliedTerm and (view) the view f.Peers first
 	doReply                     // answer the inbound request with f
 	doHello                     // answer a join as leader with f: a heartbeat allows a resume
 	doRequest                   // send f to `to` as part of round `round`, and step its reply

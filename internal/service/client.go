@@ -74,11 +74,6 @@ var callPool = sync.Pool{
 
 var _ core.Session = (*Client)(nil)
 
-// DefaultReadWait bounds how long a session-level read lets the serving
-// replica catch up to the freshness token before the replica answers
-// transiently, when the caller's context carries no deadline.
-const DefaultReadWait = time.Second
-
 // ErrConn marks transport-level failures (dial, write, read, peer close) as
 // opposed to application errors returned by the service. Failover clients
 // re-resolve the leader when a call fails with ErrConn.
@@ -475,7 +470,7 @@ func (c *Client) read(ctx context.Context, opts []core.ReadOption, req request) 
 	case core.LevelEventual:
 		return c.readAt(req, 0, 0, "eventual")
 	}
-	wait := DefaultReadWait
+	wait := readStaleness
 	if d, ok := ctx.Deadline(); ok {
 		if r := time.Until(d); r < wait {
 			wait = max(r, 0)

@@ -289,10 +289,11 @@ const (
 	// leader within one heartbeat-scale delay.
 	retryDelay    = 25 * time.Millisecond
 	retryMaxDelay = 500 * time.Millisecond
-	// readStaleness bounds how long a follower may block catching up to the
-	// session token before a read moves on (next follower, then leader) —
-	// tightened per call by a shorter context deadline — and is how long a
-	// follower that failed or lagged is skipped by later reads.
+	// readStaleness bounds how long a session read lets its replica catch up
+	// to the session token (less when the context's deadline is sooner): past
+	// it a Client's read fails transiently and a ClusterClient's moves on to
+	// the next follower, then the leader. A follower that failed or lagged is
+	// skipped by later reads for as long.
 	readStaleness = time.Second
 )
 

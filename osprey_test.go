@@ -93,7 +93,7 @@ func TestOptionSurfacePinned(t *testing.T) {
 		v    any
 		want string
 	}{
-		{replica.Config{}, "ID Priority Addr Advertise ServiceAddr Join Heartbeat ElectionTimeout WriteQuorum LeaseTimeout DataDir Fsync CheckpointEvery GroupCommitDelay Logf Dialer Listen FS"},
+		{replica.Config{}, "ID Priority Addr Advertise ServiceAddr Join Heartbeat ElectionTimeout WriteQuorum LeaseTimeout DataDir Fsync CheckpointEvery Logf Dialer Listen FS"},
 		{service.ClusterClient{}, "FailTimeout DialTimeout Dialer ReadFromFollowers"},
 		{service.DialOptions{}, "Timeout Dialer"},
 		{pool.Config{}, "Name Workers BatchSize Threshold WorkType CoresOf Metrics"},
