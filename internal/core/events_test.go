@@ -336,6 +336,49 @@ func TestWatchTaskResync(t *testing.T) {
 	}
 }
 
+// TestWatchQueuedResync: a Queued type watch whose since-token predates the
+// ring still gets its resync seam — the type's current depth as a queued
+// Resync event — and then only the type's queued transitions.
+func TestWatchQueuedResync(t *testing.T) {
+	db, err := NewDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+
+	if _, err := db.SubmitBatch(ctx, "e1", 3, []string{"a", "b"}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	popped, err := db.QueryTasks(within(t, waitMax), 3, 1, "p")
+	if err != nil || len(popped.Tasks) != 1 {
+		t.Fatalf("QueryTasks = %+v, %v", popped, err)
+	}
+	// Force compaction by resetting the hub floor past all history.
+	db.ResetWatch(db.Token() + 100)
+
+	st, err := db.Watch(ctx, watch.Query{WorkType: 3, Queued: true, Since: 1}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	evs := collect(t, st, 1)
+	if len(evs) != 1 || !evs[0].Resync || evs[0].Status != watch.StatusQueued || evs[0].WorkType != 3 || evs[0].Depth != 1 {
+		t.Fatalf("resync = %+v, want one queued resync event for type 3 at depth 1", evs)
+	}
+	if _, err := db.Report(ctx, popped.Tasks[0].ID, 3, "r"); err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.Submit(ctx, "e1", 3, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs = collect(t, st, 1)
+	if len(evs) != 1 || evs[0].TaskID != c.ID || evs[0].Status != watch.StatusQueued || evs[0].Resync {
+		t.Fatalf("after the seam got %+v, want only task %d's queued transition", evs, c.ID)
+	}
+}
+
 // TestCommitObserverWakesPolls: the commit observer is the only thing that
 // wakes a parked long-poll, so every transition that fills a queue must wake
 // the poll on that queue — on the database that committed it and on one that

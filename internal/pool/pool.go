@@ -302,10 +302,11 @@ func (p *Pool) expireQuery() {
 // fetch keeps the pool supplied with tasks — the enhanced worker-pool query
 // of §IV-D (request up to BatchSize - owned tasks whenever that deficit
 // reaches Threshold), driven by push instead of a timer: a subscription to
-// the pool's work type says when the out queue has work, and the pool queries
-// only while it believes tasks are available. An idle pool — no queued work,
-// no deficit — parks in the select below issuing no reads at all, where the
-// paper's poll loop burns a query per delay per pool regardless of load.
+// the queued transitions of the pool's work type says when the out queue has
+// work, and the pool queries only while it believes tasks are available. An
+// idle pool — no queued work, no deficit — parks in the select below issuing
+// no reads at all, where the paper's poll loop burns a query per delay per
+// pool regardless of load.
 func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <-chan struct{}) {
 	backoff := fetchBackoffBase
 	// pause sleeps one full-jitter backoff step and doubles the window;
@@ -322,14 +323,12 @@ func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <
 	// subscribe opens the pool's stream after the resume position, retrying a
 	// failed attempt (a dial error, a draining or not-yet-attached node) at
 	// the backoff pace for as long as ctx lives; nil once ctx is done. The
-	// stream carries the pool's own tasks' transitions too, and fetch does not
-	// read it while a query hands tasks over, so its buffer holds a round:
-	// one batch per owned task's report, the pop's and the next submit's. A
-	// full buffer overflows: the stream ends into a pause and a replay.
-	buf := max(16, p.cfg.BatchSize+2)
+	// stream carries only queued transitions and resync seams, not the pool's
+	// own tasks' running and complete ones, so Watch's default buffer holds
+	// what arrives between two reads.
 	subscribe := func(since uint64) watch.Stream {
 		for {
-			st, err := p.api.Watch(ctx, watch.Query{WorkType: p.cfg.WorkType, Since: since}, buf)
+			st, err := p.api.Watch(ctx, watch.Query{WorkType: p.cfg.WorkType, Queued: true, Since: since}, 0)
 			if err == nil {
 				return st
 			}
@@ -350,9 +349,49 @@ func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <
 	}()
 	var last uint64 // newest token seen; resume position for resubscribes
 	avail := true   // until proven empty, the queue may hold tasks
+	// read takes one receive from the stream: a batch moves last and avail,
+	// and an ended stream is resubscribed from last. false once ctx is done.
+	read := func(batch []watch.Event, ok bool) bool {
+		if !ok {
+			// Stream ended (overflow, hub reset, connection loss on a
+			// non-failover client): resubscribe from the last seen token.
+			// Events may have been missed in between, so assume work.
+			avail = true
+			st.Close()
+			st = nil
+			if !pause() {
+				return false
+			}
+			st = subscribe(last)
+			return st != nil
+		}
+		for _, ev := range batch {
+			if ev.Token > last {
+				last = ev.Token
+			}
+			if ev.Status == watch.StatusQueued || ev.Resync {
+				// A resync seam means transitions were compacted away:
+				// queue state is unknown, so assume work until a query says
+				// otherwise.
+				avail = true
+			}
+		}
+		return true
+	}
 	for ctx.Err() == nil {
 		deficit := p.cfg.BatchSize - int(p.owned.Load())
 		if deficit >= p.cfg.Threshold && avail {
+			// Read the batches already waiting first, without blocking: a
+			// run of queries that each fill their deficit would otherwise
+			// leave the stream unread until it overflows.
+			select {
+			case batch, ok := <-st.Events():
+				if !read(batch, ok) {
+					return
+				}
+				continue
+			default:
+			}
 			n, ok := p.query(ctx, deficit, taskCh)
 			switch {
 			case !ok:
@@ -376,31 +415,8 @@ func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <
 		case <-completions:
 			// Owned dropped; reconsider the deficit.
 		case batch, ok := <-st.Events():
-			if !ok {
-				// Stream ended (overflow, hub reset, connection loss on a
-				// non-failover client): resubscribe from the last seen token.
-				// Events may have been missed in between, so assume work.
-				avail = true
-				st.Close()
-				st = nil
-				if !pause() {
-					return
-				}
-				if st = subscribe(last); st == nil {
-					return
-				}
-				continue
-			}
-			for _, ev := range batch {
-				if ev.Token > last {
-					last = ev.Token
-				}
-				if ev.Status == watch.StatusQueued || ev.Resync {
-					// A resync seam means transitions were compacted away:
-					// queue state is unknown, so assume work until a query
-					// says otherwise.
-					avail = true
-				}
+			if !read(batch, ok) {
+				return
 			}
 		case <-ctx.Done():
 			return

@@ -680,24 +680,20 @@ func (b *countedWatches) Watch(ctx context.Context, q watch.Query, buf int) (wat
 	return b.DB.Watch(ctx, q, buf)
 }
 
-// TestPoolSubscriptionHoldsARound: a pool's subscription carries its own
-// tasks' running and complete transitions beside the queued ones, and its
-// fetch loop does not read it while a query hands tasks to the workers. The
-// buffer holds a round of them, so a pool draining rounds in
-// BenchmarkPoolTasks' shape (64 tasks, BatchSize 128) never overflows and
-// resubscribes. A 16-batch buffer overflowed in most rounds.
-func TestPoolSubscriptionHoldsARound(t *testing.T) {
-	const tasks, rounds = 64, 200
-	backend := &countedWatches{DB: newDB(t)}
+// drainRounds submits rounds batches of tasks to backend's work type 1 and
+// waits for the pool, started with cfg, to run each batch before the next.
+func drainRounds(t *testing.T, backend core.Session, cfg Config, tasks, rounds int) {
+	t.Helper()
 	var ran atomic.Int64
 	drained := make(chan struct{}, 1)
 	exec := func(string) (string, error) {
-		if ran.Add(1)%tasks == 0 {
+		if ran.Add(1)%int64(tasks) == 0 {
 			drained <- struct{}{}
 		}
 		return "r", nil
 	}
-	p, err := New(backend, Config{Name: "p", WorkType: 1, Workers: 4, BatchSize: 2 * tasks, Threshold: 2 * tasks}, exec, nil)
+	cfg.Name, cfg.WorkType = "p", 1
+	p, err := New(backend, cfg, exec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,8 +712,92 @@ func TestPoolSubscriptionHoldsARound(t *testing.T) {
 			t.Fatalf("round %d did not drain", i)
 		}
 	}
+}
+
+// TestPoolSubscriptionHoldsARound: a pool's subscription carries only queued
+// transitions, so a pool draining rounds in BenchmarkPoolTasks' shape (64
+// tasks, BatchSize 128) never overflows Watch's default buffer and
+// resubscribes. While the stream also carried the pool's own tasks' running
+// and complete transitions, a 16-batch buffer overflowed in most rounds.
+func TestPoolSubscriptionHoldsARound(t *testing.T) {
+	const tasks, rounds = 64, 200
+	backend := &countedWatches{DB: newDB(t)}
+	drainRounds(t, backend, Config{Workers: 4, BatchSize: 2 * tasks, Threshold: 2 * tasks}, tasks, rounds)
 	if n := backend.watches.Load(); n != 1 {
 		t.Fatalf("%d rounds took %d subscriptions, want 1: the stream overflowed %d times", rounds, n, n-1)
+	}
+}
+
+// TestPoolSmallRoundsDoNotOverflow: a pool whose queries each fill their
+// deficit (8-task rounds, BatchSize 8, Threshold 1) drains the batches
+// waiting on its stream before every query, so the stream does not overflow
+// while the queries run back to back. Unread, it overflowed about once every
+// 8 rounds.
+func TestPoolSmallRoundsDoNotOverflow(t *testing.T) {
+	const tasks, rounds = 8, 400
+	backend := &countedWatches{DB: newDB(t)}
+	drainRounds(t, backend, Config{Workers: 4, BatchSize: tasks, Threshold: 1}, tasks, rounds)
+	t.Logf("%d rounds took %d subscriptions", rounds, backend.watches.Load())
+	if n := backend.watches.Load(); n > 2 {
+		t.Fatalf("%d rounds took %d subscriptions, want at most 2: the stream overflowed %d times", rounds, n, n-1)
+	}
+}
+
+// filteredWatches is the real database, counting the events its streams
+// deliver that are neither a queued transition nor a resync seam.
+type filteredWatches struct {
+	*core.DB
+	others atomic.Int64
+}
+
+func (b *filteredWatches) Watch(ctx context.Context, q watch.Query, buf int) (watch.Stream, error) {
+	st, err := b.DB.Watch(ctx, q, buf)
+	if err != nil {
+		return nil, err
+	}
+	cs := &countingStream{Stream: st, out: make(chan []watch.Event), done: make(chan struct{})}
+	go func() {
+		defer close(cs.out)
+		for batch := range st.Events() {
+			for _, ev := range batch {
+				if ev.Status != watch.StatusQueued && !ev.Resync {
+					b.others.Add(1)
+				}
+			}
+			select {
+			case cs.out <- batch:
+			case <-cs.done:
+				return
+			}
+		}
+	}()
+	return cs, nil
+}
+
+// countingStream forwards a stream's batches after filteredWatches counted
+// them.
+type countingStream struct {
+	watch.Stream
+	out  chan []watch.Event
+	done chan struct{}
+	once sync.Once
+}
+
+func (s *countingStream) Events() <-chan []watch.Event { return s.out }
+func (s *countingStream) Close() error {
+	s.once.Do(func() { close(s.done) })
+	return s.Stream.Close()
+}
+
+// TestPoolStreamCarriesOnlyQueued: the pool's stream delivers its work
+// type's queued transitions and nothing of its own tasks' running and
+// complete ones, which the hub filters out before they cost a send.
+func TestPoolStreamCarriesOnlyQueued(t *testing.T) {
+	const tasks, rounds = 64, 20
+	backend := &filteredWatches{DB: newDB(t)}
+	drainRounds(t, backend, Config{Workers: 4, BatchSize: 2 * tasks, Threshold: 2 * tasks}, tasks, rounds)
+	if n := backend.others.Load(); n != 0 {
+		t.Fatalf("the pool's stream delivered %d running or complete events over %d rounds, want 0", n, rounds)
 	}
 }
 

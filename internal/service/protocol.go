@@ -81,8 +81,11 @@ type request struct {
 	Payloads   []string
 
 	// Watch ("watch" op, wire v4) selects the subscription shape: "task"
-	// (transitions of TaskID), "type" (transitions touching WorkType), or
-	// "all". The request's Token doubles as the resume position — only
+	// (transitions of TaskID), "type" (transitions touching WorkType),
+	// "queued" (WorkType's queued transitions only, what a pool wakes on), or
+	// "all". Every kind has the same frame layout, so "queued" took no
+	// version bump: a server built before the kind refuses it as unknown.
+	// The request's Token doubles as the resume position — only
 	// transitions after it are delivered. The subscription is keyed by the
 	// frame's request ID: notification frames reuse it, and "unwatch" names
 	// it in SubID to tear the stream down.

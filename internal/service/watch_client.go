@@ -146,10 +146,11 @@ func (b *clientSub) deliver(resp *response) bool {
 }
 
 // Watch subscribes to task-state transitions on this connection (wire v4).
-// The query selects the shape — one task, one work type, or everything — and
-// q.Since resumes after a previously delivered commit token: transitions at
-// or before it are not redelivered, and a position the server has already
-// compacted away is bridged with resync events carrying the current state.
+// The query selects the shape — one task, one work type (or only its queued
+// transitions), or everything — and q.Since resumes after a previously
+// delivered commit token: transitions at or before it are not redelivered,
+// and a position the server has already compacted away is bridged with
+// resync events carrying the current state.
 // buf is the stream's batch buffer (<=0: 16); a consumer that falls more than
 // buf batches behind is terminated with ErrWatchOverflow rather than allowed
 // to stall the connection. The stream ends when the server finishes it
@@ -169,6 +170,9 @@ func (c *Client) Watch(ctx context.Context, q watch.Query, buf int) (watch.Strea
 	case q.TaskID != 0:
 		req.Watch = "task"
 		req.TaskID = q.TaskID
+	case q.Queued:
+		req.Watch = "queued"
+		req.WorkType = q.WorkType
 	default:
 		req.Watch = "type"
 		req.WorkType = q.WorkType

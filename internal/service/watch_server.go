@@ -57,6 +57,9 @@ func watchQuery(req *request) (watch.Query, error) {
 		q.TaskID = req.TaskID
 	case "type":
 		q.WorkType = req.WorkType
+	case "queued":
+		q.WorkType = req.WorkType
+		q.Queued = true
 	case "all":
 		q.All = true
 	default:

@@ -108,6 +108,82 @@ func TestWatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWatchQueuedKindOverWire: a Queued type query travels as the "queued"
+// kind and its stream carries only the type's queued transitions, while a
+// "type" stream on the same connection carries queued, running and complete.
+func TestWatchQueuedKindOverWire(t *testing.T) {
+	q, err := watchQuery(&request{Watch: "queued", WorkType: 1, Token: 7})
+	if err != nil || q != (watch.Query{WorkType: 1, Queued: true, Since: 7}) {
+		t.Fatalf("watchQuery(queued) = %+v, %v", q, err)
+	}
+	db, err := core.NewDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv, err := Serve(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx := context.Background()
+	queued, err := c.Watch(ctx, watch.Query{WorkType: 1, Queued: true}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer queued.Close()
+	byType, err := c.Watch(ctx, watch.Query{WorkType: 1}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer byType.Close()
+
+	a, err := c.Submit(ctx, "w", 1, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qctx, cancel := context.WithTimeout(ctx, time.Second)
+	if _, err := c.QueryTasks(qctx, 1, 1, "p0"); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, err := c.Report(ctx, a.ID, 1, "done"); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Submit(ctx, "w", 1, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(name string, evs []watch.Event, want []watch.Event) {
+		t.Helper()
+		if len(evs) != len(want) {
+			t.Fatalf("%s stream got %+v, want %d events", name, evs, len(want))
+		}
+		for i, w := range want {
+			if evs[i].TaskID != w.TaskID || evs[i].Status != w.Status {
+				t.Fatalf("%s stream event %d = %+v, want task %d %s", name, i, evs[i], w.TaskID, w.Status)
+			}
+		}
+	}
+	check("type", collectN(t, byType, 4, 2*time.Second), []watch.Event{
+		{TaskID: a.ID, Status: watch.StatusQueued},
+		{TaskID: a.ID, Status: watch.StatusRunning},
+		{TaskID: a.ID, Status: watch.StatusComplete},
+		{TaskID: b.ID, Status: watch.StatusQueued},
+	})
+	check("queued", collectN(t, queued, 2, 2*time.Second), []watch.Event{
+		{TaskID: a.ID, Status: watch.StatusQueued},
+		{TaskID: b.ID, Status: watch.StatusQueued},
+	})
+}
+
 // TestWatchResumeOverWire asserts the exactly-once reconnect contract across
 // connections: a second client resuming with the first stream's last token
 // receives precisely the transitions committed in between.

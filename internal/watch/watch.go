@@ -44,10 +44,12 @@
 // cluster's lifetime (TestWatchFailoverResume).
 //
 // Consumers and checks. future.Future waits on its task's transitions
-// instead of polling QueryResult; pool blocks on queue-depth events instead
-// of spinning on empty pops and retries a failed subscribe with full-jitter
-// backoff for as long as it runs (TestPoolRetriesFailedSubscribe), so idle
-// read load does not scale with worker count. Chaos invariant 6
+// instead of polling QueryResult; pool subscribes to its work type's queued
+// transitions only (Query.Queued) and blocks on them instead of spinning on
+// empty pops, retrying a failed subscribe with full-jitter backoff for as
+// long as it runs (TestPoolRetriesFailedSubscribe), so idle read load does
+// not scale with worker count and its own tasks' running and complete
+// transitions are never pushed to it. Chaos invariant 6
 // (internal/chaos/watcher.go) holds delivery to exactly once under faults;
 // BenchmarkWatchDispatch, BenchmarkWatchWake and BenchmarkPollWake measure
 // the fan-out and the push wake-up against the poll round trip it replaced.
@@ -95,13 +97,17 @@ type Transition struct {
 }
 
 // Query selects which events a subscription receives. Exactly one of the
-// three forms is active: All, a single TaskID, or a single WorkType. Since is
-// the resume position: only events with Token > Since are delivered, with the
-// gap replayed from the ring at subscribe time.
+// three forms is active: All, a single TaskID, or a single WorkType. Queued
+// narrows the WorkType form to StatusQueued transitions (a pool's wake-ups,
+// without its own tasks' running and complete ones); the other forms ignore
+// it. Since is the resume position: only events with Token > Since are
+// delivered, with the gap replayed from the ring at subscribe time. Live
+// delivery and the replay filter alike; resync seams are not filtered.
 type Query struct {
 	All      bool
 	TaskID   int64
 	WorkType int
+	Queued   bool
 	Since    uint64
 }
 
@@ -112,7 +118,7 @@ func (q Query) matches(ev Event) bool {
 	case q.TaskID != 0:
 		return ev.TaskID == q.TaskID
 	default:
-		return ev.WorkType == q.WorkType
+		return ev.WorkType == q.WorkType && (!q.Queued || ev.Status == StatusQueued)
 	}
 }
 

@@ -2,6 +2,7 @@ package watch
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -57,6 +58,70 @@ func TestHubCommitAndFilter(t *testing.T) {
 	}
 	if d := h.Depth(1); d != 0 {
 		t.Fatalf("depth(1) after running = %d, want 0", d)
+	}
+}
+
+// statuses lists a batch's (task, status) pairs in order.
+func statuses(batch []Event) []string {
+	out := make([]string, len(batch))
+	for i, ev := range batch {
+		out[i] = fmt.Sprintf("%d:%s", ev.TaskID, ev.Status)
+	}
+	return out
+}
+
+// TestHubQueuedFilter: a Queued subscriber receives the queued events of a
+// mixed commit and none of its running, complete or canceled ones, live and
+// in a Since replay alike; a commit with nothing queued sends it nothing. A
+// WorkType subscriber on the same hub still receives every transition.
+func TestHubQueuedFilter(t *testing.T) {
+	h := NewHub(0, nil)
+	queued, _, _, _ := h.Subscribe(Query{WorkType: 1, Queued: true}, 8)
+	byType, _, _, _ := h.Subscribe(Query{WorkType: 1}, 8)
+
+	h.Commit(1, []Transition{
+		{TaskID: 1, WorkType: 1, Status: StatusQueued},
+		{TaskID: 2, WorkType: 1, Status: StatusQueued},
+		{TaskID: 3, WorkType: 2, Status: StatusQueued},
+	})
+	h.Commit(2, []Transition{
+		{TaskID: 1, WorkType: -1, Status: StatusRunning},
+		{TaskID: 4, WorkType: 1, Status: StatusQueued},
+		{TaskID: 2, WorkType: -1, Status: StatusCanceled},
+		{TaskID: 5, WorkType: 1, Status: StatusQueued},
+	})
+	h.Commit(3, []Transition{{TaskID: 1, WorkType: -1, Status: StatusComplete}})
+
+	want := [][]string{{"1:queued", "2:queued"}, {"4:queued", "5:queued"}}
+	for i, w := range want {
+		if got := statuses(recv(t, queued)); !slices.Equal(got, w) {
+			t.Fatalf("queued subscriber's batch %d = %v, want %v", i, got, w)
+		}
+	}
+	if n := len(queued.C); n != 0 {
+		t.Fatalf("queued subscriber holds %d more batches, want none for a commit with nothing queued", n)
+	}
+	wantAll := [][]string{
+		{"1:queued", "2:queued"},
+		{"1:running", "4:queued", "2:canceled", "5:queued"},
+		{"1:complete"},
+	}
+	for i, w := range wantAll {
+		if got := statuses(recv(t, byType)); !slices.Equal(got, w) {
+			t.Fatalf("work-type subscriber's batch %d = %v, want %v", i, got, w)
+		}
+	}
+
+	_, replay, _, compacted := h.Subscribe(Query{WorkType: 1, Queued: true, Since: 1}, 8)
+	if compacted {
+		t.Fatal("unexpected compaction")
+	}
+	if got, w := statuses(replay), []string{"4:queued", "5:queued"}; !slices.Equal(got, w) {
+		t.Fatalf("queued replay = %v, want %v", got, w)
+	}
+	_, replay, _, _ = h.Subscribe(Query{WorkType: 1, Since: 1}, 8)
+	if got, w := statuses(replay), []string{"1:running", "4:queued", "2:canceled", "5:queued", "1:complete"}; !slices.Equal(got, w) {
+		t.Fatalf("work-type replay = %v, want %v", got, w)
 	}
 }
 
