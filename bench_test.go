@@ -1089,11 +1089,14 @@ func benchClusterRead(b *testing.B, followerReads bool) {
 			b.Error(err)
 			return
 		}
-		cc.ReadFromFollowers = followerReads
 		defer cc.Close()
+		var opts []core.ReadOption
+		if !followerReads {
+			opts = []core.ReadOption{core.Strong()} // pinned to the leader
+		}
 		i := 0
 		for pb.Next() {
-			if _, err := cc.GetTask(bgctx, ids[i%len(ids)]); err != nil {
+			if _, err := cc.GetTask(bgctx, ids[i%len(ids)], opts...); err != nil {
 				b.Error(err)
 				return
 			}
@@ -1304,33 +1307,63 @@ func BenchmarkSubmitSingle750(b *testing.B) {
 // all-watch subscribers each receive every committed transition. One
 // iteration is one commit classified into one queued transition, delivered
 // to all 16 — the in-process cost a node pays per commit to keep its push
-// streams current, before any wire framing.
+// streams current, before any wire framing. The subscribers drain off the
+// clock: every window commits the timer stops while each takes its window's
+// batches, so no buffer (one window deep) ever fills, the fan-out stays 16
+// wide for the whole run, and the goroutine wake-ups of the readers are not
+// what is timed. A subscriber the hub ends anyway fails the run.
 func BenchmarkWatchDispatch(b *testing.B) {
+	const subscribers, window = 16, 256
 	hub := watch.NewHub(0, nil)
-	const subscribers = 16
-	var wg sync.WaitGroup
+	drained := make(chan error, subscribers) // per subscriber per window: nil, or why the hub ended it
 	subs := make([]*watch.Sub, subscribers)
+	drains := make([]chan struct{}, subscribers) // a subscriber's go-ahead to drain a window
 	for i := range subs {
-		sub, _, _, _ := hub.Subscribe(watch.Query{All: true}, 1024)
-		subs[i] = sub
-		wg.Add(1)
+		sub, _, _, _ := hub.Subscribe(watch.Query{All: true}, window)
+		subs[i], drains[i] = sub, make(chan struct{}, 1)
 		go func() {
-			defer wg.Done()
-			for range sub.C {
+			for range drains[i] {
+				for range window {
+					if _, ok := <-sub.C; !ok {
+						drained <- fmt.Errorf("subscriber ended mid-run: %w", sub.Err())
+						return
+					}
+				}
+				drained <- nil
 			}
 		}()
 	}
+	defer func() {
+		for i, s := range subs {
+			s.Close()
+			close(drains[i])
+		}
+	}()
 	trs := []watch.Transition{{TaskID: 1, WorkType: 1, Status: "queued"}}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hub.Commit(uint64(i+1), trs)
+	for i := 1; i <= b.N; i++ {
+		hub.Commit(uint64(i), trs)
+		if i%window != 0 {
+			continue
+		}
+		b.StopTimer()
+		for _, d := range drains {
+			d <- struct{}{}
+		}
+		for range subscribers {
+			if err := <-drained; err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
 	}
 	b.StopTimer()
 	for _, s := range subs {
-		s.Close()
+		if err := s.Err(); err != nil {
+			b.Fatalf("subscriber ended mid-run: %v", err)
+		}
 	}
-	wg.Wait()
 }
 
 // benchWatchWakeSetup starts a standalone service and a connected client for

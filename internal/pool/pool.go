@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -228,27 +227,6 @@ func (p *Pool) work(jobs <-chan job, cores <-chan struct{}, completions chan<- s
 	}
 }
 
-// Fetch-error backoff bounds: non-timeout query errors (a restarting or
-// failing-over backend) retry with full jitter — a uniform draw from
-// (0, backoff], doubling to the cap — instead of a hot retry loop.
-const (
-	fetchBackoffBase = 5 * time.Millisecond
-	fetchBackoffCap  = 250 * time.Millisecond
-)
-
-// sleepJitter sleeps a uniform random fraction of backoff, honoring ctx;
-// false once ctx is done.
-func sleepJitter(ctx context.Context, backoff time.Duration) bool {
-	t := wait.Timer(time.Duration(rand.Int63n(int64(backoff))) + 1)
-	defer wait.Release(t)
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // queryTimeout is the deadline of one deficit query. The pool only queries
 // while it believes the queue holds work, so this bounds a query that raced
 // another pool to the last tasks, not an idle wait.
@@ -308,18 +286,9 @@ func (p *Pool) expireQuery() {
 // no reads at all, where the paper's poll loop burns a query per delay per
 // pool regardless of load.
 func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <-chan struct{}) {
-	backoff := fetchBackoffBase
-	// pause sleeps one full-jitter backoff step and doubles the window;
-	// false once ctx is done.
-	pause := func() bool {
-		if !sleepJitter(ctx, backoff) {
-			return false
-		}
-		if backoff *= 2; backoff > fetchBackoffCap {
-			backoff = fetchBackoffCap
-		}
-		return true
-	}
+	// backoff paces a failed query or subscribe, so a restarting or
+	// failing-over backend is not hammered by a hot retry loop.
+	var backoff wait.Backoff
 	// subscribe opens the pool's stream after the resume position, retrying a
 	// failed attempt (a dial error, a draining or not-yet-attached node) at
 	// the backoff pace for as long as ctx lives; nil once ctx is done. The
@@ -332,7 +301,7 @@ func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <
 			if err == nil {
 				return st
 			}
-			if !pause() {
+			if !backoff.Wait(ctx) {
 				return nil
 			}
 		}
@@ -359,7 +328,7 @@ func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <
 			avail = true
 			st.Close()
 			st = nil
-			if !pause() {
+			if !backoff.Wait(ctx) {
 				return false
 			}
 			st = subscribe(last)
@@ -395,19 +364,17 @@ func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <
 			n, ok := p.query(ctx, deficit, taskCh)
 			switch {
 			case !ok:
-				// Transport or backend failure (not an empty queue): back off
-				// with full jitter so a restarting or failing-over backend is
-				// not hammered by a hot retry loop.
-				if !pause() {
+				// Transport or backend failure (not an empty queue).
+				if !backoff.Wait(ctx) {
 					return
 				}
 			case n < deficit:
 				// The queue had less than asked for: it is now empty of this
 				// work type, so stop querying until a queued event arrives.
 				avail = false
-				backoff = fetchBackoffBase
+				backoff.Reset()
 			default:
-				backoff = fetchBackoffBase
+				backoff.Reset()
 			}
 			continue
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -16,8 +15,9 @@ import (
 )
 
 // Client is a TCP client for a remote EMEWS service implementing
-// core.Session: the embedded session (session.go) holds the ops, and the
-// Client is their transport over one connection (write, poll, read below).
+// core.Session: the embedded session (session.go) holds the ops and the call
+// loop, and the Client is their transport over one connection (connect and
+// settle below), which it never trades for another.
 // A Client is multiplexed and pipelined: it speaks wire protocol v2 over one
 // connection, every call ships a uniquely-numbered frame without waiting for
 // earlier replies, and a demux goroutine routes response frames back to
@@ -98,8 +98,8 @@ func (e *redirectError) Unwrap() error { return ErrUnavailable }
 // in-flight limit was reached. The request never executed (no side effects,
 // safe to resend verbatim, writes included); the right response is to back
 // off and retry the SAME node — unlike ErrUnavailable, failing over is
-// pointless because the node is healthy, just saturated. Client.write retries
-// these itself with full-jitter backoff inside the caller's budget, so
+// pointless because the node is healthy, just saturated. The call loop
+// (session.go) resends these on the same connection with backoff, so
 // pipelined callers see slowdown, not errors, under overload.
 var ErrOverloaded = errors.New("service: server overloaded")
 
@@ -279,61 +279,6 @@ func (c *Client) send(id uint64, req *request) error {
 	return nil
 }
 
-// Overload backoff bounds: the full-jitter retry of shed requests starts
-// at the base and doubles to the cap. Full jitter (sleep a uniform random
-// fraction of the window, AWS-style) is what keeps N pipelined callers
-// shed together from retrying together.
-const (
-	overloadBackoffBase = 5 * time.Millisecond
-	overloadBackoffCap  = 250 * time.Millisecond
-)
-
-// write implements transport: one attempt on this connection, answered
-// within budget. Requests and responses cross the transport by value, so that
-// neither is ever heap-allocated; below it they travel by pointer, so that
-// the layering costs the calling goroutine little stack (each AsCompleted
-// call pops its results on a fresh goroutine).
-func (c *Client) write(ctx context.Context, budget time.Duration, req request) (resp response, err error) {
-	err = c.exchange(ctx, budget, &req, &resp)
-	return resp, err
-}
-
-// exchange is what every request on this connection goes through. Mutating
-// ops honor cancellation before touching the wire — matching core.DB, a
-// finished context must not execute the write — and a context deadline
-// tightens budget. The cap budget puts on a generous deadline is what keeps
-// failover responsive: a single attempt against a silently dead peer must not
-// consume it; the retry layer (ClusterClient.do) owns the long-horizon
-// retrying, one bounded attempt at a time. Admission-control sheds are
-// retried here with full-jitter backoff inside the attempt's overall budget:
-// a shed request never executed, so the resend is safe for every op including
-// writes; when the budget runs out the ErrOverloaded surfaces to the caller
-// (and, in a cluster client, to its own backoff loop).
-func (c *Client) exchange(ctx context.Context, budget time.Duration, req *request, resp *response) error {
-	if err := ctx.Err(); err != nil {
-		return core.CtxErr(ctx)
-	}
-	if d, ok := ctx.Deadline(); ok {
-		budget = min(budget, max(time.Until(d), time.Millisecond))
-	}
-	deadline := time.Now().Add(budget + 10*time.Second)
-	backoff := overloadBackoffBase
-	for {
-		err := c.roundTrip(req, resp, budget)
-		if err == nil || !errors.Is(err, ErrOverloaded) {
-			return err
-		}
-		d := time.Duration(rand.Int63n(int64(backoff)))
-		if !time.Now().Add(d).Before(deadline) {
-			return err
-		}
-		time.Sleep(d)
-		if backoff *= 2; backoff > overloadBackoffCap {
-			backoff = overloadBackoffCap
-		}
-	}
-}
-
 // roundTrip ships one request frame and waits for its response, which it
 // leaves in *resp (zero unless one arrived). Other callers' round trips
 // proceed concurrently on the same connection; this request's reply may
@@ -414,79 +359,23 @@ func (c *Client) LastToken() uint64 {
 // Token implements core.Session.
 func (c *Client) Token() core.Token { return c.LastToken() }
 
-// poll implements transport. With a context deadline the whole remaining
-// budget ships to the server as WaitMS in a single round trip; without one,
-// the client long-polls in chunks until the context is canceled or something
-// arrives — the wire analogue of an unbounded Session poll.
-func (c *Client) poll(ctx context.Context, req request) (resp response, err error) {
-	const chunk = time.Second
-	first := true
-	for {
-		// An explicit cancellation must not execute the pop at all (the pop
-		// mutates the queues); only a deadline expiry earns the one-shot try.
-		if err := ctx.Err(); errors.Is(err, context.Canceled) {
-			return response{}, err
-		}
-		budget := chunk
-		if d, ok := ctx.Deadline(); ok {
-			remain := time.Until(d)
-			if remain <= 0 {
-				if !first {
-					return response{}, core.ErrTimeout
-				}
-				// An expired deadline still earns one immediate attempt,
-				// matching the Session contract.
-				remain = time.Millisecond
-			}
-			budget = remain
-		}
-		req.WaitMS = budget.Milliseconds()
-		err = c.exchange(context.Background(), budget, &req, &resp)
-		first = false
-		if !errors.Is(err, core.ErrTimeout) {
-			return resp, err
-		}
-		if _, bounded := ctx.Deadline(); bounded {
-			return resp, core.ErrTimeout
-		}
-		select {
-		case <-ctx.Done():
-			return resp, core.CtxErr(ctx)
-		default:
-		}
-	}
+// connect implements transport: a Client is its own connection.
+func (c *Client) connect() (*Client, error) { return c, nil }
+
+// settle implements transport: the demux already ratchets the token, and a
+// lost or refusing connection is not traded for another.
+func (c *Client) settle(*Client, error) bool { return false }
+
+// follow implements transport: a Client has no followers to ask first.
+func (c *Client) follow(request, time.Duration) (response, bool, error) {
+	return response{}, false, nil
 }
 
-// read implements transport: the per-call consistency options rendered into
-// wire terms, with the connection's own session token as the session-level
-// default freshness bound.
-func (c *Client) read(ctx context.Context, opts []core.ReadOption, req request) (response, error) {
-	if err := ctx.Err(); err != nil {
-		return response{}, core.CtxErr(ctx)
-	}
-	switch core.ApplyReadOptions(opts).Level {
-	case core.LevelStrong:
-		return c.readAt(req, 0, 0, "strong")
-	case core.LevelEventual:
-		return c.readAt(req, 0, 0, "eventual")
-	}
-	wait := readStaleness
-	if d, ok := ctx.Deadline(); ok {
-		if r := time.Until(d); r < wait {
-			wait = max(r, 0)
-		}
-	}
-	return c.readAt(req, c.LastToken(), wait, "")
-}
+// failTimeout implements transport.
+func (c *Client) failTimeout() time.Duration { return defaultFailTimeout }
 
-// readAt sends a read with an explicit minimum-freshness commit token: the
-// replica answers only once it has applied the WAL through token (waiting up
-// to wait), or transiently refuses.
-func (c *Client) readAt(req request, token uint64, wait time.Duration, level string) (resp response, err error) {
-	req.Token, req.WaitMS, req.Level = token, wait.Milliseconds(), level
-	err = c.exchange(context.Background(), time.Second+wait, &req, &resp)
-	return resp, err
-}
+// chunked implements transport.
+func (c *Client) chunked() bool { return false }
 
 // Promote forces the connected node to promote itself to cluster leader,
 // overriding the majority election gate — the operator escape hatch for

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"osprey/internal/core"
-	"osprey/internal/wait"
 )
 
 // ClusterClient is a failover-aware EMEWS service client. It implements
@@ -27,21 +25,21 @@ import (
 // run unchanged across leader failover.
 //
 // The ops themselves are written once, in the embedded session (session.go:
-// request construction, response conversion). ClusterClient supplies only
-// how a request travels — the three transport calls: write is the leader
-// connection re-resolved and retried (do), poll the same in sub-deadline
-// chunks (pollChunked), read the follower rotation with the leader last
-// (read, tryFollowers). The methods declared here are the ones that really
+// request construction, response conversion, and the call loop that retries
+// every write, poll and leader-bound read). ClusterClient supplies only which
+// connection an attempt goes to: the leader, re-resolved when it fails
+// (connect, settle), and for reads the follower rotation tried before it
+// (follow, tryFollowers). The methods declared here are the ones that really
 // differ from a single connection's: Submit/SubmitBatch attach dedup keys,
-// QueryResult recovers a consumed result after a failover, Watch
-// resubscribes (watch_cluster.go).
+// Watch resubscribes (watch_cluster.go).
 //
 // Retry semantics: idempotent reads retry freely. Queue-popping calls
 // (QueryTasks, PopResults, QueryResult) are at-most-once per attempt, so a
 // response lost to a dying leader can consume a queue entry without
-// delivering it; QueryResult additionally falls back to reading the
-// replicated task row after a failover, so results of completed tasks are
-// never lost with the old leader (they are, at worst, delivered twice).
+// delivering it; QueryResult additionally reads the replicated task row
+// after a failover (the call loop's callResult), so results of completed
+// tasks are never lost with the old leader (they are, at worst, delivered
+// twice).
 //
 // When the cluster runs with replica.Config.WriteQuorum > 0, every
 // acknowledged write has already been applied by that many followers, so an
@@ -51,13 +49,13 @@ import (
 //
 // Read scale-out: the client tracks a session commit token — the highest WAL
 // index any of its operations has observed, pops included — and routes
-// read-only calls (GetTask, Statuses, Priorities, Counts, Tags) round-robin
-// across follower replicas, shipping the token as a minimum-freshness bound.
-// A follower serves the read only once its applied index has reached the
-// token (read-your-writes, read-your-pops, and monotonic reads for this
-// session); one that cannot catch up within the read's staleness bound
-// answers transiently and the client moves on to the next follower, falling
-// back to the leader last. Per-call consistency levels refine the routing:
+// session- and eventual-consistency reads (GetTask, Statuses, Priorities,
+// Counts, Tags) round-robin across follower replicas, shipping the token as a
+// minimum-freshness bound. A follower serves the read only once its applied
+// index has reached the token (read-your-writes, read-your-pops, and
+// monotonic reads for this session); one that cannot catch up within the
+// read's staleness bound answers transiently and the client moves on to the
+// next follower, falling back to the leader last. Per-call consistency levels refine the routing:
 // core.Strong() pins the read to the leader, core.Eventual() drops the
 // freshness bound entirely. EMEWS workloads are dominated by status/result
 // polling, so this is what lets followers absorb the read load instead of
@@ -85,19 +83,16 @@ type ClusterClient struct {
 	// client opens (leader and follower reads alike). Tests inject fault
 	// transports here; nil uses the real network.
 	Dialer DialFunc
-	// ReadFromFollowers routes session- and eventual-consistency reads across
-	// follower replicas. Enabled by DialCluster; disable to pin every call to
-	// the leader. Strong reads always go to the leader regardless.
-	ReadFromFollowers bool
 
 	mu      sync.Mutex
 	c       *Client
-	leader  string               // service address of c; while c is nil, the next resolution's first try
-	token   uint64               // session high-water commit token
-	peers   []string             // every member's service address (last resolution)
-	readers map[string]*Client   // open read connections to followers
-	readSeq uint64               // round-robin cursor over followers
-	readBad map[string]time.Time // follower cooldown: skip recent failures
+	leader  string                      // service address of c; while c is nil, the next resolution's first try
+	token   uint64                      // session high-water commit token
+	peers   []string                    // every member's service address (last resolution)
+	readers map[string]*Client          // open read connections to followers
+	readSeq uint64                      // round-robin cursor over followers
+	readBad map[string]time.Time        // follower cooldown: skip recent failures
+	streams map[*clusterStream]struct{} // open watch streams, which Close ends
 
 	dedupBase string // session-unique prefix for generated dedup keys
 	dedupSeq  uint64 // counter for generated dedup keys
@@ -120,12 +115,11 @@ func DialCluster(addrs ...string) (*ClusterClient, error) {
 		return nil, fmt.Errorf("service: dedup key seed: %w", err)
 	}
 	cc := &ClusterClient{
-		addrs:             append([]string(nil), addrs...),
-		FailTimeout:       15 * time.Second,
-		ReadFromFollowers: true,
-		readers:           make(map[string]*Client),
-		readBad:           make(map[string]time.Time),
-		dedupBase:         "cc-" + hex.EncodeToString(rnd[:]),
+		addrs:       append([]string(nil), addrs...),
+		FailTimeout: defaultFailTimeout,
+		readers:     make(map[string]*Client),
+		readBad:     make(map[string]time.Time),
+		dedupBase:   "cc-" + hex.EncodeToString(rnd[:]),
 	}
 	cc.session = session{t: cc}
 	cc.mu.Lock()
@@ -138,9 +132,21 @@ func DialCluster(addrs ...string) (*ClusterClient, error) {
 
 var errNoLeader = fmt.Errorf("%w: no cluster leader elected", ErrUnavailable) // nodes answered, none leads
 
-// Close drops the current connection and all follower read connections. The
-// client can be reused; the next call re-resolves.
+// Close ends the watch streams opened through the client, then drops the
+// current connection and all follower read connections. The client can be
+// reused; the next call re-resolves.
 func (cc *ClusterClient) Close() error {
+	cc.mu.Lock()
+	streams := cc.streams
+	cc.streams = nil
+	cc.mu.Unlock()
+	// A stream's goroutine may be resubscribing: wait for it to exit (at
+	// worst, one leader resolution) before the connections close, or it
+	// would open a new one.
+	for s := range streams {
+		s.Close()
+		s.exited.Wait()
+	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.c != nil {
@@ -199,7 +205,9 @@ func (cc *ClusterClient) autoDedupKeys(keys []string) {
 	}
 }
 
-func (cc *ClusterClient) client() (*Client, error) {
+// connect implements transport: the cached leader connection, else a new
+// resolution (clientLocked).
+func (cc *ClusterClient) connect() (*Client, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	return cc.clientLocked()
@@ -282,89 +290,33 @@ func (cc *ClusterClient) dial(addr string) (*Client, error) {
 	return DialWith(addr, DialOptions{Timeout: cc.DialTimeout, Dialer: cc.Dialer})
 }
 
-const (
-	// retryDelay is the base of the exponential backoff between
-	// re-resolution attempts, and retryMaxDelay its cap: long enough to shed
-	// load during an election, short enough that calls notice a recovered
-	// leader within one heartbeat-scale delay.
-	retryDelay    = 25 * time.Millisecond
-	retryMaxDelay = 500 * time.Millisecond
-	// readStaleness bounds how long a session read lets its replica catch up
-	// to the session token (less when the context's deadline is sooner): past
-	// it a Client's read fails transiently and a ClusterClient's moves on to
-	// the next follower, then the leader. A follower that failed or lagged is
-	// skipped by later reads for as long.
-	readStaleness = time.Second
-)
-
-// retrySleep pauses before retry attempt n (0-based) with full jitter: a
-// uniform draw from (0, min(retryMaxDelay, retryDelay·2^n)], so the many
-// clients that lose a leader at once spread their reconnects out instead of
-// stampeding the new leader in lockstep waves. Early attempts stay fast (a
-// lost connection usually has a live leader one dial away); later attempts
-// back off so a leaderless or overloaded cluster is not hammered.
-func (cc *ClusterClient) retrySleep(attempt int) {
-	d := min(retryMaxDelay, retryDelay<<uint(min(attempt, 16)))
-	time.Sleep(time.Duration(mrand.Int63n(int64(d))) + 1)
-}
-
-// invalidate drops c, which err made suspect, if it is still the cached
-// connection. If err is a follower's redirect, it reports true and, unless a
-// concurrent call already re-resolved, the named leader leads the next scan.
-func (cc *ClusterClient) invalidate(c *Client, err error) (redirected bool) {
-	var r *redirectError
-	redirected = errors.As(err, &r)
+// settle implements transport. An answer on c ratchets the session token.
+// A failure drops c if it is still the cached connection, and if err is a
+// follower's redirect, the named leader leads the next resolution unless a
+// concurrent call already re-resolved. Another connection can always be
+// resolved.
+func (cc *ClusterClient) settle(c *Client, err error) bool {
+	if err == nil {
+		cc.noteToken(c.LastToken())
+		return true
+	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.c == c {
 		cc.c.Close()
 		cc.c = nil
 	}
-	if redirected && cc.c == nil {
+	if r := (*redirectError)(nil); errors.As(err, &r) && cc.c == nil {
 		cc.leader = r.leader
 	}
-	return redirected
+	return true
 }
 
-// retryable reports whether an error justifies re-resolving the leader.
-func retryable(err error) bool {
-	return errors.Is(err, ErrConn) || errors.Is(err, ErrUnavailable)
-}
+// failTimeout implements transport.
+func (cc *ClusterClient) failTimeout() time.Duration { return cc.FailTimeout }
 
-// do runs fn against the current leader, retrying through connection loss
-// and leaderless windows until budget + FailTimeout elapses. The first
-// redirect is followed at once; later refusals back off.
-func (cc *ClusterClient) do(budget time.Duration, fn func(c *Client) error) error {
-	deadline := time.Now().Add(budget + cc.FailTimeout)
-	var err error
-	redirected := false
-	for attempt := 0; ; attempt++ {
-		var c *Client
-		c, err = cc.client()
-		if err == nil {
-			err = fn(c)
-			switch {
-			case err == nil:
-				cc.noteToken(c.LastToken())
-				return nil
-			case errors.Is(err, ErrOverloaded):
-				// The node is healthy, just saturated — keep the connection
-				// (failing over would dogpile another node) and back off.
-			case retryable(err):
-				if cc.invalidate(c, err) && !redirected {
-					redirected = true
-					continue
-				}
-			default:
-				return err
-			}
-		}
-		if time.Now().After(deadline) {
-			return err
-		}
-		cc.retrySleep(attempt)
-	}
-}
+// chunked implements transport.
+func (cc *ClusterClient) chunked() bool { return true }
 
 // reader returns an open read connection to addr, dialing on first use.
 func (cc *ClusterClient) reader(addr string) (*Client, error) {
@@ -405,13 +357,11 @@ func (cc *ClusterClient) dropReader(addr string, c *Client) {
 // call with a fresh dial or a full staleness wait). A follower that is
 // unreachable, saturated or answering transiently is cooled down — its
 // connection dropped if that is what failed — and the rotation moves on. done
-// reports that fn was answered for good, by success or by a refusal no other
-// node would lift (err says which); otherwise the caller falls back to the
-// leader connection and err is the last follower's failure, if any was tried.
+// reports that fn was answered for good, by success (which ratchets the
+// session token) or by a refusal no other node would lift (err says which);
+// otherwise the caller falls back to the leader connection and err is the
+// last follower's failure, if any was tried.
 func (cc *ClusterClient) tryFollowers(fn func(c *Client) error) (done bool, err error) {
-	if !cc.ReadFromFollowers {
-		return false, nil
-	}
 	now := time.Now()
 	cc.mu.Lock()
 	var followers []string
@@ -433,6 +383,7 @@ func (cc *ClusterClient) tryFollowers(fn func(c *Client) error) (done bool, err 
 		var c *Client
 		if c, err = cc.reader(addr); err == nil {
 			if err = fn(c); err == nil {
+				cc.noteToken(c.LastToken())
 				return true, nil
 			}
 			if !retryable(err) && !errors.Is(err, ErrOverloaded) {
@@ -449,62 +400,12 @@ func (cc *ClusterClient) tryFollowers(fn func(c *Client) error) (done bool, err 
 	return false, err
 }
 
-// write implements transport: the leader connection, re-resolved and retried
-// through connection loss and leaderless windows (do).
-func (cc *ClusterClient) write(ctx context.Context, budget time.Duration, req request) (resp response, err error) {
-	err = cc.do(budget, func(c *Client) error { return c.exchange(ctx, budget, &req, &resp) })
-	return resp, err
-}
-
-// poll implements transport: the leader connection in sub-deadline chunks
-// (pollChunked).
-func (cc *ClusterClient) poll(ctx context.Context, req request) (resp response, err error) {
-	err = cc.pollChunked(ctx, func(c *Client, chunk context.Context) (err error) {
-		resp, err = c.poll(chunk, req)
-		return err
-	})
-	return resp, err
-}
-
-// read implements transport: one read-only call at the consistency level
-// opts select, routed as "Read scale-out" in the type comment describes. A
-// strong read is also flagged on the wire, so a follower that turns out to be
-// answering redirects it to the real leader. For the other levels the leader
-// is the last resort — the fallback when every follower lags, the only target
-// when none is known — so reads keep working on clusters of one and through
-// the leaderless election window (followers still answer them).
-func (cc *ClusterClient) read(ctx context.Context, opts []core.ReadOption, req request) (resp response, err error) {
-	// A finished context aborts the read before any routing or round trip —
-	// matching the mutating ops (reads have no one-shot-attempt contract).
-	if err := ctx.Err(); err != nil {
-		return response{}, core.CtxErr(ctx)
-	}
-	token, wait, level := cc.Token(), readStaleness, ""
-	if d, ok := ctx.Deadline(); ok {
-		if r := time.Until(d); r > 0 && r < wait {
-			wait = r
-		}
-	}
-	o := core.ApplyReadOptions(opts)
-	switch o.Level {
-	case core.LevelStrong:
-		level = "strong"
-	case core.LevelEventual:
-		level, token, wait = "eventual", 0, 0
-	}
-	attempt := func(c *Client) (err error) {
-		if resp, err = c.readAt(req, token, wait, level); err == nil {
-			cc.noteToken(c.LastToken())
-		}
-		return err
-	}
-	if o.Level != core.LevelStrong {
-		if done, err := cc.tryFollowers(attempt); done {
-			return resp, err
-		}
-	}
-	err = cc.do(time.Second, attempt)
-	return resp, err
+// follow implements transport: a read tried once on each follower in
+// rotation (tryFollowers), one attempt per follower, before the call loop
+// takes it to the leader.
+func (cc *ClusterClient) follow(req request, budget time.Duration) (resp response, done bool, err error) {
+	done, err = cc.tryFollowers(func(c *Client) error { return c.roundTrip(&req, &resp, budget) })
+	return resp, done, err
 }
 
 // Submit implements core.Session. Unless the caller supplied its own
@@ -534,128 +435,6 @@ func (cc *ClusterClient) SubmitBatch(ctx context.Context, expID string, workType
 		cc.autoDedupKeys(dedupKeys)
 	}
 	return cc.session.SubmitBatch(ctx, expID, workType, payloads, priorities, dedupKeys)
-}
-
-// QueryResult implements core.Session. After a mid-call failover it
-// additionally checks the replicated task row: a result whose input-queue
-// entry was consumed by the dead leader (pop applied, response lost) is
-// still recovered from the new leader's tasks table.
-func (cc *ClusterClient) QueryResult(ctx context.Context, taskID int64) (core.ResultRes, error) {
-	failedOver := false
-	var res core.ResultRes
-	err := cc.pollChunked(ctx, func(c *Client, chunk context.Context) error {
-		if failedOver {
-			if task, terr := c.GetTask(chunk, taskID); terr == nil && task.Status == core.StatusComplete {
-				res = core.ResultRes{Result: task.Result, Token: c.LastToken()}
-				return nil
-			}
-		}
-		var err error
-		res, err = c.QueryResult(chunk, taskID)
-		if retryable(err) {
-			failedOver = true
-		}
-		return err
-	})
-	return res, err
-}
-
-// pollChunked runs one polling call in sub-deadline chunks so a leader that
-// dies mid-poll is noticed and replaced without giving up the whole wait.
-// The overall deadline comes from ctx; without one the poll runs until
-// something arrives or ctx is canceled. A chunk's context is a pooled
-// wait.Deadline, released when fn returns, so fn must not keep it: the
-// calls made with it (Client.poll, GetTask, QueryResult) read its Deadline
-// and Err during the call only.
-func (cc *ClusterClient) pollChunked(ctx context.Context, fn func(c *Client, chunk context.Context) error) error {
-	const chunk = 500 * time.Millisecond
-	deadline, bounded := ctx.Deadline()
-	var hardDeadline time.Time
-	if bounded {
-		hardDeadline = deadline.Add(cc.FailTimeout)
-	}
-	var connErr error // last connection-level failure; nil after any real answer
-	attempted := false
-	attempt := 0 // consecutive failed attempts, drives the retry backoff
-	redirected := false
-	for {
-		// A deadline expiry is handled below (grace chunks included); an
-		// explicit cancellation aborts the poll outright.
-		if err := ctx.Err(); errors.Is(err, context.Canceled) {
-			return err
-		}
-		step := chunk
-		if bounded {
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				switch {
-				case !attempted:
-					// Zero/expired deadline still gets one immediate try,
-					// matching core.DB and Client semantics (a ready result
-					// pops even with timeout 0).
-					remain = time.Millisecond
-				case connErr == nil:
-					// The service genuinely answered "nothing yet" all the way
-					// to the deadline.
-					return core.ErrTimeout
-				case time.Now().After(hardDeadline):
-					return connErr
-				default:
-					// Connection trouble ate the tail of the budget: allow
-					// grace chunks so a failover window does not surface as a
-					// spurious timeout.
-					remain = chunk
-				}
-			}
-			step = remain
-			if step > chunk {
-				step = chunk
-			}
-		}
-		c, err := cc.client()
-		if err == nil {
-			attempted = true
-			stepCtx, release := wait.Deadline(step)
-			err = fn(c, stepCtx)
-			release()
-			switch {
-			case err == nil:
-				cc.noteToken(c.LastToken())
-				return nil
-			case errors.Is(err, core.ErrTimeout):
-				connErr, attempt = nil, 0 // the node answered; reset backoff
-				if !bounded {
-					select {
-					case <-ctx.Done():
-						if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-							return core.ErrTimeout
-						}
-						return ctx.Err()
-					default:
-					}
-				}
-				continue
-			case errors.Is(err, ErrOverloaded):
-				// Saturated node: keep the connection, back off, retry.
-				connErr = err
-			case retryable(err):
-				connErr = err
-				if cc.invalidate(c, err) && !redirected {
-					redirected = true
-					continue
-				}
-			default:
-				return err
-			}
-		} else {
-			connErr = err
-		}
-		if bounded && time.Now().After(hardDeadline) {
-			return connErr
-		}
-		cc.retrySleep(attempt)
-		attempt++
-	}
 }
 
 // String describes the client for logs.

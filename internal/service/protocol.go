@@ -14,7 +14,9 @@
 // and response below; the ops, and how each is routed, admitted and scheduled,
 // are the opSpecs table (ops.go); pipelining is Server.handleV2 on one side
 // and Client on the other; the client's op set is written once, in
-// session.go, over the transport Client and ClusterClient each supply.
+// session.go, and so is the one loop that retries a call (session.call: its
+// writes, polls and leader-bound reads), over the transport Client and
+// ClusterClient each supply, which only chooses the connection.
 //
 // Tracing: every request carries a trace ID (request.Trace) minted once at
 // the originating client and kept verbatim when it retries on another node.

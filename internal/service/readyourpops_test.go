@@ -143,7 +143,7 @@ func TestReadYourPopsStalledFollower(t *testing.T) {
 	defer direct.Close()
 	start := time.Now()
 	statuses := request{Op: "statuses", TaskIDs: []int64{sub.ID}}
-	_, err = direct.readAt(statuses, popTok, 100*time.Millisecond, "")
+	_, err = readAt(direct, statuses, popTok, 100*time.Millisecond)
 	waited := time.Since(start)
 	if !errors.Is(err, ErrUnavailable) {
 		release()
@@ -176,10 +176,19 @@ func TestReadYourPopsStalledFollower(t *testing.T) {
 	// was bounded by the token becoming applied, not by wall-clock luck.
 	release()
 	waitCond(t, "stalled follower caught up", func() bool { return n3.Applied() >= popTok })
-	resp, err := direct.readAt(statuses, popTok, 500*time.Millisecond, "")
+	resp, err := readAt(direct, statuses, popTok, 500*time.Millisecond)
 	if err != nil || resp.StatusMap[sub.ID] != string(core.StatusRunning) {
 		t.Fatalf("healed follower token-bounded read = %v, %v; want running", resp.StatusMap, err)
 	}
+}
+
+// readAt sends one session read to c with an explicit freshness bound: the
+// replica answers once it has applied the WAL through token, waiting up to
+// wait, or refuses transiently.
+func readAt(c *Client, req request, token uint64, wait time.Duration) (resp response, err error) {
+	req.Token, req.WaitMS = token, wait.Milliseconds()
+	err = c.roundTrip(&req, &resp, time.Second+wait)
+	return resp, err
 }
 
 // TestConsistencyLevels covers the per-call options end to end: strong

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"osprey/internal/core"
+	"osprey/internal/wait"
 	"osprey/internal/watch"
 )
 
@@ -27,9 +28,10 @@ type clusterStream struct {
 	q   watch.Query
 	buf int
 
-	out  chan []watch.Event
-	stop chan struct{}
-	once sync.Once
+	out    chan []watch.Event
+	ctx    context.Context // the caller's, ended also by Close
+	cancel context.CancelFunc
+	exited sync.WaitGroup // done once run has returned
 
 	last uint64 // highest non-resync token delivered (run goroutine only)
 
@@ -46,7 +48,7 @@ func (s *clusterStream) Err() error {
 }
 
 func (s *clusterStream) Close() error {
-	s.once.Do(func() { close(s.stop) })
+	s.cancel()
 	return nil
 }
 
@@ -60,8 +62,9 @@ func (s *clusterStream) fail(err error) {
 // single-connection Client.Watch, the returned stream does not end on node
 // loss: it resubscribes (follower-first, leader as last resort) with its last
 // delivered token and continues, so the only terminal conditions are the
-// caller closing it, ctx ending, or the cluster refusing the query itself
-// (reported synchronously or via Err after the stream closes).
+// caller closing it or the ClusterClient, ctx ending, or the cluster
+// refusing the query itself (reported synchronously or via Err after the
+// stream closes).
 func (cc *ClusterClient) Watch(ctx context.Context, q watch.Query, buf int) (watch.Stream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, core.CtxErr(ctx)
@@ -75,11 +78,16 @@ func (cc *ClusterClient) Watch(ctx context.Context, q watch.Query, buf int) (wat
 	if err != nil && !retryable(err) && !errors.Is(err, ErrOverloaded) {
 		return nil, err
 	}
-	s := &clusterStream{
-		cc: cc, q: q, buf: buf, last: q.Since,
-		out: make(chan []watch.Event, 1), stop: make(chan struct{}),
+	s := &clusterStream{cc: cc, q: q, buf: buf, last: q.Since, out: make(chan []watch.Event, 1)}
+	s.ctx, s.cancel = context.WithCancel(ctx)
+	s.exited.Add(1)
+	cc.mu.Lock()
+	if cc.streams == nil {
+		cc.streams = make(map[*clusterStream]struct{})
 	}
-	go s.run(ctx, st, err)
+	cc.streams[s] = struct{}{}
+	cc.mu.Unlock()
+	go s.run(st, err)
 	return s, nil
 }
 
@@ -96,7 +104,7 @@ func (cc *ClusterClient) subscribeWatch(q watch.Query, buf int) (st watch.Stream
 	if done {
 		return st, followerErr
 	}
-	c, err := cc.client()
+	c, err := cc.connect()
 	if err != nil {
 		if followerErr != nil {
 			return nil, followerErr
@@ -105,7 +113,7 @@ func (cc *ClusterClient) subscribeWatch(q watch.Query, buf int) (st watch.Stream
 	}
 	if err := subscribe(c); err != nil {
 		if errors.Is(err, ErrConn) {
-			cc.invalidate(c, err)
+			cc.settle(c, err)
 		}
 		return nil, err
 	}
@@ -113,14 +121,21 @@ func (cc *ClusterClient) subscribeWatch(q watch.Query, buf int) (st watch.Stream
 }
 
 // run owns the subscription lifecycle: forward the live stream, and when it
-// ends resubscribe from the last delivered token with the client's usual
-// full-jitter backoff. st/err carry the synchronous first attempt.
-func (s *clusterStream) run(ctx context.Context, st watch.Stream, err error) {
-	defer close(s.out)
-	attempt := 0
+// ends resubscribe from the last delivered token after a wait.Backoff step.
+// st/err carry the synchronous first attempt.
+func (s *clusterStream) run(st watch.Stream, err error) {
+	defer func() {
+		s.cancel()
+		s.cc.mu.Lock()
+		delete(s.cc.streams, s)
+		s.cc.mu.Unlock()
+		close(s.out)
+		s.exited.Done()
+	}()
+	var b wait.Backoff
 	for {
 		if st == nil {
-			if s.stopped(ctx) {
+			if s.ctx.Err() != nil {
 				return
 			}
 			if err != nil && !retryable(err) && !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrWatchOverflow) {
@@ -129,19 +144,17 @@ func (s *clusterStream) run(ctx context.Context, st watch.Stream, err error) {
 				s.fail(err)
 				return
 			}
-			s.cc.retrySleep(attempt)
-			attempt++
+			if !b.Wait(s.ctx) {
+				return
+			}
 			q := s.q
 			q.Since = s.last
 			st, err = s.cc.subscribeWatch(q, s.buf)
 			continue
 		}
-		attempt = 0
-		err = s.forward(ctx, st)
+		b.Reset()
+		err = s.forward(st)
 		st = nil
-		if s.stopped(ctx) {
-			return
-		}
 	}
 }
 
@@ -149,7 +162,7 @@ func (s *clusterStream) run(ctx context.Context, st watch.Stream, err error) {
 // out transitions already delivered before a resubscribe seam (resync events
 // always pass: they carry current state, not history). Returns the stream's
 // terminal error once it ends, nil when stopped locally.
-func (s *clusterStream) forward(ctx context.Context, st watch.Stream) error {
+func (s *clusterStream) forward(st watch.Stream) error {
 	defer st.Close()
 	for {
 		select {
@@ -187,26 +200,11 @@ func (s *clusterStream) forward(ctx context.Context, st watch.Stream) error {
 			s.cc.noteToken(s.last)
 			select {
 			case s.out <- evs:
-			case <-s.stop:
-				return nil
-			case <-ctx.Done():
+			case <-s.ctx.Done():
 				return nil
 			}
-		case <-s.stop:
-			return nil
-		case <-ctx.Done():
+		case <-s.ctx.Done():
 			return nil
 		}
-	}
-}
-
-func (s *clusterStream) stopped(ctx context.Context) bool {
-	select {
-	case <-s.stop:
-		return true
-	case <-ctx.Done():
-		return true
-	default:
-		return false
 	}
 }

@@ -465,7 +465,7 @@ func TestWatchRefusedBeforeFirstAttach(t *testing.T) {
 }
 
 // TestWatchClusterStreamResubscribe pins the subscription to the leader
-// (ReadFromFollowers off) and kills it: the failover-aware stream must
+// (the client dials no follower) and kills it: the failover-aware stream must
 // transparently resubscribe elsewhere and deliver every transition exactly
 // once across the seam.
 func TestWatchClusterStreamResubscribe(t *testing.T) {
@@ -480,7 +480,14 @@ func TestWatchClusterStreamResubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-	cc.ReadFromFollowers = false // force the subscription onto the leader
+	// Only the leader is dialed, so the subscription lands on the leader.
+	nodes := map[string]*replica.Node{srv1.Addr(): n1, srv2.Addr(): n2, srv3.Addr(): n3}
+	cc.Dialer = func(network, addr string, timeout time.Duration) (net.Conn, error) {
+		if !nodes[addr].IsLeader() {
+			return nil, errors.New("not the leader")
+		}
+		return net.DialTimeout(network, addr, timeout)
+	}
 
 	// A formed cluster is the precondition, as in TestWatchFailoverResume: a
 	// node that never attached keeps knocking on its join address and takes
@@ -717,5 +724,49 @@ func TestWatchIdlePoolZeroReads(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatalf("pool did not stop")
+	}
+}
+
+// TestClusterCloseEndsStreams: closing a ClusterClient ends the watch
+// streams opened through it. The stream's channel closes within a second,
+// and the stream has not resubscribed: no connection is open again.
+func TestClusterCloseEndsStreams(t *testing.T) {
+	db, err := core.NewDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv, err := Serve(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cc, err := DialCluster(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cc.Watch(bg, watch.Query{All: true}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cc.Submit(bg, "close", 1, "p"); err != nil {
+		t.Fatal(err)
+	}
+	collectN(t, st, 1, waitMax)
+
+	cc.Close()
+	deadline := time.After(time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-st.Events():
+		case <-deadline:
+			t.Fatal("the stream is still open a second after its client closed")
+		}
+	}
+	cc.mu.Lock()
+	conn, readers := cc.c, len(cc.readers)
+	cc.mu.Unlock()
+	if conn != nil || readers != 0 {
+		t.Fatalf("after Close: leader connection open %t, %d read connections; want none", conn != nil, readers)
 	}
 }

@@ -6,13 +6,14 @@
 package wait
 
 import (
+	"context"
 	"testing"
 	"time"
 )
 
 // TestWaitsAllocateNothing pins the point of the package: after warm-up a
-// pooled timer and a deadline context released before its deadline cost no
-// allocation.
+// pooled timer, a deadline context released before its deadline and a
+// backoff step cost no allocation.
 func TestWaitsAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { Release(Timer(time.Hour)) }); n != 0 {
 		t.Errorf("Timer and Release: %v allocs, want 0", n)
@@ -25,6 +26,13 @@ func TestWaitsAllocateNothing(t *testing.T) {
 		release()
 	}); n != 0 {
 		t.Errorf("Deadline and release: %v allocs, want 0", n)
+	}
+	var b Backoff
+	if n := testing.AllocsPerRun(100, func() {
+		b.Reset()
+		b.Wait(context.Background())
+	}); n != 0 {
+		t.Errorf("Backoff step: %v allocs, want 0", n)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package wait is where a wait gets its wake-up, its timer and its deadline
-// context. A quorum wait, a disk-sync wait, a follower read's freshness wait
-// or a long poll parks on a Signal until the state it waits for changes, and
-// For is the one loop that checks, parks and times out. A wait lasts one call
-// and is over; making a timer or a context.WithTimeout for each one allocates
-// several objects per request only to drop them, so the pieces here are
-// pooled and a wait in steady state allocates nothing but the wake channel
-// its Signal makes for it.
+// context, and a retry its Backoff. A quorum wait, a disk-sync wait, a
+// follower read's freshness wait or a long poll parks on a Signal until the
+// state it waits for changes, and For is the one loop that checks, parks and
+// times out. A wait lasts one call and is over; making a timer or a
+// context.WithTimeout for each one allocates several objects per request
+// only to drop them, so the pieces here are pooled and a wait in steady state
+// allocates nothing but the wake channel its Signal makes for it.
 //
 // The rule that makes pooling safe: a value taken here must not outlive the
 // call it was made for. Release a timer once the wait is over and read

@@ -310,3 +310,26 @@ func TestForWakesAndTimesOut(t *testing.T) {
 		t.Fatalf("For with nothing changing = %v after %v, want ErrTimeout after 20ms", err, time.Since(start))
 	}
 }
+
+// TestBackoff: the window starts at the base, doubles to the cap and starts
+// over after Reset; a step ends as soon as its context is done, and runs
+// whole while it is open.
+func TestBackoff(t *testing.T) {
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	var b Backoff
+	want := backoffBase
+	for range 10 {
+		if b.Wait(done) {
+			t.Fatal("Wait on a done context reported the whole step passed")
+		}
+		if b.window != want {
+			t.Fatalf("window = %v, want %v", b.window, want)
+		}
+		want = min(2*want, backoffCap)
+	}
+	b.Reset()
+	if !b.Wait(context.Background()) || b.window != backoffBase {
+		t.Fatalf("first step after Reset: cut short or window %v; want a whole step of at most %v", b.window, backoffBase)
+	}
+}

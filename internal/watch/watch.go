@@ -46,13 +46,14 @@
 // Consumers and checks. future.Future waits on its task's transitions
 // instead of polling QueryResult; pool subscribes to its work type's queued
 // transitions only (Query.Queued) and blocks on them instead of spinning on
-// empty pops, retrying a failed subscribe with full-jitter backoff for as
+// empty pops, retrying a failed subscribe at wait.Backoff's pace for as
 // long as it runs (TestPoolRetriesFailedSubscribe), so idle read load does
 // not scale with worker count and its own tasks' running and complete
 // transitions are never pushed to it. Chaos invariant 6
 // (internal/chaos/watcher.go) holds delivery to exactly once under faults;
-// BenchmarkWatchDispatch, BenchmarkWatchWake and BenchmarkPollWake measure
-// the fan-out and the push wake-up against the poll round trip it replaced.
+// BenchmarkWatchDispatch (16 subscribers, none allowed to overflow),
+// BenchmarkWatchWake and BenchmarkPollWake measure the fan-out and the push
+// wake-up against the poll round trip it replaced.
 package watch
 
 import (

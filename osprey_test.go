@@ -94,7 +94,7 @@ func TestOptionSurfacePinned(t *testing.T) {
 		want string
 	}{
 		{replica.Config{}, "ID Priority Addr Advertise ServiceAddr Join Heartbeat ElectionTimeout WriteQuorum LeaseTimeout DataDir Fsync CheckpointEvery Logf Dialer Listen FS"},
-		{service.ClusterClient{}, "FailTimeout DialTimeout Dialer ReadFromFollowers"},
+		{service.ClusterClient{}, "FailTimeout DialTimeout Dialer"},
 		{service.DialOptions{}, "Timeout Dialer"},
 		{pool.Config{}, "Name Workers BatchSize Threshold WorkType CoresOf Metrics"},
 		{core.OpenOptions{}, "Fsync CheckpointEvery Logf FS"},
