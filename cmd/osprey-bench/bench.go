@@ -1,12 +1,14 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"log"
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,17 +64,29 @@ var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9]+) allocs/op)?`)
 
 // runBenchmarks executes the benchmark regex against the repository root
-// package and returns name → measurements.
-func runBenchmarks(bench, benchtime string) (map[string]benchResult, error) {
-	cmd := exec.Command("go", "test", "-run", "^$",
+// package count times over (go test -count) and returns name → the median
+// of its runs.
+func runBenchmarks(bench, benchtime string, count int) (map[string]benchResult, error) {
+	cmd := exec.Command("go", "test", "-run", "^$", "-count", strconv.Itoa(count),
 		"-bench", bench, "-benchmem", "-benchtime", benchtime, ".")
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
 		return nil, fmt.Errorf("go test -bench: %w\n%s", err, out)
 	}
-	results := make(map[string]benchResult)
-	for _, line := range strings.Split(string(out), "\n") {
+	results := medianResults(string(out))
+	if len(results) == 0 {
+		return nil, fmt.Errorf("no benchmark results matched %q", bench)
+	}
+	return results, nil
+}
+
+// medianResults reads `go test -bench -benchmem` output and gives each
+// benchmark the median of its result lines, ns/op, B/op and allocs/op each
+// taken on its own (of an even number of lines, the upper middle one).
+func medianResults(out string) map[string]benchResult {
+	runs := make(map[string][]benchResult)
+	for _, line := range strings.Split(out, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
 			continue
@@ -83,12 +97,26 @@ func runBenchmarks(bench, benchtime string) (map[string]benchResult, error) {
 			r.BOp, _ = strconv.ParseFloat(m[3], 64)
 			r.AllocsOp, _ = strconv.ParseInt(m[4], 10, 64)
 		}
-		results[m[1]] = r
+		runs[m[1]] = append(runs[m[1]], r)
 	}
-	if len(results) == 0 {
-		return nil, fmt.Errorf("no benchmark results matched %q", bench)
+	results := make(map[string]benchResult, len(runs))
+	for name, rs := range runs {
+		results[name] = benchResult{
+			NsOp:     median(rs, func(r benchResult) float64 { return r.NsOp }),
+			BOp:      median(rs, func(r benchResult) float64 { return r.BOp }),
+			AllocsOp: median(rs, func(r benchResult) int64 { return r.AllocsOp }),
+		}
 	}
-	return results, nil
+	return results
+}
+
+func median[T cmp.Ordered](rs []benchResult, field func(benchResult) T) T {
+	v := make([]T, len(rs))
+	for i, r := range rs {
+		v[i] = field(r)
+	}
+	slices.Sort(v)
+	return v[len(v)/2]
 }
 
 // writeBaseline emits the JSON baseline (sorted keys, stable diffs).
@@ -100,20 +128,29 @@ func writeBaseline(path string, results map[string]benchResult) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// maxAllocGrowth is the fractional allocs/op growth over the baseline that
-// fails -check: the bound BENCHMARK.json fixes for the end-to-end
+// The -check gate: a benchmark fails when its ns/op regressed more than
+// maxRegress over the baseline or its allocs/op grew more than
+// maxAllocGrowth, the bound BENCHMARK.json fixes for the end-to-end
 // allocs_per_task. An allocation count repeats from run to run where a time
 // does not, so it is gated far tighter than ns/op.
-const maxAllocGrowth = 0.05
+const (
+	maxRegress     = 0.25
+	maxAllocGrowth = 0.05
+)
+
+// baselineRuns is how many times -json runs the set: a baseline records each
+// benchmark's median, so one unlucky run does not become the bar every later
+// -check is held to.
+const baselineRuns = 5
 
 // checkBaseline compares fresh results against a committed baseline and
-// returns an error when any benchmark's ns/op regressed beyond maxRegress
-// (0.25 = 25%) or its allocs/op grew beyond maxAllocGrowth, or when a
-// baseline benchmark was not measured at all — a renamed or regex-dropped
-// benchmark must not silently fall out of the gate while it reports green.
+// returns an error when any benchmark's ns/op regressed beyond maxRegress or
+// its allocs/op grew beyond maxAllocGrowth, or when a baseline benchmark was
+// not measured at all — a renamed or regex-dropped benchmark must not
+// silently fall out of the gate while it reports green.
 // New benchmarks absent from the baseline are reported but pass; they start
 // gating once their baseline lands.
-func checkBaseline(path string, results map[string]benchResult, maxRegress float64) error {
+func checkBaseline(path string, results map[string]benchResult) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading baseline: %w", err)
@@ -165,9 +202,15 @@ func checkBaseline(path string, results map[string]benchResult, maxRegress float
 	return nil
 }
 
-// runBenchMode drives the -json/-check flags; it exits the process.
-func runBenchMode(jsonPath, checkPath, bench, benchtime string, maxRegress float64) {
-	results, err := runBenchmarks(bench, benchtime)
+// runBenchMode drives the -json/-check flags; it exits the process. -check
+// alone runs the set once; -json runs it baselineRuns times, and a -check
+// given with it checks those medians.
+func runBenchMode(jsonPath, checkPath, bench, benchtime string) {
+	count := 1
+	if jsonPath != "" {
+		count = baselineRuns
+	}
+	results, err := runBenchmarks(bench, benchtime, count)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -178,7 +221,7 @@ func runBenchMode(jsonPath, checkPath, bench, benchtime string, maxRegress float
 		fmt.Printf("wrote %d benchmark results to %s\n", len(results), jsonPath)
 	}
 	if checkPath != "" {
-		if err := checkBaseline(checkPath, results, maxRegress); err != nil {
+		if err := checkBaseline(checkPath, results); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("benchmark gate passed")

@@ -4,7 +4,7 @@
 //	osprey-bench -fig 3            # three utilization panels (Figure 3)
 //	osprey-bench -fig 4            # combined federated workflow (Figure 4)
 //	osprey-bench -fig 0            # both
-//	osprey-bench -json BENCH_pr4.json        # record the key-benchmark baseline
+//	osprey-bench -json BENCH_pr4.json        # record the key-benchmark baseline (median of 5 runs)
 //	osprey-bench -check BENCH_pr4.json       # fail if ns/op regressed >25% or allocs/op grew >5%
 //
 // The -json/-check modes shell out to `go test -bench` for the key hot-path
@@ -41,16 +41,15 @@ func main() {
 		seed      = flag.Int64("seed", 2023, "random seed")
 		csvPath   = flag.String("csv", "", "write series CSV to this file prefix")
 
-		jsonPath   = flag.String("json", "", "run the key benchmarks and write a BENCH_*.json baseline to this path")
-		checkPath  = flag.String("check", "", "run the key benchmarks and fail if ns/op regressed beyond -max-regress or allocs/op grew more than 5% vs this baseline")
-		benchRe    = flag.String("bench", keyBenchmarks, "benchmark regex for -json/-check")
-		benchtime  = flag.String("benchtime", "0.3s", "per-benchmark measuring time for -json/-check")
-		maxRegress = flag.Float64("max-regress", 0.25, "allowed fractional ns/op regression for -check")
+		jsonPath  = flag.String("json", "", "run the key benchmarks 5 times and write each one's median to this BENCH_*.json baseline")
+		checkPath = flag.String("check", "", "run the key benchmarks and fail if ns/op regressed more than 25% or allocs/op grew more than 5% vs this baseline")
+		benchRe   = flag.String("bench", keyBenchmarks, "benchmark regex for -json/-check")
+		benchtime = flag.String("benchtime", "0.3s", "per-benchmark measuring time for -json/-check")
 	)
 	flag.Parse()
 
 	if *jsonPath != "" || *checkPath != "" {
-		runBenchMode(*jsonPath, *checkPath, *benchRe, *benchtime, *maxRegress)
+		runBenchMode(*jsonPath, *checkPath, *benchRe, *benchtime)
 	}
 
 	ctx := context.Background()

@@ -112,7 +112,7 @@ func main() {
 		for batch := range st.Events() {
 			for _, ev := range batch {
 				if ev.Resync {
-					fmt.Printf("%d resync worktype=%d depth=%d\n", ev.Token, ev.WorkType, ev.Depth)
+					fmt.Printf("%d resync\n", ev.Token)
 					continue
 				}
 				fmt.Printf("%d task=%d worktype=%d %s\n", ev.Token, ev.TaskID, ev.WorkType, ev.Status)

@@ -207,7 +207,7 @@ func (db *DB) Restore(r io.Reader, token Token) error {
 		return err
 	}
 	// A restore invalidates the hub's history: subscribers are reset and the
-	// depth/type maps reseeded from the restored tables, which may hold
+	// task-type map reseeded from the restored tables, which may hold
 	// queued and running tasks, with the resume floor at token.
 	db.ResetWatch(token)
 	db.wakeAll()

@@ -16,7 +16,8 @@ import (
 // apply (a local pop needs the row, not the quorum), hub subscribers through
 // the gate, at quorum commit. A batch's transitions are classified into
 // db.trs, which the engine lock guards; the hub and the gate copy what they
-// keep.
+// keep. Subscribers read the hub's own channels (Watch): no goroutine stands
+// between a commit and a stream.
 func (db *DB) attachWatch() {
 	db.hub = watch.NewHub(0, db.met.reg)
 	db.eng.SetCommitObserver(func(idx uint64, stmts []minisql.Stmt) {
@@ -204,30 +205,25 @@ func (db *DB) classify(out []watch.Transition, stmts []minisql.Stmt) []watch.Tra
 	return out
 }
 
-// ResetWatch reseeds the hub from current table state and repositions its
-// resume floor at token: everything at or before token is treated as
-// unreplayable history (subscribers resync), everything after flows live.
-// Called after snapshot restores — in place (Restore) and by the replication
-// layer once it has corrected the applied index after a bootstrap.
+// ResetWatch reseeds the hub's task-type map from current table state and
+// repositions its resume floor at token: everything at or before token is
+// treated as unreplayable history (a subscriber resuming there gets a resync
+// marker), everything after flows live. Called after snapshot restores — in
+// place (Restore) and by the replication layer once it has corrected the
+// applied index after a bootstrap.
 func (db *DB) ResetWatch(token Token) {
 	if db.hub == nil {
 		return
 	}
+	// Queued and running tasks keep their type mapping so their later
+	// transitions (which carry only the task id) still resolve a work type.
 	typeOf := make(map[int64]int)
-	depth := make(map[int]int)
-	_ = db.read(db.stmts[outQTypes], nil, func(row []minisql.Value) error {
-		wt := int(row[1].AsInt())
-		typeOf[row[0].AsInt()] = wt
-		depth[wt]++
+	note := func(row []minisql.Value) error {
+		typeOf[row[0].AsInt()] = int(row[1].AsInt())
 		return nil
-	})
-	// Running tasks keep their type mapping so their terminal transitions
-	// (which carry only the task id) still resolve a work type.
-	_ = db.read(db.stmts[runningTypes], []minisql.Value{minisql.Text(string(StatusRunning))},
-		func(row []minisql.Value) error {
-			typeOf[row[0].AsInt()] = int(row[1].AsInt())
-			return nil
-		})
+	}
+	_ = db.read(db.stmts[outQTypes], nil, note)
+	_ = db.read(db.stmts[runningTypes], []minisql.Value{minisql.Text(string(StatusRunning))}, note)
 	// A reset replaces history wholesale, so anything the gate was holding
 	// belongs to the discarded domain: drop it and re-base the watermark at
 	// the reset token (downwards included — this is the one path where the
@@ -236,61 +232,15 @@ func (db *DB) ResetWatch(token Token) {
 	db.gate.commits, db.gate.trs = nil, nil
 	db.gate.mark = token
 	db.gate.mu.Unlock()
-	db.hub.Reset(token, typeOf, depth)
+	db.hub.Reset(token, typeOf)
 }
 
-// resyncEvents synthesizes the catch-up snapshot for a subscription whose
-// since-token predates the hub's replayable history: instead of the missed
-// transitions, the subscriber gets current state as Resync events carrying
-// the hub's current token — a task watch gets the task's present status, a
-// type watch (and an all watch) gets the present queue depths. The snapshot
-// is never empty: when there is no state to report (task gone, queues empty)
-// a single marker Resync event (no task, no status) is emitted instead, so
-// the subscriber always learns that a compaction seam occurred and always
-// adopts the hub's current token — without the marker an idle resume would
-// keep its stale position and be spuriously compacted again on the next
-// failover.
-func (db *DB) resyncEvents(q watch.Query, last uint64) []watch.Event {
-	marker := []watch.Event{{Token: last, WorkType: -1, Resync: true}}
-	if q.TaskID != 0 && !q.All {
-		t, err := db.GetTask(context.Background(), q.TaskID)
-		if err != nil {
-			return marker
-		}
-		return []watch.Event{{
-			Token:    last,
-			TaskID:   q.TaskID,
-			WorkType: t.WorkType,
-			Status:   string(t.Status),
-			Depth:    db.hub.Depth(t.WorkType),
-			Resync:   true,
-		}}
-	}
-	var out []watch.Event
-	for wt, d := range db.hub.Depths() {
-		if !q.All && wt != q.WorkType {
-			continue
-		}
-		out = append(out, watch.Event{
-			Token:    last,
-			WorkType: wt,
-			Status:   string(StatusQueued),
-			Depth:    d,
-			Resync:   true,
-		})
-	}
-	if len(out) == 0 {
-		return marker
-	}
-	return out
-}
-
-// Watch implements Session in process: subscribe to task-state
-// transitions matching q, resuming after q.Since. The returned stream yields
-// per-commit batches in token order; a since-token older than the hub's
-// replayable history yields a Resync snapshot first. The stream ends when ctx
-// is canceled, Close is called, or the hub drops the subscription (overflow
-// or snapshot reset — resubscribe with the last token seen).
+// Watch implements Session in process: the stream is the hub subscription
+// itself, opened with the replay past q.Since — or with one resync marker at
+// the hub's token when q.Since is outside its replayable history — and then
+// per-commit batches in token order. It ends when ctx is done, Close is
+// called, or the hub drops it (overflow or snapshot reset — resubscribe with
+// the last token seen). It starts no goroutine.
 func (db *DB) Watch(ctx context.Context, q watch.Query, buf int) (watch.Stream, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -298,67 +248,7 @@ func (db *DB) Watch(ctx context.Context, q watch.Query, buf int) (watch.Stream, 
 	if buf < 1 {
 		buf = 16
 	}
-	sub, replay, last, compacted := db.hub.Subscribe(q, buf)
-	if compacted {
-		replay = db.resyncEvents(q, last)
-	}
-	s := &dbStream{out: make(chan []watch.Event, 1), sub: sub, done: make(chan struct{})}
-	go s.run(ctx, replay)
-	return s, nil
-}
-
-// dbStream adapts a raw hub subscription to the watch.Stream interface,
-// prepending the subscribe-time replay and honoring ctx cancellation.
-type dbStream struct {
-	out  chan []watch.Event
-	sub  *watch.Sub
-	done chan struct{}
-	err  error // written by run before closing out
-}
-
-func (s *dbStream) Events() <-chan []watch.Event { return s.out }
-
-func (s *dbStream) Err() error {
-	select {
-	case <-s.done:
-		return s.err
-	default:
-		return nil
-	}
-}
-
-func (s *dbStream) Close() error {
-	s.sub.Close()
-	return nil
-}
-
-func (s *dbStream) run(ctx context.Context, replay []watch.Event) {
-	defer func() {
-		s.sub.Close()
-		close(s.out)
-		close(s.done)
-	}()
-	if len(replay) > 0 {
-		select {
-		case s.out <- replay:
-		case <-ctx.Done():
-			return
-		}
-	}
-	for {
-		select {
-		case batch, ok := <-s.sub.C:
-			if !ok {
-				s.err = s.sub.Err()
-				return
-			}
-			select {
-			case s.out <- batch:
-			case <-ctx.Done():
-				return
-			}
-		case <-ctx.Done():
-			return
-		}
-	}
+	sub, _, _, _ := db.hub.Subscribe(q, buf)
+	sub.EndWith(ctx)
+	return sub, nil
 }

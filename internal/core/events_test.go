@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -70,10 +71,6 @@ func TestWatchLifecycleEvents(t *testing.T) {
 			t.Fatalf("tokens not increasing: %d after %d", ev.Token, lastTok)
 		}
 		lastTok = ev.Token
-	}
-	// queued bumped the depth to 1, running brought it back to 0.
-	if evs[0].Depth != 1 || evs[1].Depth != 0 {
-		t.Fatalf("depths = %d,%d want 1,0", evs[0].Depth, evs[1].Depth)
 	}
 }
 
@@ -309,7 +306,8 @@ func TestWatchResume(t *testing.T) {
 }
 
 // TestWatchTaskResync asserts the compaction fallback: a task watch whose
-// since-token predates the ring gets a Resync event with current status.
+// since-token predates the ring opens with one resync marker at the hub's
+// token, not a replay and not a read of the task.
 func TestWatchTaskResync(t *testing.T) {
 	db, err := NewDB()
 	if err != nil {
@@ -323,7 +321,8 @@ func TestWatchTaskResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force compaction by resetting the hub floor past all history.
-	db.ResetWatch(db.Token() + 100)
+	seam := db.Token() + 100
+	db.ResetWatch(seam)
 
 	st, err := db.Watch(ctx, watch.Query{TaskID: id.ID, Since: 1}, 16)
 	if err != nil {
@@ -331,14 +330,14 @@ func TestWatchTaskResync(t *testing.T) {
 	}
 	defer st.Close()
 	evs := collect(t, st, 1)
-	if !evs[0].Resync || evs[0].Status != watch.StatusCanceled || evs[0].TaskID != id.ID {
-		t.Fatalf("resync event = %+v, want canceled resync for task %d", evs[0], id.ID)
+	if want := (watch.Event{Token: seam, WorkType: -1, Resync: true}); len(evs) != 1 || evs[0] != want {
+		t.Fatalf("resync = %+v, want the one marker %+v", evs, want)
 	}
 }
 
 // TestWatchQueuedResync: a Queued type watch whose since-token predates the
-// ring still gets its resync seam — the type's current depth as a queued
-// Resync event — and then only the type's queued transitions.
+// ring still gets its resync seam — one marker at the hub's token, though it
+// matches no queued filter — and then only the type's queued transitions.
 func TestWatchQueuedResync(t *testing.T) {
 	db, err := NewDB()
 	if err != nil {
@@ -355,7 +354,8 @@ func TestWatchQueuedResync(t *testing.T) {
 		t.Fatalf("QueryTasks = %+v, %v", popped, err)
 	}
 	// Force compaction by resetting the hub floor past all history.
-	db.ResetWatch(db.Token() + 100)
+	seam := db.Token() + 100
+	db.ResetWatch(seam)
 
 	st, err := db.Watch(ctx, watch.Query{WorkType: 3, Queued: true, Since: 1}, 16)
 	if err != nil {
@@ -363,8 +363,8 @@ func TestWatchQueuedResync(t *testing.T) {
 	}
 	defer st.Close()
 	evs := collect(t, st, 1)
-	if len(evs) != 1 || !evs[0].Resync || evs[0].Status != watch.StatusQueued || evs[0].WorkType != 3 || evs[0].Depth != 1 {
-		t.Fatalf("resync = %+v, want one queued resync event for type 3 at depth 1", evs)
+	if want := (watch.Event{Token: seam, WorkType: -1, Resync: true}); len(evs) != 1 || evs[0] != want {
+		t.Fatalf("resync = %+v, want the one marker %+v", evs, want)
 	}
 	if _, err := db.Report(ctx, popped.Tasks[0].ID, 3, "r"); err != nil {
 		t.Fatal(err)
@@ -376,6 +376,62 @@ func TestWatchQueuedResync(t *testing.T) {
 	evs = collect(t, st, 1)
 	if len(evs) != 1 || evs[0].TaskID != c.ID || evs[0].Status != watch.StatusQueued || evs[0].Resync {
 		t.Fatalf("after the seam got %+v, want only task %d's queued transition", evs, c.ID)
+	}
+}
+
+// TestDBWatchStartsNoGoroutine: an in-process subscription is the hub's own
+// channel. 100 open ones add no goroutine, each still ends when its context
+// does (half of them closed by hand at the same time), and opening then closing one on a cancelable context allocates fewer
+// than the 8 times it did behind an adapter goroutine (6 on amd64).
+func TestDBWatchStartsNoGoroutine(t *testing.T) {
+	db, err := NewDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	before := runtime.NumGoroutine()
+	streams := make([]watch.Stream, 100)
+	for i := range streams {
+		if streams[i], err = db.Watch(ctx, watch.Query{All: true}, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("100 open subscriptions hold %d more goroutines, want 0", n-before)
+	}
+	cancel()
+	for i := 0; i < len(streams); i += 2 { // racing the context's own Close
+		streams[i].Close()
+	}
+	for i, st := range streams {
+		select {
+		case _, ok := <-st.Events():
+			if ok {
+				t.Fatalf("stream %d delivered a batch, want it ended by its context", i)
+			}
+		case <-time.After(waitMax):
+			t.Fatalf("stream %d outlived its context", i)
+		}
+		if err := st.Err(); err != nil {
+			t.Fatalf("stream %d ended by its context with %v, want nil", i, err)
+		}
+	}
+	if n := db.Metrics().Gauge("osprey_watch_subscriptions").Value(); n != 0 {
+		t.Fatalf("%v subscriptions left after their context ended", n)
+	}
+
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	allocs := testing.AllocsPerRun(100, func() {
+		st, err := db.Watch(live, watch.Query{TaskID: 1}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	})
+	if allocs >= 8 {
+		t.Fatalf("Watch + Close allocates %.0f times, want fewer than 8", allocs)
 	}
 }
 

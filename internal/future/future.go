@@ -118,12 +118,15 @@ func (f *Future) Status() (core.Status, error) {
 // The wait parks on a per-task event subscription: a terminal transition
 // wakes it, and cancellation surfaces as ErrCanceled in the same hop.
 // Subscribing from the submit's own commit token replays any transition that
-// already happened (a compacted position resyncs with current state), so a
-// task that completed before the call still wakes immediately. A stream that
-// ends mid-wait (overflow, hub reset) is resubscribed from the last token it
-// delivered, inside the same deadline; a subscribe that fails — the session
-// is closed, the connection of a non-failover client is gone — returns its
-// error.
+// already happened, so a task that completed before the call still wakes
+// immediately. A compacted position opens the stream with a resync marker
+// instead: the task's transitions before it are gone, so the task is read
+// once (GetTask) — a complete one has its result popped, a canceled one
+// returns ErrCanceled, and any other keeps waiting on the same stream. A
+// stream that ends mid-wait (overflow, hub reset) is resubscribed from the
+// last token it delivered, inside the same deadline; a subscribe or read
+// that fails — the session is closed, the connection of a non-failover
+// client is gone — returns its error.
 func (f *Future) Result(timeout time.Duration) (string, error) {
 	f.mu.Lock()
 	if f.done {
@@ -132,8 +135,8 @@ func (f *Future) Result(timeout time.Duration) (string, error) {
 		return r, nil
 	}
 	f.mu.Unlock()
-	// Unpooled: the watch stream's goroutine may still select on ctx after
-	// the stream is closed.
+	// Unpooled: a ClusterClient stream's goroutine may still select on ctx
+	// after the stream is closed.
 	ctx, cancel := wait.Timeout(timeout)
 	defer cancel()
 	since := f.Token()
@@ -143,8 +146,11 @@ func (f *Future) Result(timeout time.Duration) (string, error) {
 			return "", err
 		}
 		var status string
-		status, since = awaitTerminal(ctx, st, since)
+		status, since, err = f.awaitTerminal(ctx, st, since)
 		st.Close()
+		if err != nil {
+			return "", err
+		}
 		switch status {
 		case watch.StatusCanceled:
 			return "", ErrCanceled
@@ -164,26 +170,36 @@ func (f *Future) Result(timeout time.Duration) (string, error) {
 	}
 }
 
-// awaitTerminal reads st until it delivers the task's terminal transition and
-// returns that status, or "" when the stream ended or ctx finished first,
-// with since advanced past the tokens delivered — where a resubscribe resumes.
-func awaitTerminal(ctx context.Context, st watch.Stream, since core.Token) (string, core.Token) {
+// awaitTerminal reads st until the task is known to be complete or canceled
+// and returns that status, or "" when the stream ended or ctx finished
+// first, with since advanced past the tokens delivered — where a resubscribe
+// resumes. At a resync marker the task's status is read instead of waited
+// for: a terminal one is returned, any other keeps the stream.
+func (f *Future) awaitTerminal(ctx context.Context, st watch.Stream, since core.Token) (string, core.Token, error) {
 	for {
 		select {
 		case batch, ok := <-st.Events():
 			if !ok {
-				return "", since
+				return "", since, nil
 			}
 			for _, ev := range batch {
 				if ev.Token > since {
 					since = ev.Token
 				}
-				if ev.Status == watch.StatusCanceled || ev.Status == watch.StatusComplete {
-					return ev.Status, since
+				status := ev.Status
+				if ev.Resync {
+					t, err := f.sess.GetTask(ctx, f.id)
+					if err != nil {
+						return "", since, err
+					}
+					status = string(t.Status)
+				}
+				if status == watch.StatusCanceled || status == watch.StatusComplete {
+					return status, since, nil
 				}
 			}
 		case <-ctx.Done():
-			return "", since
+			return "", since, nil
 		}
 	}
 }

@@ -129,6 +129,85 @@ func TestResultResubscribesWhenStreamEnds(t *testing.T) {
 	}
 }
 
+// TestResultAcrossSeam: a resync marker carries no task state, so Result
+// reads the task at the seam. Across a forced seam (ResetWatch at the hub's
+// position, so every future's own position is compacted) a task
+// completed before it returns its result, one canceled before it returns
+// ErrCanceled, and one still running returns its result once it completes
+// live — in process and through a service Client alike.
+func TestResultAcrossSeam(t *testing.T) {
+	for _, remote := range []bool{false, true} {
+		t.Run(fmt.Sprintf("remote=%v", remote), func(t *testing.T) {
+			db := newDB(t)
+			var sess core.Session = db
+			if remote {
+				srv, err := service.Serve(db, "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				client, err := service.Dial(srv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { client.Close() })
+				sess = client
+			}
+			submit := func(payload string) *Future {
+				t.Helper()
+				f, err := Submit(sess, "seam", 1, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			done, canceled := submit("done"), submit("canceled")
+			if _, err := db.CancelTasks(context.Background(), []int64{canceled.TaskID()}); err != nil {
+				t.Fatal(err)
+			}
+			running := submit("running")
+			for _, task := range popOne(t, db, 1, 2) {
+				if task.ID == done.TaskID() {
+					if _, err := db.Report(context.Background(), task.ID, 1, "r:done"); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			db.ResetWatch(db.WatchHub().Last())
+
+			if res, err := done.Result(waitMax); err != nil || res != "r:done" {
+				t.Fatalf("Result of a task completed before the seam = %q, %v", res, err)
+			}
+			if res, err := canceled.Result(waitMax); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("Result of a task canceled before the seam = %q, %v, want ErrCanceled", res, err)
+			}
+			type outcome struct {
+				res string
+				err error
+			}
+			got := make(chan outcome, 1)
+			go func() {
+				res, err := running.Result(waitMax)
+				got <- outcome{res, err}
+			}()
+			// Complete it once Result holds its subscription, which opens
+			// with the marker: the completion then arrives live behind it.
+			subs := db.Metrics().Gauge("osprey_watch_subscriptions")
+			for deadline := time.Now().Add(waitMax); subs.Value() != 1; time.Sleep(tick) {
+				if time.Now().After(deadline) {
+					t.Fatalf("Result holds %v subscriptions, want 1", subs.Value())
+				}
+			}
+			if _, err := db.Report(context.Background(), running.TaskID(), 1, "r:running"); err != nil {
+				t.Fatal(err)
+			}
+			if o := <-got; o.err != nil || o.res != "r:running" {
+				t.Fatalf("Result of a task running at the seam = %q, %v", o.res, o.err)
+			}
+		})
+	}
+}
+
 func TestFutureStatus(t *testing.T) {
 	db := newDB(t)
 	f, err := Submit(db, "e", 1, "x")

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"osprey/internal/core"
+	"osprey/internal/watch"
 )
 
 // request is the wire form of one API call.
@@ -211,17 +212,9 @@ type response struct {
 	// acknowledgements, drain terminations, and overflow drops.
 	Done bool
 	// Events (wire v4) carries one commit's task-state transitions on watch
-	// notification frames (and the resume replay on the frames right after
-	// the subscribe acknowledgement).
-	Events []wireEvent
-}
-
-// wireEvent mirrors watch.Event.
-type wireEvent struct {
-	Token    uint64
-	TaskID   int64
-	WorkType int
-	Status   string
-	Depth    int
-	Resync   bool
+	// notification frames (and the resume replay, or the resync marker, on
+	// the first frame after the subscribe acknowledgement). An event's
+	// fifth slot is reserved: v4 carried a queue depth there, and it is
+	// always written 0 (see appendResponse).
+	Events []watch.Event
 }

@@ -19,12 +19,6 @@ import (
 // when a frame arrives with Done set (or the connection dies). Close sends
 // "unwatch" so the server stops pushing.
 
-// ErrWatchOverflow terminates a subscription whose consumer fell behind the
-// push stream (client-side mirror of the hub's overflow drop). The events
-// already delivered are intact; resubscribing with the last delivered token
-// replays what the overflow skipped.
-var ErrWatchOverflow = errors.New("service: watch consumer overflowed")
-
 // watchAckTimeout bounds the wait for the server's subscribe acknowledgement.
 const watchAckTimeout = 5 * time.Second
 
@@ -112,18 +106,15 @@ func (b *clientSub) deliver(resp *response) bool {
 		return true
 	}
 	if len(resp.Events) > 0 {
-		evs := make([]watch.Event, len(resp.Events))
-		for i, ev := range resp.Events {
-			evs[i] = watch.Event{
-				Token: ev.Token, TaskID: ev.TaskID, WorkType: ev.WorkType,
-				Status: ev.Status, Depth: ev.Depth, Resync: ev.Resync,
-			}
-		}
+		// The decoder made resp.Events for this frame alone: it is the batch.
 		select {
-		case b.events <- evs:
+		case b.events <- resp.Events:
 		default:
+			// The consumer fell behind, as a hub subscriber can: end the
+			// stream the same way. The events already delivered are intact;
+			// resubscribing with the last delivered token replays the rest.
 			b.closed = true
-			b.err = ErrWatchOverflow
+			b.err = watch.ErrOverflow
 			close(b.events)
 			b.mu.Unlock()
 			go b.c.write(context.Background(), time.Second, request{Op: "unwatch", SubID: b.id})
@@ -149,10 +140,10 @@ func (b *clientSub) deliver(resp *response) bool {
 // The query selects the shape — one task, one work type (or only its queued
 // transitions), or everything — and q.Since resumes after a previously
 // delivered commit token: transitions at or before it are not redelivered,
-// and a position the server has already compacted away is bridged with
-// resync events carrying the current state.
+// and a position the server has already compacted away opens the stream
+// with a resync marker.
 // buf is the stream's batch buffer (<=0: 16); a consumer that falls more than
-// buf batches behind is terminated with ErrWatchOverflow rather than allowed
+// buf batches behind is terminated with watch.ErrOverflow rather than allowed
 // to stall the connection. The stream ends when the server finishes it
 // (unwatch, drain, overflow, snapshot reset — Err reports why), when the
 // connection dies, or when the caller Closes it.

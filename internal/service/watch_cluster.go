@@ -16,8 +16,8 @@ import (
 // spreads off the leader like reads do), and whenever the subscription dies —
 // connection loss, drain, hub overflow, leader failover — the stream
 // transparently resubscribes elsewhere with the last delivered commit token
-// as the resume position. The hub replays what was missed (or bridges with
-// resync events when compacted), and a client-side token filter drops
+// as the resume position. The hub replays what was missed (or opens with a
+// resync marker when compacted), and a client-side token filter drops
 // anything redelivered across the seam, so the consumer observes every
 // transition exactly once, in order, across failover.
 
@@ -138,7 +138,7 @@ func (s *clusterStream) run(st watch.Stream, err error) {
 			if s.ctx.Err() != nil {
 				return
 			}
-			if err != nil && !retryable(err) && !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrWatchOverflow) {
+			if err != nil && !retryable(err) && !errors.Is(err, ErrOverloaded) && !errors.Is(err, watch.ErrOverflow) {
 				// The cluster answered and refused (not a node being down):
 				// resubscribing elsewhere cannot help.
 				s.fail(err)
@@ -159,8 +159,8 @@ func (s *clusterStream) run(st watch.Stream, err error) {
 }
 
 // forward relays one live subscription into the consumer channel, filtering
-// out transitions already delivered before a resubscribe seam (resync events
-// always pass: they carry current state, not history). Returns the stream's
+// out transitions already delivered before a resubscribe seam (a resync
+// marker always passes: it re-bases the position). Returns the stream's
 // terminal error once it ends, nil when stopped locally.
 func (s *clusterStream) forward(st watch.Stream) error {
 	defer st.Close()

@@ -28,17 +28,16 @@ const watchSubBuf = 64
 // anyway. A client failing over from a fresher node routinely lands here; the
 // lag resolves within the wait. A position that never arrives belongs to a
 // token domain this node rolled back (snapshot re-bootstrap after
-// divergence), and the subscribe then falls through to the hub's resync path.
+// divergence), and the subscribe then opens with the hub's resync marker.
 const watchCatchUp = 2 * time.Second
 
-// srvSub is one live server-side subscription: the hub stream, the
-// connection+ID frames are pushed on, and the cancel that tears it down.
+// srvSub is one live server-side subscription: the hub stream, which closing
+// tears down, and the connection+ID its frames are pushed on.
 type srvSub struct {
-	v      *v2conn
-	id     uint64
-	st     watch.Stream
-	cancel context.CancelFunc
-	trace  string
+	v     *v2conn
+	id    uint64
+	st    watch.Stream
+	trace string
 	// drained marks a subscription the server is terminating because it is
 	// draining: the terminal frame goes out Transient so the client
 	// resubscribes elsewhere instead of treating the end as clean.
@@ -111,7 +110,7 @@ func (v *v2conn) startWatch(id uint64, req *request, op *opEntry) {
 // ahead of the hub first waits (bounded by watchCatchUp) for this node to
 // apply up to it, so a failover from a fresher node resumes live instead of
 // resyncing; only a position that never arrives — a rolled-back token
-// domain — falls through to the resync path.
+// domain — is answered with a resync marker.
 func (v *v2conn) finishWatch(id uint64, req *request, op *opEntry, q watch.Query, t0 time.Time) {
 	s, db := v.s, v.s.db
 	fail := func(resp response) {
@@ -125,17 +124,14 @@ func (v *v2conn) finishWatch(id uint64, req *request, op *opEntry, q watch.Query
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	st, err := db.Watch(ctx, q, watchSubBuf)
+	st, err := db.Watch(context.Background(), q, watchSubBuf)
 	if err != nil {
-		cancel()
 		fail(errResponse(err))
 		return
 	}
-	sub := &srvSub{v: v, id: id, st: st, cancel: cancel, trace: req.Trace}
+	sub := &srvSub{v: v, id: id, st: st, trace: req.Trace}
 	if !v.addSub(sub) {
 		// The connection is already tearing down.
-		cancel()
 		st.Close()
 		return
 	}
@@ -143,7 +139,7 @@ func (v *v2conn) finishWatch(id uint64, req *request, op *opEntry, q watch.Query
 	if s.draining.Load() {
 		// Drain flipped between the check above and registration; terminate
 		// now so the drain's sweep cannot have missed this subscription.
-		cancel()
+		st.Close()
 	}
 	v.writeResp(id, &response{OK: true, Token: db.Token()}, "watch", req.Trace)
 	op.observe(time.Since(t0), true)
@@ -157,14 +153,7 @@ func (v *v2conn) finishWatch(id uint64, req *request, op *opEntry, q watch.Query
 // last token.
 func (b *srvSub) pump() {
 	for batch := range b.st.Events() {
-		evs := make([]wireEvent, len(batch))
-		for i, ev := range batch {
-			evs[i] = wireEvent{
-				Token: ev.Token, TaskID: ev.TaskID, WorkType: ev.WorkType,
-				Status: ev.Status, Depth: ev.Depth, Resync: ev.Resync,
-			}
-		}
-		resp := response{OK: true, Token: batch[len(batch)-1].Token, Events: evs}
+		resp := response{OK: true, Token: batch[len(batch)-1].Token, Events: batch}
 		b.v.writeResp(b.id, &resp, "watch", b.trace)
 	}
 	final := response{OK: true, Done: true}
@@ -187,7 +176,7 @@ func (v *v2conn) serveUnwatch(id uint64, req *request, op *opEntry) {
 	sub := v.subs[req.SubID]
 	v.subMu.Unlock()
 	if sub != nil {
-		sub.cancel()
+		sub.st.Close()
 	}
 	v.writeResp(id, &response{OK: true, Done: true}, "unwatch", req.Trace)
 	op.observe(time.Since(t0), true)
@@ -214,7 +203,7 @@ func (v *v2conn) removeSub(id uint64) {
 	v.subMu.Unlock()
 }
 
-// closeSubs cancels every subscription on a dying connection. The pumps drain
+// closeSubs closes every subscription on a dying connection. The pumps drain
 // their streams, attempt the terminal frame (harmless on a dead conn), and
 // unregister themselves.
 func (v *v2conn) closeSubs() {
@@ -226,7 +215,7 @@ func (v *v2conn) closeSubs() {
 	}
 	v.subMu.Unlock()
 	for _, sub := range subs {
-		sub.cancel()
+		sub.st.Close()
 	}
 }
 
@@ -258,7 +247,7 @@ func (s *Server) terminateWatches() {
 	s.watchMu.Unlock()
 	for _, sub := range subs {
 		sub.drained.Store(true)
-		sub.cancel()
+		sub.st.Close()
 	}
 }
 

@@ -110,6 +110,56 @@ func TestWatchRoundTrip(t *testing.T) {
 
 // TestWatchQueuedKindOverWire: a Queued type query travels as the "queued"
 // kind and its stream carries only the type's queued transitions, while a
+// TestWatchClientOverflow: a Client stream whose reader stops is ended when
+// its buffer fills with the hub's own sentinel, watch.ErrOverflow (which
+// osprey.ErrWatchOverflow re-exports), not an error of the service's own, and
+// the batch it holds stays readable.
+func TestWatchClientOverflow(t *testing.T) {
+	db, err := core.NewDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv, err := Serve(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	st, err := c.Watch(context.Background(), watch.Query{All: true}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := range 3 { // one commit, one push frame each
+		if _, err := c.Submit(context.Background(), "w", 1, fmt.Sprint(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Nothing reads until the stream has ended: the second frame finds the
+	// buffer full.
+	for deadline := time.Now().Add(5 * time.Second); st.Err() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a stream with buf 1 and a stopped reader was not ended")
+		}
+	}
+	if !errors.Is(st.Err(), watch.ErrOverflow) {
+		t.Fatalf("overflowed stream ended with %v, want watch.ErrOverflow", st.Err())
+	}
+	batches := 0
+	for range st.Events() {
+		batches++
+	}
+	if batches != 1 {
+		t.Fatalf("read %d batches after the overflow, want the 1 the buffer held", batches)
+	}
+}
+
 // "type" stream on the same connection carries queued, running and complete.
 func TestWatchQueuedKindOverWire(t *testing.T) {
 	q, err := watchQuery(&request{Watch: "queued", WorkType: 1, Token: 7})

@@ -46,6 +46,7 @@ import (
 	"errors"
 
 	"osprey/internal/codec"
+	"osprey/internal/watch"
 )
 
 const (
@@ -202,7 +203,10 @@ func appendResponse(buf []byte, resp *response) []byte {
 		buf = codec.AppendVarint(buf, ev.TaskID)
 		buf = appendInt(buf, ev.WorkType)
 		buf = codec.AppendString(buf, ev.Status)
-		buf = appendInt(buf, ev.Depth)
+		// Reserved slot: v4 carried the work type's queue depth here.
+		// Nothing reads it since a resync seam became a bare marker: always
+		// write zero, never reuse.
+		buf = appendInt(buf, 0)
 		buf = codec.AppendBool(buf, ev.Resync)
 	}
 	return buf
@@ -217,7 +221,7 @@ func appendResponse(buf []byte, resp *response) []byte {
 // the field keeps its zero value, while one present and then torn still
 // fails. Every value takes at least a byte, so the smallest encodings Count
 // is given are a slice element's 1, a wireResult's or a map entry's 2 (a
-// Stats entry's 9: a string and a float64), a wireEvent's 6 and a wireTask's
+// Stats entry's 9: a string and a float64), an event's 6 and a wireTask's
 // 11.
 
 func readSlice[T any](d *codec.Reader, read func(*codec.Reader) T) []T {
@@ -356,14 +360,14 @@ func decodeResponse(d *codec.Reader, resp *response) error {
 	}
 	if d.Len() > 0 {
 		if n := d.Count(6); n > 0 {
-			resp.Events = make([]wireEvent, n)
+			resp.Events = make([]watch.Event, n)
 			for i := range resp.Events {
 				ev := &resp.Events[i]
 				ev.Token = d.Uvarint()
 				ev.TaskID = d.Varint()
 				ev.WorkType = readInt(d)
 				ev.Status = d.String()
-				ev.Depth = readInt(d)
+				d.Varint() // reserved slot (see appendResponse): read and discarded
 				ev.Resync = d.Bool()
 			}
 		}

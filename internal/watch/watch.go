@@ -6,9 +6,10 @@
 // the WAL entry that produced it, so a subscriber that loses its connection
 // can resubscribe with `since = last token seen` and replay exactly the
 // transitions it missed from the hub's in-memory ring. When the ring has been
-// trimmed past the requested token the subscription is "compacted": the
-// caller synthesizes a resync snapshot from current table state instead of a
-// replay, and the stream continues live from the hub's current token.
+// trimmed past the requested token the subscription is "compacted": its
+// stream opens with one resync marker at the hub's current token instead of a
+// replay — the transitions in between are gone, and a consumer that needs
+// their outcome re-reads state — and continues live from there.
 //
 // Delivery is at-least-once at the transport level but exactly-once at the
 // token level: batches are emitted per commit, whole, and in token order, so
@@ -25,10 +26,10 @@
 // until the quorum commit watermark covers them, so a delivered event is as
 // durable as an acknowledged write and never rolls back. Session.Watch —
 // implemented by core.DB, service.Client and service.ClusterClient — opens a
-// subscription; over the wire the server pushes its batches as unsolicited
-// frames tagged with the subscription's request ID, interleaved with ordinary
-// responses on the same connection (service/watch_server.go; the CLI surface
-// is `osprey-submit watch`). A subscriber whose buffer fills is ended with
+// subscription. In process it is the hub's own Sub; over the wire the server
+// pushes its batches as unsolicited frames tagged with the subscription's
+// request ID, interleaved with ordinary responses on the same connection
+// (service/watch_server.go; the CLI surface is `osprey-submit watch`). A subscriber whose buffer fills is ended with
 // ErrOverflow instead of stalling the hub, and resumes from its last token
 // out of the ring (DefaultRing events).
 //
@@ -65,8 +66,9 @@ import (
 )
 
 // Transition statuses mirror core's task statuses. The hub treats them as
-// opaque strings except for depth accounting, which needs to know which
-// transitions add to and remove from the per-type out queue.
+// opaque strings except for its task-type map, which learns a task's work
+// type when it is queued and forgets it when the task completes or is
+// canceled.
 const (
 	StatusQueued   = "queued"
 	StatusRunning  = "running"
@@ -75,16 +77,15 @@ const (
 )
 
 // Event is one task-state transition, positioned in the WAL order by Token.
-// Depth is the out-queue depth of the event's work type after the transition
-// applied (only meaningful when WorkType >= 0). Resync marks a synthesized
-// catch-up event: it describes current state, not a transition, and carries
-// the hub's current token rather than the token of the commit that caused it.
+// Resync marks a seam instead: {Token: the hub's token, WorkType: -1,
+// Resync: true}, with no task or status. The transitions before Token that
+// the subscriber had not seen are lost to it; it adopts Token as its
+// position and re-reads whatever state it depends on.
 type Event struct {
 	Token    uint64
 	TaskID   int64
 	WorkType int
 	Status   string
-	Depth    int
 	Resync   bool
 }
 
@@ -103,7 +104,7 @@ type Transition struct {
 // without its own tasks' running and complete ones); the other forms ignore
 // it. Since is the resume position: only events with Token > Since are
 // delivered, with the gap replayed from the ring at subscribe time. Live
-// delivery and the replay filter alike; resync seams are not filtered.
+// delivery and the replay filter alike; a resync marker is not filtered.
 type Query struct {
 	All      bool
 	TaskID   int64
@@ -127,9 +128,9 @@ func (q Query) matches(ev Event) bool {
 // token order until the stream ends; a batch may alias the hub's ring and be
 // shared with other subscribers: read it, never write to it or append to it
 // in place. After the channel closes, Err() reports why (nil for a
-// consumer-initiated Close). Implementations wrap a hub Sub (in-process), a
-// single service connection (Client), or a resubscribing failover loop
-// (ClusterClient).
+// consumer-initiated Close). Implementations are a hub Sub itself
+// (in-process), a single service connection (Client), or a resubscribing
+// failover loop (ClusterClient).
 type Stream interface {
 	Events() <-chan []Event
 	Err() error
@@ -149,7 +150,7 @@ var (
 	// subscription rather than block commit. Resubscribe with the last token.
 	ErrOverflow = errors.New("watch: subscriber too slow, events dropped")
 	// ErrReset: the hub was reseeded from a snapshot (the ring no longer
-	// describes a contiguous history). Resubscribe; expect a resync.
+	// describes a contiguous history). Resubscribe; expect a resync marker.
 	ErrReset = errors.New("watch: hub reset by snapshot install")
 )
 
@@ -164,7 +165,6 @@ type Hub struct {
 	ring   []Event
 	floor  uint64        // resumes with since < floor must resync (ring trimmed)
 	last   uint64        // newest token seen (or self-assigned)
-	depth  map[int]int   // out-queue depth per work type
 	typeOf map[int64]int // work type per live task, for status-only updates
 	subs   map[*Sub]struct{}
 	max    int
@@ -181,13 +181,13 @@ type Hub struct {
 // osprey_watch_events_delivered_total, osprey_watch_events_dropped_total (a
 // slow subscriber overflowed its buffer and was ended with ErrOverflow; its
 // client resumes from its last token) and osprey_watch_resume_replays_total
-// (subscriptions whose backlog was served from the ring instead of a resync).
+// (subscriptions whose backlog was served from the ring instead of a resync
+// marker).
 func NewHub(max int, reg *obs.Registry) *Hub {
 	if max <= 0 {
 		max = DefaultRing
 	}
 	h := &Hub{
-		depth:  make(map[int]int),
 		typeOf: make(map[int64]int),
 		subs:   make(map[*Sub]struct{}),
 		max:    max,
@@ -206,26 +206,6 @@ func (h *Hub) Last() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.last
-}
-
-// Depth returns the tracked out-queue depth for a work type.
-func (h *Hub) Depth(workType int) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.depth[workType]
-}
-
-// Depths returns a copy of the per-type out-queue depths (non-zero only).
-func (h *Hub) Depths() map[int]int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[int]int, len(h.depth))
-	for wt, d := range h.depth {
-		if d > 0 {
-			out[wt] = d
-		}
-	}
-	return out
 }
 
 // Commit ingests one commit's transitions at WAL index idx. idx == 0 (an
@@ -260,25 +240,11 @@ func (h *Hub) Commit(idx uint64, trs []Transition) {
 		case StatusQueued:
 			if wt >= 0 {
 				h.typeOf[tr.TaskID] = wt
-				h.depth[wt]++
 			}
-		case StatusRunning:
-			if wt >= 0 && h.depth[wt] > 0 {
-				h.depth[wt]--
-			}
-		case StatusCanceled:
-			if wt >= 0 && h.depth[wt] > 0 {
-				h.depth[wt]--
-			}
-			delete(h.typeOf, tr.TaskID)
-		case StatusComplete:
+		case StatusComplete, StatusCanceled:
 			delete(h.typeOf, tr.TaskID)
 		}
-		d := 0
-		if wt >= 0 {
-			d = h.depth[wt]
-		}
-		h.ring = append(h.ring, Event{Token: idx, TaskID: tr.TaskID, WorkType: wt, Status: tr.Status, Depth: d})
+		h.ring = append(h.ring, Event{Token: idx, TaskID: tr.TaskID, WorkType: wt, Status: tr.Status})
 	}
 	batch := h.ring[start:len(h.ring):len(h.ring)]
 	h.trimLocked()
@@ -338,49 +304,59 @@ func (h *Hub) deliverLocked(sub *Sub, batch []Event) {
 	}
 }
 
-// Subscribe registers a subscriber and atomically replays the ring tail past
-// q.Since, so no transition between the replay and live delivery is lost or
-// duplicated. It returns the replay batch, the hub's current token (the
-// stream position the subscriber should adopt when the replay is empty), and
-// compacted=true when q.Since falls outside the replayable history: the
-// replay is nil and the caller must synthesize a resync snapshot from current
-// state. Outside means either side — a since older than the ring was trimmed
-// away, and a since NEWER than the hub's last token belongs to a token domain
-// that no longer exists (the node rolled back via a snapshot re-bootstrap
-// after divergence); resuming such a position live would silently drop every
-// recommitted transition at or below it, so it resyncs instead and the
-// subscriber re-bases on the resync token.
-func (h *Hub) Subscribe(q Query, buf int) (sub *Sub, replay []Event, last uint64, compacted bool) {
+// Subscribe registers a subscriber and opens its stream whole: under the
+// hub lock it puts the first batch into sub.C — the ring tail past q.Since
+// that q matches, or one resync marker {Token: last, WorkType: -1, Resync:
+// true} when the position is compacted — so no transition between that batch
+// and live delivery is lost or duplicated. It returns that first batch (nil
+// when C starts empty), the hub's current token, and whether the position
+// was compacted. Compacted means outside the replayable history on either
+// side: a since older than the ring was trimmed away, and a since NEWER than
+// the hub's last token belongs to a token domain that no longer exists (the
+// node rolled back via a snapshot re-bootstrap after divergence); resuming
+// such a position live would silently drop every recommitted transition at
+// or below it, so the marker re-bases the subscriber on the hub's token
+// instead. C holds buf live batches besides a preloaded first one.
+func (h *Hub) Subscribe(q Query, buf int) (sub *Sub, first []Event, last uint64, compacted bool) {
 	if buf < 1 {
 		buf = 1
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	compacted = q.Since < h.floor || q.Since > h.last
-	if !compacted {
+	if compacted {
+		first = []Event{{Token: h.last, WorkType: -1, Resync: true}}
+	} else {
 		for _, ev := range h.ring {
 			if ev.Token > q.Since && q.matches(ev) {
-				replay = append(replay, ev)
+				first = append(first, ev)
 			}
 		}
 		if q.Since > 0 && h.resumes != nil {
 			h.resumes.Inc()
 		}
 	}
+	if first != nil {
+		buf++
+	}
 	sub = &Sub{C: make(chan []Event, buf), hub: h, q: q}
+	if first != nil {
+		sub.C <- first
+	}
 	h.subs[sub] = struct{}{}
 	if h.subsG != nil {
 		h.subsG.Add(1)
 	}
-	return sub, replay, h.last, compacted
+	return sub, first, h.last, compacted
 }
 
 // Reset reseeds the hub after a snapshot install: the ring no longer
 // describes contiguous history, so it is emptied, the floor moves to token,
 // and every live subscription is terminated with ErrReset (subscribers
-// resubscribe and receive a resync). typeOf and depth are replaced with maps
-// computed from the restored tables; Reset takes ownership of both.
-func (h *Hub) Reset(token uint64, typeOf map[int64]int, depth map[int]int) {
+// resubscribe and receive a resync marker). typeOf is replaced with the work
+// types of the restored tables' queued and running tasks; Reset takes
+// ownership of it.
+func (h *Hub) Reset(token uint64, typeOf map[int64]int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.ring = nil
@@ -397,11 +373,7 @@ func (h *Hub) Reset(token uint64, typeOf map[int64]int, depth map[int]int) {
 	if typeOf == nil {
 		typeOf = make(map[int64]int)
 	}
-	if depth == nil {
-		depth = make(map[int]int)
-	}
 	h.typeOf = typeOf
-	h.depth = depth
 	for sub := range h.subs {
 		h.closeSubLocked(sub, ErrReset)
 	}
@@ -415,29 +387,55 @@ func (h *Hub) closeSubLocked(sub *Sub, err error) {
 	sub.err = err
 	delete(h.subs, sub)
 	close(sub.C)
+	if sub.stop != nil {
+		sub.stop()
+	}
 	if h.subsG != nil {
 		h.subsG.Add(-1)
 	}
 }
 
-// Sub is a raw hub subscription. C yields per-commit batches until the hub
-// terminates the subscription (overflow, reset) or Close is called; read Err
-// after C closes. Service-layer streams wrap Sub behind the Stream interface.
+// Sub is a hub subscription and the in-process Stream. C yields per-commit
+// batches, starting with the one Subscribe preloaded, until the hub
+// terminates the subscription (overflow, reset), Close is called, or the
+// context given to EndWith is done; read Err after C closes.
 type Sub struct {
 	C   chan []Event
 	hub *Hub
 	q   Query
 
-	// guarded by hub.mu; read only after C is closed
+	// guarded by hub.mu; closed and err are read only after C is closed
 	closed bool
 	err    error
+	stop   func() bool // releases EndWith's context
 }
 
+// EndWith ends the subscription when ctx is done, as Close would; however
+// the subscription ends, ctx drops its hold on it. With a context the
+// context package made, no goroutine runs until ctx is done.
+func (s *Sub) EndWith(ctx context.Context) {
+	if ctx.Done() == nil {
+		return
+	}
+	stop := context.AfterFunc(ctx, func() { s.Close() })
+	s.hub.mu.Lock()
+	defer s.hub.mu.Unlock()
+	if s.closed {
+		stop()
+		return
+	}
+	s.stop = stop
+}
+
+// Events returns C: Sub is a Stream.
+func (s *Sub) Events() <-chan []Event { return s.C }
+
 // Close unsubscribes. Idempotent; C is closed with a nil Err.
-func (s *Sub) Close() {
+func (s *Sub) Close() error {
 	s.hub.mu.Lock()
 	defer s.hub.mu.Unlock()
 	s.hub.closeSubLocked(s, nil)
+	return nil
 }
 
 // Err reports why the subscription ended. Valid after C is closed.

@@ -45,19 +45,13 @@ func TestHubCommitAndFilter(t *testing.T) {
 	if len(kb) != 1 || kb[0].TaskID != 2 {
 		t.Fatalf("task subscriber got %+v", kb)
 	}
-	if d := h.Depth(1); d != 1 {
-		t.Fatalf("depth(1) = %d, want 1", d)
-	}
 
 	// Status-only transition: the hub resolves the work type it learned at
-	// queue time, and running decrements the depth.
+	// queue time.
 	h.Commit(11, []Transition{{TaskID: 1, WorkType: -1, Status: StatusRunning}})
 	rb := recv(t, byType)
-	if len(rb) != 1 || rb[0].WorkType != 1 || rb[0].Status != StatusRunning || rb[0].Depth != 0 {
+	if len(rb) != 1 || rb[0].WorkType != 1 || rb[0].Status != StatusRunning {
 		t.Fatalf("running event = %+v", rb[0])
-	}
-	if d := h.Depth(1); d != 0 {
-		t.Fatalf("depth(1) after running = %d, want 0", d)
 	}
 }
 
@@ -157,17 +151,77 @@ func TestHubCompaction(t *testing.T) {
 	for i := uint64(1); i <= 10; i++ {
 		h.Commit(i, []Transition{{TaskID: int64(i), WorkType: 0, Status: StatusQueued}})
 	}
-	_, replay, _, compacted := h.Subscribe(Query{All: true, Since: 2}, 8)
+	_, first, _, compacted := h.Subscribe(Query{All: true, Since: 2}, 8)
 	if !compacted {
 		t.Fatalf("want compacted resume for since=2 with ring max 4")
 	}
-	if replay != nil {
-		t.Fatalf("compacted resume must not replay, got %+v", replay)
+	if want := []Event{{Token: 10, WorkType: -1, Resync: true}}; !slices.Equal(first, want) {
+		t.Fatalf("compacted resume must open with one marker and no replay, got %+v", first)
 	}
 	// A resume inside the retained window still replays.
-	_, replay, _, compacted = h.Subscribe(Query{All: true, Since: 8}, 8)
+	_, replay, _, compacted := h.Subscribe(Query{All: true, Since: 8}, 8)
 	if compacted || len(replay) != 2 {
 		t.Fatalf("tail resume: compacted=%v replay=%+v", compacted, replay)
+	}
+}
+
+var _ Stream = (*Sub)(nil)
+
+// TestHubSubscribeOpensStream: Subscribe puts a subscription's first batch
+// into C under the hub lock. A compacted position (older than the trimmed
+// ring) and a foreign one (newer than the hub's token) open with exactly one
+// marker at the hub's token, whatever the query; a resumable one opens with
+// the ring tail it matches. Live batches follow in token order, and C keeps
+// buf slots for them beside the preloaded batch.
+func TestHubSubscribeOpensStream(t *testing.T) {
+	h := NewHub(4, nil)
+	for i := uint64(1); i <= 10; i++ {
+		h.Commit(i, []Transition{{TaskID: int64(i), WorkType: 1, Status: StatusQueued}})
+	}
+	marker := []Event{{Token: 10, WorkType: -1, Resync: true}}
+	queries := map[string]Query{
+		"task":   {TaskID: 3},
+		"type":   {WorkType: 2},
+		"queued": {WorkType: 2, Queued: true},
+		"all":    {All: true},
+	}
+	for name, q := range queries {
+		for _, since := range []uint64{2, 11} { // compacted, foreign
+			q.Since = since
+			sub, first, last, compacted := h.Subscribe(q, 2)
+			if !compacted || last != 10 || !slices.Equal(first, marker) {
+				t.Fatalf("%s since %d: compacted=%v last=%d first=%+v, want one marker at 10", name, since, compacted, last, first)
+			}
+			if got := recv(t, sub); !slices.Equal(got, marker) {
+				t.Fatalf("%s since %d: C starts with %+v, want one marker at 10", name, since, got)
+			}
+			if n, c := len(sub.C), cap(sub.C); n != 0 || c != 3 {
+				t.Fatalf("%s since %d: C holds %d more batches with cap %d, want 0 and 2+1", name, since, n, c)
+			}
+			sub.Close()
+		}
+	}
+
+	sub, first, _, compacted := h.Subscribe(Query{WorkType: 1, Since: 8}, 2)
+	if compacted || len(first) != 2 || first[0].Token != 9 || first[1].Token != 10 {
+		t.Fatalf("resumable subscribe: compacted=%v first=%+v, want tokens 9,10", compacted, first)
+	}
+	h.Commit(11, []Transition{{TaskID: 11, WorkType: 1, Status: StatusQueued}})
+	h.Commit(12, []Transition{{TaskID: 9, WorkType: -1, Status: StatusRunning}})
+	var toks []uint64
+	for range 3 {
+		for _, ev := range recv(t, sub) {
+			toks = append(toks, ev.Token)
+		}
+	}
+	if want := []uint64{9, 10, 11, 12}; !slices.Equal(toks, want) {
+		t.Fatalf("resumed stream carried tokens %v, want %v", toks, want)
+	}
+
+	// Nothing to replay: C starts empty and keeps exactly buf slots.
+	fresh, first, _, _ := h.Subscribe(Query{All: true, Since: 12}, 2)
+	if first != nil || len(fresh.C) != 0 || cap(fresh.C) != 2 {
+		t.Fatalf("up-to-date subscribe: first=%+v len=%d cap=%d, want nil, 0, 2", first, len(fresh.C), cap(fresh.C))
 	}
 }
 
@@ -268,22 +322,28 @@ func TestHubReset(t *testing.T) {
 	sub, _, _, _ := h.Subscribe(Query{All: true}, 4)
 	h.Commit(5, []Transition{{TaskID: 1, WorkType: 1, Status: StatusQueued}})
 	<-sub.C
-	h.Reset(20, map[int64]int{7: 2}, map[int]int{2: 1})
+	h.Reset(20, map[int64]int{7: 2})
 	if _, ok := <-sub.C; ok {
 		t.Fatalf("subscription survived reset")
 	}
 	if !errors.Is(sub.Err(), ErrReset) {
 		t.Fatalf("Err = %v, want ErrReset", sub.Err())
 	}
-	if h.Last() != 20 || h.Depth(2) != 1 {
-		t.Fatalf("post-reset last=%d depth(2)=%d", h.Last(), h.Depth(2))
+	if h.Last() != 20 {
+		t.Fatalf("post-reset last=%d", h.Last())
 	}
 	// since below the new floor is compacted; at the floor is live.
-	if _, _, _, compacted := h.Subscribe(Query{All: true, Since: 19}, 4); !compacted {
-		t.Fatalf("since=19 across a reset to 20 must be compacted")
+	if _, first, _, compacted := h.Subscribe(Query{All: true, Since: 19}, 4); !compacted || len(first) != 1 || !first[0].Resync {
+		t.Fatalf("since=19 across a reset to 20 must be compacted and open with a marker: %v %+v", compacted, first)
 	}
-	if _, _, _, compacted := h.Subscribe(Query{All: true, Since: 20}, 4); compacted {
-		t.Fatalf("since=20 is current; must not be compacted")
+	live, first, _, compacted := h.Subscribe(Query{All: true, Since: 20}, 4)
+	if compacted || first != nil {
+		t.Fatalf("since=20 is current; must not be compacted: %v %+v", compacted, first)
+	}
+	// The reset's task-type map resolves a status-only transition.
+	h.Commit(21, []Transition{{TaskID: 7, WorkType: -1, Status: StatusRunning}})
+	if ev := recv(t, live); len(ev) != 1 || ev[0].WorkType != 2 {
+		t.Fatalf("running event after reset = %+v, want work type 2 from the reset's map", ev)
 	}
 }
 

@@ -153,8 +153,9 @@ type (
 	// only events with a newer commit token are delivered).
 	WatchQuery = watch.Query
 	// WatchEvent is one pushed task-state transition — or, when Resync is
-	// set, a notice that per-task history before Token was lost (queue
-	// depths are carried instead) and the consumer must re-read state.
+	// set, a marker that the transitions before Token are lost to this
+	// subscription: it carries no task or status, and the consumer must
+	// re-read the state it depends on.
 	WatchEvent = watch.Event
 	// WatchStream is the consumer half of a subscription: Events yields
 	// batches in commit order, Err reports why the stream ended.
