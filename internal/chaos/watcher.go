@@ -20,9 +20,9 @@ import (
 // quorum-committed history survives every election, so no delivered
 // transition can roll back and be recommitted under a new token.
 // Completeness is enforced strictly unless a resync seam occurred (a hub
-// reset compacts the replayable history, and an all-tasks resync carries
-// queue depths, not per-task history — transitions terminal before the seam
-// are then legitimately unobservable). Transitions driven after the heal
+// reset compacts the replayable history, and a seam is one bare marker with
+// no per-task history — transitions terminal before the seam are then
+// legitimately unobservable). Transitions driven after the heal
 // always land after any seam, so they are never excused.
 
 // delivery records one terminal delivery: its commit token and the resync

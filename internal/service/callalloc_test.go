@@ -14,11 +14,12 @@ import (
 )
 
 // TestCallAllocs pins what a call costs on both clients, server included
-// (the server runs in this process): a report, a status read, and an empty
-// 1 ms QueryTasks and PopResults, each at a plain Client's cost when the
-// call loop was introduced. A closure or a context that escapes per call
-// shows here as one more allocation, and a poll that re-polls the
-// sub-millisecond rest of its deadline as a hundred more.
+// (the server runs in this process): a report, a status read, a QueryTasks
+// and a PopResults that each pop one row, and an empty 1 ms QueryTasks and
+// PopResults. A closure or a context that escapes per call shows here as one
+// more allocation, a copy of a decoded or a core answer as one or two more,
+// and a poll that re-polls the sub-millisecond rest of its deadline as a
+// hundred more.
 func TestCallAllocs(t *testing.T) {
 	const runs = 100
 	db, err := core.NewDB()
@@ -55,14 +56,20 @@ func TestCallAllocs(t *testing.T) {
 		for i := range payloads {
 			payloads[i] = "p"
 		}
-		if _, err := s.s.SubmitBatch(bg, "alloc", 1, payloads, nil, nil); err != nil {
-			t.Fatal(err)
+		for _, workType := range []int{1, 3} {
+			if _, err := s.s.SubmitBatch(bg, "alloc", workType, payloads, nil, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		tasks, err := tasksOf(s.s.QueryTasks(within(t, waitMax), 1, runs+1, "pool"))
 		if err != nil || len(tasks) != runs+1 {
 			t.Fatalf("%s: popped %d tasks, %v; want %d", s.name, len(tasks), err, runs+1)
 		}
 		ids := []int64{never}
+		reported := make([]int64, len(tasks))
+		for i, task := range tasks {
+			reported[i] = task.ID
+		}
 		i := 0
 		for _, c := range []struct {
 			op   string
@@ -75,7 +82,17 @@ func TestCallAllocs(t *testing.T) {
 				}
 				i++
 			}},
-			{"Statuses", 12, func() {
+			{"PopResults one", 5, func() {
+				if res, err := s.s.PopResults(bg, reported, 1); err != nil || len(res.Results) != 1 {
+					t.Fatalf("PopResults popped %d results, %v; want 1", len(res.Results), err)
+				}
+			}},
+			{"QueryTasks one", 5, func() {
+				if res, err := s.s.QueryTasks(bg, 3, 1, "pool"); err != nil || len(res.Tasks) != 1 {
+					t.Fatalf("QueryTasks popped %d tasks, %v; want 1", len(res.Tasks), err)
+				}
+			}},
+			{"Statuses", 8, func() {
 				if _, err := s.s.Statuses(bg, ids); err != nil {
 					t.Fatal(err)
 				}

@@ -29,8 +29,6 @@
 package service
 
 import (
-	"time"
-
 	"osprey/internal/core"
 	"osprey/internal/watch"
 )
@@ -96,66 +94,6 @@ type request struct {
 	SubID uint64
 }
 
-// wireTask mirrors core.Task with wire-friendly timestamps.
-type wireTask struct {
-	ID       int64
-	ExpID    string
-	WorkType int
-	Status   string
-	Payload  string
-	Result   string
-	Pool     string
-	Priority int
-	Created  int64
-	Started  int64
-	Stopped  int64
-}
-
-// toWireTask and fromWireTask are the single source of truth for the
-// core.Task <-> wireTask mapping, shared by every op that ships task rows.
-func toWireTask(t core.Task) wireTask {
-	return wireTask{
-		ID: t.ID, ExpID: t.ExpID, WorkType: t.WorkType, Status: string(t.Status),
-		Payload: t.Payload, Result: t.Result, Pool: t.Pool, Priority: t.Priority,
-		Created: nanoOf(t.Created), Started: nanoOf(t.Started),
-		Stopped: nanoOf(t.Stopped),
-	}
-}
-
-func fromWireTask(t wireTask) core.Task {
-	return core.Task{
-		ID: t.ID, ExpID: t.ExpID, WorkType: t.WorkType, Status: core.Status(t.Status),
-		Payload: t.Payload, Result: t.Result, Pool: t.Pool, Priority: t.Priority,
-		Created: timeOf(t.Created), Started: timeOf(t.Started),
-		Stopped: timeOf(t.Stopped),
-	}
-}
-
-// nanoOf and timeOf map timestamps across the wire with the zero value
-// preserved: a zero time.Time travels as 0 and rebuilds as a zero time.Time,
-// so an unstarted task's Started/Stopped survive a round trip as unstarted.
-// (UnixNano on a zero time is a huge negative number, and time.Unix(0, n) is
-// never zero — without the explicit mapping, IsZero breaks on the far side.)
-func nanoOf(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixNano()
-}
-
-func timeOf(ns int64) time.Time {
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
-
-// wireResult mirrors core.TaskResult.
-type wireResult struct {
-	ID     int64
-	Result string
-}
-
 // response is the wire form of one API reply.
 type response struct {
 	OK      bool
@@ -180,14 +118,17 @@ type response struct {
 	// and monotonic reads across replicas.
 	Token uint64
 
+	// Tasks, Results, StatusMap and CountsMap are core's own types, which
+	// the codec reads and writes directly (appendTask, readTask): an op
+	// puts its core answer here as it is, and a client returns it as decoded.
 	TaskID     int64
 	TaskIDs    []int64
-	Tasks      []wireTask
-	Results    []wireResult
-	StatusMap  map[int64]string
+	Tasks      []core.Task
+	Results    []core.TaskResult
+	StatusMap  map[int64]core.Status
 	PrioMap    map[int64]int
 	Count      int
-	CountsMap  map[string]int
+	CountsMap  map[core.Status]int
 	TagList    []string
 	ResultText string
 

@@ -177,7 +177,7 @@ func TestReadYourPopsStalledFollower(t *testing.T) {
 	release()
 	waitCond(t, "stalled follower caught up", func() bool { return n3.Applied() >= popTok })
 	resp, err := readAt(direct, statuses, popTok, 500*time.Millisecond)
-	if err != nil || resp.StatusMap[sub.ID] != string(core.StatusRunning) {
+	if err != nil || resp.StatusMap[sub.ID] != core.StatusRunning {
 		t.Fatalf("healed follower token-bounded read = %v, %v; want running", resp.StatusMap, err)
 	}
 }

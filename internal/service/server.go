@@ -574,7 +574,7 @@ func (s *Server) exec(req request) response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return response{OK: true, Tasks: []wireTask{toWireTask(task)}}
+		return response{OK: true, Tasks: []core.Task{task}}
 	case "submit":
 		// Options are built only for non-default settings: the common bare
 		// submit passes an empty opts slice and allocates nothing here.
@@ -606,11 +606,7 @@ func (s *Server) exec(req request) response {
 		if err != nil {
 			return errResponse(err)
 		}
-		out := make([]wireTask, len(res.Tasks))
-		for i, t := range res.Tasks {
-			out[i] = toWireTask(t)
-		}
-		return response{OK: true, Tasks: out, Token: res.Token}
+		return response{OK: true, Tasks: res.Tasks, Token: res.Token}
 	case "report":
 		res, err := s.db.Report(ctx, req.TaskID, req.WorkType, req.Result)
 		if err != nil {
@@ -632,21 +628,13 @@ func (s *Server) exec(req request) response {
 		if err != nil {
 			return errResponse(err)
 		}
-		out := make([]wireResult, len(res.Results))
-		for i, r := range res.Results {
-			out[i] = wireResult{ID: r.ID, Result: r.Result}
-		}
-		return response{OK: true, Results: out, Token: res.Token}
+		return response{OK: true, Results: res.Results, Token: res.Token}
 	case "statuses":
 		sts, err := s.db.Statuses(ctx, req.TaskIDs)
 		if err != nil {
 			return errResponse(err)
 		}
-		m := make(map[int64]string, len(sts))
-		for id, st := range sts {
-			m[id] = string(st)
-		}
-		return response{OK: true, StatusMap: m}
+		return response{OK: true, StatusMap: sts}
 	case "priorities":
 		prios, err := s.db.Priorities(ctx, req.TaskIDs)
 		if err != nil {
@@ -676,11 +664,7 @@ func (s *Server) exec(req request) response {
 		if err != nil {
 			return errResponse(err)
 		}
-		m := make(map[string]int, len(counts))
-		for st, n := range counts {
-			m[string(st)] = n
-		}
-		return response{OK: true, CountsMap: m}
+		return response{OK: true, CountsMap: counts}
 	case "tags":
 		tags, err := s.db.Tags(ctx, req.TaskID)
 		if err != nil {

@@ -191,7 +191,7 @@ func retryable(err error) bool {
 func (c *Client) completedRow(taskID int64, resp *response) bool {
 	req := request{Op: "task_get", TaskID: taskID, Level: "strong"}
 	if c.roundTrip(&req, resp, time.Second) != nil || len(resp.Tasks) == 0 ||
-		core.Status(resp.Tasks[0].Status) != core.StatusComplete {
+		resp.Tasks[0].Status != core.StatusComplete {
 		return false
 	}
 	resp.ResultText = resp.Tasks[0].Result
@@ -283,11 +283,7 @@ func (s session) QueryTasks(ctx context.Context, workType, n int, pool string) (
 	if err != nil {
 		return core.TasksRes{}, err
 	}
-	tasks := make([]core.Task, len(resp.Tasks))
-	for i, t := range resp.Tasks {
-		tasks[i] = fromWireTask(t)
-	}
-	return core.TasksRes{Tasks: tasks, Token: resp.Token}, nil
+	return core.TasksRes{Tasks: resp.Tasks, Token: resp.Token}, nil
 }
 
 // Report implements core.Session.
@@ -314,11 +310,7 @@ func (s session) PopResults(ctx context.Context, ids []int64, max int) (core.Res
 	if err != nil {
 		return core.ResultsRes{}, err
 	}
-	out := make([]core.TaskResult, len(resp.Results))
-	for i, r := range resp.Results {
-		out[i] = core.TaskResult{ID: r.ID, Result: r.Result}
-	}
-	return core.ResultsRes{Results: out, Token: resp.Token}, nil
+	return core.ResultsRes{Results: resp.Results, Token: resp.Token}, nil
 }
 
 // Statuses implements core.Session. Status polls dominate ME workloads; a
@@ -329,11 +321,7 @@ func (s session) Statuses(ctx context.Context, ids []int64, opts ...core.ReadOpt
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int64]core.Status, len(resp.StatusMap))
-	for id, st := range resp.StatusMap {
-		out[id] = core.Status(st)
-	}
-	return out, nil
+	return orEmpty(resp.StatusMap), nil
 }
 
 // Priorities implements core.Session.
@@ -342,10 +330,7 @@ func (s session) Priorities(ctx context.Context, ids []int64, opts ...core.ReadO
 	if err != nil {
 		return nil, err
 	}
-	if resp.PrioMap == nil {
-		return map[int64]int{}, nil
-	}
-	return resp.PrioMap, nil
+	return orEmpty(resp.PrioMap), nil
 }
 
 // UpdatePriorities implements core.Session.
@@ -378,11 +363,7 @@ func (s session) Counts(ctx context.Context, expID string, opts ...core.ReadOpti
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[core.Status]int, len(resp.CountsMap))
-	for st, n := range resp.CountsMap {
-		out[core.Status(st)] = n
-	}
-	return out, nil
+	return orEmpty(resp.CountsMap), nil
 }
 
 // Tags implements core.Session.
@@ -406,7 +387,16 @@ func (s session) GetTask(ctx context.Context, taskID int64, opts ...core.ReadOpt
 	if len(resp.Tasks) == 0 {
 		return core.Task{}, fmt.Errorf("service: task_get returned no task")
 	}
-	return fromWireTask(resp.Tasks[0]), nil
+	return resp.Tasks[0], nil
+}
+
+// orEmpty returns a decoded map, or an empty one for a frame that carried no
+// entries: like core.DB's, a map read never answers nil.
+func orEmpty[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return map[K]V{}
+	}
+	return m
 }
 
 // ClusterInfo is a node's replication status as reported by the "cluster"

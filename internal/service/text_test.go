@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
+
+	"osprey/internal/core"
 )
 
 // frameStream encodes each message as one frame through a writing frameIO.
@@ -38,8 +41,9 @@ func batchRequest(i, n int) request {
 func tasksResponse(i, n int) response {
 	resp := response{OK: true, Token: uint64(i + 1)}
 	for j := range n {
-		resp.Tasks = append(resp.Tasks, wireTask{ID: int64(i*n + j), ExpID: "exp", WorkType: 1, Status: "running",
-			Payload: fmt.Sprintf(`{"x": [%d.25, %d.5, 0.75]}`, i, j), Pool: "pool-1", Created: 1, Started: 2})
+		resp.Tasks = append(resp.Tasks, core.Task{ID: int64(i*n + j), ExpID: "exp", WorkType: 1, Status: core.StatusRunning,
+			Payload: fmt.Sprintf(`{"x": [%d.25, %d.5, 0.75]}`, i, j), Pool: "pool-1",
+			Created: time.Unix(0, 1), Started: time.Unix(0, 2)})
 	}
 	return resp
 }

@@ -174,7 +174,10 @@ func (s *clusterStream) forward(st watch.Stream) error {
 			// events share one token, so ratcheting s.last mid-batch would
 			// drop every event of the commit after the first.
 			prev := s.last
-			evs := make([]watch.Event, 0, len(batch))
+			// Filter in place: st is always a remote stream (Client.Watch),
+			// whose batch is the slice the decoder made for one frame, and
+			// nothing but this loop holds it.
+			evs := batch[:0]
 			for _, ev := range batch {
 				if ev.Resync {
 					// A resync seam re-bases the stream position to the

@@ -44,8 +44,10 @@ package service
 import (
 	"bufio"
 	"errors"
+	"time"
 
 	"osprey/internal/codec"
+	"osprey/internal/core"
 	"osprey/internal/watch"
 )
 
@@ -129,18 +131,26 @@ func appendRequest(buf []byte, req *request) []byte {
 	return buf
 }
 
-func appendWireTask(buf []byte, t *wireTask) []byte {
+// appendTask writes t's fields in wire order. A zero time travels as 0, so
+// an unstarted task's Started and Stopped rebuild as zero in readTask (a zero
+// time's UnixNano is a huge negative number, and time.Unix(0, n) is never
+// zero: without the mapping, IsZero breaks on the far side).
+func appendTask(buf []byte, t *core.Task) []byte {
 	buf = codec.AppendVarint(buf, t.ID)
 	buf = codec.AppendString(buf, t.ExpID)
 	buf = appendInt(buf, t.WorkType)
-	buf = codec.AppendString(buf, t.Status)
+	buf = codec.AppendString(buf, string(t.Status))
 	buf = codec.AppendString(buf, t.Payload)
 	buf = codec.AppendString(buf, t.Result)
 	buf = codec.AppendString(buf, t.Pool)
 	buf = appendInt(buf, t.Priority)
-	buf = codec.AppendVarint(buf, t.Created)
-	buf = codec.AppendVarint(buf, t.Started)
-	buf = codec.AppendVarint(buf, t.Stopped)
+	for _, ts := range [...]time.Time{t.Created, t.Started, t.Stopped} {
+		var ns int64
+		if !ts.IsZero() {
+			ns = ts.UnixNano()
+		}
+		buf = codec.AppendVarint(buf, ns)
+	}
 	return buf
 }
 
@@ -156,7 +166,7 @@ func appendResponse(buf []byte, resp *response) []byte {
 	buf = appendSlice(buf, resp.TaskIDs, codec.AppendVarint)
 	buf = codec.AppendUvarint(buf, uint64(len(resp.Tasks)))
 	for i := range resp.Tasks {
-		buf = appendWireTask(buf, &resp.Tasks[i])
+		buf = appendTask(buf, &resp.Tasks[i])
 	}
 	buf = codec.AppendUvarint(buf, uint64(len(resp.Results)))
 	for i := range resp.Results {
@@ -166,7 +176,7 @@ func appendResponse(buf []byte, resp *response) []byte {
 	buf = codec.AppendUvarint(buf, uint64(len(resp.StatusMap)))
 	for id, st := range resp.StatusMap {
 		buf = codec.AppendVarint(buf, id)
-		buf = codec.AppendString(buf, st)
+		buf = codec.AppendString(buf, string(st))
 	}
 	buf = codec.AppendUvarint(buf, uint64(len(resp.PrioMap)))
 	for id, p := range resp.PrioMap {
@@ -176,7 +186,7 @@ func appendResponse(buf []byte, resp *response) []byte {
 	buf = appendInt(buf, resp.Count)
 	buf = codec.AppendUvarint(buf, uint64(len(resp.CountsMap)))
 	for st, n := range resp.CountsMap {
-		buf = codec.AppendString(buf, st)
+		buf = codec.AppendString(buf, string(st))
 		buf = appendInt(buf, n)
 	}
 	buf = appendSlice(buf, resp.TagList, codec.AppendString)
@@ -220,9 +230,8 @@ func appendResponse(buf []byte, resp *response) []byte {
 // bytes are left: an exhausted message at its boundary is an older writer and
 // the field keeps its zero value, while one present and then torn still
 // fails. Every value takes at least a byte, so the smallest encodings Count
-// is given are a slice element's 1, a wireResult's or a map entry's 2 (a
-// Stats entry's 9: a string and a float64), an event's 6 and a wireTask's
-// 11.
+// is given are a slice element's 1, a result's or a map entry's 2 (a Stats
+// entry's 9: a string and a float64), an event's 6 and a task's 11.
 
 func readSlice[T any](d *codec.Reader, read func(*codec.Reader) T) []T {
 	n := d.Count(1)
@@ -273,18 +282,21 @@ func decodeRequest(d *codec.Reader, req *request) error {
 	return d.Err()
 }
 
-func readWireTask(d *codec.Reader, t *wireTask) {
+// readTask reads what appendTask wrote; a 0 timestamp leaves the zero time.
+func readTask(d *codec.Reader, t *core.Task) {
 	t.ID = d.Varint()
 	t.ExpID = d.String()
 	t.WorkType = readInt(d)
-	t.Status = d.String()
+	t.Status = core.Status(d.String())
 	t.Payload = d.String()
 	t.Result = d.String()
 	t.Pool = d.String()
 	t.Priority = readInt(d)
-	t.Created = d.Varint()
-	t.Started = d.Varint()
-	t.Stopped = d.Varint()
+	for _, ts := range [...]*time.Time{&t.Created, &t.Started, &t.Stopped} {
+		if ns := d.Varint(); ns != 0 {
+			*ts = time.Unix(0, ns)
+		}
+	}
 }
 
 func decodeResponse(d *codec.Reader, resp *response) error {
@@ -301,23 +313,23 @@ func decodeResponse(d *codec.Reader, resp *response) error {
 	resp.TaskID = d.Varint()
 	resp.TaskIDs = readSlice(d, (*codec.Reader).Varint)
 	if n := d.Count(11); n > 0 {
-		resp.Tasks = make([]wireTask, n)
+		resp.Tasks = make([]core.Task, n)
 		for i := range resp.Tasks {
-			readWireTask(d, &resp.Tasks[i])
+			readTask(d, &resp.Tasks[i])
 		}
 	}
 	if n := d.Count(2); n > 0 {
-		resp.Results = make([]wireResult, n)
+		resp.Results = make([]core.TaskResult, n)
 		for i := range resp.Results {
 			resp.Results[i].ID = d.Varint()
 			resp.Results[i].Result = d.String()
 		}
 	}
 	if n := d.Count(2); n > 0 {
-		resp.StatusMap = make(map[int64]string, n)
+		resp.StatusMap = make(map[int64]core.Status, n)
 		for i := 0; i < n; i++ {
 			id := d.Varint()
-			resp.StatusMap[id] = d.String()
+			resp.StatusMap[id] = core.Status(d.String())
 		}
 	}
 	if n := d.Count(2); n > 0 {
@@ -329,9 +341,9 @@ func decodeResponse(d *codec.Reader, resp *response) error {
 	}
 	resp.Count = readInt(d)
 	if n := d.Count(2); n > 0 {
-		resp.CountsMap = make(map[string]int, n)
+		resp.CountsMap = make(map[core.Status]int, n)
 		for i := 0; i < n; i++ {
-			st := d.String()
+			st := core.Status(d.String())
 			resp.CountsMap[st] = readInt(d)
 		}
 	}

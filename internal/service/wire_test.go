@@ -21,6 +21,7 @@ import (
 	"osprey/internal/codec"
 	"osprey/internal/core"
 	"osprey/internal/obs"
+	"osprey/internal/watch"
 )
 
 // wireDec and appendString give the tests that pin the layout through them
@@ -36,6 +37,10 @@ func appendString(b []byte, s string) []byte        { return codec.AppendString(
 // fillValue sets v (and everything reachable from it) to non-zero values
 // derived from seed, so a round-trip losing any field is observable.
 func fillValue(v reflect.Value, seed int) {
+	if v.Type() == reflect.TypeFor[time.Time]() {
+		v.Set(reflect.ValueOf(time.Unix(0, int64(seed+7))))
+		return
+	}
 	switch v.Kind() {
 	case reflect.String:
 		v.SetString(fmt.Sprintf("s%d", seed))
@@ -333,16 +338,21 @@ func TestDecodeResponseAllocationBounded(t *testing.T) {
 	}
 }
 
-// TestWireTaskZeroTimestamps is the satellite fix's unit pin: an unstarted
-// task's zero Started/Stopped survive the wire mapping as zero.
+// TestWireTaskZeroTimestamps pins the codec's zero-time mapping: an
+// unstarted task's zero Started/Stopped travel as 0 and arrive as zero.
 func TestWireTaskZeroTimestamps(t *testing.T) {
 	task := core.Task{ID: 1, ExpID: "e", Status: core.StatusQueued,
 		Payload: "p", Created: time.Unix(0, 12345)}
-	w := toWireTask(task)
-	if w.Started != 0 || w.Stopped != 0 {
-		t.Fatalf("zero timestamps encoded as %d/%d, want 0/0", w.Started, w.Stopped)
+	if enc := appendTask(nil, &task); !bytes.HasSuffix(enc, []byte{0, 0}) {
+		t.Fatalf("zero timestamps encoded as %x, want 0/0 last", enc)
 	}
-	back := fromWireTask(w)
+	var dec wireDec
+	dec.reset(appendResponse(nil, &response{Tasks: []core.Task{task}}))
+	var resp response
+	if err := dec.decodeResponse(&resp); err != nil || len(resp.Tasks) != 1 {
+		t.Fatalf("decodeResponse = %d tasks, %v; want 1", len(resp.Tasks), err)
+	}
+	back := resp.Tasks[0]
 	if !back.Started.IsZero() || !back.Stopped.IsZero() {
 		t.Fatalf("zero timestamps decoded as %v/%v, want zero", back.Started, back.Stopped)
 	}
@@ -638,6 +648,65 @@ func TestWireV4FramePinned(t *testing.T) {
 	expect[0]-- // frameLen: the TimeMS slot shrank by one byte
 	if !bytes.Equal(buf.Bytes(), expect) {
 		t.Fatalf("today's encoding differs from the v4 layout beyond the reserved slots:\n got %x\nwant %x", buf.Bytes(), expect)
+	}
+}
+
+// v4ResponseFrame is one response frame (request ID 77) as the last build
+// whose response carried mirror structs (wireTask, wireResult, string-keyed
+// status maps) encoded it at wire version 4. The bytes are copied from that
+// build's output, not produced by today's encoder. Each map has one entry, so
+// the encoding has one order.
+const v4ResponseFrame = "a2014d0100000092210000020e036578700406717565756564077b2278223a317d0000" +
+	"068280d0e2c6bfce972f000010036578700408636f6d706c657465077b2278223a327d02723806706f6f6c2d6101" +
+	"8480d0e2c6bfce972f8094bbbfcabfce972f80a8a69ccebfce972f0110027238011008636f6d706c65746500000108" +
+	"636f6d706c657465020000000000000000000000019221100408636f6d706c6574650000"
+
+// TestWireV4ResponsePinned pins the response layout the codec now writes
+// from core's own types: a v4 frame with an unstarted task (zero Started and
+// Stopped travel as 0), a finished one, a result, a status and a count map
+// entry and an event decodes field for field, and re-encodes byte for byte.
+func TestWireV4ResponsePinned(t *testing.T) {
+	if wireVersion != 4 {
+		t.Fatalf("wireVersion = %d; this pin is the v4 layout — add a pin for the new version, keep this one", wireVersion)
+	}
+	pinned, err := hex.DecodeString(v4ResponseFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := response{
+		OK: true, Token: 4242,
+		Tasks: []core.Task{
+			{ID: 7, ExpID: "exp", WorkType: 2, Status: core.StatusQueued, Payload: `{"x":1}`, Priority: 3,
+				Created: time.Unix(0, 1700000000000000001)},
+			{ID: 8, ExpID: "exp", WorkType: 2, Status: core.StatusComplete, Payload: `{"x":2}`, Result: "r8",
+				Pool: "pool-a", Priority: -1, Created: time.Unix(0, 1700000000000000002),
+				Started: time.Unix(0, 1700000000500000000), Stopped: time.Unix(0, 1700000001000000000)},
+		},
+		Results:   []core.TaskResult{{ID: 8, Result: "r8"}},
+		StatusMap: map[int64]core.Status{8: core.StatusComplete},
+		CountsMap: map[core.Status]int{core.StatusComplete: 1},
+		Events:    []watch.Event{{Token: 4242, TaskID: 8, WorkType: 2, Status: string(core.StatusComplete)}},
+	}
+	var f frameIO
+	var got response
+	id, err := f.readResponse(bufio.NewReader(bytes.NewReader(pinned)), &got)
+	if err != nil {
+		t.Fatalf("decoding the pinned v4 response: %v", err)
+	}
+	if id != 77 {
+		t.Fatalf("request ID = %d, want 77", id)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pinned v4 response decoded to\n%+v\nwant\n%+v", got, want)
+	}
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := f.writeResponse(bw, 77, &want); err != nil {
+		t.Fatal(err)
+	}
+	bw.Flush()
+	if !bytes.Equal(buf.Bytes(), pinned) {
+		t.Fatalf("today's encoding differs from the v4 layout:\n got %x\nwant %x", buf.Bytes(), pinned)
 	}
 }
 
