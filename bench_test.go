@@ -514,11 +514,11 @@ func runSQL(b *testing.B, e *minisql.Engine, h *minisql.Prepared, args ...minisq
 
 func BenchmarkMinisqlInsert(b *testing.B) {
 	e := minisql.NewEngine()
-	runSQL(b, e, prepare(b, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v REAL, s TEXT)"))
+	runSQL(b, e, prepare(b, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER, s TEXT)"))
 	ins := prepare(b, e, "INSERT INTO t (v, s) VALUES (?, ?)")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runSQL(b, e, ins, minisql.Float64(float64(i)), minisql.Text("payload"))
+		runSQL(b, e, ins, minisql.Int64(int64(i)), minisql.Text("payload"))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -212,7 +211,8 @@ func TestStreamedReadMatchesExec(t *testing.T) {
 }
 
 // fuzzArgs decodes a fuzz input into statement arguments: per value a kind
-// byte, then eight bytes for a number or a length byte and text.
+// byte (modulo 4: 0 NULL, 3 text, 1 or 2 an integer), then eight bytes for an
+// integer or a length byte and text.
 func fuzzArgs(b []byte) []minisql.Value {
 	var vals []minisql.Value
 	for len(b) > 0 {
@@ -226,12 +226,7 @@ func fuzzArgs(b []byte) []minisql.Value {
 			vals = append(vals, minisql.Text(string(b[1:1+n])))
 			b = b[1+n:]
 		case len(b) >= 8:
-			u := binary.LittleEndian.Uint64(b)
-			if kind == 1 {
-				vals = append(vals, minisql.Int64(int64(u)))
-			} else {
-				vals = append(vals, minisql.Float64(math.Float64frombits(u)))
-			}
+			vals = append(vals, minisql.Int64(int64(binary.LittleEndian.Uint64(b))))
 			b = b[8:]
 		default:
 			return vals
@@ -249,8 +244,6 @@ func fuzzBytes(vals []minisql.Value) []byte {
 			b = append(b, 0)
 		case minisql.KindInt:
 			b = binary.LittleEndian.AppendUint64(append(b, 1), uint64(v.Int))
-		case minisql.KindFloat:
-			b = binary.LittleEndian.AppendUint64(append(b, 2), math.Float64bits(v.Float))
 		case minisql.KindText:
 			text := v.Text[:min(len(v.Text), 255)]
 			b = append(append(b, 3, byte(len(text))), text...)

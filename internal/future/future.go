@@ -35,9 +35,8 @@ var ErrCanceled = errors.New("future: task canceled")
 
 // Future is a handle on one submitted task (paper §V-B).
 type Future struct {
-	sess     core.Session
-	id       int64
-	workType int
+	sess core.Session
+	id   int64
 
 	mu     sync.Mutex
 	done   bool
@@ -52,12 +51,14 @@ func Submit(sess core.Session, expID string, workType int, payload string, opts 
 	if err != nil {
 		return nil, err
 	}
-	return &Future{sess: sess, id: res.ID, workType: workType, tok: res.Token}, nil
+	return &Future{sess: sess, id: res.ID, tok: res.Token}, nil
 }
 
-// Wrap adopts an already-submitted task id as a Future.
+// Wrap adopts an already-submitted task id as a Future. workType is unused:
+// a Future reads its task by id alone, and the parameter stays only until
+// the benchmark, its last caller, stops passing it.
 func Wrap(sess core.Session, taskID int64, workType int) *Future {
-	return &Future{sess: sess, id: taskID, workType: workType}
+	return &Future{sess: sess, id: taskID}
 }
 
 // TaskID returns the unique EMEWS DB task identifier.

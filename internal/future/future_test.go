@@ -420,7 +420,7 @@ func TestWrap(t *testing.T) {
 	sub, _ := db.Submit(context.Background(), "e", 7, "payload")
 	f := Wrap(db, sub.ID, 7)
 	id := sub.ID
-	if f.TaskID() != id || f.workType != 7 {
+	if f.TaskID() != id {
 		t.Fatalf("Wrap = %+v", f)
 	}
 	st, err := f.Status()

@@ -3,22 +3,19 @@ package minisql
 // ColType is the declared type of a table column.
 type ColType uint8
 
-// Supported column types.
+// Supported column types. The numbers are the column-type byte of a
+// checkpoint, so they never move; 1 was REAL, which a checkpoint decodes as
+// corrupt.
 const (
-	TypeInteger ColType = iota
-	TypeReal
-	TypeText
+	TypeInteger ColType = 0
+	TypeText    ColType = 2
 )
 
 func (t ColType) String() string {
-	switch t {
-	case TypeInteger:
+	if t == TypeInteger {
 		return "INTEGER"
-	case TypeReal:
-		return "REAL"
-	default:
-		return "TEXT"
 	}
+	return "TEXT"
 }
 
 // ColumnDef describes one column of a CREATE TABLE statement.
@@ -51,20 +48,10 @@ type createIndexStmt struct {
 	Ordered bool
 }
 
-type dropTableStmt struct {
-	Name     string
-	IfExists bool
-}
-
 type insertStmt struct {
 	Table string
 	Cols  []string
 	Rows  [][]expr
-}
-
-type selectCol struct {
-	Star bool
-	Name string // column name ("" for *)
 }
 
 type orderKey struct {
@@ -74,7 +61,7 @@ type orderKey struct {
 
 type selectStmt struct {
 	Count   bool // SELECT COUNT(*): the one aggregate, and Cols is empty
-	Cols    []selectCol
+	Cols    []string
 	Table   string
 	Where   expr // nil when absent
 	OrderBy []orderKey

@@ -94,17 +94,15 @@ func sealRecord(buf []byte, start int) []byte {
 }
 
 // appendValue appends v as one cell: its Kind byte, then a zigzag varint for
-// an integer, the little-endian IEEE bits for a float, or a uvarint length
-// and the bytes for text; NULL is the Kind byte alone. It and readValue are
-// the one cell codec, so a value has the same bytes in a log record (an
-// argument) and in a checkpoint (a stored cell).
+// an integer or a uvarint length and the bytes for text; NULL is the Kind
+// byte alone. It and readValue are the one cell codec, so a value has the
+// same bytes in a log record (an argument) and in a checkpoint (a stored
+// cell).
 func appendValue(b []byte, v Value) []byte {
 	b = append(b, byte(v.Kind))
 	switch v.Kind {
 	case KindInt:
 		b = codec.AppendVarint(b, v.Int)
-	case KindFloat:
-		b = codec.AppendFloat64(b, v.Float)
 	case KindText:
 		b = codec.AppendString(b, v.Text)
 	}
@@ -153,8 +151,6 @@ func readValue(r *codec.Reader) Value {
 	case KindNull:
 	case KindInt:
 		v.Int = r.Varint()
-	case KindFloat:
-		v.Float = r.Float64()
 	case KindText:
 		v.Text = r.String()
 	default:

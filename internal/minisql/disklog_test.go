@@ -26,7 +26,7 @@ func testEntry(idx uint64) LogEntry {
 				SQL: "INSERT INTO t VALUES (?, ?, ?, ?)",
 				Args: []Value{
 					{Kind: KindInt, Int: int64(idx)},
-					{Kind: KindFloat, Float: 3.25},
+					{Kind: KindInt, Int: 1 << 40},
 					{Kind: KindText, Text: "payload-αβ"},
 					{Kind: KindNull},
 				},
@@ -148,7 +148,7 @@ func TestDecodeRecordIntoReusesAndInterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := EncodeRecord(nil, LogEntry{Index: 5, Stmts: []Stmt{
-		{SQL: pinned, Args: []Value{Int64(1), Float64(2.5), Int64(3), Int64(4)}},
+		{SQL: pinned, Args: []Value{Int64(1), Int64(2), Int64(3), Int64(4)}},
 		{SQL: "DELETE FROM t"},
 	}})
 	var e LogEntry
@@ -173,10 +173,28 @@ func TestDecodeRecordIntoReusesAndInterns(t *testing.T) {
 }
 
 // parentSegment is seg-00000000000000000041.wal as DiskLog.Append wrote it at
-// the commit before records became the one entry encoding (entries 41-43 of
-// pinnedEntries, no fsync, closed cleanly). The on-disk format is a promise
-// to existing data directories; this is the promise in bytes.
+// the commit before the float cell kind went (entries 41-43 of pinnedEntries,
+// no fsync, closed cleanly). The on-disk format is a promise to existing data
+// directories; this is the promise in bytes.
 const parentSegment = "" +
+	"6400000086809a4829014c494e5345525420494e544f2065715f7461736b7320" +
+	"2865715f7461736b5f747970652c206a736f6e5f6f75742c2074696d655f6372" +
+	"6561746564292056414c55455320283f2c203f2c203f2903010e030a7b227822" +
+	"3a20312e357d0180dac5d10cdb000000b4caa0372a033e494e5345525420494e" +
+	"544f2065715f6578705f69645f7461736b7320286578705f69642c2065715f74" +
+	"61736b5f6964292056414c55455320283f2c203f290203056578702d31011838" +
+	"494e5345525420494e544f2065715f7461736b5f74616773202865715f746173" +
+	"6b5f69642c20746167292056414c55455320283f2c203f290201180306746167" +
+	"2dceb1455550444154452065715f7461736b7320534554206a736f6e5f696e20" +
+	"3d203f2c20776f726b65725f706f6f6c203d203f2057484552452065715f7461" +
+	"736b5f6964203d203f0300030001051800000058c141492b011444454c455445" +
+	"2046524f4d2065715f6f75745f7100"
+
+// floatSegment is the segment parentSegment pinned while minisql had a float
+// cell kind: the same entries but for a float (1696118400.25) as entry 41's
+// third argument. No build of core wrote a float, and kind 2 now decodes as
+// corrupt (TestFloatCellIsCorrupt).
+const floatSegment = "" +
 	"67000000f7cb5cef29014c494e5345525420494e544f2065715f7461736b7320" +
 	"2865715f7461736b5f747970652c206a736f6e5f6f75742c2074696d655f6372" +
 	"6561746564292056414c55455320283f2c203f2c203f2903010e030a7b227822" +
@@ -192,7 +210,7 @@ const parentSegment = "" +
 
 var pinnedEntries = []LogEntry{
 	{Index: 41, Stmts: []Stmt{{SQL: "INSERT INTO eq_tasks (eq_task_type, json_out, time_created) VALUES (?, ?, ?)",
-		Args: []Value{Int64(7), Text(`{"x": 1.5}`), Float64(1696118400.25)}}}},
+		Args: []Value{Int64(7), Text(`{"x": 1.5}`), Int64(1696118400)}}}},
 	{Index: 42, Stmts: []Stmt{
 		{SQL: "INSERT INTO eq_exp_id_tasks (exp_id, eq_task_id) VALUES (?, ?)", Args: []Value{Text("exp-1"), Int64(12)}},
 		{SQL: "INSERT INTO eq_task_tags (eq_task_id, tag) VALUES (?, ?)", Args: []Value{Int64(12), Text("tag-α")}},
@@ -238,19 +256,57 @@ func TestDiskLogParentSegmentPinned(t *testing.T) {
 	}
 }
 
+// floatCellRecord is a record whose one statement carries a float argument as
+// the cell codec wrote one while minisql had a float kind: the Kind byte 2,
+// then the value's 8 little-endian IEEE bits.
+func floatCellRecord(idx uint64, f float64) []byte {
+	payload := binary.AppendUvarint(nil, idx)
+	payload = binary.AppendUvarint(payload, 1) // statements
+	payload = codec.AppendString(payload, "UPDATE q SET w = ? WHERE id = ?")
+	payload = binary.AppendUvarint(payload, 2) // arguments
+	payload = binary.LittleEndian.AppendUint64(append(payload, 2), math.Float64bits(f))
+	payload = codec.AppendVarint(append(payload, byte(KindInt)), 7)
+	return framePayload(payload)
+}
+
+// TestFloatCellIsCorrupt: a cell of kind 2, once a float, is no cell the
+// codec knows. The segment the parent pinned fails at its first record, which
+// holds one, and so does a hand-made record; a DiskLog scan would cut a
+// segment there as at a torn tail.
+func TestFloatCellIsCorrupt(t *testing.T) {
+	seg, err := hex.DecodeString(floatSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeRecord(seg); !errors.Is(err, errCorrupt) {
+		t.Fatalf("first record of the float-era segment: err %v, want errCorrupt", err)
+	}
+	if _, _, err := DecodeRecord(floatCellRecord(9, 1.5)); !errors.Is(err, errCorrupt) {
+		t.Fatalf("hand-made kind-2 cell: err %v, want errCorrupt", err)
+	}
+	// The same record with an integer cell in its place decodes.
+	ok := EncodeRecord(nil, LogEntry{Index: 9, Stmts: []Stmt{{SQL: "UPDATE q SET w = ? WHERE id = ?",
+		Args: []Value{Int64(2), Int64(7)}}}})
+	if _, _, err := DecodeRecord(ok); err != nil {
+		t.Fatalf("control record: %v", err)
+	}
+}
+
 // FuzzDecodeRecord fuzzes the one decoder of bytes that come off a disk or a
 // replication socket. It must never panic, never size a slice past the bytes
 // it was given (so never past MaxRecordSize), and whatever it accepts must
 // survive a round trip as a value — not as the input bytes: binary.Uvarint
 // accepts non-minimal varints the encoder never writes.
 func FuzzDecodeRecord(f *testing.F) {
-	nan := LogEntry{Index: 2, Stmts: []Stmt{{SQL: "X", Args: []Value{Float64(math.NaN())}}}}
 	// One Stmt carrying three argument rows, as Tx.ExecRows logs it.
 	rows := LogEntry{Index: 3, Stmts: []Stmt{{SQL: "UPDATE q SET p = ? WHERE id = ?",
 		Args: []Value{Int64(7), Int64(1), Int64(-2), Int64(1 << 40), Int64(0), Int64(3)}}}}
-	seeds := append([]LogEntry{testEntry(1), {Index: 1 << 40}, nan, rows}, pinnedEntries...)
+	seeds := append([]LogEntry{testEntry(1), {Index: 1 << 40}, rows}, pinnedEntries...)
+	recs := [][]byte{floatCellRecord(2, 1.5)} // a kind-2 cell: corrupt
 	for _, e := range seeds {
-		rec := EncodeRecord(nil, e)
+		recs = append(recs, EncodeRecord(nil, e))
+	}
+	for _, rec := range recs {
 		f.Add(rec)
 		f.Add(rec[recordHeaderSize:])
 		f.Add(rec[:len(rec)/2])

@@ -34,7 +34,7 @@ type Result struct {
 type Engine struct {
 	mu     sync.Mutex
 	tables map[string]*table
-	// epoch is the schema epoch, bumped by CREATE/DROP TABLE, CREATE INDEX and
+	// epoch is the schema epoch, bumped by CREATE TABLE, CREATE INDEX and
 	// Restore: a handle bound in an older epoch re-binds at its next run.
 	epoch uint64
 	tx    Tx // what TxLogged hands its closure; one transaction holds mu at a time
@@ -259,7 +259,7 @@ func (e *Engine) recording(h *Prepared) bool {
 // must be recorded in the statement log for replication.
 func isMutating(stmt any) bool {
 	switch stmt.(type) {
-	case createTableStmt, createIndexStmt, dropTableStmt, insertStmt, updateStmt, deleteStmt:
+	case createTableStmt, createIndexStmt, insertStmt, updateStmt, deleteStmt:
 		return true
 	}
 	return false
@@ -303,8 +303,6 @@ func (e *Engine) execStmtLocked(h *Prepared, args []Value, spreadN int, hits []i
 		return 0, 0, e.execCreateTable(st)
 	case createIndexStmt:
 		return 0, 0, e.execCreateIndex(st)
-	case dropTableStmt:
-		return 0, 0, e.execDropTable(st)
 	}
 	b := e.bindLocked(h)
 	if b.err != nil {
@@ -431,18 +429,6 @@ func (e *Engine) execCreateIndex(st createIndexStmt) error {
 	if err := t.addIndex(spec, st.Ordered); err != nil {
 		return err
 	}
-	e.epoch++
-	return nil
-}
-
-func (e *Engine) execDropTable(st dropTableStmt) error {
-	if _, ok := e.tables[st.Name]; !ok {
-		if st.IfExists {
-			return nil
-		}
-		return fmt.Errorf("%w: %q", ErrNoSuchTable, st.Name)
-	}
-	delete(e.tables, st.Name)
 	e.epoch++
 	return nil
 }
@@ -817,8 +803,6 @@ func truthy(v Value) bool {
 		return false
 	case KindInt:
 		return v.Int != 0
-	case KindFloat:
-		return v.Float != 0
 	default:
 		return v.Text != ""
 	}

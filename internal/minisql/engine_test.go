@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -94,17 +96,17 @@ func newTaskEngine(t *testing.T) *Engine {
 	e := NewEngine()
 	mustExec(t, e, `CREATE TABLE tasks (
 		id INTEGER PRIMARY KEY AUTOINCREMENT,
-		name TEXT, score REAL, status TEXT)`)
+		name TEXT, score INTEGER, status TEXT)`)
 	return e
 }
 
 func TestCreateInsertSelect(t *testing.T) {
 	e := newTaskEngine(t)
-	res := mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, ?)", Text("a"), Float64(1.5), Text("queued"))
+	res := mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, ?)", Text("a"), Int64(15), Text("queued"))
 	if res.LastInsertID != 1 {
 		t.Fatalf("LastInsertID = %d, want 1", res.LastInsertID)
 	}
-	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('b', 2.5, 'queued'), ('c', 0.5, 'running')")
+	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('b', 25, 'queued'), ('c', 5, 'running')")
 	sel := mustExec(t, e, "SELECT id, name, score FROM tasks WHERE status = ?", Text("queued"))
 	if len(sel.Rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(sel.Rows))
@@ -117,25 +119,16 @@ func TestCreateInsertSelect(t *testing.T) {
 	}
 }
 
-func TestSelectStar(t *testing.T) {
-	e := newTaskEngine(t)
-	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('a', 1, 's')")
-	sel := mustExec(t, e, "SELECT * FROM tasks")
-	if len(sel.Rows) != 1 || len(sel.Rows[0]) != 4 {
-		t.Fatalf("star select shape wrong: rows=%v", sel.Rows)
-	}
-}
-
 func TestOrderByLimit(t *testing.T) {
 	e := newTaskEngine(t)
 	for i := 0; i < 10; i++ {
-		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')", Text(fmt.Sprintf("t%d", i)), Float64(float64(i%5)))
+		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')", Text(fmt.Sprintf("t%d", i)), Int64(int64(i%5)))
 	}
 	sel := mustExec(t, e, "SELECT name, score FROM tasks ORDER BY score DESC, name ASC LIMIT 3")
 	if len(sel.Rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(sel.Rows))
 	}
-	if sel.Rows[0][1].AsFloat() != 4 || sel.Rows[0][0].AsText() != "t4" {
+	if sel.Rows[0][1].AsInt() != 4 || sel.Rows[0][0].AsText() != "t4" {
 		t.Fatalf("row0 = %v", sel.Rows[0])
 	}
 	if sel.Rows[1][0].AsText() != "t9" {
@@ -161,12 +154,12 @@ func TestLimitParam(t *testing.T) {
 func TestUpdateDelete(t *testing.T) {
 	e := newTaskEngine(t)
 	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'queued'), ('b', 2, 'queued')")
-	res := mustExec(t, e, "UPDATE tasks SET status = ?, score = ? WHERE name = ?", Text("running"), Float64(9.0), Text("a"))
+	res := mustExec(t, e, "UPDATE tasks SET status = ?, score = ? WHERE name = ?", Text("running"), Int64(9), Text("a"))
 	if res.RowsAffected != 1 {
 		t.Fatalf("update affected %d, want 1", res.RowsAffected)
 	}
 	sel := mustExec(t, e, "SELECT score FROM tasks WHERE status = 'running'")
-	if len(sel.Rows) != 1 || sel.Rows[0][0].AsFloat() != 9 {
+	if len(sel.Rows) != 1 || sel.Rows[0][0].AsInt() != 9 {
 		t.Fatalf("after update: %v", sel.Rows)
 	}
 	res = mustExec(t, e, "DELETE FROM tasks WHERE status = 'queued'")
@@ -184,7 +177,7 @@ func TestUpdateDelete(t *testing.T) {
 func TestAggregates(t *testing.T) {
 	e := newTaskEngine(t)
 	for i := 1; i <= 4; i++ {
-		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('x', ?, ?)", Float64(float64(i)), Text([]string{"q", "r"}[i%2]))
+		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('x', ?, ?)", Int64(int64(i)), Text([]string{"q", "r"}[i%2]))
 	}
 	for where, want := range map[string]int64{
 		"":                                   4,
@@ -216,7 +209,7 @@ func TestAggregateEmpty(t *testing.T) {
 func TestWhereOperators(t *testing.T) {
 	e := newTaskEngine(t)
 	for i := 0; i < 10; i++ {
-		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')", Text(fmt.Sprintf("t%d", i)), Float64(float64(i)))
+		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')", Text(fmt.Sprintf("t%d", i)), Int64(int64(i)))
 	}
 	cases := []struct {
 		where string
@@ -319,13 +312,13 @@ func TestTransactionRollback(t *testing.T) {
 		t.Fatalf("TxLogged = %v, want the callback's error", err)
 	}
 	sel := mustExec(t, e, "SELECT name, score FROM tasks")
-	if len(sel.Rows) != 1 || sel.Rows[0][0].AsText() != "keep" || sel.Rows[0][1].AsFloat() != 1 {
+	if len(sel.Rows) != 1 || sel.Rows[0][0].AsText() != "keep" || sel.Rows[0][1].AsInt() != 1 {
 		t.Fatalf("after rollback: %v", sel.Rows)
 	}
 }
 
 func TestTransactionCommit(t *testing.T) {
-	e, w := newHookedEngine(t, "CREATE TABLE tasks (id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT, score REAL, status TEXT)")
+	e, w := newHookedEngine(t, "CREATE TABLE tasks (id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT, score INTEGER, status TEXT)")
 	tok, err := e.TxLogged(func(tx *Tx) error {
 		_, err := txExecSQL(tx, "INSERT INTO tasks (name, score, status) VALUES ('a', 1, 'q')")
 		return err
@@ -403,12 +396,12 @@ func TestAutoincrementSkipsProvidedIDs(t *testing.T) {
 func TestErrors(t *testing.T) {
 	e := newTaskEngine(t)
 	for _, sql := range []string{
-		"SELECT * FROM missing",
+		"SELECT id FROM missing",
 		"SELECT nope FROM tasks",
 		"INSERT INTO tasks (nope) VALUES (1)",
 		"SELECT FROM tasks",
 		"BOGUS STATEMENT",
-		"SELECT * FROM tasks WHERE",
+		"SELECT id FROM tasks WHERE",
 		"INSERT INTO tasks (name) VALUES (?, ?)",
 	} {
 		if _, err := execSQL(e, sql); err == nil {
@@ -416,7 +409,7 @@ func TestErrors(t *testing.T) {
 		}
 	}
 	// Too few args.
-	if _, err := execSQL(e, "SELECT * FROM tasks WHERE name = ?"); err == nil {
+	if _, err := execSQL(e, "SELECT id FROM tasks WHERE name = ?"); err == nil {
 		t.Error("missing argument should fail")
 	}
 }
@@ -459,6 +452,48 @@ func TestRemovedSQLRejected(t *testing.T) {
 	}
 }
 
+// TestFloatDropStarRefused: the EMEWS database stores only INTEGER and TEXT
+// cells, never drops a table and always names the columns it selects, so a
+// REAL column, a float literal, DROP TABLE, SELECT * and a NOT NULL clause do
+// not prepare, and REAL and DROP are not keywords.
+func TestFloatDropStarRefused(t *testing.T) {
+	e := NewEngine()
+	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v INTEGER, s TEXT)")
+	for _, c := range []struct{ name, sql string }{
+		{"REAL column", "CREATE TABLE r (id INTEGER, w REAL)"},
+		{"float literal in WHERE", "SELECT id FROM t WHERE v = 1.5"},
+		{"float literal in VALUES", "INSERT INTO t (v) VALUES (1.5)"},
+		{"float literal in SET", "UPDATE t SET v = 2.0 WHERE id = 1"},
+		{"DROP TABLE", "DROP TABLE t"},
+		{"DROP TABLE IF EXISTS", "DROP TABLE IF EXISTS t"},
+		{"SELECT *", "SELECT * FROM t"},
+		{"SELECT * beside a column", "SELECT id, * FROM t WHERE v = 1"},
+		{"NOT NULL", "CREATE TABLE n (id INTEGER NOT NULL, s TEXT)"},
+		{"NOT NULL after PRIMARY KEY", "CREATE TABLE n (id INTEGER PRIMARY KEY NOT NULL)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := e.Prepare(c.sql); err == nil {
+				t.Fatalf("Prepare(%q) succeeded, want an error", c.sql)
+			}
+		})
+	}
+	for _, kw := range []string{"REAL", "DROP"} {
+		if keywords[kw] {
+			t.Errorf("%s is still a keyword", kw)
+		}
+	}
+	// What stays: integer literals, NULL and IF NOT EXISTS.
+	for _, sql := range []string{
+		"SELECT id, s FROM t WHERE v = -15",
+		"INSERT INTO t (v, s) VALUES (NULL, 'x')",
+		"CREATE TABLE IF NOT EXISTS t (id INTEGER)",
+	} {
+		if _, err := e.Prepare(sql); err != nil {
+			t.Errorf("Prepare(%q): %v", sql, err)
+		}
+	}
+}
+
 func TestStringEscapes(t *testing.T) {
 	e := newTaskEngine(t)
 	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES ('it''s', 0, 'q')")
@@ -470,13 +505,13 @@ func TestStringEscapes(t *testing.T) {
 
 func TestTypeCoercion(t *testing.T) {
 	e := newTaskEngine(t)
-	// Text into REAL column coerces to number; int into TEXT becomes text.
-	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')", Int64(42), Text("3.5"))
+	// Text into an INTEGER column coerces to number; int into TEXT becomes text.
+	mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, 'q')", Int64(42), Text("35"))
 	sel := mustExec(t, e, "SELECT name, score FROM tasks")
 	if sel.Rows[0][0].Kind != KindText || sel.Rows[0][0].AsText() != "42" {
 		t.Fatalf("name = %#v", sel.Rows[0][0])
 	}
-	if sel.Rows[0][1].Kind != KindFloat || sel.Rows[0][1].AsFloat() != 3.5 {
+	if sel.Rows[0][1].Kind != KindInt || sel.Rows[0][1].AsInt() != 35 {
 		t.Fatalf("score = %#v", sel.Rows[0][1])
 	}
 }
@@ -485,7 +520,7 @@ func TestSnapshotRestore(t *testing.T) {
 	e := newTaskEngine(t)
 	mustExec(t, e, "CREATE INDEX t_status ON tasks (status)")
 	for i := 0; i < 20; i++ {
-		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, ?)", Text(fmt.Sprintf("t%d", i)), Float64(float64(i)), Text([]string{"queued", "running"}[i%2]))
+		mustExec(t, e, "INSERT INTO tasks (name, score, status) VALUES (?, ?, ?)", Text(fmt.Sprintf("t%d", i)), Int64(int64(i)), Text([]string{"queued", "running"}[i%2]))
 	}
 	var buf bytes.Buffer
 	if err := e.Snapshot(&buf); err != nil {
@@ -674,8 +709,6 @@ func TestValueCompare(t *testing.T) {
 	}{
 		{Int64(1), Int64(2), -1},
 		{Int64(2), Int64(2), 0},
-		{Float64(2.5), Int64(2), 1},
-		{Int64(2), Float64(2.0), 0},
 		{Text("a"), Text("b"), -1},
 		{Null(), Int64(0), -1},
 		{Null(), Null(), 0},
@@ -685,6 +718,21 @@ func TestValueCompare(t *testing.T) {
 		if got := c.a.Compare(c.b); got != c.want {
 			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+// TestCellSizes pins what a stored cell and an ordered-index entry cost on a
+// 64-bit build: a Value is a kind, an int64 and a string header (32 bytes;
+// 40 while it also held a float), and an ordEntry two Values and a row id.
+func TestCellSizes(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("sizes are pinned for 64-bit builds")
+	}
+	if got := reflect.TypeOf(Value{}).Size(); got != 32 {
+		t.Errorf("Value is %d bytes, want 32", got)
+	}
+	if got := reflect.TypeOf(ordEntry{}).Size(); got != 72 {
+		t.Errorf("ordEntry is %d bytes, want 72", got)
 	}
 }
 
@@ -708,24 +756,6 @@ func TestTombstoneCompaction(t *testing.T) {
 	}
 }
 
-func TestDropTable(t *testing.T) {
-	e := newTaskEngine(t)
-	mustExec(t, e, "DROP TABLE tasks")
-	if _, err := execSQL(e, "SELECT * FROM tasks"); err == nil {
-		t.Fatal("dropped table still queryable")
-	}
-	if _, err := execSQL(e, "DROP TABLE tasks"); err == nil {
-		t.Fatal("dropping a missing table must error")
-	}
-	mustExec(t, e, "DROP TABLE IF EXISTS tasks") // no-op succeeds
-	// Recreate after drop works.
-	mustExec(t, e, "CREATE TABLE tasks (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
-	res := mustExec(t, e, "INSERT INTO tasks (v) VALUES ('x')")
-	if res.LastInsertID != 1 {
-		t.Fatalf("fresh table id = %d", res.LastInsertID)
-	}
-}
-
 func TestCreateTableIfNotExists(t *testing.T) {
 	e := newTaskEngine(t)
 	mustExec(t, e, "CREATE TABLE IF NOT EXISTS tasks (id INTEGER)")
@@ -739,7 +769,7 @@ func TestCreateTableIfNotExists(t *testing.T) {
 // open between calls — the next write from any caller commits on its own
 // with its own log entry instead of silently joining someone else's.
 func TestNestedTransactionRejected(t *testing.T) {
-	e, w := newHookedEngine(t, "CREATE TABLE tasks (id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT, score REAL, status TEXT)")
+	e, w := newHookedEngine(t, "CREATE TABLE tasks (id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT, score INTEGER, status TEXT)")
 	if _, err := execSQL(e, "BEGIN"); err == nil {
 		t.Fatal("BEGIN must be refused")
 	}

@@ -27,12 +27,11 @@ type token struct {
 var keywords = map[string]bool{
 	"CREATE": true, "TABLE": true, "INDEX": true, "ORDERED": true, "ON": true, "IF": true,
 	"NOT": true, "EXISTS": true, "PRIMARY": true, "KEY": true,
-	"AUTOINCREMENT": true, "INTEGER": true, "REAL": true, "TEXT": true,
+	"AUTOINCREMENT": true, "INTEGER": true, "TEXT": true,
 	"INSERT": true, "INTO": true, "VALUES": true,
 	"SELECT": true, "FROM": true, "WHERE": true, "ORDER": true, "BY": true,
 	"ASC": true, "DESC": true, "LIMIT": true, "COUNT": true, "AND": true,
 	"IN": true, "UPDATE": true, "SET": true, "DELETE": true, "NULL": true,
-	"DROP": true,
 }
 
 type lexer struct {
@@ -110,19 +109,8 @@ func (l *lexer) lexNumber() {
 	if l.src[l.pos] == '-' {
 		l.pos++
 	}
-	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if isDigit(c) {
-			l.pos++
-			continue
-		}
-		if c == '.' && !seenDot {
-			seenDot = true
-			l.pos++
-			continue
-		}
-		break
+	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
+		l.pos++
 	}
 	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
 }

@@ -104,8 +104,6 @@ func (p *parser) statement() (any, error) {
 	switch t.text {
 	case "CREATE":
 		return p.createStmt()
-	case "DROP":
-		return p.dropStmt()
 	case "INSERT":
 		return p.insertStmt()
 	case "SELECT":
@@ -181,8 +179,6 @@ func (p *parser) columnDef() (ColumnDef, error) {
 	switch t.text {
 	case "INTEGER":
 		def.Type = TypeInteger
-	case "REAL":
-		def.Type = TypeReal
 	case "TEXT":
 		def.Type = TypeText
 	default:
@@ -197,11 +193,6 @@ func (p *parser) columnDef() (ColumnDef, error) {
 			def.PrimaryKey = true
 		case p.acceptKeyword("AUTOINCREMENT"):
 			def.AutoInc = true
-		case p.acceptKeyword("NOT"):
-			if err := p.expectKeyword("NULL"); err != nil {
-				return def, err
-			}
-			// NOT NULL accepted and ignored (engine stores NULLs untyped).
 		default:
 			return def, nil
 		}
@@ -252,26 +243,6 @@ func (p *parser) createIndex(ordered bool) (any, error) {
 	}
 	st.Name = name
 	st.Table = tbl
-	return st, nil
-}
-
-func (p *parser) dropStmt() (any, error) {
-	p.pos++ // DROP
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	st := dropTableStmt{}
-	if p.acceptKeyword("IF") {
-		if err := p.expectKeyword("EXISTS"); err != nil {
-			return nil, err
-		}
-		st.IfExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st.Name = name
 	return st, nil
 }
 
@@ -345,11 +316,11 @@ func (p *parser) selectStmt() (any, error) {
 		st.Count = true
 	} else {
 		for {
-			sc, err := p.selectCol()
+			col, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			st.Cols = append(st.Cols, sc)
+			st.Cols = append(st.Cols, col)
 			if !p.acceptPunct(",") {
 				break
 			}
@@ -400,17 +371,6 @@ func (p *parser) selectStmt() (any, error) {
 		st.Limit = e
 	}
 	return st, nil
-}
-
-func (p *parser) selectCol() (selectCol, error) {
-	if p.acceptPunct("*") {
-		return selectCol{Star: true}, nil
-	}
-	col, err := p.ident()
-	if err != nil {
-		return selectCol{}, err
-	}
-	return selectCol{Name: col}, nil
 }
 
 func (p *parser) updateStmt() (any, error) {
@@ -550,13 +510,6 @@ func (p *parser) primaryExpr() (expr, error) {
 		return e, nil
 	case t.kind == tokNumber:
 		p.pos++
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("minisql: bad number %q", t.text)
-			}
-			return &litExpr{V: Float64(f)}, nil
-		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("minisql: bad number %q", t.text)

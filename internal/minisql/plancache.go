@@ -300,14 +300,8 @@ func (b *bound) bindSelect(st selectStmt) error {
 		b.countIx = ix != nil
 		return nil
 	}
-	for _, sc := range st.Cols {
-		if sc.Star {
-			for i := range t.cols {
-				b.pos = append(b.pos, i)
-			}
-			continue
-		}
-		ci, err := t.col(sc.Name)
+	for _, name := range st.Cols {
+		ci, err := t.col(name)
 		if err != nil {
 			return err
 		}

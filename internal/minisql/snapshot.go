@@ -319,7 +319,7 @@ func (d *ckptDecoder) table(r *codec.Reader) error {
 	for i := range cols {
 		cols[i].Name = r.String()
 		typ, flags := ColType(r.Byte()), r.Byte()
-		if typ > TypeText || flags > 3 {
+		if (typ != TypeInteger && typ != TypeText) || flags > 3 {
 			r.Fail()
 		}
 		cols[i].Type, cols[i].PrimaryKey, cols[i].AutoInc = typ, flags&1 != 0, flags&2 != 0

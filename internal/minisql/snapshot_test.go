@@ -373,16 +373,16 @@ func TestSnapshotLockHoldIsCapture(t *testing.T) {
 // TestCheckpointPinned holds the checkpoint format to its bytes: a change to
 // the layout, the cell codec or the order tables, index specs and rows are
 // written in fails here, and must bump ckptVersion. Two tables, a composite
-// ordered index beside a plain one, NULL, integer, float and text cells, and
+// ordered index beside a plain one, NULL, integer and text cells, and
 // a nextKey above the largest stored key (the row holding it was deleted).
 func TestCheckpointPinned(t *testing.T) {
 	e := NewEngine()
-	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, prio INTEGER, w REAL, note TEXT)")
+	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY AUTOINCREMENT, prio INTEGER, w INTEGER, note TEXT)")
 	mustExec(t, e, "CREATE ORDERED INDEX q_prio ON q (prio, id)")
 	mustExec(t, e, "CREATE INDEX q_note ON q (note)")
-	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", Int64(5), Float64(0.5), Text("a"))
+	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", Int64(5), Int64(1), Text("a"))
 	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", Int64(-1), Null(), Null())
-	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", Int64(7), Float64(2.0), Text("gone"))
+	mustExec(t, e, "INSERT INTO q (prio, w, note) VALUES (?, ?, ?)", Int64(7), Int64(2), Text("gone"))
 	mustExec(t, e, "DELETE FROM q WHERE id = ?", Int64(3))
 	mustExec(t, e, "CREATE TABLE tags (task INTEGER, tag TEXT)")
 	mustExec(t, e, "INSERT INTO tags (task, tag) VALUES (?, ?)", Int64(1), Text("x"))
@@ -411,11 +411,55 @@ func TestCheckpointPinned(t *testing.T) {
 
 const pinnedCheckpointHex = "" +
 	"140000003f0c0e2c6d696e6973716c20636865636b706f696e7402022f000000" +
+	"0affced2010171040269640003047072696f000001770000046e6f7465020008" +
+	"02026964046e6f746501077072696f2c69640212000000be8250e00204010201" +
+	"0a010203016104010401010000180000004f8080010104746167730204746173" +
+	"6b0000037461670200020000010700000071f8d19502020102030178"
+
+// floatCheckpointHex is the checkpoint TestCheckpointPinned held while
+// minisql had a REAL column type and a float cell kind: w was REAL and held
+// 0.5 and 2.0. Neither is in the format any more.
+const floatCheckpointHex = "" +
+	"140000003f0c0e2c6d696e6973716c20636865636b706f696e7402022f000000" +
 	"2e26c9b1010171040269640003047072696f000001770100046e6f7465020008" +
 	"02026964046e6f746501077072696f2c69640219000000fb5f10790204010201" +
 	"0a02000000000000e03f03016104010401010000180000004f80800101047461" +
 	"677302047461736b0000037461670200020000010700000071f8d19502020102" +
 	"030178"
+
+// TestRestoreRefusesFloatCheckpoint: a checkpoint naming column type 1, once
+// REAL, is refused — the float-era pin and a hand-made table record alike —
+// and the engine keeps the state it had.
+func TestRestoreRefusesFloatCheckpoint(t *testing.T) {
+	old, err := hex.DecodeString(floatCheckpointHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typeOne := encodeCheckpoint(t, tableCut{name: "q", nextKey: 1, cols: []ColumnDef{
+		{Name: "id", Type: TypeInteger, PrimaryKey: true, AutoInc: true},
+		{Name: "w", Type: ColType(1)},
+	}})
+	for name, data := range map[string][]byte{"float-era pin": old, "column type 1": typeOne} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			mustExec(t, e, "CREATE TABLE keep (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
+			mustExec(t, e, "INSERT INTO keep (v) VALUES (?)", Text("x"))
+			var before, after bytes.Buffer
+			if err := e.Snapshot(&before); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Restore(bytes.NewReader(data)); err == nil {
+				t.Fatal("Restore accepted the checkpoint")
+			}
+			if err := e.Snapshot(&after); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Fatal("a refused Restore changed the engine")
+			}
+		})
+	}
+}
 
 // FuzzRestoreSnapshot: a checkpoint file or a leader's bootstrap stream is
 // bytes from outside. Restore may refuse them but must not panic, allocates
@@ -430,7 +474,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		var err error
 		switch i % 3 {
 		case 0:
-			_, err = execSQL(e, "UPDATE tasks SET status = ?, result = ?, prio = ? WHERE id = ?", Int64(2), Float64(0.5), Null(), Int64(int64(i/2)))
+			_, err = execSQL(e, "UPDATE tasks SET status = ?, result = ?, prio = ? WHERE id = ?", Int64(2), Int64(5), Null(), Int64(int64(i/2)))
 		case 1:
 			_, err = execSQL(e, "DELETE FROM tasks WHERE id = ?", Int64(int64(i/3)))
 		case 2:

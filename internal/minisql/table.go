@@ -482,7 +482,7 @@ func (t *table) scanIDs(ids []int64) []int64 {
 }
 
 // coerce converts v to the declared column type where possible; TEXT columns
-// keep numeric values' text form, numeric columns parse text.
+// keep integers' text form, INTEGER columns parse text.
 func coerce(v Value, typ ColType) Value {
 	if v.Kind == KindNull {
 		return v
@@ -491,10 +491,6 @@ func coerce(v Value, typ ColType) Value {
 	case TypeInteger:
 		if v.Kind != KindInt {
 			return Int64(v.AsInt())
-		}
-	case TypeReal:
-		if v.Kind != KindFloat {
-			return Float64(v.AsFloat())
 		}
 	case TypeText:
 		if v.Kind != KindText {

@@ -1,10 +1,13 @@
 // Package minisql is a small embedded relational database engine supporting
 // the SQL subset the OSPREY EMEWS task database issues, and nothing more:
-// CREATE TABLE / [ORDERED] INDEX, DROP TABLE, INSERT (one or more VALUES
-// rows), SELECT (columns or COUNT(*), ORDER BY ... ASC|DESC, LIMIT), UPDATE
+// CREATE TABLE [IF NOT EXISTS] with INTEGER and TEXT columns (PRIMARY KEY,
+// AUTOINCREMENT), CREATE [ORDERED] INDEX [IF NOT EXISTS] on one or two
+// columns, INSERT (an optional column list, one or more VALUES rows), SELECT
+// (named columns or COUNT(*), ORDER BY ... ASC|DESC, LIMIT), UPDATE ... SET
 // and DELETE, where a WHERE clause is an AND of `=` comparisons and
-// `IN (...)` / `IN (?...)` lists over columns, literals and `?` parameters.
-// Transactions are Go closures (Engine.TxLogged), never SQL text.
+// `IN (...)` / `IN (?...)` lists over columns, integer and string literals,
+// NULL and `?` parameters. Transactions are Go closures (Engine.TxLogged),
+// never SQL text.
 //
 // Statements are compiled once (plancache.go). Engine.Prepare parses a text
 // and returns a *Prepared handle; a transaction runs it with Value arguments
@@ -12,7 +15,7 @@
 // a read's rows into a callback, Tx.Count for a COUNT(*) — with no boxing, no
 // re-planning and no materialised Result. A handle binds to the schema at its
 // first run in each schema epoch (table, column positions, WHERE conjuncts,
-// the index they probe); CREATE/DROP TABLE, CREATE INDEX and Restore start a
+// the index they probe); CREATE TABLE, CREATE INDEX and Restore start a
 // new epoch, and a stale handle re-binds at its next run. ApplyEntry resolves
 // each logged statement's text to a handle through the engine's text index —
 // prepared handles pinned, ad-hoc texts bounded — so a follower runs the
@@ -25,28 +28,25 @@
 // with hash indexes and an undo-log transaction model.
 package minisql
 
-import (
-	"math"
-	"strconv"
-)
+import "strconv"
 
 // Kind enumerates the runtime type of a Value.
 type Kind uint8
 
-// Value kinds. Integers and floats compare numerically with coercion.
+// Value kinds. The numbers are the cell byte of every log record and
+// checkpoint, so they never move; 2 was a float cell, which no build of core
+// wrote, and now decodes as corrupt.
 const (
-	KindNull Kind = iota
-	KindInt
-	KindFloat
-	KindText
+	KindNull Kind = 0
+	KindInt  Kind = 1
+	KindText Kind = 3
 )
 
 // Value is a dynamically typed SQL value.
 type Value struct {
-	Kind  Kind
-	Int   int64
-	Float float64
-	Text  string
+	Kind Kind
+	Int  int64
+	Text string
 }
 
 // Null returns the SQL NULL value.
@@ -54,9 +54,6 @@ func Null() Value { return Value{Kind: KindNull} }
 
 // Int64 wraps an int64 as a Value.
 func Int64(v int64) Value { return Value{Kind: KindInt, Int: v} }
-
-// Float64 wraps a float64 as a Value.
-func Float64(v float64) Value { return Value{Kind: KindFloat, Float: v} }
 
 // Text wraps a string as a Value.
 func Text(s string) Value { return Value{Kind: KindText, Text: s} }
@@ -69,25 +66,9 @@ func (v Value) AsInt() int64 {
 	switch v.Kind {
 	case KindInt:
 		return v.Int
-	case KindFloat:
-		return int64(v.Float)
 	case KindText:
 		n, _ := strconv.ParseInt(v.Text, 10, 64)
 		return n
-	}
-	return 0
-}
-
-// AsFloat returns the value coerced to float64.
-func (v Value) AsFloat() float64 {
-	switch v.Kind {
-	case KindInt:
-		return float64(v.Int)
-	case KindFloat:
-		return v.Float
-	case KindText:
-		f, _ := strconv.ParseFloat(v.Text, 64)
-		return f
 	}
 	return 0
 }
@@ -97,8 +78,6 @@ func (v Value) AsText() string {
 	switch v.Kind {
 	case KindInt:
 		return strconv.FormatInt(v.Int, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
 	case KindText:
 		return v.Text
 	}
@@ -114,8 +93,8 @@ func (v Value) String() string {
 }
 
 // Compare orders two values: -1 if v < o, 0 if equal, 1 if v > o.
-// NULL sorts before everything; numeric kinds compare with coercion;
-// comparing text with a number compares the number's text form.
+// NULL sorts before everything; comparing text with a number compares the
+// number's text form.
 func (v Value) Compare(o Value) int {
 	if v.Kind == KindNull || o.Kind == KindNull {
 		switch {
@@ -138,21 +117,10 @@ func (v Value) Compare(o Value) int {
 			return 0
 		}
 	}
-	if v.Kind == KindInt && o.Kind == KindInt {
-		switch {
-		case v.Int < o.Int:
-			return -1
-		case v.Int > o.Int:
-			return 1
-		default:
-			return 0
-		}
-	}
-	a, b := v.AsFloat(), o.AsFloat()
 	switch {
-	case a < b:
+	case v.Int < o.Int:
 		return -1
-	case a > b:
+	case v.Int > o.Int:
 		return 1
 	default:
 		return 0
@@ -161,11 +129,11 @@ func (v Value) Compare(o Value) int {
 
 // hashKey is a Value's identity on the hash side of an index: comparable, so
 // it keys a map directly and no index touch builds a string. Values that are
-// equal as SQL index keys have equal hashKeys and no others do: 1 and 1.0
-// share a key, 1 and '1' do not.
+// equal as SQL index keys have equal hashKeys and no others do: 1 and '1' do
+// not share a key.
 type hashKey struct {
 	kind Kind
-	num  uint64 // the int64, or the float's bits; 0 for NULL and text
+	num  int64 // 0 for NULL and text
 	text string
 }
 
@@ -175,18 +143,7 @@ func (v Value) key() hashKey {
 	case KindNull:
 		return hashKey{}
 	case KindInt:
-		return hashKey{kind: KindInt, num: uint64(v.Int)}
-	case KindFloat:
-		f := v.Float
-		// Integral floats hash like ints so 1 and 1.0 collide as SQL expects
-		// (-0.0 is 0); a float outside int64 has no int to collide with.
-		if f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f) {
-			return hashKey{kind: KindInt, num: uint64(int64(f))}
-		}
-		if f != f {
-			f = math.NaN() // every NaN payload is the one key
-		}
-		return hashKey{kind: KindFloat, num: math.Float64bits(f)}
+		return hashKey{kind: KindInt, num: v.Int}
 	default:
 		return hashKey{kind: KindText, text: v.Text}
 	}

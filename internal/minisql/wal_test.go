@@ -48,7 +48,7 @@ func entriesSince(t testing.TB, w *Log, after uint64) ([]LogEntry, bool) {
 func TestCommitHookAutocommit(t *testing.T) {
 	e, w := newHookedEngine(t, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
 	mustExec(t, e, "INSERT INTO t (v) VALUES (?)", Text("a"))
-	mustExec(t, e, "SELECT * FROM t") // reads are never logged
+	mustExec(t, e, "SELECT id, v FROM t") // reads are never logged
 	mustExec(t, e, "UPDATE t SET v = ? WHERE id = ?", Text("b"), Int64(1))
 	mustExec(t, e, "DELETE FROM t WHERE id = ?", Int64(1))
 

@@ -397,6 +397,7 @@ func (c *Client) Promote() (ClusterInfo, error) {
 // context deadline (clamped to DefaultDialTimeout), so a caller with a
 // tight budget is not parked behind a 5s dial against a black-holed peer.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
+	var b wait.Backoff
 	for {
 		to := DefaultDialTimeout
 		if d, ok := ctx.Deadline(); ok {
@@ -411,14 +412,8 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 			}
 			c.Close()
 		}
-		retry := wait.Timer(20 * time.Millisecond)
-		select {
-		case <-ctx.Done():
-		case <-retry.C:
-		}
-		wait.Release(retry)
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("service: %s not reachable: %w", addr, err)
+		if !b.Wait(ctx) {
+			return nil, fmt.Errorf("service: %s not reachable: %w", addr, ctx.Err())
 		}
 	}
 }
